@@ -52,6 +52,7 @@ type Frontier struct {
 
 	cfg   Config
 	opts  Options
+	plan  *plan
 	tasks []*task
 	nInit int
 	seed  uint64
@@ -83,9 +84,10 @@ func SplitFrontier(c Config, width int) (*Frontier, error) {
 	journaling := opts.Journal != nil && !opts.NoValidation
 
 	hardCap := 16 * width
-	f := &Frontier{cfg: c, opts: opts, nInit: len(c.InitConstraints), seed: seed}
+	f := &Frontier{cfg: c, opts: opts, plan: newPlan(c, start), nInit: len(c.InitConstraints), seed: seed}
 	splitter := &executor{
 		g:          c.Graph,
+		p:          f.plan,
 		opts:       opts,
 		stop:       c.StopAt,
 		solver:     smt.New(opts.Solver),
@@ -93,7 +95,6 @@ func SplitFrontier(c Config, width int) (*Frontier, error) {
 		res:        &Result{},
 		widthProd:  1,
 		hashes:     []uint64{seed},
-		deps:       map[string]int{},
 		journaling: journaling,
 	}
 	splitter.solver.SetDepTags(splitter.depTags)
@@ -103,10 +104,6 @@ func SplitFrontier(c Config, width int) (*Frontier, error) {
 		if !atEnd && splitter.widthProd < width && len(f.tasks) < hardCap {
 			return false
 		}
-		deps := make(map[string]int, len(splitter.deps))
-		for d, cnt := range splitter.deps {
-			deps[d] = cnt
-		}
 		f.tasks = append(f.tasks, &task{
 			start:       id,
 			path:        append([]cfg.NodeID(nil), splitter.path...),
@@ -114,7 +111,7 @@ func SplitFrontier(c Config, width int) (*Frontier, error) {
 			values:      splitter.values.Clone(),
 			obligations: append([]HashObligation(nil), splitter.obligations...),
 			hash:        splitter.curHash(),
-			deps:        deps,
+			deps:        append([]uint32(nil), splitter.deps...),
 			degraded:    splitter.degraded,
 		})
 		return true
@@ -194,13 +191,10 @@ func (r *Runner) Explore(i int) (res *Result, err error) {
 		return nil, fmt.Errorf("sym: unit %d out of range (frontier has %d)", i, len(r.f.tasks))
 	}
 	t := r.f.tasks[i]
-	deps := make(map[string]int, len(t.deps))
-	for d, cnt := range t.deps {
-		deps[d] = cnt
-	}
 	res = &Result{}
 	e := &executor{
 		g:           r.f.cfg.Graph,
+		p:           r.f.plan,
 		opts:        r.opts,
 		stop:        r.f.cfg.StopAt,
 		solver:      r.solver,
@@ -210,7 +204,7 @@ func (r *Runner) Explore(i int) (res *Result, err error) {
 		path:        append([]cfg.NodeID(nil), t.path...),
 		res:         res,
 		hashes:      []uint64{t.hash},
-		deps:        deps,
+		deps:        append([]uint32(nil), t.deps...),
 		degraded:    t.degraded,
 		journaling:  r.opts.Journal != nil && !r.opts.NoValidation,
 	}

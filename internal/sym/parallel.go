@@ -75,9 +75,9 @@ type task struct {
 	// worker's path-hash stack so journal keys below the split point are
 	// identical to sequential mode's.
 	hash uint64
-	// deps snapshots the prefix's rule-dependency tag counts, seeding the
-	// worker's dependency stack.
-	deps map[string]int
+	// deps snapshots the prefix's rule-dependency tag stack, seeding the
+	// worker's.
+	deps []uint32
 	// degraded snapshots the splitter's quarantine nesting depth at the
 	// split point, so a task spilled inside a quarantined subtree keeps
 	// answering Unknown (Options.Quarantined) in its claiming worker.
@@ -107,8 +107,10 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 	targetWidth := 4 * workers
 	hardCap := 64 * workers
 	var tasks []*task
+	pl := newPlan(c, start)
 	splitter := &executor{
 		g:          c.Graph,
+		p:          pl,
 		opts:       opts,
 		stop:       c.StopAt,
 		solver:     smt.New(opts.Solver),
@@ -117,7 +119,6 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 		shared:     shared,
 		widthProd:  1,
 		hashes:     []uint64{seed},
-		deps:       map[string]int{},
 		journaling: journaling,
 	}
 	splitter.solver.SetDepTags(splitter.depTags)
@@ -127,10 +128,6 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 		if !atEnd && splitter.widthProd < targetWidth && len(tasks) < hardCap {
 			return false // keep splitting above the frontier
 		}
-		deps := make(map[string]int, len(splitter.deps))
-		for d, c := range splitter.deps {
-			deps[d] = c
-		}
 		tasks = append(tasks, &task{
 			start:       id,
 			path:        append([]cfg.NodeID(nil), splitter.path...),
@@ -138,7 +135,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 			values:      splitter.values.Clone(),
 			obligations: append([]HashObligation(nil), splitter.obligations...),
 			hash:        splitter.curHash(),
-			deps:        deps,
+			deps:        append([]uint32(nil), splitter.deps...),
 			degraded:    splitter.degraded,
 			created:     time.Now(),
 		})
@@ -181,6 +178,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 				baseDepth := solver.Depth()
 				e := &executor{
 					g:           c.Graph,
+					p:           pl,
 					opts:        opts,
 					stop:        c.StopAt,
 					solver:      solver,

@@ -1,0 +1,93 @@
+package sym
+
+import (
+	"sort"
+
+	"repro/internal/cfg"
+	"repro/internal/rules"
+	"repro/internal/smt"
+)
+
+// plan is the per-exploration compilation of the graph slice reachable
+// from the start node: what dfs would otherwise derive on every visit by
+// hashing strings. Explore and SplitFrontier build it once; every executor
+// of the exploration (splitter, workers, unit runners) shares it read-only.
+type plan struct {
+	// nodes is indexed by NodeID; entries of unreachable nodes stay zero.
+	nodes []nodePlan
+	// deps pools the interned Node.Deps lists (nodePlan.depLo/depHi).
+	deps []uint32
+	// tags maps a tag ID back to its tag. IDs are ranks in sorted tag
+	// order, so sorting IDs sorts tags.
+	tags []string
+	// cacheTags holds the verdict-cache tag IDs, two per tag: the tag
+	// itself and its bare table name, so the cache can be invalidated
+	// either per entry branch or per whole table.
+	cacheTags []uint64
+}
+
+type nodePlan struct {
+	depLo, depHi uint32
+}
+
+func (p *plan) nodeDeps(id cfg.NodeID) []uint32 {
+	np := &p.nodes[id]
+	return p.deps[np.depLo:np.depHi]
+}
+
+// newPlan compiles the nodes an exploration of c from start can enter
+// (stop nodes included: the sibling batcher reads their predicates).
+func newPlan(c Config, start cfg.NodeID) *plan {
+	g := c.Graph
+	p := &plan{nodes: make([]nodePlan, len(g.Nodes))}
+	tagIDs := map[string]uint32{} // first-seen order; re-ranked below
+	// A summarized chain's nodes all alias one Deps slice; intern it once.
+	type span struct{ lo, hi uint32 }
+	shared := map[*string]span{}
+	seen := make([]bool, len(g.Nodes))
+	stack := []cfg.NodeID{start}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		n := g.Node(id)
+		if len(n.Deps) > 0 {
+			sp, ok := shared[&n.Deps[0]]
+			if !ok || int(sp.hi-sp.lo) != len(n.Deps) {
+				sp.lo = uint32(len(p.deps))
+				for _, d := range n.Deps {
+					tid, ok := tagIDs[d]
+					if !ok {
+						tid = uint32(len(tagIDs))
+						tagIDs[d] = tid
+					}
+					p.deps = append(p.deps, tid)
+				}
+				sp.hi = uint32(len(p.deps))
+				shared[&n.Deps[0]] = sp
+			}
+			p.nodes[id] = nodePlan{depLo: sp.lo, depHi: sp.hi}
+		}
+		if !c.StopAt[id] {
+			stack = append(stack, n.Succs...)
+		}
+	}
+	p.tags = make([]string, 0, len(tagIDs))
+	for t := range tagIDs {
+		p.tags = append(p.tags, t)
+	}
+	sort.Strings(p.tags)
+	rank := make([]uint32, len(p.tags))
+	p.cacheTags = make([]uint64, 0, 2*len(p.tags))
+	for r, t := range p.tags {
+		rank[tagIDs[t]] = uint32(r)
+		p.cacheTags = append(p.cacheTags, smt.TagID(t), smt.TagID(rules.TagTable(t)))
+	}
+	for i, d := range p.deps {
+		p.deps[i] = rank[d]
+	}
+	return p
+}

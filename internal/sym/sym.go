@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,7 +19,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/p4"
-	"repro/internal/rules"
 	"repro/internal/smt"
 )
 
@@ -262,13 +262,13 @@ func Explore(c Config) (*Result, error) {
 	}
 	e := &executor{
 		g:          c.Graph,
+		p:          newPlan(c, start),
 		opts:       opts,
 		stop:       c.StopAt,
 		solver:     smt.New(opts.Solver),
 		values:     expr.Subst{},
 		res:        &Result{},
 		hashes:     []uint64{seed},
-		deps:       map[string]int{},
 		journaling: opts.Journal != nil && !opts.NoValidation,
 	}
 	if opts.Solver.Cache != nil {
@@ -299,6 +299,7 @@ func (o Options) Workers() int {
 
 type executor struct {
 	g           *cfg.Graph
+	p           *plan
 	opts        Options
 	stop        map[cfg.NodeID]bool
 	solver      *smt.Solver
@@ -333,13 +334,16 @@ type executor struct {
 	// clears it, degrading to a non-journaled exploration rather than
 	// aborting the run.
 	journaling bool
-	// deps multiset-counts the rule-dependency tags of the current path's
-	// nodes (pushed/popped with the path); curDeps snapshots it for
-	// journal index records and templates.
-	deps map[string]int
-	// tagIDs memoizes smt.TagID per dependency tag for verdict-cache
-	// tagging.
-	tagIDs map[string]uint64
+	// deps stacks the interned rule-dependency tags of the current path's
+	// nodes, duplicates and all: a step only appends and truncates. The
+	// readers (templates, journal index records, verdict-cache tagging)
+	// sort and de-duplicate on read via uniqueDeps, whose scratch is
+	// depSeen (tag ID → epoch of the read that last saw it) and depBuf.
+	deps     []uint32
+	depSeen  []uint32
+	depEpoch uint32
+	depBuf   []uint32
+	tagBuf   []uint64
 	// degraded counts how many quarantined subtree roots enclose the
 	// current prefix; while positive, every solver interaction is answered
 	// Unknown without touching the solver or journal (see
@@ -370,7 +374,7 @@ type batchScratch struct {
 	pend  []pendingBranch
 	conds []expr.Bool
 	idx   []int
-	sibs  []*cfg.Node
+	sibs  []cfg.NodeID
 	keys  []uint64
 	res   []smt.Result
 }
@@ -469,40 +473,51 @@ func (e *executor) curHash() uint64 {
 	return e.hashes[len(e.hashes)-1]
 }
 
+// uniqueDeps returns the distinct tag IDs on the dependency stack in
+// ascending (= sorted tag) order. The result aliases depBuf and is valid
+// until the next call.
+func (e *executor) uniqueDeps() []uint32 {
+	if e.depSeen == nil {
+		e.depSeen = make([]uint32, len(e.p.tags))
+	}
+	e.depEpoch++
+	out := e.depBuf[:0]
+	for _, id := range e.deps {
+		if e.depSeen[id] != e.depEpoch {
+			e.depSeen[id] = e.depEpoch
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	e.depBuf = out
+	return out
+}
+
 // curDeps snapshots the current path's dependency tags, sorted.
 func (e *executor) curDeps() []string {
 	if len(e.deps) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(e.deps))
-	for d := range e.deps {
-		out = append(out, d)
+	ids := e.uniqueDeps()
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = e.p.tags[id]
 	}
-	sort.Strings(out)
 	return out
 }
 
 // depTags resolves the current path's dependency tags to verdict-cache
-// tag IDs: each tag itself plus its bare table name, so the cache can be
-// invalidated either per entry branch or per whole table.
+// tag IDs (plan.cacheTags). The solver consumes the slice before the next
+// call, so it is reused.
 func (e *executor) depTags() []uint64 {
 	if len(e.deps) == 0 {
 		return nil
 	}
-	if e.tagIDs == nil {
-		e.tagIDs = map[string]uint64{}
+	out := e.tagBuf[:0]
+	for _, id := range e.uniqueDeps() {
+		out = append(out, e.p.cacheTags[2*id], e.p.cacheTags[2*id+1])
 	}
-	out := make([]uint64, 0, 2*len(e.deps))
-	for d := range e.deps {
-		for _, s := range [2]string{d, rules.TagTable(d)} {
-			id, ok := e.tagIDs[s]
-			if !ok {
-				id = smt.TagID(s)
-				e.tagIDs[s] = id
-			}
-			out = append(out, id)
-		}
-	}
+	e.tagBuf = out
 	return out
 }
 
@@ -620,18 +635,12 @@ func (e *executor) dfs(id cfg.NodeID) {
 	n := e.g.Node(id)
 	e.path = append(e.path, id)
 	e.hashes = append(e.hashes, hashMix(e.hashes[len(e.hashes)-1], e.g.ContentHash(id)))
-	for _, d := range n.Deps {
-		e.deps[d]++
-	}
+	nDeps := len(e.deps)
+	e.deps = append(e.deps, e.p.nodeDeps(id)...)
 	defer func() {
 		e.path = e.path[:len(e.path)-1]
 		e.hashes = e.hashes[:len(e.hashes)-1]
-		for _, d := range n.Deps {
-			e.deps[d]--
-			if e.deps[d] == 0 {
-				delete(e.deps, d)
-			}
-		}
+		e.deps = e.deps[:nDeps]
 	}()
 	if e.opts.Quarantined != nil && e.opts.Quarantined[e.curHash()] {
 		// Entering a quarantined subtree: from here down (including this
@@ -752,21 +761,6 @@ func (e *executor) batchScratchAt(depth int) *batchScratch {
 	return &e.batchScratches[depth]
 }
 
-func (e *executor) addDeps(deps []string) {
-	for _, d := range deps {
-		e.deps[d]++
-	}
-}
-
-func (e *executor) dropDeps(deps []string) {
-	for _, d := range deps {
-		e.deps[d]--
-		if e.deps[d] == 0 {
-			delete(e.deps, d)
-		}
-	}
-}
-
 // batchSiblings prepares the pending verdicts for every successor of the
 // branch node n. Predicate successors with non-trivial substituted
 // conditions are answered from the resume journal when possible; the rest
@@ -804,7 +798,7 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 		}
 		st.conds = append(st.conds, cond)
 		st.idx = append(st.idx, i)
-		st.sibs = append(st.sibs, sn)
+		st.sibs = append(st.sibs, sid)
 		st.keys = append(st.keys, key)
 	}
 	if len(st.conds) == 0 {
@@ -812,29 +806,24 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 	}
 	// Verdicts stored to the shared cache are tagged with the asserted
 	// path's dependency set, which during the sweep includes the sibling
-	// under decision; retarget e.deps around each sibling.
+	// under decision; retarget the top of e.deps around each sibling.
+	nDeps := len(e.deps)
 	var prepare func(int)
 	if e.opts.Solver.Cache != nil {
 		prepare = func(i int) {
-			if i > 0 {
-				e.dropDeps(st.sibs[i-1].Deps)
-			}
-			e.addDeps(st.sibs[i].Deps)
+			e.deps = append(e.deps[:nDeps], e.p.nodeDeps(st.sibs[i])...)
 		}
 	}
 	st.res = e.solver.CheckBatch(st.conds, st.res[:0], prepare)
-	if prepare != nil {
-		e.dropDeps(st.sibs[len(st.sibs)-1].Deps)
-	}
 	for j, i := range st.idx {
 		st.pend[i].checked = true
 		st.pend[i].res = st.res[j]
 		if e.journaling {
-			e.addDeps(st.sibs[j].Deps)
+			e.deps = append(e.deps[:nDeps], e.p.nodeDeps(st.sibs[j])...)
 			e.appendJournal(journal.Record{Kind: journal.KindCheck, Key: st.keys[j], Verdict: toVerdict(st.res[j])})
-			e.dropDeps(st.sibs[j].Deps)
 		}
 	}
+	e.deps = e.deps[:nDeps]
 	return st
 }
 
