@@ -166,22 +166,104 @@ func (v Subst) Clone() Subst {
 	return out
 }
 
+// Env is a dense symbolic value stack: Env[s] is the value bound to
+// variable slot s, nil while the variable is still a free input. The owner
+// numbers the variables; RefSlotsArith/RefSlotsBool resolve an
+// expression's references to slots once, so substituting it afterwards
+// hashes no variable names.
+type Env []Arith
+
+// substEnv is the binding lookup behind one substitution walk: the map V,
+// or (vals non-nil) an Env whose Ref slots are consumed in walk order.
+type substEnv struct {
+	m    Subst
+	vals Env
+	refs []int32
+}
+
+func (e *substEnv) lookup(v Var) Arith {
+	if e.vals == nil {
+		return e.m[v]
+	}
+	s := e.refs[0]
+	e.refs = e.refs[1:]
+	return e.vals[s]
+}
+
+// RefSlotsArith appends slot(v) for every variable reference in a, in the
+// order substitution visits them.
+func RefSlotsArith(dst []int32, a Arith, slot func(Var) int32) []int32 {
+	switch t := a.(type) {
+	case Ref:
+		dst = append(dst, slot(t.Var))
+	case Bin:
+		dst = RefSlotsArith(dst, t.L, slot)
+		dst = RefSlotsArith(dst, t.R, slot)
+	}
+	return dst
+}
+
+// RefSlotsBool is RefSlotsArith for a boolean expression.
+func RefSlotsBool(dst []int32, b Bool, slot func(Var) int32) []int32 {
+	switch t := b.(type) {
+	case Cmp:
+		dst = RefSlotsArith(dst, t.L, slot)
+		dst = RefSlotsArith(dst, t.R, slot)
+	case Logic:
+		dst = RefSlotsBool(dst, t.L, slot)
+		dst = RefSlotsBool(dst, t.R, slot)
+	case Not:
+		dst = RefSlotsBool(dst, t.X, slot)
+	}
+	return dst
+}
+
+// bound reports whether any of the referenced slots has a value.
+func (e Env) bound(refs []int32) bool {
+	for _, s := range refs {
+		if e[s] != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// SubstArith is SubstArith over a slot environment; refs is a's
+// RefSlotsArith list.
+func (e Env) SubstArith(a Arith, refs []int32) Arith {
+	if !e.bound(refs) {
+		return a
+	}
+	out, _ := substArith(a, &substEnv{vals: e, refs: refs})
+	return out
+}
+
+// SubstBool is SubstBool over a slot environment; refs is b's
+// RefSlotsBool list.
+func (e Env) SubstBool(b Bool, refs []int32) Bool {
+	if !e.bound(refs) {
+		return b
+	}
+	out, _ := substBool(b, &substEnv{vals: e, refs: refs})
+	return out
+}
+
 // SubstArith substitutes all variables in a with their values in V
 // (the ⟦V⟧a operation of Figure 6). Variables absent from V are left as
 // free symbolic inputs. Expressions untouched by the substitution are
 // returned as-is, without allocation — the common case for table-entry
 // predicates over raw input fields.
 func SubstArith(a Arith, v Subst) Arith {
-	out, _ := substArith(a, v)
+	out, _ := substArith(a, &substEnv{m: v})
 	return out
 }
 
-func substArith(a Arith, v Subst) (Arith, bool) {
+func substArith(a Arith, v *substEnv) (Arith, bool) {
 	switch t := a.(type) {
 	case Const:
 		return t, false
 	case Ref:
-		if val, ok := v[t.Var]; ok {
+		if val := v.lookup(t.Var); val != nil {
 			return val, true
 		}
 		return t, false
@@ -199,11 +281,11 @@ func substArith(a Arith, v Subst) (Arith, bool) {
 // SubstBool substitutes all variables in b with their values in V.
 // Untouched expressions are returned as-is, without allocation.
 func SubstBool(b Bool, v Subst) Bool {
-	out, _ := substBool(b, v)
+	out, _ := substBool(b, &substEnv{m: v})
 	return out
 }
 
-func substBool(b Bool, v Subst) (Bool, bool) {
+func substBool(b Bool, v *substEnv) (Bool, bool) {
 	switch t := b.(type) {
 	case BoolConst:
 		return t, false

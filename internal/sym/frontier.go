@@ -91,7 +91,7 @@ func SplitFrontier(c Config, width int) (*Frontier, error) {
 		opts:       opts,
 		stop:       c.StopAt,
 		solver:     smt.New(opts.Solver),
-		values:     expr.Subst{},
+		vals:       append(expr.Env(nil), f.plan.init...),
 		res:        &Result{},
 		widthProd:  1,
 		hashes:     []uint64{seed},
@@ -108,7 +108,7 @@ func SplitFrontier(c Config, width int) (*Frontier, error) {
 			start:       id,
 			path:        append([]cfg.NodeID(nil), splitter.path...),
 			constraints: append([]expr.Bool(nil), splitter.constraints...),
-			values:      splitter.values.Clone(),
+			values:      append(expr.Env(nil), splitter.vals...),
 			obligations: append([]HashObligation(nil), splitter.obligations...),
 			hash:        splitter.curHash(),
 			deps:        append([]uint32(nil), splitter.deps...),
@@ -119,9 +119,6 @@ func SplitFrontier(c Config, width int) (*Frontier, error) {
 	for _, b := range c.InitConstraints {
 		splitter.solver.Assert(b)
 		splitter.constraints = append(splitter.constraints, b)
-	}
-	for v, a := range c.InitValues {
-		splitter.values[v] = a
 	}
 	splitter.dfs(start)
 
@@ -198,7 +195,7 @@ func (r *Runner) Explore(i int) (res *Result, err error) {
 		opts:        r.opts,
 		stop:        r.f.cfg.StopAt,
 		solver:      r.solver,
-		values:      t.values.Clone(),
+		vals:        append(expr.Env(nil), t.values...),
 		constraints: append([]expr.Bool(nil), t.constraints...),
 		obligations: append([]HashObligation(nil), t.obligations...),
 		path:        append([]cfg.NodeID(nil), t.path...),

@@ -68,7 +68,7 @@ type task struct {
 	// constraints is the full condition stack, init constraints included.
 	constraints []expr.Bool
 	// values is a snapshot of the value stack V.
-	values expr.Subst
+	values expr.Env
 	// obligations are the hash/checksum obligations pending on the prefix.
 	obligations []HashObligation
 	// hash is the content-based journal key of the prefix, seeding the
@@ -114,7 +114,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 		opts:       opts,
 		stop:       c.StopAt,
 		solver:     smt.New(opts.Solver),
-		values:     expr.Subst{},
+		vals:       append(expr.Env(nil), pl.init...),
 		res:        &Result{},
 		shared:     shared,
 		widthProd:  1,
@@ -132,7 +132,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 			start:       id,
 			path:        append([]cfg.NodeID(nil), splitter.path...),
 			constraints: append([]expr.Bool(nil), splitter.constraints...),
-			values:      splitter.values.Clone(),
+			values:      append(expr.Env(nil), splitter.vals...),
 			obligations: append([]HashObligation(nil), splitter.obligations...),
 			hash:        splitter.curHash(),
 			deps:        append([]uint32(nil), splitter.deps...),
@@ -145,9 +145,6 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 	for _, b := range c.InitConstraints {
 		splitter.solver.Assert(b)
 		splitter.constraints = append(splitter.constraints, b)
-	}
-	for v, a := range c.InitValues {
-		splitter.values[v] = a
 	}
 	splitter.dfs(start)
 
@@ -182,7 +179,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 					opts:        opts,
 					stop:        c.StopAt,
 					solver:      solver,
-					values:      t.values,
+					vals:        t.values,
 					constraints: t.constraints,
 					obligations: t.obligations,
 					path:        t.path,

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/cfg"
+	"repro/internal/expr"
 	"repro/internal/rules"
 	"repro/internal/smt"
 )
@@ -24,10 +25,28 @@ type plan struct {
 	// itself and its bare table name, so the cache can be invalidated
 	// either per entry branch or per whole table.
 	cacheTags []uint64
+	// vars maps a value-stack slot back to its variable; init is the value
+	// stack seeded from Config.InitValues, copied by each executor.
+	vars []expr.Var
+	init expr.Env
+	// refs pools the nodes' Ref-slot lists (expr.RefSlotsBool/Arith).
+	refs []int32
 }
 
 type nodePlan struct {
 	depLo, depHi uint32
+	// refLo/refHi delimit the Ref slots of Pred or Val in plan.refs; a
+	// Hash/Checksum node's inputs are delimited by inputEnds instead.
+	refLo, refHi uint32
+	inputEnds    []uint32
+	// slot is Var's value-stack slot (Action, Hash, Checksum).
+	slot int32
+}
+
+// nodeRefs returns the Ref slots of the node's Pred or Val.
+func (p *plan) nodeRefs(id cfg.NodeID) []int32 {
+	np := &p.nodes[id]
+	return p.refs[np.refLo:np.refHi]
 }
 
 func (p *plan) nodeDeps(id cfg.NodeID) []uint32 {
@@ -44,6 +63,16 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 	// A summarized chain's nodes all alias one Deps slice; intern it once.
 	type span struct{ lo, hi uint32 }
 	shared := map[*string]span{}
+	slots := map[expr.Var]int32{}
+	slot := func(v expr.Var) int32 {
+		sl, ok := slots[v]
+		if !ok {
+			sl = int32(len(p.vars))
+			slots[v] = sl
+			p.vars = append(p.vars, v)
+		}
+		return sl
+	}
 	seen := make([]bool, len(g.Nodes))
 	stack := []cfg.NodeID{start}
 	for len(stack) > 0 {
@@ -71,6 +100,22 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 			}
 			p.nodes[id] = nodePlan{depLo: sp.lo, depHi: sp.hi}
 		}
+		np := &p.nodes[id]
+		np.refLo = uint32(len(p.refs))
+		switch n.Kind {
+		case cfg.Predicate:
+			p.refs = expr.RefSlotsBool(p.refs, n.Pred, slot)
+		case cfg.Action:
+			np.slot = slot(n.Var)
+			p.refs = expr.RefSlotsArith(p.refs, n.Val, slot)
+		case cfg.Hash, cfg.Checksum:
+			np.slot = slot(n.Var)
+			for _, in := range n.Inputs {
+				p.refs = expr.RefSlotsArith(p.refs, in, slot)
+				np.inputEnds = append(np.inputEnds, uint32(len(p.refs)))
+			}
+		}
+		np.refHi = uint32(len(p.refs))
 		if !c.StopAt[id] {
 			stack = append(stack, n.Succs...)
 		}
@@ -88,6 +133,13 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 	}
 	for i, d := range p.deps {
 		p.deps[i] = rank[d]
+	}
+	for v := range c.InitValues {
+		slot(v)
+	}
+	p.init = make(expr.Env, len(p.vars))
+	for v, a := range c.InitValues {
+		p.init[slots[v]] = a
 	}
 	return p
 }

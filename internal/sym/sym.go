@@ -266,11 +266,11 @@ func Explore(c Config) (*Result, error) {
 		opts:       opts,
 		stop:       c.StopAt,
 		solver:     smt.New(opts.Solver),
-		values:     expr.Subst{},
 		res:        &Result{},
 		hashes:     []uint64{seed},
 		journaling: opts.Journal != nil && !opts.NoValidation,
 	}
+	e.vals = append(expr.Env(nil), e.p.init...)
 	if opts.Solver.Cache != nil {
 		e.solver.SetDepTags(e.depTags)
 	}
@@ -280,9 +280,6 @@ func Explore(c Config) (*Result, error) {
 	for _, b := range c.InitConstraints {
 		e.solver.Assert(b)
 		e.constraints = append(e.constraints, b)
-	}
-	for v, a := range c.InitValues {
-		e.values[v] = a
 	}
 	e.dfs(start)
 	e.res.SMT = e.solver.Stats()
@@ -298,12 +295,13 @@ func (o Options) Workers() int {
 }
 
 type executor struct {
-	g           *cfg.Graph
-	p           *plan
-	opts        Options
-	stop        map[cfg.NodeID]bool
-	solver      *smt.Solver
-	values      expr.Subst
+	g      *cfg.Graph
+	p      *plan
+	opts   Options
+	stop   map[cfg.NodeID]bool
+	solver *smt.Solver
+	// vals is the value stack V, indexed by plan slot (nil = unbound).
+	vals        expr.Env
 	constraints []expr.Bool
 	obligations []HashObligation
 	path        []cfg.NodeID
@@ -653,7 +651,7 @@ func (e *executor) dfs(id cfg.NodeID) {
 	case cfg.Predicate:
 		cond := pend.cond
 		if !pend.ok {
-			cond = expr.SubstBool(n.Pred, e.values)
+			cond = e.vals.SubstBool(n.Pred, e.p.nodeRefs(id))
 		}
 		if expr.EqualBool(cond, expr.False) {
 			// Statically invalid (e.g. Figure 5(b)): prune without an SMT
@@ -692,18 +690,20 @@ func (e *executor) dfs(id cfg.NodeID) {
 			}
 		}
 	case cfg.Action:
-		old, had := e.values[n.Var]
-		e.values[n.Var] = expr.SubstArith(n.Val, e.values)
-		defer func() { e.restore(n.Var, old, had) }()
+		slot := e.p.nodes[id].slot
+		old := e.vals[slot]
+		e.vals[slot] = e.vals.SubstArith(n.Val, e.p.nodeRefs(id))
+		defer func() { e.vals[slot] = old }()
 	case cfg.Hash, cfg.Checksum:
-		old, had := e.values[n.Var]
+		slot := e.p.nodes[id].slot
+		old := e.vals[slot]
 		val, ob := e.evalOpaque(n)
-		e.values[n.Var] = val
+		e.vals[slot] = val
 		if ob != nil {
 			e.obligations = append(e.obligations, *ob)
 			defer func() { e.obligations = e.obligations[:len(e.obligations)-1] }()
 		}
-		defer func() { e.restore(n.Var, old, had) }()
+		defer func() { e.vals[slot] = old }()
 	}
 
 	if n.IsLeaf() {
@@ -776,7 +776,7 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 		if sn.Kind != cfg.Predicate {
 			continue // non-predicate successors take the normal path
 		}
-		cond := expr.SubstBool(sn.Pred, e.values)
+		cond := e.vals.SubstBool(sn.Pred, e.p.nodeRefs(sid))
 		st.pend[i] = pendingBranch{ok: true, cond: cond}
 		if expr.EqualBool(cond, expr.False) || expr.EqualBool(cond, expr.True) {
 			continue // statically decided in the child frame, no solver
@@ -827,26 +827,21 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 	return st
 }
 
-func (e *executor) restore(v expr.Var, old expr.Arith, had bool) {
-	if had {
-		e.values[v] = old
-	} else {
-		delete(e.values, v)
-	}
-}
-
 // evalOpaque implements the paper's §4 hash treatment: "we directly
 // calculate hashing results if all keys are constrained with one value,
 // and otherwise leave these fields as arbitrary values" (with a deferred
 // post-generation check). Checksums are handled identically.
 func (e *executor) evalOpaque(n *cfg.Node) (expr.Arith, *HashObligation) {
 	w := e.g.Vars[n.Var]
+	np := &e.p.nodes[n.ID]
 	inputs := make([]expr.Arith, len(n.Inputs))
 	vals := make([]uint64, len(n.Inputs))
 	widths := make([]expr.Width, len(n.Inputs))
 	allConst := true
+	lo := np.refLo
 	for i, in := range n.Inputs {
-		inputs[i] = expr.SubstArith(in, e.values)
+		inputs[i] = e.vals.SubstArith(in, e.p.refs[lo:np.inputEnds[i]])
+		lo = np.inputEnds[i]
 		widths[i] = in.Width()
 		if c, ok := inputs[i].(expr.Const); ok {
 			vals[i] = c.Val
@@ -1004,6 +999,23 @@ func fromVerdict(v journal.Verdict) smt.Result {
 	}
 }
 
+// final snapshots the value stack as the exchange type, a Subst.
+func (e *executor) final() expr.Subst {
+	n := 0
+	for _, a := range e.vals {
+		if a != nil {
+			n++
+		}
+	}
+	out := make(expr.Subst, n)
+	for s, a := range e.vals {
+		if a != nil {
+			out[e.p.vars[s]] = a
+		}
+	}
+	return out
+}
+
 // emit records a template for the current path if its condition is
 // satisfiable (always, in NoValidation mode). key is the journal key for
 // the completed path.
@@ -1023,7 +1035,7 @@ func (e *executor) emit(key uint64) {
 		ID:          len(e.res.Templates),
 		Path:        append([]cfg.NodeID(nil), e.path...),
 		Constraints: append([]expr.Bool(nil), e.constraints...),
-		Final:       e.values.Clone(),
+		Final:       e.final(),
 		Model:       model,
 		Uncertain:   r == smt.Unknown,
 		PathKey:     key,
