@@ -258,22 +258,20 @@ func SubstArith(a Arith, v Subst) Arith {
 	return out
 }
 
+// substArith reports whether it changed anything; an unchanged expression
+// is returned as the interface value that came in, never re-boxed.
 func substArith(a Arith, v *substEnv) (Arith, bool) {
 	switch t := a.(type) {
-	case Const:
-		return t, false
 	case Ref:
 		if val := v.lookup(t.Var); val != nil {
 			return val, true
 		}
-		return t, false
 	case Bin:
 		l, lc := substArith(t.L, v)
 		r, rc := substArith(t.R, v)
-		if !lc && !rc {
-			return t, false
+		if lc || rc {
+			return simplifyBin(t.Op, l, r), true
 		}
-		return Simplify(Bin{Op: t.Op, L: l, R: r}), true
 	}
 	return a, false
 }
@@ -287,31 +285,26 @@ func SubstBool(b Bool, v Subst) Bool {
 
 func substBool(b Bool, v *substEnv) (Bool, bool) {
 	switch t := b.(type) {
-	case BoolConst:
-		return t, false
 	case Cmp:
 		l, lc := substArith(t.L, v)
 		r, rc := substArith(t.R, v)
-		if !lc && !rc {
-			return t, false
+		if lc || rc {
+			return simplifyCmp(t.Op, l, r), true
 		}
-		return SimplifyBool(Cmp{Op: t.Op, L: l, R: r}), true
 	case Logic:
 		l, lc := substBool(t.L, v)
 		r, rc := substBool(t.R, v)
 		if !lc && !rc {
-			return t, false
+			break
 		}
 		if t.Op == LAnd {
 			return And(l, r), true
 		}
 		return Or(l, r), true
 	case Not:
-		x, xc := substBool(t.X, v)
-		if !xc {
-			return t, false
+		if x, xc := substBool(t.X, v); xc {
+			return SimplifyBool(Not{X: x}), true
 		}
-		return SimplifyBool(Not{X: x}), true
 	}
 	return b, false
 }

@@ -9,19 +9,29 @@ func Simplify(a Arith) Arith {
 	if !ok {
 		return a
 	}
-	l := Simplify(b.L)
-	r := Simplify(b.R)
-	w := Bin{Op: b.Op, L: l, R: r}.Width()
+	return simplifyBin(b.Op, b.L, b.R)
+}
+
+// simplifyBin is Simplify(Bin{op, l, r}) without boxing the operation
+// first: substitution folds most of what it rebuilds straight to a
+// constant, and an interface value built only to be folded is garbage.
+func simplifyBin(op AOp, l, r Arith) Arith {
+	l = Simplify(l)
+	r = Simplify(r)
+	w := l.Width()
+	if rw := r.Width(); rw > w {
+		w = rw
+	}
 
 	lc, lIsC := l.(Const)
 	rc, rIsC := r.(Const)
 
 	// Constant folding.
 	if lIsC && rIsC {
-		return Const{Val: b.Op.Apply(lc.Val, rc.Val, w), W: w}
+		return Const{Val: op.Apply(lc.Val, rc.Val, w), W: w}
 	}
 
-	switch b.Op {
+	switch op {
 	case OpAdd:
 		if lIsC && lc.Val == 0 {
 			return r
@@ -33,7 +43,7 @@ func Simplify(a Arith) Arith {
 		if rIsC {
 			if lb, ok := l.(Bin); ok && lb.Op == OpAdd {
 				if ic, ok := lb.R.(Const); ok {
-					return Simplify(Bin{Op: OpAdd, L: lb.L, R: Const{Val: w.Trunc(ic.Val + rc.Val), W: w}})
+					return simplifyBin(OpAdd, lb.L, Const{Val: w.Trunc(ic.Val + rc.Val), W: w})
 				}
 			}
 		}
@@ -98,7 +108,7 @@ func Simplify(a Arith) Arith {
 			return l
 		}
 	}
-	return Bin{Op: b.Op, L: l, R: r}
+	return Bin{Op: op, L: l, R: r}
 }
 
 // SimplifyBool performs local simplification of a boolean expression:
@@ -109,51 +119,7 @@ func SimplifyBool(b Bool) Bool {
 	case BoolConst:
 		return t
 	case Cmp:
-		l := Simplify(t.L)
-		r := Simplify(t.R)
-		lc, lIsC := l.(Const)
-		rc, rIsC := r.(Const)
-		if lIsC && rIsC {
-			return BoolConst(t.Op.Apply(lc.Val, rc.Val))
-		}
-		if EqualArith(l, r) {
-			switch t.Op {
-			case CmpEq, CmpGe, CmpLe:
-				return True
-			case CmpNe, CmpGt, CmpLt:
-				return False
-			}
-		}
-		// Width-impossible comparisons: x > mask(w) is always false.
-		if rIsC {
-			w := l.Width()
-			switch t.Op {
-			case CmpGt:
-				if rc.Val >= w.Mask() {
-					return False
-				}
-			case CmpLe:
-				if rc.Val >= w.Mask() {
-					return True
-				}
-			case CmpLt:
-				if rc.Val == 0 {
-					return False
-				}
-			case CmpGe:
-				if rc.Val == 0 {
-					return True
-				}
-			case CmpEq, CmpNe:
-				if rc.Val > w.Mask() {
-					if t.Op == CmpEq {
-						return False
-					}
-					return True
-				}
-			}
-		}
-		return Cmp{Op: t.Op, L: l, R: r}
+		return simplifyCmp(t.Op, t.L, t.R)
 	case Logic:
 		l := SimplifyBool(t.L)
 		r := SimplifyBool(t.R)
@@ -169,6 +135,57 @@ func SimplifyBool(b Bool) Bool {
 		return Negate(x)
 	}
 	return b
+}
+
+// simplifyCmp is SimplifyBool(Cmp{op, l, r}) without boxing the comparison
+// first (see simplifyBin): a comparison of two constants returns the
+// shared True/False and allocates nothing.
+func simplifyCmp(op CmpOp, l, r Arith) Bool {
+	l = Simplify(l)
+	r = Simplify(r)
+	lc, lIsC := l.(Const)
+	rc, rIsC := r.(Const)
+	if lIsC && rIsC {
+		return BoolConst(op.Apply(lc.Val, rc.Val))
+	}
+	if EqualArith(l, r) {
+		switch op {
+		case CmpEq, CmpGe, CmpLe:
+			return True
+		case CmpNe, CmpGt, CmpLt:
+			return False
+		}
+	}
+	// Width-impossible comparisons: x > mask(w) is always false.
+	if rIsC {
+		w := l.Width()
+		switch op {
+		case CmpGt:
+			if rc.Val >= w.Mask() {
+				return False
+			}
+		case CmpLe:
+			if rc.Val >= w.Mask() {
+				return True
+			}
+		case CmpLt:
+			if rc.Val == 0 {
+				return False
+			}
+		case CmpGe:
+			if rc.Val == 0 {
+				return True
+			}
+		case CmpEq, CmpNe:
+			if rc.Val > w.Mask() {
+				if op == CmpEq {
+					return False
+				}
+				return True
+			}
+		}
+	}
+	return Cmp{Op: op, L: l, R: r}
 }
 
 // Conjuncts flattens a boolean expression into its top-level conjunction

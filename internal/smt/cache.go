@@ -202,20 +202,12 @@ func (c *VerdictCache) Len() int {
 	return n
 }
 
-// boolHash returns the FNV-1a hash of the constraint's rendering,
-// memoized per expression value (path conditions are asserted verbatim on
-// every visit of their predicate node, so the same values recur).
-func (s *Solver) boolHash(b expr.Bool) uint64 {
-	if h, ok := s.hashCache[b]; ok {
-		return h
-	}
+// boolHash returns the FNV-1a hash of the constraint's rendering (Assert
+// memoizes it per constraint value).
+func boolHash(b expr.Bool) uint64 {
 	f := fnv.New64a()
 	f.Write([]byte(b.String()))
-	h := f.Sum64()
-	if len(s.hashCache) < 1<<16 {
-		s.hashCache[b] = h
-	}
-	return h
+	return f.Sum64()
 }
 
 // condKey digests the currently-asserted constraint multiset across all

@@ -47,7 +47,7 @@ type atom struct {
 	// tvars/evars are precomputed variable lists for define/deferred
 	// atoms: every variable the atom mentions (touchVars) and the
 	// variables of the defining expression (evalUnderFixed). Atoms are
-	// memoized per constraint value in Solver.normCache, so these are
+	// memoized per constraint value in Solver.memo, so these are
 	// computed once and shared read-only; a fixed order here replaces the
 	// per-call map iteration the old code paid on every propagation.
 	tvars []varW

@@ -287,7 +287,7 @@ type hintEntry struct {
 
 // hintEntries extracts constants adjacent to each variable in an atom
 // list, used as first candidates during search. Computed once per
-// normalized constraint (memoized in Solver.hintCache) and merged into
+// normalized constraint (memoized in Solver.memo) and merged into
 // the live per-variable hint index by Assert.
 func hintEntries(atoms []atom) []hintEntry {
 	var out []hintEntry

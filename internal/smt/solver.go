@@ -180,18 +180,15 @@ type Solver struct {
 	stats   Stats
 	// widths remembers the declared width of each variable.
 	widths map[expr.Var]expr.Width
-	// normCache memoizes atom normalization per constraint value. Path
-	// conditions over raw input fields are asserted verbatim on every
-	// visit of their predicate node (copy-on-write substitution preserves
-	// identity), so summarized-chain conjunctions hit this cache hard.
-	normCache map[expr.Bool][]atom
-	// hintCache memoizes, per constraint value, the search hints its atoms
-	// contribute; hints/hintLog maintain the live hint index incrementally
-	// under Assert/Pop so no per-check rebuild is needed.
-	hintCache map[expr.Bool][]hintEntry
-	hints     map[expr.Var][]uint64
-	hintLog   []expr.Var
-	hashCache map[expr.Bool]uint64
+	// memo holds what Assert derives from a constraint value, so that one
+	// lookup serves a repeat. Path conditions over raw input fields are
+	// asserted verbatim on every visit of their predicate node
+	// (copy-on-write substitution preserves identity), so summarized-chain
+	// conjunctions hit it hard. hints/hintLog maintain the live hint index
+	// incrementally under Assert/Pop so no per-check rebuild is needed.
+	memo    map[expr.Bool]assertMemo
+	hints   map[expr.Var][]uint64
+	hintLog []expr.Var
 	// lastUnknown is the typed reason the most recent Check/Model
 	// returned Unknown (a *BudgetError), nil otherwise.
 	lastUnknown error
@@ -218,6 +215,15 @@ type Solver struct {
 	batch batchPrep
 }
 
+// assertMemo is the per-constraint-value part of Assert: the normalized
+// atoms, the search hints they contribute, and (when a verdict cache is
+// configured) the constraint's digest for the cache key.
+type assertMemo struct {
+	atoms []atom
+	hints []hintEntry
+	hash  uint64
+}
+
 // New returns a solver with the given options.
 func New(opts Options) *Solver {
 	if opts.SearchBudget <= 0 {
@@ -230,10 +236,8 @@ func New(opts Options) *Solver {
 		opts:      opts,
 		domains:   make(map[expr.Var]*domain),
 		widths:    make(map[expr.Var]expr.Width),
-		normCache: make(map[expr.Bool][]atom),
-		hintCache: make(map[expr.Bool][]hintEntry),
+		memo:      make(map[expr.Bool]assertMemo),
 		hints:     make(map[expr.Var][]uint64),
-		hashCache: make(map[expr.Bool]uint64),
 		scratchSt: expr.State{},
 		evalSt:    expr.State{},
 	}
@@ -362,27 +366,35 @@ func (s *Solver) freeDomain(d *domain) {
 // value, so re-asserting the conditions of a hot path allocates nothing.
 func (s *Solver) Assert(b expr.Bool) {
 	top := &s.frames[len(s.frames)-1]
-	if s.opts.Cache != nil {
-		h := s.boolHash(b)
-		top.hsum += h
-		top.hxor ^= h
-		top.hn++
-	}
-	atoms, ok := s.normCache[b]
+	m, ok := s.memo[b]
 	if !ok {
-		atoms = normalize(b)
-		if len(s.normCache) < 1<<16 {
-			s.normCache[b] = atoms
+		m.atoms = normalize(b)
+		m.hints = hintEntries(m.atoms)
+		if s.opts.Cache != nil {
+			m.hash = boolHash(b)
+		}
+		if len(s.memo) < 1<<16 {
+			s.memo[b] = m
 		}
 	}
+	if s.opts.Cache != nil {
+		top.hsum += m.hash
+		top.hxor ^= m.hash
+		top.hn++
+	}
 	base := len(s.atoms)
-	s.atoms = append(s.atoms, atoms...)
+	s.atoms = append(s.atoms, m.atoms...)
 	for i := base; i < len(s.atoms); i++ {
 		if s.atoms[i].kind == atomDefine {
 			s.defines = append(s.defines, int32(i))
 		}
 	}
-	s.appendHints(b, atoms)
+	// Merge the hint entries into the live index, logging each append so
+	// Pop can unwind it.
+	for _, e := range m.hints {
+		s.hints[e.v] = append(s.hints[e.v], e.val)
+		s.hintLog = append(s.hintLog, e.v)
+	}
 	if s.opts.Incremental {
 		// top stays valid: propagation never grows the frame stack.
 		for i := base; i < len(s.atoms); i++ {
@@ -395,22 +407,6 @@ func (s *Solver) Assert(b expr.Bool) {
 				top.failed = true
 			}
 		}
-	}
-}
-
-// appendHints merges b's memoized hint entries into the live hint index,
-// logging each append so Pop can unwind it.
-func (s *Solver) appendHints(b expr.Bool, atoms []atom) {
-	entries, ok := s.hintCache[b]
-	if !ok {
-		entries = hintEntries(atoms)
-		if len(s.hintCache) < 1<<16 {
-			s.hintCache[b] = entries
-		}
-	}
-	for _, e := range entries {
-		s.hints[e.v] = append(s.hints[e.v], e.val)
-		s.hintLog = append(s.hintLog, e.v)
 	}
 }
 

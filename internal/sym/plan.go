@@ -2,6 +2,7 @@ package sym
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -35,12 +36,29 @@ type plan struct {
 
 type nodePlan struct {
 	depLo, depHi uint32
-	// refLo/refHi delimit the Ref slots of Pred or Val in plan.refs; a
-	// Hash/Checksum node's inputs are delimited by inputEnds instead.
+	// refLo/refHi delimit the node's Ref slots in plan.refs: those of Pred
+	// or Val, or of all Inputs (split by opaquePlan.inputEnds).
 	refLo, refHi uint32
-	inputEnds    []uint32
 	// slot is Var's value-stack slot (Action, Hash, Checksum).
-	slot int32
+	slot   int32
+	opaque *opaquePlan
+}
+
+// opaquePlan is the per-node constant part of evaluating a Hash or
+// Checksum node.
+type opaquePlan struct {
+	w         expr.Width   // Var's width
+	widths    []expr.Width // Inputs' widths
+	inputEnds []uint32     // end of each input's Ref slots in plan.refs
+	// fresh is the symbol the node's result becomes when its inputs are
+	// not all constant. It is named after the node, not a visit sequence:
+	// a DAG path enters each node at most once, so the name is unique
+	// within any template, and identical no matter which worker (or split
+	// point) reaches the node — parallel exploration's byte-identical-
+	// output guarantee relies on that.
+	fresh expr.Ref
+	// freshVal is fresh, boxed once.
+	freshVal expr.Arith
 }
 
 // nodeRefs returns the Ref slots of the node's Pred or Val.
@@ -110,10 +128,15 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 			p.refs = expr.RefSlotsArith(p.refs, n.Val, slot)
 		case cfg.Hash, cfg.Checksum:
 			np.slot = slot(n.Var)
+			op := &opaquePlan{w: g.Vars[n.Var]}
+			op.fresh = expr.V(expr.Var("hash$n"+strconv.Itoa(int(n.ID))), op.w)
+			op.freshVal = op.fresh
 			for _, in := range n.Inputs {
 				p.refs = expr.RefSlotsArith(p.refs, in, slot)
-				np.inputEnds = append(np.inputEnds, uint32(len(p.refs)))
+				op.inputEnds = append(op.inputEnds, uint32(len(p.refs)))
+				op.widths = append(op.widths, in.Width())
 			}
+			np.opaque = op
 		}
 		np.refHi = uint32(len(p.refs))
 		if !c.StopAt[id] {

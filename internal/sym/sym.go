@@ -351,6 +351,9 @@ type executor struct {
 	// batch down to the child's dfs frame; it is set immediately before
 	// each e.dfs(succ) call and consumed (and cleared) at frame entry.
 	pending pendingBranch
+	// opaqueIn/opaqueVals are evalOpaque's scratch.
+	opaqueIn   []expr.Arith
+	opaqueVals []uint64
 	// batchScratches is a per-depth arena for sibling-batch state: the
 	// scratch at depth d stays live for the whole children loop of the
 	// branch node at that depth, while deeper batches use deeper slots.
@@ -697,13 +700,12 @@ func (e *executor) dfs(id cfg.NodeID) {
 	case cfg.Hash, cfg.Checksum:
 		slot := e.p.nodes[id].slot
 		old := e.vals[slot]
-		val, ob := e.evalOpaque(n)
-		e.vals[slot] = val
-		if ob != nil {
-			e.obligations = append(e.obligations, *ob)
-			defer func() { e.obligations = e.obligations[:len(e.obligations)-1] }()
-		}
-		defer func() { e.vals[slot] = old }()
+		nObl := len(e.obligations)
+		e.vals[slot] = e.evalOpaque(n)
+		defer func() {
+			e.vals[slot] = old
+			e.obligations = e.obligations[:nObl]
+		}()
 	}
 
 	if n.IsLeaf() {
@@ -830,43 +832,35 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 // evalOpaque implements the paper's §4 hash treatment: "we directly
 // calculate hashing results if all keys are constrained with one value,
 // and otherwise leave these fields as arbitrary values" (with a deferred
-// post-generation check). Checksums are handled identically.
-func (e *executor) evalOpaque(n *cfg.Node) (expr.Arith, *HashObligation) {
-	w := e.g.Vars[n.Var]
+// post-generation check, pushed on e.obligations here). Checksums are
+// handled identically.
+func (e *executor) evalOpaque(n *cfg.Node) expr.Arith {
 	np := &e.p.nodes[n.ID]
-	inputs := make([]expr.Arith, len(n.Inputs))
-	vals := make([]uint64, len(n.Inputs))
-	widths := make([]expr.Width, len(n.Inputs))
+	op := np.opaque
+	inputs, vals := e.opaqueIn[:0], e.opaqueVals[:0]
 	allConst := true
 	lo := np.refLo
 	for i, in := range n.Inputs {
-		inputs[i] = e.vals.SubstArith(in, e.p.refs[lo:np.inputEnds[i]])
-		lo = np.inputEnds[i]
-		widths[i] = in.Width()
-		if c, ok := inputs[i].(expr.Const); ok {
-			vals[i] = c.Val
-		} else {
-			allConst = false
-		}
+		a := e.vals.SubstArith(in, e.p.refs[lo:op.inputEnds[i]])
+		lo = op.inputEnds[i]
+		c, ok := a.(expr.Const)
+		allConst = allConst && ok
+		inputs, vals = append(inputs, a), append(vals, c.Val)
 	}
+	e.opaqueIn, e.opaqueVals = inputs, vals
 	if allConst {
 		var v uint64
 		if n.Kind == cfg.Hash {
-			v = hashfn.Hash(vals, widths, w)
+			v = hashfn.Hash(vals, op.widths, op.w)
 		} else {
-			v = hashfn.Checksum(vals, widths)
-			v = w.Trunc(v)
+			v = op.w.Trunc(hashfn.Checksum(vals, op.widths))
 		}
-		return expr.C(v, w), nil
+		return expr.C(v, op.w)
 	}
-	// Fresh symbols are named after the opaque node itself, not a global
-	// visit sequence: a DAG path enters each node at most once, so the
-	// name is unique within any template, and — unlike a traversal-order
-	// counter — identical no matter which worker (or split point) reaches
-	// the node, which parallel exploration's byte-identical-output
-	// guarantee relies on.
-	fresh := expr.Var(fmt.Sprintf("hash$n%d", n.ID))
-	return expr.V(fresh, w), &HashObligation{Var: fresh, Kind: n.Kind, Inputs: inputs, Width: w}
+	e.obligations = append(e.obligations, HashObligation{
+		Var: op.fresh.Var, Kind: n.Kind, Inputs: append([]expr.Arith(nil), inputs...), Width: op.w,
+	})
+	return op.freshVal
 }
 
 // recoverPath arrests a panic raised while processing node id or its
