@@ -300,8 +300,10 @@ type executor struct {
 	opts   Options
 	stop   map[cfg.NodeID]bool
 	solver *smt.Solver
-	// vals is the value stack V, indexed by plan slot (nil = unbound).
+	// vals is the value stack V, indexed by plan slot (nil = unbound);
+	// trail is its undo log (see mark).
 	vals        expr.Env
+	trail       []binding
 	constraints []expr.Bool
 	obligations []HashObligation
 	path        []cfg.NodeID
@@ -584,21 +586,75 @@ func (e *executor) stopNow() bool {
 	return false
 }
 
-// dfs implements Algorithm 1: on predicate nodes update the condition
-// stack and early-terminate when unsatisfiable; on action nodes update the
-// value stack; at leaves generate a test case template; restore on
-// backtrack.
-func (e *executor) dfs(id cfg.NodeID) {
-	// Per-path panic isolation: the recover defer is registered FIRST so
-	// it runs LAST in this frame — after the state-restoring defers below
-	// (solver Pop, stack truncation) have already unwound, leaving the
-	// executor consistent. A panic in a child frame is arrested by the
-	// child's own defer, so recovery always happens at the deepest
-	// in-flight frame and skips exactly the faulted node's remaining
-	// subtree; siblings keep exploring.
-	if !e.opts.Strict {
-		defer e.recoverPath(id)
+// mark is the executor's undo point for one dfs frame: the heights of its
+// stacks (and the two scalars a frame may change) at frame entry. unwind
+// restores them all at once, so a frame's state changes need no individual
+// restore step.
+type mark struct {
+	path, deps, conds, obligations, trail, solverDepth int
+	degraded, widthProd                                int
+}
+
+// binding is one value-stack undo entry: slot held old before the write.
+type binding struct {
+	slot int32
+	old  expr.Arith
+}
+
+func (e *executor) mark() mark {
+	return mark{
+		path: len(e.path), deps: len(e.deps), conds: len(e.constraints),
+		obligations: len(e.obligations), trail: len(e.trail), solverDepth: e.solver.Depth(),
+		degraded: e.degraded, widthProd: e.widthProd,
 	}
+}
+
+// unwind restores the executor to m. hashes parallels path (offset by the
+// seed entry), so it sheds as many entries as path does.
+func (e *executor) unwind(m *mark) {
+	e.hashes = e.hashes[:len(e.hashes)-(len(e.path)-m.path)]
+	e.path = e.path[:m.path]
+	e.deps = e.deps[:m.deps]
+	e.constraints = e.constraints[:m.conds]
+	e.obligations = e.obligations[:m.obligations]
+	for i := len(e.trail) - 1; i >= m.trail; i-- {
+		e.vals[e.trail[i].slot] = e.trail[i].old
+	}
+	e.trail = e.trail[:m.trail]
+	for e.solver.Depth() > m.solverDepth {
+		e.solver.Pop()
+	}
+	e.degraded, e.widthProd = m.degraded, m.widthProd
+}
+
+// bind writes the value stack through the undo trail.
+func (e *executor) bind(slot int32, val expr.Arith) {
+	e.trail = append(e.trail, binding{slot, e.vals[slot]})
+	e.vals[slot] = val
+}
+
+// dfs runs one frame of Algorithm 1 (step) between a mark and its unwind.
+//
+// Per-path panic isolation: unless Strict, the frame's one defer arrests a
+// panic raised by step and unwinds to the same mark, leaving the executor
+// exactly as it was before the faulted node was entered. A panic in a
+// child frame is arrested by the child's own defer, so recovery always
+// happens at the deepest in-flight frame and skips exactly the faulted
+// node's remaining subtree; siblings keep exploring.
+func (e *executor) dfs(id cfg.NodeID) {
+	m := e.mark()
+	if !e.opts.Strict {
+		defer e.recoverPath(id, &m)
+	}
+	e.step(id)
+	e.unwind(&m)
+}
+
+// step implements Algorithm 1 for one node: on predicate nodes update the
+// condition stack and early-terminate when unsatisfiable; on action nodes
+// update the value stack; at leaves generate a test case template. It
+// returns wherever it is done; dfs restores the state.
+func (e *executor) step(id cfg.NodeID) {
 	// Claim any parent-batched branch verdict before the early exits below
 	// can abandon this frame: a stale pending must never leak into a later
 	// sibling's frame.
@@ -626,9 +682,6 @@ func (e *executor) dfs(id cfg.NodeID) {
 		key := hashMix(e.curHash(), e.g.ContentHash(id))
 		if e.opts.Quarantined != nil && e.opts.Quarantined[key] {
 			e.degraded++
-			e.emit(key)
-			e.degraded--
-			return
 		}
 		e.emit(key)
 		return
@@ -636,18 +689,11 @@ func (e *executor) dfs(id cfg.NodeID) {
 	n := e.g.Node(id)
 	e.path = append(e.path, id)
 	e.hashes = append(e.hashes, hashMix(e.hashes[len(e.hashes)-1], e.g.ContentHash(id)))
-	nDeps := len(e.deps)
 	e.deps = append(e.deps, e.p.nodeDeps(id)...)
-	defer func() {
-		e.path = e.path[:len(e.path)-1]
-		e.hashes = e.hashes[:len(e.hashes)-1]
-		e.deps = e.deps[:nDeps]
-	}()
 	if e.opts.Quarantined != nil && e.opts.Quarantined[e.curHash()] {
 		// Entering a quarantined subtree: from here down (including this
 		// node's own feasibility check) everything degrades to Unknown.
 		e.degraded++
-		defer func() { e.degraded-- }()
 	}
 
 	switch n.Kind {
@@ -664,19 +710,10 @@ func (e *executor) dfs(id cfg.NodeID) {
 			return
 		}
 		if !expr.EqualBool(cond, expr.True) {
-			if e.opts.NoValidation {
-				e.constraints = append(e.constraints, cond)
-				defer func() {
-					e.constraints = e.constraints[:len(e.constraints)-1]
-				}()
-			} else {
+			e.constraints = append(e.constraints, cond)
+			if !e.opts.NoValidation {
 				e.solver.Push()
 				e.solver.Assert(cond)
-				e.constraints = append(e.constraints, cond)
-				defer func() {
-					e.solver.Pop()
-					e.constraints = e.constraints[:len(e.constraints)-1]
-				}()
 				if e.opts.EarlyTermination {
 					// The parent's sibling batch already decided (and
 					// journaled) this branch; otherwise check here.
@@ -693,19 +730,9 @@ func (e *executor) dfs(id cfg.NodeID) {
 			}
 		}
 	case cfg.Action:
-		slot := e.p.nodes[id].slot
-		old := e.vals[slot]
-		e.vals[slot] = e.vals.SubstArith(n.Val, e.p.nodeRefs(id))
-		defer func() { e.vals[slot] = old }()
+		e.bind(e.p.nodes[id].slot, e.vals.SubstArith(n.Val, e.p.nodeRefs(id)))
 	case cfg.Hash, cfg.Checksum:
-		slot := e.p.nodes[id].slot
-		old := e.vals[slot]
-		nObl := len(e.obligations)
-		e.vals[slot] = e.evalOpaque(n)
-		defer func() {
-			e.vals[slot] = old
-			e.obligations = e.obligations[:nObl]
-		}()
+		e.bind(e.p.nodes[id].slot, e.evalOpaque(n))
 	}
 
 	if n.IsLeaf() {
@@ -716,12 +743,8 @@ func (e *executor) dfs(id cfg.NodeID) {
 		e.emit(e.curHash())
 		return
 	}
-	if len(n.Succs) > 1 {
-		old := e.widthProd
-		if e.widthProd < 1<<30 { // saturate instead of overflowing
-			e.widthProd *= len(n.Succs)
-		}
-		defer func() { e.widthProd = old }()
+	if len(n.Succs) > 1 && e.widthProd < 1<<30 { // saturate instead of overflowing
+		e.widthProd *= len(n.Succs)
 	}
 	if len(n.Succs) > 1 && e.canBatchSiblings() {
 		// Batched branch expansion: decide every sibling's feasibility in
@@ -864,15 +887,15 @@ func (e *executor) evalOpaque(n *cfg.Node) expr.Arith {
 }
 
 // recoverPath arrests a panic raised while processing node id or its
-// subtree, recording it as a PathError on the result. By the time it
-// runs, the frame's state-restoring defers have already executed, so the
-// executor (solver stack, value/condition/path stacks) is exactly as it
-// was before the faulted node was entered.
-func (e *executor) recoverPath(id cfg.NodeID) {
+// subtree: it unwinds the executor (solver stack, value/condition/path
+// stacks) to the frame's mark and records the panic as a PathError on the
+// result.
+func (e *executor) recoverPath(id cfg.NodeID, m *mark) {
 	r := recover()
 	if r == nil {
 		return
 	}
+	e.unwind(m)
 	e.res.Recovered++
 	mPathsRecovered.Inc()
 	obs.RecordFlight(obs.FlightPanic, uint64(len(e.path)), uint64(id), 0)
