@@ -5,6 +5,7 @@ package meissa_test
 // whole-system level, over real corpus programs.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -180,6 +181,63 @@ func TestTruncatedJournalResume(t *testing.T) {
 			if resumed.SMTCalls+resumed.JournalHits != clean.SMTCalls {
 				t.Errorf("resumed calls %d + hits %d != clean calls %d",
 					resumed.SMTCalls, resumed.JournalHits, clean.SMTCalls)
+			}
+		})
+	}
+}
+
+// TestResumedJournalByteIdentical: a sequential run appends its verdict
+// and dependency-index records in DFS order, so a run resumed from a
+// prefix of a journal (cut at a record-pair boundary) must re-derive
+// exactly the missing suffix — same keys, same verdicts, same models, and
+// the same dependency lists on the index records — leaving a file
+// byte-identical to the uninterrupted run's.
+func TestResumedJournalByteIdentical(t *testing.T) {
+	for _, name := range []string{"Router", "gw-1", "gw-2"} {
+		t.Run(name, func(t *testing.T) {
+			p := corpusProgram(t, name)
+			jpath := filepath.Join(t.TempDir(), "journal.bin")
+			generateCheckpoint(t, p, jpath, false)
+			want, err := os.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Walk the frames (4-byte length, payload, 4-byte CRC) to the
+			// first boundary past the middle that follows an index record.
+			cut, indexes, tagged := 0, 0, 0
+			for off := 0; off < len(want); {
+				rec, ok := journal.UnmarshalRecord(want[off:])
+				if !ok {
+					t.Fatalf("journal does not parse at offset %d", off)
+				}
+				off += len(journal.MarshalRecord(rec))
+				if rec.Kind == journal.KindIndex {
+					indexes++
+					if len(rec.Tables) > 0 {
+						tagged++
+					}
+					if cut == 0 && off > len(want)/2 {
+						cut = off
+					}
+				}
+			}
+			if tagged == 0 || cut == 0 || cut == len(want) {
+				t.Fatalf("vacuous journal: %d index records, %d with tags, cut at %d of %d", indexes, tagged, cut, len(want))
+			}
+			if err := os.WriteFile(jpath, want[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resumed := generateCheckpoint(t, p, jpath, true)
+			if resumed.JournalHits == 0 || resumed.JournalAppended == 0 {
+				t.Fatalf("resume answered %d interactions from the journal and appended %d records; want both nonzero",
+					resumed.JournalHits, resumed.JournalAppended)
+			}
+			got, err := os.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("journal after resume differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(want))
 			}
 		})
 	}

@@ -179,6 +179,18 @@ func cmdCheckMetrics(args []string) error {
 		fmt.Printf("  paths explored=%d pruned=%d templates=%d (10^%.1f -> 10^%.1f)\n",
 			rep.Paths.Explored, rep.Paths.Pruned, rep.Paths.Templates,
 			rep.Paths.PossibleLog10Before, rep.Paths.PossibleLog10After)
+		if n := float64(rep.Paths.FinalExplored); n > 0 {
+			for _, p := range rep.Phases {
+				if p.Name == "sym" {
+					fmt.Printf("  sym final pass: %d paths, %.0f ns/path", rep.Paths.FinalExplored, float64(p.NS)/n)
+					if rep.Paths.FinalMallocs > 0 {
+						fmt.Printf(", %.2f mallocs/path, %.0f B/path",
+							float64(rep.Paths.FinalMallocs)/n, float64(rep.Paths.FinalAllocBytes)/n)
+					}
+					fmt.Println()
+				}
+			}
+		}
 	}
 	if rep.Solver != nil {
 		fmt.Printf("  solver queries=%d solved=%d outcomes=%v\n",

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	meissa "repro"
+	"repro/internal/cfg"
 	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/rules"
@@ -102,6 +104,10 @@ type Daemon struct {
 	requests       atomic.Uint64
 	warmHits       atomic.Uint64
 	storeConflicts atomic.Uint64
+
+	// pathHook is handed to every gen as Options.PathHook; in-package
+	// tests set it before the first request to inject path faults.
+	pathHook func([]cfg.NodeID)
 }
 
 // New opens the daemon's store (waiting up to cfg.StoreWait for the
@@ -281,9 +287,17 @@ func (d *Daemon) serveConn(conn net.Conn) {
 }
 
 // handle dispatches one request. Every response carries the request ID
-// and op; failures carry the error text.
-func (d *Daemon) handle(req *Request) *Response {
-	resp := &Response{ID: req.ID, Op: req.Op, TraceID: obs.NewTraceID()}
+// and op; failures carry the error text. A panic while serving (a Strict
+// generation re-raises path panics by design) fails that one request: the
+// daemon holds every tenant's warm state and must outlive it.
+func (d *Daemon) handle(req *Request) (resp *Response) {
+	resp = &Response{ID: req.ID, Op: req.Op, TraceID: obs.NewTraceID()}
+	defer func() {
+		if r := recover(); r != nil {
+			obs.Warnf("daemon: %s request %d panicked: %v\n%s", req.Op, req.ID, r, debug.Stack())
+			resp = &Response{ID: req.ID, Op: req.Op, TraceID: resp.TraceID, Error: fmt.Sprintf("internal error: panic: %v", r)}
+		}
+	}()
 	var err error
 	switch req.Op {
 	case OpLoad:
@@ -404,6 +418,7 @@ func (d *Daemon) handleGen(req *Request, resp *Response) error {
 	opts.CodeSummary = !params.NoSummary
 	opts.Parallelism = params.Parallel
 	opts.Strict = params.Strict
+	opts.PathHook = d.pathHook
 	opts.SolverSearchBudget = params.SolverBudget
 	opts.SolverCheckTimeout = time.Duration(params.SolverTimeoutNS)
 	opts.Store = d.st

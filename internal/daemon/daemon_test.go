@@ -6,12 +6,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	meissa "repro"
+	"repro/internal/cfg"
 	"repro/internal/p4"
 	"repro/internal/programs"
 	"repro/internal/rulediff"
@@ -191,6 +194,37 @@ func TestDaemonWarmGenByteIdentical(t *testing.T) {
 	}
 	if err := warm.Report.Validate(); err != nil {
 		t.Fatalf("warm gen report fails validation: %v", err)
+	}
+}
+
+// TestDaemonSurvivesStrictPanic: a strict gen whose exploration panics
+// (on the caller's goroutine at Parallel 1, re-raised from a worker at
+// Parallel 2) is answered with an error, and the daemon — with the
+// family's warm state — serves the next request.
+func TestDaemonSurvivesStrictPanic(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	want := coldTemplates(t, p)
+	d, c := startDaemon(t, Config{})
+	var armed atomic.Bool
+	d.pathHook = func([]cfg.NodeID) {
+		if armed.Load() {
+			panic("injected path fault")
+		}
+	}
+	loadFamily(t, c, p, "t1")
+	for _, parallel := range []int{1, 2} {
+		armed.Store(true)
+		resp, err := c.Do(&Request{Op: OpGen, Tenant: "t1", Family: p.Name, Gen: &GenParams{Strict: true, Parallel: parallel}})
+		if err != nil {
+			t.Fatalf("parallel=%d: connection lost: %v", parallel, err)
+		}
+		if resp.OK || !strings.Contains(resp.Error, "injected path fault") {
+			t.Fatalf("parallel=%d: strict gen over a panicking hook: ok=%v error=%q", parallel, resp.OK, resp.Error)
+		}
+		armed.Store(false)
+		if got := doGen(t, c, p.Name, "t1"); got.Templates != want {
+			t.Fatalf("parallel=%d: gen after the panic differs from a cold run", parallel)
+		}
 	}
 }
 

@@ -99,6 +99,12 @@ type PathReport struct {
 	// final template-generation pass alone.
 	Explored      uint64 `json:"explored"`
 	FinalExplored uint64 `json:"final_explored"`
+	// FinalMallocs/FinalAllocBytes are the heap allocation count and
+	// volume of the final pass (runtime.MemStats deltas around it; only
+	// measured when it ran sequentially in-process). Divided by
+	// FinalExplored they are the per-path allocation cost.
+	FinalMallocs    uint64 `json:"final_mallocs,omitempty"`
+	FinalAllocBytes uint64 `json:"final_alloc_bytes,omitempty"`
 	// Pruned counts prefixes cut by early termination.
 	Pruned uint64 `json:"pruned"`
 	// Templates is the emitted test case template count.

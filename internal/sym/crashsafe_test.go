@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,18 +22,15 @@ func pathKey(p []cfg.NodeID) string {
 	return b.String()
 }
 
-// templateKeys renders every template's verdict-relevant content (path,
-// constraints, final state), ignoring IDs, which shift when a path is
+// templateKeys renders every template's content (the renderTemplates
+// form), keyed by path and with the ID zeroed: IDs shift when a path is
 // skipped.
 func templateKeys(res *Result) map[string]string {
 	out := make(map[string]string, len(res.Templates))
 	for _, tm := range res.Templates {
-		var b strings.Builder
-		for _, c := range tm.Constraints {
-			fmt.Fprintf(&b, "cond %s\n", c)
-		}
-		fmt.Fprintf(&b, "dropped=%v uncertain=%v", tm.Dropped, tm.Uncertain)
-		out[pathKey(tm.Path)] = b.String()
+		c := *tm
+		c.ID = 0
+		out[pathKey(tm.Path)] = renderTemplates([]*Template{&c})
 	}
 	return out
 }
@@ -101,36 +99,46 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestPanicIsolationRestoresState checks that recovery unwinds through
-// the state-restoring defers: after a panic deep in one subtree, sibling
-// subtrees still see the pre-fault solver and value stacks (verdicts
-// unchanged), even when the panic fires on a shared interior prefix
-// rather than the final path.
+// TestPanicIsolationMidPath checks that recovery unwinds to the faulted
+// frame's mark: after a panic on the first completed descent — deep in one
+// subtree, on a prefix shared with everything after it — the remaining
+// paths still see the pre-fault solver, value, condition, obligation and
+// dependency stacks (templates unchanged in full), in both engines and on
+// graphs with hash obligations and table dependencies.
 func TestPanicIsolationMidPath(t *testing.T) {
-	// Panic the *first* completed descent; everything after must match the
-	// clean run's remaining templates.
-	const n = 6
-	clean := explore(t, fig7Src(), fig7Rules(n), DefaultOptions())
-	opts := DefaultOptions()
-	first := true
-	opts.PathHook = func(path []cfg.NodeID) {
-		if first {
-			first = false
-			panic("first-path fault")
-		}
-	}
-	res := explore(t, fig7Src(), fig7Rules(n), opts)
-	if res.Recovered != 1 {
-		t.Fatalf("Recovered = %d, want 1", res.Recovered)
-	}
-	if len(res.Templates) != len(clean.Templates)-1 {
-		t.Fatalf("templates = %d, want %d", len(res.Templates), len(clean.Templates)-1)
-	}
-	got := templateKeys(res)
-	want := templateKeys(clean)
-	for k, v := range got {
-		if want[k] != v {
-			t.Errorf("path %s diverged after mid-run recovery", k)
+	for _, c := range batchCases() {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				g, conf := c.cfg(t)
+				conf.Graph, conf.Options = g, c.opts()
+				conf.Options.Parallelism = workers
+				clean, err := Explore(conf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fired atomic.Bool
+				conf.Options.PathHook = func([]cfg.NodeID) {
+					if fired.CompareAndSwap(false, true) {
+						panic("first-path fault")
+					}
+				}
+				res, err := Explore(conf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Recovered != 1 {
+					t.Fatalf("Recovered = %d, want 1", res.Recovered)
+				}
+				if d := len(clean.Templates) - len(res.Templates); d != 0 && d != 1 {
+					t.Fatalf("templates = %d, want %d or one fewer", len(res.Templates), len(clean.Templates))
+				}
+				want := templateKeys(clean)
+				for k, v := range templateKeys(res) {
+					if want[k] != v {
+						t.Errorf("path %s diverged after mid-run recovery:\n%s\nwant:\n%s", k, v, want[k])
+					}
+				}
+			})
 		}
 	}
 }

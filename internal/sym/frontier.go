@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cfg"
-	"repro/internal/expr"
 	"repro/internal/smt"
 )
 
@@ -81,46 +80,8 @@ func SplitFrontier(c Config, width int) (*Frontier, error) {
 		start = c.Graph.Entry
 	}
 	seed := contextSeed(c, start, opts)
-	journaling := opts.Journal != nil && !opts.NoValidation
-
-	hardCap := 16 * width
 	f := &Frontier{cfg: c, opts: opts, plan: newPlan(c, start), nInit: len(c.InitConstraints), seed: seed}
-	splitter := &executor{
-		g:          c.Graph,
-		p:          f.plan,
-		opts:       opts,
-		stop:       c.StopAt,
-		solver:     smt.New(opts.Solver),
-		vals:       append(expr.Env(nil), f.plan.init...),
-		res:        &Result{},
-		widthProd:  1,
-		hashes:     []uint64{seed},
-		journaling: journaling,
-	}
-	splitter.solver.SetDepTags(splitter.depTags)
-	splitter.spill = func(id cfg.NodeID) bool {
-		n := c.Graph.Node(id)
-		atEnd := n.IsLeaf() || (splitter.stop != nil && splitter.stop[id])
-		if !atEnd && splitter.widthProd < width && len(f.tasks) < hardCap {
-			return false
-		}
-		f.tasks = append(f.tasks, &task{
-			start:       id,
-			path:        append([]cfg.NodeID(nil), splitter.path...),
-			constraints: append([]expr.Bool(nil), splitter.constraints...),
-			values:      append(expr.Env(nil), splitter.vals...),
-			obligations: append([]HashObligation(nil), splitter.obligations...),
-			hash:        splitter.curHash(),
-			deps:        append([]uint32(nil), splitter.deps...),
-			degraded:    splitter.degraded,
-		})
-		return true
-	}
-	for _, b := range c.InitConstraints {
-		splitter.solver.Assert(b)
-		splitter.constraints = append(splitter.constraints, b)
-	}
-	splitter.dfs(start)
+	_, f.tasks = split(c, opts, f.plan, start, seed, width, 16*width, nil)
 
 	f.Units = make([]*Unit, len(f.tasks))
 	for i, t := range f.tasks {
@@ -189,26 +150,6 @@ func (r *Runner) Explore(i int) (res *Result, err error) {
 	}
 	t := r.f.tasks[i]
 	res = &Result{}
-	e := &executor{
-		g:           r.f.cfg.Graph,
-		p:           r.f.plan,
-		opts:        r.opts,
-		stop:        r.f.cfg.StopAt,
-		solver:      r.solver,
-		vals:        append(expr.Env(nil), t.values...),
-		constraints: append([]expr.Bool(nil), t.constraints...),
-		obligations: append([]HashObligation(nil), t.obligations...),
-		path:        append([]cfg.NodeID(nil), t.path...),
-		res:         res,
-		hashes:      []uint64{t.hash},
-		deps:        append([]uint32(nil), t.deps...),
-		degraded:    t.degraded,
-		journaling:  r.opts.Journal != nil && !r.opts.NoValidation,
-	}
-	r.solver.SetDepTags(e.depTags)
-	if r.opts.Deadline > 0 {
-		e.deadline = time.Now().Add(r.opts.Deadline)
-	}
 	baseDepth := r.solver.Depth()
 	if !r.opts.Strict {
 		defer func() {
@@ -220,17 +161,11 @@ func (r *Runner) Explore(i int) (res *Result, err error) {
 			}
 		}()
 	}
-	replay := t.constraints[r.f.nInit:]
-	if !r.opts.NoValidation && len(replay) > 0 {
-		r.solver.Push()
-		for _, b := range replay {
-			r.solver.Assert(b)
+	t.run(r.f.cfg, r.opts, r.f.plan, r.solver, r.f.nInit, res, func(e *executor) {
+		if r.opts.Deadline > 0 {
+			e.deadline = time.Now().Add(r.opts.Deadline)
 		}
-	}
-	e.dfs(t.start)
-	if !r.opts.NoValidation && len(replay) > 0 {
-		r.solver.Pop()
-	}
+	})
 	res.SMT = r.solver.Stats()
 	return res, nil
 }

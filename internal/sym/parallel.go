@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/smt"
 )
 
@@ -89,64 +90,93 @@ type task struct {
 	templates []*Template
 }
 
+// split is phase 1: it runs the top of the exploration on a splitter
+// executor whose spill hook packages every subtree at the frontier — width
+// pending siblings reached, or a leaf or stop node — as a task. hardCap
+// bounds the task list when the graph branches far wider than width (each
+// extra sibling then spills as one coarse task, which is still balanced
+// because coarse siblings at the same depth have similar subtree sizes).
+// The splitter is returned for its result and solver counters.
+func split(c Config, opts Options, p *plan, start cfg.NodeID, seed uint64, width, hardCap int, shared *sharedState) (*executor, []*task) {
+	var tasks []*task
+	s := newExecutor(c, opts, p, seed)
+	s.shared, s.widthProd = shared, 1
+	s.spill = func(id cfg.NodeID) bool {
+		atEnd := c.Graph.Node(id).IsLeaf() || s.stop[id]
+		if !atEnd && s.widthProd < width && len(tasks) < hardCap {
+			return false // keep splitting above the frontier
+		}
+		tasks = append(tasks, &task{
+			start:       id,
+			path:        append([]cfg.NodeID(nil), s.path...),
+			constraints: append([]expr.Bool(nil), s.constraints...),
+			values:      append(expr.Env(nil), s.vals...),
+			obligations: append([]HashObligation(nil), s.obligations...),
+			hash:        s.curHash(),
+			deps:        append([]uint32(nil), s.deps...),
+			degraded:    s.degraded,
+			created:     time.Now(),
+		})
+		return true
+	}
+	s.dfs(start)
+	return s, tasks
+}
+
+// run explores the task's subtree on solver, whose stack holds the
+// exploration's nInit initial constraints: it replays the rest of the
+// prefix via Push/Assert (no Check — replay adds zero solver queries),
+// explores with a fresh executor over a copy of the snapshot (so a task can
+// be re-run), and Pops back. The executor is returned for its counters.
+func (t *task) run(c Config, opts Options, p *plan, solver *smt.Solver, nInit int, res *Result, setup func(*executor)) *executor {
+	e := &executor{
+		g:           c.Graph,
+		p:           p,
+		opts:        opts,
+		stop:        c.StopAt,
+		solver:      solver,
+		vals:        append(expr.Env(nil), t.values...),
+		constraints: append([]expr.Bool(nil), t.constraints...),
+		obligations: append([]HashObligation(nil), t.obligations...),
+		path:        append([]cfg.NodeID(nil), t.path...),
+		res:         res,
+		hashes:      []uint64{t.hash},
+		deps:        append([]uint32(nil), t.deps...),
+		degraded:    t.degraded,
+		journaling:  opts.Journal != nil && !opts.NoValidation,
+	}
+	setup(e)
+	// The solver is the caller's alone and tasks run one at a time, so
+	// retargeting its dep-tag provider per task is race-free.
+	solver.SetDepTags(e.depTags)
+	replay := t.constraints[nInit:]
+	if !opts.NoValidation && len(replay) > 0 {
+		solver.Push()
+		for _, b := range replay {
+			solver.Assert(b)
+		}
+	}
+	e.dfs(t.start)
+	if !opts.NoValidation && len(replay) > 0 {
+		solver.Pop()
+	}
+	return e
+}
+
 func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed uint64) (*Result, error) {
 	if opts.Solver.Cache == nil {
 		opts.Solver.Cache = smt.NewVerdictCache()
 	}
-	journaling := opts.Journal != nil && !opts.NoValidation
 	shared := &sharedState{maxPaths: opts.MaxPaths}
 	if opts.Deadline > 0 {
 		shared.deadline = time.Now().Add(opts.Deadline)
 	}
 
-	// Phase 1: enumerate the frontier. targetWidth is the pending-subtree
-	// count at which a path spills; hardCap bounds the task list when the
-	// graph branches far wider than the target (each extra sibling then
-	// spills as one coarse task, which is still balanced because coarse
-	// siblings at the same depth have similar subtree sizes).
-	targetWidth := 4 * workers
-	hardCap := 64 * workers
-	var tasks []*task
+	// Phase 1: enumerate the frontier, aiming for 4 pending subtrees per
+	// worker so the pool balances.
 	pl := newPlan(c, start)
-	splitter := &executor{
-		g:          c.Graph,
-		p:          pl,
-		opts:       opts,
-		stop:       c.StopAt,
-		solver:     smt.New(opts.Solver),
-		vals:       append(expr.Env(nil), pl.init...),
-		res:        &Result{},
-		shared:     shared,
-		widthProd:  1,
-		hashes:     []uint64{seed},
-		journaling: journaling,
-	}
-	splitter.solver.SetDepTags(splitter.depTags)
-	splitter.spill = func(id cfg.NodeID) bool {
-		n := c.Graph.Node(id)
-		atEnd := n.IsLeaf() || (splitter.stop != nil && splitter.stop[id])
-		if !atEnd && splitter.widthProd < targetWidth && len(tasks) < hardCap {
-			return false // keep splitting above the frontier
-		}
-		tasks = append(tasks, &task{
-			start:       id,
-			path:        append([]cfg.NodeID(nil), splitter.path...),
-			constraints: append([]expr.Bool(nil), splitter.constraints...),
-			values:      append(expr.Env(nil), splitter.vals...),
-			obligations: append([]HashObligation(nil), splitter.obligations...),
-			hash:        splitter.curHash(),
-			deps:        append([]uint32(nil), splitter.deps...),
-			degraded:    splitter.degraded,
-			created:     time.Now(),
-		})
-		mFrontierTasks.Add(1)
-		return true
-	}
-	for _, b := range c.InitConstraints {
-		splitter.solver.Assert(b)
-		splitter.constraints = append(splitter.constraints, b)
-	}
-	splitter.dfs(start)
+	splitter, tasks := split(c, opts, pl, start, seed, 4*workers, 64*workers, shared)
+	mFrontierTasks.Add(int64(len(tasks)))
 
 	// Phase 2: drain the task list. Tasks are claimed via an atomic index
 	// so fast workers steal the slack of slow ones.
@@ -154,11 +184,26 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 	var next atomic.Int64
 	workerStats := make([]smt.Stats, workers)
 	workerErrs := make([][]*PathError, workers)
+	// fatal holds the first panic that escaped a worker, which only Strict
+	// lets happen: no caller can recover a panic on a worker goroutine, so
+	// the worker captures it, stops the pool, and Explore's own goroutine
+	// re-raises it after the pool has joined.
+	type workerPanic struct {
+		value any
+		stack []byte
+	}
+	var fatal atomic.Pointer[workerPanic]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					shared.halted.Store(true)
+					fatal.CompareAndSwap(nil, &workerPanic{r, debug.Stack()})
+				}
+			}()
 			mWorkersStarted.Inc()
 			solver := smt.New(opts.Solver)
 			for _, b := range c.InitConstraints {
@@ -172,28 +217,11 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 			// frame depth so the worker survives to claim its next task;
 			// panics inside dfs are already arrested per path.
 			runTask := func(t *task) {
+				// A worker that hit the budget keeps its Truncated flag per
+				// executor; clear the per-result copy so this task is gated
+				// by shared.halted alone.
+				res.Truncated = false
 				baseDepth := solver.Depth()
-				e := &executor{
-					g:           c.Graph,
-					p:           pl,
-					opts:        opts,
-					stop:        c.StopAt,
-					solver:      solver,
-					vals:        t.values,
-					constraints: t.constraints,
-					obligations: t.obligations,
-					path:        t.path,
-					res:         res,
-					shared:      shared,
-					visits:      visits, // deadline ticks span tasks
-					hashes:      []uint64{t.hash},
-					deps:        t.deps,
-					degraded:    t.degraded,
-					journaling:  journaling,
-				}
-				// The solver is worker-local and tasks run one at a time, so
-				// retargeting its dep-tag provider per task is race-free.
-				solver.SetDepTags(e.depTags)
 				if !opts.Strict {
 					defer func() {
 						if r := recover(); r != nil {
@@ -210,28 +238,14 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 								})
 							}
 						}
-						visits = e.visits
-						res.Truncated = false
 					}()
 				}
-				replay := t.constraints[nInit:]
-				if !opts.NoValidation && len(replay) > 0 {
-					solver.Push()
-					for _, b := range replay {
-						solver.Assert(b)
-					}
-				}
 				base := len(res.Templates)
-				e.dfs(t.start)
-				if !opts.NoValidation && len(replay) > 0 {
-					solver.Pop()
-				}
+				e := t.run(c, opts, pl, solver, nInit, res, func(e *executor) {
+					e.shared, e.visits = shared, visits // deadline ticks span tasks
+				})
 				t.templates = res.Templates[base:]
 				visits = e.visits
-				// A worker that hit the budget keeps its Truncated flag per
-				// executor; clear the per-result copy so the next task is
-				// gated by shared.halted alone.
-				res.Truncated = false
 			}
 			for !shared.halted.Load() {
 				i := int(next.Add(1)) - 1
@@ -247,6 +261,10 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 		}(w)
 	}
 	wg.Wait()
+	if p := fatal.Load(); p != nil {
+		obs.Warnf("sym: panic in exploration worker: %v\n%s", p.value, p.stack)
+		panic(p.value)
+	}
 
 	// Phase 3: splice per-task emissions in frontier enumeration order and
 	// renumber IDs, reproducing sequential output exactly.

@@ -260,30 +260,36 @@ func Explore(c Config) (*Result, error) {
 	if workers := opts.Workers(); workers > 1 {
 		return exploreParallel(c, opts, start, workers, seed)
 	}
-	e := &executor{
-		g:          c.Graph,
-		p:          newPlan(c, start),
-		opts:       opts,
-		stop:       c.StopAt,
-		solver:     smt.New(opts.Solver),
-		res:        &Result{},
-		hashes:     []uint64{seed},
-		journaling: opts.Journal != nil && !opts.NoValidation,
-	}
-	e.vals = append(expr.Env(nil), e.p.init...)
-	if opts.Solver.Cache != nil {
-		e.solver.SetDepTags(e.depTags)
-	}
+	e := newExecutor(c, opts, newPlan(c, start), seed)
 	if opts.Deadline > 0 {
 		e.deadline = time.Now().Add(opts.Deadline)
-	}
-	for _, b := range c.InitConstraints {
-		e.solver.Assert(b)
-		e.constraints = append(e.constraints, b)
 	}
 	e.dfs(start)
 	e.res.SMT = e.solver.Stats()
 	return e.res, nil
+}
+
+// newExecutor returns an executor at an exploration's initial state: an
+// empty path over c's initial condition and value stacks, on a solver of
+// its own.
+func newExecutor(c Config, opts Options, p *plan, seed uint64) *executor {
+	e := &executor{
+		g:          c.Graph,
+		p:          p,
+		opts:       opts,
+		stop:       c.StopAt,
+		solver:     smt.New(opts.Solver),
+		vals:       append(expr.Env(nil), p.init...),
+		res:        &Result{},
+		hashes:     []uint64{seed},
+		journaling: opts.Journal != nil && !opts.NoValidation,
+	}
+	e.solver.SetDepTags(e.depTags)
+	for _, b := range c.InitConstraints {
+		e.solver.Assert(b)
+		e.constraints = append(e.constraints, b)
+	}
+	return e
 }
 
 // Workers resolves Parallelism to the effective worker count.

@@ -29,6 +29,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -231,6 +232,12 @@ type GenResult struct {
 	// FinalPathsExplored counts DFS descents of the final template
 	// generation pass alone (excluding summarization work).
 	FinalPathsExplored uint64
+	// FinalMallocs and FinalAllocBytes are the process's heap allocation
+	// count and volume over the final pass (runtime.MemStats deltas), so a
+	// report shows what a path costs without a benchmark harness. Measured
+	// only when the pass runs sequentially in-process — with workers the
+	// deltas would mix goroutines — and zero otherwise.
+	FinalMallocs, FinalAllocBytes uint64
 	// SMTCalls counts solver checks across all phases (Fig. 11b unit).
 	SMTCalls uint64
 	// FinalSMTCalls counts solver checks of the final pass alone.
@@ -479,7 +486,16 @@ func (s *System) Generate() (*GenResult, error) {
 			obs.Warnf("meissa: %s: sharding disabled: %s; using in-process engine", s.Prog.Name, shardReason)
 			res.Shard = &obs.ShardReport{Workers: s.Opts.ShardWorkers, Fallback: true, FallbackReason: shardReason}
 		}
+		measure := finalOpts.Workers() == 1
+		var m0, m1 runtime.MemStats
+		if measure {
+			runtime.ReadMemStats(&m0)
+		}
 		exp, err = sym.Explore(fcfg)
+		if measure {
+			runtime.ReadMemStats(&m1)
+			res.FinalMallocs, res.FinalAllocBytes = m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+		}
 	}
 	symDur := symSpan.End()
 	if err != nil {
@@ -535,6 +551,8 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 		Paths: &obs.PathReport{
 			Explored:            g.PathsExplored,
 			FinalExplored:       g.FinalPathsExplored,
+			FinalMallocs:        g.FinalMallocs,
+			FinalAllocBytes:     g.FinalAllocBytes,
 			Pruned:              g.PrunedPaths,
 			Templates:           len(g.Templates),
 			PossibleLog10Before: g.PossiblePathsLog10Before,

@@ -93,5 +93,11 @@ func TestRunReportValidates(t *testing.T) {
 				t.Fatalf("P=%d report missing phase %q with nonzero duration: %+v", par, name, back.Phases)
 			}
 		}
+		// The final pass's allocation cost is measured in sequential mode
+		// only (with workers the MemStats deltas would mix goroutines).
+		if measured := back.Paths.FinalMallocs > 0 && back.Paths.FinalAllocBytes > 0; measured != (par == 1) {
+			t.Fatalf("P=%d final-pass allocation counts: mallocs=%d bytes=%d",
+				par, back.Paths.FinalMallocs, back.Paths.FinalAllocBytes)
+		}
 	}
 }

@@ -314,12 +314,33 @@ func TestShardedRemoteTCPMatchesSequential(t *testing.T) {
 		t.Fatalf("unit accounting off: %+v", rep)
 	}
 
-	// The coordinator half-closed each connection at shutdown; the
-	// workers must drain and exit zero on their own.
+	// The coordinator half-closed each attached connection at shutdown;
+	// those workers must drain and exit zero on their own. A worker whose
+	// dial landed after this short run had closed its listener never
+	// attached: it is still retrying, and is killed rather than judged.
+	if gen.Fleet == nil || len(gen.Fleet.Workers) == 0 {
+		t.Fatal("no remote worker contributed to the run")
+	}
 	reaped = true
+	exits := make(chan error, len(procs))
 	for _, c := range procs {
-		if err := c.Wait(); err != nil {
-			t.Fatalf("remote worker exit: %v", err)
+		go func(c *exec.Cmd) { exits <- c.Wait() }(c)
+	}
+	grace := time.After(2 * time.Second)
+	for drained := 0; drained < len(procs); drained++ {
+		select {
+		case err := <-exits:
+			if err != nil {
+				t.Fatalf("remote worker exit: %v", err)
+			}
+		case <-grace:
+			if drained < len(gen.Fleet.Workers) {
+				t.Fatalf("only %d of %d attached workers drained", drained, len(gen.Fleet.Workers))
+			}
+			for _, c := range procs {
+				c.Process.Kill()
+			}
+			return
 		}
 	}
 }
