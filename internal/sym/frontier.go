@@ -161,11 +161,11 @@ func (r *Runner) Explore(i int) (res *Result, err error) {
 			}
 		}()
 	}
-	t.run(r.f.cfg, r.opts, r.f.plan, r.solver, r.f.nInit, res, func(e *executor) {
-		if r.opts.Deadline > 0 {
-			e.deadline = time.Now().Add(r.opts.Deadline)
-		}
-	})
+	base := executor{g: r.f.cfg.Graph, p: r.f.plan, opts: r.opts, stop: r.f.cfg.StopAt, solver: r.solver, res: res}
+	if r.opts.Deadline > 0 {
+		base.deadline = time.Now().Add(r.opts.Deadline)
+	}
+	t.run(base, r.f.nInit)
 	res.SMT = r.solver.Stats()
 	return res, nil
 }

@@ -123,42 +123,35 @@ func split(c Config, opts Options, p *plan, start cfg.NodeID, seed uint64, width
 	return s, tasks
 }
 
-// run explores the task's subtree on solver, whose stack holds the
-// exploration's nInit initial constraints: it replays the rest of the
+// run explores the task's subtree. base carries what does not depend on
+// the task: graph, plan, options, result, and a solver whose stack holds
+// the exploration's nInit initial constraints. run replays the rest of the
 // prefix via Push/Assert (no Check — replay adds zero solver queries),
-// explores with a fresh executor over a copy of the snapshot (so a task can
-// be re-run), and Pops back. The executor is returned for its counters.
-func (t *task) run(c Config, opts Options, p *plan, solver *smt.Solver, nInit int, res *Result, setup func(*executor)) *executor {
-	e := &executor{
-		g:           c.Graph,
-		p:           p,
-		opts:        opts,
-		stop:        c.StopAt,
-		solver:      solver,
-		vals:        append(expr.Env(nil), t.values...),
-		constraints: append([]expr.Bool(nil), t.constraints...),
-		obligations: append([]HashObligation(nil), t.obligations...),
-		path:        append([]cfg.NodeID(nil), t.path...),
-		res:         res,
-		hashes:      []uint64{t.hash},
-		deps:        append([]uint32(nil), t.deps...),
-		degraded:    t.degraded,
-		journaling:  opts.Journal != nil && !opts.NoValidation,
-	}
-	setup(e)
+// explores from a copy of the snapshot (so a task can be re-run), and Pops
+// back. The executor is returned for its counters.
+func (t *task) run(base executor, nInit int) *executor {
+	e := &base
+	e.vals = append(expr.Env(nil), t.values...)
+	e.constraints = append([]expr.Bool(nil), t.constraints...)
+	e.obligations = append([]HashObligation(nil), t.obligations...)
+	e.path = append([]cfg.NodeID(nil), t.path...)
+	e.hashes = []uint64{t.hash}
+	e.deps = append([]uint32(nil), t.deps...)
+	e.degraded = t.degraded
+	e.journaling = e.opts.Journal != nil && !e.opts.NoValidation
 	// The solver is the caller's alone and tasks run one at a time, so
 	// retargeting its dep-tag provider per task is race-free.
-	solver.SetDepTags(e.depTags)
+	e.solver.SetDepTags(e.depTags)
 	replay := t.constraints[nInit:]
-	if !opts.NoValidation && len(replay) > 0 {
-		solver.Push()
+	if !e.opts.NoValidation && len(replay) > 0 {
+		e.solver.Push()
 		for _, b := range replay {
-			solver.Assert(b)
+			e.solver.Assert(b)
 		}
 	}
 	e.dfs(t.start)
-	if !opts.NoValidation && len(replay) > 0 {
-		solver.Pop()
+	if !e.opts.NoValidation && len(replay) > 0 {
+		e.solver.Pop()
 	}
 	return e
 }
@@ -188,11 +181,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 	// lets happen: no caller can recover a panic on a worker goroutine, so
 	// the worker captures it, stops the pool, and Explore's own goroutine
 	// re-raises it after the pool has joined.
-	type workerPanic struct {
-		value any
-		stack []byte
-	}
-	var fatal atomic.Pointer[workerPanic]
+	var fatal atomic.Pointer[PathError]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -201,7 +190,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 			defer func() {
 				if r := recover(); r != nil {
 					shared.halted.Store(true)
-					fatal.CompareAndSwap(nil, &workerPanic{r, debug.Stack()})
+					fatal.CompareAndSwap(nil, &PathError{Value: r, Stack: string(debug.Stack())})
 				}
 			}()
 			mWorkersStarted.Inc()
@@ -241,9 +230,10 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 					}()
 				}
 				base := len(res.Templates)
-				e := t.run(c, opts, pl, solver, nInit, res, func(e *executor) {
-					e.shared, e.visits = shared, visits // deadline ticks span tasks
-				})
+				e := t.run(executor{
+					g: c.Graph, p: pl, opts: opts, stop: c.StopAt, solver: solver, res: res,
+					shared: shared, visits: visits, // deadline ticks span tasks
+				}, nInit)
 				t.templates = res.Templates[base:]
 				visits = e.visits
 			}
@@ -262,8 +252,8 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 	}
 	wg.Wait()
 	if p := fatal.Load(); p != nil {
-		obs.Warnf("sym: panic in exploration worker: %v\n%s", p.value, p.stack)
-		panic(p.value)
+		obs.Warnf("sym: panic in exploration worker: %v\n%s", p.Value, p.Stack)
+		panic(p.Value)
 	}
 
 	// Phase 3: splice per-task emissions in frontier enumeration order and
