@@ -61,14 +61,16 @@ type opaquePlan struct {
 	freshVal expr.Arith
 }
 
+func (p *plan) node(id cfg.NodeID) *nodePlan { return &p.nodes[id] }
+
 // nodeRefs returns the Ref slots of the node's Pred or Val.
 func (p *plan) nodeRefs(id cfg.NodeID) []int32 {
-	np := &p.nodes[id]
+	np := p.node(id)
 	return p.refs[np.refLo:np.refHi]
 }
 
 func (p *plan) nodeDeps(id cfg.NodeID) []uint32 {
-	np := &p.nodes[id]
+	np := p.node(id)
 	return p.deps[np.depLo:np.depHi]
 }
 
@@ -78,9 +80,6 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 	g := c.Graph
 	p := &plan{nodes: make([]nodePlan, len(g.Nodes))}
 	tagIDs := map[string]uint32{} // first-seen order; re-ranked below
-	// A summarized chain's nodes all alias one Deps slice; intern it once.
-	type span struct{ lo, hi uint32 }
-	shared := map[*string]span{}
 	slots := map[expr.Var]int32{}
 	slot := func(v expr.Var) int32 {
 		sl, ok := slots[v]
@@ -91,9 +90,13 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		}
 		return sl
 	}
+	// A summarized chain's nodes all alias one Deps slice and are reached
+	// one after the other: a node whose Deps are the previous node's
+	// shares its interned list.
+	var prevDeps []string
+	var prev *nodePlan
 	seen := make([]bool, len(g.Nodes))
-	stack := []cfg.NodeID{start}
-	for len(stack) > 0 {
+	for stack := []cfg.NodeID{start}; len(stack) > 0; {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if seen[id] {
@@ -101,10 +104,12 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		}
 		seen[id] = true
 		n := g.Node(id)
+		np := p.node(id)
 		if len(n.Deps) > 0 {
-			sp, ok := shared[&n.Deps[0]]
-			if !ok || int(sp.hi-sp.lo) != len(n.Deps) {
-				sp.lo = uint32(len(p.deps))
+			if len(n.Deps) == len(prevDeps) && &n.Deps[0] == &prevDeps[0] {
+				np.depLo, np.depHi = prev.depLo, prev.depHi
+			} else {
+				np.depLo = uint32(len(p.deps))
 				for _, d := range n.Deps {
 					tid, ok := tagIDs[d]
 					if !ok {
@@ -113,12 +118,10 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 					}
 					p.deps = append(p.deps, tid)
 				}
-				sp.hi = uint32(len(p.deps))
-				shared[&n.Deps[0]] = sp
+				np.depHi = uint32(len(p.deps))
 			}
-			p.nodes[id] = nodePlan{depLo: sp.lo, depHi: sp.hi}
+			prevDeps, prev = n.Deps, np
 		}
-		np := &p.nodes[id]
 		np.refLo = uint32(len(p.refs))
 		switch n.Kind {
 		case cfg.Predicate:

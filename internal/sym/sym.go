@@ -736,9 +736,9 @@ func (e *executor) step(id cfg.NodeID) {
 			}
 		}
 	case cfg.Action:
-		e.bind(e.p.nodes[id].slot, e.vals.SubstArith(n.Val, e.p.nodeRefs(id)))
+		e.bind(e.p.node(id).slot, e.vals.SubstArith(n.Val, e.p.nodeRefs(id)))
 	case cfg.Hash, cfg.Checksum:
-		e.bind(e.p.nodes[id].slot, e.evalOpaque(n))
+		e.bind(e.p.node(id).slot, e.evalOpaque(n))
 	}
 
 	if n.IsLeaf() {
@@ -864,7 +864,7 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 // post-generation check, pushed on e.obligations here). Checksums are
 // handled identically.
 func (e *executor) evalOpaque(n *cfg.Node) expr.Arith {
-	np := &e.p.nodes[n.ID]
+	np := e.p.node(n.ID)
 	op := np.opaque
 	inputs, vals := e.opaqueIn[:0], e.opaqueVals[:0]
 	allConst := true
