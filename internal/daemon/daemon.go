@@ -104,11 +104,11 @@ type Daemon struct {
 	requests       atomic.Uint64
 	warmHits       atomic.Uint64
 	storeConflicts atomic.Uint64
-
-	// pathHook is handed to every gen as Options.PathHook; in-package
-	// tests set it before the first request to inject path faults.
-	pathHook func([]cfg.NodeID)
 }
+
+// testPathHook, set by in-package tests only, is handed to every gen as
+// Options.PathHook to inject path faults.
+var testPathHook func([]cfg.NodeID)
 
 // New opens the daemon's store (waiting up to cfg.StoreWait for the
 // advisory lock) and prepares the service. The caller must Listen and
@@ -418,7 +418,7 @@ func (d *Daemon) handleGen(req *Request, resp *Response) error {
 	opts.CodeSummary = !params.NoSummary
 	opts.Parallelism = params.Parallel
 	opts.Strict = params.Strict
-	opts.PathHook = d.pathHook
+	opts.PathHook = testPathHook
 	opts.SolverSearchBudget = params.SolverBudget
 	opts.SolverCheckTimeout = time.Duration(params.SolverTimeoutNS)
 	opts.Store = d.st
@@ -453,6 +453,9 @@ func (d *Daemon) handleGen(req *Request, resp *Response) error {
 	if err := meissa.WriteTemplates(&buf, gen.Templates); err != nil {
 		return err
 	}
+	// The final pass's allocation figures are process-wide counters:
+	// with other tenants' requests in flight they are not this run's.
+	gen.FinalMallocs, gen.FinalAllocBytes = 0, 0
 	rep := gen.Report("gen", fam.name, opts.Parallelism)
 	d.count()
 	rep.Daemon = d.daemonReport(queueWait, time.Since(reqStart))
@@ -520,6 +523,7 @@ func (d *Daemon) handleRegress(req *Request, resp *Response) error {
 	if err := meissa.WriteTemplates(&buf, res.Gen.Templates); err != nil {
 		return err
 	}
+	res.Gen.FinalMallocs, res.Gen.FinalAllocBytes = 0, 0 // as in handleGen
 	rep := res.Gen.Report("regress", fam.name, opts.Parallelism)
 	d.count()
 	rep.Daemon = d.daemonReport(queueWait, time.Since(reqStart))

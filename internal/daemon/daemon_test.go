@@ -195,6 +195,17 @@ func TestDaemonWarmGenByteIdentical(t *testing.T) {
 	if err := warm.Report.Validate(); err != nil {
 		t.Fatalf("warm gen report fails validation: %v", err)
 	}
+
+	// A sequential generation measures its final pass's allocations from
+	// process-wide counters; the daemon, which runs tenants side by side,
+	// must not report them as the request's.
+	seq, err := c.Do(&Request{Op: OpGen, Tenant: "t1", Family: p.Name, Gen: &GenParams{Parallel: 1}})
+	if err != nil || !seq.OK {
+		t.Fatalf("sequential gen: %v %+v", err, seq)
+	}
+	if pr := seq.Gen.Report.Paths; pr.FinalMallocs != 0 || pr.FinalAllocBytes != 0 {
+		t.Fatalf("daemon report carries process-wide allocation counts: %d objects, %d bytes", pr.FinalMallocs, pr.FinalAllocBytes)
+	}
 }
 
 // TestDaemonSurvivesStrictPanic: a strict gen whose exploration panics
@@ -204,13 +215,14 @@ func TestDaemonWarmGenByteIdentical(t *testing.T) {
 func TestDaemonSurvivesStrictPanic(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	want := coldTemplates(t, p)
-	d, c := startDaemon(t, Config{})
 	var armed atomic.Bool
-	d.pathHook = func([]cfg.NodeID) {
+	testPathHook = func([]cfg.NodeID) {
 		if armed.Load() {
 			panic("injected path fault")
 		}
 	}
+	t.Cleanup(func() { testPathHook = nil })
+	_, c := startDaemon(t, Config{})
 	loadFamily(t, c, p, "t1")
 	for _, parallel := range []int{1, 2} {
 		armed.Store(true)

@@ -234,8 +234,8 @@ func (e Env) SubstArith(a Arith, refs []int32) Arith {
 	if !e.bound(refs) {
 		return a
 	}
-	out, _ := substArith(a, &substEnv{vals: e, refs: refs})
-	return out
+	out, k, _ := substArith(a, &substEnv{vals: e, refs: refs})
+	return boxConst(out, k)
 }
 
 // SubstBool is SubstBool over a slot environment; refs is b's
@@ -254,26 +254,52 @@ func (e Env) SubstBool(b Bool, refs []int32) Bool {
 // returned as-is, without allocation — the common case for table-entry
 // predicates over raw input fields.
 func SubstArith(a Arith, v Subst) Arith {
-	out, _ := substArith(a, &substEnv{m: v})
-	return out
+	out, k, _ := substArith(a, &substEnv{m: v})
+	return boxConst(out, k)
 }
 
 // substArith reports whether it changed anything; an unchanged expression
-// is returned as the interface value that came in, never re-boxed.
-func substArith(a Arith, v *substEnv) (Arith, bool) {
+// is returned as the interface value that came in, never re-boxed. An
+// operation that folds to a constant comes back unboxed — a nil Arith and
+// the value in the Const: the enclosing operation or comparison mostly
+// folds it again, and only boxConst, for a value that is kept, puts it on
+// the heap.
+func substArith(a Arith, v *substEnv) (Arith, Const, bool) {
 	switch t := a.(type) {
 	case Ref:
 		if val := v.lookup(t.Var); val != nil {
-			return val, true
+			return val, Const{}, true
 		}
 	case Bin:
-		l, lc := substArith(t.L, v)
-		r, rc := substArith(t.R, v)
-		if lc || rc {
-			return simplifyBin(t.Op, l, r), true
+		l, lk, lc := substArith(t.L, v)
+		r, rk, rc := substArith(t.R, v)
+		if !lc && !rc {
+			break
 		}
+		if lk, ok := constOf(l, lk); ok {
+			if rk, ok := constOf(r, rk); ok {
+				return nil, foldBin(t.Op, lk, rk), true
+			}
+		}
+		return simplifyBin(t.Op, boxConst(l, lk), boxConst(r, rk)), Const{}, true
 	}
-	return a, false
+	return a, Const{}, false
+}
+
+// constOf is the constant a substArith result (a, k) stands for, if any.
+func constOf(a Arith, k Const) (Const, bool) {
+	if a == nil {
+		return k, true
+	}
+	c, ok := a.(Const)
+	return c, ok
+}
+
+func boxConst(a Arith, k Const) Arith {
+	if a == nil {
+		return k
+	}
+	return a
 }
 
 // SubstBool substitutes all variables in b with their values in V.
@@ -286,11 +312,17 @@ func SubstBool(b Bool, v Subst) Bool {
 func substBool(b Bool, v *substEnv) (Bool, bool) {
 	switch t := b.(type) {
 	case Cmp:
-		l, lc := substArith(t.L, v)
-		r, rc := substArith(t.R, v)
-		if lc || rc {
-			return simplifyCmp(t.Op, l, r), true
+		l, lk, lc := substArith(t.L, v)
+		r, rk, rc := substArith(t.R, v)
+		if !lc && !rc {
+			break
 		}
+		if lk, ok := constOf(l, lk); ok {
+			if rk, ok := constOf(r, rk); ok {
+				return BoolConst(t.Op.Apply(lk.Val, rk.Val)), true
+			}
+		}
+		return simplifyCmp(t.Op, boxConst(l, lk), boxConst(r, rk)), true
 	case Logic:
 		l, lc := substBool(t.L, v)
 		r, rc := substBool(t.R, v)

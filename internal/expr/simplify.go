@@ -18,17 +18,14 @@ func Simplify(a Arith) Arith {
 func simplifyBin(op AOp, l, r Arith) Arith {
 	l = Simplify(l)
 	r = Simplify(r)
+	lc, lIsC := l.(Const)
+	rc, rIsC := r.(Const)
+	if lIsC && rIsC {
+		return foldBin(op, lc, rc)
+	}
 	w := l.Width()
 	if rw := r.Width(); rw > w {
 		w = rw
-	}
-
-	lc, lIsC := l.(Const)
-	rc, rIsC := r.(Const)
-
-	// Constant folding.
-	if lIsC && rIsC {
-		return Const{Val: op.Apply(lc.Val, rc.Val, w), W: w}
 	}
 
 	switch op {
@@ -109,6 +106,15 @@ func simplifyBin(op AOp, l, r Arith) Arith {
 		}
 	}
 	return Bin{Op: op, L: l, R: r}
+}
+
+// foldBin is the constant an operation on two constants folds to.
+func foldBin(op AOp, l, r Const) Const {
+	w := l.W
+	if r.W > w {
+		w = r.W
+	}
+	return Const{Val: op.Apply(l.Val, r.Val, w), W: w}
 }
 
 // SimplifyBool performs local simplification of a boolean expression:

@@ -155,16 +155,23 @@ func TestSubstFoldsWithoutAllocating(t *testing.T) {
 	slot := func(v Var) int32 { return map[Var]int32{"x": 0, "y": 1}[v] }
 	env := Env{C(5, 16), nil}
 	var folds, free Bool = Eq(V("x", 16), C(6, 16)), Eq(V("y", 16), C(6, 16))
-	foldRefs, freeRefs := RefSlotsBool(nil, folds, slot), RefSlotsBool(nil, free, slot)
+	// A folded operand of a folded comparison: the intermediate constant
+	// must not be boxed either.
+	var nested Bool = Eq(Bin{Op: OpAnd, L: Bin{Op: OpAdd, L: V("x", 16), R: C(1, 16)}, R: C(3, 16)}, C(2, 16))
+	foldRefs, freeRefs, nestedRefs := RefSlotsBool(nil, folds, slot), RefSlotsBool(nil, free, slot), RefSlotsBool(nil, nested, slot)
 	var sink Bool
 	if avg := testing.AllocsPerRun(100, func() {
 		sink = env.SubstBool(folds, foldRefs)
 		sink = env.SubstBool(free, freeRefs)
+		sink = env.SubstBool(nested, nestedRefs)
 	}); avg != 0 {
 		t.Errorf("constant-folding substitution allocates %.1f objects per run, want 0", avg)
 	}
 	if got := env.SubstBool(folds, foldRefs); !EqualBool(got, False) {
 		t.Errorf("x==6 under x=5 is %s, want False", got)
+	}
+	if got := env.SubstBool(nested, nestedRefs); !EqualBool(got, True) {
+		t.Errorf("(x+1)&3==2 under x=5 is %s, want True", got)
 	}
 	_ = sink
 }

@@ -100,9 +100,11 @@ type PathReport struct {
 	Explored      uint64 `json:"explored"`
 	FinalExplored uint64 `json:"final_explored"`
 	// FinalMallocs/FinalAllocBytes are the heap allocation count and
-	// volume of the final pass (runtime.MemStats deltas around it; only
-	// measured when it ran sequentially in-process). Divided by
-	// FinalExplored they are the per-path allocation cost.
+	// volume of the final pass (deltas of the process's allocation
+	// counters around it; only measured when it ran sequentially
+	// in-process, and left out by the daemon, whose other requests
+	// allocate too). Divided by FinalExplored they are the per-path
+	// allocation cost.
 	FinalMallocs    uint64 `json:"final_mallocs,omitempty"`
 	FinalAllocBytes uint64 `json:"final_alloc_bytes,omitempty"`
 	// Pruned counts prefixes cut by early termination.

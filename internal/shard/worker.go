@@ -40,12 +40,6 @@ type MetricsSource interface {
 // within RunUnit via the callback, so no writer lock is needed.
 func Serve(r io.Reader, w io.Writer, h Handler) error {
 	env, err := ReadFrame(r)
-	if err == io.EOF {
-		// The coordinator hung up before assigning this worker anything —
-		// a dial-in worker that arrived after the run had finished. Same
-		// clean exit as a hang-up between units.
-		return nil
-	}
 	if err != nil {
 		return fmt.Errorf("shard worker: reading hello: %w", err)
 	}

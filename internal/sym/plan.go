@@ -90,11 +90,6 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		}
 		return sl
 	}
-	// A summarized chain's nodes all alias one Deps slice and are reached
-	// one after the other: a node whose Deps are the previous node's
-	// shares its interned list.
-	var prevDeps []string
-	var prev *nodePlan
 	seen := make([]bool, len(g.Nodes))
 	for stack := []cfg.NodeID{start}; len(stack) > 0; {
 		id := stack[len(stack)-1]
@@ -105,23 +100,16 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		seen[id] = true
 		n := g.Node(id)
 		np := p.node(id)
-		if len(n.Deps) > 0 {
-			if len(n.Deps) == len(prevDeps) && &n.Deps[0] == &prevDeps[0] {
-				np.depLo, np.depHi = prev.depLo, prev.depHi
-			} else {
-				np.depLo = uint32(len(p.deps))
-				for _, d := range n.Deps {
-					tid, ok := tagIDs[d]
-					if !ok {
-						tid = uint32(len(tagIDs))
-						tagIDs[d] = tid
-					}
-					p.deps = append(p.deps, tid)
-				}
-				np.depHi = uint32(len(p.deps))
+		np.depLo = uint32(len(p.deps))
+		for _, d := range n.Deps {
+			tid, ok := tagIDs[d]
+			if !ok {
+				tid = uint32(len(tagIDs))
+				tagIDs[d] = tid
 			}
-			prevDeps, prev = n.Deps, np
+			p.deps = append(p.deps, tid)
 		}
+		np.depHi = uint32(len(p.deps))
 		np.refLo = uint32(len(p.refs))
 		switch n.Kind {
 		case cfg.Predicate:

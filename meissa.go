@@ -29,7 +29,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -233,10 +233,12 @@ type GenResult struct {
 	// generation pass alone (excluding summarization work).
 	FinalPathsExplored uint64
 	// FinalMallocs and FinalAllocBytes are the process's heap allocation
-	// count and volume over the final pass (runtime.MemStats deltas), so a
-	// report shows what a path costs without a benchmark harness. Measured
-	// only when the pass runs sequentially in-process — with workers the
-	// deltas would mix goroutines — and zero otherwise.
+	// count and volume over the final pass, so a report shows what a path
+	// costs without a benchmark harness. Measured only when the pass runs
+	// sequentially in-process, and zero otherwise. The counters are the
+	// process's: they are the pass's own only while nothing else in the
+	// process allocates (the CLI, a benchmark); a caller that runs
+	// generations side by side — the daemon — discards them.
 	FinalMallocs, FinalAllocBytes uint64
 	// SMTCalls counts solver checks across all phases (Fig. 11b unit).
 	SMTCalls uint64
@@ -486,15 +488,11 @@ func (s *System) Generate() (*GenResult, error) {
 			obs.Warnf("meissa: %s: sharding disabled: %s; using in-process engine", s.Prog.Name, shardReason)
 			res.Shard = &obs.ShardReport{Workers: s.Opts.ShardWorkers, Fallback: true, FallbackReason: shardReason}
 		}
-		measure := finalOpts.Workers() == 1
-		var m0, m1 runtime.MemStats
-		if measure {
-			runtime.ReadMemStats(&m0)
-		}
+		objs0, bytes0 := heapAllocs()
 		exp, err = sym.Explore(fcfg)
-		if measure {
-			runtime.ReadMemStats(&m1)
-			res.FinalMallocs, res.FinalAllocBytes = m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+		if finalOpts.Workers() == 1 {
+			objs1, bytes1 := heapAllocs()
+			res.FinalMallocs, res.FinalAllocBytes = objs1-objs0, bytes1-bytes0
 		}
 	}
 	symDur := symSpan.End()
@@ -533,6 +531,19 @@ func (s *System) Generate() (*GenResult, error) {
 	obs.Progressf("meissa: %s: generation done in %v (%d templates, %d paths, %d solver checks, %d cache hits)",
 		s.Prog.Name, res.Duration, len(res.Templates), res.PathsExplored, res.SMTCalls, res.SMTCacheHits)
 	return res, nil
+}
+
+// heapAllocs reads the process's cumulative heap allocation count and
+// volume (runtime.MemStats' Mallocs and TotalAlloc) without stopping the
+// world, which ReadMemStats does.
+func heapAllocs() (objects, bytes uint64) {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
+		{Name: "/gc/heap/allocs:bytes"},
+	}
+	metrics.Read(s)
+	return s[0].Value.Uint64() + s[1].Value.Uint64(), s[2].Value.Uint64()
 }
 
 // Report builds the machine-readable run report (obs.ReportSchema) for

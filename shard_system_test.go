@@ -8,10 +8,12 @@ package meissa_test
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -254,7 +256,7 @@ func TestShardedIneligibleOptionsFallBack(t *testing.T) {
 
 // freeTCPAddr reserves an ephemeral port and releases it for the
 // coordinator's listener; the window between release and re-listen is
-// covered by the workers' dial retry.
+// covered by the dial retry.
 func freeTCPAddr(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -266,6 +268,50 @@ func freeTCPAddr(t *testing.T) string {
 	return addr
 }
 
+// gateRemoteWorkers relays n workers that dialed front to the
+// coordinator listening on backend, and holds back everything the
+// workers send (first of all their Ready) until the coordinator has
+// attached all n — it writes a Hello on attach. No unit is leased before
+// a Ready, so no worker can find the run already over: a short run
+// finishing on the first dialer alone would leave the others refused.
+func gateRemoteWorkers(t *testing.T, front net.Listener, backend string, n int) {
+	var attached sync.WaitGroup
+	attached.Add(n)
+	for i := 0; i < n; i++ {
+		w, err := front.Accept()
+		if err != nil {
+			t.Errorf("accepting worker %d: %v", i, err)
+			return
+		}
+		b, err := shard.DialWorker(backend, 30*time.Second)
+		if err != nil {
+			t.Errorf("relaying worker %d: %v", i, err)
+			return
+		}
+		go func() { // coordinator → worker
+			var once sync.Once
+			buf := make([]byte, 32<<10)
+			for {
+				m, err := b.Read(buf)
+				// A close before the hello opens the gate too: that
+				// worker then exits non-zero and fails the test.
+				once.Do(attached.Done)
+				w.Write(buf[:m])
+				if err != nil {
+					break
+				}
+			}
+			w.(*net.TCPConn).CloseWrite()
+		}()
+		go func() { // worker → coordinator
+			attached.Wait()
+			io.Copy(b, w)
+			b.Close()
+			w.Close()
+		}()
+	}
+}
+
 // TestShardedRemoteTCPMatchesSequential: the listener transport — remote
 // workers dialing in over TCP instead of being spawned over pipes —
 // produces output byte-identical to the sequential engine, through the
@@ -274,17 +320,25 @@ func TestShardedRemoteTCPMatchesSequential(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	seq := generateAt(t, p, false, 1)
 
+	// The workers dial a listener that is already up, and the gate relays
+	// them to the coordinator's once Generate has opened it.
+	front, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
 	addr := "tcp://" + freeTCPAddr(t)
 	var procs []*exec.Cmd
 	for i := 0; i < 2; i++ {
 		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "MEISSA_SHARD_CONNECT="+addr)
+		cmd.Env = append(os.Environ(), "MEISSA_SHARD_CONNECT=tcp://"+front.Addr().String())
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
 		procs = append(procs, cmd)
 	}
+	go gateRemoteWorkers(t, front, addr, len(procs))
 	reaped := false
 	defer func() {
 		if !reaped {
@@ -314,33 +368,13 @@ func TestShardedRemoteTCPMatchesSequential(t *testing.T) {
 		t.Fatalf("unit accounting off: %+v", rep)
 	}
 
-	// The coordinator half-closed each attached connection at shutdown;
-	// those workers must drain and exit zero on their own. A worker whose
-	// dial landed after this short run had closed its listener never
-	// attached: it is still retrying, and is killed rather than judged.
-	if gen.Fleet == nil || len(gen.Fleet.Workers) == 0 {
-		t.Fatal("no remote worker contributed to the run")
-	}
+	// Both workers attached (the gate held the run until they had). The
+	// coordinator half-closed each connection at shutdown; the workers
+	// must drain and exit zero on their own.
 	reaped = true
-	exits := make(chan error, len(procs))
 	for _, c := range procs {
-		go func(c *exec.Cmd) { exits <- c.Wait() }(c)
-	}
-	grace := time.After(2 * time.Second)
-	for drained := 0; drained < len(procs); drained++ {
-		select {
-		case err := <-exits:
-			if err != nil {
-				t.Fatalf("remote worker exit: %v", err)
-			}
-		case <-grace:
-			if drained < len(gen.Fleet.Workers) {
-				t.Fatalf("only %d of %d attached workers drained", drained, len(gen.Fleet.Workers))
-			}
-			for _, c := range procs {
-				c.Process.Kill()
-			}
-			return
+		if err := c.Wait(); err != nil {
+			t.Fatalf("remote worker exit: %v", err)
 		}
 	}
 }
