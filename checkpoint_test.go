@@ -74,6 +74,7 @@ func TestCheckpointKillHelper(t *testing.T) {
 	opts := meissa.DefaultOptions()
 	opts.Parallelism = 1
 	opts.Checkpoint = os.Getenv("MEISSA_HELPER_JOURNAL")
+	opts.StorePath = os.Getenv("MEISSA_HELPER_STORE") // empty: no store
 	opts.SolverOverhead = 2 * time.Millisecond
 	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
 	if err != nil {
@@ -91,17 +92,30 @@ func TestCheckpointKillHelper(t *testing.T) {
 // re-solved — every solver interaction is either a journal hit or a
 // fresh call, never both, so hits + calls must equal the clean run's
 // calls exactly.
+//
+// The "+store" variant kills a run that was also going to commit to a
+// verdict store (the commit happens at the end, so the kill leaves the
+// store without the family) and resumes it with the same store: the
+// resumed run must commit the verdicts it loaded from the checkpoint
+// together with the ones it derived, so that the store alone then answers
+// a whole generation.
 func TestKillResumeByteIdentical(t *testing.T) {
-	for _, name := range []string{"Router", "gw-1"} {
+	for _, name := range []string{"Router", "gw-1", "gw-1+store"} {
 		t.Run(name, func(t *testing.T) {
+			name, withStore := strings.CutSuffix(name, "+store")
 			p := corpusProgram(t, name)
 			jpath := filepath.Join(t.TempDir(), "journal.bin")
+			spath := ""
+			if withStore {
+				spath = filepath.Join(t.TempDir(), "verdicts.store")
+			}
 
 			cmd := exec.Command(os.Args[0], "-test.run=TestCheckpointKillHelper$", "-test.v")
 			cmd.Env = append(os.Environ(),
 				"MEISSA_CHECKPOINT_HELPER=1",
 				"MEISSA_HELPER_CORPUS="+name,
 				"MEISSA_HELPER_JOURNAL="+jpath,
+				"MEISSA_HELPER_STORE="+spath,
 			)
 			if err := cmd.Start(); err != nil {
 				t.Fatal(err)
@@ -126,7 +140,12 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			cmd.Wait() // reap; the kill error state is expected
 
 			clean := generateCheckpoint(t, p, "", false)
-			resumed := generateCheckpoint(t, p, jpath, true)
+			var resumed *meissa.GenResult
+			if withStore {
+				resumed = generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Checkpoint, o.Resume = jpath, true })
+			} else {
+				resumed = generateCheckpoint(t, p, jpath, true)
+			}
 
 			if got, want := renderTemplates(resumed.Templates), renderTemplates(clean.Templates); got != want {
 				t.Fatalf("resumed output differs from clean run (%d vs %d templates)",
@@ -142,6 +161,16 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			if resumed.SMTCalls >= clean.SMTCalls {
 				t.Errorf("resume saved no solver work: %d calls vs clean %d",
 					resumed.SMTCalls, clean.SMTCalls)
+			}
+			if withStore {
+				warm := generateStore(t, p, nil, spath, nil)
+				if warm.SMTCalls != 0 || warm.JournalHits != clean.SMTCalls {
+					t.Errorf("store left incomplete by the resumed run: a store-only generation made %d solver calls and %d hits, want 0 and %d",
+						warm.SMTCalls, warm.JournalHits, clean.SMTCalls)
+				}
+				if renderTemplates(warm.Templates) != renderTemplates(clean.Templates) {
+					t.Error("store-only generation after the resumed run differs from the clean run")
+				}
 			}
 		})
 	}

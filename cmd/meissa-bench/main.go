@@ -14,41 +14,15 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1, fig9, fig10, fig11, fig12, table2, all")
 	budget := flag.Duration("budget", experiments.Budget, "per-tool time budget")
 	parallel := flag.Int("parallel", 0, "Meissa exploration workers (0 = GOMAXPROCS, 1 = sequential)")
-	jsonOut := flag.String("json", "", "write a versioned JSON bench report (one run per program x rule set) to this file")
 	flag.Parse()
 	experiments.Budget = *budget
 	experiments.Parallelism = *parallel
-
-	if *jsonOut != "" {
-		br, err := experiments.BenchRuns()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench json:", err)
-			os.Exit(1)
-		}
-		if err := obs.WriteFileAtomic(*jsonOut, br); err != nil {
-			fmt.Fprintln(os.Stderr, "bench json:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d run reports to %s\n", len(br.Runs), *jsonOut)
-		// -json alone emits the structured document and exits; pass -exp
-		// explicitly to also print the human tables.
-		expGiven := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "exp" {
-				expGiven = true
-			}
-		})
-		if !expGiven {
-			return
-		}
-	}
 
 	run := func(name string, f func() error) {
 		fmt.Printf("==== %s ====\n", name)

@@ -201,9 +201,6 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *resume && *checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
 	if err := ob.activate(*verbose); err != nil {
 		return err
 	}

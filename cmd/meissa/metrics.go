@@ -9,7 +9,6 @@ import (
 
 	meissa "repro"
 	"repro/internal/driver"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/regress"
 )
@@ -160,9 +159,6 @@ func cmdCheckMetrics(args []string) error {
 	if head.Schema == regress.Schema {
 		return checkRegressReport(data)
 	}
-	if head.Schema == experiments.BenchSchema {
-		return checkBenchReport(data)
-	}
 	rep, err := obs.ParseReport(data)
 	if err != nil {
 		return err
@@ -258,83 +254,6 @@ func cmdCheckMetrics(args []string) error {
 			}
 			fmt.Printf("  fleet worker %d (slot %d): units=%d status=%s flight_events=%d\n",
 				w.Worker, w.Slot, len(w.Units), status, len(w.Flight))
-		}
-	}
-	return nil
-}
-
-// checkBenchReport validates a meissa.bench-report/v1 document (the CI
-// perf-smoke gate): every embedded run report must pass the obs schema
-// validator, and the gw-1 pipelined-vs-lockstep driver throughput pair —
-// the hot-path headline — is printed when present.
-func checkBenchReport(data []byte) error {
-	var br experiments.BenchReport
-	if err := json.Unmarshal(data, &br); err != nil {
-		return fmt.Errorf("bench report: %w", err)
-	}
-	if len(br.Runs) == 0 {
-		return fmt.Errorf("bench report has no runs")
-	}
-	var lockstep, pipelined float64
-	var storeWarm, storeResume, daemonWarm *obs.Report
-	for _, r := range br.Runs {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("bench run %s/%s: %w", r.Program, r.RuleSet, err)
-		}
-		if r.Program == "gw-1" && r.RuleSet == "set-1" && r.Driver != nil {
-			if r.Driver.Window == 1 {
-				lockstep = r.Driver.VerdictsPerSec
-			} else {
-				pipelined = r.Driver.VerdictsPerSec
-			}
-		}
-		switch r.RuleSet {
-		case "store~warm":
-			storeWarm = r
-		case "store~resume":
-			storeResume = r
-		case "daemon~warm":
-			daemonWarm = r
-		}
-	}
-	fmt.Printf("ok: bench report, %d runs (budget %v, parallel %d)\n",
-		len(br.Runs), time.Duration(br.BudgetNS), br.Parallelism)
-	if lockstep > 0 && pipelined > 0 {
-		fmt.Printf("  gw-1/set-1 driver: lockstep %.0f verdicts/s, pipelined %.0f verdicts/s (%.2fx)\n",
-			lockstep, pipelined, pipelined/lockstep)
-	}
-	if storeWarm != nil && storeWarm.Store != nil && storeWarm.Journal != nil {
-		// Store-hit rate: solver interactions answered by store-warmed
-		// verdicts out of everything the warm run needed.
-		live := uint64(0)
-		if storeWarm.Solver != nil {
-			live = storeWarm.Solver.Solved
-		}
-		hits := storeWarm.Journal.Hits
-		if total := hits + live; total > 0 {
-			fmt.Printf("  %s warm store: hit rate %.1f%% (%d store-answered, %d live), %d verdicts warmed\n",
-				storeWarm.Program, 100*float64(hits)/float64(total), hits, live, storeWarm.Store.Warmed)
-		}
-		if storeResume != nil && storeResume.WallNS > 0 {
-			fmt.Printf("  %s warm store vs journal replay: %v vs %v (%+.0f%%)\n",
-				storeWarm.Program,
-				time.Duration(storeWarm.WallNS).Round(time.Microsecond),
-				time.Duration(storeResume.WallNS).Round(time.Microsecond),
-				100*(float64(storeWarm.WallNS)-float64(storeResume.WallNS))/float64(storeResume.WallNS))
-		}
-	}
-	if daemonWarm != nil && daemonWarm.Daemon != nil {
-		d := daemonWarm.Daemon
-		fmt.Printf("  %s warm daemon: TTFV %v (queue %v), %.1f requests/s over %d served (%d warm hits)\n",
-			daemonWarm.Program,
-			time.Duration(d.TimeToFirstVerdictNS).Round(time.Microsecond),
-			time.Duration(d.QueueWaitNS).Round(time.Microsecond),
-			d.RequestsPerSec, d.RequestsServed, d.WarmHits)
-		if storeWarm != nil && storeWarm.WallNS > 0 && daemonWarm.WallNS > 0 {
-			fmt.Printf("  %s warm daemon vs warm store run: %v vs %v\n",
-				daemonWarm.Program,
-				time.Duration(daemonWarm.WallNS).Round(time.Microsecond),
-				time.Duration(storeWarm.WallNS).Round(time.Microsecond))
 		}
 	}
 	return nil

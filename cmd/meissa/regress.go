@@ -95,8 +95,8 @@ func cmdRegress(args []string) error {
 		var err error
 		if *storePath != "" {
 			// Store-backed: the store supplies both the old rules (unless
-			// -rules-old overrode them) and the materialized baseline, and
-			// the incremental result commits back atomically — so watch
+			// -rules-old overrode them) and the baseline verdicts, and the
+			// incremental result commits back atomically — so watch
 			// iterations need no journal-path juggling.
 			o.StorePath = *storePath
 			res, err = meissa.RegressStore(meissa.RegressInput{
@@ -174,7 +174,7 @@ func cmdRegress(args []string) error {
 	// silently forever.
 	curBase, curCkpt := ckpt, ckpt+".alt"
 	if *storePath != "" {
-		curBase, curCkpt = "", ckpt // unused / kept verbatim (RegressStore defaults "" to a temp path)
+		curBase, curCkpt = "", ckpt // unused / kept verbatim (RegressStore needs no checkpoint)
 	}
 	curRules := newRules
 	lastText := newRules.String()

@@ -17,7 +17,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/bugs"
 	"repro/internal/programs"
-	"repro/internal/rules"
 )
 
 // Budget bounds each individual tool run, standing in for the paper's
@@ -325,18 +324,3 @@ func WriteTable2(w io.Writer) error {
 	}
 	return nil
 }
-
-// --- shared helpers ---
-
-// GWAt builds gw-n at a rule scale (re-exported for the bench harness).
-func GWAt(n int, set programs.RuleScale) *programs.Program { return programs.GW(n, set) }
-
-// AllRuleSets lists the four scales.
-func AllRuleSets() []programs.RuleScale {
-	return []programs.RuleScale{programs.Set1, programs.Set2, programs.Set3, programs.Set4}
-}
-
-// MergeRuleLOC sums the rule LOC of a set (Table 1 note: "set-4 is more
-// than 200,000 LOC" at production scale — ours is scaled down by
-// programs.Base).
-func MergeRuleLOC(rs *rules.Set) int { return rs.LOC() }

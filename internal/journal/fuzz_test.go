@@ -11,6 +11,17 @@ import (
 // pinning one value keeps the fuzzer inside the loader proper.
 const fuzzFP = 0xfeedfacecafe
 
+// fuzzSeedRecords and fuzzSeedTables are the well-formed journal the fuzz
+// corpus is derived from: verdict+index pairs of every verdict value.
+var (
+	fuzzSeedRecords = []Record{
+		{Kind: KindCheck, Key: 1, Verdict: Unsat},
+		{Kind: KindEmit, Key: 2, Verdict: Sat, Model: []VarVal{{Var: "hdr.x", Val: 7}}},
+		{Kind: KindEmit, Key: 3, Verdict: Unknown},
+	}
+	fuzzSeedTables = []string{"t/acl", "t/route"}
+)
+
 // FuzzLoad throws arbitrary bytes at the checkpoint loader. A journal is
 // reloaded after SIGKILL at any instant, so the loader must never panic
 // and must uphold the recovery contract on whatever it finds: a resumed
@@ -26,13 +37,8 @@ func FuzzLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	recs := []Record{
-		{Kind: KindCheck, Key: 1, Verdict: Unsat},
-		{Kind: KindEmit, Key: 2, Verdict: Sat, Model: []VarVal{{Var: "hdr.x", Val: 7}}},
-		{Kind: KindEmit, Key: 3, Verdict: Unknown},
-	}
-	for _, r := range recs {
-		if err := j.AppendWithDeps(r, []string{"t/acl", "t/route"}); err != nil {
+	for _, r := range fuzzSeedRecords {
+		if err := j.AppendWithDeps(r, fuzzSeedTables); err != nil {
 			f.Fatal(err)
 		}
 	}

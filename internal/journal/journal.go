@@ -19,12 +19,20 @@
 // options); resuming against a journal written for different inputs is
 // an error rather than silent corruption.
 //
-// Concurrency: the lookup map is populated once at Open and never mutated
-// afterwards, so Lookup is lock-free and safe from any number of
-// exploration workers; Append serializes file writes behind a mutex.
+// The lookup index is the run's one verdict table: Open fills it from the
+// file, Seed and Adopt put records from other sources (a filtered
+// baseline, a store snapshot, a shard merge) straight into it, and a
+// journal made by New has no file at all.
+//
+// Concurrency: the index changes only between explorations — at Open, in
+// Seed and in Adopt — never while one runs, so Lookup is lock-free and
+// safe from any number of exploration workers, and the records a run
+// appends never change what the same run's lookups answer; Append
+// serializes file writes behind a mutex.
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -108,11 +116,13 @@ type mapKey struct {
 	key  uint64
 }
 
-// Journal is an open checkpoint file.
+// Journal is a run's verdict table, backed by an open checkpoint file
+// unless New made it.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
-	seen map[mapKey]Record // loaded at Open; read-only afterwards
+	f    *os.File          // nil: no file behind the table
+	buf  []byte            // Append's encoding scratch, under mu
+	seen map[mapKey]Record // changes only between explorations
 
 	// mirror, when set, observes every successfully appended record
 	// (dependency tags and Indexed folded in, exactly as a reload would
@@ -122,15 +132,19 @@ type Journal struct {
 	// call back into the journal.
 	mirror func(Record)
 
-	loaded   int // verdict records recovered (deduplicated)
+	loaded   int // verdict records put into the index: recovered at Open, seeded, adopted
 	scanned  int // total non-header records scanned, including duplicates and index records
 	appended atomic.Uint64
-	epoch    atomic.Uint64
 }
 
 const magic = "MEISSAJ1"
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// New returns a journal with no file behind it, for a run that named no
+// checkpoint: appends reach the mirror and the counters only, and Sync
+// and Close do nothing.
+func New() *Journal { return &Journal{seen: map[mapKey]Record{}} }
 
 // Open opens a checkpoint file. With resume=false the file is created or
 // truncated and a fresh header is written. With resume=true the existing
@@ -214,10 +228,8 @@ func (j *Journal) load(fingerprint uint64) (int64, error) {
 				j.seen[k] = vr
 			}
 		} else {
-			j.seen[mapKey{rec.Kind, rec.Key}] = rec
-			j.loaded++
+			j.Seed(rec)
 			j.scanned++
-			mRecordsLoaded.Inc()
 		}
 		off += int64(n)
 	}
@@ -227,21 +239,58 @@ func (j *Journal) load(fingerprint uint64) (int64, error) {
 	return off, nil
 }
 
-// Lookup returns the journaled record for a key, if the interrupted run
-// completed it. Safe for concurrent use without locking: the map is
-// frozen after Open.
+// Lookup returns the record the index holds for a key. Safe for
+// concurrent use without locking: the index is frozen while an
+// exploration runs.
 func (j *Journal) Lookup(kind Kind, key uint64) (Record, bool) {
 	r, ok := j.seen[mapKey{kind, key}]
 	return r, ok
 }
 
-// Append journals one verdict. The record is written with a single
-// write(2) call, so a kill tears at most the final record — which load
-// tolerates. Thread-safe.
+// Seed puts r into the lookup index and writes nothing: r is already in
+// the file (a shard merge appended it) or has no file to go to. It counts
+// as loaded. Legal only between explorations.
+func (j *Journal) Seed(r Record) {
+	j.seen[mapKey{r.Kind, r.Key}] = r
+	j.loaded++
+	mRecordsLoaded.Inc()
+}
+
+// Adopt makes recs part of the journal as though the run it continues
+// had journaled them: a file receives them in order, in the bytes Append
+// would have written, and then they are seeded. They count as loaded, not
+// appended, and the mirror does not see them. Legal only between
+// explorations.
+func (j *Journal) Adopt(recs []Record) error {
+	if j.f != nil {
+		// A kill mid-way leaves a shorter journal, as one between appends would.
+		w := bufio.NewWriterSize(j.f, 1<<20)
+		var buf []byte
+		for _, r := range recs {
+			buf = appendVerdict(buf[:0], r)
+			w.Write(buf) // Flush reports a failed write
+		}
+		if err := w.Flush(); err != nil {
+			return fmt.Errorf("journal: adopt: %w", err)
+		}
+	}
+	for _, r := range recs {
+		j.Seed(r)
+	}
+	return nil
+}
+
+// Append journals one verdict and, when r.Indexed, the dependency index
+// record carrying r.Tables after it, with a single write(2) call, so a
+// kill tears at most this one record or pair — which load tolerates.
+// Thread-safe.
 func (j *Journal) Append(r Record) error {
-	buf := encode(r)
+	var err error
 	j.mu.Lock()
-	_, err := j.f.Write(buf)
+	if j.f != nil {
+		j.buf = appendVerdict(j.buf[:0], r)
+		_, err = j.f.Write(j.buf)
+	}
 	if err == nil && j.mirror != nil {
 		j.mirror(r)
 	}
@@ -250,8 +299,12 @@ func (j *Journal) Append(r Record) error {
 		mAppendErrors.Inc()
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	j.appended.Add(1)
-	mRecordsAppended.Inc()
+	n := uint64(1)
+	if r.Indexed {
+		n = 2
+	}
+	j.appended.Add(n)
+	mRecordsAppended.Add(n)
 	return nil
 }
 
@@ -264,30 +317,27 @@ func (j *Journal) SetMirror(fn func(Record)) {
 }
 
 // AppendWithDeps journals one verdict together with its dependency index
-// record in a single write(2), so a kill tears at most this one pair —
-// and a verdict that survives without its index is detected (Indexed
-// stays false at load) and handled conservatively by the rebase. The
-// index is written even when tables is empty: its presence is what
+// record: a verdict that survives a tear without its index is detected
+// (Indexed stays false at load) and handled conservatively by the rebase.
+// The index is written even when tables is empty: its presence is what
 // distinguishes "depends on no table" from "index lost to a tear".
 // Thread-safe.
 func (j *Journal) AppendWithDeps(r Record, tables []string) error {
-	r.Tables = nil // tags live on the index record only
-	buf := encode(r)
-	buf = append(buf, encode(Record{Kind: KindIndex, Key: r.Key, Verdict: Verdict(r.Kind), Tables: tables})...)
-	j.mu.Lock()
-	_, err := j.f.Write(buf)
-	if err == nil && j.mirror != nil {
-		r.Tables, r.Indexed = tables, true
-		j.mirror(r)
+	r.Tables, r.Indexed = tables, true
+	return j.Append(r)
+}
+
+// appendVerdict frames a verdict record and, when it is indexed, its
+// dependency index record after it (the tags live on the index record
+// only).
+func appendVerdict(buf []byte, r Record) []byte {
+	tables := r.Tables
+	r.Tables = nil
+	buf = appendRecord(buf, r)
+	if r.Indexed {
+		buf = appendRecord(buf, Record{Kind: KindIndex, Key: r.Key, Verdict: Verdict(r.Kind), Tables: tables})
 	}
-	j.mu.Unlock()
-	if err != nil {
-		mAppendErrors.Inc()
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	j.appended.Add(2)
-	mRecordsAppended.Add(2)
-	return nil
+	return buf
 }
 
 // Records returns the deduplicated verdict records (dependency
@@ -306,6 +356,16 @@ func (j *Journal) Records() []Record {
 	return out
 }
 
+// Canonical returns recs as a journal that loaded them in this order
+// would: the last of the records sharing a (kind, key), sorted by both.
+func Canonical(recs []Record) []Record {
+	t := Journal{seen: make(map[mapKey]Record, len(recs))}
+	for _, r := range recs {
+		t.seen[mapKey{r.Kind, r.Key}] = r
+	}
+	return t.Records()
+}
+
 // Compact rewrites a closed checkpoint file keeping only the live
 // records: one verdict (plus its index, when present) per (kind, key),
 // last-wins, in canonical (kind, key) order. Superseded duplicates and
@@ -315,7 +375,7 @@ func (j *Journal) Records() []Record {
 // any instant (including a machine crash that drops the page cache)
 // leaves either the complete original or the complete compacted journal,
 // never a short rename target. A stale temp file from a previously
-// crashed compaction is removed first. Returns the records kept and
+// crashed compaction is overwritten. Returns the records kept and
 // dropped; compacting an already-compact journal is a deterministic
 // no-op (the output bytes are a fixpoint).
 func Compact(path string, fingerprint uint64) (kept, dropped int, err error) {
@@ -330,49 +390,37 @@ func Compact(path string, fingerprint uint64) (kept, dropped int, err error) {
 	}
 
 	tmp := path + ".compact"
-	os.Remove(tmp) // stale leftover from a crashed compaction
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	out, err := Open(tmp, fingerprint, false)
 	if err != nil {
 		return 0, 0, fmt.Errorf("journal: compact create: %w", err)
-	}
-	var buf []byte
-	buf = append(buf, encode(Record{Kind: KindHeader, Key: fingerprint})...)
-	written := 0
-	for _, r := range recs {
-		tables, indexed := r.Tables, r.Indexed
-		r.Tables, r.Indexed = nil, false
-		buf = append(buf, encode(r)...)
-		written++
-		if indexed {
-			buf = append(buf, encode(Record{Kind: KindIndex, Key: r.Key, Verdict: Verdict(r.Kind), Tables: tables})...)
-			written++
-		}
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, 0, fmt.Errorf("journal: compact write: %w", err)
 	}
 	// The temp file's bytes must be durable BEFORE the rename makes it the
 	// journal: rename-then-crash with an unsynced target can surface as an
 	// empty or short file, destroying the only copy of the records.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, 0, fmt.Errorf("journal: compact sync: %w", err)
+	err = out.Adopt(recs)
+	if err == nil {
+		err = out.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, 0, fmt.Errorf("journal: compact close: %w", err)
+	if cerr := out.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return 0, 0, fmt.Errorf("journal: compact rename: %w", err)
+		return 0, 0, fmt.Errorf("journal: compact rewrite: %w", err)
 	}
 	// Persist the rename itself: the directory entry is metadata of the
 	// parent, not of either file.
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		return 0, 0, fmt.Errorf("journal: compact dir sync: %w", err)
+	}
+	written := len(recs)
+	for _, r := range recs {
+		if r.Indexed {
+			written++
+		}
 	}
 	dropped = scanned - written
 	mRecordsCompacted.Add(uint64(dropped))
@@ -427,14 +475,8 @@ func UnmarshalRecord(data []byte) (Record, bool) {
 	return r, ok
 }
 
-// NextEpoch returns consecutive integers (1, 2, 3, …). Retained for
-// callers that want per-exploration salts; the exploration engine now
-// derives its journal keys from content-based context seeds instead
-// (see internal/sym), so that verdicts stay addressable across graph
-// rebuilds and rule-set revisions.
-func (j *Journal) NextEpoch() uint64 { return j.epoch.Add(1) }
-
-// Loaded returns the number of records recovered at Open (resume only).
+// Loaded returns the number of records the run started with: recovered
+// at Open, seeded or adopted.
 func (j *Journal) Loaded() int { return j.loaded }
 
 // Appended returns the number of records written by this process.
@@ -444,12 +486,20 @@ func (j *Journal) Appended() uint64 { return j.appended.Load() }
 // kill-safety (the page cache survives process death); call it when the
 // threat model includes machine crashes.
 func (j *Journal) Sync() error {
+	if j.f == nil {
+		return nil
+	}
 	obs.RecordFlight(obs.FlightJournalSync, j.appended.Load(), 0, 0)
 	return j.f.Sync()
 }
 
 // Close releases the file.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error {
+	if j.f == nil {
+		return nil
+	}
+	return j.f.Close()
+}
 
 // SortModel canonicalizes a model for journaling.
 func SortModel(m []VarVal) {
@@ -457,38 +507,33 @@ func SortModel(m []VarVal) {
 }
 
 // encode frames one record.
-func encode(r Record) []byte {
+func encode(r Record) []byte { return appendRecord(nil, r) }
+
+// appendRecord appends one framed record to out.
+func appendRecord(out []byte, r Record) []byte {
 	// payload: kind(1) verdict(1) key(8) nmodel(2) {varlen(2) var val(8)}*
 	//          ntables(2) {tlen(2) table}*
-	n := 1 + 1 + 8 + 2 + 2
+	start := len(out)
+	out = append(out, 0, 0, 0, 0) // payload length, set below
+	out = append(out, byte(r.Kind), byte(r.Verdict))
+	out = binary.LittleEndian.AppendUint64(out, r.Key)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.Model)))
 	for _, vv := range r.Model {
-		n += 2 + len(vv.Var) + 8
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(vv.Var)))
+		out = append(out, vv.Var...)
+		out = binary.LittleEndian.AppendUint64(out, vv.Val)
 	}
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.Tables)))
 	for _, t := range r.Tables {
-		n += 2 + len(t)
-	}
-	payload := make([]byte, 0, n)
-	payload = append(payload, byte(r.Kind), byte(r.Verdict))
-	payload = binary.LittleEndian.AppendUint64(payload, r.Key)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(r.Model)))
-	for _, vv := range r.Model {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(vv.Var)))
-		payload = append(payload, vv.Var...)
-		payload = binary.LittleEndian.AppendUint64(payload, vv.Val)
-	}
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(r.Tables)))
-	for _, t := range r.Tables {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(t)))
-		payload = append(payload, t...)
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(t)))
+		out = append(out, t...)
 	}
 	if r.Kind == KindHeader {
-		payload = append(payload, magic...)
+		out = append(out, magic...)
 	}
-	out := make([]byte, 0, 4+len(payload)+4)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return out
+	payload := out[start+4:]
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
 }
 
 // decode parses the first record in data. ok=false means data holds no

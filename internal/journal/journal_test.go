@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -450,5 +452,95 @@ func TestCompactTornRewriteRecovery(t *testing.T) {
 	em, ok := r2.Lookup(KindEmit, 20)
 	if !ok || em.Model[0].Val != 7 || len(em.Tables) != 1 {
 		t.Fatalf("annotated record lost across recovery: %+v", em)
+	}
+}
+
+// TestSeedAndAdoptMatchLoad: records put into the index directly answer
+// exactly like the same records loaded from a file. Seed never touches
+// the file; Adopt leaves in it the bytes AppendWithDeps would have.
+func TestSeedAndAdoptMatchLoad(t *testing.T) {
+	path := tmpFile(t)
+	j, err := Open(path, fuzzFP, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range fuzzSeedRecords {
+		if err := j.AppendWithDeps(r, fuzzSeedTables); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(path, fuzzFP, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	recs := loaded.Records()
+	wantFile, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	same := func(name string, got *Journal) {
+		t.Helper()
+		if got.Loaded() != loaded.Loaded() || !reflect.DeepEqual(got.Records(), recs) {
+			t.Errorf("%s: Loaded %d Records %+v, a load gives %d %+v", name, got.Loaded(), got.Records(), loaded.Loaded(), recs)
+		}
+		for _, k := range []mapKey{{KindCheck, 1}, {KindEmit, 2}, {KindEmit, 3}, {KindCheck, 2}, {KindEmit, 4}} {
+			g, gok := got.Lookup(k.kind, k.key)
+			w, wok := loaded.Lookup(k.kind, k.key)
+			if gok != wok || !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: Lookup(%d, %d) = %+v %v, a load gives %+v %v", name, k.kind, k.key, g, gok, w, wok)
+			}
+		}
+		if got.Appended() != 0 {
+			t.Errorf("%s: %d records count as appended", name, got.Appended())
+		}
+	}
+
+	mem := New()
+	for _, r := range recs {
+		mem.Seed(r)
+	}
+	same("seeded journal without a file", mem)
+
+	headerOnly := MarshalRecord(Record{Kind: KindHeader, Key: fuzzFP})
+	for _, tc := range []struct {
+		name     string
+		put      func(*Journal) error
+		wantFile []byte
+	}{
+		{"seeded journal with a file", func(j *Journal) error {
+			for _, r := range recs {
+				j.Seed(r)
+			}
+			return nil
+		}, headerOnly},
+		{"adopting journal with a file", func(j *Journal) error { return j.Adopt(recs) }, wantFile},
+	} {
+		path := tmpFile(t)
+		j, err := Open(path, fuzzFP, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.put(j); err != nil {
+			t.Fatal(err)
+		}
+		same(tc.name, j)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, tc.wantFile) {
+			t.Errorf("%s: file holds %d bytes, want %d", tc.name, len(got), len(tc.wantFile))
+		}
+	}
+	if err := New().Adopt(recs); err != nil {
+		t.Errorf("Adopt without a file: %v", err)
 	}
 }

@@ -7,16 +7,10 @@ import (
 )
 
 // ReportSchema versions the machine-readable run report written by
-// `meissa ... -metrics-out` and by `meissa-bench -json`. Trajectory
-// tooling (BENCH_*.json) keys on this string; bump it on any
-// incompatible change. v2 added trace_id, the fleet section, and
-// harvested flight events; v1 documents (e.g. embedded in committed
-// bench baselines) remain parseable — v2 is a superset, so the reader
-// accepts both.
-const (
-	ReportSchema   = "meissa.run-report/v2"
-	ReportSchemaV1 = "meissa.run-report/v1"
-)
+// `meissa ... -metrics-out`; bump it on any incompatible change. v2
+// added trace_id, the fleet section, and harvested flight events. It is
+// the one schema the reader accepts.
+const ReportSchema = "meissa.run-report/v2"
 
 // Report is one run's machine-readable result: everything the paper's
 // evaluation section (§5/§8) measures from a single invocation — phase
@@ -243,16 +237,16 @@ type ShardReport struct {
 
 // StoreReport is the durable verdict-store section: what the run pulled
 // out of the store before exploring and what it committed back after.
-// Its accounting identities are validated: a warm start's records flow
-// through the resume journal (journal.loaded >= warmed) and are read via
-// a snapshot (snapshot_reads > 0), and committed records ride at least
-// one store transaction.
+// Its accounting identities are validated: a warm start's records are
+// among those the run started with (journal.loaded >= warmed) and are
+// read via a snapshot (snapshot_reads > 0), and committed records ride at
+// least one store transaction.
 type StoreReport struct {
 	// Path is the store file.
 	Path string `json:"path,omitempty"`
-	// Warmed counts records exported from the store into the resume
-	// journal before exploration; CacheSeeded counts solver-cache entries
-	// refilled from the store's persisted cache.
+	// Warmed counts records the store put into the run's verdict table
+	// before exploration; CacheSeeded counts solver-cache entries refilled
+	// from the store's persisted cache.
 	Warmed      uint64 `json:"warmed"`
 	CacheSeeded uint64 `json:"cache_seeded,omitempty"`
 	// Invalidated counts store entries retired by rule-delta
@@ -260,8 +254,9 @@ type StoreReport struct {
 	Invalidated uint64 `json:"invalidated,omitempty"`
 	// Committed counts new records folded into the store by this run;
 	// CacheCommitted counts solver-cache entries persisted; Duplicates
-	// counts journal records skipped because a byte-identical copy was
-	// already stored (a fully-warmed re-run is all duplicates).
+	// counts the run's records the store already held — the warmed ones,
+	// and any other found byte-identical at commit (a fully-warmed re-run
+	// is all duplicates).
 	Committed      uint64 `json:"committed"`
 	CacheCommitted uint64 `json:"cache_committed,omitempty"`
 	Duplicates     uint64 `json:"duplicates,omitempty"`
@@ -384,8 +379,8 @@ func NewSolverReport(solved, sat, unsat, unknown, cacheHits, budgetExhausted uin
 // Validate checks a report's structural invariants: the CI metrics-smoke
 // gate and the trajectory importer both run it before trusting a file.
 func (r *Report) Validate() error {
-	if r.Schema != ReportSchema && r.Schema != ReportSchemaV1 {
-		return fmt.Errorf("obs: report schema %q, want %q (or %q)", r.Schema, ReportSchema, ReportSchemaV1)
+	if r.Schema != ReportSchema {
+		return fmt.Errorf("obs: report schema %q, want %q", r.Schema, ReportSchema)
 	}
 	if r.WallNS <= 0 {
 		return fmt.Errorf("obs: report wall_ns = %d, want > 0", r.WallNS)
@@ -460,8 +455,8 @@ func (r *Report) Validate() error {
 	}
 	if st := r.Store; st != nil {
 		if st.Warmed > 0 {
-			// Warm-start records reach the run through the resume journal
-			// and leave the store through a snapshot read.
+			// Warm-start records are part of what the run started with and
+			// leave the store through a snapshot read.
 			var loaded uint64
 			if r.Journal != nil {
 				loaded = r.Journal.Loaded

@@ -39,31 +39,13 @@ type RebaseStats struct {
 	Unindexed int `json:"unindexed"`
 }
 
-// Rebase copies the baseline journal at srcPath onto a fresh journal at
-// dstPath, keeping every indexed record whose dependency tags all pass
-// the invalid filter (invalid == nil retains every indexed record). The
-// destination is created with dstFP — the incremental run's fingerprint
-// under the NEW rule set — so resuming from it cross-checks exactly like
-// any other checkpoint. The source is opened read-only-resume and left
-// untouched.
-func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag string) bool) (*RebaseStats, error) {
-	if srcPath == dstPath {
-		return nil, fmt.Errorf("regress: rebase source and destination are the same file %q", srcPath)
-	}
-	src, err := journal.Open(srcPath, srcFP, true)
-	if err != nil {
-		return nil, fmt.Errorf("regress: open baseline: %w", err)
-	}
-	recs := src.Records()
-	if err := src.Close(); err != nil {
-		return nil, fmt.Errorf("regress: close baseline: %w", err)
-	}
-
-	dst, err := journal.Open(dstPath, dstFP, false)
-	if err != nil {
-		return nil, fmt.Errorf("regress: create rebased journal: %w", err)
-	}
+// Retain is the rebase filter: of a baseline's records it keeps, in
+// order and in place, every indexed record whose dependency tags all pass
+// the invalid filter (invalid == nil retains every indexed record). recs
+// is consumed — the kept records reuse its backing array.
+func Retain(recs []journal.Record, invalid func(tag string) bool) ([]journal.Record, *RebaseStats) {
 	st := &RebaseStats{Baseline: len(recs)}
+	kept := recs[:0]
 	for _, r := range recs {
 		if !r.Indexed {
 			st.Unindexed++
@@ -82,18 +64,39 @@ func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag strin
 			st.Invalidated++
 			continue
 		}
-		tables := r.Tables
-		r.Tables, r.Indexed = nil, false
-		if err := dst.AppendWithDeps(r, tables); err != nil {
-			dst.Close()
-			return nil, fmt.Errorf("regress: rebase append: %w", err)
-		}
-		st.Retained++
+		kept = append(kept, r)
 	}
-	if err := dst.Close(); err != nil {
-		return nil, fmt.Errorf("regress: close rebased journal: %w", err)
-	}
+	st.Retained = len(kept)
 	mRecordsRetained.Add(uint64(st.Retained))
 	mRecordsInvalidated.Add(uint64(st.Invalidated + st.Unindexed))
+	return kept, st
+}
+
+// Rebase is Retain from file to file: the baseline journal at srcPath,
+// read under srcFP and left untouched, becomes a fresh journal at dstPath
+// holding the retained records in canonical order. The destination is
+// created with dstFP — the incremental run's fingerprint under the NEW
+// rule set — so resuming from it cross-checks exactly like any other
+// checkpoint.
+func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag string) bool) (*RebaseStats, error) {
+	if srcPath == dstPath {
+		return nil, fmt.Errorf("regress: rebase source and destination are the same file %q", srcPath)
+	}
+	recs, err := journal.ReadRecords(srcPath, srcFP)
+	if err != nil {
+		return nil, fmt.Errorf("regress: open baseline: %w", err)
+	}
+	kept, st := Retain(recs, invalid)
+	dst, err := journal.Open(dstPath, dstFP, false)
+	if err != nil {
+		return nil, fmt.Errorf("regress: create rebased journal: %w", err)
+	}
+	err = dst.Adopt(kept)
+	if cerr := dst.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("regress: write rebased journal: %w", err)
+	}
 	return st, nil
 }

@@ -26,9 +26,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime/metrics"
 	"strings"
 	"time"
@@ -40,7 +38,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/regress"
-	"repro/internal/rulediff"
 	"repro/internal/rules"
 	"repro/internal/smt"
 	"repro/internal/spec"
@@ -98,27 +95,14 @@ type Options struct {
 	// Resume loads the Checkpoint journal written by an interrupted run
 	// of the same program/rules/options and answers journaled solver
 	// interactions from it. The journal's fingerprint must match; a
-	// mismatched journal is an error, not silent corruption.
+	// mismatched journal is an error, not silent corruption. Requires
+	// Checkpoint. The resumed journal already holds whatever the
+	// interrupted run warmed from a store, so a Resume does not warm again.
 	Resume bool
 	// PathHook, when non-nil, is invoked on every completed path descent
 	// before its verdict is decided. Fault-injection hook for crash-safety
 	// tests; nil in production.
 	PathHook func(path []cfg.NodeID)
-	// Baseline, when non-empty, names a previous run's checkpoint journal
-	// to rebase onto this run's rule set before exploring (incremental
-	// regression). Requires Checkpoint: the rebased journal is written
-	// there, Resume is implied, and only records invalidated by RuleDelta
-	// are re-solved. The baseline file itself is never modified.
-	Baseline string
-	// BaselineFingerprint is the fingerprint the Baseline journal was
-	// written under (the baseline system's Fingerprint()); opening the
-	// baseline cross-checks it.
-	BaselineFingerprint uint64
-	// RuleDelta lists the dependency tags the rule update invalidates
-	// (rulediff.Delta.InvalidTags): a full "<table>#..." tag retires that
-	// one branch, a bare table name retires every branch of the table.
-	// Ignored unless Baseline is set; an empty list retains everything.
-	RuleDelta []string
 	// Store, when non-nil, is an open disk-backed verdict store
 	// (internal/store) the run warms from and commits to: a prior run of
 	// the same program family answers journaled solver interactions
@@ -151,9 +135,9 @@ type Options struct {
 	// quarantined (its subtree degrades to Unknown — a superset, never a
 	// loss); the merged run is byte-identical to a single-process run.
 	// Option combinations that cannot shard (MaxPaths, Deadline, Resume,
-	// Baseline, VerdictCache, PathHook) and total worker failure fall back
-	// to the in-process engine with a logged reason. 0 or 1 disables
-	// sharding.
+	// VerdictCache, PathHook), regression runs and total worker failure
+	// fall back to the in-process engine with a logged reason. 0 or 1
+	// disables sharding.
 	ShardWorkers int
 	// ShardListen, when non-empty, swaps the subprocess transport for a
 	// listener at this address ("tcp://host:port" or "unix://path"):
@@ -268,22 +252,27 @@ type GenResult struct {
 	// (Strict off); PathErrors holds the recorded details.
 	Recovered  uint64
 	PathErrors []*sym.PathError
-	// JournalHits counts solver interactions answered from the resume
-	// journal instead of being re-solved (Resume runs only).
+	// JournalHits counts solver interactions answered from the run's
+	// verdict table — the records it started with — instead of being
+	// re-solved.
 	JournalHits uint64
-	// JournalAppended counts verdict records durably written to the
-	// checkpoint journal this run; JournalLoaded counts records recovered
-	// from it at open (Resume runs only). Both are zero when Checkpoint is
-	// unset.
+	// JournalLoaded counts the records the run started with: recovered
+	// from the Checkpoint on a Resume, warmed from the store, retained
+	// from a regression baseline. JournalAppended counts the records it
+	// derived live and journaled (a verdict and its dependency index are
+	// two). Both are zero for a run with no checkpoint, store or shard
+	// workers, which keeps no verdict table.
 	JournalAppended uint64
 	JournalLoaded   uint64
-	// Rebase accounts for the baseline-journal rebase of an incremental
-	// regression run (nil unless Options.Baseline was set).
+	// Rebase accounts for the baseline rebase of an incremental
+	// regression run (nil for any other run).
 	Rebase *regress.RebaseStats
-	// Phases records the wall-clock duration of each generation phase
-	// ("cfg", "summary" when code summary ran, "sym"), in execution order.
-	// The same timings aggregate under "generate/<phase>" span paths in
-	// the process obs registry.
+	// Phases records the wall-clock duration of each generation phase, in
+	// execution order: "cfg"; whichever of "journal-load" (a resumed
+	// checkpoint, or a regression's baseline), "rebase" and "store-warm"
+	// gave the run its starting verdicts; "summary" when code summary ran;
+	// "sym"; "store-commit". The same timings aggregate under
+	// "generate/<phase>" span paths in the process obs registry.
 	Phases []obs.PhaseDur
 	// SMT is the full aggregated solver statistics across all phases
 	// (summarization passes plus the final pass). The scalar fields above
@@ -308,21 +297,42 @@ type GenResult struct {
 
 // Generate builds the CFG, applies code summary when enabled, and runs
 // the final template generation (Algorithm 2 line 27 / Algorithm 1).
-func (s *System) Generate() (*GenResult, error) {
+func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
+
+// generate is Generate, for a regression with src as an extra source of
+// starting verdicts.
+//
+// A run that persists or shares verdicts keeps ONE verdict table, the
+// journal's index, which exploration reads. Sources fill it before the
+// first exploration — the Checkpoint file on a Resume, a regression's
+// baseline, a store snapshot — or between two (the shard merge); sinks
+// take what the run derives: the Checkpoint file, verdict by verdict
+// before use, and the store, in one transaction at the end. The index
+// changes only between explorations.
+func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	start := time.Now()
+	if s.Opts.Resume && s.Opts.Checkpoint == "" {
+		return nil, fmt.Errorf("meissa: Resume requires Checkpoint")
+	}
 	genSpan := obs.Begin("generate")
 	defer genSpan.End()
-	cfgSpan := obs.Begin("generate/cfg")
-	g, err := cfg.Build(s.Prog, s.Rules)
-	cfgDur := cfgSpan.End()
-	if err != nil {
+	res := &GenResult{TraceID: obs.NewTraceID()}
+	// phase times f as one phase of the generation.
+	phase := func(name string, f func() error) error {
+		span := obs.Begin("generate/" + name)
+		err := f()
+		res.Phases = append(res.Phases, obs.PhaseDur{Name: name, NS: int64(span.End()), Count: 1})
+		return err
+	}
+
+	var g *cfg.Graph
+	if err := phase("cfg", func() (err error) { g, err = cfg.Build(s.Prog, s.Rules); return }); err != nil {
 		return nil, fmt.Errorf("meissa: build CFG: %w", err)
 	}
-	res := &GenResult{Graph: g, TraceID: obs.NewTraceID()}
-	res.Phases = append(res.Phases, obs.PhaseDur{Name: "cfg", NS: int64(cfgDur), Count: 1})
+	res.Graph = g
 	res.PossiblePathsLog10Before = g.PossiblePathsLog10()
 	obs.Progressf("meissa: %s: CFG built in %v (10^%.1f possible paths)",
-		s.Prog.Name, cfgDur, res.PossiblePathsLog10Before)
+		s.Prog.Name, res.Phases[0].Dur(), res.PossiblePathsLog10Before)
 
 	symOpts := sym.Options{
 		EarlyTermination: s.Opts.EarlyTermination,
@@ -351,92 +361,78 @@ func (s *System) Generate() (*GenResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	resume := s.Opts.Resume
-	if s.Opts.Baseline != "" {
-		// Incremental regression: rebase the baseline journal onto this
-		// run's rule set, dropping only the records whose dependency tags
-		// the rule delta invalidates, then resume from the rebased copy.
-		if s.Opts.Checkpoint == "" {
-			return nil, fmt.Errorf("meissa: Baseline requires Checkpoint (the rebased journal's path)")
-		}
-		rebaseSpan := obs.Begin("generate/rebase")
-		st, rerr := regress.Rebase(s.Opts.Baseline, s.Opts.Checkpoint,
-			s.Opts.BaselineFingerprint, s.fingerprint(initC), rulediff.Matcher(s.Opts.RuleDelta))
-		rebaseDur := rebaseSpan.End()
-		if rerr != nil {
-			return nil, fmt.Errorf("meissa: %w", rerr)
-		}
-		res.Rebase = st
-		res.Phases = append(res.Phases, obs.PhaseDur{Name: "rebase", NS: int64(rebaseDur), Count: 1})
-		resume = true
-		obs.Progressf("meissa: %s: rebase: %d/%d baseline verdicts retained (%d invalidated, %d unindexed)",
-			s.Prog.Name, st.Retained, st.Baseline, st.Invalidated, st.Unindexed)
+	shardOK, shardReason := s.shardPlan(src != nil)
+	// The plain path does not pay for the identity only a checkpoint file
+	// and shard workers are checked against.
+	var fp uint64
+	if s.Opts.Checkpoint != "" || shardOK {
+		fp = s.fingerprint(initC)
 	}
 
-	shardOK, shardReason := s.shardPlan()
-
-	stc, err := s.openStoreCtx(initC)
-	if err != nil {
+	var stc *storeCtx
+	if src != nil && src.stc != nil {
+		stc = src.stc
+	} else if stc, err = s.openStoreCtx(initC); err != nil {
 		return nil, err
-	}
-	if stc != nil {
+	} else if stc != nil {
 		defer stc.release()
 	}
 
-	// Sharding needs a journal for the crash-safe merge even when the
-	// caller asked for no checkpoint; a temp one serves and is discarded.
-	// A store-backed run needs one too: the post-run commit harvests the
-	// journal's records (for a sharded run, the coordinator's merged
-	// journal — that is how worker verdicts reach the store).
-	jPath := s.Opts.Checkpoint
-	if (shardOK || stc != nil) && jPath == "" {
-		dir, derr := os.MkdirTemp("", "meissa-shard-")
-		if derr != nil {
-			if stc != nil {
-				return nil, fmt.Errorf("meissa: store: temp journal: %w", derr)
-			}
-			shardOK, shardReason = false, fmt.Sprintf("temp merge journal: %v", derr)
-		} else {
-			defer os.RemoveAll(dir)
-			jPath = filepath.Join(dir, "coordinator.journal")
+	// The verdict table: the Checkpoint journal when one is named, else —
+	// for a run with a source, a store or shard workers, all of which go
+	// through the table — a journal with no file behind it.
+	var j *journal.Journal
+	switch {
+	case s.Opts.Resume:
+		err = phase("journal-load", func() (err error) { j, err = journal.Open(s.Opts.Checkpoint, fp, true); return })
+		if err == nil {
+			obs.Progressf("meissa: %s: resume: %d journaled verdicts loaded", s.Prog.Name, j.Loaded())
+		}
+	case s.Opts.Checkpoint != "":
+		j, err = journal.Open(s.Opts.Checkpoint, fp, false)
+	case src != nil || stc != nil || shardOK:
+		j = journal.New()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("meissa: checkpoint: %w", err)
+	}
+	// fresh is what this run derives: the shard merge replay seeds the
+	// table with it, the store commit takes it.
+	var fresh []journal.Record
+	if j != nil {
+		defer j.Close()
+		symOpts.Journal = j
+		if stc != nil || shardOK {
+			j.SetMirror(func(r journal.Record) { fresh = append(fresh, r) })
 		}
 	}
 
-	// Store warm start: export the family's surviving records into the
-	// journal and resume from it. Explicit Resume and Baseline runs bring
-	// their own journal contents, so warming is skipped for them.
-	if stc != nil && !resume && s.Opts.Baseline == "" {
-		warmed, werr := stc.warm(s, jPath, symOpts.Solver.Cache)
-		if werr != nil {
-			return nil, fmt.Errorf("meissa: store: %w", werr)
+	switch {
+	case src != nil:
+		if err := phase(src.phase, func() error { return src.fill(j, res) }); err != nil {
+			return nil, fmt.Errorf("meissa: %w", err)
 		}
-		if warmed > 0 {
-			resume = true
+	case stc != nil && !s.Opts.Resume:
+		// Store warm start. A named Checkpoint adopts the records — it stays
+		// a complete journal of the run, which is why a Resume, whose journal
+		// holds them already, skips this.
+		err := phase("store-warm", func() error {
+			recs, err := stc.warm(s, symOpts.Solver.Cache)
+			if err != nil {
+				return err
+			}
+			return j.Adopt(recs)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("meissa: store: %w", err)
+		}
+		if stc.rep.Warmed > 0 {
 			if shardOK {
-				// shardPlan only sees Opts.Resume; the store-warmed resume
-				// disqualifies sharding the same way an explicit one does.
+				// A table that already holds verdicts disqualifies sharding
+				// the same way a Resume does.
 				shardOK, shardReason = false, "store-warmed resume"
 			}
-			obs.Progressf("meissa: %s: store: warm start with %d stored verdicts", s.Prog.Name, warmed)
-		}
-	}
-	var j *journal.Journal
-	if jPath != "" {
-		j, err = journal.Open(jPath, s.fingerprint(initC), resume)
-		if err != nil {
-			return nil, fmt.Errorf("meissa: checkpoint: %w", err)
-		}
-		// The sharded pass replaces j (close + reopen after the merge), so
-		// close whatever handle is current at return, not the first one.
-		defer func() {
-			if j != nil {
-				j.Close()
-			}
-		}()
-		symOpts.Journal = j
-		if resume {
-			obs.Progressf("meissa: %s: resume: %d journaled verdicts loaded", s.Prog.Name, j.Loaded())
+			obs.Progressf("meissa: %s: store: warm start with %d stored verdicts", s.Prog.Name, stc.rep.Warmed)
 		}
 	}
 
@@ -446,13 +442,10 @@ func (s *System) Generate() (*GenResult, error) {
 			UsePreconditions: s.Opts.UsePreconditions,
 			InitConstraints:  initC,
 		}
-		sumSpan := obs.Begin("generate/summary")
-		stats, err := summary.Summarize(g, sumOpts)
-		sumDur := sumSpan.End()
-		if err != nil {
+		var stats *summary.Stats
+		if err := phase("summary", func() (err error) { stats, err = summary.Summarize(g, sumOpts); return }); err != nil {
 			return nil, fmt.Errorf("meissa: %w", err)
 		}
-		res.Phases = append(res.Phases, obs.PhaseDur{Name: "summary", NS: int64(sumDur), Count: 1})
 		res.SummaryStats = stats
 		res.SMT.Add(stats.SMT)
 		res.SMTCalls += stats.SMT.Checks
@@ -468,7 +461,7 @@ func (s *System) Generate() (*GenResult, error) {
 		res.PathErrors = append(res.PathErrors, stats.PathErrors...)
 		res.JournalHits += stats.JournalHits
 		obs.Progressf("meissa: %s: summary done in %v (%d paths, %d solver checks)",
-			s.Prog.Name, sumDur, stats.PathsExplored, stats.SMT.Checks)
+			s.Prog.Name, res.Phases[len(res.Phases)-1].Dur(), stats.PathsExplored, stats.SMT.Checks)
 	}
 
 	finalOpts := symOpts
@@ -479,11 +472,12 @@ func (s *System) Generate() (*GenResult, error) {
 		InitConstraints: initC,
 		Options:         finalOpts,
 	}
-	symSpan := obs.Begin("generate/sym")
 	var exp *sym.Result
-	if shardOK {
-		exp, err = s.shardedFinalPass(fcfg, &j, jPath, s.fingerprint(initC), res)
-	} else {
+	err = phase("sym", func() (err error) {
+		if shardOK {
+			exp, err = s.shardedFinalPass(fcfg, j, &fresh, fp, res)
+			return
+		}
 		if s.Opts.ShardWorkers > 1 {
 			obs.Warnf("meissa: %s: sharding disabled: %s; using in-process engine", s.Prog.Name, shardReason)
 			res.Shard = &obs.ShardReport{Workers: s.Opts.ShardWorkers, Fallback: true, FallbackReason: shardReason}
@@ -494,12 +488,11 @@ func (s *System) Generate() (*GenResult, error) {
 			objs1, bytes1 := heapAllocs()
 			res.FinalMallocs, res.FinalAllocBytes = objs1-objs0, bytes1-bytes0
 		}
-	}
-	symDur := symSpan.End()
+		return
+	})
 	if err != nil {
 		return nil, fmt.Errorf("meissa: %w", err)
 	}
-	res.Phases = append(res.Phases, obs.PhaseDur{Name: "sym", NS: int64(symDur), Count: 1})
 	res.Templates = exp.Templates
 	res.SMT.Add(exp.SMT)
 	res.SMTCalls += exp.SMT.Checks
@@ -517,17 +510,26 @@ func (s *System) Generate() (*GenResult, error) {
 	res.PathErrors = append(res.PathErrors, exp.PathErrors...)
 	res.JournalHits += exp.JournalHits
 	res.PossiblePathsLog10After = g.PossiblePathsLog10()
-	res.Duration = time.Since(start)
 	if j != nil {
 		res.JournalAppended = j.Appended()
 		res.JournalLoaded = uint64(j.Loaded())
 	}
 	if stc != nil {
-		if err := stc.commitJournal(s, jPath, symOpts.Solver.Cache); err != nil {
+		err := phase("store-commit", func() error {
+			recs := fresh
+			if s.Opts.Resume {
+				// The resumed checkpoint's records were journaled by a run
+				// that died before its commit.
+				recs = append(j.Records(), fresh...)
+			}
+			return stc.commit(s, journal.Canonical(recs), symOpts.Solver.Cache)
+		})
+		if err != nil {
 			return nil, fmt.Errorf("meissa: store: %w", err)
 		}
 		res.Store = stc.report()
 	}
+	res.Duration = time.Since(start)
 	obs.Progressf("meissa: %s: generation done in %v (%d templates, %d paths, %d solver checks, %d cache hits)",
 		s.Prog.Name, res.Duration, len(res.Templates), res.PathsExplored, res.SMTCalls, res.SMTCacheHits)
 	return res, nil
@@ -624,8 +626,7 @@ func (s *System) fingerprint(initC []expr.Bool) uint64 {
 
 // Fingerprint returns the system's checkpoint-journal identity: the
 // digest of the program, rules, generation-scoping assume clauses, and
-// verdict-affecting options. A baseline journal written by one system
-// rebases onto another via Options.BaselineFingerprint.
+// verdict-affecting options.
 func (s *System) Fingerprint() (uint64, error) {
 	initC, err := s.commonAssumes()
 	if err != nil {

@@ -2,10 +2,9 @@ package meissa
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/regress"
@@ -25,8 +24,8 @@ type RegressInput struct {
 	Specs    []*spec.Spec
 	// Opts configures both the baseline replay and the incremental
 	// generation. Checkpoint is required: it receives the rebased journal
-	// (and must differ from Baseline). The Baseline/BaselineFingerprint/
-	// RuleDelta fields are managed by Regress and ignored on input.
+	// (and must differ from Baseline). Resume is ignored, and a store is
+	// rejected: RegressStore is the store-backed regression.
 	Opts Options
 	// Baseline is the checkpoint journal of a completed run of Prog under
 	// OldRules (same verdict-affecting options). It is never modified.
@@ -53,12 +52,11 @@ type RegressResult struct {
 // Regress runs rule-diff-driven incremental regression testing:
 //
 //  1. diff OldRules → NewRules canonically (internal/rulediff);
-//  2. replay the baseline journal under OldRules to recover the baseline
-//     template set without re-solving (a temporary copy is used, so the
-//     baseline file stays pristine);
-//  3. rebase the baseline journal onto NewRules — dropping exactly the
-//     records whose dependency tags the delta invalidates — and run the
-//     incremental generation resuming from it;
+//  2. load the baseline journal — once, read-only — and replay it under
+//     OldRules to recover the baseline template set without re-solving;
+//  3. rebase the loaded records onto NewRules — dropping exactly those
+//     whose dependency tags the delta invalidates, writing the rest to
+//     Checkpoint — and run the incremental generation from them;
 //  4. compare the two template sets by content-based path key and emit
 //     the regress report.
 //
@@ -67,16 +65,42 @@ type RegressResult struct {
 // records are content-keyed, so a retained verdict can only answer a
 // walk whose content matches the walk that produced it).
 func Regress(in RegressInput) (*RegressResult, error) {
-	start := time.Now()
-	if in.Baseline == "" {
+	switch {
+	case in.Baseline == "":
 		return nil, fmt.Errorf("meissa: regress: missing Baseline journal")
-	}
-	if in.Opts.Checkpoint == "" {
+	case in.Opts.Checkpoint == "":
 		return nil, fmt.Errorf("meissa: regress: missing Checkpoint (rebased journal path)")
-	}
-	if in.Opts.Checkpoint == in.Baseline {
+	case in.Opts.Checkpoint == in.Baseline:
 		return nil, fmt.Errorf("meissa: regress: Checkpoint must differ from Baseline")
+	case in.Opts.Store != nil || in.Opts.StorePath != "":
+		// Each of the two generations would reconcile and commit half the
+		// update.
+		return nil, fmt.Errorf("meissa: regress: Store/StorePath not allowed (use RegressStore)")
 	}
+	return regressFrom(in, nil, func(fp uint64) ([]journal.Record, error) {
+		return journal.ReadRecords(in.Baseline, fp)
+	})
+}
+
+// verdictSource hands a generation its starting verdicts from somewhere
+// other than its own Checkpoint file or Options.Store: the plumbing
+// between a regression and the two generations it runs.
+type verdictSource struct {
+	// phase names fill in GenResult.Phases.
+	phase string
+	// fill puts the verdicts into the generation's table.
+	fill func(j *journal.Journal, res *GenResult) error
+	// stc, when set, is RegressStore's store context: the generation
+	// commits to it as it would to Options.Store, and does not warm from it.
+	stc *storeCtx
+}
+
+// regressFrom is Regress over any baseline: load yields the records of a
+// completed run under OldRules, journaled under the fingerprint it is
+// given. It is called once, inside the baseline replay, whose Phases
+// account for it.
+func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) ([]journal.Record, error)) (*RegressResult, error) {
+	start := time.Now()
 	span := obs.Begin("regress")
 	defer span.End()
 
@@ -84,15 +108,9 @@ func Regress(in RegressInput) (*RegressResult, error) {
 	invalid := delta.InvalidTags()
 	obs.Progressf("regress: %d tables changed, %d invalidated tags", len(delta.Tables), len(invalid))
 
-	// --- Baseline replay (old rules, journal answers everything) ---
+	// --- Baseline replay (old rules, the baseline answers everything) ---
 	replayOpts := in.Opts
-	replayOpts.Baseline, replayOpts.BaselineFingerprint, replayOpts.RuleDelta = "", 0, nil
-	replayOpts.Checkpoint = in.Opts.Checkpoint + ".replay"
-	replayOpts.Resume = true
-	if err := copyFile(in.Baseline, replayOpts.Checkpoint); err != nil {
-		return nil, fmt.Errorf("meissa: regress: copy baseline: %w", err)
-	}
-	defer os.Remove(replayOpts.Checkpoint)
+	replayOpts.Checkpoint, replayOpts.Resume = "", false
 	oldSys, err := New(in.Prog, in.OldRules, in.Specs, replayOpts)
 	if err != nil {
 		return nil, err
@@ -101,32 +119,47 @@ func Regress(in RegressInput) (*RegressResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseGen, err := oldSys.Generate()
+	// The loaded baseline serves both generations and is released by the
+	// second before it explores.
+	var base []journal.Record
+	baseGen, err := oldSys.generate(&verdictSource{phase: "journal-load", fill: func(j *journal.Journal, _ *GenResult) error {
+		var err error
+		if base, err = load(srcFP); err != nil {
+			return err
+		}
+		for _, r := range base {
+			j.Seed(r)
+		}
+		return nil
+	}})
 	if err != nil {
 		return nil, fmt.Errorf("meissa: regress: baseline replay: %w", err)
 	}
 
-	// --- Incremental generation (new rules, rebased journal) ---
+	// --- Incremental generation (new rules, retained verdicts) ---
 	incrOpts := in.Opts
-	incrOpts.Baseline = in.Baseline
-	incrOpts.BaselineFingerprint = srcFP
-	incrOpts.RuleDelta = invalid
-	incrOpts.Resume = false // implied by Baseline
+	incrOpts.Resume = false
 	if incrOpts.VerdictCache != nil && len(invalid) > 0 {
 		// Watch mode: the persistent cache carries verdicts stored under
 		// the invalidated branches; evict them O(affected) before reuse.
-		ids := make([]uint64, len(invalid))
-		for i, tag := range invalid {
-			ids[i] = smt.TagID(tag)
-		}
-		evicted := incrOpts.VerdictCache.Invalidate(ids)
+		evicted := invalidateCache(incrOpts.VerdictCache, invalid)
 		obs.Progressf("regress: %d cached verdicts invalidated", evicted)
 	}
 	newSys, err := New(in.Prog, in.NewRules, in.Specs, incrOpts)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := newSys.Generate()
+	gen, err := newSys.generate(&verdictSource{phase: "rebase", stc: stc, fill: func(j *journal.Journal, res *GenResult) error {
+		kept, st := regress.Retain(base, rulediff.Matcher(invalid))
+		base, res.Rebase = nil, st
+		obs.Progressf("regress: rebase: %d/%d baseline verdicts retained (%d invalidated, %d unindexed)",
+			st.Retained, st.Baseline, st.Invalidated, st.Unindexed)
+		if stc != nil {
+			// RegressStore: the retained verdicts are the store's own.
+			stc.rep.Warmed = uint64(st.Retained)
+		}
+		return j.Adopt(kept)
+	}})
 	if err != nil {
 		return nil, fmt.Errorf("meissa: regress: incremental generation: %w", err)
 	}
@@ -179,20 +212,12 @@ func Regress(in RegressInput) (*RegressResult, error) {
 	return &RegressResult{Delta: delta, BaselineGen: baseGen, Gen: gen, Report: rep}, nil
 }
 
-// copyFile copies src to dst (truncating dst).
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
+// invalidateCache evicts from a verdict cache that outlives a rule update
+// every verdict stored under the tags the update retires.
+func invalidateCache(cache *smt.VerdictCache, tags []string) int {
+	ids := make([]uint64, len(tags))
+	for i, tag := range tags {
+		ids[i] = smt.TagID(tag)
 	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
+	return cache.Invalidate(ids)
 }

@@ -6,11 +6,14 @@ package meissa_test
 // on the new rules, while re-solving only the affected subtrees.
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
 	meissa "repro"
+	"repro/internal/journal"
 	"repro/internal/programs"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
@@ -248,5 +251,109 @@ func TestRegressWatchCache(t *testing.T) {
 			t.Fatalf("watch iteration %d diverged from cold run", i)
 		}
 		cur, curBase = newRules, incrOpts.Checkpoint
+	}
+}
+
+// TestRebasedCheckpointIsCompleteJournal pins the file a regression leaves
+// at Checkpoint: the header under the new rules' fingerprint, the retained
+// baseline records in canonical (kind, key) order — each verdict followed
+// by its dependency index — then exactly the records the incremental run
+// appended. It is a complete journal: resuming from it on the new rules
+// re-derives the output without one solver call (watch mode makes it the
+// next baseline).
+func TestRebasedCheckpointIsCompleteJournal(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	if n != 1 {
+		t.Fatalf("mutated %d entries, want 1", n)
+	}
+	dir := t.TempDir()
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	fingerprint := func(rs *rules.Set) uint64 {
+		sys, err := meissa.New(p.Prog, rs, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := sys.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	generate := func(rs *rules.Set, checkpoint string, resume bool) *meissa.GenResult {
+		o := opts
+		o.Checkpoint, o.Resume = checkpoint, resume
+		sys, err := meissa.New(p.Prog, rs, nil, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := sys.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gen
+	}
+	base, next := filepath.Join(dir, "base.journal"), filepath.Join(dir, "next.journal")
+	generate(p.Rules, base, false)
+	regOpts := opts
+	regOpts.Checkpoint = next
+	res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
+		Opts: regOpts, Baseline: base, Program: p.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The expected prefix, built from the baseline without the rebase code.
+	baseRecs, err := journal.ReadRecords(base, fingerprint(p.Rules))
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := rulediff.Matcher(res.Delta.InvalidTags())
+	want := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fingerprint(newRules)})
+	retained := 0
+records:
+	for _, r := range baseRecs { // canonical order
+		for _, tag := range r.Tables {
+			if invalid(tag) {
+				continue records
+			}
+		}
+		retained++
+		want = append(want, journal.MarshalRecord(journal.Record{Kind: r.Kind, Key: r.Key, Verdict: r.Verdict, Model: r.Model})...)
+		want = append(want, journal.MarshalRecord(journal.Record{Kind: journal.KindIndex, Key: r.Key,
+			Verdict: journal.Verdict(r.Kind), Tables: r.Tables})...)
+	}
+	if retained == 0 || retained == len(baseRecs) || retained != res.Gen.Rebase.Retained {
+		t.Fatalf("retained %d of %d baseline records, rebase reports %d", retained, len(baseRecs), res.Gen.Rebase.Retained)
+	}
+	got, err := os.ReadFile(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < len(want) || !bytes.Equal(got[:len(want)], want) {
+		t.Fatalf("rebased checkpoint does not begin with the header and the %d retained records in canonical order", retained)
+	}
+	appended := uint64(0)
+	for off := len(want); off < len(got); appended++ {
+		rec, ok := journal.UnmarshalRecord(got[off:])
+		if !ok {
+			t.Fatalf("rebased checkpoint does not parse at offset %d", off)
+		}
+		off += len(journal.MarshalRecord(rec))
+	}
+	if appended == 0 || appended != res.Gen.JournalAppended {
+		t.Fatalf("%d records follow the retained ones, the run appended %d", appended, res.Gen.JournalAppended)
+	}
+	if got, want := res.Gen.JournalLoaded, uint64(retained); got != want {
+		t.Errorf("JournalLoaded = %d, want the %d retained records", got, want)
+	}
+
+	resumed := generate(newRules, next, true)
+	if resumed.SMTCalls != 0 {
+		t.Errorf("resume from the rebased checkpoint made %d solver calls, want 0", resumed.SMTCalls)
+	}
+	if renderTemplates(resumed.Templates) != renderTemplates(res.Gen.Templates) {
+		t.Error("resume from the rebased checkpoint diverged from the incremental run")
 	}
 }

@@ -45,8 +45,9 @@ const (
 
 // shardPlan decides whether this run shards. The second return is the
 // logged fallback reason when sharding was requested but an option
-// combination makes it unsound or pointless.
-func (s *System) shardPlan() (bool, string) {
+// combination makes it unsound or pointless; regression says the run
+// starts from a regression baseline's verdicts.
+func (s *System) shardPlan(regression bool) (bool, string) {
 	if s.Opts.ShardWorkers <= 1 {
 		return false, ""
 	}
@@ -55,7 +56,7 @@ func (s *System) shardPlan() (bool, string) {
 		return false, "MaxPaths is a cooperative global budget that cannot be enforced across processes"
 	case s.Opts.Deadline > 0:
 		return false, "Deadline is a global wall-clock budget that cannot be enforced across processes"
-	case s.Opts.Baseline != "" || s.Opts.Resume:
+	case regression || s.Opts.Resume:
 		return false, "resume/rebase journals already hold prior verdicts; sharding would re-solve them"
 	case s.Opts.VerdictCache != nil:
 		return false, "caller-owned verdict cache cannot cross the process boundary"
@@ -119,9 +120,10 @@ func defaultWorkerCommand() *exec.Cmd {
 // byte-identical to a sequential run; units quarantined by supervision
 // degrade to Unknown templates instead of being lost.
 //
-// *jp is replaced: the journal must be closed and reopened after the
-// merge because its lookup index is frozen at Open.
-func (s *System) shardedFinalPass(fcfg sym.Config, jp **journal.Journal, jPath string, fp uint64, res *GenResult) (*sym.Result, error) {
+// *fresh is every record appended to j so far and keeps growing through
+// j's mirror: the merged records reach the replay's lookups by being
+// seeded from it between the two explorations.
+func (s *System) shardedFinalPass(fcfg sym.Config, j *journal.Journal, fresh *[]journal.Record, fp uint64, res *GenResult) (*sym.Result, error) {
 	width := shardWidthPerWorker * s.Opts.ShardWorkers
 	// Bracket the split with registry snapshots: the delta is the
 	// coordinator's above-frontier share of exploration work, reported as
@@ -179,7 +181,6 @@ func (s *System) shardedFinalPass(fcfg sym.Config, jp **journal.Journal, jPath s
 			rep.Fallback, rep.FallbackReason = true, fmt.Sprintf("worker journal dir: %v", derr)
 			obs.Warnf("meissa: %s: %s; falling back to in-process exploration", s.Prog.Name, rep.FallbackReason)
 		} else {
-			j := *jp
 			obs.Progressf("meissa: %s: sharding final pass: %d units across %d worker processes",
 				s.Prog.Name, len(units), s.Opts.ShardWorkers)
 			rres, rerr := shard.Run(&shard.Config{
@@ -194,13 +195,8 @@ func (s *System) shardedFinalPass(fcfg sym.Config, jp **journal.Journal, jPath s
 				FlightPath: func(gen int) string {
 					return filepath.Join(workDir, fmt.Sprintf("worker-gen%d.flight", gen))
 				},
-				TraceID: res.TraceID,
-				Merge: func(r journal.Record) error {
-					if r.Indexed {
-						return j.AppendWithDeps(r, r.Tables)
-					}
-					return j.Append(r)
-				},
+				TraceID:      res.TraceID,
+				Merge:        j.Append,
 				Fingerprint:  fp,
 				LeaseTimeout: s.Opts.LeaseTimeout,
 				MaxAssign:    shardMaxAssign,
@@ -244,20 +240,14 @@ func (s *System) shardedFinalPass(fcfg sym.Config, jp **journal.Journal, jPath s
 		}
 	}
 
-	// The journal's lookup index is frozen at Open, so the merged records
-	// are invisible to it until it is reopened.
-	if err := (*jp).Close(); err != nil {
-		return nil, fmt.Errorf("meissa: closing journal before merge replay: %w", err)
+	// Between the split and the replay the index may change: everything the
+	// run journaled so far — summaries, the split's own checks, the merged
+	// unit records — becomes answerable.
+	for _, r := range *fresh {
+		j.Seed(r)
 	}
-	*jp = nil
-	j2, err := journal.Open(jPath, fp, true)
-	if err != nil {
-		return nil, fmt.Errorf("meissa: reopening merged journal: %w", err)
-	}
-	*jp = j2
 
 	rcfg := fcfg
-	rcfg.Options.Journal = j2
 	if len(quarantined) > 0 {
 		rcfg.Options.Quarantined = quarantined
 	}

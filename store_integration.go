@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/expr"
 	"repro/internal/journal"
@@ -24,10 +22,11 @@ import (
 // rule set, so a rule update does not orphan the family — instead the
 // stored rules are diffed against the run's rules and exactly the
 // invalidated entries are retired in one atomic transaction (the store's
-// tag index makes that O(affected)). Warm starts materialize the
-// surviving records into a resume journal, reusing the existing
-// journal-answered exploration path unchanged; commits fold the run's
-// journal back in, deduplicating byte-identical records.
+// tag index makes that O(affected)). The store is one more source and
+// sink of the run's verdict table (the journal's index): a warm start
+// puts the family's surviving records into it, so exploration answers
+// them exactly as it answers a resumed checkpoint's, and the commit takes
+// what the run derived itself.
 
 // familyFingerprint digests everything that scopes a store family —
 // the program, the generation-scoping assume clauses, and the
@@ -115,71 +114,59 @@ func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, newSet *rul
 	return n, invalid, nil
 }
 
+// records reads the family's verdict records from sn, in canonical order.
+func (stc *storeCtx) records(sn *store.Snapshot) ([]journal.Record, error) {
+	var recs []journal.Record
+	err := sn.Records(stc.fam, func(r journal.Record) bool {
+		recs = append(recs, r)
+		return true
+	})
+	return recs, err
+}
+
 // warm prepares a store-backed run: reconcile a stale stored rule set,
-// export the surviving records into a fresh resume journal at jPath, and
-// seed the solver verdict cache from the persisted cache entries.
-// Returns the number of records exported; zero means a cold start (no
-// family, or an empty one) and the caller proceeds without Resume.
-func (stc *storeCtx) warm(s *System, jPath string, cache *smt.VerdictCache) (int, error) {
+// read the family's surviving records from one snapshot, and seed the
+// solver verdict cache from the persisted cache entries. The records are
+// the caller's to put into its verdict table; none means a cold start
+// (no family, or an empty one).
+func (stc *storeCtx) warm(s *System, cache *smt.VerdictCache) ([]journal.Record, error) {
 	info, ok, err := stc.st.Family(stc.fam)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if !ok {
-		return 0, nil // cold store: first run of this family
+		return nil, nil // cold store: first run of this family
 	}
 	newText := s.Rules.String()
 	if info.Rules != newText {
 		tx, err := stc.st.Begin()
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		n, invalid, rerr := stc.reconcileRules(tx, info.Rules, s.Rules)
 		if rerr != nil {
 			tx.Abort()
-			return 0, rerr
+			return nil, rerr
 		}
 		if err := tx.Commit(); err != nil {
-			return 0, err
+			return nil, err
 		}
 		stc.rep.Invalidated += uint64(n)
 		if cache != nil {
 			// A caller-owned cache (watch mode) may carry verdicts stored
 			// under the retired branches; evict them by the same tags.
-			ids := make([]uint64, len(invalid))
-			for i, tag := range invalid {
-				ids[i] = smt.TagID(tag)
-			}
-			cache.Invalidate(ids)
+			invalidateCache(cache, invalid)
 		}
 		obs.Progressf("meissa: store: rule delta retired %d stored entries", n)
 	}
 
 	sn := stc.st.Snapshot()
 	defer sn.Close()
-	var recs []journal.Record
-	if err := sn.Records(stc.fam, func(r journal.Record) bool {
-		recs = append(recs, r)
-		return true
-	}); err != nil {
-		return 0, err
+	recs, err := stc.records(sn)
+	if err != nil {
+		return nil, err
 	}
-	if len(recs) > 0 {
-		j, err := journal.Open(jPath, stc.sysFP, false)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range recs {
-			if err := j.AppendWithDeps(r, r.Tables); err != nil {
-				j.Close()
-				return 0, err
-			}
-		}
-		if err := j.Close(); err != nil {
-			return 0, err
-		}
-		stc.rep.Warmed = uint64(len(recs))
-	}
+	stc.rep.Warmed = uint64(len(recs))
 	if cache != nil {
 		err := sn.CacheEntries(stc.fam, func(sum, xor uint64, n uint32, v byte, tags []uint64) bool {
 			if cache.Seed(sum, xor, n, smt.Result(v), tags) {
@@ -188,28 +175,22 @@ func (stc *storeCtx) warm(s *System, jPath string, cache *smt.VerdictCache) (int
 			return true
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
-	return int(stc.rep.Warmed), nil
+	return recs, nil
 }
 
-// commitJournal folds a completed run's checkpoint journal (and the
-// solver cache, when one exists) into the store as ONE transaction:
-// rule-set reconciliation (when the stored rules differ — the Baseline/
-// regress path), new records, and cache entries all become durable
-// together or not at all. Records already present byte-identical are
-// skipped, so a fully-warmed re-run commits nothing and leaves the store
-// file untouched. The journal at jPath may be the run's own checkpoint
-// or the shard coordinator's merged journal — both carry the same
-// content-keyed records.
-func (stc *storeCtx) commitJournal(s *System, jPath string, cache *smt.VerdictCache) error {
-	span := obs.Begin("generate/store-commit")
-	defer span.End()
-	recs, err := journal.ReadRecords(jPath, stc.sysFP)
-	if err != nil {
-		return err
-	}
+// commit folds records (and the solver cache, when one exists) into the
+// store as ONE transaction: rule-set reconciliation (when the stored
+// rules differ — a regression, or a resumed checkpoint), new records, and
+// cache entries all become durable together or not at all. recs is what
+// the store may not hold yet, in canonical order: the verdicts the run
+// derived, plus a resumed checkpoint's. The records the run warmed from
+// the store are not among them and count as duplicates unread; a record
+// present byte-identical is skipped, so a fully-warmed re-run commits
+// nothing and leaves the store file untouched.
+func (stc *storeCtx) commit(s *System, recs []journal.Record, cache *smt.VerdictCache) error {
 	newText := s.Rules.String()
 	info, ok, err := stc.st.Family(stc.fam)
 	if err != nil {
@@ -222,8 +203,8 @@ func (stc *storeCtx) commitJournal(s *System, jPath string, cache *smt.VerdictCa
 	fail := func(err error) error { tx.Abort(); return err }
 	if ok && info.Rules != newText {
 		// The run's rules moved past the stored ones without a warm-time
-		// reconcile (Baseline rebase, RegressStore): retire the delta's
-		// entries in this same transaction, before the new records land.
+		// reconcile: retire the delta's entries in this same transaction,
+		// before the new records land.
 		n, _, rerr := stc.reconcileRules(tx, info.Rules, s.Rules)
 		if rerr != nil {
 			return fail(rerr)
@@ -234,6 +215,7 @@ func (stc *storeCtx) commitJournal(s *System, jPath string, cache *smt.VerdictCa
 			return fail(err)
 		}
 	}
+	stc.rep.Duplicates = stc.rep.Warmed
 	for _, r := range recs {
 		old, had, gerr := tx.GetRecord(stc.fam, r.Kind, r.Key)
 		if gerr != nil {
@@ -304,7 +286,11 @@ func (s *System) StoreImport(journalPath string) (*obs.StoreReport, error) {
 		return nil, fmt.Errorf("meissa: store import: no Store or StorePath configured")
 	}
 	defer stc.release()
-	if err := stc.commitJournal(s, journalPath, nil); err != nil {
+	recs, err := journal.ReadRecords(journalPath, stc.sysFP)
+	if err == nil {
+		err = stc.commit(s, recs, nil)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("meissa: store import: %w", err)
 	}
 	return stc.report(), nil
@@ -329,18 +315,20 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 		return nil, fmt.Errorf("meissa: store export: no Store or StorePath configured")
 	}
 	defer stc.release()
-	warmed, err := stc.warm(s, journalPath, nil)
+	recs, err := stc.warm(s, nil)
 	if err != nil {
 		return nil, fmt.Errorf("meissa: store export: %w", err)
 	}
-	if warmed == 0 {
-		j, jerr := journal.Open(journalPath, stc.sysFP, false)
-		if jerr != nil {
-			return nil, fmt.Errorf("meissa: store export: %w", jerr)
-		}
-		if cerr := j.Close(); cerr != nil {
-			return nil, fmt.Errorf("meissa: store export: %w", cerr)
-		}
+	j, err := journal.Open(journalPath, stc.sysFP, false)
+	if err != nil {
+		return nil, fmt.Errorf("meissa: store export: %w", err)
+	}
+	err = j.Adopt(recs)
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("meissa: store export: %w", err)
 	}
 	return stc.report(), nil
 }
@@ -348,15 +336,15 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 // StoreStatus describes what a verdict store holds for this system's
 // family (the `meissa store info` view).
 type StoreStatus struct {
-	Path        string
-	PageSize    int
-	Txid        uint64
-	Family      uint64 // family fingerprint (rules excluded)
-	Fingerprint uint64 // full journal fingerprint (rules included)
-	Present     bool   // the family exists in the store
-	RulesHash   uint64
-	Rules       string
-	Records     int
+	Path         string
+	PageSize     int
+	Txid         uint64
+	Family       uint64 // family fingerprint (rules excluded)
+	Fingerprint  uint64 // full journal fingerprint (rules included)
+	Present      bool   // the family exists in the store
+	RulesHash    uint64
+	Rules        string
+	Records      int
 	CacheEntries int
 }
 
@@ -406,13 +394,14 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 
 // RegressStore runs rule-diff-driven incremental regression against a
 // durable verdict store instead of an explicit baseline journal: the
-// stored rule set is the old rules, the stored records materialize the
-// baseline, and the completed run's delta and records commit back as one
-// atomic transaction — invalidation and new rules never land separately,
-// so a crash anywhere leaves the store serving either the old baseline
-// or the new one, never a half-updated mix. in.Baseline and in.OldRules
-// are optional (OldRules overrides the stored text when set); in.Opts
-// must carry Store or StorePath. Checkpoint defaults to a temp file.
+// stored rule set is the old rules, one snapshot read of the stored
+// records is the baseline, and the incremental generation's delta and
+// records commit back as one atomic transaction — invalidation and new
+// rules never land separately, so a crash anywhere leaves the store
+// serving either the old baseline or the new one, never a half-updated
+// mix. in.Baseline and in.OldRules are optional (OldRules overrides the
+// stored text when set); in.Opts must carry Store or StorePath.
+// Checkpoint is optional too: unset, the run keeps its verdicts in memory.
 func RegressStore(in RegressInput) (*RegressResult, error) {
 	if in.Opts.Store == nil && in.Opts.StorePath == "" {
 		return nil, fmt.Errorf("meissa: regress-store: no Store or StorePath configured")
@@ -438,84 +427,20 @@ func RegressStore(in RegressInput) (*RegressResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("meissa: regress-store: store has no baseline for this program family (run gen with the store first)")
 	}
-	oldRules := in.OldRules
-	if oldRules == nil {
-		if oldRules, err = rules.Parse(info.Rules); err != nil {
+	if in.OldRules == nil {
+		if in.OldRules, err = rules.Parse(info.Rules); err != nil {
 			return nil, fmt.Errorf("meissa: regress-store: stored rules: %w", err)
 		}
 	}
-
-	dir, err := os.MkdirTemp("", "meissa-store-regress-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	// Materialize the baseline journal from a snapshot read of the store
-	// (concurrent committers cannot tear it).
-	oldSys, err := New(in.Prog, oldRules, in.Specs, in.Opts)
-	if err != nil {
-		return nil, err
-	}
-	oldFP, err := oldSys.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	basePath := filepath.Join(dir, "baseline.journal")
-	sn := stc.st.Snapshot()
-	j, err := journal.Open(basePath, oldFP, false)
-	if err != nil {
-		sn.Close()
-		return nil, err
-	}
-	materialized := 0
-	var appendErr error
-	scanErr := sn.Records(stc.fam, func(r journal.Record) bool {
-		if err := j.AppendWithDeps(r, r.Tables); err != nil {
-			appendErr = err
-			return false
-		}
-		materialized++
-		return true
+	// The regression itself runs store-free — its baseline replay must not
+	// reconcile or commit anything — except that the incremental
+	// generation commits to the context opened here: delta and records in
+	// its one transaction.
+	in.Opts.Store, in.Opts.StorePath = nil, ""
+	return regressFrom(in, stc, func(uint64) ([]journal.Record, error) {
+		// A snapshot read: concurrent committers cannot tear it.
+		sn := stc.st.Snapshot()
+		defer sn.Close()
+		return stc.records(sn)
 	})
-	sn.Close()
-	closeErr := j.Close()
-	for _, e := range []error{scanErr, appendErr, closeErr} {
-		if e != nil {
-			return nil, fmt.Errorf("meissa: regress-store: materialize baseline: %w", e)
-		}
-	}
-	obs.Progressf("meissa: regress-store: materialized %d stored verdicts as the baseline", materialized)
-
-	// The inner Regress runs store-free: its two generations must not
-	// each reconcile/commit half the update. The atomic store update
-	// happens below, after the whole regression succeeded.
-	inner := in
-	inner.Baseline = basePath
-	inner.OldRules = oldRules
-	inner.Opts.Store, inner.Opts.StorePath = nil, ""
-	if inner.Opts.Checkpoint == "" {
-		inner.Opts.Checkpoint = filepath.Join(dir, "incremental.journal")
-	}
-	res, err := Regress(inner)
-	if err != nil {
-		return nil, err
-	}
-	if res.Gen.Rebase != nil {
-		// Warmed = the stored verdicts that survived the rebase and
-		// answered the incremental run (matches the report's journal
-		// accounting; the invalidated remainder is re-solved live).
-		stc.rep.Warmed = uint64(res.Gen.Rebase.Retained)
-	}
-
-	// One transaction: retire the delta's entries, install the new rules,
-	// fold in the incremental run's records (and the watch-mode cache).
-	if err := stc.commitJournal(sys, inner.Opts.Checkpoint, in.Opts.VerdictCache); err != nil {
-		return nil, fmt.Errorf("meissa: regress-store: commit: %w", err)
-	}
-	res.Gen.Store = stc.report()
-	if res.Report != nil && res.Report.Run != nil {
-		res.Report.Run.Store = res.Gen.Store
-	}
-	return res, nil
 }

@@ -9,13 +9,17 @@ package meissa_test
 // Regress — sequentially and in parallel.
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	meissa "repro"
+	"repro/internal/cfg"
 	"repro/internal/programs"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
+	"repro/internal/store"
 )
 
 // generateStore runs one generation against the store at path.
@@ -236,5 +240,151 @@ func TestStoreShardMergeCommits(t *testing.T) {
 	}
 	if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
 		t.Fatal("warm run diverged from the sharded cold run")
+	}
+}
+
+// TestStoreWarmParallel: a store-warmed table serves four exploration
+// workers — its seeding happens before any of them looks a verdict up —
+// with the sequential warm run's output and no solver call. CI runs it
+// under the race detector.
+func TestStoreWarmParallel(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	spath := filepath.Join(t.TempDir(), "verdicts.store")
+	cold := generateStore(t, p, nil, spath, nil)
+	warm := generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Parallelism = 4 })
+	if warm.SMTCalls != 0 || warm.SMTCacheHits != 0 || warm.JournalHits != cold.SMTCalls {
+		t.Fatalf("parallel warm run: %d solver calls, %d cache hits, %d table hits; want 0, 0, %d",
+			warm.SMTCalls, warm.SMTCacheHits, warm.JournalHits, cold.SMTCalls)
+	}
+	if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
+		t.Fatal("parallel warm run diverged from the cold run")
+	}
+}
+
+// TestPersistenceWritesOnlyNamedFiles: a run keeps its verdicts in one
+// in-memory table, so a store-only generation (cold and warm), a Regress
+// and a RegressStore create no file but the ones the caller named (and
+// the store's own -wal and -lock beside it) — checked on every explored
+// path as well as afterwards, with TMPDIR pointed at a directory that
+// must stay empty.
+func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	if n == 0 {
+		t.Fatal("nothing to mutate")
+	}
+	work, tmp := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	named := map[string]bool{"verdicts.store": true, "verdicts.store-wal": true, "verdicts.store-lock": true,
+		"base.journal": true, "next.journal": true}
+	step := ""
+	reported := false
+	check := func([]cfg.NodeID) {
+		for dir, allowed := range map[string]map[string]bool{tmp: nil, work: named} {
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if !allowed[e.Name()] && !reported {
+					reported = true
+					t.Errorf("%s: unnamed file %s", step, filepath.Join(dir, e.Name()))
+				}
+			}
+		}
+	}
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	opts.PathHook = check
+	generate := func(name string, rs *rules.Set, o meissa.Options) {
+		t.Helper()
+		step = name
+		sys, err := meissa.New(p.Prog, rs, nil, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Generate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(nil)
+	}
+
+	storeOpts := opts
+	storeOpts.StorePath = filepath.Join(work, "verdicts.store")
+	generate("cold store-only generation", p.Rules, storeOpts)
+	generate("warm store-only generation", p.Rules, storeOpts)
+
+	baseOpts := opts
+	baseOpts.Checkpoint = filepath.Join(work, "base.journal")
+	generate("baseline generation", p.Rules, baseOpts)
+	step = "Regress"
+	regOpts := opts
+	regOpts.Checkpoint = filepath.Join(work, "next.journal")
+	if _, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
+		Opts: regOpts, Baseline: baseOpts.Checkpoint, Program: p.Name}); err != nil {
+		t.Fatal(err)
+	}
+	check(nil)
+
+	step = "RegressStore"
+	if _, err := meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: newRules,
+		Opts: storeOpts, Program: p.Name}); err != nil {
+		t.Fatal(err)
+	}
+	check(nil)
+}
+
+// TestPersistenceOptionsRejected: the option combinations no run can
+// honour fail in the library, whoever the caller is, before anything is
+// written.
+func TestPersistenceOptionsRejected(t *testing.T) {
+	p := corpusProgram(t, "Router")
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(t.TempDir(), "open.store"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	generate := func(o meissa.Options) error {
+		sys, err := meissa.New(p.Prog, p.Rules, nil, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sys.Generate()
+		return err
+	}
+	regress := func(o meissa.Options) error {
+		o.Checkpoint = filepath.Join(dir, "next.journal")
+		_, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: p.Rules,
+			Opts: o, Baseline: filepath.Join(dir, "base.journal")})
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(meissa.Options) error
+		mod  func(*meissa.Options)
+		want string
+	}{
+		{"Generate: Resume without Checkpoint", generate,
+			func(o *meissa.Options) { o.Resume = true }, "meissa: Resume requires Checkpoint"},
+		{"Generate: Resume without Checkpoint, with StorePath", generate,
+			func(o *meissa.Options) { o.Resume, o.StorePath = true, filepath.Join(dir, "v.store") }, "meissa: Resume requires Checkpoint"},
+		{"Regress: StorePath", regress,
+			func(o *meissa.Options) { o.StorePath = filepath.Join(dir, "v.store") }, "Store/StorePath not allowed"},
+		{"Regress: Store", regress,
+			func(o *meissa.Options) { o.Store = st }, "Store/StorePath not allowed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := meissa.DefaultOptions()
+			opts.Parallelism = 1
+			tc.mod(&opts)
+			err := tc.run(opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Fatalf("rejected run left %d file(s) behind, first %s", len(ents), ents[0].Name())
+			}
+		})
 	}
 }
