@@ -208,6 +208,52 @@ func TestDaemonWarmGenByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDaemonWarmRequestCommitsNothing: a warm request re-writes none of the
+// family's solver-cache entries — neither on the resident cache that
+// committed them (the second request) nor on one seeded from the store (the
+// first request after a restart) — so its store-commit phase is a no-op and
+// the store file stays byte for byte what the cold request left.
+func TestDaemonWarmRequestCommitsNothing(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	spath := filepath.Join(t.TempDir(), "d.store")
+	d, c := startDaemon(t, Config{StorePath: spath})
+	loadFamily(t, c, p, "t1")
+	cold := doGen(t, c, p.Name, "t1")
+	if st := cold.Report.Store; st == nil || st.CacheCommitted == 0 || st.Commits == 0 {
+		t.Fatalf("cold request committed no solver-cache entries (%+v); the test would say nothing", st)
+	}
+	populated, err := os.ReadFile(spath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoCommit := func(what string, gen *GenResponse) {
+		t.Helper()
+		st := gen.Report.Store
+		if !gen.WarmHit || st == nil {
+			t.Fatalf("%s: not a warm hit (smt=%d, store %+v)", what, gen.SMTCalls, st)
+		}
+		if st.CacheCommitted != 0 || st.Committed != 0 || st.Commits != 0 {
+			t.Errorf("%s: cache_committed %d, committed %d, commits %d; want 0, 0, 0", what, st.CacheCommitted, st.Committed, st.Commits)
+		}
+		if now, err := os.ReadFile(spath); err != nil || !bytes.Equal(now, populated) {
+			t.Errorf("%s: the store file changed (read error %v)", what, err)
+		}
+	}
+	checkNoCommit("second request, resident cache", doGen(t, c, p.Name, "t1"))
+
+	_ = c.Close()
+	if err := d.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	_, c = startDaemon(t, Config{StorePath: spath})
+	loadFamily(t, c, p, "t1")
+	first := doGen(t, c, p.Name, "t1")
+	if first.Report.Store == nil || first.Report.Store.CacheSeeded != cold.Report.Store.CacheCommitted {
+		t.Errorf("restarted daemon seeded its cache with %+v, the store holds %d entries", first.Report.Store, cold.Report.Store.CacheCommitted)
+	}
+	checkNoCommit("first request after a restart, seeded cache", first)
+}
+
 // TestDaemonSurvivesStrictPanic: a strict gen whose exploration panics
 // (on the caller's goroutine at Parallel 1, re-raised from a worker at
 // Parallel 2) is answered with an error, and the daemon — with the

@@ -1,6 +1,9 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // State is a concrete execution state: a mapping from header field
 // variables to concrete values (s in Figure 4 of the paper).
@@ -174,20 +177,29 @@ func (v Subst) Clone() Subst {
 type Env []Arith
 
 // substEnv is the binding lookup behind one substitution walk: the map V,
-// or (vals non-nil) an Env whose Ref slots are consumed in walk order.
+// or (vals non-nil) an Env whose Ref slots are consumed in walk order —
+// along with defs, when set: what each reference reads while its slot is
+// unbound.
 type substEnv struct {
 	m    Subst
 	vals Env
 	refs []int32
+	defs []Arith
 }
 
 func (e *substEnv) lookup(v Var) Arith {
 	if e.vals == nil {
 		return e.m[v]
 	}
-	s := e.refs[0]
+	val := e.vals[e.refs[0]]
 	e.refs = e.refs[1:]
-	return e.vals[s]
+	if e.defs != nil {
+		if val == nil {
+			val = e.defs[0]
+		}
+		e.defs = e.defs[1:]
+	}
+	return val
 }
 
 // RefSlotsArith appends slot(v) for every variable reference in a, in the
@@ -241,10 +253,18 @@ func (e Env) SubstArith(a Arith, refs []int32) Arith {
 // SubstBool is SubstBool over a slot environment; refs is b's
 // RefSlotsBool list.
 func (e Env) SubstBool(b Bool, refs []int32) Bool {
-	if !e.bound(refs) {
+	return e.SubstBoolOr(b, refs, nil)
+}
+
+// SubstBoolOr is SubstBool where the i-th reference, while its slot
+// refs[i] is unbound, reads defs[i] if that is non-nil. A nil defs is all
+// nil. It is how a reader looks through a copy x ← y that has not run yet:
+// x's reference reads y's slot, or the copy's own right-hand side.
+func (e Env) SubstBoolOr(b Bool, refs []int32, defs []Arith) Bool {
+	if !e.bound(refs) && !slices.ContainsFunc(defs, func(d Arith) bool { return d != nil }) {
 		return b
 	}
-	out, _ := substBool(b, &substEnv{vals: e, refs: refs})
+	out, _ := substBool(b, &substEnv{vals: e, refs: refs, defs: defs})
 	return out
 }
 

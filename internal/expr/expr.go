@@ -8,8 +8,8 @@
 package expr
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -82,7 +82,7 @@ func (op AOp) String() string {
 	case OpMul:
 		return "*"
 	}
-	return fmt.Sprintf("aop(%d)", int(op))
+	return "aop(" + strconv.Itoa(int(op)) + ")"
 }
 
 // Apply evaluates the operator on two concrete values, truncating to w.
@@ -146,7 +146,7 @@ func (op CmpOp) String() string {
 	case CmpLe:
 		return "<="
 	}
-	return fmt.Sprintf("cop(%d)", int(op))
+	return "cop(" + strconv.Itoa(int(op)) + ")"
 }
 
 // Apply evaluates the comparison on concrete (unsigned) values.
@@ -213,7 +213,7 @@ type Const struct {
 func C(val uint64, w Width) Const { return Const{Val: w.Trunc(val), W: w} }
 
 func (c Const) Width() Width   { return c.W }
-func (c Const) String() string { return fmt.Sprintf("%d", c.Val) }
+func (c Const) String() string { return strconv.FormatUint(c.Val, 10) }
 func (Const) aexp()            {}
 
 // Ref is a reference to a header field variable.
@@ -243,10 +243,8 @@ func (b Bin) Width() Width {
 	return rw
 }
 
-func (b Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L.String(), b.Op.String(), b.R.String())
-}
-func (Bin) aexp() {}
+func (b Bin) String() string { return string(AppendArith(nil, b)) }
+func (Bin) aexp()            {}
 
 // BoolConst is a boolean literal (True / False in the paper's grammar).
 type BoolConst bool
@@ -271,10 +269,8 @@ type Cmp struct {
 	L, R Arith
 }
 
-func (c Cmp) String() string {
-	return fmt.Sprintf("%s %s %s", c.L.String(), c.Op.String(), c.R.String())
-}
-func (Cmp) bexp() {}
+func (c Cmp) String() string { return string(AppendBool(nil, c)) }
+func (Cmp) bexp()            {}
 
 // LOp is a boolean connective.
 type LOp int
@@ -298,16 +294,64 @@ type Logic struct {
 	L, R Bool
 }
 
-func (l Logic) String() string {
-	return fmt.Sprintf("(%s %s %s)", l.L.String(), l.Op.String(), l.R.String())
-}
-func (Logic) bexp() {}
+func (l Logic) String() string { return string(AppendBool(nil, l)) }
+func (Logic) bexp()            {}
 
 // Not negates a boolean expression (the ~ operator in the paper's grammar).
 type Not struct{ X Bool }
 
-func (n Not) String() string { return fmt.Sprintf("~(%s)", n.X.String()) }
+func (n Not) String() string { return string(AppendBool(nil, n)) }
 func (Not) bexp()            {}
+
+// AppendArith appends a's rendering in the paper's concrete syntax to dst:
+// the one renderer, which every String method of a composite expression
+// goes through. Appending visits each node once, where nesting String
+// calls re-copied every subtree's text at each level above it.
+func AppendArith(dst []byte, a Arith) []byte {
+	switch t := a.(type) {
+	case Const:
+		return strconv.AppendUint(dst, t.Val, 10)
+	case Ref:
+		return append(dst, t.Var...)
+	case Bin:
+		dst = append(dst, '(')
+		dst = AppendArith(dst, t.L)
+		dst = appendInfix(dst, t.Op.String())
+		dst = AppendArith(dst, t.R)
+		return append(dst, ')')
+	}
+	return dst
+}
+
+// appendInfix appends " op ".
+func appendInfix(dst []byte, op string) []byte {
+	dst = append(dst, ' ')
+	dst = append(dst, op...)
+	return append(dst, ' ')
+}
+
+// AppendBool is AppendArith for a boolean expression.
+func AppendBool(dst []byte, b Bool) []byte {
+	switch t := b.(type) {
+	case BoolConst:
+		return append(dst, t.String()...)
+	case Cmp:
+		dst = AppendArith(dst, t.L)
+		dst = appendInfix(dst, t.Op.String())
+		return AppendArith(dst, t.R)
+	case Logic:
+		dst = append(dst, '(')
+		dst = AppendBool(dst, t.L)
+		dst = appendInfix(dst, t.Op.String())
+		dst = AppendBool(dst, t.R)
+		return append(dst, ')')
+	case Not:
+		dst = append(dst, "~("...)
+		dst = AppendBool(dst, t.X)
+		return append(dst, ')')
+	}
+	return dst
+}
 
 // Eq is shorthand for an equality comparison.
 func Eq(l, r Arith) Bool { return Cmp{Op: CmpEq, L: l, R: r} }

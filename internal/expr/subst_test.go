@@ -147,6 +147,46 @@ func TestSubstMatchesBoxThenSimplify(t *testing.T) {
 	}
 }
 
+// TestSubstBoolOrReadsThroughUnboundSlots: a default stands in for exactly
+// the references whose slot is unbound, which is substituting under an
+// environment that binds those slots to the defaults — except that one slot
+// can have a different default at each of its references.
+func TestSubstBoolOrReadsThroughUnboundSlots(t *testing.T) {
+	g := &exprGen{rng: rand.New(rand.NewSource(11)), vars: []Var{"a", "b", "c", "d"}}
+	for i := 0; i < 4000; i++ {
+		_, env, slot := g.subst()
+		b := g.boolean(3)
+		refs := RefSlotsBool(nil, b, slot)
+		// One default per variable here, so that the equivalent environment
+		// exists; nil for about half of them.
+		perVar := make([]Arith, len(g.vars))
+		for v := range perVar {
+			if g.rng.Intn(2) == 0 {
+				perVar[v] = g.arith(1)
+			}
+		}
+		defs := make([]Arith, len(refs))
+		filled := append(Env(nil), env...)
+		for k, s := range refs {
+			defs[k] = perVar[s]
+			if filled[s] == nil {
+				filled[s] = perVar[s]
+			}
+		}
+		want := filled.SubstBool(b, refs)
+		if got := env.SubstBoolOr(b, refs, defs); !EqualBool(got, want) {
+			t.Fatalf("SubstBoolOr(%s, %v, %v) = %s, want %s", b, env, defs, got, want)
+		}
+	}
+	// Per reference, not per slot: x == x with the second reference
+	// defaulted.
+	x := V("x", 8)
+	got := Env{nil}.SubstBoolOr(Cmp{Op: CmpLt, L: x, R: x}, []int32{0, 0}, []Arith{nil, C(3, 8)})
+	if want := (Cmp{Op: CmpLt, L: x, R: C(3, 8)}); !EqualBool(got, want) {
+		t.Errorf("x < x with the right reference defaulted to 3 is %s, want %s", got, want)
+	}
+}
+
 // TestSubstFoldsWithoutAllocating pins the statically-pruned majority of
 // symbolic-execution paths: a table-entry predicate over a field the
 // value stack binds to a constant folds to True/False with no allocation,

@@ -103,6 +103,9 @@ type PathReport struct {
 	FinalAllocBytes uint64 `json:"final_alloc_bytes,omitempty"`
 	// Pruned counts prefixes cut by early termination.
 	Pruned uint64 `json:"pruned"`
+	// Frames counts the dfs frames all explorations entered; divided by
+	// Explored it is what a descent costs in graph steps.
+	Frames uint64 `json:"frames,omitempty"`
 	// Templates is the emitted test case template count.
 	Templates int `json:"templates"`
 	// PossibleLog10Before/After are the whole-graph possible-path counts

@@ -466,20 +466,24 @@ func (c *coordinator) mergeRecords(recs []journal.Record, harvested bool) {
 }
 
 // chaosMaybeKill fires pending chaos kills whose completed-unit
-// threshold has been crossed, choosing a seeded-random live victim.
+// threshold has been crossed, choosing a seeded-random victim among the
+// workers that have answered Ready: one that is still booting has not
+// opened its flight file yet (Handler.Init does, before Ready), so killing
+// it would test nothing the harvest can show. A kill that finds nobody
+// ready stays pending for the next completion.
 func (c *coordinator) chaosMaybeKill(completed int) {
 	for len(c.killAt) > 0 && completed >= c.killAt[0] {
-		c.killAt = c.killAt[1:]
-		var live []*workerSlot
+		var ready []*workerSlot
 		for _, s := range c.slots {
-			if s.alive && s.conn != nil {
-				live = append(live, s)
+			if s.alive && s.ready {
+				ready = append(ready, s)
 			}
 		}
-		if len(live) == 0 {
+		if len(ready) == 0 {
 			return
 		}
-		victim := live[c.rng.Intn(len(live))]
+		c.killAt = c.killAt[1:]
+		victim := ready[c.rng.Intn(len(ready))]
 		obs.Progressf("shard: chaos: SIGKILL worker %d (gen %d)", victim.id, victim.gen)
 		c.res.KillsInjected++
 		mKillsInjected.Inc()

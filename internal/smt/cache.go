@@ -75,12 +75,20 @@ const cacheShardCap = 1 << 14
 
 type cacheShard struct {
 	mu sync.Mutex
-	m  map[condKey]Result
+	m  map[condKey]cached
 	// byTag is the inverse dependency index: tag ID → keys stored under
 	// that tag, making Invalidate O(affected entries) instead of a full
 	// scan. Lists may hold keys already evicted (rejects never index, but
 	// two tags can list one key); Invalidate tolerates missing keys.
 	byTag map[uint64][]condKey
+}
+
+// cached is one verdict and whether a persistent store still lacks it:
+// pending is set by store, never by Seed, and cleared once an export has
+// been committed (ExportPending).
+type cached struct {
+	r       Result
+	pending bool
 }
 
 // condKey is an order-independent digest of a constraint multiset: the sum
@@ -96,7 +104,7 @@ type condKey struct {
 func NewVerdictCache() *VerdictCache {
 	c := &VerdictCache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[condKey]Result)
+		c.shards[i].m = make(map[condKey]cached)
 	}
 	return c
 }
@@ -108,7 +116,7 @@ func (c *VerdictCache) shard(k condKey) *cacheShard {
 func (c *VerdictCache) lookup(k condKey) (Result, bool) {
 	sh := c.shard(k)
 	sh.mu.Lock()
-	r, ok := sh.m[k]
+	e, ok := sh.m[k]
 	sh.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
@@ -116,7 +124,7 @@ func (c *VerdictCache) lookup(k condKey) (Result, bool) {
 		c.misses.Add(1)
 		mCacheMisses.Inc()
 	}
-	return r, ok
+	return e.r, ok
 }
 
 func (c *VerdictCache) store(k condKey, r Result, tags []uint64) {
@@ -129,7 +137,7 @@ func (c *VerdictCache) store(k condKey, r Result, tags []uint64) {
 	sh.mu.Lock()
 	stored := len(sh.m) < cacheShardCap
 	if stored {
-		sh.m[k] = r
+		sh.m[k] = cached{r: r, pending: true}
 		if len(tags) > 0 {
 			if sh.byTag == nil {
 				sh.byTag = make(map[uint64][]condKey)

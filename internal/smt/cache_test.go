@@ -222,3 +222,61 @@ func TestStatsAdd(t *testing.T) {
 		t.Errorf("Add = %+v, want %+v", a, want)
 	}
 }
+
+// exportedKeys collects what one ExportPending visits, as sum → tags.
+func exportedKeys(c *VerdictCache) (map[uint64][]uint64, func()) {
+	got := map[uint64][]uint64{}
+	persisted := c.ExportPending(func(sum, _ uint64, _ uint32, _ Result, tags []uint64) bool {
+		got[sum] = tags
+		return true
+	})
+	return got, persisted
+}
+
+// TestExportPendingVisitsOnlyWhatNoStoreHas: the contract a store commit
+// relies on. Seeded verdicts are never exported; a solver's are, until an
+// export that visited them is marked persisted; an export that is not
+// (its transaction aborted) leaves them pending; a verdict stored between
+// an export and its persisted call is not marked by it; an invalidated
+// verdict is gone.
+func TestExportPendingVisitsOnlyWhatNoStoreHas(t *testing.T) {
+	c := NewVerdictCache()
+	key := func(i uint64) condKey { return condKey{sum: i, xor: i << 8, n: 1} }
+	for i := uint64(1); i <= 3; i++ {
+		if !c.Seed(key(i).sum, key(i).xor, key(i).n, Unsat, []uint64{100}) {
+			t.Fatal("seed rejected")
+		}
+	}
+	if got, _ := exportedKeys(c); len(got) != 0 {
+		t.Fatalf("a seeded cache exports %v", got)
+	}
+
+	c.store(key(4), Sat, []uint64{100, 200})
+	c.store(key(5), Unsat, []uint64{300})
+	// Seeding a verdict a solver stored must not hide it from the export.
+	c.Seed(key(4).sum, key(4).xor, key(4).n, Sat, []uint64{100, 200})
+	got, _ := exportedKeys(c) // persisted not called: an aborted commit
+	if len(got) != 2 || len(got[4]) != 2 || len(got[5]) != 1 {
+		t.Fatalf("export = %v, want keys 4 (two tags) and 5 (one)", got)
+	}
+
+	got, persisted := exportedKeys(c)
+	if len(got) != 2 {
+		t.Fatalf("export after an aborted commit = %v, want keys 4 and 5 again", got)
+	}
+	c.store(key(6), Sat, []uint64{200}) // lands before the commit is durable
+	persisted()
+	if got, _ = exportedKeys(c); len(got) != 1 || got[6] == nil {
+		t.Fatalf("export after a commit = %v, want key 6 alone", got)
+	}
+
+	if n := c.Invalidate([]uint64{200}); n != 2 {
+		t.Fatalf("invalidated %d, want keys 4 and 6", n)
+	}
+	if got, _ = exportedKeys(c); len(got) != 0 {
+		t.Fatalf("export after invalidating the pending verdict = %v", got)
+	}
+	if c.Stats().Stores != 3 {
+		t.Errorf("Stores = %d: seeding must stay stats-neutral", c.Stats().Stores)
+	}
+}

@@ -86,6 +86,8 @@ type Stats struct {
 	// PrunedPaths counts prefixes cut by early termination across all
 	// prefix and within-pipeline explorations.
 	PrunedPaths uint64
+	// Frames counts the dfs frames those explorations entered.
+	Frames uint64
 	// Truncated reports that some exploration hit its path or time
 	// budget, so the summary may be incomplete.
 	Truncated bool
@@ -298,6 +300,7 @@ func accumulate(agg *Stats, r *sym.Result) {
 	agg.SMT.Add(r.SMT)
 	agg.PathsExplored += r.PathsExplored
 	agg.PrunedPaths += r.PrunedPaths
+	agg.Frames += r.Frames
 	if r.Truncated {
 		agg.Truncated = true
 	}

@@ -18,8 +18,14 @@ import (
 // slice per chain).
 func depGraphs(t *testing.T) map[string]*cfg.Graph {
 	t.Helper()
+	return graphsOf(t, programs.Router(), programs.GW(1, programs.Set1), programs.GW(2, programs.Set2))
+}
+
+// graphsOf builds "<name>/raw" and "<name>/summarized" for each program.
+func graphsOf(t *testing.T, ps ...*programs.Program) map[string]*cfg.Graph {
+	t.Helper()
 	out := map[string]*cfg.Graph{}
-	for _, p := range []*programs.Program{programs.Router(), programs.GW(1, programs.Set1), programs.GW(2, programs.Set2)} {
+	for _, p := range ps {
 		for _, summarized := range []bool{false, true} {
 			g, err := cfg.Build(p.Prog, p.Rules)
 			if err != nil {

@@ -165,7 +165,7 @@ func (r *Runner) Explore(i int) (res *Result, err error) {
 	if r.opts.Deadline > 0 {
 		base.deadline = time.Now().Add(r.opts.Deadline)
 	}
-	t.run(base, r.f.nInit)
+	res.Frames = t.run(base, r.f.nInit).visits
 	res.SMT = r.solver.Stats()
 	return res, nil
 }

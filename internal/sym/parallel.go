@@ -176,6 +176,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 	nInit := len(c.InitConstraints)
 	var next atomic.Int64
 	workerStats := make([]smt.Stats, workers)
+	workerFrames := make([]uint64, workers)
 	workerErrs := make([][]*PathError, workers)
 	// fatal holds the first panic that escaped a worker, which only Strict
 	// lets happen: no caller can recover a panic on a worker goroutine, so
@@ -247,6 +248,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 				runTask(tasks[i])
 			}
 			workerStats[w] = solver.Stats()
+			workerFrames[w] = visits
 			workerErrs[w] = res.PathErrors
 		}(w)
 	}
@@ -284,8 +286,10 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 		}
 	}
 	res.SMT = splitter.solver.Stats()
-	for _, st := range workerStats {
+	res.Frames = splitter.visits
+	for w, st := range workerStats {
 		res.SMT.Add(st)
+		res.Frames += workerFrames[w]
 	}
 	return res, nil
 }

@@ -32,6 +32,29 @@ type plan struct {
 	init expr.Env
 	// refs pools the nodes' Ref-slot lists (expr.RefSlotsBool/Arith).
 	refs []int32
+	// peeks holds the guards a branch node can decide from its own frame
+	// (nodePlan.peek); peekRefs and peekDefs pool their re-pointed Ref slots
+	// and, in parallel, what each reads while its slot is unbound.
+	peeks    []peekPlan
+	peekRefs []int32
+	peekDefs []expr.Arith
+}
+
+// peekPlan lets a branch node read the guard at the end of a successor's
+// run of copies without walking the run. A run is straight-line actions
+// x ← y (a bare Ref, one successor each, no stop node) that ends at a
+// Predicate, itself no stop node: the chains code summary encodes start
+// with one, the @v ← v saves. The guard's Ref slots are re-pointed through
+// the copies, so reading them under the value stack as it stands before the
+// run gives what the guard's own frame would read after it: a reference to
+// x reads y's slot and, while that is unbound, the copy's own Val — which
+// is what the copy's frame binds x to.
+type peekPlan struct {
+	guard cfg.NodeID
+	// refLo/refHi delimit the guard's Ref slots in plan.peekRefs and their
+	// defaults in plan.peekDefs (nil where no copy of the run wrote the
+	// variable).
+	refLo, refHi uint32
 }
 
 type nodePlan struct {
@@ -42,6 +65,10 @@ type nodePlan struct {
 	// slot is Var's value-stack slot (Action, Hash, Checksum).
 	slot   int32
 	opaque *opaquePlan
+	// peek is 1 + the index in plan.peeks of the guard this node's run of
+	// copies ends at, recorded for the successors of branch nodes; 0 for
+	// none.
+	peek int32
 }
 
 // opaquePlan is the per-node constant part of evaluating a Hash or
@@ -74,6 +101,57 @@ func (p *plan) nodeDeps(id cfg.NodeID) []uint32 {
 	return p.deps[np.depLo:np.depHi]
 }
 
+// peekSource is where a peeked reference reads: a slot and, while that is
+// unbound, def.
+type peekSource struct {
+	slot int32
+	def  expr.Arith
+}
+
+// planPeek records the guard that head's run of copies ends at, if head
+// starts such a run. via is scratch: where each variable the run copies
+// into gets its value, by slot.
+func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID, via map[int32]peekSource) {
+	clear(via)
+	id := head
+	for {
+		n := g.Node(id)
+		if stop[id] {
+			return
+		}
+		if n.Kind == cfg.Predicate {
+			break
+		}
+		if _, copies := n.Val.(expr.Ref); n.Kind != cfg.Action || !copies || len(n.Succs) != 1 {
+			return
+		}
+		// The copied variable is the node's one Ref slot; an earlier copy of
+		// the run may have written it.
+		from := p.nodeRefs(id)[0]
+		src, ok := via[from]
+		if !ok {
+			src = peekSource{from, n.Val}
+		}
+		via[p.node(id).slot] = src
+		id = n.Succs[0]
+	}
+	if id == head {
+		return // a predicate successor is the sibling batch's to decide
+	}
+	pk := peekPlan{guard: id, refLo: uint32(len(p.peekRefs))}
+	for _, s := range p.nodeRefs(id) {
+		src, ok := via[s]
+		if !ok {
+			src = peekSource{slot: s}
+		}
+		p.peekRefs = append(p.peekRefs, src.slot)
+		p.peekDefs = append(p.peekDefs, src.def)
+	}
+	pk.refHi = uint32(len(p.peekRefs))
+	p.peeks = append(p.peeks, pk)
+	p.node(head).peek = int32(len(p.peeks))
+}
+
 // newPlan compiles the nodes an exploration of c from start can enter
 // (stop nodes included: the sibling batcher reads their predicates).
 func newPlan(c Config, start cfg.NodeID) *plan {
@@ -91,6 +169,7 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		return sl
 	}
 	seen := make([]bool, len(g.Nodes))
+	var branches []cfg.NodeID
 	for stack := []cfg.NodeID{start}; len(stack) > 0; {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -132,6 +211,19 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		np.refHi = uint32(len(p.refs))
 		if !c.StopAt[id] {
 			stack = append(stack, n.Succs...)
+			if len(n.Succs) > 1 {
+				branches = append(branches, id)
+			}
+		}
+	}
+	// Peeks read the slots and Ref lists of a whole run, so they are planned
+	// once every reachable node has been.
+	via := map[int32]peekSource{}
+	for _, id := range branches {
+		for _, s := range g.Node(id).Succs {
+			if p.node(s).peek == 0 {
+				p.planPeek(g, c.StopAt, s, via)
+			}
 		}
 	}
 	p.tags = make([]string, 0, len(tagIDs))

@@ -212,6 +212,11 @@ type Result struct {
 	PathsExplored uint64
 	// PrunedPaths counts prefixes cut by early termination.
 	PrunedPaths uint64
+	// Frames counts the dfs frames entered: what the descents cost, where
+	// PathsExplored says how many there were. A parallel run enters the
+	// root of each frontier task twice, once to spill it and once to
+	// explore it.
+	Frames uint64
 	// SMT is the solver's counters; SMT.Checks is the paper's
 	// "# of SMT calls" (Fig. 11b / 12b).
 	SMT smt.Stats
@@ -266,6 +271,7 @@ func Explore(c Config) (*Result, error) {
 	}
 	e.dfs(start)
 	e.res.SMT = e.solver.Stats()
+	e.res.Frames = e.visits
 	return e.res, nil
 }
 
@@ -749,28 +755,76 @@ func (e *executor) step(id cfg.NodeID) {
 		e.emit(e.curHash())
 		return
 	}
-	if len(n.Succs) > 1 && e.widthProd < 1<<30 { // saturate instead of overflowing
-		e.widthProd *= len(n.Succs)
-	}
-	if len(n.Succs) > 1 && e.canBatchSiblings() {
-		// Batched branch expansion: decide every sibling's feasibility in
-		// one shared-prefix sweep, then descend with the verdicts in hand.
-		st := e.batchSiblings(n)
-		for i, s := range n.Succs {
-			e.pending = st.pend[i]
-			e.dfs(s)
-			if e.res.Truncated {
-				return
-			}
-		}
+	if len(n.Succs) == 1 {
+		e.dfs(n.Succs[0])
 		return
 	}
-	for _, s := range n.Succs {
+	if e.widthProd < 1<<30 { // saturate instead of overflowing
+		e.widthProd *= len(n.Succs)
+	}
+	var st *batchScratch
+	if e.canBatchSiblings() {
+		// Batched branch expansion: decide every sibling's feasibility in
+		// one shared-prefix sweep, then descend with the verdicts in hand.
+		st = e.batchSiblings(n)
+	}
+	for i, s := range n.Succs {
+		var pend pendingBranch
+		if st != nil {
+			pend = st.pend[i]
+		}
+		if e.staticallyFalse(s, pend) {
+			// What the frames down to the False would have done, and nothing
+			// else: one budget check, one pruned descent.
+			if e.stopNow() {
+				return
+			}
+			e.countPath()
+			e.countPruned()
+			continue
+		}
+		e.pending = pend
 		e.dfs(s)
 		if e.res.Truncated {
 			return
 		}
 	}
+}
+
+// staticallyFalse decides, in the frame of a branch node, whether the
+// descent into its successor s ends at a condition that folds to False
+// before anything else happens on it — no template, no hook, no solver or
+// journal interaction — so that the parent can count the pruned descent
+// itself instead of entering frames to find it. Two cases: s is a predicate
+// whose condition the sibling batch substituted (pend), or s starts a run of
+// copies whose guard the plan lets the parent read under the value stack as
+// it stands (plan.peeks). A guard that does not fold to False is left to its
+// own frame, which substitutes it again.
+func (e *executor) staticallyFalse(s cfg.NodeID, pend pendingBranch) bool {
+	if pend.ok {
+		return expr.EqualBool(pend.cond, expr.False) && !e.stop[s]
+	}
+	pk := e.p.node(s).peek
+	if pk == 0 {
+		return false
+	}
+	cond := e.peekGuard(&e.p.peeks[pk-1])
+	if peekObserver != nil {
+		peekObserver(e, s, cond)
+	}
+	return expr.EqualBool(cond, expr.False)
+}
+
+// peekObserver, which only tests set, sees every guard a parent peeks at —
+// the executor in the parent's frame, the run's head and the peeked
+// condition — so that a test can walk the run itself and compare.
+var peekObserver func(e *executor, head cfg.NodeID, cond expr.Bool)
+
+// peekGuard is the condition pk's guard will have in its own frame, once
+// the copies before it have run, computed before they have.
+func (e *executor) peekGuard(pk *peekPlan) expr.Bool {
+	p := e.p
+	return e.vals.SubstBoolOr(e.g.Node(pk.guard).Pred, p.peekRefs[pk.refLo:pk.refHi], p.peekDefs[pk.refLo:pk.refHi])
 }
 
 // canBatchSiblings gates the batched sweep: it needs early termination

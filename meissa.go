@@ -231,6 +231,10 @@ type GenResult struct {
 	// PrunedPaths counts prefixes cut by early termination across all
 	// phases.
 	PrunedPaths uint64
+	// Frames counts the dfs frames entered by all of the generation's
+	// explorations (sym.Result.Frames): the walk's work, where
+	// PathsExplored is its yield.
+	Frames uint64
 	// SMTCacheHits counts solver checks answered from the shared verdict
 	// cache (parallel mode only; such checks are not in SMTCalls).
 	SMTCacheHits uint64
@@ -452,6 +456,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		res.SMTCacheHits += stats.SMT.CacheHits
 		res.PathsExplored += stats.PathsExplored
 		res.PrunedPaths += stats.PrunedPaths
+		res.Frames += stats.Frames
 		if stats.Truncated {
 			res.Truncated = true
 		}
@@ -501,6 +506,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	res.PathsExplored += exp.PathsExplored
 	res.FinalPathsExplored = exp.PathsExplored
 	res.PrunedPaths += exp.PrunedPaths
+	res.Frames += exp.Frames
 	if exp.Truncated {
 		res.Truncated = true
 	}
@@ -567,6 +573,7 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 			FinalMallocs:        g.FinalMallocs,
 			FinalAllocBytes:     g.FinalAllocBytes,
 			Pruned:              g.PrunedPaths,
+			Frames:              g.Frames,
 			Templates:           len(g.Templates),
 			PossibleLog10Before: g.PossiblePathsLog10Before,
 			PossibleLog10After:  g.PossiblePathsLog10After,

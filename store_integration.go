@@ -181,8 +181,9 @@ func (stc *storeCtx) warm(s *System, cache *smt.VerdictCache) ([]journal.Record,
 	return recs, nil
 }
 
-// commit folds records (and the solver cache, when one exists) into the
-// store as ONE transaction: rule-set reconciliation (when the stored
+// commit folds records (and what the solver cache, when one exists, has
+// learned since it was seeded or last committed) into the store as ONE
+// transaction: rule-set reconciliation (when the stored
 // rules differ — a regression, or a resumed checkpoint), new records, and
 // cache entries all become durable together or not at all. recs is what
 // the store may not hold yet, in canonical order: the verdicts the run
@@ -232,9 +233,12 @@ func (stc *storeCtx) commit(s *System, recs []journal.Record, cache *smt.Verdict
 			stc.rep.Committed++
 		}
 	}
+	cachePersisted := func() {}
 	if cache != nil {
+		// Only what solvers stored since the cache was seeded or last
+		// committed: a warm run re-writes none of the family's entries.
 		var cerr error
-		cache.Export(func(sum, xor uint64, n uint32, r smt.Result, tags []uint64) bool {
+		cachePersisted = cache.ExportPending(func(sum, xor uint64, n uint32, r smt.Result, tags []uint64) bool {
 			if len(tags) == 0 {
 				return true // untagged entries cannot be invalidated later
 			}
@@ -251,6 +255,7 @@ func (stc *storeCtx) commit(s *System, recs []journal.Record, cache *smt.Verdict
 	if err := tx.Commit(); err != nil {
 		return err
 	}
+	cachePersisted()
 	obs.Progressf("meissa: store: committed %d records (%d duplicates skipped, %d cache entries)",
 		stc.rep.Committed, stc.rep.Duplicates, stc.rep.CacheCommitted)
 	return nil

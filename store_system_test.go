@@ -9,6 +9,7 @@ package meissa_test
 // Regress — sequentially and in parallel.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/programs"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
+	"repro/internal/smt"
 	"repro/internal/store"
 )
 
@@ -143,6 +145,73 @@ func TestStoreRuleChurnMatchesCold(t *testing.T) {
 	if renderTemplates(again.Templates) != renderTemplates(cold.Templates) {
 		t.Fatal("post-churn warm run diverged from the cold run")
 	}
+}
+
+// TestStoreWarmRunLeavesCacheEntriesAlone: a store commit takes from the
+// solver cache only what solvers stored since it was seeded or last
+// committed. A second generation on the same live cache (the daemon's warm
+// request) and a first generation on a fresh cache seeded from the store (a
+// restarted daemon, a watch process) commit no cache entry and no
+// transaction, and leave the store file's bytes alone; after a rule delta
+// the commit holds exactly the verdicts the run derived.
+func TestStoreWarmRunLeavesCacheEntriesAlone(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	spath := filepath.Join(t.TempDir(), "verdicts.store")
+	withCache := func(c *smt.VerdictCache) func(*meissa.Options) {
+		return func(o *meissa.Options) { o.VerdictCache = c }
+	}
+	storeBytes := func() []byte {
+		t.Helper()
+		b, err := os.ReadFile(spath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	checkUntouched := func(what string, gen *meissa.GenResult, before []byte) {
+		t.Helper()
+		if st := gen.Store; st.CacheCommitted != 0 || st.Committed != 0 || st.Commits != 0 {
+			t.Errorf("%s: cache_committed %d, committed %d, commits %d; want 0, 0, 0", what, st.CacheCommitted, st.Committed, st.Commits)
+		}
+		if gen.SMTCalls != 0 {
+			t.Errorf("%s: %d live solver calls, want a warm run", what, gen.SMTCalls)
+		}
+		if !bytes.Equal(storeBytes(), before) {
+			t.Errorf("%s: the store file changed", what)
+		}
+	}
+
+	live := smt.NewVerdictCache()
+	cold := generateStore(t, p, nil, spath, withCache(live))
+	// (Untagged verdicts are never persisted, so fewer than were stored.)
+	if n := cold.Store.CacheCommitted; n == 0 || n > live.Stats().Stores {
+		t.Fatalf("cold run committed %d cache entries, its solvers stored %d", n, live.Stats().Stores)
+	}
+	populated := storeBytes()
+
+	checkUntouched("same live cache", generateStore(t, p, nil, spath, withCache(live)), populated)
+
+	fresh := smt.NewVerdictCache()
+	seeded := generateStore(t, p, nil, spath, withCache(fresh))
+	if seeded.Store.CacheSeeded != cold.Store.CacheCommitted {
+		t.Errorf("fresh cache seeded with %d entries, the store holds %d", seeded.Store.CacheSeeded, cold.Store.CacheCommitted)
+	}
+	checkUntouched("fresh cache seeded from the store", seeded, populated)
+
+	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	if n == 0 {
+		t.Skip("corpus rules have no mutable action arguments")
+	}
+	churn := generateStore(t, p, newRules, spath, withCache(fresh))
+	derived := fresh.Stats().Stores // seeding is stats-neutral: these are the run's own
+	if derived == 0 || churn.SMTCalls == 0 {
+		t.Fatal("the rule delta derived no new verdict; the test says nothing")
+	}
+	if n := churn.Store.CacheCommitted; n == 0 || n > derived || n >= cold.Store.CacheCommitted {
+		t.Errorf("after a one-entry delta: %d cache entries committed; the run derived %d, the store held %d",
+			n, derived, cold.Store.CacheCommitted)
+	}
+	checkUntouched("after the delta's commit", generateStore(t, p, newRules, spath, withCache(fresh)), storeBytes())
 }
 
 // TestRegressStoreMatchesCold: RegressStore recovers the baseline (old

@@ -1,10 +1,9 @@
 package meissa
 
 import (
-	"bufio"
-	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/sym"
@@ -15,21 +14,53 @@ import (
 // byte-identical files, so a resumed or incremental run can be diffed
 // against a cold one (the differential gates of checkpoint/resume and of
 // incremental regression both do exactly that).
+//
+// It is part of every generation that is written out, so it formats with
+// strconv and expr.AppendBool, not fmt, into one buffer that is written
+// out whenever it passes writeChunk.
 func WriteTemplates(w io.Writer, ts []*sym.Template) error {
-	bw := bufio.NewWriter(w)
+	const writeChunk = 64 << 10
+	var buf []byte
+	var vars []expr.Var
 	for _, t := range ts {
-		fmt.Fprintf(bw, "#%d path=%v dropped=%v uncertain=%v\n", t.ID, t.Path, t.Dropped, t.Uncertain)
+		if len(buf) >= writeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = append(buf, '#')
+		buf = strconv.AppendInt(buf, int64(t.ID), 10)
+		buf = append(buf, " path=["...)
+		for i, id := range t.Path {
+			if i > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = strconv.AppendInt(buf, int64(id), 10)
+		}
+		buf = append(buf, "] dropped="...)
+		buf = strconv.AppendBool(buf, t.Dropped)
+		buf = append(buf, " uncertain="...)
+		buf = strconv.AppendBool(buf, t.Uncertain)
+		buf = append(buf, '\n')
 		for _, c := range t.Constraints {
-			fmt.Fprintf(bw, "  cond %s\n", c)
+			buf = append(buf, "  cond "...)
+			buf = expr.AppendBool(buf, c)
+			buf = append(buf, '\n')
 		}
-		vars := make([]string, 0, len(t.Model))
+		vars = vars[:0]
 		for v := range t.Model {
-			vars = append(vars, string(v))
+			vars = append(vars, v)
 		}
-		sort.Strings(vars)
+		slices.Sort(vars)
 		for _, v := range vars {
-			fmt.Fprintf(bw, "  model %s=%d\n", v, t.Model[expr.Var(v)])
+			buf = append(buf, "  model "...)
+			buf = append(buf, v...)
+			buf = append(buf, '=')
+			buf = strconv.AppendUint(buf, t.Model[v], 10)
+			buf = append(buf, '\n')
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
