@@ -109,21 +109,24 @@ type peekSource struct {
 }
 
 // planPeek records the guard that head's run of copies ends at, if head
-// starts such a run. via is scratch: where each variable the run copies
-// into gets its value, by slot.
-func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID, via map[int32]peekSource) {
+// starts such a run. via is scratch, made on first use and handed back:
+// where each variable the run copies into gets its value, by slot.
+func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID, via map[int32]peekSource) map[int32]peekSource {
 	clear(via)
 	id := head
 	for {
 		n := g.Node(id)
 		if stop[id] {
-			return
+			return via
 		}
 		if n.Kind == cfg.Predicate {
 			break
 		}
 		if _, copies := n.Val.(expr.Ref); n.Kind != cfg.Action || !copies || len(n.Succs) != 1 {
-			return
+			return via
+		}
+		if via == nil {
+			via = map[int32]peekSource{}
 		}
 		// The copied variable is the node's one Ref slot; an earlier copy of
 		// the run may have written it.
@@ -136,7 +139,7 @@ func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID,
 		id = n.Succs[0]
 	}
 	if id == head {
-		return // a predicate successor is the sibling batch's to decide
+		return via // a predicate successor is the sibling batch's to decide
 	}
 	pk := peekPlan{guard: id, refLo: uint32(len(p.peekRefs))}
 	for _, s := range p.nodeRefs(id) {
@@ -150,6 +153,7 @@ func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID,
 	pk.refHi = uint32(len(p.peekRefs))
 	p.peeks = append(p.peeks, pk)
 	p.node(head).peek = int32(len(p.peeks))
+	return via
 }
 
 // newPlan compiles the nodes an exploration of c from start can enter
@@ -169,7 +173,6 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		return sl
 	}
 	seen := make([]bool, len(g.Nodes))
-	var branches []cfg.NodeID
 	for stack := []cfg.NodeID{start}; len(stack) > 0; {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -211,18 +214,19 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		np.refHi = uint32(len(p.refs))
 		if !c.StopAt[id] {
 			stack = append(stack, n.Succs...)
-			if len(n.Succs) > 1 {
-				branches = append(branches, id)
-			}
 		}
 	}
 	// Peeks read the slots and Ref lists of a whole run, so they are planned
-	// once every reachable node has been.
-	via := map[int32]peekSource{}
-	for _, id := range branches {
-		for _, s := range g.Node(id).Succs {
+	// once every reachable node has been: for the successors of the branch
+	// nodes the walk expands.
+	var via map[int32]peekSource
+	for id, n := range g.Nodes {
+		if !seen[id] || len(n.Succs) < 2 || c.StopAt[n.ID] {
+			continue
+		}
+		for _, s := range n.Succs {
 			if p.node(s).peek == 0 {
-				p.planPeek(g, c.StopAt, s, via)
+				via = p.planPeek(g, c.StopAt, s, via)
 			}
 		}
 	}
