@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/spec"
 	"repro/internal/switchsim"
-	"repro/internal/sym"
 )
 
 func main() {
@@ -179,23 +177,16 @@ func readRules(path string) (*rules.Set, error) {
 
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
-	noSummary := fs.Bool("no-summary", false, "disable code summary (basic framework)")
-	parallel := fs.Int("parallel", 0, "exploration workers (0 = GOMAXPROCS, 1 = sequential)")
+	gf := registerGenFlags(fs, "no-summary", "parallel", "strict", "solver-budget", "solver-timeout", "store", "store-wait", "o")
 	verbose := fs.Bool("v", false, "print each template's constraints")
 	checkpoint := fs.String("checkpoint", "", "journal file making generation crash-safe")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal of an interrupted run")
-	storePath := fs.String("store", "", "durable verdict store file: warm-start from it, commit results back")
-	storeWait := fs.Duration("store-wait", 0, "bounded retry when the store is locked by another process (0 = fail fast)")
-	strict := fs.Bool("strict", false, "fail fast on per-path panics instead of isolating them")
-	solverBudget := fs.Int("solver-budget", 0, "per-query solver backtracking-step budget (0 = default)")
-	solverTimeout := fs.Duration("solver-timeout", 0, "per-query solver wall-clock budget (0 = none)")
 	workers := fs.String("workers", "", "shard the final pass: N worker subprocesses, or tcp://host:port to accept remote `work -connect` dialers (0/empty = in-process)")
 	remoteWorkers := fs.Int("remote-workers", 2, "worker slot count when -workers is a listen address")
 	leaseTimeout := fs.Duration("lease-timeout", 0, "shard lease progress deadline (0 = 10s default)")
 	chaosKill := fs.Int("chaos-kill", 0, "SIGKILL N random workers mid-run (fault-injection testing)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for -chaos-kill victim selection")
 	chaosSlow := fs.Duration("chaos-slow", 0, "per-path worker sleep so injected kills land mid-generation")
-	outPath := fs.String("o", "", "write generated test cases to this file (deterministic format)")
 	ob := registerObsFlags(fs)
 	prog, rs, specs, _, err := loadInputs(fs, args)
 	if err != nil {
@@ -204,16 +195,9 @@ func cmdGen(args []string) error {
 	if err := ob.activate(*verbose); err != nil {
 		return err
 	}
-	opts := meissa.DefaultOptions()
-	opts.CodeSummary = !*noSummary
-	opts.Parallelism = *parallel
+	opts := gf.options()
 	opts.Checkpoint = *checkpoint
 	opts.Resume = *resume
-	opts.StorePath = *storePath
-	opts.StoreWait = *storeWait
-	opts.Strict = *strict
-	opts.SolverSearchBudget = *solverBudget
-	opts.SolverCheckTimeout = *solverTimeout
 	opts.ShardWorkers, opts.ShardListen, err = parseWorkers(*workers, *remoteWorkers)
 	if err != nil {
 		return err
@@ -269,19 +253,8 @@ func cmdGen(args []string) error {
 			fmt.Printf("    %v\n", pe)
 		}
 	}
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		if err := writeTemplates(f, gen.Templates); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %d test cases to %s\n", len(gen.Templates), *outPath)
+	if err := gf.writeTemplates(gen.Templates); err != nil {
+		return err
 	}
 	if *verbose {
 		for _, t := range gen.Templates {
@@ -292,13 +265,6 @@ func cmdGen(args []string) error {
 		}
 	}
 	return ob.finish(genReport("gen", prog.Name, opts.Parallelism, gen))
-}
-
-// writeTemplates renders templates in a deterministic text format: runs
-// of the same program + rules + options produce byte-identical files, so
-// a resumed or incremental run can be diffed against a cold one.
-func writeTemplates(w io.Writer, ts []*sym.Template) error {
-	return meissa.WriteTemplates(w, ts)
 }
 
 // parseFaults parses -fault kind:arg[,kind:arg...].
@@ -343,7 +309,7 @@ func cmdTest(args []string) error {
 	faultSpec := fs.String("fault", "", "inject compiler faults: kind:arg[,kind:arg...]")
 	trace := fs.Bool("trace", false, "print bug localization for the first failure")
 	udp := fs.Bool("udp", false, "drive the target over a real UDP loopback socket")
-	parallel := fs.Int("parallel", 0, "exploration workers (0 = GOMAXPROCS, 1 = sequential)")
+	gf := registerGenFlags(fs, "parallel")
 	retries := fs.Int("retries", 2, "retransmissions per case after the first attempt")
 	caseTimeout := fs.Duration("case-timeout", 0, "per-case deadline across all attempts (0 = derived)")
 	recvTimeout := fs.Duration("recv-timeout", 200*time.Millisecond, "per-attempt capture window")
@@ -367,8 +333,7 @@ func cmdTest(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = *parallel
+	opts := gf.options()
 	sys, err := meissa.New(prog, rs, specs, opts)
 	if err != nil {
 		return err

@@ -22,17 +22,13 @@ import (
 func cmdRegress(args []string) error {
 	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
 	baseline := fs.String("baseline", "", "baseline checkpoint journal (written by gen -checkpoint)")
-	storePath := fs.String("store", "", "durable verdict store holding the baseline (alternative to -baseline)")
-	storeWait := fs.Duration("store-wait", 0, "bounded retry when the store is locked by another process (0 = fail fast)")
+	gf := registerGenFlags(fs, "store", "store-wait", "o", "no-summary", "parallel")
 	rulesOld := fs.String("rules-old", "", "rule set the baseline was generated under (default: the -corpus/-r rules)")
 	rulesNew := fs.String("rules-new", "", "updated rule set file")
 	mutate := fs.Int("mutate", 0, "derive the new rules by bumping N action arguments of the old rules (instead of -rules-new)")
 	checkpointPath := fs.String("checkpoint", "", "rebased journal path (default <baseline>.next)")
 	emitRules := fs.String("emit-rules", "", "write the effective new rule set to this file")
 	reportPath := fs.String("report", "", "write the regress report (JSON) to this file")
-	outPath := fs.String("o", "", "write the incremental test cases to this file (deterministic format)")
-	noSummary := fs.Bool("no-summary", false, "disable code summary (basic framework)")
-	parallel := fs.Int("parallel", 0, "exploration workers (0 = GOMAXPROCS, 1 = sequential)")
 	watch := fs.Bool("watch", false, "keep watching -rules-new and re-regress on every change")
 	interval := fs.Duration("interval", 2*time.Second, "watch poll interval")
 	maxFailures := fs.Int("max-failures", 10, "exit non-zero after N consecutive watch failures (0 = never)")
@@ -45,10 +41,10 @@ func cmdRegress(args []string) error {
 	if err := ob.activate(*verbose); err != nil {
 		return err
 	}
-	if *baseline == "" && *storePath == "" {
+	if *baseline == "" && gf.store == "" {
 		return fmt.Errorf("regress requires -baseline <journal> or -store <file>")
 	}
-	if *baseline != "" && *storePath != "" {
+	if *baseline != "" && gf.store != "" {
 		return fmt.Errorf("-baseline and -store are mutually exclusive (the store supplies the baseline)")
 	}
 	if *rulesNew == "" && *mutate <= 0 {
@@ -77,11 +73,8 @@ func cmdRegress(args []string) error {
 		ckpt = *baseline + ".next"
 	}
 
-	opts := meissa.DefaultOptions()
-	opts.CodeSummary = !*noSummary
-	opts.Parallelism = *parallel
+	opts := gf.options()
 	opts.Checkpoint = ckpt
-	opts.StoreWait = *storeWait
 	if *watch {
 		// One verdict cache survives the whole watch session; each
 		// iteration invalidates only the changed branches.
@@ -93,12 +86,11 @@ func cmdRegress(args []string) error {
 		o.Checkpoint = ckpt
 		var res *meissa.RegressResult
 		var err error
-		if *storePath != "" {
+		if gf.store != "" {
 			// Store-backed: the store supplies both the old rules (unless
 			// -rules-old overrode them) and the baseline verdicts, and the
 			// incremental result commits back atomically — so watch
 			// iterations need no journal-path juggling.
-			o.StorePath = *storePath
 			res, err = meissa.RegressStore(meissa.RegressInput{
 				Prog:     prog,
 				OldRules: old,
@@ -122,19 +114,8 @@ func cmdRegress(args []string) error {
 			return nil, err
 		}
 		printRegress(res)
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return nil, err
-			}
-			if err := meissa.WriteTemplates(f, res.Gen.Templates); err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := f.Close(); err != nil {
-				return nil, err
-			}
-			fmt.Printf("  wrote %d test cases to %s\n", len(res.Gen.Templates), *outPath)
+		if err := gf.writeTemplates(res.Gen.Templates); err != nil {
+			return nil, err
 		}
 		if *reportPath != "" {
 			if err := obs.WriteFileAtomic(*reportPath, res.Report); err != nil {
@@ -146,7 +127,7 @@ func cmdRegress(args []string) error {
 	}
 
 	firstOld := oldRules
-	if *storePath != "" && *rulesOld == "" {
+	if gf.store != "" && *rulesOld == "" {
 		// Store-backed with no explicit old rules: the store's committed
 		// rule set IS the baseline; don't guess from -corpus/-r.
 		firstOld = nil
@@ -173,7 +154,7 @@ func cmdRegress(args []string) error {
 	// means the world is durably broken — exit non-zero rather than spin
 	// silently forever.
 	curBase, curCkpt := ckpt, ckpt+".alt"
-	if *storePath != "" {
+	if gf.store != "" {
 		curBase, curCkpt = "", ckpt // unused / kept verbatim (RegressStore needs no checkpoint)
 	}
 	curRules := newRules
@@ -230,7 +211,7 @@ func cmdRegress(args []string) error {
 		}
 		ok()
 		curRules = next
-		if *storePath != "" {
+		if gf.store != "" {
 			curRules = nil // next iteration reads the committed baseline from the store
 		} else {
 			curBase, curCkpt = curCkpt, curBase

@@ -21,8 +21,7 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "tcp://127.0.0.1:7600", "listen address: unix://path, tcp://host:port, or host:port")
-	storePath := fs.String("store", "", "durable verdict store the daemon owns (required)")
-	storeWait := fs.Duration("store-wait", 0, "bounded wait for the store lock at startup (0 = fail fast)")
+	gf := registerGenFlags(fs, "store", "store-wait")
 	maxConcurrent := fs.Int("max-concurrent", 2, "concurrently executing requests")
 	maxCoordinators := fs.Int("max-coordinators", 1, "concurrently executing shard coordinators")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown wait for in-flight requests")
@@ -31,7 +30,7 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *storePath == "" {
+	if gf.store == "" {
 		return fmt.Errorf("serve requires -store <file>")
 	}
 	if err := ob.activate(*verbose); err != nil {
@@ -39,8 +38,8 @@ func cmdServe(args []string) error {
 	}
 	d, err := daemon.New(daemon.Config{
 		Addr:            *addr,
-		StorePath:       *storePath,
-		StoreWait:       *storeWait,
+		StorePath:       gf.store,
+		StoreWait:       gf.storeWait,
 		MaxConcurrent:   *maxConcurrent,
 		MaxCoordinators: *maxCoordinators,
 		DrainTimeout:    *drain,
@@ -51,7 +50,7 @@ func cmdServe(args []string) error {
 	if err := d.Listen(); err != nil {
 		return err
 	}
-	fmt.Printf("meissa daemon on %s (store %s)\n", d.Addr(), *storePath)
+	fmt.Printf("meissa daemon on %s (store %s)\n", d.Addr(), gf.store)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -169,14 +168,9 @@ func specSource(fs *flag.FlagSet) string {
 func clientGen(args []string) error {
 	fs := flag.NewFlagSet("client gen", flag.ContinueOnError)
 	addr, tenant, family, wait := dialFlags(fs)
-	noSummary := fs.Bool("no-summary", false, "disable code summary")
-	parallel := fs.Int("parallel", 0, "exploration workers (0 = daemon GOMAXPROCS)")
-	strict := fs.Bool("strict", false, "fail fast on per-path panics")
-	solverBudget := fs.Int("solver-budget", 0, "per-query solver step budget")
-	solverTimeout := fs.Duration("solver-timeout", 0, "per-query solver wall-clock budget")
+	gf := registerGenFlags(fs, "no-summary", "parallel", "strict", "solver-budget", "solver-timeout", "o")
 	workers := fs.Int("workers", 0, "shard the final pass across N daemon-side worker subprocesses")
 	rulesPath := fs.String("r", "", "rule set overriding the family's rules for this request")
-	outPath := fs.String("o", "", "write the returned test cases to this file")
 	metricsOut := fs.String("metrics-out", "", "write the daemon's run report (JSON) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -189,11 +183,11 @@ func clientGen(args []string) error {
 		Tenant: *tenant,
 		Family: *family,
 		Gen: &daemon.GenParams{
-			NoSummary:       *noSummary,
-			Parallel:        *parallel,
-			Strict:          *strict,
-			SolverBudget:    *solverBudget,
-			SolverTimeoutNS: int64(*solverTimeout),
+			NoSummary:       gf.noSummary,
+			Parallel:        gf.parallel,
+			Strict:          gf.strict,
+			SolverBudget:    gf.solverBudget,
+			SolverTimeoutNS: int64(gf.solverTimeout),
 			Workers:         *workers,
 		},
 	}
@@ -215,11 +209,8 @@ func clientGen(args []string) error {
 	}
 	fmt.Printf("family %s: %d test case templates in %v (%s: %d live solver calls, %d journal hits)\n",
 		*family, g.NumTemplates, time.Duration(g.WallNS).Round(time.Millisecond), heat, g.SMTCalls, g.JournalHits)
-	if *outPath != "" {
-		if err := os.WriteFile(*outPath, []byte(g.Templates), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %d test cases to %s\n", g.NumTemplates, *outPath)
+	if err := gf.writeRendered(g.Templates, g.NumTemplates); err != nil {
+		return err
 	}
 	if *metricsOut != "" {
 		if g.Report == nil {
@@ -239,9 +230,7 @@ func clientRegress(args []string) error {
 	rulesNew := fs.String("rules-new", "", "updated rule set file")
 	mutate := fs.Int("mutate", 0, "derive the new rules by bumping N action arguments of the base rules")
 	emitRules := fs.String("emit-rules", "", "write the effective new rule set to this file")
-	noSummary := fs.Bool("no-summary", false, "disable code summary")
-	parallel := fs.Int("parallel", 0, "exploration workers")
-	outPath := fs.String("o", "", "write the incremental test cases to this file")
+	gf := registerGenFlags(fs, "no-summary", "parallel", "o")
 	metricsOut := fs.String("metrics-out", "", "write the daemon's run report (JSON) to this file")
 	// -mutate needs a base rule set: -corpus/-r supply it exactly like
 	// the cold regress CLI.
@@ -270,8 +259,8 @@ func clientRegress(args []string) error {
 		Family: *family,
 		Regress: &daemon.RegressParams{
 			NewRules:  newRules.String(),
-			NoSummary: *noSummary,
-			Parallel:  *parallel,
+			NoSummary: gf.noSummary,
+			Parallel:  gf.parallel,
 		},
 	})
 	if err != nil {
@@ -279,11 +268,8 @@ func clientRegress(args []string) error {
 	}
 	r := resp.Regress
 	fmt.Printf("family %s: rule update applied, %d test case templates current\n", *family, r.NumTemplates)
-	if *outPath != "" {
-		if err := os.WriteFile(*outPath, []byte(r.Templates), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %d test cases to %s\n", r.NumTemplates, *outPath)
+	if err := gf.writeRendered(r.Templates, r.NumTemplates); err != nil {
+		return err
 	}
 	if *metricsOut != "" {
 		if r.Report == nil {

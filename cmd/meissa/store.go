@@ -26,22 +26,17 @@ func cmdStore(args []string) error {
 	}
 	verb, rest := args[0], args[1:]
 	fs := flag.NewFlagSet("store "+verb, flag.ContinueOnError)
-	storePath := fs.String("store", "", "verdict store file (required)")
+	gf := registerGenFlags(fs, "store", "no-summary")
 	journalPath := fs.String("journal", "", "checkpoint journal file (import source / export destination)")
-	noSummary := fs.Bool("no-summary", false, "match runs that disabled code summary (affects the family fingerprint)")
-	quiet := fs.Bool("quiet", false, "suppress progress output on stderr")
+	fs.Bool("quiet", false, "suppress progress output on stderr")
 	prog, rs, specs, _, err := loadInputs(fs, rest)
 	if err != nil {
 		return err
 	}
-	if *storePath == "" {
+	if gf.store == "" {
 		return fmt.Errorf("store %s requires -store <file>", verb)
 	}
-	_ = quiet
-	opts := meissa.DefaultOptions()
-	opts.CodeSummary = !*noSummary
-	opts.StorePath = *storePath
-	sys, err := meissa.New(prog, rs, specs, opts)
+	sys, err := meissa.New(prog, rs, specs, gf.options())
 	if err != nil {
 		return err
 	}
@@ -52,7 +47,7 @@ func cmdStore(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("store %s: page size %d, txid %d\n", st.Path, st.PageSize, st.Txid)
+		fmt.Printf("store %s: %d bytes, txid %d\n", st.Path, st.FileBytes, st.Txid)
 		fmt.Printf("  family %016x (journal fingerprint %016x)\n", st.Family, st.Fingerprint)
 		if !st.Present {
 			fmt.Println("  family not present (cold store for this program/options)")
@@ -72,7 +67,7 @@ func cmdStore(args []string) error {
 			return err
 		}
 		fmt.Printf("imported %s into %s in %v: %d records committed, %d duplicates skipped, %d invalidated\n",
-			*journalPath, *storePath, time.Since(start).Round(time.Millisecond),
+			*journalPath, gf.store, time.Since(start).Round(time.Millisecond),
 			rep.Committed, rep.Duplicates, rep.Invalidated)
 		return nil
 
@@ -86,7 +81,7 @@ func cmdStore(args []string) error {
 			return err
 		}
 		fmt.Printf("exported %d records from %s to %s in %v (resume with: gen -checkpoint %s -resume)\n",
-			rep.Warmed, *storePath, *journalPath, time.Since(start).Round(time.Millisecond), *journalPath)
+			rep.Warmed, gf.store, *journalPath, time.Since(start).Round(time.Millisecond), *journalPath)
 		return nil
 
 	default:

@@ -197,8 +197,8 @@ func renderTop(w *strings.Builder, s *obs.Snapshot, fleet *shard.FleetView, dmn 
 			100*float64(c["smt.queries_cache_hit"])/float64(cacheTotal))
 	}
 	if c["store.commits"] > 0 || c["store.records_put"] > 0 {
-		fmt.Fprintf(w, "store: %d commits, %d records put, %d wal replays\n",
-			c["store.commits"], c["store.records_put"], c["store.wal_replays"])
+		fmt.Fprintf(w, "store: %d commits (%d compactions), %d records put, %d tail bytes discarded\n",
+			c["store.commits"], c["store.compactions"], c["store.records_put"], c["store.tail_discarded_bytes"])
 	}
 
 	if dmn != nil {

@@ -205,7 +205,7 @@ func (j *Journal) load(fingerprint uint64) (int64, error) {
 	off := int64(0)
 	first := true
 	for {
-		rec, n, ok := decode(data[off:])
+		rec, n, ok := decode(data[off:], nil)
 		if !ok {
 			break
 		}
@@ -463,15 +463,23 @@ func ReadRecords(path string, fingerprint uint64) ([]Record, error) {
 }
 
 // MarshalRecord returns the framed encoding of r — length prefix,
-// payload, CRC32C — the exact bytes Append would write. The disk-backed
-// verdict store reuses it as its value encoding so a store export is
-// byte-compatible with a journal.
+// payload, CRC32C, dependency tags inline — in the framing Append writes.
+// The disk-backed verdict store's log holds its verdicts as these frames.
 func MarshalRecord(r Record) []byte { return encode(r) }
+
+// AppendRecord appends MarshalRecord(r) to out.
+func AppendRecord(out []byte, r Record) []byte { return appendRecord(out, r) }
 
 // UnmarshalRecord parses one framed record produced by MarshalRecord.
 // ok=false means the bytes hold no intact record.
-func UnmarshalRecord(data []byte) (Record, bool) {
-	r, _, ok := decode(data)
+func UnmarshalRecord(data []byte) (Record, bool) { return UnmarshalInterned(data, nil) }
+
+// UnmarshalInterned is UnmarshalRecord for a reader that keeps many
+// records: a non-nil tags holds the one copy of every dependency tag
+// decoded so far, which the records then share (a run's verdicts repeat a
+// few hundred tags a million times over).
+func UnmarshalInterned(data []byte, tags map[string]string) (Record, bool) {
+	r, _, ok := decode(data, tags)
 	return r, ok
 }
 
@@ -538,7 +546,8 @@ func appendRecord(out []byte, r Record) []byte {
 
 // decode parses the first record in data. ok=false means data holds no
 // intact record (empty, short, or corrupt) — the torn-tail condition.
-func decode(data []byte) (Record, int, bool) {
+// tags, when non-nil, interns the record's dependency tags.
+func decode(data []byte, tags map[string]string) (Record, int, bool) {
 	if len(data) < 4 {
 		return Record{}, 0, false
 	}
@@ -584,7 +593,13 @@ func decode(data []byte) (Record, int, bool) {
 		if off+tl > plen {
 			return Record{}, 0, false
 		}
-		r.Tables = append(r.Tables, string(payload[off:off+tl]))
+		tag, ok := tags[string(payload[off:off+tl])]
+		if !ok {
+			if tag = string(payload[off : off+tl]); tags != nil {
+				tags[tag] = tag
+			}
+		}
+		r.Tables = append(r.Tables, tag)
 		off += tl
 	}
 	if r.Kind == KindHeader {

@@ -51,7 +51,7 @@ const (
 	FlightJournalOpen
 	FlightJournalSync
 	FlightJournalCompact
-	// FlightStoreCommit: a store transaction committed. A = records, B = pages.
+	// FlightStoreCommit: a store transaction committed. A = txid, B = the file's bytes after it.
 	FlightStoreCommit
 	// FlightBreakerTrip: the driver's target-crash circuit breaker fired.
 	// A = consecutive losses.

@@ -217,6 +217,12 @@ func TestReportValidate(t *testing.T) {
 		"outcome mismatch":  func(r *Report) { r.Solver.Outcomes["sat"] = 99 },
 		"budget > unknown":  func(r *Report) { r.Solver.Outcomes["budget_exhausted"] = 3 },
 		"paths grew":        func(r *Report) { r.Paths.PossibleLog10After = 9 },
+		// The store section's identities.
+		"warmed > loaded":     func(r *Report) { r.Store = &StoreReport{Warmed: 3, SnapshotReads: 3} },
+		"warmed, no reads":    func(r *Report) { r.Journal.Loaded, r.Store = 3, &StoreReport{Warmed: 3} },
+		"committed, no txn":   func(r *Report) { r.Store = &StoreReport{Committed: 2, FileBytes: 400} },
+		"txn into empty file": func(r *Report) { r.Store = &StoreReport{Committed: 2, Commits: 1} },
+		"invalidated, no txn": func(r *Report) { r.Store = &StoreReport{Invalidated: 1, FileBytes: 400} },
 	} {
 		r := good()
 		mutate(r)
@@ -225,8 +231,16 @@ func TestReportValidate(t *testing.T) {
 		}
 	}
 
-	// Truncated runs may legitimately have zero templates.
+	// A store-backed run: warm records are loaded ones, a commit left a file.
 	r := good()
+	r.Journal.Loaded = 7
+	r.Store = &StoreReport{Warmed: 7, SnapshotReads: 7, Committed: 2, Commits: 1, TailDiscarded: 90, FileBytes: 4000}
+	if err := r.Validate(); err != nil {
+		t.Fatalf("valid store-backed report rejected: %v", err)
+	}
+
+	// Truncated runs may legitimately have zero templates.
+	r = good()
 	r.Paths.Templates = 0
 	r.Paths.Truncated = true
 	if err := r.Validate(); err != nil {

@@ -242,8 +242,9 @@ type ShardReport struct {
 // out of the store before exploring and what it committed back after.
 // Its accounting identities are validated: a warm start's records are
 // among those the run started with (journal.loaded >= warmed) and are
-// read via a snapshot (snapshot_reads > 0), and committed records ride at
-// least one store transaction.
+// read via a snapshot (snapshot_reads > 0), committed records ride at
+// least one store transaction, and a transaction leaves a file with bytes
+// in it.
 type StoreReport struct {
 	// Path is the store file.
 	Path string `json:"path,omitempty"`
@@ -263,13 +264,14 @@ type StoreReport struct {
 	Committed      uint64 `json:"committed"`
 	CacheCommitted uint64 `json:"cache_committed,omitempty"`
 	Duplicates     uint64 `json:"duplicates,omitempty"`
-	// Engine activity for this run: transactions committed, WAL
-	// transactions replayed at open (crash recovery), torn pages healed
-	// during replay, and snapshot point reads.
+	// Engine activity for this run: transactions committed, bytes of
+	// uncommitted tail the run's own open of the store dropped (crash
+	// recovery; zero when the caller owns the open store), records read
+	// through snapshots, and the store file's size when the run ended.
 	Commits       uint64 `json:"commits"`
-	WalReplays    uint64 `json:"wal_replays,omitempty"`
-	PagesTorn     uint64 `json:"pages_torn,omitempty"`
+	TailDiscarded uint64 `json:"tail_discarded,omitempty"`
 	SnapshotReads uint64 `json:"snapshot_reads,omitempty"`
+	FileBytes     uint64 `json:"file_bytes,omitempty"`
 }
 
 // FleetReport is the cross-process observability section of a sharded
@@ -473,6 +475,9 @@ func (r *Report) Validate() error {
 		}
 		if st.Committed+st.CacheCommitted+st.Invalidated > 0 && st.Commits == 0 {
 			return fmt.Errorf("obs: store committed/invalidated entries without a store transaction")
+		}
+		if st.Commits > 0 && st.FileBytes == 0 {
+			return fmt.Errorf("obs: store committed %d transactions into a file of no bytes", st.Commits)
 		}
 	}
 	if sh := r.Shard; sh != nil {

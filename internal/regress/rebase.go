@@ -51,16 +51,7 @@ func Retain(recs []journal.Record, invalid func(tag string) bool) ([]journal.Rec
 			st.Unindexed++
 			continue
 		}
-		drop := false
-		if invalid != nil {
-			for _, tag := range r.Tables {
-				if invalid(tag) {
-					drop = true
-					break
-				}
-			}
-		}
-		if drop {
+		if invalid != nil && Invalidated(r, invalid) {
 			st.Invalidated++
 			continue
 		}
@@ -70,6 +61,19 @@ func Retain(recs []journal.Record, invalid func(tag string) bool) ([]journal.Rec
 	mRecordsRetained.Add(uint64(st.Retained))
 	mRecordsInvalidated.Add(uint64(st.Invalidated + st.Unindexed))
 	return kept, st
+}
+
+// Invalidated reports whether r depends on a tag the filter calls invalid.
+// It is the one decision a rule update makes about a stored verdict: the
+// rebase of a baseline journal and the verdict store's tombstones both
+// make it here.
+func Invalidated(r journal.Record, invalid func(tag string) bool) bool {
+	for _, tag := range r.Tables {
+		if invalid(tag) {
+			return true
+		}
+	}
+	return false
 }
 
 // Rebase is Retain from file to file: the baseline journal at srcPath,

@@ -1,0 +1,357 @@
+package store
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"hash/fnv"
+	"maps"
+	"slices"
+
+	"repro/internal/journal"
+	"repro/internal/regress"
+	"repro/internal/rulediff"
+)
+
+// The frames of the log (the package comment has the layout) and the
+// state they add up to.
+
+const (
+	magic = "MEISSAS2"
+	// pagedMagic is what the page-based format of earlier releases kept in
+	// the same bytes 4-12 of the file.
+	pagedMagic = "MEISSAS1"
+
+	frameFamily = 'F'
+	frameCache  = 'C'
+	frameRules  = 'R'
+	frameDead   = 'T' // a journal record of this kind, its tags the ones to retire
+	frameCommit = 'X'
+
+	headerLen = 8 + len(magic)
+	idLen     = 8 + 1 + 8 // a family frame, a commit marker
+)
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// hash64 is FNV-1a over s — the same function as smt.TagID, so persisted
+// cache tag IDs and tag-name hashes share one space.
+func hash64(s string) uint64 {
+	f := fnv.New64a()
+	f.Write([]byte(s))
+	return f.Sum64()
+}
+
+// appendFrame frames a payload given in pieces.
+func appendFrame(out []byte, pieces ...[]byte) []byte {
+	start := len(out)
+	out = append(out, 0, 0, 0, 0)
+	for _, p := range pieces {
+		out = append(out, p...)
+	}
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[start+4:], crcTable))
+}
+
+// appendID frames a family scope or a commit marker.
+func appendID(out []byte, kind byte, id uint64) []byte {
+	return appendFrame(out, binary.LittleEndian.AppendUint64([]byte{kind}, id))
+}
+
+func appendRules(out []byte, text string) []byte {
+	return appendFrame(out, []byte{frameRules}, []byte(text))
+}
+
+func rulesLen(text string) int64 { return int64(8 + 1 + len(text)) }
+
+type cacheKey struct {
+	sum, xor uint64
+	n        uint32
+}
+
+// cacheEntry is one persisted solver-cache verdict with the tag IDs it is
+// retired under.
+type cacheEntry struct {
+	cacheKey
+	verdict byte
+	tags    []uint64
+}
+
+func (e cacheEntry) frameLen() int64 { return int64(8 + 24 + 8*len(e.tags)) }
+
+func appendCache(out []byte, e cacheEntry) []byte {
+	p := binary.LittleEndian.AppendUint64(make([]byte, 0, e.frameLen()), e.sum)
+	p = binary.LittleEndian.AppendUint64(p, e.xor)
+	p = binary.LittleEndian.AppendUint32(p, e.n)
+	p = binary.LittleEndian.AppendUint16(append(p, e.verdict), uint16(len(e.tags)))
+	for _, t := range e.tags {
+		p = binary.LittleEndian.AppendUint64(p, t)
+	}
+	return appendFrame(out, []byte{frameCache}, p)
+}
+
+func decodeCache(p []byte) (e cacheEntry, ok bool) {
+	if len(p) < 24 || len(p) != 24+8*int(binary.LittleEndian.Uint16(p[22:])) {
+		return e, false
+	}
+	e.sum, e.xor = binary.LittleEndian.Uint64(p[1:]), binary.LittleEndian.Uint64(p[9:])
+	e.n, e.verdict = binary.LittleEndian.Uint32(p[17:]), p[21]
+	for p = p[24:]; len(p) > 0; p = p[8:] {
+		e.tags = append(e.tags, binary.LittleEndian.Uint64(p))
+	}
+	return e, true
+}
+
+// frame splits the first frame off data: its payload and its whole
+// length. ok=false means data begins with no intact frame — short, torn
+// or failing its checksum.
+func frame(data []byte) (payload []byte, n int, ok bool) {
+	if len(data) < 8 {
+		return nil, 0, false
+	}
+	plen := int(binary.LittleEndian.Uint32(data))
+	if plen < 1 || plen > len(data)-8 {
+		return nil, 0, false
+	}
+	payload = data[4 : 4+plen]
+	return payload, 8 + plen, crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(data[4+plen:])
+}
+
+// commitID reads a commit marker's transaction ID.
+func commitID(p []byte) (uint64, bool) {
+	if len(p) != 9 || p[0] != frameCommit {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(p[1:]), true
+}
+
+// laterCommit reports whether tail holds an intact commit marker of a
+// transaction after txid.
+func laterCommit(tail []byte, txid uint64) bool {
+	marker := []byte{idLen - 8, 0, 0, 0, frameCommit}
+	for i := bytes.Index(tail, marker); i >= 0; i = bytes.Index(tail, marker) {
+		if p, _, ok := frame(tail[i:]); ok {
+			if id, ok := commitID(p); ok && id > txid {
+				return true
+			}
+		}
+		tail = tail[i+1:]
+	}
+	return false
+}
+
+type recKey struct {
+	kind journal.Kind
+	key  uint64
+}
+
+// rec is a stored verdict record with the length of its frame.
+type rec struct {
+	journal.Record
+	n int64
+}
+
+// family is one family's state. A committed one never changes: a
+// transaction works on a clone, which its commit puts in place.
+type family struct {
+	hasRules bool
+	rules    string
+	recs     map[recKey]rec
+	cache    map[cacheKey]cacheEntry
+	bytes    int64 // what a log of live frames only spends on the family
+}
+
+// clone returns a family a transaction may change; of one with no state
+// yet, an empty one.
+func (f *family) clone() *family {
+	if f.recs == nil {
+		return &family{recs: map[recKey]rec{}, cache: map[cacheKey]cacheEntry{}, bytes: idLen}
+	}
+	c := *f
+	c.recs, c.cache = maps.Clone(f.recs), maps.Clone(f.cache)
+	return &c
+}
+
+func (f *family) empty() bool { return !f.hasRules && len(f.recs) == 0 && len(f.cache) == 0 }
+
+// put, putCache, setRules and kill are what the log's frames do to a
+// family, at Open and in a transaction alike.
+
+// put adds r, whose frame is n bytes long, over any record of its key.
+func (f *family) put(r journal.Record, n int64) {
+	k := recKey{r.Kind, r.Key}
+	f.bytes += n - f.recs[k].n
+	f.recs[k] = rec{r, n}
+}
+
+func (f *family) putCache(e cacheEntry) {
+	if old, ok := f.cache[e.cacheKey]; ok {
+		f.bytes -= old.frameLen()
+	}
+	f.bytes += e.frameLen()
+	f.cache[e.cacheKey] = e
+}
+
+func (f *family) setRules(text string) {
+	if f.hasRules {
+		f.bytes -= rulesLen(f.rules)
+	}
+	f.bytes += rulesLen(text)
+	f.hasRules, f.rules = true, text
+}
+
+// kill retires every record that depends on one of tags — by the rule a
+// regression retires baseline records by: a full tag matches itself, a
+// bare table name all of the table's — and every cache entry stored under
+// the ID of one, and returns how many went.
+func (f *family) kill(tags []string) (removed int) {
+	invalid := rulediff.Matcher(tags)
+	ids := make(map[uint64]bool, len(tags))
+	for _, t := range tags {
+		ids[hash64(t)] = true
+	}
+	for k, r := range f.recs {
+		if regress.Invalidated(r.Record, invalid) {
+			delete(f.recs, k)
+			f.bytes -= r.n
+			removed++
+		}
+	}
+	for k, e := range f.cache {
+		if slices.ContainsFunc(e.tags, func(t uint64) bool { return ids[t] }) {
+			delete(f.cache, k)
+			f.bytes -= e.frameLen()
+			removed++
+		}
+	}
+	return removed
+}
+
+func sorted[K comparable, V any](m map[K]V, cmp func(a, b V) int) []V {
+	out := make([]V, 0, len(m))
+	for _, v := range m {
+		out = append(out, v)
+	}
+	slices.SortFunc(out, cmp)
+	return out
+}
+
+// records returns the family's records in canonical (kind, key) order.
+func (f *family) records() []rec {
+	return sorted(f.recs, func(a, b rec) int { return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Key, b.Key)) })
+}
+
+// cached returns the family's cache entries in key order.
+func (f *family) cached() []cacheEntry {
+	return sorted(f.cache, func(a, b cacheEntry) int {
+		return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.xor, b.xor), cmp.Compare(a.n, b.n))
+	})
+}
+
+// appendTo frames the family as a log of live frames only holds it.
+func (f *family) appendTo(out []byte, fam uint64) []byte {
+	out = appendID(out, frameFamily, fam)
+	if f.hasRules {
+		out = appendRules(out, f.rules)
+	}
+	for _, r := range f.records() {
+		out = journal.AppendRecord(out, r.Record)
+	}
+	for _, e := range f.cached() {
+		out = appendCache(out, e)
+	}
+	return out
+}
+
+// state is a committed state of the store, which snapshots pin.
+type state struct {
+	txid uint64
+	fams map[uint64]*family
+}
+
+// fam returns a family to read; of one the state does not hold, the zero
+// family.
+func (st *state) fam(fam uint64) *family {
+	if f := st.fams[fam]; f != nil {
+		return f
+	}
+	return &family{}
+}
+
+// live is the size of the log that holds the state and nothing else.
+func (st *state) live() uint64 {
+	n := int64(headerLen + idLen)
+	for _, f := range st.fams {
+		n += f.bytes
+	}
+	return uint64(n)
+}
+
+// replay reads a log: the state its committed transactions add up to and
+// the offset just past the last one's marker. What follows that offset is
+// an uncommitted tail for the caller to drop — unless a frame in it is
+// damaged and a later transaction committed all the same, which makes the
+// damage part of committed history: ErrCorrupt, as is any intact frame
+// that makes no sense.
+func replay(data []byte) (*state, int, error) {
+	p, off, ok := frame(data)
+	if !ok || string(p) != magic {
+		return nil, 0, fmt.Errorf("%w: no verdict-store header", ErrCorrupt)
+	}
+	st := &state{fams: map[uint64]*family{}}
+	good := off
+	var f *family               // the family in scope
+	tags := map[string]string{} // the records share one copy of a tag
+	for off < len(data) {
+		p, n, ok := frame(data[off:])
+		if !ok {
+			if laterCommit(data[off:], st.txid+1) {
+				return nil, 0, fmt.Errorf("%w: damaged frame at offset %d inside committed history", ErrCorrupt, off)
+			}
+			break
+		}
+		switch id, commit := commitID(p); {
+		case commit:
+			ok = id > st.txid
+			st.txid, good, f = id, off+n, nil // a family frame scopes no further than its transaction
+		case p[0] == frameFamily && len(p) == 9:
+			fam := binary.LittleEndian.Uint64(p[1:])
+			if f = st.fams[fam]; f == nil {
+				f = st.fam(fam).clone()
+				st.fams[fam] = f
+			}
+		case f == nil:
+			ok = false
+		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit), p[0] == frameDead:
+			var r journal.Record
+			if r, ok = journal.UnmarshalInterned(data[off:off+n], tags); ok && r.Kind == frameDead {
+				f.kill(r.Tables)
+			} else if ok {
+				r.Indexed = true // only indexed records are persisted
+				f.put(r, int64(n))
+			}
+		case p[0] == frameCache:
+			var e cacheEntry
+			if e, ok = decodeCache(p); ok {
+				f.putCache(e)
+			}
+		case p[0] == frameRules:
+			f.setRules(string(p[1:]))
+		default:
+			ok = false
+		}
+		if !ok {
+			return nil, 0, fmt.Errorf("%w: frame %q at offset %d", ErrCorrupt, p[0], off)
+		}
+		off += n
+	}
+	if off > good {
+		// The intact frames of a transaction that never committed went
+		// into st: read the committed part again, alone.
+		return replay(data[:good])
+	}
+	maps.DeleteFunc(st.fams, func(_ uint64, f *family) bool { return f.empty() })
+	return st, good, nil
+}

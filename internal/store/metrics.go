@@ -3,35 +3,24 @@ package store
 import "repro/internal/obs"
 
 // Registry handles for store observability, resolved once at package
-// init. Commits are per-run batches (not per-record), so none of these
-// sit on the exploration hot path; they still follow the repo-wide
-// atomic-handle discipline.
+// init. Commits are per-run batches, so none sits on the exploration hot
+// path.
 var (
-	// mCommits counts committed transactions; mAborts counts transactions
-	// discarded before their WAL commit frame became durable.
 	mCommits = obs.GetCounter("store.commits")
-	mAborts  = obs.GetCounter("store.aborts")
+	mAborts  = obs.GetCounter("store.aborts") // discarded before their commit point
 
-	// mWalReplays counts transactions redone from the write-ahead log at
-	// Open — the crash-recovery path.
-	mWalReplays = obs.GetCounter("store.wal_replays")
+	// mCompactions counts commits that rewrote the log instead of appending
+	// to it; mTailDiscarded the bytes of uncommitted tail dropped at Open.
+	mCompactions   = obs.GetCounter("store.compactions")
+	mTailDiscarded = obs.GetCounter("store.tail_discarded_bytes")
 
-	// mPagesTorn counts checksum-failing pages encountered at Open and
-	// healed by WAL redo (a torn apply-phase write the log carried the
-	// intact image for).
-	mPagesTorn = obs.GetCounter("store.pages_torn")
-
-	// mSnapshotReads counts records served through snapshot handles — the
-	// stable-baseline reads `regress -watch` iterates against.
+	// mSnapshotReads counts records served through snapshot handles;
+	// mInvalidated verdict and cache entries retired by tag invalidation.
 	mSnapshotReads = obs.GetCounter("store.snapshot_reads")
+	mInvalidated   = obs.GetCounter("store.invalidated")
 
-	// mInvalidated counts verdict/cache records deleted by tag
-	// invalidation (the transactional rule-update path).
-	mInvalidated = obs.GetCounter("store.invalidated")
-
-	// mRecordsPut counts records written; mOversize counts records
-	// skipped because their encoding exceeds a page cell (skipping is
-	// sound: the verdict is simply re-derived next run).
+	// mRecordsPut counts records written; mSkipped those left out for
+	// carrying no dependency index (the verdict is re-derived next run).
 	mRecordsPut = obs.GetCounter("store.records_put")
-	mOversize   = obs.GetCounter("store.records_oversize_skipped")
+	mSkipped    = obs.GetCounter("store.records_skipped")
 )

@@ -12,18 +12,19 @@ import (
 )
 
 // The recovery harness: a scripted workload — verdict batches, a
-// transactional rule-delta invalidation, more batches — is first run
-// clean to count its write points (WriteAt/Sync/Truncate) and record the
-// store state at every transaction boundary; then it is re-run once per
-// write point with an injected crash at that point (plain and torn
-// variants). Each crashed store is reopened on the real filesystem and
-// must read back EXACTLY one of the recorded boundary states: the last
-// committed one, or — when the crash landed after the WAL commit frame
-// became durable but before Commit returned — the next one. Anything
-// else (a lost committed verdict, a visible uncommitted verdict, or a
-// half-invalidated rule update serving stale verdicts) fails the
-// equality. Every recovered store must also accept and serve a fresh
-// commit.
+// transactional rule-delta invalidation, more batches, then overwrite and
+// invalidate churn until a commit compacts the log — is first run clean
+// to count its write points (WriteAt, Sync — a directory's too —
+// Truncate, Rename) and record the store state at every transaction
+// boundary; then it is re-run once per write point with an injected crash
+// at that point (plain and torn variants). Each crashed store is reopened
+// on the real filesystem and must read back EXACTLY one of the recorded
+// boundary states: the last committed one, or — when the crash landed
+// after the commit marker (or the compaction's rename) reached the file
+// but before Commit returned — the next one. Anything else (a lost
+// committed verdict, a visible uncommitted verdict, or a half-invalidated
+// rule update serving stale verdicts) fails the equality. Every recovered
+// store must also accept and serve a fresh commit.
 
 const recFam = 0xabcd
 
@@ -37,9 +38,29 @@ func recRecord(key uint64, verdict journal.Verdict, tags ...string) journal.Reco
 
 // workloadTxns is the scripted transaction sequence. Transaction 2 is
 // the atomic rule update: invalidate every acl-dependent verdict and
-// install the new rules in one commit.
+// install the new rules in one commit — so much of so small a store that
+// the commit compacts it. The transactions after the fourth are churn on
+// a larger population: a second rule update small enough to be appended
+// (its tombstone is replayed by every later reopen), overwrites until the
+// log holds more dead bytes than live ones and a commit rewrites it, and
+// one more append to the rewritten log. tombstoneTxn is that second rule
+// update, for the sweep's own sanity checks.
+const tombstoneTxn = 6
+
 func workloadTxns() []func(tx *Tx) error {
 	aclTag := rules.DepTag("acl", &rules.Entry{Action: "allow"})
+	denyTag := rules.DepTag("acl", &rules.Entry{Action: "deny"})
+	natTag := rules.DepTag("nat", &rules.Entry{Action: "snat"})
+	churn := func(verdict journal.Verdict) func(tx *Tx) error {
+		return func(tx *Tx) error {
+			for i := uint64(100); i < 140; i++ {
+				if err := tx.PutRecord(recFam, recRecord(i, verdict, natTag, rules.MissTag("fwd"))); err != nil {
+					return err
+				}
+			}
+			return tx.PutCache(recFam, 1000, 2000, 1, byte(verdict), []uint64{hash64(natTag), hash64("nat")})
+		}
+	}
 	return []func(tx *Tx) error{
 		func(tx *Tx) error {
 			for i := uint64(1); i <= 8; i++ {
@@ -74,11 +95,26 @@ func workloadTxns() []func(tx *Tx) error {
 		},
 		func(tx *Tx) error {
 			for i := uint64(20); i <= 24; i++ {
-				if err := tx.PutRecord(recFam, recRecord(i, journal.Unknown, rules.DepTag("acl", &rules.Entry{Action: "deny"}))); err != nil {
+				if err := tx.PutRecord(recFam, recRecord(i, journal.Unknown, denyTag)); err != nil {
 					return err
 				}
 			}
 			return nil
+		},
+		churn(journal.Sat),
+		func(tx *Tx) error {
+			if _, err := tx.InvalidateTags(recFam, []string{denyTag}); err != nil {
+				return err
+			}
+			if err := tx.PutRecord(recFam, recRecord(20, journal.Sat, rules.MissTag("acl"))); err != nil {
+				return err
+			}
+			return tx.SetFamilyRules(recFam, "rules-v3: acl{} fwd{} nat{snat}")
+		},
+		churn(journal.Unsat),
+		churn(journal.Unknown),
+		func(tx *Tx) error {
+			return tx.PutRecord(recFam, recRecord(141, journal.Sat, natTag))
 		},
 	}
 }
@@ -87,7 +123,7 @@ func workloadTxns() []func(tx *Tx) error {
 // many commits succeeded. capture, when set, is called with the open
 // store after each successful commit.
 func runWorkload(path string, fs FS, capture func(int, *Store)) (int, error) {
-	s, err := Open(path, Options{FS: fs, PageSize: minPageSize})
+	s, err := Open(path, Options{FS: fs})
 	if err != nil {
 		return 0, err
 	}
@@ -116,24 +152,27 @@ func runWorkload(path string, fs FS, capture func(int, *Store)) (int, error) {
 // stateString canonically serializes everything a reader can observe:
 // records, rules, and cache entries. Two equal strings mean byte-
 // identical reads.
-func stateString(t *testing.T, s *Store) string {
+func stateString(t *testing.T, s *Store) string { return storeState(t, s, recFam) }
+
+// storeState is stateString for any family.
+func storeState(t *testing.T, s *Store, fam uint64) string {
 	t.Helper()
 	var b strings.Builder
 	sn := s.Snapshot()
 	defer sn.Close()
-	err := sn.Records(recFam, func(r journal.Record) bool {
+	err := sn.Records(fam, func(r journal.Record) bool {
 		fmt.Fprintf(&b, "R %d %d %d %v %v\n", r.Kind, r.Key, r.Verdict, r.Model, r.Tables)
 		return true
 	})
 	if err != nil {
 		t.Fatalf("stateString records: %v", err)
 	}
-	if info, ok, err := sn.Family(recFam); err != nil {
+	if info, ok, err := sn.Family(fam); err != nil {
 		t.Fatalf("stateString family: %v", err)
 	} else if ok {
 		fmt.Fprintf(&b, "F %x %q\n", info.RulesHash, info.Rules)
 	}
-	err = sn.CacheEntries(recFam, func(sum, xor uint64, n uint32, v byte, tags []uint64) bool {
+	err = sn.CacheEntries(fam, func(sum, xor uint64, n uint32, v byte, tags []uint64) bool {
 		fmt.Fprintf(&b, "C %d %d %d %d %v\n", sum, xor, n, v, tags)
 		return true
 	})
@@ -148,19 +187,22 @@ func TestRecoverySweep(t *testing.T) {
 	base := t.TempDir()
 	countFP := &Failpoints{}
 	models := map[int]string{}
+	var compacted []int
 	{
 		path := filepath.Join(base, "count.store")
-		s0, err := Open(path, Options{PageSize: minPageSize})
+		s0, err := Open(path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		models[0] = stateString(t, s0)
 		s0.Close()
 		OSFS{}.Remove(path)
-		OSFS{}.Remove(path + "-wal")
 
 		commits, err := runWorkload(path, &FailFS{Base: OSFS{}, FP: countFP}, func(i int, s *Store) {
 			models[i] = stateString(t, s)
+			if int(s.Stats().Compactions) > len(compacted) {
+				compacted = append(compacted, i)
+			}
 		})
 		if err != nil {
 			t.Fatalf("counting pass: %v", err)
@@ -174,6 +216,19 @@ func TestRecoverySweep(t *testing.T) {
 		t.Fatalf("suspiciously few write points: %d", total)
 	}
 	t.Logf("workload has %d write points, %d boundary states", total, len(models)-1)
+	// The sweep must replay an appended tombstone, cross a compaction of
+	// the churned population, and go on past it.
+	t.Logf("commits %v compacted the log", compacted)
+	churned := false
+	for _, i := range compacted {
+		if i == tombstoneTxn || i == len(workloadTxns()) {
+			t.Fatalf("commit %d compacted the log: the script wants it appended", i)
+		}
+		churned = churned || i > tombstoneTxn
+	}
+	if !churned {
+		t.Fatalf("no commit after the %dth compacted the log", tombstoneTxn)
+	}
 
 	// Sanity: the rule delta really changed the observable state.
 	if models[2] == models[3] {
@@ -211,8 +266,8 @@ func TestRecoverySweep(t *testing.T) {
 				// Crash before the commit point: the in-flight transaction
 				// vanished without trace.
 			case models[commits+1]:
-				// Crash after the WAL commit frame was durable: redo
-				// finished the transaction.
+				// Crash after the commit marker (or the compacted log) was
+				// in place: the transaction stands.
 			default:
 				s.Close()
 				t.Fatalf("%s: recovered state matches no boundary (after %d commits)\n%s", name, commits, got)
@@ -240,10 +295,10 @@ func TestRecoverySweep(t *testing.T) {
 }
 
 // TestRecoveryIdempotent reopens a crashed store twice: recovery itself
-// must be crash-consistent (redo is idempotent).
+// must be crash-consistent (dropping a tail is idempotent).
 func TestRecoveryIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v.store")
-	fp := &Failpoints{CrashAt: 25} // mid-workload, past the first commit
+	fp := &Failpoints{CrashAt: 13, Torn: true} // mid-workload: the fourth commit's append, torn
 	if _, err := runWorkload(path, &FailFS{Base: OSFS{}, FP: fp}, nil); err == nil {
 		t.Fatal("workload survived crash")
 	}

@@ -1,317 +1,154 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
+	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
 // Options configures Open. The zero value is production defaults.
 type Options struct {
-	// FS is the filesystem to perform I/O through; nil means the real OS.
-	// The recovery harness injects a FailFS here.
+	// FS is the filesystem to perform I/O through; nil means the real OS
+	// (the recovery harness injects a FailFS).
 	FS FS
-	// PageSize is used only when creating a new store; an existing file's
-	// recorded page size always wins. 0 means DefaultPageSize.
-	PageSize int
-	// LockWait bounds how long Open waits for a busy store's advisory
-	// lock before failing with ErrStoreBusy. Zero makes one attempt and
-	// fails immediately — the right default for batch runs racing a
-	// resident daemon.
+	// LockWait bounds how long Open waits for a busy store's advisory lock
+	// before failing with ErrStoreBusy. Zero makes one attempt.
 	LockWait time.Duration
 }
 
-// ErrWedged is returned by writes after an I/O error left a commit in an
-// ambiguous state. The in-memory store refuses further mutations;
-// reopening recovers to a transaction boundary via WAL redo.
+// ErrCorrupt reports a store file damaged beyond the crash model: a frame
+// inside committed history failing its checksum, or an intact one that
+// makes no sense. Open never heals either by dropping history.
+var ErrCorrupt = errors.New("store: corrupt store file")
+
+// ErrWedged is returned by writes after an I/O error left a commit's
+// outcome open. Reopening recovers to a transaction boundary.
 var ErrWedged = errors.New("store: wedged by I/O error; reopen to recover")
 
-// Stats is a per-store snapshot of lifetime counters (the obs registry
-// carries the process-wide versions).
+var errPaged = errors.New("a page-based (MEISSAS1: B+tree and -wal) verdict store, which this release does not read: " +
+	"export it with the release that wrote it and `meissa store import -journal` the result into a new file, " +
+	"or delete it and its -wal (every verdict is re-derivable)")
+
+// Stats are one open store's counters (the obs registry has the process's).
 type Stats struct {
 	Commits       uint64 // committed transactions this open
 	Aborts        uint64 // aborted transactions this open
-	WalReplays    uint64 // transactions redone from the WAL at Open
-	PagesTorn     uint64 // checksum-failing pages healed by redo at Open
+	Compactions   uint64 // commits that rewrote the log instead of appending
+	TailDiscarded uint64 // bytes of uncommitted tail dropped at Open
+	FileBytes     uint64 // committed size of the file
 	SnapshotReads uint64 // records served through snapshot handles
 	Invalidated   uint64 // records+cache entries removed by tag invalidation
-	RecordsPut    uint64 // verdict records written
-	Skipped       uint64 // records skipped (oversize or unindexed)
+	Skipped       uint64 // records skipped (unindexed)
 }
 
-// Store is an open verdict store. One *Store is safe for concurrent use:
-// transactions serialize on an internal writer lock; snapshots read
-// concurrently with the writer.
+// Store is an open verdict store, safe for concurrent use: transactions
+// serialize on a writer lock, snapshots read concurrently with the writer.
 type Store struct {
-	fs       FS
-	path     string
-	f, wal   File
-	pageSize int
-
+	fs   FS
+	path string
 	lock *fileLock // advisory cross-process lock (nil with an injected FS)
 
 	txMu sync.Mutex // single writer, held Begin → Commit/Abort
+	f    File       // the log; written under txMu
 
-	mu          sync.Mutex // guards everything below
-	meta        *metaPage
-	cache       map[uint64]*node    // committed decoded pages
-	freePool    []uint64            // pages free for reuse (meta.freelist ⊆ freePool)
-	pendingFree map[uint64][]uint64 // commit txid → pages freed by it, gated on snapshots
-	snaps       map[uint64]int      // open snapshot txid → count
-	wedged      error
-	stats       Stats
+	mu     sync.Mutex // guards everything below
+	cur    *state     // the committed state
+	wedged error
+	stats  Stats // FileBytes, the log's committed size, changes under txMu too
 }
 
-// nodeCacheLimit bounds the decoded-page cache; beyond it arbitrary
-// clean entries are dropped (they re-read from disk).
-const nodeCacheLimit = 8192
-
-// Open opens or creates the store at path (its WAL lives at path+"-wal")
-// and runs crash recovery: intact WAL commits newer than the main file's
-// meta page are redone, torn tails are discarded, and the WAL is reset.
+// Open opens or creates the store at path and replays its log up to the
+// last intact commit marker, dropping an uncommitted tail. A file in the
+// page-based format of earlier releases is refused, never overwritten.
 func Open(path string, opts Options) (*Store, error) {
-	fs := opts.FS
-	if fs == nil {
-		fs = OSFS{}
-	}
-	pageSize := opts.PageSize
-	if pageSize == 0 {
-		pageSize = DefaultPageSize
-	}
-	if pageSize < minPageSize {
-		return nil, fmt.Errorf("store: page size %d below minimum %d", pageSize, minPageSize)
-	}
-	// The advisory lock guards the real filesystem against a second live
-	// writer (e.g. a CLI run racing the resident daemon). An injected FS
-	// is a simulated process — its crashes never release fds, and real
-	// flock semantics (auto-release on process death) don't apply — so
-	// only the production OSFS path locks.
-	var lock *fileLock
-	if opts.FS == nil {
-		var lerr error
-		if lock, lerr = acquireLock(path+"-lock", opts.LockWait); lerr != nil {
-			return nil, lerr
+	s := &Store{fs: opts.FS, path: path}
+	if s.fs == nil {
+		// The advisory lock keeps a second live writer (a CLI run racing the
+		// daemon) out. An injected FS simulates a process: nothing to lock.
+		s.fs = OSFS{}
+		var err error
+		if s.lock, err = acquireLock(path+"-lock", opts.LockWait); err != nil {
+			return nil, err
 		}
 	}
-	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		lock.release()
+	if err := s.load(); err != nil {
+		if s.f != nil {
+			s.f.Close()
+		}
+		s.lock.release()
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	wal, err := fs.OpenFile(path+"-wal", os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		f.Close()
-		lock.release()
-		return nil, fmt.Errorf("store: open wal: %w", err)
-	}
-	s := &Store{
-		fs: fs, path: path, f: f, wal: wal, lock: lock,
-		pageSize:    pageSize,
-		cache:       make(map[uint64]*node),
-		pendingFree: make(map[uint64][]uint64),
-		snaps:       make(map[uint64]int),
-	}
-	if err := s.recover(); err != nil {
-		f.Close()
-		wal.Close()
-		lock.release()
-		return nil, err
-	}
-	s.freePool = append([]uint64(nil), s.meta.freelist...)
 	return s, nil
 }
 
-// recover establishes the committed state: decide the authoritative meta
-// page (main file, or the newest WAL commit frame when the main file's
-// copy is torn), redo newer WAL transactions, and truncate the log. A
-// brand-new (or incompletely initialized) store is initialized through
-// the same commit protocol so even creation is crash-atomic.
-func (s *Store) recover() error {
-	txns, err := scanWAL(s.wal)
-	if err != nil {
+func (s *Store) load() error {
+	// A non-empty write-ahead log means a paged store, possibly one whose
+	// main file a crash left empty or torn.
+	if wal, err := s.fs.OpenFile(s.path+"-wal", os.O_RDONLY, 0); err == nil {
+		n, _ := wal.Size()
+		wal.Close()
+		if n > 0 {
+			return errPaged
+		}
+	}
+	var err error
+	if s.f, err = s.fs.OpenFile(s.path, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
 		return err
 	}
 	size, err := s.f.Size()
 	if err != nil {
-		return fmt.Errorf("store: size: %w", err)
-	}
-
-	var meta *metaPage
-	metaTorn := false
-	if len(txns) > 0 {
-		// The newest commit frame carries a full meta image; it defines
-		// the page size even when page 0 is torn.
-		m, err := decodeMeta(txns[len(txns)-1].meta)
-		if err != nil {
-			return err
-		}
-		s.pageSize = m.pageSize
-	}
-	if size > 0 {
-		// The recorded page size lives inside the meta page; probe the
-		// fixed-offset header first so a store created with any page size
-		// reopens correctly regardless of Options.PageSize.
-		if ps, ok := probePageSize(s.f, size); ok {
-			page, err := readPage(s.f, ps, 0)
-			if err != nil {
-				return err
-			}
-			if m, err := decodeMeta(page); err == nil {
-				meta = m
-				s.pageSize = m.pageSize
-			}
-		}
-		if meta == nil {
-			if len(txns) == 0 {
-				// The meta page is unreadable and no WAL commit can heal
-				// it. Every write path puts the commit frame on disk before
-				// touching page 0, so this is outside the crash model.
-				return fmt.Errorf("%w: unreadable meta page and empty wal", ErrCorrupt)
-			}
-			metaTorn = true
-		}
-	}
-
-	if meta == nil && len(txns) == 0 {
-		// Fresh store (or a crash before the init commit became durable).
-		return s.initFresh()
-	}
-
-	// Redo committed transactions newer than the main file's meta. With
-	// page 0 torn every commit in the log is replayed — page images are
-	// full and idempotent, so over-application is harmless.
-	sinceTxid := uint64(0)
-	if meta != nil && !metaTorn {
-		sinceTxid = meta.txid
-	}
-	replayed := false
-	for _, txn := range txns {
-		if txn.txid <= sinceTxid {
-			continue
-		}
-		m, err := decodeMeta(txn.meta)
-		if err != nil {
-			return err
-		}
-		for pg, img := range txn.pages {
-			if len(img) != s.pageSize {
-				return fmt.Errorf("%w: wal page %d image size %d", ErrCorrupt, pg, len(img))
-			}
-			if cur, err := readPage(s.f, s.pageSize, pg); err == nil && !checkPage(cur) {
-				s.stats.PagesTorn++
-				mPagesTorn.Inc()
-			}
-			if err := writePage(s.f, s.pageSize, pg, img); err != nil {
-				return err
-			}
-		}
-		if err := writePage(s.f, s.pageSize, 0, txn.meta); err != nil {
-			return err
-		}
-		meta = m
-		replayed = true
-		s.stats.WalReplays++
-		mWalReplays.Inc()
-	}
-	if metaTorn {
-		s.stats.PagesTorn++
-		mPagesTorn.Inc()
-	}
-	if replayed {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: recovery sync: %w", err)
-		}
-	}
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: recovery wal reset: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: recovery wal sync: %w", err)
-	}
-	s.meta = meta
-	return nil
-}
-
-// probePageSize reads the fixed-offset meta header (magic + page size)
-// without knowing the page size. ok=false means no plausible header —
-// the meta page is torn or the file is not a store.
-func probePageSize(f File, size int64) (int, bool) {
-	if size < 18 {
-		return 0, false
-	}
-	hdr := make([]byte, 18)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return 0, false
-	}
-	if string(hdr[4:12]) != storeMagic {
-		return 0, false
-	}
-	ps := int(binary.LittleEndian.Uint32(hdr[14:]))
-	if ps < minPageSize || ps > 64<<10 || size < int64(ps) {
-		return 0, false
-	}
-	return ps, true
-}
-
-// initFresh writes the empty store's meta page through the commit
-// protocol (WAL first, then the main file), so a crash mid-creation
-// recovers on the next Open instead of presenting a corrupt file.
-func (s *Store) initFresh() error {
-	meta := &metaPage{pageSize: s.pageSize, txid: 1, root: 0, pageCount: 1}
-	img := encodeMeta(meta)
-	frame := walCommitFrame(meta.txid, img)
-	if _, err := s.wal.WriteAt(frame, 0); err != nil {
-		return fmt.Errorf("store: init wal: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: init wal sync: %w", err)
-	}
-	if err := writePage(s.f, s.pageSize, 0, img); err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: init sync: %w", err)
+	if size == 0 {
+		// A new store comes into being as a compacted one does: whole.
+		s.cur = &state{fams: map[uint64]*family{}}
+		s.stats.FileBytes, err = s.rewrite(s.cur)
+		return err
 	}
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: init wal reset: %w", err)
+	data := make([]byte, size)
+	if _, err := s.f.ReadAt(data, 0); err != nil && err != io.EOF {
+		return err
 	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: init wal sync: %w", err)
+	if size >= 12 && string(data[4:12]) == pagedMagic {
+		return errPaged
 	}
-	s.meta = meta
+	st, good, err := replay(data)
+	if err != nil {
+		return err
+	}
+	if tail := uint64(len(data) - good); tail > 0 {
+		// Not synced: a truncation the machine loses is redone by the next
+		// Open, and the next commit's sync covers it.
+		if err := s.f.Truncate(int64(good)); err != nil {
+			return err
+		}
+		s.count(&s.stats.TailDiscarded, mTailDiscarded, tail)
+	}
+	s.cur, s.stats.FileBytes = st, uint64(good)
+	s.fs.Remove(s.path + ".compact") // what a crashed compaction left; absent otherwise
 	return nil
 }
 
-// Close releases the file handles. Open transactions or snapshots must
-// be finished first; committed state needs no flushing (commits are
-// durable when Commit returns).
+// Close releases the file and the lock; commits are durable already.
 func (s *Store) Close() error {
 	defer s.lock.release()
-	werr := s.wal.Close()
-	if err := s.f.Close(); err != nil {
-		return err
-	}
-	return werr
+	return s.f.Close()
 }
 
-// Path returns the main file path.
+// Path returns the store file's path.
 func (s *Store) Path() string { return s.path }
 
-// PageSize returns the store's page size.
-func (s *Store) PageSize() int { return s.pageSize }
-
 // Txid returns the committed transaction ID.
-func (s *Store) Txid() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.meta.txid
-}
+func (s *Store) Txid() uint64 { return s.Snapshot().st.txid }
 
 // Stats returns this store's lifetime counters.
 func (s *Store) Stats() Stats {
@@ -320,122 +157,131 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// committedNode reads a committed page through the decoded-node cache.
-func (s *Store) committedNode(pg uint64) (*node, error) {
+// count adds n to one of the store's counters and to its registry twin.
+func (s *Store) count(field *uint64, c *obs.Counter, n uint64) {
 	s.mu.Lock()
-	if n, ok := s.cache[pg]; ok {
-		s.mu.Unlock()
-		return n, nil
-	}
+	*field += n
 	s.mu.Unlock()
-	page, err := readPage(s.f, s.pageSize, pg)
-	if err != nil {
-		return nil, err
-	}
-	if !checkPage(page) {
-		return nil, fmt.Errorf("%w: page %d checksum", ErrCorrupt, pg)
-	}
-	n, err := decodeNode(page, pg)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if len(s.cache) >= nodeCacheLimit {
-		dropped := 0
-		for k := range s.cache {
-			delete(s.cache, k)
-			if dropped++; dropped >= nodeCacheLimit/4 {
-				break
-			}
-		}
-	}
-	s.cache[pg] = n
-	s.mu.Unlock()
-	return n, nil
+	c.Add(n)
 }
 
-// Tx is a writer transaction. At most one is open at a time; reads
-// within the transaction see its own uncommitted writes.
+// Tx is a writer transaction, one at a time; it reads its own writes.
 type Tx struct {
-	s        *Store
-	t        treeTx
-	root     uint64
-	pageOrig uint64 // committed root at Begin
-	count    uint64 // page counter (next fresh page)
-	pool     []uint64
-	poolOrig []uint64
-	freed    []uint64
-	done     bool
+	s     *Store
+	base  *state
+	fams  map[uint64]*family // clones of the families it touched
+	full  [][]byte           // its frames, in call order: the chunks filled,
+	buf   []byte             // and the one filling
+	scope *family            // the family the last family frame names
+	done  bool
 }
 
-// Begin starts a writer transaction, blocking until any current writer
-// finishes.
+// txChunk bounds a chunk: one buffer growing to a run's verdicts would be
+// copied five times over on the way.
+const txChunk = 1 << 20
+
+// Begin starts a transaction once any current writer has finished.
 func (s *Store) Begin() (*Tx, error) {
 	s.txMu.Lock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.wedged != nil {
-		s.mu.Unlock()
 		s.txMu.Unlock()
 		return nil, s.wedged
 	}
-	tx := &Tx{
-		s:        s,
-		root:     s.meta.root,
-		pageOrig: s.meta.root,
-		count:    s.meta.pageCount,
-		pool:     s.freePool,
-		poolOrig: s.freePool,
-	}
-	s.freePool = nil
-	s.mu.Unlock()
-	tx.t = treeTx{
-		src:      s.committedNode,
-		alloc:    tx.alloc,
-		free:     tx.freePage,
-		dirty:    make(map[uint64]*node),
-		pageSize: s.pageSize,
-	}
-	return tx, nil
+	return &Tx{s: s, base: s.cur, fams: map[uint64]*family{}}, nil
 }
 
-func (tx *Tx) alloc() uint64 {
-	if n := len(tx.pool); n > 0 {
-		pg := tx.pool[n-1]
-		tx.pool = tx.pool[:n-1]
-		return pg
+// in returns the transaction's clone of fam, with buf scoped to it.
+func (tx *Tx) in(fam uint64) *family {
+	f := tx.fams[fam]
+	if f == nil {
+		f = tx.base.fam(fam).clone()
+		tx.fams[fam] = f
 	}
-	pg := tx.count
-	tx.count++
-	return pg
+	if len(tx.buf) >= txChunk {
+		tx.full, tx.buf = append(tx.full, tx.buf), make([]byte, 0, txChunk+txChunk/8)
+	}
+	if tx.scope != f {
+		tx.scope = f
+		tx.buf = appendID(tx.buf, frameFamily, fam)
+	}
+	return f
 }
 
-// freePage queues a page for the freelist. The page stays untouched on
-// disk until this transaction commits AND no open snapshot can still
-// reference it.
-func (tx *Tx) freePage(pg uint64) { tx.freed = append(tx.freed, pg) }
+// PutRecord stores one verdict under family fam, over any record of its
+// kind and key. A record with no dependency index is skipped (counted): no
+// rule delta could invalidate it. The store keeps r's model and tags, and
+// PutCache's tags, as they are: the caller does not change them afterwards.
+func (tx *Tx) PutRecord(fam uint64, r journal.Record) error {
+	if r.Kind != journal.KindCheck && r.Kind != journal.KindEmit {
+		return fmt.Errorf("store: cannot persist record kind %d", r.Kind)
+	}
+	if !r.Indexed {
+		tx.s.count(&tx.s.stats.Skipped, mSkipped, 1)
+		return nil
+	}
+	f := tx.in(fam)
+	at := len(tx.buf)
+	tx.buf = journal.AppendRecord(tx.buf, r)
+	f.put(r, int64(len(tx.buf)-at))
+	mRecordsPut.Inc()
+	return nil
+}
 
-// Abort discards the transaction. Nothing reached disk, so the store
-// continues unharmed.
+// PutCache stores one solver-cache verdict with the tag IDs that retire it.
+func (tx *Tx) PutCache(fam uint64, sum, xor uint64, n uint32, verdict byte, tags []uint64) error {
+	e := cacheEntry{cacheKey{sum, xor, n}, verdict, tags}
+	tx.in(fam).putCache(e)
+	tx.buf = appendCache(tx.buf, e)
+	return nil
+}
+
+// InvalidateTags removes every record of fam that depends on one of tags (a
+// full rules.DepTag matches itself, a bare table name all of the table's)
+// and every cache entry stored under the ID of one, and returns how many.
+// With SetFamilyRules in one transaction it is the atomic rule update.
+func (tx *Tx) InvalidateTags(fam uint64, tags []string) (int, error) {
+	if len(tags) == 0 {
+		return 0, nil
+	}
+	removed := tx.in(fam).kill(tags)
+	tx.buf = journal.AppendRecord(tx.buf, journal.Record{Kind: frameDead, Tables: tags})
+	tx.s.count(&tx.s.stats.Invalidated, mInvalidated, uint64(removed))
+	return removed, nil
+}
+
+// SetFamilyRules records the rules text the family's entries are valid under.
+func (tx *Tx) SetFamilyRules(fam uint64, rulesText string) error {
+	tx.in(fam).setRules(rulesText)
+	tx.buf = appendRules(tx.buf, rulesText)
+	return nil
+}
+
+// GetRecord reads a record as the transaction has left it.
+func (tx *Tx) GetRecord(fam uint64, kind journal.Kind, key uint64) (journal.Record, bool, error) {
+	f := tx.fams[fam]
+	if f == nil {
+		f = tx.base.fam(fam)
+	}
+	r, ok := f.recs[recKey{kind, key}]
+	return r.Record, ok, nil
+}
+
+// Abort discards the transaction; nothing of it reached disk.
 func (tx *Tx) Abort() {
-	if tx.done {
-		return
+	if !tx.done {
+		tx.done = true
+		tx.s.count(&tx.s.stats.Aborts, mAborts, 1)
+		tx.s.txMu.Unlock()
 	}
-	tx.done = true
-	s := tx.s
-	s.mu.Lock()
-	s.freePool = tx.poolOrig
-	s.stats.Aborts++
-	s.mu.Unlock()
-	mAborts.Inc()
-	s.txMu.Unlock()
 }
 
-// Commit makes the transaction durable: dirty pages plus the new meta
-// image are appended to the WAL and synced (the commit point), then
-// applied to the main file and synced, then the WAL is reset. An error
-// before the commit point aborts cleanly; an error at or after it wedges
-// the in-memory store (ErrWedged on further writes) — reopening recovers
-// to a transaction boundary either way.
+// Commit makes the transaction durable and returns only once it is: its
+// frames and a commit marker are written past the end of the log and the
+// log is synced — or, when that would leave the log more dead bytes
+// than live ones, the whole next state replaces it. An error before the
+// commit point aborts cleanly; one at or after it wedges the store.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return errors.New("store: transaction already finished")
@@ -443,200 +289,185 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	s := tx.s
 	defer s.txMu.Unlock()
-
-	if len(tx.t.dirty) == 0 && tx.root == tx.pageOrig && len(tx.freed) == 0 {
+	if len(tx.buf) == 0 {
+		return nil // read-only transaction: a frame follows every in
+	}
+	next := &state{txid: tx.base.txid + 1, fams: maps.Clone(tx.base.fams)}
+	for fam, f := range tx.fams {
+		if next.fams[fam] = f; f.empty() {
+			delete(next.fams, fam)
+		}
+	}
+	chunks := append(tx.full, appendID(tx.buf, frameCommit, next.txid))
+	size := s.stats.FileBytes
+	for _, c := range chunks {
+		size += uint64(len(c))
+	}
+	compact := size > 2*next.live()
+	var err error
+	if compact {
+		size, err = s.rewrite(next)
+	} else {
+		err = s.append(chunks)
+	}
+	if errors.Is(err, ErrWedged) {
 		s.mu.Lock()
-		s.freePool = tx.poolOrig
+		s.wedged = err
 		s.mu.Unlock()
-		return nil // read-only transaction
+		return err
+	} else if err != nil {
+		s.count(&s.stats.Aborts, mAborts, 1)
+		return err
 	}
-
-	// Reclaim pending frees now safe: pages freed by commit T are
-	// referenced only by states older than T, so they recycle once no
-	// open snapshot predates T.
 	s.mu.Lock()
-	minSnap := ^uint64(0)
-	for txid := range s.snaps {
-		if txid < minSnap {
-			minSnap = txid
-		}
-	}
-	var drained []uint64
-	for txid, pgs := range s.pendingFree {
-		if txid <= minSnap {
-			drained = append(drained, pgs...)
-			delete(s.pendingFree, txid)
-		}
-	}
-	newMeta := metaPage{
-		pageSize:  s.pageSize,
-		txid:      s.meta.txid + 1,
-		root:      tx.root,
-		pageCount: tx.count,
-	}
+	s.cur, s.stats.FileBytes = next, size
 	s.mu.Unlock()
-	avail := append(append([]uint64(nil), tx.pool...), drained...)
-	if fcap := freelistCap(s.pageSize); len(avail) > fcap {
-		newMeta.freelist = avail[:fcap]
-	} else {
-		newMeta.freelist = avail
+	s.count(&s.stats.Commits, mCommits, 1)
+	if compact {
+		s.count(&s.stats.Compactions, mCompactions, 1)
 	}
-
-	// Phase 1: WAL append + sync — the commit point.
-	pages := make([]uint64, 0, len(tx.t.dirty))
-	for pg := range tx.t.dirty {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	images := make(map[uint64][]byte, len(pages))
-	var off int64
-	for _, pg := range pages {
-		img, err := encodeNode(tx.t.dirty[pg], s.pageSize)
-		if err != nil {
-			return tx.failBefore(err, drained)
-		}
-		images[pg] = img
-		frame := walPageFrame(pg, img)
-		if _, err := s.wal.WriteAt(frame, off); err != nil {
-			return tx.failBefore(err, drained)
-		}
-		off += int64(len(frame))
-	}
-	metaImg := encodeMeta(&newMeta)
-	cframe := walCommitFrame(newMeta.txid, metaImg)
-	if _, err := s.wal.WriteAt(cframe, off); err != nil {
-		return tx.failBefore(err, drained)
-	}
-	if err := s.wal.Sync(); err != nil {
-		// The sync may or may not have reached disk: ambiguous, wedge.
-		return tx.failAfter(fmt.Errorf("store: wal sync: %w", err))
-	}
-
-	// Phase 2: apply to the main file.
-	for _, pg := range pages {
-		if err := writePage(s.f, s.pageSize, pg, images[pg]); err != nil {
-			return tx.failAfter(err)
-		}
-	}
-	if err := writePage(s.f, s.pageSize, 0, metaImg); err != nil {
-		return tx.failAfter(err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return tx.failAfter(fmt.Errorf("store: sync: %w", err))
-	}
-
-	// Phase 3: reset the WAL.
-	if err := s.wal.Truncate(0); err != nil {
-		return tx.failAfter(fmt.Errorf("store: wal reset: %w", err))
-	}
-	if err := s.wal.Sync(); err != nil {
-		return tx.failAfter(fmt.Errorf("store: wal reset sync: %w", err))
-	}
-
-	s.mu.Lock()
-	s.meta = &newMeta
-	for pg, n := range tx.t.dirty {
-		s.cache[pg] = n
-	}
-	if len(s.snaps) == 0 {
-		// No snapshot can pin the pre-commit state anymore (new snapshots
-		// open at the new txid), so freed pages recycle immediately.
-		for _, pg := range tx.freed {
-			delete(s.cache, pg)
-		}
-		s.freePool = append(avail, tx.freed...)
-	} else {
-		s.freePool = avail
-		s.pendingFree[newMeta.txid] = tx.freed
-	}
-	s.stats.Commits++
-	commits := s.stats.Commits
-	s.mu.Unlock()
-	mCommits.Inc()
-	obs.RecordFlight(obs.FlightStoreCommit, commits, uint64(len(tx.t.dirty)), 0)
+	obs.RecordFlight(obs.FlightStoreCommit, next.txid, size, 0)
 	return nil
 }
 
-// failBefore handles a commit error before the commit point: the WAL is
-// reset and the transaction aborts with nothing visible (drained pending
-// frees stay reusable — their reclamation was independent of this
-// commit). If even the reset fails the store wedges (stale WAL bytes
-// must not survive).
-func (tx *Tx) failBefore(err error, drained []uint64) error {
-	s := tx.s
-	if terr := s.wal.Truncate(0); terr == nil {
-		if serr := s.wal.Sync(); serr == nil {
-			s.mu.Lock()
-			s.freePool = append(append([]uint64(nil), tx.poolOrig...), drained...)
-			s.stats.Aborts++
-			s.mu.Unlock()
-			mAborts.Inc()
-			return err
+// append commits a transaction's frames to the end of the log. Its error
+// wraps ErrWedged when what reached disk is open.
+func (s *Store) append(chunks [][]byte) error {
+	size := int64(s.stats.FileBytes)
+	off := size
+	for _, c := range chunks {
+		if _, err := s.f.WriteAt(c, off); err != nil {
+			// Before the commit point; but what the writes left must not
+			// stay for a shorter transaction to be written over the head of.
+			if terr := s.f.Truncate(size); terr != nil {
+				return fmt.Errorf("%w (cause: %v, then %v)", ErrWedged, err, terr)
+			}
+			return fmt.Errorf("store: append: %w", err)
 		}
+		off += int64(len(c))
 	}
-	return tx.failAfter(err)
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("%w (cause: sync: %v)", ErrWedged, err)
+	}
+	return nil
 }
 
-// failAfter handles a commit error at or past the commit point: the
-// outcome is decided by what reached disk, so the in-memory store wedges
-// and the next Open resolves it via WAL redo.
-func (tx *Tx) failAfter(err error) error {
-	s := tx.s
-	s.mu.Lock()
-	s.wedged = fmt.Errorf("%w (cause: %v)", ErrWedged, err)
-	s.mu.Unlock()
-	return err
+// rewrite commits a transaction by compaction: next, which holds it,
+// becomes a new log of live frames only — a temporary file, synced before
+// the rename makes it the store (the commit point), the directory synced
+// after. It returns the log's size, or an error as append does.
+func (s *Store) rewrite(next *state) (uint64, error) {
+	fams := make([]uint64, 0, len(next.fams))
+	for fam := range next.fams {
+		fams = append(fams, fam)
+	}
+	slices.Sort(fams)
+	buf := appendFrame(make([]byte, 0, next.live()), []byte(magic))
+	for _, fam := range fams {
+		buf = next.fams[fam].appendTo(buf, fam)
+	}
+	if next.txid > 0 {
+		buf = appendID(buf, frameCommit, next.txid)
+	}
+
+	tmp := s.path + ".compact"
+	f, err := s.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, fmt.Errorf("store: compact: %w", err)
+	}
+	if _, err = f.WriteAt(buf, 0); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = s.fs.Rename(tmp, s.path)
+	}
+	if err != nil {
+		f.Close()
+		s.fs.Remove(tmp)
+		return 0, fmt.Errorf("store: compact: %w", err)
+	}
+	s.f.Close()
+	s.f = f
+	// Whether the rename survives a machine crash is the directory's to say.
+	dir, err := s.fs.OpenFile(filepath.Dir(s.path), os.O_RDONLY, 0)
+	if err == nil {
+		err = dir.Sync()
+		dir.Close()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w (cause: compact: sync directory: %v)", ErrWedged, err)
+	}
+	return uint64(len(buf)), nil
 }
 
-// Snapshot is a read-only view pinned at a committed transaction. Pages
-// it can reach are excluded from reuse until Close.
+// Snapshot is a view of one committed state, which commits never change.
 type Snapshot struct {
-	s      *Store
-	t      treeTx
-	root   uint64
-	txid   uint64
-	closed bool
+	s  *Store
+	st *state
 }
 
 // Snapshot pins the current committed state for reading.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sn := &Snapshot{s: s, root: s.meta.root, txid: s.meta.txid}
-	sn.t = treeTx{src: s.committedNode, pageSize: s.pageSize}
-	s.snaps[sn.txid]++
-	return sn
+	return &Snapshot{s: s, st: s.cur}
 }
 
-// Txid returns the transaction ID the snapshot is pinned at.
-func (sn *Snapshot) Txid() uint64 { return sn.txid }
+// Close releases the snapshot.
+func (sn *Snapshot) Close() {}
 
-// Close releases the pin and recycles any freed pages no longer
-// reachable by an open snapshot.
-func (sn *Snapshot) Close() {
-	if sn.closed {
-		return
+// FamilyInfo describes the rules a family's records are valid under.
+type FamilyInfo struct {
+	RulesHash uint64
+	Rules     string
+}
+
+// Family reads a family's rules from the committed state.
+func (s *Store) Family(fam uint64) (FamilyInfo, bool, error) { return s.Snapshot().Family(fam) }
+
+// Family reads the rules the snapshot's records are valid under.
+func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool, error) {
+	f := sn.st.fam(fam)
+	if !f.hasRules {
+		return FamilyInfo{}, false, nil
 	}
-	sn.closed = true
-	s := sn.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.snaps[sn.txid]--; s.snaps[sn.txid] <= 0 {
-		delete(s.snaps, sn.txid)
+	return FamilyInfo{RulesHash: hash64(f.rules), Rules: f.rules}, true, nil
+}
+
+// GetRecord reads one verdict record from the snapshot.
+func (sn *Snapshot) GetRecord(fam uint64, kind journal.Kind, key uint64) (journal.Record, bool, error) {
+	r, ok := sn.st.fam(fam).recs[recKey{kind, key}]
+	if ok {
+		sn.s.count(&sn.s.stats.SnapshotReads, mSnapshotReads, 1)
 	}
-	minSnap := ^uint64(0)
-	for txid := range s.snaps {
-		if txid < minSnap {
-			minSnap = txid
+	return r.Record, ok, nil
+}
+
+// Records visits fam's verdict records in canonical (kind, key) order
+// until fn returns false. They share models and tags with the store.
+func (sn *Snapshot) Records(fam uint64, fn func(journal.Record) bool) error {
+	served := uint64(0)
+	for _, r := range sn.st.fam(fam).records() {
+		served++
+		if !fn(r.Record) {
+			break
 		}
 	}
-	for txid, pgs := range s.pendingFree {
-		if txid <= minSnap {
-			for _, pg := range pgs {
-				delete(s.cache, pg)
-			}
-			s.freePool = append(s.freePool, pgs...)
-			delete(s.pendingFree, txid)
+	sn.s.count(&sn.s.stats.SnapshotReads, mSnapshotReads, served)
+	return nil
+}
+
+// CacheEntries visits fam's solver-cache verdicts until fn returns false.
+func (sn *Snapshot) CacheEntries(fam uint64, fn func(sum, xor uint64, n uint32, verdict byte, tags []uint64) bool) error {
+	for _, e := range sn.st.fam(fam).cached() {
+		if !fn(e.sum, e.xor, e.n, e.verdict, e.tags) {
+			break
 		}
 	}
+	return nil
+}
+
+// RecordCount returns the number of verdict records stored for fam.
+func (sn *Snapshot) RecordCount(fam uint64) (int, error) {
+	return len(sn.st.fam(fam).recs), nil
 }

@@ -1,13 +1,46 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/journal"
 	"repro/internal/rules"
 )
+
+// openTest opens a store in a temp dir, through fs when one is given.
+func openTest(t *testing.T, fs FS) *Store {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "verdicts.store")
+	s, err := Open(path, Options{FS: fs})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+func mustBegin(t *testing.T, s *Store) *Tx {
+	t.Helper()
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	return tx
+}
+
+func mustCommit(t *testing.T, tx *Tx) {
+	t.Helper()
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+}
 
 func testRecord(key uint64, verdict journal.Verdict, tags ...string) journal.Record {
 	return journal.Record{
@@ -21,7 +54,7 @@ func testRecord(key uint64, verdict journal.Verdict, tags ...string) journal.Rec
 // byte-level record fidelity plus family rules round-trip.
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.store")
-	s, err := Open(path, Options{PageSize: minPageSize})
+	s, err := Open(path, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -52,9 +85,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s.Close()
-	if s.PageSize() != minPageSize {
-		t.Fatalf("page size %d not preserved", s.PageSize())
-	}
 
 	info, ok, err := s.Family(fam)
 	if err != nil || !ok {
@@ -222,8 +252,9 @@ func TestSnapshotIsolation(t *testing.T) {
 	old := s.Snapshot()
 	defer old.Close()
 
-	// Churn: overwrite everything and add more, across several commits so
-	// freed pages pile into pendingFree while the snapshot is open.
+	// Churn: overwrite everything and add more, across several commits —
+	// enough dead bytes for one of them to rewrite the log while the
+	// snapshot is open.
 	for round := 0; round < 4; round++ {
 		tx = mustBegin(t, s)
 		for i := uint64(0); i < 80; i++ {
@@ -255,12 +286,22 @@ func TestSnapshotIsolation(t *testing.T) {
 	if n, _ := fresh.RecordCount(fam); n != 80 {
 		t.Fatalf("fresh snapshot sees %d records, want 80", n)
 	}
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Fatal("the churn compacted nothing: the snapshot was never tried against a rewrite")
+	}
 }
 
-// TestFreelistReuse checks that pages freed by churn are recycled: the
-// file must stop growing once the working set stabilizes.
-func TestFreelistReuse(t *testing.T) {
-	s := openTest(t, nil)
+// TestCompactionBoundsFile: dead bytes are reclaimed. Under churn that
+// overwrites one working set the file stops growing — it never holds more
+// than twice what a rewrite would, plus the transaction that tipped it —
+// a compacted log is exactly its live frames, and a reopen after
+// compaction reads the same state.
+func TestCompactionBoundsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.store")
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const fam = 5
 	churn := func() {
 		tx := mustBegin(t, s)
@@ -272,13 +313,48 @@ func TestFreelistReuse(t *testing.T) {
 		mustCommit(t, tx)
 	}
 	churn()
-	churn()
-	after2 := s.meta.pageCount
-	for i := 0; i < 20; i++ {
+	live := s.cur.live()
+	for i := 0; i < 22; i++ {
+		before := s.Stats().Compactions
 		churn()
+		st := s.Stats()
+		if got := s.cur.live(); got != live {
+			t.Fatalf("churn %d: live bytes %d, want the stable working set's %d", i, got, live)
+		}
+		if st.FileBytes > 2*live {
+			t.Fatalf("churn %d: file is %d bytes, live ones %d: dead bytes not reclaimed", i, st.FileBytes, live)
+		}
+		if st.Compactions > before && st.FileBytes != live {
+			t.Fatalf("churn %d: compacted log is %d bytes, its live frames %d", i, st.FileBytes, live)
+		}
 	}
-	if grown := s.meta.pageCount - after2; grown > after2/2 {
-		t.Fatalf("file grew %d pages over stable churn (from %d): freelist not reused", grown, after2)
+	st := s.Stats()
+	if st.Compactions < 5 {
+		t.Fatalf("%d compactions over 23 overwrites of one working set", st.Compactions)
+	}
+	if fi, err := os.Stat(path); err != nil || uint64(fi.Size()) != st.FileBytes {
+		t.Fatalf("file size %v (err %v), store says %d", fi.Size(), err, st.FileBytes)
+	}
+	want := storeState(t, s, fam)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+		t.Fatalf("compaction left its temporary file behind (stat err %v)", err)
+	}
+	if _, err := os.Stat(path + "-wal"); !os.IsNotExist(err) {
+		t.Fatalf("the store created a -wal sidecar (stat err %v)", err)
+	}
+	s, err = Open(path, Options{})
+	if err != nil {
+		t.Fatalf("reopen after compaction: %v", err)
+	}
+	defer s.Close()
+	if got := storeState(t, s, fam); got != want {
+		t.Fatalf("state after reopen:\n%s\nwant:\n%s", got, want)
+	}
+	if st := s.Stats(); st.TailDiscarded != 0 {
+		t.Fatalf("clean reopen discarded a %d-byte tail", st.TailDiscarded)
 	}
 }
 
@@ -295,7 +371,7 @@ func TestTransientWriteError(t *testing.T) {
 	}
 	mustCommit(t, tx)
 
-	// Fail the first WAL append of the next commit.
+	// Fail the next commit's write.
 	fp.mu.Lock()
 	fp.FailAt = fp.ops + 1
 	fp.mu.Unlock()
@@ -353,5 +429,292 @@ func TestStoreManyFamilies(t *testing.T) {
 		if err != nil || !ok || info.Rules != fmt.Sprintf("rules-%d", fam) {
 			t.Fatalf("family %d rules: %+v ok=%v err=%v", fam, info, ok, err)
 		}
+	}
+}
+
+// pagedHeader is the first bytes of a store written by the page-based
+// engine of earlier releases: a page checksum, then its magic at bytes
+// 4-12, a version and a page size.
+var pagedHeader = append([]byte{0xde, 0xad, 0xbe, 0xef}, "MEISSAS1\x01\x00\x00\x10\x00\x00"...)
+
+// TestOpenRefusesPagedStore: a file of the page-based format — its magic
+// in the main file, or a non-empty -wal beside a main file a crash left
+// empty — is refused with an error that names the format and the way out,
+// and nothing on disk changes: no fresh log is initialised over it.
+func TestOpenRefusesPagedStore(t *testing.T) {
+	for _, tc := range []struct{ name, main, wal string }{
+		{"magic in the main file", string(pagedHeader) + strings.Repeat("\x00", 200), ""},
+		{"non-empty wal, empty main file", "", "\x09\x00\x00\x00Ctxid...."},
+		{"both", string(pagedHeader), "\x09\x00\x00\x00Ctxid...."},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "old.store")
+			if err := os.WriteFile(path, []byte(tc.main), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wal != "" {
+				if err := os.WriteFile(path+"-wal", []byte(tc.wal), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := Open(path, Options{})
+			if err == nil {
+				t.Fatal("Open accepted a page-based store")
+			}
+			for _, want := range []string{"page-based", "MEISSAS1", "meissa store import -journal", "delete"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			if got, _ := os.ReadFile(path); string(got) != tc.main {
+				t.Errorf("main file changed: %d bytes, was %d", len(got), len(tc.main))
+			}
+			if got, _ := os.ReadFile(path + "-wal"); string(got) != tc.wal {
+				t.Errorf("wal changed: %d bytes, was %d", len(got), len(tc.wal))
+			}
+			ents, _ := os.ReadDir(dir)
+			for _, e := range ents {
+				if n := e.Name(); n != "old.store" && n != "old.store-wal" && n != "old.store-lock" {
+					t.Errorf("Open left %s behind", n)
+				}
+			}
+		})
+	}
+}
+
+// TestCorruptionInsideHistory: one flipped byte inside a committed
+// transaction that is not the last makes Open fail with ErrCorrupt and
+// leaves the file alone — a later commit marker proves the damaged bytes
+// were durable history, which truncation must not shorten. The same flip
+// inside the last transaction cannot be told from a torn write: it is
+// dropped as one, and counted.
+func TestCorruptionInsideHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.store")
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fam = 7
+	var ends []int // the file's size after each commit
+	for round := uint64(0); round < 3; round++ {
+		tx := mustBegin(t, s)
+		for i := uint64(0); i < 40; i++ {
+			if err := tx.PutRecord(fam, testRecord(100*round+i, journal.Sat, "t#miss", "u#miss")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+		ends = append(ends, int(s.Stats().FileBytes))
+	}
+	if st := s.Stats(); st.Compactions != 0 {
+		t.Fatalf("%d compactions: the test wants three appended transactions", st.Compactions)
+	}
+	s.Close()
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flipAt := func(off int) {
+		t.Helper()
+		damaged := append([]byte(nil), clean...)
+		damaged[off] ^= 0x04
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, off := range map[string]int{
+		"first transaction":  headerLen + 40,
+		"second transaction": (ends[0] + ends[1]) / 2,
+		"second marker":      ends[1] - 6,
+	} {
+		flipAt(off)
+		if _, err := Open(path, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip in the %s: Open returned %v, want ErrCorrupt", name, err)
+		}
+		if got, _ := os.ReadFile(path); len(got) != len(clean) {
+			t.Fatalf("flip in the %s: Open changed the file's size %d -> %d", name, len(clean), len(got))
+		}
+	}
+
+	flipAt((ends[1] + ends[2]) / 2)
+	s, err = Open(path, Options{})
+	if err != nil {
+		t.Fatalf("flip in the last transaction: %v", err)
+	}
+	defer s.Close()
+	sn := s.Snapshot()
+	defer sn.Close()
+	if n, _ := sn.RecordCount(fam); n != 80 {
+		t.Fatalf("%d records after the last transaction was dropped, want the first two's 80", n)
+	}
+	if st := s.Stats(); int(st.TailDiscarded) != ends[2]-ends[1] || int(st.FileBytes) != ends[1] {
+		t.Fatalf("tail discarded %d, file %d bytes; want %d and %d", st.TailDiscarded, st.FileBytes, ends[2]-ends[1], ends[1])
+	}
+}
+
+// TestStoreRandomAgainstModel drives random puts, overwrites, cache
+// entries, rule updates and tag invalidations through commits, aborts and
+// reopens, and checks every committed state — as the open store serves it
+// and as a reopen replays it from the log — against a map model.
+func TestStoreRandomAgainstModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.store")
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	rng := rand.New(rand.NewSource(1))
+	compactions := uint64(0)
+	fams := []uint64{11, 12, 13}
+	tables := []string{"acl", "fwd", "nat"}
+	type modelFam struct {
+		recs  map[uint64]journal.Record
+		cache map[uint64][]string // sum → the tags its IDs were made from
+		rules string
+	}
+	model := map[uint64]*modelFam{}
+	for _, fam := range fams {
+		model[fam] = &modelFam{recs: map[uint64]journal.Record{}, cache: map[uint64][]string{}}
+	}
+	clone := func() map[uint64]*modelFam {
+		c := map[uint64]*modelFam{}
+		for fam, m := range model {
+			c[fam] = &modelFam{recs: maps.Clone(m.recs), cache: maps.Clone(m.cache), rules: m.rules}
+		}
+		return c
+	}
+	check := func(step int, what string) {
+		t.Helper()
+		sn := s.Snapshot()
+		defer sn.Close()
+		for _, fam := range fams {
+			m := model[fam]
+			got := map[uint64]journal.Record{}
+			last := uint64(0)
+			sn.Records(fam, func(r journal.Record) bool {
+				if len(got) > 0 && r.Key <= last {
+					t.Fatalf("step %d (%s): records out of canonical order", step, what)
+				}
+				got[r.Key], last = r, r.Key
+				return true
+			})
+			if len(got) != len(m.recs) {
+				t.Fatalf("step %d (%s): family %d has %d records, model %d", step, what, fam, len(got), len(m.recs))
+			}
+			for k, want := range m.recs {
+				if g := got[k]; g.Verdict != want.Verdict || fmt.Sprint(g.Tables) != fmt.Sprint(want.Tables) {
+					t.Fatalf("step %d (%s): family %d key %d: %+v, model %+v", step, what, fam, k, g, want)
+				}
+			}
+			ncache := 0
+			sn.CacheEntries(fam, func(sum, _ uint64, _ uint32, _ byte, _ []uint64) bool {
+				if _, ok := m.cache[sum]; !ok {
+					t.Fatalf("step %d (%s): family %d serves cache entry %d the model retired", step, what, fam, sum)
+				}
+				ncache++
+				return true
+			})
+			if ncache != len(m.cache) {
+				t.Fatalf("step %d (%s): family %d has %d cache entries, model %d", step, what, fam, ncache, len(m.cache))
+			}
+			if info, ok, _ := sn.Family(fam); ok != (m.rules != "") || info.Rules != m.rules {
+				t.Fatalf("step %d (%s): family %d rules %q (present %v), model %q", step, what, fam, info.Rules, ok, m.rules)
+			}
+		}
+	}
+	tagsOf := func() []string {
+		tb := tables[rng.Intn(len(tables))]
+		tags := []string{rules.MissTag(tb)}
+		if rng.Intn(2) == 0 {
+			tags = append(tags, rules.DepTag(tables[rng.Intn(len(tables))], &rules.Entry{Action: fmt.Sprint("a", rng.Intn(3))}))
+		}
+		return tags
+	}
+	for step := 0; step < 300; step++ {
+		saved := clone()
+		tx := mustBegin(t, s)
+		for op := rng.Intn(12); op >= 0; op-- {
+			fam := fams[rng.Intn(len(fams))]
+			m := model[fam]
+			switch rng.Intn(10) {
+			case 0: // a rule update: invalidate by a full tag or a whole table
+				tb := tables[rng.Intn(len(tables))]
+				tag := tb
+				if rng.Intn(2) == 0 {
+					tag = rules.MissTag(tb)
+				}
+				match := func(tags []string) bool {
+					for _, x := range tags {
+						if x == tag || (tag == tb && rules.TagTable(x) == tb) {
+							return true
+						}
+					}
+					return false
+				}
+				want := 0
+				for k, r := range m.recs {
+					if match(r.Tables) {
+						delete(m.recs, k)
+						want++
+					}
+				}
+				for k, tags := range m.cache {
+					// An entry carries the IDs of its tags and of their tables.
+					if match(tags) {
+						delete(m.cache, k)
+						want++
+					}
+				}
+				if n, err := tx.InvalidateTags(fam, []string{tag}); err != nil || n != want {
+					t.Fatalf("step %d: InvalidateTags(%q) = %d, %v; model retires %d", step, tag, n, err, want)
+				}
+				m.rules = fmt.Sprint("rules after step ", step)
+				if err := tx.SetFamilyRules(fam, m.rules); err != nil {
+					t.Fatal(err)
+				}
+			case 1, 2:
+				sum, tags := uint64(rng.Intn(40)), tagsOf()
+				var ids []uint64
+				for _, x := range tags {
+					ids = append(ids, hash64(x), hash64(rules.TagTable(x)))
+				}
+				if err := tx.PutCache(fam, sum, sum^1, 3, byte(rng.Intn(2)), ids); err != nil {
+					t.Fatal(err)
+				}
+				m.cache[sum] = tags
+			default:
+				r := testRecord(uint64(rng.Intn(60)), journal.Verdict(rng.Intn(3)), tagsOf()...)
+				if err := tx.PutRecord(fam, r); err != nil {
+					t.Fatal(err)
+				}
+				m.recs[r.Key] = r
+				if g, ok, _ := tx.GetRecord(fam, r.Kind, r.Key); !ok || g.Verdict != r.Verdict {
+					t.Fatalf("step %d: the transaction does not read its own write", step)
+				}
+			}
+		}
+		if rng.Intn(8) == 0 {
+			tx.Abort()
+			model = saved
+			check(step, "after an abort")
+			continue
+		}
+		mustCommit(t, tx)
+		check(step, "open store")
+		if rng.Intn(6) == 0 {
+			compactions += s.Stats().Compactions
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(path, Options{}); err != nil {
+				t.Fatalf("step %d: reopen: %v", step, err)
+			}
+			check(step, "after a reopen")
+		}
+	}
+	if compactions+s.Stats().Compactions == 0 {
+		t.Fatal("300 steps of churn never compacted the log")
 	}
 }

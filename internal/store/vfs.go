@@ -1,24 +1,44 @@
-// Package store implements the durable cross-run verdict store: a
-// single-file, page-based database holding (constraint-set digest →
-// verdict) records shared across programs, runs, and tenants, replacing
-// full journal replay on cold starts.
+// Package store implements the durable cross-run verdict store: one
+// append-only file holding, per program family (program + options, no
+// rules), the verdict records of completed runs, the solver-cache
+// verdicts, and the rule text both are valid under.
 //
-// Layering (bottom-up):
+// The file is a log in the checkpoint journal's framing,
+// [u32 length][payload][u32 CRC32C(payload)], the first payload byte
+// naming the frame. A header opens it; then each transaction is a run of
+// frames closed by a commit marker:
 //
-//	vfs.go    — injectable filesystem with failpoints (torn writes,
-//	            error returns, crash-after-syscall-N)
-//	pager.go  — 4 KiB checksummed (CRC32C) pages and the meta page
-//	wal.go    — write-ahead log with redo recovery
-//	btree.go  — copy-on-write B-tree over []byte keys
-//	store.go  — the verdict/tag/cache keyspaces, transactions, snapshots
+//	header  "MEISSAS2" (bytes 4-12 of the file)
+//	'F'     fam(8): scopes the frames up to the next 'F' or 'X'
+//	1, 2    a verdict, as journal.MarshalRecord frames it, tags inline
+//	'C'     sum(8) xor(8) n(4) verdict(1) ntags(2) tagid(8)*: a cache verdict
+//	'R'     the rules text the family's entries are valid under
+//	'T'     tombstone, a journal record: retires what depends on its tags
+//	'X'     txid(8): commit marker
 //
-// Crash consistency is the headline property: every mutation goes
-// through a transaction whose pages are appended to the WAL and fsynced
-// BEFORE any main-file byte changes, so a kill at any write point leaves
-// the store recoverable — committed transactions are redone from the
-// WAL, uncommitted ones vanish without trace. The recovery harness in
-// recovery_test.go proves it by killing the I/O layer at every write
-// point of a scripted workload and asserting the reopened store equals a
+// Commit appends a transaction's frames and marker past the committed
+// size, syncs, and only then returns. No frame counts without its marker,
+// so rules, invalidation, records and cache entries become durable
+// together or not at all. Open replays the log up to the last intact
+// marker and truncates the rest, as the journal drops a torn tail. A
+// frame failing its checksum is such a tail only if no later transaction
+// committed: a marker with a higher ID further on proves the damage lies
+// in history that was durable, and Open fails with ErrCorrupt rather than
+// serve a shorter one; so does an intact frame that makes no sense.
+//
+// Superseded records, retired entries, replaced rules and tombstones stay
+// behind as dead bytes. A commit that would leave more of them than live
+// ones writes the whole live state instead: to path+".compact", synced,
+// renamed over the store (its commit point), the directory synced. A new
+// store is created the same way.
+//
+// There is no tree because no caller needs one: each reads a whole family
+// (warm start, export, regression baseline), writes all a run derived in
+// one transaction, and retires entries by dependency tag. The committed
+// state is an immutable map per family, decoded once at Open; transactions
+// change clones, snapshots are pointers. recovery_test.go crashes a
+// scripted workload at every write point of the failpoint filesystem
+// below, compaction included: each reopened store must equal a
 // transaction-boundary state.
 package store
 
@@ -35,6 +55,7 @@ import (
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	Remove(name string) error
+	Rename(oldname, newname string) error
 }
 
 // File is the store's view of an open file: positional I/O only, so
@@ -63,6 +84,9 @@ func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 
 // Remove deletes name.
 func (OSFS) Remove(name string) error { return os.Remove(name) }
+
+// Rename renames oldname to newname.
+func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 
 type osFile struct{ *os.File }
 
@@ -171,6 +195,14 @@ func (f *FailFS) Remove(name string) error {
 	return f.Base.Remove(name)
 }
 
+// Rename is a write point.
+func (f *FailFS) Rename(oldname, newname string) error {
+	if _, err := f.FP.gate(true); err != nil {
+		return err
+	}
+	return f.Base.Rename(oldname, newname)
+}
+
 type failFile struct {
 	base File
 	fp   *Failpoints
@@ -192,13 +224,9 @@ func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
 		n, _ := f.base.WriteAt(p[:len(p)/2], off)
 		return n, ErrCrashed
 	}
-	n, werr := f.base.WriteAt(p, off)
-	if werr != nil {
-		return n, werr
-	}
-	// A crash-after point: the write landed, the caller learns on its
-	// NEXT operation. Report success faithfully.
-	return n, nil
+	// At a crash-after point the write lands and the caller learns on its
+	// NEXT operation.
+	return f.base.WriteAt(p, off)
 }
 
 func (f *failFile) Sync() error {

@@ -272,7 +272,8 @@ type GenResult struct {
 	// regression run (nil for any other run).
 	Rebase *regress.RebaseStats
 	// Phases records the wall-clock duration of each generation phase, in
-	// execution order: "cfg"; whichever of "journal-load" (a resumed
+	// execution order: "cfg"; "store-open" when the run resolved its own
+	// Store or StorePath; whichever of "journal-load" (a resumed
 	// checkpoint, or a regression's baseline), "rebase" and "store-warm"
 	// gave the run its starting verdicts; "summary" when code summary ran;
 	// "sym"; "store-commit". The same timings aggregate under
@@ -374,11 +375,15 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	}
 
 	var stc *storeCtx
-	if src != nil && src.stc != nil {
+	switch {
+	case src != nil && src.stc != nil:
 		stc = src.stc
-	} else if stc, err = s.openStoreCtx(initC); err != nil {
-		return nil, err
-	} else if stc != nil {
+	case s.Opts.Store != nil || s.Opts.StorePath != "":
+		// Opening a StorePath replays its log: the part of a store-backed
+		// run's time that the store's size sets, whatever the run reads.
+		if err := phase("store-open", func() (err error) { stc, err = s.openStoreCtx(initC); return }); err != nil {
+			return nil, err
+		}
 		defer stc.release()
 	}
 
@@ -617,9 +622,18 @@ func (s *System) solverOptions() smt.Options {
 // change how much gets explored, never what any query's verdict is, so a
 // journal written at one setting resumes correctly at another.
 func (s *System) fingerprint(initC []expr.Bool) uint64 {
+	return s.identity(initC, s.Rules.String())
+}
+
+// identity digests the program, rulesText, the assume clauses and the
+// verdict-affecting options. It is the one writer of both of a system's
+// identities — the checkpoint fingerprint, which passes the rules, and the
+// store family (familyFingerprint), which passes none — so the two cannot
+// drift apart in what they take an option to be.
+func (s *System) identity(initC []expr.Bool, rulesText string) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, p4.Print(s.Prog))
-	io.WriteString(h, s.Rules.String())
+	io.WriteString(h, rulesText)
 	for _, b := range initC {
 		io.WriteString(h, b.String())
 		io.WriteString(h, "\n")

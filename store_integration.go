@@ -3,13 +3,10 @@ package meissa
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"repro/internal/expr"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/p4"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
 	"repro/internal/smt"
@@ -21,12 +18,12 @@ import (
 // are keyed by a *family* fingerprint that deliberately excludes the
 // rule set, so a rule update does not orphan the family — instead the
 // stored rules are diffed against the run's rules and exactly the
-// invalidated entries are retired in one atomic transaction (the store's
-// tag index makes that O(affected)). The store is one more source and
-// sink of the run's verdict table (the journal's index): a warm start
-// puts the family's surviving records into it, so exploration answers
-// them exactly as it answers a resumed checkpoint's, and the commit takes
-// what the run derived itself.
+// invalidated entries are retired in one atomic transaction, by the tag
+// match a regression retires baseline records by. The store is one more
+// source and sink of the run's verdict table (the journal's index): a
+// warm start puts the family's surviving records into it, so exploration
+// answers them exactly as it answers a resumed checkpoint's, and the
+// commit takes what the run derived itself.
 
 // familyFingerprint digests everything that scopes a store family —
 // the program, the generation-scoping assume clauses, and the
@@ -34,17 +31,7 @@ import (
 // alongside the family and reconciled by delta, which is what lets
 // verdicts survive rule churn instead of being keyed away by it.
 func (s *System) familyFingerprint(initC []expr.Bool) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, p4.Print(s.Prog))
-	for _, b := range initC {
-		io.WriteString(h, b.String())
-		io.WriteString(h, "\n")
-	}
-	so := s.solverOptions()
-	fmt.Fprintf(h, "|cs=%v pre=%v et=%v inc=%v sb=%d ct=%d cpv=%d",
-		s.Opts.CodeSummary, s.Opts.UsePreconditions, s.Opts.EarlyTermination,
-		s.Opts.IncrementalSolving, so.SearchBudget, so.CheckTimeout, so.CandidatesPerVar)
-	return h.Sum64()
+	return s.identity(initC, "")
 }
 
 // storeCtx is one run's connection to a verdict store: the resolved
@@ -77,7 +64,11 @@ func (s *System) openStoreCtx(initC []expr.Bool) (*storeCtx, error) {
 		}
 		stc.st, stc.owned = st, true
 	}
-	stc.base = stc.st.Stats()
+	if !stc.owned {
+		// An open the run made itself is the run's own, tail recovery and
+		// all; of a caller's store it reports what changed meanwhile.
+		stc.base = stc.st.Stats()
+	}
 	stc.rep.Path = stc.st.Path()
 	return stc, nil
 }
@@ -94,9 +85,8 @@ func (stc *storeCtx) release() {
 // exactly the invalidated entries, and install the new text — one atomic
 // transaction with whatever else the caller commits. Entries whose tags
 // the delta does not touch keep answering; there is no path by which a
-// stale verdict survives, because every record and cache entry is
-// indexed under its dependency tags and unindexed entries are never
-// stored.
+// stale verdict survives, because every record and cache entry carries
+// its dependency tags and entries without them are never stored.
 func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, newSet *rules.Set) (int, []string, error) {
 	old, err := rules.Parse(storedText)
 	if err != nil {
@@ -267,9 +257,9 @@ func (stc *storeCtx) report() *obs.StoreReport {
 	now := stc.st.Stats()
 	r := stc.rep
 	r.Commits = now.Commits - stc.base.Commits
-	r.WalReplays = now.WalReplays - stc.base.WalReplays
-	r.PagesTorn = now.PagesTorn - stc.base.PagesTorn
+	r.TailDiscarded = now.TailDiscarded - stc.base.TailDiscarded
 	r.SnapshotReads = now.SnapshotReads - stc.base.SnapshotReads
+	r.FileBytes = now.FileBytes
 	return &r
 }
 
@@ -342,7 +332,7 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 // family (the `meissa store info` view).
 type StoreStatus struct {
 	Path         string
-	PageSize     int
+	FileBytes    uint64
 	Txid         uint64
 	Family       uint64 // family fingerprint (rules excluded)
 	Fingerprint  uint64 // full journal fingerprint (rules included)
@@ -369,7 +359,7 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 	defer stc.release()
 	st := &StoreStatus{
 		Path:        stc.st.Path(),
-		PageSize:    stc.st.PageSize(),
+		FileBytes:   stc.st.Stats().FileBytes,
 		Txid:        stc.st.Txid(),
 		Family:      stc.fam,
 		Fingerprint: stc.sysFP,

@@ -17,7 +17,9 @@ import (
 
 	meissa "repro"
 	"repro/internal/cfg"
+	"repro/internal/journal"
 	"repro/internal/programs"
+	"repro/internal/regress"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
 	"repro/internal/smt"
@@ -333,7 +335,7 @@ func TestStoreWarmParallel(t *testing.T) {
 // TestPersistenceWritesOnlyNamedFiles: a run keeps its verdicts in one
 // in-memory table, so a store-only generation (cold and warm), a Regress
 // and a RegressStore create no file but the ones the caller named (and
-// the store's own -wal and -lock beside it) — checked on every explored
+// the store's own -lock beside it) — checked on every explored
 // path as well as afterwards, with TMPDIR pointed at a directory that
 // must stay empty.
 func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
@@ -344,7 +346,7 @@ func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
 	}
 	work, tmp := t.TempDir(), t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	named := map[string]bool{"verdicts.store": true, "verdicts.store-wal": true, "verdicts.store-lock": true,
+	named := map[string]bool{"verdicts.store": true, "verdicts.store-lock": true,
 		"base.journal": true, "next.journal": true}
 	step := ""
 	reported := false
@@ -455,5 +457,112 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 				t.Fatalf("rejected run left %d file(s) behind, first %s", len(ents), ents[0].Name())
 			}
 		})
+	}
+}
+
+// TestStoreFileSizeGates: the store file's size is a counted property of
+// what it holds, gated without a clock. Cold, it is no larger than 1.5
+// times its own export as a checkpoint journal (the log frames each
+// verdict once, tags inline, where a journal frames it twice); a warm run
+// leaves it byte for byte alone; and a one-entry rule update appends no
+// more than the frames of the records it reports committed, one rules
+// text, one tombstone, a family scope and a commit marker.
+func TestStoreFileSizeGates(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	dir := t.TempDir()
+	spath := filepath.Join(dir, "verdicts.store")
+	size := func(path string) int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	records := func() map[[2]uint64]journal.Record {
+		t.Helper()
+		st, err := store.Open(spath, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		opts := meissa.DefaultOptions()
+		opts.Store = st
+		sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, err := sys.StoreStatus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[[2]uint64]journal.Record{}
+		st.Snapshot().Records(status.Family, func(r journal.Record) bool {
+			out[[2]uint64{uint64(r.Kind), r.Key}] = r
+			return true
+		})
+		return out
+	}
+
+	cold := generateStore(t, p, nil, spath, nil)
+	if got := int64(cold.Store.FileBytes); got != size(spath) {
+		t.Fatalf("report says file_bytes %d, the file has %d", got, size(spath))
+	}
+	exported := filepath.Join(dir, "exported.journal")
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1 // sequential runs keep no solver cache, whose entries a commit would add
+	opts.StorePath = spath
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.StoreExport(exported); err != nil {
+		t.Fatal(err)
+	}
+	if st, j := size(spath), size(exported); 2*st > 3*j {
+		t.Fatalf("cold store file is %d bytes, its exported journal %d: more than 1.5x", st, j)
+	}
+
+	before := size(spath)
+	warm := generateStore(t, p, nil, spath, nil)
+	if warm.Store.Commits != 0 || size(spath) != before {
+		t.Fatalf("warm run: %d commits, file %d -> %d bytes", warm.Store.Commits, before, size(spath))
+	}
+
+	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	if n == 0 {
+		t.Fatal("nothing to mutate")
+	}
+	old := records()
+	res, err := meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: newRules, Opts: opts, Program: p.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What the update committed: every record the store holds now that is
+	// not a record the tombstone left standing.
+	invalid := rulediff.Diff(p.Rules, newRules).InvalidTags()
+	stale := rulediff.Matcher(invalid)
+	committed, framed := uint64(0), int64(0)
+	for k, r := range records() {
+		frame := journal.MarshalRecord(r)
+		if was, ok := old[k]; ok && !regress.Invalidated(was, stale) && bytes.Equal(journal.MarshalRecord(was), frame) {
+			continue
+		}
+		committed++
+		framed += int64(len(frame))
+	}
+	rep := res.Gen.Store
+	if committed != rep.Committed || rep.Committed == 0 {
+		t.Fatalf("the update put %d records into the store, the run reports %d committed", committed, rep.Committed)
+	}
+	tombstone := journal.MarshalRecord(journal.Record{Tables: invalid})
+	const frame, scopeAndMarker = 8, 2 * (8 + 1 + 8)
+	bound := framed + int64(frame+1+len(newRules.String())) + int64(len(tombstone)) + scopeAndMarker
+	if grew := size(spath) - before; grew <= 0 || grew > bound {
+		t.Fatalf("a one-entry update grew the file by %d bytes; %d committed records frame to %d, the bound is %d",
+			grew, committed, framed, bound)
+	}
+	if int64(rep.FileBytes) != size(spath) {
+		t.Fatalf("report says file_bytes %d, the file has %d", rep.FileBytes, size(spath))
 	}
 }
