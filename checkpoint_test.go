@@ -396,67 +396,3 @@ func TestBudgetSupersetRouter(t *testing.T) {
 			limited.SMTUnknowns, limited.SMTBudgetExhausted)
 	}
 }
-
-// TestCompactResumeByteIdentical: compacting a journal polluted with
-// superseded duplicates must not change what a resume derives — the
-// resumed run re-emits byte-identical templates entirely from the
-// journal, with zero live solver queries.
-func TestCompactResumeByteIdentical(t *testing.T) {
-	p := corpusProgram(t, "Router")
-	jpath := filepath.Join(t.TempDir(), "ck.journal")
-	clean := generateCheckpoint(t, p, jpath, false)
-
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.Checkpoint = jpath
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := sys.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pollute the journal with superseded re-appends of its own records
-	// (what repeated kill/resume cycles accumulate).
-	j, err := journal.Open(jpath, fp, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := j.Records()
-	if len(recs) < 4 {
-		t.Fatalf("journal too small to pollute: %d records", len(recs))
-	}
-	for _, r := range recs[:4] {
-		if err := j.AppendWithDeps(r, r.Tables); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	kept, dropped, err := journal.Compact(jpath, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped == 0 {
-		t.Fatal("compaction dropped nothing despite injected duplicates")
-	}
-	if kept == 0 {
-		t.Fatal("compaction kept nothing")
-	}
-
-	resumed := generateCheckpoint(t, p, jpath, true)
-	if renderTemplates(resumed.Templates) != renderTemplates(clean.Templates) {
-		t.Fatal("resume from compacted journal diverged from the clean run")
-	}
-	if resumed.SMTCalls != 0 {
-		t.Fatalf("resume from a complete compacted journal made %d live solver calls, want 0", resumed.SMTCalls)
-	}
-	if resumed.JournalHits == 0 || resumed.JournalHits < clean.SMTCalls {
-		t.Fatalf("journal hits %d < clean run's %d solver calls: compaction lost records",
-			resumed.JournalHits, clean.SMTCalls)
-	}
-}

@@ -244,8 +244,8 @@ func cmdGen(args []string) error {
 		}
 	}
 	if st := gen.Store; st != nil {
-		fmt.Printf("  store: %d verdicts warmed, %d cache entries seeded, %d invalidated by rule delta, %d committed (%d duplicates)\n",
-			st.Warmed, st.CacheSeeded, st.Invalidated, st.Committed, st.Duplicates)
+		fmt.Printf("  store: %d verdicts warmed, %d invalidated by rule delta, %d committed (%d duplicates)\n",
+			st.Warmed, st.Invalidated, st.Committed, st.Duplicates)
 	}
 	if gen.Recovered > 0 {
 		fmt.Printf("  WARNING: %d path(s) panicked and were skipped:\n", gen.Recovered)

@@ -215,8 +215,8 @@ func cmdCheckMetrics(args []string) error {
 		}
 	}
 	if st := rep.Store; st != nil {
-		fmt.Printf("  store warmed=%d cache_seeded=%d invalidated=%d committed=%d cache_committed=%d duplicates=%d\n",
-			st.Warmed, st.CacheSeeded, st.Invalidated, st.Committed, st.CacheCommitted, st.Duplicates)
+		fmt.Printf("  store warmed=%d invalidated=%d committed=%d duplicates=%d\n",
+			st.Warmed, st.Invalidated, st.Committed, st.Duplicates)
 		fmt.Printf("  store txns=%d tail_discarded=%d snapshot_reads=%d file_bytes=%d\n",
 			st.Commits, st.TailDiscarded, st.SnapshotReads, st.FileBytes)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
-	"repro/internal/smt"
 )
 
 // cmdRegress runs rule-diff-driven incremental regression testing: given
@@ -75,11 +74,6 @@ func cmdRegress(args []string) error {
 
 	opts := gf.options()
 	opts.Checkpoint = ckpt
-	if *watch {
-		// One verdict cache survives the whole watch session; each
-		// iteration invalidates only the changed branches.
-		opts.VerdictCache = smt.NewVerdictCache()
-	}
 
 	runOnce := func(old, new *rules.Set, base, ckpt string) (*meissa.RegressResult, error) {
 		o := opts

@@ -53,8 +53,8 @@ func cmdStore(args []string) error {
 			fmt.Println("  family not present (cold store for this program/options)")
 			return nil
 		}
-		fmt.Printf("  records %d, cache entries %d, rules hash %016x (%d bytes of rules text)\n",
-			st.Records, st.CacheEntries, st.RulesHash, len(st.Rules))
+		fmt.Printf("  records %d, rules hash %016x (%d bytes of rules text)\n",
+			st.Records, st.RulesHash, len(st.Rules))
 		return nil
 
 	case "import":

@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/rules"
-	"repro/internal/smt"
 	"repro/internal/spec"
 	"repro/internal/store"
 )
@@ -59,19 +58,16 @@ type Config struct {
 	SlowRequest time.Duration
 }
 
-// family is one loaded program family: the parsed inputs plus the warm
-// in-memory state (the shared solver-verdict cache) that makes repeat
-// requests cheap. The scheduler serializes all requests touching one
-// family, so fields need no lock of their own.
+// family is one loaded program family: its parsed inputs and request
+// counters. What makes a repeat request cheap is not kept here: the open
+// store holds the family's verdicts, decoded once. The scheduler
+// serializes all requests touching one family, so fields need no lock of
+// their own.
 type family struct {
 	name  string
 	prog  *p4.Program
 	rules *rules.Set
 	specs []*spec.Spec
-	// cache is the family's persistent solver-verdict cache, seeded by
-	// store warming on the first run and kept warm across requests.
-	// Sharded runs bypass it (the plan must stay shard-eligible).
-	cache *smt.VerdictCache
 
 	gens      atomic.Uint64
 	regresses atomic.Uint64
@@ -340,8 +336,8 @@ func (d *Daemon) lookup(name string) (*family, error) {
 }
 
 // handleLoad parses the request's source texts and installs (or
-// replaces) the family with a fresh verdict cache. The store is not
-// touched: warming happens lazily on the family's first gen.
+// replaces) the family. The store is not touched: warming happens lazily
+// on the family's first gen.
 func (d *Daemon) handleLoad(req *Request, resp *Response) error {
 	if req.Program == "" {
 		return fmt.Errorf("load: missing program text")
@@ -373,7 +369,7 @@ func (d *Daemon) handleLoad(req *Request, resp *Response) error {
 		return err
 	}
 	defer release()
-	fam := &family{name: name, prog: prog, rules: rs, specs: specs, cache: smt.NewVerdictCache()}
+	fam := &family{name: name, prog: prog, rules: rs, specs: specs}
 	d.mu.Lock()
 	_, replaced := d.families[name]
 	d.families[name] = fam
@@ -423,11 +419,7 @@ func (d *Daemon) handleGen(req *Request, resp *Response) error {
 	opts.SolverCheckTimeout = time.Duration(params.SolverTimeoutNS)
 	opts.Store = d.st
 	if params.Workers > 1 {
-		// Sharded runs skip the family cache: a non-nil VerdictCache
-		// disqualifies the shard plan.
 		opts.ShardWorkers = params.Workers
-	} else {
-		opts.VerdictCache = fam.cache
 	}
 
 	sys, err := meissa.New(fam.prog, rs, fam.specs, opts)
@@ -474,8 +466,7 @@ func (d *Daemon) handleGen(req *Request, resp *Response) error {
 // handleRegress applies an inline rule delta as one incremental
 // regression against the store: stored rules are the baseline, the new
 // rules and surviving verdicts commit back in one atomic transaction,
-// and the family's in-memory rule set and verdict cache advance with
-// it.
+// and the family's in-memory rule set advances with it.
 func (d *Daemon) handleRegress(req *Request, resp *Response) error {
 	fam, err := d.lookup(req.Family)
 	if err != nil {
@@ -502,9 +493,6 @@ func (d *Daemon) handleRegress(req *Request, resp *Response) error {
 	opts.CodeSummary = !params.NoSummary
 	opts.Parallelism = params.Parallel
 	opts.Store = d.st
-	// The family cache rides along as the watch-mode cache: RegressStore
-	// invalidates the delta's tags in it and seeds it for the next run.
-	opts.VerdictCache = fam.cache
 	res, err := meissa.RegressStore(meissa.RegressInput{
 		Prog:     fam.prog,
 		NewRules: newRules,

@@ -15,6 +15,7 @@ import (
 
 	meissa "repro"
 	"repro/internal/cfg"
+	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/programs"
 	"repro/internal/rulediff"
@@ -208,19 +209,28 @@ func TestDaemonWarmGenByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDaemonWarmRequestCommitsNothing: a warm request re-writes none of the
-// family's solver-cache entries — neither on the resident cache that
-// committed them (the second request) nor on one seeded from the store (the
-// first request after a restart) — so its store-commit phase is a no-op and
-// the store file stays byte for byte what the cold request left.
+// TestDaemonWarmRequestCommitsNothing: a warm request — the second one, and
+// the first one after a restart — commits no record and no transaction, so
+// its store-commit phase is a no-op and the store file stays byte for byte
+// what the cold request left. The cold request runs at Parallel 1: a
+// sequential request keeps no solver-verdict memo, in the daemon as in the
+// CLI, so none of its checks is a memo hit.
 func TestDaemonWarmRequestCommitsNothing(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	spath := filepath.Join(t.TempDir(), "d.store")
 	d, c := startDaemon(t, Config{StorePath: spath})
 	loadFamily(t, c, p, "t1")
-	cold := doGen(t, c, p.Name, "t1")
-	if st := cold.Report.Store; st == nil || st.CacheCommitted == 0 || st.Commits == 0 {
-		t.Fatalf("cold request committed no solver-cache entries (%+v); the test would say nothing", st)
+	resp, err := c.Do(&Request{Op: OpGen, Tenant: "t1", Family: p.Name, Gen: &GenParams{Parallel: 1}})
+	if err != nil || !resp.OK {
+		t.Fatalf("cold gen: %v %+v", err, resp)
+	}
+	cold := resp.Gen
+	if st := cold.Report.Store; st == nil || st.Committed == 0 || st.Commits == 0 {
+		t.Fatalf("cold request committed nothing (%+v); the test would say nothing", st)
+	}
+	if sr := cold.Report.Solver; sr.Solved == 0 || sr.Outcomes[obs.OutcomeCacheHit] != 0 {
+		t.Errorf("cold request at Parallel 1: %d checks solved, %d answered by a verdict memo; want none by a memo",
+			sr.Solved, sr.Outcomes[obs.OutcomeCacheHit])
 	}
 	populated, err := os.ReadFile(spath)
 	if err != nil {
@@ -232,14 +242,15 @@ func TestDaemonWarmRequestCommitsNothing(t *testing.T) {
 		if !gen.WarmHit || st == nil {
 			t.Fatalf("%s: not a warm hit (smt=%d, store %+v)", what, gen.SMTCalls, st)
 		}
-		if st.CacheCommitted != 0 || st.Committed != 0 || st.Commits != 0 {
-			t.Errorf("%s: cache_committed %d, committed %d, commits %d; want 0, 0, 0", what, st.CacheCommitted, st.Committed, st.Commits)
+		if st.Warmed != cold.Report.Store.Committed || st.Committed != 0 || st.Commits != 0 {
+			t.Errorf("%s: warmed %d of %d, committed %d, commits %d; want all, 0, 0",
+				what, st.Warmed, cold.Report.Store.Committed, st.Committed, st.Commits)
 		}
 		if now, err := os.ReadFile(spath); err != nil || !bytes.Equal(now, populated) {
 			t.Errorf("%s: the store file changed (read error %v)", what, err)
 		}
 	}
-	checkNoCommit("second request, resident cache", doGen(t, c, p.Name, "t1"))
+	checkNoCommit("second request", doGen(t, c, p.Name, "t1"))
 
 	_ = c.Close()
 	if err := d.Shutdown(); err != nil {
@@ -247,11 +258,7 @@ func TestDaemonWarmRequestCommitsNothing(t *testing.T) {
 	}
 	_, c = startDaemon(t, Config{StorePath: spath})
 	loadFamily(t, c, p, "t1")
-	first := doGen(t, c, p.Name, "t1")
-	if first.Report.Store == nil || first.Report.Store.CacheSeeded != cold.Report.Store.CacheCommitted {
-		t.Errorf("restarted daemon seeded its cache with %+v, the store holds %d entries", first.Report.Store, cold.Report.Store.CacheCommitted)
-	}
-	checkNoCommit("first request after a restart, seeded cache", first)
+	checkNoCommit("first request after a restart", doGen(t, c, p.Name, "t1"))
 }
 
 // TestDaemonSurvivesStrictPanic: a strict gen whose exploration panics

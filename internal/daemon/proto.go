@@ -2,10 +2,9 @@
 // `meissa serve`: one process that owns the open verdict store and an
 // in-memory registry of loaded program families, answering generation
 // and regression requests from many tenants over a line-delimited-JSON
-// API. Warm state — the family's seeded verdict cache plus the store's
-// journaled verdicts — makes a repeat request for an unchanged family
-// complete with zero live solver queries, byte-identical to a cold CLI
-// run.
+// API. Warm state — the open store's verdict records, decoded once —
+// makes a repeat request for an unchanged family complete with zero live
+// solver queries, byte-identical to a cold CLI run.
 package daemon
 
 import (
@@ -57,8 +56,7 @@ type GenParams struct {
 	SolverBudget    int   `json:"solver_budget,omitempty"`
 	SolverTimeoutNS int64 `json:"solver_timeout_ns,omitempty"`
 	// Workers > 1 shards the final pass across subprocess workers (one
-	// coordinator at a time, capped by the scheduler). Sharded runs skip
-	// the family verdict cache so the plan stays shard-eligible.
+	// coordinator at a time, capped by the scheduler).
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -25,8 +25,8 @@ type ticket struct {
 //     owns subprocess slots and the shared ready-timeout budget, so the
 //     daemon serializes them rather than letting tenants oversubscribe
 //     the machine);
-//   - at most one request per family executes at a time, so per-family
-//     store transactions and verdict-cache mutation never interleave.
+//   - at most one request per family executes at a time, so one request's
+//     warm read, run and store commit never interleave with another's.
 //
 // Admission is least-recently-granted across tenants: each grant
 // stamps the tenant with a logical clock, and dispatch always offers

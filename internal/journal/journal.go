@@ -38,7 +38,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,7 +132,6 @@ type Journal struct {
 	mirror func(Record)
 
 	loaded   int // verdict records put into the index: recovered at Open, seeded, adopted
-	scanned  int // total non-header records scanned, including duplicates and index records
 	appended atomic.Uint64
 }
 
@@ -220,7 +218,6 @@ func (j *Journal) load(fingerprint uint64) (int64, error) {
 			// appended in the same write as its verdict, so it always
 			// follows it; an orphan index (verdict superseded later in the
 			// file) is simply dropped.
-			j.scanned++
 			k := mapKey{Kind(rec.Verdict), rec.Key}
 			if vr, ok := j.seen[k]; ok {
 				vr.Tables = rec.Tables
@@ -229,7 +226,6 @@ func (j *Journal) load(fingerprint uint64) (int64, error) {
 			}
 		} else {
 			j.Seed(rec)
-			j.scanned++
 		}
 		off += int64(n)
 	}
@@ -364,83 +360,6 @@ func Canonical(recs []Record) []Record {
 		t.seen[mapKey{r.Kind, r.Key}] = r
 	}
 	return t.Records()
-}
-
-// Compact rewrites a closed checkpoint file keeping only the live
-// records: one verdict (plus its index, when present) per (kind, key),
-// last-wins, in canonical (kind, key) order. Superseded duplicates and
-// orphaned index records are dropped. The rewrite goes through a
-// temporary file and an atomic rename, with the temp file fsynced before
-// the rename and the parent directory fsynced after it — so a crash at
-// any instant (including a machine crash that drops the page cache)
-// leaves either the complete original or the complete compacted journal,
-// never a short rename target. A stale temp file from a previously
-// crashed compaction is overwritten. Returns the records kept and
-// dropped; compacting an already-compact journal is a deterministic
-// no-op (the output bytes are a fixpoint).
-func Compact(path string, fingerprint uint64) (kept, dropped int, err error) {
-	j, err := Open(path, fingerprint, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	recs := j.Records()
-	scanned := j.scanned
-	if err := j.Close(); err != nil {
-		return 0, 0, fmt.Errorf("journal: compact close: %w", err)
-	}
-
-	tmp := path + ".compact"
-	out, err := Open(tmp, fingerprint, false)
-	if err != nil {
-		return 0, 0, fmt.Errorf("journal: compact create: %w", err)
-	}
-	// The temp file's bytes must be durable BEFORE the rename makes it the
-	// journal: rename-then-crash with an unsynced target can surface as an
-	// empty or short file, destroying the only copy of the records.
-	err = out.Adopt(recs)
-	if err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, 0, fmt.Errorf("journal: compact rewrite: %w", err)
-	}
-	// Persist the rename itself: the directory entry is metadata of the
-	// parent, not of either file.
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return 0, 0, fmt.Errorf("journal: compact dir sync: %w", err)
-	}
-	written := len(recs)
-	for _, r := range recs {
-		if r.Indexed {
-			written++
-		}
-	}
-	dropped = scanned - written
-	mRecordsCompacted.Add(uint64(dropped))
-	obs.RecordFlight(obs.FlightJournalCompact, uint64(written), uint64(dropped), 0)
-	return written, dropped, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a machine
-// crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
 }
 
 // ReadRecords opens a checkpoint read-only and returns its deduplicated

@@ -317,144 +317,6 @@ func TestRecordsCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestCompact: superseded duplicates and orphaned index records are
-// dropped, every live verdict (with annotations) survives, and a second
-// compaction is a byte-identical fixpoint.
-func TestCompact(t *testing.T) {
-	path := tmpFile(t)
-	j, err := Open(path, 0x11, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Key 1: three generations, only the last (with index) must survive.
-	j.Append(Record{Kind: KindCheck, Key: 1, Verdict: Sat})
-	j.AppendWithDeps(Record{Kind: KindCheck, Key: 1, Verdict: Unknown}, []string{"old#f"})
-	j.AppendWithDeps(Record{Kind: KindCheck, Key: 1, Verdict: Unsat}, []string{"t1#a", "t2"})
-	// Key 2: plain, never superseded.
-	j.Append(Record{Kind: KindEmit, Key: 2, Verdict: Sat, Model: []VarVal{{"v", 3}}})
-	j.Close()
-
-	kept, dropped, err := Compact(path, 0x11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Live: check@1 + its index + emit@2 = 3; dropped: 2 stale verdicts +
-	// 1 orphaned index = 3.
-	if kept != 3 || dropped != 3 {
-		t.Fatalf("kept=%d dropped=%d, want 3/3", kept, dropped)
-	}
-
-	r, err := Open(path, 0x11, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Loaded() != 2 {
-		t.Fatalf("loaded %d after compact, want 2", r.Loaded())
-	}
-	chk, ok := r.Lookup(KindCheck, 1)
-	if !ok || chk.Verdict != Unsat || !chk.Indexed || len(chk.Tables) != 2 || chk.Tables[0] != "t1#a" {
-		t.Fatalf("compacted record lost data: %+v", chk)
-	}
-	em, ok := r.Lookup(KindEmit, 2)
-	if !ok || em.Indexed || em.Model[0].Val != 3 {
-		t.Fatalf("compacted plain record: %+v", em)
-	}
-	r.Close()
-
-	before, _ := os.ReadFile(path)
-	kept2, dropped2, err := Compact(path, 0x11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, _ := os.ReadFile(path)
-	if dropped2 != 0 || kept2 != kept || string(before) != string(after) {
-		t.Fatalf("compaction is not a fixpoint: kept=%d dropped=%d bytes %d->%d",
-			kept2, dropped2, len(before), len(after))
-	}
-}
-
-// TestCompactFingerprintMismatch: compacting someone else's journal is
-// refused, and the file is left untouched.
-func TestCompactFingerprintMismatch(t *testing.T) {
-	path := tmpFile(t)
-	j, err := Open(path, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append(Record{Kind: KindCheck, Key: 1, Verdict: Sat})
-	j.Close()
-	before, _ := os.ReadFile(path)
-	if _, _, err := Compact(path, 2); err == nil {
-		t.Fatal("fingerprint mismatch accepted")
-	}
-	after, _ := os.ReadFile(path)
-	if string(before) != string(after) {
-		t.Fatal("failed compaction modified the journal")
-	}
-}
-
-// TestCompactTornRewriteRecovery: a crash mid-compaction leaves a
-// partial temp file next to an intact journal. Because Compact writes
-// to <path>.compact and renames only after fsync, the original is never
-// touched by the torn attempt: it must still load in full, and a retry
-// must succeed despite (and clean up) the stale temp.
-func TestCompactTornRewriteRecovery(t *testing.T) {
-	path := tmpFile(t)
-	j, err := Open(path, 0x77, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append(Record{Kind: KindCheck, Key: 10, Verdict: Unsat})
-	j.Append(Record{Kind: KindCheck, Key: 10, Verdict: Sat}) // supersedes
-	j.AppendWithDeps(Record{Kind: KindEmit, Key: 20, Verdict: Sat, Model: []VarVal{{"x", 7}}}, []string{"acl#1"})
-	j.Close()
-
-	// Crash simulation: a half-written rewrite died before the rename.
-	tmp := path + ".compact"
-	if err := os.WriteFile(tmp, []byte("torn partial compaction garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The journal itself is unharmed — the torn attempt never renamed.
-	r, err := Open(path, 0x77, true)
-	if err != nil {
-		t.Fatalf("journal unreadable after torn compaction: %v", err)
-	}
-	if v, ok := r.Lookup(KindCheck, 10); !ok || v.Verdict != Sat {
-		t.Fatalf("journal content damaged by torn compaction: %+v ok=%v", v, ok)
-	}
-	if _, ok := r.Lookup(KindEmit, 20); !ok {
-		t.Fatal("emit record missing after torn compaction")
-	}
-	r.Close()
-
-	// Retrying compaction must shrug off the stale temp file.
-	kept, dropped, err := Compact(path, 0x77)
-	if err != nil {
-		t.Fatalf("Compact with stale temp file: %v", err)
-	}
-	if kept != 3 || dropped != 1 { // check@10 + emit@20 + its index; stale check dropped
-		t.Fatalf("kept=%d dropped=%d, want 3/1", kept, dropped)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("stale temp file survived compaction: %v", err)
-	}
-
-	r2, err := Open(path, 0x77, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	chk, ok := r2.Lookup(KindCheck, 10)
-	if !ok || chk.Verdict != Sat {
-		t.Fatalf("verdict lost across recovery: %+v", chk)
-	}
-	em, ok := r2.Lookup(KindEmit, 20)
-	if !ok || em.Model[0].Val != 7 || len(em.Tables) != 1 {
-		t.Fatalf("annotated record lost across recovery: %+v", em)
-	}
-}
-
 // TestSeedAndAdoptMatchLoad: records put into the index directly answer
 // exactly like the same records loaded from a file. Seed never touches
 // the file; Adopt leaves in it the bytes AppendWithDeps would have.

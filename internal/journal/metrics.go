@@ -15,7 +15,4 @@ var (
 
 	// mRecordsLoaded counts intact records recovered at Open on a resume.
 	mRecordsLoaded = obs.GetCounter("journal.records_loaded")
-
-	// mRecordsCompacted counts superseded records dropped by Compact.
-	mRecordsCompacted = obs.GetCounter("journal.records_compacted")
 )

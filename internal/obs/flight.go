@@ -50,6 +50,8 @@ const (
 	// Journal activity. A = record count where meaningful.
 	FlightJournalOpen
 	FlightJournalSync
+	// FlightJournalCompact is no longer recorded; it keeps its number
+	// because a flight file records kinds by number.
 	FlightJournalCompact
 	// FlightStoreCommit: a store transaction committed. A = txid, B = the file's bytes after it.
 	FlightStoreCommit

@@ -249,21 +249,16 @@ type StoreReport struct {
 	// Path is the store file.
 	Path string `json:"path,omitempty"`
 	// Warmed counts records the store put into the run's verdict table
-	// before exploration; CacheSeeded counts solver-cache entries refilled
-	// from the store's persisted cache.
-	Warmed      uint64 `json:"warmed"`
-	CacheSeeded uint64 `json:"cache_seeded,omitempty"`
-	// Invalidated counts store entries retired by rule-delta
-	// reconciliation (records plus cache entries).
+	// before exploration.
+	Warmed uint64 `json:"warmed"`
+	// Invalidated counts records retired by rule-delta reconciliation.
 	Invalidated uint64 `json:"invalidated,omitempty"`
 	// Committed counts new records folded into the store by this run;
-	// CacheCommitted counts solver-cache entries persisted; Duplicates
-	// counts the run's records the store already held — the warmed ones,
-	// and any other found byte-identical at commit (a fully-warmed re-run
-	// is all duplicates).
-	Committed      uint64 `json:"committed"`
-	CacheCommitted uint64 `json:"cache_committed,omitempty"`
-	Duplicates     uint64 `json:"duplicates,omitempty"`
+	// Duplicates counts the run's records the store already held — the
+	// warmed ones, and any other found byte-identical at commit (a
+	// fully-warmed re-run is all duplicates).
+	Committed  uint64 `json:"committed"`
+	Duplicates uint64 `json:"duplicates,omitempty"`
 	// Engine activity for this run: transactions committed, bytes of
 	// uncommitted tail the run's own open of the store dropped (crash
 	// recovery; zero when the caller owns the open store), records read
@@ -473,8 +468,8 @@ func (r *Report) Validate() error {
 				return fmt.Errorf("obs: store warmed %d records with zero snapshot reads", st.Warmed)
 			}
 		}
-		if st.Committed+st.CacheCommitted+st.Invalidated > 0 && st.Commits == 0 {
-			return fmt.Errorf("obs: store committed/invalidated entries without a store transaction")
+		if st.Committed+st.Invalidated > 0 && st.Commits == 0 {
+			return fmt.Errorf("obs: store committed/invalidated records without a store transaction")
 		}
 		if st.Commits > 0 && st.FileBytes == 0 {
 			return fmt.Errorf("obs: store committed %d transactions into a file of no bytes", st.Commits)

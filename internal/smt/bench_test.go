@@ -62,7 +62,7 @@ func BenchmarkCheckBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res = s.CheckBatch(conds, res, nil)
+				res = s.CheckBatch(conds, res)
 			}
 		})
 	}
@@ -131,7 +131,7 @@ func TestSteadyStateAllocsCheckBatch(t *testing.T) {
 	benchPrefix(s)
 	conds := benchSiblings(8)
 	var res []Result
-	sweep := func() { res = s.CheckBatch(conds, res, nil) }
+	sweep := func() { res = s.CheckBatch(conds, res) }
 	sweep() // warm scratch buffers and memo caches
 	if avg := testing.AllocsPerRun(100, sweep); avg != 0 {
 		t.Errorf("steady-state CheckBatch allocates %.2f allocs/op, want 0", avg)
@@ -157,7 +157,7 @@ func TestBatchMatchesSequentialQueries(t *testing.T) {
 
 		s := New(DefaultOptions())
 		benchPrefix(s)
-		got := s.CheckBatch(conds, nil, nil)
+		got := s.CheckBatch(conds, nil)
 		for i := range conds {
 			if got[i] != want[i] {
 				t.Errorf("k=%d sibling %d: batch=%s per-query=%s", k, i, got[i], want[i])

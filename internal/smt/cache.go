@@ -8,13 +8,16 @@ import (
 	"repro/internal/expr"
 )
 
-// VerdictCache memoizes satisfiability verdicts across solvers. It is
-// keyed by a normalized hash of the asserted condition set, so solvers
-// replaying the same path-prefix conjunction in any assertion order (and
-// any Push/Pop frame partitioning) hit the same entry. The parallel
-// exploration engine shares one cache among all workers: sibling path
-// suffixes re-derive the same infeasible prefixes, and the cache turns
-// those repeated Unsat proofs into lookups (counted in Stats.CacheHits).
+// VerdictCache memoizes satisfiability verdicts across the solvers of one
+// generation: an in-memory memo that lives as long as the run that made it
+// and is never persisted (a verdict that outlives a run is a journal
+// record). It is keyed by a normalized hash of the asserted condition set,
+// so solvers replaying the same path-prefix conjunction in any assertion
+// order (and any Push/Pop frame partitioning) hit the same entry. The
+// parallel exploration engine shares one cache among all workers and
+// passes: sibling path suffixes re-derive the same infeasible prefixes, and
+// the cache turns those repeated Unsat proofs into lookups (counted in
+// Stats.CacheHits).
 //
 // The cache is sharded and lock-striped: the key's low bits select one of
 // cacheShards independently-locked maps, so concurrent workers rarely
@@ -35,11 +38,10 @@ import (
 type VerdictCache struct {
 	shards [cacheShards]cacheShard
 
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	stores      atomic.Uint64
-	rejects     atomic.Uint64
-	invalidated atomic.Uint64
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	stores  atomic.Uint64
+	rejects atomic.Uint64
 }
 
 // CacheStats is a snapshot of the cross-worker cache counters.
@@ -49,9 +51,6 @@ type CacheStats struct {
 	// Stores counts verdicts inserted; Rejects counts verdicts dropped
 	// because the shard was at capacity (or the verdict was Unknown).
 	Stores, Rejects uint64
-	// Invalidated counts verdicts evicted by tag (Invalidate) — the
-	// rule-update invalidation path of incremental regression runs.
-	Invalidated uint64
 }
 
 // Stats returns a snapshot of the shared counters. Safe to call
@@ -59,11 +58,10 @@ type CacheStats struct {
 // so the snapshot is only per-counter consistent (fine for reporting).
 func (c *VerdictCache) Stats() CacheStats {
 	return CacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Stores:      c.stores.Load(),
-		Rejects:     c.rejects.Load(),
-		Invalidated: c.invalidated.Load(),
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Stores:  c.stores.Load(),
+		Rejects: c.rejects.Load(),
 	}
 }
 
@@ -75,20 +73,7 @@ const cacheShardCap = 1 << 14
 
 type cacheShard struct {
 	mu sync.Mutex
-	m  map[condKey]cached
-	// byTag is the inverse dependency index: tag ID → keys stored under
-	// that tag, making Invalidate O(affected entries) instead of a full
-	// scan. Lists may hold keys already evicted (rejects never index, but
-	// two tags can list one key); Invalidate tolerates missing keys.
-	byTag map[uint64][]condKey
-}
-
-// cached is one verdict and whether a persistent store still lacks it:
-// pending is set by store, never by Seed, and cleared once an export has
-// been committed (ExportPending).
-type cached struct {
-	r       Result
-	pending bool
+	m  map[condKey]Result
 }
 
 // condKey is an order-independent digest of a constraint multiset: the sum
@@ -104,7 +89,7 @@ type condKey struct {
 func NewVerdictCache() *VerdictCache {
 	c := &VerdictCache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[condKey]cached)
+		c.shards[i].m = make(map[condKey]Result)
 	}
 	return c
 }
@@ -116,7 +101,7 @@ func (c *VerdictCache) shard(k condKey) *cacheShard {
 func (c *VerdictCache) lookup(k condKey) (Result, bool) {
 	sh := c.shard(k)
 	sh.mu.Lock()
-	e, ok := sh.m[k]
+	r, ok := sh.m[k]
 	sh.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
@@ -124,10 +109,10 @@ func (c *VerdictCache) lookup(k condKey) (Result, bool) {
 		c.misses.Add(1)
 		mCacheMisses.Inc()
 	}
-	return e.r, ok
+	return r, ok
 }
 
-func (c *VerdictCache) store(k condKey, r Result, tags []uint64) {
+func (c *VerdictCache) store(k condKey, r Result) {
 	if r == Unknown {
 		c.rejects.Add(1)
 		mCacheReject.Inc()
@@ -137,15 +122,7 @@ func (c *VerdictCache) store(k condKey, r Result, tags []uint64) {
 	sh.mu.Lock()
 	stored := len(sh.m) < cacheShardCap
 	if stored {
-		sh.m[k] = cached{r: r, pending: true}
-		if len(tags) > 0 {
-			if sh.byTag == nil {
-				sh.byTag = make(map[uint64][]condKey)
-			}
-			for _, t := range tags {
-				sh.byTag[t] = append(sh.byTag[t], k)
-			}
-		}
+		sh.m[k] = r
 	}
 	sh.mu.Unlock()
 	if stored {
@@ -155,47 +132,6 @@ func (c *VerdictCache) store(k condKey, r Result, tags []uint64) {
 		c.rejects.Add(1)
 		mCacheReject.Inc()
 	}
-}
-
-// TagID hashes a dependency tag name (a table name or a rules.DepTag
-// string) to the cache's tag-ID space (FNV-1a).
-func TagID(name string) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(name))
-	return f.Sum64()
-}
-
-// Invalidate evicts every cached verdict stored under any of the given
-// tag IDs, returning the number of entries removed. Cost is proportional
-// to the affected entries (each shard consults only its inverse index),
-// not to the cache size — the O(affected) property a one-entry rule
-// update needs. Safe for concurrent use, but callers normally quiesce
-// exploration first: invalidating mid-run only loses cache hits.
-func (c *VerdictCache) Invalidate(tags []uint64) int {
-	removed := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, t := range tags {
-			keys, ok := sh.byTag[t]
-			if !ok {
-				continue
-			}
-			for _, k := range keys {
-				if _, present := sh.m[k]; present {
-					delete(sh.m, k)
-					removed++
-				}
-			}
-			delete(sh.byTag, t)
-		}
-		sh.mu.Unlock()
-	}
-	if removed > 0 {
-		c.invalidated.Add(uint64(removed))
-		mCacheInvalidated.Add(uint64(removed))
-	}
-	return removed
 }
 
 // Len returns the number of cached verdicts (for tests and debugging).

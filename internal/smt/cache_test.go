@@ -15,8 +15,8 @@ func TestVerdictCacheStoreLookup(t *testing.T) {
 	if _, ok := c.lookup(k1); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.store(k1, Sat, nil)
-	c.store(k2, Unsat, nil)
+	c.store(k1, Sat)
+	c.store(k2, Unsat)
 	if r, ok := c.lookup(k1); !ok || r != Sat {
 		t.Errorf("lookup(k1) = %v,%v want Sat,true", r, ok)
 	}
@@ -25,55 +25,12 @@ func TestVerdictCacheStoreLookup(t *testing.T) {
 	}
 	// Unknown verdicts depend on the search budget and must not be cached.
 	k3 := condKey{sum: 7, xor: 8, n: 9}
-	c.store(k3, Unknown, nil)
+	c.store(k3, Unknown)
 	if _, ok := c.lookup(k3); ok {
 		t.Error("Unknown verdict was cached")
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", c.Len())
-	}
-}
-
-// TestVerdictCacheInvalidate stores verdicts under dependency tags and
-// checks that Invalidate evicts exactly the tagged entries, counts them in
-// CacheStats.Invalidated, and leaves untagged entries untouched.
-func TestVerdictCacheInvalidate(t *testing.T) {
-	c := NewVerdictCache()
-	tagA := TagID("acl#0011223344556677")
-	tagB := TagID("acl#miss")
-	tagTbl := TagID("acl")
-	k1 := condKey{sum: 1, xor: 2, n: 3}
-	k2 := condKey{sum: 4, xor: 5, n: 6}
-	k3 := condKey{sum: 7, xor: 8, n: 9}
-	c.store(k1, Sat, []uint64{tagA, tagTbl})
-	c.store(k2, Unsat, []uint64{tagB, tagTbl})
-	c.store(k3, Sat, nil) // no deps: survives every invalidation
-
-	if n := c.Invalidate([]uint64{TagID("other")}); n != 0 {
-		t.Fatalf("Invalidate(unrelated) removed %d, want 0", n)
-	}
-	if n := c.Invalidate([]uint64{tagA}); n != 1 {
-		t.Fatalf("Invalidate(tagA) removed %d, want 1", n)
-	}
-	if _, ok := c.lookup(k1); ok {
-		t.Error("k1 survived its tag's invalidation")
-	}
-	if _, ok := c.lookup(k2); !ok {
-		t.Error("k2 evicted by an unrelated tag")
-	}
-	// Whole-table tag still lists k1 (already gone) and k2: tolerant of
-	// stale keys, removes only the present one.
-	if n := c.Invalidate([]uint64{tagTbl}); n != 1 {
-		t.Fatalf("Invalidate(table) removed %d, want 1", n)
-	}
-	if _, ok := c.lookup(k3); !ok {
-		t.Error("untagged entry evicted")
-	}
-	if st := c.Stats(); st.Invalidated != 2 {
-		t.Errorf("Stats.Invalidated = %d, want 2", st.Invalidated)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len() = %d, want 1", c.Len())
 	}
 }
 
@@ -220,63 +177,5 @@ func TestStatsAdd(t *testing.T) {
 	want := Stats{Checks: 11, SatResults: 22, UnsatResults: 33, Unknowns: 44, Propagations: 55, Backtracks: 66, Models: 77, CacheHits: 88}
 	if a != want {
 		t.Errorf("Add = %+v, want %+v", a, want)
-	}
-}
-
-// exportedKeys collects what one ExportPending visits, as sum → tags.
-func exportedKeys(c *VerdictCache) (map[uint64][]uint64, func()) {
-	got := map[uint64][]uint64{}
-	persisted := c.ExportPending(func(sum, _ uint64, _ uint32, _ Result, tags []uint64) bool {
-		got[sum] = tags
-		return true
-	})
-	return got, persisted
-}
-
-// TestExportPendingVisitsOnlyWhatNoStoreHas: the contract a store commit
-// relies on. Seeded verdicts are never exported; a solver's are, until an
-// export that visited them is marked persisted; an export that is not
-// (its transaction aborted) leaves them pending; a verdict stored between
-// an export and its persisted call is not marked by it; an invalidated
-// verdict is gone.
-func TestExportPendingVisitsOnlyWhatNoStoreHas(t *testing.T) {
-	c := NewVerdictCache()
-	key := func(i uint64) condKey { return condKey{sum: i, xor: i << 8, n: 1} }
-	for i := uint64(1); i <= 3; i++ {
-		if !c.Seed(key(i).sum, key(i).xor, key(i).n, Unsat, []uint64{100}) {
-			t.Fatal("seed rejected")
-		}
-	}
-	if got, _ := exportedKeys(c); len(got) != 0 {
-		t.Fatalf("a seeded cache exports %v", got)
-	}
-
-	c.store(key(4), Sat, []uint64{100, 200})
-	c.store(key(5), Unsat, []uint64{300})
-	// Seeding a verdict a solver stored must not hide it from the export.
-	c.Seed(key(4).sum, key(4).xor, key(4).n, Sat, []uint64{100, 200})
-	got, _ := exportedKeys(c) // persisted not called: an aborted commit
-	if len(got) != 2 || len(got[4]) != 2 || len(got[5]) != 1 {
-		t.Fatalf("export = %v, want keys 4 (two tags) and 5 (one)", got)
-	}
-
-	got, persisted := exportedKeys(c)
-	if len(got) != 2 {
-		t.Fatalf("export after an aborted commit = %v, want keys 4 and 5 again", got)
-	}
-	c.store(key(6), Sat, []uint64{200}) // lands before the commit is durable
-	persisted()
-	if got, _ = exportedKeys(c); len(got) != 1 || got[6] == nil {
-		t.Fatalf("export after a commit = %v, want key 6 alone", got)
-	}
-
-	if n := c.Invalidate([]uint64{200}); n != 2 {
-		t.Fatalf("invalidated %d, want keys 4 and 6", n)
-	}
-	if got, _ = exportedKeys(c); len(got) != 0 {
-		t.Fatalf("export after invalidating the pending verdict = %v", got)
-	}
-	if c.Stats().Stores != 3 {
-		t.Errorf("Stores = %d: seeding must stay stats-neutral", c.Stats().Stores)
 	}
 }

@@ -213,136 +213,153 @@ func (o *sweepOracle) pop()                  { o.frames = o.frames[:len(o.frames
 // corpus runs now drop, so it changes their outputs and is not this test's
 // to fix.
 func TestDifferentialBatchSweeps(t *testing.T) {
-	vars := []expr.Ref{expr.V("a", 2), expr.V("b", 3), expr.V("c", 4)}
 	verdicts := 0
 	for seed := int64(0); seed < 96; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		opts := DefaultOptions()
-		budgeted := seed%3 == 2
-		if budgeted {
-			opts.SearchBudget = 1 + rng.Intn(4)
-		}
-		if seed%2 == 1 {
-			opts.Cache = NewVerdictCache()
-		}
-		opts.Incremental = seed%4 != 0
-		s := New(opts)
-		oracle := newSweepOracle(vars)
-
-		arith := func() expr.Arith {
-			v := vars[rng.Intn(len(vars))]
-			switch rng.Intn(4) {
-			case 0:
-				return expr.Simplify(expr.Bin{Op: expr.OpAdd, L: v, R: expr.C(uint64(rng.Intn(8)), v.W)})
-			case 1:
-				return expr.Bin{Op: expr.OpAnd, L: v, R: expr.C(uint64(rng.Intn(int(v.W.Mask())+1)), v.W)}
-			default:
-				return v
-			}
-		}
-		cmpOps := []expr.CmpOp{expr.CmpEq, expr.CmpNe, expr.CmpGt, expr.CmpLt, expr.CmpGe, expr.CmpLe}
-		var atom func(depth int) expr.Bool
-		atom = func(depth int) expr.Bool {
-			op := cmpOps[rng.Intn(len(cmpOps))]
-			switch k := rng.Intn(8); {
-			case k < 3: // a variable, or a term over one, against a constant
-				l := arith()
-				return expr.Cmp{Op: op, L: l, R: expr.C(uint64(rng.Intn(int(l.Width().Mask())+1)), l.Width())}
-			case k < 6: // variable against variable, widths mixed
-				return expr.Cmp{Op: op, L: arith(), R: arith()}
-			case k == 6 && depth > 0:
-				return expr.Or(atom(depth-1), atom(depth-1))
-			default:
-				return expr.And(atom(0), expr.Negate(atom(0)))
-			}
-		}
-
-		// sweep decides a fresh set of sibling conditions over the current
-		// prefix and checks each verdict; sats[i] is what satisfies the
-		// prefix and conds[i].
-		var buf []Result
-		sweep := func() (conds []expr.Bool, res []Result, sats [][]expr.State) {
-			conds = make([]expr.Bool, 2+rng.Intn(4))
-			for i := range conds {
-				conds[i] = atom(1)
-			}
-			depth := s.Depth()
-			buf = s.CheckBatch(conds, buf, nil)
-			if s.Depth() != depth {
-				t.Fatalf("seed %d: CheckBatch left the solver at depth %d, entered at %d", seed, s.Depth(), depth)
-			}
-			res = append(res, buf...)
-			for i, c := range conds {
-				sat := oracle.satisfying(t, c)
-				sats = append(sats, sat)
-				verdicts++
-				switch {
-				case res[i] == Sat && len(sat) == 0:
-					t.Fatalf("seed %d: Sat for %s, but no assignment satisfies it with the prefix\nsolver: %s", seed, c, s)
-				case res[i] == Unsat && len(sat) > 0:
-					t.Fatalf("seed %d: Unsat for %s, which %v satisfies with the prefix\nsolver: %s", seed, c, sat[0], s)
-				case res[i] == Unknown && !budgeted:
-					t.Fatalf("seed %d: Unknown for %s without a search budget", seed, c)
-				}
-			}
-			return conds, res, sats
-		}
-		var walk func(depth int)
-		walk = func(depth int) {
-			conds, res, sats := sweep()
-			for i, c := range conds {
-				if res[i] == Unsat || len(sats[i]) == 0 || rng.Intn(3) == 0 {
-					continue // pruned as sym prunes, infeasible under a budget's Unknown, or not taken
-				}
-				s.Push()
-				s.Assert(c)
-				oracle.push(sats[i])
-				if depth > 0 {
-					walk(depth - 1)
-				} else {
-					model, r := s.Model()
-					verdicts++
-					switch {
-					case r == Sat:
-						ok := false
-						for _, st := range sats[i] {
-							// A variable the model leaves out is free: any value
-							// does. One it gives more bits than the variable has
-							// (v == u unifies at the left side's width) reads as
-							// its low bits, as a reference to it evaluates.
-							match := true
-							for _, v := range vars {
-								if val, has := model[v.Var]; has {
-									match = match && st[v.Var] == v.W.Trunc(val)
-								}
-							}
-							ok = ok || match
-						}
-						if !ok {
-							t.Fatalf("seed %d: model %v does not satisfy the asserted set\nsolver: %s", seed, model, s)
-						}
-					case r == Unsat:
-						t.Fatalf("seed %d: Model says Unsat, but %v satisfies the asserted set\nsolver: %s", seed, sats[i][0], s)
-					case !budgeted:
-						t.Fatalf("seed %d: Model is Unknown without a search budget", seed)
-					}
-				}
-				s.Pop()
-				oracle.pop()
-				// The popped frame left its arena slots to the next one:
-				// sweep over them at this level before the next sibling.
-				if rng.Intn(2) == 0 {
-					sweep()
-				}
-			}
-		}
-		walk(2)
-		if s.Depth() != 0 {
-			t.Fatalf("seed %d: walk ended at depth %d", seed, s.Depth())
-		}
+		verdicts += differentialBatchSweep(t, seed)
 	}
 	if verdicts < 96*10 {
 		t.Fatalf("only %d verdicts checked over 96 seeds", verdicts)
 	}
 	t.Logf("%d verdicts checked against enumeration", verdicts)
+}
+
+// FuzzDifferentialBatchSweeps lets the fuzzer pick the walk's seed: the
+// same oracle over whatever sweeps the seed's random stream produces.
+func FuzzDifferentialBatchSweeps(f *testing.F) {
+	for _, seed := range []int64{0, 1, 2, 3, 5, 8, 95, 29999} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { differentialBatchSweep(t, seed) })
+}
+
+// differentialBatchSweep runs one seed's walk and returns how many verdicts
+// it checked against the oracle.
+func differentialBatchSweep(t *testing.T, seed int64) (verdicts int) {
+	vars := []expr.Ref{expr.V("a", 2), expr.V("b", 3), expr.V("c", 4)}
+	rng := rand.New(rand.NewSource(seed))
+	opts := DefaultOptions()
+	mode := uint64(seed) // a fuzzed seed may be negative
+	budgeted := mode%3 == 2
+	if budgeted {
+		opts.SearchBudget = 1 + rng.Intn(4)
+	}
+	if mode%2 == 1 {
+		opts.Cache = NewVerdictCache()
+	}
+	opts.Incremental = mode%4 != 0
+	s := New(opts)
+	oracle := newSweepOracle(vars)
+
+	arith := func() expr.Arith {
+		v := vars[rng.Intn(len(vars))]
+		switch rng.Intn(4) {
+		case 0:
+			return expr.Simplify(expr.Bin{Op: expr.OpAdd, L: v, R: expr.C(uint64(rng.Intn(8)), v.W)})
+		case 1:
+			return expr.Bin{Op: expr.OpAnd, L: v, R: expr.C(uint64(rng.Intn(int(v.W.Mask())+1)), v.W)}
+		default:
+			return v
+		}
+	}
+	cmpOps := []expr.CmpOp{expr.CmpEq, expr.CmpNe, expr.CmpGt, expr.CmpLt, expr.CmpGe, expr.CmpLe}
+	var atom func(depth int) expr.Bool
+	atom = func(depth int) expr.Bool {
+		op := cmpOps[rng.Intn(len(cmpOps))]
+		switch k := rng.Intn(8); {
+		case k < 3: // a variable, or a term over one, against a constant
+			l := arith()
+			return expr.Cmp{Op: op, L: l, R: expr.C(uint64(rng.Intn(int(l.Width().Mask())+1)), l.Width())}
+		case k < 6: // variable against variable, widths mixed
+			return expr.Cmp{Op: op, L: arith(), R: arith()}
+		case k == 6 && depth > 0:
+			return expr.Or(atom(depth-1), atom(depth-1))
+		default:
+			return expr.And(atom(0), expr.Negate(atom(0)))
+		}
+	}
+
+	// sweep decides a fresh set of sibling conditions over the current
+	// prefix and checks each verdict; sats[i] is what satisfies the
+	// prefix and conds[i].
+	var buf []Result
+	sweep := func() (conds []expr.Bool, res []Result, sats [][]expr.State) {
+		conds = make([]expr.Bool, 2+rng.Intn(4))
+		for i := range conds {
+			conds[i] = atom(1)
+		}
+		depth := s.Depth()
+		buf = s.CheckBatch(conds, buf)
+		if s.Depth() != depth {
+			t.Fatalf("seed %d: CheckBatch left the solver at depth %d, entered at %d", seed, s.Depth(), depth)
+		}
+		res = append(res, buf...)
+		for i, c := range conds {
+			sat := oracle.satisfying(t, c)
+			sats = append(sats, sat)
+			verdicts++
+			switch {
+			case res[i] == Sat && len(sat) == 0:
+				t.Fatalf("seed %d: Sat for %s, but no assignment satisfies it with the prefix\nsolver: %s", seed, c, s)
+			case res[i] == Unsat && len(sat) > 0:
+				t.Fatalf("seed %d: Unsat for %s, which %v satisfies with the prefix\nsolver: %s", seed, c, sat[0], s)
+			case res[i] == Unknown && !budgeted:
+				t.Fatalf("seed %d: Unknown for %s without a search budget", seed, c)
+			}
+		}
+		return conds, res, sats
+	}
+	var walk func(depth int)
+	walk = func(depth int) {
+		conds, res, sats := sweep()
+		for i, c := range conds {
+			if res[i] == Unsat || len(sats[i]) == 0 || rng.Intn(3) == 0 {
+				continue // pruned as sym prunes, infeasible under a budget's Unknown, or not taken
+			}
+			s.Push()
+			s.Assert(c)
+			oracle.push(sats[i])
+			if depth > 0 {
+				walk(depth - 1)
+			} else {
+				model, r := s.Model()
+				verdicts++
+				switch {
+				case r == Sat:
+					ok := false
+					for _, st := range sats[i] {
+						// A variable the model leaves out is free: any value
+						// does. One it gives more bits than the variable has
+						// (v == u unifies at the left side's width) reads as
+						// its low bits, as a reference to it evaluates.
+						match := true
+						for _, v := range vars {
+							if val, has := model[v.Var]; has {
+								match = match && st[v.Var] == v.W.Trunc(val)
+							}
+						}
+						ok = ok || match
+					}
+					if !ok {
+						t.Fatalf("seed %d: model %v does not satisfy the asserted set\nsolver: %s", seed, model, s)
+					}
+				case r == Unsat:
+					t.Fatalf("seed %d: Model says Unsat, but %v satisfies the asserted set\nsolver: %s", seed, sats[i][0], s)
+				case !budgeted:
+					t.Fatalf("seed %d: Model is Unknown without a search budget", seed)
+				}
+			}
+			s.Pop()
+			oracle.pop()
+			// The popped frame left its arena slots to the next one:
+			// sweep over them at this level before the next sibling.
+			if rng.Intn(2) == 0 {
+				sweep()
+			}
+		}
+	}
+	walk(2)
+	if s.Depth() != 0 {
+		t.Fatalf("seed %d: walk ended at depth %d", seed, s.Depth())
+	}
+	return verdicts
 }

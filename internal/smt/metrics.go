@@ -30,8 +30,4 @@ var (
 	mCacheMisses = obs.GetCounter("smt.cache_misses")
 	mCacheStores = obs.GetCounter("smt.cache_stores")
 	mCacheReject = obs.GetCounter("smt.cache_rejects")
-
-	// mCacheInvalidated counts verdicts evicted by tag (Invalidate) during
-	// rule-update invalidation of incremental regression runs.
-	mCacheInvalidated = obs.GetCounter("smt.cache_invalidated")
 )

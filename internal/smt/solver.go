@@ -192,12 +192,6 @@ type Solver struct {
 	// lastUnknown is the typed reason the most recent Check/Model
 	// returned Unknown (a *BudgetError), nil otherwise.
 	lastUnknown error
-	// depTags, when set (SetDepTags), supplies the dependency tag IDs to
-	// attach to verdicts stored in the shared cache, enabling
-	// VerdictCache.Invalidate by table tag. Called once per cacheable
-	// store, on this solver's goroutine.
-	depTags func() []uint64
-
 	// freeDoms recycles copy-on-write domain clones freed by Pop, so
 	// steady-state Push/Assert/Pop cycles allocate nothing.
 	freeDoms []*domain
@@ -257,12 +251,6 @@ func (s *Solver) LastUnknown() error { return s.lastUnknown }
 
 // ResetStats zeroes the counters.
 func (s *Solver) ResetStats() { s.stats = Stats{} }
-
-// SetDepTags installs the dependency-tag provider consulted when storing
-// verdicts into the shared cache (nil disables tagging). Not
-// synchronized: call it from the goroutine that runs this solver's
-// checks (exploration executors retarget it per task).
-func (s *Solver) SetDepTags(f func() []uint64) { s.depTags = f }
 
 // Depth returns the current number of pushed frames (excluding the root).
 func (s *Solver) Depth() int { return len(s.frames) - 1 }
@@ -648,12 +636,8 @@ func (bp *batchPrep) prepare(s *Solver) {
 // propagation touched. This is what makes a k-way table-match expansion
 // cost ~one propagation sweep instead of k.
 //
-// results is an optional reusable buffer. prepare, when non-nil, is
-// called with the sibling index immediately before that sibling's query
-// is decided — the window in which callers retarget per-query state such
-// as the dep-tag provider consulted when verdicts are stored to the
-// shared cache.
-func (s *Solver) CheckBatch(conds []expr.Bool, results []Result, prepare func(i int)) []Result {
+// results is an optional reusable buffer.
+func (s *Solver) CheckBatch(conds []expr.Bool, results []Result) []Result {
 	if cap(results) < len(conds) {
 		results = make([]Result, len(conds))
 	}
@@ -664,9 +648,6 @@ func (s *Solver) CheckBatch(conds []expr.Bool, results []Result, prepare func(i 
 	bp := &s.batch
 	bp.prepare(s)
 	for i, c := range conds {
-		if prepare != nil {
-			prepare(i)
-		}
 		s.Push()
 		s.Assert(c)
 		results[i], _ = s.check(false, bp)
@@ -715,11 +696,7 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 	res, model, uerr := s.solve(wantModel, bp)
 	mQueryLatencyNS.ObserveSince(start)
 	if cacheable {
-		var tags []uint64
-		if s.depTags != nil {
-			tags = s.depTags()
-		}
-		s.opts.Cache.store(key, res, tags) // Unknown is dropped by store
+		s.opts.Cache.store(key, res) // Unknown is dropped by store
 	}
 	switch res {
 	case Sat:

@@ -16,7 +16,8 @@ import (
 // — the contract journal's FuzzLoad states for checkpoints.
 func FuzzOpen(f *testing.F) {
 	// Seeds: a log with appended transactions of every frame kind, its
-	// truncations, a flipped byte, a compacted log, an empty file, junk.
+	// truncations, a flipped byte, a compacted log, an empty file, junk, the
+	// headers of earlier formats, a log with the 'C' frames of earlier ones.
 	path := filepath.Join(f.TempDir(), "seed.store")
 	s, err := Open(path, Options{})
 	if err != nil {
@@ -51,6 +52,8 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x08\x00\x00\x00MEISSAS2 but not really a store"))
 	f.Add(pagedHeader)
+	oldCache, _ := oldCacheStore()
+	f.Add(oldCache)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.store")

@@ -25,7 +25,6 @@ const (
 	pagedMagic = "MEISSAS1"
 
 	frameFamily = 'F'
-	frameCache  = 'C'
 	frameRules  = 'R'
 	frameDead   = 'T' // a journal record of this kind, its tags the ones to retire
 	frameCommit = 'X'
@@ -36,8 +35,7 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// hash64 is FNV-1a over s — the same function as smt.TagID, so persisted
-// cache tag IDs and tag-name hashes share one space.
+// hash64 is FNV-1a over s.
 func hash64(s string) uint64 {
 	f := fnv.New64a()
 	f.Write([]byte(s))
@@ -65,44 +63,6 @@ func appendRules(out []byte, text string) []byte {
 }
 
 func rulesLen(text string) int64 { return int64(8 + 1 + len(text)) }
-
-type cacheKey struct {
-	sum, xor uint64
-	n        uint32
-}
-
-// cacheEntry is one persisted solver-cache verdict with the tag IDs it is
-// retired under.
-type cacheEntry struct {
-	cacheKey
-	verdict byte
-	tags    []uint64
-}
-
-func (e cacheEntry) frameLen() int64 { return int64(8 + 24 + 8*len(e.tags)) }
-
-func appendCache(out []byte, e cacheEntry) []byte {
-	p := binary.LittleEndian.AppendUint64(make([]byte, 0, e.frameLen()), e.sum)
-	p = binary.LittleEndian.AppendUint64(p, e.xor)
-	p = binary.LittleEndian.AppendUint32(p, e.n)
-	p = binary.LittleEndian.AppendUint16(append(p, e.verdict), uint16(len(e.tags)))
-	for _, t := range e.tags {
-		p = binary.LittleEndian.AppendUint64(p, t)
-	}
-	return appendFrame(out, []byte{frameCache}, p)
-}
-
-func decodeCache(p []byte) (e cacheEntry, ok bool) {
-	if len(p) < 24 || len(p) != 24+8*int(binary.LittleEndian.Uint16(p[22:])) {
-		return e, false
-	}
-	e.sum, e.xor = binary.LittleEndian.Uint64(p[1:]), binary.LittleEndian.Uint64(p[9:])
-	e.n, e.verdict = binary.LittleEndian.Uint32(p[17:]), p[21]
-	for p = p[24:]; len(p) > 0; p = p[8:] {
-		e.tags = append(e.tags, binary.LittleEndian.Uint64(p))
-	}
-	return e, true
-}
 
 // frame splits the first frame off data: its payload and its whole
 // length. ok=false means data begins with no intact frame — short, torn
@@ -159,7 +119,6 @@ type family struct {
 	hasRules bool
 	rules    string
 	recs     map[recKey]rec
-	cache    map[cacheKey]cacheEntry
 	bytes    int64 // what a log of live frames only spends on the family
 }
 
@@ -167,31 +126,23 @@ type family struct {
 // yet, an empty one.
 func (f *family) clone() *family {
 	if f.recs == nil {
-		return &family{recs: map[recKey]rec{}, cache: map[cacheKey]cacheEntry{}, bytes: idLen}
+		return &family{recs: map[recKey]rec{}, bytes: idLen}
 	}
 	c := *f
-	c.recs, c.cache = maps.Clone(f.recs), maps.Clone(f.cache)
+	c.recs = maps.Clone(f.recs)
 	return &c
 }
 
-func (f *family) empty() bool { return !f.hasRules && len(f.recs) == 0 && len(f.cache) == 0 }
+func (f *family) empty() bool { return !f.hasRules && len(f.recs) == 0 }
 
-// put, putCache, setRules and kill are what the log's frames do to a
-// family, at Open and in a transaction alike.
+// put, setRules and kill are what the log's frames do to a family, at Open
+// and in a transaction alike.
 
 // put adds r, whose frame is n bytes long, over any record of its key.
 func (f *family) put(r journal.Record, n int64) {
 	k := recKey{r.Kind, r.Key}
 	f.bytes += n - f.recs[k].n
 	f.recs[k] = rec{r, n}
-}
-
-func (f *family) putCache(e cacheEntry) {
-	if old, ok := f.cache[e.cacheKey]; ok {
-		f.bytes -= old.frameLen()
-	}
-	f.bytes += e.frameLen()
-	f.cache[e.cacheKey] = e
 }
 
 func (f *family) setRules(text string) {
@@ -204,14 +155,9 @@ func (f *family) setRules(text string) {
 
 // kill retires every record that depends on one of tags — by the rule a
 // regression retires baseline records by: a full tag matches itself, a
-// bare table name all of the table's — and every cache entry stored under
-// the ID of one, and returns how many went.
+// bare table name all of the table's — and returns how many went.
 func (f *family) kill(tags []string) (removed int) {
 	invalid := rulediff.Matcher(tags)
-	ids := make(map[uint64]bool, len(tags))
-	for _, t := range tags {
-		ids[hash64(t)] = true
-	}
 	for k, r := range f.recs {
 		if regress.Invalidated(r.Record, invalid) {
 			delete(f.recs, k)
@@ -219,35 +165,17 @@ func (f *family) kill(tags []string) (removed int) {
 			removed++
 		}
 	}
-	for k, e := range f.cache {
-		if slices.ContainsFunc(e.tags, func(t uint64) bool { return ids[t] }) {
-			delete(f.cache, k)
-			f.bytes -= e.frameLen()
-			removed++
-		}
-	}
 	return removed
-}
-
-func sorted[K comparable, V any](m map[K]V, cmp func(a, b V) int) []V {
-	out := make([]V, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	slices.SortFunc(out, cmp)
-	return out
 }
 
 // records returns the family's records in canonical (kind, key) order.
 func (f *family) records() []rec {
-	return sorted(f.recs, func(a, b rec) int { return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Key, b.Key)) })
-}
-
-// cached returns the family's cache entries in key order.
-func (f *family) cached() []cacheEntry {
-	return sorted(f.cache, func(a, b cacheEntry) int {
-		return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.xor, b.xor), cmp.Compare(a.n, b.n))
-	})
+	out := make([]rec, 0, len(f.recs))
+	for _, r := range f.recs {
+		out = append(out, r)
+	}
+	slices.SortFunc(out, func(a, b rec) int { return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Key, b.Key)) })
+	return out
 }
 
 // appendTo frames the family as a log of live frames only holds it.
@@ -258,9 +186,6 @@ func (f *family) appendTo(out []byte, fam uint64) []byte {
 	}
 	for _, r := range f.records() {
 		out = journal.AppendRecord(out, r.Record)
-	}
-	for _, e := range f.cached() {
-		out = appendCache(out, e)
 	}
 	return out
 }
@@ -332,11 +257,10 @@ func replay(data []byte) (*state, int, error) {
 				r.Indexed = true // only indexed records are persisted
 				f.put(r, int64(n))
 			}
-		case p[0] == frameCache:
-			var e cacheEntry
-			if e, ok = decodeCache(p); ok {
-				f.putCache(e)
-			}
+		case p[0] == 'C':
+			// A solver-cache entry, which earlier releases persisted beside
+			// the records: no family owns it any more, so it is dead bytes
+			// for the next compaction to drop.
 		case p[0] == frameRules:
 			f.setRules(string(p[1:]))
 		default:

@@ -15,7 +15,7 @@ var (
 	mTailDiscarded = obs.GetCounter("store.tail_discarded_bytes")
 
 	// mSnapshotReads counts records served through snapshot handles;
-	// mInvalidated verdict and cache entries retired by tag invalidation.
+	// mInvalidated records retired by tag invalidation.
 	mSnapshotReads = obs.GetCounter("store.snapshot_reads")
 	mInvalidated   = obs.GetCounter("store.invalidated")
 

@@ -58,7 +58,7 @@ func workloadTxns() []func(tx *Tx) error {
 					return err
 				}
 			}
-			return tx.PutCache(recFam, 1000, 2000, 1, byte(verdict), []uint64{hash64(natTag), hash64("nat")})
+			return nil
 		}
 	}
 	return []func(tx *Tx) error{
@@ -77,11 +77,6 @@ func workloadTxns() []func(tx *Tx) error {
 		func(tx *Tx) error {
 			for i := uint64(9); i <= 16; i++ {
 				if err := tx.PutRecord(recFam, recRecord(i, journal.Sat, aclTag, rules.MissTag("fwd"))); err != nil {
-					return err
-				}
-			}
-			for i := uint64(0); i < 4; i++ {
-				if err := tx.PutCache(recFam, 1000+i, 2000+i, uint32(i+1), byte(i%2), []uint64{hash64(aclTag)}); err != nil {
 					return err
 				}
 			}
@@ -150,8 +145,7 @@ func runWorkload(path string, fs FS, capture func(int, *Store)) (int, error) {
 }
 
 // stateString canonically serializes everything a reader can observe:
-// records, rules, and cache entries. Two equal strings mean byte-
-// identical reads.
+// records and rules. Two equal strings mean byte-identical reads.
 func stateString(t *testing.T, s *Store) string { return storeState(t, s, recFam) }
 
 // storeState is stateString for any family.
@@ -171,13 +165,6 @@ func storeState(t *testing.T, s *Store, fam uint64) string {
 		t.Fatalf("stateString family: %v", err)
 	} else if ok {
 		fmt.Fprintf(&b, "F %x %q\n", info.RulesHash, info.Rules)
-	}
-	err = sn.CacheEntries(fam, func(sum, xor uint64, n uint32, v byte, tags []uint64) bool {
-		fmt.Fprintf(&b, "C %d %d %d %d %v\n", sum, xor, n, v, tags)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("stateString cache: %v", err)
 	}
 	return b.String()
 }

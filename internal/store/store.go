@@ -46,7 +46,7 @@ type Stats struct {
 	TailDiscarded uint64 // bytes of uncommitted tail dropped at Open
 	FileBytes     uint64 // committed size of the file
 	SnapshotReads uint64 // records served through snapshot handles
-	Invalidated   uint64 // records+cache entries removed by tag invalidation
+	Invalidated   uint64 // records removed by tag invalidation
 	Skipped       uint64 // records skipped (unindexed)
 }
 
@@ -211,8 +211,8 @@ func (tx *Tx) in(fam uint64) *family {
 
 // PutRecord stores one verdict under family fam, over any record of its
 // kind and key. A record with no dependency index is skipped (counted): no
-// rule delta could invalidate it. The store keeps r's model and tags, and
-// PutCache's tags, as they are: the caller does not change them afterwards.
+// rule delta could invalidate it. The store keeps r's model and tags as
+// they are: the caller does not change them afterwards.
 func (tx *Tx) PutRecord(fam uint64, r journal.Record) error {
 	if r.Kind != journal.KindCheck && r.Kind != journal.KindEmit {
 		return fmt.Errorf("store: cannot persist record kind %d", r.Kind)
@@ -229,18 +229,10 @@ func (tx *Tx) PutRecord(fam uint64, r journal.Record) error {
 	return nil
 }
 
-// PutCache stores one solver-cache verdict with the tag IDs that retire it.
-func (tx *Tx) PutCache(fam uint64, sum, xor uint64, n uint32, verdict byte, tags []uint64) error {
-	e := cacheEntry{cacheKey{sum, xor, n}, verdict, tags}
-	tx.in(fam).putCache(e)
-	tx.buf = appendCache(tx.buf, e)
-	return nil
-}
-
 // InvalidateTags removes every record of fam that depends on one of tags (a
 // full rules.DepTag matches itself, a bare table name all of the table's)
-// and every cache entry stored under the ID of one, and returns how many.
-// With SetFamilyRules in one transaction it is the atomic rule update.
+// and returns how many. With SetFamilyRules in one transaction it is the
+// atomic rule update.
 func (tx *Tx) InvalidateTags(fam uint64, tags []string) (int, error) {
 	if len(tags) == 0 {
 		return 0, nil
@@ -454,16 +446,6 @@ func (sn *Snapshot) Records(fam uint64, fn func(journal.Record) bool) error {
 		}
 	}
 	sn.s.count(&sn.s.stats.SnapshotReads, mSnapshotReads, served)
-	return nil
-}
-
-// CacheEntries visits fam's solver-cache verdicts until fn returns false.
-func (sn *Snapshot) CacheEntries(fam uint64, fn func(sum, xor uint64, n uint32, verdict byte, tags []uint64) bool) error {
-	for _, e := range sn.st.fam(fam).cached() {
-		if !fn(e.sum, e.xor, e.n, e.verdict, e.tags) {
-			break
-		}
-	}
 	return nil
 }
 

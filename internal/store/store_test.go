@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -163,22 +165,16 @@ func TestStoreInvalidateTags(t *testing.T) {
 	if err := tx.PutRecord(fam, testRecord(3, journal.Unsat, rules.MissTag("fwd"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.PutCache(fam, 100, 200, 3, 0, []uint64{hash64(aclTag)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.PutCache(fam, 101, 201, 2, 1, []uint64{hash64("fwd")}); err != nil {
-		t.Fatal(err)
-	}
 	mustCommit(t, tx)
 
-	// Full-tag granularity: only record 1 and its cache entry go.
+	// Full-tag granularity: only record 1 goes.
 	tx = mustBegin(t, s)
 	n, err := tx.InvalidateTags(fam, []string{aclTag})
 	if err != nil {
 		t.Fatalf("InvalidateTags: %v", err)
 	}
-	if n != 2 {
-		t.Fatalf("invalidated %d entries, want 2", n)
+	if n != 1 {
+		t.Fatalf("invalidated %d entries, want 1", n)
 	}
 	mustCommit(t, tx)
 	sn := s.Snapshot()
@@ -203,11 +199,6 @@ func TestStoreInvalidateTags(t *testing.T) {
 	}
 	if _, ok, _ := sn.GetRecord(fam, journal.KindEmit, 3); !ok {
 		t.Fatal("record 3 (other table) wrongly invalidated")
-	}
-	cacheLeft := 0
-	sn.CacheEntries(fam, func(_, _ uint64, _ uint32, _ byte, _ []uint64) bool { cacheLeft++; return true })
-	if cacheLeft != 1 {
-		t.Fatalf("%d cache entries left, want 1 (fwd)", cacheLeft)
 	}
 	if st := s.Stats(); st.Invalidated == 0 {
 		t.Fatal("invalidations not counted")
@@ -483,6 +474,120 @@ func TestOpenRefusesPagedStore(t *testing.T) {
 	}
 }
 
+// oldCacheFrame is a 'C' frame as the releases that persisted the solver's
+// verdict cache wrote it: sum(8) xor(8) n(4) verdict(1) ntags(2) tagid(8)*.
+func oldCacheFrame(sum, xor uint64, n uint32, verdict byte, tags ...uint64) []byte {
+	p := binary.LittleEndian.AppendUint64([]byte{'C'}, sum)
+	p = binary.LittleEndian.AppendUint64(p, xor)
+	p = binary.LittleEndian.AppendUint32(p, n)
+	p = binary.LittleEndian.AppendUint16(append(p, verdict), uint16(len(tags)))
+	for _, t := range tags {
+		p = binary.LittleEndian.AppendUint64(p, t)
+	}
+	return appendFrame(nil, p)
+}
+
+// oldCacheStore is a store file of such a release, frame by frame: one
+// committed transaction holding a family's rules, two records and two cache
+// entries. It returns the file and how many of its bytes the entries take.
+func oldCacheStore() (data []byte, cacheBytes int) {
+	data = appendFrame(nil, []byte(magic))
+	data = appendID(data, frameFamily, recFam)
+	data = appendRules(data, "rules-v1: acl{allow} fwd{}")
+	data = journal.AppendRecord(data, recRecord(1, journal.Unsat, "acl#miss"))
+	data = journal.AppendRecord(data, recRecord(2, journal.Sat, "fwd#miss"))
+	before := len(data)
+	data = append(data, oldCacheFrame(1000, 2000, 3, 0, hash64("acl#miss"), hash64("acl"))...)
+	data = append(data, oldCacheFrame(1001, 2001, 1, 1)...)
+	return appendID(data, frameCommit, 1), len(data) - before
+}
+
+// hasFrame reports whether a log holds an intact frame of the given kind.
+func hasFrame(t *testing.T, data []byte, kind byte) bool {
+	t.Helper()
+	for off := 0; off < len(data); {
+		p, n, ok := frame(data[off:])
+		if !ok {
+			t.Fatalf("no intact frame at offset %d", off)
+		}
+		if p[0] == kind {
+			return true
+		}
+		off += n
+	}
+	return false
+}
+
+// TestOpenSkipsOldCacheFrames: a store that a release persisting the
+// solver's verdict cache populated holds 'C' frames inside committed
+// history. They are bytes no family owns: Open serves the records around
+// them and leaves the file as it is, they count as dead, and the
+// compaction that dead bytes bring about drops them.
+func TestOpenSkipsOldCacheFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.store")
+	data, cacheBytes := oldCacheStore()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer func() { s.Close() }()
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+		t.Fatalf("Open rewrote the file: %d bytes, was %d", len(got), len(data))
+	}
+	sn := s.Snapshot()
+	for key, want := range map[uint64]journal.Verdict{1: journal.Unsat, 2: journal.Sat} {
+		if r, ok, _ := sn.GetRecord(recFam, journal.KindEmit, key); !ok || r.Verdict != want {
+			t.Fatalf("record %d: %+v (present %v), want verdict %d", key, r, ok, want)
+		}
+	}
+	if n, _ := sn.RecordCount(recFam); n != 2 {
+		t.Fatalf("%d records, want 2", n)
+	}
+	if info, ok, _ := sn.Family(recFam); !ok || info.Rules != "rules-v1: acl{allow} fwd{}" {
+		t.Fatalf("family rules %+v (present %v)", info, ok)
+	}
+	if st := s.Stats(); st.FileBytes != uint64(len(data)) || st.FileBytes-s.cur.live() != uint64(cacheBytes) || st.TailDiscarded != 0 {
+		t.Fatalf("file %d bytes (of %d), %d live, %d discarded: want the two cache frames' %d dead",
+			st.FileBytes, len(data), s.cur.live(), st.TailDiscarded, cacheBytes)
+	}
+
+	// An appended commit leaves them where they are; overwrites until the
+	// log is more than half dead rewrite it without them.
+	for i := 0; s.Stats().Compactions == 0; i++ {
+		if i == 10 {
+			t.Fatal("ten overwrites of one record and no compaction")
+		}
+		tx := mustBegin(t, s)
+		if err := tx.PutRecord(recFam, recRecord(2, journal.Verdict(i%2), "fwd#miss")); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compacted := s.Stats().Compactions > 0; hasFrame(t, got, 'C') == compacted {
+			t.Fatalf("commit %d (compacted: %v): wrong about holding a cache frame", i, compacted)
+		}
+	}
+	want := stateString(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(path, Options{}); err != nil {
+		t.Fatalf("reopen after compaction: %v", err)
+	}
+	if got := stateString(t, s); got != want {
+		t.Fatalf("state after reopen:\n%s\nwant:\n%s", got, want)
+	}
+	if st := s.Stats(); st.FileBytes != s.cur.live() {
+		t.Fatalf("compacted log is %d bytes, its live frames %d", st.FileBytes, s.cur.live())
+	}
+}
+
 // TestCorruptionInsideHistory: one flipped byte inside a committed
 // transaction that is not the last makes Open fail with ErrCorrupt and
 // leaves the file alone — a later commit marker proves the damaged bytes
@@ -554,8 +659,8 @@ func TestCorruptionInsideHistory(t *testing.T) {
 	}
 }
 
-// TestStoreRandomAgainstModel drives random puts, overwrites, cache
-// entries, rule updates and tag invalidations through commits, aborts and
+// TestStoreRandomAgainstModel drives random puts, overwrites, rule
+// updates and tag invalidations through commits, aborts and
 // reopens, and checks every committed state — as the open store serves it
 // and as a reopen replays it from the log — against a map model.
 func TestStoreRandomAgainstModel(t *testing.T) {
@@ -571,17 +676,16 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 	tables := []string{"acl", "fwd", "nat"}
 	type modelFam struct {
 		recs  map[uint64]journal.Record
-		cache map[uint64][]string // sum → the tags its IDs were made from
 		rules string
 	}
 	model := map[uint64]*modelFam{}
 	for _, fam := range fams {
-		model[fam] = &modelFam{recs: map[uint64]journal.Record{}, cache: map[uint64][]string{}}
+		model[fam] = &modelFam{recs: map[uint64]journal.Record{}}
 	}
 	clone := func() map[uint64]*modelFam {
 		c := map[uint64]*modelFam{}
 		for fam, m := range model {
-			c[fam] = &modelFam{recs: maps.Clone(m.recs), cache: maps.Clone(m.cache), rules: m.rules}
+			c[fam] = &modelFam{recs: maps.Clone(m.recs), rules: m.rules}
 		}
 		return c
 	}
@@ -607,17 +711,6 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 				if g := got[k]; g.Verdict != want.Verdict || fmt.Sprint(g.Tables) != fmt.Sprint(want.Tables) {
 					t.Fatalf("step %d (%s): family %d key %d: %+v, model %+v", step, what, fam, k, g, want)
 				}
-			}
-			ncache := 0
-			sn.CacheEntries(fam, func(sum, _ uint64, _ uint32, _ byte, _ []uint64) bool {
-				if _, ok := m.cache[sum]; !ok {
-					t.Fatalf("step %d (%s): family %d serves cache entry %d the model retired", step, what, fam, sum)
-				}
-				ncache++
-				return true
-			})
-			if ncache != len(m.cache) {
-				t.Fatalf("step %d (%s): family %d has %d cache entries, model %d", step, what, fam, ncache, len(m.cache))
 			}
 			if info, ok, _ := sn.Family(fam); ok != (m.rules != "") || info.Rules != m.rules {
 				t.Fatalf("step %d (%s): family %d rules %q (present %v), model %q", step, what, fam, info.Rules, ok, m.rules)
@@ -660,13 +753,6 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 						want++
 					}
 				}
-				for k, tags := range m.cache {
-					// An entry carries the IDs of its tags and of their tables.
-					if match(tags) {
-						delete(m.cache, k)
-						want++
-					}
-				}
 				if n, err := tx.InvalidateTags(fam, []string{tag}); err != nil || n != want {
 					t.Fatalf("step %d: InvalidateTags(%q) = %d, %v; model retires %d", step, tag, n, err, want)
 				}
@@ -674,16 +760,6 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 				if err := tx.SetFamilyRules(fam, m.rules); err != nil {
 					t.Fatal(err)
 				}
-			case 1, 2:
-				sum, tags := uint64(rng.Intn(40)), tagsOf()
-				var ids []uint64
-				for _, x := range tags {
-					ids = append(ids, hash64(x), hash64(rules.TagTable(x)))
-				}
-				if err := tx.PutCache(fam, sum, sum^1, 3, byte(rng.Intn(2)), ids); err != nil {
-					t.Fatal(err)
-				}
-				m.cache[sum] = tags
 			default:
 				r := testRecord(uint64(rng.Intn(60)), journal.Verdict(rng.Intn(3)), tagsOf()...)
 				if err := tx.PutRecord(fam, r); err != nil {

@@ -1,7 +1,7 @@
 // Package store implements the durable cross-run verdict store: one
 // append-only file holding, per program family (program + options, no
-// rules), the verdict records of completed runs, the solver-cache
-// verdicts, and the rule text both are valid under.
+// rules), the verdict records of completed runs and the rule text they
+// are valid under.
 //
 // The file is a log in the checkpoint journal's framing,
 // [u32 length][payload][u32 CRC32C(payload)], the first payload byte
@@ -11,20 +11,22 @@
 //	header  "MEISSAS2" (bytes 4-12 of the file)
 //	'F'     fam(8): scopes the frames up to the next 'F' or 'X'
 //	1, 2    a verdict, as journal.MarshalRecord frames it, tags inline
-//	'C'     sum(8) xor(8) n(4) verdict(1) ntags(2) tagid(8)*: a cache verdict
 //	'R'     the rules text the family's entries are valid under
 //	'T'     tombstone, a journal record: retires what depends on its tags
 //	'X'     txid(8): commit marker
 //
+// A 'C' frame is a solver-cache verdict, which earlier releases stored
+// beside the records: replay skips it, so it is dead bytes (below).
+//
 // Commit appends a transaction's frames and marker past the committed
 // size, syncs, and only then returns. No frame counts without its marker,
-// so rules, invalidation, records and cache entries become durable
-// together or not at all. Open replays the log up to the last intact
-// marker and truncates the rest, as the journal drops a torn tail. A
-// frame failing its checksum is such a tail only if no later transaction
-// committed: a marker with a higher ID further on proves the damage lies
-// in history that was durable, and Open fails with ErrCorrupt rather than
-// serve a shorter one; so does an intact frame that makes no sense.
+// so rules, invalidation and records become durable together or not at
+// all. Open replays the log up to the last intact marker and truncates the
+// rest, as the journal drops a torn tail. A frame failing its checksum is
+// such a tail only if no later transaction committed: a marker with a
+// higher ID further on proves the damage lies in history that was durable,
+// and Open fails with ErrCorrupt rather than serve a shorter one; so does
+// an intact frame that makes no sense.
 //
 // Superseded records, retired entries, replaced rules and tombstones stay
 // behind as dead bytes. A commit that would leave more of them than live

@@ -139,9 +139,6 @@ func (t *task) run(base executor, nInit int) *executor {
 	e.deps = append([]uint32(nil), t.deps...)
 	e.degraded = t.degraded
 	e.journaling = e.opts.Journal != nil && !e.opts.NoValidation
-	// The solver is the caller's alone and tasks run one at a time, so
-	// retargeting its dep-tag provider per task is race-free.
-	e.solver.SetDepTags(e.depTags)
 	replay := t.constraints[nInit:]
 	if !e.opts.NoValidation && len(replay) > 0 {
 		e.solver.Push()

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
-	"repro/internal/rules"
-	"repro/internal/smt"
 )
 
 // plan is the per-exploration compilation of the graph slice reachable
@@ -22,10 +20,6 @@ type plan struct {
 	// tags maps a tag ID back to its tag. IDs are ranks in sorted tag
 	// order, so sorting IDs sorts tags.
 	tags []string
-	// cacheTags holds the verdict-cache tag IDs, two per tag: the tag
-	// itself and its bare table name, so the cache can be invalidated
-	// either per entry branch or per whole table.
-	cacheTags []uint64
 	// vars maps a value-stack slot back to its variable; init is the value
 	// stack seeded from Config.InitValues, copied by each executor.
 	vars []expr.Var
@@ -236,10 +230,8 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 	}
 	sort.Strings(p.tags)
 	rank := make([]uint32, len(p.tags))
-	p.cacheTags = make([]uint64, 0, 2*len(p.tags))
 	for r, t := range p.tags {
 		rank[tagIDs[t]] = uint32(r)
-		p.cacheTags = append(p.cacheTags, smt.TagID(t), smt.TagID(rules.TagTable(t)))
 	}
 	for i, d := range p.deps {
 		p.deps[i] = rank[d]

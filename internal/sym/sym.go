@@ -290,7 +290,6 @@ func newExecutor(c Config, opts Options, p *plan, seed uint64) *executor {
 		hashes:     []uint64{seed},
 		journaling: opts.Journal != nil && !opts.NoValidation,
 	}
-	e.solver.SetDepTags(e.depTags)
 	for _, b := range c.InitConstraints {
 		e.solver.Assert(b)
 		e.constraints = append(e.constraints, b)
@@ -348,14 +347,13 @@ type executor struct {
 	journaling bool
 	// deps stacks the interned rule-dependency tags of the current path's
 	// nodes, duplicates and all: a step only appends and truncates. The
-	// readers (templates, journal index records, verdict-cache tagging)
-	// sort and de-duplicate on read via uniqueDeps, whose scratch is
-	// depSeen (tag ID → epoch of the read that last saw it) and depBuf.
+	// readers (templates, journal index records) sort and de-duplicate on
+	// read via uniqueDeps, whose scratch is depSeen (tag ID → epoch of the
+	// read that last saw it) and depBuf.
 	deps     []uint32
 	depSeen  []uint32
 	depEpoch uint32
 	depBuf   []uint32
-	tagBuf   []uint64
 	// degraded counts how many quarantined subtree roots enclose the
 	// current prefix; while positive, every solver interaction is answered
 	// Unknown without touching the solver or journal (see
@@ -518,21 +516,6 @@ func (e *executor) curDeps() []string {
 	for i, id := range ids {
 		out[i] = e.p.tags[id]
 	}
-	return out
-}
-
-// depTags resolves the current path's dependency tags to verdict-cache
-// tag IDs (plan.cacheTags). The solver consumes the slice before the next
-// call, so it is reused.
-func (e *executor) depTags() []uint64 {
-	if len(e.deps) == 0 {
-		return nil
-	}
-	out := e.tagBuf[:0]
-	for _, id := range e.uniqueDeps() {
-		out = append(out, e.p.cacheTags[2*id], e.p.cacheTags[2*id+1])
-	}
-	e.tagBuf = out
 	return out
 }
 
@@ -850,9 +833,9 @@ func (e *executor) batchScratchAt(depth int) *batchScratch {
 // branch node n. Predicate successors with non-trivial substituted
 // conditions are answered from the resume journal when possible; the rest
 // go through one smt.CheckBatch sweep, which propagates the shared prefix
-// once and each sibling's delta incrementally. Journal records and
-// verdict-cache dependency tags are written per sibling with that
-// sibling's deps in scope, exactly as the per-descent path would have.
+// once and each sibling's delta incrementally. Journal records are written
+// per sibling with that sibling's deps in scope, exactly as the per-descent
+// path would have.
 func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 	st := e.batchScratchAt(len(e.path))
 	st.reset(len(n.Succs))
@@ -889,17 +872,8 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 	if len(st.conds) == 0 {
 		return st
 	}
-	// Verdicts stored to the shared cache are tagged with the asserted
-	// path's dependency set, which during the sweep includes the sibling
-	// under decision; retarget the top of e.deps around each sibling.
+	st.res = e.solver.CheckBatch(st.conds, st.res[:0])
 	nDeps := len(e.deps)
-	var prepare func(int)
-	if e.opts.Solver.Cache != nil {
-		prepare = func(i int) {
-			e.deps = append(e.deps[:nDeps], e.p.nodeDeps(st.sibs[i])...)
-		}
-	}
-	st.res = e.solver.CheckBatch(st.conds, st.res[:0], prepare)
 	for j, i := range st.idx {
 		st.pend[i].checked = true
 		st.pend[i].res = st.res[j]

@@ -64,8 +64,9 @@ type Options struct {
 	// within-pipeline summarization runs and the final generation pass:
 	// 0 uses GOMAXPROCS, 1 runs the exact legacy sequential engine (the
 	// paper-faithful ablation baseline), N > 1 splits the DFS frontier
-	// across N workers sharing one solver-verdict cache. Templates are
-	// byte-identical at any setting.
+	// across N workers sharing the run's in-memory solver-verdict memo,
+	// which is made for the generation and dropped with it. Templates
+	// are byte-identical at any setting.
 	Parallelism int
 	// MaxPaths caps DFS descents per exploration (0 = unlimited); the
 	// harness uses it as a timeout substitute for intractable baselines.
@@ -122,12 +123,6 @@ type Options struct {
 	// store.ErrStoreBusy. Zero makes exactly one attempt — the
 	// `-store-wait` CLI flag.
 	StoreWait time.Duration
-	// VerdictCache, when non-nil, is used as the run's shared solver
-	// verdict cache instead of a fresh one — the watch-mode path, where
-	// consecutive incremental runs keep the cache warm across rule
-	// updates (the caller invalidates changed tags between runs). The
-	// cache must have been populated under the same solver options.
-	VerdictCache *smt.VerdictCache
 	// ShardWorkers, when > 1, farms the final generation pass across that
 	// many worker subprocesses under lease-based supervision
 	// (internal/shard). Crashed, hung, or corrupt workers have their work
@@ -135,9 +130,9 @@ type Options struct {
 	// quarantined (its subtree degrades to Unknown — a superset, never a
 	// loss); the merged run is byte-identical to a single-process run.
 	// Option combinations that cannot shard (MaxPaths, Deadline, Resume,
-	// VerdictCache, PathHook), regression runs and total worker failure
-	// fall back to the in-process engine with a logged reason. 0 or 1
-	// disables sharding.
+	// PathHook), regression runs and total worker failure fall back to
+	// the in-process engine with a logged reason. 0 or 1 disables
+	// sharding.
 	ShardWorkers int
 	// ShardListen, when non-empty, swaps the subprocess transport for a
 	// listener at this address ("tcp://host:port" or "unix://path"):
@@ -235,8 +230,8 @@ type GenResult struct {
 	// explorations (sym.Result.Frames): the walk's work, where
 	// PathsExplored is its yield.
 	Frames uint64
-	// SMTCacheHits counts solver checks answered from the shared verdict
-	// cache (parallel mode only; such checks are not in SMTCalls).
+	// SMTCacheHits counts solver checks answered from the run's shared
+	// verdict memo (parallel mode only; such checks are not in SMTCalls).
 	SMTCacheHits uint64
 	// PossiblePathsLog10Before/After record the whole-graph possible-path
 	// counts (Fig. 11c unit).
@@ -350,11 +345,8 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		Strict:           s.Opts.Strict,
 		PathHook:         s.Opts.PathHook,
 	}
-	if s.Opts.VerdictCache != nil {
-		// Watch mode: the caller owns a cache that survives across runs.
-		symOpts.Solver.Cache = s.Opts.VerdictCache
-	} else if symOpts.Workers() > 1 {
-		// One verdict cache spans the whole run, so Unsat prefixes proved
+	if symOpts.Workers() > 1 {
+		// One verdict memo spans the whole run, so Unsat prefixes proved
 		// during summarization of one pipeline also answer the final pass.
 		symOpts.Solver.Cache = smt.NewVerdictCache()
 	}
@@ -426,7 +418,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		// a complete journal of the run, which is why a Resume, whose journal
 		// holds them already, skips this.
 		err := phase("store-warm", func() error {
-			recs, err := stc.warm(s, symOpts.Solver.Cache)
+			recs, err := stc.warm(s)
 			if err != nil {
 				return err
 			}
@@ -533,7 +525,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 				// that died before its commit.
 				recs = append(j.Records(), fresh...)
 			}
-			return stc.commit(s, journal.Canonical(recs), symOpts.Solver.Cache)
+			return stc.commit(s, journal.Canonical(recs))
 		})
 		if err != nil {
 			return nil, fmt.Errorf("meissa: store: %w", err)

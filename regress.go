@@ -10,7 +10,6 @@ import (
 	"repro/internal/regress"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
-	"repro/internal/smt"
 	"repro/internal/spec"
 )
 
@@ -139,12 +138,6 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) ([]journal
 	// --- Incremental generation (new rules, retained verdicts) ---
 	incrOpts := in.Opts
 	incrOpts.Resume = false
-	if incrOpts.VerdictCache != nil && len(invalid) > 0 {
-		// Watch mode: the persistent cache carries verdicts stored under
-		// the invalidated branches; evict them O(affected) before reuse.
-		evicted := invalidateCache(incrOpts.VerdictCache, invalid)
-		obs.Progressf("regress: %d cached verdicts invalidated", evicted)
-	}
 	newSys, err := New(in.Prog, in.NewRules, in.Specs, incrOpts)
 	if err != nil {
 		return nil, err
@@ -210,14 +203,4 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) ([]journal
 	obs.Progressf("regress: done in %v: %d/%d templates unchanged, %d added, %d retired; %.0f%% queries avoided",
 		time.Since(start), tr.Unchanged, tr.Current, tr.Added, tr.Retired, 100*q.Reuse)
 	return &RegressResult{Delta: delta, BaselineGen: baseGen, Gen: gen, Report: rep}, nil
-}
-
-// invalidateCache evicts from a verdict cache that outlives a rule update
-// every verdict stored under the tags the update retires.
-func invalidateCache(cache *smt.VerdictCache, tags []string) int {
-	ids := make([]uint64, len(tags))
-	for i, tag := range tags {
-		ids[i] = smt.TagID(tag)
-	}
-	return cache.Invalidate(ids)
 }

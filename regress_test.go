@@ -17,7 +17,6 @@ import (
 	"repro/internal/programs"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
-	"repro/internal/smt"
 )
 
 // regressOnce runs the full incremental flow for one program/delta and
@@ -200,9 +199,10 @@ func TestRegressEmptyDelta(t *testing.T) {
 	}
 }
 
-// TestRegressWatchCache: consecutive incremental runs sharing a verdict
-// cache (the watch-mode configuration) stay byte-identical to cold runs
-// after tag invalidation.
+// TestRegressWatchCache: consecutive incremental runs at Parallelism 2,
+// each regressing from the checkpoint the one before left (the watch-mode
+// chain) and each with a verdict memo of its own, stay byte-identical to
+// cold runs.
 func TestRegressWatchCache(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	dir := t.TempDir()
@@ -218,7 +218,6 @@ func TestRegressWatchCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := smt.NewVerdictCache()
 	cur := p.Rules
 	curBase := baseOpts.Checkpoint
 	for i, n := range []int{1, 2} {
@@ -229,7 +228,6 @@ func TestRegressWatchCache(t *testing.T) {
 		incrOpts := meissa.DefaultOptions()
 		incrOpts.Parallelism = 2
 		incrOpts.Checkpoint = filepath.Join(dir, fmt.Sprintf("next%d.journal", i))
-		incrOpts.VerdictCache = cache
 		res, err := meissa.Regress(meissa.RegressInput{
 			Prog: p.Prog, OldRules: cur, NewRules: newRules,
 			Opts: incrOpts, Baseline: curBase, Program: p.Name,

@@ -58,8 +58,6 @@ func (s *System) shardPlan(regression bool) (bool, string) {
 		return false, "Deadline is a global wall-clock budget that cannot be enforced across processes"
 	case regression || s.Opts.Resume:
 		return false, "resume/rebase journals already hold prior verdicts; sharding would re-solve them"
-	case s.Opts.VerdictCache != nil:
-		return false, "caller-owned verdict cache cannot cross the process boundary"
 	case s.Opts.PathHook != nil:
 		return false, "PathHook cannot cross the process boundary"
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
-	"repro/internal/smt"
 	"repro/internal/store"
 )
 
@@ -83,25 +82,20 @@ func (stc *storeCtx) release() {
 // reconcileRules applies a rule update to the store inside tx: parse the
 // stored rule text, diff it canonically against the run's rules, retire
 // exactly the invalidated entries, and install the new text — one atomic
-// transaction with whatever else the caller commits. Entries whose tags
+// transaction with whatever else the caller commits. Records whose tags
 // the delta does not touch keep answering; there is no path by which a
-// stale verdict survives, because every record and cache entry carries
-// its dependency tags and entries without them are never stored.
-func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, newSet *rules.Set) (int, []string, error) {
+// stale verdict survives, because every record carries its dependency
+// tags and records without them are never stored.
+func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, newSet *rules.Set) (int, error) {
 	old, err := rules.Parse(storedText)
 	if err != nil {
-		return 0, nil, fmt.Errorf("stored rules for family %#x unparseable: %w", stc.fam, err)
+		return 0, fmt.Errorf("stored rules for family %#x unparseable: %w", stc.fam, err)
 	}
-	delta := rulediff.Diff(old, newSet)
-	invalid := delta.InvalidTags()
-	n, err := tx.InvalidateTags(stc.fam, invalid)
+	n, err := tx.InvalidateTags(stc.fam, rulediff.Diff(old, newSet).InvalidTags())
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	if err := tx.SetFamilyRules(stc.fam, newSet.String()); err != nil {
-		return 0, nil, err
-	}
-	return n, invalid, nil
+	return n, tx.SetFamilyRules(stc.fam, newSet.String())
 }
 
 // records reads the family's verdict records from sn, in canonical order.
@@ -114,12 +108,11 @@ func (stc *storeCtx) records(sn *store.Snapshot) ([]journal.Record, error) {
 	return recs, err
 }
 
-// warm prepares a store-backed run: reconcile a stale stored rule set,
-// read the family's surviving records from one snapshot, and seed the
-// solver verdict cache from the persisted cache entries. The records are
+// warm prepares a store-backed run: reconcile a stale stored rule set and
+// read the family's surviving records from one snapshot. The records are
 // the caller's to put into its verdict table; none means a cold start
 // (no family, or an empty one).
-func (stc *storeCtx) warm(s *System, cache *smt.VerdictCache) ([]journal.Record, error) {
+func (stc *storeCtx) warm(s *System) ([]journal.Record, error) {
 	info, ok, err := stc.st.Family(stc.fam)
 	if err != nil {
 		return nil, err
@@ -133,7 +126,7 @@ func (stc *storeCtx) warm(s *System, cache *smt.VerdictCache) ([]journal.Record,
 		if err != nil {
 			return nil, err
 		}
-		n, invalid, rerr := stc.reconcileRules(tx, info.Rules, s.Rules)
+		n, rerr := stc.reconcileRules(tx, info.Rules, s.Rules)
 		if rerr != nil {
 			tx.Abort()
 			return nil, rerr
@@ -142,11 +135,6 @@ func (stc *storeCtx) warm(s *System, cache *smt.VerdictCache) ([]journal.Record,
 			return nil, err
 		}
 		stc.rep.Invalidated += uint64(n)
-		if cache != nil {
-			// A caller-owned cache (watch mode) may carry verdicts stored
-			// under the retired branches; evict them by the same tags.
-			invalidateCache(cache, invalid)
-		}
 		obs.Progressf("meissa: store: rule delta retired %d stored entries", n)
 	}
 
@@ -157,31 +145,18 @@ func (stc *storeCtx) warm(s *System, cache *smt.VerdictCache) ([]journal.Record,
 		return nil, err
 	}
 	stc.rep.Warmed = uint64(len(recs))
-	if cache != nil {
-		err := sn.CacheEntries(stc.fam, func(sum, xor uint64, n uint32, v byte, tags []uint64) bool {
-			if cache.Seed(sum, xor, n, smt.Result(v), tags) {
-				stc.rep.CacheSeeded++
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	return recs, nil
 }
 
-// commit folds records (and what the solver cache, when one exists, has
-// learned since it was seeded or last committed) into the store as ONE
-// transaction: rule-set reconciliation (when the stored
-// rules differ — a regression, or a resumed checkpoint), new records, and
-// cache entries all become durable together or not at all. recs is what
-// the store may not hold yet, in canonical order: the verdicts the run
-// derived, plus a resumed checkpoint's. The records the run warmed from
+// commit folds records into the store as ONE transaction: rule-set
+// reconciliation (when the stored rules differ — a regression, or a resumed
+// checkpoint) and new records become durable together or not at all. recs
+// is what the store may not hold yet, in canonical order: the verdicts the
+// run derived, plus a resumed checkpoint's. The records the run warmed from
 // the store are not among them and count as duplicates unread; a record
 // present byte-identical is skipped, so a fully-warmed re-run commits
 // nothing and leaves the store file untouched.
-func (stc *storeCtx) commit(s *System, recs []journal.Record, cache *smt.VerdictCache) error {
+func (stc *storeCtx) commit(s *System, recs []journal.Record) error {
 	newText := s.Rules.String()
 	info, ok, err := stc.st.Family(stc.fam)
 	if err != nil {
@@ -196,7 +171,7 @@ func (stc *storeCtx) commit(s *System, recs []journal.Record, cache *smt.Verdict
 		// The run's rules moved past the stored ones without a warm-time
 		// reconcile: retire the delta's entries in this same transaction,
 		// before the new records land.
-		n, _, rerr := stc.reconcileRules(tx, info.Rules, s.Rules)
+		n, rerr := stc.reconcileRules(tx, info.Rules, s.Rules)
 		if rerr != nil {
 			return fail(rerr)
 		}
@@ -223,31 +198,10 @@ func (stc *storeCtx) commit(s *System, recs []journal.Record, cache *smt.Verdict
 			stc.rep.Committed++
 		}
 	}
-	cachePersisted := func() {}
-	if cache != nil {
-		// Only what solvers stored since the cache was seeded or last
-		// committed: a warm run re-writes none of the family's entries.
-		var cerr error
-		cachePersisted = cache.ExportPending(func(sum, xor uint64, n uint32, r smt.Result, tags []uint64) bool {
-			if len(tags) == 0 {
-				return true // untagged entries cannot be invalidated later
-			}
-			if cerr = tx.PutCache(stc.fam, sum, xor, n, byte(r), tags); cerr != nil {
-				return false
-			}
-			stc.rep.CacheCommitted++
-			return true
-		})
-		if cerr != nil {
-			return fail(cerr)
-		}
-	}
 	if err := tx.Commit(); err != nil {
 		return err
 	}
-	cachePersisted()
-	obs.Progressf("meissa: store: committed %d records (%d duplicates skipped, %d cache entries)",
-		stc.rep.Committed, stc.rep.Duplicates, stc.rep.CacheCommitted)
+	obs.Progressf("meissa: store: committed %d records (%d duplicates skipped)", stc.rep.Committed, stc.rep.Duplicates)
 	return nil
 }
 
@@ -283,7 +237,7 @@ func (s *System) StoreImport(journalPath string) (*obs.StoreReport, error) {
 	defer stc.release()
 	recs, err := journal.ReadRecords(journalPath, stc.sysFP)
 	if err == nil {
-		err = stc.commit(s, recs, nil)
+		err = stc.commit(s, recs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("meissa: store import: %w", err)
@@ -310,7 +264,7 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 		return nil, fmt.Errorf("meissa: store export: no Store or StorePath configured")
 	}
 	defer stc.release()
-	recs, err := stc.warm(s, nil)
+	recs, err := stc.warm(s)
 	if err != nil {
 		return nil, fmt.Errorf("meissa: store export: %w", err)
 	}
@@ -331,16 +285,15 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 // StoreStatus describes what a verdict store holds for this system's
 // family (the `meissa store info` view).
 type StoreStatus struct {
-	Path         string
-	FileBytes    uint64
-	Txid         uint64
-	Family       uint64 // family fingerprint (rules excluded)
-	Fingerprint  uint64 // full journal fingerprint (rules included)
-	Present      bool   // the family exists in the store
-	RulesHash    uint64
-	Rules        string
-	Records      int
-	CacheEntries int
+	Path        string
+	FileBytes   uint64
+	Txid        uint64
+	Family      uint64 // family fingerprint (rules excluded)
+	Fingerprint uint64 // full journal fingerprint (rules included)
+	Present     bool   // the family exists in the store
+	RulesHash   uint64
+	Rules       string
+	Records     int
 }
 
 // StoreStatus opens the system's store and reports the family's state.
@@ -375,13 +328,6 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 	}
 	st.Present, st.RulesHash, st.Rules = true, info.RulesHash, info.Rules
 	if st.Records, err = sn.RecordCount(stc.fam); err != nil {
-		return nil, err
-	}
-	err = sn.CacheEntries(stc.fam, func(_, _ uint64, _ uint32, _ byte, _ []uint64) bool {
-		st.CacheEntries++
-		return true
-	})
-	if err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -10,8 +10,12 @@ package meissa_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,7 +26,6 @@ import (
 	"repro/internal/regress"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
-	"repro/internal/smt"
 	"repro/internal/store"
 )
 
@@ -149,18 +152,17 @@ func TestStoreRuleChurnMatchesCold(t *testing.T) {
 	}
 }
 
-// TestStoreWarmRunLeavesCacheEntriesAlone: a store commit takes from the
-// solver cache only what solvers stored since it was seeded or last
-// committed. A second generation on the same live cache (the daemon's warm
-// request) and a first generation on a fresh cache seeded from the store (a
-// restarted daemon, a watch process) commit no cache entry and no
-// transaction, and leave the store file's bytes alone; after a rule delta
-// the commit holds exactly the verdicts the run derived.
-func TestStoreWarmRunLeavesCacheEntriesAlone(t *testing.T) {
+// TestStoreWarmRunCommitsNothing: a warm run commits nothing — no
+// record, no transaction — and leaves the store file's bytes alone, at any
+// parallelism, and so does the first warm run after a rule delta's commit.
+// The file here is one a release that persisted the solver's verdict cache
+// left: two of its 'C' frames sit inside the committed transaction, and the
+// warm runs serve the records around them without touching them.
+func TestStoreWarmRunCommitsNothing(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	spath := filepath.Join(t.TempDir(), "verdicts.store")
-	withCache := func(c *smt.VerdictCache) func(*meissa.Options) {
-		return func(o *meissa.Options) { o.VerdictCache = c }
+	parallel := func(n int) func(*meissa.Options) {
+		return func(o *meissa.Options) { o.Parallelism = n }
 	}
 	storeBytes := func() []byte {
 		t.Helper()
@@ -172,48 +174,59 @@ func TestStoreWarmRunLeavesCacheEntriesAlone(t *testing.T) {
 	}
 	checkUntouched := func(what string, gen *meissa.GenResult, before []byte) {
 		t.Helper()
-		if st := gen.Store; st.CacheCommitted != 0 || st.Committed != 0 || st.Commits != 0 {
-			t.Errorf("%s: cache_committed %d, committed %d, commits %d; want 0, 0, 0", what, st.CacheCommitted, st.Committed, st.Commits)
+		if st := gen.Store; st.Committed != 0 || st.Commits != 0 {
+			t.Errorf("%s: committed %d, commits %d; want 0, 0", what, st.Committed, st.Commits)
 		}
-		if gen.SMTCalls != 0 {
-			t.Errorf("%s: %d live solver calls, want a warm run", what, gen.SMTCalls)
+		if gen.SMTCalls != 0 || gen.SMTCacheHits != 0 {
+			t.Errorf("%s: %d live solver calls, %d memo hits; want a warm run", what, gen.SMTCalls, gen.SMTCacheHits)
 		}
 		if !bytes.Equal(storeBytes(), before) {
 			t.Errorf("%s: the store file changed", what)
 		}
 	}
 
-	live := smt.NewVerdictCache()
-	cold := generateStore(t, p, nil, spath, withCache(live))
-	// (Untagged verdicts are never persisted, so fewer than were stored.)
-	if n := cold.Store.CacheCommitted; n == 0 || n > live.Stats().Stores {
-		t.Fatalf("cold run committed %d cache entries, its solvers stored %d", n, live.Stats().Stores)
+	cold := generateStore(t, p, nil, spath, parallel(2))
+	if cold.Store.Committed == 0 {
+		t.Fatal("cold run committed nothing")
+	}
+	// A frame is [u32 length][payload][u32 CRC32C(payload)]; a cache entry's
+	// payload 'C' sum(8) xor(8) n(4) verdict(1) ntags(2) tagid(8)*. The
+	// transaction's commit marker is the file's last 17 bytes.
+	cacheFrame := func(ntags int) []byte {
+		payload := make([]byte, 24+8*ntags)
+		payload[0], payload[22] = 'C', byte(ntags)
+		out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		return binary.LittleEndian.AppendUint32(append(out, payload...), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 	}
 	populated := storeBytes()
-
-	checkUntouched("same live cache", generateStore(t, p, nil, spath, withCache(live)), populated)
-
-	fresh := smt.NewVerdictCache()
-	seeded := generateStore(t, p, nil, spath, withCache(fresh))
-	if seeded.Store.CacheSeeded != cold.Store.CacheCommitted {
-		t.Errorf("fresh cache seeded with %d entries, the store holds %d", seeded.Store.CacheSeeded, cold.Store.CacheCommitted)
+	marker := len(populated) - 17
+	populated = slices.Concat(populated[:marker], cacheFrame(2), cacheFrame(0), populated[marker:])
+	if err := os.WriteFile(spath, populated, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	checkUntouched("fresh cache seeded from the store", seeded, populated)
+
+	for _, n := range []int{2, 1} {
+		warm := generateStore(t, p, nil, spath, parallel(n))
+		checkUntouched(fmt.Sprintf("warm run at parallelism %d", n), warm, populated)
+		if warm.Store.Warmed != cold.Store.Committed || warm.Store.FileBytes != uint64(len(populated)) {
+			t.Errorf("warm run at parallelism %d: warmed %d of %d records from a file of %d bytes (%d on disk)",
+				n, warm.Store.Warmed, cold.Store.Committed, warm.Store.FileBytes, len(populated))
+		}
+		if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
+			t.Errorf("warm run at parallelism %d diverged from the cold run", n)
+		}
+	}
 
 	newRules, n := rulediff.MutateArgs(p.Rules, 1)
 	if n == 0 {
 		t.Skip("corpus rules have no mutable action arguments")
 	}
-	churn := generateStore(t, p, newRules, spath, withCache(fresh))
-	derived := fresh.Stats().Stores // seeding is stats-neutral: these are the run's own
-	if derived == 0 || churn.SMTCalls == 0 {
-		t.Fatal("the rule delta derived no new verdict; the test says nothing")
+	churn := generateStore(t, p, newRules, spath, parallel(2))
+	if churn.SMTCalls == 0 || churn.Store.Committed == 0 || churn.Store.Committed >= cold.Store.Committed {
+		t.Fatalf("after a one-entry delta: %d solver calls, %d records committed; the store held %d",
+			churn.SMTCalls, churn.Store.Committed, cold.Store.Committed)
 	}
-	if n := churn.Store.CacheCommitted; n == 0 || n > derived || n >= cold.Store.CacheCommitted {
-		t.Errorf("after a one-entry delta: %d cache entries committed; the run derived %d, the store held %d",
-			n, derived, cold.Store.CacheCommitted)
-	}
-	checkUntouched("after the delta's commit", generateStore(t, p, newRules, spath, withCache(fresh)), storeBytes())
+	checkUntouched("after the delta's commit", generateStore(t, p, newRules, spath, parallel(2)), storeBytes())
 }
 
 // TestRegressStoreMatchesCold: RegressStore recovers the baseline (old
@@ -329,6 +342,35 @@ func TestStoreWarmParallel(t *testing.T) {
 	}
 	if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
 		t.Fatal("parallel warm run diverged from the cold run")
+	}
+}
+
+// TestStoreFileIndependentOfParallelism: what a cold run leaves in the store
+// is its verdict records in canonical order and nothing else, so the file
+// is the same bytes however many workers derived them.
+func TestStoreFileIndependentOfParallelism(t *testing.T) {
+	for _, name := range []string{"gw-2", "gw-3"} {
+		p := corpusProgram(t, name)
+		var want []byte
+		var committed uint64
+		for _, n := range []int{1, 2, 4} {
+			spath := filepath.Join(t.TempDir(), "verdicts.store")
+			gen := generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Parallelism = n })
+			got, err := os.ReadFile(spath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want, committed = got, gen.Store.Committed
+				continue
+			}
+			if gen.Store.Committed != committed {
+				t.Errorf("%s: %d records committed at parallelism %d, %d at 1", name, gen.Store.Committed, n, committed)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: the store file at parallelism %d (%d bytes) differs from the one at 1 (%d bytes)", name, n, len(got), len(want))
+			}
+		}
 	}
 }
 
@@ -510,7 +552,7 @@ func TestStoreFileSizeGates(t *testing.T) {
 	}
 	exported := filepath.Join(dir, "exported.journal")
 	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1 // sequential runs keep no solver cache, whose entries a commit would add
+	opts.Parallelism = 1
 	opts.StorePath = spath
 	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
 	if err != nil {
