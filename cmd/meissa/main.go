@@ -430,7 +430,16 @@ func cmdTest(args []string) error {
 	orep := genReport("test", prog.Name, opts.Parallelism, gen)
 	orep.WallNS = int64(gen.Duration + driveDur)
 	orep.Phases = append(orep.Phases, obs.PhaseDur{Name: "drive", NS: int64(driveDur), Count: 1})
-	orep.Driver = driverReport(rep, shaken, gen.Duration+rep.TimeToFirstVerdict, driveDur, d.Window)
+	// The target's counters may be read once an in-process drive is over;
+	// behind -udp the switch's workers own it.
+	counted := target
+	if loop == nil {
+		counted = nil
+	}
+	orep.Driver = driverReport(rep, counted, shaken, gen.Duration+rep.TimeToFirstVerdict, driveDur, d.Window)
+	if orep.Driver.Target != nil {
+		fmt.Println(targetLine(orep.Driver.Target))
+	}
 	if err := ob.finish(orep); err != nil {
 		return err
 	}

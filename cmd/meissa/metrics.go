@@ -5,12 +5,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	meissa "repro"
 	"repro/internal/driver"
 	"repro/internal/obs"
 	"repro/internal/regress"
+	"repro/internal/switchsim"
 )
 
 // obsFlags are the observability flags shared by gen and test:
@@ -96,11 +98,13 @@ func genReport(command, program string, parallelism int, gen *meissa.GenResult) 
 	return gen.Report(command, program, parallelism)
 }
 
-// driverReport builds the test-execution section from a driver report and
-// the optional shaken link. driveDur is the drive phase wall-clock and
+// driverReport builds the test-execution section from a driver report,
+// the target's own counters (target is nil when the switch under test is
+// behind a socket and its workers own it) and the optional shaken link.
+// driveDur is the drive phase wall-clock and
 // window the engine's in-flight window; together they yield the headline
 // verdicts_per_sec throughput.
-func driverReport(rep *driver.Report, shaken *driver.FaultyLink, firstVerdict, driveDur time.Duration, window int) *obs.DriverReport {
+func driverReport(rep *driver.Report, target *switchsim.Target, shaken *driver.FaultyLink, firstVerdict, driveDur time.Duration, window int) *obs.DriverReport {
 	d := &obs.DriverReport{
 		Passed:            rep.Passed,
 		Failed:            rep.Failed,
@@ -112,6 +116,15 @@ func driverReport(rep *driver.Report, shaken *driver.FaultyLink, firstVerdict, d
 		Window:            window,
 		BreakerTripped:    rep.BreakerTripped,
 		ShortCircuited:    rep.ShortCircuited,
+		Phases: &obs.DrivePhases{
+			ConcretizeNS: int64(rep.Phases.Concretize),
+			SendNS:       int64(rep.Phases.Send),
+			RecvNS:       int64(rep.Phases.Recv),
+			CheckNS:      int64(rep.Phases.Check),
+		},
+	}
+	if target != nil {
+		d.Target = targetReport(target.Stats())
 	}
 	if verdicts := rep.Passed + rep.Failed + rep.Flaky + rep.Lost; verdicts > 0 && driveDur > 0 {
 		d.VerdictsPerSec = float64(verdicts) / driveDur.Seconds()
@@ -130,6 +143,44 @@ func driverReport(rep *driver.Report, shaken *driver.FaultyLink, firstVerdict, d
 		}
 	}
 	return d
+}
+
+// targetReport renders the target's counters, applied tables by rows
+// probed.
+func targetReport(st switchsim.Stats) *obs.TargetReport {
+	t := &obs.TargetReport{Packets: st.Packets, Instructions: st.Instructions, Drops: st.Drops}
+	for _, ts := range st.Tables {
+		if ts.Applies > 0 {
+			t.Tables = append(t.Tables, obs.TargetTable(ts))
+		}
+	}
+	sort.SliceStable(t.Tables, func(i, j int) bool { return t.Tables[i].Probes > t.Tables[j].Probes })
+	return t
+}
+
+// targetLine is the one-line account `meissa test` prints of it.
+func targetLine(t *obs.TargetReport) string {
+	if t.Packets == 0 {
+		return "target: no packets"
+	}
+	var probes uint64
+	for _, tb := range t.Tables {
+		probes += tb.Probes
+	}
+	n := float64(t.Packets)
+	s := fmt.Sprintf("target: %d packets (%d dropped), %.1f instr/packet, %.1f probes/packet",
+		t.Packets, t.Drops, float64(t.Instructions)/n, float64(probes)/n)
+	for i, tb := range t.Tables {
+		if i == 3 || tb.Probes == 0 {
+			break
+		}
+		sep := ", "
+		if i == 0 {
+			sep = "; most probed: "
+		}
+		s += fmt.Sprintf("%s%s %.1f", sep, tb.Name, float64(tb.Probes)/n)
+	}
+	return s
 }
 
 // cmdCheckMetrics is the CI metrics-smoke gate: it parses a -metrics-out
@@ -212,6 +263,14 @@ func cmdCheckMetrics(args []string) error {
 		}
 		if rep.Driver.BreakerTripped {
 			fmt.Printf("  driver breaker tripped: %d cases short-circuited to lost\n", rep.Driver.ShortCircuited)
+		}
+		if ph := rep.Driver.Phases; ph != nil {
+			fmt.Printf("  driver phases concretize=%v send=%v recv=%v check=%v\n",
+				time.Duration(ph.ConcretizeNS).Round(time.Microsecond), time.Duration(ph.SendNS).Round(time.Microsecond),
+				time.Duration(ph.RecvNS).Round(time.Microsecond), time.Duration(ph.CheckNS).Round(time.Microsecond))
+		}
+		if rep.Driver.Target != nil {
+			fmt.Println(" ", targetLine(rep.Driver.Target))
 		}
 	}
 	if st := rep.Store; st != nil {

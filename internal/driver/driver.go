@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -132,6 +133,25 @@ type Report struct {
 	// (a subset of Lost).
 	BreakerTripped bool
 	ShortCircuited int
+	// Phases is where the suite's wall-clock went, stage by stage.
+	Phases Phases
+}
+
+// Phases splits a suite's wall-clock over the stages a verdict passes
+// through. The clock is read once per stage per batch — an admission
+// burst, a drain of the link — not per case, so the attribution costs the
+// run nothing measurable; time in none of the stages (timer wheel, idle
+// waits, verdict bookkeeping) is the suite's wall-clock minus their sum.
+type Phases struct {
+	// Concretize: template to case (model completion, synthesis,
+	// prediction, marshaling).
+	Concretize time.Duration
+	// Send: Link.Send — on the loopback this is the target's inject.
+	Send time.Duration
+	// Recv: captures read off the link, demultiplexed and decoded.
+	Recv time.Duration
+	// Check: the checker, on captures and on closed windows.
+	Check time.Duration
 }
 
 // Failures returns the failing outcomes.
@@ -206,12 +226,10 @@ type Driver struct {
 	// of burning each one's full retry budget on a dead target. Any
 	// non-crashing verdict resets the streak. 0 disables the breaker.
 	BreakerThreshold int
-	// checksummed lists (header, field) pairs the program maintains via
-	// update_checksum, which the checker validates on every output.
-	checksummed [][2]string
-	// csPlans precomputes each checksummed pair's destination and input
-	// variables, so Concretize fills sender checksums without rebuilding
-	// variable names per case.
+	// csPlans precomputes, for each (header, field) the program maintains
+	// via update_checksum, the destination and the input fields: Concretize
+	// fills sender checksums and the checker validates every output from
+	// them, without rebuilding names or slices per case.
 	csPlans []csPlan
 	// baseModel is the default-completed model every case starts from:
 	// all graph variables zero except TTL fields at 64. Concretize clones
@@ -219,8 +237,11 @@ type Driver struct {
 	baseModel expr.State
 	// graphZero is the all-zero graph state SpecApplies starts from.
 	graphZero expr.State
-	// csScratch is the reused checksum input buffer for Concretize.
+	// csScratch is the checksum input buffer Concretize and check reuse.
 	csScratch []uint64
+	// phases and mark are the running suite's stage clock (see lap).
+	phases Phases
+	mark   time.Time
 	// tmplCache memoizes each template's ID-independent concretization
 	// for the pipelined engine (see concretized).
 	tmplCache map[*sym.Template]*concretized
@@ -253,7 +274,6 @@ func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver 
 		Window:      DefaultWindow,
 		pending:     map[uint64][]byte{},
 	}
-	d.checksummed = collectChecksums(prog)
 
 	d.fieldOrder = make(map[string][]string, len(prog.Headers))
 	for _, h := range prog.Headers {
@@ -277,13 +297,14 @@ func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver 
 			}
 		}
 	}
-	for _, hf := range d.checksummed {
+	for _, hf := range collectChecksums(prog) {
 		header, field := hf[0], hf[1]
 		decl := prog.Header(header)
 		if decl == nil || decl.Field(field) == nil {
 			continue
 		}
 		pl := csPlan{
+			header: header, field: field,
 			v: vt.Field(header, field),
 			w: expr.Width(decl.Field(field).Width),
 		}
@@ -291,6 +312,7 @@ func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver 
 			if f.Name == field {
 				continue
 			}
+			pl.names = append(pl.names, f.Name)
 			pl.in = append(pl.in, vt.Field(header, f.Name))
 			pl.iw = append(pl.iw, expr.Width(f.Width))
 		}
@@ -299,13 +321,29 @@ func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver 
 	return d
 }
 
-// csPlan precomputes one maintained checksum's destination variable and
-// width plus its input variables and widths.
+// csPlan precomputes one maintained checksum: its header and field, the
+// destination variable and width, and the input fields in declaration
+// order — as names (the checker reads packets), variables (Concretize
+// reads models) and widths.
 type csPlan struct {
-	v  expr.Var
-	w  expr.Width
-	in []expr.Var
-	iw []expr.Width
+	header, field string
+	v             expr.Var
+	w             expr.Width
+	names         []string
+	in            []expr.Var
+	iw            []expr.Width
+}
+
+// startClock opens a batch of stage timings; lap charges the time since
+// the last reading to a stage and returns that reading, so call sites
+// that need the time anyway share it.
+func (d *Driver) startClock() { d.mark = time.Now() }
+
+func (d *Driver) lap(stage *time.Duration) time.Time {
+	now := time.Now()
+	*stage += now.Sub(d.mark)
+	d.mark = now
+	return now
 }
 
 // concretized caches a template's ID-independent concretization. The
@@ -551,14 +589,17 @@ func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template)
 	rep := &Report{Program: d.Prog.Name}
 	suiteStart := time.Now()
 	consecCrashes := 0
+	d.phases = Phases{}
 	for _, t := range templates {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("driver: %w", err)
 		}
+		d.startClock()
 		c, err := d.Concretize(t, d.allocID())
 		if err != nil {
 			return nil, err
 		}
+		d.lap(&d.phases.Concretize)
 		if c.SkipReason != "" {
 			rep.Skipped++
 			mCasesSkipped.Inc()
@@ -610,6 +651,7 @@ func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template)
 			mBreakerTripped.Inc()
 		}
 	}
+	rep.Phases = d.phases
 	return rep, nil
 }
 
@@ -685,10 +727,12 @@ func (d *Driver) RunCaseCtx(ctx context.Context, c *Case) (*Outcome, error) {
 		backoff *= 2
 		// Fresh payload ID per retransmission: stale captures from the
 		// previous attempt stay identifiable and never pollute this one.
+		d.startClock()
 		nc, err := d.Concretize(c.Template, d.allocID())
 		if err != nil {
 			return nil, err
 		}
+		d.lap(&d.phases.Concretize)
 		if nc.SkipReason != "" {
 			break
 		}
@@ -708,7 +752,10 @@ func (d *Driver) RunCaseCtx(ctx context.Context, c *Case) (*Outcome, error) {
 // harness is the point.
 func (d *Driver) runAttempt(ctx context.Context, c *Case) *Outcome {
 	o := &Outcome{Case: c}
-	if err := d.Link.Send(c.Entry, c.Wire); err != nil {
+	d.startClock()
+	err := d.Link.Send(c.Entry, c.Wire)
+	d.lap(&d.phases.Send)
+	if err != nil {
 		var ce *switchsim.CrashError
 		if errors.As(err, &ce) {
 			o.Crashed = true
@@ -742,8 +789,10 @@ func (d *Driver) runAttempt(ctx context.Context, c *Case) *Outcome {
 	} else {
 		o.Absent = true
 	}
+	d.lap(&d.phases.Recv)
 
 	d.check(o)
+	d.lap(&d.phases.Check)
 	return o
 }
 
@@ -849,28 +898,22 @@ func (d *Driver) check(o *Outcome) {
 
 	// 2. Validate checksums on the captured packet.
 	if d.Checks.Checksums && o.Output != nil {
-		for _, hf := range d.checksummed {
-			header, field := hf[0], hf[1]
-			if !o.Output.Has(header) {
+		for i := range d.csPlans {
+			pl := &d.csPlans[i]
+			at := slices.IndexFunc(o.Output.Headers, func(h packet.Header) bool { return h.Name == pl.header })
+			if at < 0 {
 				continue
 			}
-			decl := d.Prog.Header(header)
-			var vals []uint64
-			var widths []expr.Width
-			for _, f := range decl.Fields {
-				if f.Name == field {
-					continue
-				}
-				v, _ := o.Output.Field(header, f.Name)
-				vals = append(vals, v)
-				widths = append(widths, expr.Width(f.Width))
+			fields := o.Output.Headers[at].Fields
+			vals := d.csScratch[:0]
+			for _, f := range pl.names {
+				vals = append(vals, fields[f])
 			}
-			want := hashfn.Checksum(vals, widths)
-			got, _ := o.Output.Field(header, field)
-			fw := expr.Width(decl.Field(field).Width)
-			if fw.Trunc(want) != got {
+			d.csScratch = vals[:0]
+			want := pl.w.Trunc(hashfn.Checksum(vals, pl.iw))
+			if got := fields[pl.field]; want != got {
 				o.ChecksumErrors = append(o.ChecksumErrors,
-					fmt.Sprintf("%s.%s = %#x, recomputed %#x", header, field, got, fw.Trunc(want)))
+					fmt.Sprintf("%s.%s = %#x, recomputed %#x", pl.header, pl.field, got, want))
 			}
 		}
 	}

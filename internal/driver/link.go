@@ -65,7 +65,11 @@ const maxRetainedTraces = 256
 type Loopback struct {
 	target *switchsim.Target
 	mu     sync.Mutex
-	queue  [][]byte
+	// queue[head:] are the captures not yet delivered. A delivered slot is
+	// nilled so the queue never pins a wire its receiver already has, and
+	// a drained queue rewinds to reuse its backing array from the start.
+	queue [][]byte
+	head  int
 	// traces holds the most recent target execution traces (bounded by
 	// maxRetainedTraces), for bug localization. Empty in quiet mode.
 	traces []*switchsim.Result
@@ -127,24 +131,30 @@ func (l *Loopback) Send(entry int, wire []byte) error {
 func (l *Loopback) Recv(timeout time.Duration) ([]byte, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.queue) == 0 {
-		return nil, false, nil
+	out, ok := l.pop()
+	return out, ok, nil
+}
+
+// pop takes the oldest undelivered capture off the queue.
+func (l *Loopback) pop() ([]byte, bool) {
+	if l.head == len(l.queue) {
+		return nil, false
 	}
-	out := l.queue[0]
-	l.queue = l.queue[1:]
-	return out, true, nil
+	out := l.queue[l.head]
+	l.queue[l.head] = nil
+	l.head++
+	if l.head == len(l.queue) {
+		l.queue, l.head = l.queue[:0], 0
+	}
+	return out, true
 }
 
 // RecvInto implements FastRecvLink.
 func (l *Loopback) RecvInto(buf []byte, timeout time.Duration) (int, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.queue) == 0 {
-		return 0, false, nil
-	}
-	out := l.queue[0]
-	l.queue = l.queue[1:]
-	return copy(buf, out), true, nil
+	out, ok := l.pop()
+	return copy(buf, out), ok, nil
 }
 
 // Replay re-executes a wire packet through the target with tracing on

@@ -179,6 +179,7 @@ type engine struct {
 	idMap    map[uint64]*pcase
 	free     []*pcase
 	scratch  []*pcase // reused iteration buffer (closeSyncWindows)
+	routed   []routed // reused: one drain's decoded captures, awaiting the checker
 	outs     []*Outcome
 	skips    []*Case
 	recvBuf  []byte
@@ -195,6 +196,12 @@ type engine struct {
 	// it reaches BreakerThreshold the breaker trips and un-admitted
 	// templates short-circuit to Lost (in-flight cases still finish).
 	consecCrashes int
+}
+
+// routed is a capture delivered to its case and decoded.
+type routed struct {
+	pc *pcase
+	o  *Outcome
 }
 
 // runPipelined is RunTemplatesCtx's engine when Window > 1. It keeps up
@@ -230,6 +237,7 @@ func (d *Driver) runPipelined(ctx context.Context, templates []*sym.Template) (*
 	}
 	pl := d.Prog.Pipeline(d.entryPipeline(0))
 	eng.copyWire = pl == nil || pl.Parser == ""
+	d.phases = Phases{}
 
 	next := 0
 	for eng.done < len(templates) {
@@ -240,6 +248,7 @@ func (d *Driver) runPipelined(ctx context.Context, templates []*sym.Template) (*
 		// 1. Admission burst: top the window up, one send per case. A
 		// tripped breaker short-circuits the whole remainder instead
 		// (short-circuited cases hold no window slot).
+		d.startClock()
 		for next < len(templates) && (eng.rep.BreakerTripped || eng.inflight < d.Window) {
 			if eng.rep.BreakerTripped {
 				if err := eng.shortCircuit(templates[next], next); err != nil {
@@ -309,6 +318,7 @@ func (d *Driver) runPipelined(ctx context.Context, templates []*sym.Template) (*
 			eng.rep.Skips = append(eng.rep.Skips, c)
 		}
 	}
+	eng.rep.Phases = d.phases
 	return eng.rep, nil
 }
 
@@ -344,6 +354,7 @@ func (eng *engine) admit(t *sym.Template, idx int) error {
 	if err != nil {
 		return err
 	}
+	now := d.lap(&d.phases.Concretize)
 	if c.SkipReason != "" {
 		eng.skips[idx] = c
 		eng.rep.Skipped++
@@ -361,7 +372,7 @@ func (eng *engine) admit(t *sym.Template, idx int) error {
 	if pc.backoff <= 0 {
 		pc.backoff = time.Millisecond
 	}
-	pc.start = time.Now()
+	pc.start = now
 	pc.deadline = pc.start.Add(d.caseBudget())
 	pc.observed, pc.crashed = false, false
 	eng.inflight++
@@ -378,6 +389,7 @@ func (eng *engine) shortCircuit(t *sym.Template, idx int) error {
 	if err != nil {
 		return err
 	}
+	d.lap(&d.phases.Concretize)
 	if c.SkipReason != "" {
 		eng.skips[idx] = c
 		eng.rep.Skipped++
@@ -400,7 +412,9 @@ func (eng *engine) shortCircuit(t *sym.Template, idx int) error {
 func (eng *engine) send(pc *pcase) {
 	d := eng.d
 	c := pc.cur
-	if err := d.Link.Send(c.Entry, c.Wire); err != nil {
+	err := d.Link.Send(c.Entry, c.Wire)
+	now := d.lap(&d.phases.Send)
+	if err != nil {
 		o := &Outcome{Case: c}
 		var ce *switchsim.CrashError
 		if errors.As(err, &ce) {
@@ -416,7 +430,7 @@ func (eng *engine) send(pc *pcase) {
 	pc.seq = eng.seq
 	eng.seq++
 	pc.state = psAwaiting
-	pc.recvBy = time.Now().Add(d.RecvTimeout)
+	pc.recvBy = now.Add(d.RecvTimeout)
 	if pc.recvBy.After(pc.deadline) {
 		pc.recvBy = pc.deadline
 	}
@@ -436,22 +450,42 @@ func (eng *engine) unwatch(pc *pcase) {
 
 // drain pulls captures from the link and routes each to its case.
 // timeout applies only to the first read (a block-until-event wait);
-// subsequent reads never block, so one call empties the link.
+// subsequent reads never block, so one call empties the link. The drain
+// is a batch of two stages — every capture received and decoded, then
+// every one checked — so the stage clock is read once a stage, not once
+// a capture; verdicts are recorded last, in arrival order.
 func (eng *engine) drain(timeout time.Duration) bool {
+	d := eng.d
+	d.startClock()
 	got := false
-	for {
+	var recvErr error
+	for recvErr == nil {
 		wire, ok, err := eng.recvOne(timeout)
 		timeout = 0
 		if err != nil {
-			eng.chargeRecvError(err)
-			return true
+			recvErr = err
+		} else if !ok {
+			break
+		} else {
+			got = true
+			eng.route(wire)
 		}
-		if !ok {
-			return got
-		}
-		got = true
-		eng.route(wire)
 	}
+	d.lap(&d.phases.Recv)
+	for _, r := range eng.routed {
+		d.check(r.o)
+	}
+	d.lap(&d.phases.Check)
+	for i, r := range eng.routed {
+		eng.attemptDone(r.pc, r.o)
+		eng.routed[i] = routed{}
+	}
+	eng.routed = eng.routed[:0]
+	if recvErr != nil {
+		eng.chargeRecvError(recvErr)
+		return true
+	}
+	return got
 }
 
 // recvOne reads one capture, into the engine's reused buffer when the
@@ -476,6 +510,7 @@ func (eng *engine) recvOne(timeout time.Duration) ([]byte, bool, error) {
 // case (or are dropped as stale — the pipelined analogue of lockstep's
 // end-of-case pending flush). Unidentifiable captures are charged to the
 // oldest open window, as lockstep delivers them to its in-flight case.
+// The decoded capture waits in eng.routed for the drain's check stage.
 func (eng *engine) route(wire []byte) {
 	id, ok := wireID(wire)
 	var pc *pcase
@@ -498,8 +533,7 @@ func (eng *engine) route(wire []byte) {
 		}
 		o.Output = out
 	}
-	eng.d.check(o)
-	eng.attemptDone(pc, o)
+	eng.routed = append(eng.routed, routed{pc, o})
 }
 
 // decode re-parses a capture. When the program is parserless the decoder
@@ -546,11 +580,13 @@ func (eng *engine) closeSyncWindows() bool {
 	for _, pc := range eng.idMap {
 		eng.scratch = append(eng.scratch, pc)
 	}
+	eng.d.startClock()
 	for _, pc := range eng.scratch {
 		if pc.state == psAwaiting {
 			eng.closeWindow(pc)
 		}
 	}
+	eng.d.lap(&eng.d.phases.Check)
 	return true
 }
 
@@ -568,23 +604,25 @@ func (eng *engine) closeWindow(pc *pcase) {
 // fire handles a timer expiry: an awaiting case's capture window closed,
 // or a backoff elapsed and the case retransmits with a fresh payload ID.
 func (eng *engine) fire(pc *pcase) {
+	d := eng.d
+	d.startClock()
 	switch pc.state {
 	case psAwaiting:
 		eng.closeWindow(pc)
+		d.lap(&d.phases.Check)
 	case psBackoff:
-		now := time.Now()
-		if !now.Before(pc.deadline) {
+		if !d.mark.Before(pc.deadline) {
 			eng.finalizeFail(pc)
 			return
 		}
 		pc.backoff *= 2
 		pc.attempt++
-		d := eng.d
 		nc, err := d.concretizeFast(pc.tmpl, d.allocID())
 		if err != nil {
 			eng.err = err
 			return
 		}
+		d.lap(&d.phases.Concretize)
 		if nc.SkipReason != "" {
 			// A retransmission that no longer concretizes ends the case
 			// with its last observed failure, as lockstep's break.

@@ -196,6 +196,41 @@ type DriverReport struct {
 	// CaseLatencyQuantiles summarizes driver.case_latency_ns as
 	// p50/p90/p99 (ns) (v2).
 	CaseLatencyQuantiles *Quantiles `json:"case_latency_quantiles,omitempty"`
+	// Phases is where the drive's wall-clock went, stage by stage; what
+	// the stages leave of the drive phase is timer, idle and bookkeeping.
+	Phases *DrivePhases `json:"phases,omitempty"`
+	// Target is the work the target under test counted while driven
+	// (in-process targets only: the driver cannot see inside a remote one).
+	Target *TargetReport `json:"target,omitempty"`
+}
+
+// DrivePhases is driver.Phases in nanoseconds.
+type DrivePhases struct {
+	ConcretizeNS int64 `json:"concretize_ns"`
+	SendNS       int64 `json:"send_ns"`
+	RecvNS       int64 `json:"recv_ns"`
+	CheckNS      int64 `json:"check_ns"`
+}
+
+// TargetReport is the switchsim target's own account of a drive: exact
+// counts kept by its machine, no clock involved.
+type TargetReport struct {
+	Packets      uint64 `json:"packets"`
+	Instructions uint64 `json:"instructions"`
+	Drops        uint64 `json:"drops"`
+	// Tables lists every table that was applied, by rows probed, most
+	// first.
+	Tables []TargetTable `json:"tables,omitempty"`
+}
+
+// TargetTable is one table's lookups: a probe is one installed row
+// examined.
+type TargetTable struct {
+	Name     string `json:"name"`
+	Applies  uint64 `json:"applies"`
+	Probes   uint64 `json:"probes"`
+	Hits     uint64 `json:"hits"`
+	Defaults uint64 `json:"defaults"`
 }
 
 // ShardReport is the multi-process supervision section. Its accounting

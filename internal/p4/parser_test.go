@@ -257,6 +257,11 @@ func TestCheckErrors(t *testing.T) {
 			 topology { entry p1; p1 -> p2; p2 -> p1; }`,
 			"cycle",
 		},
+		{ // action recursion, through another action and a branch
+			`header h { bit<8> x; } action a() { if (h.x == 1) { b(); } } action b() { a(); }
+			 control c { apply { a(); } } pipeline p { control = c; }`,
+			"calls itself",
+		},
 	}
 	for i, c := range cases {
 		prog, err := Parse(c.src)

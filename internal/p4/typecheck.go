@@ -75,9 +75,9 @@ func (e *Env) ResolveRef(ref *FieldRef) (expr.Var, expr.Width, error) {
 	}
 }
 
-// Check validates a program: name uniqueness, reference resolution, table
-// consistency, parser reachability, pipeline bindings, and topology
-// acyclicity. It returns the first error found.
+// Check validates a program: name uniqueness, reference resolution, no
+// recursive actions, table consistency, parser reachability, pipeline
+// bindings, and topology acyclicity. It returns the first error found.
 func Check(prog *Program) error {
 	// Unique names per namespace.
 	if err := checkUnique(prog); err != nil {
@@ -92,6 +92,9 @@ func Check(prog *Program) error {
 				return err
 			}
 		}
+	}
+	if err := checkNoRecursion(prog); err != nil {
+		return err
 	}
 	for _, t := range prog.Tables {
 		if err := checkTable(env, t); err != nil {
@@ -184,6 +187,53 @@ func checkUnique(prog *Program) error {
 	}
 	for _, pl := range prog.Pipelines {
 		if err := chk("pipeline", pl.Name, pl.Pos); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkNoRecursion rejects an action that reaches itself through the
+// actions it calls: every consumer inlines or runs action bodies to their
+// end, and such a body has none.
+func checkNoRecursion(prog *Program) error {
+	const visiting, done = 1, 2
+	color := map[string]int{}
+	var visit func(a *ActionDecl) error
+	var walk func(stmts []Stmt) error
+	visit = func(a *ActionDecl) error {
+		switch color[a.Name] {
+		case visiting:
+			return &CheckError{Msg: fmt.Sprintf("action %q calls itself", a.Name), Pos: a.Pos}
+		case done:
+			return nil
+		}
+		color[a.Name] = visiting
+		err := walk(a.Body)
+		color[a.Name] = done
+		return err
+	}
+	walk = func(stmts []Stmt) error {
+		for _, s := range stmts {
+			var err error
+			switch t := s.(type) {
+			case *IfStmt:
+				if err = walk(t.Then); err == nil {
+					err = walk(t.Else)
+				}
+			case *CallStmt:
+				if callee := prog.Action(t.Call.Name); callee != nil {
+					err = visit(callee)
+				}
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, a := range prog.Actions {
+		if err := visit(a); err != nil {
 			return err
 		}
 	}

@@ -1,27 +1,30 @@
 package p4
 
 import (
-	"maps"
 	"sync"
 
 	"repro/internal/expr"
 )
 
-// VarTable interns a program's variable names so per-packet hot paths —
-// the switchsim interpreter, the packet codec, the driver's concretizer
-// — never rebuild them by string concatenation. One table is built per
-// Program on first use and cached for the program's lifetime.
+// VarTable numbers a program's variables. Every header field, validity
+// bit and metadata field, the drop flag, and every constant-index register
+// cell the program reads or writes gets one dense slot with a static
+// width, so per-packet hot paths — the switchsim machine, the packet
+// codec, the driver's concretizer — index a []uint64 instead of rebuilding
+// names by string concatenation. One table is built per Program on first
+// use and cached for the program's lifetime.
+//
+// Slots [0, PerPacket()) are the per-packet state, laid out header by
+// header in declaration order (validity bit, then fields), then metadata,
+// then the drop flag; register cells follow, so a machine resets the
+// per-packet prefix and leaves the register file alone.
 type VarTable struct {
-	field  map[hfKey]expr.Var
-	fieldW map[hfKey]expr.Width
-	valid  map[string]expr.Var
-	meta   map[string]expr.Var
-	metaW  map[string]expr.Width
-	// zero is the canonical all-zero per-packet state: every header
-	// field, validity bit, metadata field, and the drop flag.
-	zero expr.State
-	// zeroVars lists zero's keys for allocation-free in-place resets.
-	zeroVars []expr.Var
+	names     []expr.Var   // slot -> variable
+	widths    []expr.Width // slot -> static width
+	slots     map[expr.Var]int
+	field     map[hfKey]int
+	valid     map[string]int
+	perPacket int
 }
 
 type hfKey struct{ header, field string }
@@ -31,8 +34,7 @@ type hfKey struct{ header, field string }
 // bounded by the number of distinct programs loaded.
 var varTables sync.Map // *Program -> *VarTable
 
-// Vars returns the program's interned variable table, building it on
-// first use.
+// Vars returns the program's variable table, building it on first use.
 func Vars(p *Program) *VarTable {
 	if t, ok := varTables.Load(p); ok {
 		return t.(*VarTable)
@@ -44,110 +46,120 @@ func Vars(p *Program) *VarTable {
 
 func buildVarTable(p *Program) *VarTable {
 	t := &VarTable{
-		field:  map[hfKey]expr.Var{},
-		fieldW: map[hfKey]expr.Width{},
-		valid:  map[string]expr.Var{},
-		meta:   map[string]expr.Var{},
-		metaW:  map[string]expr.Width{},
-		zero:   expr.State{},
+		slots: map[expr.Var]int{},
+		field: map[hfKey]int{},
+		valid: map[string]int{},
 	}
 	for _, h := range p.Headers {
-		v := ValidVar(h.Name)
-		t.valid[h.Name] = v
-		t.zero[v] = 0
+		t.valid[h.Name] = t.add(ValidVar(h.Name), 1)
 		for _, f := range h.Fields {
-			k := hfKey{h.Name, f.Name}
-			fv := HeaderFieldVar(h.Name, f.Name)
-			t.field[k] = fv
-			t.fieldW[k] = expr.Width(f.Width)
-			t.zero[fv] = 0
+			t.field[hfKey{h.Name, f.Name}] = t.add(HeaderFieldVar(h.Name, f.Name), f.Width)
 		}
 	}
 	for _, f := range p.Metadata {
-		v := MetaVar(f.Name)
-		t.meta[f.Name] = v
-		t.metaW[f.Name] = expr.Width(f.Width)
-		t.zero[v] = 0
+		t.add(MetaVar(f.Name), f.Width)
 	}
-	t.zero[DropVar] = 0
-	t.zeroVars = make([]expr.Var, 0, len(t.zero))
-	for v := range t.zero {
-		t.zeroVars = append(t.zeroVars, v)
+	t.add(DropVar, 1)
+	t.perPacket = len(t.names)
+	for _, a := range p.Actions {
+		t.addRegisterCells(p, a.Body)
+	}
+	for _, c := range p.Controls {
+		t.addRegisterCells(p, c.Apply)
 	}
 	return t
+}
+
+// add gives v the next slot; a name declared twice keeps its first slot
+// (Check rejects such programs, the table just must not corrupt itself).
+func (t *VarTable) add(v expr.Var, width int) int {
+	if s, ok := t.slots[v]; ok {
+		return s
+	}
+	s := len(t.names)
+	t.slots[v] = s
+	t.names = append(t.names, v)
+	t.widths = append(t.widths, expr.Width(width))
+	return s
+}
+
+// addRegisterCells gives a slot to every register cell the statements
+// touch. Indexes are constants (§4 of the paper), so the set is static.
+func (t *VarTable) addRegisterCells(p *Program, stmts []Stmt) {
+	cell := func(reg string, index int) {
+		if r := p.Register(reg); r != nil {
+			t.add(RegisterVar(reg, index), r.Width)
+		}
+	}
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *IfStmt:
+			t.addRegisterCells(p, s.Then)
+			t.addRegisterCells(p, s.Else)
+		case *RegReadStmt:
+			cell(s.Reg, s.Index)
+		case *RegWriteStmt:
+			cell(s.Reg, s.Index)
+		}
+	}
+}
+
+// Len is the number of slots; PerPacket the length of the per-packet
+// prefix (everything but register cells).
+func (t *VarTable) Len() int       { return len(t.names) }
+func (t *VarTable) PerPacket() int { return t.perPacket }
+
+// Name and Width describe a slot.
+func (t *VarTable) Name(slot int) expr.Var    { return t.names[slot] }
+func (t *VarTable) Width(slot int) expr.Width { return t.widths[slot] }
+
+// Slot resolves a variable by name; ok=false when the program has none.
+func (t *VarTable) Slot(v expr.Var) (int, bool) {
+	s, ok := t.slots[v]
+	return s, ok
+}
+
+// FieldSlot and ValidSlot resolve a declared header field and a header's
+// validity bit without building the variable name.
+func (t *VarTable) FieldSlot(header, field string) (int, bool) {
+	s, ok := t.field[hfKey{header, field}]
+	return s, ok
+}
+
+func (t *VarTable) ValidSlot(header string) (int, bool) {
+	s, ok := t.valid[header]
+	return s, ok
+}
+
+// DropSlot is the drop flag's slot: the last of the per-packet prefix.
+func (t *VarTable) DropSlot() int { return t.perPacket - 1 }
+
+// RefSlot resolves a two-part field reference (hdr.f or meta.f). ok=false
+// for anything else: unknown names, or one-part references, which only an
+// action's parameter scope can resolve.
+func (t *VarTable) RefSlot(ref *FieldRef) (int, bool) {
+	if len(ref.Parts) != 2 {
+		return 0, false
+	}
+	if ref.Parts[0] == "meta" {
+		return t.Slot(MetaVar(ref.Parts[1]))
+	}
+	return t.FieldSlot(ref.Parts[0], ref.Parts[1])
 }
 
 // Field returns HeaderFieldVar(header, field), interned when the pair is
 // declared by the program.
 func (t *VarTable) Field(header, field string) expr.Var {
-	if v, ok := t.field[hfKey{header, field}]; ok {
-		return v
+	if s, ok := t.field[hfKey{header, field}]; ok {
+		return t.names[s]
 	}
 	return HeaderFieldVar(header, field)
 }
 
-// FieldOK returns the interned variable for a declared (header, field)
-// pair; ok=false when the pair is not declared by the program.
-func (t *VarTable) FieldOK(header, field string) (expr.Var, bool) {
-	v, ok := t.field[hfKey{header, field}]
-	return v, ok
-}
-
 // Valid returns ValidVar(header), interned when declared.
 func (t *VarTable) Valid(header string) expr.Var {
-	if v, ok := t.valid[header]; ok {
-		return v
+	if s, ok := t.valid[header]; ok {
+		return t.names[s]
 	}
 	return ValidVar(header)
-}
-
-// Meta returns MetaVar(field), interned when declared.
-func (t *VarTable) Meta(field string) expr.Var {
-	if v, ok := t.meta[field]; ok {
-		return v
-	}
-	return MetaVar(field)
-}
-
-// Ref resolves a two-part field reference (hdr.f or meta.f) to its
-// interned variable and width. ok=false for anything else — unknown
-// names, or one-part references that need an action scope — which the
-// caller routes through Env.ResolveRef.
-func (t *VarTable) Ref(ref *FieldRef) (expr.Var, expr.Width, bool) {
-	if len(ref.Parts) != 2 {
-		return "", 0, false
-	}
-	first, second := ref.Parts[0], ref.Parts[1]
-	if first == "meta" {
-		if w, ok := t.metaW[second]; ok {
-			return t.meta[second], w, true
-		}
-		return "", 0, false
-	}
-	k := hfKey{first, second}
-	if w, ok := t.fieldW[k]; ok {
-		return t.field[k], w, true
-	}
-	return "", 0, false
-}
-
-// ZeroState returns a fresh all-zero per-packet state, cloned from the
-// canonical one in a single bulk copy instead of per-variable
-// assignments.
-func (t *VarTable) ZeroState() expr.State {
-	return maps.Clone(t.zero)
-}
-
-// ResetZero zeroes st in place without allocating. It is only valid for
-// a state whose key set equals ZeroState()'s — i.e. one produced by
-// ZeroState and mutated by an interpreter that writes declared program
-// variables only. Any other key set falls back to a fresh clone.
-func (t *VarTable) ResetZero(st expr.State) expr.State {
-	if len(st) != len(t.zero) {
-		return t.ZeroState()
-	}
-	for _, v := range t.zeroVars {
-		st[v] = 0
-	}
-	return st
 }

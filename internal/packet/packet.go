@@ -6,7 +6,6 @@ package packet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -110,6 +109,34 @@ func (p *Packet) String() string {
 
 // --- Bit-level wire format ---
 
+// PutBits writes the low width bits of v MSB-first at bit offset off.
+// The destination bits must be zero and inside buf.
+func PutBits(buf []byte, off int, v uint64, width int) {
+	for width > 0 {
+		free := 8 - off&7 // bits left in the current byte
+		n := min(free, width)
+		chunk := byte(v>>uint(width-n)) & (1<<uint(n) - 1)
+		buf[off>>3] |= chunk << uint(free-n)
+		off += n
+		width -= n
+	}
+}
+
+// ReadBits reads width bits MSB-first from bit offset off. The bits must
+// be inside buf.
+func ReadBits(buf []byte, off, width int) uint64 {
+	var v uint64
+	for width > 0 {
+		avail := 8 - off&7 // unread bits of the current byte
+		n := min(avail, width)
+		chunk := buf[off>>3] >> uint(avail-n) & (1<<uint(n) - 1)
+		v = v<<uint(n) | uint64(chunk)
+		off += n
+		width -= n
+	}
+	return v
+}
+
 // bitWriter packs values MSB-first.
 type bitWriter struct {
 	buf  []byte
@@ -121,28 +148,8 @@ func (w *bitWriter) write(v uint64, bits int) {
 	for len(w.buf) < need {
 		w.buf = append(w.buf, 0)
 	}
-	n := w.nbit
-	// Head: finish the current partial byte bit by bit.
-	for bits > 0 && n%8 != 0 {
-		bit := (v >> uint(bits-1)) & 1
-		w.buf[n/8] |= byte(bit) << uint(7-n%8)
-		n++
-		bits--
-	}
-	// Body: whole bytes at a time.
-	for bits >= 8 {
-		w.buf[n/8] = byte(v >> uint(bits-8))
-		n += 8
-		bits -= 8
-	}
-	// Tail: the remaining high bits of v.
-	for bits > 0 {
-		bit := (v >> uint(bits-1)) & 1
-		w.buf[n/8] |= byte(bit) << uint(7-n%8)
-		n++
-		bits--
-	}
-	w.nbit = n
+	PutBits(w.buf, w.nbit, v, bits)
+	w.nbit += bits
 }
 
 // bitReader unpacks values MSB-first.
@@ -153,37 +160,10 @@ type bitReader struct {
 
 func (r *bitReader) read(bits int) (uint64, error) {
 	if total := len(r.buf) * 8; r.nbit+bits > total {
-		// Report the first bit that falls off the buffer, as the
-		// bit-by-bit loop did.
-		at := r.nbit
-		if total > at {
-			at = total
-		}
-		return 0, fmt.Errorf("packet: truncated at bit %d", at)
+		return 0, fmt.Errorf("packet: truncated at bit %d", total)
 	}
-	var v uint64
-	n := r.nbit
-	// Head: drain the current partial byte bit by bit.
-	for bits > 0 && n%8 != 0 {
-		bit := (r.buf[n/8] >> uint(7-n%8)) & 1
-		v = v<<1 | uint64(bit)
-		n++
-		bits--
-	}
-	// Body: whole bytes at a time.
-	for bits >= 8 {
-		v = v<<8 | uint64(r.buf[n/8])
-		n += 8
-		bits -= 8
-	}
-	// Tail.
-	for bits > 0 {
-		bit := (r.buf[n/8] >> uint(7-n%8)) & 1
-		v = v<<1 | uint64(bit)
-		n++
-		bits--
-	}
-	r.nbit = n
+	v := ReadBits(r.buf, r.nbit, bits)
+	r.nbit += bits
 	return v, nil
 }
 
@@ -216,38 +196,6 @@ func (p *Packet) Marshal(prog *p4.Program) ([]byte, error) {
 	return append(w.buf, p.Payload...), nil
 }
 
-// MarshalState serializes an execution state straight to wire bytes:
-// every header whose validity bit is set, in program declaration order
-// (the implicit deparser), fields MSB-first in declaration order, then
-// the payload. It is exactly Marshal∘FromState without the intermediate
-// Packet — the links' quiet line-rate paths use it because they retain
-// only the bytes.
-func MarshalState(prog *p4.Program, st expr.State, payload []byte) ([]byte, error) {
-	vt := p4.Vars(prog)
-	bits := 0
-	for _, hd := range prog.Headers {
-		if st[vt.Valid(hd.Name)] != 1 {
-			continue
-		}
-		for _, f := range hd.Fields {
-			bits += f.Width
-		}
-	}
-	w := bitWriter{buf: make([]byte, 0, (bits+7)/8+len(payload))}
-	for _, hd := range prog.Headers {
-		if st[vt.Valid(hd.Name)] != 1 {
-			continue
-		}
-		for _, f := range hd.Fields {
-			w.write(expr.Width(f.Width).Trunc(st[vt.Field(hd.Name, f.Name)]), f.Width)
-		}
-	}
-	if w.nbit%8 != 0 {
-		return nil, fmt.Errorf("packet: headers not byte-aligned (%d bits)", w.nbit)
-	}
-	return append(w.buf, payload...), nil
-}
-
 // Parse decodes a wire packet by running a parser state machine
 // concretely: extract reads header fields off the wire, select dispatches
 // on the decoded values. It returns the decoded packet and the set of
@@ -260,6 +208,7 @@ func Parse(prog *p4.Program, parserName string, wire []byte) (*Packet, error) {
 	r := &bitReader{buf: wire}
 	pkt := &Packet{}
 	state := "start"
+	var valsBuf [4]uint64 // select values; wider selects spill to the heap
 	for steps := 0; steps < 1000; steps++ {
 		switch state {
 		case "accept":
@@ -293,13 +242,13 @@ func Parse(prog *p4.Program, parserName string, wire []byte) (*Packet, error) {
 			state = tr.Default
 			continue
 		}
-		vals := make([]uint64, len(tr.Select))
-		for i, ref := range tr.Select {
+		vals := valsBuf[:0]
+		for _, ref := range tr.Select {
 			v, ok := refValue(pkt, ref)
 			if !ok {
 				return nil, fmt.Errorf("packet: select on unextracted field %s", ref)
 			}
-			vals[i] = v
+			vals = append(vals, v)
 		}
 		next := tr.Default
 		for _, c := range tr.Cases {
@@ -325,115 +274,6 @@ func refValue(pkt *Packet, ref *p4.FieldRef) (uint64, bool) {
 		return 0, false
 	}
 	return pkt.Field(ref.Parts[0], ref.Parts[1])
-}
-
-// ErrReExtract reports that a parser extracted the same header twice.
-// ParseInto cannot represent two instances of one header in a flat
-// state, so it bails out and the caller falls back to Parse.
-var ErrReExtract = errors.New("packet: header re-extracted")
-
-// ParseInto is the allocation-free variant of Parse for hot paths that
-// only need the fields loaded into an execution state: extracted values
-// are written directly into st via the program's interned variables, and
-// no intermediate Packet is built. It appends extracted header names to
-// names and non-terminal visited state names to visited (pass reused
-// scratch slices) and returns the payload ALIASING wire — the caller
-// copies if it retains it. On ErrReExtract the caller must redo the work
-// with Parse; st may hold partial loads, which Parse callers overwrite.
-func ParseInto(prog *p4.Program, parserName string, wire []byte, st expr.State, names, visited []string) ([]string, []string, []byte, error) {
-	pd := prog.Parser(parserName)
-	if pd == nil {
-		return names, visited, nil, fmt.Errorf("packet: unknown parser %q", parserName)
-	}
-	vt := p4.Vars(prog)
-	r := bitReader{buf: wire}
-	state := "start"
-	var valsArr [4]uint64
-	for steps := 0; steps < 1000; steps++ {
-		switch state {
-		case "accept":
-			return names, visited, r.rest(), nil
-		case "reject":
-			return names, visited, nil, fmt.Errorf("packet: parser rejected")
-		}
-		sd := pd.State(state)
-		if sd == nil {
-			return names, visited, nil, fmt.Errorf("packet: parser state %q missing", state)
-		}
-		visited = append(visited, state)
-		for _, s := range sd.Body {
-			ex, ok := s.(*p4.ExtractStmt)
-			if !ok {
-				continue // parser assignments touch metadata, not the wire
-			}
-			for _, n := range names {
-				if n == ex.Header {
-					return names, visited, nil, ErrReExtract
-				}
-			}
-			decl := prog.Header(ex.Header)
-			for _, f := range decl.Fields {
-				v, err := r.read(f.Width)
-				if err != nil {
-					return names, visited, nil, fmt.Errorf("packet: extracting %s.%s: %w", ex.Header, f.Name, err)
-				}
-				st[vt.Field(ex.Header, f.Name)] = v
-			}
-			names = append(names, ex.Header)
-		}
-		tr := sd.Transition
-		if len(tr.Select) == 0 {
-			state = tr.Default
-			continue
-		}
-		vals := valsArr[:0]
-		for _, ref := range tr.Select {
-			v, ok := stateRefValue(vt, st, names, ref)
-			if !ok {
-				return names, visited, nil, fmt.Errorf("packet: select on unextracted field %s", ref)
-			}
-			vals = append(vals, v)
-		}
-		next := tr.Default
-		for _, c := range tr.Cases {
-			match := true
-			for i := range vals {
-				if vals[i] != c.Values[i] {
-					match = false
-					break
-				}
-			}
-			if match {
-				next = c.Next
-				break
-			}
-		}
-		state = next
-	}
-	return names, visited, nil, fmt.Errorf("packet: parser did not terminate")
-}
-
-// stateRefValue mirrors Packet.Field against a flat state: the header
-// must have been extracted and the field declared.
-func stateRefValue(vt *p4.VarTable, st expr.State, names []string, ref *p4.FieldRef) (uint64, bool) {
-	if len(ref.Parts) != 2 {
-		return 0, false
-	}
-	extracted := false
-	for _, n := range names {
-		if n == ref.Parts[0] {
-			extracted = true
-			break
-		}
-	}
-	if !extracted {
-		return 0, false
-	}
-	v, ok := vt.FieldOK(ref.Parts[0], ref.Parts[1])
-	if !ok {
-		return 0, false
-	}
-	return st[v], true
 }
 
 // Synthesize builds a concrete input packet from a solver model: it walks

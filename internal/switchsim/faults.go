@@ -9,7 +9,10 @@
 // parts of the parser.
 package switchsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Fault is a compiler/backend defect injected into the compiled target.
 type Fault interface {
@@ -135,7 +138,13 @@ func (f CrashWhen) Describe() string {
 	return fmt.Sprintf("target crashes when %s.%s == %d", f.Header, f.Field, f.Value)
 }
 
-// Faults is a set of injected defects.
+// Faults is a set of injected defects. Compile resolves them once, as
+// rewrites of the lowered program: SetValidNoOp and ChecksumSkip turn the
+// statement into a no-op, WrongCompare rewrites the comparison's opcode,
+// WrongAssign narrows the store, FieldOverlap appends clobber stores,
+// ExtractNoValidity drops the validity store from the extract plan,
+// TableMissDefault installs no rows, and the crash faults become a packet
+// count and a guard after the parse. The lookups below run only then.
 type Faults []Fault
 
 // Describe lists all injected faults.
@@ -147,14 +156,8 @@ func (fs Faults) Describe() []string {
 	return out
 }
 
-func (fs Faults) setValidNoOp(header string) bool {
-	for _, f := range fs {
-		if t, ok := f.(SetValidNoOp); ok && t.Header == header {
-			return true
-		}
-	}
-	return false
-}
+// has reports whether exactly this fault is injected.
+func (fs Faults) has(f Fault) bool { return slices.Contains(fs, f) }
 
 func (fs Faults) overlapsOf(field string) []string {
 	var out []string
@@ -171,24 +174,6 @@ func (fs Faults) overlapsOf(field string) []string {
 	return out
 }
 
-func (fs Faults) checksumSkip(header string) bool {
-	for _, f := range fs {
-		if t, ok := f.(ChecksumSkip); ok && t.Header == header {
-			return true
-		}
-	}
-	return false
-}
-
-func (fs Faults) wrongCompare() bool {
-	for _, f := range fs {
-		if _, ok := f.(WrongCompare); ok {
-			return true
-		}
-	}
-	return false
-}
-
 func (fs Faults) wrongAssign(field string) (int, bool) {
 	for _, f := range fs {
 		if t, ok := f.(WrongAssign); ok && t.Field == field {
@@ -196,41 +181,4 @@ func (fs Faults) wrongAssign(field string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-func (fs Faults) extractNoValidity(header string) bool {
-	for _, f := range fs {
-		if t, ok := f.(ExtractNoValidity); ok && t.Header == header {
-			return true
-		}
-	}
-	return false
-}
-
-func (fs Faults) crashOnPacket(n uint64) bool {
-	for _, f := range fs {
-		if t, ok := f.(CrashOnPacket); ok && t.N == n {
-			return true
-		}
-	}
-	return false
-}
-
-func (fs Faults) crashWhen() []CrashWhen {
-	var out []CrashWhen
-	for _, f := range fs {
-		if t, ok := f.(CrashWhen); ok {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func (fs Faults) tableMissDefault(table string) bool {
-	for _, f := range fs {
-		if t, ok := f.(TableMissDefault); ok && t.Table == table {
-			return true
-		}
-	}
-	return false
 }

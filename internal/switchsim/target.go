@@ -1,63 +1,38 @@
 package switchsim
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/expr"
-	"repro/internal/hashfn"
 	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/rules"
 )
 
 // Target is a compiled multi-switch multi-pipeline data plane, ready to
-// process packets. Register state persists across packets.
+// process packets: the program lowered once to instruction blocks, match
+// rows and wire plans over the slots of p4.VarTable (compile.go), and the
+// machine that runs them (machine.go). Register state persists across
+// packets, so a target processes one packet at a time; callers serialize.
 type Target struct {
-	prog   *p4.Program
-	rs     *rules.Set
-	faults Faults
-	env    *p4.Env
-	// regs is the persistent register file.
-	regs map[expr.Var]uint64
-	// order caches the pipeline names reachable from each entry.
-	entries []string
-	// injects counts processed packets (for CrashOnPacket).
-	injects uint64
-	// scratch is the reused quiet-mode interpreter state (InjectQuiet).
-	// Inject is documented non-reentrant (register state persists), so a
-	// single scratch exec per target is safe under the same contract.
-	scratch *exec
-	// vars interns the program's variable names; every per-packet state
-	// access goes through it instead of rebuilding names by concatenation.
+	prog *p4.Program
 	vars *p4.VarTable
-	// acts indexes actions by name (prog.Action is a linear scan).
-	acts map[string]*p4.ActionDecl
-	// tbls holds per-table match plans: resolved key variables, widths
-	// and match-key strings, computed once at compile time.
-	tbls map[string]*tblPlan
-	// csums caches per-ChecksumStmt field plans, built lazily under the
-	// non-reentrancy contract.
-	csums map[*p4.ChecksumStmt]*csumPlan
-}
+	drop int32 // the drop flag's slot
 
-// tblPlan precomputes everything applyTable needs per key: the resolved
-// state variable, its width, and the string the rule set keys matches by.
-type tblPlan struct {
-	decl    *p4.TableDecl
-	keyVars []expr.Var
-	keyWide []expr.Width
-	keyStrs []string
-}
+	hdrs    []hdrPlan  // prog.Headers' order: the deparser's emit order
+	pipes   []pipeLow  // prog.Pipelines' order
+	entries []int32    // injection points, as indexes into pipes
+	tables  []*tblPlan // prog.Tables' order
+	// crashOn and crashWhen are the crash faults: a packet count checked
+	// on entry, a guard checked once after the parse.
+	crashOn   []uint64
+	crashWhen []crashGuard
 
-// csumPlan precomputes a ChecksumStmt's input variables and widths and
-// its destination field.
-type csumPlan struct {
-	in  []expr.Var
-	iw  []expr.Width
-	dst expr.Var
-	dw  expr.Width
+	m machine
+	// packets and drops count since Compile; packets also numbers the
+	// packet CrashOnPacket waits for.
+	packets, drops uint64
 }
 
 // CrashError reports that the target panicked while processing a packet —
@@ -69,8 +44,13 @@ type CrashError struct{ Panic string }
 // Error implements error.
 func (e *CrashError) Error() string { return "switchsim: target crashed: " + e.Panic }
 
-// Compile builds a target from a program, rule set and injected faults.
-// A nil rule set means empty tables (defaults only).
+// Compile lowers a program, the rule set and the injected faults into a
+// target. A nil rule set means empty tables (defaults only). The target
+// holds the rules as of Compile: entries added to rs afterwards do not
+// reach it. The faults are resolved here, as rewrites of the lowered
+// program; nothing scans them per packet. Anything the program or the
+// rules leave unresolvable — a reference, an action, an argument list —
+// is an error from Compile, not from the first packet that meets it.
 func Compile(prog *p4.Program, rs *rules.Set, faults Faults) (*Target, error) {
 	if err := p4.Check(prog); err != nil {
 		return nil, fmt.Errorf("switchsim: %w", err)
@@ -78,53 +58,66 @@ func Compile(prog *p4.Program, rs *rules.Set, faults Faults) (*Target, error) {
 	if rs == nil {
 		rs = rules.NewSet()
 	}
-	t := &Target{
-		prog:   prog,
-		rs:     rs,
-		faults: faults,
-		env:    p4.NewEnv(prog),
-		regs:   map[expr.Var]uint64{},
-		vars:   p4.Vars(prog),
-		acts:   make(map[string]*p4.ActionDecl, len(prog.Actions)),
-		tbls:   make(map[string]*tblPlan, len(prog.Tables)),
-		csums:  map[*p4.ChecksumStmt]*csumPlan{},
+	vars := p4.Vars(prog)
+	t := &Target{prog: prog, vars: vars, drop: int32(vars.DropSlot())}
+	c := &compiler{
+		prog: prog, vars: vars, faults: faults,
+		acts: make(map[string]*action, len(prog.Actions)),
+		tbls: make(map[string]*tblPlan, len(prog.Tables)),
 	}
-	for _, a := range prog.Actions {
-		t.acts[a.Name] = a
+	c.actions()
+	maxKeys := 0
+	for _, d := range prog.Tables {
+		tbl := c.table(d, rs)
+		c.tbls[d.Name] = tbl
+		t.tables = append(t.tables, tbl)
+		maxKeys = max(maxKeys, len(tbl.keys))
 	}
-	for _, tbl := range prog.Tables {
-		pl := &tblPlan{
-			decl:    tbl,
-			keyVars: make([]expr.Var, len(tbl.Keys)),
-			keyWide: make([]expr.Width, len(tbl.Keys)),
-			keyStrs: make([]string, len(tbl.Keys)),
-		}
-		ok := true
-		for i, k := range tbl.Keys {
-			v, w, resolved := t.vars.Ref(k.Field)
-			if !resolved {
-				ok = false // scoped or malformed key; fall back to the slow path
-				break
-			}
-			pl.keyVars[i], pl.keyWide[i], pl.keyStrs[i] = v, w, k.Field.String()
-		}
-		if ok {
-			t.tbls[tbl.Name] = pl
+	for _, h := range prog.Headers {
+		valid, _ := vars.ValidSlot(h.Name)
+		t.hdrs = append(t.hdrs, hdrPlan{decl: h, valid: int32(valid), bits: h.Bits(), extractSetsValid: !faults.has(ExtractNoValidity{h.Name})})
+	}
+	parsers := map[string]*parserLow{}
+	pipeIndex := make(map[string]int32, len(prog.Pipelines))
+	for i, pl := range prog.Pipelines {
+		pipeIndex[pl.Name] = int32(i)
+		if pl.Parser != "" && parsers[pl.Parser] == nil {
+			parsers[pl.Parser] = c.parser(prog.Parser(pl.Parser))
 		}
 	}
+	for _, pl := range prog.Pipelines {
+		t.pipes = append(t.pipes, c.pipeline(pl, pipeIndex, parsers[pl.Parser]))
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	t.entries = []int32{0}
 	if prog.Topology != nil {
-		t.entries = prog.Topology.Entries
-	} else {
-		t.entries = []string{prog.Pipelines[0].Name}
+		t.entries = t.entries[:0]
+		for _, name := range prog.Topology.Entries {
+			t.entries = append(t.entries, pipeIndex[name])
+		}
+	}
+	for _, f := range faults {
+		switch f := f.(type) {
+		case CrashOnPacket:
+			t.crashOn = append(t.crashOn, f.N)
+		case CrashWhen:
+			// A guard on a field the program lacks can never hold.
+			valid, ok1 := vars.ValidSlot(f.Header)
+			field, ok2 := vars.FieldSlot(f.Header, f.Field)
+			if ok1 && ok2 {
+				t.crashWhen = append(t.crashWhen, crashGuard{valid: int32(valid), field: int32(field), f: f})
+			}
+		}
+	}
+	t.m = machine{
+		t:     t,
+		slots: make([]uint64, vars.Len()+c.maxTemp),
+		keys:  make([]uint64, maxKeys),
 	}
 	return t, nil
 }
-
-// Entries returns the number of injection points (entry pipelines).
-func (t *Target) Entries() int { return len(t.entries) }
-
-// Faults exposes the injected faults (for reporting).
-func (t *Target) Faults() Faults { return t.faults }
 
 // Program exposes the compiled program.
 func (t *Target) Program() *p4.Program { return t.prog }
@@ -133,7 +126,7 @@ func (t *Target) Program() *p4.Program { return t.prog }
 type Result struct {
 	// Output is the emitted packet; nil when the packet was dropped.
 	Output *packet.Packet
-	// Wire is the emitted packet's wire bytes on the raw quiet path
+	// Wire is the emitted packet's wire bytes on the quiet path
 	// (InjectQuietWire); Output stays nil there. Check Dropped, not
 	// Wire == nil: a headerless empty packet marshals to zero bytes.
 	Wire []byte
@@ -147,845 +140,151 @@ type Result struct {
 	Final expr.State
 }
 
-// exec carries the per-packet interpreter state.
-type exec struct {
-	t     *Target
-	st    expr.State
-	trace []string
-	drop  bool
-	// quiet suppresses trace recording (the driver's line-rate path).
-	// Call sites guard with !e.quiet so the fmt.Sprintf cost and the
-	// ...any boxing never happen on the quiet path.
-	quiet bool
-	// scopes is a freelist of action-parameter maps; csVals is the reused
-	// checksum input buffer. Both recycle across packets on the quiet
-	// path (the exec itself is reused) and across calls within one packet
-	// otherwise.
-	scopes []map[string]uint64
-	csVals []uint64
-	// hdrs and visited are ParseInto's reused scratch slices.
-	hdrs    []string
-	visited []string
-	// raw makes run serialize the exit state straight to Result.Wire
-	// instead of building Result.Output (InjectQuietWire).
-	raw bool
-}
-
-// pushScope returns a cleared parameter map from the freelist.
-func (e *exec) pushScope() map[string]uint64 {
-	if n := len(e.scopes); n > 0 {
-		m := e.scopes[n-1]
-		e.scopes = e.scopes[:n-1]
-		clear(m)
-		return m
-	}
-	return make(map[string]uint64, 4)
-}
-
-func (e *exec) popScope(m map[string]uint64) {
-	e.scopes = append(e.scopes, m)
-}
-
-func (e *exec) tracef(format string, args ...any) {
-	if e.quiet {
-		return
-	}
-	e.trace = append(e.trace, fmt.Sprintf(format, args...))
-}
-
 // Inject processes a wire packet through the data plane starting at entry
-// pipeline entryIdx, following traffic manager edges until exit or drop.
-// A panic during processing (real bug or injected CrashOnPacket/CrashWhen
-// fault) is recovered and returned as a *CrashError: one packet crashing
-// the pipeline must not take the whole target down.
-func (t *Target) Inject(entryIdx int, wire []byte) (res *Result, err error) {
+// pipeline entryIdx, following traffic manager edges until exit or drop,
+// and records the execution: Trace, Pipelines and Final, and the emitted
+// packet decoded in Output. A panic during processing is recovered and
+// returned as a *CrashError, as an injected CrashOnPacket/CrashWhen fault
+// is: one packet crashing the pipeline must not take the whole target
+// down.
+func (t *Target) Inject(entryIdx int, wire []byte) (*Result, error) {
+	return t.run(entryIdx, wire, true)
+}
+
+// InjectQuietWire is the line-rate Inject: the same lowered program runs
+// with no trace recorded, and the exit state is serialized straight to
+// wire bytes in Result.Wire. A steady stream of packets allocates the
+// Result and that wire, nothing else. Output, drop and crash behaviour,
+// register side effects and fault injection are Inject's.
+func (t *Target) InjectQuietWire(entryIdx int, wire []byte) (*Result, error) {
+	return t.run(entryIdx, wire, false)
+}
+
+func (t *Target) run(entryIdx int, wire []byte, tracing bool) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &CrashError{Panic: fmt.Sprint(r)}
 		}
 	}()
-	return t.run(&exec{t: t, st: expr.State{}}, entryIdx, wire)
-}
-
-// InjectQuiet is the line-rate variant of Inject: no trace is recorded
-// (every tracef site is skipped before its arguments are even built) and
-// the interpreter state map is reused across calls, so a steady stream of
-// packets allocates only the Result and its Output. The returned Result
-// carries no Trace, Final or Pipelines; everything else — output,
-// drop/crash behaviour, register side effects, fault injection — is
-// identical to Inject. Subject to the same non-reentrancy contract as
-// Inject (register state persists; callers serialize).
-func (t *Target) InjectQuiet(entryIdx int, wire []byte) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &CrashError{Panic: fmt.Sprint(r)}
-		}
-	}()
-	if t.scratch == nil {
-		t.scratch = &exec{t: t, st: expr.State{}, quiet: true}
-	}
-	e := t.scratch
-	e.drop = false
-	e.trace = nil
-	e.raw = false
-	return t.run(e, entryIdx, wire)
-}
-
-// InjectQuietWire is InjectQuiet with raw output: instead of building a
-// Result.Output packet, the exit state is serialized straight to wire
-// bytes in Result.Wire (the same implicit deparse, minus the
-// intermediate Packet). The links' quiet paths use it because they
-// retain only the bytes. Same contract as InjectQuiet otherwise.
-func (t *Target) InjectQuietWire(entryIdx int, wire []byte) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &CrashError{Panic: fmt.Sprint(r)}
-		}
-	}()
-	if t.scratch == nil {
-		t.scratch = &exec{t: t, st: expr.State{}, quiet: true}
-	}
-	e := t.scratch
-	e.drop = false
-	e.trace = nil
-	e.raw = true
-	return t.run(e, entryIdx, wire)
-}
-
-// run processes one packet with the given interpreter state. Panics
-// propagate to the Inject/InjectQuiet recover.
-func (t *Target) run(e *exec, entryIdx int, wire []byte) (res *Result, err error) {
 	if entryIdx < 0 || entryIdx >= len(t.entries) {
 		return nil, fmt.Errorf("switchsim: entry %d out of range [0,%d)", entryIdx, len(t.entries))
 	}
-	t.injects++
-	if t.faults.crashOnPacket(t.injects) {
-		panic(fmt.Sprintf("injected crash on packet %d", t.injects))
+	t.packets++
+	for _, n := range t.crashOn {
+		if n == t.packets {
+			return nil, &CrashError{Panic: fmt.Sprintf("injected crash on packet %d", n)}
+		}
 	}
-	// Zero-initialize metadata and validity, matching P4 semantics. The
-	// reused quiet-path state is reset in place (no allocation); a fresh
-	// exec gets a bulk clone of the canonical zero state.
-	if len(e.st) == 0 {
-		e.st = t.vars.ZeroState()
-	} else {
-		e.st = t.vars.ResetZero(e.st)
-	}
+	m := &t.m
+	m.tracing, m.trace = tracing, nil
+	m.params = m.params[:0]
+	// Metadata, validity and every field start at zero, matching P4
+	// semantics; register cells, past the per-packet prefix, persist.
+	clear(m.slots[:t.vars.PerPacket()])
 
-	cur := t.entries[entryIdx]
 	res = &Result{}
+	cur := t.entries[entryIdx]
+	payload := wire
+	if p := t.pipes[cur].parser; p != nil {
+		var ok bool
+		if payload, ok = m.parse(p, wire); !ok {
+			return t.dropped(res), nil
+		}
+	}
+	for _, g := range t.crashWhen {
+		if m.slots[g.valid] == 1 && m.slots[g.field] == g.f.Value {
+			return nil, &CrashError{Panic: fmt.Sprintf("injected crash: %s.%s == %d", g.f.Header, g.f.Field, g.f.Value)}
+		}
+	}
 
-	// Parse once at injection using the entry pipeline's parser.
-	entryPl := t.prog.Pipeline(cur)
-	var payload []byte
-	if entryPl.Parser != "" {
-		pl, err := t.parse(e, entryPl.Parser, wire)
-		if err != nil {
-			if !e.quiet {
-				e.tracef("parser rejected: %v", err)
-				res.Trace = e.trace
-				res.Final = e.st
+	// Check rejects topology cycles, so a route visits a pipeline at most
+	// once; one that has not reached exit by then never will.
+	for hop := 0; cur != retExit; hop++ {
+		if hop == len(t.pipes) {
+			return nil, fmt.Errorf("switchsim: route did not reach exit after %d pipelines", hop)
+		}
+		pl := &t.pipes[cur]
+		m.pipe = pl.decl.Name
+		if tracing {
+			res.Pipelines = append(res.Pipelines, m.pipe)
+			m.tracef("enter pipeline %s (switch %s)", m.pipe, pl.decl.Switch)
+		}
+		cur = m.exec(pl.code, nil)
+		if cur == retDrop || cur == retNoEdge {
+			if tracing && cur == retDrop {
+				m.tracef("packet dropped in %s", m.pipe)
+			} else if tracing {
+				// Lost: a target behaviour the checker flags as absent.
+				m.tracef("no traffic manager edge matched from %s; packet lost", m.pipe)
 			}
-			res.Dropped = true
-			return res, nil
-		}
-		payload = pl
-	} else {
-		payload = wire
-	}
-
-	for _, cw := range t.faults.crashWhen() {
-		if e.st[t.vars.Valid(cw.Header)] == 1 && e.st[t.vars.Field(cw.Header, cw.Field)] == cw.Value {
-			panic(fmt.Sprintf("injected crash: %s.%s == %d", cw.Header, cw.Field, cw.Value))
+			return t.dropped(res), nil
 		}
 	}
 
-	for hop := 0; hop < 64; hop++ {
-		pl := t.prog.Pipeline(cur)
-		if pl == nil {
-			return nil, fmt.Errorf("switchsim: unknown pipeline %q", cur)
-		}
-		if !e.quiet {
-			res.Pipelines = append(res.Pipelines, cur)
-			e.tracef("enter pipeline %s (switch %s)", cur, pl.Switch)
-		}
-		ctl := t.prog.Control(pl.Control)
-		if err := e.stmts(ctl.Apply, nil, pl.Name); err != nil {
+	if !tracing {
+		res.Wire, err = m.deparse(payload)
+		if err != nil {
 			return nil, err
 		}
-		if e.drop || e.st[p4.DropVar] == 1 {
-			if !e.quiet {
-				e.tracef("packet dropped in %s", cur)
-				res.Trace = e.trace
-				res.Final = e.st
-			}
-			res.Dropped = true
-			return res, nil
-		}
-		next, exited := t.route(e, cur)
-		if exited {
-			break
-		}
-		if next == "" {
-			// No matching traffic manager edge: the packet is lost — a
-			// target behaviour the checker flags as absent.
-			if !e.quiet {
-				e.tracef("no traffic manager edge matched from %s; packet lost", cur)
-				res.Trace = e.trace
-				res.Final = e.st
-			}
-			res.Dropped = true
-			return res, nil
-		}
-		cur = next
-	}
-
-	if e.raw {
-		out, merr := packet.MarshalState(t.prog, e.st, payload)
-		if merr != nil {
-			return nil, merr
-		}
-		res.Wire = out
 		return res, nil
 	}
-	res.Output = packet.FromState(t.prog, e.st, payload)
-	if !e.quiet {
-		res.Trace = e.trace
-		res.Final = e.st
-	}
+	t.traced(res)
+	res.Output = packet.FromState(t.prog, res.Final, payload)
 	return res, nil
 }
 
-// route evaluates traffic manager edges from pipeline cur; returns the
-// next pipeline, or exited=true for the exit edge.
-func (t *Target) route(e *exec, cur string) (next string, exited bool) {
-	if t.prog.Topology == nil {
-		return "", true
-	}
-	for _, edge := range t.prog.Topology.Edges {
-		if edge.From != cur {
-			continue
-		}
-		if edge.Guard != nil {
-			v, err := e.boolExpr(edge.Guard, nil)
-			if err != nil || !v {
-				continue
-			}
-		}
-		if !e.quiet {
-			e.tracef("traffic manager: %s -> %s", edge.From, edge.To)
-		}
-		if edge.To == "exit" {
-			return "", true
-		}
-		return edge.To, false
-	}
-	return "", false
+// dropped finishes the result of a packet that produced no output.
+func (t *Target) dropped(res *Result) *Result {
+	t.drops++
+	res.Dropped = true
+	t.traced(res)
+	return res
 }
 
-// parse runs the entry parser over the wire bytes, loading extracted
-// fields and validity bits into the state (subject to parser faults).
-// The returned payload ALIASES wire on the fast path; run copies it into
-// the output packet before the wire buffer can be reused.
-func (t *Target) parse(e *exec, parserName string, wire []byte) ([]byte, error) {
-	names, visited, payload, err := packet.ParseInto(t.prog, parserName, wire, e.st, e.hdrs[:0], e.visited[:0])
-	e.hdrs, e.visited = names[:0], visited[:0]
-	if err == nil {
-		for _, hn := range names {
-			if t.faults.extractNoValidity(hn) {
-				if !e.quiet {
-					e.tracef("extract %s (validity NOT set: %s)", hn, "missing compilation flag")
-				}
-			} else {
-				e.st[t.vars.Valid(hn)] = 1
-			}
-			if !e.quiet {
-				e.tracef("extract %s", hn)
-			}
-		}
-		if err := e.replayParserAssignsVisited(parserName, visited); err != nil {
-			return nil, err
-		}
-		return payload, nil
+// traced hands a traced run's records to its result: the trace lines and
+// the per-packet slots as a named state.
+func (t *Target) traced(res *Result) {
+	if !t.m.tracing {
+		return
 	}
-	if !errors.Is(err, packet.ErrReExtract) {
-		return nil, err
-	}
-	// A header extracted twice cannot live in a flat state mid-parse;
-	// redo the work with the packet-building parser (last instance wins
-	// in the state, as before).
-	pkt, err := packet.Parse(t.prog, parserName, wire)
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range pkt.Headers {
-		if t.faults.extractNoValidity(h.Name) {
-			if !e.quiet {
-				e.tracef("extract %s (validity NOT set: %s)", h.Name, "missing compilation flag")
-			}
-		} else {
-			e.st[t.vars.Valid(h.Name)] = 1
-		}
-		for f, v := range h.Fields {
-			e.st[t.vars.Field(h.Name, f)] = v
-		}
-		if !e.quiet {
-			e.tracef("extract %s", h.Name)
-		}
-	}
-	// Parser-state assignments (metadata setup) run after their state's
-	// extracts; replay them in FSM order.
-	if err := e.replayParserAssigns(parserName, pkt); err != nil {
-		return nil, err
-	}
-	return pkt.Payload, nil
-}
-
-// replayParserAssignsVisited executes the assignment statements of the
-// parser states ParseInto actually visited, in visit order. Replaying
-// the recorded path — rather than re-deriving it — follows the wire
-// parse exactly even where an assignment clobbers a selected field.
-func (e *exec) replayParserAssignsVisited(parserName string, visited []string) error {
-	pd := e.t.prog.Parser(parserName)
-	for _, sn := range visited {
-		st := pd.State(sn)
-		for _, s := range st.Body {
-			if as, ok := s.(*p4.AssignStmt); ok {
-				if err := e.assign(as.LHS, as.RHS, nil, "parser"); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// replayParserAssigns executes assignment statements of visited parser
-// states. The visited set is re-derived by walking the FSM with the
-// now-loaded state.
-func (e *exec) replayParserAssigns(parserName string, pkt *packet.Packet) error {
-	pd := e.t.prog.Parser(parserName)
-	state := "start"
-	for steps := 0; steps < 1000; steps++ {
-		if state == "accept" || state == "reject" {
-			return nil
-		}
-		st := pd.State(state)
-		for _, s := range st.Body {
-			if as, ok := s.(*p4.AssignStmt); ok {
-				if err := e.assign(as.LHS, as.RHS, nil, "parser"); err != nil {
-					return err
-				}
-			}
-		}
-		tr := st.Transition
-		next := tr.Default
-		if len(tr.Select) > 0 {
-			for _, c := range tr.Cases {
-				match := true
-				for i, ref := range tr.Select {
-					v, ok := pkt.Field(ref.Parts[0], ref.Parts[1])
-					if len(ref.Parts) == 2 && ref.Parts[0] == "meta" {
-						v, ok = e.st[e.t.vars.Meta(ref.Parts[1])], true
-					}
-					if !ok || v != c.Values[i] {
-						match = false
-						break
-					}
-				}
-				if match {
-					next = c.Next
-					break
-				}
-			}
-		}
-		state = next
-	}
-	return fmt.Errorf("switchsim: parser replay did not terminate")
-}
-
-// --- Statement interpreter ---
-
-func (e *exec) stmts(list []p4.Stmt, sc map[string]uint64, pipe string) error {
-	for _, s := range list {
-		if e.drop {
-			return nil
-		}
-		if err := e.stmt(s, sc, pipe); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *exec) stmt(s p4.Stmt, sc map[string]uint64, pipe string) error {
-	switch t := s.(type) {
-	case *p4.AssignStmt:
-		return e.assign(t.LHS, t.RHS, sc, pipe)
-	case *p4.IfStmt:
-		c, err := e.boolExpr(t.Cond, sc)
-		if err != nil {
-			return err
-		}
-		if c {
-			if !e.quiet {
-				e.tracef("[%s] if (%s) -> then", pipe, exprString(t.Cond))
-			}
-			return e.stmts(t.Then, sc, pipe)
-		}
-		if !e.quiet {
-			e.tracef("[%s] if (%s) -> else", pipe, exprString(t.Cond))
-		}
-		return e.stmts(t.Else, sc, pipe)
-	case *p4.ApplyStmt:
-		return e.applyTable(t.Table, pipe)
-	case *p4.CallStmt:
-		return e.call(t.Call, sc, pipe)
-	case *p4.SetValidStmt:
-		if t.Valid && e.t.faults.setValidNoOp(t.Header) {
-			if !e.quiet {
-				e.tracef("[%s] setValid(%s) — compiled to no-op (backend bug)", pipe, t.Header)
-			}
-			return nil
-		}
-		v := uint64(0)
-		if t.Valid {
-			v = 1
-		}
-		e.st[e.t.vars.Valid(t.Header)] = v
-		if !e.quiet {
-			e.tracef("[%s] setValid(%s)=%d", pipe, t.Header, v)
-		}
-		return nil
-	case *p4.DropStmt:
-		e.st[p4.DropVar] = 1
-		e.drop = true
-		if !e.quiet {
-			e.tracef("[%s] mark_drop()", pipe)
-		}
-		return nil
-	case *p4.HashStmt:
-		dv, dw, err := e.resolve(t.Dest)
-		if err != nil {
-			return err
-		}
-		vals := make([]uint64, len(t.Inputs))
-		widths := make([]expr.Width, len(t.Inputs))
-		for i, in := range t.Inputs {
-			v, w, err := e.arithWidth(in, sc)
-			if err != nil {
-				return err
-			}
-			vals[i], widths[i] = v, w
-		}
-		h := hashfn.Hash(vals, widths, dw)
-		e.setVar(dv, dw, h, pipe)
-		if !e.quiet {
-			e.tracef("[%s] hash -> %s = %d", pipe, dv, h)
-		}
-		return nil
-	case *p4.ChecksumStmt:
-		if e.t.faults.checksumSkip(t.Header) {
-			if !e.quiet {
-				e.tracef("[%s] update_checksum(%s) — compiled to no-op (backend bug)", pipe, t.Header)
-			}
-			return nil
-		}
-		pl := e.csumPlanFor(t)
-		vals := e.csVals[:0]
-		for _, v := range pl.in {
-			vals = append(vals, e.st[v])
-		}
-		cs := hashfn.Checksum(vals, pl.iw)
-		e.csVals = vals[:0]
-		e.setVar(pl.dst, pl.dw, cs, pipe)
-		if !e.quiet {
-			e.tracef("[%s] update_checksum(%s) = %#x", pipe, t.Header, cs)
-		}
-		return nil
-	case *p4.RegReadStmt:
-		dv, dw, err := e.resolve(t.Dest)
-		if err != nil {
-			return err
-		}
-		rv := p4.RegisterVar(t.Reg, t.Index)
-		val := e.t.regs[rv]
-		e.setVar(dv, dw, val, pipe)
-		if !e.quiet {
-			e.tracef("[%s] %s = reg_read(%s, %d) = %d", pipe, dv, t.Reg, t.Index, val)
-		}
-		return nil
-	case *p4.RegWriteStmt:
-		reg := e.t.prog.Register(t.Reg)
-		v, err := e.arith(t.Value, sc)
-		if err != nil {
-			return err
-		}
-		v = expr.Width(reg.Width).Trunc(v)
-		e.t.regs[p4.RegisterVar(t.Reg, t.Index)] = v
-		if !e.quiet {
-			e.tracef("[%s] reg_write(%s, %d, %d)", pipe, t.Reg, t.Index, v)
-		}
-		return nil
-	case *p4.ExtractStmt:
-		return fmt.Errorf("switchsim: extract outside parser")
-	}
-	return fmt.Errorf("switchsim: unknown statement %T", s)
-}
-
-// csumPlanFor returns (building on first use) the statement's field plan.
-func (e *exec) csumPlanFor(t *p4.ChecksumStmt) *csumPlan {
-	if pl, ok := e.t.csums[t]; ok {
-		return pl
-	}
-	h := e.t.prog.Header(t.Header)
-	pl := &csumPlan{
-		dst: e.t.vars.Field(t.Header, t.Field),
-		dw:  expr.Width(h.Field(t.Field).Width),
-	}
-	for _, f := range h.Fields {
-		if f.Name == t.Field {
-			continue
-		}
-		pl.in = append(pl.in, e.t.vars.Field(t.Header, f.Name))
-		pl.iw = append(pl.iw, expr.Width(f.Width))
-	}
-	e.t.csums[t] = pl
-	return pl
-}
-
-// applyTable performs concrete match-action lookup: highest-priority
-// matching entry wins, otherwise the default action runs.
-func (e *exec) applyTable(name, pipe string) error {
-	entries := e.t.rs.Entries(name)
-	if e.t.faults.tableMissDefault(name) {
-		entries = nil
-	}
-	pl := e.t.tbls[name]
-	if pl == nil {
-		return e.applyTableSlow(name, entries, pipe)
-	}
-	for i, en := range entries {
-		match := true
-		for j := range pl.keyVars {
-			w := pl.keyWide[j]
-			if !en.Match(pl.keyStrs[j]).Covers(w.Trunc(e.st[pl.keyVars[j]]), int(w)) {
-				match = false
-				break
-			}
-		}
-		if match {
-			if !e.quiet {
-				e.tracef("[%s] table %s hit entry %d -> %s", pipe, name, i, en.Action)
-			}
-			return e.callEntry(en, pipe)
-		}
-	}
-	def := pl.decl.DefaultAction
-	if def == nil {
-		def = &p4.ActionCall{Name: "NoAction"}
-	}
-	if !e.quiet {
-		e.tracef("[%s] table %s miss -> %s", pipe, name, def.Name)
-	}
-	return e.call(def, nil, pipe)
-}
-
-// applyTableSlow is the pre-plan lookup path, kept for tables whose keys
-// did not resolve at compile time (scoped or malformed references); it
-// reproduces the original per-apply resolution and its errors.
-func (e *exec) applyTableSlow(name string, entries []*rules.Entry, pipe string) error {
-	tbl := e.t.prog.Table(name)
-	for i, en := range entries {
-		match := true
-		for _, k := range tbl.Keys {
-			v, w, err := e.refValue(k.Field)
-			if err != nil {
-				return err
-			}
-			if !en.Match(k.Field.String()).Covers(v, int(w)) {
-				match = false
-				break
-			}
-		}
-		if match {
-			if !e.quiet {
-				e.tracef("[%s] table %s hit entry %d -> %s", pipe, name, i, en.Action)
-			}
-			return e.callEntry(en, pipe)
-		}
-	}
-	def := tbl.DefaultAction
-	if def == nil {
-		def = &p4.ActionCall{Name: "NoAction"}
-	}
-	if !e.quiet {
-		e.tracef("[%s] table %s miss -> %s", pipe, name, def.Name)
-	}
-	return e.call(def, nil, pipe)
-}
-
-// callEntry executes a rule entry's action with its concrete arguments,
-// skipping the NumberExpr boxing the generic call path would need.
-func (e *exec) callEntry(en *rules.Entry, pipe string) error {
-	if en.Action == "NoAction" {
-		return nil
-	}
-	a := e.t.acts[en.Action]
-	if a == nil {
-		return fmt.Errorf("switchsim: unknown action %q", en.Action)
-	}
-	inner := e.pushScope()
-	defer e.popScope(inner)
-	for i, p := range a.Params {
-		inner[p.Name] = expr.Width(p.Width).Trunc(en.Args[i])
-	}
-	return e.stmts(a.Body, inner, pipe)
-}
-
-// call executes an action with bound arguments.
-func (e *exec) call(c *p4.ActionCall, sc map[string]uint64, pipe string) error {
-	if c.Name == "NoAction" {
-		return nil
-	}
-	a := e.t.acts[c.Name]
-	if a == nil {
-		return fmt.Errorf("switchsim: unknown action %q", c.Name)
-	}
-	inner := e.pushScope()
-	defer e.popScope(inner)
-	for i, p := range a.Params {
-		v, err := e.arith(c.Args[i], sc)
-		if err != nil {
-			return err
-		}
-		inner[p.Name] = expr.Width(p.Width).Trunc(v)
-	}
-	return e.stmts(a.Body, inner, pipe)
-}
-
-// assign evaluates and stores, honouring WrongAssign and FieldOverlap
-// faults.
-func (e *exec) assign(lhs *p4.FieldRef, rhs p4.Expr, sc map[string]uint64, pipe string) error {
-	v, w, err := e.resolve(lhs)
-	if err != nil {
-		return err
-	}
-	val, err := e.arith(rhs, sc)
-	if err != nil {
-		return err
-	}
-	val = w.Trunc(val)
-	if bits, ok := e.t.faults.wrongAssign(string(v)); ok {
-		val = expr.Width(bits).Trunc(val)
-		if !e.quiet {
-			e.tracef("[%s] %s = %d (TRUNCATED by backend bug)", pipe, v, val)
-		}
-	} else {
-		if !e.quiet {
-			e.tracef("[%s] %s = %d", pipe, v, val)
-		}
-	}
-	e.setVar(v, w, val, pipe)
-	return nil
-}
-
-// setVar stores a value, propagating to overlapping fields (pragma-misuse
-// fault).
-func (e *exec) setVar(v expr.Var, w expr.Width, val uint64, pipe string) {
-	e.st[v] = w.Trunc(val)
-	for _, other := range e.t.faults.overlapsOf(string(v)) {
-		ov := expr.Var(other)
-		e.st[ov] = e.varWidth(ov).Trunc(val)
-		if !e.quiet {
-			e.tracef("[%s] %s clobbered via pragma overlap with %s", pipe, other, v)
-		}
+	res.Trace = t.m.trace
+	res.Final = make(expr.State, t.vars.PerPacket())
+	for s := 0; s < t.vars.PerPacket(); s++ {
+		res.Final[t.vars.Name(s)] = t.m.slots[s]
 	}
 }
 
-func (e *exec) varWidth(v expr.Var) expr.Width {
-	if h, f, ok := p4.IsHeaderFieldVar(v); ok {
-		if hd := e.t.prog.Header(h); hd != nil {
-			if fd := hd.Field(f); fd != nil {
-				return expr.Width(fd.Width)
-			}
-		}
-	}
-	if f, ok := p4.IsMetaVar(v); ok {
-		for _, fd := range e.t.prog.Metadata {
-			if fd.Name == f {
-				return expr.Width(fd.Width)
-			}
-		}
-	}
-	return 64
+// TableStats counts one table's lookups since Compile. A probe is one
+// installed row examined: a hit on row i costs i+1, a miss all of them.
+type TableStats struct {
+	Name     string
+	Applies  uint64
+	Probes   uint64
+	Hits     uint64
+	Defaults uint64 // default-action runs (misses)
 }
 
-func (e *exec) resolve(ref *p4.FieldRef) (expr.Var, expr.Width, error) {
-	if v, w, ok := e.t.vars.Ref(ref); ok {
-		return v, w, nil
-	}
-	v, w, err := e.t.env.ResolveRef(ref)
-	if err != nil {
-		return "", 0, err
-	}
-	return v, w, nil
+// Stats counts the target's work since Compile: exact, kept by the
+// machine as it runs (no clock is read).
+type Stats struct {
+	Packets      uint64
+	Instructions uint64
+	Drops        uint64
+	Tables       []TableStats // declaration order
 }
 
-func (e *exec) refValue(ref *p4.FieldRef) (uint64, expr.Width, error) {
-	v, w, err := e.resolve(ref)
-	if err != nil {
-		return 0, 0, err
+// Stats returns the counters; like Inject it must not run concurrently
+// with one.
+func (t *Target) Stats() Stats {
+	s := Stats{Packets: t.packets, Instructions: t.m.instrs, Drops: t.drops}
+	for _, tbl := range t.tables {
+		s.Tables = append(s.Tables, tbl.stats)
 	}
-	return w.Trunc(e.st[v]), w, nil
-}
-
-// arith evaluates a source arithmetic expression concretely.
-func (e *exec) arith(x p4.Expr, sc map[string]uint64) (uint64, error) {
-	v, _, err := e.arithWidth(x, sc)
-	return v, err
-}
-
-func (e *exec) arithWidth(x p4.Expr, sc map[string]uint64) (uint64, expr.Width, error) {
-	switch t := x.(type) {
-	case *p4.NumberExpr:
-		return t.Val, expr.MaxWidth, nil
-	case *p4.FieldRef:
-		if len(t.Parts) == 1 && sc != nil {
-			if v, ok := sc[t.Parts[0]]; ok {
-				return v, expr.MaxWidth, nil
-			}
-		}
-		v, w, err := e.refValue(t)
-		return v, w, err
-	case *p4.BinExpr:
-		l, lw, err := e.arithWidth(t.L, sc)
-		if err != nil {
-			return 0, 0, err
-		}
-		r, rw, err := e.arithWidth(t.R, sc)
-		if err != nil {
-			return 0, 0, err
-		}
-		w := lw
-		if rw > w {
-			w = rw
-		}
-		var op expr.AOp
-		switch t.Op {
-		case "+":
-			op = expr.OpAdd
-		case "-":
-			op = expr.OpSub
-		case "&":
-			op = expr.OpAnd
-		case "|":
-			op = expr.OpOr
-		case "^":
-			op = expr.OpXor
-		case "<<":
-			op = expr.OpShl
-		case ">>":
-			op = expr.OpShr
-		case "*":
-			op = expr.OpMul
-		default:
-			return 0, 0, fmt.Errorf("switchsim: operator %q", t.Op)
-		}
-		return op.Apply(l, r, w), w, nil
-	case *p4.NotExpr:
-		v, w, err := e.arithWidth(t.X, sc)
-		if err != nil {
-			return 0, 0, err
-		}
-		return w.Trunc(^v), w, nil
-	}
-	return 0, 0, fmt.Errorf("switchsim: expression %T is not arithmetic", x)
-}
-
-// boolExpr evaluates a source boolean expression concretely, honouring the
-// WrongCompare fault.
-func (e *exec) boolExpr(x p4.Expr, sc map[string]uint64) (bool, error) {
-	switch t := x.(type) {
-	case *p4.CmpExpr:
-		l, err := e.arith(t.L, sc)
-		if err != nil {
-			return false, err
-		}
-		r, err := e.arith(t.R, sc)
-		if err != nil {
-			return false, err
-		}
-		op := t.Op
-		if e.t.faults.wrongCompare() {
-			switch op {
-			case ">":
-				op = ">="
-			case "<":
-				op = "<="
-			}
-		}
-		switch op {
-		case "==":
-			return l == r, nil
-		case "!=":
-			return l != r, nil
-		case "<":
-			return l < r, nil
-		case ">":
-			return l > r, nil
-		case "<=":
-			return l <= r, nil
-		case ">=":
-			return l >= r, nil
-		}
-		return false, fmt.Errorf("switchsim: comparison %q", t.Op)
-	case *p4.LogicExpr:
-		l, err := e.boolExpr(t.L, sc)
-		if err != nil {
-			return false, err
-		}
-		if t.Op == "&&" && !l {
-			return false, nil
-		}
-		if t.Op == "||" && l {
-			return true, nil
-		}
-		return e.boolExpr(t.R, sc)
-	case *p4.NotExpr:
-		v, err := e.boolExpr(t.X, sc)
-		if err != nil {
-			return false, err
-		}
-		return !v, nil
-	case *p4.IsValidExpr:
-		return e.st[p4.ValidVar(t.Header)] == 1, nil
-	}
-	return false, fmt.Errorf("switchsim: expression %T is not boolean", x)
-}
-
-// exprString renders a source expression for traces.
-func exprString(x p4.Expr) string {
-	switch t := x.(type) {
-	case *p4.NumberExpr:
-		return fmt.Sprintf("%d", t.Val)
-	case *p4.FieldRef:
-		return t.String()
-	case *p4.BinExpr:
-		return fmt.Sprintf("(%s %s %s)", exprString(t.L), t.Op, exprString(t.R))
-	case *p4.CmpExpr:
-		return fmt.Sprintf("%s %s %s", exprString(t.L), t.Op, exprString(t.R))
-	case *p4.LogicExpr:
-		return fmt.Sprintf("(%s %s %s)", exprString(t.L), t.Op, exprString(t.R))
-	case *p4.NotExpr:
-		return "!" + exprString(t.X)
-	case *p4.IsValidExpr:
-		return t.Header + ".isValid()"
-	}
-	return "?"
+	return s
 }
 
 // ResetRegisters zeroes the persistent register file.
-func (t *Target) ResetRegisters() { t.regs = map[expr.Var]uint64{} }
+func (t *Target) ResetRegisters() { clear(t.m.slots[t.vars.PerPacket():t.vars.Len()]) }
 
 // TraceString joins a trace for display.
 func TraceString(trace []string) string { return strings.Join(trace, "\n") }
