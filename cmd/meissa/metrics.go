@@ -242,8 +242,8 @@ func cmdCheckMetrics(args []string) error {
 		}
 	}
 	if rep.Solver != nil {
-		fmt.Printf("  solver queries=%d solved=%d outcomes=%v\n",
-			rep.Solver.TotalQueries, rep.Solver.Solved, rep.Solver.Outcomes)
+		fmt.Printf("  solver queries=%d solved=%d outcomes=%v truncated_unsat=%d\n",
+			rep.Solver.TotalQueries, rep.Solver.Solved, rep.Solver.Outcomes, rep.Solver.TruncatedUnsat)
 		if q := rep.Solver.LatencyQuantiles; q != nil {
 			fmt.Printf("  solver latency p50=%v p90=%v p99=%v\n",
 				time.Duration(q.P50).Round(time.Microsecond),

@@ -202,12 +202,12 @@ func (e *substEnv) lookup(v Var) Arith {
 	return val
 }
 
-// RefSlotsArith appends slot(v) for every variable reference in a, in the
-// order substitution visits them.
-func RefSlotsArith(dst []int32, a Arith, slot func(Var) int32) []int32 {
+// RefSlotsArith appends slot(r) for every variable reference r in a, in the
+// order substitution and evaluation visit them.
+func RefSlotsArith(dst []int32, a Arith, slot func(Ref) int32) []int32 {
 	switch t := a.(type) {
 	case Ref:
-		dst = append(dst, slot(t.Var))
+		dst = append(dst, slot(t))
 	case Bin:
 		dst = RefSlotsArith(dst, t.L, slot)
 		dst = RefSlotsArith(dst, t.R, slot)
@@ -216,7 +216,7 @@ func RefSlotsArith(dst []int32, a Arith, slot func(Var) int32) []int32 {
 }
 
 // RefSlotsBool is RefSlotsArith for a boolean expression.
-func RefSlotsBool(dst []int32, b Bool, slot func(Var) int32) []int32 {
+func RefSlotsBool(dst []int32, b Bool, slot func(Ref) int32) []int32 {
 	switch t := b.(type) {
 	case Cmp:
 		dst = RefSlotsArith(dst, t.L, slot)
@@ -228,6 +228,75 @@ func RefSlotsBool(dst []int32, b Bool, slot func(Var) int32) []int32 {
 		dst = RefSlotsBool(dst, t.X, slot)
 	}
 	return dst
+}
+
+// SlotState is a partial concrete state over the same kind of numbering:
+// variable slot s has the value Val[s] where Set[s] holds. Its evaluators
+// take an expression's RefSlots list, so evaluating hashes no names either.
+type SlotState struct {
+	Val []uint64
+	Set []bool
+}
+
+// EvalArith is EvalArithOK over a slot state; refs is a's RefSlotsArith
+// list.
+func (s *SlotState) EvalArith(a Arith, refs []int32) (uint64, bool) {
+	v, _, ok := s.evalArith(a, refs)
+	return v, ok
+}
+
+// EvalBool is EvalBoolOK over a slot state; refs is b's RefSlotsBool list.
+func (s *SlotState) EvalBool(b Bool, refs []int32) (val, ok bool) {
+	val, _, ok = s.evalBool(b, refs)
+	return val, ok
+}
+
+// evalArith and evalBool consume one entry of refs per reference and hand
+// back the rest, so they walk every operand even once the result is known
+// to be undefined: the references that follow must stay aligned.
+func (s *SlotState) evalArith(a Arith, refs []int32) (uint64, []int32, bool) {
+	switch t := a.(type) {
+	case Const:
+		return t.Val, refs, true
+	case Ref:
+		sl := refs[0]
+		return t.W.Trunc(s.Val[sl]), refs[1:], s.Set[sl]
+	case Bin:
+		l, refs, lok := s.evalArith(t.L, refs)
+		r, refs, rok := s.evalArith(t.R, refs)
+		return t.Op.Apply(l, r, t.Width()), refs, lok && rok
+	}
+	return 0, refs, false
+}
+
+func (s *SlotState) evalBool(b Bool, refs []int32) (bool, []int32, bool) {
+	switch t := b.(type) {
+	case BoolConst:
+		return bool(t), refs, true
+	case Cmp:
+		l, refs, lok := s.evalArith(t.L, refs)
+		r, refs, rok := s.evalArith(t.R, refs)
+		ok := lok && rok
+		return ok && t.Op.Apply(l, r), refs, ok
+	case Logic:
+		l, refs, lok := s.evalBool(t.L, refs)
+		r, refs, rok := s.evalBool(t.R, refs)
+		// The right operand is consulted only where sequential evaluation
+		// reaches it, as in EvalBoolOK.
+		switch {
+		case !lok:
+			return false, refs, false
+		case t.Op == LAnd && !l:
+			return false, refs, true
+		case t.Op == LOr && l:
+			return true, refs, true
+		}
+		return r && rok, refs, rok
+	case Not:
+		v, refs, ok := s.evalBool(t.X, refs)
+		return !v && ok, refs, ok
+	}
+	return false, refs, false
 }
 
 // bound reports whether any of the referenced slots has a value.
@@ -251,9 +320,14 @@ func (e Env) SubstArith(a Arith, refs []int32) Arith {
 }
 
 // SubstBool is SubstBool over a slot environment; refs is b's
-// RefSlotsBool list.
-func (e Env) SubstBool(b Bool, refs []int32) Bool {
-	return e.SubstBoolOr(b, refs, nil)
+// RefSlotsBool list. changed is false when no referenced slot is bound, and
+// out is then b itself: what lets a caller that numbers its conditions tell
+// a solver which one this is instead of handing it the tree again.
+func (e Env) SubstBool(b Bool, refs []int32) (out Bool, changed bool) {
+	if !e.bound(refs) {
+		return b, false
+	}
+	return substBool(b, &substEnv{vals: e, refs: refs})
 }
 
 // SubstBoolOr is SubstBool where the i-th reference, while its slot

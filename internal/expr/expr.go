@@ -495,3 +495,56 @@ func EqualBool(a, b Bool) bool {
 	}
 	return false
 }
+
+// HashBool digests the top depth levels of b — node kinds, operators,
+// constants, widths and the tails of variable names — so that EqualBool
+// expressions hash equal and the cost is bounded whatever b's size. It picks
+// a bucket; only EqualBool says two expressions are the same.
+func HashBool(b Bool, depth int) uint64 { return hashBool(14695981039346656037, b, depth) }
+
+func mix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
+
+func hashBool(h uint64, b Bool, depth int) uint64 {
+	switch t := b.(type) {
+	case BoolConst:
+		if t {
+			return mix(h, 1)
+		}
+		return mix(h, 2)
+	case Cmp:
+		h = mix(h, 3<<8|uint64(t.Op))
+		if depth > 0 {
+			h = hashArith(hashArith(h, t.L, depth-1), t.R, depth-1)
+		}
+	case Logic:
+		h = mix(h, 4<<8|uint64(t.Op))
+		if depth > 0 {
+			h = hashBool(hashBool(h, t.L, depth-1), t.R, depth-1)
+		}
+	case Not:
+		h = mix(h, 5)
+		if depth > 0 {
+			h = hashBool(h, t.X, depth-1)
+		}
+	}
+	return h
+}
+
+func hashArith(h uint64, a Arith, depth int) uint64 {
+	switch t := a.(type) {
+	case Const:
+		return mix(mix(h, 6<<8|uint64(t.W)), t.Val)
+	case Ref:
+		h = mix(h, 7<<8|uint64(t.W))
+		h = mix(h, uint64(len(t.Var)))
+		for i := max(0, len(t.Var)-8); i < len(t.Var); i++ {
+			h = mix(h, uint64(t.Var[i]))
+		}
+	case Bin:
+		h = mix(h, 8<<8|uint64(t.Op))
+		if depth > 0 {
+			h = hashArith(hashArith(h, t.L, depth-1), t.R, depth-1)
+		}
+	}
+	return h
+}

@@ -94,12 +94,12 @@ func (g *exprGen) boolean(depth int) Bool {
 
 // subst binds a random subset of the pool to constants (mostly) or small
 // expressions, as a map and as the equivalent slot environment.
-func (g *exprGen) subst() (Subst, Env, func(Var) int32) {
+func (g *exprGen) subst() (Subst, Env, func(Ref) int32) {
 	m := Subst{}
 	env := make(Env, len(g.vars))
-	slot := func(v Var) int32 {
+	slot := func(r Ref) int32 {
 		for i, pv := range g.vars {
-			if pv == v {
+			if pv == r.Var {
 				return int32(i)
 			}
 		}
@@ -137,12 +137,12 @@ func TestSubstMatchesBoxThenSimplify(t *testing.T) {
 		}
 
 		b := g.boolean(3)
-		wantB, _ := refSubstBool(b, m)
+		wantB, wantChanged := refSubstBool(b, m)
 		if got := SubstBool(b, m); !EqualBool(got, wantB) {
 			t.Fatalf("SubstBool(%s, %v) = %s, want %s", b, m, got, wantB)
 		}
-		if got := env.SubstBool(b, RefSlotsBool(nil, b, slot)); !EqualBool(got, wantB) {
-			t.Fatalf("Env.SubstBool(%s, %v) = %s, want %s", b, m, got, wantB)
+		if got, changed := env.SubstBool(b, RefSlotsBool(nil, b, slot)); !EqualBool(got, wantB) || changed != wantChanged {
+			t.Fatalf("Env.SubstBool(%s, %v) = %s (changed %v), want %s (changed %v)", b, m, got, changed, wantB, wantChanged)
 		}
 	}
 }
@@ -173,7 +173,7 @@ func TestSubstBoolOrReadsThroughUnboundSlots(t *testing.T) {
 				filled[s] = perVar[s]
 			}
 		}
-		want := filled.SubstBool(b, refs)
+		want, _ := filled.SubstBool(b, refs)
 		if got := env.SubstBoolOr(b, refs, defs); !EqualBool(got, want) {
 			t.Fatalf("SubstBoolOr(%s, %v, %v) = %s, want %s", b, env, defs, got, want)
 		}
@@ -192,7 +192,7 @@ func TestSubstBoolOrReadsThroughUnboundSlots(t *testing.T) {
 // value stack binds to a constant folds to True/False with no allocation,
 // and a predicate over unbound fields is returned as it came.
 func TestSubstFoldsWithoutAllocating(t *testing.T) {
-	slot := func(v Var) int32 { return map[Var]int32{"x": 0, "y": 1}[v] }
+	slot := func(r Ref) int32 { return map[Var]int32{"x": 0, "y": 1}[r.Var] }
 	env := Env{C(5, 16), nil}
 	var folds, free Bool = Eq(V("x", 16), C(6, 16)), Eq(V("y", 16), C(6, 16))
 	// A folded operand of a folded comparison: the intermediate constant
@@ -201,17 +201,53 @@ func TestSubstFoldsWithoutAllocating(t *testing.T) {
 	foldRefs, freeRefs, nestedRefs := RefSlotsBool(nil, folds, slot), RefSlotsBool(nil, free, slot), RefSlotsBool(nil, nested, slot)
 	var sink Bool
 	if avg := testing.AllocsPerRun(100, func() {
-		sink = env.SubstBool(folds, foldRefs)
-		sink = env.SubstBool(free, freeRefs)
-		sink = env.SubstBool(nested, nestedRefs)
+		sink, _ = env.SubstBool(folds, foldRefs)
+		sink, _ = env.SubstBool(free, freeRefs)
+		sink, _ = env.SubstBool(nested, nestedRefs)
 	}); avg != 0 {
 		t.Errorf("constant-folding substitution allocates %.1f objects per run, want 0", avg)
 	}
-	if got := env.SubstBool(folds, foldRefs); !EqualBool(got, False) {
+	if got, _ := env.SubstBool(folds, foldRefs); !EqualBool(got, False) {
 		t.Errorf("x==6 under x=5 is %s, want False", got)
 	}
-	if got := env.SubstBool(nested, nestedRefs); !EqualBool(got, True) {
+	if got, _ := env.SubstBool(nested, nestedRefs); !EqualBool(got, True) {
 		t.Errorf("(x+1)&3==2 under x=5 is %s, want True", got)
 	}
 	_ = sink
+}
+
+// TestSlotStateMatchesMapState: on random expressions and partial states,
+// evaluating through a Ref-slot list gives what EvalArithOK/EvalBoolOK give
+// over the equivalent map — the value and whether there is one, including
+// where an unbound variable sits behind a short-circuit — and an expression
+// equal to another hashes like it at any depth.
+func TestSlotStateMatchesMapState(t *testing.T) {
+	g := &exprGen{rng: rand.New(rand.NewSource(13)), vars: []Var{"a", "b", "c", "d"}}
+	_, _, slot := g.subst()
+	for i := 0; i < 4000; i++ {
+		m := State{}
+		st := SlotState{Val: make([]uint64, len(g.vars)), Set: make([]bool, len(g.vars))}
+		for k, v := range g.vars {
+			st.Val[k] = uint64(g.rng.Intn(1 << 17)) // read only where Set: garbage elsewhere
+			if g.rng.Intn(3) > 0 {
+				st.Set[k], m[v] = true, st.Val[k]
+			}
+		}
+		a := g.arith(4)
+		wantV, wantOK := EvalArithOK(a, m)
+		if got, ok := st.EvalArith(a, RefSlotsArith(nil, a, slot)); ok != wantOK || ok && got != wantV {
+			t.Fatalf("EvalArith(%s) under %v = %d, %v; want %d, %v", a, m, got, ok, wantV, wantOK)
+		}
+		b := g.boolean(4)
+		wantB, wantOK := EvalBoolOK(b, m)
+		if got, ok := st.EvalBool(b, RefSlotsBool(nil, b, slot)); ok != wantOK || got != wantB {
+			t.Fatalf("EvalBool(%s) under %v = %v, %v; want %v, %v", b, m, got, ok, wantB, wantOK)
+		}
+		twin := RenameBool(b, nil) // a structurally equal tree in fresh boxes
+		for depth := 0; depth < 6; depth++ {
+			if HashBool(b, depth) != HashBool(twin, depth) {
+				t.Fatalf("%s and its copy hash apart at depth %d", b, depth)
+			}
+		}
+	}
 }

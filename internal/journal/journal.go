@@ -196,14 +196,22 @@ func Open(path string, fingerprint uint64, resume bool) (*Journal, error) {
 // or mismatched header is an error: the journal belongs to different
 // inputs.
 func (j *Journal) load(fingerprint uint64) (int64, error) {
-	data, err := io.ReadAll(j.f)
+	// One read into a buffer of the file's size, and one copy of each
+	// dependency tag: a gw-4 checkpoint is 39 MB of records that repeat a
+	// few hundred tags a million times over.
+	st, err := j.f.Stat()
 	if err != nil {
+		return 0, fmt.Errorf("journal: stat: %w", err)
+	}
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(j.f, data); err != nil {
 		return 0, fmt.Errorf("journal: read: %w", err)
 	}
+	tags := map[string]string{}
 	off := int64(0)
 	first := true
 	for {
-		rec, n, ok := decode(data[off:], nil)
+		rec, n, ok := decode(data[off:], tags)
 		if !ok {
 			break
 		}

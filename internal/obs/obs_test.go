@@ -216,6 +216,7 @@ func TestReportValidate(t *testing.T) {
 		"missing bucket":    func(r *Report) { delete(r.Solver.Outcomes, "cache_hit") },
 		"outcome mismatch":  func(r *Report) { r.Solver.Outcomes["sat"] = 99 },
 		"budget > unknown":  func(r *Report) { r.Solver.Outcomes["budget_exhausted"] = 3 },
+		"truncated > unsat": func(r *Report) { r.Solver.TruncatedUnsat = 7 },
 		"paths grew":        func(r *Report) { r.Paths.PossibleLog10After = 9 },
 		// The store section's identities.
 		"warmed > loaded":     func(r *Report) { r.Store = &StoreReport{Warmed: 3, SnapshotReads: 3} },

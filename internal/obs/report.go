@@ -136,6 +136,11 @@ type SolverReport struct {
 	Outcomes map[string]uint64 `json:"outcomes"`
 	// QueriesPerSec is TotalQueries normalized by the run wall-clock.
 	QueriesPerSec float64 `json:"queries_per_sec"`
+	// TruncatedUnsat is the part of Outcomes["unsat"] the solver's search
+	// reached after cutting a candidate list short: Unsat verdicts that
+	// are not proofs (smt.Stats.TruncatedUnsat). Counted on live queries
+	// only; a verdict answered from a journal or store is not re-derived.
+	TruncatedUnsat uint64 `json:"truncated_unsat,omitempty"`
 	// LatencyNS is the per-query latency histogram (log2 buckets).
 	LatencyNS *HistogramSnapshot `json:"latency_ns,omitempty"`
 	// LatencyQuantiles summarizes LatencyNS as p50/p90/p99 (ns), derived
@@ -470,6 +475,9 @@ func (r *Report) Validate() error {
 		if o[OutcomeBudgetExhausted] > o[OutcomeUnknown] {
 			return fmt.Errorf("obs: budget_exhausted %d > unknown %d",
 				o[OutcomeBudgetExhausted], o[OutcomeUnknown])
+		}
+		if r.Solver.TruncatedUnsat > o[OutcomeUnsat] {
+			return fmt.Errorf("obs: truncated_unsat %d > unsat %d", r.Solver.TruncatedUnsat, o[OutcomeUnsat])
 		}
 		// A full-journal resume legitimately answers every solver
 		// interaction from the checkpoint, leaving zero live queries.

@@ -14,21 +14,24 @@ import (
 // MutateArgs returns a copy of s with the first action argument of n
 // entries bumped by one — the canonical arg-only delta (signature-stable,
 // so rulediff classifies it as Modified and invalidation stays
-// entry-granular). Candidates are the entries with at least one argument,
-// in canonical order; the n mutated ones are spread evenly across that
-// list. Returns the mutated set and the number of entries actually
-// changed (less than n when fewer candidates exist).
+// entry-granular). The copy keeps s's table and entry order: a node's
+// content hash covers its table's entries in the order the encoder saw
+// them, so re-sorting the set would re-key every verdict downstream of a
+// re-ordered table and a one-entry update would measure that instead.
+// Candidates are the entries with at least one argument, in canonical
+// order, so which entries change does not depend on s's order; the n
+// mutated ones are spread evenly across that list. Returns the mutated set
+// and the number of entries actually changed (less than n when fewer
+// candidates exist).
 func MutateArgs(s *rules.Set, n int) (*rules.Set, int) {
-	out := s.Canonical()
-	type slot struct {
-		table string
-		e     *rules.Entry
-	}
-	var cands []slot
-	for _, t := range out.Tables() {
-		for _, e := range out.Entries(t) {
+	out := s.Clone()
+	var cands []*rules.Entry
+	names := out.Tables()
+	sort.Strings(names)
+	for _, t := range names {
+		for _, e := range out.CanonicalEntries(t) {
 			if len(e.Args) > 0 {
-				cands = append(cands, slot{t, e})
+				cands = append(cands, e)
 			}
 		}
 	}
@@ -48,7 +51,7 @@ func MutateArgs(s *rules.Set, n int) (*rules.Set, int) {
 	}
 	sort.Ints(idx)
 	for _, i := range idx {
-		cands[i].e.Args[0]++
+		cands[i].Args[0]++
 	}
 	return out, len(idx)
 }

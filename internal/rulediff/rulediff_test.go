@@ -167,6 +167,38 @@ func TestMutateArgsDeterministicAndArgOnly(t *testing.T) {
 	}
 }
 
+// TestMutateArgsKeepsOrder: the mutated copy differs from its input in the
+// bumped arguments and nothing else — not in table order, not in entry
+// order — while which entries get bumped is decided in canonical order, so
+// a set and its re-ordering are mutated alike.
+func TestMutateArgsKeepsOrder(t *testing.T) {
+	const shuffled = `
+table nat {
+  ip.dst=167772162 -> rewrite(9, 9);
+  ip.dst=167772161 -> rewrite(42, 7);
+}
+table acl {
+  -> drop();
+  priority=5 port=80 -> mark(1);
+  priority=10 ip.dst=10.0.0.0/8 -> permit();
+}
+`
+	s := rules.MustParse(shuffled)
+	m, n := MutateArgs(s, 1)
+	if n != 1 {
+		t.Fatalf("mutated %d entries, want 1", n)
+	}
+	// acl sorts before nat, and mark(1) is acl's only entry with an
+	// argument: the first candidate in canonical order.
+	if want := strings.Replace(s.String(), "mark(1)", "mark(2)", 1); m.String() != want {
+		t.Errorf("mutated set:\n%s\nwant the input with mark(1) bumped and every line where it was:\n%s", m, want)
+	}
+	mc, _ := MutateArgs(s.Canonical(), 1)
+	if !mc.Equal(m) {
+		t.Errorf("the canonical form of the set was mutated differently:\n%s\nvs\n%s", mc, m)
+	}
+}
+
 func TestMutateArgsMoreThanAvailable(t *testing.T) {
 	s := rules.MustParse(baseRules)
 	// permit() and drop() have no args: only mark(1) and rewrite(42, 7)

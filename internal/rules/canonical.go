@@ -84,23 +84,40 @@ func canonicalLess(a, b *Entry) bool {
 	return a.String() < b.String()
 }
 
+// CanonicalEntries returns a table's entries — the set's own, not copies —
+// sorted by (descending priority, match signature, rendering).
+func (s *Set) CanonicalEntries(table string) []*Entry {
+	es := append([]*Entry(nil), s.tables[table]...)
+	sort.SliceStable(es, func(i, j int) bool { return canonicalLess(es[i], es[j]) })
+	return es
+}
+
 // Canonical returns a copy of the set in canonical form: tables sorted
-// by name, entries deep-copied and sorted by (descending priority, match
-// signature, rendering). Canonical output is the stable serialization
-// the diff layer keys on: two sets are semantically equal for regression
-// purposes iff their canonical forms render identically.
+// by name, entries deep-copied in CanonicalEntries order. Canonical output
+// is the stable serialization the diff layer keys on: two sets are
+// semantically equal for regression purposes iff their canonical forms
+// render identically.
 func (s *Set) Canonical() *Set {
 	out := NewSet()
 	names := append([]string(nil), s.order...)
 	sort.Strings(names)
 	for _, t := range names {
-		es := make([]*Entry, 0, len(s.tables[t]))
-		for _, e := range s.tables[t] {
-			es = append(es, e.Clone())
+		for _, e := range s.CanonicalEntries(t) {
+			out.Add(t, e.Clone())
 		}
-		sort.SliceStable(es, func(i, j int) bool { return canonicalLess(es[i], es[j]) })
-		for _, e := range es {
-			out.Add(t, e)
+	}
+	return out
+}
+
+// Clone returns a deep copy of the set that keeps its table and entry
+// order. The order is not semantic, but it is what the CFG encoder builds
+// miss predicates and priority negations in, so a copy that is to share
+// verdict keys with the original must keep it.
+func (s *Set) Clone() *Set {
+	out := NewSet()
+	for _, t := range s.order {
+		for _, e := range s.tables[t] {
+			out.Add(t, e.Clone())
 		}
 	}
 	return out

@@ -138,6 +138,47 @@ func TestSteadyStateAllocsCheckBatch(t *testing.T) {
 	}
 }
 
+// TestSteadyStateAllocsModel: a Push/Assert/Model/Pop cycle allocates the
+// model it returns — templates keep it — and nothing else: the search runs
+// in slot-indexed scratch and copies the assignment out once.
+func TestSteadyStateAllocsModel(t *testing.T) {
+	s := New(DefaultOptions())
+	benchPrefix(s)
+	conds := benchSiblings(8)
+	var model expr.State
+	sweep := func() {
+		for _, c := range conds {
+			s.Push()
+			s.Assert(c)
+			m, r := s.Model()
+			if r != Sat {
+				t.Fatalf("%s is %s under the prefix", c, r)
+			}
+			model = m
+			s.Pop()
+		}
+	}
+	sweep() // warm scratch buffers and memo caches
+	// What the returned maps alone cost: one of the same size per sibling.
+	var names []expr.Var
+	for v := range model {
+		names = append(names, v)
+	}
+	var sink expr.State
+	mapsOnly := testing.AllocsPerRun(100, func() {
+		for range conds {
+			sink = make(expr.State, len(names))
+			for _, v := range names {
+				sink[v] = 0
+			}
+		}
+	})
+	if avg := testing.AllocsPerRun(100, sweep); avg != mapsOnly || mapsOnly == 0 {
+		t.Errorf("steady-state Push/Assert/Model/Pop allocates %.2f allocs/op, want the %.2f its %d returned models cost", avg, mapsOnly, len(conds))
+	}
+	_ = sink
+}
+
 // TestBatchMatchesSequentialQueries is the package-level differential
 // check backing the sym-level corpus test: CheckBatch verdicts and stats
 // equal the per-query loop's on the same stack.

@@ -26,92 +26,110 @@ const (
 	atomFalse
 )
 
-// varW pairs a variable with its declared width, the precomputed unit of
-// the per-atom variable lists below.
-type varW struct {
-	v expr.Var
+// slotW pairs a variable's slot with the width the atom declares for it.
+type slotW struct {
+	v int32
 	w expr.Width
 }
 
-// atom is a normalized constraint.
+// atom is a normalized constraint. Variables are slots of the solver that
+// normalized it (Solver.slot): an atom is made on an assert-memo miss and
+// from then on propagated, searched and evaluated without hashing a name.
 type atom struct {
 	kind atomKind
-	v    expr.Var   // subject variable (interval/bits/exclude/varEq/define)
-	u    expr.Var   // second variable for varEq
+	v    int32      // subject variable (interval/bits/exclude/varEq/define)
+	u    int32      // second variable for varEq
 	w    expr.Width // width of the subject variable
 	op   expr.CmpOp // for atomInterval
 	c    uint64     // constant operand
 	mask uint64     // for atomBits / atomExclude-with-mask
 	e    expr.Arith // defining expression for atomDefine
 	orig expr.Bool  // original constraint, for the final model check
-	// tvars/evars are precomputed variable lists for define/deferred
-	// atoms: every variable the atom mentions (touchVars) and the
-	// variables of the defining expression (evalUnderFixed). Atoms are
-	// memoized per constraint value in Solver.memo, so these are
-	// computed once and shared read-only; a fixed order here replaces the
-	// per-call map iteration the old code paid on every propagation.
-	tvars []varW
-	evars []varW
+	// orefs and erefs are the Ref slots of orig and e in evaluation order
+	// (expr.SlotState). tvars lists every variable a define or deferred atom
+	// mentions, each once, for propagation to bring to life.
+	orefs []int32
+	erefs []int32
+	tvars []slotW
 }
 
 // normalize lowers a boolean constraint into a list of atoms. Conjunctions
 // are flattened; each conjunct is pattern-matched into the strongest atom
 // class the propagator can use. Disjunctions and other complex shapes
 // become deferred atoms (still enforced via the final model check and
-// case-split search).
-func normalize(b expr.Bool) []atom {
+// case-split search). Every atom then gets the slot lists evaluation and
+// propagation walk, cut from one buffer per constraint (a list cut before
+// the buffer moves stays valid where it is).
+func (s *Solver) normalize(b expr.Bool) []atom {
 	b = expr.SimplifyBool(b)
 	var out []atom
 	for _, c := range expr.Conjuncts(b) {
-		out = append(out, normalizeOne(c)...)
+		out = s.normalizeOne(out, c)
+	}
+	var refs []int32
+	var mentions *atom // the atom whose tvars the walk below fills, if any
+	slot := func(r expr.Ref) int32 {
+		sl := s.slot(r.Var)
+		if mentions != nil {
+			mentions.mention(sl, r.W)
+		}
+		return sl
 	}
 	for i := range out {
-		precomputeVars(&out[i])
+		a := &out[i]
+		mentions = nil
+		if a.kind == atomDefine || a.kind == atomDeferred {
+			mentions = a
+		}
+		n := len(refs)
+		refs = expr.RefSlotsBool(refs, a.orig, slot)
+		a.orefs = refs[n:]
+		if a.kind != atomDefine {
+			continue
+		}
+		mentions = nil
+		n = len(refs)
+		refs = expr.RefSlotsArith(refs, a.e, slot)
+		a.erefs = refs[n:]
+		for k := range a.tvars {
+			if a.tvars[k].v == a.v {
+				a.tvars[k].w = a.w // the subject is born at its own width
+			}
+		}
 	}
 	return out
 }
 
-// precomputeVars fills tvars/evars for atoms whose propagation walks
-// their variable sets.
-func precomputeVars(a *atom) {
-	if a.kind != atomDefine && a.kind != atomDeferred {
-		return
-	}
-	vars := map[expr.Var]expr.Width{}
-	if a.e != nil {
-		expr.VarsOfArith(a.e, vars)
-		for v, w := range vars {
-			a.evars = append(a.evars, varW{v: v, w: w})
+// mention records that the atom refers to slot sl at width w: each variable
+// once, at the widest of its references.
+func (a *atom) mention(sl int32, w expr.Width) {
+	for i := range a.tvars {
+		if a.tvars[i].v == sl {
+			a.tvars[i].w = max(a.tvars[i].w, w)
+			return
 		}
 	}
-	if a.orig != nil {
-		expr.VarsOfBool(a.orig, vars)
-	}
-	if a.v != "" {
-		vars[a.v] = a.w
-	}
-	for v, w := range vars {
-		a.tvars = append(a.tvars, varW{v: v, w: w})
-	}
+	a.tvars = append(a.tvars, slotW{v: sl, w: w})
 }
 
-func normalizeOne(b expr.Bool) []atom {
+// normalizeOne appends the atoms of one conjunct to dst.
+func (s *Solver) normalizeOne(dst []atom, b expr.Bool) []atom {
 	switch t := b.(type) {
 	case expr.BoolConst:
 		if bool(t) {
-			return nil
+			return dst
 		}
-		return []atom{{kind: atomFalse, orig: b}}
+		return append(dst, atom{kind: atomFalse, orig: b})
 	case expr.Cmp:
-		return normalizeCmp(t)
+		return s.normalizeCmp(dst, t)
 	case expr.Not:
-		return normalizeOne(expr.Negate(t.X))
+		return s.normalizeOne(dst, expr.Negate(t.X))
 	}
 	// Disjunctions and any other shape: deferred.
-	return []atom{{kind: atomDeferred, orig: b}}
+	return append(dst, atom{kind: atomDeferred, orig: b})
 }
 
-func normalizeCmp(c expr.Cmp) []atom {
+func (s *Solver) normalizeCmp(dst []atom, c expr.Cmp) []atom {
 	l, r := c.L, c.R
 	op := c.Op
 	// Put the constant on the right when possible.
@@ -129,67 +147,67 @@ func normalizeCmp(c expr.Cmp) []atom {
 			switch op {
 			case expr.CmpEq:
 				if rc.Val > lhs.W.Mask() {
-					return []atom{{kind: atomFalse, orig: c}}
+					return append(dst, atom{kind: atomFalse, orig: c})
 				}
-				return []atom{{kind: atomInterval, v: lhs.Var, w: lhs.W, op: expr.CmpEq, c: val, orig: c}}
+				return append(dst, atom{kind: atomInterval, v: s.slot(lhs.Var), w: lhs.W, op: expr.CmpEq, c: val, orig: c})
 			case expr.CmpNe:
 				if rc.Val > lhs.W.Mask() {
-					return nil // always true
+					return dst // always true
 				}
-				return []atom{{kind: atomExclude, v: lhs.Var, w: lhs.W, c: val, mask: lhs.W.Mask(), orig: c}}
+				return append(dst, atom{kind: atomExclude, v: s.slot(lhs.Var), w: lhs.W, c: val, mask: lhs.W.Mask(), orig: c})
 			default:
-				return []atom{{kind: atomInterval, v: lhs.Var, w: lhs.W, op: op, c: rc.Val, orig: c}}
+				return append(dst, atom{kind: atomInterval, v: s.slot(lhs.Var), w: lhs.W, op: op, c: rc.Val, orig: c})
 			}
 		}
 		if rr, ok := r.(expr.Ref); ok && op == expr.CmpEq {
-			return []atom{{kind: atomVarEq, v: lhs.Var, u: rr.Var, w: lhs.W, orig: c}}
+			return append(dst, atom{kind: atomVarEq, v: s.slot(lhs.Var), u: s.slot(rr.Var), w: lhs.W, orig: c})
 		}
 		if op == expr.CmpEq {
-			return []atom{{kind: atomDefine, v: lhs.Var, w: lhs.W, e: r, orig: c}}
+			return append(dst, atom{kind: atomDefine, v: s.slot(lhs.Var), w: lhs.W, e: r, orig: c})
 		}
-		return []atom{{kind: atomDeferred, orig: c}}
+		return append(dst, atom{kind: atomDeferred, orig: c})
 	case expr.Bin:
 		// (v & mask) ==/!= const — ternary and LPM matches.
 		if lhs.Op == expr.OpAnd && rIsConst {
 			if vref, ok := lhs.L.(expr.Ref); ok {
 				if mc, ok := lhs.R.(expr.Const); ok {
-					return maskAtom(vref, mc.Val, rc.Val, op, c)
+					return s.maskAtom(dst, vref, mc.Val, rc.Val, op, c)
 				}
 			}
 			if vref, ok := lhs.R.(expr.Ref); ok {
 				if mc, ok := lhs.L.(expr.Const); ok {
-					return maskAtom(vref, mc.Val, rc.Val, op, c)
+					return s.maskAtom(dst, vref, mc.Val, rc.Val, op, c)
 				}
 			}
 		}
 		// (e) == v — flip into a definition when the other side is a ref.
 		if vr, ok := r.(expr.Ref); ok && op == expr.CmpEq {
-			return []atom{{kind: atomDefine, v: vr.Var, w: vr.W, e: l, orig: c}}
+			return append(dst, atom{kind: atomDefine, v: s.slot(vr.Var), w: vr.W, e: l, orig: c})
 		}
-		return []atom{{kind: atomDeferred, orig: c}}
+		return append(dst, atom{kind: atomDeferred, orig: c})
 	}
-	return []atom{{kind: atomDeferred, orig: c}}
+	return append(dst, atom{kind: atomDeferred, orig: c})
 }
 
 // maskAtom builds atoms for (v & mask) op const.
-func maskAtom(v expr.Ref, mask, val uint64, op expr.CmpOp, orig expr.Bool) []atom {
+func (s *Solver) maskAtom(dst []atom, v expr.Ref, mask, val uint64, op expr.CmpOp, orig expr.Bool) []atom {
 	val &= v.W.Mask()
 	mask &= v.W.Mask()
 	switch op {
 	case expr.CmpEq:
 		if val&^mask != 0 {
-			return []atom{{kind: atomFalse, orig: orig}}
+			return append(dst, atom{kind: atomFalse, orig: orig})
 		}
-		return []atom{{kind: atomBits, v: v.Var, w: v.W, mask: mask, c: val, orig: orig}}
+		return append(dst, atom{kind: atomBits, v: s.slot(v.Var), w: v.W, mask: mask, c: val, orig: orig})
 	case expr.CmpNe:
 		// Only exploitable when the mask covers the whole width (plain
 		// disequality) — otherwise defer.
 		if mask == v.W.Mask() {
-			return []atom{{kind: atomExclude, v: v.Var, w: v.W, c: val, mask: mask, orig: orig}}
+			return append(dst, atom{kind: atomExclude, v: s.slot(v.Var), w: v.W, c: val, mask: mask, orig: orig})
 		}
-		return []atom{{kind: atomDeferred, orig: orig}}
+		return append(dst, atom{kind: atomDeferred, orig: orig})
 	default:
-		return []atom{{kind: atomDeferred, orig: orig}}
+		return append(dst, atom{kind: atomDeferred, orig: orig})
 	}
 }
 

@@ -38,76 +38,63 @@ func (b *searchBudget) exhausted() bool { return b.steps <= 0 }
 // The error is a *BudgetError when the result is Unknown because a step
 // or time budget ran out; nil otherwise.
 //
-// All working storage (assignment map, free-variable order, per-depth
-// candidate buffers) is reused solver scratch unless the caller wants a
-// model, which must be freshly allocated because templates retain it.
-// With bp non-nil (a CheckBatch sibling), the fixed/free split starts
-// from the precomputed prefix split and only re-examines the variables
-// this sibling's propagation touched.
-func (s *Solver) search(doms map[expr.Var]*domain, wantModel bool, bp *batchPrep) (Result, expr.State, error) {
-	atoms := s.allAtoms()
-
-	var st expr.State
+// All working storage (the assignment, the free-variable order, per-depth
+// candidate buffers) is solver scratch indexed by slot; a Sat result leaves
+// the model in s.assign for check to copy out. With bp non-nil (a
+// CheckBatch sibling), the fixed/free split starts from the precomputed
+// prefix split and only re-examines the variables this sibling's
+// propagation touched.
+func (s *Solver) search(bp *batchPrep) (Result, error) {
+	st := &s.assign
 	free := s.scratchFree[:0]
 	delta := s.scratchDelta[:0]
 	if bp != nil {
 		// Batched sibling: prefix-fixed assignments are already installed
-		// in the scratch state; classify only the touched delta.
-		st = s.scratchSt
-		top := &s.frames[len(s.frames)-1]
-		for _, v := range bp.prefixFree {
-			if _, touched := top.domSnapshot[v]; touched {
-				if val, ok := doms[v].fixed(); ok {
-					st[v] = val
-					delta = append(delta, v)
+		// in the scratch state; classify only the touched delta. A prefix
+		// variable was touched if this sibling's frame saved it.
+		depth := int32(len(s.frames) - 1)
+		for _, sl := range bp.prefixFree {
+			if v := &s.vars[sl]; v.saved == depth {
+				if val, ok := v.dom.fixed(); ok {
+					st.Val[sl], st.Set[sl] = val, true
+					delta = append(delta, sl)
 					continue
 				}
 			}
-			free = append(free, v)
+			free = append(free, sl)
 		}
-		for _, v := range top.newVars {
-			if val, ok := doms[v].fixed(); ok {
-				st[v] = val
-				delta = append(delta, v)
+		for _, sl := range s.live[s.frames[depth].baseLive:] {
+			if val, ok := s.vars[sl].dom.fixed(); ok {
+				st.Val[sl], st.Set[sl] = val, true
+				delta = append(delta, sl)
 			} else {
-				free = append(free, v)
+				free = append(free, sl)
 			}
 		}
 	} else {
-		// Fast path: domains already empty.
-		for _, d := range doms {
+		// An empty domain decides the query; otherwise fixed variables go
+		// straight into the assignment, free ones into the search order.
+		clear(st.Set)
+		for _, sl := range s.live {
+			d := &s.vars[sl].dom
 			if d.empty() {
-				return Unsat, nil, nil
+				return Unsat, nil
 			}
-		}
-		// Collect variables: fixed ones go straight into the assignment,
-		// free ones into the search order.
-		if wantModel {
-			st = expr.State{}
-		} else {
-			st = s.scratchSt
-			clear(st)
-		}
-		for v, d := range doms {
 			if val, ok := d.fixed(); ok {
-				st[v] = val
+				st.Val[sl], st.Set[sl] = val, true
 			} else {
-				free = append(free, v)
+				free = append(free, sl)
 			}
 		}
 	}
-	// Deterministic order: smallest interval first (fail-first heuristic),
-	// ties by name. Insertion sort keeps this allocation-free; the
-	// comparator is total (names are unique), so the result is the unique
-	// sorted order regardless of algorithm.
-	sortFree(free, doms)
+	s.sortFree(free)
 
 	budget := &s.budget
 	*budget = searchBudget{steps: s.opts.SearchBudget}
 	if s.opts.CheckTimeout > 0 {
 		budget.deadline = time.Now().Add(s.opts.CheckTimeout)
 	}
-	ok := s.assign(free, 0, st, doms, atoms, budget)
+	ok := s.assignFrom(free, 0)
 	res, err := Unsat, error(nil)
 	switch {
 	case ok:
@@ -124,80 +111,84 @@ func (s *Solver) search(doms map[expr.Var]*domain, wantModel bool, bp *batchPrep
 		// Restore the scratch state to prefix-fixed-only for the next
 		// sibling: drop this sibling's delta-fixed vars and any free vars
 		// a successful search assigned.
-		for _, v := range delta {
-			delete(st, v)
+		for _, sl := range delta {
+			st.Set[sl] = false
 		}
 		if ok {
-			for _, v := range free {
-				delete(st, v)
+			for _, sl := range free {
+				st.Set[sl] = false
 			}
 		}
 	}
 	// Return the (possibly grown) scratch capacity to the solver.
 	s.scratchFree = free[:0]
 	s.scratchDelta = delta[:0]
-	if res == Sat {
-		return Sat, st, nil
-	}
-	return res, nil, err
+	return res, err
 }
 
-// sortFree orders the free variables smallest-interval-first, ties by
-// name (in-place insertion sort; free lists are path-depth sized).
-func sortFree(free []expr.Var, doms map[expr.Var]*domain) {
+// sortFree orders the free variables smallest-interval-first (fail-first
+// heuristic), ties by name — never by slot, which differs between solvers.
+// The comparator is total (names are unique), so the result is the unique
+// sorted order; insertion sort keeps it allocation-free on lists that are
+// path-depth sized.
+func (s *Solver) sortFree(free []int32) {
 	for i := 1; i < len(free); i++ {
-		v := free[i]
-		dv := doms[v]
-		rv := dv.hi - dv.lo
+		sl := free[i]
+		v := &s.vars[sl]
+		rv := v.dom.hi - v.dom.lo
 		j := i - 1
 		for j >= 0 {
-			du := doms[free[j]]
-			ru := du.hi - du.lo
-			if ru < rv || (ru == rv && free[j] < v) {
+			u := &s.vars[free[j]]
+			ru := u.dom.hi - u.dom.lo
+			if ru < rv || (ru == rv && u.name < v.name) {
 				break
 			}
 			free[j+1] = free[j]
 			j--
 		}
-		free[j+1] = v
+		free[j+1] = sl
 	}
 }
 
-// assign recursively assigns free variables and finally validates the
+// assignFrom recursively assigns free[idx:] and finally validates the
 // complete model.
-func (s *Solver) assign(free []expr.Var, idx int, st expr.State, doms map[expr.Var]*domain, atoms []atom, budget *searchBudget) bool {
+func (s *Solver) assignFrom(free []int32, idx int) bool {
+	budget := &s.budget
 	if budget.spend() {
 		return false
 	}
-
 	if idx == len(free) {
-		return s.validate(st, atoms)
+		return s.consistent(true)
 	}
+	st := &s.assign
+	sl := free[idx]
+	v := &s.vars[sl]
 
-	v := free[idx]
-	d := doms[v]
-
-	// Directional propagation at search time: if v is defined by an
-	// expression whose variables are all assigned, compute it directly.
-	if val, ok := definedValue(v, atoms, st); ok {
-		if !d.contains(val) {
+	// Directional propagation at search time: if the variable is defined by
+	// an expression whose variables are all assigned, compute it directly.
+	if val, ok := s.definedValue(sl); ok {
+		if !v.dom.contains(val) {
 			return false
 		}
-		st[v] = val
-		if s.partialConsistent(st, atoms) && s.assign(free, idx+1, st, doms, atoms, budget) {
+		st.Val[sl], st.Set[sl] = val, true
+		if s.consistent(false) && s.assignFrom(free, idx+1) {
 			return true
 		}
-		delete(st, v)
+		st.Set[sl] = false
 		s.stats.Backtracks++
 		return false
 	}
 
-	for _, cand := range d.candidates(s.opts.CandidatesPerVar, s.hints[v], s.candBuf(idx)) {
-		st[v] = cand
-		if s.partialConsistent(st, atoms) && s.assign(free, idx+1, st, doms, atoms, budget) {
+	cands := v.dom.candidates(s.opts.CandidatesPerVar, v.hints, s.candBuf(idx))
+	if uint64(len(cands)) <= v.dom.hi-v.dom.lo {
+		s.truncated = true // fewer candidates than the interval holds
+	}
+	for _, cand := range cands {
+		st.Val[sl], st.Set[sl] = cand, true
+		if s.consistent(false) && s.assignFrom(free, idx+1) {
 			return true
 		}
-		delete(st, v)
+		st.Set[sl] = false
 		s.stats.Backtracks++
 		if budget.exhausted() {
 			return false
@@ -214,65 +205,40 @@ func (s *Solver) candBuf(depth int) []uint64 {
 	return s.candBufs[depth][:0]
 }
 
-// definedValue looks for an atomDefine or atomVarEq fixing v given the
-// current partial assignment.
-func definedValue(v expr.Var, atoms []atom, st expr.State) (uint64, bool) {
-	for i := range atoms {
-		a := &atoms[i]
+// definedValue looks for an atomDefine or atomVarEq fixing slot sl given
+// the current partial assignment, scanning the arena in assert order.
+func (s *Solver) definedValue(sl int32) (uint64, bool) {
+	st := &s.assign
+	for i := range s.atoms {
+		a := &s.atoms[i]
 		switch a.kind {
 		case atomDefine:
-			if a.v != v {
+			if a.v != sl {
 				continue
 			}
-			val, ok := expr.EvalArithOK(a.e, st)
-			if ok {
+			if val, ok := st.EvalArith(a.e, a.erefs); ok {
 				return a.w.Trunc(val), true
 			}
 		case atomVarEq:
-			if a.v == v {
-				if uv, ok := st[a.u]; ok {
-					return a.w.Trunc(uv), true
-				}
+			if a.v == sl && st.Set[a.u] {
+				return a.w.Trunc(st.Val[a.u]), true
 			}
-			if a.u == v {
-				if vv, ok := st[a.v]; ok {
-					return a.w.Trunc(vv), true
-				}
+			if a.u == sl && st.Set[a.v] {
+				return a.w.Trunc(st.Val[a.v]), true
 			}
 		}
 	}
 	return 0, false
 }
 
-// partialConsistent rejects partial assignments that already falsify some
-// constraint whose variables are all assigned.
-func (s *Solver) partialConsistent(st expr.State, atoms []atom) bool {
-	for i := range atoms {
-		a := &atoms[i]
-		if a.orig == nil {
-			continue
-		}
-		ok, bound := expr.EvalBoolOK(a.orig, st)
-		if !bound {
-			continue // some variable still unassigned
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// validate checks the complete assignment against every original
-// constraint.
-func (s *Solver) validate(st expr.State, atoms []atom) bool {
-	for i := range atoms {
-		a := &atoms[i]
-		if a.orig == nil {
-			continue
-		}
-		ok, bound := expr.EvalBoolOK(a.orig, st)
-		if !bound || !ok {
+// consistent evaluates every original constraint under the assignment: a
+// partial assignment (complete false) is rejected by a constraint that is
+// false with all its variables assigned, a complete one also by a
+// constraint that cannot be evaluated.
+func (s *Solver) consistent(complete bool) bool {
+	for i := range s.atoms {
+		a := &s.atoms[i]
+		if ok, bound := s.assign.EvalBool(a.orig, a.orefs); bound && !ok || complete && !bound {
 			return false
 		}
 	}
@@ -281,17 +247,17 @@ func (s *Solver) validate(st expr.State, atoms []atom) bool {
 
 // hintEntry is one memoized search hint: try val early for v.
 type hintEntry struct {
-	v   expr.Var
+	v   int32
 	val uint64
 }
 
 // hintEntries extracts constants adjacent to each variable in an atom
 // list, used as first candidates during search. Computed once per
-// normalized constraint (memoized in Solver.memo) and merged into
-// the live per-variable hint index by Assert.
+// normalized constraint (memoized, see memo.go) and merged into the live
+// per-variable hint index by Assert.
 func hintEntries(atoms []atom) []hintEntry {
 	var out []hintEntry
-	add := func(v expr.Var, val uint64) {
+	add := func(v int32, val uint64) {
 		out = append(out, hintEntry{v: v, val: val})
 	}
 	for _, a := range atoms {

@@ -83,6 +83,11 @@ type Stats struct {
 	// exploration layer surfaces this per pipeline so degraded-but-sound
 	// coverage is visible rather than silent.
 	BudgetExhausted uint64
+	// TruncatedUnsat counts Unsat results the search reached with budget
+	// left after cutting at least one variable's candidate list short of
+	// its interval: the verdicts that are not proofs (ROADMAP item 1). It
+	// counts them; it changes none.
+	TruncatedUnsat uint64
 }
 
 // Add accumulates another solver's counters, the merge step for parallel
@@ -97,6 +102,7 @@ func (s *Stats) Add(o Stats) {
 	s.Models += o.Models
 	s.CacheHits += o.CacheHits
 	s.BudgetExhausted += o.BudgetExhausted
+	s.TruncatedUnsat += o.TruncatedUnsat
 }
 
 // Options configure a Solver.
@@ -135,33 +141,44 @@ func DefaultOptions() Options {
 	return Options{Incremental: true, SearchBudget: 200000, CandidatesPerVar: 24}
 }
 
-// frame is one push level of the assertion stack. Frames are values in a
-// reusable stack arena: Push revives the next slot (keeping its maps and
-// slices warm), Pop truncates. The atoms themselves live in the solver's
-// flat arena; a frame only records its base offsets.
+// frame is one push level of the assertion stack: the heights of the
+// solver's stacks when it was pushed, which Pop truncates back to. Frames
+// are values in a reusable arena.
 type frame struct {
-	// baseAtoms/baseDefines/baseHints are the lengths of the solver's
-	// flat atom arena, define index, and hint undo log at the moment this
-	// frame was pushed; Pop truncates back to them.
 	baseAtoms   int
 	baseDefines int
 	baseHints   int
-	// domSnapshot holds, for incremental mode, the domains as they were
-	// before this frame's atoms were propagated (copy-on-write: only
-	// domains this frame changed are present).
-	domSnapshot map[expr.Var]*domain
-	// newVars lists variables first seen in this frame.
-	newVars []expr.Var
-	failed  bool // propagation in this frame already derived bottom
+	baseTrail   int
+	baseLive    int
+	failed      bool // propagation in this frame already derived bottom
 	// hsum/hxor/hn accumulate the multiset digest of the constraints
 	// asserted in this frame, for the shared verdict cache key.
 	hsum, hxor uint64
 	hn         uint32
 }
 
-// maxFreeDomains bounds the domain freelist so one excursion into a deep
-// subtree cannot pin memory for the rest of the run.
-const maxFreeDomains = 4096
+// varState is everything the solver keeps about one variable, indexed by
+// the variable's slot.
+type varState struct {
+	name expr.Var
+	dom  domain
+	// live: some asserted atom mentions the variable. A variable comes to
+	// life where an atom first touches it and dies when that frame pops.
+	live bool
+	// saved is the depth of the frame that last saved dom on the trail (or
+	// in which the variable came to life): a frame saves a domain once.
+	saved int32
+	// hints are the constants asserted next to the variable, in assert
+	// order: the search's first candidates.
+	hints []uint64
+}
+
+// undo is one trail entry: a domain's bounds and exclusion count before a
+// frame first narrowed it, and the variable's previous saved stamp.
+type undo struct {
+	slot, saved, nExcl int32
+	old                bounds
+}
 
 // Solver is an incremental conjunction solver with push/pop.
 //
@@ -176,46 +193,46 @@ type Solver struct {
 	frames  []frame
 	atoms   []atom
 	defines []int32
-	domains map[expr.Var]*domain
+	nFailed int // frames with failed set
 	stats   Stats
-	// widths remembers the declared width of each variable.
-	widths map[expr.Var]expr.Width
-	// memo holds what Assert derives from a constraint value, so that one
-	// lookup serves a repeat. Path conditions over raw input fields are
-	// asserted verbatim on every visit of their predicate node
-	// (copy-on-write substitution preserves identity), so summarized-chain
-	// conjunctions hit it hard. hints/hintLog maintain the live hint index
-	// incrementally under Assert/Pop so no per-check rebuild is needed.
-	memo    map[expr.Bool]assertMemo
-	hints   map[expr.Var][]uint64
-	hintLog []expr.Var
+	// slots interns each variable to a dense slot the first time a
+	// normalized atom mentions it — on an assert-memo miss, never per
+	// Assert — and vars holds the per-variable state by slot. Slot numbers
+	// are this solver's own: two solvers number the same variables
+	// differently, so nothing that decides a verdict or a model may depend
+	// on their order (sortFree breaks ties by name, hints and defines are
+	// scanned in assert order).
+	slots map[expr.Var]int32
+	vars  []varState
+	// live lists the live variables in the order they came to life; trail
+	// is the undo log of domain narrowings; hintLog records which
+	// variable each asserted hint went to. Pop truncates all three.
+	live    []int32
+	trail   []undo
+	hintLog []int32
+	// The assert memo: what Assert derives from a condition, found again
+	// without walking more of the condition than it has to. See memo.go.
+	memo     map[uint64]*assertMemo
+	memoLen  int
+	conds    []expr.Bool
+	condMemo []*assertMemo
 	// lastUnknown is the typed reason the most recent Check/Model
-	// returned Unknown (a *BudgetError), nil otherwise.
+	// returned Unknown (a *BudgetError), nil otherwise. truncated reports
+	// that the query in flight cut a candidate list short.
 	lastUnknown error
-	// freeDoms recycles copy-on-write domain clones freed by Pop, so
-	// steady-state Push/Assert/Pop cycles allocate nothing.
-	freeDoms []*domain
-	// Reusable search scratch (see search.go): the non-model assignment
-	// map, the free-variable order, per-depth candidate buffers, the
-	// delta-fixed undo list for batched checks, the define-evaluation
-	// state, and the per-check budget.
-	scratchSt    expr.State
-	scratchFree  []expr.Var
-	scratchDelta []expr.Var
+	truncated   bool
+	// Reusable search scratch (see search.go): the assignment under
+	// construction, the values evalUnderFixed reads, the free-variable
+	// order, the delta-fixed undo list for batched checks, per-depth
+	// candidate buffers and the per-check budget.
+	assign       expr.SlotState
+	fixed        expr.SlotState
+	scratchFree  []int32
+	scratchDelta []int32
 	candBufs     [][]uint64
-	evalSt       expr.State
 	budget       searchBudget
 	// batch holds the shared-prefix precomputation for CheckBatch.
 	batch batchPrep
-}
-
-// assertMemo is the per-constraint-value part of Assert: the normalized
-// atoms, the search hints they contribute, and (when a verdict cache is
-// configured) the constraint's digest for the cache key.
-type assertMemo struct {
-	atoms []atom
-	hints []hintEntry
-	hash  uint64
 }
 
 // New returns a solver with the given options.
@@ -226,18 +243,28 @@ func New(opts Options) *Solver {
 	if opts.CandidatesPerVar <= 0 {
 		opts.CandidatesPerVar = DefaultOptions().CandidatesPerVar
 	}
-	s := &Solver{
-		opts:      opts,
-		domains:   make(map[expr.Var]*domain),
-		widths:    make(map[expr.Var]expr.Width),
-		memo:      make(map[expr.Bool]assertMemo),
-		hints:     make(map[expr.Var][]uint64),
-		scratchSt: expr.State{},
-		evalSt:    expr.State{},
+	return &Solver{
+		opts:   opts,
+		frames: make([]frame, 1, 16),
+		slots:  make(map[expr.Var]int32),
+		memo:   make(map[uint64]*assertMemo),
 	}
-	s.frames = make([]frame, 1, 16)
-	s.frames[0].domSnapshot = map[expr.Var]*domain{}
-	return s
+}
+
+// slot returns v's slot, interning it on first sight.
+func (s *Solver) slot(v expr.Var) int32 {
+	sl, ok := s.slots[v]
+	if !ok {
+		sl = int32(len(s.vars))
+		s.slots[v] = sl
+		s.vars = append(s.vars, varState{name: v})
+		s.assign.Val = append(s.assign.Val, 0)
+		s.assign.Set = append(s.assign.Set, false)
+		// evalUnderFixed evaluates only once every operand is fixed.
+		s.fixed.Val = append(s.fixed.Val, 0)
+		s.fixed.Set = append(s.fixed.Set, true)
+	}
+	return sl
 }
 
 // Stats returns a copy of the solver's counters.
@@ -258,93 +285,53 @@ func (s *Solver) Depth() int { return len(s.frames) - 1 }
 // Push opens a new assertion frame. Frames are recycled from the stack
 // arena, so steady-state Push allocates nothing.
 func (s *Solver) Push() {
-	if len(s.frames) < cap(s.frames) {
-		s.frames = s.frames[:len(s.frames)+1]
-	} else {
-		s.frames = append(s.frames, frame{})
-	}
-	top := &s.frames[len(s.frames)-1]
-	top.baseAtoms = len(s.atoms)
-	top.baseDefines = len(s.defines)
-	top.baseHints = len(s.hintLog)
-	if top.domSnapshot == nil {
-		top.domSnapshot = map[expr.Var]*domain{}
-	} else {
-		clear(top.domSnapshot)
-	}
-	top.newVars = top.newVars[:0]
-	top.failed = false
-	top.hsum, top.hxor, top.hn = 0, 0, 0
+	s.frames = append(s.frames, frame{
+		baseAtoms:   len(s.atoms),
+		baseDefines: len(s.defines),
+		baseHints:   len(s.hintLog),
+		baseTrail:   len(s.trail),
+		baseLive:    len(s.live),
+	})
 }
 
-// Pop discards the top assertion frame, restoring domains to their state
-// before the frame was pushed. Replaced domain versions return to the
-// freelist.
+// Pop discards the top assertion frame: the domains it narrowed get back
+// what the trail saved, the variables it brought to life die.
 func (s *Solver) Pop() {
 	if len(s.frames) <= 1 {
 		panic("smt: Pop on empty frame stack")
 	}
 	top := &s.frames[len(s.frames)-1]
 	if s.opts.Incremental {
-		for v, d := range top.domSnapshot {
-			if cur := s.domains[v]; cur != nil && cur != d {
-				s.freeDomain(cur)
-			}
-			s.domains[v] = d
+		for i := len(s.trail) - 1; i >= top.baseTrail; i-- {
+			u := &s.trail[i]
+			v := &s.vars[u.slot]
+			v.saved, v.dom.bounds = u.saved, u.old
+			v.dom.excl.truncate(int(u.nExcl))
 		}
-		for _, v := range top.newVars {
-			if d := s.domains[v]; d != nil {
-				s.freeDomain(d)
-			}
-			delete(s.domains, v)
-		}
+		s.trail = s.trail[:top.baseTrail]
+		s.kill(top.baseLive)
 	}
 	// Unwind the hint index in reverse append order.
 	for i := len(s.hintLog) - 1; i >= top.baseHints; i-- {
-		v := s.hintLog[i]
-		hv := s.hints[v]
-		s.hints[v] = hv[:len(hv)-1]
+		h := &s.vars[s.hintLog[i]].hints
+		*h = (*h)[:len(*h)-1]
 	}
 	s.hintLog = s.hintLog[:top.baseHints]
 	s.atoms = s.atoms[:top.baseAtoms]
 	s.defines = s.defines[:top.baseDefines]
+	if top.failed {
+		s.nFailed--
+	}
 	s.frames = s.frames[:len(s.frames)-1]
 }
 
-// allocDomain draws a fresh domain from the freelist (or the heap).
-func (s *Solver) allocDomain(w expr.Width) *domain {
-	if n := len(s.freeDoms); n > 0 {
-		d := s.freeDoms[n-1]
-		s.freeDoms = s.freeDoms[:n-1]
-		d.w, d.lo, d.hi = w, 0, w.Mask()
-		d.setBits, d.clrBits = 0, 0
-		if d.excl != nil {
-			clear(d.excl)
-		}
-		return d
+// kill ends the life of every variable that came to life after the first
+// base.
+func (s *Solver) kill(base int) {
+	for _, sl := range s.live[base:] {
+		s.vars[sl].live = false
 	}
-	return newDomain(w)
-}
-
-// cloneDomain copies d into a freelist-backed domain.
-func (s *Solver) cloneDomain(d *domain) *domain {
-	nd := s.allocDomain(d.w)
-	nd.lo, nd.hi, nd.setBits, nd.clrBits = d.lo, d.hi, d.setBits, d.clrBits
-	if len(d.excl) > 0 {
-		if nd.excl == nil {
-			nd.excl = make(map[uint64]struct{}, len(d.excl))
-		}
-		for v := range d.excl {
-			nd.excl[v] = struct{}{}
-		}
-	}
-	return nd
-}
-
-func (s *Solver) freeDomain(d *domain) {
-	if len(s.freeDoms) < maxFreeDomains {
-		s.freeDoms = append(s.freeDoms, d)
-	}
+	s.live = s.live[:base]
 }
 
 // Assert adds a constraint to the current frame. In incremental mode the
@@ -352,19 +339,10 @@ func (s *Solver) freeDomain(d *domain) {
 // subsequent Check can often answer from the refined domains alone.
 // Normalization, hashing, and hint extraction are memoized per constraint
 // value, so re-asserting the conditions of a hot path allocates nothing.
-func (s *Solver) Assert(b expr.Bool) {
+func (s *Solver) Assert(b expr.Bool) { s.assert(s.memoize(b)) }
+
+func (s *Solver) assert(m *assertMemo) {
 	top := &s.frames[len(s.frames)-1]
-	m, ok := s.memo[b]
-	if !ok {
-		m.atoms = normalize(b)
-		m.hints = hintEntries(m.atoms)
-		if s.opts.Cache != nil {
-			m.hash = boolHash(b)
-		}
-		if len(s.memo) < 1<<16 {
-			s.memo[b] = m
-		}
-	}
 	if s.opts.Cache != nil {
 		top.hsum += m.hash
 		top.hxor ^= m.hash
@@ -380,51 +358,57 @@ func (s *Solver) Assert(b expr.Bool) {
 	// Merge the hint entries into the live index, logging each append so
 	// Pop can unwind it.
 	for _, e := range m.hints {
-		s.hints[e.v] = append(s.hints[e.v], e.val)
+		h := &s.vars[e.v].hints
+		*h = append(*h, e.val)
 		s.hintLog = append(s.hintLog, e.v)
 	}
-	if s.opts.Incremental {
-		// top stays valid: propagation never grows the frame stack.
-		for i := base; i < len(s.atoms); i++ {
-			if !s.propagateAtom(s.atoms[i]) {
-				top.failed = true
-			}
+	if !s.opts.Incremental {
+		return
+	}
+	// top stays valid: propagation never grows the frame stack.
+	failed := top.failed
+	for i := base; i < len(s.atoms); i++ {
+		if !s.propagateAtom(&s.atoms[i]) {
+			failed = true
 		}
-		if !top.failed {
-			if !s.propagateDefines() {
-				top.failed = true
-			}
-		}
+	}
+	if !failed && !s.propagateDefines() {
+		failed = true
+	}
+	if failed && !top.failed {
+		top.failed = true
+		s.nFailed++
 	}
 }
 
-// saveDomain records a copy-on-write snapshot of v's domain in the top
-// frame before mutating it, and returns the mutable domain.
-func (s *Solver) saveDomain(v expr.Var, w expr.Width) *domain {
-	top := &s.frames[len(s.frames)-1]
-	d, ok := s.domains[v]
-	if !ok {
-		d = s.allocDomain(w)
-		s.domains[v] = d
-		top.newVars = append(top.newVars, v)
-		s.widths[v] = w
-		return d
+// dom returns the domain of slot sl for narrowing. A dead variable comes to
+// life with the full domain of width w; a live one is saved on the trail
+// the first time a frame above the root touches it. (Non-incremental mode
+// rebuilds every domain at the depth of the check, so it saves nothing.)
+func (s *Solver) dom(sl int32, w expr.Width) *domain {
+	v := &s.vars[sl]
+	depth := int32(len(s.frames) - 1)
+	switch {
+	case !v.live:
+		v.live, v.saved = true, depth
+		v.dom.reset(w)
+		s.live = append(s.live, sl)
+	case v.saved != depth:
+		s.trail = append(s.trail, undo{slot: sl, saved: v.saved, nExcl: int32(len(v.dom.excl.vals)), old: v.dom.bounds})
+		v.saved = depth
 	}
-	if _, saved := top.domSnapshot[v]; !saved {
-		top.domSnapshot[v] = s.cloneDomain(d)
-	}
-	return d
+	return &v.dom
 }
 
 // propagateAtom applies one atom to the domains. Returns false if the atom
 // makes the state certainly unsatisfiable.
-func (s *Solver) propagateAtom(a atom) bool {
+func (s *Solver) propagateAtom(a *atom) bool {
 	s.stats.Propagations++
 	switch a.kind {
 	case atomFalse:
 		return false
 	case atomInterval:
-		d := s.saveDomain(a.v, a.w)
+		d := s.dom(a.v, a.w)
 		switch a.op {
 		case expr.CmpEq:
 			d.intersectInterval(a.c, a.c)
@@ -446,45 +430,35 @@ func (s *Solver) propagateAtom(a atom) bool {
 		d.tightenToBits()
 		return !d.empty()
 	case atomBits:
-		d := s.saveDomain(a.v, a.w)
+		d := s.dom(a.v, a.w)
 		d.requireBits(a.mask, a.c)
 		d.tightenToBits()
 		return !d.empty()
 	case atomExclude:
-		d := s.saveDomain(a.v, a.w)
+		d := s.dom(a.v, a.w)
 		d.exclude(a.c)
 		return !d.empty()
 	case atomVarEq:
-		dv := s.saveDomain(a.v, a.w)
-		du := s.saveDomain(a.u, a.w)
+		dv := s.dom(a.v, a.w)
+		du := s.dom(a.u, a.w)
 		// Intersect both domains (single pass; fixed point is rebuilt on
 		// each Check for the deferred list).
-		lo, hi := maxU(dv.lo, du.lo), minU(dv.hi, du.hi)
+		lo, hi := max(dv.lo, du.lo), min(dv.hi, du.hi)
 		dv.intersectInterval(lo, hi)
 		du.intersectInterval(lo, hi)
 		set, clr := dv.setBits|du.setBits, dv.clrBits|du.clrBits
 		dv.requireBits(set|clr, set)
 		du.requireBits(set|clr, set)
 		return !dv.empty() && !du.empty()
-	case atomDefine:
-		// Handled by propagateDefines when the defining expression
-		// becomes constant under current domains.
-		s.touchVars(a)
-		return true
-	case atomDeferred:
-		s.touchVars(a)
-		return true
+	case atomDefine, atomDeferred:
+		// A define is handled by propagateDefines once its expression is
+		// constant under the domains, a deferred atom by the search; both
+		// register their variables so the search knows about them.
+		for _, vw := range a.tvars {
+			s.dom(vw.v, vw.w)
+		}
 	}
 	return true
-}
-
-// touchVars registers domains for all variables mentioned by an atom so
-// the search knows about them. The variable set is precomputed at
-// normalization time (atom.tvars), so this is a straight slice walk.
-func (s *Solver) touchVars(a atom) {
-	for _, vw := range a.tvars {
-		s.saveDomain(vw.v, vw.w)
-	}
 }
 
 // propagateDefines fixes variables whose defining expressions have become
@@ -501,18 +475,15 @@ func (s *Solver) propagateDefines() bool {
 			if !ok {
 				continue
 			}
-			d := s.domains[a.v]
-			if d == nil {
-				d = s.saveDomain(a.v, a.w)
-			}
-			if f, isFixed := d.fixed(); isFixed {
-				if f != a.w.Trunc(val) {
+			val = a.w.Trunc(val)
+			if f, isFixed := s.vars[a.v].dom.fixed(); isFixed {
+				if f != val {
 					return false
 				}
 				continue
 			}
-			d = s.saveDomain(a.v, a.w)
-			d.intersectInterval(a.w.Trunc(val), a.w.Trunc(val))
+			d := s.dom(a.v, a.w)
+			d.intersectInterval(val, val)
 			if d.empty() {
 				return false
 			}
@@ -526,40 +497,18 @@ func (s *Solver) propagateDefines() bool {
 // evalUnderFixed evaluates a define atom's expression if every variable it
 // references is fixed by its domain.
 func (s *Solver) evalUnderFixed(a *atom) (uint64, bool) {
-	st := s.evalSt
-	clear(st)
-	for _, vw := range a.evars {
-		d, ok := s.domains[vw.v]
-		if !ok {
+	for _, sl := range a.erefs {
+		v := &s.vars[sl]
+		if !v.live {
 			return 0, false
 		}
-		f, isFixed := d.fixed()
+		f, isFixed := v.dom.fixed()
 		if !isFixed {
 			return 0, false
 		}
-		st[vw.v] = f
+		s.fixed.Val[sl] = f
 	}
-	val, ok := expr.EvalArithOK(a.e, st)
-	if !ok {
-		return 0, false
-	}
-	return val, true
-}
-
-// allAtoms returns the atoms of every frame, bottom-up. The arena is flat,
-// so this is a zero-copy view; callers must not retain it across
-// Push/Pop.
-func (s *Solver) allAtoms() []atom { return s.atoms }
-
-// anyFrameFailed reports whether incremental propagation already derived
-// bottom in some frame.
-func (s *Solver) anyFrameFailed() bool {
-	for i := range s.frames {
-		if s.frames[i].failed {
-			return true
-		}
-	}
-	return false
+	return s.fixed.EvalArith(a.e, a.erefs)
 }
 
 // Check decides satisfiability of the conjunction of all asserted
@@ -583,15 +532,13 @@ func (s *Solver) Model() (expr.State, Result) {
 // batchPrep caches the shared-prefix work CheckBatch factors out of a
 // sibling sweep: the prefix cache key, its failure/emptiness status, and
 // its fixed/free variable split. Per sibling, only the delta the sibling's
-// own propagation touched (top frame's snapshot + new vars) is
-// re-examined.
+// own propagation touched (what its frame saved on the trail or brought to
+// life) is re-examined.
 type batchPrep struct {
-	active       bool
-	haveKey      bool
 	prefixKey    condKey
 	prefixFailed bool
 	prefixEmpty  bool
-	prefixFree   []expr.Var
+	prefixFree   []int32
 }
 
 // prepare runs the once-per-batch sweep over the prefix: digest, failure
@@ -601,27 +548,26 @@ type batchPrep struct {
 // and a narrowed singleton is either unchanged or empty (caught by the
 // per-sibling delta scan).
 func (bp *batchPrep) prepare(s *Solver) {
-	bp.active = true
-	bp.haveKey = s.opts.Cache != nil
-	if bp.haveKey {
+	if s.opts.Cache != nil {
 		bp.prefixKey = s.condKey()
 	}
-	bp.prefixFailed = s.anyFrameFailed()
+	bp.prefixFailed = s.nFailed > 0
 	bp.prefixEmpty = false
 	bp.prefixFree = bp.prefixFree[:0]
-	clear(s.scratchSt)
+	clear(s.assign.Set)
 	if !s.opts.Incremental {
 		return
 	}
-	for v, d := range s.domains {
+	for _, sl := range s.live {
+		d := &s.vars[sl].dom
 		if d.empty() {
 			bp.prefixEmpty = true
 			return
 		}
 		if val, ok := d.fixed(); ok {
-			s.scratchSt[v] = val
+			s.assign.Val[sl], s.assign.Set[sl] = val, true
 		} else {
-			bp.prefixFree = append(bp.prefixFree, v)
+			bp.prefixFree = append(bp.prefixFree, sl)
 		}
 	}
 }
@@ -653,7 +599,6 @@ func (s *Solver) CheckBatch(conds []expr.Bool, results []Result) []Result {
 		results[i], _ = s.check(false, bp)
 		s.Pop()
 	}
-	bp.active = false
 	return results
 }
 
@@ -673,7 +618,7 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 	var key condKey
 	cacheable := !wantModel && s.opts.Cache != nil
 	if cacheable {
-		if bp != nil && bp.haveKey {
+		if bp != nil {
 			// The prefix digest is shared; only the top frame's accumulators
 			// differ per sibling.
 			top := &s.frames[len(s.frames)-1]
@@ -692,23 +637,32 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 		}
 	}
 	s.stats.Checks++
+	s.truncated = false
 	start := time.Now()
-	res, model, uerr := s.solve(wantModel, bp)
+	res, uerr := s.solve(bp)
 	mQueryLatencyNS.ObserveSince(start)
 	if cacheable {
 		s.opts.Cache.store(key, res) // Unknown is dropped by store
 	}
+	var model expr.State
 	switch res {
 	case Sat:
 		s.stats.SatResults++
 		mQueriesSat.Inc()
-		if !wantModel {
-			model = nil
+		if wantModel {
+			// Templates retain the model, so it is the one thing a query
+			// allocates: every live variable is assigned by now.
+			model = make(expr.State, len(s.live))
+			for _, sl := range s.live {
+				model[s.vars[sl].name] = s.assign.Val[sl]
+			}
 		}
 	case Unsat:
 		s.stats.UnsatResults++
 		mQueriesUnsat.Inc()
-		model = nil
+		if s.truncated {
+			s.stats.TruncatedUnsat++
+		}
 	default:
 		s.stats.Unknowns++
 		mQueriesUnknown.Inc()
@@ -718,16 +672,14 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 			mBudgetExhausted.Inc()
 			obs.RecordFlight(obs.FlightBudgetExhausted, s.stats.Checks, s.stats.Unknowns, 0)
 		}
-		model = nil
 	}
 	return res, model
 }
 
 // solve runs one satisfiability decision with no stats side effects (see
 // check). The error explains an Unknown result (a *BudgetError), nil
-// otherwise.
-func (s *Solver) solve(wantModel bool, bp *batchPrep) (Result, expr.State, error) {
-	_ = wantModel // models are extracted by search; the flag gates only stats
+// otherwise. A Sat result leaves the model in s.assign.
+func (s *Solver) solve(bp *batchPrep) (Result, error) {
 	if s.opts.PerCheckOverhead > 0 {
 		for start := time.Now(); time.Since(start) < s.opts.PerCheckOverhead; {
 		}
@@ -737,90 +689,40 @@ func (s *Solver) solve(wantModel bool, bp *batchPrep) (Result, expr.State, error
 		// delta this sibling's propagation touched.
 		top := &s.frames[len(s.frames)-1]
 		if bp.prefixFailed || top.failed || bp.prefixEmpty {
-			return Unsat, nil, nil
+			return Unsat, nil
 		}
-		for v := range top.domSnapshot {
-			if s.domains[v].empty() {
-				return Unsat, nil, nil
+		for i := top.baseTrail; i < len(s.trail); i++ {
+			if s.vars[s.trail[i].slot].dom.empty() {
+				return Unsat, nil
 			}
 		}
-		for _, v := range top.newVars {
-			if s.domains[v].empty() {
-				return Unsat, nil, nil
+		for _, sl := range s.live[top.baseLive:] {
+			if s.vars[sl].dom.empty() {
+				return Unsat, nil
 			}
 		}
-		return s.search(s.domains, wantModel, bp)
+		return s.search(bp)
 	}
-	if s.anyFrameFailed() {
-		return Unsat, nil, nil
+	if s.nFailed > 0 || !s.opts.Incremental && !s.rebuild() {
+		return Unsat, nil
 	}
-	doms := s.domains
-	if !s.opts.Incremental {
-		// Rebuild domains from scratch for every check.
-		rebuilt, ok := s.rebuildDomains()
-		if !ok {
-			return Unsat, nil, nil
-		}
-		doms = rebuilt
-	} else {
-		for _, d := range doms {
-			if d.empty() {
-				return Unsat, nil, nil
-			}
-		}
-	}
-	return s.search(doms, wantModel, nil)
+	return s.search(nil)
 }
 
-// rebuildDomains recomputes all domains from the atom list (non-incremental
-// mode).
-func (s *Solver) rebuildDomains() (map[expr.Var]*domain, bool) {
-	saved := s.domains
-	savedFrames := make([]map[expr.Var]*domain, len(s.frames))
-	savedNew := make([][]expr.Var, len(s.frames))
-	for i := range s.frames {
-		fr := &s.frames[i]
-		savedFrames[i] = fr.domSnapshot
-		savedNew[i] = fr.newVars
-		fr.domSnapshot = map[expr.Var]*domain{}
-		fr.newVars = nil
-	}
-	s.domains = make(map[expr.Var]*domain)
-	ok := true
+// rebuild recomputes every domain from the atom arena, into the same slot
+// table: what non-incremental mode does for each check instead of
+// propagating on Assert.
+func (s *Solver) rebuild() bool {
+	s.kill(0)
 	for i := range s.atoms {
-		if !s.propagateAtom(s.atoms[i]) {
-			ok = false
-			break
+		if !s.propagateAtom(&s.atoms[i]) {
+			return false
 		}
 	}
-	if ok {
-		ok = s.propagateDefines()
-	}
-	rebuilt := s.domains
-	s.domains = saved
-	for i := range s.frames {
-		fr := &s.frames[i]
-		fr.domSnapshot = savedFrames[i]
-		fr.newVars = savedNew[i]
-	}
-	return rebuilt, ok
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	return s.propagateDefines()
 }
 
 // String summarizes the solver state for debugging.
 func (s *Solver) String() string {
-	return fmt.Sprintf("smt.Solver{frames=%d vars=%d checks=%d}", len(s.frames), len(s.domains), s.stats.Checks)
+	return fmt.Sprintf("smt.Solver{frames=%d vars=%d checks=%d}", len(s.frames), len(s.live), s.stats.Checks)
 }

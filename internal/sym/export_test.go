@@ -19,7 +19,7 @@ func ObservePeeks(report func(head cfg.NodeID, peeked, walked expr.Bool)) (resto
 			e.bind(e.p.node(id).slot, e.vals.SubstArith(n.Val, e.p.nodeRefs(id)))
 			id = n.Succs[0]
 		}
-		walked := e.vals.SubstBool(e.g.Node(id).Pred, e.p.nodeRefs(id))
+		walked, _ := e.vals.SubstBool(e.g.Node(id).Pred, e.p.nodeRefs(id))
 		e.unwind(&m)
 		report(head, peeked, walked)
 	}

@@ -128,7 +128,7 @@ func (f *Frontier) NewRunner(opts Options) *Runner {
 	if !opts.SolverSet {
 		opts.Solver = smt.DefaultOptions()
 	}
-	r := &Runner{f: f, opts: opts, solver: smt.New(opts.Solver)}
+	r := &Runner{f: f, opts: opts, solver: f.plan.newSolver(opts.Solver)}
 	for _, b := range f.cfg.InitConstraints {
 		r.solver.Assert(b)
 	}

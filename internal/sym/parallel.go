@@ -192,7 +192,7 @@ func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed
 				}
 			}()
 			mWorkersStarted.Inc()
-			solver := smt.New(opts.Solver)
+			solver := pl.newSolver(opts.Solver)
 			for _, b := range c.InitConstraints {
 				solver.Assert(b)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
+	"repro/internal/smt"
 )
 
 // plan is the per-exploration compilation of the graph slice reachable
@@ -26,6 +27,10 @@ type plan struct {
 	init expr.Env
 	// refs pools the nodes' Ref-slot lists (expr.RefSlotsBool/Arith).
 	refs []int32
+	// preds is each predicate node's own condition by NodeID (nil for the
+	// rest): the table every solver of the exploration asserts from by
+	// number when substitution leaves a condition as it is (newSolver).
+	preds []expr.Bool
 	// peeks holds the guards a branch node can decide from its own frame
 	// (nodePlan.peek); peekRefs and peekDefs pool their re-pointed Ref slots
 	// and, in parallel, what each reads while its slot is unbound.
@@ -83,6 +88,14 @@ type opaquePlan struct {
 }
 
 func (p *plan) node(id cfg.NodeID) *nodePlan { return &p.nodes[id] }
+
+// newSolver returns a solver for one executor of the exploration, set up to
+// assert the plan's predicates by node ID.
+func (p *plan) newSolver(opts smt.Options) *smt.Solver {
+	s := smt.New(opts)
+	s.SetConditions(p.preds)
+	return s
+}
 
 // nodeRefs returns the Ref slots of the node's Pred or Val.
 func (p *plan) nodeRefs(id cfg.NodeID) []int32 {
@@ -154,7 +167,7 @@ func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID,
 // (stop nodes included: the sibling batcher reads their predicates).
 func newPlan(c Config, start cfg.NodeID) *plan {
 	g := c.Graph
-	p := &plan{nodes: make([]nodePlan, len(g.Nodes))}
+	p := &plan{nodes: make([]nodePlan, len(g.Nodes)), preds: make([]expr.Bool, len(g.Nodes))}
 	tagIDs := map[string]uint32{} // first-seen order; re-ranked below
 	slots := map[expr.Var]int32{}
 	slot := func(v expr.Var) int32 {
@@ -166,6 +179,7 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		}
 		return sl
 	}
+	refSlot := func(r expr.Ref) int32 { return slot(r.Var) }
 	seen := make([]bool, len(g.Nodes))
 	for stack := []cfg.NodeID{start}; len(stack) > 0; {
 		id := stack[len(stack)-1]
@@ -189,17 +203,18 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		np.refLo = uint32(len(p.refs))
 		switch n.Kind {
 		case cfg.Predicate:
-			p.refs = expr.RefSlotsBool(p.refs, n.Pred, slot)
+			p.refs = expr.RefSlotsBool(p.refs, n.Pred, refSlot)
+			p.preds[id] = n.Pred
 		case cfg.Action:
 			np.slot = slot(n.Var)
-			p.refs = expr.RefSlotsArith(p.refs, n.Val, slot)
+			p.refs = expr.RefSlotsArith(p.refs, n.Val, refSlot)
 		case cfg.Hash, cfg.Checksum:
 			np.slot = slot(n.Var)
 			op := &opaquePlan{w: g.Vars[n.Var]}
 			op.fresh = expr.V(expr.Var("hash$n"+strconv.Itoa(int(n.ID))), op.w)
 			op.freshVal = op.fresh
 			for _, in := range n.Inputs {
-				p.refs = expr.RefSlotsArith(p.refs, in, slot)
+				p.refs = expr.RefSlotsArith(p.refs, in, refSlot)
 				op.inputEnds = append(op.inputEnds, uint32(len(p.refs)))
 				op.widths = append(op.widths, in.Width())
 			}

@@ -284,7 +284,7 @@ func newExecutor(c Config, opts Options, p *plan, seed uint64) *executor {
 		p:          p,
 		opts:       opts,
 		stop:       c.StopAt,
-		solver:     smt.New(opts.Solver),
+		solver:     p.newSolver(opts.Solver),
 		vals:       append(expr.Env(nil), p.init...),
 		res:        &Result{},
 		hashes:     []uint64{seed},
@@ -374,9 +374,11 @@ type executor struct {
 
 // pendingBranch carries a parent-computed branch condition (and, when
 // checked is set, its feasibility verdict) into the successor's frame, so
-// the descent neither re-substitutes nor re-checks it.
+// the descent neither re-substitutes nor re-checks it. own reports that
+// substitution left the node's predicate as it is.
 type pendingBranch struct {
 	ok      bool
+	own     bool
 	checked bool
 	res     smt.Result
 	cond    expr.Bool
@@ -693,9 +695,11 @@ func (e *executor) step(id cfg.NodeID) {
 
 	switch n.Kind {
 	case cfg.Predicate:
-		cond := pend.cond
+		cond, own := pend.cond, pend.own
 		if !pend.ok {
-			cond = e.vals.SubstBool(n.Pred, e.p.nodeRefs(id))
+			var changed bool
+			cond, changed = e.vals.SubstBool(n.Pred, e.p.nodeRefs(id))
+			own = !changed
 		}
 		if expr.EqualBool(cond, expr.False) {
 			// Statically invalid (e.g. Figure 5(b)): prune without an SMT
@@ -708,7 +712,12 @@ func (e *executor) step(id cfg.NodeID) {
 			e.constraints = append(e.constraints, cond)
 			if !e.opts.NoValidation {
 				e.solver.Push()
-				e.solver.Assert(cond)
+				if own {
+					// The node's own predicate: the solver has it by number.
+					e.solver.AssertCondition(int(id))
+				} else {
+					e.solver.Assert(cond)
+				}
 				if e.opts.EarlyTermination {
 					// The parent's sibling batch already decided (and
 					// journaled) this branch; otherwise check here.
@@ -844,8 +853,8 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 		if sn.Kind != cfg.Predicate {
 			continue // non-predicate successors take the normal path
 		}
-		cond := e.vals.SubstBool(sn.Pred, e.p.nodeRefs(sid))
-		st.pend[i] = pendingBranch{ok: true, cond: cond}
+		cond, changed := e.vals.SubstBool(sn.Pred, e.p.nodeRefs(sid))
+		st.pend[i] = pendingBranch{ok: true, own: !changed, cond: cond}
 		if expr.EqualBool(cond, expr.False) || expr.EqualBool(cond, expr.True) {
 			continue // statically decided in the child frame, no solver
 		}

@@ -585,6 +585,7 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 			Hits:     g.JournalHits,
 		},
 	}
+	rep.Solver.TruncatedUnsat = g.SMT.TruncatedUnsat
 	if h, ok := obs.Default().Snapshot().Histograms["smt.query_latency_ns"]; ok {
 		rep.Solver.LatencyNS = &h
 		rep.Solver.LatencyQuantiles = h.SummaryQuantiles()

@@ -110,6 +110,36 @@ func generateWith(t *testing.T, p *programs.Program, opts meissa.Options) *meiss
 	return gen
 }
 
+// TestTruncatedUnsatPinned pins how many of a gw-3/set-1 generation's Unsat
+// verdicts the search reached after cutting a candidate list short — the
+// verdicts ROADMAP item 1 will turn into Unknown, and so the size of the
+// change its PR makes to this program's outputs. The count reaches the run
+// report. Programs whose every Unsat is a proof report none.
+func TestTruncatedUnsatPinned(t *testing.T) {
+	for _, tc := range []struct {
+		p       *programs.Program
+		summary bool
+		want    uint64
+	}{
+		{programs.GW(3, programs.Set1), true, 223},
+		{programs.GW(3, programs.Set1), false, 243},
+		{programs.GW(2, programs.Set2), true, 0},
+		{programs.Router(), true, 0},
+	} {
+		opts := meissa.DefaultOptions()
+		opts.Parallelism = 1
+		opts.CodeSummary = tc.summary
+		gen := generateWith(t, tc.p, opts)
+		if gen.SMT.TruncatedUnsat != tc.want {
+			t.Errorf("%s summary=%v: %d truncated Unsats of %d, want %d", tc.p.Name, tc.summary, gen.SMT.TruncatedUnsat, gen.SMT.UnsatResults, tc.want)
+		}
+		rep := gen.Report("gen", tc.p.Name, 1)
+		if err := rep.Validate(); err != nil || rep.Solver.TruncatedUnsat != tc.want {
+			t.Errorf("%s summary=%v: report carries truncated_unsat %d (validate: %v), want %d", tc.p.Name, tc.summary, rep.Solver.TruncatedUnsat, err, tc.want)
+		}
+	}
+}
+
 // TestFramesGate is the counted form of "static infeasibility is decided in
 // the parent's frame": a sequential gw-4/set-2 generation made 152 170 dfs
 // frames for its 22 400 descents when every summarized chain's saves were

@@ -179,6 +179,53 @@ func TestRegressPerfGateGW1(t *testing.T) {
 	}
 }
 
+// TestRegressReuseSurvivesOneEntryUpdate gates what the perf gate on gw-1
+// cannot see, because gw-1's generated tables happen to be in canonical
+// order: a one-entry update must leave the baseline's verdict keys alone.
+// The live queries are the invalidated records and little else, and the
+// reuse share holds the floor measured when the mutators stopped
+// re-ordering the set (0.9424; a re-ordered set scored 0.02).
+func TestRegressReuseSurvivesOneEntryUpdate(t *testing.T) {
+	p := corpusProgram(t, "gw-3")
+	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	if n != 1 {
+		t.Fatalf("mutated %d entries, want 1", n)
+	}
+	res, cold := regressOnce(t, p, newRules, 1)
+	checkRegressInvariants(t, res, cold)
+	q, rb := res.Report.Queries, res.Gen.Rebase
+	if rb.Invalidated == 0 || q.Live > 2*uint64(rb.Invalidated) {
+		t.Errorf("%d live queries for %d invalidated records, want at most twice as many", q.Live, rb.Invalidated)
+	}
+	if q.Reuse < 0.94 {
+		t.Errorf("reuse %.4f of %d queries, want >= 0.94", q.Reuse, q.Total)
+	}
+}
+
+// TestRegressPureReorderMatchesCold: re-sorting a rule set is no rule
+// change (the diff is empty, every record is retained) and yet re-keys the
+// verdicts downstream of every re-ordered table. Whatever that costs, the
+// incremental output stays byte-identical to a cold run on the re-ordered
+// set.
+func TestRegressPureReorderMatchesCold(t *testing.T) {
+	p := corpusProgram(t, "gw-3")
+	reordered := p.Rules.Canonical()
+	if reordered.String() == p.Rules.String() {
+		t.Fatal("gw-3's rules are already in canonical order: the test re-orders nothing")
+	}
+	res, cold := regressOnce(t, p, reordered, 1)
+	checkRegressInvariants(t, res, cold)
+	if !res.Delta.Empty() {
+		t.Errorf("a pure re-order diffs as %s", res.Delta)
+	}
+	if rb := res.Gen.Rebase; rb.Invalidated != 0 {
+		t.Errorf("a pure re-order invalidated %d records", rb.Invalidated)
+	}
+	if res.Gen.SMTCalls == 0 {
+		t.Error("the re-ordered set re-keyed nothing: entry order no longer reaches the content hashes, and this test's premise is gone")
+	}
+}
+
 // TestRegressEmptyDelta: identical rule sets retain every record and
 // change no templates.
 func TestRegressEmptyDelta(t *testing.T) {
