@@ -81,7 +81,7 @@ func usage() {
               [-workers N|tcp://host:port [-remote-workers N] [-lease-timeout D] [-chaos-kill N] [-chaos-seed N]]
               [-metrics-out report.json] [-pprof-addr host:port] [-o cases.txt]
   meissa test -p prog.p4 [-r rules.txt] [-s spec.lpi] [-fault kind:arg[,..]] [-trace] [-parallel N]
-              [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-breaker N] [-v] [-quiet]
+              [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-window N] [-breaker N] [-v] [-quiet]
               [-metrics-out report.json] [-pprof-addr host:port]
               [-shake drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N]
   meissa regress [-baseline base.journal | -store FILE] [-p prog.p4 | -corpus NAME] [-rules-old FILE]
@@ -313,7 +313,7 @@ func cmdTest(args []string) error {
 	retries := fs.Int("retries", 2, "retransmissions per case after the first attempt")
 	caseTimeout := fs.Duration("case-timeout", 0, "per-case deadline across all attempts (0 = derived)")
 	recvTimeout := fs.Duration("recv-timeout", 200*time.Millisecond, "per-attempt capture window")
-	window := fs.Int("window", driver.DefaultWindow, "in-flight cases for the pipelined engine (1 = lockstep)")
+	window := fs.Int("window", driver.DefaultWindow, "in-flight cases; 1 = one at a time")
 	breaker := fs.Int("breaker", 0, "trip after N consecutive target-crashing cases; rest short-circuit to lost (0 = off)")
 	shake := fs.String("shake", "", "inject link faults: drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N")
 	verbose := fs.Bool("v", false, "print per-phase progress on stderr")

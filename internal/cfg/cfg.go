@@ -407,17 +407,3 @@ func (g *Graph) CheckAcyclic() error {
 	}
 	return visit(g.Entry)
 }
-
-// Dump renders the graph for debugging.
-func (g *Graph) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "entry: %d\n", g.Entry)
-	for _, n := range g.Nodes {
-		fmt.Fprintf(&b, "%4d [%s] %-40s -> %v", n.ID, n.Pipeline, n.StmtString(), n.Succs)
-		if n.Comment != "" {
-			fmt.Fprintf(&b, "  // %s", n.Comment)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -10,14 +10,12 @@ import (
 
 // BenchmarkDriverPipeline measures end-to-end verdict throughput on the
 // gw-1 loopback — the paper's smallest production-shaped gateway — as
-// the in-flight window sweeps from lockstep (window=1) to the full
-// pipelined burst engine. The per-iteration cost is one whole suite run;
-// verdicts/s is the headline rate the bench report carries as
-// verdicts_per_sec.
+// the engine's in-flight window sweeps from one case at a time to a full
+// burst. The per-iteration cost is one whole suite run.
 func BenchmarkDriverPipeline(b *testing.B) {
 	p := programs.GW(1, programs.Set1)
 	e := explore(b, p.Prog, p.Rules)
-	for _, w := range []int{1, 32, 256} {
+	for _, w := range sweepWindows {
 		b.Run("window="+strconv.Itoa(w), func(b *testing.B) {
 			target, err := switchsim.Compile(p.Prog, p.Rules, nil)
 			if err != nil {

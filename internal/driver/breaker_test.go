@@ -18,7 +18,10 @@ func (l *crashLink) Send(int, []byte) error {
 func (l *crashLink) Recv(time.Duration) ([]byte, bool, error) { return nil, false, nil }
 func (l *crashLink) Close() error                             { return nil }
 
-func breakerDriver(t *testing.T, window int) (*Report, *crashLink, int) {
+// breakerDriver runs the suite against a dead target with a threshold-2
+// breaker: through the engine at the given window, or through the
+// lockstep reference when lockstepRef is set.
+func breakerDriver(t *testing.T, window int, lockstepRef bool) (*Report, *crashLink, int) {
 	t.Helper()
 	_, _, templates, d := setup(t, nil)
 	link := &crashLink{}
@@ -29,7 +32,11 @@ func breakerDriver(t *testing.T, window int) (*Report, *crashLink, int) {
 	d.Backoff = time.Millisecond
 	d.RecvTimeout = 10 * time.Millisecond
 	d.BreakerThreshold = 2
-	rep, err := d.RunTemplates(templates)
+	run := d.RunTemplates
+	if lockstepRef {
+		run = newLockstep(d).runTemplates
+	}
+	rep, err := run(templates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,21 +74,27 @@ func checkBreakerReport(t *testing.T, rep *Report, link *crashLink) {
 	}
 }
 
-// TestBreakerTripsLockstep: with the target dead, the lockstep engine
-// stops transmitting after BreakerThreshold consecutive crashed cases
-// and marks the rest Lost without further attempts.
+// TestBreakerTripsLockstep: with the target dead and one case in flight,
+// the engine stops transmitting after BreakerThreshold consecutive crashed
+// cases and marks the rest Lost without further attempts — case for case
+// what the lockstep reference reports, payload IDs included.
 func TestBreakerTripsLockstep(t *testing.T) {
-	rep, link, total := breakerDriver(t, 1)
+	rep, link, total := breakerDriver(t, 1, false)
 	if len(rep.Outcomes) != total {
 		t.Fatalf("outcomes %d != templates %d (every case must be accounted for)", len(rep.Outcomes), total)
 	}
 	checkBreakerReport(t, rep, link)
+	ref, refLink, _ := breakerDriver(t, 1, true)
+	checkBreakerReport(t, ref, refLink)
+	if got, want := renderReport(rep, true), renderReport(ref, true); got != want {
+		t.Errorf("Window=1 report differs from lockstep\n--- lockstep ---\n%s--- engine ---\n%s", want, got)
+	}
 }
 
 // TestBreakerTripsPipelined: same contract under the windowed engine —
 // in-flight cases finish, everything not yet admitted is short-circuited.
 func TestBreakerTripsPipelined(t *testing.T) {
-	rep, link, total := breakerDriver(t, 2)
+	rep, link, total := breakerDriver(t, 2, false)
 	if len(rep.Outcomes) != total {
 		t.Fatalf("outcomes %d != templates %d", len(rep.Outcomes), total)
 	}

@@ -1,9 +1,7 @@
 package driver
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -16,7 +14,6 @@ import (
 	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/spec"
-	"repro/internal/switchsim"
 	"repro/internal/sym"
 )
 
@@ -216,9 +213,9 @@ type Driver struct {
 	// Backoff is the delay before the first retransmission, doubling on
 	// each further retry.
 	Backoff time.Duration
-	// Window is the in-flight case limit. Above 1 RunTemplates uses the
-	// pipelined burst engine (see pipeline.go); at 1 (or below) it runs
-	// the lockstep send→recv loop. New sets DefaultWindow.
+	// Window is how many cases may be in flight at once (see pipeline.go);
+	// 1 decides each case before the next is sent, and values below 1 mean
+	// 1. New sets DefaultWindow.
 	Window int
 	// BreakerThreshold trips the target-crash circuit breaker: after this
 	// many consecutive non-passing cases that crashed the target, the
@@ -243,7 +240,7 @@ type Driver struct {
 	phases Phases
 	mark   time.Time
 	// tmplCache memoizes each template's ID-independent concretization
-	// for the pipelined engine (see concretized).
+	// (see concretized).
 	tmplCache map[*sym.Template]*concretized
 	// fieldOrder holds each declared header's field names, sorted, for
 	// deterministic mismatch rendering without per-diff sorting.
@@ -251,14 +248,7 @@ type Driver struct {
 	// nextID allocates monotonically increasing payload IDs: every
 	// transmission (including retries) gets a never-reused ID.
 	nextID uint64
-	// pending holds captures demultiplexed away from the in-flight case,
-	// keyed by payload ID — requeued, not discarded.
-	pending map[uint64][]byte
 }
-
-// maxPending bounds the requeue buffer; beyond it, stale captures are
-// dropped (they can only belong to already-decided cases).
-const maxPending = 1024
 
 // New builds a driver.
 func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver {
@@ -272,7 +262,6 @@ func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver 
 		Retries:     2,
 		Backoff:     10 * time.Millisecond,
 		Window:      DefaultWindow,
-		pending:     map[uint64][]byte{},
 	}
 
 	d.fieldOrder = make(map[string][]string, len(prog.Headers))
@@ -364,7 +353,7 @@ type concretized struct {
 }
 
 // concretizeFast is Concretize through the per-template cache; the
-// pipelined engine's admission and retransmission paths use it.
+// engine's admission and retransmission paths use it.
 func (d *Driver) concretizeFast(t *sym.Template, id uint64) (*Case, error) {
 	cc, ok := d.tmplCache[t]
 	if !ok {
@@ -571,97 +560,6 @@ func (d *Driver) entryPipeline(idx int) string {
 	return d.Prog.Pipelines[0].Name
 }
 
-// RunTemplates concretizes and executes every template, returning the
-// aggregated report.
-func (d *Driver) RunTemplates(templates []*sym.Template) (*Report, error) {
-	return d.RunTemplatesCtx(context.Background(), templates)
-}
-
-// RunTemplatesCtx is RunTemplates under a caller-supplied context; the
-// whole suite stops at its deadline or cancellation. With Window > 1 the
-// suite runs on the pipelined burst engine; Window <= 1 selects the
-// lockstep loop below (one case fully decided before the next is sent),
-// which the differential tests hold the engine to.
-func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template) (*Report, error) {
-	if d.Window > 1 {
-		return d.runPipelined(ctx, templates)
-	}
-	rep := &Report{Program: d.Prog.Name}
-	suiteStart := time.Now()
-	consecCrashes := 0
-	d.phases = Phases{}
-	for _, t := range templates {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("driver: %w", err)
-		}
-		d.startClock()
-		c, err := d.Concretize(t, d.allocID())
-		if err != nil {
-			return nil, err
-		}
-		d.lap(&d.phases.Concretize)
-		if c.SkipReason != "" {
-			rep.Skipped++
-			mCasesSkipped.Inc()
-			rep.Skips = append(rep.Skips, c)
-			continue
-		}
-		if rep.BreakerTripped {
-			o := &Outcome{Case: c, Verdict: VerdictLost, ShortCircuited: true, Absent: true}
-			rep.Outcomes = append(rep.Outcomes, o)
-			rep.Lost++
-			mCasesLost.Inc()
-			rep.ShortCircuited++
-			mShortCircuited.Inc()
-			continue
-		}
-		caseStart := time.Now()
-		o, err := d.RunCaseCtx(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		mCaseLatencyNS.ObserveSince(caseStart)
-		rep.Outcomes = append(rep.Outcomes, o)
-		if len(rep.Outcomes) == 1 {
-			rep.TimeToFirstVerdict = time.Since(suiteStart)
-		}
-		rep.Retransmissions += o.Attempts - 1
-		mRetransmits.Add(uint64(o.Attempts - 1))
-		switch o.Verdict {
-		case VerdictPass:
-			rep.Passed++
-			mCasesPassed.Inc()
-		case VerdictFlaky:
-			rep.Flaky++
-			mCasesFlaky.Inc()
-		case VerdictFail:
-			rep.Failed++
-			mCasesFailed.Inc()
-		case VerdictLost:
-			rep.Lost++
-			mCasesLost.Inc()
-		}
-		if o.Crashed && !o.Pass {
-			consecCrashes++
-		} else {
-			consecCrashes = 0
-		}
-		if d.BreakerThreshold > 0 && consecCrashes >= d.BreakerThreshold {
-			rep.BreakerTripped = true
-			mBreakerTripped.Inc()
-		}
-	}
-	rep.Phases = d.phases
-	return rep, nil
-}
-
-// RunCase injects one case, retransmitting with exponential backoff and a
-// fresh payload ID on each failed attempt, and returns the final outcome
-// with its verdict.
-func (d *Driver) RunCase(c *Case) (*Outcome, error) {
-	return d.RunCaseCtx(context.Background(), c)
-}
-
 // caseBudget derives the per-case deadline when CaseTimeout is unset:
 // every attempt's capture window, plus the full backoff ladder, plus
 // slack for transport latency.
@@ -679,167 +577,6 @@ func (d *Driver) caseBudget() time.Duration {
 	return attempts*d.RecvTimeout + backoff + 250*time.Millisecond
 }
 
-// RunCaseCtx runs one case under a per-case deadline. The retry state
-// machine: attempt → (pass → Pass/Flaky) | (fail → backoff, fresh-ID
-// retransmit) until retries or the deadline are exhausted; then Fail when
-// target behaviour was observed, Lost when it never was.
-func (d *Driver) RunCaseCtx(ctx context.Context, c *Case) (*Outcome, error) {
-	ctx, cancel := context.WithTimeout(ctx, d.caseBudget())
-	defer cancel()
-	// The requeue buffer only ever holds captures for the in-flight case's
-	// attempts; at case end everything left is stale.
-	defer d.flushPending()
-
-	cur := c
-	backoff := d.Backoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
-	var last *Outcome
-	observed := false // some attempt captured target behaviour
-	crashed := false  // some attempt surfaced a target panic
-	for attempt := 0; ; attempt++ {
-		o := d.runAttempt(ctx, cur)
-		o.Attempts = attempt + 1
-		if !o.Absent {
-			observed = true
-		}
-		crashed = crashed || o.Crashed
-		if o.Pass {
-			o.Verdict = VerdictPass
-			if attempt > 0 {
-				o.Verdict = VerdictFlaky
-			}
-			o.Crashed = crashed
-			return o, nil
-		}
-		last = o
-		if attempt >= d.Retries || ctx.Err() != nil {
-			break
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(backoff):
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		backoff *= 2
-		// Fresh payload ID per retransmission: stale captures from the
-		// previous attempt stay identifiable and never pollute this one.
-		d.startClock()
-		nc, err := d.Concretize(c.Template, d.allocID())
-		if err != nil {
-			return nil, err
-		}
-		d.lap(&d.phases.Concretize)
-		if nc.SkipReason != "" {
-			break
-		}
-		cur = nc
-	}
-	last.Crashed = crashed
-	if !observed && !crashed && last.Case.Expected != nil {
-		last.Verdict = VerdictLost
-	} else {
-		last.Verdict = VerdictFail
-	}
-	return last, nil
-}
-
-// runAttempt performs one transmission and capture. Link-level errors are
-// attempt failures (retried), not run aborts — resilience against a noisy
-// harness is the point.
-func (d *Driver) runAttempt(ctx context.Context, c *Case) *Outcome {
-	o := &Outcome{Case: c}
-	d.startClock()
-	err := d.Link.Send(c.Entry, c.Wire)
-	d.lap(&d.phases.Send)
-	if err != nil {
-		var ce *switchsim.CrashError
-		if errors.As(err, &ce) {
-			o.Crashed = true
-			o.Mismatches = append(o.Mismatches, err.Error())
-		} else {
-			o.Mismatches = append(o.Mismatches, fmt.Sprintf("send failed: %v", err))
-		}
-		o.Absent = true
-		return o
-	}
-
-	// Receive: match by payload ID (the paper's sender/receiver
-	// correlation), requeueing unrelated captures instead of discarding
-	// or — worse — charging them to this case.
-	wire, got, err := d.recvMatching(ctx, c.ID)
-	if err != nil {
-		o.Mismatches = append(o.Mismatches, fmt.Sprintf("recv failed: %v", err))
-		o.Absent = true
-		return o
-	}
-	if got {
-		out, perr := d.decodeOutput(wire)
-		if perr != nil {
-			o.Mismatches = append(o.Mismatches, fmt.Sprintf("output packet undecodable: %v", perr))
-		} else {
-			if id, ok := out.ID(); !ok || id != c.ID {
-				o.Mismatches = append(o.Mismatches, fmt.Sprintf("output carries wrong ID (want %d)", c.ID))
-			}
-			o.Output = out
-		}
-	} else {
-		o.Absent = true
-	}
-	d.lap(&d.phases.Recv)
-
-	d.check(o)
-	d.lap(&d.phases.Check)
-	return o
-}
-
-// recvMatching reads captures until one carries the wanted payload ID or
-// the window closes. Captures with other IDs are requeued for whoever
-// awaits them; captures with no identifiable ID are delivered to the
-// in-flight case (the checker decides what they mean).
-func (d *Driver) recvMatching(ctx context.Context, id uint64) ([]byte, bool, error) {
-	if w, ok := d.pending[id]; ok {
-		delete(d.pending, id)
-		return w, true, nil
-	}
-	deadline := time.Now().Add(d.RecvTimeout)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
-		deadline = cd
-	}
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, false, nil
-		}
-		wire, got, err := d.Link.Recv(remaining)
-		if err != nil {
-			return nil, false, err
-		}
-		if !got {
-			return nil, false, nil
-		}
-		got2, ok2 := wireID(wire)
-		if !ok2 || got2 == id {
-			return wire, true, nil
-		}
-		if len(d.pending) < maxPending {
-			if _, dup := d.pending[got2]; !dup {
-				d.pending[got2] = wire
-			}
-		}
-	}
-}
-
-// flushPending clears the requeue buffer.
-func (d *Driver) flushPending() {
-	for k := range d.pending {
-		delete(d.pending, k)
-	}
-}
-
 // wireID extracts the payload ID from a raw capture without a full parse:
 // Marshal appends the payload last, so a well-formed test capture ends in
 // the 12-byte magic+ID trailer.
@@ -852,17 +589,6 @@ func wireID(wire []byte) (uint64, bool) {
 		return 0, false
 	}
 	return binary.BigEndian.Uint64(tail[4:12]), true
-}
-
-// decodeOutput re-parses a captured packet using the entry parser of the
-// first pipeline (the harness's capture decoder).
-func (d *Driver) decodeOutput(wire []byte) (*packet.Packet, error) {
-	name := d.entryPipeline(0)
-	pl := d.Prog.Pipeline(name)
-	if pl == nil || pl.Parser == "" {
-		return &packet.Packet{Payload: wire}, nil
-	}
-	return packet.Parse(d.Prog, pl.Parser, wire)
 }
 
 // check fills the outcome's verdict: prediction comparison, checksum

@@ -280,12 +280,12 @@ func TestLoopbackTraceAvailable(t *testing.T) {
 		Payload: packet.WithID(5),
 	}
 	wire, _ := in.Marshal(prog)
-	if err := lb.Send(0, wire); err != nil {
-		t.Fatal(err)
-	}
-	tr := lb.LastTrace()
+	tr := lb.Replay(0, wire)
 	if tr == nil || len(tr.Trace) == 0 {
-		t.Fatal("loopback must record execution traces")
+		t.Fatal("loopback must replay a case with its execution trace")
+	}
+	if _, ok, _ := lb.Recv(0); ok {
+		t.Error("a replayed case's capture was enqueued for Recv")
 	}
 }
 

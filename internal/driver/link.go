@@ -29,8 +29,8 @@ type Link interface {
 	Close() error
 }
 
-// FastRecvLink is an optional Link extension the pipelined engine probes
-// for: RecvInto captures into a caller-owned buffer, so a steady receive
+// FastRecvLink is an optional Link extension the engine probes for:
+// RecvInto captures into a caller-owned buffer, so a steady receive
 // stream reuses one buffer instead of allocating per capture.
 type FastRecvLink interface {
 	// RecvInto captures one output packet into buf, waiting up to timeout.
@@ -40,28 +40,16 @@ type FastRecvLink interface {
 	RecvInto(buf []byte, timeout time.Duration) (n int, ok bool, err error)
 }
 
-// QuietLink is an optional Link extension: SetQuiet(true) tells the link
-// to stop retaining per-packet diagnostics (execution traces) while the
-// pipelined engine drives it at line rate. The engine restores the
-// previous mode when the run ends.
-type QuietLink interface {
-	SetQuiet(quiet bool)
-}
-
 // SyncLink marks links whose captures are delivered synchronously by
 // Send (the in-process loopback): once Recv reports an empty queue,
-// every outstanding capture has already arrived, so the pipelined engine
-// closes capture windows immediately instead of waiting out RecvTimeout.
+// every outstanding capture has already arrived, so the engine closes
+// capture windows immediately instead of waiting out RecvTimeout.
 type SyncLink interface {
 	Synchronous() bool
 }
 
-// maxRetainedTraces bounds the loopback's per-packet trace history: a
-// long line-rate run must not accumulate traces without bound, and bug
-// localization only ever consults the most recent ones.
-const maxRetainedTraces = 256
-
-// Loopback connects the driver directly to an in-process target.
+// Loopback connects the driver directly to an in-process target. Send is
+// the target's trace-free line-rate inject; Replay is the traced one.
 type Loopback struct {
 	target *switchsim.Target
 	mu     sync.Mutex
@@ -70,59 +58,26 @@ type Loopback struct {
 	// a drained queue rewinds to reuse its backing array from the start.
 	queue [][]byte
 	head  int
-	// traces holds the most recent target execution traces (bounded by
-	// maxRetainedTraces), for bug localization. Empty in quiet mode.
-	traces []*switchsim.Result
-	// quiet switches Send to the target's trace-free line-rate inject.
-	quiet bool
 }
 
 // NewLoopback returns a loopback link to the target.
 func NewLoopback(t *switchsim.Target) *Loopback { return &Loopback{target: t} }
 
-// SetQuiet implements QuietLink: quiet sends use the target's line-rate
-// inject and retain no traces.
-func (l *Loopback) SetQuiet(quiet bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.quiet = quiet
-}
-
 // Synchronous implements SyncLink: loopback captures are enqueued by Send
 // itself.
 func (l *Loopback) Synchronous() bool { return true }
 
-// Send implements Link.
+// Send implements Link. The target deparses straight to wire bytes,
+// skipping the trace and the intermediate Packet nothing here reads.
 func (l *Loopback) Send(entry int, wire []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.quiet {
-		// Raw quiet inject: the target deparses straight to wire bytes,
-		// skipping the intermediate Packet the line-rate path never reads.
-		res, err := l.target.InjectQuietWire(entry, wire)
-		if err != nil {
-			return err
-		}
-		if !res.Dropped {
-			l.queue = append(l.queue, res.Wire)
-		}
-		return nil
-	}
-	res, err := l.target.Inject(entry, wire)
+	res, err := l.target.InjectQuietWire(entry, wire)
 	if err != nil {
 		return err
 	}
-	if len(l.traces) >= maxRetainedTraces {
-		copy(l.traces, l.traces[1:])
-		l.traces = l.traces[:len(l.traces)-1]
-	}
-	l.traces = append(l.traces, res)
-	if res.Output != nil {
-		data, err := res.Output.Marshal(l.target.Program())
-		if err != nil {
-			return err
-		}
-		l.queue = append(l.queue, data)
+	if !res.Dropped {
+		l.queue = append(l.queue, res.Wire)
 	}
 	return nil
 }
@@ -160,8 +115,7 @@ func (l *Loopback) RecvInto(buf []byte, timeout time.Duration) (int, bool, error
 // Replay re-executes a wire packet through the target with tracing on
 // and returns the execution trace, without enqueueing the capture for
 // Recv. Bug localization uses this to obtain the physical trace of a
-// specific failing case after a quiet line-rate run retained none — and
-// unlike LastTrace, the trace is guaranteed to belong to that case.
+// specific failing case after the run, which retains none.
 func (l *Loopback) Replay(entry int, wire []byte) *switchsim.Result {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -170,16 +124,6 @@ func (l *Loopback) Replay(entry int, wire []byte) *switchsim.Result {
 		return nil
 	}
 	return res
-}
-
-// LastTrace returns the most recent target execution trace.
-func (l *Loopback) LastTrace() *switchsim.Result {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.traces) == 0 {
-		return nil
-	}
-	return l.traces[len(l.traces)-1]
 }
 
 // Close implements Link.

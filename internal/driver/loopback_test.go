@@ -31,7 +31,6 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 		t.Fatalf("gw-1 suite forwards %d cases, want at least 3", len(wires))
 	}
 	l := NewLoopback(target)
-	l.SetQuiet(true)
 	buf := make([]byte, 2048)
 	const burst = 3
 	next := 0
@@ -72,8 +71,8 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 	}
 }
 
-// Report.Phases must account for a clean loopback suite on both engines:
-// every stage saw work, and together they stay within the wall-clock.
+// Report.Phases must account for a clean loopback suite with one case in
+// flight and with a full window: every stage saw work.
 func TestReportPhases(t *testing.T) {
 	e := exploreGW1(t)
 	for _, window := range []int{1, DefaultWindow} {

@@ -12,14 +12,13 @@ import (
 	"repro/internal/sym"
 )
 
-// DefaultWindow is the pipelined engine's in-flight window: how many
-// cases may have open capture windows or pending backoffs at once. One
-// window's worth of cases is concretized, burst-transmitted, and decided
-// as captures drain back, so the link never idles between cases the way
-// the lockstep send→recv loop does.
+// DefaultWindow is the default in-flight window: how many cases may have
+// open capture windows or pending backoffs at once. One window's worth of
+// cases is concretized, burst-transmitted, and decided as captures drain
+// back, so the link never idles between cases.
 const DefaultWindow = 256
 
-// The pipelined engine is a single-coordinator event loop: exactly one
+// The engine is a single-coordinator event loop: exactly one
 // goroutine admits, sends, drains, demultiplexes, and finalizes. Every
 // Driver and Report field — nextID, the Report counters, the outcome
 // slots — is touched only by that goroutine, which is why none of them
@@ -32,7 +31,7 @@ const DefaultWindow = 256
 // each one O(1) wheel insertion, and the loop wakes exactly once for the
 // earliest pending expiry instead of parking thousands of timers.
 
-// pstate is a pipelined case's position in the retry state machine.
+// pstate is an in-flight case's position in the retry state machine.
 type pstate uint8
 
 const (
@@ -52,7 +51,7 @@ type pcase struct {
 	attempt  int
 	backoff  time.Duration
 	start    time.Time // admission time (case latency metric)
-	deadline time.Time // end-to-end case budget, as lockstep's per-case context
+	deadline time.Time // end-to-end case budget (caseBudget)
 	recvBy   time.Time // capture window close (psAwaiting only)
 	seq      uint64    // transmission order, for oldest-awaiting routing
 	state    pstate
@@ -172,10 +171,10 @@ type engine struct {
 	fast  FastRecvLink // non-nil when the link can fill a caller buffer
 	sync  bool         // link answers before Send returns (loopback)
 	wheel *wheel
-	// idMap demultiplexes captures to their awaiting case by payload ID —
-	// the pipelined generalization of lockstep's single-case requeue
-	// buffer. A capture whose ID maps to nothing belongs to a superseded
-	// attempt and is dropped, exactly as lockstep's end-of-case flush.
+	// idMap demultiplexes captures to their awaiting case by payload ID: a
+	// late capture of another case is that case's, never charged to
+	// whichever window is open. A capture whose ID maps to nothing belongs
+	// to a superseded attempt and is dropped.
 	idMap    map[uint64]*pcase
 	free     []*pcase
 	scratch  []*pcase // reused iteration buffer (closeSyncWindows)
@@ -183,7 +182,7 @@ type engine struct {
 	outs     []*Outcome
 	skips    []*Case
 	recvBuf  []byte
-	copyWire bool // parserless decode retains the wire slice; shield recvBuf
+	parser   string // the capture decoder: the first pipeline's entry parser, "" when it has none
 	awaiting int
 	inflight int
 	done     int
@@ -204,19 +203,27 @@ type routed struct {
 	o  *Outcome
 }
 
-// runPipelined is RunTemplatesCtx's engine when Window > 1. It keeps up
-// to Window cases in flight: a burst of sends tops the window up, a
-// drain loop routes every available capture to its case, synchronous
-// links have their dead capture windows closed immediately, and the
-// timer wheel fires recv-window and backoff expiries. Verdict semantics
-// are bit-for-bit the lockstep state machine's; only the scheduling
-// differs.
-func (d *Driver) runPipelined(ctx context.Context, templates []*sym.Template) (*Report, error) {
+// RunTemplates concretizes and executes every template, returning the
+// aggregated report.
+func (d *Driver) RunTemplates(templates []*sym.Template) (*Report, error) {
+	return d.RunTemplatesCtx(context.Background(), templates)
+}
+
+// RunTemplatesCtx is RunTemplates under a caller-supplied context; the
+// whole suite stops at its deadline or cancellation. It keeps up to
+// Window cases in flight: a burst of sends tops the window up, a drain
+// loop routes every available capture to its case, synchronous links have
+// their dead capture windows closed immediately, and the timer wheel
+// fires recv-window and backoff expiries. Window changes the scheduling
+// only, never a verdict: reference_test.go holds every window to the
+// one-case-at-a-time loop.
+func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template) (*Report, error) {
 	now := time.Now()
+	window := max(d.Window, 1) // a window of 0 would never admit a case
 	eng := &engine{
 		d:       d,
 		wheel:   newWheel(now),
-		idMap:   make(map[uint64]*pcase, d.Window),
+		idMap:   make(map[uint64]*pcase, window),
 		outs:    make([]*Outcome, len(templates)),
 		skips:   make([]*Case, len(templates)),
 		recvBuf: make([]byte, 65536),
@@ -229,14 +236,9 @@ func (d *Driver) runPipelined(ctx context.Context, templates []*sym.Template) (*
 	if s, ok := d.Link.(SyncLink); ok && s.Synchronous() {
 		eng.sync = true
 	}
-	if q, ok := d.Link.(QuietLink); ok {
-		// The engine never reads link-side traces; let the target skip
-		// producing them.
-		q.SetQuiet(true)
-		defer q.SetQuiet(false)
+	if pl := d.Prog.Pipeline(d.entryPipeline(0)); pl != nil {
+		eng.parser = pl.Parser
 	}
-	pl := d.Prog.Pipeline(d.entryPipeline(0))
-	eng.copyWire = pl == nil || pl.Parser == ""
 	d.phases = Phases{}
 
 	next := 0
@@ -249,7 +251,7 @@ func (d *Driver) runPipelined(ctx context.Context, templates []*sym.Template) (*
 		// tripped breaker short-circuits the whole remainder instead
 		// (short-circuited cases hold no window slot).
 		d.startClock()
-		for next < len(templates) && (eng.rep.BreakerTripped || eng.inflight < d.Window) {
+		for next < len(templates) && (eng.rep.BreakerTripped || eng.inflight < window) {
 			if eng.rep.BreakerTripped {
 				if err := eng.shortCircuit(templates[next], next); err != nil {
 					return nil, err
@@ -408,7 +410,9 @@ func (eng *engine) shortCircuit(t *sym.Template, idx int) error {
 
 // send transmits the case's current attempt and opens its capture
 // window. A send error fails the attempt immediately without a capture
-// window and without running the checker — lockstep parity.
+// window and without running the checker. Link-level errors are attempt
+// failures (retried), not run aborts: resilience against a noisy harness
+// is the point.
 func (eng *engine) send(pc *pcase) {
 	d := eng.d
 	c := pc.cur
@@ -507,10 +511,10 @@ func (eng *engine) recvOne(timeout time.Duration) ([]byte, bool, error) {
 }
 
 // route delivers one capture. ID-carrying captures go to their awaiting
-// case (or are dropped as stale — the pipelined analogue of lockstep's
-// end-of-case pending flush). Unidentifiable captures are charged to the
-// oldest open window, as lockstep delivers them to its in-flight case.
-// The decoded capture waits in eng.routed for the drain's check stage.
+// case (the paper's sender/receiver correlation) or are dropped as stale.
+// Unidentifiable captures are charged to the oldest open window; the
+// checker decides what they mean. The decoded capture waits in eng.routed
+// for the drain's check stage.
 func (eng *engine) route(wire []byte) {
 	id, ok := wireID(wire)
 	var pc *pcase
@@ -536,14 +540,17 @@ func (eng *engine) route(wire []byte) {
 	eng.routed = append(eng.routed, routed{pc, o})
 }
 
-// decode re-parses a capture. When the program is parserless the decoder
-// retains the wire slice inside the report, so a capture read into the
-// shared recv buffer is copied out first.
+// decode re-parses a capture with the harness's capture decoder. A
+// parserless program's packet is its wire bytes, which the report retains,
+// so a capture read into the shared recv buffer is copied out first.
 func (eng *engine) decode(wire []byte) (*packet.Packet, error) {
-	if eng.copyWire && eng.fast != nil {
-		wire = append([]byte(nil), wire...)
+	if eng.parser == "" {
+		if eng.fast != nil {
+			wire = append([]byte(nil), wire...)
+		}
+		return &packet.Packet{Payload: wire}, nil
 	}
-	return eng.d.decodeOutput(wire)
+	return packet.Parse(eng.d.Prog, eng.parser, wire)
 }
 
 func (eng *engine) oldestAwaiting() *pcase {
@@ -557,7 +564,7 @@ func (eng *engine) oldestAwaiting() *pcase {
 }
 
 // chargeRecvError fails the oldest awaiting case's attempt with the link
-// error, without running the checker — lockstep's recv-error path.
+// error, without running the checker.
 func (eng *engine) chargeRecvError(err error) {
 	pc := eng.oldestAwaiting()
 	if pc == nil {
@@ -591,8 +598,7 @@ func (eng *engine) closeSyncWindows() bool {
 }
 
 // closeWindow ends an open capture window with no packet; the absent
-// attempt runs the checker exactly as lockstep's recv-timeout path (a
-// predicted drop passes here).
+// attempt still runs the checker (a predicted drop passes here).
 func (eng *engine) closeWindow(pc *pcase) {
 	eng.unwatch(pc)
 	o := &Outcome{Case: pc.cur}
@@ -625,7 +631,7 @@ func (eng *engine) fire(pc *pcase) {
 		d.lap(&d.phases.Concretize)
 		if nc.SkipReason != "" {
 			// A retransmission that no longer concretizes ends the case
-			// with its last observed failure, as lockstep's break.
+			// with its last observed failure.
 			eng.finalizeFail(pc)
 			return
 		}
@@ -634,9 +640,10 @@ func (eng *engine) fire(pc *pcase) {
 	}
 }
 
-// attemptDone is the lockstep retry state machine, one transition per
-// completed attempt: pass → Pass/Flaky; fail → backoff and retransmit,
-// until retries or the case deadline are exhausted.
+// attemptDone is the retry state machine, one transition per completed
+// attempt: pass → Pass/Flaky; fail → backoff and a fresh-ID retransmit
+// (stale captures of the earlier attempt stay identifiable), until
+// retries or the case deadline are exhausted.
 func (eng *engine) attemptDone(pc *pcase, o *Outcome) {
 	d := eng.d
 	o.Attempts = pc.attempt + 1
@@ -667,9 +674,9 @@ func (eng *engine) attemptDone(pc *pcase, o *Outcome) {
 	eng.wheel.insert(pc, wake)
 }
 
-// finalizeFail reports the last failed attempt with lockstep's
-// exhaustion classification: Lost when the target was never observed on
-// a case that expected a capture, Fail otherwise.
+// finalizeFail reports the last failed attempt once retries are
+// exhausted: Lost when the target was never observed on a case that
+// expected a capture, Fail otherwise.
 func (eng *engine) finalizeFail(pc *pcase) {
 	last := pc.last
 	last.Crashed = pc.crashed

@@ -16,8 +16,8 @@ import (
 )
 
 // explored holds one program's generation artifacts, shared across the
-// engine modes under comparison (the templates are identical inputs; the
-// target and driver are rebuilt per mode so payload IDs restart at 1).
+// runs under comparison (the templates are identical inputs; the target
+// and driver are rebuilt per run so payload IDs restart at 1).
 type explored struct {
 	prog      *p4.Program
 	rules     *rules.Set
@@ -44,20 +44,44 @@ func exploreGW1(t testing.TB) *explored {
 	return explore(t, p.Prog, p.Rules)
 }
 
-// runWindow executes the full suite at one in-flight window on a fresh
-// target and driver. tweak customizes retry knobs before the run.
-func runWindow(t testing.TB, e *explored, faults switchsim.Faults, window int, tweak func(*Driver)) *Report {
+// sweepWindows are the in-flight windows every differential holds to the
+// reference: one case at a time, the smallest overlap, a partial and a
+// full burst.
+var sweepWindows = []int{1, 2, 32, 256}
+
+// freshDriver builds a driver over a loopback to a freshly compiled
+// target. tweak customizes the link and the retry knobs before the run.
+func freshDriver(t testing.TB, e *explored, faults switchsim.Faults, tweak func(*Driver)) *Driver {
 	t.Helper()
 	target, err := switchsim.Compile(e.prog, e.rules, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := New(e.prog, e.graph, NewLoopback(target), nil)
-	d.Window = window
 	if tweak != nil {
 		tweak(d)
 	}
+	return d
+}
+
+// runWindow executes the full suite through the engine at one in-flight
+// window on a fresh target and driver.
+func runWindow(t testing.TB, e *explored, faults switchsim.Faults, window int, tweak func(*Driver)) *Report {
+	t.Helper()
+	d := freshDriver(t, e, faults, tweak)
+	d.Window = window
 	rep, err := d.RunTemplates(e.templates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// runReference executes the full suite through the lockstep reference
+// (reference_test.go) on a fresh target and driver.
+func runReference(t testing.TB, e *explored, faults switchsim.Faults, tweak func(*Driver)) *Report {
+	t.Helper()
+	rep, err := newLockstep(freshDriver(t, e, faults, tweak)).runTemplates(e.templates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +91,15 @@ func runWindow(t testing.TB, e *explored, faults switchsim.Faults, window int, t
 var wantIDRe = regexp.MustCompile(`\(want \d+\)`)
 
 // renderReport flattens a report into a canonical byte-comparable form.
-// Outcomes and skips are already in template order in both engines.
-// withIDs includes payload IDs; runs with retransmissions interleave ID
-// allocation differently across engines, so those comparisons drop IDs.
+// Outcomes and skips are in template order in the engine and in the
+// reference. withIDs includes payload IDs; runs with retransmissions
+// interleave ID allocation differently at each window, so those
+// comparisons drop IDs.
 func renderReport(rep *Report, withIDs bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "passed=%d failed=%d skipped=%d flaky=%d lost=%d retrans=%d\n",
-		rep.Passed, rep.Failed, rep.Skipped, rep.Flaky, rep.Lost, rep.Retransmissions)
+	fmt.Fprintf(&b, "passed=%d failed=%d skipped=%d flaky=%d lost=%d retrans=%d tripped=%t short=%d\n",
+		rep.Passed, rep.Failed, rep.Skipped, rep.Flaky, rep.Lost, rep.Retransmissions,
+		rep.BreakerTripped, rep.ShortCircuited)
 	for _, o := range rep.Outcomes {
 		var id uint64
 		if withIDs {
@@ -102,18 +128,18 @@ func renderReport(rep *Report, withIDs bool) string {
 	return b.String()
 }
 
-// TestPipelinedMatchesLockstepClean holds the pipelined engine to the
-// lockstep loop on a clean loopback across windows: the reports must be
+// TestPipelinedMatchesLockstepClean holds the engine to the lockstep
+// reference on a clean loopback across windows: the reports must be
 // byte-identical, payload IDs included, on the production-shaped gw-1
 // corpus program (which exercises skips, predicted drops, VXLAN
 // encapsulation and checksum maintenance).
 func TestPipelinedMatchesLockstepClean(t *testing.T) {
 	e := exploreGW1(t)
-	want := renderReport(runWindow(t, e, nil, 1, nil), true)
-	for _, w := range []int{2, 32, 256} {
+	want := renderReport(runReference(t, e, nil, nil), true)
+	for _, w := range sweepWindows {
 		got := renderReport(runWindow(t, e, nil, w, nil), true)
 		if got != want {
-			t.Fatalf("window=%d report differs from lockstep\n--- lockstep ---\n%s--- pipelined ---\n%s", w, want, got)
+			t.Fatalf("window=%d report differs from lockstep\n--- lockstep ---\n%s--- engine ---\n%s", w, want, got)
 		}
 	}
 	if !strings.Contains(want, "passed=") || strings.HasPrefix(want, "passed=0 ") {
@@ -122,8 +148,8 @@ func TestPipelinedMatchesLockstepClean(t *testing.T) {
 }
 
 // TestPipelinedMatchesLockstepBuggyTarget repeats the differential
-// against a target compiled with an injected data-plane fault: the
-// engines must classify the same cases as Fail with the same mismatch
+// against a target compiled with an injected data-plane fault: every
+// window must classify the same cases as Fail with the same mismatch
 // and checksum-error text. IDs are excluded — retransmissions interleave
 // the ID sequence differently — but attempts must match exactly.
 func TestPipelinedMatchesLockstepBuggyTarget(t *testing.T) {
@@ -156,69 +182,69 @@ func TestPipelinedMatchesLockstepBuggyTarget(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e := c.setup(t)
-			ref := runWindow(t, e, c.faults, 1, fast)
+			ref := runReference(t, e, c.faults, fast)
 			if ref.Failed == 0 {
 				t.Fatal("fault produced no failures; the differential is vacuous")
 			}
 			want := renderReport(ref, false)
-			for _, w := range []int{2, 256} {
+			for _, w := range sweepWindows {
 				got := renderReport(runWindow(t, e, c.faults, w, fast), false)
 				if got != want {
-					t.Fatalf("window=%d report differs from lockstep\n--- lockstep ---\n%s--- pipelined ---\n%s", w, want, got)
+					t.Fatalf("window=%d report differs from lockstep\n--- lockstep ---\n%s--- engine ---\n%s", w, want, got)
 				}
 			}
 		})
 	}
 }
 
-// TestPipelinedShakenLinkConverges drives both engines through a heavily
-// shaken link — 30%% drop plus duplication and reordering — and requires
-// both to converge: the retry machinery must absorb every injected fault
-// (no Fail, no Lost) and report the noise as Flaky verdicts and
-// retransmissions, never silently.
+// TestPipelinedShakenLinkConverges drives the reference and the engine
+// at every window through a heavily shaken link — 30%% drop plus
+// duplication and reordering — and requires all to converge: the retry
+// machinery must absorb every injected fault (no Fail, no Lost) and report
+// the noise as Flaky verdicts and retransmissions, never silently.
 func TestPipelinedShakenLinkConverges(t *testing.T) {
 	prog := p4.MustParse(driverProg)
 	rs := rules.MustParse("table host {\n ipv4.dstAddr=10.0.0.1 -> fwd(3);\n}")
 	e := explore(t, prog, rs)
-	faults := LinkFaults{Seed: 7, Drop: 0.3, Duplicate: 0.1, Reorder: 0.1}
-
-	run := func(window int, seed int64) *Report {
-		target, err := switchsim.Compile(prog, rs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := faults
-		f.Seed = seed
-		link := NewFaultyLink(NewLoopback(target), f)
-		d := New(prog, e.graph, link, nil)
-		d.Window = window
-		d.Retries = 8 // 0.3^9 residual loss; a Lost verdict here is an engine bug
-		d.Backoff = time.Millisecond
-		d.RecvTimeout = 10 * time.Millisecond
-		rep, err := d.RunTemplates(e.templates)
-		if err != nil {
-			t.Fatal(err)
+	converged := func(name string, seed int64, rep *Report) *Report {
+		if rep.Failed != 0 || rep.Lost != 0 {
+			t.Errorf("seed=%d %s did not converge: %s", seed, name, rep.Summary())
+			for _, f := range rep.Failures() {
+				t.Logf("  %s: %v", f.Verdict, f.Mismatches)
+			}
 		}
 		return rep
 	}
-
 	for _, seed := range []int64{7, 21} {
-		lock := run(1, seed)
-		pipe := run(256, seed)
-		for name, rep := range map[string]*Report{"lockstep": lock, "pipelined": pipe} {
-			if rep.Failed != 0 || rep.Lost != 0 {
-				t.Errorf("seed=%d %s did not converge: %s", seed, name, rep.Summary())
-				for _, f := range rep.Failures() {
-					t.Logf("  %s: %v", f.Verdict, f.Mismatches)
-				}
+		shaken := func(d *Driver) {
+			d.Link = NewFaultyLink(d.Link, LinkFaults{Seed: seed, Drop: 0.3, Duplicate: 0.1, Reorder: 0.1})
+			d.Retries = 8 // 0.3^9 residual loss; a Lost verdict here is an engine bug
+			d.Backoff = time.Millisecond
+			d.RecvTimeout = 10 * time.Millisecond
+		}
+		lock := converged("lockstep", seed, runReference(t, e, nil, shaken))
+		for _, w := range sweepWindows {
+			pipe := converged(fmt.Sprintf("window=%d", w), seed, runWindow(t, e, nil, w, shaken))
+			if got, want := len(pipe.Outcomes), len(lock.Outcomes); got != want {
+				t.Errorf("seed=%d window=%d outcome counts diverge: engine=%d lockstep=%d", seed, w, got, want)
+			}
+			if pipe.Passed+pipe.Flaky != lock.Passed+lock.Flaky {
+				t.Errorf("seed=%d window=%d converged verdicts diverge: engine=%d+%d lockstep=%d+%d",
+					seed, w, pipe.Passed, pipe.Flaky, lock.Passed, lock.Flaky)
 			}
 		}
-		if got, want := len(pipe.Outcomes), len(lock.Outcomes); got != want {
-			t.Errorf("seed=%d outcome counts diverge: pipelined=%d lockstep=%d", seed, got, want)
-		}
-		if pipe.Passed+pipe.Flaky != lock.Passed+lock.Flaky {
-			t.Errorf("seed=%d converged verdicts diverge: pipelined=%d+%d lockstep=%d+%d",
-				seed, pipe.Passed, pipe.Flaky, lock.Passed, lock.Flaky)
+	}
+}
+
+// TestWindowBelowOneIsOne: a Window below 1 runs as Window 1 — the same
+// report, payload IDs included — instead of admitting nothing (0) or
+// panicking on a negative map size.
+func TestWindowBelowOneIsOne(t *testing.T) {
+	e := exploreGW1(t)
+	want := renderReport(runWindow(t, e, nil, 1, nil), true)
+	for _, w := range []int{0, -3} {
+		if got := renderReport(runWindow(t, e, nil, w, nil), true); got != want {
+			t.Errorf("Window=%d report differs from Window=1\n--- 1 ---\n%s--- %d ---\n%s", w, want, w, got)
 		}
 	}
 }
@@ -228,7 +254,7 @@ func TestPipelinedShakenLinkConverges(t *testing.T) {
 // freelist and the ID demux map recycle a full case lifecycle — admit,
 // capture-window timer, cancellation, backoff timer, expiry — without
 // allocating. (Report objects — Case, Outcome, captured Packet — are
-// retained output and allocate identically in both engines.)
+// retained output.)
 func TestPipelinedEngineMachineryAllocs(t *testing.T) {
 	now := time.Now()
 	w := newWheel(now)

@@ -57,9 +57,24 @@ func (blackholeLink) Recv(time.Duration) ([]byte, bool, error) {
 }
 func (blackholeLink) Close() error { return nil }
 
-// forwardedCase concretizes the first template whose path forwards (the
+// oversizeFirstLink replaces the first N transmissions with a wire too
+// large for one UDP datagram.
+type oversizeFirstLink struct {
+	Link
+	n int
+}
+
+func (l *oversizeFirstLink) Send(entry int, wire []byte) error {
+	if l.n > 0 {
+		l.n--
+		wire = make([]byte, 70000)
+	}
+	return l.Link.Send(entry, wire)
+}
+
+// forwardedTemplate finds the first template whose path forwards (the
 // prediction expects a capture).
-func forwardedCase(t *testing.T, d *Driver, templates []*sym.Template) (*sym.Template, *Case) {
+func forwardedTemplate(t *testing.T, d *Driver, templates []*sym.Template) *sym.Template {
 	t.Helper()
 	for _, tm := range templates {
 		c, err := d.Concretize(tm, d.allocID())
@@ -67,20 +82,35 @@ func forwardedCase(t *testing.T, d *Driver, templates []*sym.Template) (*sym.Tem
 			t.Fatal(err)
 		}
 		if c.SkipReason == "" && c.Expected != nil {
-			return tm, c
+			return tm
 		}
 	}
 	t.Fatal("no forwarded template in suite")
-	return nil, nil
+	return nil
+}
+
+// runOne drives a one-template suite through RunTemplates — the product
+// path — and returns its only outcome.
+func runOne(t *testing.T, d *Driver, tm *sym.Template) *Outcome {
+	t.Helper()
+	rep, err := d.RunTemplates([]*sym.Template{tm})
+	if err != nil {
+		t.Fatalf("link trouble aborted the run: %v", err)
+	}
+	if len(rep.Outcomes) != 1 {
+		t.Fatalf("one-template suite decided %d cases (%s)", len(rep.Outcomes), rep.Summary())
+	}
+	return rep.Outcomes[0]
 }
 
 // TestDemuxRequeuesInterleavedOutputs is the regression test for the
 // wrong-ID capture bug: a late output from another case arriving first
-// must be requeued, not charged to the in-flight case. Before the demux
-// fix this produced a false "wrong ID" failure on the first attempt.
+// must be routed by its own ID, not charged to the in-flight case. Before
+// the demux fix this produced a false "wrong ID" failure on the first
+// attempt.
 func TestDemuxRequeuesInterleavedOutputs(t *testing.T) {
 	prog, _, templates, d := setup(t, nil)
-	tm, caseA := forwardedCase(t, d, templates)
+	tm := forwardedTemplate(t, d, templates)
 
 	// Fabricate the other case's late output: same template, different ID.
 	caseB, err := d.Concretize(tm, 9999)
@@ -92,11 +122,9 @@ func TestDemuxRequeuesInterleavedOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d.Link = &preloadLink{Link: d.Link, pre: [][]byte{staleWire}}
-	o, err := d.RunCase(caseA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	link := &preloadLink{Link: d.Link, pre: [][]byte{staleWire}}
+	d.Link = link
+	o := runOne(t, d, tm)
 	if !o.Pass || o.Verdict != VerdictPass {
 		t.Fatalf("interleaved stale output broke the case: verdict %s, mismatches %v",
 			o.Verdict, o.Mismatches)
@@ -104,9 +132,8 @@ func TestDemuxRequeuesInterleavedOutputs(t *testing.T) {
 	if o.Attempts != 1 {
 		t.Errorf("demux should absorb the stale capture without retrying (attempts = %d)", o.Attempts)
 	}
-	// The stale capture was requeued under its own ID, not discarded...
-	if _, ok := d.pending[9999]; ok {
-		t.Error("requeue buffer must be flushed at case end")
+	if len(link.pre) != 0 {
+		t.Error("the stale capture was never read: the demux went untested")
 	}
 }
 
@@ -115,19 +142,13 @@ func TestDemuxRequeuesInterleavedOutputs(t *testing.T) {
 // not a data-plane bug.
 func TestRetryAssignsFreshIDs(t *testing.T) {
 	_, _, templates, d := setup(t, nil)
-	tm, _ := forwardedCase(t, d, templates)
+	tm := forwardedTemplate(t, d, templates)
 	fl := &dropFirstLink{Link: d.Link, drops: 1}
 	d.Link = fl
 	d.Backoff = time.Millisecond
+	d.RecvTimeout = 5 * time.Millisecond
 
-	c, err := d.Concretize(tm, d.allocID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := d.RunCase(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := runOne(t, d, tm)
 	if o.Verdict != VerdictFlaky || !o.Pass {
 		t.Fatalf("verdict = %s (pass=%v), want flaky", o.Verdict, o.Pass)
 	}
@@ -148,20 +169,13 @@ func TestRetryAssignsFreshIDs(t *testing.T) {
 // reports Lost — explicitly ambiguous, never a silent Fail.
 func TestLostVerdict(t *testing.T) {
 	_, _, templates, d := setup(t, nil)
-	tm, _ := forwardedCase(t, d, templates)
+	tm := forwardedTemplate(t, d, templates)
 	d.Link = blackholeLink{}
 	d.Retries = 2
 	d.Backoff = time.Millisecond
 	d.RecvTimeout = 5 * time.Millisecond
 
-	c, err := d.Concretize(tm, d.allocID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := d.RunCase(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := runOne(t, d, tm)
 	if o.Verdict != VerdictLost || o.Pass {
 		t.Fatalf("verdict = %s, want lost", o.Verdict)
 	}
@@ -264,31 +278,18 @@ func TestOversizedDatagramIsAttemptFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(prog, g, link, nil)
+	d := New(prog, g, &oversizeFirstLink{Link: link, n: 1}, nil)
 	d.Retries = 0
 	d.RecvTimeout = 20 * time.Millisecond
 
-	tm, c := forwardedCase(t, d, res.Templates)
-	c.Wire = make([]byte, 70000) // exceeds the maximum UDP datagram
-	o, err := d.RunCase(c)
-	if err != nil {
-		t.Fatalf("oversized datagram aborted the run: %v", err)
-	}
-	if o.Pass {
+	tm := forwardedTemplate(t, d, res.Templates)
+	if o := runOne(t, d, tm); o.Pass {
 		t.Fatal("oversized datagram cannot pass")
 	}
 
 	// The suite continues: a normal-sized case still round-trips.
 	d.Retries = 2
-	c2, err := d.Concretize(tm, d.allocID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := d.RunCase(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o2.Pass {
+	if o2 := runOne(t, d, tm); !o2.Pass {
 		t.Errorf("normal case after oversized failure: verdict %s, %v", o2.Verdict, o2.Mismatches)
 	}
 }
@@ -310,8 +311,8 @@ func TestUDPSwitchSurvivesGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	raw.Write([]byte{})                       // empty datagram
-	raw.Write([]byte{255, 1, 2, 3})           // entry 255 out of range
+	raw.Write([]byte{})                                // empty datagram
+	raw.Write([]byte{255, 1, 2, 3})                    // entry 255 out of range
 	raw.Write(append([]byte{0}, make([]byte, 400)...)) // parser garbage
 
 	// The switch still serves real traffic afterwards.
@@ -324,11 +325,7 @@ func TestUDPSwitchSurvivesGarbage(t *testing.T) {
 	res, _ := sym.Explore(sym.Config{Graph: g, Options: sym.DefaultOptions()})
 	d := New(prog, g, link, nil)
 	d.RecvTimeout = 100 * time.Millisecond
-	_, c := forwardedCase(t, d, res.Templates)
-	o, err := d.RunCase(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := runOne(t, d, forwardedTemplate(t, d, res.Templates))
 	if !o.Pass {
 		t.Fatalf("switch unhealthy after garbage: verdict %s, %v", o.Verdict, o.Mismatches)
 	}

@@ -70,9 +70,6 @@ var logJSON atomic.Bool
 // SetLogJSON selects JSON-lines output (the -log-json flag).
 func SetLogJSON(on bool) { logJSON.Store(on) }
 
-// LogJSON reports whether JSON-lines output is selected.
-func LogJSON() bool { return logJSON.Load() }
-
 // logMu serializes writes; logW is the sink (stderr by default, never
 // stdout — stdout carries the deterministic machine-diffable output).
 var (

@@ -189,7 +189,7 @@ type DriverReport struct {
 	// it from the run's own drive phase; bench runs measure a sustained
 	// regime (suite tiled to fill the window, repeated to amortize setup).
 	VerdictsPerSec float64 `json:"verdicts_per_sec,omitempty"`
-	// Window is the pipelined engine's in-flight window (1 = lockstep).
+	// Window is the driver's in-flight case limit (1 = one at a time).
 	Window int `json:"window,omitempty"`
 	// BreakerTripped reports the target-crash circuit breaker fired;
 	// ShortCircuited counts the cases recorded as Lost without

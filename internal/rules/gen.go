@@ -29,20 +29,6 @@ func (g *Gen) ExactChain(set *Set, tableA, keyA, actionA, tableB, keyB, actionB 
 	}
 }
 
-// RandomExact fills a table with n distinct exact-match entries over the
-// given field, drawing action arguments for each action parameter.
-func (g *Gen) RandomExact(set *Set, table, field string, n int, action string, argGen func(i int) []uint64) {
-	seen := map[uint64]bool{}
-	for i := 0; i < n; i++ {
-		v := HostIP(i)
-		for seen[v] {
-			v++
-		}
-		seen[v] = true
-		set.Add(table, Rule(action, argGen(i), E(field, v)))
-	}
-}
-
 // RandomLPM fills a table with n LPM entries of varying prefix length.
 func (g *Gen) RandomLPM(set *Set, table, field string, n int, action string, argGen func(i int) []uint64) {
 	for i := 0; i < n; i++ {
@@ -52,24 +38,6 @@ func (g *Gen) RandomLPM(set *Set, table, field string, n int, action string, arg
 		e.Priority = plen // longest prefix wins
 		set.Add(table, e)
 	}
-}
-
-// RandomTernaryACL fills an ACL-style table with n prioritized ternary
-// entries over (srcField, dstField), ending with a lowest-priority
-// catch-all using the deny action.
-func (g *Gen) RandomTernaryACL(set *Set, table, srcField, dstField string, n int, permit, deny string) {
-	for i := 0; i < n; i++ {
-		srcMask := uint64(0xFFFFFF00)
-		dstMask := uint64(0xFFFF0000)
-		src := uint64(g.rng.Uint32()) & srcMask
-		dst := uint64(g.rng.Uint32()) & dstMask
-		act := permit
-		if g.rng.Intn(4) == 0 {
-			act = deny
-		}
-		set.Add(table, PRule(n-i+1, act, nil, T(srcField, src, srcMask), T(dstField, dst, dstMask)))
-	}
-	set.Add(table, PRule(0, deny, nil))
 }
 
 // RandomRange fills a table with n disjoint port ranges.

@@ -64,9 +64,6 @@ type Config struct {
 	// ReadyTimeout bounds Hello→Ready; a silent worker is killed and the
 	// slot respawned. Defaults to 4× LeaseTimeout.
 	ReadyTimeout time.Duration
-	// MaxRestarts bounds respawns per worker slot (systemic-failure
-	// brake; poison units are handled by MaxAssign, not this).
-	MaxRestarts int
 	// Now is the lease table clock; nil means time.Now.
 	Now func() time.Time
 
@@ -194,9 +191,6 @@ func Run(cfg *Config) (*Result, error) {
 		}
 		cfg.ReadyTimeout = 4 * lt
 	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = 5
-	}
 	if cfg.Transport == nil {
 		cfg.Transport = &SubprocessTransport{Command: cfg.Command}
 	}
@@ -279,14 +273,18 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// maxRestarts bounds respawns per worker slot (systemic-failure brake;
+// poison units are handled by Config.MaxAssign, not this).
+const maxRestarts = 5
+
 // burnRestart charges one respawn against a slot's budget; false means
 // the budget is exhausted and the slot has been retired.
 func (c *coordinator) burnRestart(s *workerSlot) bool {
 	s.restarts++
 	c.res.WorkerRestarts++
 	mWorkerRestarts.Inc()
-	if s.restarts > c.cfg.MaxRestarts {
-		obs.Warnf("shard: worker %d exceeded restart budget (%d); retiring slot", s.id, c.cfg.MaxRestarts)
+	if s.restarts > maxRestarts {
+		obs.Warnf("shard: worker %d exceeded restart budget (%d); retiring slot", s.id, maxRestarts)
 		s.dead = true
 		return false
 	}

@@ -119,9 +119,6 @@ func Compile(prog *p4.Program, rs *rules.Set, faults Faults) (*Target, error) {
 	return t, nil
 }
 
-// Program exposes the compiled program.
-func (t *Target) Program() *p4.Program { return t.prog }
-
 // Result is the outcome of processing one packet.
 type Result struct {
 	// Output is the emitted packet; nil when the packet was dropped.

@@ -138,16 +138,16 @@ func (t *task) run(base executor, nInit int) *executor {
 	e.hashes = []uint64{t.hash}
 	e.deps = append([]uint32(nil), t.deps...)
 	e.degraded = t.degraded
-	e.journaling = e.opts.Journal != nil && !e.opts.NoValidation
+	e.journaling = e.opts.Journal != nil
 	replay := t.constraints[nInit:]
-	if !e.opts.NoValidation && len(replay) > 0 {
+	if len(replay) > 0 {
 		e.solver.Push()
 		for _, b := range replay {
 			e.solver.Assert(b)
 		}
 	}
 	e.dfs(t.start)
-	if !e.opts.NoValidation && len(replay) > 0 {
+	if len(replay) > 0 {
 		e.solver.Pop()
 	}
 	return e

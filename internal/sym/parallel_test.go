@@ -122,22 +122,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 			},
 		},
 		{
-			name: "no-validation",
-			cfg: func(t *testing.T) (*cfg.Graph, Config) {
-				g, err := cfg.Build(p4.MustParse(etSrc), etRules(6))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return g, Config{}
-			},
-			opts: func() Options {
-				o := DefaultOptions()
-				o.NoValidation = true
-				o.WantModels = false
-				return o
-			},
-		},
-		{
 			name: "stop-at-prefixes",
 			cfg: func(t *testing.T) (*cfg.Graph, Config) {
 				g, err := cfg.Build(p4.MustParse(fig7Src()), fig7Rules(6))

@@ -170,14 +170,6 @@ type Options struct {
 	// guaranteeing the replay cannot hang or crash on whatever input
 	// killed the workers. Nil in every non-degraded run.
 	Quarantined map[uint64]bool
-	// NoValidation emits templates without consulting the solver at all:
-	// statically-infeasible prefixes are still pruned by constant
-	// folding, but solver-dependent invalid paths are kept. The result is
-	// a superset of the valid paths — exactly what public pre-condition
-	// intersection needs, since intersecting over a superset of paths
-	// yields a sound subset of conditions (Algorithm 2 line 6 without the
-	// per-prefix SMT cost).
-	NoValidation bool
 }
 
 // DefaultOptions is the production configuration.
@@ -288,7 +280,7 @@ func newExecutor(c Config, opts Options, p *plan, seed uint64) *executor {
 		vals:       append(expr.Env(nil), p.init...),
 		res:        &Result{},
 		hashes:     []uint64{seed},
-		journaling: opts.Journal != nil && !opts.NoValidation,
+		journaling: opts.Journal != nil,
 	}
 	for _, b := range c.InitConstraints {
 		e.solver.Assert(b)
@@ -710,26 +702,24 @@ func (e *executor) step(id cfg.NodeID) {
 		}
 		if !expr.EqualBool(cond, expr.True) {
 			e.constraints = append(e.constraints, cond)
-			if !e.opts.NoValidation {
-				e.solver.Push()
-				if own {
-					// The node's own predicate: the solver has it by number.
-					e.solver.AssertCondition(int(id))
-				} else {
-					e.solver.Assert(cond)
+			e.solver.Push()
+			if own {
+				// The node's own predicate: the solver has it by number.
+				e.solver.AssertCondition(int(id))
+			} else {
+				e.solver.Assert(cond)
+			}
+			if e.opts.EarlyTermination {
+				// The parent's sibling batch already decided (and
+				// journaled) this branch; otherwise check here.
+				r := pend.res
+				if !pend.checked {
+					r = e.pruneCheck()
 				}
-				if e.opts.EarlyTermination {
-					// The parent's sibling batch already decided (and
-					// journaled) this branch; otherwise check here.
-					r := pend.res
-					if !pend.checked {
-						r = e.pruneCheck()
-					}
-					if r == smt.Unsat {
-						e.countPath()
-						e.countPruned()
-						return
-					}
+				if r == smt.Unsat {
+					e.countPath()
+					e.countPruned()
+					return
 				}
 			}
 		}
@@ -820,14 +810,14 @@ func (e *executor) peekGuard(pk *peekPlan) expr.Bool {
 }
 
 // canBatchSiblings gates the batched sweep: it needs early termination
-// (otherwise predicates are not checked at all), a validating run, and a
-// non-splitter executor — the parallel splitter spills successor subtrees
+// (otherwise predicates are not checked at all) and a non-splitter
+// executor — the parallel splitter spills successor subtrees
 // as tasks before their conditions are asserted, and the claiming worker
 // (spill == nil) batches them itself, keeping sequential and parallel
 // query counts identical.
 func (e *executor) canBatchSiblings() bool {
-	return e.opts.EarlyTermination && !e.opts.NoValidation &&
-		!e.opts.NoSiblingBatch && e.spill == nil && e.degraded == 0
+	return e.opts.EarlyTermination && !e.opts.NoSiblingBatch &&
+		e.spill == nil && e.degraded == 0
 }
 
 // batchScratchAt returns the reusable batch scratch for one path depth.
@@ -1077,14 +1067,9 @@ func (e *executor) final() expr.Subst {
 }
 
 // emit records a template for the current path if its condition is
-// satisfiable (always, in NoValidation mode). key is the journal key for
-// the completed path.
+// satisfiable. key is the journal key for the completed path.
 func (e *executor) emit(key uint64) {
-	var model expr.State
-	r := smt.Sat
-	if !e.opts.NoValidation {
-		r, model = e.emitVerdict(key)
-	}
+	r, model := e.emitVerdict(key)
 	if r == smt.Unsat {
 		return
 	}

@@ -334,23 +334,6 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	obs.Progressf("meissa: %s: CFG built in %v (10^%.1f possible paths)",
 		s.Prog.Name, res.Phases[0].Dur(), res.PossiblePathsLog10Before)
 
-	symOpts := sym.Options{
-		EarlyTermination: s.Opts.EarlyTermination,
-		Solver:           s.solverOptions(),
-		SolverSet:        true,
-		Parallelism:      s.Opts.Parallelism,
-		MaxPaths:         s.Opts.MaxPaths,
-		Deadline:         s.Opts.Deadline,
-		WantModels:       false,
-		Strict:           s.Opts.Strict,
-		PathHook:         s.Opts.PathHook,
-	}
-	if symOpts.Workers() > 1 {
-		// One verdict memo spans the whole run, so Unsat prefixes proved
-		// during summarization of one pipeline also answer the final pass.
-		symOpts.Solver.Cache = smt.NewVerdictCache()
-	}
-
 	// Assume clauses of all specs that share identical assumptions scope
 	// generation; with multiple differing specs, generation stays
 	// unscoped and the checker applies each spec to matching inputs.
@@ -402,7 +385,6 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	var fresh []journal.Record
 	if j != nil {
 		defer j.Close()
-		symOpts.Journal = j
 		if stc != nil || shardOK {
 			j.SetMirror(func(r journal.Record) { fresh = append(fresh, r) })
 		}
@@ -437,12 +419,8 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		}
 	}
 
+	sumOpts, fcfg := s.passConfigs(g, initC, j)
 	if s.Opts.CodeSummary {
-		sumOpts := summary.Options{
-			Sym:              symOpts,
-			UsePreconditions: s.Opts.UsePreconditions,
-			InitConstraints:  initC,
-		}
 		var stats *summary.Stats
 		if err := phase("summary", func() (err error) { stats, err = summary.Summarize(g, sumOpts); return }); err != nil {
 			return nil, fmt.Errorf("meissa: %w", err)
@@ -466,14 +444,6 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 			s.Prog.Name, res.Phases[len(res.Phases)-1].Dur(), stats.PathsExplored, stats.SMT.Checks)
 	}
 
-	finalOpts := symOpts
-	finalOpts.WantModels = true
-	fcfg := sym.Config{
-		Graph:           g,
-		Start:           cfg.None,
-		InitConstraints: initC,
-		Options:         finalOpts,
-	}
 	var exp *sym.Result
 	err = phase("sym", func() (err error) {
 		if shardOK {
@@ -486,7 +456,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		}
 		objs0, bytes0 := heapAllocs()
 		exp, err = sym.Explore(fcfg)
-		if finalOpts.Workers() == 1 {
+		if fcfg.Options.Workers() == 1 {
 			objs1, bytes1 := heapAllocs()
 			res.FinalMallocs, res.FinalAllocBytes = objs1-objs0, bytes1-bytes0
 		}
@@ -536,6 +506,43 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	obs.Progressf("meissa: %s: generation done in %v (%d templates, %d paths, %d solver checks, %d cache hits)",
 		s.Prog.Name, res.Duration, len(res.Templates), res.PathsExplored, res.SMTCalls, res.SMTCacheHits)
 	return res, nil
+}
+
+// passConfigs derives what a generation explores under from the system's
+// options: the summarization's options and the final pass's
+// configuration, both reading and writing the verdict table j (nil for
+// none). Generate and a shard worker's Init both take theirs from here: a
+// worker whose configuration differed in anything that reaches a verdict
+// would compute another frontier digest and be retired.
+func (s *System) passConfigs(g *cfg.Graph, initC []expr.Bool, j *journal.Journal) (summary.Options, sym.Config) {
+	symOpts := sym.Options{
+		EarlyTermination: s.Opts.EarlyTermination,
+		Solver:           s.solverOptions(),
+		SolverSet:        true,
+		Parallelism:      s.Opts.Parallelism,
+		MaxPaths:         s.Opts.MaxPaths,
+		Deadline:         s.Opts.Deadline,
+		Strict:           s.Opts.Strict,
+		PathHook:         s.Opts.PathHook,
+		Journal:          j,
+	}
+	if symOpts.Workers() > 1 {
+		// One verdict memo spans the whole run, so Unsat prefixes proved
+		// during summarization of one pipeline also answer the final pass.
+		symOpts.Solver.Cache = smt.NewVerdictCache()
+	}
+	sumOpts := summary.Options{
+		Sym:              symOpts,
+		UsePreconditions: s.Opts.UsePreconditions,
+		InitConstraints:  initC,
+	}
+	symOpts.WantModels = true
+	return sumOpts, sym.Config{
+		Graph:           g,
+		Start:           cfg.None,
+		InitConstraints: initC,
+		Options:         symOpts,
+	}
 }
 
 // heapAllocs reads the process's cumulative heap allocation count and

@@ -322,30 +322,15 @@ func (h *shardWorkerHandler) Init(hello *shard.Hello) (*shard.Ready, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build CFG: %w", err)
 	}
-	symOpts := sym.Options{
-		EarlyTermination: sys.Opts.EarlyTermination,
-		Solver:           sys.solverOptions(),
-		SolverSet:        true,
-		Parallelism:      1,
-		Strict:           sys.Opts.Strict,
-	}
+	// The same derivation as the coordinator's Generate; its verdict table
+	// stays on the coordinator, the unit runner below journals to h.j.
+	sumOpts, fcfg := sys.passConfigs(g, initC, nil)
 	if sys.Opts.CodeSummary {
-		if _, err := summary.Summarize(g, summary.Options{
-			Sym:              symOpts,
-			UsePreconditions: sys.Opts.UsePreconditions,
-			InitConstraints:  initC,
-		}); err != nil {
+		if _, err := summary.Summarize(g, sumOpts); err != nil {
 			return nil, fmt.Errorf("summarize: %w", err)
 		}
 	}
-	finalOpts := symOpts
-	finalOpts.WantModels = true
-	fr, err := sym.SplitFrontier(sym.Config{
-		Graph:           g,
-		Start:           cfg.None,
-		InitConstraints: initC,
-		Options:         finalOpts,
-	}, hello.Opts.FrontierWidth)
+	fr, err := sym.SplitFrontier(fcfg, hello.Opts.FrontierWidth)
 	if err != nil {
 		return nil, fmt.Errorf("split frontier: %w", err)
 	}
@@ -362,7 +347,7 @@ func (h *shardWorkerHandler) Init(hello *shard.Hello) (*shard.Ready, error) {
 	h.pathSleep = time.Duration(hello.Opts.PathSleepNS)
 	h.poison = hello.Opts.PoisonUnit
 
-	runnerOpts := finalOpts
+	runnerOpts := fcfg.Options
 	runnerOpts.Journal = h.j
 	runnerOpts.PathHook = func(path []cfg.NodeID) {
 		h.paths++
