@@ -87,7 +87,7 @@ func (P4Pktgen) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) 
 			// p4pktgen issues an independent solver query per check.
 			Solver:    smt.Options{Incremental: false},
 			SolverSet: true,
-			// Baselines model single-threaded tools: legacy sequential DFS.
+			// Baselines model single-threaded tools: one runner, one DFS.
 			Parallelism: 1,
 			Deadline:    budget,
 			WantModels:  true,

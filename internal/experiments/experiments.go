@@ -24,7 +24,7 @@ import (
 var Budget = 120 * time.Second
 
 // Parallelism is the exploration worker count used for Meissa runs
-// (0 = GOMAXPROCS, 1 = legacy sequential engine). Baselines model
+// (0 = GOMAXPROCS, 1 = one runner on the root unit). Baselines model
 // single-threaded tools and always run sequentially.
 var Parallelism int
 

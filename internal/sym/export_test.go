@@ -25,3 +25,15 @@ func ObservePeeks(report func(head cfg.NodeID, peeked, walked expr.Bool)) (resto
 	}
 	return func() { peekObserver = nil }
 }
+
+// ExploreReference lets the corpus tests of package sym_test compare against
+// the plain DFS of reference_test.go.
+var ExploreReference = exploreReference
+
+// RenderTemplates and CheckCountedWork are parallel_test.go's byte-comparable
+// template rendering and counted-work comparison, for the corpus tests of
+// package sym_test.
+var (
+	RenderTemplates  = renderTemplates
+	CheckCountedWork = checkCountedWork
+)

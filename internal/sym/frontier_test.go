@@ -36,7 +36,7 @@ func TestSplitFrontierDeterministic(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := range f1.Units {
 		a, b := f1.Units[i], f2.Units[i]
-		if a.Index != i || *a != *b {
+		if a.Index != i || b.Index != i || a.Key != b.Key || a.Start != b.Start {
 			t.Fatalf("unit %d differs: %+v vs %+v", i, a, b)
 		}
 		if seen[a.Key] {

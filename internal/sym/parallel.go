@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"fmt"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -9,105 +10,66 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/expr"
 	"repro/internal/obs"
-	"repro/internal/smt"
 )
 
-// Parallel exploration splits Algorithm 1's DFS into two phases.
+// An exploration is a frontier and a pool, at any worker count.
 //
-// Phase 1 (the splitter) runs the ordinary sequential executor over the
-// top of the tree, but with a spill hook: once the product of branch
-// widths along the current path reaches ~4× the worker count (so there
-// are enough pending sibling subtrees to balance the pool), the subtree
-// rooted at the current node is packaged as a task — path prefix,
-// condition stack, value-stack snapshot, hash obligations — instead of
-// being explored. Leaf- and stop-nodes below the split frontier also
-// spill, so the splitter itself never emits templates; tasks therefore
-// appear in exactly the order sequential DFS would first reach them.
+// Splitting (Frontier.split) runs the ordinary executor over the top of the
+// tree with a spill hook: once the product of branch widths along the
+// current path reaches the target width (4× the worker count, so there are
+// enough pending sibling subtrees to balance the pool), the subtree rooted
+// at the current node is packaged as a Unit — path prefix, condition stack,
+// value-stack snapshot, hash obligations, the branch verdict its parent's
+// sibling batch handed down — instead of being explored. Leaf- and stop-nodes
+// below the split frontier also spill, so the splitter itself never emits
+// templates; units therefore appear in exactly the order one DFS would first
+// reach them. The frontier of a single runner is not split: it is the root.
 //
-// Phase 2 runs a worker pool. Each worker owns one smt.Solver for its
-// whole lifetime (solver construction and init-constraint assertion are
-// amortized across tasks) and claims tasks from an atomic counter. Per
-// task it replays the prefix condition stack via Push/Assert — no Check,
-// so replay adds zero SMT calls — explores the subtree with the same
-// executor code, and Pops back. All workers share one VerdictCache, so an
-// Unsat prefix proved by one worker prunes the same prefix everywhere
-// else for the cost of a map lookup.
+// The pool (Frontier.explore) is the caller's goroutine plus one goroutine
+// per further worker. Each is a Runner: it owns one smt.Solver for its whole
+// lifetime (solver construction and init-constraint assertion are amortized
+// across units) and claims units from an atomic counter. Per unit it replays
+// the prefix condition stack via Push/Assert — no Check, so replay adds zero
+// SMT calls — explores the subtree with the same executor code, and Pops
+// back (Runner.run, which a shard worker's Runner.Explore calls too).
 //
-// Determinism: templates are collected per task and spliced in task
-// order, then IDs are renumbered sequentially. Since task order equals
-// sequential visit order and the executor code below a split point is
-// the same code sequential mode runs (with identical solver inputs in
-// identical order), the resulting template set — paths, constraints,
-// models, obligations, ordering, IDs — is byte-identical to
-// Parallelism: 1. The only exception is budget truncation (MaxPaths /
-// Deadline), which is cooperative across workers and therefore cuts a
-// nondeterministic suffix; untruncated runs are exactly reproducible.
+// Determinism: templates are collected per unit and spliced in unit order,
+// then IDs are renumbered sequentially. Since unit order equals DFS visit
+// order and the executor below a split point is given identical solver
+// inputs in identical order wherever the split falls, the resulting template
+// set — paths, constraints, models, obligations, ordering, IDs — is
+// byte-identical at any worker count (reference_test.go holds the plain DFS
+// the differentials compare against). The only exception is budget
+// truncation (MaxPaths / Deadline) on more than one runner, which is
+// cooperative and therefore cuts a nondeterministic suffix; untruncated runs
+// are exactly reproducible.
 
-// sharedState carries the cross-worker counters and the cooperative
-// cancel used by parallel exploration.
+// sharedState is an exploration's budget and cooperative cancel, common to
+// the splitter and every runner of its frontier.
 type sharedState struct {
 	paths    atomic.Uint64
-	pruned   atomic.Uint64
 	halted   atomic.Bool
 	maxPaths uint64
 	deadline time.Time
-	// recovered counts per-path panic recoveries across all workers;
-	// jhits counts journal-answered solver interactions; degraded counts
-	// templates emitted inside quarantined subtrees.
-	recovered atomic.Uint64
-	jhits     atomic.Uint64
-	degraded  atomic.Uint64
 }
 
-// task is one pending branch of the DFS frontier: everything needed to
-// resume Algorithm 1 at start as if sequential DFS had just descended
-// to it.
-type task struct {
-	start cfg.NodeID
-	// path is the node prefix (not including start).
-	path []cfg.NodeID
-	// constraints is the full condition stack, init constraints included.
-	constraints []expr.Bool
-	// values is a snapshot of the value stack V.
-	values expr.Env
-	// obligations are the hash/checksum obligations pending on the prefix.
-	obligations []HashObligation
-	// hash is the content-based journal key of the prefix, seeding the
-	// worker's path-hash stack so journal keys below the split point are
-	// identical to sequential mode's.
-	hash uint64
-	// deps snapshots the prefix's rule-dependency tag stack, seeding the
-	// worker's.
-	deps []uint32
-	// degraded snapshots the splitter's quarantine nesting depth at the
-	// split point, so a task spilled inside a quarantined subtree keeps
-	// answering Unknown (Options.Quarantined) in its claiming worker.
-	degraded int
-	// created is when the splitter enqueued the task; the gap until a
-	// worker claims it feeds the sym.task_queue_wait_ns histogram.
-	created time.Time
-	// templates receives the subtree's emissions, spliced in task order.
-	templates []*Template
-}
-
-// split is phase 1: it runs the top of the exploration on a splitter
-// executor whose spill hook packages every subtree at the frontier — width
-// pending siblings reached, or a leaf or stop node — as a task. hardCap
-// bounds the task list when the graph branches far wider than width (each
-// extra sibling then spills as one coarse task, which is still balanced
+// split runs the top of the exploration on a splitter executor whose spill
+// hook packages every subtree at the frontier — width pending siblings
+// reached, or a leaf or stop node — as a unit. The hard cap of 16×width
+// bounds the unit list when the graph branches far wider than width (each
+// extra sibling then spills as one coarse unit, which is still balanced
 // because coarse siblings at the same depth have similar subtree sizes).
-// The splitter is returned for its result and solver counters.
-func split(c Config, opts Options, p *plan, start cfg.NodeID, seed uint64, width, hardCap int, shared *sharedState) (*executor, []*task) {
-	var tasks []*task
-	s := newExecutor(c, opts, p, seed)
-	s.shared, s.widthProd = shared, 1
-	s.spill = func(id cfg.NodeID) bool {
-		atEnd := c.Graph.Node(id).IsLeaf() || s.stop[id]
-		if !atEnd && s.widthProd < width && len(tasks) < hardCap {
+// What the splitter itself explored is kept as f.top.
+func (f *Frontier) split(width int) {
+	s := newExecutor(f.cfg, f.cfg.Options, f.plan, f.seed, f.shared)
+	s.widthProd = 1
+	s.spill = func(id cfg.NodeID, pend pendingBranch) bool {
+		atEnd := f.cfg.Graph.Node(id).IsLeaf() || s.stop[id]
+		if !atEnd && s.widthProd < width && len(f.Units) < 16*width {
 			return false // keep splitting above the frontier
 		}
-		tasks = append(tasks, &task{
-			start:       id,
+		f.enqueue(&Unit{
+			Start:       id,
 			path:        append([]cfg.NodeID(nil), s.path...),
 			constraints: append([]expr.Bool(nil), s.constraints...),
 			values:      append(expr.Env(nil), s.vals...),
@@ -115,178 +77,170 @@ func split(c Config, opts Options, p *plan, start cfg.NodeID, seed uint64, width
 			hash:        s.curHash(),
 			deps:        append([]uint32(nil), s.deps...),
 			degraded:    s.degraded,
-			created:     time.Now(),
+			pending:     pend,
 		})
 		return true
 	}
-	s.dfs(start)
-	return s, tasks
+	s.dfs(f.cfg.Start)
+	f.top = s.result()
 }
 
-// run explores the task's subtree. base carries what does not depend on
-// the task: graph, plan, options, result, and a solver whose stack holds
-// the exploration's nInit initial constraints. run replays the rest of the
-// prefix via Push/Assert (no Check — replay adds zero solver queries),
-// explores from a copy of the snapshot (so a task can be re-run), and Pops
-// back. The executor is returned for its counters.
-func (t *task) run(base executor, nInit int) *executor {
-	e := &base
-	e.vals = append(expr.Env(nil), t.values...)
-	e.constraints = append([]expr.Bool(nil), t.constraints...)
-	e.obligations = append([]HashObligation(nil), t.obligations...)
-	e.path = append([]cfg.NodeID(nil), t.path...)
-	e.hashes = []uint64{t.hash}
-	e.deps = append([]uint32(nil), t.deps...)
-	e.degraded = t.degraded
+// run explores one unit on the runner's solver, whose stack holds the
+// exploration's initial constraints: it replays the rest of u's prefix via
+// Push/Assert (no Check — replay adds zero solver queries), explores the
+// subtree from a copy of the snapshot in the runner's own stacks (so a unit
+// can be re-run) and Pops back. Panics inside dfs are arrested per path;
+// unless Strict, one raised outside the frames (the replay's Assert) is
+// recorded on the runner's result and returned, with the solver back at its
+// depth before the unit, so the runner survives to take its next one.
+func (r *Runner) run(u *Unit) (fault any) {
+	e := r.e
+	e.vals = append(e.vals[:0], u.values...)
+	e.constraints = append(e.constraints[:0], u.constraints...)
+	e.obligations = append(e.obligations[:0], u.obligations...)
+	e.path = append(e.path[:0], u.path...)
+	e.hashes = append(e.hashes[:0], u.hash)
+	e.deps = append(e.deps[:0], u.deps...)
+	e.degraded, e.pending = u.degraded, u.pending
 	e.journaling = e.opts.Journal != nil
-	replay := t.constraints[nInit:]
-	if len(replay) > 0 {
-		e.solver.Push()
-		for _, b := range replay {
-			e.solver.Assert(b)
-		}
+	depth := e.solver.Depth()
+	if !e.opts.Strict {
+		defer func() {
+			if fault = recover(); fault != nil {
+				for e.solver.Depth() > depth {
+					e.solver.Pop()
+				}
+				e.res.recordPanic(fault, u.path)
+			}
+		}()
 	}
-	e.dfs(t.start)
-	if len(replay) > 0 {
-		e.solver.Pop()
+	e.solver.Push()
+	for _, b := range u.constraints[len(r.f.cfg.InitConstraints):] {
+		e.solver.Assert(b)
 	}
-	return e
+	e.dfs(u.Start)
+	e.solver.Pop()
+	return nil
 }
 
-func exploreParallel(c Config, opts Options, start cfg.NodeID, workers int, seed uint64) (*Result, error) {
-	if opts.Solver.Cache == nil {
-		opts.Solver.Cache = smt.NewVerdictCache()
-	}
-	shared := &sharedState{maxPaths: opts.MaxPaths}
-	if opts.Deadline > 0 {
-		shared.deadline = time.Now().Add(opts.Deadline)
-	}
-
-	// Phase 1: enumerate the frontier, aiming for 4 pending subtrees per
-	// worker so the pool balances.
-	pl := newPlan(c, start)
-	splitter, tasks := split(c, opts, pl, start, seed, 4*workers, 64*workers, shared)
-	mFrontierTasks.Add(int64(len(tasks)))
-
-	// Phase 2: drain the task list. Tasks are claimed via an atomic index
-	// so fast workers steal the slack of slow ones.
-	nInit := len(c.InitConstraints)
+// explore drains the frontier on workers runners — the caller's goroutine
+// and workers-1 more — and splices what they emitted in unit order. Units
+// are claimed via an atomic index, so fast runners steal the slack of slow
+// ones.
+func (f *Frontier) explore(workers int) *Result {
+	mFrontierTasks.Add(int64(len(f.Units)))
 	var next atomic.Int64
-	workerStats := make([]smt.Stats, workers)
-	workerFrames := make([]uint64, workers)
-	workerErrs := make([][]*PathError, workers)
-	// fatal holds the first panic that escaped a worker, which only Strict
-	// lets happen: no caller can recover a panic on a worker goroutine, so
-	// the worker captures it, stops the pool, and Explore's own goroutine
+	emitted := make([][]*Template, len(f.Units))
+	runners := make([]*Runner, workers)
+	// fatal holds the first panic that escaped a runner, which only Strict
+	// lets happen: no caller can recover a panic on another goroutine, so
+	// the runner captures it, stops the pool, and Explore's own goroutine
 	// re-raises it after the pool has joined.
 	var fatal atomic.Pointer[PathError]
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					shared.halted.Store(true)
-					fatal.CompareAndSwap(nil, &PathError{Value: r, Stack: string(debug.Stack())})
-				}
-			}()
-			mWorkersStarted.Inc()
-			solver := pl.newSolver(opts.Solver)
-			for _, b := range c.InitConstraints {
-				solver.Assert(b)
+	wg.Add(workers)
+	work := func(w int) {
+		defer wg.Done()
+		defer func() {
+			if p := recover(); p != nil {
+				f.shared.halted.Store(true)
+				fatal.CompareAndSwap(nil, &PathError{Value: p, Stack: string(debug.Stack())})
 			}
-			res := &Result{}
-			var visits uint64
-			// runTask executes one frontier task. In non-strict mode a
-			// task-level recover backstops panics raised outside the dfs
-			// frames (prefix replay assertion), restoring the solver's
-			// frame depth so the worker survives to claim its next task;
-			// panics inside dfs are already arrested per path.
-			runTask := func(t *task) {
-				// A worker that hit the budget keeps its Truncated flag per
-				// executor; clear the per-result copy so this task is gated
-				// by shared.halted alone.
-				res.Truncated = false
-				baseDepth := solver.Depth()
-				if !opts.Strict {
-					defer func() {
-						if r := recover(); r != nil {
-							for solver.Depth() > baseDepth {
-								solver.Pop()
-							}
-							res.Recovered++
-							shared.recovered.Add(1)
-							if len(res.PathErrors) < maxPathErrors {
-								res.PathErrors = append(res.PathErrors, &PathError{
-									Path:  append([]cfg.NodeID(nil), t.path...),
-									Value: r,
-									Stack: string(debug.Stack()),
-								})
-							}
-						}
-					}()
-				}
-				base := len(res.Templates)
-				e := t.run(executor{
-					g: c.Graph, p: pl, opts: opts, stop: c.StopAt, solver: solver, res: res,
-					shared: shared, visits: visits, // deadline ticks span tasks
-				}, nInit)
-				t.templates = res.Templates[base:]
-				visits = e.visits
+		}()
+		mWorkersStarted.Inc()
+		r := f.NewRunner(f.cfg.Options)
+		runners[w] = r
+		for !f.shared.halted.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(f.Units) {
+				break
 			}
-			for !shared.halted.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					break
-				}
-				mFrontierTasks.Add(-1)
-				mTaskQueueWait.ObserveSince(tasks[i].created)
-				runTask(tasks[i])
-			}
-			workerStats[w] = solver.Stats()
-			workerFrames[w] = visits
-			workerErrs[w] = res.PathErrors
-		}(w)
+			mFrontierTasks.Add(-1)
+			mTaskQueueWait.ObserveSince(f.Units[i].created)
+			n := len(r.e.res.Templates)
+			r.run(f.Units[i])
+			emitted[i] = r.e.res.Templates[n:]
+		}
 	}
+	for w := 1; w < workers; w++ {
+		go work(w)
+	}
+	work(0)
 	wg.Wait()
+	// A halted pool leaves units unclaimed: they are no longer queued either.
+	if left := int64(len(f.Units)) - next.Load(); left > 0 {
+		mFrontierTasks.Add(-left)
+	}
 	if p := fatal.Load(); p != nil {
 		obs.Warnf("sym: panic in exploration worker: %v\n%s", p.Value, p.Stack)
 		panic(p.Value)
 	}
 
-	// Phase 3: splice per-task emissions in frontier enumeration order and
-	// renumber IDs, reproducing sequential output exactly.
 	res := &Result{}
-	for _, t := range tasks {
-		for _, tm := range t.templates {
+	for _, ts := range emitted {
+		for _, tm := range ts {
 			tm.ID = len(res.Templates)
 			res.Templates = append(res.Templates, tm)
 		}
 	}
-	res.PathsExplored = shared.paths.Load()
-	res.PrunedPaths = shared.pruned.Load()
-	res.Truncated = shared.halted.Load()
-	res.Recovered = shared.recovered.Load()
-	res.JournalHits = shared.jhits.Load()
-	res.Degraded = shared.degraded.Load()
-	for _, pe := range splitter.res.PathErrors {
+	res.add(f.top)
+	for _, r := range runners {
+		res.add(r.e.result())
+	}
+	return res
+}
+
+// add folds what another executor of the same exploration did into res:
+// everything but its templates, which are spliced in unit order.
+func (res *Result) add(o *Result) {
+	res.PathsExplored += o.PathsExplored
+	res.PrunedPaths += o.PrunedPaths
+	res.Frames += o.Frames
+	res.SMT.Add(o.SMT)
+	res.Truncated = res.Truncated || o.Truncated
+	res.Recovered += o.Recovered
+	res.JournalHits += o.JournalHits
+	res.Degraded += o.Degraded
+	for _, pe := range o.PathErrors {
 		if len(res.PathErrors) < maxPathErrors {
 			res.PathErrors = append(res.PathErrors, pe)
 		}
 	}
-	for _, errs := range workerErrs {
-		for _, pe := range errs {
-			if len(res.PathErrors) < maxPathErrors {
-				res.PathErrors = append(res.PathErrors, pe)
-			}
-		}
+}
+
+// Runner explores frontier units one at a time on a single amortized
+// solver: init constraints are asserted once at construction, each unit
+// replays its prefix, explores, and Pops back (run). The in-process pool's
+// workers are Runners, and so is a shard worker subprocess.
+type Runner struct {
+	f *Frontier
+	// e's stacks are set from the snapshot at each unit; its solver, result
+	// and visit counter (the deadline's ticks) span them.
+	e *executor
+}
+
+// NewRunner builds a unit runner. opts overrides the frontier's options
+// for execution — the worker subprocess attaches its local journal and
+// heartbeat PathHook here; pass f.Options() to run unmodified. The budget
+// (MaxPaths, Deadline) stays the frontier's.
+func (f *Frontier) NewRunner(opts Options) *Runner {
+	opts.Solver, opts.SolverSet = opts.solver(), true
+	return &Runner{f: f, e: newExecutor(f.cfg, opts, f.plan, f.seed, f.shared)}
+}
+
+// Explore runs one unit to completion and returns its subtree result. The
+// unit's snapshot is cloned first, so a unit can be re-run (lease
+// reassignment) without state bleeding between attempts. A panic outside
+// the per-path recovery (prefix replay) is returned as an error with the
+// solver restored to its pre-unit depth; the caller decides whether that
+// is a unit failure or a worker failure.
+func (r *Runner) Explore(i int) (*Result, error) {
+	if i < 0 || i >= len(r.f.Units) {
+		return nil, fmt.Errorf("sym: unit %d out of range (frontier has %d)", i, len(r.f.Units))
 	}
-	res.SMT = splitter.solver.Stats()
-	res.Frames = splitter.visits
-	for w, st := range workerStats {
-		res.SMT.Add(st)
-		res.Frames += workerFrames[w]
+	r.e.res, r.e.visits = &Result{}, 0
+	if fault := r.run(r.f.Units[i]); fault != nil {
+		return nil, fmt.Errorf("sym: unit %d failed outside path recovery: %v", i, fault)
 	}
-	return res, nil
+	return r.e.result(), nil
 }

@@ -1,13 +1,17 @@
 package sym
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
+	"repro/internal/journal"
 	"repro/internal/p4"
 	"repro/internal/smt"
 )
@@ -58,10 +62,33 @@ func exploreAt(t *testing.T, g *cfg.Graph, base Options, parallelism int, c Conf
 	return res
 }
 
-// TestParallelMatchesSequential checks the tentpole's determinism
-// guarantee: for several graph shapes and option combinations, parallel
-// exploration at P ∈ {2, 4, 8} yields a template set byte-identical to
-// the sequential engine.
+// referenceAt is exploreAt for the plain DFS of reference_test.go.
+func referenceAt(g *cfg.Graph, opts Options, c Config) *Result {
+	c.Graph, c.Options = g, opts
+	return exploreReference(c)
+}
+
+// checkCountedWork compares what an exploration counted with the
+// reference's: descents, frames and solver questions (checks plus the shared
+// verdict cache's hits) at any worker count, and at one worker — one solver,
+// asked the same questions in the same order — every solver counter.
+func checkCountedWork(t *testing.T, p int, got, ref *Result) {
+	t.Helper()
+	if got.PathsExplored != ref.PathsExplored || got.PrunedPaths != ref.PrunedPaths ||
+		got.Frames != ref.Frames || got.JournalHits != ref.JournalHits {
+		t.Errorf("P=%d explored/pruned/frames/journal hits = %d/%d/%d/%d, reference %d/%d/%d/%d", p,
+			got.PathsExplored, got.PrunedPaths, got.Frames, got.JournalHits,
+			ref.PathsExplored, ref.PrunedPaths, ref.Frames, ref.JournalHits)
+	}
+	if asked := got.SMT.Checks + got.SMT.CacheHits; asked != ref.SMT.Checks || (p == 1 && got.SMT != ref.SMT) {
+		t.Errorf("P=%d solver counters %+v, reference %+v", p, got.SMT, ref.SMT)
+	}
+}
+
+// TestParallelMatchesSequential checks the engine's determinism guarantee:
+// for several graph shapes and option combinations, Explore at P ∈ {1, 2, 4,
+// 8} yields a template set byte-identical to the reference DFS and counts
+// the same work; at P = 1, writing a journal, also the same journal file.
 func TestParallelMatchesSequential(t *testing.T) {
 	type tc struct {
 		name string
@@ -180,42 +207,63 @@ pipeline p { control = c; }
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			g, conf := c.cfg(t)
-			seq := exploreAt(t, g, c.opts(), 1, conf)
-			want := renderTemplates(seq.Templates)
-			for _, p := range []int{2, 4, 8} {
+			ref := referenceAt(g, c.opts(), conf)
+			want := renderTemplates(ref.Templates)
+			for _, p := range []int{1, 2, 4, 8} {
 				par := exploreAt(t, g, c.opts(), p, conf)
 				got := renderTemplates(par.Templates)
 				if got != want {
-					t.Fatalf("P=%d template set differs from sequential\n--- sequential ---\n%s--- parallel ---\n%s", p, want, got)
+					t.Fatalf("P=%d template set differs from the reference\n--- reference ---\n%s--- engine ---\n%s", p, want, got)
 				}
-				if par.PathsExplored != seq.PathsExplored {
-					t.Errorf("P=%d PathsExplored = %d, want %d", p, par.PathsExplored, seq.PathsExplored)
+				checkCountedWork(t, p, par, ref)
+			}
+
+			// The journal is written in the order verdicts are derived: one
+			// runner's file is the reference's.
+			journaled := func(name string, explore func(Options) *Result) []byte {
+				path := filepath.Join(t.TempDir(), name)
+				j, err := journal.Open(path, 1, false)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if par.PrunedPaths != seq.PrunedPaths {
-					t.Errorf("P=%d PrunedPaths = %d, want %d", p, par.PrunedPaths, seq.PrunedPaths)
+				opts := c.opts()
+				opts.Journal = j
+				if got := renderTemplates(explore(opts).Templates); got != want {
+					t.Errorf("%s: journaling changed the template set", name)
 				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			refFile := journaled("reference", func(o Options) *Result { return referenceAt(g, o, conf) })
+			oneFile := journaled("engine", func(o Options) *Result { return exploreAt(t, g, o, 1, conf) })
+			if len(refFile) == 0 || !bytes.Equal(oneFile, refFile) {
+				t.Errorf("P=1 journal (%d bytes) differs from the reference's (%d bytes)", len(oneFile), len(refFile))
 			}
 		})
 	}
 }
 
-// TestParallelSMTCallParity checks the acceptance bound: parallel SMT call
-// counts stay within ±10% of sequential (replay adds none; the shared
-// verdict cache may remove some).
+// TestParallelSMTCallParity checks that splitting asks the solver nothing
+// new: at any worker count, checks plus the shared verdict cache's hits are
+// the reference's SMT calls (replay adds none; a spilled branch takes its
+// parent's verdict along).
 func TestParallelSMTCallParity(t *testing.T) {
 	g, err := cfg.Build(p4.MustParse(etSrc), etRules(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := exploreAt(t, g, DefaultOptions(), 1, Config{})
-	for _, p := range []int{2, 4, 8} {
+	ref := referenceAt(g, DefaultOptions(), Config{})
+	for _, p := range []int{1, 2, 4, 8} {
 		par := exploreAt(t, g, DefaultOptions(), p, Config{})
-		total := par.SMT.Checks + par.SMT.CacheHits
-		lo := seq.SMT.Checks * 9 / 10
-		hi := seq.SMT.Checks * 11 / 10
-		if total < lo || total > hi {
-			t.Errorf("P=%d checks+cacheHits = %d (+%d hits), sequential %d: outside ±10%%",
-				p, total, par.SMT.CacheHits, seq.SMT.Checks)
+		if total := par.SMT.Checks + par.SMT.CacheHits; total != ref.SMT.Checks {
+			t.Errorf("P=%d checks+cacheHits = %d (+%d hits), reference %d",
+				p, total, par.SMT.CacheHits, ref.SMT.Checks)
 		}
 	}
 }
@@ -248,7 +296,9 @@ func TestParallelSharedCache(t *testing.T) {
 	}
 }
 
-// TestParallelMaxPathsTruncates checks cooperative truncation.
+// TestParallelMaxPathsTruncates checks cooperative truncation, and that a
+// pool halted with tasks still queued leaves the sym.frontier_tasks gauge
+// where it found it.
 func TestParallelMaxPathsTruncates(t *testing.T) {
 	g, err := cfg.Build(p4.MustParse(fig7Src()), fig7Rules(50))
 	if err != nil {
@@ -256,9 +306,13 @@ func TestParallelMaxPathsTruncates(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxPaths = 2
+	queued := mFrontierTasks.Load()
 	res := exploreAt(t, g, opts, 4, Config{})
 	if !res.Truncated {
 		t.Error("expected truncation")
+	}
+	if got := mFrontierTasks.Load(); got != queued {
+		t.Errorf("sym.frontier_tasks = %d after a truncated exploration, was %d before", got, queued)
 	}
 	// Cooperative enforcement may overshoot by in-flight descents, but
 	// not unboundedly.

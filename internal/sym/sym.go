@@ -106,17 +106,17 @@ type Options struct {
 	// defaults. DefaultOptions sets it; literal Options constructions that
 	// configure Solver must set it too.
 	SolverSet bool
-	// Parallelism is the worker count for path exploration: 0 uses
-	// GOMAXPROCS, 1 runs the exact legacy sequential code path (the
-	// paper-faithful ablation baseline), and N > 1 splits the DFS frontier
-	// across N workers with per-worker solvers (see parallel.go).
-	// Templates are byte-identical to sequential mode at any setting.
+	// Parallelism is the number of runners the exploration's frontier is
+	// explored on, each with a solver of its own (see parallel.go): 0 uses
+	// GOMAXPROCS, and at 1 the frontier is the root alone, explored on the
+	// caller's goroutine — Algorithm 1 as one DFS, the paper-faithful
+	// ablation baseline. Templates are byte-identical at any setting.
 	Parallelism int
 	// MaxPaths bounds the number of DFS descents; 0 means unlimited.
-	// When exceeded, Result.Truncated is set. Under parallel exploration
-	// the bound is enforced cooperatively across workers, so the set of
-	// truncated templates is not deterministic (the total never exceeds
-	// the bound by more than the worker count's in-flight descents).
+	// When exceeded, Result.Truncated is set. One runner stops at exactly
+	// the bound; several enforce it cooperatively, so the set of truncated
+	// templates is not deterministic (the total never exceeds the bound by
+	// more than the runners' in-flight descents).
 	MaxPaths uint64
 	// Deadline aborts exploration after a wall-clock budget (zero means
 	// none); Result.Truncated is set. This is how the benchmark harness
@@ -205,9 +205,8 @@ type Result struct {
 	// PrunedPaths counts prefixes cut by early termination.
 	PrunedPaths uint64
 	// Frames counts the dfs frames entered: what the descents cost, where
-	// PathsExplored says how many there were. A parallel run enters the
-	// root of each frontier task twice, once to spill it and once to
-	// explore it.
+	// PathsExplored says how many there were. It is the same at any worker
+	// count: a node the splitter hands to a unit is the unit's frame.
 	Frames uint64
 	// SMT is the solver's counters; SMT.Checks is the paper's
 	// "# of SMT calls" (Fig. 11b / 12b).
@@ -219,8 +218,8 @@ type Result struct {
 	// verdict intact.
 	Recovered uint64
 	// PathErrors records the recovered panics (capped at maxPathErrors;
-	// Recovered is the true total). In parallel mode the order
-	// interleaves worker completion and is not deterministic.
+	// Recovered is the true total): the splitter's, then each runner's.
+	// Which runner explored a unit is not deterministic.
 	PathErrors []*PathError
 	// JournalHits counts solver interactions answered from a resume
 	// journal instead of the solver — the work a resumed run did NOT
@@ -232,50 +231,32 @@ type Result struct {
 	Degraded uint64
 }
 
-// Explore runs Algorithm 1 over the CFG. With Options.Parallelism != 1 it
-// dispatches to the frontier-splitting parallel engine; the template set
-// (paths, constraints, models, ordering, IDs) is byte-identical either way.
+// Explore runs Algorithm 1 over the CFG: it splits a frontier, explores its
+// units on Workers() runners and splices their templates in unit order (see
+// parallel.go). The template set — paths, constraints, models, ordering, IDs
+// — is byte-identical at any worker count.
 func Explore(c Config) (*Result, error) {
-	if c.Graph == nil {
-		return nil, fmt.Errorf("sym: nil graph")
+	workers, width := c.Options.Workers(), 1
+	if workers > 1 {
+		width = 4 * workers // enough pending subtrees to balance the pool
 	}
-	opts := c.Options
-	if !opts.SolverSet {
-		opts.Solver = smt.DefaultOptions()
+	f, err := SplitFrontier(c, width)
+	if err != nil {
+		return nil, err
 	}
-	start := c.Start
-	if start == cfg.None {
-		start = c.Graph.Entry
-	}
-	// The seed is derived from the exploration's content (start/stop node
-	// content hashes, initial stacks) — not from an exploration counter —
-	// so the same context produces the same journal keys in any run,
-	// sequential or parallel, cold or incremental. Content-identical
-	// contexts have identical verdicts, which makes cross-run sharing
-	// sound by construction.
-	seed := contextSeed(c, start, opts)
-	if workers := opts.Workers(); workers > 1 {
-		return exploreParallel(c, opts, start, workers, seed)
-	}
-	e := newExecutor(c, opts, newPlan(c, start), seed)
-	if opts.Deadline > 0 {
-		e.deadline = time.Now().Add(opts.Deadline)
-	}
-	e.dfs(start)
-	e.res.SMT = e.solver.Stats()
-	e.res.Frames = e.visits
-	return e.res, nil
+	return f.explore(workers), nil
 }
 
 // newExecutor returns an executor at an exploration's initial state: an
 // empty path over c's initial condition and value stacks, on a solver of
-// its own.
-func newExecutor(c Config, opts Options, p *plan, seed uint64) *executor {
+// its own, under the budget shared.
+func newExecutor(c Config, opts Options, p *plan, seed uint64, shared *sharedState) *executor {
 	e := &executor{
 		g:          c.Graph,
 		p:          p,
 		opts:       opts,
 		stop:       c.StopAt,
+		shared:     shared,
 		solver:     p.newSolver(opts.Solver),
 		vals:       append(expr.Env(nil), p.init...),
 		res:        &Result{},
@@ -289,12 +270,29 @@ func newExecutor(c Config, opts Options, p *plan, seed uint64) *executor {
 	return e
 }
 
+// result closes the executor's result with its solver's counters, the
+// frames it entered and whether the exploration was cut short.
+func (e *executor) result() *Result {
+	e.res.SMT = e.solver.Stats()
+	e.res.Frames = e.visits
+	e.res.Truncated = e.shared.halted.Load()
+	return e.res
+}
+
 // Workers resolves Parallelism to the effective worker count.
 func (o Options) Workers() int {
 	if o.Parallelism <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Parallelism
+}
+
+// solver resolves Solver to what an exploration runs with.
+func (o Options) solver() smt.Options {
+	if !o.SolverSet {
+		return smt.DefaultOptions()
+	}
+	return o.Solver
 }
 
 type executor struct {
@@ -311,7 +309,6 @@ type executor struct {
 	obligations []HashObligation
 	path        []cfg.NodeID
 	res         *Result
-	deadline    time.Time
 	// visits counts dfs node entries; the wall-clock budget is tested
 	// every 64 visits. (PathsExplored only moves at leaves and prunes, so
 	// gating the deadline on it let a single deep descent — or a counter
@@ -319,15 +316,16 @@ type executor struct {
 	visits uint64
 	// widthProd is the product of the branch widths (successor counts > 1)
 	// along the current path — an estimate of how many sibling subtrees
-	// exist at this depth. The parallel splitter spills a task once it
-	// reaches the target frontier width.
+	// exist at this depth. The splitter spills a unit once it reaches the
+	// target frontier width.
 	widthProd int
-	// spill, when set, is consulted at every dfs entry: returning true
-	// means the node's subtree has been packaged as a parallel task and
-	// must not be explored here.
-	spill func(id cfg.NodeID) bool
-	// shared, when set, carries the cross-worker counters and the
-	// cooperative cancel used by parallel exploration.
+	// spill, when set, is consulted at every dfs entry with the node and the
+	// branch verdict its parent handed down: returning true means the node's
+	// subtree has been packaged as a frontier unit and must not be explored
+	// here.
+	spill func(id cfg.NodeID, pend pendingBranch) bool
+	// shared is the exploration's budget and cancel state, common to the
+	// splitter and every runner.
 	shared *sharedState
 	// hashes is the content-based path-hash stack paralleling path,
 	// always maintained (it also feeds Template.PathKey): the top is the
@@ -517,9 +515,7 @@ func (e *executor) curDeps() []string {
 func (e *executor) countPath() {
 	e.res.PathsExplored++
 	mPathsExplored.Inc()
-	if e.shared != nil {
-		e.shared.paths.Add(1)
-	}
+	e.shared.paths.Add(1)
 }
 
 // countDegraded registers one template emitted inside a quarantined
@@ -527,49 +523,24 @@ func (e *executor) countPath() {
 func (e *executor) countDegraded() {
 	e.res.Degraded++
 	mPathsDegraded.Inc()
-	if e.shared != nil {
-		e.shared.degraded.Add(1)
-	}
 }
 
 // countPruned registers one early-terminated prefix.
 func (e *executor) countPruned() {
 	e.res.PrunedPaths++
 	mPathsPruned.Inc()
-	if e.shared != nil {
-		e.shared.pruned.Add(1)
-	}
 }
 
-// stopNow reports whether exploration must halt (budget exceeded or a
-// sibling worker requested cancellation), setting Truncated.
+// stopNow reports whether exploration must halt: the budget is spent, or
+// another runner found it spent (or failed under Strict) and halted the pool.
 func (e *executor) stopNow() bool {
-	if e.res.Truncated {
+	s := e.shared
+	if s.halted.Load() {
 		return true
 	}
-	if e.shared != nil {
-		if e.shared.halted.Load() {
-			e.res.Truncated = true
-			return true
-		}
-		if e.shared.maxPaths > 0 && e.shared.paths.Load() >= e.shared.maxPaths {
-			e.shared.halted.Store(true)
-			e.res.Truncated = true
-			return true
-		}
-		if !e.shared.deadline.IsZero() && e.visits%64 == 0 && time.Now().After(e.shared.deadline) {
-			e.shared.halted.Store(true)
-			e.res.Truncated = true
-			return true
-		}
-		return false
-	}
-	if e.opts.MaxPaths > 0 && e.res.PathsExplored >= e.opts.MaxPaths {
-		e.res.Truncated = true
-		return true
-	}
-	if !e.deadline.IsZero() && e.visits%64 == 0 && time.Now().After(e.deadline) {
-		e.res.Truncated = true
+	if (s.maxPaths > 0 && s.paths.Load() >= s.maxPaths) ||
+		(!s.deadline.IsZero() && e.visits%64 == 0 && time.Now().After(s.deadline)) {
+		s.halted.Store(true)
 		return true
 	}
 	return false
@@ -656,8 +627,10 @@ func (e *executor) step(id cfg.NodeID) {
 	if e.stopNow() {
 		return
 	}
-	if e.spill != nil && e.spill(id) {
-		// The subtree rooted here was packaged as a parallel task.
+	if e.spill != nil && e.spill(id, pend) {
+		// The subtree rooted here was packaged as a frontier unit, whose
+		// frame this is to count.
+		e.visits--
 		return
 	}
 	if e.stop != nil && e.stop[id] {
@@ -767,7 +740,7 @@ func (e *executor) step(id cfg.NodeID) {
 		}
 		e.pending = pend
 		e.dfs(s)
-		if e.res.Truncated {
+		if e.shared.halted.Load() {
 			return
 		}
 	}
@@ -810,14 +783,12 @@ func (e *executor) peekGuard(pk *peekPlan) expr.Bool {
 }
 
 // canBatchSiblings gates the batched sweep: it needs early termination
-// (otherwise predicates are not checked at all) and a non-splitter
-// executor — the parallel splitter spills successor subtrees
-// as tasks before their conditions are asserted, and the claiming worker
-// (spill == nil) batches them itself, keeping sequential and parallel
-// query counts identical.
+// (otherwise predicates are not checked at all). The splitter batches like
+// any executor — a successor it spills takes its verdict along (Unit.pending)
+// — so the queries asked and the frames entered do not depend on where the
+// frontier falls.
 func (e *executor) canBatchSiblings() bool {
-	return e.opts.EarlyTermination && !e.opts.NoSiblingBatch &&
-		e.spill == nil && e.degraded == 0
+	return e.opts.EarlyTermination && !e.opts.NoSiblingBatch && e.degraded == 0
 }
 
 // batchScratchAt returns the reusable batch scratch for one path depth.
@@ -929,17 +900,19 @@ func (e *executor) recoverPath(id cfg.NodeID, m *mark) {
 		return
 	}
 	e.unwind(m)
-	e.res.Recovered++
-	mPathsRecovered.Inc()
 	obs.RecordFlight(obs.FlightPanic, uint64(len(e.path)), uint64(id), 0)
-	if e.shared != nil {
-		e.shared.recovered.Add(1)
-	}
-	if len(e.res.PathErrors) < maxPathErrors {
-		prefix := append(append([]cfg.NodeID(nil), e.path...), id)
-		e.res.PathErrors = append(e.res.PathErrors, &PathError{
-			Path:  prefix,
-			Value: r,
+	e.res.recordPanic(r, append(e.path, id))
+}
+
+// recordPanic counts one recovered panic and keeps it, with a copy of the
+// path it was raised on, while there is room (maxPathErrors).
+func (res *Result) recordPanic(value any, path []cfg.NodeID) {
+	res.Recovered++
+	mPathsRecovered.Inc()
+	if len(res.PathErrors) < maxPathErrors {
+		res.PathErrors = append(res.PathErrors, &PathError{
+			Path:  append([]cfg.NodeID(nil), path...),
+			Value: value,
 			Stack: string(debug.Stack()),
 		})
 	}
@@ -948,9 +921,6 @@ func (e *executor) recoverPath(id cfg.NodeID, m *mark) {
 func (e *executor) countJournalHit() {
 	e.res.JournalHits++
 	mJournalHits.Inc()
-	if e.shared != nil {
-		e.shared.jhits.Add(1)
-	}
 }
 
 // appendJournal writes one verdict record together with its dependency

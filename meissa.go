@@ -62,11 +62,12 @@ type Options struct {
 	IncrementalSolving bool
 	// Parallelism is the exploration worker count, applied to both the
 	// within-pipeline summarization runs and the final generation pass:
-	// 0 uses GOMAXPROCS, 1 runs the exact legacy sequential engine (the
-	// paper-faithful ablation baseline), N > 1 splits the DFS frontier
-	// across N workers sharing the run's in-memory solver-verdict memo,
-	// which is made for the generation and dropped with it. Templates
-	// are byte-identical at any setting.
+	// 0 uses GOMAXPROCS; at 1 the frontier is the root alone, explored on
+	// the caller's goroutine (Algorithm 1 as one DFS, the paper-faithful
+	// ablation baseline); N > 1 splits the DFS frontier across N runners
+	// sharing the run's in-memory solver-verdict memo, which is made for
+	// the generation and dropped with it. Templates are byte-identical at
+	// any setting.
 	Parallelism int
 	// MaxPaths caps DFS descents per exploration (0 = unlimited); the
 	// harness uses it as a timeout substitute for intractable baselines.

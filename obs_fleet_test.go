@@ -87,7 +87,7 @@ func TestFleetMetricsIdentity(t *testing.T) {
 				}
 			}
 			// The coordinator's merge replay re-walks exactly the tree the
-			// sequential engine explored; on top of that the coordinator pays
+			// one-runner run explored; on top of that the coordinator pays
 			// the SplitFrontier prefix walk, which the fleet report itemizes.
 			var splitPaths uint64
 			if fleet.Split != nil {

@@ -1,10 +1,12 @@
 package meissa_test
 
-// Differential test for the parallel exploration engine (tentpole
-// acceptance): on every corpus program, with and without code summary,
-// Parallelism ∈ {2, 4, 8} must produce a template set byte-identical to
-// the legacy sequential engine (Parallelism: 1) — same paths, constraints,
-// models, final states, hash obligations, Dropped flags, ordering and IDs.
+// Differential test for the exploration engine through Generate: on every
+// corpus program, with and without code summary, Parallelism ∈ {2, 4, 8}
+// must produce a template set byte-identical to one runner's
+// (Parallelism: 1) — same paths, constraints, models, final states, hash
+// obligations, Dropped flags, ordering and IDs. What pins one runner to the
+// plain DFS is internal/sym's reference_test.go, which this package cannot
+// see.
 
 import (
 	"fmt"

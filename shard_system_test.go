@@ -314,7 +314,7 @@ func gateRemoteWorkers(t *testing.T, front net.Listener, backend string, n int) 
 
 // TestShardedRemoteTCPMatchesSequential: the listener transport — remote
 // workers dialing in over TCP instead of being spawned over pipes —
-// produces output byte-identical to the sequential engine, through the
+// produces output byte-identical to the one-runner run, through the
 // same fingerprint handshake and lease supervision.
 func TestShardedRemoteTCPMatchesSequential(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
