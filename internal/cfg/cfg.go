@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"strings"
 
 	"repro/internal/expr"
@@ -299,34 +300,18 @@ func (g *Graph) NodeCount() int { return len(g.Nodes) }
 // the entry to any leaf, as a big integer: data plane programs routinely
 // have 10^100+ possible paths (Fig. 11c of the paper).
 func (g *Graph) PossiblePaths() *big.Int {
-	memo := make([]*big.Int, len(g.Nodes))
-	var count func(id NodeID) *big.Int
-	count = func(id NodeID) *big.Int {
-		if memo[id] != nil {
-			return memo[id]
-		}
-		n := g.Nodes[id]
-		res := new(big.Int)
-		if n.IsLeaf() {
-			res.SetInt64(1)
-		} else {
-			for _, s := range n.Succs {
-				res.Add(res, count(s))
-			}
-		}
-		memo[id] = res
-		return res
-	}
 	if g.Entry == None {
 		return big.NewInt(0)
 	}
-	return count(g.Entry)
+	return g.countPaths(g.Entry, None)
 }
 
 // PossiblePathsLog10 returns log10 of the possible-path count, the unit of
 // Fig. 11c / Fig. 12c.
-func (g *Graph) PossiblePathsLog10() float64 {
-	n := g.PossiblePaths()
+func (g *Graph) PossiblePathsLog10() float64 { return Log10(g.PossiblePaths()) }
+
+// Log10 returns log10 of a path count (0 for none).
+func Log10(n *big.Int) float64 {
 	if n.Sign() == 0 {
 		return 0
 	}
@@ -344,24 +329,68 @@ func (g *Graph) PossiblePathsLog10() float64 {
 // RegionPaths counts the possible paths from a region's entry to its exit,
 // treating the exit as a sink. This is the per-pipeline "n" of the paper's
 // complexity analysis (Appendix A).
-func (g *Graph) RegionPaths(r *Region) *big.Int {
-	memo := map[NodeID]*big.Int{}
-	var count func(id NodeID) *big.Int
-	count = func(id NodeID) *big.Int {
-		if id == r.Exit {
-			return big.NewInt(1)
+func (g *Graph) RegionPaths(r *Region) *big.Int { return g.countPaths(r.Entry, r.Exit) }
+
+// countPaths counts the paths from start that end at sink or, where sink is
+// None, at any leaf (a leaf that is not sink ends none). It counts in
+// uint64, memoized by node, and counts again in big.Int if that overflows.
+func (g *Graph) countPaths(start, sink NodeID) *big.Int {
+	leaf := uint64(0)
+	if sink == None {
+		leaf = 1
+	}
+	memo := make([]uint64, len(g.Nodes)) // 1 + the count; 0 is not yet counted
+	var count func(id NodeID) (uint64, bool)
+	count = func(id NodeID) (uint64, bool) {
+		if id == sink {
+			return 1, true
 		}
-		if c, ok := memo[id]; ok {
-			return c
+		if m := memo[id]; m != 0 {
+			return m - 1, true
 		}
+		n := g.Nodes[id]
+		res := uint64(0)
+		if n.IsLeaf() {
+			res = leaf
+		}
+		for _, s := range n.Succs {
+			c, ok := count(s)
+			var carry uint64
+			if res, carry = bits.Add64(res, c, 0); !ok || carry != 0 {
+				return 0, false
+			}
+		}
+		if res == math.MaxUint64 {
+			return 0, false
+		}
+		memo[id] = res + 1
+		return res, true
+	}
+	if n, ok := count(start); ok {
+		return new(big.Int).SetUint64(n)
+	}
+	big1 := big.NewInt(1)
+	bigMemo := make([]*big.Int, len(g.Nodes))
+	var countBig func(id NodeID) *big.Int
+	countBig = func(id NodeID) *big.Int {
+		if id == sink {
+			return big1
+		}
+		if bigMemo[id] != nil {
+			return bigMemo[id]
+		}
+		n := g.Nodes[id]
 		res := new(big.Int)
-		for _, s := range g.Nodes[id].Succs {
-			res.Add(res, count(s))
+		if n.IsLeaf() {
+			res.SetUint64(leaf)
 		}
-		memo[id] = res
+		for _, s := range n.Succs {
+			res.Add(res, countBig(s))
+		}
+		bigMemo[id] = res
 		return res
 	}
-	return count(r.Entry)
+	return new(big.Int).Set(countBig(start))
 }
 
 // ReachableFrom returns the set of node IDs reachable from start

@@ -55,9 +55,7 @@ func (f *facts) markModified(v expr.Var) {
 	f.modified[v] = true
 	delete(f.values, v)
 	for k, c := range f.conds {
-		vars := map[expr.Var]expr.Width{}
-		expr.VarsOfBool(c, vars)
-		if _, ok := vars[v]; ok {
+		if mentions(c, func(u expr.Var) bool { return u == v }) {
 			delete(f.conds, k)
 		}
 	}
@@ -66,19 +64,54 @@ func (f *facts) markModified(v expr.Var) {
 // addCond records a guaranteed conjunct if it is stable (virgin vars
 // only).
 func (f *facts) addCond(c expr.Bool) {
-	vars := map[expr.Var]expr.Width{}
-	expr.VarsOfBool(c, vars)
-	for v := range vars {
-		if f.modified[v] {
+	if !mentions(c, func(v expr.Var) bool { return f.modified[v] }) {
+		f.conds[c.String()] = c
+	}
+}
+
+// mentions reports whether b refers to a variable that in holds for.
+func mentions(b expr.Bool, in func(expr.Var) bool) bool {
+	switch t := b.(type) {
+	case expr.Cmp:
+		return mentionsArith(t.L, in) || mentionsArith(t.R, in)
+	case expr.Logic:
+		return mentions(t.L, in) || mentions(t.R, in)
+	case expr.Not:
+		return mentions(t.X, in)
+	}
+	return false
+}
+
+func mentionsArith(a expr.Arith, in func(expr.Var) bool) bool {
+	switch t := a.(type) {
+	case expr.Ref:
+		return in(t.Var)
+	case expr.Bin:
+		return mentionsArith(t.L, in) || mentionsArith(t.R, in)
+	}
+	return false
+}
+
+// eachConjunct calls f on every conjunct of b, in expr.Conjuncts' order.
+func eachConjunct(b expr.Bool, f func(expr.Bool)) {
+	switch t := b.(type) {
+	case expr.BoolConst:
+		if t {
+			return
+		}
+	case expr.Logic:
+		if t.Op == expr.LAnd {
+			eachConjunct(t.L, f)
+			eachConjunct(t.R, f)
 			return
 		}
 	}
-	f.conds[c.String()] = c
+	f(b)
 }
 
-// meetFacts intersects two fact sets; nil means unreachable and is the
+// meet intersects two fact sets; nil means unreachable and is the
 // identity.
-func meetFacts(a, b *facts) *facts {
+func meet(a, b *facts) *facts {
 	if a == nil {
 		return b
 	}
@@ -103,17 +136,18 @@ func meetFacts(a, b *facts) *facts {
 		out.modified[v] = true
 	}
 	// Conditions must stay virgin under the merged modified set.
-	for k, c := range out.conds {
-		vars := map[expr.Var]expr.Width{}
-		expr.VarsOfBool(c, vars)
-		for v := range vars {
-			if out.modified[v] {
-				delete(out.conds, k)
-				break
-			}
+	out.dropModifiedConds()
+	return out
+}
+
+// dropModifiedConds discards the conditions that mention a modified
+// variable.
+func (f *facts) dropModifiedConds() {
+	for k, c := range f.conds {
+		if mentions(c, func(v expr.Var) bool { return f.modified[v] }) {
+			delete(f.conds, k)
 		}
 	}
-	return out
 }
 
 // sortedConds renders the condition set deterministically.
@@ -187,7 +221,7 @@ func (fl *flow) factsAfter(id cfg.NodeID) *facts {
 	fl.memoSet[id] = true // break accidental cycles defensively
 	var in *facts
 	for _, p := range fl.preds[id] {
-		in = meetFacts(in, fl.factsAfter(p))
+		in = meet(in, fl.factsAfter(p))
 	}
 	var out *facts
 	if in != nil {
@@ -233,7 +267,7 @@ func (fl *flow) entryFacts(region *cfg.Region) (*facts, int) {
 		if pf != nil {
 			live++
 		}
-		in = meetFacts(in, pf)
+		in = meet(in, pf)
 	}
 	if in == nil {
 		return nil, 0
@@ -244,39 +278,115 @@ func (fl *flow) entryFacts(region *cfg.Region) (*facts, int) {
 
 // setRegionOut records a region's out-facts from its summarized chains:
 // the meet over the non-dropping chains of the entry facts updated by
-// each chain's effects, plus the chain-common stable constraints.
+// each chain's effects, plus the chain-common stable constraints. The meet
+// is taken whole rather than chain by chain: every variable a chain changes
+// is modified; a variable keeps the value the first chain leaves it at if
+// every chain leaves it there; and a condition survives if it mentions no
+// modified variable and is the entry's or one every chain collected.
 func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Template, initC []expr.Bool, initV expr.Subst, g *cfg.Graph) {
-	var out *facts
+	// changed reports whether a chain's final value of v differs from v's
+	// entry value: initV[v] when public, else the free symbol v.
+	changed := func(v expr.Var, val expr.Arith) bool {
+		if v.IsAux() {
+			return false // chain-local temporaries (see encodePath)
+		}
+		if entry, public := initV[v]; public {
+			return !expr.EqualArith(val, entry)
+		}
+		r, ok := val.(expr.Ref)
+		return !ok || r.Var != v || r.W != g.Vars[v]
+	}
+	// valueAfter is v's constant after chain t, if it has one.
+	valueAfter := func(t *sym.Template, v expr.Var) (expr.Arith, bool) {
+		if val, ok := t.Final[v]; ok && changed(v, val) {
+			_, isConst := val.(expr.Const)
+			return val, isConst
+		}
+		val, ok := in.values[v]
+		return val, ok
+	}
+	var live []*sym.Template
+	out := &facts{values: expr.Subst{}, conds: map[string]expr.Bool{}, modified: map[expr.Var]bool{}}
+	for v := range in.modified {
+		out.modified[v] = true
+	}
 	for _, t := range templates {
 		if t.Dropped {
 			continue // drop chains never feed downstream pipelines
 		}
-		f := in.clone()
-		// Effects: constants survive, symbolic values invalidate.
+		live = append(live, t)
 		for v, val := range t.Final {
-			if v.IsAux() {
-				continue
-			}
-			entryVal, wasPublic := initV[v]
-			if !wasPublic {
-				entryVal = expr.V(v, g.Vars[v])
-			}
-			if expr.EqualArith(val, entryVal) {
-				continue // unchanged
-			}
-			f.markModified(v)
-			if c, ok := val.(expr.Const); ok {
-				f.values[v] = c
+			if changed(v, val) {
+				out.modified[v] = true
 			}
 		}
-		// Constraints collected inside the pipeline (skip the seeded
-		// public pre-conditions, already in f.conds).
-		for _, c := range t.Constraints[len(initC):] {
-			for _, cj := range expr.Conjuncts(c) {
-				f.addCond(cj)
-			}
-		}
-		out = meetFacts(out, f)
 	}
+	if len(live) == 0 {
+		fl.regionOut[region.Name] = nil
+		return
+	}
+	first := live[0]
+	// Values: the first chain's, where every other chain agrees.
+	keep := func(v expr.Var) {
+		val, ok := valueAfter(first, v)
+		for _, t := range live[1:] {
+			if !ok {
+				return
+			}
+			tv, tok := valueAfter(t, v)
+			ok = tok && expr.EqualArith(val, tv)
+		}
+		if ok {
+			out.values[v] = val
+		}
+	}
+	for v := range in.values {
+		keep(v)
+	}
+	for v, val := range first.Final {
+		if changed(v, val) {
+			keep(v)
+		}
+	}
+	// Conditions: the entry's, and the first chain's where every other chain
+	// collected one that renders the same (the first chain's last of them
+	// stands for it); seen stamps each key with the last chain that did.
+	for k, c := range in.conds {
+		out.conds[k] = c
+	}
+	seen := map[string]int{}
+	for _, c := range first.Constraints[len(initC):] {
+		eachConjunct(c, func(cj expr.Bool) {
+			if mentions(cj, func(v expr.Var) bool { return out.modified[v] }) {
+				return
+			}
+			k := cj.String()
+			if _, entry := in.conds[k]; !entry {
+				seen[k] = 0
+			}
+			out.conds[k] = cj
+		})
+	}
+	var buf []byte
+	for i, t := range live[1:] {
+		if len(seen) == 0 {
+			break
+		}
+		for _, c := range t.Constraints[len(initC):] {
+			eachConjunct(c, func(cj expr.Bool) {
+				buf = expr.AppendBool(buf[:0], cj)
+				if _, ok := seen[string(buf)]; ok {
+					seen[string(buf)] = i + 1
+				}
+			})
+		}
+		for k, last := range seen {
+			if last != i+1 {
+				delete(seen, k)
+				delete(out.conds, k)
+			}
+		}
+	}
+	out.dropModifiedConds()
 	fl.regionOut[region.Name] = out
 }

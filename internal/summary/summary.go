@@ -19,8 +19,6 @@ package summary
 
 import (
 	"fmt"
-	"math"
-	"math/big"
 	"sort"
 
 	"repro/internal/cfg"
@@ -107,13 +105,14 @@ type Stats struct {
 // coverage (Corollary 1).
 func Summarize(g *cfg.Graph, opts Options) (*Stats, error) {
 	stats := &Stats{}
+	names := chainNames{}
 	var fl *flow
 	if opts.UsePreconditions {
 		fl = newFlow(g, opts.InitConstraints)
 	}
 	for _, region := range g.Pipelines {
 		sp := obs.Begin("generate/summary/" + region.Name)
-		st, err := summarizeRegion(g, region, opts, fl, stats)
+		st, err := summarizeRegion(g, region, opts, fl, names, stats)
 		dur := sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("summary: pipeline %s: %w", region.Name, err)
@@ -125,9 +124,9 @@ func Summarize(g *cfg.Graph, opts Options) (*Stats, error) {
 	return stats, nil
 }
 
-func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, agg *Stats) (*PipelineStat, error) {
+func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, names chainNames, agg *Stats) (*PipelineStat, error) {
 	st := &PipelineStat{Name: region.Name}
-	st.PossibleBefore = log10Big(g, region)
+	st.PossibleBefore = cfg.Log10(g.RegionPaths(region))
 
 	// --- Compute public pre-conditions (Algorithm 2 lines 4–7) ---
 	// The pre-conditions are the meet, over every path from the program
@@ -144,7 +143,7 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, a
 		if in == nil {
 			// Unreachable pipeline: clear it entirely.
 			g.Node(region.Entry).Succs = []cfg.NodeID{region.Exit}
-			st.PossibleAfter = log10Big(g, region)
+			st.PossibleAfter = cfg.Log10(g.RegionPaths(region))
 			fl.regionOut[region.Name] = nil
 			return st, nil
 		}
@@ -180,7 +179,7 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, a
 	entryNode.Succs = nil // pipeline.clear()
 
 	for _, t := range innerRes.Templates {
-		head, tail := encodePath(g, region, t, initC, initV)
+		head, tail := encodePath(g, region, t, initC, initV, names)
 		entryNode.Succs = append(entryNode.Succs, head)
 		g.Link(tail, region.Exit)
 	}
@@ -197,9 +196,35 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, a
 			in = newFacts()
 		}
 		fl.setRegionOut(region, in, innerRes.Templates, initC, initV, g)
+		if regionOutObserver != nil {
+			regionOutObserver(in, innerRes.Templates, initC, initV, g, fl.regionOut[region.Name])
+		}
 	}
-	st.PossibleAfter = log10Big(g, region)
+	st.PossibleAfter = cfg.Log10(g.RegionPaths(region))
 	return st, nil
+}
+
+// regionOutObserver, which only tests set, sees what every region's
+// out-facts were computed from and what they came to.
+var regionOutObserver func(in *facts, templates []*sym.Template, initC []expr.Bool, initV expr.Subst, g *cfg.Graph, out *facts)
+
+// chainNames interns, once per Summarize, what every chain that changes a
+// variable v names after it: its entry snapshot @v and the comments of its
+// save and assignment nodes.
+type chainNames map[expr.Var]chainName
+
+type chainName struct {
+	aux          expr.Var
+	save, assign string
+}
+
+func (m chainNames) of(v expr.Var) chainName {
+	n, ok := m[v]
+	if !ok {
+		n = chainName{aux: v.Aux(), save: "save entry value of " + string(v), assign: "summary assign " + string(v)}
+		m[v] = n
+	}
+	return n
 }
 
 // encodePath builds the succinct chain for one valid path: a predicate
@@ -208,7 +233,7 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, a
 // simultaneous assignment encoded with entry-value auxiliaries
 // (Algorithm 2 lines 13–24 and the @srcPort example of §3.3).
 // It returns the chain's head and tail node IDs.
-func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.Bool, initV expr.Subst) (head, tail cfg.NodeID) {
+func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.Bool, initV expr.Subst, names chainNames) (head, tail cfg.NodeID) {
 	// Chain layout: saves → hash/checksum obligations → guard predicate →
 	// assignments. The obligations must precede the predicate because the
 	// path condition may constrain their outputs (e.g. an ECMP range
@@ -254,16 +279,16 @@ func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.
 	// Rename map: references to changed variables inside final values must
 	// read the entry snapshot (@var), since the assignments in a CFG lack
 	// atomicity (§3.3's srcPort/dstPort example).
-	ren := map[expr.Var]expr.Var{}
+	ren := make(map[expr.Var]expr.Var, len(changed))
 	for _, v := range changed {
-		ren[v] = v.Aux()
+		ren[v] = names.of(v).aux
 	}
 
 	// Saves: @v ← v for every changed variable.
 	for _, v := range changed {
-		w := g.Vars[v]
-		g.Vars[v.Aux()] = w
-		appendNode(g.AddAction(v.Aux(), expr.V(v, w), region.Name, "save entry value of "+string(v)))
+		w, n := g.Vars[v], names.of(v)
+		g.Vars[n.aux] = w
+		appendNode(g.AddAction(n.aux, expr.V(v, w), region.Name, n.save))
 	}
 	// Re-emit deferred hash/checksum obligations as opaque nodes, before
 	// the guard predicate and the assignments that consume their outputs,
@@ -291,7 +316,7 @@ func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.
 	// their @ snapshots.
 	for _, v := range changed {
 		val := expr.RenameArith(t.Final[v], ren)
-		appendNode(g.AddAction(v, val, region.Name, "summary assign "+string(v)))
+		appendNode(g.AddAction(v, val, region.Name, names.of(v).assign))
 	}
 	return head, tail
 }
@@ -307,20 +332,4 @@ func accumulate(agg *Stats, r *sym.Result) {
 	agg.Recovered += r.Recovered
 	agg.PathErrors = append(agg.PathErrors, r.PathErrors...)
 	agg.JournalHits += r.JournalHits
-}
-
-// log10Big computes log10 of the region's possible-path count.
-func log10Big(g *cfg.Graph, region *cfg.Region) float64 {
-	n := g.RegionPaths(region)
-	if n.Sign() == 0 {
-		return 0
-	}
-	f := new(big.Float).SetInt(n)
-	mant := new(big.Float)
-	exp := f.MantExp(mant)
-	m, _ := mant.Float64()
-	if m <= 0 {
-		return 0
-	}
-	return math.Log10(m) + float64(exp)*math.Log10(2)
 }

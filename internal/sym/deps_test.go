@@ -125,12 +125,13 @@ func TestTemplateDepsMatchPathUnion(t *testing.T) {
 
 // maxMallocsPerPath is the allocation gate of the plain exploration path.
 // gw-1/set-1's raw graph — 97 explored paths, 9 templates some 40 nodes
-// deep, no journal, no verdict cache — measures 494 objects, 5.09 per
-// explored path, the same on every run (16.1 before the executor's state
-// became slices). What is left is per exploration (a fresh solver's memo
-// misses, the plan, per-depth batch scratch), per template, or a value a
-// path really computes, spread over few paths; gw-4's final pass measures
-// 0.63. One allocation per DFS step would add about ten.
+// deep, no journal, no verdict cache — measures 515 objects, 5.31 per
+// explored path, within a few objects on every run (16.1 before the
+// executor's state became slices). What is left is per exploration (a
+// fresh solver's memo misses, the plan, per-depth batch scratch), per
+// template, or a value a path really computes, spread over few paths;
+// gw-4's final pass measures 0.23. One allocation per DFS step would add
+// about ten.
 const maxMallocsPerPath = 5.5
 
 // TestExploreMallocsPerPath pins that the plain path does not pay for the

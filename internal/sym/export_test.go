@@ -7,23 +7,34 @@ import (
 
 // ObservePeeks makes every guard peek of every exploration, until the
 // returned function is called, also take the un-peeked route on the same
-// executor: bind the run's copies one after the other the way their frames
-// do (step's Action case), substitute the guard the way its frame does
-// (step's Predicate case), and unwind. report gets both conditions; it may
-// be called from several goroutines.
+// executor (walkRun). report gets both conditions — peeked is nil where a
+// run through a hash was left to be walked; it may be called from several
+// goroutines.
 func ObservePeeks(report func(head cfg.NodeID, peeked, walked expr.Bool)) (restore func()) {
 	peekObserver = func(e *executor, head cfg.NodeID, peeked expr.Bool) {
-		m := e.mark()
-		id := head
-		for n := e.g.Node(id); n.Kind == cfg.Action; n = e.g.Node(id) {
-			e.bind(e.p.node(id).slot, e.vals.SubstArith(n.Val, e.p.nodeRefs(id)))
-			id = n.Succs[0]
-		}
-		walked, _ := e.vals.SubstBool(e.g.Node(id).Pred, e.p.nodeRefs(id))
-		e.unwind(&m)
-		report(head, peeked, walked)
+		report(head, peeked, walkRun(e, head))
 	}
 	return func() { peekObserver = nil }
+}
+
+// walkRun is the guard at the end of the run from head as its own frame
+// substitutes it (step's Predicate case), once the run's copies and hashes
+// have bound their variables the way their frames do (step's Action and
+// Hash/Checksum cases); the executor is unwound afterwards.
+func walkRun(e *executor, head cfg.NodeID) expr.Bool {
+	m := e.mark()
+	defer e.unwind(&m)
+	id := head
+	for n := e.g.Node(id); n.Kind != cfg.Predicate; n = e.g.Node(id) {
+		if n.Kind == cfg.Action {
+			e.bind(e.p.node(id).slot, e.vals.SubstArith(n.Val, e.p.nodeRefs(id)))
+		} else {
+			e.bind(e.p.node(id).slot, e.evalOpaque(n))
+		}
+		id = n.Succs[0]
+	}
+	walked, _ := e.vals.SubstBool(e.g.Node(id).Pred, e.p.nodeRefs(id))
+	return walked
 }
 
 // ExploreReference lets the corpus tests of package sym_test compare against

@@ -73,7 +73,7 @@ func (f *Frontier) split(width int) {
 			path:        append([]cfg.NodeID(nil), s.path...),
 			constraints: append([]expr.Bool(nil), s.constraints...),
 			values:      append(expr.Env(nil), s.vals...),
-			obligations: append([]HashObligation(nil), s.obligations...),
+			obligations: cloneObligations(s.obligations),
 			hash:        s.curHash(),
 			deps:        append([]uint32(nil), s.deps...),
 			degraded:    s.degraded,

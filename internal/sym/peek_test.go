@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
+	"repro/internal/hashfn"
 	"repro/internal/programs"
 	"repro/internal/sym"
 )
@@ -16,20 +17,55 @@ import (
 type peekLog struct {
 	mu                sync.Mutex
 	pruned, descended int
-	mismatches        []string
+	// hashPruned and hashWalked count the peeks at runs through a hash: the
+	// ones a conjunct test pruned, and the ones left to be walked.
+	hashPruned, hashWalked int
+	mismatches             []string
 }
 
-func (l *peekLog) report(head cfg.NodeID, peeked, walked expr.Bool) {
+// report checks one peek at the run from head in g: a peeked condition is
+// the walked one, a run through a hash is only ever pruned (False) or left
+// to be walked (nil), and only such a run is left to be walked.
+func (l *peekLog) report(g *cfg.Graph, head cfg.NodeID, peeked, walked expr.Bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if expr.EqualBool(peeked, expr.False) {
-		l.pruned++
-	} else {
+	hashed := throughHash(g, head)
+	var bad string
+	switch {
+	case peeked == nil:
 		l.descended++
+		l.hashWalked++
+		if !hashed {
+			bad = "left a run without a hash to be walked"
+		}
+	case expr.EqualBool(peeked, expr.False):
+		l.pruned++
+		if hashed {
+			l.hashPruned++
+		}
+	default:
+		l.descended++
+		if hashed {
+			bad = "substituted a guard through a hash"
+		}
 	}
-	if !expr.EqualBool(peeked, walked) && len(l.mismatches) < 5 {
-		l.mismatches = append(l.mismatches, fmt.Sprintf("run at node %d: peeked %s, walked %s", head, peeked, walked))
+	if peeked != nil && !expr.EqualBool(peeked, walked) {
+		bad = "peeked condition is not the walked one"
 	}
+	if bad != "" && len(l.mismatches) < 5 {
+		l.mismatches = append(l.mismatches, fmt.Sprintf("run at node %d: %s: peeked %v, walked %s", head, bad, peeked, walked))
+	}
+}
+
+// throughHash reports whether the run from head passes a hash or checksum
+// before its guard.
+func throughHash(g *cfg.Graph, head cfg.NodeID) bool {
+	for n := g.Node(head); n.Kind != cfg.Predicate; n = g.Node(n.Succs[0]) {
+		if n.Kind == cfg.Hash || n.Kind == cfg.Checksum {
+			return true
+		}
+	}
+	return false
 }
 
 // exploreModes runs c sequentially, with four workers, and as frontier
@@ -61,10 +97,11 @@ func exploreModes(t *testing.T, c sym.Config) *sym.Result {
 
 // TestPeekEqualsWalk pins that deciding a guard from the parent's frame is
 // exact: whatever the parent reads through the plan's re-pointed slots is
-// the condition the guard's own frame computes once the copies before it
-// have run — for the chains that are pruned and for the ones that are not,
-// however the executor got to the parent (sequential descent, a parallel
-// worker's task snapshot, a frontier unit).
+// the condition the guard's own frame computes once the copies and hashes
+// before it have run — for the chains that are pruned and for the ones that
+// are not, however the executor got to the parent (sequential descent, a
+// parallel worker's task snapshot, a frontier unit). A run through a hash
+// (an obligation chain) is pruned only where its guard is False.
 func TestPeekEqualsWalk(t *testing.T) {
 	graphs := graphsOf(t, programs.Router(), programs.GW(1, programs.Set1), programs.GW(2, programs.Set2),
 		programs.GW(3, programs.Set1), programs.GW(4, programs.Set2))
@@ -72,30 +109,35 @@ func TestPeekEqualsWalk(t *testing.T) {
 	for name, g := range graphs {
 		var log peekLog
 		restore := sym.ObservePeeks(func(head cfg.NodeID, peeked, walked expr.Bool) {
-			log.report(head, peeked, walked)
+			log.report(g, head, peeked, walked)
 			if strings.HasSuffix(name, "/summarized") {
-				summarized.report(head, peeked, walked)
+				summarized.report(g, head, peeked, walked)
 			}
 		})
 		exploreModes(t, sym.Config{Graph: g, Options: sym.DefaultOptions()})
 		restore()
-		t.Logf("%s: %d peeks pruned in the parent's frame, %d descended", name, log.pruned, log.descended)
+		t.Logf("%s: %d peeks pruned in the parent's frame (%d through a hash), %d descended (%d through a hash)",
+			name, log.pruned, log.hashPruned, log.descended, log.hashWalked)
 		for _, m := range log.mismatches {
 			t.Errorf("%s: %s", name, m)
 		}
 	}
-	if summarized.pruned == 0 || summarized.descended == 0 {
-		t.Errorf("summary chains: %d peeks pruned, %d descended; want both, or the test says nothing about them",
-			summarized.pruned, summarized.descended)
+	if summarized.pruned == 0 || summarized.descended == 0 || summarized.hashPruned == 0 || summarized.hashWalked == 0 {
+		t.Errorf("summary chains: %d peeks pruned (%d through a hash), %d descended (%d through a hash); want all four, or the test says nothing about them",
+			summarized.pruned, summarized.hashPruned, summarized.descended, summarized.hashWalked)
 	}
 }
 
 // peekFixture is a branch node with one run below each of its two
-// successors, both ending at a guard over the copied variable:
+// successors, both ending at a guard over the copied variable, or over the
+// hash of it:
 //
-//	[x ← 7]? → branch ─┬─ @x ← x ─ [@h ← hash(@x)]? ─ guard(@x == 5) ─ y ← 1
+//	[x ← 7]? → branch ─┬─ @x ← x ─ [@h ← hash(@x)]? ─ guard(@x == 5 | @x == 7 && @h == k) ─ y ← 1
 //	                   └─ y ← 2
-func peekFixture(bindSource, hashBeforeGuard bool) *cfg.Graph {
+//
+// k is one more than hash(7), so a guard on the hash folds to False once the
+// hash has run over a bound source, and only then.
+func peekFixture(bindSource, hashBeforeGuard, guardOnHash bool) *cfg.Graph {
 	g := cfg.NewGraph()
 	x, ax := expr.V("x", 8), expr.V("@x", 8)
 	branch := g.AddPredicate(expr.True, "", "branch")
@@ -112,7 +154,12 @@ func peekFixture(bindSource, hashBeforeGuard bool) *cfg.Graph {
 		tail = g.AddHash("@h", 8, []expr.Arith{ax}, "", "obligation")
 		g.Link(save.ID, tail.ID)
 	}
-	guard := g.AddPredicate(expr.Eq(ax, expr.C(5, 8)), "", "guard")
+	pred := expr.Eq(ax, expr.C(5, 8))
+	if guardOnHash {
+		k := hashfn.Hash([]uint64{7}, []expr.Width{8}, 8) + 1
+		pred = expr.And(expr.Eq(ax, expr.C(7, 8)), expr.Eq(expr.V("@h", 8), expr.C(k, 8)))
+	}
+	guard := g.AddPredicate(pred, "", "guard")
 	g.Link(tail.ID, guard.ID)
 	g.Link(guard.ID, g.AddAction("y", expr.C(1, 8), "", "y ← 1").ID)
 	g.Link(branch.ID, g.AddAction("y", expr.C(2, 8), "", "y ← 2").ID)
@@ -121,10 +168,10 @@ func peekFixture(bindSource, hashBeforeGuard bool) *cfg.Graph {
 
 func TestPeekHandBuiltChains(t *testing.T) {
 	for _, tc := range []struct {
-		name                        string
-		bindSource, hashBeforeGuard bool
-		// peeked is the condition the parent reads, "" for a run that is not
-		// peeked at all.
+		name                                     string
+		bindSource, hashBeforeGuard, guardOnHash bool
+		// peeked is the condition the parent reads, "walk" where it leaves
+		// the run to be walked.
 		peeked                           string
 		paths, pruned, templates, frames uint64
 	}{
@@ -134,35 +181,41 @@ func TestPeekHandBuiltChains(t *testing.T) {
 		// The source is bound: the guard folds to False and its chain is
 		// never entered (set, branch, y ← 2: three frames).
 		{name: "bound source", bindSource: true, peeked: "False", paths: 2, pruned: 1, templates: 1, frames: 3},
-		// A hash obligation between the copy and the guard: not a run of
-		// copies, so every frame down to the guard's own False is entered.
-		{name: "hash before guard", bindSource: true, hashBeforeGuard: true, paths: 2, pruned: 1, templates: 1, frames: 6},
+		// A hash obligation between the copy and the guard, which does not
+		// read it: the conjunct test sees @x == 5 read 7 through the copy, and
+		// the chain is never entered either.
+		{name: "hash before guard", bindSource: true, hashBeforeGuard: true, peeked: "False", paths: 2, pruned: 1, templates: 1, frames: 3},
+		// The guard dies on the hash's output, which only running the hash
+		// tells (its conjunct on @x holds): every frame down to the guard's
+		// own False is entered.
+		{name: "guard on hash", bindSource: true, hashBeforeGuard: true, guardOnHash: true, peeked: "walk", paths: 2, pruned: 1, templates: 1, frames: 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := peekFixture(tc.bindSource, tc.hashBeforeGuard)
+			g := peekFixture(tc.bindSource, tc.hashBeforeGuard, tc.guardOnHash)
 			var log peekLog
 			var conds []string
 			restore := sym.ObservePeeks(func(head cfg.NodeID, peeked, walked expr.Bool) {
-				log.report(head, peeked, walked)
+				log.report(g, head, peeked, walked)
 				log.mu.Lock()
-				conds = append(conds, peeked.String())
-				log.mu.Unlock()
+				defer log.mu.Unlock()
+				if peeked == nil {
+					conds = append(conds, "walk")
+				} else {
+					conds = append(conds, peeked.String())
+				}
 			})
 			defer restore()
 			res := exploreModes(t, sym.Config{Graph: g, Start: cfg.None, Options: sym.DefaultOptions()})
 			for _, m := range log.mismatches {
 				t.Error(m)
 			}
-			if tc.peeked == "" && len(conds) > 0 {
-				t.Errorf("peeked %v through a hash obligation", conds)
-			}
 			for _, c := range conds {
 				if c != tc.peeked {
 					t.Errorf("peeked %s, want %s", c, tc.peeked)
 				}
 			}
-			if tc.peeked != "" && len(conds) == 0 {
-				t.Error("run of copies was not peeked")
+			if len(conds) == 0 {
+				t.Error("run was not peeked")
 			}
 			if res.PathsExplored != tc.paths || res.PrunedPaths != tc.pruned || uint64(len(res.Templates)) != tc.templates || res.Frames != tc.frames {
 				t.Errorf("paths %d pruned %d templates %d frames %d, want %d %d %d %d",

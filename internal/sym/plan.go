@@ -37,23 +37,43 @@ type plan struct {
 	peeks    []peekPlan
 	peekRefs []int32
 	peekDefs []expr.Arith
+	// conjs pools the conjunct tests of predicates (nodePlan.conjLo/conjHi)
+	// and of the guards peeked through a hash (peekPlan.conjLo/conjHi).
+	conjs []conjTest
+}
+
+// conjTest is one top-level conjunct `Ref op Const` of a condition, the
+// constant on either side (op is the one that reads with the Ref on the
+// left): ref is the Ref's position in the condition's Ref slot list. Where
+// the Ref reads a constant k, substitution folds the conjunct to
+// op.Apply(k, c) and, if that is false, the whole conjunction to False.
+type conjTest struct {
+	ref uint32
+	op  expr.CmpOp
+	c   uint64
 }
 
 // peekPlan lets a branch node read the guard at the end of a successor's
-// run of copies without walking the run. A run is straight-line actions
-// x ← y (a bare Ref, one successor each, no stop node) that ends at a
-// Predicate, itself no stop node: the chains code summary encodes start
-// with one, the @v ← v saves. The guard's Ref slots are re-pointed through
-// the copies, so reading them under the value stack as it stands before the
-// run gives what the guard's own frame would read after it: a reference to
-// x reads y's slot and, while that is unbound, the copy's own Val — which
-// is what the copy's frame binds x to.
+// run without walking the run. A run is straight-line copies x ← y (a bare
+// Ref) and hash or checksum nodes, one successor each and no stop node,
+// that ends at a Predicate, itself no stop node: the chains code summary
+// encodes are saves @v ← v, then obligations, then the guard. The guard's
+// Ref slots are re-pointed through the copies, so reading them under the
+// value stack as it stands before the run gives what the guard's own frame
+// would read after it: a reference to x reads y's slot and, while that is
+// unbound, the copy's own Val — which is what the copy's frame binds x to.
+// What a hash of the run writes is only known once the hash has run, so a
+// run with one is peeked by its guard's conjunct tests alone (testOnly),
+// less those that read a hash's output.
 type peekPlan struct {
 	guard cfg.NodeID
 	// refLo/refHi delimit the guard's Ref slots in plan.peekRefs and their
 	// defaults in plan.peekDefs (nil where no copy of the run wrote the
 	// variable).
 	refLo, refHi uint32
+	// conjLo/conjHi delimit the conjunct tests in plan.conjs.
+	conjLo, conjHi uint32
+	testOnly       bool
 }
 
 type nodePlan struct {
@@ -61,12 +81,13 @@ type nodePlan struct {
 	// refLo/refHi delimit the node's Ref slots in plan.refs: those of Pred
 	// or Val, or of all Inputs (split by opaquePlan.inputEnds).
 	refLo, refHi uint32
+	// conjLo/conjHi delimit a predicate's conjunct tests in plan.conjs.
+	conjLo, conjHi uint32
 	// slot is Var's value-stack slot (Action, Hash, Checksum).
 	slot   int32
 	opaque *opaquePlan
-	// peek is 1 + the index in plan.peeks of the guard this node's run of
-	// copies ends at, recorded for the successors of branch nodes; 0 for
-	// none.
+	// peek is 1 + the index in plan.peeks of the guard this node's run ends
+	// at, recorded for the successors of branch nodes; 0 for none.
 	peek int32
 }
 
@@ -108,18 +129,64 @@ func (p *plan) nodeDeps(id cfg.NodeID) []uint32 {
 	return p.deps[np.depLo:np.depHi]
 }
 
-// peekSource is where a peeked reference reads: a slot and, while that is
-// unbound, def.
-type peekSource struct {
-	slot int32
-	def  expr.Arith
+// nodeConjs returns a predicate's conjunct tests.
+func (p *plan) nodeConjs(id cfg.NodeID) []conjTest {
+	np := p.node(id)
+	return p.conjs[np.conjLo:np.conjHi]
 }
 
-// planPeek records the guard that head's run of copies ends at, if head
-// starts such a run. via is scratch, made on first use and handed back:
-// where each variable the run copies into gets its value, by slot.
+// planPred appends b's Ref slots to p.refs, in RefSlotsBool's order, and
+// its top-level `Ref op Const` conjuncts to p.conjs, positioned in the slot
+// list of the condition b is part of, which starts at p.refs[lo].
+func (p *plan) planPred(b expr.Bool, lo int, refSlot func(expr.Ref) int32) {
+	if t, ok := b.(expr.Logic); ok && t.Op == expr.LAnd {
+		p.planPred(t.L, lo, refSlot)
+		p.planPred(t.R, lo, refSlot)
+		return
+	}
+	if t, ok := b.(expr.Cmp); ok {
+		at := uint32(len(p.refs) - lo)
+		_, lRef := t.L.(expr.Ref)
+		_, rRef := t.R.(expr.Ref)
+		if k, ok := t.R.(expr.Const); ok && lRef {
+			p.conjs = append(p.conjs, conjTest{ref: at, op: t.Op, c: k.Val})
+		} else if k, ok := t.L.(expr.Const); ok && rRef {
+			p.conjs = append(p.conjs, conjTest{ref: at, op: converse(t.Op), c: k.Val})
+		}
+	}
+	p.refs = expr.RefSlotsBool(p.refs, b, refSlot)
+}
+
+// converse is the comparison with its operands swapped: c op x ⇔ x op' c.
+func converse(op expr.CmpOp) expr.CmpOp {
+	switch op {
+	case expr.CmpGt:
+		return expr.CmpLt
+	case expr.CmpLt:
+		return expr.CmpGt
+	case expr.CmpGe:
+		return expr.CmpLe
+	case expr.CmpLe:
+		return expr.CmpGe
+	}
+	return op
+}
+
+// peekSource is where a peeked reference reads: a slot and, while that is
+// unbound, def; or nowhere before the run has run, for what a hash of the
+// run writes.
+type peekSource struct {
+	slot   int32
+	def    expr.Arith
+	hashed bool
+}
+
+// planPeek records the guard that head's run ends at, if head starts a run.
+// via is scratch, made on first use and handed back: where each variable
+// the run writes gets its value, by slot.
 func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID, via map[int32]peekSource) map[int32]peekSource {
 	clear(via)
+	testOnly := false
 	id := head
 	for {
 		n := g.Node(id)
@@ -129,27 +196,50 @@ func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID,
 		if n.Kind == cfg.Predicate {
 			break
 		}
-		if _, copies := n.Val.(expr.Ref); n.Kind != cfg.Action || !copies || len(n.Succs) != 1 {
+		if len(n.Succs) != 1 {
 			return via
 		}
 		if via == nil {
 			via = map[int32]peekSource{}
 		}
-		// The copied variable is the node's one Ref slot; an earlier copy of
-		// the run may have written it.
-		from := p.nodeRefs(id)[0]
-		src, ok := via[from]
-		if !ok {
-			src = peekSource{from, n.Val}
+		slot := p.node(id).slot
+		switch _, copies := n.Val.(expr.Ref); {
+		case n.Kind == cfg.Action && copies:
+			// The copied variable is the node's one Ref slot; an earlier copy
+			// of the run may have written it.
+			from := p.nodeRefs(id)[0]
+			src, ok := via[from]
+			if !ok {
+				src = peekSource{slot: from, def: n.Val}
+			}
+			via[slot] = src
+		case n.Kind == cfg.Hash || n.Kind == cfg.Checksum:
+			via[slot] = peekSource{slot: slot, hashed: true}
+			testOnly = true
+		default:
+			return via
 		}
-		via[p.node(id).slot] = src
 		id = n.Succs[0]
 	}
 	if id == head {
 		return via // a predicate successor is the sibling batch's to decide
 	}
-	pk := peekPlan{guard: id, refLo: uint32(len(p.peekRefs))}
-	for _, s := range p.nodeRefs(id) {
+	guard, refs := p.node(id), p.nodeRefs(id)
+	pk := peekPlan{guard: id, conjLo: guard.conjLo, conjHi: guard.conjHi, testOnly: testOnly}
+	if testOnly {
+		pk.conjLo = uint32(len(p.conjs))
+		for _, c := range p.conjs[guard.conjLo:guard.conjHi] {
+			if !via[refs[c.ref]].hashed {
+				p.conjs = append(p.conjs, c)
+			}
+		}
+		pk.conjHi = uint32(len(p.conjs))
+		if pk.conjHi == pk.conjLo {
+			return via // nothing to test: the run is walked
+		}
+	}
+	pk.refLo = uint32(len(p.peekRefs))
+	for _, s := range refs {
 		src, ok := via[s]
 		if !ok {
 			src = peekSource{slot: s}
@@ -203,7 +293,9 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		np.refLo = uint32(len(p.refs))
 		switch n.Kind {
 		case cfg.Predicate:
-			p.refs = expr.RefSlotsBool(p.refs, n.Pred, refSlot)
+			np.conjLo = uint32(len(p.conjs))
+			p.planPred(n.Pred, len(p.refs), refSlot)
+			np.conjHi = uint32(len(p.conjs))
 			p.preds[id] = n.Pred
 		case cfg.Action:
 			np.slot = slot(n.Var)

@@ -353,8 +353,10 @@ type executor struct {
 	// batch down to the child's dfs frame; it is set immediately before
 	// each e.dfs(succ) call and consumed (and cleared) at frame entry.
 	pending pendingBranch
-	// opaqueIn/opaqueVals are evalOpaque's scratch.
-	opaqueIn   []expr.Arith
+	// oblInputs is the arena the obligations' Inputs are slices of, truncated
+	// with them: they are copied out only into templates and frontier units
+	// (cloneObligations). opaqueVals is evalOpaque's scratch.
+	oblInputs  []expr.Arith
 	opaqueVals []uint64
 	// batchScratches is a per-depth arena for sibling-batch state: the
 	// scratch at depth d stays live for the whole children loop of the
@@ -551,8 +553,8 @@ func (e *executor) stopNow() bool {
 // restores them all at once, so a frame's state changes need no individual
 // restore step.
 type mark struct {
-	path, deps, conds, obligations, trail, solverDepth int
-	degraded, widthProd                                int
+	path, deps, conds, obligations, oblInputs, trail, solverDepth int
+	degraded, widthProd                                           int
 }
 
 // binding is one value-stack undo entry: slot held old before the write.
@@ -564,7 +566,7 @@ type binding struct {
 func (e *executor) mark() mark {
 	return mark{
 		path: len(e.path), deps: len(e.deps), conds: len(e.constraints),
-		obligations: len(e.obligations), trail: len(e.trail), solverDepth: e.solver.Depth(),
+		obligations: len(e.obligations), oblInputs: len(e.oblInputs), trail: len(e.trail), solverDepth: e.solver.Depth(),
 		degraded: e.degraded, widthProd: e.widthProd,
 	}
 }
@@ -577,6 +579,7 @@ func (e *executor) unwind(m *mark) {
 	e.deps = e.deps[:m.deps]
 	e.constraints = e.constraints[:m.conds]
 	e.obligations = e.obligations[:m.obligations]
+	e.oblInputs = e.oblInputs[:m.oblInputs]
 	for i := len(e.trail) - 1; i >= m.trail; i-- {
 		e.vals[e.trail[i].slot] = e.trail[i].old
 	}
@@ -751,10 +754,12 @@ func (e *executor) step(id cfg.NodeID) {
 // before anything else happens on it — no template, no hook, no solver or
 // journal interaction — so that the parent can count the pruned descent
 // itself instead of entering frames to find it. Two cases: s is a predicate
-// whose condition the sibling batch substituted (pend), or s starts a run of
-// copies whose guard the plan lets the parent read under the value stack as
-// it stands (plan.peeks). A guard that does not fold to False is left to its
-// own frame, which substitutes it again.
+// whose condition the sibling batch substituted (pend), or s starts a run
+// whose guard the plan lets the parent read under the value stack as it
+// stands (plan.peeks): a conjunct test that fails is the guard folding to
+// False; otherwise the guard is substituted, unless the run has a hash the
+// guard would read through, and then it is walked. A guard that does not
+// fold to False is left to its own frame, which substitutes it again.
 func (e *executor) staticallyFalse(s cfg.NodeID, pend pendingBranch) bool {
 	if pend.ok {
 		return expr.EqualBool(pend.cond, expr.False) && !e.stop[s]
@@ -763,7 +768,15 @@ func (e *executor) staticallyFalse(s cfg.NodeID, pend pendingBranch) bool {
 	if pk == 0 {
 		return false
 	}
-	cond := e.peekGuard(&e.p.peeks[pk-1])
+	p, peek := e.p, &e.p.peeks[pk-1]
+	refs, defs := p.peekRefs[peek.refLo:peek.refHi], p.peekDefs[peek.refLo:peek.refHi]
+	var cond expr.Bool = expr.False
+	if !e.contradicts(p.conjs[peek.conjLo:peek.conjHi], refs, defs) {
+		cond = nil
+		if !peek.testOnly {
+			cond = e.vals.SubstBoolOr(e.g.Node(peek.guard).Pred, refs, defs)
+		}
+	}
 	if peekObserver != nil {
 		peekObserver(e, s, cond)
 	}
@@ -772,14 +785,26 @@ func (e *executor) staticallyFalse(s cfg.NodeID, pend pendingBranch) bool {
 
 // peekObserver, which only tests set, sees every guard a parent peeks at —
 // the executor in the parent's frame, the run's head and the peeked
-// condition — so that a test can walk the run itself and compare.
+// condition (nil where a run through a hash was left to be walked) — so
+// that a test can walk the run itself and compare.
 var peekObserver func(e *executor, head cfg.NodeID, cond expr.Bool)
 
-// peekGuard is the condition pk's guard will have in its own frame, once
-// the copies before it have run, computed before they have.
-func (e *executor) peekGuard(pk *peekPlan) expr.Bool {
-	p := e.p
-	return e.vals.SubstBoolOr(e.g.Node(pk.guard).Pred, p.peekRefs[pk.refLo:pk.refHi], p.peekDefs[pk.refLo:pk.refHi])
+// contradicts reports whether one of conjs reads a constant it is false on:
+// refs are the condition's Ref slots and defs, when non-nil, what each reads
+// while its slot is unbound — what substitution reads. It is true exactly
+// where substitution would fold the conjunct, and with it the conjunction,
+// to False; false says nothing.
+func (e *executor) contradicts(conjs []conjTest, refs []int32, defs []expr.Arith) bool {
+	for _, c := range conjs {
+		v := e.vals[refs[c.ref]]
+		if v == nil && defs != nil {
+			v = defs[c.ref]
+		}
+		if k, ok := v.(expr.Const); ok && !c.op.Apply(k.Val, c.c) {
+			return true
+		}
+	}
+	return false
 }
 
 // canBatchSiblings gates the batched sweep: it needs early termination
@@ -814,7 +839,12 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 		if sn.Kind != cfg.Predicate {
 			continue // non-predicate successors take the normal path
 		}
-		cond, changed := e.vals.SubstBool(sn.Pred, e.p.nodeRefs(sid))
+		refs := e.p.nodeRefs(sid)
+		if e.contradicts(e.p.nodeConjs(sid), refs, nil) {
+			st.pend[i] = pendingBranch{ok: true, cond: expr.False}
+			continue
+		}
+		cond, changed := e.vals.SubstBool(sn.Pred, refs)
 		st.pend[i] = pendingBranch{ok: true, own: !changed, cond: cond}
 		if expr.EqualBool(cond, expr.False) || expr.EqualBool(cond, expr.True) {
 			continue // statically decided in the child frame, no solver
@@ -859,23 +889,24 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 // evalOpaque implements the paper's §4 hash treatment: "we directly
 // calculate hashing results if all keys are constrained with one value,
 // and otherwise leave these fields as arbitrary values" (with a deferred
-// post-generation check, pushed on e.obligations here). Checksums are
-// handled identically.
+// post-generation check, pushed on e.obligations here, its inputs on the
+// arena e.oblInputs). Checksums are handled identically.
 func (e *executor) evalOpaque(n *cfg.Node) expr.Arith {
 	np := e.p.node(n.ID)
 	op := np.opaque
-	inputs, vals := e.opaqueIn[:0], e.opaqueVals[:0]
+	lo, vals := len(e.oblInputs), e.opaqueVals[:0]
 	allConst := true
-	lo := np.refLo
+	refLo := np.refLo
 	for i, in := range n.Inputs {
-		a := e.vals.SubstArith(in, e.p.refs[lo:op.inputEnds[i]])
-		lo = op.inputEnds[i]
+		a := e.vals.SubstArith(in, e.p.refs[refLo:op.inputEnds[i]])
+		refLo = op.inputEnds[i]
 		c, ok := a.(expr.Const)
 		allConst = allConst && ok
-		inputs, vals = append(inputs, a), append(vals, c.Val)
+		e.oblInputs, vals = append(e.oblInputs, a), append(vals, c.Val)
 	}
-	e.opaqueIn, e.opaqueVals = inputs, vals
+	e.opaqueVals = vals
 	if allConst {
+		e.oblInputs = e.oblInputs[:lo]
 		var v uint64
 		if n.Kind == cfg.Hash {
 			v = hashfn.Hash(vals, op.widths, op.w)
@@ -884,10 +915,31 @@ func (e *executor) evalOpaque(n *cfg.Node) expr.Arith {
 		}
 		return expr.C(v, op.w)
 	}
+	hi := len(e.oblInputs)
 	e.obligations = append(e.obligations, HashObligation{
-		Var: op.fresh.Var, Kind: n.Kind, Inputs: append([]expr.Arith(nil), inputs...), Width: op.w,
+		Var: op.fresh.Var, Kind: n.Kind, Inputs: e.oblInputs[lo:hi:hi], Width: op.w,
 	})
 	return op.freshVal
+}
+
+// cloneObligations deep-copies obligations whose inputs live on an
+// executor's arena, all inputs into one slice; nil for none.
+func cloneObligations(obs []HashObligation) []HashObligation {
+	if len(obs) == 0 {
+		return nil
+	}
+	n := 0
+	for _, o := range obs {
+		n += len(o.Inputs)
+	}
+	out, inputs := make([]HashObligation, len(obs)), make([]expr.Arith, 0, n)
+	for i, o := range obs {
+		lo := len(inputs)
+		inputs = append(inputs, o.Inputs...)
+		out[i] = o
+		out[i].Inputs = inputs[lo:len(inputs):len(inputs)]
+	}
+	return out
 }
 
 // recoverPath arrests a panic raised while processing node id or its
@@ -1056,9 +1108,7 @@ func (e *executor) emit(key uint64) {
 		PathKey:     key,
 		Deps:        e.curDeps(),
 	}
-	if len(e.obligations) > 0 {
-		t.HashObligations = append([]HashObligation(nil), e.obligations...)
-	}
+	t.HashObligations = cloneObligations(e.obligations)
 	if d, ok := t.Final[p4.DropVar]; ok {
 		if c, isC := d.(expr.Const); isC && c.Val == 1 {
 			t.Dropped = true
