@@ -99,7 +99,7 @@ const (
 
 // mixString folds a string plus a terminator into an FNV-1a accumulator.
 // The terminator keeps adjacent fields from aliasing ("ab"+"c" vs "a"+"bc").
-func mixString(h uint64, s string) uint64 {
+func mixString[S ~string | ~[]byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= contentPrime64
@@ -118,28 +118,35 @@ func mixString(h uint64, s string) uint64 {
 // hashes of untouched nodes. Hash and Checksum nodes additionally fold
 // in their ID: symbolic execution mints a fresh symbol named after the
 // node ID for them ("hash$nN"), which makes the ID observable content.
-func contentHash(n *Node) uint64 {
+// Expressions are rendered into the graph's scratch buffer: the bytes
+// String returns, without a string per expression.
+func (g *Graph) contentHash(n *Node) uint64 {
+	buf := g.scratch
 	h := uint64(contentOffset64)
 	h ^= uint64(n.Kind) + 1
 	h *= contentPrime64
 	switch n.Kind {
 	case Predicate:
-		h = mixString(h, n.Pred.String())
+		buf = expr.AppendBool(buf[:0], n.Pred)
+		h = mixString(h, buf)
 	case Action:
-		h = mixString(h, string(n.Var))
-		h = mixString(h, n.Val.String())
+		h = mixString(h, n.Var)
+		buf = expr.AppendArith(buf[:0], n.Val)
+		h = mixString(h, buf)
 	case Hash, Checksum:
-		h = mixString(h, string(n.Var))
+		h = mixString(h, n.Var)
 		for _, in := range n.Inputs {
-			h = mixString(h, in.String())
+			buf = expr.AppendArith(buf[:0], in)
+			h = mixString(h, buf)
 		}
 		h ^= uint64(n.ID)
 		h *= contentPrime64
 	}
+	g.scratch = buf
 	return h
 }
 
-// ContentHash returns the node's content hash (see contentHash). It is
+// ContentHash returns the node's content hash (see Graph.contentHash). It is
 // computed once at node creation and safe for concurrent readers.
 func (n *Node) ContentHash() uint64 { return n.content }
 
@@ -181,7 +188,15 @@ type Graph struct {
 	Pipelines []*Region
 	// Vars records the width of every variable mentioned in the graph.
 	Vars map[expr.Var]expr.Width
+
+	// slab is the block add takes its next nodes from; scratch is what
+	// contentHash renders expressions into.
+	slab    []Node
+	scratch []byte
 }
+
+// slabNodes is how many nodes add allocates at once.
+const slabNodes = 256
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
@@ -191,10 +206,16 @@ func NewGraph() *Graph {
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) *Node { return g.Nodes[id] }
 
-// add inserts a node and returns it.
-func (g *Graph) add(n *Node) *Node {
+// add inserts a copy of node, taken from the slab, and returns it.
+func (g *Graph) add(node Node) *Node {
+	if len(g.slab) == 0 {
+		g.slab = make([]Node, slabNodes)
+	}
+	n := &g.slab[0]
+	g.slab = g.slab[1:]
+	*n = node
 	n.ID = NodeID(len(g.Nodes))
-	n.content = contentHash(n)
+	n.content = g.contentHash(n)
 	g.Nodes = append(g.Nodes, n)
 	g.noteVars(n)
 	return n
@@ -223,57 +244,52 @@ func (g *Graph) TagDeps(from int, tag string) {
 	}
 }
 
-// noteVars records variable widths mentioned by a node.
+// noteVars records the widths of the variables a node mentions.
 func (g *Graph) noteVars(n *Node) {
-	vars := map[expr.Var]expr.Width{}
 	switch n.Kind {
 	case Predicate:
-		expr.VarsOfBool(n.Pred, vars)
+		expr.VarsOfBool(n.Pred, g.Vars)
 	case Action:
-		vars[n.Var] = varWidth(n.Val)
-		expr.VarsOfArith(n.Val, vars)
+		g.noteWidth(n.Var, n.Val.Width())
+		expr.VarsOfArith(n.Val, g.Vars)
 	case Hash, Checksum:
 		// Var width for hash/checksum destinations must be provided via
 		// AddHash/AddChecksum; inputs contribute their own widths.
 		for _, in := range n.Inputs {
-			expr.VarsOfArith(in, vars)
-		}
-	}
-	for v, w := range vars {
-		if ow, ok := g.Vars[v]; !ok || w > ow {
-			g.Vars[v] = w
+			expr.VarsOfArith(in, g.Vars)
 		}
 	}
 }
 
-func varWidth(a expr.Arith) expr.Width { return a.Width() }
+// noteWidth records that v is at least w bits wide.
+func (g *Graph) noteWidth(v expr.Var, w expr.Width) {
+	if ow, ok := g.Vars[v]; !ok || w > ow {
+		g.Vars[v] = w
+	}
+}
 
 // AddPredicate appends a predicate node.
 func (g *Graph) AddPredicate(pred expr.Bool, pipeline, comment string) *Node {
-	return g.add(&Node{Kind: Predicate, Pred: pred, Pipeline: pipeline, Comment: comment})
+	return g.add(Node{Kind: Predicate, Pred: pred, Pipeline: pipeline, Comment: comment})
 }
 
 // AddAction appends an action node.
 func (g *Graph) AddAction(v expr.Var, val expr.Arith, pipeline, comment string) *Node {
-	return g.add(&Node{Kind: Action, Var: v, Val: val, Pipeline: pipeline, Comment: comment})
+	return g.add(Node{Kind: Action, Var: v, Val: val, Pipeline: pipeline, Comment: comment})
 }
 
 // AddHash appends a hash node assigning to v (width w).
 func (g *Graph) AddHash(v expr.Var, w expr.Width, inputs []expr.Arith, pipeline, comment string) *Node {
-	n := g.add(&Node{Kind: Hash, Var: v, Inputs: inputs, Pipeline: pipeline, Comment: comment})
-	if ow, ok := g.Vars[v]; !ok || w > ow {
-		g.Vars[v] = w
-	}
+	n := g.add(Node{Kind: Hash, Var: v, Inputs: inputs, Pipeline: pipeline, Comment: comment})
+	g.noteWidth(v, w)
 	return n
 }
 
 // AddChecksum appends a checksum node assigning to v (width w) computed
 // over inputs.
 func (g *Graph) AddChecksum(v expr.Var, w expr.Width, inputs []expr.Arith, pipeline, comment string) *Node {
-	n := g.add(&Node{Kind: Checksum, Var: v, Inputs: inputs, Pipeline: pipeline, Comment: comment})
-	if ow, ok := g.Vars[v]; !ok || w > ow {
-		g.Vars[v] = w
-	}
+	n := g.add(Node{Kind: Checksum, Var: v, Inputs: inputs, Pipeline: pipeline, Comment: comment})
+	g.noteWidth(v, w)
 	return n
 }
 

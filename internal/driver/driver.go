@@ -536,8 +536,9 @@ func (d *Driver) Concretize(t *sym.Template, id uint64) (*Case, error) {
 		return c, nil
 	}
 	final := maps.Clone(model)
-	for v, valExpr := range t.Final {
-		if v.IsAux() {
+	for s, valExpr := range t.Final {
+		v := t.Vars[s]
+		if valExpr == nil || v.IsAux() {
 			continue
 		}
 		val, err := expr.EvalArith(valExpr, model)

@@ -31,7 +31,7 @@ func writeBaseline(t *testing.T, path string, fp uint64) {
 	must(j.AppendWithDeps(journal.Record{Kind: journal.KindEmit, Key: 3, Verdict: journal.Sat,
 		Model: []journal.VarVal{{Var: "port", Val: 80}}}, []string{"acl#miss"}))
 	must(j.AppendWithDeps(journal.Record{Kind: journal.KindCheck, Key: 4, Verdict: journal.Sat}, nil)) // no deps
-	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 5, Verdict: journal.Sat}))             // unindexed
+	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 5, Verdict: journal.Sat}))              // unindexed
 }
 
 func TestRebaseFiltersByTag(t *testing.T) {

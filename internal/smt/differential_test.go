@@ -3,6 +3,7 @@ package smt
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/expr"
 )
@@ -199,11 +200,14 @@ func (o *sweepOracle) pop()                  { o.frames = o.frames[:len(o.frames
 // and sweeps again over the revived arena slots — and checks every verdict
 // against enumeration of all assignments: an Unsat has no satisfying
 // assignment, a Sat has one, a model satisfies everything asserted, and
-// Unknown appears only when a search budget is set. Atoms compare variables
-// of different widths with constants and with each other. Odd seeds share a
-// verdict cache across the walk, so verdicts also come back through the
-// batch's prefix-digest cache keys; every fourth seed solves
-// non-incrementally.
+// Unknown appears only when a search budget or a deadline is set. Atoms
+// compare variables of different widths with constants and with each other.
+// Odd seeds share a verdict cache across the walk, so verdicts also come
+// back through the batch's prefix-digest cache keys; every fourth seed
+// solves non-incrementally; every fifth without a search budget gives each
+// query a CheckTimeout of 1 ns, which has passed when the search first reads
+// the clock, so that every query propagation alone does not decide answers
+// Unknown — never Unsat.
 //
 // The variables stop at 4 bits because that is as far as the solver is
 // complete: search tries at most CandidatesPerVar (24) values per free
@@ -213,14 +217,18 @@ func (o *sweepOracle) pop()                  { o.frames = o.frames[:len(o.frames
 // corpus runs now drop, so it changes their outputs and is not this test's
 // to fix.
 func TestDifferentialBatchSweeps(t *testing.T) {
-	verdicts := 0
+	verdicts, timedOut := 0, 0
 	for seed := int64(0); seed < 96; seed++ {
-		verdicts += differentialBatchSweep(t, seed)
+		v, u := differentialBatchSweep(t, seed)
+		verdicts, timedOut = verdicts+v, timedOut+u
 	}
 	if verdicts < 96*10 {
 		t.Fatalf("only %d verdicts checked over 96 seeds", verdicts)
 	}
-	t.Logf("%d verdicts checked against enumeration", verdicts)
+	if timedOut == 0 {
+		t.Fatal("no query ran into its deadline")
+	}
+	t.Logf("%d verdicts checked against enumeration, %d of them Unknown at the deadline", verdicts, timedOut)
 }
 
 // FuzzDifferentialBatchSweeps lets the fuzzer pick the walk's seed: the
@@ -233,8 +241,9 @@ func FuzzDifferentialBatchSweeps(f *testing.F) {
 }
 
 // differentialBatchSweep runs one seed's walk and returns how many verdicts
-// it checked against the oracle.
-func differentialBatchSweep(t *testing.T, seed int64) (verdicts int) {
+// it checked against the oracle and how many of them were Unknown because
+// the query's deadline passed.
+func differentialBatchSweep(t *testing.T, seed int64) (verdicts, timedOut int) {
 	vars := []expr.Ref{expr.V("a", 2), expr.V("b", 3), expr.V("c", 4)}
 	rng := rand.New(rand.NewSource(seed))
 	opts := DefaultOptions()
@@ -247,7 +256,24 @@ func differentialBatchSweep(t *testing.T, seed int64) (verdicts int) {
 		opts.Cache = NewVerdictCache()
 	}
 	opts.Incremental = mode%4 != 0
+	deadline := !budgeted && mode%5 == 4
+	if deadline {
+		// The search reads the clock whenever its step count falls to a
+		// multiple of 256: from this budget, at its first step.
+		opts.CheckTimeout, opts.SearchBudget = time.Nanosecond, 257
+	}
 	s := New(opts)
+	// unknown checks that an Unknown is allowed, and counts those the
+	// deadline gave.
+	unknown := func(what string) {
+		t.Helper()
+		switch {
+		case !budgeted && !deadline:
+			t.Fatalf("seed %d: %s is Unknown without a search budget or deadline", seed, what)
+		case deadline:
+			timedOut++
+		}
+	}
 	oracle := newSweepOracle(vars)
 
 	arith := func() expr.Arith {
@@ -302,8 +328,8 @@ func differentialBatchSweep(t *testing.T, seed int64) (verdicts int) {
 				t.Fatalf("seed %d: Sat for %s, but no assignment satisfies it with the prefix\nsolver: %s", seed, c, s)
 			case res[i] == Unsat && len(sat) > 0:
 				t.Fatalf("seed %d: Unsat for %s, which %v satisfies with the prefix\nsolver: %s", seed, c, sat[0], s)
-			case res[i] == Unknown && !budgeted:
-				t.Fatalf("seed %d: Unknown for %s without a search budget", seed, c)
+			case res[i] == Unknown:
+				unknown(c.String())
 			}
 		}
 		return conds, res, sats
@@ -344,8 +370,8 @@ func differentialBatchSweep(t *testing.T, seed int64) (verdicts int) {
 					}
 				case r == Unsat:
 					t.Fatalf("seed %d: Model says Unsat, but %v satisfies the asserted set\nsolver: %s", seed, sats[i][0], s)
-				case !budgeted:
-					t.Fatalf("seed %d: Model is Unknown without a search budget", seed)
+				default:
+					unknown("Model")
 				}
 			}
 			s.Pop()
@@ -361,5 +387,5 @@ func differentialBatchSweep(t *testing.T, seed int64) (verdicts int) {
 	if s.Depth() != 0 {
 		t.Fatalf("seed %d: walk ended at depth %d", seed, s.Depth())
 	}
-	return verdicts
+	return verdicts, timedOut
 }

@@ -284,27 +284,6 @@ func (fl *flow) entryFacts(region *cfg.Region) (*facts, int) {
 // every chain leaves it there; and a condition survives if it mentions no
 // modified variable and is the entry's or one every chain collected.
 func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Template, initC []expr.Bool, initV expr.Subst, g *cfg.Graph) {
-	// changed reports whether a chain's final value of v differs from v's
-	// entry value: initV[v] when public, else the free symbol v.
-	changed := func(v expr.Var, val expr.Arith) bool {
-		if v.IsAux() {
-			return false // chain-local temporaries (see encodePath)
-		}
-		if entry, public := initV[v]; public {
-			return !expr.EqualArith(val, entry)
-		}
-		r, ok := val.(expr.Ref)
-		return !ok || r.Var != v || r.W != g.Vars[v]
-	}
-	// valueAfter is v's constant after chain t, if it has one.
-	valueAfter := func(t *sym.Template, v expr.Var) (expr.Arith, bool) {
-		if val, ok := t.Final[v]; ok && changed(v, val) {
-			_, isConst := val.(expr.Const)
-			return val, isConst
-		}
-		val, ok := in.values[v]
-		return val, ok
-	}
 	var live []*sym.Template
 	out := &facts{values: expr.Subst{}, conds: map[string]expr.Bool{}, modified: map[expr.Var]bool{}}
 	for v := range in.modified {
@@ -315,9 +294,9 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 			continue // drop chains never feed downstream pipelines
 		}
 		live = append(live, t)
-		for v, val := range t.Final {
-			if changed(v, val) {
-				out.modified[v] = true
+		for s, val := range t.Final {
+			if val != nil && changedFrom(t.Vars[s], val, initV, g) {
+				out.modified[t.Vars[s]] = true
 			}
 		}
 	}
@@ -326,6 +305,23 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 		return
 	}
 	first := live[0]
+	// slot indexes the variable table the region's chains share: they are
+	// the templates of one exploration (sym.Template.Vars).
+	slot := make(map[expr.Var]int, len(first.Vars))
+	for s, v := range first.Vars {
+		slot[v] = s
+	}
+	// valueAfter is v's constant after chain t, if it has one.
+	valueAfter := func(t *sym.Template, v expr.Var) (expr.Arith, bool) {
+		if s, ok := slot[v]; ok {
+			if val := t.Final[s]; val != nil && changedFrom(v, val, initV, g) {
+				_, isConst := val.(expr.Const)
+				return val, isConst
+			}
+		}
+		val, ok := in.values[v]
+		return val, ok
+	}
 	// Values: the first chain's, where every other chain agrees.
 	keep := func(v expr.Var) {
 		val, ok := valueAfter(first, v)
@@ -343,9 +339,9 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 	for v := range in.values {
 		keep(v)
 	}
-	for v, val := range first.Final {
-		if changed(v, val) {
-			keep(v)
+	for s, val := range first.Final {
+		if val != nil && changedFrom(first.Vars[s], val, initV, g) {
+			keep(first.Vars[s])
 		}
 	}
 	// Conditions: the entry's, and the first chain's where every other chain

@@ -70,7 +70,7 @@ topology {
 	// (kind == 7).
 	var oneHop, twoHops int
 	for _, tm := range res.Templates {
-		val, err := expr.EvalArith(tm.Final["hdr.h.hops"], expr.State{"hdr.h.hops": 0, "hdr.h.kind": tm.Model["hdr.h.kind"]})
+		val, err := expr.EvalArith(finalOf(tm, "hdr.h.hops"), expr.State{"hdr.h.hops": 0, "hdr.h.kind": tm.Model["hdr.h.kind"]})
 		if err != nil {
 			t.Fatalf("template %d: %v", tm.ID, err)
 		}
@@ -131,7 +131,7 @@ pipeline p { parser = prs; control = c; }
 	// cell value is a free symbolic variable).
 	seen := map[uint64]bool{}
 	for _, tm := range res.Templates {
-		if c, ok := tm.Final["hdr.h.x"].(expr.Const); ok {
+		if c, ok := finalOf(tm, "hdr.h.x").(expr.Const); ok {
 			seen[c.Val] = true
 		}
 	}
@@ -141,7 +141,7 @@ pipeline p { parser = prs; control = c; }
 	// The write-back must be expressed against the register's entry
 	// value.
 	for _, tm := range res.Templates {
-		val := tm.Final[regVar]
+		val := finalOf(tm, regVar)
 		if val == nil {
 			t.Fatal("register write-back missing from final state")
 		}

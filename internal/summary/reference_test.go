@@ -27,8 +27,9 @@ func refSetRegionOut(in *facts, templates []*sym.Template, initC []expr.Bool, in
 			continue
 		}
 		f := in.clone()
-		for v, val := range t.Final {
-			if v.IsAux() {
+		for s, val := range t.Final {
+			v := t.Vars[s]
+			if val == nil || v.IsAux() {
 				continue
 			}
 			entryVal, wasPublic := initV[v]
@@ -277,16 +278,23 @@ func TestRegionPathsOverflow(t *testing.T) {
 
 // TestSetRegionOutMatchesReferenceRandom holds meet and setRegionOut to
 // the references on random facts and chains — chains that leave a
-// variable as it was, set it to one of a few constants or to a symbolic
-// value, write an auxiliary, collect conjuncts from a small pool (so that
-// some are common to every chain) or are dropped — where the corpus has
-// few regions whose entry conditions mention what the chains change.
+// variable as it was or unbound, set it to one of a few constants or to a
+// symbolic value, write an auxiliary, collect conjuncts from a small pool
+// (so that some are common to every chain) or are dropped — where the
+// corpus has few regions whose entry conditions mention what the chains
+// change. A round's chains share one variable table, as the templates of
+// one exploration do, with the auxiliary's slot among the variables'.
 func TestSetRegionOutMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	g := cfg.NewGraph()
 	vars := []expr.Var{"a", "b", "c", "d", "e", "f"}
 	for _, v := range vars {
 		g.Vars[v] = 8
+	}
+	table := []expr.Var{"c", "a", vars[0].Aux(), "f", "b", "e", "d"}
+	slot := map[expr.Var]int{}
+	for s, v := range table {
+		slot[v] = s
 	}
 	ref := func() expr.Ref { v := vars[rng.Intn(len(vars))]; return expr.V(v, 8) }
 	cond := func() expr.Bool {
@@ -320,22 +328,22 @@ func TestSetRegionOutMatchesReferenceRandom(t *testing.T) {
 		initC := in.sortedConds()
 		var templates []*sym.Template
 		for i := rng.Intn(5); i > 0; i-- {
-			tm := &sym.Template{Final: expr.Subst{}, Dropped: rng.Intn(5) == 0, Constraints: initC}
+			tm := &sym.Template{Final: make(expr.Env, len(table)), Vars: table, Dropped: rng.Intn(5) == 0, Constraints: initC}
 			for _, v := range vars {
 				switch rng.Intn(5) {
 				case 0:
-					tm.Final[v] = expr.V(v, 8)
+					tm.Final[slot[v]] = expr.V(v, 8)
 				case 1:
-					tm.Final[v] = expr.C(uint64(rng.Intn(3)), 8)
+					tm.Final[slot[v]] = expr.C(uint64(rng.Intn(3)), 8)
 				case 2:
-					tm.Final[v] = expr.Bin{Op: expr.OpAdd, L: ref(), R: expr.C(1, 8)}
+					tm.Final[slot[v]] = expr.Bin{Op: expr.OpAdd, L: ref(), R: expr.C(1, 8)}
 				}
 				if iv, public := initV[v]; public && rng.Intn(2) == 0 {
-					tm.Final[v] = iv
+					tm.Final[slot[v]] = iv
 				}
 			}
 			if rng.Intn(3) == 0 {
-				tm.Final[vars[0].Aux()] = expr.C(9, 8)
+				tm.Final[slot[vars[0].Aux()]] = expr.C(9, 8)
 			}
 			for j := rng.Intn(4); j > 0; j-- {
 				tm.Constraints = append(tm.Constraints, cond())

@@ -256,36 +256,27 @@ func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.
 		tail = n.ID
 	}
 
-	// Changed variables: final value differs from the entry value. The
-	// entry value of v is initV[v] when public, else the free symbol v.
-	var changed []expr.Var
-	for v, val := range t.Final {
-		if v.IsAux() {
-			// Auxiliaries from earlier summaries are chain-local
-			// temporaries: each chain saves its own before reading them,
-			// so they never carry live values across pipelines.
-			continue
-		}
-		entryVal, wasPublic := initV[v]
-		if !wasPublic {
-			entryVal = expr.V(v, g.Vars[v])
-		}
-		if !expr.EqualArith(val, entryVal) {
-			changed = append(changed, v)
+	// Changed variables, by slot in name order: final value differs from the
+	// entry value.
+	var changed []int
+	for s, val := range t.Final {
+		if val != nil && changedFrom(t.Vars[s], val, initV, g) {
+			changed = append(changed, s)
 		}
 	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i] < changed[j] })
+	sort.Slice(changed, func(i, j int) bool { return t.Vars[changed[i]] < t.Vars[changed[j]] })
 
 	// Rename map: references to changed variables inside final values must
 	// read the entry snapshot (@var), since the assignments in a CFG lack
 	// atomicity (§3.3's srcPort/dstPort example).
 	ren := make(map[expr.Var]expr.Var, len(changed))
-	for _, v := range changed {
-		ren[v] = names.of(v).aux
+	for _, s := range changed {
+		ren[t.Vars[s]] = names.of(t.Vars[s]).aux
 	}
 
 	// Saves: @v ← v for every changed variable.
-	for _, v := range changed {
+	for _, s := range changed {
+		v := t.Vars[s]
 		w, n := g.Vars[v], names.of(v)
 		g.Vars[n.aux] = w
 		appendNode(g.AddAction(n.aux, expr.V(v, w), region.Name, n.save))
@@ -314,11 +305,27 @@ func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.
 	appendNode(g.AddPredicate(pred, region.Name, fmt.Sprintf("summary path %d of %s", t.ID, region.Name)))
 	// Assignments: v ← final value with changed references renamed to
 	// their @ snapshots.
-	for _, v := range changed {
-		val := expr.RenameArith(t.Final[v], ren)
-		appendNode(g.AddAction(v, val, region.Name, names.of(v).assign))
+	for _, s := range changed {
+		v := t.Vars[s]
+		appendNode(g.AddAction(v, expr.RenameArith(t.Final[s], ren), region.Name, names.of(v).assign))
 	}
 	return head, tail
+}
+
+// changedFrom reports whether a chain leaves v at a final value val that
+// differs from v's entry value: initV[v] when public, else the free symbol
+// v. Auxiliaries from earlier summaries never change: they are chain-local
+// temporaries, which each chain saves before reading, so they carry no live
+// value across pipelines.
+func changedFrom(v expr.Var, val expr.Arith, initV expr.Subst, g *cfg.Graph) bool {
+	if v.IsAux() {
+		return false
+	}
+	if entry, public := initV[v]; public {
+		return !expr.EqualArith(val, entry)
+	}
+	r, ok := val.(expr.Ref)
+	return !ok || r.Var != v || r.W != g.Vars[v]
 }
 
 func accumulate(agg *Stats, r *sym.Result) {

@@ -90,6 +90,17 @@ func exploreAll(t *testing.T, g *cfg.Graph) *sym.Result {
 	return res
 }
 
+// finalOf is v's final value on tm's path, nil where the path leaves it a
+// free input.
+func finalOf(tm *sym.Template, v expr.Var) expr.Arith {
+	for s, val := range tm.Final {
+		if tm.Vars[s] == v {
+			return val
+		}
+	}
+	return nil
+}
+
 func TestSummaryPreservesValidPathCount(t *testing.T) {
 	const n = 8
 	plain := buildTwoPipe(t, n)
@@ -134,8 +145,9 @@ func TestSummaryModelsStillSatisfyOriginal(t *testing.T) {
 		}
 		// The final concrete state must agree with the template's final
 		// symbolic state on every variable the template specifies.
-		for v, valExpr := range tm.Final {
-			if v.IsAux() {
+		for s, valExpr := range tm.Final {
+			v := tm.Vars[s]
+			if valExpr == nil || v.IsAux() {
 				continue
 			}
 			want, err := expr.EvalArith(valExpr, st)
@@ -304,14 +316,14 @@ pipeline p { control = c; }
 	tm := res.Templates[0]
 	// Concretize: entry srcPort = 7 → dstPort must be 8, srcPort 10000.
 	st := expr.State{"hdr.tcp.srcPort": 7, "hdr.tcp.dstPort": 0}
-	dst, err := expr.EvalArith(tm.Final["hdr.tcp.dstPort"], st)
+	dst, err := expr.EvalArith(finalOf(tm, "hdr.tcp.dstPort"), st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dst != 8 {
 		t.Errorf("dstPort = %d, want 8 (entry srcPort + 1)", dst)
 	}
-	srcv, err := expr.EvalArith(tm.Final["hdr.tcp.srcPort"], st)
+	srcv, err := expr.EvalArith(finalOf(tm, "hdr.tcp.srcPort"), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +361,7 @@ topology {
 	}
 	res := exploreAll(t, g)
 	for _, tm := range res.Templates {
-		if v, ok := tm.Final["hdr.h.x"]; ok {
+		if v := finalOf(tm, "hdr.h.x"); v != nil {
 			if c, isC := v.(expr.Const); isC && c.Val == 99 {
 				t.Error("a path still executes the unreachable pipeline")
 			}

@@ -3,6 +3,8 @@ package sym_test
 import (
 	"testing"
 
+	meissa "repro"
+	"repro/internal/cfg"
 	"repro/internal/programs"
 	"repro/internal/sym"
 )
@@ -31,5 +33,42 @@ func TestEngineMatchesReferenceOnCorpus(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("%s: engine differs from the reference", name)
 		}
+	}
+}
+
+// TestPlanMatchesFullWidth holds every plan a gw-1..4 generation compiles —
+// each pipeline's exploration under code summary, then the final pass — to
+// the full-width reference of plan_reference_test.go: spanning only the
+// reachable IDs changes no entry of a reachable node, no pool, no slot and
+// no tag.
+func TestPlanMatchesFullWidth(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		p := programs.GW(n, programs.RuleScale(n))
+		regions, finals := 0, 0
+		restore := sym.ObservePlans(func(start cfg.NodeID, stop map[cfg.NodeID]bool, diff string) {
+			if len(stop) == 0 {
+				finals++
+			} else {
+				regions++
+			}
+			if diff != "" {
+				t.Errorf("%s: plan from node %d (%d stop nodes): %s", p.Name, start, len(stop), diff)
+			}
+		})
+		opts := meissa.DefaultOptions()
+		opts.Parallelism = 1
+		sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sys.Generate()
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if regions == 0 || finals != 1 {
+			t.Fatalf("%s: %d pipeline plans and %d final-pass plans observed, want some and 1", p.Name, regions, finals)
+		}
+		t.Logf("%s: %d pipeline plans and the final pass's match the reference", p.Name, regions)
 	}
 }

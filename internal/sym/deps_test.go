@@ -125,14 +125,14 @@ func TestTemplateDepsMatchPathUnion(t *testing.T) {
 
 // maxMallocsPerPath is the allocation gate of the plain exploration path.
 // gw-1/set-1's raw graph — 97 explored paths, 9 templates some 40 nodes
-// deep, no journal, no verdict cache — measures 515 objects, 5.31 per
+// deep, no journal, no verdict cache — measures 497 objects, 5.12 per
 // explored path, within a few objects on every run (16.1 before the
-// executor's state became slices). What is left is per exploration (a
-// fresh solver's memo misses, the plan, per-depth batch scratch), per
-// template, or a value a path really computes, spread over few paths;
-// gw-4's final pass measures 0.23. One allocation per DFS step would add
-// about ten.
-const maxMallocsPerPath = 5.5
+// executor's state became slices, 5.31 while a template's final state was a
+// map). What is left is per exploration (a fresh solver's memo misses, the
+// plan, per-depth batch scratch), per template, or a value a path really
+// computes, spread over few paths; gw-4's final pass measures 0.19. One
+// allocation per DFS step would add about ten.
+const maxMallocsPerPath = 5.3
 
 // TestExploreMallocsPerPath pins that the plain path does not pay for the
 // reuse stack (dependency sets for journal and cache, value-stack

@@ -37,6 +37,17 @@ func walkRun(e *executor, head cfg.NodeID) expr.Bool {
 	return walked
 }
 
+// ObservePlans holds every plan newPlan compiles, until the returned
+// function is called, to the full-width reference of plan_reference_test.go:
+// report gets the exploration's start and stop nodes and what differs, ""
+// for nothing.
+func ObservePlans(report func(start cfg.NodeID, stop map[cfg.NodeID]bool, diff string)) (restore func()) {
+	planObserver = func(c Config, start cfg.NodeID, p *plan) {
+		report(start, c.StopAt, diffPlanFullWidth(c, start, p))
+	}
+	return func() { planObserver = nil }
+}
+
 // ExploreReference lets the corpus tests of package sym_test compare against
 // the plain DFS of reference_test.go.
 var ExploreReference = exploreReference

@@ -18,7 +18,8 @@ import (
 
 // renderTemplates produces a deterministic, byte-comparable rendering of a
 // template set: IDs, paths, constraints, final state, models, obligations
-// and flags, with map keys sorted.
+// and flags, the final state's bound slots and the model sorted by variable
+// name.
 func renderTemplates(ts []*Template) string {
 	var b strings.Builder
 	for _, t := range ts {
@@ -26,13 +27,15 @@ func renderTemplates(ts []*Template) string {
 		for _, c := range t.Constraints {
 			fmt.Fprintf(&b, "  C %s\n", c)
 		}
-		var fvars []string
-		for v := range t.Final {
-			fvars = append(fvars, string(v))
+		var fslots []int
+		for s, val := range t.Final {
+			if val != nil {
+				fslots = append(fslots, s)
+			}
 		}
-		sort.Strings(fvars)
-		for _, v := range fvars {
-			fmt.Fprintf(&b, "  F %s=%s\n", v, t.Final[expr.Var(v)])
+		sort.Slice(fslots, func(i, j int) bool { return t.Vars[fslots[i]] < t.Vars[fslots[j]] })
+		for _, s := range fslots {
+			fmt.Fprintf(&b, "  F %s=%s\n", t.Vars[s], t.Final[s])
 		}
 		var mvars []string
 		for v := range t.Model {

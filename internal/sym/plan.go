@@ -1,11 +1,13 @@
 package sym
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
+	"repro/internal/p4"
 	"repro/internal/smt"
 )
 
@@ -14,22 +16,29 @@ import (
 // hashing strings. Explore and SplitFrontier build it once; every executor
 // of the exploration (splitter, workers, unit runners) shares it read-only.
 type plan struct {
-	// nodes is indexed by NodeID; entries of unreachable nodes stay zero.
+	// nodes spans the IDs the exploration can enter, from base to the
+	// highest: node id is nodes[id-base]. Entries of the unreachable IDs in
+	// between stay zero.
+	base  cfg.NodeID
 	nodes []nodePlan
 	// deps pools the interned Node.Deps lists (nodePlan.depLo/depHi).
 	deps []uint32
 	// tags maps a tag ID back to its tag. IDs are ranks in sorted tag
 	// order, so sorting IDs sorts tags.
 	tags []string
-	// vars maps a value-stack slot back to its variable; init is the value
-	// stack seeded from Config.InitValues, copied by each executor.
+	// vars maps a value-stack slot back to its variable, and is every
+	// template's Vars; init is the value stack seeded from
+	// Config.InitValues, copied by each executor. drop is p4.DropVar's slot,
+	// -1 where the exploration never mentions it.
 	vars []expr.Var
 	init expr.Env
+	drop int32
 	// refs pools the nodes' Ref-slot lists (expr.RefSlotsBool/Arith).
 	refs []int32
-	// preds is each predicate node's own condition by NodeID (nil for the
-	// rest): the table every solver of the exploration asserts from by
-	// number when substitution leaves a condition as it is (newSolver).
+	// preds is each predicate node's own condition, indexed as nodes (nil
+	// for the rest): the table every solver of the exploration asserts from
+	// by number when substitution leaves a condition as it is (newSolver,
+	// condition).
 	preds []expr.Bool
 	// peeks holds the guards a branch node can decide from its own frame
 	// (nodePlan.peek); peekRefs and peekDefs pool their re-pointed Ref slots
@@ -108,15 +117,19 @@ type opaquePlan struct {
 	freshVal expr.Arith
 }
 
-func (p *plan) node(id cfg.NodeID) *nodePlan { return &p.nodes[id] }
+func (p *plan) node(id cfg.NodeID) *nodePlan { return &p.nodes[id-p.base] }
 
 // newSolver returns a solver for one executor of the exploration, set up to
-// assert the plan's predicates by node ID.
+// assert the plan's predicates by number (condition).
 func (p *plan) newSolver(opts smt.Options) *smt.Solver {
 	s := smt.New(opts)
 	s.SetConditions(p.preds)
 	return s
 }
+
+// condition is the number the solver asserts predicate node id's own
+// condition by.
+func (p *plan) condition(id cfg.NodeID) int { return int(id - p.base) }
 
 // nodeRefs returns the Ref slots of the node's Pred or Val.
 func (p *plan) nodeRefs(id cfg.NodeID) []int32 {
@@ -254,10 +267,30 @@ func (p *plan) planPeek(g *cfg.Graph, stop map[cfg.NodeID]bool, head cfg.NodeID,
 }
 
 // newPlan compiles the nodes an exploration of c from start can enter
-// (stop nodes included: the sibling batcher reads their predicates).
+// (stop nodes included: the sibling batcher reads their predicates). It
+// walks them first, in the order they are planned, and sizes the per-node
+// tables to the span of their IDs: a summarized pipeline's exploration
+// enters a few hundred of a graph's tens of thousands of nodes.
 func newPlan(c Config, start cfg.NodeID) *plan {
 	g := c.Graph
-	p := &plan{nodes: make([]nodePlan, len(g.Nodes)), preds: make([]expr.Bool, len(g.Nodes))}
+	seen := make([]uint64, (len(g.Nodes)+63)/64) // a bit per node ID
+	reached := func(id cfg.NodeID) bool { return seen[id/64]&(1<<(id%64)) != 0 }
+	var order []cfg.NodeID
+	lo, hi := start, start
+	for stack := []cfg.NodeID{start}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if reached(id) {
+			continue
+		}
+		seen[id/64] |= 1 << (id % 64)
+		order = append(order, id)
+		lo, hi = min(lo, id), max(hi, id)
+		if !c.StopAt[id] {
+			stack = append(stack, g.Node(id).Succs...)
+		}
+	}
+	p := &plan{base: lo, nodes: make([]nodePlan, hi-lo+1), preds: make([]expr.Bool, hi-lo+1), drop: -1}
 	tagIDs := map[string]uint32{} // first-seen order; re-ranked below
 	slots := map[expr.Var]int32{}
 	slot := func(v expr.Var) int32 {
@@ -270,14 +303,7 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 		return sl
 	}
 	refSlot := func(r expr.Ref) int32 { return slot(r.Var) }
-	seen := make([]bool, len(g.Nodes))
-	for stack := []cfg.NodeID{start}; len(stack) > 0; {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
+	for _, id := range order {
 		n := g.Node(id)
 		np := p.node(id)
 		np.depLo = uint32(len(p.deps))
@@ -296,7 +322,7 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 			np.conjLo = uint32(len(p.conjs))
 			p.planPred(n.Pred, len(p.refs), refSlot)
 			np.conjHi = uint32(len(p.conjs))
-			p.preds[id] = n.Pred
+			p.preds[p.condition(id)] = n.Pred
 		case cfg.Action:
 			np.slot = slot(n.Var)
 			p.refs = expr.RefSlotsArith(p.refs, n.Val, refSlot)
@@ -313,16 +339,14 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 			np.opaque = op
 		}
 		np.refHi = uint32(len(p.refs))
-		if !c.StopAt[id] {
-			stack = append(stack, n.Succs...)
-		}
 	}
 	// Peeks read the slots and Ref lists of a whole run, so they are planned
 	// once every reachable node has been: for the successors of the branch
 	// nodes the walk expands.
 	var via map[int32]peekSource
-	for id, n := range g.Nodes {
-		if !seen[id] || len(n.Succs) < 2 || c.StopAt[n.ID] {
+	for id := lo; id <= hi; id++ {
+		n := g.Node(id)
+		if !reached(id) || len(n.Succs) < 2 || c.StopAt[id] {
 			continue
 		}
 		for _, s := range n.Succs {
@@ -343,12 +367,29 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 	for i, d := range p.deps {
 		p.deps[i] = rank[d]
 	}
+	// Variables only the seeded value stack names take the last slots, in
+	// name order, so that a template's Vars is a function of the exploration.
+	initVars := make([]expr.Var, 0, len(c.InitValues))
 	for v := range c.InitValues {
+		initVars = append(initVars, v)
+	}
+	slices.Sort(initVars)
+	for _, v := range initVars {
 		slot(v)
 	}
 	p.init = make(expr.Env, len(p.vars))
 	for v, a := range c.InitValues {
 		p.init[slots[v]] = a
 	}
+	if s, ok := slots[p4.DropVar]; ok {
+		p.drop = s
+	}
+	if planObserver != nil {
+		planObserver(c, start, p)
+	}
 	return p
 }
+
+// planObserver, which only tests set, sees every plan newPlan compiles and
+// what it was compiled from.
+var planObserver func(c Config, start cfg.NodeID, p *plan)

@@ -1,0 +1,168 @@
+package sym
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strconv"
+
+	"repro/internal/cfg"
+	"repro/internal/expr"
+)
+
+// newPlanFullWidth is newPlan as it was before plans spanned only the IDs an
+// exploration enters, kept as the oracle (TestPlanMatchesFullWidth): nodes
+// and preds sized to the whole graph, base 0, and planned as the graph is
+// walked. Only the seeded variables' slots follow newPlan's name order (they
+// followed map order). It also returns which IDs the exploration can enter.
+func newPlanFullWidth(c Config, start cfg.NodeID) (*plan, []bool) {
+	g := c.Graph
+	p := &plan{nodes: make([]nodePlan, len(g.Nodes)), preds: make([]expr.Bool, len(g.Nodes))}
+	tagIDs := map[string]uint32{} // first-seen order; re-ranked below
+	slots := map[expr.Var]int32{}
+	slot := func(v expr.Var) int32 {
+		sl, ok := slots[v]
+		if !ok {
+			sl = int32(len(p.vars))
+			slots[v] = sl
+			p.vars = append(p.vars, v)
+		}
+		return sl
+	}
+	refSlot := func(r expr.Ref) int32 { return slot(r.Var) }
+	seen := make([]bool, len(g.Nodes))
+	for stack := []cfg.NodeID{start}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		n := g.Node(id)
+		np := p.node(id)
+		np.depLo = uint32(len(p.deps))
+		for _, d := range n.Deps {
+			tid, ok := tagIDs[d]
+			if !ok {
+				tid = uint32(len(tagIDs))
+				tagIDs[d] = tid
+			}
+			p.deps = append(p.deps, tid)
+		}
+		np.depHi = uint32(len(p.deps))
+		np.refLo = uint32(len(p.refs))
+		switch n.Kind {
+		case cfg.Predicate:
+			np.conjLo = uint32(len(p.conjs))
+			p.planPred(n.Pred, len(p.refs), refSlot)
+			np.conjHi = uint32(len(p.conjs))
+			p.preds[id] = n.Pred
+		case cfg.Action:
+			np.slot = slot(n.Var)
+			p.refs = expr.RefSlotsArith(p.refs, n.Val, refSlot)
+		case cfg.Hash, cfg.Checksum:
+			np.slot = slot(n.Var)
+			op := &opaquePlan{w: g.Vars[n.Var]}
+			op.fresh = expr.V(expr.Var("hash$n"+strconv.Itoa(int(n.ID))), op.w)
+			op.freshVal = op.fresh
+			for _, in := range n.Inputs {
+				p.refs = expr.RefSlotsArith(p.refs, in, refSlot)
+				op.inputEnds = append(op.inputEnds, uint32(len(p.refs)))
+				op.widths = append(op.widths, in.Width())
+			}
+			np.opaque = op
+		}
+		np.refHi = uint32(len(p.refs))
+		if !c.StopAt[id] {
+			stack = append(stack, n.Succs...)
+		}
+	}
+	var via map[int32]peekSource
+	for id, n := range g.Nodes {
+		if !seen[id] || len(n.Succs) < 2 || c.StopAt[n.ID] {
+			continue
+		}
+		for _, s := range n.Succs {
+			if p.node(s).peek == 0 {
+				via = p.planPeek(g, c.StopAt, s, via)
+			}
+		}
+	}
+	p.tags = make([]string, 0, len(tagIDs))
+	for t := range tagIDs {
+		p.tags = append(p.tags, t)
+	}
+	sort.Strings(p.tags)
+	rank := make([]uint32, len(p.tags))
+	for r, t := range p.tags {
+		rank[tagIDs[t]] = uint32(r)
+	}
+	for i, d := range p.deps {
+		p.deps[i] = rank[d]
+	}
+	initVars := make([]expr.Var, 0, len(c.InitValues))
+	for v := range c.InitValues {
+		initVars = append(initVars, v)
+	}
+	sort.Slice(initVars, func(i, j int) bool { return initVars[i] < initVars[j] })
+	for _, v := range initVars {
+		slot(v)
+	}
+	p.init = make(expr.Env, len(p.vars))
+	for v, a := range c.InitValues {
+		p.init[slots[v]] = a
+	}
+	return p, seen
+}
+
+// diffPlanFullWidth compiles the exploration of c from start the way
+// newPlanFullWidth does and says how got, newPlan's plan of it, differs:
+// "" for not at all. got must span exactly the reachable IDs and agree with
+// the reference on each of them — its plan entry and its condition — and on
+// every pool, the variable table, the seeded value stack and the tags.
+func diffPlanFullWidth(c Config, start cfg.NodeID, got *plan) string {
+	ref, seen := newPlanFullWidth(c, start)
+	lo, hi := cfg.None, cfg.None
+	for id, ok := range seen {
+		if ok {
+			if lo == cfg.None {
+				lo = cfg.NodeID(id)
+			}
+			hi = cfg.NodeID(id)
+		}
+	}
+	if got.base != lo || len(got.nodes) != int(hi-lo+1) || len(got.preds) != len(got.nodes) {
+		return fmt.Sprintf("plan spans %d nodes from %d (%d conditions), reachable IDs span %d..%d",
+			len(got.nodes), got.base, len(got.preds), lo, hi)
+	}
+	for id := lo; id <= hi; id++ {
+		if !seen[id] {
+			continue
+		}
+		if !reflect.DeepEqual(*got.node(id), *ref.node(id)) {
+			return fmt.Sprintf("node %d planned %+v, reference %+v", id, *got.node(id), *ref.node(id))
+		}
+		if !reflect.DeepEqual(got.preds[got.condition(id)], ref.preds[id]) {
+			return fmt.Sprintf("node %d condition %v, reference %v", id, got.preds[got.condition(id)], ref.preds[id])
+		}
+	}
+	for _, pool := range []struct {
+		name     string
+		got, ref any
+	}{
+		{"refs", got.refs, ref.refs},
+		{"deps", got.deps, ref.deps},
+		{"conjs", got.conjs, ref.conjs},
+		{"peeks", got.peeks, ref.peeks},
+		{"peekRefs", got.peekRefs, ref.peekRefs},
+		{"peekDefs", got.peekDefs, ref.peekDefs},
+		{"vars", got.vars, ref.vars},
+		{"init", got.init, ref.init},
+		{"tags", got.tags, ref.tags},
+	} {
+		if !reflect.DeepEqual(pool.got, pool.ref) {
+			return fmt.Sprintf("%s %v, reference %v", pool.name, pool.got, pool.ref)
+		}
+	}
+	return ""
+}

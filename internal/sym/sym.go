@@ -18,7 +18,6 @@ import (
 	"repro/internal/hashfn"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/p4"
 	"repro/internal/smt"
 )
 
@@ -57,8 +56,11 @@ type Template struct {
 	// guard conditions over free input variables.
 	Constraints []expr.Bool
 	// Final is the final symbolic state V: output field patterns in terms
-	// of input variables.
-	Final expr.Subst
+	// of input variables, by value-stack slot, nil where the path leaves the
+	// variable a free input. Vars[s] is slot s's variable: the exploration's
+	// variable table, which every template of it shares read-only.
+	Final expr.Env
+	Vars  []expr.Var
 	// Model is one concrete input satisfying the path condition.
 	Model expr.State
 	// HashObligations lists hash/checksum assignments whose inputs were
@@ -681,7 +683,7 @@ func (e *executor) step(id cfg.NodeID) {
 			e.solver.Push()
 			if own {
 				// The node's own predicate: the solver has it by number.
-				e.solver.AssertCondition(int(id))
+				e.solver.AssertCondition(e.p.condition(id))
 			} else {
 				e.solver.Assert(cond)
 			}
@@ -1071,23 +1073,6 @@ func fromVerdict(v journal.Verdict) smt.Result {
 	}
 }
 
-// final snapshots the value stack as the exchange type, a Subst.
-func (e *executor) final() expr.Subst {
-	n := 0
-	for _, a := range e.vals {
-		if a != nil {
-			n++
-		}
-	}
-	out := make(expr.Subst, n)
-	for s, a := range e.vals {
-		if a != nil {
-			out[e.p.vars[s]] = a
-		}
-	}
-	return out
-}
-
 // emit records a template for the current path if its condition is
 // satisfiable. key is the journal key for the completed path.
 func (e *executor) emit(key uint64) {
@@ -1102,17 +1087,17 @@ func (e *executor) emit(key uint64) {
 		ID:          len(e.res.Templates),
 		Path:        append([]cfg.NodeID(nil), e.path...),
 		Constraints: append([]expr.Bool(nil), e.constraints...),
-		Final:       e.final(),
+		Final:       append(expr.Env(nil), e.vals...),
+		Vars:        e.p.vars,
 		Model:       model,
 		Uncertain:   r == smt.Unknown,
 		PathKey:     key,
 		Deps:        e.curDeps(),
 	}
 	t.HashObligations = cloneObligations(e.obligations)
-	if d, ok := t.Final[p4.DropVar]; ok {
-		if c, isC := d.(expr.Const); isC && c.Val == 1 {
-			t.Dropped = true
-		}
+	if d := e.p.drop; d >= 0 {
+		c, ok := t.Final[d].(expr.Const)
+		t.Dropped = ok && c.Val == 1
 	}
 	e.res.Templates = append(e.res.Templates, t)
 }
