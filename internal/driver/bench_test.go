@@ -43,3 +43,38 @@ func BenchmarkDriverPipeline(b *testing.B) {
 		})
 	}
 }
+
+// TestDriveAllocsPerVerdict counts the allocations a steady-state gw-4
+// loopback suite makes per verdict — the template cache warm, as in the
+// drive-gw4-loopback benchmark — with no clock in the assertion. Captures
+// are decoded into a reused slot arena and checked slot by slot, so what
+// is left is the case, its input and expected packets and payload, the
+// outcome, and the target's result (7.7 a verdict; 21.7 when captures
+// were parsed into per-header maps).
+func TestDriveAllocsPerVerdict(t *testing.T) {
+	if testing.Short() {
+		t.Skip("gw-4 generation")
+	}
+	p := programs.GW(4, programs.Set4)
+	e := explore(t, p.Prog, p.Rules)
+	target, err := switchsim.Compile(p.Prog, p.Rules, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(p.Prog, e.graph, NewLoopback(target), nil)
+	run := func() {
+		rep, err := d.RunTemplates(e.templates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Passed != len(e.templates) {
+			t.Fatalf("clean loopback: %s", rep.Summary())
+		}
+	}
+	run() // fill the template cache
+	perVerdict := testing.AllocsPerRun(3, run) / float64(len(e.templates))
+	t.Logf("%.2f allocations per verdict over %d verdicts", perVerdict, len(e.templates))
+	if perVerdict > 8.8 {
+		t.Errorf("%.2f allocations per verdict, ceiling 8.8", perVerdict)
+	}
+}

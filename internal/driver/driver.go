@@ -88,7 +88,10 @@ type Outcome struct {
 	// Crashed reports that at least one attempt made the target panic
 	// (observable only on links that surface injection errors).
 	Crashed bool
-	// Output is the captured packet (nil when absent).
+	// Output is the captured packet, nil when absent or undecodable. The
+	// engine checks captures in slot form and builds this only for an
+	// attempt that does not pass, or for one a spec must read: a passing
+	// attempt of a case no spec applies to leaves it nil.
 	Output *packet.Packet
 	// Absent reports that no packet was captured.
 	Absent bool
@@ -145,7 +148,8 @@ type Phases struct {
 	Concretize time.Duration
 	// Send: Link.Send — on the loopback this is the target's inject.
 	Send time.Duration
-	// Recv: captures read off the link, demultiplexed and decoded.
+	// Recv: captures read off the link, demultiplexed and decoded into
+	// slots.
 	Recv time.Duration
 	// Check: the checker, on captures and on closed windows.
 	Check time.Duration
@@ -228,6 +232,15 @@ type Driver struct {
 	// fills sender checksums and the checker validates every output from
 	// them, without rebuilding names or slices per case.
 	csPlans []csPlan
+	// hdrs is the slot checker's view of each declared header, indexed
+	// like Prog.Headers; ttl locates ipv4.ttl for the sanity check.
+	hdrs []hdrCheck
+	ttl  struct {
+		ok          bool
+		valid, slot int
+	}
+	// assumes memoizes each spec's translated assume clauses.
+	assumes map[*spec.Spec]assumed
 	// baseModel is the default-completed model every case starts from:
 	// all graph variables zero except TTL fields at 64. Concretize clones
 	// it in one bulk copy instead of rebuilding it key by key.
@@ -240,11 +253,10 @@ type Driver struct {
 	phases Phases
 	mark   time.Time
 	// tmplCache memoizes each template's ID-independent concretization
-	// (see concretized).
-	tmplCache map[*sym.Template]*concretized
-	// fieldOrder holds each declared header's field names, sorted, for
-	// deterministic mismatch rendering without per-diff sorting.
-	fieldOrder map[string][]string
+	// (see concretized). Its applicable specs are drawn from cacheSpecs;
+	// RunTemplates drops the cache when Specs has changed since.
+	tmplCache  map[*sym.Template]*concretized
+	cacheSpecs []*spec.Spec
 	// nextID allocates monotonically increasing payload IDs: every
 	// transmission (including retries) gets a never-reused ID.
 	nextID uint64
@@ -264,17 +276,27 @@ func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver 
 		Window:      DefaultWindow,
 	}
 
-	d.fieldOrder = make(map[string][]string, len(prog.Headers))
-	for _, h := range prog.Headers {
+	vt := p4.Vars(prog)
+	d.hdrs = make([]hdrCheck, len(prog.Headers))
+	for i, h := range prog.Headers {
+		hc := hdrCheck{name: h.Name}
+		hc.valid, _ = vt.ValidSlot(h.Name)
 		names := make([]string, len(h.Fields))
-		for i, f := range h.Fields {
-			names[i] = f.Name
+		for j, f := range h.Fields {
+			names[j] = f.Name
 		}
 		sort.Strings(names)
-		d.fieldOrder[h.Name] = names
+		for _, f := range slices.Compact(names) {
+			s, _ := vt.FieldSlot(h.Name, f)
+			hc.fields = append(hc.fields, f)
+			hc.slots = append(hc.slots, s)
+		}
+		d.hdrs[i] = hc
 	}
-
-	vt := p4.Vars(prog)
+	d.ttl.valid, d.ttl.ok = vt.ValidSlot("ipv4")
+	if d.ttl.ok {
+		d.ttl.slot, d.ttl.ok = vt.FieldSlot("ipv4", "ttl")
+	}
 	if g != nil {
 		d.baseModel = make(expr.State, len(g.Vars))
 		d.graphZero = make(expr.State, len(g.Vars))
@@ -297,12 +319,15 @@ func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver 
 			v: vt.Field(header, field),
 			w: expr.Width(decl.Field(field).Width),
 		}
+		pl.valid, _ = vt.ValidSlot(header)
+		pl.slot, _ = vt.FieldSlot(header, field)
 		for _, f := range decl.Fields {
 			if f.Name == field {
 				continue
 			}
-			pl.names = append(pl.names, f.Name)
+			s, _ := vt.FieldSlot(header, f.Name)
 			pl.in = append(pl.in, vt.Field(header, f.Name))
+			pl.inSlots = append(pl.inSlots, s)
 			pl.iw = append(pl.iw, expr.Width(f.Width))
 		}
 		d.csPlans = append(d.csPlans, pl)
@@ -311,16 +336,34 @@ func New(prog *p4.Program, g *cfg.Graph, link Link, specs []*spec.Spec) *Driver 
 }
 
 // csPlan precomputes one maintained checksum: its header and field, the
-// destination variable and width, and the input fields in declaration
-// order — as names (the checker reads packets), variables (Concretize
-// reads models) and widths.
+// destination variable, slot and width, the header's validity slot, and
+// the input fields in declaration order — as variables (Concretize reads
+// models), slots (the checker reads captures) and widths.
 type csPlan struct {
 	header, field string
 	v             expr.Var
+	valid, slot   int
 	w             expr.Width
-	names         []string
 	in            []expr.Var
+	inSlots       []int
 	iw            []expr.Width
+}
+
+// hdrCheck is one declared header as the slot checker reads it: its
+// validity slot and its field slots sorted by field name, the order
+// mismatches are reported in.
+type hdrCheck struct {
+	name   string
+	valid  int
+	fields []string
+	slots  []int
+}
+
+// assumed is a spec's assume clauses translated once, or why they do not
+// translate.
+type assumed struct {
+	bs  []expr.Bool
+	err error
 }
 
 // startClock opens a batch of stage timings; lap charges the time since
@@ -341,7 +384,8 @@ func (d *Driver) lap(stage *time.Duration) time.Time {
 // depend on it — so retransmissions and re-runs restamp the ID instead
 // of re-deriving the whole case. Header slices and field maps are shared
 // across the cases stamped from one entry; they are read-only after
-// concretization.
+// concretization. So is what the checker needs: the prediction in slot
+// form, the input's TTL, and the specs whose assumptions the input meets.
 type concretized struct {
 	err        error
 	skip       string
@@ -349,12 +393,18 @@ type concretized struct {
 	headerWire []byte
 	inHeaders  []packet.Header
 	expHeaders []packet.Header
-	dropped    bool
+	// exp is the predicted output's header slots (p4.VarTable layout,
+	// HeaderSlots long); nil when the path drops.
+	exp []uint64
+	// inTTLAlive: the input carries an ipv4.ttl above zero.
+	inTTLAlive bool
+	specs      []*spec.Spec
 }
 
 // concretizeFast is Concretize through the per-template cache; the
-// engine's admission and retransmission paths use it.
-func (d *Driver) concretizeFast(t *sym.Template, id uint64) (*Case, error) {
+// engine's admission and retransmission paths use it. It also returns
+// the cache entry the checker reads.
+func (d *Driver) concretizeFast(t *sym.Template, id uint64) (*Case, *concretized, error) {
 	cc, ok := d.tmplCache[t]
 	if !ok {
 		cc = d.buildConcretized(t)
@@ -364,11 +414,11 @@ func (d *Driver) concretizeFast(t *sym.Template, id uint64) (*Case, error) {
 		d.tmplCache[t] = cc
 	}
 	if cc.err != nil {
-		return nil, cc.err
+		return nil, nil, cc.err
 	}
 	c := &Case{Template: t, ID: id, Entry: cc.entry, SkipReason: cc.skip}
 	if cc.skip != "" {
-		return c, nil
+		return c, cc, nil
 	}
 	pl := packet.WithID(id)
 	c.Input = &packet.Packet{Headers: cc.inHeaders, Payload: pl}
@@ -376,10 +426,10 @@ func (d *Driver) concretizeFast(t *sym.Template, id uint64) (*Case, error) {
 	wire = append(wire, cc.headerWire...)
 	wire = append(wire, pl...)
 	c.Wire = wire
-	if !cc.dropped {
+	if cc.exp != nil {
 		c.Expected = &packet.Packet{Headers: cc.expHeaders, Payload: pl}
 	}
-	return c, nil
+	return c, cc, nil
 }
 
 func (d *Driver) buildConcretized(t *sym.Template) *concretized {
@@ -395,10 +445,25 @@ func (d *Driver) buildConcretized(t *sym.Template) *concretized {
 	}
 	cc.headerWire = c.Wire[:len(c.Wire)-len(c.Input.Payload)]
 	cc.inHeaders = c.Input.Headers
-	if c.Expected == nil {
-		cc.dropped = true
-	} else {
+	if c.Expected != nil {
 		cc.expHeaders = c.Expected.Headers
+		vt := p4.Vars(d.Prog)
+		cc.exp = make([]uint64, vt.HeaderSlots())
+		for _, h := range c.Expected.Headers {
+			s, _ := vt.ValidSlot(h.Name)
+			cc.exp[s] = 1
+			for f, v := range h.Fields {
+				s, _ := vt.FieldSlot(h.Name, f)
+				cc.exp[s] = v
+			}
+		}
+	}
+	ttl, ok := c.Input.Field("ipv4", "ttl")
+	cc.inTTLAlive = ok && ttl > 0
+	for _, s := range d.Specs {
+		if d.SpecApplies(s, c.Input) {
+			cc.specs = append(cc.specs, s)
+		}
 	}
 	return cc
 }
@@ -592,80 +657,16 @@ func wireID(wire []byte) (uint64, bool) {
 	return binary.BigEndian.Uint64(tail[4:12]), true
 }
 
-// check fills the outcome's verdict: prediction comparison, checksum
-// validation, sanity checks and spec expectations, per d.Checks.
-func (d *Driver) check(o *Outcome) {
-	c := o.Case
-
-	// 1. Compare against the symbolic prediction.
-	if d.Checks.Prediction {
-		switch {
-		case c.Expected == nil && !o.Absent:
-			o.Mismatches = append(o.Mismatches, "predicted drop, but a packet was captured")
-		case c.Expected != nil && o.Absent:
-			o.Mismatches = append(o.Mismatches, "predicted forward, but no packet was captured")
-		case c.Expected != nil && o.Output != nil:
-			o.Mismatches = append(o.Mismatches, d.diffPackets(c.Expected, o.Output)...)
-		}
-	}
-
-	// 1b. Universal sanity checks.
-	if d.Checks.Sanity && o.Output != nil {
-		if _, ok := o.Output.ID(); !ok {
-			o.Mismatches = append(o.Mismatches, "output payload lacks the test ID (malformed emit)")
-		}
-		// A forwarded IPv4 packet must not leave with TTL 0 when it
-		// arrived alive.
-		if outTTL, ok := o.Output.Field("ipv4", "ttl"); ok && outTTL == 0 {
-			if inTTL, ok := c.Input.Field("ipv4", "ttl"); ok && inTTL > 0 {
-				o.Mismatches = append(o.Mismatches, "forwarded IPv4 packet has TTL 0")
-			}
-		}
-	}
-
-	// 2. Validate checksums on the captured packet.
-	if d.Checks.Checksums && o.Output != nil {
-		for i := range d.csPlans {
-			pl := &d.csPlans[i]
-			at := slices.IndexFunc(o.Output.Headers, func(h packet.Header) bool { return h.Name == pl.header })
-			if at < 0 {
-				continue
-			}
-			fields := o.Output.Headers[at].Fields
-			vals := d.csScratch[:0]
-			for _, f := range pl.names {
-				vals = append(vals, fields[f])
-			}
-			d.csScratch = vals[:0]
-			want := pl.w.Trunc(hashfn.Checksum(vals, pl.iw))
-			if got := fields[pl.field]; want != got {
-				o.ChecksumErrors = append(o.ChecksumErrors,
-					fmt.Sprintf("%s.%s = %#x, recomputed %#x", pl.header, pl.field, got, want))
-			}
-		}
-	}
-
-	// 3. Evaluate intent specs whose assumptions hold for this input.
-	if d.Checks.Specs {
-		for _, s := range d.Specs {
-			if !d.SpecApplies(s, c.Input) {
-				continue
-			}
-			o.Violations = append(o.Violations, s.Check(d.Prog, c.Input, o.Output)...)
-		}
-	}
-
-	o.Pass = len(o.Mismatches) == 0 && len(o.ChecksumErrors) == 0 && len(o.Violations) == 0
-}
-
 // SpecApplies evaluates a spec's assume clauses against the input packet.
+// A spec whose assumes do not translate applies to nothing; RunTemplates
+// rejects such a spec up front.
 func (d *Driver) SpecApplies(s *spec.Spec, in *packet.Packet) bool {
-	st := maps.Clone(d.graphZero)
-	in.ToState(st)
-	bs, err := s.AssumeConstraints(d.Prog)
+	bs, err := d.assumeConstraints(s)
 	if err != nil {
 		return false
 	}
+	st := maps.Clone(d.graphZero)
+	in.ToState(st)
 	for _, b := range bs {
 		ok, err := expr.EvalBool(b, st)
 		if err != nil || !ok {
@@ -675,37 +676,15 @@ func (d *Driver) SpecApplies(s *spec.Spec, in *packet.Packet) bool {
 	return true
 }
 
-// diffPackets compares predicted and observed packets field by field.
-// Fields diff in sorted order so a failing case reports the same
-// mismatch list on every run. The sorted order per declared header is
-// precomputed in New; only undeclared headers sort per call.
-func (d *Driver) diffPackets(want, got *packet.Packet) []string {
-	var out []string
-	for _, wh := range want.Headers {
-		if !got.Has(wh.Name) {
-			out = append(out, fmt.Sprintf("header %s missing from output", wh.Name))
-			continue
+// assumeConstraints translates a spec's assume clauses, once per driver.
+func (d *Driver) assumeConstraints(s *spec.Spec) ([]expr.Bool, error) {
+	a, ok := d.assumes[s]
+	if !ok {
+		a.bs, a.err = s.AssumeConstraints(d.Prog)
+		if d.assumes == nil {
+			d.assumes = map[*spec.Spec]assumed{}
 		}
-		fields := d.fieldOrder[wh.Name]
-		if len(fields) != len(wh.Fields) {
-			fields = make([]string, 0, len(wh.Fields))
-			for f := range wh.Fields {
-				fields = append(fields, f)
-			}
-			sort.Strings(fields)
-		}
-		for _, f := range fields {
-			wv := wh.Fields[f]
-			gv, _ := got.Field(wh.Name, f)
-			if gv != wv {
-				out = append(out, fmt.Sprintf("%s.%s = %d, predicted %d", wh.Name, f, gv, wv))
-			}
-		}
+		d.assumes[s] = a
 	}
-	for _, gh := range got.Headers {
-		if !want.Has(gh.Name) {
-			out = append(out, fmt.Sprintf("unexpected header %s in output", gh.Name))
-		}
-	}
-	return out
+	return a.bs, a.err
 }

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -165,6 +166,56 @@ spec all_forwarded {
 	// Some IPv4 packets are dropped (table miss), violating the spec.
 	if rep.Failed == 0 {
 		t.Fatal("expected spec violations for dropped IPv4 packets")
+	}
+}
+
+// TestSpecsChangedBetweenRuns: which specs apply is decided once per
+// template and cached with its concretization; a driver whose Specs
+// change between runs must decide again, not reuse the first run's.
+func TestSpecsChangedBetweenRuns(t *testing.T) {
+	_, _, templates, d := setup(t, nil)
+	if rep, err := d.RunTemplates(templates); err != nil || rep.Failed != 0 {
+		t.Fatalf("without specs: %v, %v", rep, err)
+	}
+	d.Specs = []*spec.Spec{spec.MustParseOne(`
+spec all_forwarded {
+  assume ethernet.etherType == 0x0800;
+  expect forwarded;
+}
+`)}
+	rep, err := d.RunTemplates(templates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed == 0 {
+		t.Fatal("the spec added for the second run was never checked")
+	}
+}
+
+// TestUntranslatableAssumeIsAnError: a spec whose assume names a field
+// the program lacks applies to no input. RunTemplates refuses it rather
+// than check nothing against it; SpecApplies, which has no error to
+// return, says it does not apply.
+func TestUntranslatableAssumeIsAnError(t *testing.T) {
+	_, _, templates, d := setup(t, nil)
+	sp := spec.MustParseOne(`
+spec typo {
+  assume ipv4.protocl == 6;
+  expect forwarded;
+}
+`)
+	d.Specs = []*spec.Spec{sp}
+	if _, err := d.RunTemplates(templates); err == nil || !strings.Contains(err.Error(), "spec typo") {
+		t.Fatalf("RunTemplates err = %v, want one naming spec typo", err)
+	}
+	in := &packet.Packet{}
+	in.SetField("ipv4", "protocol", 6)
+	if d.SpecApplies(sp, in) {
+		t.Error("an untranslatable spec applies")
+	}
+	d.Checks.Specs = false
+	if _, err := d.RunTemplates(templates); err != nil {
+		t.Errorf("with spec checks off: %v", err)
 	}
 }
 

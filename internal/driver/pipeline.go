@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/hashfn"
 	"repro/internal/obs"
+	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 	"repro/internal/sym"
@@ -46,8 +49,9 @@ const (
 type pcase struct {
 	idx      int // template slot; fixes Report ordering regardless of completion order
 	tmpl     *sym.Template
-	cur      *Case    // current attempt (fresh payload ID per retransmission)
-	last     *Outcome // most recent failed attempt, reported on exhaustion
+	cc       *concretized // tmpl's cached concretization, which the checker reads
+	cur      *Case        // current attempt (fresh payload ID per retransmission)
+	last     *Outcome     // most recent failed attempt, reported on exhaustion
 	attempt  int
 	backoff  time.Duration
 	start    time.Time // admission time (case latency metric)
@@ -175,14 +179,24 @@ type engine struct {
 	// late capture of another case is that case's, never charged to
 	// whichever window is open. A capture whose ID maps to nothing belongs
 	// to a superseded attempt and is dropped.
-	idMap    map[uint64]*pcase
-	free     []*pcase
-	scratch  []*pcase // reused iteration buffer (closeSyncWindows)
-	routed   []routed // reused: one drain's decoded captures, awaiting the checker
-	outs     []*Outcome
-	skips    []*Case
-	recvBuf  []byte
-	parser   string // the capture decoder: the first pipeline's entry parser, "" when it has none
+	idMap   map[uint64]*pcase
+	free    []*pcase
+	scratch []*pcase // reused iteration buffer (closeSyncWindows)
+	routed  []routed // reused: one drain's decoded captures, awaiting the checker
+	outs    []*Outcome
+	skips   []*Case
+	recvBuf []byte
+	// dec is the capture decoder, the first pipeline's entry parser; nil
+	// when it has none, and a capture is all payload. nslots is the
+	// length of a capture's slot vector (p4.VarTable.HeaderSlots).
+	dec    *packet.Decoder
+	nslots int
+	// The per-drain arena route decodes into and the checker reads:
+	// each capture's wire copy, slot vector and header order are
+	// subslices, reset (not freed) after every drain.
+	wires    []byte
+	slots    []uint64
+	order    []int
 	awaiting int
 	inflight int
 	done     int
@@ -197,10 +211,21 @@ type engine struct {
 	consecCrashes int
 }
 
-// routed is a capture delivered to its case and decoded.
+// routed is a capture delivered to its case; got is valid when decoded.
 type routed struct {
-	pc *pcase
-	o  *Outcome
+	pc      *pcase
+	o       *Outcome
+	got     capture
+	decoded bool
+}
+
+// capture is a decoded capture in the drain's arena: the wire, its header
+// slots and header order (packet.Decoder.Decode), and its payload.
+type capture struct {
+	wire    []byte
+	slots   []uint64
+	order   []int
+	payload []byte
 }
 
 // RunTemplates concretizes and executes every template, returning the
@@ -236,8 +261,23 @@ func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template)
 	if s, ok := d.Link.(SyncLink); ok && s.Synchronous() {
 		eng.sync = true
 	}
-	if pl := d.Prog.Pipeline(d.entryPipeline(0)); pl != nil {
-		eng.parser = pl.Parser
+	if pl := d.Prog.Pipeline(d.entryPipeline(0)); pl != nil && pl.Parser != "" {
+		dec, err := packet.NewDecoder(d.Prog, pl.Parser)
+		if err != nil {
+			return nil, fmt.Errorf("driver: %w", err)
+		}
+		eng.dec = dec
+	}
+	eng.nslots = p4.Vars(d.Prog).HeaderSlots()
+	if d.Checks.Specs {
+		for _, s := range d.Specs {
+			if _, err := d.assumeConstraints(s); err != nil {
+				return nil, fmt.Errorf("driver: spec %s: %w", s.Name, err)
+			}
+		}
+	}
+	if !slices.Equal(d.cacheSpecs, d.Specs) {
+		d.tmplCache, d.cacheSpecs = nil, slices.Clone(d.Specs)
 	}
 	d.phases = Phases{}
 
@@ -344,7 +384,7 @@ func (eng *engine) getPcase() *pcase {
 
 func (eng *engine) putPcase(pc *pcase) {
 	pc.gen++ // orphan any wheel entry still pointing here
-	pc.tmpl, pc.cur, pc.last = nil, nil, nil
+	pc.tmpl, pc.cc, pc.cur, pc.last = nil, nil, nil, nil
 	pc.state = psIdle
 	eng.free = append(eng.free, pc)
 }
@@ -352,7 +392,7 @@ func (eng *engine) putPcase(pc *pcase) {
 // admit concretizes one template and transmits its first attempt.
 func (eng *engine) admit(t *sym.Template, idx int) error {
 	d := eng.d
-	c, err := d.concretizeFast(t, d.allocID())
+	c, cc, err := d.concretizeFast(t, d.allocID())
 	if err != nil {
 		return err
 	}
@@ -367,6 +407,7 @@ func (eng *engine) admit(t *sym.Template, idx int) error {
 	pc := eng.getPcase()
 	pc.idx = idx
 	pc.tmpl = t
+	pc.cc = cc
 	pc.cur = c
 	pc.last = nil
 	pc.attempt = 0
@@ -387,7 +428,7 @@ func (eng *engine) admit(t *sym.Template, idx int) error {
 // retry budget per case would only stall the suite.
 func (eng *engine) shortCircuit(t *sym.Template, idx int) error {
 	d := eng.d
-	c, err := d.concretizeFast(t, d.allocID())
+	c, _, err := d.concretizeFast(t, d.allocID())
 	if err != nil {
 		return err
 	}
@@ -476,8 +517,13 @@ func (eng *engine) drain(timeout time.Duration) bool {
 		}
 	}
 	d.lap(&d.phases.Recv)
-	for _, r := range eng.routed {
-		d.check(r.o)
+	for i := range eng.routed {
+		r := &eng.routed[i]
+		var got *capture
+		if r.decoded {
+			got = &r.got
+		}
+		eng.check(r.o, r.pc.cc, got)
 	}
 	d.lap(&d.phases.Check)
 	for i, r := range eng.routed {
@@ -485,6 +531,7 @@ func (eng *engine) drain(timeout time.Duration) bool {
 		eng.routed[i] = routed{}
 	}
 	eng.routed = eng.routed[:0]
+	eng.wires, eng.slots, eng.order = eng.wires[:0], eng.slots[:0], eng.order[:0]
 	if recvErr != nil {
 		eng.chargeRecvError(recvErr)
 		return true
@@ -513,8 +560,8 @@ func (eng *engine) recvOne(timeout time.Duration) ([]byte, bool, error) {
 // route delivers one capture. ID-carrying captures go to their awaiting
 // case (the paper's sender/receiver correlation) or are dropped as stale.
 // Unidentifiable captures are charged to the oldest open window; the
-// checker decides what they mean. The decoded capture waits in eng.routed
-// for the drain's check stage.
+// checker decides what they mean. The capture is decoded into the drain's
+// arena and waits in eng.routed for the drain's check stage.
 func (eng *engine) route(wire []byte) {
 	id, ok := wireID(wire)
 	var pc *pcase
@@ -527,30 +574,136 @@ func (eng *engine) route(wire []byte) {
 		return
 	}
 	eng.unwatch(pc)
-	o := &Outcome{Case: pc.cur}
-	out, perr := eng.decode(wire)
-	if perr != nil {
-		o.Mismatches = append(o.Mismatches, fmt.Sprintf("output packet undecodable: %v", perr))
+	r := routed{pc: pc, o: &Outcome{Case: pc.cur}}
+	if err := eng.decode(wire, &r.got); err != nil {
+		r.o.Mismatches = append(r.o.Mismatches, fmt.Sprintf("output packet undecodable: %v", err))
 	} else {
-		if oid, ok2 := out.ID(); !ok2 || oid != pc.cur.ID {
-			o.Mismatches = append(o.Mismatches, fmt.Sprintf("output carries wrong ID (want %d)", pc.cur.ID))
+		r.decoded = true
+		if oid, ok := packet.PayloadID(r.got.payload); !ok || oid != pc.cur.ID {
+			r.o.Mismatches = append(r.o.Mismatches, fmt.Sprintf("output carries wrong ID (want %d)", pc.cur.ID))
 		}
-		o.Output = out
 	}
-	eng.routed = append(eng.routed, routed{pc, o})
+	eng.routed = append(eng.routed, r)
 }
 
-// decode re-parses a capture with the harness's capture decoder. A
-// parserless program's packet is its wire bytes, which the report retains,
-// so a capture read into the shared recv buffer is copied out first.
-func (eng *engine) decode(wire []byte) (*packet.Packet, error) {
-	if eng.parser == "" {
-		if eng.fast != nil {
-			wire = append([]byte(nil), wire...)
-		}
-		return &packet.Packet{Payload: wire}, nil
+// decode copies a capture into the drain's arena — the link may reuse
+// its buffer before the check stage runs — and decodes it there.
+func (eng *engine) decode(wire []byte, got *capture) error {
+	w0 := len(eng.wires)
+	eng.wires = append(eng.wires, wire...)
+	s0 := len(eng.slots)
+	eng.slots = slices.Grow(eng.slots, eng.nslots)[:s0+eng.nslots]
+	got.wire, got.slots = eng.wires[w0:], eng.slots[s0:]
+	if eng.dec == nil {
+		clear(got.slots)
+		got.payload = got.wire
+		return nil
 	}
-	return packet.Parse(eng.d.Prog, eng.parser, wire)
+	o0 := len(eng.order)
+	var err error
+	eng.order, got.payload, err = eng.dec.Decode(got.wire, got.slots, eng.order)
+	got.order = eng.order[o0:]
+	return err
+}
+
+// output builds a capture's Packet (nil for none).
+func (eng *engine) output(got *capture) *packet.Packet {
+	switch {
+	case got == nil:
+		return nil
+	case eng.dec == nil:
+		return &packet.Packet{Payload: append([]byte(nil), got.payload...)}
+	}
+	return eng.dec.Packet(got.wire, got.slots, got.order, got.payload)
+}
+
+// check fills the outcome's verdict from the capture's slots (got, nil
+// when absent or undecodable) and the template's cached prediction cc:
+// prediction comparison, sanity checks, checksum validation and spec
+// expectations, per d.Checks. Output is built only for a spec to read or
+// for an attempt that fails.
+func (eng *engine) check(o *Outcome, cc *concretized, got *capture) {
+	d := eng.d
+	if d.Checks.Prediction {
+		switch {
+		case cc.exp == nil && !o.Absent:
+			o.Mismatches = append(o.Mismatches, "predicted drop, but a packet was captured")
+		case cc.exp != nil && o.Absent:
+			o.Mismatches = append(o.Mismatches, "predicted forward, but no packet was captured")
+		case cc.exp != nil && got != nil:
+			o.Mismatches = d.diffSlots(o.Mismatches, cc.exp, got)
+		}
+	}
+
+	if d.Checks.Sanity && got != nil {
+		if _, ok := packet.PayloadID(got.payload); !ok {
+			o.Mismatches = append(o.Mismatches, "output payload lacks the test ID (malformed emit)")
+		}
+		// A forwarded IPv4 packet must not leave with TTL 0 when it
+		// arrived alive.
+		if d.ttl.ok && got.slots[d.ttl.valid] == 1 && got.slots[d.ttl.slot] == 0 && cc.inTTLAlive {
+			o.Mismatches = append(o.Mismatches, "forwarded IPv4 packet has TTL 0")
+		}
+	}
+
+	if d.Checks.Checksums && got != nil {
+		for i := range d.csPlans {
+			pl := &d.csPlans[i]
+			if got.slots[pl.valid] == 0 {
+				continue
+			}
+			vals := d.csScratch[:0]
+			for _, s := range pl.inSlots {
+				vals = append(vals, got.slots[s])
+			}
+			d.csScratch = vals[:0]
+			want := pl.w.Trunc(hashfn.Checksum(vals, pl.iw))
+			if g := got.slots[pl.slot]; want != g {
+				o.ChecksumErrors = append(o.ChecksumErrors,
+					fmt.Sprintf("%s.%s = %#x, recomputed %#x", pl.header, pl.field, g, want))
+			}
+		}
+	}
+
+	if d.Checks.Specs && len(cc.specs) > 0 {
+		o.Output = eng.output(got)
+		for _, s := range cc.specs {
+			o.Violations = append(o.Violations, s.Check(d.Prog, o.Case.Input, o.Output)...)
+		}
+	}
+
+	o.Pass = len(o.Mismatches) == 0 && len(o.ChecksumErrors) == 0 && len(o.Violations) == 0
+	if !o.Pass && o.Output == nil {
+		o.Output = eng.output(got)
+	}
+}
+
+// diffSlots appends the differences between a predicted output (exp) and
+// a capture: each predicted header in declaration order, missing or
+// field by field in name order, then each captured header the prediction
+// lacks, in wire order.
+func (d *Driver) diffSlots(out []string, exp []uint64, got *capture) []string {
+	for i := range d.hdrs {
+		h := &d.hdrs[i]
+		if exp[h.valid] == 0 {
+			continue
+		}
+		if got.slots[h.valid] == 0 {
+			out = append(out, fmt.Sprintf("header %s missing from output", h.name))
+			continue
+		}
+		for j, s := range h.slots {
+			if gv, wv := got.slots[s], exp[s]; gv != wv {
+				out = append(out, fmt.Sprintf("%s.%s = %d, predicted %d", h.name, h.fields[j], gv, wv))
+			}
+		}
+	}
+	for _, hi := range got.order {
+		if h := &d.hdrs[hi]; exp[h.valid] == 0 {
+			out = append(out, fmt.Sprintf("unexpected header %s in output", h.name))
+		}
+	}
+	return out
 }
 
 func (eng *engine) oldestAwaiting() *pcase {
@@ -603,7 +756,7 @@ func (eng *engine) closeWindow(pc *pcase) {
 	eng.unwatch(pc)
 	o := &Outcome{Case: pc.cur}
 	o.Absent = true
-	eng.d.check(o)
+	eng.check(o, pc.cc, nil)
 	eng.attemptDone(pc, o)
 }
 
@@ -623,7 +776,7 @@ func (eng *engine) fire(pc *pcase) {
 		}
 		pc.backoff *= 2
 		pc.attempt++
-		nc, err := d.concretizeFast(pc.tmpl, d.allocID())
+		nc, _, err := d.concretizeFast(pc.tmpl, d.allocID())
 		if err != nil {
 			eng.err = err
 			return

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
+	"repro/internal/hashfn"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 	"repro/internal/sym"
@@ -15,15 +18,20 @@ import (
 // Window <= 1 until the engine (pipeline.go) took every window. One case
 // is concretized, sent, awaited and decided before the next is touched —
 // a blocking Recv per attempt, a time.After per backoff, no timer wheel,
-// no demux map, no template cache — which is slow and obviously right. It
-// is the oracle the engine's reports are compared with at every window;
-// it shares with the product only what is not scheduling: Concretize, the
-// checker, wireID and caseBudget. Only tests build one.
+// no demux map, no template cache — which is slow and obviously right.
+// Its checker is the one the product ran before it checked slots: it
+// parses each capture into a Packet and compares field maps. It is the
+// oracle the engine's reports are compared with at every window; it
+// shares with the product only Concretize, Parse, SpecApplies, wireID
+// and caseBudget. Only tests build one.
 type lockstep struct {
 	d *Driver
 	// pending holds captures demultiplexed away from the in-flight case,
 	// keyed by payload ID — requeued, not discarded.
 	pending map[uint64][]byte
+	// fieldOrder holds each declared header's field names, sorted, for
+	// deterministic mismatch rendering without per-diff sorting.
+	fieldOrder map[string][]string
 }
 
 // maxPending bounds the requeue buffer; beyond it, stale captures are
@@ -31,7 +39,16 @@ type lockstep struct {
 const maxPending = 1024
 
 func newLockstep(d *Driver) *lockstep {
-	return &lockstep{d: d, pending: map[uint64][]byte{}}
+	l := &lockstep{d: d, pending: map[uint64][]byte{}, fieldOrder: map[string][]string{}}
+	for _, h := range d.Prog.Headers {
+		names := make([]string, len(h.Fields))
+		for i, f := range h.Fields {
+			names[i] = f.Name
+		}
+		sort.Strings(names)
+		l.fieldOrder[h.Name] = names
+	}
+	return l
 }
 
 // runTemplates is RunTemplates, one case fully decided before the next is
@@ -191,7 +208,7 @@ func (l *lockstep) runAttempt(ctx context.Context, c *Case) *Outcome {
 	} else {
 		o.Absent = true
 	}
-	d.check(o)
+	l.check(o)
 	return o
 }
 
@@ -241,4 +258,107 @@ func (l *lockstep) decode(wire []byte) (*packet.Packet, error) {
 		return &packet.Packet{Payload: wire}, nil
 	}
 	return packet.Parse(d.Prog, pl.Parser, wire)
+}
+
+// check fills the outcome's verdict: prediction comparison, checksum
+// validation, sanity checks and spec expectations, per d.Checks.
+func (l *lockstep) check(o *Outcome) {
+	d := l.d
+	c := o.Case
+
+	// 1. Compare against the symbolic prediction.
+	if d.Checks.Prediction {
+		switch {
+		case c.Expected == nil && !o.Absent:
+			o.Mismatches = append(o.Mismatches, "predicted drop, but a packet was captured")
+		case c.Expected != nil && o.Absent:
+			o.Mismatches = append(o.Mismatches, "predicted forward, but no packet was captured")
+		case c.Expected != nil && o.Output != nil:
+			o.Mismatches = append(o.Mismatches, l.diffPackets(c.Expected, o.Output)...)
+		}
+	}
+
+	// 1b. Universal sanity checks.
+	if d.Checks.Sanity && o.Output != nil {
+		if _, ok := o.Output.ID(); !ok {
+			o.Mismatches = append(o.Mismatches, "output payload lacks the test ID (malformed emit)")
+		}
+		// A forwarded IPv4 packet must not leave with TTL 0 when it
+		// arrived alive.
+		if outTTL, ok := o.Output.Field("ipv4", "ttl"); ok && outTTL == 0 {
+			if inTTL, ok := c.Input.Field("ipv4", "ttl"); ok && inTTL > 0 {
+				o.Mismatches = append(o.Mismatches, "forwarded IPv4 packet has TTL 0")
+			}
+		}
+	}
+
+	// 2. Validate checksums on the captured packet.
+	if d.Checks.Checksums && o.Output != nil {
+		for i := range d.csPlans {
+			pl := &d.csPlans[i]
+			at := slices.IndexFunc(o.Output.Headers, func(h packet.Header) bool { return h.Name == pl.header })
+			if at < 0 {
+				continue
+			}
+			fields := o.Output.Headers[at].Fields
+			var vals []uint64
+			for _, f := range d.Prog.Header(pl.header).Fields {
+				if f.Name != pl.field {
+					vals = append(vals, fields[f.Name])
+				}
+			}
+			want := pl.w.Trunc(hashfn.Checksum(vals, pl.iw))
+			if got := fields[pl.field]; want != got {
+				o.ChecksumErrors = append(o.ChecksumErrors,
+					fmt.Sprintf("%s.%s = %#x, recomputed %#x", pl.header, pl.field, got, want))
+			}
+		}
+	}
+
+	// 3. Evaluate intent specs whose assumptions hold for this input.
+	if d.Checks.Specs {
+		for _, s := range d.Specs {
+			if !d.SpecApplies(s, c.Input) {
+				continue
+			}
+			o.Violations = append(o.Violations, s.Check(d.Prog, c.Input, o.Output)...)
+		}
+	}
+
+	o.Pass = len(o.Mismatches) == 0 && len(o.ChecksumErrors) == 0 && len(o.Violations) == 0
+}
+
+// diffPackets compares predicted and observed packets field by field.
+// Fields diff in sorted order so a failing case reports the same
+// mismatch list on every run. The sorted order per declared header is
+// precomputed in newLockstep; only undeclared headers sort per call.
+func (l *lockstep) diffPackets(want, got *packet.Packet) []string {
+	var out []string
+	for _, wh := range want.Headers {
+		if !got.Has(wh.Name) {
+			out = append(out, fmt.Sprintf("header %s missing from output", wh.Name))
+			continue
+		}
+		fields := l.fieldOrder[wh.Name]
+		if len(fields) != len(wh.Fields) {
+			fields = make([]string, 0, len(wh.Fields))
+			for f := range wh.Fields {
+				fields = append(fields, f)
+			}
+			sort.Strings(fields)
+		}
+		for _, f := range fields {
+			wv := wh.Fields[f]
+			gv, _ := got.Field(wh.Name, f)
+			if gv != wv {
+				out = append(out, fmt.Sprintf("%s.%s = %d, predicted %d", wh.Name, f, gv, wv))
+			}
+		}
+	}
+	for _, gh := range got.Headers {
+		if !want.Has(gh.Name) {
+			out = append(out, fmt.Sprintf("unexpected header %s in output", gh.Name))
+		}
+	}
+	return out
 }

@@ -24,6 +24,7 @@ type VarTable struct {
 	slots     map[expr.Var]int
 	field     map[hfKey]int
 	valid     map[string]int
+	headers   int
 	perPacket int
 }
 
@@ -56,6 +57,7 @@ func buildVarTable(p *Program) *VarTable {
 			t.field[hfKey{h.Name, f.Name}] = t.add(HeaderFieldVar(h.Name, f.Name), f.Width)
 		}
 	}
+	t.headers = len(t.names)
 	for _, f := range p.Metadata {
 		t.add(MetaVar(f.Name), f.Width)
 	}
@@ -105,9 +107,11 @@ func (t *VarTable) addRegisterCells(p *Program, stmts []Stmt) {
 }
 
 // Len is the number of slots; PerPacket the length of the per-packet
-// prefix (everything but register cells).
-func (t *VarTable) Len() int       { return len(t.names) }
-func (t *VarTable) PerPacket() int { return t.perPacket }
+// prefix (everything but register cells); HeaderSlots the length of its
+// header prefix (validity bits and header fields).
+func (t *VarTable) Len() int         { return len(t.names) }
+func (t *VarTable) PerPacket() int   { return t.perPacket }
+func (t *VarTable) HeaderSlots() int { return t.headers }
 
 // Name and Width describe a slot.
 func (t *VarTable) Name(slot int) expr.Var    { return t.names[slot] }

@@ -74,14 +74,17 @@ func (p *Packet) SetField(header, field string, v uint64) {
 }
 
 // ID extracts the unique test-packet ID from the payload, if present.
-func (p *Packet) ID() (uint64, bool) {
-	if len(p.Payload) < 12 {
+func (p *Packet) ID() (uint64, bool) { return PayloadID(p.Payload) }
+
+// PayloadID extracts the unique test-packet ID from a payload, if present.
+func PayloadID(payload []byte) (uint64, bool) {
+	if len(payload) < 12 {
 		return 0, false
 	}
-	if binary.BigEndian.Uint32(p.Payload[:4]) != Magic {
+	if binary.BigEndian.Uint32(payload[:4]) != Magic {
 		return 0, false
 	}
-	return binary.BigEndian.Uint64(p.Payload[4:12]), true
+	return binary.BigEndian.Uint64(payload[4:12]), true
 }
 
 // WithID returns a 12-byte payload carrying the magic and the ID.
@@ -152,31 +155,6 @@ func (w *bitWriter) write(v uint64, bits int) {
 	w.nbit += bits
 }
 
-// bitReader unpacks values MSB-first.
-type bitReader struct {
-	buf  []byte
-	nbit int
-}
-
-func (r *bitReader) read(bits int) (uint64, error) {
-	if total := len(r.buf) * 8; r.nbit+bits > total {
-		return 0, fmt.Errorf("packet: truncated at bit %d", total)
-	}
-	v := ReadBits(r.buf, r.nbit, bits)
-	r.nbit += bits
-	return v, nil
-}
-
-func (r *bitReader) rest() []byte {
-	// Round up to the next byte boundary; headers are byte-aligned in all
-	// corpus programs, so this loses nothing in practice.
-	start := (r.nbit + 7) / 8
-	if start >= len(r.buf) {
-		return nil
-	}
-	return r.buf[start:]
-}
-
 // Marshal serializes the packet: headers in their recorded order, each
 // field MSB-first in declaration order, then the payload.
 func (p *Packet) Marshal(prog *p4.Program) ([]byte, error) {
@@ -194,79 +172,6 @@ func (p *Packet) Marshal(prog *p4.Program) ([]byte, error) {
 		return nil, fmt.Errorf("packet: headers not byte-aligned (%d bits)", w.nbit)
 	}
 	return append(w.buf, p.Payload...), nil
-}
-
-// Parse decodes a wire packet by running a parser state machine
-// concretely: extract reads header fields off the wire, select dispatches
-// on the decoded values. It returns the decoded packet and the set of
-// extracted headers, or an error if the parser rejects.
-func Parse(prog *p4.Program, parserName string, wire []byte) (*Packet, error) {
-	pd := prog.Parser(parserName)
-	if pd == nil {
-		return nil, fmt.Errorf("packet: unknown parser %q", parserName)
-	}
-	r := &bitReader{buf: wire}
-	pkt := &Packet{}
-	state := "start"
-	var valsBuf [4]uint64 // select values; wider selects spill to the heap
-	for steps := 0; steps < 1000; steps++ {
-		switch state {
-		case "accept":
-			pkt.Payload = append([]byte(nil), r.rest()...)
-			return pkt, nil
-		case "reject":
-			return nil, fmt.Errorf("packet: parser rejected")
-		}
-		st := pd.State(state)
-		if st == nil {
-			return nil, fmt.Errorf("packet: parser state %q missing", state)
-		}
-		for _, s := range st.Body {
-			ex, ok := s.(*p4.ExtractStmt)
-			if !ok {
-				continue // parser assignments touch metadata, not the wire
-			}
-			decl := prog.Header(ex.Header)
-			h := Header{Name: ex.Header, Fields: make(map[string]uint64, len(decl.Fields))}
-			for _, f := range decl.Fields {
-				v, err := r.read(f.Width)
-				if err != nil {
-					return nil, fmt.Errorf("packet: extracting %s.%s: %w", ex.Header, f.Name, err)
-				}
-				h.Fields[f.Name] = v
-			}
-			pkt.Headers = append(pkt.Headers, h)
-		}
-		tr := st.Transition
-		if len(tr.Select) == 0 {
-			state = tr.Default
-			continue
-		}
-		vals := valsBuf[:0]
-		for _, ref := range tr.Select {
-			v, ok := refValue(pkt, ref)
-			if !ok {
-				return nil, fmt.Errorf("packet: select on unextracted field %s", ref)
-			}
-			vals = append(vals, v)
-		}
-		next := tr.Default
-		for _, c := range tr.Cases {
-			match := true
-			for i := range vals {
-				if vals[i] != c.Values[i] {
-					match = false
-					break
-				}
-			}
-			if match {
-				next = c.Next
-				break
-			}
-		}
-		state = next
-	}
-	return nil, fmt.Errorf("packet: parser did not terminate")
 }
 
 func refValue(pkt *Packet, ref *p4.FieldRef) (uint64, bool) {
