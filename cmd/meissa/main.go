@@ -57,13 +57,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "client":
 		err = cmdClient(os.Args[2:])
-	case "work":
-		// The sharded-generation worker. With no flags it speaks the
-		// internal/shard frame protocol on stdin/stdout (the hidden
-		// subprocess transport, never invoked by hand); with -connect it
-		// dials a coordinator's listener and serves one run over TCP —
-		// the remote-host worker mode.
-		err = cmdWork(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -78,7 +71,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   meissa gen  -p prog.p4 [-r rules.txt] [-s spec.lpi] [-no-summary] [-parallel N] [-v] [-quiet]
               [-checkpoint FILE [-resume]] [-store FILE [-store-wait D]] [-strict] [-solver-budget N] [-solver-timeout D]
-              [-workers N|tcp://host:port [-remote-workers N] [-lease-timeout D] [-chaos-kill N] [-chaos-seed N]]
               [-metrics-out report.json] [-pprof-addr host:port] [-o cases.txt]
   meissa test -p prog.p4 [-r rules.txt] [-s spec.lpi] [-fault kind:arg[,..]] [-trace] [-parallel N]
               [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-window N] [-breaker N] [-v] [-quiet]
@@ -90,10 +82,10 @@ func usage() {
               [-watch [-interval D] [-max-failures N]] [-v] [-quiet]
   meissa store <info|import|export> -store FILE [-journal FILE] (-p prog.p4 [-r rules.txt] | -corpus NAME)
   meissa serve -store FILE [-addr unix://path|tcp://host:port] [-store-wait D]
-              [-max-concurrent N] [-max-coordinators N] [-drain D] [-pprof-addr host:port]
+              [-max-concurrent N] [-drain D] [-pprof-addr host:port]
   meissa client <load|gen|regress|status|unload> -addr ADDR [-tenant T] [-family NAME]
               load:    (-p prog.p4 [-r rules.txt] [-s spec.lpi] | -corpus NAME)
-              gen:     [-no-summary] [-parallel N] [-workers N] [-r rules.txt] [-o cases.txt] [-metrics-out report.json]
+              gen:     [-no-summary] [-parallel N] [-r rules.txt] [-o cases.txt] [-metrics-out report.json]
               regress: (-rules-new FILE | -mutate N (-corpus NAME | -r FILE)) [-emit-rules FILE] [-o cases.txt]
   meissa corpus
   meissa dump -corpus <name>
@@ -181,12 +173,6 @@ func cmdGen(args []string) error {
 	verbose := fs.Bool("v", false, "print each template's constraints")
 	checkpoint := fs.String("checkpoint", "", "journal file making generation crash-safe")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal of an interrupted run")
-	workers := fs.String("workers", "", "shard the final pass: N worker subprocesses, or tcp://host:port to accept remote `work -connect` dialers (0/empty = in-process)")
-	remoteWorkers := fs.Int("remote-workers", 2, "worker slot count when -workers is a listen address")
-	leaseTimeout := fs.Duration("lease-timeout", 0, "shard lease progress deadline (0 = 10s default)")
-	chaosKill := fs.Int("chaos-kill", 0, "SIGKILL N random workers mid-run (fault-injection testing)")
-	chaosSeed := fs.Int64("chaos-seed", 1, "seed for -chaos-kill victim selection")
-	chaosSlow := fs.Duration("chaos-slow", 0, "per-path worker sleep so injected kills land mid-generation")
 	ob := registerObsFlags(fs)
 	prog, rs, specs, _, err := loadInputs(fs, args)
 	if err != nil {
@@ -198,14 +184,6 @@ func cmdGen(args []string) error {
 	opts := gf.options()
 	opts.Checkpoint = *checkpoint
 	opts.Resume = *resume
-	opts.ShardWorkers, opts.ShardListen, err = parseWorkers(*workers, *remoteWorkers)
-	if err != nil {
-		return err
-	}
-	opts.LeaseTimeout = *leaseTimeout
-	opts.ShardChaosKills = *chaosKill
-	opts.ShardChaosSeed = *chaosSeed
-	opts.ShardPathSleep = *chaosSlow
 	sys, err := meissa.New(prog, rs, specs, opts)
 	if err != nil {
 		return err
@@ -234,14 +212,6 @@ func cmdGen(args []string) error {
 	}
 	if gen.JournalHits > 0 {
 		fmt.Printf("  journal: %d solver interactions answered from checkpoint\n", gen.JournalHits)
-	}
-	if sh := gen.Shard; sh != nil {
-		if sh.Fallback {
-			fmt.Printf("  shard: fell back to in-process engine (%s)\n", sh.FallbackReason)
-		} else {
-			fmt.Printf("  shard: %d units over %d workers: %d leases issued, %d expired, %d units quarantined, %d restarts, %d kills injected\n",
-				sh.Units, sh.Workers, sh.LeasesIssued, sh.LeasesExpired, sh.UnitsQuarantined, sh.WorkerRestarts, sh.KillsInjected)
-		}
 	}
 	if st := gen.Store; st != nil {
 		fmt.Printf("  store: %d verdicts warmed, %d invalidated by rule delta, %d committed (%d duplicates)\n",

@@ -279,43 +279,12 @@ func cmdCheckMetrics(args []string) error {
 		fmt.Printf("  store txns=%d tail_discarded=%d snapshot_reads=%d file_bytes=%d\n",
 			st.Commits, st.TailDiscarded, st.SnapshotReads, st.FileBytes)
 	}
-	if sh := rep.Shard; sh != nil {
-		if sh.Fallback {
-			fmt.Printf("  shard fallback: %s\n", sh.FallbackReason)
-		} else {
-			fmt.Printf("  shard workers=%d units=%d (completed=%d quarantined=%d)\n",
-				sh.Workers, sh.Units, sh.UnitsCompleted, sh.UnitsQuarantined)
-			fmt.Printf("  shard leases issued=%d completed=%d expired=%d superseded=%d reassigned=%d\n",
-				sh.LeasesIssued, sh.LeasesCompleted, sh.LeasesExpired, sh.LeasesSuperseded, sh.LeasesReassigned)
-			fmt.Printf("  shard records merged=%d duplicate=%d harvested=%d; restarts=%d corrupt_frames=%d kills=%d\n",
-				sh.RecordsMerged, sh.RecordsDuplicate, sh.RecordsHarvested,
-				sh.WorkerRestarts, sh.CorruptFrames, sh.KillsInjected)
-		}
-	}
 	if d := rep.Daemon; d != nil {
 		fmt.Printf("  daemon %s: families=%d requests=%d warm_hits=%d store_conflicts=%d (%.1f req/s)\n",
 			d.Addr, d.Families, d.RequestsServed, d.WarmHits, d.StoreConflicts, d.RequestsPerSec)
 		fmt.Printf("  daemon queue_wait=%v ttfv=%v\n",
 			time.Duration(d.QueueWaitNS).Round(time.Microsecond),
 			time.Duration(d.TimeToFirstVerdictNS).Round(time.Microsecond))
-	}
-	if fl := rep.Fleet; fl != nil {
-		// ParseReport already ran FleetReport.Validate, so reaching here
-		// means the accounting identity held: every merged counter equals
-		// the sum of the per-worker deltas.
-		fmt.Printf("  fleet identity ok: coordinator totals == sum of %d worker deltas (trace %s)\n",
-			len(fl.Workers), fl.TraceID)
-		for _, w := range fl.Workers {
-			status := "ok"
-			switch {
-			case w.Killed:
-				status = "chaos-killed"
-			case w.Died:
-				status = "died"
-			}
-			fmt.Printf("  fleet worker %d (slot %d): units=%d status=%s flight_events=%d\n",
-				w.Worker, w.Slot, len(w.Units), status, len(w.Flight))
-		}
 	}
 	return nil
 }

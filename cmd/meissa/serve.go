@@ -23,7 +23,6 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "tcp://127.0.0.1:7600", "listen address: unix://path, tcp://host:port, or host:port")
 	gf := registerGenFlags(fs, "store", "store-wait")
 	maxConcurrent := fs.Int("max-concurrent", 2, "concurrently executing requests")
-	maxCoordinators := fs.Int("max-coordinators", 1, "concurrently executing shard coordinators")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown wait for in-flight requests")
 	verbose := fs.Bool("v", false, "verbose stderr logging")
 	ob := registerObsFlags(fs)
@@ -37,12 +36,11 @@ func cmdServe(args []string) error {
 		return err
 	}
 	d, err := daemon.New(daemon.Config{
-		Addr:            *addr,
-		StorePath:       gf.store,
-		StoreWait:       gf.storeWait,
-		MaxConcurrent:   *maxConcurrent,
-		MaxCoordinators: *maxCoordinators,
-		DrainTimeout:    *drain,
+		Addr:          *addr,
+		StorePath:     gf.store,
+		StoreWait:     gf.storeWait,
+		MaxConcurrent: *maxConcurrent,
+		DrainTimeout:  *drain,
 	})
 	if err != nil {
 		return err
@@ -169,7 +167,6 @@ func clientGen(args []string) error {
 	fs := flag.NewFlagSet("client gen", flag.ContinueOnError)
 	addr, tenant, family, wait := dialFlags(fs)
 	gf := registerGenFlags(fs, "no-summary", "parallel", "strict", "solver-budget", "solver-timeout", "o")
-	workers := fs.Int("workers", 0, "shard the final pass across N daemon-side worker subprocesses")
 	rulesPath := fs.String("r", "", "rule set overriding the family's rules for this request")
 	metricsOut := fs.String("metrics-out", "", "write the daemon's run report (JSON) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -188,7 +185,6 @@ func clientGen(args []string) error {
 			Strict:          gf.strict,
 			SolverBudget:    gf.solverBudget,
 			SolverTimeoutNS: int64(gf.solverTimeout),
-			Workers:         *workers,
 		},
 	}
 	if *rulesPath != "" {

@@ -12,15 +12,14 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 // cmdTop is the live-run introspection client: it long-polls the debug
 // server of a running meissa process (its -pprof-addr) for registry
 // deltas, folds them into a local mirror with Snapshot.Merge, and
-// renders a terminal dashboard — phase progress, verdict rates, fleet
-// lease states, journal/store hit rates — refreshed whenever the run's
-// metrics actually change.
+// renders a terminal dashboard — phase progress, verdict rates,
+// journal/store hit rates, the daemon's service view when the process is
+// `meissa serve` — refreshed whenever the run's metrics actually change.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:6060", "debug server address of the run to watch (its -pprof-addr)")
@@ -50,10 +49,10 @@ func cmdTop(args []string) error {
 			}
 		}
 		cursor = d.Cursor
-		fleet, dmn := fetchFleet(client, base) // nil outside sharded/daemon runs
+		dmn := fetchDaemon(client, base) // nil unless the process is a daemon
 		now := time.Now()
 		var out strings.Builder
-		renderTop(&out, mirror, fleet, dmn, prev, now.Sub(prevAt))
+		renderTop(&out, mirror, dmn, prev, now.Sub(prevAt))
 		if !*once {
 			fmt.Print("\x1b[H\x1b[2J") // home + clear: redraw in place
 		}
@@ -89,10 +88,8 @@ func fetchDelta(c *http.Client, base string, cursor uint64, wait time.Duration) 
 	return &d, nil
 }
 
-// daemonView mirrors the resident daemon's /fleet fallback payload,
-// recognized by its "daemon":true discriminator.
+// daemonView mirrors the resident daemon's /fleet payload.
 type daemonView struct {
-	Daemon         bool   `json:"daemon"`
 	Addr           string `json:"addr"`
 	UptimeNS       int64  `json:"uptime_ns"`
 	RequestsServed uint64 `json:"requests_served"`
@@ -108,33 +105,23 @@ type daemonView struct {
 	} `json:"families"`
 }
 
-// fetchFleet reads the live /fleet view, which is either a shard
-// coordinator's per-worker state (sharded runs) or the resident
-// daemon's service view (its "daemon":true discriminator decides).
-// Both are nil when no run is live (404) or the view is momentarily
+// fetchDaemon reads the live /fleet view the resident daemon serves; nil
+// when the process is not a daemon (404) or the view is momentarily
 // unavailable.
-func fetchFleet(c *http.Client, base string) (*shard.FleetView, *daemonView) {
+func fetchDaemon(c *http.Client, base string) *daemonView {
 	resp, err := c.Get(base + "/fleet")
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, nil
+		return nil
 	}
 	var d daemonView
-	if err := json.Unmarshal(body, &d); err == nil && d.Daemon {
-		return nil, &d
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&d); err != nil {
+		return nil
 	}
-	var v shard.FleetView
-	if err := json.Unmarshal(body, &v); err != nil {
-		return nil, nil
-	}
-	return &v, nil
+	return &d
 }
 
 // rate formats a per-second rate for the counter delta since the last
@@ -147,7 +134,7 @@ func rate(cur map[string]uint64, prev map[string]uint64, dt time.Duration, key s
 	return fmt.Sprintf("%.0f/s", float64(d)/dt.Seconds())
 }
 
-func renderTop(w *strings.Builder, s *obs.Snapshot, fleet *shard.FleetView, dmn *daemonView, prev map[string]uint64, dt time.Duration) {
+func renderTop(w *strings.Builder, s *obs.Snapshot, dmn *daemonView, prev map[string]uint64, dt time.Duration) {
 	if s == nil {
 		fmt.Fprintln(w, "meissa top: no snapshot yet")
 		return
@@ -207,23 +194,6 @@ func renderTop(w *strings.Builder, s *obs.Snapshot, fleet *shard.FleetView, dmn 
 		for _, f := range dmn.Families {
 			fmt.Fprintf(w, "  family %-12s gens=%d regresses=%d warm_hits=%d\n",
 				f.Name, f.Gens, f.Regresses, f.WarmHits)
-		}
-	}
-
-	if fleet != nil {
-		fmt.Fprintf(w, "\nfleet: %d/%d units complete, %d quarantined (trace %s)\n",
-			fleet.Completed, fleet.Units, fleet.Quarantined, fleet.TraceID)
-		for _, fw := range fleet.Workers {
-			state := "dead"
-			switch {
-			case fw.Busy:
-				state = fmt.Sprintf("unit %d (%d paths)", fw.Unit, fw.Paths)
-			case fw.Alive && fw.Ready:
-				state = "idle"
-			case fw.Alive:
-				state = "starting"
-			}
-			fmt.Fprintf(w, "  worker %-3d slot %d  restarts %d  %s\n", fw.Worker, fw.Slot, fw.Restarts, state)
 		}
 	}
 

@@ -44,10 +44,8 @@ type Config struct {
 	// with store.ErrStoreBusy.
 	StoreWait time.Duration
 	// MaxConcurrent caps concurrently executing requests (min 1,
-	// default 2); MaxCoordinators caps how many of those may be shard
-	// coordinators (min 1, default 1).
-	MaxConcurrent   int
-	MaxCoordinators int
+	// default 2).
+	MaxConcurrent int
 	// DrainTimeout bounds Shutdown's wait for in-flight requests
 	// (default 30s).
 	DrainTimeout time.Duration
@@ -116,9 +114,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.MaxConcurrent < 1 {
 		cfg.MaxConcurrent = 2
 	}
-	if cfg.MaxCoordinators < 1 {
-		cfg.MaxCoordinators = 1
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
@@ -133,7 +128,7 @@ func New(cfg Config) (*Daemon, error) {
 	return &Daemon{
 		cfg:      cfg,
 		st:       st,
-		sched:    newSched(cfg.MaxConcurrent, cfg.MaxCoordinators),
+		sched:    newSched(cfg.MaxConcurrent),
 		start:    time.Now(),
 		network:  network,
 		address:  address,
@@ -171,15 +166,15 @@ func (d *Daemon) Addr() string {
 }
 
 // Serve accepts connections until Shutdown closes the listener. It
-// installs the daemon's /fleet fallback view for its duration.
+// installs the daemon's /fleet view for its duration.
 func (d *Daemon) Serve() error {
 	if d.ln == nil {
 		if err := d.Listen(); err != nil {
 			return err
 		}
 	}
-	obs.SetFleetFallback(d.view)
-	defer obs.SetFleetFallback(nil)
+	obs.SetFleetSource(d.view)
+	defer obs.SetFleetSource(nil)
 	obs.Infof("meissa: daemon serving on %s (store %s)", d.Addr(), d.cfg.StorePath)
 	for {
 		conn, err := d.ln.Accept()
@@ -364,7 +359,7 @@ func (d *Daemon) handleLoad(req *Request, resp *Response) error {
 	}
 	// Serialize against in-flight requests on the same family so a
 	// replace never swaps state under a running generation.
-	release, err := d.sched.Acquire(req.Tenant, name, false)
+	release, err := d.sched.Acquire(req.Tenant, name)
 	if err != nil {
 		return err
 	}
@@ -395,7 +390,7 @@ func (d *Daemon) handleGen(req *Request, resp *Response) error {
 		params = &GenParams{}
 	}
 	reqStart := time.Now()
-	release, err := d.sched.Acquire(req.Tenant, fam.name, params.Workers > 1)
+	release, err := d.sched.Acquire(req.Tenant, fam.name)
 	if err != nil {
 		return err
 	}
@@ -418,9 +413,6 @@ func (d *Daemon) handleGen(req *Request, resp *Response) error {
 	opts.SolverSearchBudget = params.SolverBudget
 	opts.SolverCheckTimeout = time.Duration(params.SolverTimeoutNS)
 	opts.Store = d.st
-	if params.Workers > 1 {
-		opts.ShardWorkers = params.Workers
-	}
 
 	sys, err := meissa.New(fam.prog, rs, fam.specs, opts)
 	if err != nil {
@@ -481,7 +473,7 @@ func (d *Daemon) handleRegress(req *Request, resp *Response) error {
 		return fmt.Errorf("regress: new rules: %w", err)
 	}
 	reqStart := time.Now()
-	release, err := d.sched.Acquire(req.Tenant, fam.name, false)
+	release, err := d.sched.Acquire(req.Tenant, fam.name)
 	if err != nil {
 		return err
 	}
@@ -556,7 +548,7 @@ func (d *Daemon) handleUnload(req *Request, resp *Response) error {
 		return err
 	}
 	// Wait for in-flight work on the family before dropping it.
-	release, err := d.sched.Acquire(req.Tenant, fam.name, false)
+	release, err := d.sched.Acquire(req.Tenant, fam.name)
 	if err != nil {
 		return err
 	}
@@ -607,9 +599,8 @@ func (d *Daemon) daemonReport(queueWait, wall time.Duration) *obs.DaemonReport {
 	return rep
 }
 
-// view is the /fleet fallback payload: live daemon state for `meissa
-// top` and curl, distinguished from a coordinator view by the "daemon"
-// discriminator.
+// view is the /fleet payload: live daemon state for `meissa top` and
+// curl.
 func (d *Daemon) view() any {
 	type famView struct {
 		Name      string `json:"name"`
@@ -618,7 +609,6 @@ func (d *Daemon) view() any {
 		WarmHits  uint64 `json:"warm_hits"`
 	}
 	v := struct {
-		Daemon         bool      `json:"daemon"`
 		Addr           string    `json:"addr"`
 		UptimeNS       int64     `json:"uptime_ns"`
 		RequestsServed uint64    `json:"requests_served"`
@@ -628,7 +618,6 @@ func (d *Daemon) view() any {
 		QueueDepth     int       `json:"queue_depth"`
 		Families       []famView `json:"families"`
 	}{
-		Daemon:         true,
 		Addr:           d.Addr(),
 		UptimeNS:       int64(time.Since(d.start)),
 		RequestsServed: d.requests.Load(),

@@ -55,9 +55,6 @@ type GenParams struct {
 	Strict          bool  `json:"strict,omitempty"`
 	SolverBudget    int   `json:"solver_budget,omitempty"`
 	SolverTimeoutNS int64 `json:"solver_timeout_ns,omitempty"`
-	// Workers > 1 shards the final pass across subprocess workers (one
-	// coordinator at a time, capped by the scheduler).
-	Workers int `json:"workers,omitempty"`
 }
 
 // RegressParams carries an inline rule delta: the updated rule set text

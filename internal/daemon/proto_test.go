@@ -10,7 +10,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	req := &Request{
 		ID: 7, Op: OpGen, Tenant: "t", Family: "gw-1",
 		Rules: "rules text",
-		Gen:   &GenParams{Parallel: 2, Workers: 3, SolverBudget: 100},
+		Gen:   &GenParams{Parallel: 2, SolverBudget: 100},
 	}
 	var buf bytes.Buffer
 	if err := writeMsg(&buf, req); err != nil {
@@ -24,7 +24,7 @@ func TestProtoRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.ID != 7 || got.Op != OpGen || got.Tenant != "t" || got.Family != "gw-1" ||
-		got.Gen == nil || got.Gen.Parallel != 2 || got.Gen.Workers != 3 || got.Gen.SolverBudget != 100 {
+		got.Gen == nil || got.Gen.Parallel != 2 || got.Gen.SolverBudget != 100 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
@@ -33,6 +33,19 @@ func TestProtoUnknownFieldRejected(t *testing.T) {
 	err := unmarshalStrict([]byte(`{"id":1,"op":"gen","bogus":true}`), &Request{})
 	if err == nil {
 		t.Fatal("unknown field accepted")
+	}
+}
+
+// TestProtoRetiredWorkersRejected: a gen request still asking for shard
+// workers is refused by name rather than run in-process as if it had not
+// asked.
+func TestProtoRetiredWorkersRejected(t *testing.T) {
+	err := unmarshalStrict([]byte(`{"id":1,"op":"gen","gen":{"parallel":2,"workers":2}}`), &Request{})
+	if err == nil {
+		t.Fatal("gen request with workers accepted")
+	}
+	if !strings.Contains(err.Error(), `"workers"`) {
+		t.Fatalf("error does not name the retired field: %v", err)
 	}
 }
 

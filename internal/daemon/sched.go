@@ -13,18 +13,13 @@ var ErrSchedClosed = errors.New("daemon: scheduler closed")
 type ticket struct {
 	tenant  string
 	family  string
-	shard   bool
 	granted bool
 	ready   chan struct{}
 }
 
-// sched is the daemon's fair-share admission queue. Three invariants:
+// sched is the daemon's fair-share admission queue. Two invariants:
 //
 //   - at most maxRun requests execute concurrently;
-//   - at most maxShard of those are shard coordinators (a coordinator
-//     owns subprocess slots and the shared ready-timeout budget, so the
-//     daemon serializes them rather than letting tenants oversubscribe
-//     the machine);
 //   - at most one request per family executes at a time, so one request's
 //     warm read, run and store commit never interleave with another's.
 //
@@ -34,28 +29,22 @@ type ticket struct {
 // tenant flooding requests cannot starve another tenant's single
 // queued request.
 type sched struct {
-	mu           sync.Mutex
-	maxRun       int
-	maxShard     int
-	queues       map[string][]*ticket
-	lastGrant    map[string]uint64
-	clock        uint64
-	running      int
-	runningShard int
-	busyFam      map[string]bool
-	closed       bool
+	mu        sync.Mutex
+	maxRun    int
+	queues    map[string][]*ticket
+	lastGrant map[string]uint64
+	clock     uint64
+	running   int
+	busyFam   map[string]bool
+	closed    bool
 }
 
-func newSched(maxRun, maxShard int) *sched {
+func newSched(maxRun int) *sched {
 	if maxRun < 1 {
 		maxRun = 1
 	}
-	if maxShard < 1 {
-		maxShard = 1
-	}
 	return &sched{
 		maxRun:    maxRun,
-		maxShard:  maxShard,
 		queues:    map[string][]*ticket{},
 		lastGrant: map[string]uint64{},
 		busyFam:   map[string]bool{},
@@ -64,16 +53,7 @@ func newSched(maxRun, maxShard int) *sched {
 
 // admissible reports whether t can run right now (mu held).
 func (s *sched) admissible(t *ticket) bool {
-	if s.running >= s.maxRun {
-		return false
-	}
-	if t.shard && s.runningShard >= s.maxShard {
-		return false
-	}
-	if t.family != "" && s.busyFam[t.family] {
-		return false
-	}
-	return true
+	return s.running < s.maxRun && (t.family == "" || !s.busyFam[t.family])
 }
 
 // dispatchLocked grants as many queue heads as fit. Each pass offers
@@ -104,9 +84,6 @@ func (s *sched) dispatchLocked() {
 			}
 			s.queues[tenant] = q[1:]
 			s.running++
-			if t.shard {
-				s.runningShard++
-			}
 			if t.family != "" {
 				s.busyFam[t.family] = true
 			}
@@ -126,11 +103,11 @@ func (s *sched) dispatchLocked() {
 // Acquire blocks until the request is admitted, then returns a release
 // function the caller must invoke exactly once when the request's work
 // (including its store transaction) is done.
-func (s *sched) Acquire(tenant, family string, shard bool) (release func(), err error) {
+func (s *sched) Acquire(tenant, family string) (release func(), err error) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	t := &ticket{tenant: tenant, family: family, shard: shard, ready: make(chan struct{})}
+	t := &ticket{tenant: tenant, family: family, ready: make(chan struct{})}
 
 	s.mu.Lock()
 	if s.closed {
@@ -154,9 +131,6 @@ func (s *sched) Acquire(tenant, family string, shard bool) (release func(), err 
 		once.Do(func() {
 			s.mu.Lock()
 			s.running--
-			if t.shard {
-				s.runningShard--
-			}
 			if t.family != "" {
 				delete(s.busyFam, t.family)
 			}

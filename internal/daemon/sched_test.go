@@ -9,12 +9,12 @@ import (
 
 // acquireAsync runs Acquire in a goroutine and reports admission via
 // the returned channel.
-func acquireAsync(s *sched, tenant, family string, shard bool) (admitted chan struct{}, release func(), errc chan error) {
+func acquireAsync(s *sched, tenant, family string) (admitted chan struct{}, release func(), errc chan error) {
 	admitted = make(chan struct{})
 	errc = make(chan error, 1)
 	relc := make(chan func(), 1)
 	go func() {
-		rel, err := s.Acquire(tenant, family, shard)
+		rel, err := s.Acquire(tenant, family)
 		if err != nil {
 			errc <- err
 			return
@@ -46,16 +46,16 @@ func mustBlock(t *testing.T, admitted chan struct{}, what string) {
 }
 
 func TestSchedConcurrencyCap(t *testing.T) {
-	s := newSched(2, 1)
-	rel1, err := s.Acquire("a", "f1", false)
+	s := newSched(2)
+	rel1, err := s.Acquire("a", "f1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := s.Acquire("a", "f2", false)
+	rel2, err := s.Acquire("a", "f2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm3, rel3, _ := acquireAsync(s, "a", "f3", false)
+	adm3, rel3, _ := acquireAsync(s, "a", "f3")
 	mustBlock(t, adm3, "third acquire at cap 2")
 	rel1()
 	mustAdmit(t, adm3, "third acquire after release")
@@ -67,15 +67,15 @@ func TestSchedConcurrencyCap(t *testing.T) {
 }
 
 func TestSchedFamilySerialized(t *testing.T) {
-	s := newSched(8, 8)
-	rel1, err := s.Acquire("a", "fam", false)
+	s := newSched(8)
+	rel1, err := s.Acquire("a", "fam")
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm2, rel2, _ := acquireAsync(s, "b", "fam", false)
+	adm2, rel2, _ := acquireAsync(s, "b", "fam")
 	mustBlock(t, adm2, "same-family acquire")
 	// A different family is admissible while fam is busy.
-	rel3, err := s.Acquire("c", "other", false)
+	rel3, err := s.Acquire("c", "other")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,31 +85,12 @@ func TestSchedFamilySerialized(t *testing.T) {
 	rel2()
 }
 
-func TestSchedCoordinatorCap(t *testing.T) {
-	s := newSched(8, 1)
-	rel1, err := s.Acquire("a", "f1", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm2, rel2, _ := acquireAsync(s, "b", "f2", true)
-	mustBlock(t, adm2, "second coordinator at cap 1")
-	// A non-shard request passes the coordinator queue.
-	rel3, err := s.Acquire("c", "f3", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel3()
-	rel1()
-	mustAdmit(t, adm2, "second coordinator after release")
-	rel2()
-}
-
 // TestSchedTenantFairness floods tenant A's queue, then enqueues one
 // request from tenant B: round-robin admission must grant B's request
 // on the very next free slot rather than draining A's backlog first.
 func TestSchedTenantFairness(t *testing.T) {
-	s := newSched(1, 1)
-	relRunning, err := s.Acquire("a", "f0", false)
+	s := newSched(1)
+	relRunning, err := s.Acquire("a", "f0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +98,11 @@ func TestSchedTenantFairness(t *testing.T) {
 	admA := make([]chan struct{}, flood)
 	relA := make([]func(), flood)
 	for i := 0; i < flood; i++ {
-		admA[i], relA[i], _ = acquireAsync(s, "a", "", false)
+		admA[i], relA[i], _ = acquireAsync(s, "a", "")
 		// Order A's queue deterministically.
 		time.Sleep(5 * time.Millisecond)
 	}
-	admB, relB, _ := acquireAsync(s, "b", "", false)
+	admB, relB, _ := acquireAsync(s, "b", "")
 	mustBlock(t, admB, "tenant b behind the flood")
 
 	relRunning()
@@ -138,12 +119,12 @@ func TestSchedTenantFairness(t *testing.T) {
 }
 
 func TestSchedCloseRejectsQueued(t *testing.T) {
-	s := newSched(1, 1)
-	rel, err := s.Acquire("a", "f", false)
+	s := newSched(1)
+	rel, err := s.Acquire("a", "f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, errc := acquireAsync(s, "b", "g", false)
+	_, _, errc := acquireAsync(s, "b", "g")
 	time.Sleep(50 * time.Millisecond)
 	s.Close()
 	select {
@@ -156,7 +137,7 @@ func TestSchedCloseRejectsQueued(t *testing.T) {
 	}
 	// The admitted request's release still works after Close.
 	rel()
-	if _, err := s.Acquire("c", "h", false); !errors.Is(err, ErrSchedClosed) {
+	if _, err := s.Acquire("c", "h"); !errors.Is(err, ErrSchedClosed) {
 		t.Fatalf("post-Close acquire error = %v, want ErrSchedClosed", err)
 	}
 }
@@ -165,7 +146,7 @@ func TestSchedCloseRejectsQueued(t *testing.T) {
 // checking the caps hold at every admission.
 func TestSchedStress(t *testing.T) {
 	const maxRun = 3
-	s := newSched(maxRun, 1)
+	s := newSched(maxRun)
 	var peak, cur, violations int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -175,7 +156,7 @@ func TestSchedStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rel, err := s.Acquire(tenants[i%len(tenants)], families[i%len(families)], false)
+			rel, err := s.Acquire(tenants[i%len(tenants)], families[i%len(families)])
 			if err != nil {
 				t.Errorf("acquire: %v", err)
 				return

@@ -20,15 +20,15 @@
 // an error rather than silent corruption.
 //
 // The lookup index is the run's one verdict table: Open fills it from the
-// file, Seed and Adopt put records from other sources (a filtered
-// baseline, a store snapshot, a shard merge) straight into it, and a
-// journal made by New has no file at all.
+// file, Seed and Adopt put records from other sources (a regression
+// baseline, a store snapshot) straight into it, and a journal made by New
+// has no file at all.
 //
-// Concurrency: the index changes only between explorations — at Open, in
-// Seed and in Adopt — never while one runs, so Lookup is lock-free and
-// safe from any number of exploration workers, and the records a run
-// appends never change what the same run's lookups answer; Append
-// serializes file writes behind a mutex.
+// Concurrency: the index is filled before the run's first exploration — at
+// Open, in Seed and in Adopt — and never changes while one runs, so Lookup
+// is lock-free and safe from any number of exploration workers, and the
+// records a run appends never change what the same run's lookups answer;
+// Append serializes file writes behind a mutex.
 package journal
 
 import (
@@ -121,12 +121,12 @@ type Journal struct {
 	mu   sync.Mutex
 	f    *os.File          // nil: no file behind the table
 	buf  []byte            // Append's encoding scratch, under mu
-	seen map[mapKey]Record // changes only between explorations
+	seen map[mapKey]Record // filled before the first exploration
 
 	// mirror, when set, observes every successfully appended record
 	// (dependency tags and Indexed folded in, exactly as a reload would
-	// see it). The shard worker uses it to ship each unit's fresh records
-	// over the wire without re-reading its own file. Invoked under the
+	// see it). A store-backed generation collects what it derived this
+	// way, for its commit, without re-reading a file. Invoked under the
 	// append lock, so observations are ordered; the callback must not
 	// call back into the journal.
 	mirror func(Record)
@@ -251,9 +251,10 @@ func (j *Journal) Lookup(kind Kind, key uint64) (Record, bool) {
 	return r, ok
 }
 
-// Seed puts r into the lookup index and writes nothing: r is already in
-// the file (a shard merge appended it) or has no file to go to. It counts
-// as loaded. Legal only between explorations.
+// Seed puts r into the lookup index and writes nothing: r was read from
+// this journal's file at Open, or comes from a source the run does not
+// re-journal (a regression's baseline replay). It counts as loaded. Legal
+// only before the run's first exploration.
 func (j *Journal) Seed(r Record) {
 	j.seen[mapKey{r.Kind, r.Key}] = r
 	j.loaded++
@@ -263,8 +264,8 @@ func (j *Journal) Seed(r Record) {
 // Adopt makes recs part of the journal as though the run it continues
 // had journaled them: a file receives them in order, in the bytes Append
 // would have written, and then they are seeded. They count as loaded, not
-// appended, and the mirror does not see them. Legal only between
-// explorations.
+// appended, and the mirror does not see them. Legal only before the run's
+// first exploration.
 func (j *Journal) Adopt(recs []Record) error {
 	if j.f != nil {
 		// A kill mid-way leaves a shorter journal, as one between appends would.
@@ -372,9 +373,9 @@ func Canonical(recs []Record) []Record {
 
 // ReadRecords opens a checkpoint read-only and returns its deduplicated
 // verdict records (dependency annotations folded in) in canonical
-// (kind, key) order, tolerating a torn tail exactly like a resume. The
-// shard coordinator uses it to harvest the partial work a dead worker
-// journaled before crashing; the file is never truncated or written.
+// (kind, key) order, tolerating a torn tail exactly like a resume: how
+// Regress loads a baseline journal, and `store import` a journal to
+// import. The file is never truncated or written.
 func ReadRecords(path string, fingerprint uint64) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -2,25 +2,15 @@ package obs
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 )
 
-// saveFlight restores the current process recorder after the test
-// (OpenFlightFile installs a new one; RecordFlight is process-global).
-func saveFlight(t *testing.T) {
-	t.Helper()
-	old := flightCurrent.Load()
-	t.Cleanup(func() { flightCurrent.Store(old) })
-}
-
 func TestFlightRingRecordAndEvents(t *testing.T) {
 	r := NewFlightRing(8)
-	r.Record(FlightUnitStart, 1, 10, 0)
+	r.Record(FlightJournalOpen, 1, 10, 0)
 	r.Record(FlightJournalSync, 2, 0, 0)
-	r.Record(FlightUnitDone, 1, 10, 7)
+	r.Record(FlightStoreCommit, 1, 10, 7)
 	if got := r.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
 	}
@@ -36,10 +26,10 @@ func TestFlightRingRecordAndEvents(t *testing.T) {
 			t.Fatalf("event %d has zero timestamp", i)
 		}
 	}
-	if evs[0].Kind != FlightUnitStart || evs[0].A != 1 || evs[0].B != 10 {
+	if evs[0].Kind != FlightJournalOpen || evs[0].A != 1 || evs[0].B != 10 {
 		t.Fatalf("event 0 = %+v", evs[0])
 	}
-	if evs[2].Kind != FlightUnitDone || evs[2].C != 7 {
+	if evs[2].Kind != FlightStoreCommit || evs[2].C != 7 {
 		t.Fatalf("event 2 = %+v", evs[2])
 	}
 }
@@ -122,76 +112,34 @@ func TestFlightRingConcurrent(t *testing.T) {
 	}
 }
 
-// TestFlightFileRoundTrip: a file-backed recorder's events are readable
-// by another process's harvest path both while the writer is live (the
-// SIGKILL case: no Close, no sync) and after a clean Close.
-func TestFlightFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "w.flight")
-	saveFlight(t) // OpenFlightFile installs the new ring process-wide
-	r, err := OpenFlightFile(path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RecordFlight(FlightUnitStart, 3, 5, 0)
-	RecordFlight(FlightUnitDone, 3, 5, 9)
-
-	// Harvest while the writer is still alive — what the coordinator does
-	// after SIGKILLing a worker. Only the mmap-backed implementation
-	// persists continuously; the fallback flushes at Close.
-	live, err := ReadFlightFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live) == 0 {
-		t.Skip("no live visibility: platform without mmap (heap fallback)")
-	}
-	if len(live) != 2 || live[0].Kind != FlightUnitStart || live[1].Kind != FlightUnitDone {
-		t.Fatalf("live harvest = %+v", live)
-	}
-	if live[1].A != 3 || live[1].B != 5 || live[1].C != 9 {
-		t.Fatalf("live harvest payload = %+v", live[1])
-	}
-
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	closed, err := ReadFlightFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(closed) != 2 || closed[0].Kind != FlightUnitStart {
-		t.Fatalf("post-close harvest = %+v", closed)
-	}
-}
-
-func TestReadFlightFileRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.flight")
-	if err := os.WriteFile(path, make([]byte, 256), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFlightFile(path); err == nil {
-		t.Fatal("garbage flight file decoded without error")
-	}
-}
-
+// TestFlightKindJSONRoundTrip: /flight encodes every kind as its own
+// stable name, and a decoded event list reads the names back.
 func TestFlightKindJSONRoundTrip(t *testing.T) {
+	r := NewFlightRing(int(flightKindCount))
+	seen := map[string]bool{}
 	for k := FlightNone; k < flightKindCount; k++ {
 		data, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back FlightKind
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
+		if seen[string(data)] || string(data) != `"`+k.String()+`"` {
+			t.Fatalf("kind %d encodes as %s", k, data)
 		}
-		if back != k {
-			t.Fatalf("kind %d round-tripped to %d via %s", k, back, data)
-		}
+		seen[string(data)] = true
+		r.Record(k, uint64(k), 0, 0)
 	}
-	// Integer encodings (foreign writers) decode too.
-	var k FlightKind
-	if err := json.Unmarshal([]byte("3"), &k); err != nil || k != FlightUnitFail {
-		t.Fatalf("integer kind decode: %v %v", k, err)
+	data, err := json.Marshal(r.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []struct {
+		Kind string `json:"kind"`
+	}
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != int(flightKindCount) || back[int(FlightPanic)].Kind != "panic" {
+		t.Fatalf("events round-tripped to %+v", back)
 	}
 }
 

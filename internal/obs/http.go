@@ -144,9 +144,9 @@ func handleDelta(w http.ResponseWriter, req *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// fleetSource, when set, renders the /fleet endpoint: a live view of
-// the shard coordinator's per-worker state. The coordinator installs it
-// for the duration of a sharded run.
+// fleetSource, when set, renders the /fleet endpoint: the resident
+// daemon installs its service view (families, tenants, queue) for as long
+// as it serves.
 var fleetSource atomic.Pointer[func() any]
 
 // SetFleetSource installs (or, with nil, removes) the /fleet provider.
@@ -158,29 +158,10 @@ func SetFleetSource(f func() any) {
 	fleetSource.Store(&f)
 }
 
-// fleetFallback is consulted when no coordinator has a view installed:
-// the resident daemon registers its service view here, so /fleet shows
-// daemon state between sharded runs and the coordinator's view takes
-// over during one.
-var fleetFallback atomic.Pointer[func() any]
-
-// SetFleetFallback installs (or, with nil, removes) the long-lived
-// /fleet provider behind SetFleetSource.
-func SetFleetFallback(f func() any) {
-	if f == nil {
-		fleetFallback.Store(nil)
-		return
-	}
-	fleetFallback.Store(&f)
-}
-
 func handleFleet(w http.ResponseWriter, _ *http.Request) {
 	f := fleetSource.Load()
 	if f == nil {
-		f = fleetFallback.Load()
-	}
-	if f == nil {
-		http.Error(w, "no fleet running", http.StatusNotFound)
+		http.Error(w, "no daemon running", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -200,7 +181,7 @@ var serveOnce sync.Once
 //	/metrics        — the registry snapshot as indented JSON
 //	/metrics/delta  — long-poll snapshot deltas against a cursor
 //	/flight         — the process flight recorder's retained events
-//	/fleet          — the live shard coordinator view (sharded runs)
+//	/fleet          — the resident daemon's service view (meissa serve)
 //
 // It returns the bound address (useful with ":0") after the listener is
 // open; the server runs until the process exits. Live-run observability

@@ -239,80 +239,3 @@ func TestReportSchemaOneVersion(t *testing.T) {
 		}
 	}
 }
-
-func TestFleetReportValidate(t *testing.T) {
-	snap := func(sat, unsat uint64, histN, histSum uint64) *Snapshot {
-		s := &Snapshot{
-			Counters: map[string]uint64{"smt.queries_sat": sat, "smt.queries_unsat": unsat},
-		}
-		if histN > 0 {
-			s.Histograms = map[string]HistogramSnapshot{
-				"smt.query_latency_ns": {Count: histN, Sum: histSum, Buckets: map[string]uint64{"1024": histN}},
-			}
-		}
-		return s
-	}
-	good := func() *FleetReport {
-		merged := snap(30, 12, 5, 5000)
-		return &FleetReport{
-			TraceID: "t-1",
-			Merged:  merged,
-			Workers: []*WorkerFleetReport{
-				{Worker: 0, Slot: 0, Units: []int{0, 2}, Merged: snap(10, 4, 2, 2000)},
-				{Worker: 1, Slot: 1, Units: []int{1}, Merged: snap(20, 8, 3, 3000), Died: true, Killed: true,
-					Flight: []FlightEvent{{Seq: 0, Kind: FlightUnitStart, A: 1}}},
-			},
-		}
-	}
-	if err := good().Validate(); err != nil {
-		t.Fatalf("valid fleet rejected: %v", err)
-	}
-
-	f := good()
-	f.Merged.Counters["smt.queries_sat"] = 31 // merged > Σ workers
-	if err := f.Validate(); err == nil {
-		t.Fatal("inflated merged counter accepted")
-	}
-
-	f = good()
-	f.Workers[0].Merged.Counters["smt.queries_unknown"] = 1 // Σ workers > merged
-	if err := f.Validate(); err == nil {
-		t.Fatal("worker counter missing from merged accepted")
-	}
-
-	f = good()
-	h := f.Merged.Histograms["smt.query_latency_ns"]
-	h.Count++
-	f.Merged.Histograms["smt.query_latency_ns"] = h
-	if err := f.Validate(); err == nil {
-		t.Fatal("histogram count mismatch accepted")
-	}
-
-	// Empty fleet (no workers, no merged) is vacuously valid; workers
-	// without a merged fold are not.
-	if err := (&FleetReport{}).Validate(); err != nil {
-		t.Fatalf("empty fleet rejected: %v", err)
-	}
-	f = good()
-	f.Merged = nil
-	if err := f.Validate(); err == nil {
-		t.Fatal("workers without merged snapshot accepted")
-	}
-
-	// JSON round trip preserves the flight timeline with symbolic kinds.
-	f = good()
-	data, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back FleetReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("round-tripped fleet rejected: %v", err)
-	}
-	if len(back.Workers[1].Flight) != 1 || back.Workers[1].Flight[0].Kind != FlightUnitStart {
-		t.Fatalf("flight timeline lost in round trip: %+v", back.Workers[1])
-	}
-}

@@ -8,8 +8,9 @@ import (
 
 // ReportSchema versions the machine-readable run report written by
 // `meissa ... -metrics-out`; bump it on any incompatible change. v2
-// added trace_id, the fleet section, and harvested flight events. It is
-// the one schema the reader accepts.
+// added trace_id and the latency quantiles. It is the one schema the
+// reader accepts; sections a v2 writer once emitted and this build no
+// longer knows (shard, fleet) are ignored on read.
 const ReportSchema = "meissa.run-report/v2"
 
 // Report is one run's machine-readable result: everything the paper's
@@ -23,8 +24,7 @@ type Report struct {
 	Program     string `json:"program,omitempty"`
 	RuleSet     string `json:"rule_set,omitempty"`
 	Parallelism int    `json:"parallelism"`
-	// TraceID correlates every process of one run (coordinator and shard
-	// workers) under a single identifier (v2).
+	// TraceID identifies the run (v2).
 	TraceID string `json:"trace_id,omitempty"`
 	// WallNS is the run's end-to-end wall-clock (generation; plus driving
 	// for `test` runs).
@@ -40,17 +40,9 @@ type Report struct {
 	Journal *JournalReport `json:"journal,omitempty"`
 	// Driver reports test execution results (nil for gen-only runs).
 	Driver *DriverReport `json:"driver,omitempty"`
-	// Shard reports multi-process supervision (nil for single-process
-	// runs; Fallback set when sharding was requested but degraded to the
-	// in-process engine).
-	Shard *ShardReport `json:"shard,omitempty"`
 	// Store reports durable verdict-store activity (nil unless the run
 	// was store-backed).
 	Store *StoreReport `json:"store,omitempty"`
-	// Fleet carries the cross-process metric merge for sharded runs (v2):
-	// per-worker registry deltas, the coordinator's split-phase delta, and
-	// their fold — with the coordinator==Σworkers identity validated.
-	Fleet *FleetReport `json:"fleet,omitempty"`
 	// Daemon reports resident-daemon service activity when the run was
 	// served by `meissa serve` (nil for direct CLI runs).
 	Daemon *DaemonReport `json:"daemon,omitempty"`
@@ -238,46 +230,6 @@ type TargetTable struct {
 	Defaults uint64 `json:"defaults"`
 }
 
-// ShardReport is the multi-process supervision section. Its accounting
-// identities are validated: every issued lease resolves exactly once
-// (completed, expired, or superseded), and at the end of a non-fallback
-// run every unit is either completed or quarantined.
-type ShardReport struct {
-	Workers int `json:"workers"`
-	// MaxAssign is K: the failed-lease count that quarantines a unit.
-	MaxAssign int `json:"max_assign,omitempty"`
-	// Units is the frontier size; completed + quarantined must cover it
-	// on a non-fallback run.
-	Units            int `json:"units"`
-	UnitsCompleted   int `json:"units_completed"`
-	UnitsQuarantined int `json:"units_quarantined"`
-	// Lease lifecycle totals: Issued == Completed + Expired (every lease
-	// resolves exactly once). Superseded counts stale completions of
-	// already-expired leases, a subset of Expired.
-	LeasesIssued     uint64 `json:"leases_issued"`
-	LeasesCompleted  uint64 `json:"leases_completed"`
-	LeasesExpired    uint64 `json:"leases_expired"`
-	LeasesSuperseded uint64 `json:"leases_superseded,omitempty"`
-	// LeasesReassigned counts issues of previously failed units (a
-	// subset of Issued).
-	LeasesReassigned uint64 `json:"leases_reassigned"`
-	WorkerRestarts   uint64 `json:"worker_restarts"`
-	CorruptFrames    uint64 `json:"corrupt_frames"`
-	KillsInjected    uint64 `json:"kills_injected,omitempty"`
-	// Record merge totals: worker verdicts folded into the coordinator
-	// journal (duplicates from lease races skipped; harvested records
-	// scraped from dead workers' local journals are a subset of merged).
-	RecordsMerged    uint64 `json:"records_merged"`
-	RecordsDuplicate uint64 `json:"records_duplicate"`
-	RecordsHarvested uint64 `json:"records_harvested"`
-	// DegradedTemplates counts templates emitted inside quarantined
-	// subtrees during the merge replay (kept as Unknown).
-	DegradedTemplates uint64 `json:"degraded_templates"`
-	// Fallback records that the run degraded to the in-process engine.
-	Fallback       bool   `json:"fallback,omitempty"`
-	FallbackReason string `json:"fallback_reason,omitempty"`
-}
-
 // StoreReport is the durable verdict-store section: what the run pulled
 // out of the store before exploring and what it committed back after.
 // Its accounting identities are validated: a warm start's records are
@@ -307,84 +259,6 @@ type StoreReport struct {
 	TailDiscarded uint64 `json:"tail_discarded,omitempty"`
 	SnapshotReads uint64 `json:"snapshot_reads,omitempty"`
 	FileBytes     uint64 `json:"file_bytes,omitempty"`
-}
-
-// FleetReport is the cross-process observability section of a sharded
-// run (v2). Merged is the fold of every completed unit's worker-side
-// registry delta — exactly one delta per frontier unit, taken from the
-// first completion the coordinator accepted — so it accounts for each
-// solver query and explored path below the frontier exactly once, kills
-// and lease reassignments notwithstanding. Split is the coordinator's
-// own registry delta for the frontier-split phase (the above-frontier
-// work). Together Split + Merged reproduce a sequential final pass's
-// counters; Validate enforces the internal identity Merged == Σ workers.
-type FleetReport struct {
-	TraceID string `json:"trace_id,omitempty"`
-	// Split is the coordinator's registry delta over SplitFrontier.
-	Split *Snapshot `json:"split,omitempty"`
-	// Merged is the fold of all accepted per-unit worker deltas.
-	Merged *Snapshot `json:"merged,omitempty"`
-	// Workers lists each worker incarnation that contributed or died.
-	Workers []*WorkerFleetReport `json:"workers,omitempty"`
-}
-
-// WorkerFleetReport is one worker incarnation's contribution: the fold
-// of the unit deltas the coordinator accepted from it, the unit indexes
-// they covered, and — when the worker died — its harvested flight
-// recording.
-type WorkerFleetReport struct {
-	// Worker is the incarnation id (unique across restarts); Slot is the
-	// supervision slot it occupied.
-	Worker int `json:"worker"`
-	Slot   int `json:"slot"`
-	// Units are the frontier unit indexes whose accepted completions came
-	// from this incarnation.
-	Units []int `json:"units,omitempty"`
-	// Died records an unclean exit (crash, SIGKILL, retirement after a
-	// frame error); Killed marks deaths injected by chaos testing.
-	Died   bool `json:"died,omitempty"`
-	Killed bool `json:"killed,omitempty"`
-	// Merged is the fold of this incarnation's accepted unit deltas.
-	Merged *Snapshot `json:"merged,omitempty"`
-	// Flight is the harvested flight recording (dead workers only): the
-	// last events the worker logged before it stopped.
-	Flight []FlightEvent `json:"flight,omitempty"`
-}
-
-// Validate checks the fleet section's accounting identity: the merged
-// registry must equal the sum of the per-worker folds, counter by
-// counter and histogram by histogram.
-func (f *FleetReport) Validate() error {
-	if f.Merged == nil {
-		if len(f.Workers) == 0 {
-			return nil
-		}
-		return fmt.Errorf("obs: fleet has %d workers but no merged snapshot", len(f.Workers))
-	}
-	sum := &Snapshot{}
-	units := 0
-	for _, w := range f.Workers {
-		sum.Merge(w.Merged)
-		units += len(w.Units)
-	}
-	for k, v := range f.Merged.Counters {
-		if sum.Counters[k] != v {
-			return fmt.Errorf("obs: fleet counter %s: merged %d != Σ workers %d", k, v, sum.Counters[k])
-		}
-	}
-	for k, v := range sum.Counters {
-		if f.Merged.Counters[k] != v {
-			return fmt.Errorf("obs: fleet counter %s: Σ workers %d != merged %d", k, v, f.Merged.Counters[k])
-		}
-	}
-	for k, h := range f.Merged.Histograms {
-		s := sum.Histograms[k]
-		if s.Count != h.Count || s.Sum != h.Sum {
-			return fmt.Errorf("obs: fleet histogram %s: merged n=%d sum=%d != Σ workers n=%d sum=%d",
-				k, h.Count, h.Sum, s.Count, s.Sum)
-		}
-	}
-	return nil
 }
 
 // LinkReport mirrors driver.LinkStats.
@@ -518,38 +392,6 @@ func (r *Report) Validate() error {
 			return fmt.Errorf("obs: store committed %d transactions into a file of no bytes", st.Commits)
 		}
 	}
-	if sh := r.Shard; sh != nil {
-		// Every issued lease resolves exactly once — including on
-		// fallback runs, where outstanding leases are expired before the
-		// coordinator gives up.
-		if sh.LeasesIssued != sh.LeasesCompleted+sh.LeasesExpired {
-			return fmt.Errorf("obs: shard leases_issued %d != completed %d + expired %d",
-				sh.LeasesIssued, sh.LeasesCompleted, sh.LeasesExpired)
-		}
-		if sh.LeasesSuperseded > sh.LeasesExpired {
-			return fmt.Errorf("obs: shard leases_superseded %d > leases_expired %d", sh.LeasesSuperseded, sh.LeasesExpired)
-		}
-		if sh.LeasesReassigned > sh.LeasesIssued {
-			return fmt.Errorf("obs: shard leases_reassigned %d > leases_issued %d", sh.LeasesReassigned, sh.LeasesIssued)
-		}
-		if sh.RecordsHarvested > sh.RecordsMerged {
-			return fmt.Errorf("obs: shard records_harvested %d > records_merged %d", sh.RecordsHarvested, sh.RecordsMerged)
-		}
-		if !sh.Fallback {
-			if sh.Units != sh.UnitsCompleted+sh.UnitsQuarantined {
-				return fmt.Errorf("obs: shard units %d != completed %d + quarantined %d",
-					sh.Units, sh.UnitsCompleted, sh.UnitsQuarantined)
-			}
-			// Each completed unit resolves exactly one lease as completed.
-			if uint64(sh.UnitsCompleted) != sh.LeasesCompleted {
-				return fmt.Errorf("obs: shard units_completed %d != leases_completed %d", sh.UnitsCompleted, sh.LeasesCompleted)
-			}
-			if sh.MaxAssign > 0 && sh.LeasesExpired < uint64(sh.UnitsQuarantined*sh.MaxAssign) {
-				return fmt.Errorf("obs: shard leases_expired %d < quarantined %d × max_assign %d",
-					sh.LeasesExpired, sh.UnitsQuarantined, sh.MaxAssign)
-			}
-		}
-	}
 	if d := r.Daemon; d != nil {
 		// The daemon stamps its section after counting the request that
 		// produced this report, so a served report shows at least one.
@@ -558,20 +400,6 @@ func (r *Report) Validate() error {
 		}
 		if d.WarmHits > d.RequestsServed {
 			return fmt.Errorf("obs: daemon warm_hits %d > requests_served %d", d.WarmHits, d.RequestsServed)
-		}
-	}
-	if r.Fleet != nil {
-		if err := r.Fleet.Validate(); err != nil {
-			return err
-		}
-		if r.Shard != nil && !r.Shard.Fallback {
-			units := 0
-			for _, w := range r.Fleet.Workers {
-				units += len(w.Units)
-			}
-			if units != r.Shard.UnitsCompleted {
-				return fmt.Errorf("obs: fleet covers %d units but shard completed %d", units, r.Shard.UnitsCompleted)
-			}
 		}
 	}
 	return nil

@@ -295,9 +295,8 @@ func (h HistogramSnapshot) SummaryQuantiles() *Quantiles {
 
 // Merge folds d into s in place: counters, histograms and phase
 // aggregates add; gauges take d's (instantaneous) value; spans append.
-// The coordinator uses it to fold worker registry deltas into one
-// fleet-wide view, and `meissa top` to apply streamed deltas to its
-// local mirror. A nil d is a no-op.
+// `meissa top` uses it to apply streamed deltas to its local mirror. A
+// nil d is a no-op.
 func (s *Snapshot) Merge(d *Snapshot) {
 	if d == nil {
 		return

@@ -8,9 +8,8 @@ import (
 )
 
 // NewTraceID returns a 16-byte random trace identifier in hex, stamped
-// once per run by the coordinator and propagated to every worker over
-// the shard wire protocol, so spans and reports from all processes of
-// one run correlate under a single ID.
+// once per generation (the run report's trace_id) and once per daemon
+// request (the response's trace_id).
 func NewTraceID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {

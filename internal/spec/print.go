@@ -9,10 +9,7 @@ import (
 
 // Printing is the inverse of Parse: String renders a spec in the exact
 // line-oriented surface syntax the parser reads, so specs round-trip
-// through text. The shard coordinator ships intents to worker
-// subprocesses this way — the worker re-parses and must arrive at the
-// same constraints (and therefore the same exploration fingerprint) as
-// the coordinator.
+// through text: a printed spec re-parses to the same constraints.
 
 // String renders the spec in parseable form.
 func (s *Spec) String() string {
@@ -41,16 +38,4 @@ func expectString(e Expectation) string {
 	default:
 		return p4.ExprString(e.Cond)
 	}
-}
-
-// Print renders a spec list as one parseable document.
-func Print(specs []*Spec) string {
-	var b strings.Builder
-	for i, s := range specs {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(s.String())
-	}
-	return b.String()
 }

@@ -96,25 +96,17 @@ func TestTemplateDepsMatchPathUnion(t *testing.T) {
 			checkDeps(t, g, "Parallelism=4", par.Templates)
 
 			// Frontier units, each explored twice on one runner: the second
-			// run starts from the same task snapshot the first one used.
+			// run starts from the same unit snapshot the first one used.
 			opts.Parallelism = 1
-			fr, err := sym.SplitFrontier(sym.Config{Graph: g, Options: opts}, 4)
+			units := 0
+			err = sym.ExploreUnits(sym.Config{Graph: g, Options: opts}, 4, 2, func(i, run int, res *sym.Result) {
+				checkDeps(t, g, fmt.Sprintf("unit %d run %d", i, run), res.Templates)
+				if run == 1 {
+					units += len(res.Templates)
+				}
+			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			runner := fr.NewRunner(fr.Options())
-			units := 0
-			for i := range fr.Units {
-				for attempt := 0; attempt < 2; attempt++ {
-					res, err := runner.Explore(i)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkDeps(t, g, fmt.Sprintf("unit %d attempt %d", i, attempt), res.Templates)
-					if attempt == 1 {
-						units += len(res.Templates)
-					}
-				}
 			}
 			if units != len(seq.Templates) {
 				t.Fatalf("frontier units emitted %d templates, sequential %d", units, len(seq.Templates))

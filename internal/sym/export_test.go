@@ -59,3 +59,27 @@ var (
 	RenderTemplates  = renderTemplates
 	CheckCountedWork = checkCountedWork
 )
+
+// exploreUnit runs u alone on r, from a fresh result, and returns what it
+// explored; a unit can be run again from the same snapshot.
+func (r *runner) exploreUnit(u *unit) *Result {
+	r.e.res, r.e.visits = &Result{}, 0
+	r.run(u)
+	return r.e.result()
+}
+
+// ExploreUnits splits c's frontier at width and explores each unit alone,
+// runs times in a row, on one runner, handing every result to visit.
+func ExploreUnits(c Config, width, runs int, visit func(unit, run int, res *Result)) error {
+	f, err := splitFrontier(c, width)
+	if err != nil {
+		return err
+	}
+	r := f.newRunner()
+	for i, u := range f.units {
+		for k := 0; k < runs; k++ {
+			visit(i, k, r.exploreUnit(u))
+		}
+	}
+	return nil
+}

@@ -7,114 +7,107 @@ import (
 	"repro/internal/p4"
 )
 
+// unitKey is the content-based name of u: its prefix's path key folded
+// with its root's content hash.
+func unitKey(f *frontier, u *unit) uint64 {
+	return hashMix(u.hash, f.cfg.Graph.ContentHash(u.start))
+}
+
 // TestSplitFrontierDeterministic: splitting the same (graph, options,
-// width) twice yields identical unit lists and digests — the property
-// the coordinator's Ready verification stands on.
+// width) twice yields identical unit lists, each unit named once — the
+// property that makes the pool's splice order, and so its output, the same
+// on every run.
 func TestSplitFrontierDeterministic(t *testing.T) {
 	g, err := cfg.Build(p4.MustParse(fig7Src()), fig7Rules(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Config{Graph: g, Options: DefaultOptions()}
-	f1, err := SplitFrontier(c, 4)
+	f1, err := splitFrontier(c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := SplitFrontier(c, 4)
+	f2, err := splitFrontier(c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f1.Units) == 0 {
+	if len(f1.units) == 0 {
 		t.Fatal("empty frontier for a non-trivial graph")
 	}
-	if f1.Digest() != f2.Digest() {
-		t.Fatalf("digest not deterministic: %#x vs %#x", f1.Digest(), f2.Digest())
-	}
-	if len(f1.Units) != len(f2.Units) {
-		t.Fatalf("unit counts differ: %d vs %d", len(f1.Units), len(f2.Units))
+	if len(f1.units) != len(f2.units) {
+		t.Fatalf("unit counts differ: %d vs %d", len(f1.units), len(f2.units))
 	}
 	seen := map[uint64]bool{}
-	for i := range f1.Units {
-		a, b := f1.Units[i], f2.Units[i]
-		if a.Index != i || b.Index != i || a.Key != b.Key || a.Start != b.Start {
+	for i := range f1.units {
+		a, b := f1.units[i], f2.units[i]
+		if a.hash != b.hash || a.start != b.start {
 			t.Fatalf("unit %d differs: %+v vs %+v", i, a, b)
 		}
-		if seen[a.Key] {
-			t.Fatalf("duplicate unit key %#x", a.Key)
+		k := unitKey(f1, a)
+		if seen[k] {
+			t.Fatalf("duplicate unit key %#x", k)
 		}
-		seen[a.Key] = true
+		seen[k] = true
 	}
 }
 
 // TestSplitFrontierCrossBuild: a graph rebuilt from the same source text
-// (as a worker subprocess does) produces the same frontier digest, even
-// though node IDs may be assigned by a different Build invocation. Keys
-// are content-based, so this must hold for cross-process verification to
-// ever succeed.
+// splits into units with the same content-based names, even though node
+// IDs may be assigned by a different Build invocation — the journal keys a
+// runner derives below them are what a checkpoint or store shares across
+// runs.
 func TestSplitFrontierCrossBuild(t *testing.T) {
-	mk := func() *Frontier {
+	mk := func() *frontier {
 		g, err := cfg.Build(p4.MustParse(fig7Src()), fig7Rules(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := SplitFrontier(Config{Graph: g, Options: DefaultOptions()}, 4)
+		f, err := splitFrontier(Config{Graph: g, Options: DefaultOptions()}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
 	f1, f2 := mk(), mk()
-	if f1.Digest() != f2.Digest() {
-		t.Fatalf("digests diverge across independent builds: %#x vs %#x", f1.Digest(), f2.Digest())
+	if len(f1.units) != len(f2.units) {
+		t.Fatalf("unit counts diverge: %d vs %d", len(f1.units), len(f2.units))
 	}
-	if len(f1.Units) != len(f2.Units) {
-		t.Fatalf("unit counts diverge: %d vs %d", len(f1.Units), len(f2.Units))
-	}
-	for i := range f1.Units {
-		if f1.Units[i].Key != f2.Units[i].Key {
-			t.Fatalf("unit %d key diverges: %#x vs %#x", i, f1.Units[i].Key, f2.Units[i].Key)
+	for i := range f1.units {
+		if a, b := unitKey(f1, f1.units[i]), unitKey(f2, f2.units[i]); a != b {
+			t.Fatalf("unit %d key diverges: %#x vs %#x", i, a, b)
 		}
 	}
 }
 
 // TestRunnerUnitRerun: a unit can be explored repeatedly on the same
-// runner (lease reassignment replays it) with byte-identical results and
-// no state bleeding between attempts or between units.
+// runner with byte-identical results and no state bleeding between
+// attempts or between units — a runner's stacks are reset from the unit's
+// snapshot, never carried over.
 func TestRunnerUnitRerun(t *testing.T) {
 	g, err := cfg.Build(p4.MustParse(fig7Src()), fig7Rules(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := SplitFrontier(Config{Graph: g, Options: DefaultOptions()}, 4)
+	f, err := splitFrontier(Config{Graph: g, Options: DefaultOptions()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Units) < 2 {
-		t.Skipf("need >= 2 units, got %d", len(f.Units))
+	if len(f.units) < 2 {
+		t.Skipf("need >= 2 units, got %d", len(f.units))
 	}
-	r := f.NewRunner(f.Options())
+	r := f.newRunner()
 
-	first, err := r.Explore(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := r.exploreUnit(f.units[0])
 	// Interleave another unit, then re-run unit 0: identical output.
-	if _, err := r.Explore(1); err != nil {
-		t.Fatal(err)
-	}
-	again, err := r.Explore(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r.exploreUnit(f.units[1])
+	again := r.exploreUnit(f.units[0])
 	if got, want := renderTemplates(again.Templates), renderTemplates(first.Templates); got != want {
 		t.Fatalf("unit 0 re-run diverged:\n--- first ---\n%s--- again ---\n%s", want, got)
 	}
 	if first.PathsExplored == 0 || len(first.Templates) == 0 {
 		t.Fatalf("unit 0 produced no work: paths=%d templates=%d", first.PathsExplored, len(first.Templates))
 	}
-
-	// Out-of-range indexes error instead of panicking the worker.
-	if _, err := r.Explore(len(f.Units)); err == nil {
-		t.Fatal("out-of-range unit accepted")
+	if first.Recovered+again.Recovered != 0 {
+		t.Fatalf("unit 0 recovered panics: %v %v", first.PathErrors, again.PathErrors)
 	}
 }

@@ -17,11 +17,6 @@ var (
 	// mPathsRecovered counts per-path panics arrested by recoverPath.
 	mPathsRecovered = obs.GetCounter("sym.paths_recovered")
 
-	// mPathsDegraded counts templates emitted inside quarantined subtrees
-	// (Options.Quarantined): kept with an Unknown verdict because the
-	// subtree was poisoned, not because the solver was undecided.
-	mPathsDegraded = obs.GetCounter("sym.paths_degraded")
-
 	// mJournalHits counts solver interactions answered from a resume
 	// journal instead of a live solve.
 	mJournalHits = obs.GetCounter("sym.journal_hits")

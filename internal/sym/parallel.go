@@ -1,7 +1,6 @@
 package sym
 
 import (
-	"fmt"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -14,24 +13,24 @@ import (
 
 // An exploration is a frontier and a pool, at any worker count.
 //
-// Splitting (Frontier.split) runs the ordinary executor over the top of the
+// Splitting (frontier.split) runs the ordinary executor over the top of the
 // tree with a spill hook: once the product of branch widths along the
 // current path reaches the target width (4× the worker count, so there are
 // enough pending sibling subtrees to balance the pool), the subtree rooted
-// at the current node is packaged as a Unit — path prefix, condition stack,
+// at the current node is packaged as a unit — path prefix, condition stack,
 // value-stack snapshot, hash obligations, the branch verdict its parent's
 // sibling batch handed down — instead of being explored. Leaf- and stop-nodes
 // below the split frontier also spill, so the splitter itself never emits
 // templates; units therefore appear in exactly the order one DFS would first
 // reach them. The frontier of a single runner is not split: it is the root.
 //
-// The pool (Frontier.explore) is the caller's goroutine plus one goroutine
-// per further worker. Each is a Runner: it owns one smt.Solver for its whole
+// The pool (frontier.explore) is the caller's goroutine plus one goroutine
+// per further worker. Each is a runner: it owns one smt.Solver for its whole
 // lifetime (solver construction and init-constraint assertion are amortized
 // across units) and claims units from an atomic counter. Per unit it replays
 // the prefix condition stack via Push/Assert — no Check, so replay adds zero
 // SMT calls — explores the subtree with the same executor code, and Pops
-// back (Runner.run, which a shard worker's Runner.Explore calls too).
+// back (runner.run).
 //
 // Determinism: templates are collected per unit and spliced in unit order,
 // then IDs are renumbered sequentially. Since unit order equals DFS visit
@@ -60,23 +59,22 @@ type sharedState struct {
 // extra sibling then spills as one coarse unit, which is still balanced
 // because coarse siblings at the same depth have similar subtree sizes).
 // What the splitter itself explored is kept as f.top.
-func (f *Frontier) split(width int) {
+func (f *frontier) split(width int) {
 	s := newExecutor(f.cfg, f.cfg.Options, f.plan, f.seed, f.shared)
 	s.widthProd = 1
 	s.spill = func(id cfg.NodeID, pend pendingBranch) bool {
 		atEnd := f.cfg.Graph.Node(id).IsLeaf() || s.stop[id]
-		if !atEnd && s.widthProd < width && len(f.Units) < 16*width {
+		if !atEnd && s.widthProd < width && len(f.units) < 16*width {
 			return false // keep splitting above the frontier
 		}
-		f.enqueue(&Unit{
-			Start:       id,
+		f.enqueue(&unit{
+			start:       id,
 			path:        append([]cfg.NodeID(nil), s.path...),
 			constraints: append([]expr.Bool(nil), s.constraints...),
 			values:      append(expr.Env(nil), s.vals...),
 			obligations: cloneObligations(s.obligations),
 			hash:        s.curHash(),
 			deps:        append([]uint32(nil), s.deps...),
-			degraded:    s.degraded,
 			pending:     pend,
 		})
 		return true
@@ -91,9 +89,9 @@ func (f *Frontier) split(width int) {
 // subtree from a copy of the snapshot in the runner's own stacks (so a unit
 // can be re-run) and Pops back. Panics inside dfs are arrested per path;
 // unless Strict, one raised outside the frames (the replay's Assert) is
-// recorded on the runner's result and returned, with the solver back at its
-// depth before the unit, so the runner survives to take its next one.
-func (r *Runner) run(u *Unit) (fault any) {
+// recorded on the runner's result, with the solver back at its depth before
+// the unit, so the runner survives to take its next one.
+func (r *runner) run(u *unit) {
 	e := r.e
 	e.vals = append(e.vals[:0], u.values...)
 	e.constraints = append(e.constraints[:0], u.constraints...)
@@ -101,12 +99,12 @@ func (r *Runner) run(u *Unit) (fault any) {
 	e.path = append(e.path[:0], u.path...)
 	e.hashes = append(e.hashes[:0], u.hash)
 	e.deps = append(e.deps[:0], u.deps...)
-	e.degraded, e.pending = u.degraded, u.pending
+	e.pending = u.pending
 	e.journaling = e.opts.Journal != nil
 	depth := e.solver.Depth()
 	if !e.opts.Strict {
 		defer func() {
-			if fault = recover(); fault != nil {
+			if fault := recover(); fault != nil {
 				for e.solver.Depth() > depth {
 					e.solver.Pop()
 				}
@@ -118,20 +116,19 @@ func (r *Runner) run(u *Unit) (fault any) {
 	for _, b := range u.constraints[len(r.f.cfg.InitConstraints):] {
 		e.solver.Assert(b)
 	}
-	e.dfs(u.Start)
+	e.dfs(u.start)
 	e.solver.Pop()
-	return nil
 }
 
 // explore drains the frontier on workers runners — the caller's goroutine
 // and workers-1 more — and splices what they emitted in unit order. Units
 // are claimed via an atomic index, so fast runners steal the slack of slow
 // ones.
-func (f *Frontier) explore(workers int) *Result {
-	mFrontierTasks.Add(int64(len(f.Units)))
+func (f *frontier) explore(workers int) *Result {
+	mFrontierTasks.Add(int64(len(f.units)))
 	var next atomic.Int64
-	emitted := make([][]*Template, len(f.Units))
-	runners := make([]*Runner, workers)
+	emitted := make([][]*Template, len(f.units))
+	runners := make([]*runner, workers)
 	// fatal holds the first panic that escaped a runner, which only Strict
 	// lets happen: no caller can recover a panic on another goroutine, so
 	// the runner captures it, stops the pool, and Explore's own goroutine
@@ -148,17 +145,17 @@ func (f *Frontier) explore(workers int) *Result {
 			}
 		}()
 		mWorkersStarted.Inc()
-		r := f.NewRunner(f.cfg.Options)
+		r := f.newRunner()
 		runners[w] = r
 		for !f.shared.halted.Load() {
 			i := int(next.Add(1)) - 1
-			if i >= len(f.Units) {
+			if i >= len(f.units) {
 				break
 			}
 			mFrontierTasks.Add(-1)
-			mTaskQueueWait.ObserveSince(f.Units[i].created)
+			mTaskQueueWait.ObserveSince(f.units[i].created)
 			n := len(r.e.res.Templates)
-			r.run(f.Units[i])
+			r.run(f.units[i])
 			emitted[i] = r.e.res.Templates[n:]
 		}
 	}
@@ -168,7 +165,7 @@ func (f *Frontier) explore(workers int) *Result {
 	work(0)
 	wg.Wait()
 	// A halted pool leaves units unclaimed: they are no longer queued either.
-	if left := int64(len(f.Units)) - next.Load(); left > 0 {
+	if left := int64(len(f.units)) - next.Load(); left > 0 {
 		mFrontierTasks.Add(-left)
 	}
 	if p := fatal.Load(); p != nil {
@@ -200,7 +197,6 @@ func (res *Result) add(o *Result) {
 	res.Truncated = res.Truncated || o.Truncated
 	res.Recovered += o.Recovered
 	res.JournalHits += o.JournalHits
-	res.Degraded += o.Degraded
 	for _, pe := range o.PathErrors {
 		if len(res.PathErrors) < maxPathErrors {
 			res.PathErrors = append(res.PathErrors, pe)
@@ -208,39 +204,18 @@ func (res *Result) add(o *Result) {
 	}
 }
 
-// Runner explores frontier units one at a time on a single amortized
+// runner explores frontier units one at a time on a single amortized
 // solver: init constraints are asserted once at construction, each unit
-// replays its prefix, explores, and Pops back (run). The in-process pool's
-// workers are Runners, and so is a shard worker subprocess.
-type Runner struct {
-	f *Frontier
+// replays its prefix, explores, and Pops back (run). The pool's workers are
+// runners.
+type runner struct {
+	f *frontier
 	// e's stacks are set from the snapshot at each unit; its solver, result
 	// and visit counter (the deadline's ticks) span them.
 	e *executor
 }
 
-// NewRunner builds a unit runner. opts overrides the frontier's options
-// for execution — the worker subprocess attaches its local journal and
-// heartbeat PathHook here; pass f.Options() to run unmodified. The budget
-// (MaxPaths, Deadline) stays the frontier's.
-func (f *Frontier) NewRunner(opts Options) *Runner {
-	opts.Solver, opts.SolverSet = opts.solver(), true
-	return &Runner{f: f, e: newExecutor(f.cfg, opts, f.plan, f.seed, f.shared)}
-}
-
-// Explore runs one unit to completion and returns its subtree result. The
-// unit's snapshot is cloned first, so a unit can be re-run (lease
-// reassignment) without state bleeding between attempts. A panic outside
-// the per-path recovery (prefix replay) is returned as an error with the
-// solver restored to its pre-unit depth; the caller decides whether that
-// is a unit failure or a worker failure.
-func (r *Runner) Explore(i int) (*Result, error) {
-	if i < 0 || i >= len(r.f.Units) {
-		return nil, fmt.Errorf("sym: unit %d out of range (frontier has %d)", i, len(r.f.Units))
-	}
-	r.e.res, r.e.visits = &Result{}, 0
-	if fault := r.run(r.f.Units[i]); fault != nil {
-		return nil, fmt.Errorf("sym: unit %d failed outside path recovery: %v", i, fault)
-	}
-	return r.e.result(), nil
+// newRunner builds a unit runner under the frontier's options and budget.
+func (f *frontier) newRunner() *runner {
+	return &runner{f: f, e: newExecutor(f.cfg, f.cfg.Options, f.plan, f.seed, f.shared)}
 }

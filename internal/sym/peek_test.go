@@ -82,15 +82,8 @@ func exploreModes(t *testing.T, c sym.Config) *sym.Result {
 	if _, err := sym.Explore(par); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := sym.SplitFrontier(c, 4)
-	if err != nil {
+	if err := sym.ExploreUnits(c, 4, 1, func(int, int, *sym.Result) {}); err != nil {
 		t.Fatal(err)
-	}
-	runner := fr.NewRunner(fr.Options())
-	for i := range fr.Units {
-		if _, err := runner.Explore(i); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return seq
 }

@@ -13,8 +13,9 @@ import (
 
 // plan is the per-exploration compilation of the graph slice reachable
 // from the start node: what dfs would otherwise derive on every visit by
-// hashing strings. Explore and SplitFrontier build it once; every executor
-// of the exploration (splitter, workers, unit runners) shares it read-only.
+// hashing strings. splitFrontier builds it once per exploration; every
+// executor of the exploration (the splitter and the runners) shares it
+// read-only.
 type plan struct {
 	// nodes spans the IDs the exploration can enter, from base to the
 	// highest: node id is nodes[id-base]. Entries of the unreachable IDs in

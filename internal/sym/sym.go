@@ -161,17 +161,6 @@ type Options struct {
 	// and templates are identical either way; this knob exists for the
 	// differential tests and ablations that prove it.
 	NoSiblingBatch bool
-	// Quarantined marks subtree roots (by the content-based path key of
-	// the prefix ending at the root — Unit.Key) whose exploration is
-	// degraded: inside a quarantined subtree every solver interaction is
-	// answered Unknown without consulting the solver, the journal, or the
-	// sibling batcher, and nothing is journaled. The sharded coordinator
-	// sets this for poison units that crashed K consecutive workers, so
-	// the merge replay keeps full coverage of the subtree (Unknown never
-	// prunes — the templates are a superset, marked Uncertain) while
-	// guaranteeing the replay cannot hang or crash on whatever input
-	// killed the workers. Nil in every non-degraded run.
-	Quarantined map[uint64]bool
 }
 
 // DefaultOptions is the production configuration.
@@ -227,10 +216,6 @@ type Result struct {
 	// journal instead of the solver — the work a resumed run did NOT
 	// redo.
 	JournalHits uint64
-	// Degraded counts templates emitted inside quarantined subtrees
-	// (Options.Quarantined): paths kept with an Unknown verdict because
-	// their subtree was poisoned, not because the solver was undecided.
-	Degraded uint64
 }
 
 // Explore runs Algorithm 1 over the CFG: it splits a frontier, explores its
@@ -242,7 +227,7 @@ func Explore(c Config) (*Result, error) {
 	if workers > 1 {
 		width = 4 * workers // enough pending subtrees to balance the pool
 	}
-	f, err := SplitFrontier(c, width)
+	f, err := splitFrontier(c, width)
 	if err != nil {
 		return nil, err
 	}
@@ -346,11 +331,6 @@ type executor struct {
 	depSeen  []uint32
 	depEpoch uint32
 	depBuf   []uint32
-	// degraded counts how many quarantined subtree roots enclose the
-	// current prefix; while positive, every solver interaction is answered
-	// Unknown without touching the solver or journal (see
-	// Options.Quarantined).
-	degraded int
 	// pending hands a branch verdict precomputed by the parent's sibling
 	// batch down to the child's dfs frame; it is set immediately before
 	// each e.dfs(succ) call and consumed (and cleared) at frame entry.
@@ -522,13 +502,6 @@ func (e *executor) countPath() {
 	e.shared.paths.Add(1)
 }
 
-// countDegraded registers one template emitted inside a quarantined
-// subtree (kept with an Unknown verdict instead of a solver decision).
-func (e *executor) countDegraded() {
-	e.res.Degraded++
-	mPathsDegraded.Inc()
-}
-
 // countPruned registers one early-terminated prefix.
 func (e *executor) countPruned() {
 	e.res.PrunedPaths++
@@ -551,12 +524,11 @@ func (e *executor) stopNow() bool {
 }
 
 // mark is the executor's undo point for one dfs frame: the heights of its
-// stacks (and the two scalars a frame may change) at frame entry. unwind
+// stacks (and the scalar a frame may change) at frame entry. unwind
 // restores them all at once, so a frame's state changes need no individual
 // restore step.
 type mark struct {
-	path, deps, conds, obligations, oblInputs, trail, solverDepth int
-	degraded, widthProd                                           int
+	path, deps, conds, obligations, oblInputs, trail, solverDepth, widthProd int
 }
 
 // binding is one value-stack undo entry: slot held old before the write.
@@ -569,7 +541,7 @@ func (e *executor) mark() mark {
 	return mark{
 		path: len(e.path), deps: len(e.deps), conds: len(e.constraints),
 		obligations: len(e.obligations), oblInputs: len(e.oblInputs), trail: len(e.trail), solverDepth: e.solver.Depth(),
-		degraded: e.degraded, widthProd: e.widthProd,
+		widthProd: e.widthProd,
 	}
 }
 
@@ -589,7 +561,7 @@ func (e *executor) unwind(m *mark) {
 	for e.solver.Depth() > m.solverDepth {
 		e.solver.Pop()
 	}
-	e.degraded, e.widthProd = m.degraded, m.widthProd
+	e.widthProd = m.widthProd
 }
 
 // bind writes the value stack through the undo trail.
@@ -646,22 +618,13 @@ func (e *executor) step(id cfg.NodeID) {
 		// The stop node is not on e.path, so fold it into the emit key
 		// here: distinct stop nodes reached from one prefix must not
 		// share a journal record.
-		key := hashMix(e.curHash(), e.g.ContentHash(id))
-		if e.opts.Quarantined != nil && e.opts.Quarantined[key] {
-			e.degraded++
-		}
-		e.emit(key)
+		e.emit(hashMix(e.curHash(), e.g.ContentHash(id)))
 		return
 	}
 	n := e.g.Node(id)
 	e.path = append(e.path, id)
 	e.hashes = append(e.hashes, hashMix(e.hashes[len(e.hashes)-1], e.g.ContentHash(id)))
 	e.deps = append(e.deps, e.p.nodeDeps(id)...)
-	if e.opts.Quarantined != nil && e.opts.Quarantined[e.curHash()] {
-		// Entering a quarantined subtree: from here down (including this
-		// node's own feasibility check) everything degrades to Unknown.
-		e.degraded++
-	}
 
 	switch n.Kind {
 	case cfg.Predicate:
@@ -815,7 +778,7 @@ func (e *executor) contradicts(conjs []conjTest, refs []int32, defs []expr.Arith
 // — so the queries asked and the frames entered do not depend on where the
 // frontier falls.
 func (e *executor) canBatchSiblings() bool {
-	return e.opts.EarlyTermination && !e.opts.NoSiblingBatch && e.degraded == 0
+	return e.opts.EarlyTermination && !e.opts.NoSiblingBatch
 }
 
 // batchScratchAt returns the reusable batch scratch for one path depth.
@@ -852,12 +815,6 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 			continue // statically decided in the child frame, no solver
 		}
 		key := hashMix(e.curHash(), e.g.ContentHash(sid))
-		if e.opts.Quarantined != nil && e.opts.Quarantined[key] {
-			// The sibling roots a quarantined subtree: leave its pending
-			// verdict unchecked so the child frame enters degraded mode
-			// and answers Unknown without touching the solver or journal.
-			continue
-		}
 		if e.journaling {
 			if rec, ok := e.opts.Journal.Lookup(journal.KindCheck, key); ok {
 				e.countJournalHit()
@@ -992,9 +949,6 @@ func (e *executor) appendJournal(rec journal.Record) {
 // from the resume journal when the interrupted run already decided this
 // prefix, and journaled when derived fresh.
 func (e *executor) pruneCheck() smt.Result {
-	if e.degraded > 0 {
-		return smt.Unknown
-	}
 	if e.journaling {
 		if rec, ok := e.opts.Journal.Lookup(journal.KindCheck, e.curHash()); ok {
 			e.countJournalHit()
@@ -1013,9 +967,6 @@ func (e *executor) pruneCheck() smt.Result {
 // verdicts together with their models, so a resumed run reconstructs
 // byte-identical templates without any solver call.
 func (e *executor) emitVerdict(key uint64) (smt.Result, expr.State) {
-	if e.degraded > 0 {
-		return smt.Unknown, nil
-	}
 	if e.journaling {
 		if rec, ok := e.opts.Journal.Lookup(journal.KindEmit, key); ok {
 			e.countJournalHit()
@@ -1079,9 +1030,6 @@ func (e *executor) emit(key uint64) {
 	r, model := e.emitVerdict(key)
 	if r == smt.Unsat {
 		return
-	}
-	if e.degraded > 0 {
-		e.countDegraded()
 	}
 	t := &Template{
 		ID:          len(e.res.Templates),

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os/exec"
 	"runtime/metrics"
 	"strings"
 	"time"
@@ -61,13 +60,14 @@ type Options struct {
 	// IncrementalSolving toggles solver push/pop state reuse (ablation).
 	IncrementalSolving bool
 	// Parallelism is the exploration worker count, applied to both the
-	// within-pipeline summarization runs and the final generation pass:
-	// 0 uses GOMAXPROCS; at 1 the frontier is the root alone, explored on
-	// the caller's goroutine (Algorithm 1 as one DFS, the paper-faithful
-	// ablation baseline); N > 1 splits the DFS frontier across N runners
-	// sharing the run's in-memory solver-verdict memo, which is made for
-	// the generation and dropped with it. Templates are byte-identical at
-	// any setting.
+	// within-pipeline summarization runs and the final generation pass,
+	// and the only way a generation runs in parallel: 0 uses GOMAXPROCS;
+	// at 1 the frontier is the root alone, explored on the caller's
+	// goroutine (Algorithm 1 as one DFS, the paper-faithful ablation
+	// baseline); N > 1 splits the DFS frontier across N in-process
+	// runners sharing the run's in-memory solver-verdict memo, which is
+	// made for the generation and dropped with it. Templates are
+	// byte-identical at any setting.
 	Parallelism int
 	// MaxPaths caps DFS descents per exploration (0 = unlimited); the
 	// harness uses it as a timeout substitute for intractable baselines.
@@ -124,48 +124,6 @@ type Options struct {
 	// store.ErrStoreBusy. Zero makes exactly one attempt — the
 	// `-store-wait` CLI flag.
 	StoreWait time.Duration
-	// ShardWorkers, when > 1, farms the final generation pass across that
-	// many worker subprocesses under lease-based supervision
-	// (internal/shard). Crashed, hung, or corrupt workers have their work
-	// units reassigned with backoff; a unit that keeps killing workers is
-	// quarantined (its subtree degrades to Unknown — a superset, never a
-	// loss); the merged run is byte-identical to a single-process run.
-	// Option combinations that cannot shard (MaxPaths, Deadline, Resume,
-	// PathHook), regression runs and total worker failure fall back to
-	// the in-process engine with a logged reason. 0 or 1 disables
-	// sharding.
-	ShardWorkers int
-	// ShardListen, when non-empty, swaps the subprocess transport for a
-	// listener at this address ("tcp://host:port" or "unix://path"):
-	// instead of spawning local workers the coordinator waits for
-	// `meissa work -connect` processes — possibly on other hosts — to
-	// dial in, speaking the same CRC-framed protocol with the same
-	// fingerprint verify-or-retire handshake. ShardWorkers still sets
-	// the slot count. A listener that stays empty past the ready
-	// timeout falls back to the in-process engine.
-	ShardListen string
-	// LeaseTimeout is the shard lease progress deadline: a worker that
-	// makes no path progress for this long is presumed hung, killed, and
-	// its unit reassigned (0 = 10s default).
-	LeaseTimeout time.Duration
-	// WorkerCommand builds one worker subprocess invocation; the
-	// coordinator owns its stdin/stdout. Nil re-executes the current
-	// binary with the `work` subcommand — correct for the meissa CLI;
-	// library embedders must supply their own.
-	WorkerCommand func() *exec.Cmd
-	// ShardChaosKills SIGKILLs that many seeded-random live workers
-	// spread across the run; ShardChaosSeed seeds the choice
-	// (fault-injection testing only).
-	ShardChaosKills int
-	ShardChaosSeed  int64
-	// ShardPathSleep slows workers by sleeping per explored path, so
-	// injected faults land mid-generation (testing only).
-	ShardPathSleep time.Duration
-	// ShardPoisonUnit, when > 0, makes every worker assigned the frontier
-	// unit at index ShardPoisonUnit-1 die instantly — a deterministic
-	// permanently-crashing unit that must end up quarantined (testing
-	// only).
-	ShardPoisonUnit int
 }
 
 // DefaultOptions is the full Meissa configuration.
@@ -215,7 +173,7 @@ type GenResult struct {
 	// FinalMallocs and FinalAllocBytes are the process's heap allocation
 	// count and volume over the final pass, so a report shows what a path
 	// costs without a benchmark harness. Measured only when the pass runs
-	// sequentially in-process, and zero otherwise. The counters are the
+	// sequentially, and zero otherwise. The counters are the
 	// process's: they are the pass's own only while nothing else in the
 	// process allocates (the CLI, a benchmark); a caller that runs
 	// generations side by side — the daemon — discards them.
@@ -260,8 +218,8 @@ type GenResult struct {
 	// from the Checkpoint on a Resume, warmed from the store, retained
 	// from a regression baseline. JournalAppended counts the records it
 	// derived live and journaled (a verdict and its dependency index are
-	// two). Both are zero for a run with no checkpoint, store or shard
-	// workers, which keeps no verdict table.
+	// two). Both are zero for a run with no checkpoint, store or
+	// regression baseline, which keeps no verdict table.
 	JournalAppended uint64
 	JournalLoaded   uint64
 	// Rebase accounts for the baseline rebase of an incremental
@@ -280,20 +238,12 @@ type GenResult struct {
 	// (SMTCalls, SMTCacheHits, SMTUnknowns, SMTBudgetExhausted) are
 	// projections of it kept for compatibility.
 	SMT smt.Stats
-	// Shard is the multi-process supervision summary; nil unless
-	// Options.ShardWorkers > 1 (Fallback set when the run degraded to the
-	// in-process engine).
-	Shard *obs.ShardReport
 	// Store is the durable verdict-store activity summary; nil unless
 	// Options.Store/StorePath was set.
 	Store *obs.StoreReport
 	// TraceID is the run-wide trace identifier stamped at generation
-	// start and propagated to every shard worker.
+	// start and carried into the run report.
 	TraceID string
-	// Fleet is the cross-process metric merge for sharded runs: the
-	// coordinator's split-phase registry delta plus the fold of every
-	// completed unit's worker-side delta (nil for in-process runs).
-	Fleet *obs.FleetReport
 }
 
 // Generate builds the CFG, applies code summary when enabled, and runs
@@ -303,13 +253,13 @@ func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 // generate is Generate, for a regression with src as an extra source of
 // starting verdicts.
 //
-// A run that persists or shares verdicts keeps ONE verdict table, the
-// journal's index, which exploration reads. Sources fill it before the
-// first exploration — the Checkpoint file on a Resume, a regression's
-// baseline, a store snapshot — or between two (the shard merge); sinks
-// take what the run derives: the Checkpoint file, verdict by verdict
-// before use, and the store, in one transaction at the end. The index
-// changes only between explorations.
+// A run that persists or reuses verdicts keeps ONE verdict table, the
+// journal's index, which exploration reads. Sources fill it, and only
+// before the first exploration: the Checkpoint file on a Resume, a
+// regression's baseline, a store snapshot. Sinks take what the run
+// derives: the Checkpoint file, verdict by verdict before use, and the
+// store, in one transaction at the end. From the first exploration on, the
+// index grows only by the run's own appends.
 func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	start := time.Now()
 	if s.Opts.Resume && s.Opts.Checkpoint == "" {
@@ -342,11 +292,10 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	shardOK, shardReason := s.shardPlan(src != nil)
 	// The plain path does not pay for the identity only a checkpoint file
-	// and shard workers are checked against.
+	// is checked against.
 	var fp uint64
-	if s.Opts.Checkpoint != "" || shardOK {
+	if s.Opts.Checkpoint != "" {
 		fp = s.fingerprint(initC)
 	}
 
@@ -364,8 +313,8 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	}
 
 	// The verdict table: the Checkpoint journal when one is named, else —
-	// for a run with a source, a store or shard workers, all of which go
-	// through the table — a journal with no file behind it.
+	// for a run with a source or a store, both of which go through the
+	// table — a journal with no file behind it.
 	var j *journal.Journal
 	switch {
 	case s.Opts.Resume:
@@ -375,18 +324,17 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		}
 	case s.Opts.Checkpoint != "":
 		j, err = journal.Open(s.Opts.Checkpoint, fp, false)
-	case src != nil || stc != nil || shardOK:
+	case src != nil || stc != nil:
 		j = journal.New()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("meissa: checkpoint: %w", err)
 	}
-	// fresh is what this run derives: the shard merge replay seeds the
-	// table with it, the store commit takes it.
+	// fresh is what this run derives, for the store commit.
 	var fresh []journal.Record
 	if j != nil {
 		defer j.Close()
-		if stc != nil || shardOK {
+		if stc != nil {
 			j.SetMirror(func(r journal.Record) { fresh = append(fresh, r) })
 		}
 	}
@@ -411,11 +359,6 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 			return nil, fmt.Errorf("meissa: store: %w", err)
 		}
 		if stc.rep.Warmed > 0 {
-			if shardOK {
-				// A table that already holds verdicts disqualifies sharding
-				// the same way a Resume does.
-				shardOK, shardReason = false, "store-warmed resume"
-			}
 			obs.Progressf("meissa: %s: store: warm start with %d stored verdicts", s.Prog.Name, stc.rep.Warmed)
 		}
 	}
@@ -447,14 +390,6 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 
 	var exp *sym.Result
 	err = phase("sym", func() (err error) {
-		if shardOK {
-			exp, err = s.shardedFinalPass(fcfg, j, &fresh, fp, res)
-			return
-		}
-		if s.Opts.ShardWorkers > 1 {
-			obs.Warnf("meissa: %s: sharding disabled: %s; using in-process engine", s.Prog.Name, shardReason)
-			res.Shard = &obs.ShardReport{Workers: s.Opts.ShardWorkers, Fallback: true, FallbackReason: shardReason}
-		}
 		objs0, bytes0 := heapAllocs()
 		exp, err = sym.Explore(fcfg)
 		if fcfg.Options.Workers() == 1 {
@@ -512,9 +447,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 // passConfigs derives what a generation explores under from the system's
 // options: the summarization's options and the final pass's
 // configuration, both reading and writing the verdict table j (nil for
-// none). Generate and a shard worker's Init both take theirs from here: a
-// worker whose configuration differed in anything that reaches a verdict
-// would compute another frontier digest and be retired.
+// none).
 func (s *System) passConfigs(g *cfg.Graph, initC []expr.Bool, j *journal.Journal) (summary.Options, sym.Config) {
 	symOpts := sym.Options{
 		EarlyTermination: s.Opts.EarlyTermination,
@@ -599,8 +532,6 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 		rep.Solver.LatencyQuantiles = h.SummaryQuantiles()
 	}
 	rep.TraceID = g.TraceID
-	rep.Fleet = g.Fleet
-	rep.Shard = g.Shard
 	rep.Store = g.Store
 	return rep
 }

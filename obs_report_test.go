@@ -2,6 +2,7 @@ package meissa_test
 
 import (
 	"encoding/json"
+	"os"
 	"testing"
 
 	"repro/internal/obs"
@@ -99,5 +100,32 @@ func TestRunReportValidates(t *testing.T) {
 			t.Fatalf("P=%d final-pass allocation counts: mallocs=%d bytes=%d",
 				par, back.Paths.FinalMallocs, back.Paths.FinalAllocBytes)
 		}
+	}
+}
+
+// TestShardedRunReportStillParses: a v2 report that a sharded run of an
+// earlier release wrote — with shard and fleet sections, a killed worker's
+// flight events among them — still passes ParseReport (and so
+// checkmetrics), which ignores the sections this build no longer has.
+func TestShardedRunReportStillParses(t *testing.T) {
+	data, err := os.ReadFile("testdata/sharded-run-report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []string{"shard", "fleet"} {
+		if _, ok := raw[section]; !ok {
+			t.Fatalf("fixture lacks its %q section", section)
+		}
+	}
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatalf("sharded-run report rejected: %v", err)
+	}
+	if rep.Schema != obs.ReportSchema || rep.Program != "gw_1" || rep.Paths.Templates == 0 || rep.Solver.TotalQueries == 0 {
+		t.Fatalf("sharded-run report lost its counts: %+v", rep)
 	}
 }

@@ -4,9 +4,8 @@ package meissa_test
 // level: a warm store-backed generation must be byte-identical to a cold
 // run with zero live solver queries, a rule update must reconcile
 // atomically and leave store-backed output equal to a cold run on the
-// new rules (never serving a stale verdict), the sharded engine's merged
-// journal must commit into the store, and RegressStore must match plain
-// Regress — sequentially and in parallel.
+// new rules (never serving a stale verdict), and RegressStore must match
+// plain Regress — sequentially and in parallel.
 
 import (
 	"bytes"
@@ -288,42 +287,6 @@ func TestRegressStoreMatchesCold(t *testing.T) {
 				t.Fatal("post-regress warm run diverged from the cold run")
 			}
 		})
-	}
-}
-
-// TestStoreShardMergeCommits: the shard coordinator's merged journal is
-// the store commit source, so a cold SHARDED run populates the store and
-// a subsequent warm (necessarily in-process) run answers everything from
-// it.
-func TestStoreShardMergeCommits(t *testing.T) {
-	p := corpusProgram(t, "Router")
-	spath := filepath.Join(t.TempDir(), "verdicts.store")
-
-	cold := generateStore(t, p, nil, spath, func(o *meissa.Options) {
-		o.CodeSummary = false // workers rebuild the frontier summary-free
-		o.ShardWorkers = 2
-		o.WorkerCommand = workerCommand
-	})
-	if cold.Shard == nil || cold.Shard.Fallback {
-		t.Fatalf("sharded store run fell back: %+v", cold.Shard)
-	}
-	if cold.Store.Committed == 0 {
-		t.Fatal("sharded run committed no records to the store")
-	}
-
-	warm := generateStore(t, p, nil, spath, func(o *meissa.Options) {
-		o.CodeSummary = false
-		o.ShardWorkers = 2 // must fall back: store-warmed resume
-		o.WorkerCommand = workerCommand
-	})
-	if warm.Shard == nil || !warm.Shard.Fallback {
-		t.Fatal("store-warmed run did not fall back to the in-process engine")
-	}
-	if warm.SMTCalls != 0 {
-		t.Fatalf("warm run after sharded commit made %d live solver calls, want 0", warm.SMTCalls)
-	}
-	if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
-		t.Fatal("warm run diverged from the sharded cold run")
 	}
 }
 
