@@ -251,6 +251,10 @@ func cmdCheckMetrics(args []string) error {
 				time.Duration(q.P99).Round(time.Microsecond))
 		}
 	}
+	if j := rep.Journal; j != nil && (j.Loaded > 0 || j.Appended > 0) {
+		fmt.Printf("  journal appended=%d loaded=%d hits=%d source=%v breakeven=%.0f ns/query\n",
+			j.Appended, j.Loaded, j.Hits, time.Duration(j.SourceNS).Round(time.Microsecond), j.BreakevenNSPerQuery)
+	}
 	if rep.Driver != nil {
 		fmt.Printf("  driver pass=%d fail=%d flaky=%d lost=%d window=%d verdicts/s=%.0f\n",
 			rep.Driver.Passed, rep.Driver.Failed, rep.Driver.Flaky, rep.Driver.Lost,

@@ -19,13 +19,17 @@
 // options); resuming against a journal written for different inputs is
 // an error rather than silent corruption.
 //
-// The lookup index is the run's one verdict table: Open fills it from the
-// file, Seed and Adopt put records from other sources (a regression
-// baseline, a store snapshot) straight into it, and a journal made by New
-// has no file at all.
+// A run's one verdict table is a Table, which keeps each record as the
+// frame it was read from: Open indexes the checkpoint file's frames into
+// one, Share and Adopt put another source's table (a regression baseline,
+// a store snapshot's family) in its place without copying it, and a
+// journal made by New has no file at all. A lookup reads the verdict byte,
+// which the table copies beside each frame; a model is decoded only when
+// asked for, tags only by the decoded view (Record) that tests, commits
+// and exports use.
 //
-// Concurrency: the index is filled before the run's first exploration — at
-// Open, in Seed and in Adopt — and never changes while one runs, so Lookup
+// Concurrency: the table is filled before the run's first exploration — at
+// Open, in Share and in Adopt — and never changes while one runs, so Lookup
 // is lock-free and safe from any number of exploration workers, and the
 // records a run appends never change what the same run's lookups answer;
 // Append serializes file writes behind a mutex.
@@ -38,6 +42,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -110,18 +115,13 @@ type Record struct {
 	Indexed bool
 }
 
-type mapKey struct {
-	kind Kind
-	key  uint64
-}
-
 // Journal is a run's verdict table, backed by an open checkpoint file
 // unless New made it.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File          // nil: no file behind the table
-	buf  []byte            // Append's encoding scratch, under mu
-	seen map[mapKey]Record // filled before the first exploration
+	mu  sync.Mutex
+	f   *os.File // nil: no file behind the table
+	buf []byte   // Append's encoding scratch, under mu
+	t   *Table   // filled before the first exploration, never written after
 
 	// mirror, when set, observes every successfully appended record
 	// (dependency tags and Indexed folded in, exactly as a reload would
@@ -131,7 +131,7 @@ type Journal struct {
 	// call back into the journal.
 	mirror func(Record)
 
-	loaded   int // verdict records put into the index: recovered at Open, seeded, adopted
+	loaded   int // verdict records put into the table: recovered at Open, shared, adopted
 	appended atomic.Uint64
 }
 
@@ -142,21 +142,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // New returns a journal with no file behind it, for a run that named no
 // checkpoint: appends reach the mirror and the counters only, and Sync
 // and Close do nothing.
-func New() *Journal { return &Journal{seen: map[mapKey]Record{}} }
+func New() *Journal { return &Journal{t: &Table{}} }
 
 // Open opens a checkpoint file. With resume=false the file is created or
 // truncated and a fresh header is written. With resume=true the existing
-// file is loaded: the header fingerprint must match, intact records
-// populate the lookup map, and a torn or corrupt tail is discarded (the
-// file is truncated back to the last intact record) so appends continue
-// from a clean boundary.
+// file is read and indexed: the header fingerprint must match, intact
+// records fill the table (which keeps the file's bytes), and a torn or
+// corrupt tail is discarded (the file is truncated back to the last intact
+// record) so appends continue from a clean boundary.
 func Open(path string, fingerprint uint64, resume bool) (*Journal, error) {
 	if !resume {
 		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("journal: create %s: %w", path, err)
 		}
-		j := &Journal{f: f, seen: map[mapKey]Record{}}
+		j := &Journal{f: f, t: &Table{}}
 		hdr := Record{Kind: KindHeader, Key: fingerprint}
 		if _, err := f.Write(encode(hdr)); err != nil {
 			f.Close()
@@ -170,19 +170,20 @@ func Open(path string, fingerprint uint64, resume bool) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: resume %s: %w", path, err)
 	}
-	j := &Journal{f: f, seen: map[mapKey]Record{}}
-	good, err := j.load(fingerprint)
+	t, good, loaded, err := load(f, fingerprint)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	j := &Journal{f: f, t: t, loaded: loaded}
+	mRecordsLoaded.Add(uint64(loaded))
 	// Drop the torn tail (if any) so new appends start at a record
 	// boundary.
-	if err := f.Truncate(good); err != nil {
+	if err := f.Truncate(int64(good)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
+	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: seek: %w", err)
 	}
@@ -190,98 +191,68 @@ func Open(path string, fingerprint uint64, resume bool) (*Journal, error) {
 	return j, nil
 }
 
-// load scans the file, populating seen, and returns the offset just past
-// the last intact record. A short, torn, or checksum-failing record ends
-// the scan without error — that is the tolerated kill artifact. A missing
-// or mismatched header is an error: the journal belongs to different
-// inputs.
-func (j *Journal) load(fingerprint uint64) (int64, error) {
-	// One read into a buffer of the file's size, and one copy of each
-	// dependency tag: a gw-4 checkpoint is 39 MB of records that repeat a
-	// few hundred tags a million times over.
-	st, err := j.f.Stat()
+// load reads an open checkpoint and indexes it (see index), the file's
+// bytes read once into a buffer of its size that the table then keeps.
+func load(f *os.File, fingerprint uint64) (*Table, int, int, error) {
+	st, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("journal: stat: %w", err)
+		return nil, 0, 0, fmt.Errorf("journal: stat: %w", err)
 	}
 	data := make([]byte, st.Size())
-	if _, err := io.ReadFull(j.f, data); err != nil {
-		return 0, fmt.Errorf("journal: read: %w", err)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, 0, 0, fmt.Errorf("journal: read: %w", err)
 	}
-	tags := map[string]string{}
-	off := int64(0)
-	first := true
-	for {
-		rec, n, ok := decode(data[off:], tags)
-		if !ok {
-			break
-		}
-		if first {
-			if rec.Kind != KindHeader || rec.Key != fingerprint {
-				return 0, fmt.Errorf("journal: checkpoint written for a different program or options (fingerprint %#x, want %#x)", rec.Key, fingerprint)
+	return index(data, fingerprint)
+}
+
+// Lookup returns the entry the table holds for a key. Safe for concurrent
+// use without locking: the table is frozen while an exploration runs.
+func (j *Journal) Lookup(kind Kind, key uint64) (Entry, bool) { return j.t.Lookup(kind, key) }
+
+// Share makes t the journal's table and writes nothing: t comes from a
+// source the run does not re-journal (a regression's baseline replay, a
+// store warm start without a checkpoint). Its records count as loaded. t
+// is not copied, so nobody may change it afterwards; a journal that holds
+// records already gets a merged copy, t's records winning. Legal only
+// before the run's first exploration.
+func (j *Journal) Share(t *Table) {
+	n := t.Len()
+	if n == 0 {
+		return
+	}
+	if j.t.Len() > 0 {
+		merged := j.t.Clone()
+		for _, m := range t.kinds {
+			for _, e := range m {
+				merged.put(e)
 			}
-			first = false
-		} else if rec.Kind == KindIndex {
-			// Fold the dependency index into the verdict it annotates (its
-			// Verdict byte stores the annotated record's kind). An index is
-			// appended in the same write as its verdict, so it always
-			// follows it; an orphan index (verdict superseded later in the
-			// file) is simply dropped.
-			k := mapKey{Kind(rec.Verdict), rec.Key}
-			if vr, ok := j.seen[k]; ok {
-				vr.Tables = rec.Tables
-				vr.Indexed = true
-				j.seen[k] = vr
-			}
-		} else {
-			j.Seed(rec)
 		}
-		off += int64(n)
+		t = merged
 	}
-	if first {
-		return 0, fmt.Errorf("journal: no checkpoint header (empty or torn file)")
-	}
-	return off, nil
+	j.t = t
+	j.loaded += n
+	mRecordsLoaded.Add(uint64(n))
 }
 
-// Lookup returns the record the index holds for a key. Safe for
-// concurrent use without locking: the index is frozen while an
-// exploration runs.
-func (j *Journal) Lookup(kind Kind, key uint64) (Record, bool) {
-	r, ok := j.seen[mapKey{kind, key}]
-	return r, ok
-}
-
-// Seed puts r into the lookup index and writes nothing: r was read from
-// this journal's file at Open, or comes from a source the run does not
-// re-journal (a regression's baseline replay). It counts as loaded. Legal
-// only before the run's first exploration.
-func (j *Journal) Seed(r Record) {
-	j.seen[mapKey{r.Kind, r.Key}] = r
-	j.loaded++
-	mRecordsLoaded.Inc()
-}
-
-// Adopt makes recs part of the journal as though the run it continues
-// had journaled them: a file receives them in order, in the bytes Append
-// would have written, and then they are seeded. They count as loaded, not
-// appended, and the mirror does not see them. Legal only before the run's
-// first exploration.
-func (j *Journal) Adopt(recs []Record) error {
-	if j.f != nil {
+// Adopt makes t part of the journal as though the run it continues had
+// journaled its records: a file receives them in canonical order, in the
+// bytes Append would have written, and then t is shared. They count as
+// loaded, not appended, and the mirror does not see them. Legal only
+// before the run's first exploration.
+func (j *Journal) Adopt(t *Table) error {
+	if j.f != nil && t.Len() > 0 {
 		// A kill mid-way leaves a shorter journal, as one between appends would.
 		w := bufio.NewWriterSize(j.f, 1<<20)
 		var buf []byte
-		for _, r := range recs {
-			buf = appendVerdict(buf[:0], r)
+		for _, e := range t.Sorted() {
+			buf = e.appendVerdict(buf[:0])
 			w.Write(buf) // Flush reports a failed write
 		}
 		if err := w.Flush(); err != nil {
 			return fmt.Errorf("journal: adopt: %w", err)
 		}
 	}
-	for _, r := range recs {
-		j.Seed(r)
-	}
+	j.Share(t)
 	return nil
 }
 
@@ -347,47 +318,35 @@ func appendVerdict(buf []byte, r Record) []byte {
 
 // Records returns the deduplicated verdict records (dependency
 // annotations folded in) in canonical order: sorted by (kind, key).
-func (j *Journal) Records() []Record {
-	out := make([]Record, 0, len(j.seen))
-	for _, r := range j.seen {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Kind != out[k].Kind {
-			return out[i].Kind < out[k].Kind
-		}
-		return out[i].Key < out[k].Key
-	})
-	return out
-}
+func (j *Journal) Records() []Record { return j.t.Records() }
 
 // Canonical returns recs as a journal that loaded them in this order
 // would: the last of the records sharing a (kind, key), sorted by both.
 func Canonical(recs []Record) []Record {
-	t := Journal{seen: make(map[mapKey]Record, len(recs))}
+	last := make(map[mapKey]Record, len(recs))
 	for _, r := range recs {
-		t.seen[mapKey{r.Kind, r.Key}] = r
+		last[mapKey{r.Kind, r.Key}] = r
 	}
-	return t.Records()
+	out := make([]Record, 0, len(last))
+	for _, r := range last {
+		out = append(out, r)
+	}
+	slices.SortFunc(out, func(a, b Record) int { return compareKeys(mapKey{a.Kind, a.Key}, mapKey{b.Kind, b.Key}) })
+	return out
 }
 
-// ReadRecords opens a checkpoint read-only and returns its deduplicated
-// verdict records (dependency annotations folded in) in canonical
-// (kind, key) order, tolerating a torn tail exactly like a resume: how
-// Regress loads a baseline journal, and `store import` a journal to
-// import. The file is never truncated or written.
-func ReadRecords(path string, fingerprint uint64) ([]Record, error) {
+// ReadTable opens a checkpoint read-only and indexes it, tolerating a torn
+// tail exactly like a resume: how Regress loads a baseline journal, and
+// `store import` a journal to import. The file is never truncated or
+// written; the table keeps its bytes.
+func ReadTable(path string, fingerprint uint64) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: read %s: %w", path, err)
 	}
-	j := &Journal{f: f, seen: map[mapKey]Record{}}
-	_, lerr := j.load(fingerprint)
-	f.Close()
-	if lerr != nil {
-		return nil, lerr
-	}
-	return j.Records(), nil
+	defer f.Close()
+	t, _, _, err := load(f, fingerprint)
+	return t, err
 }
 
 // MarshalRecord returns the framed encoding of r — length prefix,
@@ -400,19 +359,19 @@ func AppendRecord(out []byte, r Record) []byte { return appendRecord(out, r) }
 
 // UnmarshalRecord parses one framed record produced by MarshalRecord.
 // ok=false means the bytes hold no intact record.
-func UnmarshalRecord(data []byte) (Record, bool) { return UnmarshalInterned(data, nil) }
-
-// UnmarshalInterned is UnmarshalRecord for a reader that keeps many
-// records: a non-nil tags holds the one copy of every dependency tag
-// decoded so far, which the records then share (a run's verdicts repeat a
-// few hundred tags a million times over).
-func UnmarshalInterned(data []byte, tags map[string]string) (Record, bool) {
-	r, _, ok := decode(data, tags)
-	return r, ok
+func UnmarshalRecord(data []byte) (Record, bool) {
+	_, tags, ok := parse(data)
+	if !ok {
+		return Record{}, false
+	}
+	return Record{
+		Kind: Kind(data[offKind]), Key: binary.LittleEndian.Uint64(data[offKey:]), Verdict: Verdict(data[offVerdict]),
+		Model: decodeModel(data, offModel), Tables: decodeTags(data, tags, nil),
+	}, true
 }
 
 // Loaded returns the number of records the run started with: recovered
-// at Open, seeded or adopted.
+// at Open, shared or adopted.
 func (j *Journal) Loaded() int { return j.loaded }
 
 // Appended returns the number of records written by this process.
@@ -470,70 +429,4 @@ func appendRecord(out []byte, r Record) []byte {
 	payload := out[start+4:]
 	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-}
-
-// decode parses the first record in data. ok=false means data holds no
-// intact record (empty, short, or corrupt) — the torn-tail condition.
-// tags, when non-nil, interns the record's dependency tags.
-func decode(data []byte, tags map[string]string) (Record, int, bool) {
-	if len(data) < 4 {
-		return Record{}, 0, false
-	}
-	plen := int(binary.LittleEndian.Uint32(data))
-	total := 4 + plen + 4
-	if plen < 14 || len(data) < total {
-		return Record{}, 0, false
-	}
-	payload := data[4 : 4+plen]
-	want := binary.LittleEndian.Uint32(data[4+plen:])
-	if crc32.Checksum(payload, crcTable) != want {
-		return Record{}, 0, false
-	}
-	var r Record
-	r.Kind = Kind(payload[0])
-	r.Verdict = Verdict(payload[1])
-	r.Key = binary.LittleEndian.Uint64(payload[2:])
-	nm := int(binary.LittleEndian.Uint16(payload[10:]))
-	off := 12
-	for i := 0; i < nm; i++ {
-		if off+2 > plen {
-			return Record{}, 0, false
-		}
-		vl := int(binary.LittleEndian.Uint16(payload[off:]))
-		off += 2
-		if off+vl+8 > plen {
-			return Record{}, 0, false
-		}
-		r.Model = append(r.Model, VarVal{Var: string(payload[off : off+vl]), Val: binary.LittleEndian.Uint64(payload[off+vl:])})
-		off += vl + 8
-	}
-	if off+2 > plen {
-		return Record{}, 0, false
-	}
-	nt := int(binary.LittleEndian.Uint16(payload[off:]))
-	off += 2
-	for i := 0; i < nt; i++ {
-		if off+2 > plen {
-			return Record{}, 0, false
-		}
-		tl := int(binary.LittleEndian.Uint16(payload[off:]))
-		off += 2
-		if off+tl > plen {
-			return Record{}, 0, false
-		}
-		tag, ok := tags[string(payload[off:off+tl])]
-		if !ok {
-			if tag = string(payload[off : off+tl]); tags != nil {
-				tags[tag] = tag
-			}
-		}
-		r.Tables = append(r.Tables, tag)
-		off += tl
-	}
-	if r.Kind == KindHeader {
-		if plen < off+len(magic) || string(payload[off:off+len(magic)]) != magic {
-			return Record{}, 0, false
-		}
-	}
-	return r, total, true
 }

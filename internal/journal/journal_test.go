@@ -1,10 +1,8 @@
 package journal
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -44,7 +42,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d records, want %d", r.Loaded(), len(recs))
 	}
 	for _, want := range recs {
-		got, ok := r.Lookup(want.Kind, want.Key)
+		e, ok := r.Lookup(want.Kind, want.Key)
+		got := e.Record()
 		if !ok {
 			t.Fatalf("record %v not found", want)
 		}
@@ -90,8 +89,8 @@ func TestTornTailTolerated(t *testing.T) {
 		}
 		// Every loaded record must be intact and a prefix of the appends.
 		for i := 0; i < r.Loaded(); i++ {
-			rec, ok := r.Lookup(KindEmit, uint64(i))
-			if !ok || rec.Model[0].Val != uint64(i) {
+			e, ok := r.Lookup(KindEmit, uint64(i))
+			if !ok || e.Model()[0].Val != uint64(i) {
 				t.Fatalf("cut at %d: record %d corrupt or missing", cut, i)
 			}
 		}
@@ -228,7 +227,8 @@ func TestAppendWithDepsRoundTrip(t *testing.T) {
 	if r.Loaded() != 3 {
 		t.Fatalf("loaded %d verdicts, want 3", r.Loaded())
 	}
-	chk, ok := r.Lookup(KindCheck, 1)
+	e, ok := r.Lookup(KindCheck, 1)
+	chk := e.Record()
 	if !ok || !chk.Indexed || len(chk.Tables) != 3 {
 		t.Fatalf("tagged check loaded as %+v", chk)
 	}
@@ -239,12 +239,13 @@ func TestAppendWithDepsRoundTrip(t *testing.T) {
 	}
 	// KindCheck and KindEmit share key 1; the index must bind to its own
 	// record's kind.
-	em, ok := r.Lookup(KindEmit, 1)
+	e, ok = r.Lookup(KindEmit, 1)
+	em := e.Record()
 	if !ok || !em.Indexed || len(em.Tables) != 0 || em.Model[0].Val != 9 {
 		t.Fatalf("empty-deps emit loaded as %+v", em)
 	}
-	plain, ok := r.Lookup(KindCheck, 2)
-	if !ok || plain.Indexed {
+	e, ok = r.Lookup(KindCheck, 2)
+	if plain := e.Record(); !ok || plain.Indexed {
 		t.Fatalf("plain append loaded as %+v (must stay unindexed)", plain)
 	}
 }
@@ -271,10 +272,11 @@ func TestTornIndexConservative(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rec, ok := r.Lookup(KindEmit, 7)
+	e, ok := r.Lookup(KindEmit, 7)
 	if !ok {
 		t.Fatal("verdict lost with its index")
 	}
+	rec := e.Record()
 	if rec.Indexed || len(rec.Tables) != 0 {
 		t.Fatalf("torn index left annotations: %+v", rec)
 	}
@@ -317,92 +319,44 @@ func TestRecordsCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestSeedAndAdoptMatchLoad: records put into the index directly answer
-// exactly like the same records loaded from a file. Seed never touches
-// the file; Adopt leaves in it the bytes AppendWithDeps would have.
-func TestSeedAndAdoptMatchLoad(t *testing.T) {
-	path := tmpFile(t)
-	j, err := Open(path, fuzzFP, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range fuzzSeedRecords {
-		if err := j.AppendWithDeps(r, fuzzSeedTables); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Open(path, fuzzFP, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	recs := loaded.Records()
-	wantFile, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	same := func(name string, got *Journal) {
-		t.Helper()
-		if got.Loaded() != loaded.Loaded() || !reflect.DeepEqual(got.Records(), recs) {
-			t.Errorf("%s: Loaded %d Records %+v, a load gives %d %+v", name, got.Loaded(), got.Records(), loaded.Loaded(), recs)
-		}
-		for _, k := range []mapKey{{KindCheck, 1}, {KindEmit, 2}, {KindEmit, 3}, {KindCheck, 2}, {KindEmit, 4}} {
-			g, gok := got.Lookup(k.kind, k.key)
-			w, wok := loaded.Lookup(k.kind, k.key)
-			if gok != wok || !reflect.DeepEqual(g, w) {
-				t.Errorf("%s: Lookup(%d, %d) = %+v %v, a load gives %+v %v", name, k.kind, k.key, g, gok, w, wok)
-			}
-		}
-		if got.Appended() != 0 {
-			t.Errorf("%s: %d records count as appended", name, got.Appended())
-		}
-	}
-
-	mem := New()
-	for _, r := range recs {
-		mem.Seed(r)
-	}
-	same("seeded journal without a file", mem)
-
-	headerOnly := MarshalRecord(Record{Kind: KindHeader, Key: fuzzFP})
-	for _, tc := range []struct {
-		name     string
-		put      func(*Journal) error
-		wantFile []byte
-	}{
-		{"seeded journal with a file", func(j *Journal) error {
-			for _, r := range recs {
-				j.Seed(r)
-			}
-			return nil
-		}, headerOnly},
-		{"adopting journal with a file", func(j *Journal) error { return j.Adopt(recs) }, wantFile},
-	} {
+// TestShareMergesIntoAHeldTable: sharing a second source with a journal
+// that holds records already merges the two into a copy, the shared
+// table's records winning, and leaves the shared table as it was.
+func TestShareMergesIntoAHeldTable(t *testing.T) {
+	write := func(recs ...Record) string {
 		path := tmpFile(t)
-		j, err := Open(path, fuzzFP, false)
+		j, err := Open(path, 11, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tc.put(j); err != nil {
-			t.Fatal(err)
+		for _, r := range recs {
+			if err := j.AppendWithDeps(r, []string{"t#1"}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		same(tc.name, j)
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, tc.wantFile) {
-			t.Errorf("%s: file holds %d bytes, want %d", tc.name, len(got), len(tc.wantFile))
+		j.Close()
+		return path
+	}
+	own := write(Record{Kind: KindCheck, Key: 1, Verdict: Sat}, Record{Kind: KindCheck, Key: 2, Verdict: Sat})
+	shared, err := ReadTable(write(Record{Kind: KindCheck, Key: 2, Verdict: Unsat}, Record{Kind: KindEmit, Key: 2, Verdict: Unknown}), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(own, 11, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.Share(shared)
+	for _, want := range []Record{{Kind: KindCheck, Key: 1, Verdict: Sat}, {Kind: KindCheck, Key: 2, Verdict: Unsat}, {Kind: KindEmit, Key: 2, Verdict: Unknown}} {
+		if e, ok := j.Lookup(want.Kind, want.Key); !ok || e.Verdict() != want.Verdict {
+			t.Errorf("Lookup(%d, %d) = %d %v, want %d", want.Kind, want.Key, e.Verdict(), ok, want.Verdict)
 		}
 	}
-	if err := New().Adopt(recs); err != nil {
-		t.Errorf("Adopt without a file: %v", err)
+	if j.Loaded() != 4 || shared.Len() != 2 {
+		t.Errorf("Loaded %d, the shared table holds %d; want 4 and 2", j.Loaded(), shared.Len())
+	}
+	if _, ok := shared.Lookup(KindCheck, 1); ok {
+		t.Error("the merge wrote into the shared table")
 	}
 }

@@ -13,6 +13,7 @@ var (
 	mRecordsAppended = obs.GetCounter("journal.records_appended")
 	mAppendErrors    = obs.GetCounter("journal.append_errors")
 
-	// mRecordsLoaded counts intact records recovered at Open on a resume.
+	// mRecordsLoaded counts records put into journals' tables: recovered at
+	// Open on a resume, shared or adopted.
 	mRecordsLoaded = obs.GetCounter("journal.records_loaded")
 )

@@ -1,0 +1,440 @@
+package journal
+
+import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"maps"
+	"slices"
+)
+
+// The verdict table over undecoded frames. A record's frame is
+//
+//	[u32 plen] kind verdict key(8) nm(2) {vlen(2) var val(8)}* nt(2) {tlen(2) tag}* [magic] [u32 CRC32C]
+//
+// and these are the fixed offsets in it that a lookup reads.
+const (
+	offKind    = 4
+	offVerdict = 5
+	offKey     = 6
+	offModel   = 14 // the model's binding count; the bindings follow
+	// indexTags is where an index frame with no model starts its tags.
+	indexTags = offModel + 2
+	// minFrame frames the smallest payload: kind, verdict, key, two counts.
+	minFrame = 8 + 14
+)
+
+// Entry is one record of a Table, kept as the bytes it was read from: its
+// frame, and where its dependency tags lie — inline in the frame for a
+// record the store holds, in the index frame that followed it for a
+// journal's. Nothing is decoded until a method asks for it.
+type Entry struct {
+	// b runs from the verdict frame's first byte to the end of the frame
+	// holding the tags. It is never appended to.
+	b []byte
+	// tags is the offset in b of the dependency tag list (its count
+	// first); 0 means no index was recovered for the record.
+	tags int
+	// verdict is the frame's verdict byte, kept beside the slice: a lookup
+	// reads it without touching the frame.
+	verdict Verdict
+}
+
+// frameLen reads the length of the frame at the start of b.
+func frameLen(b []byte) int { return 8 + int(binary.LittleEndian.Uint32(b)) }
+
+func (e Entry) kind() Kind  { return Kind(e.b[offKind]) }
+func (e Entry) key() uint64 { return binary.LittleEndian.Uint64(e.b[offKey:]) }
+
+// Verdict returns the record's verdict.
+func (e Entry) Verdict() Verdict { return e.verdict }
+
+// Indexed reports whether the record's dependency index was recovered.
+func (e Entry) Indexed() bool { return e.tags != 0 }
+
+// Model decodes the record's model (nil when it has none).
+func (e Entry) Model() []VarVal { return decodeModel(e.b, offModel) }
+
+// Frame returns the record's own frame: for a store's record the whole
+// record, tags inline; for a journal's the verdict frame, its index frame
+// not included. Nil for the zero Entry.
+func (e Entry) Frame() []byte {
+	if e.b == nil {
+		return nil
+	}
+	n := frameLen(e.b)
+	return e.b[:n:n]
+}
+
+// Record decodes the entry into the Record a load of its frames yields;
+// the zero Record for the zero Entry.
+func (e Entry) Record() Record {
+	if e.b == nil {
+		return Record{}
+	}
+	return e.record(nil)
+}
+
+// record is Record, interning tags when intern is non-nil.
+func (e Entry) record(intern map[string]string) Record {
+	return Record{
+		Kind: e.kind(), Key: e.key(), Verdict: e.Verdict(), Model: e.Model(),
+		Tables: decodeTags(e.b, e.tagOff(), intern), Indexed: e.Indexed(),
+	}
+}
+
+// tagOff returns the offset of the tag list Record reports: the index's,
+// or for an unindexed record the verdict frame's own (which Append leaves
+// empty).
+func (e Entry) tagOff() int {
+	if e.tags != 0 {
+		return e.tags
+	}
+	return e.modelEnd()
+}
+
+// DependsOn reports whether one of the record's dependency tags passes
+// match. It reads the tags in place and allocates nothing.
+func (e Entry) DependsOn(match func(tag []byte) bool) bool {
+	off := e.tagOff()
+	n := int(binary.LittleEndian.Uint16(e.b[off:]))
+	off += 2
+	for i := 0; i < n; i++ {
+		l := int(binary.LittleEndian.Uint16(e.b[off:]))
+		off += 2
+		if match(e.b[off : off+l]) {
+			return true
+		}
+		off += l
+	}
+	return false
+}
+
+// appendVerdict appends the entry as Append writes its Record: the
+// verdict frame and, when indexed, the index frame after it. A journal's
+// adjacent pair is copied as it is; a store's record is framed anew.
+func (e Entry) appendVerdict(out []byte) []byte {
+	n := frameLen(e.b)
+	switch {
+	case e.tags == n+indexTags:
+		return append(out, e.b...) // the index frame follows the verdict frame
+	case e.tags == 0 || e.tags >= n:
+		out = append(out, e.b[:n]...)
+		if e.tags == 0 {
+			return out
+		}
+	default:
+		// Tags inline: a verdict frame without them.
+		out = appendFrame(out, e.b[4:e.modelEnd()], []byte{0, 0})
+	}
+	var head [indexTags - 4]byte
+	head[0], head[1] = byte(KindIndex), e.b[offKind]
+	copy(head[2:10], e.b[offKey:offKey+8])
+	return appendFrame(out, head[:], e.b[e.tags:e.tagEnd()])
+}
+
+// modelEnd returns the offset just past the verdict frame's model list.
+func (e Entry) modelEnd() int {
+	off, _ := skipList(e.b, offModel, frameLen(e.b)-4, 8)
+	return off
+}
+
+// tagEnd returns the offset just past the dependency tag list.
+func (e Entry) tagEnd() int {
+	off, _ := skipList(e.b, e.tags, len(e.b)-4, 0)
+	return off
+}
+
+// mapKey names a record; Canonical and the tests key decoded records by it.
+type mapKey struct {
+	kind Kind
+	key  uint64
+}
+
+func compareKeys(a, b mapKey) int {
+	if a.kind != b.kind {
+		return int(a.kind) - int(b.kind)
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
+// Table is a verdict table: for each (kind, key), the Entry of the last
+// record put under it. The zero Table is empty and ready to use.
+//
+// A table that more than one reader holds — a store snapshot's family, a
+// regression baseline, a run's journal that shares either — is never
+// changed again: a writer clones it first. That is what makes sharing it
+// free and reading it lock-free.
+type Table struct {
+	// kinds holds one map per record kind, indexed by the kind: a lookup
+	// hashes one uint64, which the runtime's maps do three times as fast as
+	// a (kind, key) pair. A kind's map is nil until it holds a record.
+	kinds []map[uint64]Entry
+}
+
+// Len returns the number of records; 0 for a nil table.
+func (t *Table) Len() int {
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for _, m := range t.kinds {
+		n += len(m)
+	}
+	return n
+}
+
+// Lookup returns the entry held for (kind, key).
+func (t *Table) Lookup(kind Kind, key uint64) (Entry, bool) {
+	if int(kind) >= len(t.kinds) {
+		return Entry{}, false
+	}
+	e, ok := t.kinds[kind][key]
+	return e, ok
+}
+
+// Clone returns a copy that may be changed; its entries share their bytes
+// with t's.
+func (t *Table) Clone() *Table {
+	c := &Table{kinds: make([]map[uint64]Entry, len(t.kinds))}
+	for k, m := range t.kinds {
+		if len(m) > 0 {
+			c.kinds[k] = maps.Clone(m)
+		}
+	}
+	return c
+}
+
+// kind returns the map of one kind, made when the table has none yet.
+func (t *Table) kind(k Kind) map[uint64]Entry {
+	if int(k) >= len(t.kinds) {
+		t.kinds = append(t.kinds, make([]map[uint64]Entry, int(k)+1-len(t.kinds))...)
+	}
+	if t.kinds[k] == nil {
+		t.kinds[k] = map[uint64]Entry{}
+	}
+	return t.kinds[k]
+}
+
+// put puts e over any entry of its kind and key and returns the one it
+// replaced.
+func (t *Table) put(e Entry) Entry {
+	m, key := t.kind(e.kind()), e.key()
+	old := m[key]
+	m[key] = e
+	return old
+}
+
+// PutFrame puts the record framed by frame — one whole frame, its tags
+// inline, its checksum written or checked by the caller — over any entry
+// of its kind and key. The table keeps frame, which must not change. It
+// returns the entry replaced (the zero Entry for none), or ok=false, and
+// no change, when the payload does not hold a record.
+func (t *Table) PutFrame(frame []byte) (replaced Entry, ok bool) {
+	if len(frame) < 8 || frameLen(frame) != len(frame) {
+		return Entry{}, false
+	}
+	tags, ok := walk(frame)
+	if !ok {
+		return Entry{}, false
+	}
+	return t.put(Entry{b: frame, tags: tags, verdict: Verdict(frame[offVerdict])}), true
+}
+
+// DeleteFunc removes every entry del returns true for and returns how
+// many.
+func (t *Table) DeleteFunc(del func(Entry) bool) int {
+	n := t.Len()
+	for _, m := range t.kinds {
+		maps.DeleteFunc(m, func(_ uint64, e Entry) bool { return del(e) })
+	}
+	return n - t.Len()
+}
+
+// Sorted returns the entries in canonical (kind, key) order.
+func (t *Table) Sorted() []Entry {
+	// Sort keys with positions, not whole entries: a third of the bytes to
+	// move.
+	type keyed struct {
+		key uint64
+		at  int
+	}
+	out := make([]Entry, 0, t.Len())
+	var es []Entry
+	var ks []keyed
+	for _, m := range t.kinds { // in kind order
+		es, ks = es[:0], ks[:0]
+		for key, e := range m {
+			ks = append(ks, keyed{key, len(es)})
+			es = append(es, e)
+		}
+		slices.SortFunc(ks, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+		for _, k := range ks {
+			out = append(out, es[k.at])
+		}
+	}
+	return out
+}
+
+// Records decodes the table in canonical (kind, key) order. The records
+// share one copy of each dependency tag.
+func (t *Table) Records() []Record {
+	es := t.Sorted()
+	out := make([]Record, len(es))
+	intern := map[string]string{}
+	for i, e := range es {
+		out[i] = e.record(intern)
+	}
+	return out
+}
+
+// index reads a checkpoint file's bytes into a table whose entries point
+// into data. A record wins over any earlier one of its kind and key; an
+// index record folds into the verdict record it annotates, when the table
+// holds one (it is appended right after it; an orphan is dropped). A
+// short, torn or checksum-failing frame ends the scan: good is the offset
+// past the last intact one, and loaded counts the verdict records read. A
+// missing or mismatched header is an error.
+func index(data []byte, fingerprint uint64) (t *Table, good, loaded int, err error) {
+	n, _, ok := parse(data)
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("journal: no checkpoint header (empty or torn file)")
+	}
+	if key := binary.LittleEndian.Uint64(data[offKey:]); Kind(data[offKind]) != KindHeader || key != fingerprint {
+		return nil, 0, 0, fmt.Errorf("journal: checkpoint written for a different program or options (fingerprint %#x, want %#x)", key, fingerprint)
+	}
+	t = &Table{}
+	for good = n; ; good += n {
+		var tags int
+		if n, tags, ok = parse(data[good:]); !ok {
+			return t, good, loaded, nil
+		}
+		fr := data[good:] // the capacity runs to the end of data
+		kind, key := Kind(fr[offKind]), binary.LittleEndian.Uint64(fr[offKey:])
+		if kind != KindIndex {
+			t.kind(kind)[key] = Entry{b: fr[:n], verdict: Verdict(fr[offVerdict])}
+			loaded++
+			continue
+		}
+		// An index stores the annotated record's kind in its verdict byte.
+		vk := Kind(fr[offVerdict])
+		if e, ok := t.Lookup(vk, key); ok {
+			at := cap(e.b) - cap(fr) // where this frame starts in e.b
+			e.b, e.tags = e.b[:at+n], at+tags
+			t.kinds[vk][key] = e
+		}
+	}
+}
+
+// parse bounds-walks the first frame of data as a record without
+// decoding it: n is the frame's length and tags the offset of its tag
+// list. ok=false means data holds no intact record (empty, short,
+// failing its checksum, or lists that overrun it) — the torn-tail
+// condition.
+func parse(data []byte) (n, tags int, ok bool) {
+	if len(data) < 8 {
+		return 0, 0, false
+	}
+	n = frameLen(data)
+	if n < minFrame || len(data) < n {
+		return 0, 0, false
+	}
+	if crc32.Checksum(data[4:n-4], crcTable) != binary.LittleEndian.Uint32(data[n-4:]) {
+		return 0, 0, false
+	}
+	tags, ok = walk(data[:n])
+	return n, tags, ok
+}
+
+// walk checks that the payload of frame, one whole frame, holds a record
+// — its model and tag lists inside it, a header's magic after them — and
+// returns the tag list's offset.
+func walk(frame []byte) (tags int, ok bool) {
+	end := len(frame) - 4
+	if tags, ok = skipList(frame, offModel, end, 8); !ok {
+		return 0, false
+	}
+	off, ok := skipList(frame, tags, end, 0)
+	if !ok {
+		return 0, false
+	}
+	if Kind(frame[offKind]) == KindHeader && (end < off+len(magic) || string(frame[off:off+len(magic)]) != magic) {
+		return 0, false
+	}
+	return tags, true
+}
+
+// skipList walks the counted list at data[off:end] — each item a u16
+// length, that many bytes, then extra bytes — and returns the offset past
+// it.
+func skipList(data []byte, off, end, extra int) (int, bool) {
+	if off+2 > end {
+		return 0, false
+	}
+	n := int(binary.LittleEndian.Uint16(data[off:]))
+	off += 2
+	for i := 0; i < n; i++ {
+		if off+2 > end {
+			return 0, false
+		}
+		l := int(binary.LittleEndian.Uint16(data[off:]))
+		if off += 2 + l + extra; off > end {
+			return 0, false
+		}
+	}
+	return off, true
+}
+
+// decodeModel decodes the model list at data[off:], sized once.
+func decodeModel(data []byte, off int) []VarVal {
+	n := int(binary.LittleEndian.Uint16(data[off:]))
+	if n == 0 {
+		return nil
+	}
+	m := make([]VarVal, n)
+	off += 2
+	for i := range m {
+		l := int(binary.LittleEndian.Uint16(data[off:]))
+		off += 2
+		m[i] = VarVal{Var: string(data[off : off+l]), Val: binary.LittleEndian.Uint64(data[off+l:])}
+		off += l + 8
+	}
+	return m
+}
+
+// decodeTags decodes the tag list at data[off:], sized once; a non-nil
+// intern holds the one copy of each tag decoded so far.
+func decodeTags(data []byte, off int, intern map[string]string) []string {
+	n := int(binary.LittleEndian.Uint16(data[off:]))
+	if n == 0 {
+		return nil
+	}
+	ts := make([]string, n)
+	off += 2
+	for i := range ts {
+		l := int(binary.LittleEndian.Uint16(data[off:]))
+		off += 2
+		b := data[off : off+l]
+		tag, ok := intern[string(b)]
+		if !ok {
+			if tag = string(b); intern != nil {
+				intern[tag] = tag
+			}
+		}
+		ts[i] = tag
+		off += l
+	}
+	return ts
+}
+
+// appendFrame frames a payload given in pieces.
+func appendFrame(out []byte, pieces ...[]byte) []byte {
+	start := len(out)
+	out = append(out, 0, 0, 0, 0)
+	for _, p := range pieces {
+		out = append(out, p...)
+	}
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[start+4:], crcTable))
+}

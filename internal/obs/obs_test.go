@@ -224,6 +224,9 @@ func TestReportValidate(t *testing.T) {
 		"committed, no txn":   func(r *Report) { r.Store = &StoreReport{Committed: 2, FileBytes: 400} },
 		"txn into empty file": func(r *Report) { r.Store = &StoreReport{Committed: 2, Commits: 1} },
 		"invalidated, no txn": func(r *Report) { r.Store = &StoreReport{Invalidated: 1, FileBytes: 400} },
+		// The reuse break-even.
+		"negative source":    func(r *Report) { r.Journal.SourceNS = -1 },
+		"negative breakeven": func(r *Report) { r.Journal.BreakevenNSPerQuery = -0.5 },
 	} {
 		r := good()
 		mutate(r)
@@ -234,7 +237,7 @@ func TestReportValidate(t *testing.T) {
 
 	// A store-backed run: warm records are loaded ones, a commit left a file.
 	r := good()
-	r.Journal.Loaded = 7
+	r.Journal.Loaded, r.Journal.SourceNS, r.Journal.BreakevenNSPerQuery = 7, 4000, 1000
 	r.Store = &StoreReport{Warmed: 7, SnapshotReads: 7, Committed: 2, Commits: 1, TailDiscarded: 90, FileBytes: 4000}
 	if err := r.Validate(); err != nil {
 		t.Fatalf("valid store-backed report rejected: %v", err)

@@ -155,14 +155,20 @@ var requiredOutcomes = []string{
 	OutcomeSat, OutcomeUnsat, OutcomeUnknown, OutcomeCacheHit, OutcomeBudgetExhausted,
 }
 
-// JournalReport is the checkpoint-activity section.
+// JournalReport is the verdict-table section.
 type JournalReport struct {
 	// Appended counts records written by this run; Loaded counts records
-	// recovered at resume; Hits counts solver interactions answered from
-	// the journal instead of re-solved.
+	// the run started with; Hits counts solver interactions answered from
+	// the table instead of re-solved.
 	Appended uint64 `json:"appended"`
 	Loaded   uint64 `json:"loaded"`
 	Hits     uint64 `json:"hits"`
+	// SourceNS is what filling the table cost: the run's journal-load,
+	// rebase, store-open and store-warm phases summed.
+	SourceNS int64 `json:"source_ns,omitempty"`
+	// BreakevenNSPerQuery is SourceNS / Hits: the solver cost per query
+	// above which this run's reuse paid for itself.
+	BreakevenNSPerQuery float64 `json:"breakeven_ns_per_query,omitempty"`
 }
 
 // DriverReport is the test-execution section.
@@ -358,6 +364,9 @@ func (r *Report) Validate() error {
 		if r.Paths != nil && r.Solver.TotalQueries == 0 && (r.Journal == nil || r.Journal.Hits == 0) {
 			return fmt.Errorf("obs: solver.total_queries = 0 on a generation run with no journal hits")
 		}
+	}
+	if j := r.Journal; j != nil && (j.SourceNS < 0 || j.BreakevenNSPerQuery < 0) {
+		return fmt.Errorf("obs: journal source_ns %d, breakeven_ns_per_query %g: want >= 0", j.SourceNS, j.BreakevenNSPerQuery)
 	}
 	if r.Driver != nil {
 		if n := r.Driver.Passed + r.Driver.Failed + r.Driver.Flaky + r.Driver.Lost + r.Driver.Skipped; n == 0 {

@@ -39,41 +39,28 @@ type RebaseStats struct {
 	Unindexed int `json:"unindexed"`
 }
 
-// Retain is the rebase filter: of a baseline's records it keeps, in
-// order and in place, every indexed record whose dependency tags all pass
-// the invalid filter (invalid == nil retains every indexed record). recs
-// is consumed — the kept records reuse its backing array.
-func Retain(recs []journal.Record, invalid func(tag string) bool) ([]journal.Record, *RebaseStats) {
-	st := &RebaseStats{Baseline: len(recs)}
-	kept := recs[:0]
-	for _, r := range recs {
-		if !r.Indexed {
+// Retain is the rebase filter: of a baseline's records it keeps every
+// indexed record none of whose dependency tags the invalid filter matches
+// (invalid == nil retains every indexed record). The kept table shares
+// t's frames and leaves t as it was.
+func Retain(t *journal.Table, invalid func(tag []byte) bool) (*journal.Table, *RebaseStats) {
+	st := &RebaseStats{Baseline: t.Len()}
+	kept := t.Clone()
+	kept.DeleteFunc(func(e journal.Entry) bool {
+		switch {
+		case !e.Indexed():
 			st.Unindexed++
-			continue
-		}
-		if invalid != nil && Invalidated(r, invalid) {
+		case invalid != nil && e.DependsOn(invalid):
 			st.Invalidated++
-			continue
+		default:
+			return false
 		}
-		kept = append(kept, r)
-	}
-	st.Retained = len(kept)
+		return true
+	})
+	st.Retained = kept.Len()
 	mRecordsRetained.Add(uint64(st.Retained))
 	mRecordsInvalidated.Add(uint64(st.Invalidated + st.Unindexed))
 	return kept, st
-}
-
-// Invalidated reports whether r depends on a tag the filter calls invalid.
-// It is the one decision a rule update makes about a stored verdict: the
-// rebase of a baseline journal and the verdict store's tombstones both
-// make it here.
-func Invalidated(r journal.Record, invalid func(tag string) bool) bool {
-	for _, tag := range r.Tables {
-		if invalid(tag) {
-			return true
-		}
-	}
-	return false
 }
 
 // Rebase is Retain from file to file: the baseline journal at srcPath,
@@ -82,15 +69,15 @@ func Invalidated(r journal.Record, invalid func(tag string) bool) bool {
 // created with dstFP — the incremental run's fingerprint under the NEW
 // rule set — so resuming from it cross-checks exactly like any other
 // checkpoint.
-func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag string) bool) (*RebaseStats, error) {
+func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag []byte) bool) (*RebaseStats, error) {
 	if srcPath == dstPath {
 		return nil, fmt.Errorf("regress: rebase source and destination are the same file %q", srcPath)
 	}
-	recs, err := journal.ReadRecords(srcPath, srcFP)
+	base, err := journal.ReadTable(srcPath, srcFP)
 	if err != nil {
 		return nil, fmt.Errorf("regress: open baseline: %w", err)
 	}
-	kept, st := Retain(recs, invalid)
+	kept, st := Retain(base, invalid)
 	dst, err := journal.Open(dstPath, dstFP, false)
 	if err != nil {
 		return nil, fmt.Errorf("regress: create rebased journal: %w", err)

@@ -65,14 +65,15 @@ func TestRebaseFiltersByTag(t *testing.T) {
 	if _, ok := d.Lookup(journal.KindCheck, 5); ok {
 		t.Error("unindexed record survived the rebase")
 	}
-	r, ok := d.Lookup(journal.KindEmit, 3)
+	e, ok := d.Lookup(journal.KindEmit, 3)
+	r := e.Record()
 	if !ok || r.Verdict != journal.Sat || len(r.Model) != 1 || r.Model[0].Val != 80 {
 		t.Fatalf("retained emit record mangled: %+v ok=%v", r, ok)
 	}
 	if !r.Indexed || len(r.Tables) != 1 || r.Tables[0] != "acl#miss" {
 		t.Errorf("retained record lost its dependency index: %+v", r)
 	}
-	if r, _ := d.Lookup(journal.KindCheck, 4); !r.Indexed {
+	if e, _ := d.Lookup(journal.KindCheck, 4); !e.Indexed() {
 		t.Error("empty-deps record must stay indexed after rebase")
 	}
 }

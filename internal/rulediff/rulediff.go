@@ -13,6 +13,7 @@
 package rulediff
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -194,10 +195,11 @@ func (d *Delta) InvalidTags() []string {
 }
 
 // Matcher compiles the tag list into a predicate over dependency tags as
-// recorded in journal index records. A bare table name matches every tag
-// of that table (whole-table wipe, via rules.TagTable); a full tag
-// matches only itself.
-func Matcher(invalid []string) func(tag string) bool {
+// the frames of journals and stores hold them, read in place without
+// allocating. A bare table name matches every tag of that table
+// (whole-table wipe: the tag's part before its '#', as rules.TagTable
+// cuts it); a full tag matches only itself.
+func Matcher(invalid []string) func(tag []byte) bool {
 	exact := map[string]bool{}
 	tables := map[string]bool{}
 	for _, t := range invalid {
@@ -207,7 +209,11 @@ func Matcher(invalid []string) func(tag string) bool {
 			tables[t] = true
 		}
 	}
-	return func(tag string) bool {
-		return exact[tag] || tables[rules.TagTable(tag)]
+	return func(tag []byte) bool {
+		table := tag
+		if i := bytes.IndexByte(tag, '#'); i >= 0 {
+			table = tag[:i]
+		}
+		return exact[string(tag)] || tables[string(table)]
 	}
 }

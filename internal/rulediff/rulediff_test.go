@@ -111,7 +111,8 @@ table nat {
 	if len(tags) != 2 {
 		t.Fatalf("InvalidTags = %v, want 2 tags", tags)
 	}
-	m := Matcher(tags)
+	match := Matcher(tags)
+	m := func(tag string) bool { return match([]byte(tag)) }
 	// Bare "acl" matches any acl tag; nat matches only the changed entry.
 	if !m("acl#miss") || !m(rules.DepTag("acl", d.Tables[0].Removed[0])) {
 		t.Error("table wipe did not match acl branch tags")
@@ -125,6 +126,32 @@ table nat {
 	}
 	if m("other#miss") || m("other") {
 		t.Error("matcher hit an unrelated table")
+	}
+}
+
+// TestMatcherAgreesWithTagTable: the matcher reads tag bytes and decides
+// every tag as the rule states it on strings: a full tag matches itself, a
+// bare table name every tag rules.TagTable gives that name.
+func TestMatcherAgreesWithTagTable(t *testing.T) {
+	invalid := []string{"acl", "nat#0000000000000001", "fwd#miss", "a", ""}
+	tags := []string{"", "#", "#x", "a", "a#", "a#1", "ab#1", "acl", "acl#1", "acl#miss", "aclx#1", "ac",
+		"nat", "nat#miss", "nat#0000000000000001", "nat#00000000000000012", "nat#000000000000000",
+		"fwd#miss", "fwd#missx", "fwd#mis", "fwd", "b#acl", "x#a#b"}
+	want := func(invalid []string, tag string) bool {
+		for _, t := range invalid {
+			if strings.ContainsRune(t, '#') && tag == t || !strings.ContainsRune(t, '#') && rules.TagTable(tag) == t {
+				return true
+			}
+		}
+		return false
+	}
+	for n := 0; n <= len(invalid); n++ {
+		m := Matcher(invalid[:n])
+		for _, tag := range tags {
+			if got := m([]byte(tag)); got != want(invalid[:n], tag) {
+				t.Errorf("Matcher(%q)(%q) = %v", invalid[:n], tag, got)
+			}
+		}
 	}
 }
 

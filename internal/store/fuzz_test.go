@@ -13,7 +13,9 @@ import (
 // never panic, and when it accepts a file the recovery contract holds on
 // whatever it found: a commit lands on top of the recovered state, and a
 // reopen replays both from the log exactly as the open store served them
-// — the contract journal's FuzzLoad states for checkpoints.
+// — the contract journal's FuzzLoad states for checkpoints. Open must
+// accept and reject what the decoding reference replay does, keep as many
+// bytes, and read the same records, rules and live-byte counts.
 func FuzzOpen(f *testing.F) {
 	// Seeds: a log with appended transactions of every frame kind, its
 	// truncations, a flipped byte, a compacted log, an empty file, junk, the
@@ -60,12 +62,30 @@ func FuzzOpen(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// A file with bytes in it, not of the paged format, is replayed: the
+		// frame tables must read it as the decoding reference does.
+		replayed := len(data) > 0 && !(len(data) >= 12 && string(data[4:12]) == pagedMagic)
+		var ref *refState
+		var refGood int
+		var refErr error
+		if replayed {
+			ref, refGood, refErr = refReplay(data)
+		}
 		s, err := Open(path, Options{})
+		if replayed && (err == nil) != (refErr == nil) {
+			t.Fatalf("Open: %v, the reference replay: %v", err, refErr)
+		}
 		if err != nil {
 			if got, _ := os.ReadFile(path); string(got) != string(data) {
 				t.Fatalf("Open refused the file (%v) and changed it", err)
 			}
 			return
+		}
+		if replayed {
+			sameAsReference(t, s.cur, ref)
+			if st := s.Stats(); st.FileBytes != uint64(refGood) {
+				t.Fatalf("Open kept %d bytes, the reference %d", st.FileBytes, refGood)
+			}
 		}
 		tx, err := s.Begin()
 		if err != nil {

@@ -2,16 +2,13 @@ package store
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"maps"
-	"slices"
 
 	"repro/internal/journal"
-	"repro/internal/regress"
 	"repro/internal/rulediff"
 )
 
@@ -102,47 +99,41 @@ func laterCommit(tail []byte, txid uint64) bool {
 	return false
 }
 
-type recKey struct {
-	kind journal.Kind
-	key  uint64
-}
-
-// rec is a stored verdict record with the length of its frame.
-type rec struct {
-	journal.Record
-	n int64
-}
-
-// family is one family's state. A committed one never changes: a
-// transaction works on a clone, which its commit puts in place.
+// family is one family's state: its rules and its records, each kept as
+// the frame the log holds it in. A committed one never changes, nor does
+// its table, which warm starts and regressions share: a transaction works
+// on a clone, which its commit puts in place.
 type family struct {
 	hasRules bool
 	rules    string
-	recs     map[recKey]rec
+	recs     journal.Table
 	bytes    int64 // what a log of live frames only spends on the family
 }
 
 // clone returns a family a transaction may change; of one with no state
 // yet, an empty one.
 func (f *family) clone() *family {
-	if f.recs == nil {
-		return &family{recs: map[recKey]rec{}, bytes: idLen}
+	if f.bytes == 0 {
+		return &family{bytes: idLen}
 	}
 	c := *f
-	c.recs = maps.Clone(f.recs)
+	c.recs = *f.recs.Clone()
 	return &c
 }
 
-func (f *family) empty() bool { return !f.hasRules && len(f.recs) == 0 }
+func (f *family) empty() bool { return !f.hasRules && f.recs.Len() == 0 }
 
 // put, setRules and kill are what the log's frames do to a family, at Open
 // and in a transaction alike.
 
-// put adds r, whose frame is n bytes long, over any record of its key.
-func (f *family) put(r journal.Record, n int64) {
-	k := recKey{r.Kind, r.Key}
-	f.bytes += n - f.recs[k].n
-	f.recs[k] = rec{r, n}
+// put adds the record framed by frame, tags inline, over any record of its
+// key; the family keeps frame. ok=false: frame holds no record.
+func (f *family) put(frame []byte) bool {
+	old, ok := f.recs.PutFrame(frame)
+	if ok {
+		f.bytes += int64(len(frame) - len(old.Frame()))
+	}
+	return ok
 }
 
 func (f *family) setRules(text string) {
@@ -156,26 +147,15 @@ func (f *family) setRules(text string) {
 // kill retires every record that depends on one of tags — by the rule a
 // regression retires baseline records by: a full tag matches itself, a
 // bare table name all of the table's — and returns how many went.
-func (f *family) kill(tags []string) (removed int) {
+func (f *family) kill(tags []string) int {
 	invalid := rulediff.Matcher(tags)
-	for k, r := range f.recs {
-		if regress.Invalidated(r.Record, invalid) {
-			delete(f.recs, k)
-			f.bytes -= r.n
-			removed++
+	return f.recs.DeleteFunc(func(e journal.Entry) bool {
+		if !e.DependsOn(invalid) {
+			return false
 		}
-	}
-	return removed
-}
-
-// records returns the family's records in canonical (kind, key) order.
-func (f *family) records() []rec {
-	out := make([]rec, 0, len(f.recs))
-	for _, r := range f.recs {
-		out = append(out, r)
-	}
-	slices.SortFunc(out, func(a, b rec) int { return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Key, b.Key)) })
-	return out
+		f.bytes -= int64(len(e.Frame()))
+		return true
+	})
 }
 
 // appendTo frames the family as a log of live frames only holds it.
@@ -184,8 +164,8 @@ func (f *family) appendTo(out []byte, fam uint64) []byte {
 	if f.hasRules {
 		out = appendRules(out, f.rules)
 	}
-	for _, r := range f.records() {
-		out = journal.AppendRecord(out, r.Record)
+	for _, e := range f.recs.Sorted() {
+		out = append(out, e.Frame()...)
 	}
 	return out
 }
@@ -214,8 +194,9 @@ func (st *state) live() uint64 {
 	return uint64(n)
 }
 
-// replay reads a log: the state its committed transactions add up to and
-// the offset just past the last one's marker. What follows that offset is
+// replay reads a log: the state its committed transactions add up to,
+// every record an entry over its frame in data, and the offset just past
+// the last one's marker. What follows that offset is
 // an uncommitted tail for the caller to drop — unless a frame in it is
 // damaged and a later transaction committed all the same, which makes the
 // damage part of committed history: ErrCorrupt, as is any intact frame
@@ -227,8 +208,7 @@ func replay(data []byte) (*state, int, error) {
 	}
 	st := &state{fams: map[uint64]*family{}}
 	good := off
-	var f *family               // the family in scope
-	tags := map[string]string{} // the records share one copy of a tag
+	var f *family // the family in scope
 	for off < len(data) {
 		p, n, ok := frame(data[off:])
 		if !ok {
@@ -249,13 +229,13 @@ func replay(data []byte) (*state, int, error) {
 			}
 		case f == nil:
 			ok = false
-		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit), p[0] == frameDead:
+		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit):
+			// Kept as it lies in data: the table indexes frames, decodes nothing.
+			ok = f.put(data[off : off+n : off+n])
+		case p[0] == frameDead:
 			var r journal.Record
-			if r, ok = journal.UnmarshalInterned(data[off:off+n], tags); ok && r.Kind == frameDead {
+			if r, ok = journal.UnmarshalRecord(data[off : off+n]); ok {
 				f.kill(r.Tables)
-			} else if ok {
-				r.Indexed = true // only indexed records are persisted
-				f.put(r, int64(n))
 			}
 		case p[0] == 'C':
 			// A solver-cache entry, which earlier releases persisted beside

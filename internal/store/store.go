@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -110,10 +111,10 @@ func (s *Store) load() error {
 	}
 	if size == 0 {
 		// A new store comes into being as a compacted one does: whole.
-		s.cur = &state{fams: map[uint64]*family{}}
-		s.stats.FileBytes, err = s.rewrite(s.cur)
+		s.cur, s.stats.FileBytes, err = s.rewrite(&state{fams: map[uint64]*family{}})
 		return err
 	}
+	// The committed state's tables keep this buffer: an entry is its frame.
 	data := make([]byte, size)
 	if _, err := s.f.ReadAt(data, 0); err != nil && err != io.EOF {
 		return err
@@ -167,17 +168,20 @@ func (s *Store) count(field *uint64, c *obs.Counter, n uint64) {
 
 // Tx is a writer transaction, one at a time; it reads its own writes.
 type Tx struct {
-	s     *Store
-	base  *state
-	fams  map[uint64]*family // clones of the families it touched
-	full  [][]byte           // its frames, in call order: the chunks filled,
-	buf   []byte             // and the one filling
-	scope *family            // the family the last family frame names
-	done  bool
+	s       *Store
+	base    *state
+	fams    map[uint64]*family // clones of the families it touched
+	full    [][]byte           // its frames, in call order: the chunks filled,
+	buf     []byte             // and the one filling, which the clones' entries point into
+	scope   *family            // the family the last family frame names
+	scratch []byte             // Holds' encoding
+	done    bool
 }
 
 // txChunk bounds a chunk: one buffer growing to a run's verdicts would be
-// copied five times over on the way.
+// copied five times over on the way. No append writes over bytes a chunk
+// holds, so the entries that point into one — or into an array an append
+// outgrew — stay valid.
 const txChunk = 1 << 20
 
 // Begin starts a transaction once any current writer has finished.
@@ -211,8 +215,8 @@ func (tx *Tx) in(fam uint64) *family {
 
 // PutRecord stores one verdict under family fam, over any record of its
 // kind and key. A record with no dependency index is skipped (counted): no
-// rule delta could invalidate it. The store keeps r's model and tags as
-// they are: the caller does not change them afterwards.
+// rule delta could invalidate it. The family keeps r's frame, written into
+// the transaction's chunk, and not r.
 func (tx *Tx) PutRecord(fam uint64, r journal.Record) error {
 	if r.Kind != journal.KindCheck && r.Kind != journal.KindEmit {
 		return fmt.Errorf("store: cannot persist record kind %d", r.Kind)
@@ -224,7 +228,10 @@ func (tx *Tx) PutRecord(fam uint64, r journal.Record) error {
 	f := tx.in(fam)
 	at := len(tx.buf)
 	tx.buf = journal.AppendRecord(tx.buf, r)
-	f.put(r, int64(len(tx.buf)-at))
+	if !f.put(tx.buf[at:len(tx.buf):len(tx.buf)]) {
+		tx.buf = tx.buf[:at]
+		return fmt.Errorf("store: record (%d, %#x) does not frame", r.Kind, r.Key)
+	}
 	mRecordsPut.Inc()
 	return nil
 }
@@ -250,14 +257,23 @@ func (tx *Tx) SetFamilyRules(fam uint64, rulesText string) error {
 	return nil
 }
 
-// GetRecord reads a record as the transaction has left it.
-func (tx *Tx) GetRecord(fam uint64, kind journal.Kind, key uint64) (journal.Record, bool, error) {
-	f := tx.fams[fam]
-	if f == nil {
-		f = tx.base.fam(fam)
+// view returns fam as the transaction has left it, to read.
+func (tx *Tx) view(fam uint64) *family {
+	if f := tx.fams[fam]; f != nil {
+		return f
 	}
-	r, ok := f.recs[recKey{kind, key}]
-	return r.Record, ok, nil
+	return tx.base.fam(fam)
+}
+
+// Holds reports whether fam, as the transaction has left it, holds r's
+// frame byte for byte: PutRecord would change nothing.
+func (tx *Tx) Holds(fam uint64, r journal.Record) bool {
+	e, ok := tx.view(fam).recs.Lookup(r.Kind, r.Key)
+	if !ok {
+		return false
+	}
+	tx.scratch = journal.AppendRecord(tx.scratch[:0], r)
+	return bytes.Equal(e.Frame(), tx.scratch)
 }
 
 // Abort discards the transaction; nothing of it reached disk.
@@ -298,7 +314,7 @@ func (tx *Tx) Commit() error {
 	compact := size > 2*next.live()
 	var err error
 	if compact {
-		size, err = s.rewrite(next)
+		next, size, err = s.rewrite(next)
 	} else {
 		err = s.append(chunks)
 	}
@@ -347,8 +363,10 @@ func (s *Store) append(chunks [][]byte) error {
 // rewrite commits a transaction by compaction: next, which holds it,
 // becomes a new log of live frames only — a temporary file, synced before
 // the rename makes it the store (the commit point), the directory synced
-// after. It returns the log's size, or an error as append does.
-func (s *Store) rewrite(next *state) (uint64, error) {
+// after. It returns the state read back from the new log, whose entries
+// point into it and not into the log bytes it drops, and the log's size;
+// or an error as append does.
+func (s *Store) rewrite(next *state) (*state, uint64, error) {
 	fams := make([]uint64, 0, len(next.fams))
 	for fam := range next.fams {
 		fams = append(fams, fam)
@@ -361,11 +379,15 @@ func (s *Store) rewrite(next *state) (uint64, error) {
 	if next.txid > 0 {
 		buf = appendID(buf, frameCommit, next.txid)
 	}
+	repointed, _, err := replay(buf)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: compact: %w", err)
+	}
 
 	tmp := s.path + ".compact"
 	f, err := s.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return 0, fmt.Errorf("store: compact: %w", err)
+		return nil, 0, fmt.Errorf("store: compact: %w", err)
 	}
 	if _, err = f.WriteAt(buf, 0); err == nil {
 		err = f.Sync()
@@ -376,7 +398,7 @@ func (s *Store) rewrite(next *state) (uint64, error) {
 	if err != nil {
 		f.Close()
 		s.fs.Remove(tmp)
-		return 0, fmt.Errorf("store: compact: %w", err)
+		return nil, 0, fmt.Errorf("store: compact: %w", err)
 	}
 	s.f.Close()
 	s.f = f
@@ -387,9 +409,9 @@ func (s *Store) rewrite(next *state) (uint64, error) {
 		dir.Close()
 	}
 	if err != nil {
-		return 0, fmt.Errorf("%w (cause: compact: sync directory: %v)", ErrWedged, err)
+		return nil, 0, fmt.Errorf("%w (cause: compact: sync directory: %v)", ErrWedged, err)
 	}
-	return uint64(len(buf)), nil
+	return repointed, uint64(len(buf)), nil
 }
 
 // Snapshot is a view of one committed state, which commits never change.
@@ -428,20 +450,20 @@ func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool, error) {
 
 // GetRecord reads one verdict record from the snapshot.
 func (sn *Snapshot) GetRecord(fam uint64, kind journal.Kind, key uint64) (journal.Record, bool, error) {
-	r, ok := sn.st.fam(fam).recs[recKey{kind, key}]
+	e, ok := sn.st.fam(fam).recs.Lookup(kind, key)
 	if ok {
 		sn.s.count(&sn.s.stats.SnapshotReads, mSnapshotReads, 1)
 	}
-	return r.Record, ok, nil
+	return e.Record(), ok, nil
 }
 
 // Records visits fam's verdict records in canonical (kind, key) order
-// until fn returns false. They share models and tags with the store.
+// until fn returns false, decoded.
 func (sn *Snapshot) Records(fam uint64, fn func(journal.Record) bool) error {
 	served := uint64(0)
-	for _, r := range sn.st.fam(fam).records() {
+	for _, r := range sn.st.fam(fam).recs.Records() {
 		served++
-		if !fn(r.Record) {
+		if !fn(r) {
 			break
 		}
 	}
@@ -449,7 +471,16 @@ func (sn *Snapshot) Records(fam uint64, fn func(journal.Record) bool) error {
 	return nil
 }
 
+// Table returns fam's records as the snapshot's committed state holds
+// them: the family's own table, shared and not copied, which nobody
+// changes (a transaction clones it). A warm start puts it in its journal.
+func (sn *Snapshot) Table(fam uint64) *journal.Table {
+	t := &sn.st.fam(fam).recs
+	sn.s.count(&sn.s.stats.SnapshotReads, mSnapshotReads, uint64(t.Len()))
+	return t
+}
+
 // RecordCount returns the number of verdict records stored for fam.
 func (sn *Snapshot) RecordCount(fam uint64) (int, error) {
-	return len(sn.st.fam(fam).recs), nil
+	return sn.st.fam(fam).recs.Len(), nil
 }

@@ -766,7 +766,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.recs[r.Key] = r
-				if g, ok, _ := tx.GetRecord(fam, r.Kind, r.Key); !ok || g.Verdict != r.Verdict {
+				if !tx.Holds(fam, r) {
 					t.Fatalf("step %d: the transaction does not read its own write", step)
 				}
 			}

@@ -37,8 +37,10 @@
 // There is no tree because no caller needs one: each reads a whole family
 // (warm start, export, regression baseline), writes all a run derived in
 // one transaction, and retires entries by dependency tag. The committed
-// state is an immutable map per family, decoded once at Open; transactions
-// change clones, snapshots are pointers. recovery_test.go crashes a
+// state is one immutable journal.Table per family, indexing the frames
+// Open read, decoded only when a reader asks; transactions change clones,
+// snapshots are pointers, and a warm start shares a family's table with
+// its run's journal instead of copying it. recovery_test.go crashes a
 // scripted workload at every write point of the failpoint filesystem
 // below, compaction included: each reopened store must equal a
 // transaction-boundary state.

@@ -819,7 +819,7 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 			if rec, ok := e.opts.Journal.Lookup(journal.KindCheck, key); ok {
 				e.countJournalHit()
 				st.pend[i].checked = true
-				st.pend[i].res = fromVerdict(rec.Verdict)
+				st.pend[i].res = fromVerdict(rec.Verdict())
 				continue
 			}
 		}
@@ -952,7 +952,7 @@ func (e *executor) pruneCheck() smt.Result {
 	if e.journaling {
 		if rec, ok := e.opts.Journal.Lookup(journal.KindCheck, e.curHash()); ok {
 			e.countJournalHit()
-			return fromVerdict(rec.Verdict)
+			return fromVerdict(rec.Verdict())
 		}
 	}
 	r := e.solver.Check()
@@ -970,12 +970,15 @@ func (e *executor) emitVerdict(key uint64) (smt.Result, expr.State) {
 	if e.journaling {
 		if rec, ok := e.opts.Journal.Lookup(journal.KindEmit, key); ok {
 			e.countJournalHit()
-			r := fromVerdict(rec.Verdict)
+			r := fromVerdict(rec.Verdict())
 			var model expr.State
-			if r == smt.Sat && e.opts.WantModels && len(rec.Model) > 0 {
-				model = make(expr.State, len(rec.Model))
-				for _, vv := range rec.Model {
-					model[expr.Var(vv.Var)] = vv.Val
+			if r == smt.Sat && e.opts.WantModels {
+				// The one decode a hit makes: the model of a template.
+				if m := rec.Model(); len(m) > 0 {
+					model = make(expr.State, len(m))
+					for _, vv := range m {
+						model[expr.Var(vv.Var)] = vv.Val
+					}
 				}
 			}
 			return r, model

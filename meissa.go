@@ -254,12 +254,13 @@ func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 // starting verdicts.
 //
 // A run that persists or reuses verdicts keeps ONE verdict table, the
-// journal's index, which exploration reads. Sources fill it, and only
-// before the first exploration: the Checkpoint file on a Resume, a
-// regression's baseline, a store snapshot. Sinks take what the run
-// derives: the Checkpoint file, verdict by verdict before use, and the
-// store, in one transaction at the end. From the first exploration on, the
-// index grows only by the run's own appends.
+// journal's, which exploration reads. Sources fill it, and only before the
+// first exploration: the Checkpoint file on a Resume (indexed), a
+// regression's baseline or a store snapshot's family (shared, not copied).
+// Sinks take what the run derives: the Checkpoint file, verdict by verdict
+// before use, and the store, in one transaction at the end. The table
+// never changes once the first exploration starts: the run's own appends
+// do not enter it.
 func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	start := time.Now()
 	if s.Opts.Resume && s.Opts.Checkpoint == "" {
@@ -304,8 +305,9 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	case src != nil && src.stc != nil:
 		stc = src.stc
 	case s.Opts.Store != nil || s.Opts.StorePath != "":
-		// Opening a StorePath replays its log: the part of a store-backed
-		// run's time that the store's size sets, whatever the run reads.
+		// Opening a StorePath reads and indexes its log: the part of a
+		// store-backed run's time that the store's size sets, whatever the
+		// run reads.
 		if err := phase("store-open", func() (err error) { stc, err = s.openStoreCtx(initC); return }); err != nil {
 			return nil, err
 		}
@@ -349,11 +351,11 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		// a complete journal of the run, which is why a Resume, whose journal
 		// holds them already, skips this.
 		err := phase("store-warm", func() error {
-			recs, err := stc.warm(s)
+			t, err := stc.warm(s)
 			if err != nil {
 				return err
 			}
-			return j.Adopt(recs)
+			return j.Adopt(t)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("meissa: store: %w", err)
@@ -492,6 +494,9 @@ func heapAllocs() (objects, bytes uint64) {
 	return s[0].Value.Uint64() + s[1].Value.Uint64(), s[2].Value.Uint64()
 }
 
+// sourcePhases are the phases that fill a run's verdict table.
+var sourcePhases = map[string]bool{"journal-load": true, "rebase": true, "store-open": true, "store-warm": true}
+
 // Report builds the machine-readable run report (obs.ReportSchema) for
 // this generation: phase durations, path counts before/after summary
 // reduction, the solver outcome histogram, and journal activity. The
@@ -525,6 +530,14 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 			Loaded:   g.JournalLoaded,
 			Hits:     g.JournalHits,
 		},
+	}
+	for _, p := range g.Phases {
+		if sourcePhases[p.Name] {
+			rep.Journal.SourceNS += p.NS
+		}
+	}
+	if g.JournalHits > 0 {
+		rep.Journal.BreakevenNSPerQuery = float64(rep.Journal.SourceNS) / float64(g.JournalHits)
 	}
 	rep.Solver.TruncatedUnsat = g.SMT.TruncatedUnsat
 	if h, ok := obs.Default().Snapshot().Histograms["smt.query_latency_ns"]; ok {

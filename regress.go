@@ -51,9 +51,9 @@ type RegressResult struct {
 // Regress runs rule-diff-driven incremental regression testing:
 //
 //  1. diff OldRules → NewRules canonically (internal/rulediff);
-//  2. load the baseline journal — once, read-only — and replay it under
+//  2. index the baseline journal — once, read-only — and replay it under
 //     OldRules to recover the baseline template set without re-solving;
-//  3. rebase the loaded records onto NewRules — dropping exactly those
+//  3. rebase the indexed records onto NewRules — dropping exactly those
 //     whose dependency tags the delta invalidates, writing the rest to
 //     Checkpoint — and run the incremental generation from them;
 //  4. compare the two template sets by content-based path key and emit
@@ -76,8 +76,8 @@ func Regress(in RegressInput) (*RegressResult, error) {
 		// update.
 		return nil, fmt.Errorf("meissa: regress: Store/StorePath not allowed (use RegressStore)")
 	}
-	return regressFrom(in, nil, func(fp uint64) ([]journal.Record, error) {
-		return journal.ReadRecords(in.Baseline, fp)
+	return regressFrom(in, nil, func(fp uint64) (*journal.Table, error) {
+		return journal.ReadTable(in.Baseline, fp)
 	})
 }
 
@@ -94,11 +94,11 @@ type verdictSource struct {
 	stc *storeCtx
 }
 
-// regressFrom is Regress over any baseline: load yields the records of a
+// regressFrom is Regress over any baseline: load yields the table of a
 // completed run under OldRules, journaled under the fingerprint it is
 // given. It is called once, inside the baseline replay, whose Phases
 // account for it.
-func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) ([]journal.Record, error)) (*RegressResult, error) {
+func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) (*journal.Table, error)) (*RegressResult, error) {
 	start := time.Now()
 	span := obs.Begin("regress")
 	defer span.End()
@@ -118,17 +118,15 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) ([]journal
 	if err != nil {
 		return nil, err
 	}
-	// The loaded baseline serves both generations and is released by the
-	// second before it explores.
-	var base []journal.Record
+	// The loaded baseline serves both generations, shared, and is released
+	// by the second before it explores.
+	var base *journal.Table
 	baseGen, err := oldSys.generate(&verdictSource{phase: "journal-load", fill: func(j *journal.Journal, _ *GenResult) error {
 		var err error
 		if base, err = load(srcFP); err != nil {
 			return err
 		}
-		for _, r := range base {
-			j.Seed(r)
-		}
+		j.Share(base)
 		return nil
 	}})
 	if err != nil {

@@ -350,17 +350,18 @@ func TestRebasedCheckpointIsCompleteJournal(t *testing.T) {
 	}
 
 	// The expected prefix, built from the baseline without the rebase code.
-	baseRecs, err := journal.ReadRecords(base, fingerprint(p.Rules))
+	baseTable, err := journal.ReadTable(base, fingerprint(p.Rules))
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseRecs := baseTable.Records()
 	invalid := rulediff.Matcher(res.Delta.InvalidTags())
 	want := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fingerprint(newRules)})
 	retained := 0
 records:
 	for _, r := range baseRecs { // canonical order
 		for _, tag := range r.Tables {
-			if invalid(tag) {
+			if invalid([]byte(tag)) {
 				continue records
 			}
 		}

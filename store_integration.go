@@ -1,7 +1,6 @@
 package meissa
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/expr"
@@ -19,10 +18,10 @@ import (
 // stored rules are diffed against the run's rules and exactly the
 // invalidated entries are retired in one atomic transaction, by the tag
 // match a regression retires baseline records by. The store is one more
-// source and sink of the run's verdict table (the journal's index): a
-// warm start puts the family's surviving records into it, so exploration
-// answers them exactly as it answers a resumed checkpoint's, and the
-// commit takes what the run derived itself.
+// source and sink of the run's verdict table: a warm start shares the
+// family's table of a snapshot with the run's journal — the frames Open
+// read, not a copy — so exploration answers them exactly as it answers a
+// resumed checkpoint's, and the commit takes what the run derived itself.
 
 // familyFingerprint digests everything that scopes a store family —
 // the program, the generation-scoping assume clauses, and the
@@ -34,14 +33,14 @@ func (s *System) familyFingerprint(initC []expr.Bool) uint64 {
 }
 
 // storeCtx is one run's connection to a verdict store: the resolved
-// family and journal fingerprints, ownership (StorePath-opened stores
-// are closed at release), and the activity counters that become the run
-// report's store section.
+// family fingerprint and the run's rules text, ownership (StorePath-opened
+// stores are closed at release), and the activity counters that become
+// the run report's store section.
 type storeCtx struct {
 	st    *store.Store
 	owned bool
 	fam   uint64 // family fingerprint (rules excluded)
-	sysFP uint64 // full journal fingerprint (rules included)
+	rules string // the run's rules, rendered once: what the stored text is checked against
 	base  store.Stats
 	rep   obs.StoreReport
 }
@@ -55,7 +54,7 @@ func (s *System) openStoreCtx(initC []expr.Bool) (*storeCtx, error) {
 	if s.Opts.Store != nil && s.Opts.StorePath != "" {
 		return nil, fmt.Errorf("meissa: Store and StorePath are mutually exclusive")
 	}
-	stc := &storeCtx{st: s.Opts.Store, fam: s.familyFingerprint(initC), sysFP: s.fingerprint(initC)}
+	stc := &storeCtx{st: s.Opts.Store, fam: s.familyFingerprint(initC), rules: s.Rules.String()}
 	if stc.st == nil {
 		st, err := store.Open(s.Opts.StorePath, store.Options{LockWait: s.Opts.StoreWait})
 		if err != nil {
@@ -95,24 +94,15 @@ func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, newSet *rul
 	if err != nil {
 		return 0, err
 	}
-	return n, tx.SetFamilyRules(stc.fam, newSet.String())
-}
-
-// records reads the family's verdict records from sn, in canonical order.
-func (stc *storeCtx) records(sn *store.Snapshot) ([]journal.Record, error) {
-	var recs []journal.Record
-	err := sn.Records(stc.fam, func(r journal.Record) bool {
-		recs = append(recs, r)
-		return true
-	})
-	return recs, err
+	return n, tx.SetFamilyRules(stc.fam, stc.rules)
 }
 
 // warm prepares a store-backed run: reconcile a stale stored rule set and
-// read the family's surviving records from one snapshot. The records are
-// the caller's to put into its verdict table; none means a cold start
-// (no family, or an empty one).
-func (stc *storeCtx) warm(s *System) ([]journal.Record, error) {
+// take the family's surviving records from one snapshot, as the table the
+// snapshot holds them in. The table is the caller's to share with its
+// journal and nobody's to change; an empty one means a cold start (no
+// family, or an empty one).
+func (stc *storeCtx) warm(s *System) (*journal.Table, error) {
 	info, ok, err := stc.st.Family(stc.fam)
 	if err != nil {
 		return nil, err
@@ -120,8 +110,7 @@ func (stc *storeCtx) warm(s *System) ([]journal.Record, error) {
 	if !ok {
 		return nil, nil // cold store: first run of this family
 	}
-	newText := s.Rules.String()
-	if info.Rules != newText {
+	if info.Rules != stc.rules {
 		tx, err := stc.st.Begin()
 		if err != nil {
 			return nil, err
@@ -140,12 +129,9 @@ func (stc *storeCtx) warm(s *System) ([]journal.Record, error) {
 
 	sn := stc.st.Snapshot()
 	defer sn.Close()
-	recs, err := stc.records(sn)
-	if err != nil {
-		return nil, err
-	}
-	stc.rep.Warmed = uint64(len(recs))
-	return recs, nil
+	t := sn.Table(stc.fam)
+	stc.rep.Warmed = uint64(t.Len())
+	return t, nil
 }
 
 // commit folds records into the store as ONE transaction: rule-set
@@ -154,10 +140,9 @@ func (stc *storeCtx) warm(s *System) ([]journal.Record, error) {
 // is what the store may not hold yet, in canonical order: the verdicts the
 // run derived, plus a resumed checkpoint's. The records the run warmed from
 // the store are not among them and count as duplicates unread; a record
-// present byte-identical is skipped, so a fully-warmed re-run commits
-// nothing and leaves the store file untouched.
+// whose frame the store holds byte for byte is skipped, so a fully-warmed
+// re-run commits nothing and leaves the store file untouched.
 func (stc *storeCtx) commit(s *System, recs []journal.Record) error {
-	newText := s.Rules.String()
 	info, ok, err := stc.st.Family(stc.fam)
 	if err != nil {
 		return err
@@ -167,7 +152,7 @@ func (stc *storeCtx) commit(s *System, recs []journal.Record) error {
 		return err
 	}
 	fail := func(err error) error { tx.Abort(); return err }
-	if ok && info.Rules != newText {
+	if ok && info.Rules != stc.rules {
 		// The run's rules moved past the stored ones without a warm-time
 		// reconcile: retire the delta's entries in this same transaction,
 		// before the new records land.
@@ -177,17 +162,13 @@ func (stc *storeCtx) commit(s *System, recs []journal.Record) error {
 		}
 		stc.rep.Invalidated += uint64(n)
 	} else if !ok {
-		if err := tx.SetFamilyRules(stc.fam, newText); err != nil {
+		if err := tx.SetFamilyRules(stc.fam, stc.rules); err != nil {
 			return fail(err)
 		}
 	}
 	stc.rep.Duplicates = stc.rep.Warmed
 	for _, r := range recs {
-		old, had, gerr := tx.GetRecord(stc.fam, r.Kind, r.Key)
-		if gerr != nil {
-			return fail(gerr)
-		}
-		if had && bytes.Equal(journal.MarshalRecord(old), journal.MarshalRecord(r)) {
+		if tx.Holds(stc.fam, r) {
 			stc.rep.Duplicates++
 			continue
 		}
@@ -235,9 +216,9 @@ func (s *System) StoreImport(journalPath string) (*obs.StoreReport, error) {
 		return nil, fmt.Errorf("meissa: store import: no Store or StorePath configured")
 	}
 	defer stc.release()
-	recs, err := journal.ReadRecords(journalPath, stc.sysFP)
+	t, err := journal.ReadTable(journalPath, s.identity(initC, stc.rules))
 	if err == nil {
-		err = stc.commit(s, recs)
+		err = stc.commit(s, t.Records())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("meissa: store import: %w", err)
@@ -264,15 +245,15 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 		return nil, fmt.Errorf("meissa: store export: no Store or StorePath configured")
 	}
 	defer stc.release()
-	recs, err := stc.warm(s)
+	t, err := stc.warm(s)
 	if err != nil {
 		return nil, fmt.Errorf("meissa: store export: %w", err)
 	}
-	j, err := journal.Open(journalPath, stc.sysFP, false)
+	j, err := journal.Open(journalPath, s.identity(initC, stc.rules), false)
 	if err != nil {
 		return nil, fmt.Errorf("meissa: store export: %w", err)
 	}
-	err = j.Adopt(recs)
+	err = j.Adopt(t)
 	if cerr := j.Close(); err == nil {
 		err = cerr
 	}
@@ -315,7 +296,7 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 		FileBytes:   stc.st.Stats().FileBytes,
 		Txid:        stc.st.Txid(),
 		Family:      stc.fam,
-		Fingerprint: stc.sysFP,
+		Fingerprint: s.identity(initC, stc.rules),
 	}
 	sn := stc.st.Snapshot()
 	defer sn.Close()
@@ -378,10 +359,10 @@ func RegressStore(in RegressInput) (*RegressResult, error) {
 	// generation commits to the context opened here: delta and records in
 	// its one transaction.
 	in.Opts.Store, in.Opts.StorePath = nil, ""
-	return regressFrom(in, stc, func(uint64) ([]journal.Record, error) {
-		// A snapshot read: concurrent committers cannot tear it.
+	return regressFrom(in, stc, func(uint64) (*journal.Table, error) {
+		// A snapshot's table: concurrent committers cannot tear it.
 		sn := stc.st.Snapshot()
 		defer sn.Close()
-		return stc.records(sn)
+		return sn.Table(stc.fam), nil
 	})
 }

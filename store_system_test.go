@@ -16,17 +16,28 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	meissa "repro"
 	"repro/internal/cfg"
 	"repro/internal/journal"
 	"repro/internal/programs"
-	"repro/internal/regress"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
 	"repro/internal/store"
 )
+
+// dependsOn reports whether one of r's dependency tags passes match.
+func dependsOn(r journal.Record, match func(tag []byte) bool) bool {
+	for _, tag := range r.Tables {
+		if match([]byte(tag)) {
+			return true
+		}
+	}
+	return false
+}
 
 // generateStore runs one generation against the store at path.
 func generateStore(t *testing.T, p *programs.Program, rs *rules.Set, path string, mod func(*meissa.Options)) *meissa.GenResult {
@@ -90,6 +101,18 @@ func TestStoreWarmGenByteIdentical(t *testing.T) {
 			}
 			if warm.JournalHits == 0 {
 				t.Fatal("warm run answered nothing from the materialized journal")
+			}
+			// What filling the table cost: the store's open and warm phases.
+			var source int64
+			for _, ph := range warm.Phases {
+				if ph.Name == "store-open" || ph.Name == "store-warm" {
+					source += ph.NS
+				}
+			}
+			j := warm.Report("gen", name, 1).Journal
+			if j.SourceNS != source || source == 0 || j.BreakevenNSPerQuery != float64(source)/float64(warm.JournalHits) {
+				t.Fatalf("journal report source_ns %d breakeven %g; the phases sum to %d over %d hits",
+					j.SourceNS, j.BreakevenNSPerQuery, source, warm.JournalHits)
 			}
 			if warm.Store.Committed != 0 {
 				t.Fatalf("warm run committed %d records, want 0 (all duplicates)", warm.Store.Committed)
@@ -465,6 +488,77 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 	}
 }
 
+// TestStoreWarmSharesTableDuringCommit: a warm start shares the family
+// table of a snapshot with its run's journal instead of copying it, so no
+// commit may change a table a run holds. Here warm generations on the old
+// rules explore from shared tables while a generation on updated rules
+// commits its rule update to the same family, and back, over one open
+// store (run under -race: a write to a shared table is a race). Every
+// run's output equals a cold run on its rules.
+func TestStoreWarmSharesTableDuringCommit(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	if n == 0 {
+		t.Fatal("nothing to mutate")
+	}
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	generate := func(rs *rules.Set, o meissa.Options) (*meissa.GenResult, error) {
+		sys, err := meissa.New(p.Prog, rs, nil, o)
+		if err != nil {
+			return nil, err
+		}
+		return sys.Generate()
+	}
+	cold := map[*rules.Set]string{}
+	for _, rs := range []*rules.Set{p.Rules, newRules} {
+		gen, err := generate(rs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[rs] = renderTemplates(gen.Templates)
+	}
+	st, err := store.Open(filepath.Join(t.TempDir(), "verdicts.store"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	opts.Store = st
+	if _, err := generate(p.Rules, opts); err != nil { // populate
+		t.Fatal(err)
+	}
+
+	const rounds = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, 3*rounds)
+	var warmHits atomic.Uint64
+	for _, rs := range []*rules.Set{p.Rules, p.Rules, newRules} {
+		wg.Add(1)
+		go func(rs *rules.Set) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				gen, err := generate(rs, opts)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := renderTemplates(gen.Templates); got != cold[rs] {
+					errs <- fmt.Errorf("round %d: store-backed output differs from a cold run on its rules", i)
+				}
+				warmHits.Add(gen.JournalHits)
+			}
+		}(rs)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if warmHits.Load() == 0 {
+		t.Error("no run answered anything from the store")
+	}
+}
+
 // TestStoreFileSizeGates: the store file's size is a counted property of
 // what it holds, gated without a clock. Cold, it is no larger than 1.5
 // times its own export as a checkpoint journal (the log frames each
@@ -550,7 +644,7 @@ func TestStoreFileSizeGates(t *testing.T) {
 	committed, framed := uint64(0), int64(0)
 	for k, r := range records() {
 		frame := journal.MarshalRecord(r)
-		if was, ok := old[k]; ok && !regress.Invalidated(was, stale) && bytes.Equal(journal.MarshalRecord(was), frame) {
+		if was, ok := old[k]; ok && !dependsOn(was, stale) && bytes.Equal(journal.MarshalRecord(was), frame) {
 			continue
 		}
 		committed++
