@@ -41,7 +41,7 @@ var genFlagDefs = map[string]func(*flag.FlagSet, *genFlags){
 		fs.DurationVar(&g.solverTimeout, "solver-timeout", 0, "per-query solver wall-clock budget (0 = none)")
 	},
 	"store": func(fs *flag.FlagSet, g *genFlags) {
-		fs.StringVar(&g.store, "store", "", "durable verdict store file: a run warm-starts from it and commits its verdicts back (regress: the baseline, instead of -baseline; serve, store: required)")
+		fs.StringVar(&g.store, "store", "", "durable verdict store file: a run warm-starts from it and commits its verdicts back (regress: the baseline, instead of -baseline; store: required)")
 	},
 	"store-wait": func(fs *flag.FlagSet, g *genFlags) {
 		fs.DurationVar(&g.storeWait, "store-wait", 0, "bounded retry when the store is locked by another process (0 = fail fast)")
@@ -91,17 +91,5 @@ func (g *genFlags) writeTemplates(ts []*sym.Template) error {
 		return err
 	}
 	fmt.Printf("  wrote %d test cases to %s\n", len(ts), g.out)
-	return nil
-}
-
-// writeRendered is writeTemplates for n test cases a daemon rendered.
-func (g *genFlags) writeRendered(text string, n int) error {
-	if g.out == "" {
-		return nil
-	}
-	if err := os.WriteFile(g.out, []byte(text), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %d test cases to %s\n", n, g.out)
 	return nil
 }

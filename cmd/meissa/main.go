@@ -53,10 +53,6 @@ func main() {
 		err = cmdTop(os.Args[2:])
 	case "store":
 		err = cmdStore(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "client":
-		err = cmdClient(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -81,12 +77,6 @@ func usage() {
               [-report regress.json] [-o cases.txt] [-parallel N] [-no-summary]
               [-watch [-interval D] [-max-failures N]] [-v] [-quiet]
   meissa store <info|import|export> -store FILE [-journal FILE] (-p prog.p4 [-r rules.txt] | -corpus NAME)
-  meissa serve -store FILE [-addr unix://path|tcp://host:port] [-store-wait D]
-              [-max-concurrent N] [-drain D] [-pprof-addr host:port]
-  meissa client <load|gen|regress|status|unload> -addr ADDR [-tenant T] [-family NAME]
-              load:    (-p prog.p4 [-r rules.txt] [-s spec.lpi] | -corpus NAME)
-              gen:     [-no-summary] [-parallel N] [-r rules.txt] [-o cases.txt] [-metrics-out report.json]
-              regress: (-rules-new FILE | -mutate N (-corpus NAME | -r FILE)) [-emit-rules FILE] [-o cases.txt]
   meissa corpus
   meissa dump -corpus <name>
   meissa checkmetrics <report.json>

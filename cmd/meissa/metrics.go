@@ -283,13 +283,6 @@ func cmdCheckMetrics(args []string) error {
 		fmt.Printf("  store txns=%d tail_discarded=%d snapshot_reads=%d file_bytes=%d\n",
 			st.Commits, st.TailDiscarded, st.SnapshotReads, st.FileBytes)
 	}
-	if d := rep.Daemon; d != nil {
-		fmt.Printf("  daemon %s: families=%d requests=%d warm_hits=%d store_conflicts=%d (%.1f req/s)\n",
-			d.Addr, d.Families, d.RequestsServed, d.WarmHits, d.StoreConflicts, d.RequestsPerSec)
-		fmt.Printf("  daemon queue_wait=%v ttfv=%v\n",
-			time.Duration(d.QueueWaitNS).Round(time.Microsecond),
-			time.Duration(d.TimeToFirstVerdictNS).Round(time.Microsecond))
-	}
 	return nil
 }
 

@@ -18,8 +18,8 @@ import (
 // server of a running meissa process (its -pprof-addr) for registry
 // deltas, folds them into a local mirror with Snapshot.Merge, and
 // renders a terminal dashboard — phase progress, verdict rates,
-// journal/store hit rates, the daemon's service view when the process is
-// `meissa serve` — refreshed whenever the run's metrics actually change.
+// journal/store hit rates — refreshed whenever the run's metrics actually
+// change.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:6060", "debug server address of the run to watch (its -pprof-addr)")
@@ -49,10 +49,9 @@ func cmdTop(args []string) error {
 			}
 		}
 		cursor = d.Cursor
-		dmn := fetchDaemon(client, base) // nil unless the process is a daemon
 		now := time.Now()
 		var out strings.Builder
-		renderTop(&out, mirror, dmn, prev, now.Sub(prevAt))
+		renderTop(&out, mirror, prev, now.Sub(prevAt))
 		if !*once {
 			fmt.Print("\x1b[H\x1b[2J") // home + clear: redraw in place
 		}
@@ -88,42 +87,6 @@ func fetchDelta(c *http.Client, base string, cursor uint64, wait time.Duration) 
 	return &d, nil
 }
 
-// daemonView mirrors the resident daemon's /fleet payload.
-type daemonView struct {
-	Addr           string `json:"addr"`
-	UptimeNS       int64  `json:"uptime_ns"`
-	RequestsServed uint64 `json:"requests_served"`
-	WarmHits       uint64 `json:"warm_hits"`
-	StoreConflicts uint64 `json:"store_conflicts"`
-	Inflight       int    `json:"inflight"`
-	QueueDepth     int    `json:"queue_depth"`
-	Families       []struct {
-		Name      string `json:"name"`
-		Gens      uint64 `json:"gens"`
-		Regresses uint64 `json:"regresses"`
-		WarmHits  uint64 `json:"warm_hits"`
-	} `json:"families"`
-}
-
-// fetchDaemon reads the live /fleet view the resident daemon serves; nil
-// when the process is not a daemon (404) or the view is momentarily
-// unavailable.
-func fetchDaemon(c *http.Client, base string) *daemonView {
-	resp, err := c.Get(base + "/fleet")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var d daemonView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&d); err != nil {
-		return nil
-	}
-	return &d
-}
-
 // rate formats a per-second rate for the counter delta since the last
 // frame; "-" before two frames exist.
 func rate(cur map[string]uint64, prev map[string]uint64, dt time.Duration, key string) string {
@@ -134,7 +97,7 @@ func rate(cur map[string]uint64, prev map[string]uint64, dt time.Duration, key s
 	return fmt.Sprintf("%.0f/s", float64(d)/dt.Seconds())
 }
 
-func renderTop(w *strings.Builder, s *obs.Snapshot, dmn *daemonView, prev map[string]uint64, dt time.Duration) {
+func renderTop(w *strings.Builder, s *obs.Snapshot, prev map[string]uint64, dt time.Duration) {
 	if s == nil {
 		fmt.Fprintln(w, "meissa top: no snapshot yet")
 		return
@@ -186,15 +149,6 @@ func renderTop(w *strings.Builder, s *obs.Snapshot, dmn *daemonView, prev map[st
 	if c["store.commits"] > 0 || c["store.records_put"] > 0 {
 		fmt.Fprintf(w, "store: %d commits (%d compactions), %d records put, %d tail bytes discarded\n",
 			c["store.commits"], c["store.compactions"], c["store.records_put"], c["store.tail_discarded_bytes"])
-	}
-
-	if dmn != nil {
-		fmt.Fprintf(w, "\ndaemon %s: %d requests (%d warm hits, %d store conflicts), %d in flight, %d queued\n",
-			dmn.Addr, dmn.RequestsServed, dmn.WarmHits, dmn.StoreConflicts, dmn.Inflight, dmn.QueueDepth)
-		for _, f := range dmn.Families {
-			fmt.Fprintf(w, "  family %-12s gens=%d regresses=%d warm_hits=%d\n",
-				f.Name, f.Gens, f.Regresses, f.WarmHits)
-		}
 	}
 
 	if len(s.Gauges) > 0 {

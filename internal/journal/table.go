@@ -232,6 +232,16 @@ func (t *Table) put(e Entry) Entry {
 // returns the entry replaced (the zero Entry for none), or ok=false, and
 // no change, when the payload does not hold a record.
 func (t *Table) PutFrame(frame []byte) (replaced Entry, ok bool) {
+	e, ok := EntryOf(frame)
+	if !ok {
+		return Entry{}, false
+	}
+	return t.put(e), true
+}
+
+// EntryOf reads frame as PutFrame puts it, into no table: ok=false when
+// the payload does not hold a record.
+func EntryOf(frame []byte) (e Entry, ok bool) {
 	if len(frame) < 8 || frameLen(frame) != len(frame) {
 		return Entry{}, false
 	}
@@ -239,7 +249,17 @@ func (t *Table) PutFrame(frame []byte) (replaced Entry, ok bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return t.put(Entry{b: frame, tags: tags, verdict: Verdict(frame[offVerdict])}), true
+	return Entry{b: frame, tags: tags, verdict: Verdict(frame[offVerdict])}, true
+}
+
+// Drop removes e when it is the entry t holds for its kind and key — the
+// same frame, not merely an equal one — and reports whether it was.
+func (t *Table) Drop(e Entry) bool {
+	held, ok := t.Lookup(e.kind(), e.key())
+	if ok = ok && &held.b[0] == &e.b[0]; ok {
+		delete(t.kinds[e.kind()], e.key())
+	}
+	return ok
 }
 
 // DeleteFunc removes every entry del returns true for and returns how

@@ -9,7 +9,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -144,32 +143,6 @@ func handleDelta(w http.ResponseWriter, req *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// fleetSource, when set, renders the /fleet endpoint: the resident
-// daemon installs its service view (families, tenants, queue) for as long
-// as it serves.
-var fleetSource atomic.Pointer[func() any]
-
-// SetFleetSource installs (or, with nil, removes) the /fleet provider.
-func SetFleetSource(f func() any) {
-	if f == nil {
-		fleetSource.Store(nil)
-		return
-	}
-	fleetSource.Store(&f)
-}
-
-func handleFleet(w http.ResponseWriter, _ *http.Request) {
-	f := fleetSource.Load()
-	if f == nil {
-		http.Error(w, "no daemon running", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode((*f)())
-}
-
 // serveOnce guards handler registration on the default mux (tests may
 // call ServeDebug more than once; http.HandleFunc panics on duplicates).
 var serveOnce sync.Once
@@ -181,7 +154,6 @@ var serveOnce sync.Once
 //	/metrics        — the registry snapshot as indented JSON
 //	/metrics/delta  — long-poll snapshot deltas against a cursor
 //	/flight         — the process flight recorder's retained events
-//	/fleet          — the resident daemon's service view (meissa serve)
 //
 // It returns the bound address (useful with ":0") after the listener is
 // open; the server runs until the process exits. Live-run observability
@@ -203,7 +175,6 @@ func ServeDebug(addr string) (string, error) {
 			enc.SetIndent("", "  ")
 			_ = enc.Encode(Flight().Events())
 		})
-		http.HandleFunc("/fleet", handleFleet)
 	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // `meissa ... -metrics-out`; bump it on any incompatible change. v2
 // added trace_id and the latency quantiles. It is the one schema the
 // reader accepts; sections a v2 writer once emitted and this build no
-// longer knows (shard, fleet) are ignored on read.
+// longer knows (shard, fleet, daemon) are ignored on read.
 const ReportSchema = "meissa.run-report/v2"
 
 // Report is one run's machine-readable result: everything the paper's
@@ -43,40 +43,10 @@ type Report struct {
 	// Store reports durable verdict-store activity (nil unless the run
 	// was store-backed).
 	Store *StoreReport `json:"store,omitempty"`
-	// Daemon reports resident-daemon service activity when the run was
-	// served by `meissa serve` (nil for direct CLI runs).
-	Daemon *DaemonReport `json:"daemon,omitempty"`
 	// Registry carries the full process metric snapshot (optional; CLI
 	// runs attach it so one file holds both the curated report and the
 	// raw counters).
 	Registry *Snapshot `json:"registry,omitempty"`
-}
-
-// DaemonReport is the resident-daemon section: the service-level view of
-// the request that produced this report, snapshot at response time. The
-// CI daemon-smoke job jq-gates these fields.
-type DaemonReport struct {
-	// Addr is the daemon's listen address; Families is the count of
-	// loaded program families at response time.
-	Addr     string `json:"addr,omitempty"`
-	Families int    `json:"families"`
-	// RequestsServed counts completed requests since daemon start (all
-	// tenants); WarmHits counts gen requests answered entirely from the
-	// family's warm state (zero live solver queries).
-	RequestsServed uint64 `json:"requests_served"`
-	WarmHits       uint64 `json:"warm_hits"`
-	// StoreConflicts counts requests that failed on store contention
-	// (ErrStoreBusy/wedge) — zero on a healthy single-writer daemon.
-	StoreConflicts uint64 `json:"store_conflicts"`
-	// QueueWaitNS is how long this request waited in the fair-share
-	// queue before running; TimeToFirstVerdictNS is queue wait plus
-	// generation — the warm-path responsiveness metric benched as
-	// daemon~warm.
-	QueueWaitNS          int64 `json:"queue_wait_ns,omitempty"`
-	TimeToFirstVerdictNS int64 `json:"time_to_first_verdict_ns,omitempty"`
-	// RequestsPerSec is sustained warm-request throughput; bench runs
-	// measure it over a repeated-request regime (zero elsewhere).
-	RequestsPerSec float64 `json:"requests_per_sec,omitempty"`
 }
 
 // PathReport is the exploration-volume section.
@@ -87,10 +57,8 @@ type PathReport struct {
 	FinalExplored uint64 `json:"final_explored"`
 	// FinalMallocs/FinalAllocBytes are the heap allocation count and
 	// volume of the final pass (deltas of the process's allocation
-	// counters around it; only measured when it ran sequentially
-	// in-process, and left out by the daemon, whose other requests
-	// allocate too). Divided by FinalExplored they are the per-path
-	// allocation cost.
+	// counters around it; only measured when it ran sequentially).
+	// Divided by FinalExplored they are the per-path allocation cost.
 	FinalMallocs    uint64 `json:"final_mallocs,omitempty"`
 	FinalAllocBytes uint64 `json:"final_alloc_bytes,omitempty"`
 	// Pruned counts prefixes cut by early termination.
@@ -399,16 +367,6 @@ func (r *Report) Validate() error {
 		}
 		if st.Commits > 0 && st.FileBytes == 0 {
 			return fmt.Errorf("obs: store committed %d transactions into a file of no bytes", st.Commits)
-		}
-	}
-	if d := r.Daemon; d != nil {
-		// The daemon stamps its section after counting the request that
-		// produced this report, so a served report shows at least one.
-		if d.RequestsServed == 0 {
-			return fmt.Errorf("obs: daemon report with zero requests served")
-		}
-		if d.WarmHits > d.RequestsServed {
-			return fmt.Errorf("obs: daemon warm_hits %d > requests_served %d", d.WarmHits, d.RequestsServed)
 		}
 	}
 	return nil

@@ -8,8 +8,7 @@ import (
 )
 
 // NewTraceID returns a 16-byte random trace identifier in hex, stamped
-// once per generation (the run report's trace_id) and once per daemon
-// request (the response's trace_id).
+// once per generation (the run report's trace_id).
 func NewTraceID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -19,7 +19,8 @@ import (
 func FuzzOpen(f *testing.F) {
 	// Seeds: a log with appended transactions of every frame kind, its
 	// truncations, a flipped byte, a compacted log, an empty file, junk, the
-	// headers of earlier formats, a log with the 'C' frames of earlier ones.
+	// headers of earlier formats, a log with the 'C' frames of earlier ones,
+	// a log of a dozen rule updates with kills followed by re-puts.
 	path := filepath.Join(f.TempDir(), "seed.store")
 	s, err := Open(path, Options{})
 	if err != nil {
@@ -56,6 +57,13 @@ func FuzzOpen(f *testing.F) {
 	f.Add(pagedHeader)
 	oldCache, _ := oldCacheStore()
 	f.Add(oldCache)
+	churned := filepath.Join(f.TempDir(), "churned.store")
+	ruleChurn(f, churned, 200, 12)
+	churn, err := os.ReadFile(churned)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(churn)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.store")

@@ -8,11 +8,10 @@ import (
 
 // ErrStoreBusy reports that another process (or another open handle in
 // this one) holds the store's advisory lock. The store is single-writer
-// by design — the resident daemon keeps one handle open for its whole
-// lifetime — so a CLI run racing it must fail cleanly here instead of
-// corrupting pages or wedging on half-written WAL frames. Callers
-// retry with Options.LockWait (the `-store-wait` flag) or route the
-// request through the daemon.
+// by design — a `-store` run holds its handle from open to close — so a
+// second CLI run on the same store must fail cleanly here instead of
+// appending over the first one's frames. Callers retry with
+// Options.LockWait (the `-store-wait` flag).
 var ErrStoreBusy = errors.New("store: busy (locked by another process)")
 
 // lockPollInterval paces LockWait retries. Coarse on purpose: the lock
@@ -31,7 +30,7 @@ type fileLock struct {
 // acquireLock takes the store's advisory lock, retrying for up to wait
 // before giving up with ErrStoreBusy. A zero wait makes exactly one
 // attempt. The lock dies with the process (flock semantics), so a
-// SIGKILL'd daemon never leaves the store permanently unopenable.
+// SIGKILL'd run never leaves the store permanently unopenable.
 func acquireLock(path string, wait time.Duration) (*fileLock, error) {
 	deadline := time.Now().Add(wait)
 	for {

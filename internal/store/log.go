@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"maps"
+	"slices"
 
 	"repro/internal/journal"
 	"repro/internal/rulediff"
@@ -123,8 +124,8 @@ func (f *family) clone() *family {
 
 func (f *family) empty() bool { return !f.hasRules && f.recs.Len() == 0 }
 
-// put, setRules and kill are what the log's frames do to a family, at Open
-// and in a transaction alike.
+// put and setRules are what the log's frames do to a family, at Open and in
+// a transaction alike; a tombstone is kill in a transaction, bury at Open.
 
 // put adds the record framed by frame, tags inline, over any record of its
 // key; the family keeps frame. ok=false: frame holds no record.
@@ -149,6 +150,7 @@ func (f *family) setRules(text string) {
 // bare table name all of the table's — and returns how many went.
 func (f *family) kill(tags []string) int {
 	invalid := rulediff.Matcher(tags)
+	mTagTests.Add(uint64(f.recs.Len()))
 	return f.recs.DeleteFunc(func(e journal.Entry) bool {
 		if !e.DependsOn(invalid) {
 			return false
@@ -156,6 +158,59 @@ func (f *family) kill(tags []string) int {
 		f.bytes -= int64(len(e.Frame()))
 		return true
 	})
+}
+
+// graves are the tombstones a replay read for one family, in log order.
+type graves struct {
+	tags   [][]string
+	passed int                     // how many of them bury's walk has passed
+	union  []func(tag []byte) bool // [i]: tags[i:] as one matcher, made on first use
+}
+
+// bury applies the tombstones replay read from data, the last of them
+// ending at end, once the whole log is read: applying each as it was read
+// would test every record of the family once per tombstone. It walks the
+// log again, in order, up to end: a record frame that a tombstone of its
+// family follows is tested once, against the union of those tombstones,
+// and goes when it depends on one and is still its key's entry. That
+// retires what applying them in turn would: a record put again after a
+// tombstone is not its victim.
+func bury(st *state, data []byte, dead map[*family]*graves, end int) {
+	for _, g := range dead {
+		g.union = make([]func([]byte) bool, len(g.tags))
+	}
+	tests := uint64(0)
+	var f *family
+	var g *graves // f's, nil for none
+	for off := headerLen; off < end; {
+		n := 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		switch data[off+4] {
+		case frameCommit:
+			g = nil
+		case frameFamily:
+			f = st.fams[binary.LittleEndian.Uint64(data[off+5:])]
+			g = dead[f]
+		case frameDead:
+			if g != nil {
+				g.passed++
+			}
+		case byte(journal.KindCheck), byte(journal.KindEmit):
+			if g == nil || g.passed == len(g.tags) {
+				break
+			}
+			i := g.passed
+			if g.union[i] == nil {
+				g.union[i] = rulediff.Matcher(slices.Concat(g.tags[i:]...))
+			}
+			tests++
+			e, _ := journal.EntryOf(data[off : off+n : off+n]) // replay put it
+			if e.DependsOn(g.union[i]) && f.recs.Drop(e) {
+				f.bytes -= int64(n)
+			}
+		}
+		off += n
+	}
+	mTagTests.Add(tests)
 }
 
 // appendTo frames the family as a log of live frames only holds it.
@@ -196,11 +251,13 @@ func (st *state) live() uint64 {
 
 // replay reads a log: the state its committed transactions add up to,
 // every record an entry over its frame in data, and the offset just past
-// the last one's marker. What follows that offset is
-// an uncommitted tail for the caller to drop — unless a frame in it is
-// damaged and a later transaction committed all the same, which makes the
-// damage part of committed history: ErrCorrupt, as is any intact frame
-// that makes no sense.
+// the last one's marker. It reads each frame once, and a log holding
+// tombstones once more to apply them (bury), so a log that many rule
+// updates grew opens in time linear in its frames. What follows that
+// offset is an uncommitted tail for the caller to drop — unless a frame in
+// it is damaged and a later transaction committed all the same, which
+// makes the damage part of committed history: ErrCorrupt, as is any
+// intact frame that makes no sense.
 func replay(data []byte) (*state, int, error) {
 	p, off, ok := frame(data)
 	if !ok || string(p) != magic {
@@ -209,6 +266,8 @@ func replay(data []byte) (*state, int, error) {
 	st := &state{fams: map[uint64]*family{}}
 	good := off
 	var f *family // the family in scope
+	var dead map[*family]*graves
+	deadEnd := 0
 	for off < len(data) {
 		p, n, ok := frame(data[off:])
 		if !ok {
@@ -235,7 +294,14 @@ func replay(data []byte) (*state, int, error) {
 		case p[0] == frameDead:
 			var r journal.Record
 			if r, ok = journal.UnmarshalRecord(data[off : off+n]); ok {
-				f.kill(r.Tables)
+				if dead == nil {
+					dead = map[*family]*graves{}
+				}
+				if dead[f] == nil {
+					dead[f] = &graves{}
+				}
+				dead[f].tags = append(dead[f].tags, r.Tables)
+				deadEnd = off + n
 			}
 		case p[0] == 'C':
 			// A solver-cache entry, which earlier releases persisted beside
@@ -255,6 +321,9 @@ func replay(data []byte) (*state, int, error) {
 		// The intact frames of a transaction that never committed went
 		// into st: read the committed part again, alone.
 		return replay(data[:good])
+	}
+	if dead != nil {
+		bury(st, data, dead, deadEnd)
 	}
 	maps.DeleteFunc(st.fams, func(_ uint64, f *family) bool { return f.empty() })
 	return st, good, nil

@@ -18,6 +18,10 @@ var (
 	// mInvalidated records retired by tag invalidation.
 	mSnapshotReads = obs.GetCounter("store.snapshot_reads")
 	mInvalidated   = obs.GetCounter("store.invalidated")
+	// mTagTests counts records tested against retired tags: every record of
+	// the family an invalidation names, and at Open each record a tombstone
+	// follows, once.
+	mTagTests = obs.GetCounter("store.tag_tests")
 
 	// mRecordsPut counts records written; mSkipped those left out for
 	// carrying no dependency index (the verdict is re-derived next run).

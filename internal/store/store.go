@@ -73,8 +73,9 @@ type Store struct {
 func Open(path string, opts Options) (*Store, error) {
 	s := &Store{fs: opts.FS, path: path}
 	if s.fs == nil {
-		// The advisory lock keeps a second live writer (a CLI run racing the
-		// daemon) out. An injected FS simulates a process: nothing to lock.
+		// The advisory lock keeps a second live writer (another CLI run on
+		// the same store) out. An injected FS simulates a process: nothing
+		// to lock.
 		s.fs = OSFS{}
 		var err error
 		if s.lock, err = acquireLock(path+"-lock", opts.LockWait); err != nil {

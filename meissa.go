@@ -40,7 +40,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/smt"
 	"repro/internal/spec"
-	"repro/internal/store"
 	"repro/internal/summary"
 	"repro/internal/switchsim"
 	"repro/internal/sym"
@@ -105,24 +104,19 @@ type Options struct {
 	// before its verdict is decided. Fault-injection hook for crash-safety
 	// tests; nil in production.
 	PathHook func(path []cfg.NodeID)
-	// Store, when non-nil, is an open disk-backed verdict store
-	// (internal/store) the run warms from and commits to: a prior run of
-	// the same program family answers journaled solver interactions
-	// without re-solving, a stored rule set that differs from this run's
-	// is reconciled by one atomic invalidate-and-update transaction, and
-	// the run's own verdicts are committed back in one transaction at the
-	// end. The caller owns the store's lifecycle. Mutually exclusive with
-	// StorePath.
-	Store *store.Store
-	// StorePath, when non-empty, names a store file the run opens (and
-	// creates on first use), uses exactly like Store, and closes before
-	// returning — the `gen -store` / `regress -store` CLI path.
+	// StorePath, when non-empty, names a disk-backed verdict store file
+	// (internal/store) the run opens (and creates on first use), warms
+	// from, commits to and closes before returning — the `gen -store` /
+	// `regress -store` CLI path. A prior run of the same program family
+	// answers journaled solver interactions without re-solving, a stored
+	// rule set that differs from this run's is reconciled by one atomic
+	// invalidate-and-update transaction, and the run's own verdicts are
+	// committed back in one transaction at the end.
 	StorePath string
 	// StoreWait bounds how long opening StorePath waits for the store's
-	// advisory lock when another process (typically the resident daemon)
-	// holds it, retrying until the deadline before failing with
-	// store.ErrStoreBusy. Zero makes exactly one attempt — the
-	// `-store-wait` CLI flag.
+	// advisory lock while another run holds it, retrying until the
+	// deadline before failing with store.ErrStoreBusy. Zero makes exactly
+	// one attempt — the `-store-wait` CLI flag.
 	StoreWait time.Duration
 }
 
@@ -173,10 +167,8 @@ type GenResult struct {
 	// FinalMallocs and FinalAllocBytes are the process's heap allocation
 	// count and volume over the final pass, so a report shows what a path
 	// costs without a benchmark harness. Measured only when the pass runs
-	// sequentially, and zero otherwise. The counters are the
-	// process's: they are the pass's own only while nothing else in the
-	// process allocates (the CLI, a benchmark); a caller that runs
-	// generations side by side — the daemon — discards them.
+	// sequentially, and zero otherwise. The counters are the process's:
+	// they are the pass's own while nothing else in the process allocates.
 	FinalMallocs, FinalAllocBytes uint64
 	// SMTCalls counts solver checks across all phases (Fig. 11b unit).
 	SMTCalls uint64
@@ -226,8 +218,8 @@ type GenResult struct {
 	// regression run (nil for any other run).
 	Rebase *regress.RebaseStats
 	// Phases records the wall-clock duration of each generation phase, in
-	// execution order: "cfg"; "store-open" when the run resolved its own
-	// Store or StorePath; whichever of "journal-load" (a resumed
+	// execution order: "cfg"; "store-open" when the run opened its
+	// StorePath; whichever of "journal-load" (a resumed
 	// checkpoint, or a regression's baseline), "rebase" and "store-warm"
 	// gave the run its starting verdicts; "summary" when code summary ran;
 	// "sym"; "store-commit". The same timings aggregate under
@@ -239,7 +231,7 @@ type GenResult struct {
 	// projections of it kept for compatibility.
 	SMT smt.Stats
 	// Store is the durable verdict-store activity summary; nil unless
-	// Options.Store/StorePath was set.
+	// Options.StorePath was set.
 	Store *obs.StoreReport
 	// TraceID is the run-wide trace identifier stamped at generation
 	// start and carried into the run report.
@@ -304,7 +296,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	switch {
 	case src != nil && src.stc != nil:
 		stc = src.stc
-	case s.Opts.Store != nil || s.Opts.StorePath != "":
+	case s.Opts.StorePath != "":
 		// Opening a StorePath reads and indexes its log: the part of a
 		// store-backed run's time that the store's size sets, whatever the
 		// run reads.

@@ -103,29 +103,40 @@ func TestRunReportValidates(t *testing.T) {
 	}
 }
 
-// TestShardedRunReportStillParses: a v2 report that a sharded run of an
-// earlier release wrote — with shard and fleet sections, a killed worker's
-// flight events among them — still passes ParseReport (and so
-// checkmetrics), which ignores the sections this build no longer has.
+// TestShardedRunReportStillParses: v2 reports that earlier releases wrote
+// with sections this build no longer has still pass ParseReport (and so
+// checkmetrics), which ignores those sections — a sharded run's shard and
+// fleet sections, a killed worker's flight events among them, and the
+// daemon section of a request the resident daemon served.
 func TestShardedRunReportStillParses(t *testing.T) {
-	data, err := os.ReadFile("testdata/sharded-run-report.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, section := range []string{"shard", "fleet"} {
-		if _, ok := raw[section]; !ok {
-			t.Fatalf("fixture lacks its %q section", section)
+	for _, fx := range []struct {
+		file, program string
+		sections      []string
+	}{
+		{"testdata/sharded-run-report.json", "gw_1", []string{"shard", "fleet"}},
+		{"testdata/daemon-run-report.json", "gw-1", []string{"daemon"}},
+	} {
+		data, err := os.ReadFile(fx.file)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	rep, err := obs.ParseReport(data)
-	if err != nil {
-		t.Fatalf("sharded-run report rejected: %v", err)
-	}
-	if rep.Schema != obs.ReportSchema || rep.Program != "gw_1" || rep.Paths.Templates == 0 || rep.Solver.TotalQueries == 0 {
-		t.Fatalf("sharded-run report lost its counts: %+v", rep)
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		for _, section := range fx.sections {
+			if _, ok := raw[section]; !ok {
+				t.Fatalf("%s lacks its %q section", fx.file, section)
+			}
+		}
+		rep, err := obs.ParseReport(data)
+		if err != nil {
+			t.Fatalf("%s rejected: %v", fx.file, err)
+		}
+		// The daemon's request was warm: its queries were all journal hits.
+		if rep.Schema != obs.ReportSchema || rep.Program != fx.program || rep.Paths.Templates == 0 ||
+			rep.Solver.TotalQueries+rep.Journal.Hits == 0 {
+			t.Fatalf("%s lost its counts: %+v", fx.file, rep)
+		}
 	}
 }

@@ -71,10 +71,10 @@ func Regress(in RegressInput) (*RegressResult, error) {
 		return nil, fmt.Errorf("meissa: regress: missing Checkpoint (rebased journal path)")
 	case in.Opts.Checkpoint == in.Baseline:
 		return nil, fmt.Errorf("meissa: regress: Checkpoint must differ from Baseline")
-	case in.Opts.Store != nil || in.Opts.StorePath != "":
+	case in.Opts.StorePath != "":
 		// Each of the two generations would reconcile and commit half the
 		// update.
-		return nil, fmt.Errorf("meissa: regress: Store/StorePath not allowed (use RegressStore)")
+		return nil, fmt.Errorf("meissa: regress: StorePath not allowed (use RegressStore)")
 	}
 	return regressFrom(in, nil, func(fp uint64) (*journal.Table, error) {
 		return journal.ReadTable(in.Baseline, fp)
@@ -82,7 +82,7 @@ func Regress(in RegressInput) (*RegressResult, error) {
 }
 
 // verdictSource hands a generation its starting verdicts from somewhere
-// other than its own Checkpoint file or Options.Store: the plumbing
+// other than its own Checkpoint file or Options.StorePath: the plumbing
 // between a regression and the two generations it runs.
 type verdictSource struct {
 	// phase names fill in GenResult.Phases.
@@ -90,7 +90,8 @@ type verdictSource struct {
 	// fill puts the verdicts into the generation's table.
 	fill func(j *journal.Journal, res *GenResult) error
 	// stc, when set, is RegressStore's store context: the generation
-	// commits to it as it would to Options.Store, and does not warm from it.
+	// commits to it as it would to its own StorePath, and does not warm
+	// from it.
 	stc *storeCtx
 }
 

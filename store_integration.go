@@ -32,51 +32,31 @@ func (s *System) familyFingerprint(initC []expr.Bool) uint64 {
 	return s.identity(initC, "")
 }
 
-// storeCtx is one run's connection to a verdict store: the resolved
-// family fingerprint and the run's rules text, ownership (StorePath-opened
-// stores are closed at release), and the activity counters that become
-// the run report's store section.
+// storeCtx is one run's connection to a verdict store: the store it
+// opened, the resolved family fingerprint and the run's rules text, and
+// the activity counters that become the run report's store section.
 type storeCtx struct {
 	st    *store.Store
-	owned bool
 	fam   uint64 // family fingerprint (rules excluded)
 	rules string // the run's rules, rendered once: what the stored text is checked against
-	base  store.Stats
 	rep   obs.StoreReport
 }
 
-// openStoreCtx resolves Options.Store/StorePath into a storeCtx, or nil
-// when neither is set.
+// openStoreCtx opens Options.StorePath into a storeCtx, or returns nil
+// when it is not set.
 func (s *System) openStoreCtx(initC []expr.Bool) (*storeCtx, error) {
-	if s.Opts.Store == nil && s.Opts.StorePath == "" {
+	if s.Opts.StorePath == "" {
 		return nil, nil
 	}
-	if s.Opts.Store != nil && s.Opts.StorePath != "" {
-		return nil, fmt.Errorf("meissa: Store and StorePath are mutually exclusive")
+	st, err := store.Open(s.Opts.StorePath, store.Options{LockWait: s.Opts.StoreWait})
+	if err != nil {
+		return nil, fmt.Errorf("meissa: store: %w", err)
 	}
-	stc := &storeCtx{st: s.Opts.Store, fam: s.familyFingerprint(initC), rules: s.Rules.String()}
-	if stc.st == nil {
-		st, err := store.Open(s.Opts.StorePath, store.Options{LockWait: s.Opts.StoreWait})
-		if err != nil {
-			return nil, fmt.Errorf("meissa: store: %w", err)
-		}
-		stc.st, stc.owned = st, true
-	}
-	if !stc.owned {
-		// An open the run made itself is the run's own, tail recovery and
-		// all; of a caller's store it reports what changed meanwhile.
-		stc.base = stc.st.Stats()
-	}
-	stc.rep.Path = stc.st.Path()
-	return stc, nil
+	return &storeCtx{st: st, fam: s.familyFingerprint(initC), rules: s.Rules.String(), rep: obs.StoreReport{Path: st.Path()}}, nil
 }
 
-// release closes an owned (StorePath-opened) store.
-func (stc *storeCtx) release() {
-	if stc.owned {
-		stc.st.Close()
-	}
-}
+// release closes the store.
+func (stc *storeCtx) release() { stc.st.Close() }
 
 // reconcileRules applies a rule update to the store inside tx: parse the
 // stored rule text, diff it canonically against the run's rules, retire
@@ -187,19 +167,16 @@ func (stc *storeCtx) commit(s *System, recs []journal.Record) error {
 }
 
 // report finalizes the run-report store section with the engine's
-// per-run activity deltas.
+// activity since the run opened the store.
 func (stc *storeCtx) report() *obs.StoreReport {
 	now := stc.st.Stats()
 	r := stc.rep
-	r.Commits = now.Commits - stc.base.Commits
-	r.TailDiscarded = now.TailDiscarded - stc.base.TailDiscarded
-	r.SnapshotReads = now.SnapshotReads - stc.base.SnapshotReads
-	r.FileBytes = now.FileBytes
+	r.Commits, r.TailDiscarded, r.SnapshotReads, r.FileBytes = now.Commits, now.TailDiscarded, now.SnapshotReads, now.FileBytes
 	return &r
 }
 
 // StoreImport folds an existing checkpoint journal into the system's
-// verdict store (Options.Store/StorePath) — the journal→store migration
+// verdict store (Options.StorePath) — the journal→store migration
 // path. The journal must carry this system's fingerprint. One atomic
 // transaction installs the rules (reconciling by delta when the store
 // already holds a different set) and the records.
@@ -213,7 +190,7 @@ func (s *System) StoreImport(journalPath string) (*obs.StoreReport, error) {
 		return nil, err
 	}
 	if stc == nil {
-		return nil, fmt.Errorf("meissa: store import: no Store or StorePath configured")
+		return nil, fmt.Errorf("meissa: store import: no StorePath configured")
 	}
 	defer stc.release()
 	t, err := journal.ReadTable(journalPath, s.identity(initC, stc.rules))
@@ -242,7 +219,7 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 		return nil, err
 	}
 	if stc == nil {
-		return nil, fmt.Errorf("meissa: store export: no Store or StorePath configured")
+		return nil, fmt.Errorf("meissa: store export: no StorePath configured")
 	}
 	defer stc.release()
 	t, err := stc.warm(s)
@@ -288,7 +265,7 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 		return nil, err
 	}
 	if stc == nil {
-		return nil, fmt.Errorf("meissa: store info: no Store or StorePath configured")
+		return nil, fmt.Errorf("meissa: store info: no StorePath configured")
 	}
 	defer stc.release()
 	st := &StoreStatus{
@@ -322,11 +299,11 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 // rules never land separately, so a crash anywhere leaves the store
 // serving either the old baseline or the new one, never a half-updated
 // mix. in.Baseline and in.OldRules are optional (OldRules overrides the
-// stored text when set); in.Opts must carry Store or StorePath.
+// stored text when set); in.Opts must carry StorePath.
 // Checkpoint is optional too: unset, the run keeps its verdicts in memory.
 func RegressStore(in RegressInput) (*RegressResult, error) {
-	if in.Opts.Store == nil && in.Opts.StorePath == "" {
-		return nil, fmt.Errorf("meissa: regress-store: no Store or StorePath configured")
+	if in.Opts.StorePath == "" {
+		return nil, fmt.Errorf("meissa: regress-store: no StorePath configured")
 	}
 	sys, err := New(in.Prog, in.NewRules, in.Specs, in.Opts)
 	if err != nil {
@@ -358,9 +335,9 @@ func RegressStore(in RegressInput) (*RegressResult, error) {
 	// reconcile or commit anything — except that the incremental
 	// generation commits to the context opened here: delta and records in
 	// its one transaction.
-	in.Opts.Store, in.Opts.StorePath = nil, ""
+	in.Opts.StorePath = ""
 	return regressFrom(in, stc, func(uint64) (*journal.Table, error) {
-		// A snapshot's table: concurrent committers cannot tear it.
+		// A snapshot's table, which the commit that follows cannot change.
 		sn := stc.st.Snapshot()
 		defer sn.Close()
 		return sn.Table(stc.fam), nil

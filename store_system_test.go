@@ -16,8 +16,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	meissa "repro"
@@ -439,11 +437,6 @@ func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
 func TestPersistenceOptionsRejected(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	dir := t.TempDir()
-	st, err := store.Open(filepath.Join(t.TempDir(), "open.store"), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	generate := func(o meissa.Options) error {
 		sys, err := meissa.New(p.Prog, p.Rules, nil, o)
 		if err != nil {
@@ -469,9 +462,7 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 		{"Generate: Resume without Checkpoint, with StorePath", generate,
 			func(o *meissa.Options) { o.Resume, o.StorePath = true, filepath.Join(dir, "v.store") }, "meissa: Resume requires Checkpoint"},
 		{"Regress: StorePath", regress,
-			func(o *meissa.Options) { o.StorePath = filepath.Join(dir, "v.store") }, "Store/StorePath not allowed"},
-		{"Regress: Store", regress,
-			func(o *meissa.Options) { o.Store = st }, "Store/StorePath not allowed"},
+			func(o *meissa.Options) { o.StorePath = filepath.Join(dir, "v.store") }, "StorePath not allowed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := meissa.DefaultOptions()
@@ -485,77 +476,6 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 				t.Fatalf("rejected run left %d file(s) behind, first %s", len(ents), ents[0].Name())
 			}
 		})
-	}
-}
-
-// TestStoreWarmSharesTableDuringCommit: a warm start shares the family
-// table of a snapshot with its run's journal instead of copying it, so no
-// commit may change a table a run holds. Here warm generations on the old
-// rules explore from shared tables while a generation on updated rules
-// commits its rule update to the same family, and back, over one open
-// store (run under -race: a write to a shared table is a race). Every
-// run's output equals a cold run on its rules.
-func TestStoreWarmSharesTableDuringCommit(t *testing.T) {
-	p := corpusProgram(t, "gw-1")
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
-	if n == 0 {
-		t.Fatal("nothing to mutate")
-	}
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	generate := func(rs *rules.Set, o meissa.Options) (*meissa.GenResult, error) {
-		sys, err := meissa.New(p.Prog, rs, nil, o)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Generate()
-	}
-	cold := map[*rules.Set]string{}
-	for _, rs := range []*rules.Set{p.Rules, newRules} {
-		gen, err := generate(rs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold[rs] = renderTemplates(gen.Templates)
-	}
-	st, err := store.Open(filepath.Join(t.TempDir(), "verdicts.store"), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	opts.Store = st
-	if _, err := generate(p.Rules, opts); err != nil { // populate
-		t.Fatal(err)
-	}
-
-	const rounds = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, 3*rounds)
-	var warmHits atomic.Uint64
-	for _, rs := range []*rules.Set{p.Rules, p.Rules, newRules} {
-		wg.Add(1)
-		go func(rs *rules.Set) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				gen, err := generate(rs, opts)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := renderTemplates(gen.Templates); got != cold[rs] {
-					errs <- fmt.Errorf("round %d: store-backed output differs from a cold run on its rules", i)
-				}
-				warmHits.Add(gen.JournalHits)
-			}
-		}(rs)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if warmHits.Load() == 0 {
-		t.Error("no run answered anything from the store")
 	}
 }
 
@@ -580,13 +500,8 @@ func TestStoreFileSizeGates(t *testing.T) {
 	}
 	records := func() map[[2]uint64]journal.Record {
 		t.Helper()
-		st, err := store.Open(spath, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
 		opts := meissa.DefaultOptions()
-		opts.Store = st
+		opts.StorePath = spath
 		sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -595,6 +510,11 @@ func TestStoreFileSizeGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		st, err := store.Open(spath, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
 		out := map[[2]uint64]journal.Record{}
 		st.Snapshot().Records(status.Family, func(r journal.Record) bool {
 			out[[2]uint64{uint64(r.Kind), r.Key}] = r
