@@ -145,8 +145,8 @@ func driverReport(rep *driver.Report, target *switchsim.Target, shaken *driver.F
 	return d
 }
 
-// targetReport renders the target's counters, applied tables by rows
-// probed.
+// targetReport renders the target's counters, applied tables by probes
+// (priority depth).
 func targetReport(st switchsim.Stats) *obs.TargetReport {
 	t := &obs.TargetReport{Packets: st.Packets, Instructions: st.Instructions, Drops: st.Drops}
 	for _, ts := range st.Tables {

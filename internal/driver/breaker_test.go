@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rules"
 	"repro/internal/switchsim"
+	"repro/internal/sym"
 )
 
 // crashLink makes every transmission look like a target panic — the
@@ -144,5 +146,63 @@ func TestBreakerDisabledByDefault(t *testing.T) {
 	}
 	if rep.BreakerTripped || rep.ShortCircuited != 0 {
 		t.Fatal("breaker engaged with threshold 0")
+	}
+}
+
+// TestSyncWindowsCloseInSendOrder: on a synchronous link the windows still
+// open after a drain close in transmission order. Closed in the demux
+// map's order, the order cases finalized in — and with it the breaker's
+// crash streak and the payload IDs retransmissions draw — varied from run
+// to run. Here one burst admits every case, a few first attempts crash,
+// and the target captures nothing, so every verdict is a window closing:
+// repeated runs must render the same report, payload IDs included.
+func TestSyncWindowsCloseInSendOrder(t *testing.T) {
+	var want string
+	for run := 0; run < 6; run++ {
+		_, _, templates, d := setup(t, nil)
+		var suite []*sym.Template
+		for len(suite)+len(templates) <= DefaultWindow {
+			suite = append(suite, templates...)
+		}
+		// TableMissDefault leaves host without its rule, so nothing is
+		// captured. The first attempts of four predicted forwards and two
+		// predicted drops crash: the forwards end Fail, crashed, four in a
+		// row — enough to trip the breaker — and the drops Flaky.
+		faults := switchsim.Faults{switchsim.TableMissDefault{Table: "host"}}
+		forwards, drops := 0, 0
+		for i, tpl := range suite {
+			if !tpl.Dropped && forwards < 4 {
+				forwards++
+			} else if tpl.Dropped && drops < 2 {
+				drops++
+			} else {
+				continue
+			}
+			faults = append(faults, switchsim.CrashOnPacket{N: uint64(i + 1)})
+		}
+		target, err := switchsim.Compile(d.Prog, rules.MustParse("table host {\n ipv4.dstAddr=10.0.0.1 -> fwd(3);\n}"), faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Link = NewLoopback(target)
+		d.Retries = 1
+		d.Backoff = time.Millisecond
+		d.BreakerThreshold = 3
+		rep, err := d.RunTemplates(suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := renderReport(rep, true)
+		if run == 0 {
+			if !rep.BreakerTripped || rep.Failed != 4 || rep.Flaky != 2 || rep.Lost == 0 {
+				t.Fatalf("%d cases: %s, breaker tripped %v: want 4 crashed forwards failing, 2 crashed drops flaky and the breaker tripped",
+					len(suite), rep.Summary(), rep.BreakerTripped)
+			}
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("run %d renders a different report\n--- run 0 ---\n%s--- run %d ---\n%s", run, want, run, got)
+		}
 	}
 }

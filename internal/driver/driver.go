@@ -401,9 +401,17 @@ type concretized struct {
 	specs      []*spec.Spec
 }
 
+// stampedCase is a case and its packets, allocated together.
+type stampedCase struct {
+	c       Case
+	in, exp packet.Packet
+}
+
 // concretizeFast is Concretize through the per-template cache; the
 // engine's admission and retransmission paths use it. It also returns
-// the cache entry the checker reads.
+// the cache entry the checker reads. A case costs two allocations: the
+// case with its input and expected packets, and the wire, which ends in
+// the ID trailer that both packets' payloads are.
 func (d *Driver) concretizeFast(t *sym.Template, id uint64) (*Case, *concretized, error) {
 	cc, ok := d.tmplCache[t]
 	if !ok {
@@ -416,20 +424,20 @@ func (d *Driver) concretizeFast(t *sym.Template, id uint64) (*Case, *concretized
 	if cc.err != nil {
 		return nil, nil, cc.err
 	}
-	c := &Case{Template: t, ID: id, Entry: cc.entry, SkipReason: cc.skip}
 	if cc.skip != "" {
-		return c, cc, nil
+		return &Case{Template: t, ID: id, Entry: cc.entry, SkipReason: cc.skip}, cc, nil
 	}
-	pl := packet.WithID(id)
-	c.Input = &packet.Packet{Headers: cc.inHeaders, Payload: pl}
-	wire := make([]byte, 0, len(cc.headerWire)+len(pl))
-	wire = append(wire, cc.headerWire...)
-	wire = append(wire, pl...)
-	c.Wire = wire
+	s := &stampedCase{c: Case{Template: t, ID: id, Entry: cc.entry}}
+	n := len(cc.headerWire)
+	s.c.Wire = packet.AppendID(append(make([]byte, 0, n+12), cc.headerWire...), id)
+	pl := s.c.Wire[n:]
+	s.in = packet.Packet{Headers: cc.inHeaders, Payload: pl}
+	s.c.Input = &s.in
 	if cc.exp != nil {
-		c.Expected = &packet.Packet{Headers: cc.expHeaders, Payload: pl}
+		s.exp = packet.Packet{Headers: cc.expHeaders, Payload: pl}
+		s.c.Expected = &s.exp
 	}
-	return c, cc, nil
+	return &s.c, cc, nil
 }
 
 func (d *Driver) buildConcretized(t *sym.Template) *concretized {

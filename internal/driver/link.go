@@ -7,6 +7,7 @@
 package driver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -53,10 +54,13 @@ type SyncLink interface {
 type Loopback struct {
 	target *switchsim.Target
 	mu     sync.Mutex
-	// queue[head:] are the captures not yet delivered. A delivered slot is
-	// nilled so the queue never pins a wire its receiver already has, and
-	// a drained queue rewinds to reuse its backing array from the start.
-	queue [][]byte
+	// The undelivered captures lie back to back in arena, the target
+	// deparsing straight into it: capture i ends at ends[i] and starts
+	// where capture i-1 ends (at 0 for the first). ends[head:] are not yet
+	// delivered. A delivery copies out, and a drained queue rewinds both
+	// to reuse them from the start, so a steady stream allocates nothing.
+	arena []byte
+	ends  []int
 	head  int
 }
 
@@ -72,34 +76,37 @@ func (l *Loopback) Synchronous() bool { return true }
 func (l *Loopback) Send(entry int, wire []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	res, err := l.target.InjectQuietWire(entry, wire)
-	if err != nil {
+	out, dropped, err := l.target.InjectQuietAppend(l.arena, entry, wire)
+	if err != nil || dropped {
 		return err
 	}
-	if !res.Dropped {
-		l.queue = append(l.queue, res.Wire)
-	}
+	l.arena = out
+	l.ends = append(l.ends, len(out))
 	return nil
 }
 
-// Recv implements Link.
+// Recv implements Link: the capture is a copy the caller owns.
 func (l *Loopback) Recv(timeout time.Duration) ([]byte, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out, ok := l.pop()
-	return out, ok, nil
+	return bytes.Clone(out), ok, nil
 }
 
-// pop takes the oldest undelivered capture off the queue.
+// pop takes the oldest undelivered capture off the queue. What it returns
+// aliases the arena: copy it out before the lock is released.
 func (l *Loopback) pop() ([]byte, bool) {
-	if l.head == len(l.queue) {
+	if l.head == len(l.ends) {
 		return nil, false
 	}
-	out := l.queue[l.head]
-	l.queue[l.head] = nil
+	start := 0
+	if l.head > 0 {
+		start = l.ends[l.head-1]
+	}
+	out := l.arena[start:l.ends[l.head]]
 	l.head++
-	if l.head == len(l.queue) {
-		l.queue, l.head = l.queue[:0], 0
+	if l.head == len(l.ends) {
+		l.arena, l.ends, l.head = l.arena[:0], l.ends[:0], 0
 	}
 	return out, true
 }

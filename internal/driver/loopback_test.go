@@ -1,15 +1,17 @@
 package driver
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/switchsim"
 )
 
-// A delivered capture must not stay reachable from the loopback's queue,
-// and the queue must keep reusing one small backing array however long
-// the run: popping by reslicing the front pinned every delivered wire
-// until the next regrowth and gave a slot of capacity away per pop.
+// The loopback's captures live in one arena that the target deparses into
+// and a drained queue rewinds: a round of sends and RecvInto allocates
+// nothing once the arena has grown, the arena's capacity stays that of
+// one burst however long the run, and each capture comes back intact —
+// Recv's as a copy of its own, which later sends must not overwrite.
 func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 	e := exploreGW1(t)
 	target, err := switchsim.Compile(e.prog, e.rules, nil)
@@ -17,14 +19,18 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := New(e.prog, e.graph, nil, nil)
-	var wires [][]byte
+	var wires, want [][]byte
 	for i, tpl := range e.templates {
 		c, err := d.Concretize(tpl, uint64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.SkipReason == "" && c.Expected != nil {
-			wires = append(wires, c.Wire)
+			res, err := target.InjectQuietWire(c.Entry, c.Wire)
+			if err != nil || res.Dropped {
+				t.Fatalf("case %d: %v, dropped %v", i, err, res != nil && res.Dropped)
+			}
+			wires, want = append(wires, c.Wire), append(want, res.Wire)
 		}
 	}
 	if len(wires) < 3 {
@@ -35,6 +41,7 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 	const burst = 3
 	next := 0
 	round := func() {
+		first := next
 		for i := 0; i < burst; i++ {
 			if err := l.Send(0, wires[next%len(wires)]); err != nil {
 				t.Fatal(err)
@@ -42,31 +49,49 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 			next++
 		}
 		for i := 0; i < burst; i++ {
-			var ok bool
-			if i%2 == 0 {
-				_, ok, _ = l.RecvInto(buf, 0)
-			} else {
-				_, ok, _ = l.Recv(0)
-			}
-			if !ok {
-				t.Fatalf("capture %d of a burst of %d missing", i, burst)
+			n, ok, _ := l.RecvInto(buf, 0)
+			if w := want[(first+i)%len(want)]; !ok || !bytes.Equal(buf[:n], w) {
+				t.Fatalf("capture %d of a burst of %d: %x (%v), want %x", i, burst, buf[:n], ok, w)
 			}
 		}
 	}
-	// What a round allocates is the target's: a Result and a wire per
-	// packet. The queue itself must add nothing once it has grown.
-	if allocs := testing.AllocsPerRun(10000, round); allocs != 2*burst {
-		t.Errorf("%.2f allocations a round of %d packets, want %d: the queue is regrowing", allocs, burst, 2*burst)
+	round() // the arena grows to a burst
+	if allocs := testing.AllocsPerRun(10000, round); allocs != 0 {
+		t.Errorf("%.2f allocations a round of %d packets, want 0", allocs, burst)
 	}
 	if _, ok, _ := l.Recv(0); ok {
 		t.Fatal("a drained queue delivered a capture")
 	}
-	if c := cap(l.queue); c > 2*burst {
-		t.Errorf("queue capacity %d after 10000 rounds of %d, want one small reused array", c, burst)
+	if len(l.arena) != 0 || len(l.ends) != 0 || l.head != 0 {
+		t.Fatalf("a drained queue did not rewind: arena %d bytes, %d ends, head %d", len(l.arena), len(l.ends), l.head)
 	}
-	for i, w := range l.queue[:cap(l.queue)] {
-		if w != nil {
-			t.Errorf("queue slot %d still holds a delivered %d-byte capture", i, len(w))
+	widest := 0
+	for _, w := range want {
+		widest = max(widest, len(w))
+	}
+	if c := cap(l.arena); c > 2*burst*widest {
+		t.Errorf("arena capacity %d after 10000 rounds of %d captures of at most %d bytes, want one small reused arena", c, burst, widest)
+	}
+
+	// Recv hands out a copy: the sends that refill the arena leave it be.
+	first := next
+	for i := 0; i < burst; i++ {
+		if err := l.Send(0, wires[(first+i)%len(wires)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [][]byte
+	for i := 0; i < burst; i++ {
+		w, ok, _ := l.Recv(0)
+		if !ok {
+			t.Fatalf("capture %d of a burst of %d missing", i, burst)
+		}
+		got = append(got, w)
+	}
+	round()
+	for i, w := range got {
+		if !bytes.Equal(w, want[(first+i)%len(want)]) {
+			t.Errorf("Recv capture %d changed after later sends: %x", i, w)
 		}
 	}
 }

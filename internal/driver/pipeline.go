@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -181,6 +182,7 @@ type engine struct {
 	// to a superseded attempt and is dropped.
 	idMap   map[uint64]*pcase
 	free    []*pcase
+	burst   []*pcase // reused: one admission burst's cases (admit)
 	scratch []*pcase // reused iteration buffer (closeSyncWindows)
 	routed  []routed // reused: one drain's decoded captures, awaiting the checker
 	outs    []*Outcome
@@ -290,16 +292,10 @@ func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template)
 		// 1. Admission burst: top the window up, one send per case. A
 		// tripped breaker short-circuits the whole remainder instead
 		// (short-circuited cases hold no window slot).
-		d.startClock()
-		for next < len(templates) && (eng.rep.BreakerTripped || eng.inflight < window) {
-			if eng.rep.BreakerTripped {
-				if err := eng.shortCircuit(templates[next], next); err != nil {
-					return nil, err
-				}
-			} else if err := eng.admit(templates[next], next); err != nil {
-				return nil, err
-			}
-			next++
+		if took, err := eng.admit(templates, next, window); err != nil {
+			return nil, err
+		} else if took > 0 {
+			next += took
 			progress = true
 		}
 		// 2. Drain every capture already available.
@@ -389,76 +385,93 @@ func (eng *engine) putPcase(pc *pcase) {
 	eng.free = append(eng.free, pc)
 }
 
-// admit concretizes one template and transmits its first attempt.
-func (eng *engine) admit(t *sym.Template, idx int) error {
+// admit tops the window up from templates[next:] and returns how many
+// templates it took. It runs in stages, each timed by one clock reading:
+// concretize the burst, then send it, then open the capture windows. A
+// window opens from the reading after the last send, so none closes
+// earlier than if each case read the clock after its own send.
+func (eng *engine) admit(templates []*sym.Template, next, window int) (int, error) {
 	d := eng.d
-	c, cc, err := d.concretizeFast(t, d.allocID())
-	if err != nil {
-		return err
+	d.startClock()
+	burst := eng.burst[:0]
+	i := next
+	for ; i < len(templates) && (eng.rep.BreakerTripped || eng.inflight+len(burst) < window); i++ {
+		c, cc, err := d.concretizeFast(templates[i], d.allocID())
+		switch {
+		case err != nil:
+			return 0, err
+		case c.SkipReason != "":
+			eng.skips[i] = c
+			eng.rep.Skipped++
+			mCasesSkipped.Inc()
+			eng.done++
+		case eng.rep.BreakerTripped:
+			eng.shortCircuit(i, c)
+		default:
+			pc := eng.getPcase()
+			pc.idx, pc.tmpl, pc.cc, pc.cur = i, templates[i], cc, c
+			burst = append(burst, pc)
+		}
 	}
 	now := d.lap(&d.phases.Concretize)
-	if c.SkipReason != "" {
-		eng.skips[idx] = c
-		eng.rep.Skipped++
-		mCasesSkipped.Inc()
-		eng.done++
-		return nil
+	sent := burst[:0]
+	for _, pc := range burst {
+		if eng.rep.BreakerTripped { // a crash earlier in this burst tripped it
+			eng.shortCircuit(pc.idx, pc.cur)
+			eng.putPcase(pc)
+			continue
+		}
+		pc.last = nil
+		pc.attempt = 0
+		pc.backoff = d.Backoff
+		if pc.backoff <= 0 {
+			pc.backoff = time.Millisecond
+		}
+		pc.start = now
+		pc.deadline = pc.start.Add(d.caseBudget())
+		pc.observed, pc.crashed = false, false
+		eng.inflight++
+		if eng.transmit(pc) {
+			sent = append(sent, pc)
+		}
 	}
-	pc := eng.getPcase()
-	pc.idx = idx
-	pc.tmpl = t
-	pc.cc = cc
-	pc.cur = c
-	pc.last = nil
-	pc.attempt = 0
-	pc.backoff = d.Backoff
-	if pc.backoff <= 0 {
-		pc.backoff = time.Millisecond
+	now = d.lap(&d.phases.Send)
+	for _, pc := range sent {
+		eng.openWindow(pc, now)
 	}
-	pc.start = now
-	pc.deadline = pc.start.Add(d.caseBudget())
-	pc.observed, pc.crashed = false, false
-	eng.inflight++
-	eng.send(pc)
-	return nil
+	clear(burst)
+	eng.burst = burst[:0]
+	return i - next, nil
 }
 
-// shortCircuit records a template's case as Lost without transmitting
-// it: the crash breaker decided the target is gone, so burning the full
-// retry budget per case would only stall the suite.
-func (eng *engine) shortCircuit(t *sym.Template, idx int) error {
-	d := eng.d
-	c, _, err := d.concretizeFast(t, d.allocID())
-	if err != nil {
-		return err
-	}
-	d.lap(&d.phases.Concretize)
-	if c.SkipReason != "" {
-		eng.skips[idx] = c
-		eng.rep.Skipped++
-		mCasesSkipped.Inc()
-		eng.done++
-		return nil
-	}
+// shortCircuit records a case as Lost without transmitting it: the crash
+// breaker decided the target is gone, so burning the full retry budget
+// per case would only stall the suite.
+func (eng *engine) shortCircuit(idx int, c *Case) {
 	eng.outs[idx] = &Outcome{Case: c, Verdict: VerdictLost, ShortCircuited: true, Absent: true}
 	eng.rep.Lost++
 	mCasesLost.Inc()
 	eng.rep.ShortCircuited++
 	mShortCircuited.Inc()
 	eng.done++
-	return nil
 }
 
-// send transmits the case's current attempt and opens its capture
-// window. A send error fails the attempt immediately without a capture
-// window and without running the checker. Link-level errors are attempt
-// failures (retried), not run aborts: resilience against a noisy harness
-// is the point.
+// send transmits a retransmission and opens its capture window.
 func (eng *engine) send(pc *pcase) {
-	d := eng.d
+	ok := eng.transmit(pc)
+	now := eng.d.lap(&eng.d.phases.Send)
+	if ok {
+		eng.openWindow(pc, now)
+	}
+}
+
+// transmit sends the case's current attempt. A send error fails the
+// attempt immediately without a capture window and without running the
+// checker. Link-level errors are attempt failures (retried), not run
+// aborts: resilience against a noisy harness is the point.
+func (eng *engine) transmit(pc *pcase) bool {
 	c := pc.cur
-	err := d.Link.Send(c.Entry, c.Wire)
-	now := d.lap(&d.phases.Send)
+	err := eng.d.Link.Send(c.Entry, c.Wire)
 	if err != nil {
 		o := &Outcome{Case: c}
 		var ce *switchsim.CrashError
@@ -470,16 +483,21 @@ func (eng *engine) send(pc *pcase) {
 		}
 		o.Absent = true
 		eng.attemptDone(pc, o)
-		return
+		return false
 	}
 	pc.seq = eng.seq
 	eng.seq++
+	return true
+}
+
+// openWindow opens a transmitted case's capture window as of now.
+func (eng *engine) openWindow(pc *pcase, now time.Time) {
 	pc.state = psAwaiting
-	pc.recvBy = now.Add(d.RecvTimeout)
+	pc.recvBy = now.Add(eng.d.RecvTimeout)
 	if pc.recvBy.After(pc.deadline) {
 		pc.recvBy = pc.deadline
 	}
-	eng.idMap[c.ID] = pc
+	eng.idMap[pc.cur.ID] = pc
 	eng.awaiting++
 	eng.wheel.insert(pc, pc.recvBy)
 }
@@ -731,7 +749,10 @@ func (eng *engine) chargeRecvError(err error) {
 }
 
 // closeSyncWindows ends every open capture window: on a synchronous link
-// a capture that has not arrived after a full drain never will.
+// a capture that has not arrived after a full drain never will. Windows
+// close in transmission order, not the demux map's, so the order cases
+// finalize in — and with it the breaker's crash streak and the payload
+// IDs their retransmissions draw — is the same on every run.
 func (eng *engine) closeSyncWindows() bool {
 	if eng.awaiting == 0 {
 		return false
@@ -740,6 +761,7 @@ func (eng *engine) closeSyncWindows() bool {
 	for _, pc := range eng.idMap {
 		eng.scratch = append(eng.scratch, pc)
 	}
+	slices.SortFunc(eng.scratch, func(a, b *pcase) int { return cmp.Compare(a.seq, b.seq) })
 	eng.d.startClock()
 	for _, pc := range eng.scratch {
 		if pc.state == psAwaiting {

@@ -189,13 +189,13 @@ type TargetReport struct {
 	Packets      uint64 `json:"packets"`
 	Instructions uint64 `json:"instructions"`
 	Drops        uint64 `json:"drops"`
-	// Tables lists every table that was applied, by rows probed, most
-	// first.
+	// Tables lists every table that was applied, by probes, most first.
 	Tables []TargetTable `json:"tables,omitempty"`
 }
 
-// TargetTable is one table's lookups: a probe is one installed row
-// examined.
+// TargetTable is one table's lookups. Probes is the priority depth of
+// the hit rows — i+1 for a hit on row i, every row for a miss — a property
+// of the program and the rules, not a count of rows the target examined.
 type TargetTable struct {
 	Name     string `json:"name"`
 	Applies  uint64 `json:"applies"`

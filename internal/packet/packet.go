@@ -88,11 +88,11 @@ func PayloadID(payload []byte) (uint64, bool) {
 }
 
 // WithID returns a 12-byte payload carrying the magic and the ID.
-func WithID(id uint64) []byte {
-	buf := make([]byte, 12)
-	binary.BigEndian.PutUint32(buf[:4], Magic)
-	binary.BigEndian.PutUint64(buf[4:12], id)
-	return buf
+func WithID(id uint64) []byte { return AppendID(make([]byte, 0, 12), id) }
+
+// AppendID appends the 12-byte payload carrying the magic and the ID.
+func AppendID(b []byte, id uint64) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(b, Magic), id)
 }
 
 // String renders the packet compactly.
@@ -115,6 +115,14 @@ func (p *Packet) String() string {
 // PutBits writes the low width bits of v MSB-first at bit offset off.
 // The destination bits must be zero and inside buf.
 func PutBits(buf []byte, off int, v uint64, width int) {
+	if off&7 == 0 && width&7 == 0 { // whole bytes: no shifting within one
+		b := buf[off>>3 : (off+width)>>3]
+		for i := len(b) - 1; i >= 0; i-- {
+			b[i] = byte(v)
+			v >>= 8
+		}
+		return
+	}
 	for width > 0 {
 		free := 8 - off&7 // bits left in the current byte
 		n := min(free, width)
@@ -129,6 +137,12 @@ func PutBits(buf []byte, off int, v uint64, width int) {
 // be inside buf.
 func ReadBits(buf []byte, off, width int) uint64 {
 	var v uint64
+	if off&7 == 0 && width&7 == 0 { // whole bytes
+		for _, c := range buf[off>>3 : (off+width)>>3] {
+			v = v<<8 | uint64(c)
+		}
+		return v
+	}
 	for width > 0 {
 		avail := 8 - off&7 // unread bits of the current byte
 		n := min(avail, width)

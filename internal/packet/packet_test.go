@@ -183,6 +183,44 @@ func TestBitPackingRoundTrip(t *testing.T) {
 	}
 }
 
+// PutBits and ReadBits agree with a bit-at-a-time model at every offset
+// and width, the whole-byte fast path included; PutBits leaves the bits
+// around the field alone.
+func TestBitsMatchBitAtATime(t *testing.T) {
+	f := func(v uint64, fill byte) bool {
+		for off := 0; off < 24; off++ {
+			for width := 1; width <= 64; width++ {
+				want := make([]byte, 12)
+				for i := 0; i < width; i++ {
+					if v>>(width-1-i)&1 == 1 {
+						want[(off+i)>>3] |= 0x80 >> ((off + i) & 7)
+					}
+				}
+				got := make([]byte, 12)
+				PutBits(got, off, v, width)
+				if string(got) != string(want) {
+					return false
+				}
+				// Reading back, over neighbouring bits that are set.
+				for i := range want {
+					want[i] |= fill
+				}
+				for i := 0; i < width; i++ {
+					want[(off+i)>>3] &^= 0x80 >> ((off + i) & 7)
+				}
+				PutBits(want, off, v, width)
+				if ReadBits(want, off, width) != v&(^uint64(0)>>(64-width)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestFromStateEmitsValidHeadersInOrder(t *testing.T) {
 	pr := prog(t)
 	st := expr.State{

@@ -125,12 +125,15 @@ type entryPlan struct {
 
 // tblPlan is a table as the machine applies it: key slots, and the
 // installed entries in priority order. cells holds the match rows
-// entry-major, len(keys) cells a row, aligned to the key order.
+// entry-major, len(keys) cells a row, aligned to the key order; groups
+// and ranged are the row index (index.go) that finds the hit among them.
 type tblPlan struct {
-	name  string
-	keys  []int32
-	cells []cell
-	ents  []entryPlan
+	name   string
+	keys   []int32
+	cells  []cell
+	ents   []entryPlan
+	groups []maskGroup // ascending by lowest row
+	ranged []int32     // rows with a range cell, ascending
 	// miss is the default action's call sequence (its arguments are
 	// expressions); missName names it in traces.
 	miss     []instr
@@ -506,6 +509,7 @@ func (c *compiler) table(d *p4.TableDecl, rs *rules.Set) *tblPlan {
 			ep.args[k] = expr.Width(p.Width).Trunc(en.Args[k])
 		}
 	}
+	t.buildIndex(widths)
 	return t
 }
 

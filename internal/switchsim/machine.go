@@ -187,21 +187,16 @@ func (m *machine) exec(code []instr, frame []uint64) int32 {
 
 // apply is the match-action lookup: the first row in priority order that
 // covers every key wins, otherwise the default action runs. The key
-// values are loaded once; a probe is one row examined.
+// values are loaded once and the row index finds the hit. Probes are
+// charged as priority depth — i+1 for a hit on row i, every row for a
+// miss — a property of the program and the rules, not of the lookup.
 func (m *machine) apply(t *tblPlan) int32 {
-	nk := len(t.keys)
-	kv := m.keys[:nk]
+	kv := m.keys[:len(t.keys)]
 	for j, s := range t.keys {
 		kv[j] = m.slots[s]
 	}
 	t.stats.Applies++
-rows:
-	for i := range t.ents {
-		for j, c := range t.cells[i*nk : (i+1)*nk] {
-			if !c.covers(kv[j]) {
-				continue rows
-			}
-		}
+	if i := t.lookup(kv); int(i) < len(t.ents) {
 		e := &t.ents[i]
 		t.stats.Probes += uint64(i + 1)
 		t.stats.Hits++
@@ -300,9 +295,10 @@ func (m *machine) parse(p *parserLow, wire []byte) (payload []byte, ok bool) {
 	return nil, true
 }
 
-// deparse serializes the exit state: every header whose validity slot is
-// set, in declaration order, then the payload.
-func (m *machine) deparse(payload []byte) ([]byte, error) {
+// deparse appends the exit state to dst: every header whose validity slot
+// is set, in declaration order, then the payload. On error dst comes back
+// as it was.
+func (m *machine) deparse(dst, payload []byte) ([]byte, error) {
 	bits := 0
 	for i := range m.t.hdrs {
 		if h := &m.t.hdrs[i]; m.slots[h.valid] == 1 {
@@ -310,9 +306,12 @@ func (m *machine) deparse(payload []byte) ([]byte, error) {
 		}
 	}
 	if bits%8 != 0 {
-		return nil, fmt.Errorf("packet: headers not byte-aligned (%d bits)", bits)
+		return dst, fmt.Errorf("packet: headers not byte-aligned (%d bits)", bits)
 	}
-	out := make([]byte, bits/8+len(payload))
+	n := len(dst)
+	dst = slices.Grow(dst, bits/8+len(payload))[:n+bits/8]
+	hdr := dst[n:]
+	clear(hdr) // PutBits ORs into place
 	off := 0
 	for i := range m.t.hdrs {
 		h := &m.t.hdrs[i]
@@ -320,10 +319,9 @@ func (m *machine) deparse(payload []byte) ([]byte, error) {
 			continue
 		}
 		for i, f := range h.decl.Fields {
-			packet.PutBits(out, off, m.slots[int(h.valid)+1+i], f.Width)
+			packet.PutBits(hdr, off, m.slots[int(h.valid)+1+i], f.Width)
 			off += f.Width
 		}
 	}
-	copy(out[bits/8:], payload)
-	return out, nil
+	return append(dst, payload...), nil
 }

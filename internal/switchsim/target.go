@@ -145,33 +145,52 @@ type Result struct {
 // is: one packet crashing the pipeline must not take the whole target
 // down.
 func (t *Target) Inject(entryIdx int, wire []byte) (*Result, error) {
-	return t.run(entryIdx, wire, true)
+	res := &Result{}
+	if _, _, err := t.run(entryIdx, wire, res, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// InjectQuietWire is the line-rate Inject: the same lowered program runs
-// with no trace recorded, and the exit state is serialized straight to
-// wire bytes in Result.Wire. A steady stream of packets allocates the
-// Result and that wire, nothing else. Output, drop and crash behaviour,
-// register side effects and fault injection are Inject's.
+// InjectQuietAppend is the line-rate Inject: the same lowered program
+// runs with no trace recorded, and the exit state is deparsed straight to
+// wire bytes appended to dst. It returns the extended buffer, or dst as
+// it was when the packet is dropped or fails; a steady stream of packets
+// into a buffer with room allocates nothing. Output, drop and crash
+// behaviour, register side effects and fault injection are Inject's.
+func (t *Target) InjectQuietAppend(dst []byte, entryIdx int, wire []byte) (out []byte, dropped bool, err error) {
+	return t.run(entryIdx, wire, nil, dst)
+}
+
+// InjectQuietWire is InjectQuietAppend into a fresh buffer, the emitted
+// wire in Result.Wire.
 func (t *Target) InjectQuietWire(entryIdx int, wire []byte) (*Result, error) {
-	return t.run(entryIdx, wire, false)
+	out, dropped, err := t.InjectQuietAppend(nil, entryIdx, wire)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Wire: out, Dropped: dropped}, nil
 }
 
-func (t *Target) run(entryIdx int, wire []byte, tracing bool) (res *Result, err error) {
+// run processes one packet. A traced run (res non-nil) records into res
+// and decodes the emitted packet into res.Output; a quiet one appends the
+// emitted wire to dst.
+func (t *Target) run(entryIdx int, wire []byte, res *Result, dst []byte) (out []byte, dropped bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, &CrashError{Panic: fmt.Sprint(r)}
+			out, dropped, err = dst, false, &CrashError{Panic: fmt.Sprint(r)}
 		}
 	}()
 	if entryIdx < 0 || entryIdx >= len(t.entries) {
-		return nil, fmt.Errorf("switchsim: entry %d out of range [0,%d)", entryIdx, len(t.entries))
+		return dst, false, fmt.Errorf("switchsim: entry %d out of range [0,%d)", entryIdx, len(t.entries))
 	}
 	t.packets++
 	for _, n := range t.crashOn {
 		if n == t.packets {
-			return nil, &CrashError{Panic: fmt.Sprintf("injected crash on packet %d", n)}
+			return dst, false, &CrashError{Panic: fmt.Sprintf("injected crash on packet %d", n)}
 		}
 	}
+	tracing := res != nil
 	m := &t.m
 	m.tracing, m.trace = tracing, nil
 	m.params = m.params[:0]
@@ -179,18 +198,17 @@ func (t *Target) run(entryIdx int, wire []byte, tracing bool) (res *Result, err 
 	// semantics; register cells, past the per-packet prefix, persist.
 	clear(m.slots[:t.vars.PerPacket()])
 
-	res = &Result{}
 	cur := t.entries[entryIdx]
 	payload := wire
 	if p := t.pipes[cur].parser; p != nil {
 		var ok bool
 		if payload, ok = m.parse(p, wire); !ok {
-			return t.dropped(res), nil
+			return t.dropped(res, dst)
 		}
 	}
 	for _, g := range t.crashWhen {
 		if m.slots[g.valid] == 1 && m.slots[g.field] == g.f.Value {
-			return nil, &CrashError{Panic: fmt.Sprintf("injected crash: %s.%s == %d", g.f.Header, g.f.Field, g.f.Value)}
+			return dst, false, &CrashError{Panic: fmt.Sprintf("injected crash: %s.%s == %d", g.f.Header, g.f.Field, g.f.Value)}
 		}
 	}
 
@@ -198,7 +216,7 @@ func (t *Target) run(entryIdx int, wire []byte, tracing bool) (res *Result, err 
 	// once; one that has not reached exit by then never will.
 	for hop := 0; cur != retExit; hop++ {
 		if hop == len(t.pipes) {
-			return nil, fmt.Errorf("switchsim: route did not reach exit after %d pipelines", hop)
+			return dst, false, fmt.Errorf("switchsim: route did not reach exit after %d pipelines", hop)
 		}
 		pl := &t.pipes[cur]
 		m.pipe = pl.decl.Name
@@ -214,36 +232,32 @@ func (t *Target) run(entryIdx int, wire []byte, tracing bool) (res *Result, err 
 				// Lost: a target behaviour the checker flags as absent.
 				m.tracef("no traffic manager edge matched from %s; packet lost", m.pipe)
 			}
-			return t.dropped(res), nil
+			return t.dropped(res, dst)
 		}
 	}
 
 	if !tracing {
-		res.Wire, err = m.deparse(payload)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
+		out, err = m.deparse(dst, payload)
+		return out, false, err
 	}
 	t.traced(res)
 	res.Output = packet.FromState(t.prog, res.Final, payload)
-	return res, nil
+	return dst, false, nil
 }
 
-// dropped finishes the result of a packet that produced no output.
-func (t *Target) dropped(res *Result) *Result {
+// dropped finishes a packet that produced no output.
+func (t *Target) dropped(res *Result, dst []byte) ([]byte, bool, error) {
 	t.drops++
-	res.Dropped = true
-	t.traced(res)
-	return res
+	if res != nil {
+		res.Dropped = true
+		t.traced(res)
+	}
+	return dst, true, nil
 }
 
 // traced hands a traced run's records to its result: the trace lines and
 // the per-packet slots as a named state.
 func (t *Target) traced(res *Result) {
-	if !t.m.tracing {
-		return
-	}
 	res.Trace = t.m.trace
 	res.Final = make(expr.State, t.vars.PerPacket())
 	for s := 0; s < t.vars.PerPacket(); s++ {
@@ -251,8 +265,10 @@ func (t *Target) traced(res *Result) {
 	}
 }
 
-// TableStats counts one table's lookups since Compile. A probe is one
-// installed row examined: a hit on row i costs i+1, a miss all of them.
+// TableStats counts one table's lookups since Compile. Probes is the
+// priority depth of the hit row — i+1 for a hit on row i, every installed
+// row for a miss — what a first-match scan would examine: a property of
+// the program and the rules, not a count of rows the row index examined.
 type TableStats struct {
 	Name     string
 	Applies  uint64
