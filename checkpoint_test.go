@@ -6,7 +6,9 @@ package meissa_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/journal"
 	"repro/internal/programs"
+	"repro/internal/rulediff"
 	"repro/internal/sym"
 )
 
@@ -216,11 +219,10 @@ func TestTruncatedJournalResume(t *testing.T) {
 }
 
 // TestResumedJournalByteIdentical: a sequential run appends its verdict
-// and dependency-index records in DFS order, so a run resumed from a
-// prefix of a journal (cut at a record-pair boundary) must re-derive
-// exactly the missing suffix — same keys, same verdicts, same models, and
-// the same dependency lists on the index records — leaving a file
-// byte-identical to the uninterrupted run's.
+// records in DFS order, so a run resumed from a prefix of a journal (cut
+// at a record boundary) must re-derive exactly the missing suffix — same
+// keys, same verdicts, same models, and the same dependency lists —
+// leaving a file byte-identical to the uninterrupted run's.
 func TestResumedJournalByteIdentical(t *testing.T) {
 	for _, name := range []string{"Router", "gw-1", "gw-2"} {
 		t.Run(name, func(t *testing.T) {
@@ -232,26 +234,23 @@ func TestResumedJournalByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Walk the frames (4-byte length, payload, 4-byte CRC) to the
-			// first boundary past the middle that follows an index record.
-			cut, indexes, tagged := 0, 0, 0
-			for off := 0; off < len(want); {
+			// first boundary past the middle.
+			cut, records, tagged := 0, 0, 0
+			for off := 0; off < len(want); records++ {
 				rec, ok := journal.UnmarshalRecord(want[off:])
 				if !ok {
 					t.Fatalf("journal does not parse at offset %d", off)
 				}
 				off += len(journal.MarshalRecord(rec))
-				if rec.Kind == journal.KindIndex {
-					indexes++
-					if len(rec.Tables) > 0 {
-						tagged++
-					}
-					if cut == 0 && off > len(want)/2 {
-						cut = off
-					}
+				if len(rec.Tables) > 0 {
+					tagged++
+				}
+				if cut == 0 && off > len(want)/2 {
+					cut = off
 				}
 			}
 			if tagged == 0 || cut == 0 || cut == len(want) {
-				t.Fatalf("vacuous journal: %d index records, %d with tags, cut at %d of %d", indexes, tagged, cut, len(want))
+				t.Fatalf("vacuous journal: %d records, %d with tags, cut at %d of %d", records, tagged, cut, len(want))
 			}
 			if err := os.WriteFile(jpath, want[:cut], 0o644); err != nil {
 				t.Fatal(err)
@@ -394,5 +393,109 @@ func TestBudgetSupersetRouter(t *testing.T) {
 	if limited.SMTUnknowns == 0 || limited.SMTBudgetExhausted == 0 {
 		t.Errorf("budget run reported no unknowns (unknowns=%d budget=%d)",
 			limited.SMTUnknowns, limited.SMTBudgetExhausted)
+	}
+}
+
+// writeOldCheckpoint writes a checkpoint of p under fp in the format of
+// earlier releases, MEISSAJ1: the header, then a verdict frame and a frame
+// of kind 3 holding its tags.
+func writeOldCheckpoint(t *testing.T, path string, fp uint64) []byte {
+	t.Helper()
+	hdr := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})
+	payload := append([]byte(nil), hdr[4:len(hdr)-4]...)
+	copy(payload[len(payload)-len("MEISSAJ1"):], "MEISSAJ1")
+	data := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	data = binary.LittleEndian.AppendUint32(append(data, payload...), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	data = append(data, journal.MarshalRecord(journal.Record{Kind: journal.KindCheck, Key: 1, Verdict: journal.Sat})...)
+	data = append(data, journal.MarshalRecord(journal.Record{Kind: 3, Key: 1, Verdict: journal.Verdict(journal.KindCheck), Tables: []string{"t#miss"}})...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// refusesOldCheckpoint checks that err refuses the MEISSAJ1 checkpoint at
+// path by name and names the way out, and that the file is as it was.
+func refusesOldCheckpoint(t *testing.T, err error, path string, data []byte) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("a MEISSAJ1 checkpoint was accepted")
+	}
+	for _, want := range []string{path, "MEISSAJ1", "cold run"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+		t.Error("the refused checkpoint changed")
+	}
+}
+
+// TestResumeRefusesOldCheckpoint: `gen -resume` refuses a checkpoint of
+// the earlier format instead of reading it as a torn file.
+func TestResumeRefusesOldCheckpoint(t *testing.T) {
+	p := corpusProgram(t, "Router")
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	opts.Checkpoint, opts.Resume = filepath.Join(t.TempDir(), "old.journal"), true
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := sys.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := writeOldCheckpoint(t, opts.Checkpoint, fp)
+	_, err = sys.Generate()
+	refusesOldCheckpoint(t, err, opts.Checkpoint, data)
+}
+
+// TestRegressRefusesOldBaseline: `regress -baseline` refuses a baseline
+// checkpoint of the earlier format.
+func TestRegressRefusesOldBaseline(t *testing.T) {
+	p := corpusProgram(t, "Router")
+	newRules, _ := rulediff.MutateArgs(p.Rules, 1)
+	dir := t.TempDir()
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := sys.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "old.journal")
+	data := writeOldCheckpoint(t, base, fp)
+	opts.Checkpoint = filepath.Join(dir, "next.journal")
+	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
+		Opts: opts, Baseline: base, Program: p.Name})
+	refusesOldCheckpoint(t, err, base, data)
+}
+
+// TestStoreImportRefusesOldCheckpoint: `store import` refuses a
+// checkpoint of the earlier format and commits nothing.
+func TestStoreImportRefusesOldCheckpoint(t *testing.T) {
+	p := corpusProgram(t, "Router")
+	dir := t.TempDir()
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	opts.StorePath = filepath.Join(dir, "verdicts.store")
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := sys.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "old.journal")
+	data := writeOldCheckpoint(t, path, fp)
+	_, err = sys.StoreImport(path)
+	refusesOldCheckpoint(t, err, path, data)
+	if st, serr := sys.StoreStatus(); serr != nil || st.Present {
+		t.Errorf("the refused import left a family in the store (%v)", serr)
 	}
 }

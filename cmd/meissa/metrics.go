@@ -296,8 +296,8 @@ func checkRegressReport(data []byte) error {
 	fmt.Printf("ok: regress %s wall=%v\n", rep.Program, time.Duration(rep.WallNS).Round(time.Millisecond))
 	fmt.Printf("  delta tables=%v +%d -%d ~%d\n", rep.Delta.TablesChanged,
 		rep.Delta.EntriesAdded, rep.Delta.EntriesRemoved, rep.Delta.EntriesModified)
-	fmt.Printf("  journal retained=%d/%d invalidated=%d unindexed=%d\n",
-		rep.Journal.Retained, rep.Journal.Baseline, rep.Journal.Invalidated, rep.Journal.Unindexed)
+	fmt.Printf("  journal retained=%d/%d invalidated=%d\n",
+		rep.Journal.Retained, rep.Journal.Baseline, rep.Journal.Invalidated)
 	fmt.Printf("  templates current=%d unchanged=%d added=%d retired=%d\n",
 		rep.Templates.Current, rep.Templates.Unchanged, rep.Templates.Added, rep.Templates.Retired)
 	fmt.Printf("  queries live=%d avoided=%d reuse=%.2f\n",

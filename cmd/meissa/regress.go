@@ -233,8 +233,8 @@ func printRegress(res *meissa.RegressResult) {
 		rep.Delta.EntriesRemoved, rep.Delta.EntriesModified,
 		time.Duration(rep.WallNS).Round(time.Millisecond))
 	j := rep.Journal
-	fmt.Printf("  journal: %d/%d baseline verdicts retained (%d invalidated, %d unindexed)\n",
-		j.Retained, j.Baseline, j.Invalidated, j.Unindexed)
+	fmt.Printf("  journal: %d/%d baseline verdicts retained (%d invalidated)\n",
+		j.Retained, j.Baseline, j.Invalidated)
 	t := rep.Templates
 	fmt.Printf("  templates: %d (%d unchanged, %d added, %d retired)\n",
 		t.Current, t.Unchanged, t.Added, t.Retired)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	meissa "repro"
+	"repro/internal/obs"
 )
 
 // cmdStore manages the disk-backed verdict store:
@@ -28,10 +29,13 @@ func cmdStore(args []string) error {
 	fs := flag.NewFlagSet("store "+verb, flag.ContinueOnError)
 	gf := registerGenFlags(fs, "store", "no-summary")
 	journalPath := fs.String("journal", "", "checkpoint journal file (import source / export destination)")
-	fs.Bool("quiet", false, "suppress progress output on stderr")
+	quiet := fs.Bool("quiet", false, "suppress progress and warning output on stderr")
 	prog, rs, specs, _, err := loadInputs(fs, rest)
 	if err != nil {
 		return err
+	}
+	if *quiet {
+		obs.SetLogLevel(obs.LevelQuiet)
 	}
 	if gf.store == "" {
 		return fmt.Errorf("store %s requires -store <file>", verb)

@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,16 +14,13 @@ import (
 // pinning one value keeps the fuzzer inside the loader proper.
 const fuzzFP = 0xfeedfacecafe
 
-// fuzzSeedRecords and fuzzSeedTables are the well-formed journal the fuzz
-// corpus is derived from: verdict+index pairs of every verdict value.
-var (
-	fuzzSeedRecords = []Record{
-		{Kind: KindCheck, Key: 1, Verdict: Unsat},
-		{Kind: KindEmit, Key: 2, Verdict: Sat, Model: []VarVal{{Var: "hdr.x", Val: 7}}},
-		{Kind: KindEmit, Key: 3, Verdict: Unknown},
-	}
-	fuzzSeedTables = []string{"t/acl", "t/route"}
-)
+// fuzzSeedRecords is the well-formed journal the fuzz corpus is derived
+// from: a record of every verdict value, tagged.
+var fuzzSeedRecords = []Record{
+	{Kind: KindCheck, Key: 1, Verdict: Unsat, Tables: []string{"t/acl", "t/route"}},
+	{Kind: KindEmit, Key: 2, Verdict: Sat, Model: []VarVal{{Var: "hdr.x", Val: 7}}, Tables: []string{"t/acl"}},
+	{Kind: KindEmit, Key: 3, Verdict: Unknown},
+}
 
 // FuzzLoad throws arbitrary bytes at the checkpoint loader. A journal is
 // reloaded after SIGKILL at any instant, so the loader must never panic
@@ -32,17 +31,19 @@ var (
 // must accept and reject exactly what the eager reference loader does,
 // stop at the same offset, and yield the same Record for every (kind,
 // key); adopting it into a new journal must reload as the same records.
+// UnmarshalRecord, which the verdict store decodes its frames with, must
+// read every intact frame as the reference decoder does.
 func FuzzLoad(f *testing.F) {
-	// Seeds: a well-formed journal with verdict+index pairs, its torn
-	// truncations, a flipped payload byte, a header-only file, and junk.
-	seedDir := f.TempDir()
-	seedPath := filepath.Join(seedDir, "seed.journal")
+	// Seeds: a well-formed journal, its torn truncations, a flipped payload
+	// byte, a header-only file, junk, a file of the earlier format, and the
+	// crafted shapes no run writes.
+	seedPath := filepath.Join(f.TempDir(), "seed.journal")
 	j, err := Open(seedPath, fuzzFP, false)
 	if err != nil {
 		f.Fatal(err)
 	}
 	for _, r := range fuzzSeedRecords {
-		if err := j.AppendWithDeps(r, fuzzSeedTables); err != nil {
+		if err := j.Append(r); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -63,10 +64,27 @@ func FuzzLoad(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte{})
-	f.Add([]byte("MEISSAJ1 but not really a journal"))
-	f.Add(craftedJournal())
+	f.Add([]byte("MEISSAJ2 but not really a journal"))
+	old := append([]byte(nil), seed...)
+	copy(old[len(encode(Record{Kind: KindHeader}))-4-len(magic):], oldMagic)
+	f.Add(reframeFirst(old))
+	crafted, verdicts := craftedJournal()
+	f.Add(crafted)
+	f.Add(crafted[:verdicts])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for off := 0; ; {
+			want, n, _, wantOK := referenceDecode(data[off:], nil)
+			got, ok := UnmarshalRecord(data[off:])
+			if ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("UnmarshalRecord at offset %d: %+v %v, the reference decoder %+v %v", off, got, ok, want, wantOK)
+			}
+			if !ok {
+				break
+			}
+			off += n
+		}
+
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzz.journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -102,11 +120,11 @@ func FuzzLoad(f *testing.F) {
 		sameAsReference(t, "Adopt and reopen", a, want)
 		a.Close()
 
-		got := j.Records()
+		got := j.t.Records()
 		// The open truncated any torn tail, so appending and reloading
 		// must recover every prior record plus the new one.
-		fresh := Record{Kind: KindEmit, Key: ^uint64(0), Verdict: Sat}
-		if err := j.AppendWithDeps(fresh, []string{"t/fuzz"}); err != nil {
+		fresh := Record{Kind: KindEmit, Key: ^uint64(0), Verdict: Sat, Tables: []string{"t/fuzz"}}
+		if err := j.Append(fresh); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := j.Close(); err != nil {
@@ -117,7 +135,7 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("reopen after recovered append: %v", err)
 		}
 		defer again.Close()
-		reloaded := again.Records()
+		reloaded := again.t.Records()
 		wantN := len(got)
 		if _, dup := findRecord(got, fresh.Kind, fresh.Key); !dup {
 			wantN++
@@ -125,37 +143,49 @@ func FuzzLoad(f *testing.F) {
 		if len(reloaded) != wantN {
 			t.Fatalf("reload recovered %d records, want %d", len(reloaded), wantN)
 		}
-		if r, ok := findRecord(reloaded, fresh.Kind, fresh.Key); !ok {
-			t.Fatal("appended record lost on reload")
-		} else if !r.Indexed || len(r.Tables) != 1 || r.Tables[0] != "t/fuzz" {
-			t.Fatalf("appended record lost its dependency index: %+v", r)
+		if r, ok := findRecord(reloaded, fresh.Kind, fresh.Key); !ok || !reflect.DeepEqual(r, fresh) {
+			t.Fatalf("appended record reloads as %+v (present %v), want %+v", r, ok, fresh)
 		}
 	})
 }
 
 // craftedJournal is a well-framed journal no run writes, with every shape
-// the loader must still read as the reference does: a verdict with tags
-// inline, an index that does not follow its verdict and carries a model,
-// an orphan index, a header record past the first, a superseded verdict
-// indexed twice, and payloads with bytes after their tag lists.
-func craftedJournal() []byte {
+// the loader must still read as the reference does: superseded keys, a
+// Check and an Emit record sharing a key, payloads with bytes after their
+// tag lists; then, from the offset it returns on, frames that hold no
+// verdict — a kind-3 frame (the tag record of the earlier format) and a
+// second header — which make the whole file an error.
+func craftedJournal() ([]byte, int) {
 	b := encode(Record{Kind: KindHeader, Key: fuzzFP})
 	b = appendRecord(b, Record{Kind: KindCheck, Key: 5, Verdict: Sat, Tables: []string{"inline#1"}})
-	b = appendRecord(b, Record{Kind: KindEmit, Key: 6, Verdict: Sat, Model: []VarVal{{"hdr.x", 3}, {"hdr.y", 4}}})
-	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Unsat})
-	b = appendRecord(b, Record{Kind: KindIndex, Key: 6, Verdict: Verdict(KindEmit), Model: []VarVal{{"m", 1}}, Tables: []string{"idx#6"}})
-	b = appendRecord(b, Record{Kind: KindIndex, Key: 99, Verdict: Verdict(KindCheck), Tables: []string{"orphan#0"}})
-	b = appendRecord(b, Record{Kind: KindHeader, Key: 3})
-	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Sat})
-	b = appendRecord(b, Record{Kind: KindIndex, Key: 7, Verdict: Verdict(KindCheck), Tables: []string{"a#1", "b#2"}})
-	b = appendRecord(b, Record{Kind: KindIndex, Key: 7, Verdict: Verdict(KindCheck)})
-	junk := func(r Record) []byte {
+	b = appendRecord(b, Record{Kind: KindEmit, Key: 5, Verdict: Sat, Model: []VarVal{{"hdr.x", 3}, {"hdr.y", 4}}})
+	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Unsat, Tables: []string{"a#1"}})
+	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Sat, Tables: []string{"a#1", "b#2"}})
+	b = appendRecord(b, Record{Kind: KindCheck, Key: 5, Verdict: Unknown})
+	for _, r := range []Record{
+		{Kind: KindEmit, Key: 8, Verdict: Unknown, Model: []VarVal{{"z", 9}}, Tables: []string{"t#8"}},
+		{Kind: KindCheck, Key: 9, Verdict: Unsat},
+	} {
 		fr := encode(r)
-		return appendFrame(nil, fr[4:len(fr)-4], []byte("junk"))
+		b = appendPayload(b, append(fr[4:len(fr)-4:len(fr)-4], "junk"...))
 	}
-	b = append(b, junk(Record{Kind: KindEmit, Key: 8, Verdict: Unknown, Model: []VarVal{{"z", 9}}})...)
-	b = append(b, junk(Record{Kind: KindIndex, Key: 8, Verdict: Verdict(KindEmit), Tables: []string{"t#8"}})...)
-	return b
+	verdicts := len(b)
+	b = appendRecord(b, Record{Kind: 3, Key: 7, Verdict: Verdict(KindCheck), Tables: []string{"a#1"}})
+	b = appendRecord(b, Record{Kind: KindHeader, Key: fuzzFP})
+	return b, verdicts
+}
+
+// appendPayload frames a payload.
+func appendPayload(out, payload []byte) []byte {
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+}
+
+// reframeFirst returns data with its first frame's checksum written anew.
+func reframeFirst(data []byte) []byte {
+	n := frameLen(data)
+	return append(appendPayload(nil, data[4:n-4]), data[n:]...)
 }
 
 // sameAsReference checks that j's table holds exactly the records the
@@ -174,9 +204,9 @@ func sameAsReference(t *testing.T, what string, j *Journal, want map[mapKey]Reco
 		if got := e.Record(); !reflect.DeepEqual(got, r) {
 			t.Fatalf("%s: (%d, %d) reads %+v, the reference %+v", what, k.kind, k.key, got, r)
 		}
-		if e.Verdict() != r.Verdict || e.Indexed() != r.Indexed || !reflect.DeepEqual(e.Model(), r.Model) {
-			t.Fatalf("%s: (%d, %d) looks up verdict %d indexed %v model %v, the reference %+v",
-				what, k.kind, k.key, e.Verdict(), e.Indexed(), e.Model(), r)
+		if e.Verdict() != r.Verdict || !reflect.DeepEqual(e.Model(), r.Model) {
+			t.Fatalf("%s: (%d, %d) looks up verdict %d model %v, the reference %+v",
+				what, k.kind, k.key, e.Verdict(), e.Model(), r)
 		}
 		for _, tag := range r.Tables {
 			if !e.DependsOn(func(b []byte) bool { return string(b) == tag }) {
@@ -187,7 +217,7 @@ func sameAsReference(t *testing.T, what string, j *Journal, want map[mapKey]Reco
 			t.Fatalf("%s: (%d, %d) depends on a tag it does not carry", what, k.kind, k.key)
 		}
 	}
-	recs := j.Records()
+	recs := j.t.Records()
 	for i := 1; i < len(recs); i++ {
 		if compareKeys(mapKey{recs[i-1].Kind, recs[i-1].Key}, mapKey{recs[i].Kind, recs[i].Key}) >= 0 {
 			t.Fatalf("%s: Records() not in canonical order at %d", what, i)

@@ -17,7 +17,9 @@
 // resumes. The first record is a header carrying a magic string and the
 // caller's fingerprint (a digest of the program, rules and exploration
 // options); resuming against a journal written for different inputs is
-// an error rather than silent corruption.
+// an error rather than silent corruption. Every record after it is one
+// verdict, its dependency tags inline: the frame the verdict store's log
+// holds it in, byte for byte.
 //
 // A run's one verdict table is a Table, which keeps each record as the
 // frame it was read from: Open indexes the checkpoint file's frames into
@@ -25,8 +27,9 @@
 // a store snapshot's family) in its place without copying it, and a
 // journal made by New has no file at all. A lookup reads the verdict byte,
 // which the table copies beside each frame; a model is decoded only when
-// asked for, tags only by the decoded view (Record) that tests, commits
-// and exports use.
+// asked for, tags only by the decoded view (Record) that tests use. The
+// frames a run appends can be kept in a table of their own (KeepFresh),
+// which a store commit writes as they are.
 //
 // Concurrency: the table is filled before the run's first exploration — at
 // Open, in Share and in Adopt — and never changes while one runs, so Lookup
@@ -42,7 +45,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,15 +65,6 @@ const (
 	// KindEmit is a leaf/stop-node emission verdict, optionally carrying
 	// the model extracted for the template.
 	KindEmit Kind = 2
-	// KindIndex is a dependency-index record annotating the immediately
-	// preceding verdict record: it carries the table dependency tags of
-	// the path that produced the verdict, so an incremental rebase can
-	// retire exactly the records a rule update touches. Its Key is the
-	// annotated record's key and its Verdict byte stores the annotated
-	// record's Kind (Check and Emit records may legally share a key
-	// value). Index records never answer lookups themselves; at load they
-	// fold into the verdict record they annotate.
-	KindIndex Kind = 3
 )
 
 // Verdict mirrors smt.Result without importing it (journal sits below the
@@ -103,45 +96,47 @@ type Record struct {
 	Model   []VarVal // KindEmit with a Sat verdict only; sorted by Var
 
 	// Tables holds the dependency tags of the path that produced the
-	// verdict (sorted; rules.DepTag format). On verdict records it is
-	// populated from the trailing KindIndex record at load; on KindIndex
-	// records it is the payload itself.
+	// verdict (sorted; rules.DepTag format), so an incremental rebase can
+	// retire exactly the records a rule update touches.
 	Tables []string
-	// Indexed reports whether a dependency index record was recovered for
-	// this verdict. The pair is appended with one write(2), but a tear can
-	// still strand a verdict without its index (partial write, or a record
-	// written by plain Append); Rebase treats such records conservatively.
-	// In-memory only; not serialized.
-	Indexed bool
 }
 
 // Journal is a run's verdict table, backed by an open checkpoint file
 // unless New made it.
 type Journal struct {
-	mu  sync.Mutex
-	f   *os.File // nil: no file behind the table
-	buf []byte   // Append's encoding scratch, under mu
-	t   *Table   // filled before the first exploration, never written after
+	mu sync.Mutex
+	f  *os.File // nil: no file behind the table
+	// buf is where Append frames a record, under mu: scratch, or with a
+	// fresh table the chunk filling, which its entries point into.
+	buf []byte
+	t   *Table // filled before the first exploration, never written after
 
-	// mirror, when set, observes every successfully appended record
-	// (dependency tags and Indexed folded in, exactly as a reload would
-	// see it). A store-backed generation collects what it derived this
-	// way, for its commit, without re-reading a file. Invoked under the
-	// append lock, so observations are ordered; the callback must not
-	// call back into the journal.
-	mirror func(Record)
+	// fresh, when KeepFresh made it, holds every frame appended since: what
+	// a store-backed generation commits. Written under mu.
+	fresh *Table
 
 	loaded   int // verdict records put into the table: recovered at Open, shared, adopted
 	appended atomic.Uint64
 }
 
-const magic = "MEISSAJ1"
+const (
+	magic = "MEISSAJ2"
+	// oldMagic marks the format of earlier releases, which framed each
+	// verdict's tags apart, in a record of their own after it.
+	oldMagic = "MEISSAJ1"
+)
+
+// freshChunk bounds a chunk of the fresh table: one buffer growing to a
+// run's verdicts would be copied five times over on the way. No append
+// writes over bytes a chunk holds, so the entries that point into one — or
+// into an array an append outgrew — stay valid.
+const freshChunk = 1 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // New returns a journal with no file behind it, for a run that named no
-// checkpoint: appends reach the mirror and the counters only, and Sync
-// and Close do nothing.
+// checkpoint: appends reach the fresh table, when it keeps one, and the
+// counters only, and Sync and Close do nothing.
 func New() *Journal { return &Journal{t: &Table{}} }
 
 // Open opens a checkpoint file. With resume=false the file is created or
@@ -202,7 +197,11 @@ func load(f *os.File, fingerprint uint64) (*Table, int, int, error) {
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, 0, 0, fmt.Errorf("journal: read: %w", err)
 	}
-	return index(data, fingerprint)
+	t, good, loaded, err := index(data, fingerprint)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("journal: %s: %w", f.Name(), err)
+	}
+	return t, good, loaded, nil
 }
 
 // Lookup returns the entry the table holds for a key. Safe for concurrent
@@ -212,22 +211,13 @@ func (j *Journal) Lookup(kind Kind, key uint64) (Entry, bool) { return j.t.Looku
 // Share makes t the journal's table and writes nothing: t comes from a
 // source the run does not re-journal (a regression's baseline replay, a
 // store warm start without a checkpoint). Its records count as loaded. t
-// is not copied, so nobody may change it afterwards; a journal that holds
-// records already gets a merged copy, t's records winning. Legal only
-// before the run's first exploration.
+// is not copied, so nobody may change it afterwards. Legal only before the
+// run's first exploration, on a journal that holds no records yet: one
+// made by New, or opened without resume.
 func (j *Journal) Share(t *Table) {
 	n := t.Len()
 	if n == 0 {
 		return
-	}
-	if j.t.Len() > 0 {
-		merged := j.t.Clone()
-		for _, m := range t.kinds {
-			for _, e := range m {
-				merged.put(e)
-			}
-		}
-		t = merged
 	}
 	j.t = t
 	j.loaded += n
@@ -235,18 +225,15 @@ func (j *Journal) Share(t *Table) {
 }
 
 // Adopt makes t part of the journal as though the run it continues had
-// journaled its records: a file receives them in canonical order, in the
-// bytes Append would have written, and then t is shared. They count as
-// loaded, not appended, and the mirror does not see them. Legal only
-// before the run's first exploration.
+// journaled its records: a file receives their frames in canonical order,
+// as they are, and then t is shared. They count as loaded, not appended,
+// and the fresh table does not hold them. Legal where Share is.
 func (j *Journal) Adopt(t *Table) error {
 	if j.f != nil && t.Len() > 0 {
 		// A kill mid-way leaves a shorter journal, as one between appends would.
 		w := bufio.NewWriterSize(j.f, 1<<20)
-		var buf []byte
 		for _, e := range t.Sorted() {
-			buf = e.appendVerdict(buf[:0])
-			w.Write(buf) // Flush reports a failed write
+			w.Write(e.b) // Flush reports a failed write
 		}
 		if err := w.Flush(); err != nil {
 			return fmt.Errorf("journal: adopt: %w", err)
@@ -256,84 +243,65 @@ func (j *Journal) Adopt(t *Table) error {
 	return nil
 }
 
-// Append journals one verdict and, when r.Indexed, the dependency index
-// record carrying r.Tables after it, with a single write(2) call, so a
-// kill tears at most this one record or pair — which load tolerates.
-// Thread-safe.
+// Append journals one verdict, its dependency tags (r.Tables) inline, with
+// a single write(2) call, so a kill tears at most this one record — which
+// load tolerates. Thread-safe.
 func (j *Journal) Append(r Record) error {
 	var err error
 	j.mu.Lock()
-	if j.f != nil {
-		j.buf = appendVerdict(j.buf[:0], r)
-		_, err = j.f.Write(j.buf)
-	}
-	if err == nil && j.mirror != nil {
-		j.mirror(r)
+	if j.f != nil || j.fresh != nil {
+		err = j.write(r)
 	}
 	j.mu.Unlock()
 	if err != nil {
 		mAppendErrors.Inc()
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	n := uint64(1)
-	if r.Indexed {
-		n = 2
-	}
-	j.appended.Add(n)
-	mRecordsAppended.Add(n)
+	j.appended.Add(1)
+	mRecordsAppended.Inc()
 	return nil
 }
 
-// SetMirror installs (or clears, with nil) the append observer. Set it
-// before concurrent appends begin.
-func (j *Journal) SetMirror(fn func(Record)) {
+// write frames r into buf, writes the frame to the file and puts it into
+// the fresh table, whichever the journal has. Under mu.
+func (j *Journal) write(r Record) error {
+	if j.fresh == nil {
+		j.buf = j.buf[:0]
+	} else if len(j.buf) >= freshChunk {
+		j.buf = make([]byte, 0, freshChunk+freshChunk/8)
+	}
+	at := len(j.buf)
+	j.buf = appendRecord(j.buf, r)
+	frame := j.buf[at:len(j.buf):len(j.buf)]
+	if j.f != nil {
+		if _, err := j.f.Write(frame); err != nil {
+			j.buf = j.buf[:at]
+			return err
+		}
+	}
+	if j.fresh != nil {
+		j.fresh.put(Entry{b: frame, verdict: r.Verdict})
+	}
+	return nil
+}
+
+// KeepFresh makes the journal keep every frame it appends from now on in a
+// table of its own, over chunks of its own that Append frames them into,
+// which Fresh returns. Call it before concurrent appends begin.
+func (j *Journal) KeepFresh() {
 	j.mu.Lock()
-	j.mirror = fn
+	j.fresh, j.buf = &Table{}, nil
 	j.mu.Unlock()
 }
 
-// AppendWithDeps journals one verdict together with its dependency index
-// record: a verdict that survives a tear without its index is detected
-// (Indexed stays false at load) and handled conservatively by the rebase.
-// The index is written even when tables is empty: its presence is what
-// distinguishes "depends on no table" from "index lost to a tear".
-// Thread-safe.
-func (j *Journal) AppendWithDeps(r Record, tables []string) error {
-	r.Tables, r.Indexed = tables, true
-	return j.Append(r)
-}
+// Fresh returns the table of the frames appended since KeepFresh (nil
+// without it): the records this run derived, the last of a kind and key
+// winning. Read it once the appends are done.
+func (j *Journal) Fresh() *Table { return j.fresh }
 
-// appendVerdict frames a verdict record and, when it is indexed, its
-// dependency index record after it (the tags live on the index record
-// only).
-func appendVerdict(buf []byte, r Record) []byte {
-	tables := r.Tables
-	r.Tables = nil
-	buf = appendRecord(buf, r)
-	if r.Indexed {
-		buf = appendRecord(buf, Record{Kind: KindIndex, Key: r.Key, Verdict: Verdict(r.Kind), Tables: tables})
-	}
-	return buf
-}
-
-// Records returns the deduplicated verdict records (dependency
-// annotations folded in) in canonical order: sorted by (kind, key).
-func (j *Journal) Records() []Record { return j.t.Records() }
-
-// Canonical returns recs as a journal that loaded them in this order
-// would: the last of the records sharing a (kind, key), sorted by both.
-func Canonical(recs []Record) []Record {
-	last := make(map[mapKey]Record, len(recs))
-	for _, r := range recs {
-		last[mapKey{r.Kind, r.Key}] = r
-	}
-	out := make([]Record, 0, len(last))
-	for _, r := range last {
-		out = append(out, r)
-	}
-	slices.SortFunc(out, func(a, b Record) int { return compareKeys(mapKey{a.Kind, a.Key}, mapKey{b.Kind, b.Key}) })
-	return out
-}
+// Table returns the journal's table: the records the run started with,
+// which nobody may change.
+func (j *Journal) Table() *Table { return j.t }
 
 // ReadTable opens a checkpoint read-only and indexes it, tolerating a torn
 // tail exactly like a resume: how Regress loads a baseline journal, and
@@ -350,8 +318,8 @@ func ReadTable(path string, fingerprint uint64) (*Table, error) {
 }
 
 // MarshalRecord returns the framed encoding of r — length prefix,
-// payload, CRC32C, dependency tags inline — in the framing Append writes.
-// The disk-backed verdict store's log holds its verdicts as these frames.
+// payload, CRC32C, dependency tags inline — as Append writes it. The
+// disk-backed verdict store's log holds its verdicts as these frames.
 func MarshalRecord(r Record) []byte { return encode(r) }
 
 // AppendRecord appends MarshalRecord(r) to out.
@@ -360,21 +328,18 @@ func AppendRecord(out []byte, r Record) []byte { return appendRecord(out, r) }
 // UnmarshalRecord parses one framed record produced by MarshalRecord.
 // ok=false means the bytes hold no intact record.
 func UnmarshalRecord(data []byte) (Record, bool) {
-	_, tags, ok := parse(data)
+	n, ok := parse(data)
 	if !ok {
 		return Record{}, false
 	}
-	return Record{
-		Kind: Kind(data[offKind]), Key: binary.LittleEndian.Uint64(data[offKey:]), Verdict: Verdict(data[offVerdict]),
-		Model: decodeModel(data, offModel), Tables: decodeTags(data, tags, nil),
-	}, true
+	return Entry{b: data[:n]}.record(nil), true
 }
 
 // Loaded returns the number of records the run started with: recovered
 // at Open, shared or adopted.
 func (j *Journal) Loaded() int { return j.loaded }
 
-// Appended returns the number of records written by this process.
+// Appended returns the number of records this journal appended.
 func (j *Journal) Appended() uint64 { return j.appended.Load() }
 
 // Sync flushes the journal to stable storage. Not required for

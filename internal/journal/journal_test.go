@@ -1,8 +1,12 @@
 package journal
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -165,13 +169,15 @@ func TestCorruptRecordEndsScan(t *testing.T) {
 }
 
 // TestConcurrentAppend exercises Append from many goroutines (the
-// parallel exploration workers share one journal); run under -race.
+// parallel exploration workers share one journal, whose fresh table a
+// store commit reads); run under -race.
 func TestConcurrentAppend(t *testing.T) {
 	path := tmpFile(t)
 	j, err := Open(path, 9, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.KeepFresh()
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -185,6 +191,9 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 	wg.Wait()
 	j.Close()
+	if n := j.Fresh().Len(); n != workers*per {
+		t.Fatalf("the fresh table holds %d records, want %d", n, workers*per)
+	}
 	r, err := Open(path, 9, true)
 	if err != nil {
 		t.Fatal(err)
@@ -195,29 +204,40 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestAppendWithDepsRoundTrip: the verdict+index pair reloads with the
-// dependency tags folded in and Indexed set; a plain Append stays
-// unindexed; an empty tag list is still "indexed" (depends on nothing).
-func TestAppendWithDepsRoundTrip(t *testing.T) {
+// TestTagsRoundTrip: a record reloads with its dependency tags, from the
+// one frame Append writes for it; a Check and an Emit record may share a
+// key; an empty tag list reloads as no tags (depends on nothing).
+func TestTagsRoundTrip(t *testing.T) {
 	path := tmpFile(t)
 	j, err := Open(path, 0xabc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tags := []string{"acl#0011223344556677", "acl#miss", "nat"}
-	if err := j.AppendWithDeps(Record{Kind: KindCheck, Key: 1, Verdict: Unsat}, tags); err != nil {
-		t.Fatal(err)
+	recs := []Record{
+		{Kind: KindCheck, Key: 1, Verdict: Unsat, Tables: []string{"acl#0011223344556677", "acl#miss", "nat"}},
+		{Kind: KindEmit, Key: 1, Verdict: Sat, Model: []VarVal{{"x", 9}}},
+		{Kind: KindCheck, Key: 2, Verdict: Sat, Tables: []string{"fwd#miss"}},
 	}
-	if err := j.AppendWithDeps(Record{Kind: KindEmit, Key: 1, Verdict: Sat, Model: []VarVal{{"x", 9}}}, nil); err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := j.Append(Record{Kind: KindCheck, Key: 2, Verdict: Sat}); err != nil {
-		t.Fatal(err)
-	}
-	if j.Appended() != 5 {
-		t.Fatalf("appended %d, want 5 (two pairs + one plain)", j.Appended())
+	if j.Appended() != 3 {
+		t.Fatalf("appended %d, want 3 (one record a verdict)", j.Appended())
 	}
 	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encode(Record{Kind: KindHeader, Key: 0xabc})
+	for _, r := range recs {
+		want = append(want, MarshalRecord(r)...)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("the file holds %d bytes, want the header and one frame a record: %d", len(data), len(want))
+	}
 
 	r, err := Open(path, 0xabc, true)
 	if err != nil {
@@ -227,63 +247,113 @@ func TestAppendWithDepsRoundTrip(t *testing.T) {
 	if r.Loaded() != 3 {
 		t.Fatalf("loaded %d verdicts, want 3", r.Loaded())
 	}
-	e, ok := r.Lookup(KindCheck, 1)
-	chk := e.Record()
-	if !ok || !chk.Indexed || len(chk.Tables) != 3 {
-		t.Fatalf("tagged check loaded as %+v", chk)
-	}
-	for i, want := range tags {
-		if chk.Tables[i] != want {
-			t.Fatalf("tag %d = %q, want %q", i, chk.Tables[i], want)
+	for _, want := range recs {
+		e, ok := r.Lookup(want.Kind, want.Key)
+		if got := e.Record(); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("(%d, %d) loaded as %+v (present %v), want %+v", want.Kind, want.Key, got, ok, want)
 		}
 	}
-	// KindCheck and KindEmit share key 1; the index must bind to its own
-	// record's kind.
-	e, ok = r.Lookup(KindEmit, 1)
-	em := e.Record()
-	if !ok || !em.Indexed || len(em.Tables) != 0 || em.Model[0].Val != 9 {
-		t.Fatalf("empty-deps emit loaded as %+v", em)
-	}
-	e, ok = r.Lookup(KindCheck, 2)
-	if plain := e.Record(); !ok || plain.Indexed {
-		t.Fatalf("plain append loaded as %+v (must stay unindexed)", plain)
+}
+
+// TestForeignFrameRefused: after the header, an intact frame that holds no
+// verdict — a second header, a tag record of the earlier format — is no
+// torn tail but an error naming its offset, and so is a file whose header
+// is of the earlier format, whose error names the file, the format and the
+// way out.
+func TestForeignFrameRefused(t *testing.T) {
+	good := append(encode(Record{Kind: KindHeader, Key: 4}), MarshalRecord(Record{Kind: KindCheck, Key: 1, Verdict: Sat})...)
+	for name, tc := range map[string]struct {
+		data []byte
+		want []string
+	}{
+		"second header": {append(append([]byte(nil), good...), encode(Record{Kind: KindHeader, Key: 4})...),
+			[]string{"kind 0", fmt.Sprint("offset ", len(good))}},
+		"tag record": {append(append([]byte(nil), good...), MarshalRecord(Record{Kind: 3, Key: 1, Verdict: Verdict(KindCheck), Tables: []string{"t#1"}})...),
+			[]string{"kind 3", fmt.Sprint("offset ", len(good))}},
+		"earlier format": {func() []byte {
+			old := append([]byte(nil), good...)
+			copy(old[frameLen(old)-4-len(magic):], oldMagic)
+			return reframeFirst(old)
+		}(), []string{oldMagic, "cold run"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := tmpFile(t)
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(path, 4, true)
+			if _, rerr := ReadTable(path, 4); err == nil || rerr == nil || err.Error() != rerr.Error() {
+				t.Fatalf("Open: %v; ReadTable: %v; want the same error", err, rerr)
+			}
+			for _, want := range append(tc.want, path) {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, tc.data) {
+				t.Error("the refused file changed")
+			}
+		})
 	}
 }
 
-// TestTornIndexConservative: a kill that lands between a verdict and its
-// index record (simulated by truncating the index off the tail) must
-// reload the verdict with Indexed=false, never with stale tags.
-func TestTornIndexConservative(t *testing.T) {
-	path := tmpFile(t)
-	j, err := Open(path, 5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendWithDeps(Record{Kind: KindEmit, Key: 7, Verdict: Sat}, []string{"tbl#0"}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	full, _ := os.ReadFile(path)
-	idxLen := len(encode(Record{Kind: KindIndex, Key: 7, Verdict: Verdict(KindEmit), Tables: []string{"tbl#0"}}))
-	os.WriteFile(path, full[:len(full)-idxLen], 0o644)
-
-	r, err := Open(path, 5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	e, ok := r.Lookup(KindEmit, 7)
-	if !ok {
-		t.Fatal("verdict lost with its index")
-	}
-	rec := e.Record()
-	if rec.Indexed || len(rec.Tables) != 0 {
-		t.Fatalf("torn index left annotations: %+v", rec)
+// TestFreshTableHoldsAppendedFrames: KeepFresh keeps every frame appended
+// after it — the file's own bytes, the last of a kind and key winning —
+// and none of the records the journal started with; a journal with no
+// file keeps them all the same.
+func TestFreshTableHoldsAppendedFrames(t *testing.T) {
+	for _, withFile := range []bool{true, false} {
+		path := tmpFile(t)
+		j := New()
+		if withFile {
+			var err error
+			if j, err = Open(path, 6, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if j.Fresh() != nil {
+			t.Fatal("a fresh table before KeepFresh")
+		}
+		j.KeepFresh()
+		var frames [][]byte
+		for i := 0; i < 3000; i++ { // a few chunks' worth
+			r := Record{Kind: Kind(1 + i%2), Key: uint64(i % 2500), Verdict: Verdict(i % 3), Tables: []string{fmt.Sprint("t#", i)}}
+			if err := j.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, MarshalRecord(r))
+		}
+		j.Close()
+		fresh := j.Fresh()
+		want := &Table{}
+		for _, fr := range frames {
+			if _, ok := want.PutFrame(fr); !ok {
+				t.Fatal("a record does not frame")
+			}
+		}
+		if got, w := fresh.Sorted(), want.Sorted(); len(got) != len(w) || len(got) != 2500 {
+			t.Fatalf("the fresh table holds %d records, want %d of 2500", len(got), len(w))
+		} else {
+			for i := range got {
+				if string(got[i].Frame()) != string(w[i].Frame()) || got[i].Verdict() != w[i].Verdict() {
+					t.Fatalf("record %d: %+v, want %+v", i, got[i].Record(), w[i].Record())
+				}
+			}
+		}
+		if withFile {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, append(encode(Record{Kind: KindHeader, Key: 6}), bytes.Join(frames, nil)...)) {
+				t.Fatal("the file does not hold the appended frames")
+			}
+		}
 	}
 }
 
-// TestRecordsCanonicalOrder: Records() is sorted by (kind, key) with
-// duplicates resolved last-wins.
+// TestRecordsCanonicalOrder: a table's Records() is sorted by (kind, key)
+// with duplicates resolved last-wins.
 func TestRecordsCanonicalOrder(t *testing.T) {
 	path := tmpFile(t)
 	j, err := Open(path, 3, false)
@@ -301,7 +371,7 @@ func TestRecordsCanonicalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	recs := r.Records()
+	recs := r.Table().Records()
 	if len(recs) != 3 {
 		t.Fatalf("got %d records, want 3 (duplicate deduped)", len(recs))
 	}
@@ -316,47 +386,5 @@ func TestRecordsCanonicalOrder(t *testing.T) {
 	}
 	if recs[1].Verdict != Unsat {
 		t.Fatal("duplicate resolution is not last-wins")
-	}
-}
-
-// TestShareMergesIntoAHeldTable: sharing a second source with a journal
-// that holds records already merges the two into a copy, the shared
-// table's records winning, and leaves the shared table as it was.
-func TestShareMergesIntoAHeldTable(t *testing.T) {
-	write := func(recs ...Record) string {
-		path := tmpFile(t)
-		j, err := Open(path, 11, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			if err := j.AppendWithDeps(r, []string{"t#1"}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		j.Close()
-		return path
-	}
-	own := write(Record{Kind: KindCheck, Key: 1, Verdict: Sat}, Record{Kind: KindCheck, Key: 2, Verdict: Sat})
-	shared, err := ReadTable(write(Record{Kind: KindCheck, Key: 2, Verdict: Unsat}, Record{Kind: KindEmit, Key: 2, Verdict: Unknown}), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := Open(own, 11, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.Share(shared)
-	for _, want := range []Record{{Kind: KindCheck, Key: 1, Verdict: Sat}, {Kind: KindCheck, Key: 2, Verdict: Unsat}, {Kind: KindEmit, Key: 2, Verdict: Unknown}} {
-		if e, ok := j.Lookup(want.Kind, want.Key); !ok || e.Verdict() != want.Verdict {
-			t.Errorf("Lookup(%d, %d) = %d %v, want %d", want.Kind, want.Key, e.Verdict(), ok, want.Verdict)
-		}
-	}
-	if j.Loaded() != 4 || shared.Len() != 2 {
-		t.Errorf("Loaded %d, the shared table holds %d; want 4 and 2", j.Loaded(), shared.Len())
-	}
-	if _, ok := shared.Lookup(KindCheck, 1); ok {
-		t.Error("the merge wrote into the shared table")
 	}
 }

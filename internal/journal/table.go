@@ -19,23 +19,16 @@ const (
 	offVerdict = 5
 	offKey     = 6
 	offModel   = 14 // the model's binding count; the bindings follow
-	// indexTags is where an index frame with no model starts its tags.
-	indexTags = offModel + 2
 	// minFrame frames the smallest payload: kind, verdict, key, two counts.
 	minFrame = 8 + 14
 )
 
-// Entry is one record of a Table, kept as the bytes it was read from: its
-// frame, and where its dependency tags lie — inline in the frame for a
-// record the store holds, in the index frame that followed it for a
-// journal's. Nothing is decoded until a method asks for it.
+// Entry is one record of a Table, kept as the frame it was read from,
+// its dependency tags inline. Nothing is decoded until a method asks for
+// it.
 type Entry struct {
-	// b runs from the verdict frame's first byte to the end of the frame
-	// holding the tags. It is never appended to.
+	// b is the frame. It is never appended to.
 	b []byte
-	// tags is the offset in b of the dependency tag list (its count
-	// first); 0 means no index was recovered for the record.
-	tags int
 	// verdict is the frame's verdict byte, kept beside the slice: a lookup
 	// reads it without touching the frame.
 	verdict Verdict
@@ -44,30 +37,22 @@ type Entry struct {
 // frameLen reads the length of the frame at the start of b.
 func frameLen(b []byte) int { return 8 + int(binary.LittleEndian.Uint32(b)) }
 
-func (e Entry) kind() Kind  { return Kind(e.b[offKind]) }
-func (e Entry) key() uint64 { return binary.LittleEndian.Uint64(e.b[offKey:]) }
+// Kind returns the record's kind.
+func (e Entry) Kind() Kind { return Kind(e.b[offKind]) }
+
+// Key returns the record's key.
+func (e Entry) Key() uint64 { return binary.LittleEndian.Uint64(e.b[offKey:]) }
 
 // Verdict returns the record's verdict.
 func (e Entry) Verdict() Verdict { return e.verdict }
 
-// Indexed reports whether the record's dependency index was recovered.
-func (e Entry) Indexed() bool { return e.tags != 0 }
-
 // Model decodes the record's model (nil when it has none).
 func (e Entry) Model() []VarVal { return decodeModel(e.b, offModel) }
 
-// Frame returns the record's own frame: for a store's record the whole
-// record, tags inline; for a journal's the verdict frame, its index frame
-// not included. Nil for the zero Entry.
-func (e Entry) Frame() []byte {
-	if e.b == nil {
-		return nil
-	}
-	n := frameLen(e.b)
-	return e.b[:n:n]
-}
+// Frame returns the record's frame; nil for the zero Entry.
+func (e Entry) Frame() []byte { return e.b }
 
-// Record decodes the entry into the Record a load of its frames yields;
+// Record decodes the entry into the Record a load of its frame yields;
 // the zero Record for the zero Entry.
 func (e Entry) Record() Record {
 	if e.b == nil {
@@ -79,25 +64,15 @@ func (e Entry) Record() Record {
 // record is Record, interning tags when intern is non-nil.
 func (e Entry) record(intern map[string]string) Record {
 	return Record{
-		Kind: e.kind(), Key: e.key(), Verdict: e.Verdict(), Model: e.Model(),
-		Tables: decodeTags(e.b, e.tagOff(), intern), Indexed: e.Indexed(),
+		Kind: e.Kind(), Key: e.Key(), Verdict: Verdict(e.b[offVerdict]), Model: e.Model(),
+		Tables: decodeTags(e.b, e.modelEnd(), intern),
 	}
-}
-
-// tagOff returns the offset of the tag list Record reports: the index's,
-// or for an unindexed record the verdict frame's own (which Append leaves
-// empty).
-func (e Entry) tagOff() int {
-	if e.tags != 0 {
-		return e.tags
-	}
-	return e.modelEnd()
 }
 
 // DependsOn reports whether one of the record's dependency tags passes
 // match. It reads the tags in place and allocates nothing.
 func (e Entry) DependsOn(match func(tag []byte) bool) bool {
-	off := e.tagOff()
+	off := e.modelEnd()
 	n := int(binary.LittleEndian.Uint16(e.b[off:]))
 	off += 2
 	for i := 0; i < n; i++ {
@@ -111,42 +86,13 @@ func (e Entry) DependsOn(match func(tag []byte) bool) bool {
 	return false
 }
 
-// appendVerdict appends the entry as Append writes its Record: the
-// verdict frame and, when indexed, the index frame after it. A journal's
-// adjacent pair is copied as it is; a store's record is framed anew.
-func (e Entry) appendVerdict(out []byte) []byte {
-	n := frameLen(e.b)
-	switch {
-	case e.tags == n+indexTags:
-		return append(out, e.b...) // the index frame follows the verdict frame
-	case e.tags == 0 || e.tags >= n:
-		out = append(out, e.b[:n]...)
-		if e.tags == 0 {
-			return out
-		}
-	default:
-		// Tags inline: a verdict frame without them.
-		out = appendFrame(out, e.b[4:e.modelEnd()], []byte{0, 0})
-	}
-	var head [indexTags - 4]byte
-	head[0], head[1] = byte(KindIndex), e.b[offKind]
-	copy(head[2:10], e.b[offKey:offKey+8])
-	return appendFrame(out, head[:], e.b[e.tags:e.tagEnd()])
-}
-
-// modelEnd returns the offset just past the verdict frame's model list.
+// modelEnd returns the offset just past the model list: the tag list's.
 func (e Entry) modelEnd() int {
-	off, _ := skipList(e.b, offModel, frameLen(e.b)-4, 8)
+	off, _ := skipList(e.b, offModel, len(e.b)-4, 8)
 	return off
 }
 
-// tagEnd returns the offset just past the dependency tag list.
-func (e Entry) tagEnd() int {
-	off, _ := skipList(e.b, e.tags, len(e.b)-4, 0)
-	return off
-}
-
-// mapKey names a record; Canonical and the tests key decoded records by it.
+// mapKey names a record; the tests key decoded records by it.
 type mapKey struct {
 	kind Kind
 	key  uint64
@@ -220,17 +166,36 @@ func (t *Table) kind(k Kind) map[uint64]Entry {
 // put puts e over any entry of its kind and key and returns the one it
 // replaced.
 func (t *Table) put(e Entry) Entry {
-	m, key := t.kind(e.kind()), e.key()
+	m, key := t.kind(e.Kind()), e.Key()
 	old := m[key]
 	m[key] = e
 	return old
 }
 
-// PutFrame puts the record framed by frame — one whole frame, its tags
-// inline, its checksum written or checked by the caller — over any entry
-// of its kind and key. The table keeps frame, which must not change. It
-// returns the entry replaced (the zero Entry for none), or ok=false, and
-// no change, when the payload does not hold a record.
+// Merge returns a table of under's entries with over's put over them. It
+// changes neither: it returns one of them when the other is empty, else a
+// copy.
+func Merge(under, over *Table) *Table {
+	if over.Len() == 0 {
+		return under
+	}
+	if under.Len() == 0 {
+		return over
+	}
+	m := under.Clone()
+	for _, es := range over.kinds {
+		for _, e := range es {
+			m.put(e)
+		}
+	}
+	return m
+}
+
+// PutFrame puts the record framed by frame — one whole frame, its
+// checksum written or checked by the caller — over any entry of its kind
+// and key. The table keeps frame, which must not change. It returns the
+// entry replaced (the zero Entry for none), or ok=false, and no change,
+// when the payload does not hold a record.
 func (t *Table) PutFrame(frame []byte) (replaced Entry, ok bool) {
 	e, ok := EntryOf(frame)
 	if !ok {
@@ -242,22 +207,21 @@ func (t *Table) PutFrame(frame []byte) (replaced Entry, ok bool) {
 // EntryOf reads frame as PutFrame puts it, into no table: ok=false when
 // the payload does not hold a record.
 func EntryOf(frame []byte) (e Entry, ok bool) {
-	if len(frame) < 8 || frameLen(frame) != len(frame) {
+	if len(frame) < minFrame || frameLen(frame) != len(frame) {
 		return Entry{}, false
 	}
-	tags, ok := walk(frame)
-	if !ok {
+	if _, ok := walk(frame); !ok {
 		return Entry{}, false
 	}
-	return Entry{b: frame, tags: tags, verdict: Verdict(frame[offVerdict])}, true
+	return Entry{b: frame, verdict: Verdict(frame[offVerdict])}, true
 }
 
 // Drop removes e when it is the entry t holds for its kind and key — the
 // same frame, not merely an equal one — and reports whether it was.
 func (t *Table) Drop(e Entry) bool {
-	held, ok := t.Lookup(e.kind(), e.key())
+	held, ok := t.Lookup(e.Kind(), e.Key())
 	if ok = ok && &held.b[0] == &e.b[0]; ok {
-		delete(t.kinds[e.kind()], e.key())
+		delete(t.kinds[e.Kind()], e.Key())
 	}
 	return ok
 }
@@ -310,79 +274,70 @@ func (t *Table) Records() []Record {
 }
 
 // index reads a checkpoint file's bytes into a table whose entries point
-// into data. A record wins over any earlier one of its kind and key; an
-// index record folds into the verdict record it annotates, when the table
-// holds one (it is appended right after it; an orphan is dropped). A
-// short, torn or checksum-failing frame ends the scan: good is the offset
-// past the last intact one, and loaded counts the verdict records read. A
-// missing or mismatched header is an error.
+// into data, a record winning over any earlier one of its kind and key.
+// A short, torn or checksum-failing frame ends the scan: good is the offset
+// past the last intact one, and loaded counts the records read. A missing
+// or mismatched header is an error, and so is an intact frame after it
+// that holds no verdict: no kill leaves one.
 func index(data []byte, fingerprint uint64) (t *Table, good, loaded int, err error) {
-	n, _, ok := parse(data)
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("journal: no checkpoint header (empty or torn file)")
+	n, ok := parse(data)
+	var hdr string // the magic after the header's lists
+	if ok && Kind(data[offKind]) == KindHeader {
+		end, _ := walk(data[:n])
+		hdr = string(data[end:min(end+len(magic), n-4)])
 	}
-	if key := binary.LittleEndian.Uint64(data[offKey:]); Kind(data[offKind]) != KindHeader || key != fingerprint {
-		return nil, 0, 0, fmt.Errorf("journal: checkpoint written for a different program or options (fingerprint %#x, want %#x)", key, fingerprint)
+	switch {
+	case hdr == oldMagic:
+		return nil, 0, 0, fmt.Errorf("a %s checkpoint, which this release does not read "+
+			"(it frames each verdict's tags apart): re-create it with a cold run, `meissa gen -checkpoint` without -resume", oldMagic)
+	case hdr != magic:
+		return nil, 0, 0, fmt.Errorf("no checkpoint header (empty or torn file)")
+	}
+	if key := binary.LittleEndian.Uint64(data[offKey:]); key != fingerprint {
+		return nil, 0, 0, fmt.Errorf("checkpoint written for a different program or options (fingerprint %#x, want %#x)", key, fingerprint)
 	}
 	t = &Table{}
 	for good = n; ; good += n {
-		var tags int
-		if n, tags, ok = parse(data[good:]); !ok {
+		if n, ok = parse(data[good:]); !ok {
 			return t, good, loaded, nil
 		}
-		fr := data[good:] // the capacity runs to the end of data
-		kind, key := Kind(fr[offKind]), binary.LittleEndian.Uint64(fr[offKey:])
-		if kind != KindIndex {
-			t.kind(kind)[key] = Entry{b: fr[:n], verdict: Verdict(fr[offVerdict])}
-			loaded++
-			continue
+		fr := data[good : good+n : good+n]
+		if k := Kind(fr[offKind]); k != KindCheck && k != KindEmit {
+			return nil, 0, 0, fmt.Errorf("frame of kind %d at offset %d, which holds no verdict", k, good)
 		}
-		// An index stores the annotated record's kind in its verdict byte.
-		vk := Kind(fr[offVerdict])
-		if e, ok := t.Lookup(vk, key); ok {
-			at := cap(e.b) - cap(fr) // where this frame starts in e.b
-			e.b, e.tags = e.b[:at+n], at+tags
-			t.kinds[vk][key] = e
-		}
+		t.put(Entry{b: fr, verdict: Verdict(fr[offVerdict])})
+		loaded++
 	}
 }
 
 // parse bounds-walks the first frame of data as a record without
-// decoding it: n is the frame's length and tags the offset of its tag
-// list. ok=false means data holds no intact record (empty, short,
-// failing its checksum, or lists that overrun it) — the torn-tail
-// condition.
-func parse(data []byte) (n, tags int, ok bool) {
-	if len(data) < 8 {
-		return 0, 0, false
+// decoding it and returns the frame's length. ok=false means data holds
+// no intact record (empty, short, failing its checksum, or lists that
+// overrun it) — the torn-tail condition.
+func parse(data []byte) (n int, ok bool) {
+	if len(data) < minFrame {
+		return 0, false
 	}
 	n = frameLen(data)
 	if n < minFrame || len(data) < n {
-		return 0, 0, false
-	}
-	if crc32.Checksum(data[4:n-4], crcTable) != binary.LittleEndian.Uint32(data[n-4:]) {
-		return 0, 0, false
-	}
-	tags, ok = walk(data[:n])
-	return n, tags, ok
-}
-
-// walk checks that the payload of frame, one whole frame, holds a record
-// — its model and tag lists inside it, a header's magic after them — and
-// returns the tag list's offset.
-func walk(frame []byte) (tags int, ok bool) {
-	end := len(frame) - 4
-	if tags, ok = skipList(frame, offModel, end, 8); !ok {
 		return 0, false
 	}
-	off, ok := skipList(frame, tags, end, 0)
+	if crc32.Checksum(data[4:n-4], crcTable) != binary.LittleEndian.Uint32(data[n-4:]) {
+		return 0, false
+	}
+	_, ok = walk(data[:n])
+	return n, ok
+}
+
+// walk checks that the payload of frame, one whole frame, holds a record —
+// its model and tag lists inside it — and returns the offset past them.
+func walk(frame []byte) (int, bool) {
+	end := len(frame) - 4
+	off, ok := skipList(frame, offModel, end, 8)
 	if !ok {
 		return 0, false
 	}
-	if Kind(frame[offKind]) == KindHeader && (end < off+len(magic) || string(frame[off:off+len(magic)]) != magic) {
-		return 0, false
-	}
-	return tags, true
+	return skipList(frame, off, end, 0)
 }
 
 // skipList walks the counted list at data[off:end] — each item a u16
@@ -446,15 +401,4 @@ func decodeTags(data []byte, off int, intern map[string]string) []string {
 		off += l
 	}
 	return ts
-}
-
-// appendFrame frames a payload given in pieces.
-func appendFrame(out []byte, pieces ...[]byte) []byte {
-	start := len(out)
-	out = append(out, 0, 0, 0, 0)
-	for _, p := range pieces {
-		out = append(out, p...)
-	}
-	binary.LittleEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[start+4:], crcTable))
 }

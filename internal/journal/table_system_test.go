@@ -15,10 +15,9 @@ import (
 
 // TestSeedAndAdoptMatchLoad: a table put into a journal answers exactly
 // like the same records loaded from a file. Sharing never touches the
-// file; Adopt leaves in it the bytes AppendWithDeps would have, in
-// canonical order, whether the table's frames came from a checkpoint (a
-// verdict frame and its index frame) or from a store (one frame, tags
-// inline).
+// file; Adopt leaves in it the bytes Append would have, in canonical
+// order, whether the table's frames came from a checkpoint or from a
+// store — which are the same frames.
 func TestSeedAndAdoptMatchLoad(t *testing.T) {
 	t.Run("synthetic", func(t *testing.T) {
 		const fp = 0xfeedfacecafe
@@ -28,11 +27,11 @@ func TestSeedAndAdoptMatchLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range []journal.Record{
-			{Kind: journal.KindCheck, Key: 1, Verdict: journal.Unsat},
-			{Kind: journal.KindEmit, Key: 2, Verdict: journal.Sat, Model: []journal.VarVal{{Var: "hdr.x", Val: 7}}},
+			{Kind: journal.KindCheck, Key: 1, Verdict: journal.Unsat, Tables: []string{"t/acl", "t/route"}},
+			{Kind: journal.KindEmit, Key: 2, Verdict: journal.Sat, Model: []journal.VarVal{{Var: "hdr.x", Val: 7}}, Tables: []string{"t/acl"}},
 			{Kind: journal.KindEmit, Key: 3, Verdict: journal.Unknown},
 		} {
-			if err := j.AppendWithDeps(r, []string{"t/acl", "t/route"}); err != nil {
+			if err := j.Append(r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -122,14 +121,13 @@ func sharedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, s
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	recs := loaded.Records()
+	recs := loaded.Table().Records()
 
 	// What Adopt must write: the header, then each record in canonical
-	// order as AppendWithDeps frames it.
+	// order as Append frames it.
 	want := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})
 	for _, r := range recs {
-		want = journal.AppendRecord(want, journal.Record{Kind: r.Kind, Key: r.Key, Verdict: r.Verdict, Model: r.Model})
-		want = journal.AppendRecord(want, journal.Record{Kind: journal.KindIndex, Key: r.Key, Verdict: journal.Verdict(r.Kind), Tables: r.Tables})
+		want = journal.AppendRecord(want, r)
 	}
 
 	same := func(name string, got *journal.Journal) {
@@ -137,7 +135,7 @@ func sharedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, s
 		if sameLoaded && got.Loaded() != loaded.Loaded() {
 			t.Errorf("%s: Loaded %d, a load gives %d", name, got.Loaded(), loaded.Loaded())
 		}
-		if !reflect.DeepEqual(got.Records(), recs) {
+		if !reflect.DeepEqual(got.Table().Records(), recs) {
 			t.Errorf("%s: Records differ from a load's", name)
 		}
 		for _, r := range recs {

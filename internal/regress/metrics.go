@@ -6,8 +6,7 @@ import "repro/internal/obs"
 // once at package init.
 var (
 	// mRecordsRetained / mRecordsInvalidated count baseline journal records
-	// carried over to, respectively dropped from, rebased journals
-	// (unindexed records count as invalidated: they are dropped too).
+	// carried over to, respectively dropped from, rebased journals.
 	mRecordsRetained    = obs.GetCounter("regress.records_retained")
 	mRecordsInvalidated = obs.GetCounter("regress.records_invalidated")
 

@@ -26,7 +26,7 @@ import (
 // RebaseStats accounts for one journal rebase.
 type RebaseStats struct {
 	// Baseline is the number of verdict records in the source journal
-	// (deduplicated, dependency annotations folded in).
+	// (deduplicated).
 	Baseline int `json:"baseline_records"`
 	// Retained records were copied to the destination journal: their
 	// dependency tags avoid every invalidated branch, so the incremental
@@ -34,32 +34,21 @@ type RebaseStats struct {
 	Retained int `json:"retained"`
 	// Invalidated records crossed a changed table branch and were dropped.
 	Invalidated int `json:"invalidated"`
-	// Unindexed records carried no dependency index (torn pair, or written
-	// by a pre-index run) and were dropped conservatively.
-	Unindexed int `json:"unindexed"`
 }
 
 // Retain is the rebase filter: of a baseline's records it keeps every
-// indexed record none of whose dependency tags the invalid filter matches
-// (invalid == nil retains every indexed record). The kept table shares
-// t's frames and leaves t as it was.
+// record none of whose dependency tags the invalid filter matches
+// (invalid == nil retains every record). The kept table shares t's frames
+// and leaves t as it was.
 func Retain(t *journal.Table, invalid func(tag []byte) bool) (*journal.Table, *RebaseStats) {
 	st := &RebaseStats{Baseline: t.Len()}
 	kept := t.Clone()
-	kept.DeleteFunc(func(e journal.Entry) bool {
-		switch {
-		case !e.Indexed():
-			st.Unindexed++
-		case invalid != nil && e.DependsOn(invalid):
-			st.Invalidated++
-		default:
-			return false
-		}
-		return true
-	})
+	if invalid != nil {
+		st.Invalidated = kept.DeleteFunc(func(e journal.Entry) bool { return e.DependsOn(invalid) })
+	}
 	st.Retained = kept.Len()
 	mRecordsRetained.Add(uint64(st.Retained))
-	mRecordsInvalidated.Add(uint64(st.Invalidated + st.Unindexed))
+	mRecordsInvalidated.Add(uint64(st.Invalidated))
 	return kept, st
 }
 

@@ -12,8 +12,8 @@ import (
 
 func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
 
-// writeBaseline builds a journal with a mix of indexed, unindexed, and
-// tag-bearing records.
+// writeBaseline builds a journal of tag-bearing records and one that
+// depends on no table.
 func writeBaseline(t *testing.T, path string, fp uint64) {
 	t.Helper()
 	j, err := journal.Open(path, fp, false)
@@ -26,12 +26,12 @@ func writeBaseline(t *testing.T, path string, fp uint64) {
 			t.Fatal(err)
 		}
 	}
-	must(j.AppendWithDeps(journal.Record{Kind: journal.KindCheck, Key: 1, Verdict: journal.Sat}, []string{"acl#0000000000000001"}))
-	must(j.AppendWithDeps(journal.Record{Kind: journal.KindCheck, Key: 2, Verdict: journal.Unsat}, []string{"acl#0000000000000002", "nat#0000000000000009"}))
-	must(j.AppendWithDeps(journal.Record{Kind: journal.KindEmit, Key: 3, Verdict: journal.Sat,
-		Model: []journal.VarVal{{Var: "port", Val: 80}}}, []string{"acl#miss"}))
-	must(j.AppendWithDeps(journal.Record{Kind: journal.KindCheck, Key: 4, Verdict: journal.Sat}, nil)) // no deps
-	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 5, Verdict: journal.Sat}))              // unindexed
+	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 1, Verdict: journal.Sat, Tables: []string{"acl#0000000000000001"}}))
+	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 2, Verdict: journal.Unsat, Tables: []string{"acl#0000000000000002", "nat#0000000000000009"}}))
+	must(j.Append(journal.Record{Kind: journal.KindEmit, Key: 3, Verdict: journal.Sat,
+		Model: []journal.VarVal{{Var: "port", Val: 80}}, Tables: []string{"acl#miss"}}))
+	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 4, Verdict: journal.Sat})) // no deps
+	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 5, Verdict: journal.Sat, Tables: []string{"fwd#miss"}}))
 }
 
 func TestRebaseFiltersByTag(t *testing.T) {
@@ -40,14 +40,13 @@ func TestRebaseFiltersByTag(t *testing.T) {
 	dst := filepath.Join(dir, "next.journal")
 	writeBaseline(t, src, 7)
 
-	// Invalidate one acl entry branch: keys 1 drops, 2/3/4 stay, 5 is
-	// unindexed and drops conservatively.
+	// Invalidate one acl entry branch: key 1 drops, 2/3/4/5 stay.
 	invalid := rulediff.Matcher([]string{"acl#0000000000000001"})
 	st, err := Rebase(src, dst, 7, 9, invalid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RebaseStats{Baseline: 5, Retained: 3, Invalidated: 1, Unindexed: 1}
+	want := RebaseStats{Baseline: 5, Retained: 4, Invalidated: 1}
 	if *st != want {
 		t.Fatalf("stats = %+v, want %+v", *st, want)
 	}
@@ -62,19 +61,16 @@ func TestRebaseFiltersByTag(t *testing.T) {
 	if _, ok := d.Lookup(journal.KindCheck, 1); ok {
 		t.Error("invalidated record survived the rebase")
 	}
-	if _, ok := d.Lookup(journal.KindCheck, 5); ok {
-		t.Error("unindexed record survived the rebase")
-	}
 	e, ok := d.Lookup(journal.KindEmit, 3)
 	r := e.Record()
 	if !ok || r.Verdict != journal.Sat || len(r.Model) != 1 || r.Model[0].Val != 80 {
 		t.Fatalf("retained emit record mangled: %+v ok=%v", r, ok)
 	}
-	if !r.Indexed || len(r.Tables) != 1 || r.Tables[0] != "acl#miss" {
-		t.Errorf("retained record lost its dependency index: %+v", r)
+	if len(r.Tables) != 1 || r.Tables[0] != "acl#miss" {
+		t.Errorf("retained record lost its dependency tags: %+v", r)
 	}
-	if e, _ := d.Lookup(journal.KindCheck, 4); !e.Indexed() {
-		t.Error("empty-deps record must stay indexed after rebase")
+	if _, ok := d.Lookup(journal.KindCheck, 4); !ok {
+		t.Error("a record that depends on no table must survive the rebase")
 	}
 }
 
@@ -88,8 +84,9 @@ func TestRebaseWholeTableWipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keys 1, 2 (acl entry tags) and 3 (acl#miss) drop; 4 (no deps) stays.
-	want := RebaseStats{Baseline: 5, Retained: 1, Invalidated: 3, Unindexed: 1}
+	// Keys 1, 2 (acl entry tags) and 3 (acl#miss) drop; 4 (no deps) and 5
+	// (fwd) stay.
+	want := RebaseStats{Baseline: 5, Retained: 2, Invalidated: 3}
 	if *st != want {
 		t.Fatalf("stats = %+v, want %+v", *st, want)
 	}
@@ -104,8 +101,8 @@ func TestRebaseNilFilterRetainsIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Retained != 4 || st.Invalidated != 0 || st.Unindexed != 1 {
-		t.Fatalf("stats = %+v, want 4 retained / 1 unindexed", *st)
+	if st.Retained != 5 || st.Invalidated != 0 {
+		t.Fatalf("stats = %+v, want all 5 retained", *st)
 	}
 }
 
@@ -132,7 +129,7 @@ func validReport() *Report {
 			TablesChanged:   []string{"acl"},
 			EntriesModified: 1,
 		},
-		Journal:   &RebaseStats{Baseline: 5, Retained: 3, Invalidated: 1, Unindexed: 1},
+		Journal:   &RebaseStats{Baseline: 5, Retained: 4, Invalidated: 1},
 		Templates: &TemplateReport{Baseline: 10, Current: 10, Added: 2, Retired: 2, Unchanged: 8},
 		Queries:   NewQueryReport(3, 20, 5),
 	}

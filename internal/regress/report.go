@@ -98,9 +98,9 @@ func (r *Report) Validate() error {
 		return fmt.Errorf("regress: report missing a required section")
 	}
 	j := r.Journal
-	if j.Retained+j.Invalidated+j.Unindexed != j.Baseline {
-		return fmt.Errorf("regress: journal accounting %d+%d+%d != baseline %d",
-			j.Retained, j.Invalidated, j.Unindexed, j.Baseline)
+	if j.Retained+j.Invalidated != j.Baseline {
+		return fmt.Errorf("regress: journal accounting %d+%d != baseline %d",
+			j.Retained, j.Invalidated, j.Baseline)
 	}
 	t := r.Templates
 	if t.Added+t.Unchanged != t.Current {

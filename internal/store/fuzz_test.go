@@ -99,7 +99,7 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.PutRecord(recFam, recRecord(1<<40, journal.Sat, "fuzz#miss")); err != nil {
+		if err := putRecord(tx, recFam, recRecord(1<<40, journal.Sat, "fuzz#miss")); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {

@@ -23,8 +23,6 @@ var (
 	// follows, once.
 	mTagTests = obs.GetCounter("store.tag_tests")
 
-	// mRecordsPut counts records written; mSkipped those left out for
-	// carrying no dependency index (the verdict is re-derived next run).
+	// mRecordsPut counts records written.
 	mRecordsPut = obs.GetCounter("store.records_put")
-	mSkipped    = obs.GetCounter("store.records_skipped")
 )

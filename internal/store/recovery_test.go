@@ -32,7 +32,7 @@ func recRecord(key uint64, verdict journal.Verdict, tags ...string) journal.Reco
 	return journal.Record{
 		Kind: journal.KindEmit, Key: key, Verdict: verdict,
 		Model:  []journal.VarVal{{Var: "pkt.dst", Val: key * 3}},
-		Tables: tags, Indexed: true,
+		Tables: tags,
 	}
 }
 
@@ -54,7 +54,7 @@ func workloadTxns() []func(tx *Tx) error {
 	churn := func(verdict journal.Verdict) func(tx *Tx) error {
 		return func(tx *Tx) error {
 			for i := uint64(100); i < 140; i++ {
-				if err := tx.PutRecord(recFam, recRecord(i, verdict, natTag, rules.MissTag("fwd"))); err != nil {
+				if err := putRecord(tx, recFam, recRecord(i, verdict, natTag, rules.MissTag("fwd"))); err != nil {
 					return err
 				}
 			}
@@ -68,7 +68,7 @@ func workloadTxns() []func(tx *Tx) error {
 				if i%2 == 0 {
 					tag = rules.MissTag("fwd")
 				}
-				if err := tx.PutRecord(recFam, recRecord(i, journal.Unsat, tag)); err != nil {
+				if err := putRecord(tx, recFam, recRecord(i, journal.Unsat, tag)); err != nil {
 					return err
 				}
 			}
@@ -76,7 +76,7 @@ func workloadTxns() []func(tx *Tx) error {
 		},
 		func(tx *Tx) error {
 			for i := uint64(9); i <= 16; i++ {
-				if err := tx.PutRecord(recFam, recRecord(i, journal.Sat, aclTag, rules.MissTag("fwd"))); err != nil {
+				if err := putRecord(tx, recFam, recRecord(i, journal.Sat, aclTag, rules.MissTag("fwd"))); err != nil {
 					return err
 				}
 			}
@@ -90,7 +90,7 @@ func workloadTxns() []func(tx *Tx) error {
 		},
 		func(tx *Tx) error {
 			for i := uint64(20); i <= 24; i++ {
-				if err := tx.PutRecord(recFam, recRecord(i, journal.Unknown, denyTag)); err != nil {
+				if err := putRecord(tx, recFam, recRecord(i, journal.Unknown, denyTag)); err != nil {
 					return err
 				}
 			}
@@ -101,7 +101,7 @@ func workloadTxns() []func(tx *Tx) error {
 			if _, err := tx.InvalidateTags(recFam, []string{denyTag}); err != nil {
 				return err
 			}
-			if err := tx.PutRecord(recFam, recRecord(20, journal.Sat, rules.MissTag("acl"))); err != nil {
+			if err := putRecord(tx, recFam, recRecord(20, journal.Sat, rules.MissTag("acl"))); err != nil {
 				return err
 			}
 			return tx.SetFamilyRules(recFam, "rules-v3: acl{} fwd{} nat{snat}")
@@ -109,7 +109,7 @@ func workloadTxns() []func(tx *Tx) error {
 		churn(journal.Unsat),
 		churn(journal.Unknown),
 		func(tx *Tx) error {
-			return tx.PutRecord(recFam, recRecord(141, journal.Sat, natTag))
+			return putRecord(tx, recFam, recRecord(141, journal.Sat, natTag))
 		},
 	}
 }
@@ -265,7 +265,7 @@ func TestRecoverySweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Begin after recovery: %v", name, err)
 			}
-			if err := tx.PutRecord(recFam, recRecord(99, journal.Sat, "fwd#miss")); err != nil {
+			if err := putRecord(tx, recFam, recRecord(99, journal.Sat, "fwd#miss")); err != nil {
 				t.Fatalf("%s: put after recovery: %v", name, err)
 			}
 			if err := tx.Commit(); err != nil {

@@ -110,7 +110,6 @@ func refReplay(data []byte) (*refState, int, error) {
 			if r, ok = journal.UnmarshalRecord(data[off : off+n]); ok && r.Kind == frameDead {
 				f.kill(r.Tables)
 			} else if ok {
-				r.Indexed = true
 				f.put(r, int64(n))
 			}
 		case p[0] == 'C':

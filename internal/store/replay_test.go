@@ -35,7 +35,7 @@ func ruleChurn(t testing.TB, path string, n, updates int) int {
 	}
 	put := func(tx *Tx, fam, i uint64, v journal.Verdict) {
 		t.Helper()
-		if err := tx.PutRecord(fam, recRecord(i, v, tagsOf(i)...)); err != nil {
+		if err := putRecord(tx, fam, recRecord(i, v, tagsOf(i)...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestStoreWarmSharesTableDuringCommit(t *testing.T) {
 	tagOf := func(i uint64) string { return fmt.Sprintf("acl#e%d", i%10) }
 	tx := mustBegin(t, s)
 	for i := uint64(0); i < 200; i++ {
-		if err := tx.PutRecord(fam, testRecord(i, journal.Unsat, tagOf(i), "fwd#miss")); err != nil {
+		if err := putRecord(tx, fam, testRecord(i, journal.Unsat, tagOf(i), "fwd#miss")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestStoreWarmSharesTableDuringCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := round % 10; i < 200; i += 10 {
-			if err := tx.PutRecord(fam, testRecord(i, journal.Sat, tagOf(i), "fwd#miss")); err != nil {
+			if err := putRecord(tx, fam, testRecord(i, journal.Sat, tagOf(i), "fwd#miss")); err != nil {
 				t.Fatal(err)
 			}
 		}

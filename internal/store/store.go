@@ -36,8 +36,8 @@ var ErrCorrupt = errors.New("store: corrupt store file")
 var ErrWedged = errors.New("store: wedged by I/O error; reopen to recover")
 
 var errPaged = errors.New("a page-based (MEISSAS1: B+tree and -wal) verdict store, which this release does not read: " +
-	"export it with the release that wrote it and `meissa store import -journal` the result into a new file, " +
-	"or delete it and its -wal (every verdict is re-derivable)")
+	"delete it and its -wal and re-populate a new store with `meissa gen -store` (every verdict is re-derivable), " +
+	"or export it with the release that wrote it and `meissa store import -journal` the result with a release that still reads MEISSAJ1 checkpoints")
 
 // Stats are one open store's counters (the obs registry has the process's).
 type Stats struct {
@@ -48,7 +48,6 @@ type Stats struct {
 	FileBytes     uint64 // committed size of the file
 	SnapshotReads uint64 // records served through snapshot handles
 	Invalidated   uint64 // records removed by tag invalidation
-	Skipped       uint64 // records skipped (unindexed)
 }
 
 // Store is an open verdict store, safe for concurrent use: transactions
@@ -169,14 +168,13 @@ func (s *Store) count(field *uint64, c *obs.Counter, n uint64) {
 
 // Tx is a writer transaction, one at a time; it reads its own writes.
 type Tx struct {
-	s       *Store
-	base    *state
-	fams    map[uint64]*family // clones of the families it touched
-	full    [][]byte           // its frames, in call order: the chunks filled,
-	buf     []byte             // and the one filling, which the clones' entries point into
-	scope   *family            // the family the last family frame names
-	scratch []byte             // Holds' encoding
-	done    bool
+	s     *Store
+	base  *state
+	fams  map[uint64]*family // clones of the families it touched
+	full  [][]byte           // its frames, in call order: the chunks filled,
+	buf   []byte             // and the one filling, which the clones' entries point into
+	scope *family            // the family the last family frame names
+	done  bool
 }
 
 // txChunk bounds a chunk: one buffer growing to a run's verdicts would be
@@ -214,27 +212,28 @@ func (tx *Tx) in(fam uint64) *family {
 	return f
 }
 
-// PutRecord stores one verdict under family fam, over any record of its
-// kind and key. A record with no dependency index is skipped (counted): no
-// rule delta could invalidate it. The family keeps r's frame, written into
-// the transaction's chunk, and not r.
-func (tx *Tx) PutRecord(fam uint64, r journal.Record) error {
-	if r.Kind != journal.KindCheck && r.Kind != journal.KindEmit {
-		return fmt.Errorf("store: cannot persist record kind %d", r.Kind)
+// Put stores the verdict framed by fr — one whole frame, as a journal's
+// table holds it — under family fam, over any record of its kind and key,
+// and reports whether fam, as the transaction has left it, held those
+// bytes already; then nothing changes. A frame replay would refuse —
+// failing its checksum, overrunning itself, or of another kind — is an
+// error. The family keeps a copy of fr, written into the transaction's
+// chunk.
+func (tx *Tx) Put(fam uint64, fr []byte) (held bool, err error) {
+	e, ok := journal.EntryOf(fr)
+	if _, n, intact := frame(fr); !ok || !intact || n != len(fr) ||
+		(e.Kind() != journal.KindCheck && e.Kind() != journal.KindEmit) {
+		return false, fmt.Errorf("store: %d bytes hold no verdict frame", len(fr))
 	}
-	if !r.Indexed {
-		tx.s.count(&tx.s.stats.Skipped, mSkipped, 1)
-		return nil
+	if old, ok := tx.view(fam).recs.Lookup(e.Kind(), e.Key()); ok && bytes.Equal(old.Frame(), fr) {
+		return true, nil
 	}
 	f := tx.in(fam)
 	at := len(tx.buf)
-	tx.buf = journal.AppendRecord(tx.buf, r)
-	if !f.put(tx.buf[at:len(tx.buf):len(tx.buf)]) {
-		tx.buf = tx.buf[:at]
-		return fmt.Errorf("store: record (%d, %#x) does not frame", r.Kind, r.Key)
-	}
+	tx.buf = append(tx.buf, fr...)
+	f.put(tx.buf[at:len(tx.buf):len(tx.buf)])
 	mRecordsPut.Inc()
-	return nil
+	return false, nil
 }
 
 // InvalidateTags removes every record of fam that depends on one of tags (a
@@ -264,17 +263,6 @@ func (tx *Tx) view(fam uint64) *family {
 		return f
 	}
 	return tx.base.fam(fam)
-}
-
-// Holds reports whether fam, as the transaction has left it, holds r's
-// frame byte for byte: PutRecord would change nothing.
-func (tx *Tx) Holds(fam uint64, r journal.Record) bool {
-	e, ok := tx.view(fam).recs.Lookup(r.Kind, r.Key)
-	if !ok {
-		return false
-	}
-	tx.scratch = journal.AppendRecord(tx.scratch[:0], r)
-	return bytes.Equal(e.Frame(), tx.scratch)
 }
 
 // Abort discards the transaction; nothing of it reached disk.

@@ -48,8 +48,14 @@ func testRecord(key uint64, verdict journal.Verdict, tags ...string) journal.Rec
 	return journal.Record{
 		Kind: journal.KindEmit, Key: key, Verdict: verdict,
 		Model:  []journal.VarVal{{Var: "h.dst", Val: key}},
-		Tables: tags, Indexed: true,
+		Tables: tags,
 	}
+}
+
+// putRecord puts r under fam framed as a run's journal frames it.
+func putRecord(tx *Tx, fam uint64, r journal.Record) error {
+	_, err := tx.Put(fam, journal.MarshalRecord(r))
+	return err
 }
 
 // TestStoreRoundTrip persists records across a close/reopen and checks
@@ -67,11 +73,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	recs := []journal.Record{
 		testRecord(10, journal.Unsat, rules.DepTag("acl", &rules.Entry{}), rules.MissTag("fwd")),
 		testRecord(11, journal.Sat, rules.MissTag("acl")),
-		{Kind: journal.KindCheck, Key: 10, Verdict: journal.Sat, Tables: []string{rules.MissTag("fwd")}, Indexed: true},
+		{Kind: journal.KindCheck, Key: 10, Verdict: journal.Sat, Tables: []string{rules.MissTag("fwd")}},
 	}
 	for _, r := range recs {
-		if err := tx.PutRecord(fam, r); err != nil {
-			t.Fatalf("PutRecord: %v", err)
+		if err := putRecord(tx, fam, r); err != nil {
+			t.Fatalf("Put: %v", err)
 		}
 	}
 	if err := tx.SetFamilyRules(fam, rulesText); err != nil {
@@ -113,7 +119,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("GetRecord: ok=%v err=%v", ok, err)
 	}
-	if r.Verdict != journal.Unsat || len(r.Model) != 1 || r.Model[0].Var != "h.dst" || !r.Indexed {
+	if r.Verdict != journal.Unsat || len(r.Model) != 1 || r.Model[0].Var != "h.dst" || len(r.Tables) != 2 {
 		t.Fatalf("record fidelity: %+v", r)
 	}
 	if st := s.Stats(); st.SnapshotReads == 0 {
@@ -126,12 +132,12 @@ func TestStoreLastWins(t *testing.T) {
 	s := openTest(t, nil)
 	const fam = 1
 	tx := mustBegin(t, s)
-	if err := tx.PutRecord(fam, testRecord(5, journal.Unsat, "acl#miss")); err != nil {
+	if err := putRecord(tx, fam, testRecord(5, journal.Unsat, "acl#miss")); err != nil {
 		t.Fatal(err)
 	}
 	mustCommit(t, tx)
 	tx = mustBegin(t, s)
-	if err := tx.PutRecord(fam, testRecord(5, journal.Sat, "acl#miss")); err != nil {
+	if err := putRecord(tx, fam, testRecord(5, journal.Sat, "acl#miss")); err != nil {
 		t.Fatal(err)
 	}
 	mustCommit(t, tx)
@@ -156,13 +162,13 @@ func TestStoreInvalidateTags(t *testing.T) {
 	aclTag := rules.DepTag("acl", e)
 
 	tx := mustBegin(t, s)
-	if err := tx.PutRecord(fam, testRecord(1, journal.Unsat, aclTag)); err != nil {
+	if err := putRecord(tx, fam, testRecord(1, journal.Unsat, aclTag)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.PutRecord(fam, testRecord(2, journal.Unsat, rules.MissTag("acl"))); err != nil {
+	if err := putRecord(tx, fam, testRecord(2, journal.Unsat, rules.MissTag("acl"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.PutRecord(fam, testRecord(3, journal.Unsat, rules.MissTag("fwd"))); err != nil {
+	if err := putRecord(tx, fam, testRecord(3, journal.Unsat, rules.MissTag("fwd"))); err != nil {
 		t.Fatal(err)
 	}
 	mustCommit(t, tx)
@@ -205,24 +211,53 @@ func TestStoreInvalidateTags(t *testing.T) {
 	}
 }
 
-// TestStoreUnindexedSkipped: records without a dependency index must not
-// be persisted (they could never be invalidated by a rule delta).
-func TestStoreUnindexedSkipped(t *testing.T) {
+// TestStorePutRefusesBadFrames: Put takes what replay would read back and
+// nothing else — a frame that fails its checksum, is cut short or runs on,
+// whose lists overrun it, or that holds no verdict is an error and leaves
+// the transaction as it was; a frame the family holds byte for byte is
+// reported held and changes nothing.
+func TestStorePutRefusesBadFrames(t *testing.T) {
 	s := openTest(t, nil)
+	const fam = 3
+	good := journal.MarshalRecord(testRecord(9, journal.Unsat, "acl#miss"))
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x10
+	overrun := append([]byte(nil), good[4:len(good)-4]...)
+	overrun[len(overrun)-len("acl#miss")-2]++ // the tag's length runs past the payload
+	for name, fr := range map[string][]byte{
+		"flipped byte":    flipped,
+		"cut short":       good[:len(good)-1],
+		"runs on":         append(append([]byte(nil), good...), 0),
+		"lists overrun":   appendFrame(nil, overrun),
+		"header":          journal.MarshalRecord(journal.Record{Kind: journal.KindHeader}),
+		"tombstone":       journal.MarshalRecord(journal.Record{Kind: frameDead, Tables: []string{"acl"}}),
+		"no frame at all": nil,
+	} {
+		tx := mustBegin(t, s)
+		if held, err := tx.Put(fam, fr); err == nil || held {
+			t.Errorf("%s: Put = %v, %v; want an error", name, held, err)
+		}
+		if len(tx.buf) != 0 || len(tx.fams) != 0 {
+			t.Errorf("%s: the refused frame left %d bytes in the transaction", name, len(tx.buf))
+		}
+		tx.Abort()
+	}
 	tx := mustBegin(t, s)
-	r := testRecord(9, journal.Unsat)
-	r.Indexed = false
-	if err := tx.PutRecord(3, r); err != nil {
-		t.Fatalf("PutRecord: %v", err)
+	if held, err := tx.Put(fam, good); err != nil || held {
+		t.Fatalf("Put = %v, %v; want a new record", held, err)
+	}
+	if held, err := tx.Put(fam, good); err != nil || !held {
+		t.Fatalf("Put again = %v, %v; want it held", held, err)
 	}
 	mustCommit(t, tx)
-	sn := s.Snapshot()
-	defer sn.Close()
-	if _, ok, _ := sn.GetRecord(3, journal.KindEmit, 9); ok {
-		t.Fatal("unindexed record persisted")
+	size := s.Stats().FileBytes
+	tx = mustBegin(t, s)
+	if held, err := tx.Put(fam, good); err != nil || !held {
+		t.Fatalf("Put after the commit = %v, %v; want it held", held, err)
 	}
-	if st := s.Stats(); st.Skipped != 1 {
-		t.Fatalf("Skipped = %d, want 1", st.Skipped)
+	mustCommit(t, tx)
+	if st := s.Stats(); st.FileBytes != size || st.Commits != 1 {
+		t.Fatalf("a transaction of held frames wrote: file %d -> %d bytes, %d commits", size, st.FileBytes, st.Commits)
 	}
 }
 
@@ -234,7 +269,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	const fam = 4
 	tx := mustBegin(t, s)
 	for i := uint64(0); i < 50; i++ {
-		if err := tx.PutRecord(fam, testRecord(i, journal.Unsat, "acl#miss")); err != nil {
+		if err := putRecord(tx, fam, testRecord(i, journal.Unsat, "acl#miss")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,13 +278,13 @@ func TestSnapshotIsolation(t *testing.T) {
 	old := s.Snapshot()
 	defer old.Close()
 
-	// Churn: overwrite everything and add more, across several commits —
-	// enough dead bytes for one of them to rewrite the log while the
-	// snapshot is open.
+	// Churn: overwrite everything with another verdict each time and add
+	// more, across several commits — enough dead bytes for one of them to
+	// rewrite the log while the snapshot is open.
 	for round := 0; round < 4; round++ {
 		tx = mustBegin(t, s)
 		for i := uint64(0); i < 80; i++ {
-			if err := tx.PutRecord(fam, testRecord(i, journal.Sat, "acl#miss")); err != nil {
+			if err := putRecord(tx, fam, testRecord(i, journal.Verdict(1+round%2), "acl#miss")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -283,7 +318,8 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestCompactionBoundsFile: dead bytes are reclaimed. Under churn that
-// overwrites one working set the file stops growing — it never holds more
+// overwrites one working set, each time with the other verdict, the file
+// stops growing — it never holds more
 // than twice what a rewrite would, plus the transaction that tipped it —
 // a compacted log is exactly its live frames, and a reopen after
 // compaction reads the same state.
@@ -294,10 +330,12 @@ func TestCompactionBoundsFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	const fam = 5
+	round := 0
 	churn := func() {
 		tx := mustBegin(t, s)
+		round++
 		for i := uint64(0); i < 30; i++ {
-			if err := tx.PutRecord(fam, testRecord(i, journal.Unsat, "t#miss")); err != nil {
+			if err := putRecord(tx, fam, testRecord(i, journal.Verdict(round%2), "t#miss")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -357,7 +395,7 @@ func TestTransientWriteError(t *testing.T) {
 	const fam = 6
 
 	tx := mustBegin(t, s)
-	if err := tx.PutRecord(fam, testRecord(1, journal.Unsat, "t#miss")); err != nil {
+	if err := putRecord(tx, fam, testRecord(1, journal.Unsat, "t#miss")); err != nil {
 		t.Fatal(err)
 	}
 	mustCommit(t, tx)
@@ -367,7 +405,7 @@ func TestTransientWriteError(t *testing.T) {
 	fp.FailAt = fp.ops + 1
 	fp.mu.Unlock()
 	tx = mustBegin(t, s)
-	if err := tx.PutRecord(fam, testRecord(2, journal.Unsat, "t#miss")); err != nil {
+	if err := putRecord(tx, fam, testRecord(2, journal.Unsat, "t#miss")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err == nil {
@@ -381,7 +419,7 @@ func TestTransientWriteError(t *testing.T) {
 	}
 	sn.Close()
 	tx = mustBegin(t, s)
-	if err := tx.PutRecord(fam, testRecord(3, journal.Sat, "t#miss")); err != nil {
+	if err := putRecord(tx, fam, testRecord(3, journal.Sat, "t#miss")); err != nil {
 		t.Fatal(err)
 	}
 	mustCommit(t, tx)
@@ -401,7 +439,7 @@ func TestStoreManyFamilies(t *testing.T) {
 	tx := mustBegin(t, s)
 	for fam := uint64(0); fam < 8; fam++ {
 		for i := uint64(0); i < 10; i++ {
-			if err := tx.PutRecord(fam, testRecord(i, journal.Verdict(fam%2), "t#miss")); err != nil {
+			if err := putRecord(tx, fam, testRecord(i, journal.Verdict(fam%2), "t#miss")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -430,8 +468,9 @@ var pagedHeader = append([]byte{0xde, 0xad, 0xbe, 0xef}, "MEISSAS1\x01\x00\x00\x
 
 // TestOpenRefusesPagedStore: a file of the page-based format — its magic
 // in the main file, or a non-empty -wal beside a main file a crash left
-// empty — is refused with an error that names the format and the way out,
-// and nothing on disk changes: no fresh log is initialised over it.
+// empty — is refused with an error that names the format and the ways out
+// that still work, and nothing on disk changes: no fresh log is initialised
+// over it.
 func TestOpenRefusesPagedStore(t *testing.T) {
 	for _, tc := range []struct{ name, main, wal string }{
 		{"magic in the main file", string(pagedHeader) + strings.Repeat("\x00", 200), ""},
@@ -453,7 +492,7 @@ func TestOpenRefusesPagedStore(t *testing.T) {
 			if err == nil {
 				t.Fatal("Open accepted a page-based store")
 			}
-			for _, want := range []string{"page-based", "MEISSAS1", "meissa store import -journal", "delete"} {
+			for _, want := range []string{"page-based", "MEISSAS1", "delete", "re-populate", "meissa gen -store", "still reads MEISSAJ1"} {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("error %q does not mention %q", err, want)
 				}
@@ -561,7 +600,7 @@ func TestOpenSkipsOldCacheFrames(t *testing.T) {
 			t.Fatal("ten overwrites of one record and no compaction")
 		}
 		tx := mustBegin(t, s)
-		if err := tx.PutRecord(recFam, recRecord(2, journal.Verdict(i%2), "fwd#miss")); err != nil {
+		if err := putRecord(tx, recFam, recRecord(2, journal.Verdict(i%2), "fwd#miss")); err != nil {
 			t.Fatal(err)
 		}
 		mustCommit(t, tx)
@@ -605,7 +644,7 @@ func TestCorruptionInsideHistory(t *testing.T) {
 	for round := uint64(0); round < 3; round++ {
 		tx := mustBegin(t, s)
 		for i := uint64(0); i < 40; i++ {
-			if err := tx.PutRecord(fam, testRecord(100*round+i, journal.Sat, "t#miss", "u#miss")); err != nil {
+			if err := putRecord(tx, fam, testRecord(100*round+i, journal.Sat, "t#miss", "u#miss")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -762,12 +801,12 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 				}
 			default:
 				r := testRecord(uint64(rng.Intn(60)), journal.Verdict(rng.Intn(3)), tagsOf()...)
-				if err := tx.PutRecord(fam, r); err != nil {
+				if err := putRecord(tx, fam, r); err != nil {
 					t.Fatal(err)
 				}
 				m.recs[r.Key] = r
-				if !tx.Holds(fam, r) {
-					t.Fatalf("step %d: the transaction does not read its own write", step)
+				if held, err := tx.Put(fam, journal.MarshalRecord(r)); err != nil || !held {
+					t.Fatalf("step %d: the transaction does not read its own write (%v)", step, err)
 				}
 			}
 		}

@@ -10,7 +10,7 @@
 //
 //	header  "MEISSAS2" (bytes 4-12 of the file)
 //	'F'     fam(8): scopes the frames up to the next 'F' or 'X'
-//	1, 2    a verdict, as journal.MarshalRecord frames it, tags inline
+//	1, 2    a verdict, tags inline: the frame a checkpoint journal holds it in
 //	'R'     the rules text the family's entries are valid under
 //	'T'     tombstone, a journal record: retires what depends on its tags
 //	'X'     txid(8): commit marker

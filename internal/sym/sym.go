@@ -934,13 +934,14 @@ func (e *executor) countJournalHit() {
 	mJournalHits.Inc()
 }
 
-// appendJournal writes one verdict record together with its dependency
-// index. Journaling is an aid, not a correctness requirement: on a write
+// appendJournal writes one verdict record, the path's dependency tags
+// inline. Journaling is an aid, not a correctness requirement: on a write
 // failure (disk full, fd revoked) further journaling is disabled and
 // exploration continues — the checkpoint simply ends early and a future
 // resume re-solves from there.
 func (e *executor) appendJournal(rec journal.Record) {
-	if err := e.opts.Journal.AppendWithDeps(rec, e.curDeps()); err != nil {
+	rec.Tables = e.curDeps()
+	if err := e.opts.Journal.Append(rec); err != nil {
 		e.journaling = false
 	}
 }

@@ -208,10 +208,10 @@ type GenResult struct {
 	JournalHits uint64
 	// JournalLoaded counts the records the run started with: recovered
 	// from the Checkpoint on a Resume, warmed from the store, retained
-	// from a regression baseline. JournalAppended counts the records it
-	// derived live and journaled (a verdict and its dependency index are
-	// two). Both are zero for a run with no checkpoint, store or
-	// regression baseline, which keeps no verdict table.
+	// from a regression baseline. JournalAppended counts the verdicts it
+	// derived live and journaled. Both are zero for a run with no
+	// checkpoint, store or regression baseline, which keeps no verdict
+	// table.
 	JournalAppended uint64
 	JournalLoaded   uint64
 	// Rebase accounts for the baseline rebase of an incremental
@@ -249,10 +249,11 @@ func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 // journal's, which exploration reads. Sources fill it, and only before the
 // first exploration: the Checkpoint file on a Resume (indexed), a
 // regression's baseline or a store snapshot's family (shared, not copied).
-// Sinks take what the run derives: the Checkpoint file, verdict by verdict
-// before use, and the store, in one transaction at the end. The table
-// never changes once the first exploration starts: the run's own appends
-// do not enter it.
+// Sinks take what the run derives, each verdict framed once: the
+// Checkpoint file, verdict by verdict before use, and the store, in one
+// transaction at the end that writes the frames the journal kept. The
+// table never changes once the first exploration starts: the run's own
+// appends do not enter it.
 func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	start := time.Now()
 	if s.Opts.Resume && s.Opts.Checkpoint == "" {
@@ -324,12 +325,10 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("meissa: checkpoint: %w", err)
 	}
-	// fresh is what this run derives, for the store commit.
-	var fresh []journal.Record
 	if j != nil {
 		defer j.Close()
 		if stc != nil {
-			j.SetMirror(func(r journal.Record) { fresh = append(fresh, r) })
+			j.KeepFresh() // what this run derives, for the store commit
 		}
 	}
 
@@ -419,13 +418,13 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	}
 	if stc != nil {
 		err := phase("store-commit", func() error {
-			recs := fresh
+			t := j.Fresh()
 			if s.Opts.Resume {
 				// The resumed checkpoint's records were journaled by a run
 				// that died before its commit.
-				recs = append(j.Records(), fresh...)
+				t = journal.Merge(j.Table(), t)
 			}
-			return stc.commit(s, journal.Canonical(recs))
+			return stc.commit(s, t)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("meissa: store: %w", err)

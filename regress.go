@@ -144,8 +144,8 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) (*journal.
 	gen, err := newSys.generate(&verdictSource{phase: "rebase", stc: stc, fill: func(j *journal.Journal, res *GenResult) error {
 		kept, st := regress.Retain(base, rulediff.Matcher(invalid))
 		base, res.Rebase = nil, st
-		obs.Progressf("regress: rebase: %d/%d baseline verdicts retained (%d invalidated, %d unindexed)",
-			st.Retained, st.Baseline, st.Invalidated, st.Unindexed)
+		obs.Progressf("regress: rebase: %d/%d baseline verdicts retained (%d invalidated)",
+			st.Retained, st.Baseline, st.Invalidated)
 		if stc != nil {
 			// RegressStore: the retained verdicts are the store's own.
 			stc.rep.Warmed = uint64(st.Retained)

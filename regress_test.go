@@ -301,8 +301,8 @@ func TestRegressWatchCache(t *testing.T) {
 
 // TestRebasedCheckpointIsCompleteJournal pins the file a regression leaves
 // at Checkpoint: the header under the new rules' fingerprint, the retained
-// baseline records in canonical (kind, key) order — each verdict followed
-// by its dependency index — then exactly the records the incremental run
+// baseline records in canonical (kind, key) order — each the frame the
+// baseline holds it in — then exactly the records the incremental run
 // appended. It is a complete journal: resuming from it on the new rules
 // re-derives the output without one solver call (watch mode makes it the
 // next baseline).
@@ -366,9 +366,7 @@ records:
 			}
 		}
 		retained++
-		want = append(want, journal.MarshalRecord(journal.Record{Kind: r.Kind, Key: r.Key, Verdict: r.Verdict, Model: r.Model})...)
-		want = append(want, journal.MarshalRecord(journal.Record{Kind: journal.KindIndex, Key: r.Key,
-			Verdict: journal.Verdict(r.Kind), Tables: r.Tables})...)
+		want = append(want, journal.MarshalRecord(r)...)
 	}
 	if retained == 0 || retained == len(baseRecs) || retained != res.Gen.Rebase.Retained {
 		t.Fatalf("retained %d of %d baseline records, rebase reports %d", retained, len(baseRecs), res.Gen.Rebase.Retained)

@@ -64,7 +64,7 @@ func (stc *storeCtx) release() { stc.st.Close() }
 // transaction with whatever else the caller commits. Records whose tags
 // the delta does not touch keep answering; there is no path by which a
 // stale verdict survives, because every record carries its dependency
-// tags and records without them are never stored.
+// tags in its frame.
 func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, newSet *rules.Set) (int, error) {
 	old, err := rules.Parse(storedText)
 	if err != nil {
@@ -114,15 +114,16 @@ func (stc *storeCtx) warm(s *System) (*journal.Table, error) {
 	return t, nil
 }
 
-// commit folds records into the store as ONE transaction: rule-set
-// reconciliation (when the stored rules differ — a regression, or a resumed
-// checkpoint) and new records become durable together or not at all. recs
-// is what the store may not hold yet, in canonical order: the verdicts the
-// run derived, plus a resumed checkpoint's. The records the run warmed from
-// the store are not among them and count as duplicates unread; a record
-// whose frame the store holds byte for byte is skipped, so a fully-warmed
-// re-run commits nothing and leaves the store file untouched.
-func (stc *storeCtx) commit(s *System, recs []journal.Record) error {
+// commit folds the records of t into the store as ONE transaction:
+// rule-set reconciliation (when the stored rules differ — a regression, or
+// a resumed checkpoint) and new records become durable together or not at
+// all. t holds what the store may not hold yet: the frames the run
+// derived, over a resumed checkpoint's. They go in canonical order, as
+// they are. The records the run warmed from the store are not among them
+// and count as duplicates unread; a frame the store holds byte for byte is
+// a duplicate too, so a fully-warmed re-run commits nothing and leaves the
+// store file untouched.
+func (stc *storeCtx) commit(s *System, t *journal.Table) error {
 	info, ok, err := stc.st.Family(stc.fam)
 	if err != nil {
 		return err
@@ -147,15 +148,14 @@ func (stc *storeCtx) commit(s *System, recs []journal.Record) error {
 		}
 	}
 	stc.rep.Duplicates = stc.rep.Warmed
-	for _, r := range recs {
-		if tx.Holds(stc.fam, r) {
-			stc.rep.Duplicates++
-			continue
-		}
-		if err := tx.PutRecord(stc.fam, r); err != nil {
+	for _, e := range t.Sorted() {
+		held, err := tx.Put(stc.fam, e.Frame())
+		if err != nil {
 			return fail(err)
 		}
-		if r.Indexed {
+		if held {
+			stc.rep.Duplicates++
+		} else {
 			stc.rep.Committed++
 		}
 	}
@@ -195,7 +195,7 @@ func (s *System) StoreImport(journalPath string) (*obs.StoreReport, error) {
 	defer stc.release()
 	t, err := journal.ReadTable(journalPath, s.identity(initC, stc.rules))
 	if err == nil {
-		err = stc.commit(s, t.Records())
+		err = stc.commit(s, t)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("meissa: store import: %w", err)

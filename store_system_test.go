@@ -480,12 +480,10 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 }
 
 // TestStoreFileSizeGates: the store file's size is a counted property of
-// what it holds, gated without a clock. Cold, it is no larger than 1.5
-// times its own export as a checkpoint journal (the log frames each
-// verdict once, tags inline, where a journal frames it twice); a warm run
-// leaves it byte for byte alone; and a one-entry rule update appends no
-// more than the frames of the records it reports committed, one rules
-// text, one tombstone, a family scope and a commit marker.
+// what it holds, gated without a clock. A warm run leaves it byte for byte
+// alone, and a one-entry rule update appends no more than the frames of
+// the records it reports committed, one rules text, one tombstone, a
+// family scope and a commit marker.
 func TestStoreFileSizeGates(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	dir := t.TempDir()
@@ -527,20 +525,9 @@ func TestStoreFileSizeGates(t *testing.T) {
 	if got := int64(cold.Store.FileBytes); got != size(spath) {
 		t.Fatalf("report says file_bytes %d, the file has %d", got, size(spath))
 	}
-	exported := filepath.Join(dir, "exported.journal")
 	opts := meissa.DefaultOptions()
 	opts.Parallelism = 1
 	opts.StorePath = spath
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.StoreExport(exported); err != nil {
-		t.Fatal(err)
-	}
-	if st, j := size(spath), size(exported); 2*st > 3*j {
-		t.Fatalf("cold store file is %d bytes, its exported journal %d: more than 1.5x", st, j)
-	}
 
 	before := size(spath)
 	warm := generateStore(t, p, nil, spath, nil)
@@ -583,5 +570,111 @@ func TestStoreFileSizeGates(t *testing.T) {
 	}
 	if int64(rep.FileBytes) != size(spath) {
 		t.Fatalf("report says file_bytes %d, the file has %d", rep.FileBytes, size(spath))
+	}
+}
+
+// storeFrames returns the record frames the store at path holds for the
+// family of p's system under opts, in canonical order.
+func storeFrames(t *testing.T, p *programs.Program, opts meissa.Options) [][]byte {
+	t.Helper()
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := sys.StoreStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(opts.StorePath, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var out [][]byte
+	for _, e := range st.Snapshot().Table(status.Family).Sorted() {
+		out = append(out, slices.Clone(e.Frame()))
+	}
+	return out
+}
+
+// TestExportHoldsStoreFrames: a family's export is the checkpoint header
+// followed by the family's record frames from the store, byte for byte, in
+// canonical (kind, key) order — the one framing both files share.
+func TestExportHoldsStoreFrames(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	dir := t.TempDir()
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	opts.StorePath = filepath.Join(dir, "verdicts.store")
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := generateStore(t, p, nil, opts.StorePath, nil)
+	exported := filepath.Join(dir, "exported.journal")
+	if _, err := sys.StoreExport(exported); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := sys.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := storeFrames(t, p, opts)
+	if uint64(len(frames)) != cold.Store.Committed || len(frames) == 0 {
+		t.Fatalf("the store holds %d record frames, the cold run committed %d", len(frames), cold.Store.Committed)
+	}
+	want := slices.Concat(append([][]byte{journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})}, frames...)...)
+	got, err := os.ReadFile(exported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the export holds %d bytes, the header and the store's %d frames %d", len(got), len(frames), len(want))
+	}
+}
+
+// TestCheckpointFramesAreStoreRecords: a verdict is framed once, so a
+// cold run that checkpoints and commits to a store leaves in both the same
+// set of byte strings: every frame after the checkpoint's header is a
+// record frame of the store, and every record frame of the store is one of
+// them.
+func TestCheckpointFramesAreStoreRecords(t *testing.T) {
+	for _, name := range []string{"gw-2", "gw-3"} {
+		t.Run(name, func(t *testing.T) {
+			p := corpusProgram(t, name)
+			dir := t.TempDir()
+			ck, sp := filepath.Join(dir, "ck.journal"), filepath.Join(dir, "verdicts.store")
+			gen := generateStore(t, p, nil, sp, func(o *meissa.Options) { o.Checkpoint = ck })
+			data, err := os.ReadFile(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inCheckpoint := map[string]bool{}
+			off := 0
+			for i := 0; off < len(data); i++ {
+				r, ok := journal.UnmarshalRecord(data[off:])
+				if !ok {
+					t.Fatalf("the checkpoint does not parse at offset %d", off)
+				}
+				n := len(journal.MarshalRecord(r))
+				if i > 0 {
+					inCheckpoint[string(data[off:off+n])] = true
+				}
+				off += n
+			}
+			opts := meissa.DefaultOptions()
+			opts.StorePath = sp
+			inStore := map[string]bool{}
+			for _, fr := range storeFrames(t, p, opts) {
+				if !inCheckpoint[string(fr)] {
+					t.Fatalf("a store record (%d bytes) is no frame of the checkpoint", len(fr))
+				}
+				inStore[string(fr)] = true
+			}
+			if len(inStore) != len(inCheckpoint) || uint64(len(inStore)) != gen.Store.Committed {
+				t.Fatalf("the checkpoint holds %d distinct frames, the store %d, the run committed %d",
+					len(inCheckpoint), len(inStore), gen.Store.Committed)
+			}
+		})
 	}
 }
