@@ -49,8 +49,6 @@ func main() {
 		err = cmdDump(os.Args[2:])
 	case "checkmetrics":
 		err = cmdCheckMetrics(os.Args[2:])
-	case "top":
-		err = cmdTop(os.Args[2:])
 	case "store":
 		err = cmdStore(os.Args[2:])
 	default:
@@ -79,10 +77,7 @@ func usage() {
   meissa store <info|import|export> -store FILE [-journal FILE] (-p prog.p4 [-r rules.txt] | -corpus NAME)
   meissa corpus
   meissa dump -corpus <name>
-  meissa checkmetrics <report.json>
-  meissa top [-addr host:port] [-interval D] [-once]
-
-common flags: [-log-level quiet|normal|verbose|debug] [-log-json]`)
+  meissa checkmetrics <report.json>`)
 }
 
 // loadInputs reads the program, rule set and specs named by flags, or a

@@ -15,7 +15,7 @@ import (
 	"repro/internal/switchsim"
 )
 
-// obsFlags are the observability flags shared by gen and test:
+// obsFlags are the observability flags shared by gen, test and regress:
 // -metrics-out, -pprof-addr, -quiet, and the verbosity hookup for -v.
 // Progress output goes to stderr only, so the deterministic stdout the
 // checkpoint/resume diff tests rely on is untouched at any setting.
@@ -24,17 +24,13 @@ type obsFlags struct {
 	pprofAddr  string
 	quiet      bool
 	verbose    bool
-	logLevel   string
-	logJSON    bool
 }
 
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	o := &obsFlags{}
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a machine-readable run report (JSON) to this file at exit")
-	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve /debug/pprof, /debug/vars, /metrics and /metrics/delta on this address")
-	fs.BoolVar(&o.quiet, "quiet", false, "suppress progress and warning output on stderr (same as -log-level quiet)")
-	fs.StringVar(&o.logLevel, "log-level", "", "stderr log level: quiet|normal|verbose|debug (overrides -quiet and -v)")
-	fs.BoolVar(&o.logJSON, "log-json", false, "emit stderr log lines as JSON objects ({\"ts\",\"level\",\"msg\"})")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve /debug/pprof and /metrics on this address")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress progress and warning output on stderr")
 	return o
 }
 
@@ -43,14 +39,7 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 // prints template constraints) on top of raising the stderr log level.
 func (o *obsFlags) activate(verbose bool) error {
 	o.verbose = verbose
-	obs.SetLogJSON(o.logJSON)
 	switch {
-	case o.logLevel != "":
-		lv, err := obs.ParseLevel(o.logLevel)
-		if err != nil {
-			return err
-		}
-		obs.SetLogLevel(lv)
 	case o.quiet:
 		obs.SetLogLevel(obs.LevelQuiet)
 	case verbose:

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/hashfn"
-	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
@@ -896,7 +895,6 @@ func (eng *engine) finalize(pc *pcase, o *Outcome) {
 	if eng.d.BreakerThreshold > 0 && eng.consecCrashes >= eng.d.BreakerThreshold && !eng.rep.BreakerTripped {
 		eng.rep.BreakerTripped = true
 		mBreakerTripped.Inc()
-		obs.RecordFlight(obs.FlightBreakerTrip, uint64(eng.consecCrashes), uint64(eng.rep.Lost), 0)
 	}
 	eng.done++
 	eng.inflight--

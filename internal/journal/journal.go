@@ -48,8 +48,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Kind distinguishes the two solver interactions a path exploration
@@ -157,7 +155,6 @@ func Open(path string, fingerprint uint64, resume bool) (*Journal, error) {
 			f.Close()
 			return nil, fmt.Errorf("journal: write header: %w", err)
 		}
-		obs.RecordFlight(obs.FlightJournalOpen, 0, 0, fingerprint)
 		return j, nil
 	}
 
@@ -182,7 +179,6 @@ func Open(path string, fingerprint uint64, resume bool) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: seek: %w", err)
 	}
-	obs.RecordFlight(obs.FlightJournalOpen, 1, uint64(j.loaded), fingerprint)
 	return j, nil
 }
 
@@ -349,7 +345,6 @@ func (j *Journal) Sync() error {
 	if j.f == nil {
 		return nil
 	}
-	obs.RecordFlight(obs.FlightJournalSync, j.appended.Load(), 0, 0)
 	return j.f.Sync()
 }
 

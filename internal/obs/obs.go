@@ -1,6 +1,6 @@
 // Package obs is the repo's dependency-light observability layer: atomic
-// counters, gauges, log2-bucketed latency histograms, hierarchical spans,
-// and a process-wide registry every pipeline layer reports into. It sits
+// counters, gauges, log2-bucketed latency histograms, phase spans, and
+// a process-wide registry every pipeline layer reports into. It sits
 // below every other internal package in the dependency order (it imports
 // only the standard library), so the solver, the exploration engine, the
 // journal and the driver can all instrument their hot paths without
@@ -24,7 +24,7 @@
 //
 //	<package>.<noun>[_<unit>]
 //
-// e.g. smt.queries_sat, sym.paths_explored, journal.appends,
+// e.g. smt.queries_sat, sym.paths_explored, journal.records_appended,
 // driver.link_dropped, smt.query_latency_ns. Phase timers use
 // slash-separated span paths (generate/summary/ingress0).
 package obs
@@ -112,7 +112,7 @@ type phaseAgg struct {
 
 // Registry is a named collection of metrics. One process-wide Default
 // registry backs the package-level handle getters; tests that need
-// isolation construct their own and snapshot deltas.
+// isolation construct their own.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -120,48 +120,17 @@ type Registry struct {
 	hists    map[string]*Histogram
 	phases   map[string]*phaseAgg
 	start    time.Time
-
-	// spanLogs samples completed span records per path: the first
-	// spanKeepFirst instances plus a ring of the spanKeepLast most
-	// recent, so a week-long -watch run still shows both how a phase
-	// started and how it looks now. Overwrites and new-path rejections
-	// past maxSpanPaths count into obs.spans_dropped; phase aggregates
-	// keep counting regardless, so the summary table loses nothing.
-	spanLogs map[string]*spanLog
-
-	// spansDropped is the obs.spans_dropped handle, resolved once at
-	// construction (recordSpan runs under mu and must not re-enter
-	// Counter).
-	spansDropped *Counter
-}
-
-// Span-log sampling bounds: per path, keep the first spanKeepFirst and
-// the last spanKeepLast records; cap the number of distinct paths.
-const (
-	spanKeepFirst = 4
-	spanKeepLast  = 4
-	maxSpanPaths  = 1024
-)
-
-// spanLog is the per-path sampled record log.
-type spanLog struct {
-	first []SpanRecord // first spanKeepFirst instances, in order
-	last  []SpanRecord // ring of the most recent spanKeepLast
-	next  int          // ring write cursor
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		phases:   map[string]*phaseAgg{},
-		spanLogs: map[string]*spanLog{},
 		start:    time.Now(),
 	}
-	r.spansDropped = r.Counter("obs.spans_dropped")
-	return r
 }
 
 var defaultRegistry = NewRegistry()
@@ -215,43 +184,6 @@ func (r *Registry) phase(path string) *phaseAgg {
 		r.phases[path] = p
 	}
 	return p
-}
-
-// recordSpan folds one completed span into the registry: always into
-// the phase aggregate, and into the sampled per-path log (first/last)
-// with drops counted in obs.spans_dropped.
-func (r *Registry) recordSpan(rec SpanRecord) {
-	p := r.phase(rec.Path)
-	p.count.Add(1)
-	p.totalNS.Add(uint64(rec.DurNS))
-	r.mu.Lock()
-	sl, ok := r.spanLogs[rec.Path]
-	if !ok {
-		if len(r.spanLogs) >= maxSpanPaths {
-			r.mu.Unlock()
-			r.spansDropped.Inc()
-			return
-		}
-		sl = &spanLog{}
-		r.spanLogs[rec.Path] = sl
-	}
-	dropped := false
-	switch {
-	case len(sl.first) < spanKeepFirst:
-		sl.first = append(sl.first, rec)
-	case len(sl.last) < spanKeepLast:
-		sl.last = append(sl.last, rec)
-	default:
-		// Overwrite the oldest of the recent ring: the evicted record is
-		// the drop.
-		sl.last[sl.next] = rec
-		sl.next = (sl.next + 1) % spanKeepLast
-		dropped = true
-	}
-	r.mu.Unlock()
-	if dropped {
-		r.spansDropped.Inc()
-	}
 }
 
 // GetCounter resolves a counter handle on the Default registry. Intended

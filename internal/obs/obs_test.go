@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -83,12 +82,18 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestSpanHierarchy: a span's path carries its hierarchy, and End folds
+// each instance into its path's phase aggregate.
 func TestSpanHierarchy(t *testing.T) {
 	r := NewRegistry()
-	ctx, root := r.StartSpan(context.Background(), "generate")
-	_, child := r.StartSpan(ctx, "summary")
-	time.Sleep(time.Millisecond)
-	child.End()
+	root := r.Begin("generate")
+	for i := 0; i < 3; i++ {
+		child := r.Begin("generate/summary")
+		time.Sleep(time.Millisecond)
+		if d := child.End(); d < time.Millisecond {
+			t.Fatalf("child span lasted %v, want >= 1ms", d)
+		}
+	}
 	root.End()
 	snap := r.Snapshot()
 	var paths []string
@@ -102,8 +107,12 @@ func TestSpanHierarchy(t *testing.T) {
 	if fmt.Sprint(paths) != fmt.Sprint(want) {
 		t.Fatalf("phases = %v, want %v", paths, want)
 	}
-	if len(snap.Spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(snap.Spans))
+	gen, sum := snap.Phases[0], snap.Phases[1]
+	if gen.Count != 1 || sum.Count != 3 {
+		t.Fatalf("phase counts = %d, %d, want 1, 3", gen.Count, sum.Count)
+	}
+	if sum.NS < int64(3*time.Millisecond) || gen.NS < sum.NS {
+		t.Fatalf("phase totals: generate %v, generate/summary %v", gen.Dur(), sum.Dur())
 	}
 }
 
@@ -111,26 +120,6 @@ func TestSpanNilSafe(t *testing.T) {
 	var sp *Span
 	if d := sp.End(); d != 0 {
 		t.Fatal("nil span End must be a no-op")
-	}
-}
-
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("x")
-	h := r.Histogram("h")
-	c.Add(10)
-	h.Observe(5)
-	prev := r.Snapshot()
-	c.Add(3)
-	h.Observe(9)
-	h.Observe(17)
-	d := r.Snapshot().Delta(prev)
-	if d.Counters["x"] != 3 {
-		t.Fatalf("delta counter = %d, want 3", d.Counters["x"])
-	}
-	hd := d.Histograms["h"]
-	if hd.Count != 2 || hd.Sum != 26 {
-		t.Fatalf("delta hist = %+v", hd)
 	}
 }
 
@@ -305,24 +294,35 @@ func TestLogLevels(t *testing.T) {
 	}
 }
 
+// TestServeDebug: the debug server answers /metrics (with the Default
+// registry's metrics) and pprof, and nothing else.
 func TestServeDebug(t *testing.T) {
 	Default().Counter("test.serve").Inc()
 	addr, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/metrics", "/debug/vars"} {
-		resp, err := http.Get("http://" + addr + path)
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/metrics", "test.serve", http.StatusOK},
+		{"/debug/pprof/", "goroutine", http.StatusOK},
+		{"/metrics/delta", "", http.StatusNotFound},
+		{"/flight", "", http.StatusNotFound},
+		{"/debug/vars", "", http.StatusNotFound},
+	} {
+		resp, err := http.Get("http://" + addr + tc.path)
 		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			t.Fatalf("GET %s: %v", tc.path, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("GET %s: status %d, want %d", tc.path, resp.StatusCode, tc.status)
 		}
-		if !strings.Contains(string(body), "test.serve") {
-			t.Fatalf("GET %s: metric missing from body", path)
+		if !strings.Contains(string(body), tc.body) {
+			t.Fatalf("GET %s: %q missing from body", tc.path, tc.body)
 		}
 	}
 }

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestHistogramQuantiles(t *testing.T) {
 	r := NewRegistry()
@@ -60,164 +54,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	var empty HistogramSnapshot
 	if empty.SummaryQuantiles() != nil {
 		t.Fatal("empty histogram produced quantiles")
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	a := &Snapshot{
-		Counters:   map[string]uint64{"x": 10, "only_a": 1},
-		Gauges:     map[string]int64{"g": 5},
-		Histograms: map[string]HistogramSnapshot{"h": {Count: 2, Sum: 30, Max: 20, Buckets: map[string]uint64{"16": 2}}},
-		Phases:     []PhaseDur{{Name: "sym", NS: 100, Count: 1}},
-		Spans:      []SpanRecord{{Path: "a", StartNS: 1, DurNS: 2}},
-	}
-	b := &Snapshot{
-		Counters:   map[string]uint64{"x": 7, "only_b": 3},
-		Gauges:     map[string]int64{"g": 9},
-		Histograms: map[string]HistogramSnapshot{"h": {Count: 3, Sum: 300, Max: 200, Buckets: map[string]uint64{"256": 3}}},
-		Phases:     []PhaseDur{{Name: "sym", NS: 50, Count: 2}, {Name: "cfg", NS: 10, Count: 1}},
-		Spans:      []SpanRecord{{Path: "b", StartNS: 5, DurNS: 6}},
-	}
-	a.Merge(b)
-	if a.Counters["x"] != 17 || a.Counters["only_a"] != 1 || a.Counters["only_b"] != 3 {
-		t.Fatalf("counters = %v", a.Counters)
-	}
-	if a.Gauges["g"] != 9 {
-		t.Fatalf("gauge not replaced: %d", a.Gauges["g"])
-	}
-	h := a.Histograms["h"]
-	if h.Count != 5 || h.Sum != 330 || h.Max != 200 || h.Buckets["16"] != 2 || h.Buckets["256"] != 3 {
-		t.Fatalf("histogram = %+v", h)
-	}
-	var sym, cfg *PhaseDur
-	for i := range a.Phases {
-		switch a.Phases[i].Name {
-		case "sym":
-			sym = &a.Phases[i]
-		case "cfg":
-			cfg = &a.Phases[i]
-		}
-	}
-	if sym == nil || sym.NS != 150 || sym.Count != 3 {
-		t.Fatalf("sym phase = %+v", sym)
-	}
-	if cfg == nil || cfg.NS != 10 {
-		t.Fatalf("cfg phase = %+v", cfg)
-	}
-	if len(a.Spans) != 2 {
-		t.Fatalf("spans = %+v", a.Spans)
-	}
-	// Merging nil is a no-op.
-	before := a.Counters["x"]
-	a.Merge(nil)
-	if a.Counters["x"] != before {
-		t.Fatal("nil merge mutated snapshot")
-	}
-}
-
-// TestSpanSampling: per-path span logs keep the first spanKeepFirst and
-// last spanKeepLast samples; everything in between is dropped and
-// counted in obs.spans_dropped. Phase aggregates still see every span.
-func TestSpanSampling(t *testing.T) {
-	r := NewRegistry()
-	const n = 20
-	for i := 0; i < n; i++ {
-		r.Begin("w0/u1").End()
-	}
-	s := r.Snapshot()
-	if len(s.Spans) != spanKeepFirst+spanKeepLast {
-		t.Fatalf("retained %d spans, want %d", len(s.Spans), spanKeepFirst+spanKeepLast)
-	}
-	wantDropped := uint64(n - spanKeepFirst - spanKeepLast)
-	if got := s.Counters["obs.spans_dropped"]; got != wantDropped {
-		t.Fatalf("obs.spans_dropped = %d, want %d", got, wantDropped)
-	}
-	// First samples precede last samples chronologically.
-	for i := 1; i < len(s.Spans); i++ {
-		if s.Spans[i].StartNS < s.Spans[i-1].StartNS {
-			t.Fatalf("retained spans out of order: %+v", s.Spans)
-		}
-	}
-	var phase *PhaseDur
-	for i := range s.Phases {
-		if s.Phases[i].Name == "w0/u1" {
-			phase = &s.Phases[i]
-		}
-	}
-	if phase == nil || phase.Count != n {
-		t.Fatalf("phase aggregate lost spans: %+v", phase)
-	}
-
-	// A flood of distinct paths is bounded too: past maxSpanPaths new
-	// paths are dropped wholesale, never an unbounded map.
-	r2 := NewRegistry()
-	for i := 0; i < maxSpanPaths+50; i++ {
-		r2.Begin(fmt.Sprintf("p%d", i)).End()
-	}
-	s2 := r2.Snapshot()
-	if len(s2.Spans) != maxSpanPaths {
-		t.Fatalf("span paths unbounded: %d", len(s2.Spans))
-	}
-	if got := s2.Counters["obs.spans_dropped"]; got != 50 {
-		t.Fatalf("obs.spans_dropped = %d, want 50", got)
-	}
-}
-
-// TestMetricsDeltaEndpoint drives the long-poll protocol end to end:
-// cursor 0 yields a full snapshot and a cursor; after a counter bump,
-// polling with that cursor yields a delta containing exactly the bump.
-func TestMetricsDeltaEndpoint(t *testing.T) {
-	addr, err := ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(cursor uint64) *DeltaResponse {
-		t.Helper()
-		url := fmt.Sprintf("http://%s/metrics/delta?cursor=%d&wait=2000", addr, cursor)
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-		}
-		var d DeltaResponse
-		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-			t.Fatal(err)
-		}
-		return &d
-	}
-
-	first := get(0)
-	if !first.Full || first.Snapshot == nil || first.Cursor == 0 {
-		t.Fatalf("cursor-0 response: full=%v cursor=%d", first.Full, first.Cursor)
-	}
-
-	c := Default().Counter("test.delta_endpoint")
-	c.Add(42)
-	deadline := time.Now().Add(5 * time.Second)
-	var second *DeltaResponse
-	for time.Now().Before(deadline) {
-		second = get(first.Cursor)
-		if second.Snapshot != nil && second.Snapshot.Counters["test.delta_endpoint"] > 0 {
-			break
-		}
-		first.Cursor = second.Cursor
-	}
-	if second == nil || second.Snapshot == nil {
-		t.Fatal("no delta arrived")
-	}
-	if second.Full {
-		t.Fatal("known cursor answered with a full snapshot")
-	}
-	if got := second.Snapshot.Counters["test.delta_endpoint"]; got != 42 {
-		t.Fatalf("delta counter = %d, want 42", got)
-	}
-
-	// An unknown (evicted or bogus) cursor falls back to a full snapshot.
-	if d := get(999999); !d.Full {
-		t.Fatal("unknown cursor did not resync with a full snapshot")
 	}
 }
 

@@ -20,7 +20,7 @@ const ReportSchema = "meissa.run-report/v2"
 // within a version: consumers must tolerate new optional fields.
 type Report struct {
 	Schema      string `json:"schema"`
-	Command     string `json:"command,omitempty"` // gen | test | bench
+	Command     string `json:"command,omitempty"` // gen | test | regress | bench
 	Program     string `json:"program,omitempty"`
 	RuleSet     string `json:"rule_set,omitempty"`
 	Parallelism int    `json:"parallelism"`

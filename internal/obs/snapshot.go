@@ -33,26 +33,6 @@ func (h HistogramSnapshot) Mean() float64 {
 	return float64(h.Sum) / float64(h.Count)
 }
 
-// Sub returns the bucket-wise difference h - prev (for per-run deltas in
-// shared-process tests).
-func (h HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
-		Count:   h.Count - prev.Count,
-		Sum:     h.Sum - prev.Sum,
-		Max:     h.Max, // max is not subtractable; keep the current high-water
-		Buckets: map[string]uint64{},
-	}
-	for k, v := range h.Buckets {
-		if d := v - prev.Buckets[k]; d > 0 {
-			out.Buckets[k] = d
-		}
-	}
-	if len(out.Buckets) == 0 {
-		out.Buckets = nil
-	}
-	return out
-}
-
 // PhaseDur is one aggregated span path: how many times it ran and its
 // total wall-clock.
 type PhaseDur struct {
@@ -65,7 +45,7 @@ type PhaseDur struct {
 func (p PhaseDur) Dur() time.Duration { return time.Duration(p.NS) }
 
 // Snapshot is a point-in-time copy of a Registry, suitable for JSON
-// export, diffing, and rendering.
+// export and rendering.
 type Snapshot struct {
 	Schema      string                       `json:"schema"`
 	TakenUnixNS int64                        `json:"taken_unix_ns"`
@@ -74,7 +54,6 @@ type Snapshot struct {
 	Gauges      map[string]int64             `json:"gauges,omitempty"`
 	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Phases      []PhaseDur                   `json:"phases,omitempty"`
-	Spans       []SpanRecord                 `json:"spans,omitempty"`
 }
 
 // Snapshot copies the registry's current state. Concurrent-safe; the
@@ -97,20 +76,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for k, v := range r.phases {
 		phases[k] = v
 	}
-	var spans []SpanRecord
-	for _, sl := range r.spanLogs {
-		spans = append(spans, sl.first...)
-		// The ring in chronological order: oldest entry is at the write
-		// cursor once the ring has wrapped.
-		spans = append(spans, sl.last[sl.next:]...)
-		spans = append(spans, sl.last[:sl.next]...)
-	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].StartNS != spans[j].StartNS {
-			return spans[i].StartNS < spans[j].StartNS
-		}
-		return spans[i].Path < spans[j].Path
-	})
 	start := r.start
 	r.mu.Unlock()
 
@@ -121,7 +86,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:    map[string]uint64{},
 		Gauges:      map[string]int64{},
 		Histograms:  map[string]HistogramSnapshot{},
-		Spans:       spans,
 	}
 	for name, c := range counters {
 		s.Counters[name] = c.Load()
@@ -168,74 +132,6 @@ func bucketLabel(i int) string {
 		return "0"
 	}
 	return fmt.Sprintf("2^%d", i)
-}
-
-// Delta returns s - prev for counters, histograms and phases; gauges keep
-// their current value (they are instantaneous). Metrics absent from prev
-// pass through unchanged. Used by in-process tests and by long-lived
-// servers exporting per-interval metrics.
-func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
-	if prev == nil {
-		return s
-	}
-	out := &Snapshot{
-		Schema:      s.Schema,
-		TakenUnixNS: s.TakenUnixNS,
-		UptimeNS:    s.UptimeNS,
-		Counters:    map[string]uint64{},
-		Gauges:      s.Gauges,
-		Histograms:  map[string]HistogramSnapshot{},
-	}
-	for k, v := range s.Counters {
-		if d := v - prev.Counters[k]; d > 0 {
-			out.Counters[k] = d
-		}
-	}
-	for k, v := range s.Histograms {
-		d := v.Sub(prev.Histograms[k])
-		if d.Count > 0 {
-			out.Histograms[k] = d
-		}
-	}
-	prevPhases := map[string]PhaseDur{}
-	for _, p := range prev.Phases {
-		prevPhases[p.Name] = p
-	}
-	for _, p := range s.Phases {
-		q := prevPhases[p.Name]
-		if p.Count-q.Count > 0 {
-			out.Phases = append(out.Phases, PhaseDur{Name: p.Name, NS: p.NS - q.NS, Count: p.Count - q.Count})
-		}
-	}
-	for _, sp := range s.Spans {
-		if sp.StartNS >= prev.UptimeNS {
-			out.Spans = append(out.Spans, sp)
-		}
-	}
-	return out
-}
-
-// Add returns the bucket-wise sum h + d (for cross-process merges).
-func (h HistogramSnapshot) Add(d HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
-		Count:   h.Count + d.Count,
-		Sum:     h.Sum + d.Sum,
-		Max:     h.Max,
-		Buckets: map[string]uint64{},
-	}
-	if d.Max > out.Max {
-		out.Max = d.Max
-	}
-	for k, v := range h.Buckets {
-		out.Buckets[k] += v
-	}
-	for k, v := range d.Buckets {
-		out.Buckets[k] += v
-	}
-	if len(out.Buckets) == 0 {
-		out.Buckets = nil
-	}
-	return out
 }
 
 // Quantile estimates the q-th quantile (q in [0,1]) from the log2
@@ -291,60 +187,6 @@ func (h HistogramSnapshot) SummaryQuantiles() *Quantiles {
 		return nil
 	}
 	return &Quantiles{P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99)}
-}
-
-// Merge folds d into s in place: counters, histograms and phase
-// aggregates add; gauges take d's (instantaneous) value; spans append.
-// `meissa top` uses it to apply streamed deltas to its local mirror. A
-// nil d is a no-op.
-func (s *Snapshot) Merge(d *Snapshot) {
-	if d == nil {
-		return
-	}
-	if s.Schema == "" {
-		s.Schema = d.Schema
-	}
-	if d.TakenUnixNS > s.TakenUnixNS {
-		s.TakenUnixNS = d.TakenUnixNS
-	}
-	if d.UptimeNS > s.UptimeNS {
-		s.UptimeNS = d.UptimeNS
-	}
-	if s.Counters == nil {
-		s.Counters = map[string]uint64{}
-	}
-	for k, v := range d.Counters {
-		s.Counters[k] += v
-	}
-	if len(d.Gauges) > 0 && s.Gauges == nil {
-		s.Gauges = map[string]int64{}
-	}
-	for k, v := range d.Gauges {
-		s.Gauges[k] = v
-	}
-	if len(d.Histograms) > 0 && s.Histograms == nil {
-		s.Histograms = map[string]HistogramSnapshot{}
-	}
-	for k, v := range d.Histograms {
-		s.Histograms[k] = s.Histograms[k].Add(v)
-	}
-	if len(d.Phases) > 0 {
-		idx := map[string]int{}
-		for i, p := range s.Phases {
-			idx[p.Name] = i
-		}
-		for _, p := range d.Phases {
-			if i, ok := idx[p.Name]; ok {
-				s.Phases[i].NS += p.NS
-				s.Phases[i].Count += p.Count
-			} else {
-				idx[p.Name] = len(s.Phases)
-				s.Phases = append(s.Phases, p)
-			}
-		}
-		sort.Slice(s.Phases, func(i, j int) bool { return s.Phases[i].Name < s.Phases[j].Name })
-	}
-	s.Spans = append(s.Spans, d.Spans...)
 }
 
 // WriteJSON writes the snapshot, indented, to w.

@@ -1,58 +1,23 @@
 package obs
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
-// SpanRecord is one completed span instance: its slash-separated path
-// (parent spans joined by "/"), start offset relative to the registry's
-// creation, and duration.
-type SpanRecord struct {
-	Path    string `json:"path"`
-	StartNS int64  `json:"start_ns"`
-	DurNS   int64  `json:"dur_ns"`
-}
-
-// Span is an in-flight timed region. End records it into the registry's
-// phase table (count + total duration per path) and the bounded span log.
-// Spans are hierarchical: StartSpan derives the child's path from the
-// trace carried by the context, so "summary" started under "generate"
-// aggregates as "generate/summary".
+// Span is an in-flight timed region. End folds it into the registry's
+// phase table (count + total duration per path). The caller owns the
+// hierarchy: a span's path is slash-separated, so "generate/summary"
+// aggregates as a child of "generate".
 type Span struct {
 	reg   *Registry
 	path  string
 	start time.Time
 }
 
-// spanKey carries the innermost span through a context.
-type spanKey struct{}
-
-// StartSpan opens a child span of whatever span ctx carries (a root span
-// when it carries none) on the Default registry, and returns a derived
-// context carrying the new span. Always pair with End:
+// Begin opens a span at an explicit path on the Default registry:
 //
-//	ctx, sp := obs.StartSpan(ctx, "summary")
+//	sp := obs.Begin("generate/summary")
 //	defer sp.End()
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return defaultRegistry.StartSpan(ctx, name)
-}
-
-// StartSpan opens a child span on r. See the package-level StartSpan.
-func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	path := name
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent.reg == r {
-		path = parent.path + "/" + name
-	}
-	sp := &Span{reg: r, path: path, start: time.Now()}
-	return context.WithValue(ctx, spanKey{}, sp), sp
-}
-
-// Begin opens a span at an explicit path on the Default registry, for
-// call sites that do not thread a context (deep library layers). The
-// caller owns the hierarchy: pass "generate/summary/acl" style paths.
 func Begin(path string) *Span {
-	return &Span{reg: defaultRegistry, path: path, start: time.Now()}
+	return defaultRegistry.Begin(path)
 }
 
 // Begin opens a span at an explicit path on r.
@@ -67,13 +32,8 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.reg.recordSpan(SpanRecord{
-		Path:    s.path,
-		StartNS: int64(s.start.Sub(s.reg.start)),
-		DurNS:   int64(d),
-	})
+	p := s.reg.phase(s.path)
+	p.count.Add(1)
+	p.totalNS.Add(uint64(d))
 	return d
 }
-
-// Path returns the span's full slash-separated path.
-func (s *Span) Path() string { return s.path }

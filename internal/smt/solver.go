@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/expr"
-	"repro/internal/obs"
 )
 
 // ErrBudget is the sentinel for a query that exhausted its step or time
@@ -670,7 +669,6 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 		if uerr != nil {
 			s.stats.BudgetExhausted++
 			mBudgetExhausted.Inc()
-			obs.RecordFlight(obs.FlightBudgetExhausted, s.stats.Checks, s.stats.Unknowns, 0)
 		}
 	}
 	return res, model

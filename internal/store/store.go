@@ -323,7 +323,6 @@ func (tx *Tx) Commit() error {
 	if compact {
 		s.count(&s.stats.Compactions, mCompactions, 1)
 	}
-	obs.RecordFlight(obs.FlightStoreCommit, next.txid, size, 0)
 	return nil
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/hashfn"
 	"repro/internal/journal"
-	"repro/internal/obs"
 	"repro/internal/smt"
 )
 
@@ -911,7 +910,6 @@ func (e *executor) recoverPath(id cfg.NodeID, m *mark) {
 		return
 	}
 	e.unwind(m)
-	obs.RecordFlight(obs.FlightPanic, uint64(len(e.path)), uint64(id), 0)
 	e.res.recordPanic(r, append(e.path, id))
 }
 

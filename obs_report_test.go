@@ -106,26 +106,25 @@ func TestRunReportValidates(t *testing.T) {
 // TestShardedRunReportStillParses: v2 reports that earlier releases wrote
 // with sections this build no longer has still pass ParseReport (and so
 // checkmetrics), which ignores those sections — a sharded run's shard and
-// fleet sections, a killed worker's flight events among them, and the
-// daemon section of a request the resident daemon served.
+// fleet sections, a killed worker's flight events among them, the
+// daemon section of a request the resident daemon served, and the span
+// log (registry.spans, obs.spans_dropped) every registry snapshot held.
+// A section is named by its keys from the report's root.
 func TestShardedRunReportStillParses(t *testing.T) {
 	for _, fx := range []struct {
 		file, program string
-		sections      []string
+		sections      [][]string
 	}{
-		{"testdata/sharded-run-report.json", "gw_1", []string{"shard", "fleet"}},
-		{"testdata/daemon-run-report.json", "gw-1", []string{"daemon"}},
+		{"testdata/sharded-run-report.json", "gw_1", [][]string{{"shard"}, {"fleet"}}},
+		{"testdata/daemon-run-report.json", "gw-1", [][]string{{"daemon"}}},
+		{"testdata/spans-run-report.json", "gw_1", [][]string{{"registry", "spans"}, {"registry", "counters", "obs.spans_dropped"}}},
 	} {
 		data, err := os.ReadFile(fx.file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var raw map[string]json.RawMessage
-		if err := json.Unmarshal(data, &raw); err != nil {
-			t.Fatal(err)
-		}
 		for _, section := range fx.sections {
-			if _, ok := raw[section]; !ok {
+			if !hasSection(data, section...) {
 				t.Fatalf("%s lacks its %q section", fx.file, section)
 			}
 		}
@@ -139,4 +138,20 @@ func TestShardedRunReportStillParses(t *testing.T) {
 			t.Fatalf("%s lost its counts: %+v", fx.file, rep)
 		}
 	}
+}
+
+// hasSection reports whether the JSON object data holds the section the
+// keys lead to.
+func hasSection(data []byte, keys ...string) bool {
+	for _, k := range keys {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(data, &obj); err != nil {
+			return false
+		}
+		var ok bool
+		if data, ok = obj[k]; !ok {
+			return false
+		}
+	}
+	return true
 }
