@@ -65,6 +65,26 @@ func generateCheckpoint(t *testing.T, p *programs.Program, journal string, resum
 	return gen
 }
 
+// TestCheckpointBytesPerRecord: a checkpoint's size is a counted property
+// of what it holds, gated without a clock. A record carries each
+// dependency tag as 8 bytes of hashes, so gw-2/set-4's checkpoint holds
+// its 868 verdicts at about 109 bytes each; spelt out as text, the tags
+// took 234.
+func TestCheckpointBytesPerRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gw2.journal")
+	gen := generateCheckpoint(t, programs.GW(2, programs.Set4), path, false)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := int64(len(journal.MarshalRecord(journal.Record{Kind: journal.KindHeader})))
+	perRecord := float64(fi.Size()-header) / float64(gen.JournalAppended)
+	t.Logf("%d bytes, %d records: %.1f bytes a record", fi.Size(), gen.JournalAppended, perRecord)
+	if gen.JournalAppended < 800 || perRecord > 115 {
+		t.Errorf("%d records at %.1f bytes each; want about 868 at no more than 115", gen.JournalAppended, perRecord)
+	}
+}
+
 // TestCheckpointKillHelper is the subprocess body of the SIGKILL test:
 // it runs a checkpointed generation slowed by an emulated per-check
 // solver overhead (which does not enter the journal fingerprint — it
@@ -242,7 +262,7 @@ func TestResumedJournalByteIdentical(t *testing.T) {
 					t.Fatalf("journal does not parse at offset %d", off)
 				}
 				off += len(journal.MarshalRecord(rec))
-				if len(rec.Tables) > 0 {
+				if len(rec.Tags) > 0 {
 					tagged++
 				}
 				if cut == 0 && off > len(want)/2 {
@@ -396,32 +416,43 @@ func TestBudgetSupersetRouter(t *testing.T) {
 	}
 }
 
-// writeOldCheckpoint writes a checkpoint of p under fp in the format of
-// earlier releases, MEISSAJ1: the header, then a verdict frame and a frame
-// of kind 3 holding its tags.
-func writeOldCheckpoint(t *testing.T, path string, fp uint64) []byte {
+// oldMagics are the checkpoint formats of earlier releases.
+var oldMagics = []string{"MEISSAJ1", "MEISSAJ2"}
+
+// writeOldCheckpoint writes a checkpoint under fp in a format of earlier
+// releases: MEISSAJ1, the header, then a verdict frame and a frame of kind
+// 3 holding its tags; or MEISSAJ2, the header, then a verdict frame whose
+// tags are spelt out.
+func writeOldCheckpoint(t *testing.T, path, magic string, fp uint64) []byte {
 	t.Helper()
-	hdr := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})
-	payload := append([]byte(nil), hdr[4:len(hdr)-4]...)
-	copy(payload[len(payload)-len("MEISSAJ1"):], "MEISSAJ1")
-	data := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	data = binary.LittleEndian.AppendUint32(append(data, payload...), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	data = append(data, journal.MarshalRecord(journal.Record{Kind: journal.KindCheck, Key: 1, Verdict: journal.Sat})...)
-	data = append(data, journal.MarshalRecord(journal.Record{Kind: 3, Key: 1, Verdict: journal.Verdict(journal.KindCheck), Tables: []string{"t#miss"}})...)
+	frame := func(out, payload []byte) []byte {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		return binary.LittleEndian.AppendUint32(append(out, payload...), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	}
+	// payload: kind verdict key(8) nm(2) {model}* nt(2) {tlen(2) tag}* [magic]
+	data := frame(nil, append(binary.LittleEndian.AppendUint64([]byte{byte(journal.KindHeader), 0}, fp), append([]byte{0, 0, 0, 0}, magic...)...))
+	verdict := binary.LittleEndian.AppendUint64([]byte{byte(journal.KindCheck), byte(journal.Sat)}, 1)
+	tags := append([]byte{1, 0, 6, 0}, "t#miss"...)
+	if magic == "MEISSAJ1" {
+		data = frame(data, append(verdict, 0, 0, 0, 0))
+		verdict = binary.LittleEndian.AppendUint64([]byte{3, byte(journal.KindCheck)}, 1)
+	}
+	data = frame(data, append(append(verdict, 0, 0), tags...))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
 
-// refusesOldCheckpoint checks that err refuses the MEISSAJ1 checkpoint at
-// path by name and names the way out, and that the file is as it was.
-func refusesOldCheckpoint(t *testing.T, err error, path string, data []byte) {
+// refusesOldCheckpoint checks that err refuses the checkpoint of an
+// earlier format at path by name, where it read it and the way out, and
+// that the file is as it was.
+func refusesOldCheckpoint(t *testing.T, err error, path, magic string, data []byte) {
 	t.Helper()
 	if err == nil {
-		t.Fatal("a MEISSAJ1 checkpoint was accepted")
+		t.Fatalf("a %s checkpoint was accepted", magic)
 	}
-	for _, want := range []string{path, "MEISSAJ1", "cold run"} {
+	for _, want := range []string{path, magic, "offset 0", "cold run"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
@@ -432,70 +463,82 @@ func refusesOldCheckpoint(t *testing.T, err error, path string, data []byte) {
 }
 
 // TestResumeRefusesOldCheckpoint: `gen -resume` refuses a checkpoint of
-// the earlier format instead of reading it as a torn file.
+// an earlier format instead of reading it as a torn file.
 func TestResumeRefusesOldCheckpoint(t *testing.T) {
 	p := corpusProgram(t, "Router")
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.Checkpoint, opts.Resume = filepath.Join(t.TempDir(), "old.journal"), true
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, magic := range oldMagics {
+		t.Run(magic, func(t *testing.T) {
+			opts := meissa.DefaultOptions()
+			opts.Parallelism = 1
+			opts.Checkpoint, opts.Resume = filepath.Join(t.TempDir(), "old.journal"), true
+			sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := sys.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := writeOldCheckpoint(t, opts.Checkpoint, magic, fp)
+			_, err = sys.Generate()
+			refusesOldCheckpoint(t, err, opts.Checkpoint, magic, data)
+		})
 	}
-	fp, err := sys.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := writeOldCheckpoint(t, opts.Checkpoint, fp)
-	_, err = sys.Generate()
-	refusesOldCheckpoint(t, err, opts.Checkpoint, data)
 }
 
 // TestRegressRefusesOldBaseline: `regress -baseline` refuses a baseline
-// checkpoint of the earlier format.
+// checkpoint of an earlier format.
 func TestRegressRefusesOldBaseline(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	newRules, _ := rulediff.MutateArgs(p.Rules, 1)
-	dir := t.TempDir()
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, magic := range oldMagics {
+		t.Run(magic, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := meissa.DefaultOptions()
+			opts.Parallelism = 1
+			sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := sys.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := filepath.Join(dir, "old.journal")
+			data := writeOldCheckpoint(t, base, magic, fp)
+			opts.Checkpoint = filepath.Join(dir, "next.journal")
+			_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
+				Opts: opts, Baseline: base, Program: p.Name})
+			refusesOldCheckpoint(t, err, base, magic, data)
+		})
 	}
-	fp, err := sys.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := filepath.Join(dir, "old.journal")
-	data := writeOldCheckpoint(t, base, fp)
-	opts.Checkpoint = filepath.Join(dir, "next.journal")
-	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
-		Opts: opts, Baseline: base, Program: p.Name})
-	refusesOldCheckpoint(t, err, base, data)
 }
 
 // TestStoreImportRefusesOldCheckpoint: `store import` refuses a
-// checkpoint of the earlier format and commits nothing.
+// checkpoint of an earlier format and commits nothing.
 func TestStoreImportRefusesOldCheckpoint(t *testing.T) {
 	p := corpusProgram(t, "Router")
-	dir := t.TempDir()
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.StorePath = filepath.Join(dir, "verdicts.store")
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := sys.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "old.journal")
-	data := writeOldCheckpoint(t, path, fp)
-	_, err = sys.StoreImport(path)
-	refusesOldCheckpoint(t, err, path, data)
-	if st, serr := sys.StoreStatus(); serr != nil || st.Present {
-		t.Errorf("the refused import left a family in the store (%v)", serr)
+	for _, magic := range oldMagics {
+		t.Run(magic, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := meissa.DefaultOptions()
+			opts.Parallelism = 1
+			opts.StorePath = filepath.Join(dir, "verdicts.store")
+			sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := sys.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "old.journal")
+			data := writeOldCheckpoint(t, path, magic, fp)
+			_, err = sys.StoreImport(path)
+			refusesOldCheckpoint(t, err, path, magic, data)
+			if st, serr := sys.StoreStatus(); serr != nil || st.Present {
+				t.Errorf("the refused import left a family in the store (%v)", serr)
+			}
+		})
 	}
 }

@@ -17,8 +17,8 @@ const fuzzFP = 0xfeedfacecafe
 // fuzzSeedRecords is the well-formed journal the fuzz corpus is derived
 // from: a record of every verdict value, tagged.
 var fuzzSeedRecords = []Record{
-	{Kind: KindCheck, Key: 1, Verdict: Unsat, Tables: []string{"t/acl", "t/route"}},
-	{Kind: KindEmit, Key: 2, Verdict: Sat, Model: []VarVal{{Var: "hdr.x", Val: 7}}, Tables: []string{"t/acl"}},
+	{Kind: KindCheck, Key: 1, Verdict: Unsat, Tags: tagsOf("t/acl", "t/route")},
+	{Kind: KindEmit, Key: 2, Verdict: Sat, Model: []VarVal{{Var: "hdr.x", Val: 7}}, Tags: tagsOf("t/acl")},
 	{Kind: KindEmit, Key: 3, Verdict: Unknown},
 }
 
@@ -31,8 +31,8 @@ var fuzzSeedRecords = []Record{
 // must accept and reject exactly what the eager reference loader does,
 // stop at the same offset, and yield the same Record for every (kind,
 // key); adopting it into a new journal must reload as the same records.
-// UnmarshalRecord, which the verdict store decodes its frames with, must
-// read every intact frame as the reference decoder does.
+// UnmarshalRecord, which the store's reference replay decodes its frames
+// with, must read every intact frame as the reference decoder does.
 func FuzzLoad(f *testing.F) {
 	// Seeds: a well-formed journal, its torn truncations, a flipped payload
 	// byte, a header-only file, junk, a file of the earlier format, and the
@@ -64,17 +64,19 @@ func FuzzLoad(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte{})
-	f.Add([]byte("MEISSAJ2 but not really a journal"))
-	old := append([]byte(nil), seed...)
-	copy(old[len(encode(Record{Kind: KindHeader}))-4-len(magic):], oldMagic)
-	f.Add(reframeFirst(old))
+	f.Add([]byte("MEISSAJ3 but not really a journal"))
+	for m := range oldMagics {
+		old := append([]byte(nil), seed...)
+		copy(old[len(encode(Record{Kind: KindHeader}))-4-len(magic):], m)
+		f.Add(reframeFirst(old))
+	}
 	crafted, verdicts := craftedJournal()
 	f.Add(crafted)
 	f.Add(crafted[:verdicts])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for off := 0; ; {
-			want, n, _, wantOK := referenceDecode(data[off:], nil)
+			want, n, _, wantOK := referenceDecode(data[off:])
 			got, ok := UnmarshalRecord(data[off:])
 			if ok != wantOK || !reflect.DeepEqual(got, want) {
 				t.Fatalf("UnmarshalRecord at offset %d: %+v %v, the reference decoder %+v %v", off, got, ok, want, wantOK)
@@ -123,7 +125,7 @@ func FuzzLoad(f *testing.F) {
 		got := j.t.Records()
 		// The open truncated any torn tail, so appending and reloading
 		// must recover every prior record plus the new one.
-		fresh := Record{Kind: KindEmit, Key: ^uint64(0), Verdict: Sat, Tables: []string{"t/fuzz"}}
+		fresh := Record{Kind: KindEmit, Key: ^uint64(0), Verdict: Sat, Tags: tagsOf("t/fuzz")}
 		if err := j.Append(fresh); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
@@ -157,20 +159,20 @@ func FuzzLoad(f *testing.F) {
 // second header — which make the whole file an error.
 func craftedJournal() ([]byte, int) {
 	b := encode(Record{Kind: KindHeader, Key: fuzzFP})
-	b = appendRecord(b, Record{Kind: KindCheck, Key: 5, Verdict: Sat, Tables: []string{"inline#1"}})
+	b = appendRecord(b, Record{Kind: KindCheck, Key: 5, Verdict: Sat, Tags: tagsOf("inline#1")})
 	b = appendRecord(b, Record{Kind: KindEmit, Key: 5, Verdict: Sat, Model: []VarVal{{"hdr.x", 3}, {"hdr.y", 4}}})
-	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Unsat, Tables: []string{"a#1"}})
-	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Sat, Tables: []string{"a#1", "b#2"}})
+	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Unsat, Tags: tagsOf("a#1")})
+	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Sat, Tags: tagsOf("a#1", "b#2")})
 	b = appendRecord(b, Record{Kind: KindCheck, Key: 5, Verdict: Unknown})
 	for _, r := range []Record{
-		{Kind: KindEmit, Key: 8, Verdict: Unknown, Model: []VarVal{{"z", 9}}, Tables: []string{"t#8"}},
+		{Kind: KindEmit, Key: 8, Verdict: Unknown, Model: []VarVal{{"z", 9}}, Tags: tagsOf("t#8")},
 		{Kind: KindCheck, Key: 9, Verdict: Unsat},
 	} {
 		fr := encode(r)
 		b = appendPayload(b, append(fr[4:len(fr)-4:len(fr)-4], "junk"...))
 	}
 	verdicts := len(b)
-	b = appendRecord(b, Record{Kind: 3, Key: 7, Verdict: Verdict(KindCheck), Tables: []string{"a#1"}})
+	b = appendRecord(b, Record{Kind: 3, Key: 7, Verdict: Verdict(KindCheck), Tags: tagsOf("a#1")})
 	b = appendRecord(b, Record{Kind: KindHeader, Key: fuzzFP})
 	return b, verdicts
 }
@@ -208,12 +210,12 @@ func sameAsReference(t *testing.T, what string, j *Journal, want map[mapKey]Reco
 			t.Fatalf("%s: (%d, %d) looks up verdict %d model %v, the reference %+v",
 				what, k.kind, k.key, e.Verdict(), e.Model(), r)
 		}
-		for _, tag := range r.Tables {
-			if !e.DependsOn(func(b []byte) bool { return string(b) == tag }) {
-				t.Fatalf("%s: (%d, %d) does not depend on its tag %q", what, k.kind, k.key, tag)
+		for _, tag := range r.Tags {
+			if !e.DependsOn(func(b []byte) bool { return string(b) == string(tag[:]) }) {
+				t.Fatalf("%s: (%d, %d) does not depend on its tag %x", what, k.kind, k.key, tag)
 			}
 		}
-		if len(r.Tables) == 0 && e.DependsOn(func([]byte) bool { return true }) {
+		if len(r.Tags) == 0 && e.DependsOn(func([]byte) bool { return true }) {
 			t.Fatalf("%s: (%d, %d) depends on a tag it does not carry", what, k.kind, k.key)
 		}
 	}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,15 @@ import (
 func tmpFile(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "ck.journal")
+}
+
+// tagsOf is TagOf of each tag.
+func tagsOf(tags ...string) []Tag {
+	out := make([]Tag, len(tags))
+	for i, t := range tags {
+		out[i] = TagOf(t)
+	}
+	return out
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -214,9 +224,9 @@ func TestTagsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{
-		{Kind: KindCheck, Key: 1, Verdict: Unsat, Tables: []string{"acl#0011223344556677", "acl#miss", "nat"}},
+		{Kind: KindCheck, Key: 1, Verdict: Unsat, Tags: tagsOf("acl#0011223344556677", "acl#miss", "nat")},
 		{Kind: KindEmit, Key: 1, Verdict: Sat, Model: []VarVal{{"x", 9}}},
-		{Kind: KindCheck, Key: 2, Verdict: Sat, Tables: []string{"fwd#miss"}},
+		{Kind: KindCheck, Key: 2, Verdict: Sat, Tags: tagsOf("fwd#miss")},
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -256,25 +266,32 @@ func TestTagsRoundTrip(t *testing.T) {
 }
 
 // TestForeignFrameRefused: after the header, an intact frame that holds no
-// verdict — a second header, a tag record of the earlier format — is no
+// verdict — a second header, a tag record of an earlier format — is no
 // torn tail but an error naming its offset, and so is a file whose header
-// is of the earlier format, whose error names the file, the format and the
-// way out.
+// is of an earlier format, whose error names the file, the format, the
+// header's offset and the way out.
 func TestForeignFrameRefused(t *testing.T) {
 	good := append(encode(Record{Kind: KindHeader, Key: 4}), MarshalRecord(Record{Kind: KindCheck, Key: 1, Verdict: Sat})...)
+	// oldFile is a file of an earlier format: good's header under its magic,
+	// then a verdict whose tags are spelt out (MEISSAJ2's frame).
+	oldFile := func(m string) []byte {
+		old := append([]byte(nil), good[:frameLen(good)]...)
+		copy(old[frameLen(old)-4-len(magic):], m)
+		payload := binary.LittleEndian.AppendUint64([]byte{byte(KindCheck), byte(Sat)}, 1)
+		payload = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(payload, 0), 1)
+		payload = append(binary.LittleEndian.AppendUint16(payload, 8), "acl#miss"...)
+		return appendPayload(reframeFirst(old), payload)
+	}
 	for name, tc := range map[string]struct {
 		data []byte
 		want []string
 	}{
 		"second header": {append(append([]byte(nil), good...), encode(Record{Kind: KindHeader, Key: 4})...),
 			[]string{"kind 0", fmt.Sprint("offset ", len(good))}},
-		"tag record": {append(append([]byte(nil), good...), MarshalRecord(Record{Kind: 3, Key: 1, Verdict: Verdict(KindCheck), Tables: []string{"t#1"}})...),
+		"tag record": {append(append([]byte(nil), good...), MarshalRecord(Record{Kind: 3, Key: 1, Verdict: Verdict(KindCheck), Tags: tagsOf("t#1")})...),
 			[]string{"kind 3", fmt.Sprint("offset ", len(good))}},
-		"earlier format": {func() []byte {
-			old := append([]byte(nil), good...)
-			copy(old[frameLen(old)-4-len(magic):], oldMagic)
-			return reframeFirst(old)
-		}(), []string{oldMagic, "cold run"}},
+		"earlier format":  {oldFile("MEISSAJ1"), []string{"MEISSAJ1", "offset 0", "cold run"}},
+		"text-tag format": {oldFile("MEISSAJ2"), []string{"MEISSAJ2", "offset 0", "dependency tag out as text", "cold run"}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := tmpFile(t)
@@ -317,7 +334,7 @@ func TestFreshTableHoldsAppendedFrames(t *testing.T) {
 		j.KeepFresh()
 		var frames [][]byte
 		for i := 0; i < 3000; i++ { // a few chunks' worth
-			r := Record{Kind: Kind(1 + i%2), Key: uint64(i % 2500), Verdict: Verdict(i % 3), Tables: []string{fmt.Sprint("t#", i)}}
+			r := Record{Kind: Kind(1 + i%2), Key: uint64(i % 2500), Verdict: Verdict(i % 3), Tags: tagsOf(fmt.Sprint("t#", i))}
 			if err := j.Append(r); err != nil {
 				t.Fatal(err)
 			}

@@ -7,9 +7,9 @@ import (
 )
 
 // The eager loader this package had before its table kept frames: every
-// record decoded into a Record, tags interned. It is the oracle FuzzLoad
-// holds the frame table to, and referenceDecode the one it holds
-// UnmarshalRecord to.
+// record decoded into a Record, in the frame layout of MEISSAJ3 — each
+// dependency tag its 8 bytes. It is the oracle FuzzLoad holds the frame
+// table to, and referenceDecode the one it holds UnmarshalRecord to.
 
 // referenceLoad scans data as a resumed Open did: the records by (kind,
 // key), the offset past the last intact record, and the number of
@@ -17,8 +17,7 @@ import (
 // an intact record after it that is no verdict, makes.
 func referenceLoad(data []byte, fingerprint uint64) (map[mapKey]Record, int, int, error) {
 	seen := map[mapKey]Record{}
-	tags := map[string]string{}
-	rec, off, rest, ok := referenceDecode(data, tags)
+	rec, off, rest, ok := referenceDecode(data)
 	if !ok || rec.Kind != KindHeader || len(rest) < len(magic) || string(rest[:len(magic)]) != magic {
 		return nil, 0, 0, fmt.Errorf("journal: no checkpoint header (empty or torn file)")
 	}
@@ -27,7 +26,7 @@ func referenceLoad(data []byte, fingerprint uint64) (map[mapKey]Record, int, int
 	}
 	loaded := 0
 	for {
-		rec, n, _, ok := referenceDecode(data[off:], tags)
+		rec, n, _, ok := referenceDecode(data[off:])
 		if !ok {
 			break
 		}
@@ -44,7 +43,7 @@ func referenceLoad(data []byte, fingerprint uint64) (map[mapKey]Record, int, int
 // referenceDecode parses the first record in data, growing its model and
 // tag lists by append: the record, its frame's length, and the payload's
 // bytes after the lists. ok=false: no intact record.
-func referenceDecode(data []byte, tags map[string]string) (Record, int, []byte, bool) {
+func referenceDecode(data []byte) (Record, int, []byte, bool) {
 	if len(data) < 4 {
 		return Record{}, 0, nil, false
 	}
@@ -82,22 +81,14 @@ func referenceDecode(data []byte, tags map[string]string) (Record, int, []byte, 
 	nt := int(binary.LittleEndian.Uint16(payload[off:]))
 	off += 2
 	for i := 0; i < nt; i++ {
-		if off+2 > plen {
+		if off+8 > plen {
 			return Record{}, 0, nil, false
 		}
-		tl := int(binary.LittleEndian.Uint16(payload[off:]))
-		off += 2
-		if off+tl > plen {
-			return Record{}, 0, nil, false
-		}
-		tag, ok := tags[string(payload[off:off+tl])]
-		if !ok {
-			if tag = string(payload[off : off+tl]); tags != nil {
-				tags[tag] = tag
-			}
-		}
-		r.Tables = append(r.Tables, tag)
-		off += tl
+		var tag Tag
+		binary.LittleEndian.PutUint32(tag[:], binary.LittleEndian.Uint32(payload[off:]))
+		binary.LittleEndian.PutUint32(tag[4:], binary.LittleEndian.Uint32(payload[off+4:]))
+		r.Tags = append(r.Tags, tag)
+		off += 8
 	}
 	return r, total, payload[off:], true
 }

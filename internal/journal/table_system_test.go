@@ -27,8 +27,8 @@ func TestSeedAndAdoptMatchLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range []journal.Record{
-			{Kind: journal.KindCheck, Key: 1, Verdict: journal.Unsat, Tables: []string{"t/acl", "t/route"}},
-			{Kind: journal.KindEmit, Key: 2, Verdict: journal.Sat, Model: []journal.VarVal{{Var: "hdr.x", Val: 7}}, Tables: []string{"t/acl"}},
+			{Kind: journal.KindCheck, Key: 1, Verdict: journal.Unsat, Tags: tagsOf("t/acl", "t/route")},
+			{Kind: journal.KindEmit, Key: 2, Verdict: journal.Sat, Model: []journal.VarVal{{Var: "hdr.x", Val: 7}}, Tags: tagsOf("t/acl")},
 			{Kind: journal.KindEmit, Key: 3, Verdict: journal.Unknown},
 		} {
 			if err := j.Append(r); err != nil {
@@ -127,7 +127,7 @@ func sharedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, s
 	// order as Append frames it.
 	want := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})
 	for _, r := range recs {
-		want = journal.AppendRecord(want, r)
+		want = append(want, journal.MarshalRecord(r)...)
 	}
 
 	same := func(name string, got *journal.Journal) {
@@ -188,4 +188,13 @@ func sharedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, s
 	if err := journal.New().Adopt(tbl); err != nil {
 		t.Errorf("Adopt without a file: %v", err)
 	}
+}
+
+// tagsOf is journal.TagOf of each tag.
+func tagsOf(tags ...string) []journal.Tag {
+	out := make([]journal.Tag, len(tags))
+	for i, t := range tags {
+		out[i] = journal.TagOf(t)
+	}
+	return out
 }

@@ -12,6 +12,15 @@ import (
 
 func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
 
+// tagsOf is journal.TagOf of each tag.
+func tagsOf(tags ...string) []journal.Tag {
+	out := make([]journal.Tag, len(tags))
+	for i, t := range tags {
+		out[i] = journal.TagOf(t)
+	}
+	return out
+}
+
 // writeBaseline builds a journal of tag-bearing records and one that
 // depends on no table.
 func writeBaseline(t *testing.T, path string, fp uint64) {
@@ -26,12 +35,12 @@ func writeBaseline(t *testing.T, path string, fp uint64) {
 			t.Fatal(err)
 		}
 	}
-	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 1, Verdict: journal.Sat, Tables: []string{"acl#0000000000000001"}}))
-	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 2, Verdict: journal.Unsat, Tables: []string{"acl#0000000000000002", "nat#0000000000000009"}}))
+	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 1, Verdict: journal.Sat, Tags: tagsOf("acl#0000000000000001")}))
+	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 2, Verdict: journal.Unsat, Tags: tagsOf("acl#0000000000000002", "nat#0000000000000009")}))
 	must(j.Append(journal.Record{Kind: journal.KindEmit, Key: 3, Verdict: journal.Sat,
-		Model: []journal.VarVal{{Var: "port", Val: 80}}, Tables: []string{"acl#miss"}}))
+		Model: []journal.VarVal{{Var: "port", Val: 80}}, Tags: tagsOf("acl#miss")}))
 	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 4, Verdict: journal.Sat})) // no deps
-	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 5, Verdict: journal.Sat, Tables: []string{"fwd#miss"}}))
+	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 5, Verdict: journal.Sat, Tags: tagsOf("fwd#miss")}))
 }
 
 func TestRebaseFiltersByTag(t *testing.T) {
@@ -66,7 +75,7 @@ func TestRebaseFiltersByTag(t *testing.T) {
 	if !ok || r.Verdict != journal.Sat || len(r.Model) != 1 || r.Model[0].Val != 80 {
 		t.Fatalf("retained emit record mangled: %+v ok=%v", r, ok)
 	}
-	if len(r.Tables) != 1 || r.Tables[0] != "acl#miss" {
+	if len(r.Tags) != 1 || r.Tags[0] != journal.TagOf("acl#miss") {
 		t.Errorf("retained record lost its dependency tags: %+v", r)
 	}
 	if _, ok := d.Lookup(journal.KindCheck, 4); !ok {

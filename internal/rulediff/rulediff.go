@@ -13,11 +13,12 @@
 package rulediff
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/journal"
 	"repro/internal/rules"
 )
 
@@ -195,25 +196,28 @@ func (d *Delta) InvalidTags() []string {
 }
 
 // Matcher compiles the tag list into a predicate over dependency tags as
-// the frames of journals and stores hold them, read in place without
-// allocating. A bare table name matches every tag of that table
-// (whole-table wipe: the tag's part before its '#', as rules.TagTable
-// cuts it); a full tag matches only itself.
+// the frames of journals and stores hold them — a journal.Tag's bytes,
+// read in place without allocating. A bare table name matches every tag of
+// that table (whole-table wipe: the tag's part before its '#', as
+// rules.TagTable cuts it), by the table's hash; a full tag matches only
+// itself, by both hashes.
+//
+// Equal strings hash equal, so a record that depends on an invalid tag
+// always matches. Unequal ones may collide, which can only make a record
+// match a tag it does not carry: it is retired and re-solved, never kept
+// stale — the over-approximation internal/regress requires.
 func Matcher(invalid []string) func(tag []byte) bool {
-	exact := map[string]bool{}
-	tables := map[string]bool{}
+	exact := map[uint64]bool{}
+	tables := map[uint32]bool{}
 	for _, t := range invalid {
+		h := journal.TagOf(t)
 		if strings.ContainsRune(t, '#') {
-			exact[t] = true
+			exact[binary.LittleEndian.Uint64(h[:])] = true
 		} else {
-			tables[t] = true
+			tables[h.Table()] = true
 		}
 	}
 	return func(tag []byte) bool {
-		table := tag
-		if i := bytes.IndexByte(tag, '#'); i >= 0 {
-			table = tag[:i]
-		}
-		return exact[string(tag)] || tables[string(table)]
+		return tables[binary.LittleEndian.Uint32(tag)] || exact[binary.LittleEndian.Uint64(tag)]
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/rules"
 )
 
@@ -112,7 +113,7 @@ table nat {
 		t.Fatalf("InvalidTags = %v, want 2 tags", tags)
 	}
 	match := Matcher(tags)
-	m := func(tag string) bool { return match([]byte(tag)) }
+	m := func(tag string) bool { h := journal.TagOf(tag); return match(h[:]) }
 	// Bare "acl" matches any acl tag; nat matches only the changed entry.
 	if !m("acl#miss") || !m(rules.DepTag("acl", d.Tables[0].Removed[0])) {
 		t.Error("table wipe did not match acl branch tags")
@@ -129,26 +130,20 @@ table nat {
 	}
 }
 
-// TestMatcherAgreesWithTagTable: the matcher reads tag bytes and decides
-// every tag as the rule states it on strings: a full tag matches itself, a
-// bare table name every tag rules.TagTable gives that name.
+// TestMatcherAgreesWithTagTable: the matcher reads a tag's 8 bytes and
+// decides every tag as the string rule (referenceMatcher) does: a full tag
+// matches itself, a bare table name every tag rules.TagTable gives that
+// name. None of these strings collide.
 func TestMatcherAgreesWithTagTable(t *testing.T) {
 	invalid := []string{"acl", "nat#0000000000000001", "fwd#miss", "a", ""}
 	tags := []string{"", "#", "#x", "a", "a#", "a#1", "ab#1", "acl", "acl#1", "acl#miss", "aclx#1", "ac",
 		"nat", "nat#miss", "nat#0000000000000001", "nat#00000000000000012", "nat#000000000000000",
 		"fwd#miss", "fwd#missx", "fwd#mis", "fwd", "b#acl", "x#a#b"}
-	want := func(invalid []string, tag string) bool {
-		for _, t := range invalid {
-			if strings.ContainsRune(t, '#') && tag == t || !strings.ContainsRune(t, '#') && rules.TagTable(tag) == t {
-				return true
-			}
-		}
-		return false
-	}
 	for n := 0; n <= len(invalid); n++ {
-		m := Matcher(invalid[:n])
+		m, want := Matcher(invalid[:n]), referenceMatcher(invalid[:n])
 		for _, tag := range tags {
-			if got := m([]byte(tag)); got != want(invalid[:n], tag) {
+			h := journal.TagOf(tag)
+			if got := m(h[:]); got != want(tag) {
 				t.Errorf("Matcher(%q)(%q) = %v", invalid[:n], tag, got)
 			}
 		}

@@ -19,8 +19,9 @@ import (
 func FuzzOpen(f *testing.F) {
 	// Seeds: a log with appended transactions of every frame kind, its
 	// truncations, a flipped byte, a compacted log, an empty file, junk, the
-	// headers of earlier formats, a log with the 'C' frames of earlier ones,
-	// a log of a dozen rule updates with kills followed by re-puts.
+	// headers of earlier formats, a log of a dozen rule updates with kills
+	// followed by re-puts, and that churned log under the header of the
+	// text-tag format.
 	path := filepath.Join(f.TempDir(), "seed.store")
 	s, err := Open(path, Options{})
 	if err != nil {
@@ -53,10 +54,8 @@ func FuzzOpen(f *testing.F) {
 	}
 	s.Close()
 	f.Add([]byte{})
-	f.Add([]byte("\x08\x00\x00\x00MEISSAS2 but not really a store"))
+	f.Add([]byte("\x08\x00\x00\x00MEISSAS3 but not really a store"))
 	f.Add(pagedHeader)
-	oldCache, _ := oldCacheStore()
-	f.Add(oldCache)
 	churned := filepath.Join(f.TempDir(), "churned.store")
 	ruleChurn(f, churned, 200, 12)
 	churn, err := os.ReadFile(churned)
@@ -64,15 +63,16 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(churn)
+	f.Add(append(appendFrame(nil, []byte(textMagic)), churn[headerLen:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.store")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// A file with bytes in it, not of the paged format, is replayed: the
+		// A file with bytes in it, not of an earlier format, is replayed: the
 		// frame tables must read it as the decoding reference does.
-		replayed := len(data) > 0 && !(len(data) >= 12 && string(data[4:12]) == pagedMagic)
+		replayed := len(data) > 0 && !(len(data) >= 12 && (string(data[4:12]) == pagedMagic || string(data[4:12]) == textMagic))
 		var ref *refState
 		var refGood int
 		var refErr error

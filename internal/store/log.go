@@ -17,14 +17,16 @@ import (
 // state they add up to.
 
 const (
-	magic = "MEISSAS2"
+	magic = "MEISSAS3"
 	// pagedMagic is what the page-based format of earlier releases kept in
-	// the same bytes 4-12 of the file.
+	// the same bytes 4-12 of the file, and textMagic what the log of the
+	// releases whose record frames spelt their tags out kept there.
 	pagedMagic = "MEISSAS1"
+	textMagic  = "MEISSAS2"
 
 	frameFamily = 'F'
 	frameRules  = 'R'
-	frameDead   = 'T' // a journal record of this kind, its tags the ones to retire
+	frameDead   = 'T' // the tags to retire records by, spelt out
 	frameCommit = 'X'
 
 	headerLen = 8 + len(magic)
@@ -61,6 +63,33 @@ func appendRules(out []byte, text string) []byte {
 }
 
 func rulesLen(text string) int64 { return int64(8 + 1 + len(text)) }
+
+// appendDead frames a tombstone: 'T' {tlen(2) tag}*, the tags as
+// Tx.InvalidateTags was given them. A bare table name retires the whole
+// table, which no journal.Tag says; and tombstones are few.
+func appendDead(out []byte, tags []string) []byte {
+	p := []byte{frameDead}
+	for _, t := range tags {
+		p = append(binary.LittleEndian.AppendUint16(p, uint16(len(t))), t...)
+	}
+	return appendFrame(out, p)
+}
+
+// deadTags reads a tombstone's payload; ok=false: a tag overruns it.
+func deadTags(p []byte) (tags []string, ok bool) {
+	for off := 1; off < len(p); {
+		if off+2 > len(p) {
+			return nil, false
+		}
+		l := int(binary.LittleEndian.Uint16(p[off:]))
+		if off += 2; off+l > len(p) {
+			return nil, false
+		}
+		tags = append(tags, string(p[off:off+l]))
+		off += l
+	}
+	return tags, true
+}
 
 // frame splits the first frame off data: its payload and its whole
 // length. ok=false means data begins with no intact frame — short, torn
@@ -292,21 +321,17 @@ func replay(data []byte) (*state, int, error) {
 			// Kept as it lies in data: the table indexes frames, decodes nothing.
 			ok = f.put(data[off : off+n : off+n])
 		case p[0] == frameDead:
-			var r journal.Record
-			if r, ok = journal.UnmarshalRecord(data[off : off+n]); ok {
+			var tags []string
+			if tags, ok = deadTags(p); ok {
 				if dead == nil {
 					dead = map[*family]*graves{}
 				}
 				if dead[f] == nil {
 					dead[f] = &graves{}
 				}
-				dead[f].tags = append(dead[f].tags, r.Tables)
+				dead[f].tags = append(dead[f].tags, tags)
 				deadEnd = off + n
 			}
-		case p[0] == 'C':
-			// A solver-cache entry, which earlier releases persisted beside
-			// the records: no family owns it any more, so it is dead bytes
-			// for the next compaction to drop.
 		case p[0] == frameRules:
 			f.setRules(string(p[1:]))
 		default:

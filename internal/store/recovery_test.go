@@ -31,8 +31,8 @@ const recFam = 0xabcd
 func recRecord(key uint64, verdict journal.Verdict, tags ...string) journal.Record {
 	return journal.Record{
 		Kind: journal.KindEmit, Key: key, Verdict: verdict,
-		Model:  []journal.VarVal{{Var: "pkt.dst", Val: key * 3}},
-		Tables: tags,
+		Model: []journal.VarVal{{Var: "pkt.dst", Val: key * 3}},
+		Tags:  tagsOf(tags...),
 	}
 }
 
@@ -155,7 +155,7 @@ func storeState(t *testing.T, s *Store, fam uint64) string {
 	sn := s.Snapshot()
 	defer sn.Close()
 	err := sn.Records(fam, func(r journal.Record) bool {
-		fmt.Fprintf(&b, "R %d %d %d %v %v\n", r.Kind, r.Key, r.Verdict, r.Model, r.Tables)
+		fmt.Fprintf(&b, "R %d %d %d %v %v\n", r.Kind, r.Key, r.Verdict, r.Model, r.Tags)
 		return true
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"reflect"
 	"strings"
@@ -12,8 +13,9 @@ import (
 )
 
 // The replay this package had before its families kept frames: every
-// record decoded into a journal.Record at Open, tombstones matched on
-// decoded tag strings. It is the oracle FuzzOpen holds Open to.
+// record decoded into a journal.Record at Open, each tombstone applied over
+// the family as it is read, its tags hashed here (hash/fnv) and compared
+// with the records' decoded Tags. It is the oracle FuzzOpen holds Open to.
 
 type refKey struct {
 	kind journal.Kind
@@ -52,27 +54,49 @@ func (f *refFamily) setRules(text string) {
 	f.hasRules, f.rules = true, text
 }
 
-// kill retires what depends on tags: a full tag matches itself, a bare
-// table name every tag of the table.
+// refHash is FNV-1a-32 of s.
+func refHash(s string) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(s))
+	return h.Sum32()
+}
+
+// kill retires what depends on tags: a full tag matches a record tag whose
+// table hash is its table's and whose tag hash is its own, a bare table
+// name every record tag whose table hash is its.
 func (f *refFamily) kill(tags []string) {
-	exact, tables := map[string]bool{}, map[string]bool{}
+	type pair struct{ table, tag uint32 }
+	exact, tables := map[pair]bool{}, map[uint32]bool{}
 	for _, t := range tags {
-		if strings.ContainsRune(t, '#') {
-			exact[t] = true
+		if table, _, full := strings.Cut(t, "#"); full {
+			exact[pair{refHash(table), refHash(t)}] = true
 		} else {
-			tables[t] = true
+			tables[refHash(t)] = true
 		}
 	}
 	for k, r := range f.recs {
-		for _, tag := range r.Tables {
-			table, _, _ := strings.Cut(tag, "#")
-			if exact[tag] || tables[table] {
+		for _, tag := range r.Tags {
+			p := pair{binary.LittleEndian.Uint32(tag[:4]), binary.LittleEndian.Uint32(tag[4:])}
+			if exact[p] || tables[p.table] {
 				delete(f.recs, k)
 				f.bytes -= r.n
 				break
 			}
 		}
 	}
+}
+
+// refDeadTags reads a tombstone's payload, 'T' {tlen(2) tag}*.
+func refDeadTags(p []byte) ([]string, bool) {
+	var tags []string
+	for p = p[1:]; len(p) > 0; {
+		if len(p) < 2 || len(p) < 2+int(binary.LittleEndian.Uint16(p)) {
+			return nil, false
+		}
+		n := 2 + int(binary.LittleEndian.Uint16(p))
+		tags, p = append(tags, string(p[2:n])), p[n:]
+	}
+	return tags, true
 }
 
 // refReplay reads a log as replay did: the committed state and the offset
@@ -105,14 +129,16 @@ func refReplay(data []byte) (*refState, int, error) {
 			}
 		case f == nil:
 			ok = false
-		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit), p[0] == frameDead:
+		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit):
 			var r journal.Record
-			if r, ok = journal.UnmarshalRecord(data[off : off+n]); ok && r.Kind == frameDead {
-				f.kill(r.Tables)
-			} else if ok {
+			if r, ok = journal.UnmarshalRecord(data[off : off+n]); ok {
 				f.put(r, int64(n))
 			}
-		case p[0] == 'C':
+		case p[0] == frameDead:
+			var tags []string
+			if tags, ok = refDeadTags(p); ok {
+				f.kill(tags)
+			}
 		case p[0] == frameRules:
 			f.setRules(string(p[1:]))
 		default:

@@ -67,8 +67,9 @@ func ruleChurn(t testing.TB, path string, n, updates int) int {
 		}
 		var killed []uint64
 		for i := uint64(0); i < uint64(n); i++ {
+			full, snat := journal.TagOf(tag), journal.TagOf("nat#snat")
 			if e, ok := tx.view(recFam).recs.Lookup(journal.KindEmit, i); ok && e.DependsOn(func(b []byte) bool {
-				return string(b) == tag || (tag == "nat" && string(b) == "nat#snat")
+				return string(b) == string(full[:]) || (tag == "nat" && string(b) == string(snat[:]))
 			}) {
 				killed = append(killed, i)
 			}

@@ -36,8 +36,11 @@ var ErrCorrupt = errors.New("store: corrupt store file")
 var ErrWedged = errors.New("store: wedged by I/O error; reopen to recover")
 
 var errPaged = errors.New("a page-based (MEISSAS1: B+tree and -wal) verdict store, which this release does not read: " +
-	"delete it and its -wal and re-populate a new store with `meissa gen -store` (every verdict is re-derivable), " +
-	"or export it with the release that wrote it and `meissa store import -journal` the result with a release that still reads MEISSAJ1 checkpoints")
+	"delete it and its -wal and re-populate a new store with `meissa gen -store` (every verdict is re-derivable)")
+
+var errTextTags = errors.New("the header at offset 4 reads " + textMagic + ", a verdict store format this release does not read " +
+	"(its record frames spell each dependency tag out as text): " +
+	"delete it and re-populate a new store with `meissa gen -store` (every verdict is re-derivable)")
 
 // Stats are one open store's counters (the obs registry has the process's).
 type Stats struct {
@@ -67,8 +70,8 @@ type Store struct {
 }
 
 // Open opens or creates the store at path and replays its log up to the
-// last intact commit marker, dropping an uncommitted tail. A file in the
-// page-based format of earlier releases is refused, never overwritten.
+// last intact commit marker, dropping an uncommitted tail. A file in a
+// format of earlier releases is refused, never overwritten.
 func Open(path string, opts Options) (*Store, error) {
 	s := &Store{fs: opts.FS, path: path}
 	if s.fs == nil {
@@ -119,8 +122,13 @@ func (s *Store) load() error {
 	if _, err := s.f.ReadAt(data, 0); err != nil && err != io.EOF {
 		return err
 	}
-	if size >= 12 && string(data[4:12]) == pagedMagic {
-		return errPaged
+	if size >= 12 {
+		switch string(data[4:12]) {
+		case pagedMagic:
+			return errPaged
+		case textMagic:
+			return errTextTags
+		}
 	}
 	st, good, err := replay(data)
 	if err != nil {
@@ -245,7 +253,7 @@ func (tx *Tx) InvalidateTags(fam uint64, tags []string) (int, error) {
 		return 0, nil
 	}
 	removed := tx.in(fam).kill(tags)
-	tx.buf = journal.AppendRecord(tx.buf, journal.Record{Kind: frameDead, Tables: tags})
+	tx.buf = appendDead(tx.buf, tags)
 	tx.s.count(&tx.s.stats.Invalidated, mInvalidated, uint64(removed))
 	return removed, nil
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,9 +47,18 @@ func mustCommit(t *testing.T, tx *Tx) {
 func testRecord(key uint64, verdict journal.Verdict, tags ...string) journal.Record {
 	return journal.Record{
 		Kind: journal.KindEmit, Key: key, Verdict: verdict,
-		Model:  []journal.VarVal{{Var: "h.dst", Val: key}},
-		Tables: tags,
+		Model: []journal.VarVal{{Var: "h.dst", Val: key}},
+		Tags:  tagsOf(tags...),
 	}
+}
+
+// tagsOf is journal.TagOf of each tag.
+func tagsOf(tags ...string) []journal.Tag {
+	out := make([]journal.Tag, len(tags))
+	for i, t := range tags {
+		out[i] = journal.TagOf(t)
+	}
+	return out
 }
 
 // putRecord puts r under fam framed as a run's journal frames it.
@@ -73,7 +82,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	recs := []journal.Record{
 		testRecord(10, journal.Unsat, rules.DepTag("acl", &rules.Entry{}), rules.MissTag("fwd")),
 		testRecord(11, journal.Sat, rules.MissTag("acl")),
-		{Kind: journal.KindCheck, Key: 10, Verdict: journal.Sat, Tables: []string{rules.MissTag("fwd")}},
+		{Kind: journal.KindCheck, Key: 10, Verdict: journal.Sat, Tags: tagsOf(rules.MissTag("fwd"))},
 	}
 	for _, r := range recs {
 		if err := putRecord(tx, fam, r); err != nil {
@@ -119,7 +128,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("GetRecord: ok=%v err=%v", ok, err)
 	}
-	if r.Verdict != journal.Unsat || len(r.Model) != 1 || r.Model[0].Var != "h.dst" || len(r.Tables) != 2 {
+	if r.Verdict != journal.Unsat || len(r.Model) != 1 || r.Model[0].Var != "h.dst" || len(r.Tags) != 2 {
 		t.Fatalf("record fidelity: %+v", r)
 	}
 	if st := s.Stats(); st.SnapshotReads == 0 {
@@ -223,14 +232,14 @@ func TestStorePutRefusesBadFrames(t *testing.T) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x10
 	overrun := append([]byte(nil), good[4:len(good)-4]...)
-	overrun[len(overrun)-len("acl#miss")-2]++ // the tag's length runs past the payload
+	overrun[len(overrun)-journal.TagLen-2]++ // the tag count runs past the payload
 	for name, fr := range map[string][]byte{
 		"flipped byte":    flipped,
 		"cut short":       good[:len(good)-1],
 		"runs on":         append(append([]byte(nil), good...), 0),
 		"lists overrun":   appendFrame(nil, overrun),
 		"header":          journal.MarshalRecord(journal.Record{Kind: journal.KindHeader}),
-		"tombstone":       journal.MarshalRecord(journal.Record{Kind: frameDead, Tables: []string{"acl"}}),
+		"tombstone":       appendDead(nil, []string{"acl"}),
 		"no frame at all": nil,
 	} {
 		tx := mustBegin(t, s)
@@ -468,9 +477,9 @@ var pagedHeader = append([]byte{0xde, 0xad, 0xbe, 0xef}, "MEISSAS1\x01\x00\x00\x
 
 // TestOpenRefusesPagedStore: a file of the page-based format — its magic
 // in the main file, or a non-empty -wal beside a main file a crash left
-// empty — is refused with an error that names the format and the ways out
-// that still work, and nothing on disk changes: no fresh log is initialised
-// over it.
+// empty — is refused with an error that names the format and the way out
+// that still works, and nothing on disk changes: no fresh log is
+// initialised over it.
 func TestOpenRefusesPagedStore(t *testing.T) {
 	for _, tc := range []struct{ name, main, wal string }{
 		{"magic in the main file", string(pagedHeader) + strings.Repeat("\x00", 200), ""},
@@ -478,152 +487,91 @@ func TestOpenRefusesPagedStore(t *testing.T) {
 		{"both", string(pagedHeader), "\x09\x00\x00\x00Ctxid...."},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "old.store")
-			if err := os.WriteFile(path, []byte(tc.main), 0o644); err != nil {
+			refusesOldStore(t, tc.main, tc.wal, "page-based", "MEISSAS1", "delete", "re-populate", "meissa gen -store")
+		})
+	}
+}
+
+// TestOpenRefusesTextTagStore: a log of the format whose record frames
+// spelt their dependency tags out (MEISSAS2) is refused as the paged
+// format is, the error naming the file, the format, where it reads it and
+// the way out.
+func TestOpenRefusesTextTagStore(t *testing.T) {
+	log := appendFrame(nil, []byte(textMagic))
+	log = appendID(log, frameFamily, recFam)
+	log = appendRules(log, "rules-v1: acl{allow}")
+	// A verdict as MEISSAS2 framed it: kind verdict key(8) nm(2) nt(2) {tlen(2) tag}*.
+	p := binary.LittleEndian.AppendUint64([]byte{byte(journal.KindCheck), byte(journal.Sat)}, 1)
+	p = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(p, 0), 1)
+	log = appendFrame(log, append(binary.LittleEndian.AppendUint16(p, 8), "acl#miss"...))
+	log = appendID(log, frameCommit, 1)
+	refusesOldStore(t, string(log), "", textMagic, "offset 4", "as text", "re-populate", "meissa gen -store")
+}
+
+// TestOpenRefusesForeignFrames: an intact frame no release writes into a
+// MEISSAS3 log — the 'C' solver-cache frame of releases before PR 20, or a
+// tombstone whose tag overruns it — is ErrCorrupt naming its offset, and
+// the file stays as it is.
+func TestOpenRefusesForeignFrames(t *testing.T) {
+	head := appendFrame(nil, []byte(magic))
+	head = appendID(head, frameFamily, recFam)
+	head = appendRules(head, "rules-v1: acl{allow}")
+	for name, fr := range map[string][]byte{
+		"cache entry":        appendFrame(nil, append([]byte{'C'}, make([]byte, 23)...)),
+		"tombstone overruns": appendFrame(nil, append([]byte{frameDead, 9, 0}, "acl"...)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			data := appendID(append(append([]byte(nil), head...), fr...), frameCommit, 1)
+			path := filepath.Join(t.TempDir(), "foreign.store")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if tc.wal != "" {
-				if err := os.WriteFile(path+"-wal", []byte(tc.wal), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
 			_, err := Open(path, Options{})
-			if err == nil {
-				t.Fatal("Open accepted a page-based store")
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprint("offset ", len(head))) {
+				t.Fatalf("Open: %v; want ErrCorrupt at offset %d", err, len(head))
 			}
-			for _, want := range []string{"page-based", "MEISSAS1", "delete", "re-populate", "meissa gen -store", "still reads MEISSAJ1"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not mention %q", err, want)
-				}
-			}
-			if got, _ := os.ReadFile(path); string(got) != tc.main {
-				t.Errorf("main file changed: %d bytes, was %d", len(got), len(tc.main))
-			}
-			if got, _ := os.ReadFile(path + "-wal"); string(got) != tc.wal {
-				t.Errorf("wal changed: %d bytes, was %d", len(got), len(tc.wal))
-			}
-			ents, _ := os.ReadDir(dir)
-			for _, e := range ents {
-				if n := e.Name(); n != "old.store" && n != "old.store-wal" && n != "old.store-lock" {
-					t.Errorf("Open left %s behind", n)
-				}
+			if got, _ := os.ReadFile(path); string(got) != string(data) {
+				t.Error("the refused file changed")
 			}
 		})
 	}
 }
 
-// oldCacheFrame is a 'C' frame as the releases that persisted the solver's
-// verdict cache wrote it: sum(8) xor(8) n(4) verdict(1) ntags(2) tagid(8)*.
-func oldCacheFrame(sum, xor uint64, n uint32, verdict byte, tags ...uint64) []byte {
-	p := binary.LittleEndian.AppendUint64([]byte{'C'}, sum)
-	p = binary.LittleEndian.AppendUint64(p, xor)
-	p = binary.LittleEndian.AppendUint32(p, n)
-	p = binary.LittleEndian.AppendUint16(append(p, verdict), uint16(len(tags)))
-	for _, t := range tags {
-		p = binary.LittleEndian.AppendUint64(p, t)
-	}
-	return appendFrame(nil, p)
-}
-
-// oldCacheStore is a store file of such a release, frame by frame: one
-// committed transaction holding a family's rules, two records and two cache
-// entries. It returns the file and how many of its bytes the entries take.
-func oldCacheStore() (data []byte, cacheBytes int) {
-	data = appendFrame(nil, []byte(magic))
-	data = appendID(data, frameFamily, recFam)
-	data = appendRules(data, "rules-v1: acl{allow} fwd{}")
-	data = journal.AppendRecord(data, recRecord(1, journal.Unsat, "acl#miss"))
-	data = journal.AppendRecord(data, recRecord(2, journal.Sat, "fwd#miss"))
-	before := len(data)
-	data = append(data, oldCacheFrame(1000, 2000, 3, 0, hash64("acl#miss"), hash64("acl"))...)
-	data = append(data, oldCacheFrame(1001, 2001, 1, 1)...)
-	return appendID(data, frameCommit, 1), len(data) - before
-}
-
-// hasFrame reports whether a log holds an intact frame of the given kind.
-func hasFrame(t *testing.T, data []byte, kind byte) bool {
+// refusesOldStore checks that Open refuses a store whose file holds main
+// and whose -wal holds wal (none when empty) with an error that names the
+// file and each of want, and that nothing on disk changes.
+func refusesOldStore(t *testing.T, main, wal string, want ...string) {
 	t.Helper()
-	for off := 0; off < len(data); {
-		p, n, ok := frame(data[off:])
-		if !ok {
-			t.Fatalf("no intact frame at offset %d", off)
-		}
-		if p[0] == kind {
-			return true
-		}
-		off += n
-	}
-	return false
-}
-
-// TestOpenSkipsOldCacheFrames: a store that a release persisting the
-// solver's verdict cache populated holds 'C' frames inside committed
-// history. They are bytes no family owns: Open serves the records around
-// them and leaves the file as it is, they count as dead, and the
-// compaction that dead bytes bring about drops them.
-func TestOpenSkipsOldCacheFrames(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.store")
-	data, cacheBytes := oldCacheStore()
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.store")
+	if err := os.WriteFile(path, []byte(main), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path, Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer func() { s.Close() }()
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
-		t.Fatalf("Open rewrote the file: %d bytes, was %d", len(got), len(data))
-	}
-	sn := s.Snapshot()
-	for key, want := range map[uint64]journal.Verdict{1: journal.Unsat, 2: journal.Sat} {
-		if r, ok, _ := sn.GetRecord(recFam, journal.KindEmit, key); !ok || r.Verdict != want {
-			t.Fatalf("record %d: %+v (present %v), want verdict %d", key, r, ok, want)
-		}
-	}
-	if n, _ := sn.RecordCount(recFam); n != 2 {
-		t.Fatalf("%d records, want 2", n)
-	}
-	if info, ok, _ := sn.Family(recFam); !ok || info.Rules != "rules-v1: acl{allow} fwd{}" {
-		t.Fatalf("family rules %+v (present %v)", info, ok)
-	}
-	if st := s.Stats(); st.FileBytes != uint64(len(data)) || st.FileBytes-s.cur.live() != uint64(cacheBytes) || st.TailDiscarded != 0 {
-		t.Fatalf("file %d bytes (of %d), %d live, %d discarded: want the two cache frames' %d dead",
-			st.FileBytes, len(data), s.cur.live(), st.TailDiscarded, cacheBytes)
-	}
-
-	// An appended commit leaves them where they are; overwrites until the
-	// log is more than half dead rewrite it without them.
-	for i := 0; s.Stats().Compactions == 0; i++ {
-		if i == 10 {
-			t.Fatal("ten overwrites of one record and no compaction")
-		}
-		tx := mustBegin(t, s)
-		if err := putRecord(tx, recFam, recRecord(2, journal.Verdict(i%2), "fwd#miss")); err != nil {
+	if wal != "" {
+		if err := os.WriteFile(path+"-wal", []byte(wal), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mustCommit(t, tx)
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	}
+	_, err := Open(path, Options{})
+	if err == nil {
+		t.Fatal("Open accepted a store of an earlier format")
+	}
+	for _, w := range append(want, path) {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("error %q does not mention %q", err, w)
 		}
-		if compacted := s.Stats().Compactions > 0; hasFrame(t, got, 'C') == compacted {
-			t.Fatalf("commit %d (compacted: %v): wrong about holding a cache frame", i, compacted)
+	}
+	if got, _ := os.ReadFile(path); string(got) != main {
+		t.Errorf("main file changed: %d bytes, was %d", len(got), len(main))
+	}
+	if got, _ := os.ReadFile(path + "-wal"); string(got) != wal {
+		t.Errorf("wal changed: %d bytes, was %d", len(got), len(wal))
+	}
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if n := e.Name(); n != "old.store" && n != "old.store-wal" && n != "old.store-lock" {
+			t.Errorf("Open left %s behind", n)
 		}
-	}
-	want := stateString(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s, err = Open(path, Options{}); err != nil {
-		t.Fatalf("reopen after compaction: %v", err)
-	}
-	if got := stateString(t, s); got != want {
-		t.Fatalf("state after reopen:\n%s\nwant:\n%s", got, want)
-	}
-	if st := s.Stats(); st.FileBytes != s.cur.live() {
-		t.Fatalf("compacted log is %d bytes, its live frames %d", st.FileBytes, s.cur.live())
 	}
 }
 
@@ -747,7 +695,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 				t.Fatalf("step %d (%s): family %d has %d records, model %d", step, what, fam, len(got), len(m.recs))
 			}
 			for k, want := range m.recs {
-				if g := got[k]; g.Verdict != want.Verdict || fmt.Sprint(g.Tables) != fmt.Sprint(want.Tables) {
+				if g := got[k]; g.Verdict != want.Verdict || !slices.Equal(g.Tags, want.Tags) {
 					t.Fatalf("step %d (%s): family %d key %d: %+v, model %+v", step, what, fam, k, g, want)
 				}
 			}
@@ -756,11 +704,15 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 			}
 		}
 	}
-	tagsOf := func() []string {
+	text := map[journal.Tag]string{} // the model matches on the tags' text
+	randomTags := func() []string {
 		tb := tables[rng.Intn(len(tables))]
 		tags := []string{rules.MissTag(tb)}
 		if rng.Intn(2) == 0 {
 			tags = append(tags, rules.DepTag(tables[rng.Intn(len(tables))], &rules.Entry{Action: fmt.Sprint("a", rng.Intn(3))}))
+		}
+		for _, tag := range tags {
+			text[journal.TagOf(tag)] = tag
 		}
 		return tags
 	}
@@ -777,9 +729,9 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					tag = rules.MissTag(tb)
 				}
-				match := func(tags []string) bool {
-					for _, x := range tags {
-						if x == tag || (tag == tb && rules.TagTable(x) == tb) {
+				match := func(tags []journal.Tag) bool {
+					for _, h := range tags {
+						if x := text[h]; x == tag || (tag == tb && rules.TagTable(x) == tb) {
 							return true
 						}
 					}
@@ -787,7 +739,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 				}
 				want := 0
 				for k, r := range m.recs {
-					if match(r.Tables) {
+					if match(r.Tags) {
 						delete(m.recs, k)
 						want++
 					}
@@ -800,7 +752,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 					t.Fatal(err)
 				}
 			default:
-				r := testRecord(uint64(rng.Intn(60)), journal.Verdict(rng.Intn(3)), tagsOf()...)
+				r := testRecord(uint64(rng.Intn(60)), journal.Verdict(rng.Intn(3)), randomTags()...)
 				if err := putRecord(tx, fam, r); err != nil {
 					t.Fatal(err)
 				}

@@ -8,15 +8,18 @@
 // naming the frame. A header opens it; then each transaction is a run of
 // frames closed by a commit marker:
 //
-//	header  "MEISSAS2" (bytes 4-12 of the file)
+//	header  "MEISSAS3" (bytes 4-12 of the file)
 //	'F'     fam(8): scopes the frames up to the next 'F' or 'X'
-//	1, 2    a verdict, tags inline: the frame a checkpoint journal holds it in
+//	1, 2    a verdict, its dependency tags inline as 8-byte hashes
+//	        (journal.Tag): the frame a checkpoint journal holds it in
 //	'R'     the rules text the family's entries are valid under
-//	'T'     tombstone, a journal record: retires what depends on its tags
+//	'T'     tombstone, {tlen(2) tag}*: retires what depends on its tags,
+//	        spelt out as rulediff.Matcher reads them
 //	'X'     txid(8): commit marker
 //
-// A 'C' frame is a solver-cache verdict, which earlier releases stored
-// beside the records: replay skips it, so it is dead bytes (below).
+// A file of an earlier format — MEISSAS1, the page-based engine's, or
+// MEISSAS2, whose record frames spelt their tags out — is refused by
+// name, never read or overwritten.
 //
 // Commit appends a transaction's frames and marker past the committed
 // size, syncs, and only then returns. No frame counts without its marker,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cfg"
+	"repro/internal/journal"
 	"repro/internal/programs"
 	"repro/internal/smt"
 	"repro/internal/summary"
@@ -148,5 +149,52 @@ func TestExploreMallocsPerPath(t *testing.T) {
 	t.Logf("%d mallocs over %d explored paths: %.2f per path", m1.Mallocs-m0.Mallocs, res.PathsExplored, perPath)
 	if perPath > maxMallocsPerPath {
 		t.Errorf("sym.Explore allocates %.2f objects per explored path, ceiling %.1f", perPath, maxMallocsPerPath)
+	}
+	t.Run("journaled gw-2", journalingAllocsNoTagsPerVerdict)
+}
+
+// journalingAllocsNoTagsPerVerdict pins that journaling a verdict
+// allocates nothing for its dependency tags: the plan hashes each tag once
+// and appendJournal gathers a record's hashes in scratch. A journaled
+// gw-2/set-4 generation (a journal with no file) may allocate more than
+// the plain one only by the model of each template it journals, plus a
+// few objects of scratch: 6 to 15 over 732 verdicts, ceiling one a tenth
+// of them. Snapshotting each verdict's tags as strings cost one
+// allocation a record, and sorting a model with sort.Slice two more a
+// model.
+func journalingAllocsNoTagsPerVerdict(t *testing.T) {
+	g := graphsOf(t, programs.GW(2, programs.Set4))["gw-2/summarized"]
+	if g == nil {
+		t.Fatal("no gw-2 graph")
+	}
+	explore := func(j *journal.Journal) (*sym.Result, uint64) {
+		opts := sym.DefaultOptions()
+		opts.Parallelism, opts.Journal = 1, j
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := sym.Explore(sym.Config{Graph: g, Options: opts})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, m1.Mallocs - m0.Mallocs
+	}
+	explore(nil) // warm the obs registry and the runtime's size classes
+	_, plain := explore(nil)
+	j := journal.New()
+	res, journaled := explore(j)
+	models := uint64(0)
+	for _, tm := range res.Templates {
+		if len(tm.Model) > 0 {
+			models++
+		}
+	}
+	extra := int64(journaled) - int64(plain) - int64(models)
+	t.Logf("%d verdicts journaled: %d mallocs plain, %d journaled, %d of them models", j.Appended(), plain, journaled, models)
+	if j.Appended() < 100 {
+		t.Fatalf("only %d verdicts journaled", j.Appended())
+	}
+	if limit := int64(j.Appended() / 10); extra > limit {
+		t.Errorf("journaling %d verdicts allocated %d objects beyond their %d models, ceiling %d", j.Appended(), extra, models, limit)
 	}
 }

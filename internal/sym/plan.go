@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
+	"repro/internal/journal"
 	"repro/internal/p4"
 	"repro/internal/smt"
 )
@@ -24,9 +25,11 @@ type plan struct {
 	nodes []nodePlan
 	// deps pools the interned Node.Deps lists (nodePlan.depLo/depHi).
 	deps []uint32
-	// tags maps a tag ID back to its tag. IDs are ranks in sorted tag
-	// order, so sorting IDs sorts tags.
-	tags []string
+	// tags maps a tag ID back to its tag, and tagHashes to the tag as a
+	// journal record carries it, hashed once here. IDs are ranks in sorted
+	// tag order, so sorting IDs sorts tags.
+	tags      []string
+	tagHashes []journal.Tag
 	// vars maps a value-stack slot back to its variable, and is every
 	// template's Vars; init is the value stack seeded from
 	// Config.InitValues, copied by each executor. drop is p4.DropVar's slot,
@@ -362,8 +365,10 @@ func newPlan(c Config, start cfg.NodeID) *plan {
 	}
 	sort.Strings(p.tags)
 	rank := make([]uint32, len(p.tags))
+	p.tagHashes = make([]journal.Tag, len(p.tags))
 	for r, t := range p.tags {
 		rank[tagIDs[t]] = uint32(r)
+		p.tagHashes[r] = journal.TagOf(t)
 	}
 	for i, d := range p.deps {
 		p.deps[i] = rank[d]

@@ -323,13 +323,14 @@ type executor struct {
 	journaling bool
 	// deps stacks the interned rule-dependency tags of the current path's
 	// nodes, duplicates and all: a step only appends and truncates. The
-	// readers (templates, journal index records) sort and de-duplicate on
-	// read via uniqueDeps, whose scratch is depSeen (tag ID → epoch of the
-	// read that last saw it) and depBuf.
+	// readers (templates, journal records) sort and de-duplicate on read
+	// via uniqueDeps, whose scratch is depSeen (tag ID → epoch of the read
+	// that last saw it) and depBuf. tagBuf is appendJournal's scratch.
 	deps     []uint32
 	depSeen  []uint32
 	depEpoch uint32
 	depBuf   []uint32
+	tagBuf   []journal.Tag
 	// pending hands a branch verdict precomputed by the parent's sibling
 	// batch down to the child's dfs frame; it is set immediately before
 	// each e.dfs(succ) call and consumed (and cleared) at frame entry.
@@ -933,12 +934,19 @@ func (e *executor) countJournalHit() {
 }
 
 // appendJournal writes one verdict record, the path's dependency tags
-// inline. Journaling is an aid, not a correctness requirement: on a write
-// failure (disk full, fd revoked) further journaling is disabled and
-// exploration continues — the checkpoint simply ends early and a future
-// resume re-solves from there.
+// inline: the plan's hashes of them, in sorted tag order, gathered in
+// scratch that Append does not keep. Journaling is an aid, not a
+// correctness requirement: on a write failure (disk full, fd revoked)
+// further journaling is disabled and exploration continues — the
+// checkpoint simply ends early and a future resume re-solves from there.
 func (e *executor) appendJournal(rec journal.Record) {
-	rec.Tables = e.curDeps()
+	if len(e.deps) > 0 {
+		e.tagBuf = e.tagBuf[:0]
+		for _, id := range e.uniqueDeps() {
+			e.tagBuf = append(e.tagBuf, e.p.tagHashes[id])
+		}
+		rec.Tags = e.tagBuf
+	}
 	if err := e.opts.Journal.Append(rec); err != nil {
 		e.journaling = false
 	}

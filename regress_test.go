@@ -8,13 +8,18 @@ package meissa_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	meissa "repro"
 	"repro/internal/journal"
+	"repro/internal/p4"
 	"repro/internal/programs"
+	"repro/internal/regress"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
 )
@@ -360,8 +365,8 @@ func TestRebasedCheckpointIsCompleteJournal(t *testing.T) {
 	retained := 0
 records:
 	for _, r := range baseRecs { // canonical order
-		for _, tag := range r.Tables {
-			if invalid([]byte(tag)) {
+		for _, tag := range r.Tags {
+			if invalid(tag[:]) {
 				continue records
 			}
 		}
@@ -399,5 +404,208 @@ records:
 	}
 	if renderTemplates(resumed.Templates) != renderTemplates(res.Gen.Templates) {
 		t.Error("resume from the rebased checkpoint diverged from the incremental run")
+	}
+}
+
+// collideProgram applies table %[1]s to packets with h.a above 100 and
+// table %[2]s to the rest, so that a path crosses one table or the other.
+const collideProgram = `program collide;
+
+header h {
+  bit<32> a;
+  bit<32> b;
+}
+
+metadata {
+  bit<32> x;
+}
+
+parser prs {
+  state start {
+    extract(h);
+    transition accept;
+  }
+}
+
+action set_x(bit<32> v) {
+  meta.x = v;
+}
+
+action miss() {
+  mark_drop();
+}
+
+table %[1]s {
+  key = { h.a : exact; }
+  actions = { set_x; miss; }
+  default_action = miss();
+  size = 1024;
+}
+
+table %[2]s {
+  key = { h.b : exact; }
+  actions = { set_x; miss; }
+  default_action = miss();
+  size = 1024;
+}
+
+control ing {
+  apply {
+    if (h.a > 100) {
+      %[1]s.apply();
+    } else {
+      %[2]s.apply();
+    }
+  }
+}
+
+pipeline ingress0 {
+  parser = prs;
+  control = ing;
+  kind = ingress;
+}
+`
+
+// fnv32a is FNV-1a-32, the hash a journal.Tag holds of its table and of
+// itself.
+func fnv32a(s string) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(s))
+	return h.Sum32()
+}
+
+// collidingNames draws table names from rng until two hash equal.
+func collidingNames(rng *rand.Rand) (string, string) {
+	seen := map[uint32]string{}
+	for {
+		b := []byte("t_")
+		for i := 0; i < 8; i++ {
+			b = append(b, byte('a'+rng.Intn(26)))
+		}
+		name := string(b)
+		if other, ok := seen[fnv32a(name)]; ok && other != name {
+			return other, name
+		}
+		seen[fnv32a(name)] = name
+	}
+}
+
+// exactEntry is the entry `h.a=v -> set_x(arg)`.
+func exactEntry(v, arg uint64) *rules.Entry {
+	return &rules.Entry{Matches: []rules.Match{{Field: "h.a", Kind: rules.Exact, Val: v}}, Action: "set_x", Args: []uint64{arg}}
+}
+
+// collidingEntries returns two match values above 1000 whose entries of
+// table carry dependency tags that hash equal.
+func collidingEntries(table string) (uint64, uint64) {
+	seen := map[uint32]uint64{}
+	for v := uint64(1000); ; v++ {
+		h := fnv32a(rules.DepTag(table, exactEntry(v, 0)))
+		if w, ok := seen[h]; ok {
+			return w, v
+		}
+		seen[h] = v
+	}
+}
+
+// TestRegressHashCollisions: record frames carry dependency tags as
+// hashes, so two strings that hash equal must cost re-solving, never a
+// stale verdict. A seeded brute-force search finds two table names with
+// equal FNV-1a-32 hashes and, in the first table, two entries whose tags
+// hash equal. Retiring one tag of the pair retires the records of both,
+// retiring one table the other's records too — and either way the
+// incremental output equals a cold run's, sequential and parallel.
+func TestRegressHashCollisions(t *testing.T) {
+	ta, tb := collidingNames(rand.New(rand.NewSource(38)))
+	v1, v2 := collidingEntries(ta)
+	const v3 = 999 // an entry of ta whose tag collides with neither
+	p := &programs.Program{Name: "collide", Prog: p4.MustParse(fmt.Sprintf(collideProgram, ta, tb))}
+	p.Rules = rules.NewSet()
+	for i, v := range []uint64{v1, v2, v3} {
+		p.Rules.Add(ta, exactEntry(v, uint64(i+1)))
+	}
+	p.Rules.Add(tb, &rules.Entry{Matches: []rules.Match{{Field: "h.b", Kind: rules.Exact, Val: 5}}, Action: "set_x", Args: []uint64{4}})
+	tag1, tag2, tag3 := rules.DepTag(ta, exactEntry(v1, 0)), rules.DepTag(ta, exactEntry(v2, 0)), rules.DepTag(ta, exactEntry(v3, 0))
+	if journal.TagOf(ta).Table() != journal.TagOf(tb).Table() || journal.TagOf(tag1) != journal.TagOf(tag2) || journal.TagOf(tag1) == journal.TagOf(tag3) {
+		t.Fatalf("no collisions: tables %s %s, tags %s %s %s", ta, tb, tag1, tag2, tag3)
+	}
+	t.Logf("tables %s and %s collide, and tags %s and %s", ta, tb, tag1, tag2)
+
+	// The baseline's records, and its templates with their text tags.
+	dir := t.TempDir()
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	opts.Checkpoint = filepath.Join(dir, "base.journal")
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := sys.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sys.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := journal.ReadTable(opts.Checkpoint, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// kept reports whether the records of the templates depending on a tag
+	// that passes dep are kept, failing when no template does.
+	kept := func(t *testing.T, k *journal.Table, dep func(tag string) bool) bool {
+		t.Helper()
+		n, in := 0, 0
+		for _, tm := range base.Templates {
+			if slices.ContainsFunc(tm.Deps, dep) {
+				n++
+				if _, ok := k.Lookup(journal.KindEmit, tm.PathKey); ok {
+					in++
+				}
+			}
+		}
+		if n == 0 || in != 0 && in != n {
+			t.Fatalf("%d of %d templates' records kept", in, n)
+		}
+		return in == n
+	}
+	ofTable := func(table string) func(string) bool {
+		return func(tag string) bool { return rules.TagTable(tag) == table }
+	}
+	is := func(want string) func(string) bool { return func(tag string) bool { return tag == want } }
+
+	for _, tc := range []struct {
+		name     string
+		update   func(*rules.Set)
+		invalid  []string
+		retired  func(string) bool // a tag the update does not retire whose records go
+		survives func(string) bool
+	}{
+		{"colliding tags", func(s *rules.Set) { s.Entries(ta)[0].Args[0] = 7 }, []string{tag1}, is(tag2), is(tag3)},
+		{"colliding tables", func(s *rules.Set) { s.Add(ta, exactEntry(2000, 6)) }, []string{ta}, ofTable(tb), nil},
+	} {
+		newRules := p.Rules.Clone()
+		tc.update(newRules)
+		invalid := rulediff.Diff(p.Rules, newRules).InvalidTags()
+		if !slices.Equal(invalid, tc.invalid) {
+			t.Fatalf("%s: the update retires %q, want %q", tc.name, invalid, tc.invalid)
+		}
+		k, st := regress.Retain(tbl, rulediff.Matcher(invalid))
+		if kept(t, k, tc.retired) {
+			t.Errorf("%s: the records of the colliding one survive", tc.name)
+		}
+		if tc.survives != nil && !kept(t, k, tc.survives) {
+			t.Errorf("%s: the records of a tag that collides with none went", tc.name)
+		}
+		for _, par := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/parallel=%d", tc.name, par), func(t *testing.T) {
+				res, cold := regressOnce(t, p, newRules, par)
+				checkRegressInvariants(t, res, cold)
+				if res.Gen.Rebase.Invalidated != st.Invalidated {
+					t.Errorf("the regression retired %d records, Retain %d", res.Gen.Rebase.Invalidated, st.Invalidated)
+				}
+			})
+		}
 	}
 }

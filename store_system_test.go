@@ -9,9 +9,7 @@ package meissa_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -29,8 +27,8 @@ import (
 
 // dependsOn reports whether one of r's dependency tags passes match.
 func dependsOn(r journal.Record, match func(tag []byte) bool) bool {
-	for _, tag := range r.Tables {
-		if match([]byte(tag)) {
+	for _, tag := range r.Tags {
+		if match(tag[:]) {
 			return true
 		}
 	}
@@ -175,9 +173,6 @@ func TestStoreRuleChurnMatchesCold(t *testing.T) {
 // TestStoreWarmRunCommitsNothing: a warm run commits nothing — no
 // record, no transaction — and leaves the store file's bytes alone, at any
 // parallelism, and so does the first warm run after a rule delta's commit.
-// The file here is one a release that persisted the solver's verdict cache
-// left: two of its 'C' frames sit inside the committed transaction, and the
-// warm runs serve the records around them without touching them.
 func TestStoreWarmRunCommitsNothing(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	spath := filepath.Join(t.TempDir(), "verdicts.store")
@@ -209,21 +204,7 @@ func TestStoreWarmRunCommitsNothing(t *testing.T) {
 	if cold.Store.Committed == 0 {
 		t.Fatal("cold run committed nothing")
 	}
-	// A frame is [u32 length][payload][u32 CRC32C(payload)]; a cache entry's
-	// payload 'C' sum(8) xor(8) n(4) verdict(1) ntags(2) tagid(8)*. The
-	// transaction's commit marker is the file's last 17 bytes.
-	cacheFrame := func(ntags int) []byte {
-		payload := make([]byte, 24+8*ntags)
-		payload[0], payload[22] = 'C', byte(ntags)
-		out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-		return binary.LittleEndian.AppendUint32(append(out, payload...), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	}
 	populated := storeBytes()
-	marker := len(populated) - 17
-	populated = slices.Concat(populated[:marker], cacheFrame(2), cacheFrame(0), populated[marker:])
-	if err := os.WriteFile(spath, populated, 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	for _, n := range []int{2, 1} {
 		warm := generateStore(t, p, nil, spath, parallel(n))
@@ -561,9 +542,12 @@ func TestStoreFileSizeGates(t *testing.T) {
 	if committed != rep.Committed || rep.Committed == 0 {
 		t.Fatalf("the update put %d records into the store, the run reports %d committed", committed, rep.Committed)
 	}
-	tombstone := journal.MarshalRecord(journal.Record{Tables: invalid})
 	const frame, scopeAndMarker = 8, 2 * (8 + 1 + 8)
-	bound := framed + int64(frame+1+len(newRules.String())) + int64(len(tombstone)) + scopeAndMarker
+	tombstone := frame + 1 // 'T' {tlen(2) tag}*
+	for _, tag := range invalid {
+		tombstone += 2 + len(tag)
+	}
+	bound := framed + int64(frame+1+len(newRules.String())) + int64(tombstone) + scopeAndMarker
 	if grew := size(spath) - before; grew <= 0 || grew > bound {
 		t.Fatalf("a one-entry update grew the file by %d bytes; %d committed records frame to %d, the bound is %d",
 			grew, committed, framed, bound)
