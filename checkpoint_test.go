@@ -486,8 +486,8 @@ func TestResumeRefusesOldCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRegressRefusesOldBaseline: `regress -baseline` refuses a baseline
-// checkpoint of an earlier format.
+// TestRegressRefusesOldBaseline: Regress refuses a baseline checkpoint of
+// an earlier format.
 func TestRegressRefusesOldBaseline(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	newRules, _ := rulediff.MutateArgs(p.Rules, 1)
@@ -510,35 +510,6 @@ func TestRegressRefusesOldBaseline(t *testing.T) {
 			_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
 				Opts: opts, Baseline: base, Program: p.Name})
 			refusesOldCheckpoint(t, err, base, magic, data)
-		})
-	}
-}
-
-// TestStoreImportRefusesOldCheckpoint: `store import` refuses a
-// checkpoint of an earlier format and commits nothing.
-func TestStoreImportRefusesOldCheckpoint(t *testing.T) {
-	p := corpusProgram(t, "Router")
-	for _, magic := range oldMagics {
-		t.Run(magic, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := meissa.DefaultOptions()
-			opts.Parallelism = 1
-			opts.StorePath = filepath.Join(dir, "verdicts.store")
-			sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fp, err := sys.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, "old.journal")
-			data := writeOldCheckpoint(t, path, magic, fp)
-			_, err = sys.StoreImport(path)
-			refusesOldCheckpoint(t, err, path, magic, data)
-			if st, serr := sys.StoreStatus(); serr != nil || st.Present {
-				t.Errorf("the refused import left a family in the store (%v)", serr)
-			}
 		})
 	}
 }

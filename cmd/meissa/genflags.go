@@ -41,7 +41,7 @@ var genFlagDefs = map[string]func(*flag.FlagSet, *genFlags){
 		fs.DurationVar(&g.solverTimeout, "solver-timeout", 0, "per-query solver wall-clock budget (0 = none)")
 	},
 	"store": func(fs *flag.FlagSet, g *genFlags) {
-		fs.StringVar(&g.store, "store", "", "durable verdict store file: a run warm-starts from it and commits its verdicts back (regress: the baseline, instead of -baseline; store: required)")
+		fs.StringVar(&g.store, "store", "", "durable verdict store file: a run warm-starts from it and commits its verdicts back (regress and store: required; regress: the baseline)")
 	},
 	"store-wait": func(fs *flag.FlagSet, g *genFlags) {
 		fs.DurationVar(&g.storeWait, "store-wait", 0, "bounded retry when the store is locked by another process (0 = fail fast)")

@@ -70,11 +70,11 @@ func usage() {
               [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-window N] [-breaker N] [-v] [-quiet]
               [-metrics-out report.json] [-pprof-addr host:port]
               [-shake drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N]
-  meissa regress [-baseline base.journal | -store FILE] [-p prog.p4 | -corpus NAME] [-rules-old FILE]
+  meissa regress -store FILE [-store-wait D] [-p prog.p4 | -corpus NAME] [-rules-old FILE]
               [-rules-new FILE | -mutate N] [-checkpoint FILE] [-emit-rules FILE]
               [-report regress.json] [-o cases.txt] [-parallel N] [-no-summary]
               [-watch [-interval D] [-max-failures N]] [-v] [-quiet]
-  meissa store <info|import|export> -store FILE [-journal FILE] (-p prog.p4 [-r rules.txt] | -corpus NAME)
+  meissa store info -store FILE (-p prog.p4 [-r rules.txt] | -corpus NAME)
   meissa corpus
   meissa dump -corpus <name>
   meissa checkmetrics <report.json>`)

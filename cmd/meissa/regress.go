@@ -13,19 +13,18 @@ import (
 )
 
 // cmdRegress runs rule-diff-driven incremental regression testing: given
-// a baseline run's checkpoint journal and an updated rule set, it
-// re-explores only the paths the rule delta touches and reports how much
-// solver work the journal reuse avoided. The incremental output is
-// byte-identical to a cold full run on the new rules (-o files diff
-// clean against `meissa gen` on the same inputs).
+// a verdict store a baseline run populated and an updated rule set, it
+// re-explores only the paths the rule delta touches, commits the update
+// back to the store and reports how much solver work the reuse avoided.
+// The incremental output is byte-identical to a cold full run on the new
+// rules (-o files diff clean against `meissa gen` on the same inputs).
 func cmdRegress(args []string) error {
 	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
-	baseline := fs.String("baseline", "", "baseline checkpoint journal (written by gen -checkpoint)")
 	gf := registerGenFlags(fs, "store", "store-wait", "o", "no-summary", "parallel")
-	rulesOld := fs.String("rules-old", "", "rule set the baseline was generated under (default: the -corpus/-r rules)")
+	rulesOld := fs.String("rules-old", "", "rule set the baseline was generated under (default: the store's)")
 	rulesNew := fs.String("rules-new", "", "updated rule set file")
 	mutate := fs.Int("mutate", 0, "derive the new rules by bumping N action arguments of the old rules (instead of -rules-new)")
-	checkpointPath := fs.String("checkpoint", "", "rebased journal path (default <baseline>.next)")
+	checkpointPath := fs.String("checkpoint", "", "journal the incremental generation checkpoints to (default: none)")
 	emitRules := fs.String("emit-rules", "", "write the effective new rule set to this file")
 	reportPath := fs.String("report", "", "write the regress report (JSON) to this file")
 	watch := fs.Bool("watch", false, "keep watching -rules-new and re-regress on every change")
@@ -40,11 +39,8 @@ func cmdRegress(args []string) error {
 	if err := ob.activate(*verbose); err != nil {
 		return err
 	}
-	if *baseline == "" && gf.store == "" {
-		return fmt.Errorf("regress requires -baseline <journal> or -store <file>")
-	}
-	if *baseline != "" && gf.store != "" {
-		return fmt.Errorf("-baseline and -store are mutually exclusive (the store supplies the baseline)")
+	if gf.store == "" {
+		return fmt.Errorf("regress requires -store <file>")
 	}
 	if *rulesNew == "" && *mutate <= 0 {
 		return fmt.Errorf("regress requires -rules-new <file> or -mutate N")
@@ -67,43 +63,22 @@ func cmdRegress(args []string) error {
 			return err
 		}
 	}
-	ckpt := *checkpointPath
-	if ckpt == "" && *baseline != "" {
-		ckpt = *baseline + ".next"
-	}
 
 	opts := gf.options()
-	opts.Checkpoint = ckpt
+	opts.Checkpoint = *checkpointPath
 
-	runOnce := func(old, new *rules.Set, base, ckpt string) (*meissa.RegressResult, error) {
-		o := opts
-		o.Checkpoint = ckpt
-		var res *meissa.RegressResult
-		var err error
-		if gf.store != "" {
-			// Store-backed: the store supplies both the old rules (unless
-			// -rules-old overrode them) and the baseline verdicts, and the
-			// incremental result commits back atomically — so watch
-			// iterations need no journal-path juggling.
-			res, err = meissa.RegressStore(meissa.RegressInput{
-				Prog:     prog,
-				OldRules: old,
-				NewRules: new,
-				Specs:    specs,
-				Opts:     o,
-				Program:  prog.Name,
-			})
-		} else {
-			res, err = meissa.Regress(meissa.RegressInput{
-				Prog:     prog,
-				OldRules: old,
-				NewRules: new,
-				Specs:    specs,
-				Opts:     o,
-				Baseline: base,
-				Program:  prog.Name,
-			})
-		}
+	// runOnce regresses from old (nil: the store's committed rule set) to
+	// new: the store supplies the baseline verdicts, and the incremental
+	// result commits back atomically.
+	runOnce := func(old, new *rules.Set) (*meissa.RegressResult, error) {
+		res, err := meissa.RegressStore(meissa.RegressInput{
+			Prog:     prog,
+			OldRules: old,
+			NewRules: new,
+			Specs:    specs,
+			Opts:     opts,
+			Program:  prog.Name,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -120,13 +95,13 @@ func cmdRegress(args []string) error {
 		return res, nil
 	}
 
-	firstOld := oldRules
-	if gf.store != "" && *rulesOld == "" {
-		// Store-backed with no explicit old rules: the store's committed
-		// rule set IS the baseline; don't guess from -corpus/-r.
-		firstOld = nil
+	// With no explicit old rules the store's committed rule set IS the
+	// baseline; don't guess from -corpus/-r.
+	var firstOld *rules.Set
+	if *rulesOld != "" {
+		firstOld = oldRules
 	}
-	res, err := runOnce(firstOld, newRules, *baseline, ckpt)
+	res, err := runOnce(firstOld, newRules)
 	if err != nil {
 		return err
 	}
@@ -134,23 +109,17 @@ func cmdRegress(args []string) error {
 		return ob.finish(res.Report.Run)
 	}
 
-	// Watch mode: each completed iteration's checkpoint becomes the next
-	// baseline (alternating between two paths so source and destination
-	// always differ), and the new rules become the old. A store-backed
-	// watch needs neither: every iteration reads the baseline from and
-	// commits back to the store.
+	// Watch mode: every iteration reads the baseline from and commits back
+	// to the store, and the rules it applied become the next one's old
+	// rules.
 	//
 	// The loop must survive transient failures (rule file mid-write,
-	// journal on a flaky mount, ENOSPC): each failure bumps the
+	// store on a flaky mount, ENOSPC): each failure bumps the
 	// regress.watch_failures counter and backs the poll off exponentially
 	// (capped at 30s or 16x the interval, whichever is larger); any
 	// success resets both. A run of *maxFailures consecutive failures
 	// means the world is durably broken — exit non-zero rather than spin
 	// silently forever.
-	curBase, curCkpt := ckpt, ckpt+".alt"
-	if gf.store != "" {
-		curBase, curCkpt = "", ckpt // unused / kept verbatim (RegressStore needs no checkpoint)
-	}
 	curRules := newRules
 	lastText := newRules.String()
 	failures := obs.GetCounter("regress.watch_failures")
@@ -193,11 +162,11 @@ func cmdRegress(args []string) error {
 			continue
 		}
 		lastText = next.String()
-		if curRules != nil && curRules.Equal(next) {
+		if curRules.Equal(next) {
 			ok()
 			continue // cosmetic edit: canonically identical
 		}
-		if _, err := runOnce(curRules, next, curBase, curCkpt); err != nil {
+		if _, err := runOnce(curRules, next); err != nil {
 			if ferr := fail("regress: watch iteration failed: %v", err); ferr != nil {
 				return ferr
 			}
@@ -205,11 +174,6 @@ func cmdRegress(args []string) error {
 		}
 		ok()
 		curRules = next
-		if gf.store != "" {
-			curRules = nil // next iteration reads the committed baseline from the store
-		} else {
-			curBase, curCkpt = curCkpt, curBase
-		}
 	}
 }
 

@@ -28,16 +28,16 @@
 //
 // A run's one verdict table is a Table, which keeps each record as the
 // frame it was read from: Open indexes the checkpoint file's frames into
-// one, Share and Adopt put another source's table (a regression baseline,
-// a store snapshot's family) in its place without copying it, and a
-// journal made by New has no file at all. A lookup reads the verdict byte,
+// one, Adopt puts another source's table (a regression baseline, a store
+// snapshot's family) in its place without copying it, and a journal made
+// by New has no file at all. A lookup reads the verdict byte,
 // which the table copies beside each frame; a model is decoded only when
 // asked for, tags only by the decoded view (Record) that tests use. The
 // frames a run appends can be kept in a table of their own (KeepFresh),
 // which a store commit writes as they are.
 //
 // Concurrency: the table is filled before the run's first exploration — at
-// Open, in Share and in Adopt — and never changes while one runs, so Lookup
+// Open and in Adopt — and never changes while one runs, so Lookup
 // is lock-free and safe from any number of exploration workers, and the
 // records a run appends never change what the same run's lookups answer;
 // Append serializes file writes behind a mutex.
@@ -153,7 +153,7 @@ type Journal struct {
 	// a store-backed generation commits. Written under mu.
 	fresh *Table
 
-	loaded   int // verdict records put into the table: recovered at Open, shared, adopted
+	loaded   int // verdict records put into the table: recovered at Open, adopted
 	appended atomic.Uint64
 }
 
@@ -246,28 +246,20 @@ func load(f *os.File, fingerprint uint64) (*Table, int, int, error) {
 // use without locking: the table is frozen while an exploration runs.
 func (j *Journal) Lookup(kind Kind, key uint64) (Entry, bool) { return j.t.Lookup(kind, key) }
 
-// Share makes t the journal's table and writes nothing: t comes from a
-// source the run does not re-journal (a regression's baseline replay, a
-// store warm start without a checkpoint). Its records count as loaded. t
-// is not copied, so nobody may change it afterwards. Legal only before the
-// run's first exploration, on a journal that holds no records yet: one
-// made by New, or opened without resume.
-func (j *Journal) Share(t *Table) {
+// Adopt makes t the journal's table, as though the run it continues had
+// journaled its records: a file receives their frames in canonical order,
+// as they are, and a journal with no file writes nothing — t comes from a
+// source the run does not re-journal (a regression's baseline, a store
+// warm start). They count as loaded, not appended, and the fresh table
+// does not hold them. t is not copied, so nobody may change it afterwards.
+// Legal only before the run's first exploration, on a journal that holds
+// no records yet: one made by New, or opened without resume.
+func (j *Journal) Adopt(t *Table) error {
 	n := t.Len()
 	if n == 0 {
-		return
+		return nil
 	}
-	j.t = t
-	j.loaded += n
-	mRecordsLoaded.Add(uint64(n))
-}
-
-// Adopt makes t part of the journal as though the run it continues had
-// journaled its records: a file receives their frames in canonical order,
-// as they are, and then t is shared. They count as loaded, not appended,
-// and the fresh table does not hold them. Legal where Share is.
-func (j *Journal) Adopt(t *Table) error {
-	if j.f != nil && t.Len() > 0 {
+	if j.f != nil {
 		// A kill mid-way leaves a shorter journal, as one between appends would.
 		w := bufio.NewWriterSize(j.f, 1<<20)
 		for _, e := range t.Sorted() {
@@ -277,7 +269,9 @@ func (j *Journal) Adopt(t *Table) error {
 			return fmt.Errorf("journal: adopt: %w", err)
 		}
 	}
-	j.Share(t)
+	j.t = t
+	j.loaded += n
+	mRecordsLoaded.Add(uint64(n))
 	return nil
 }
 
@@ -343,9 +337,8 @@ func (j *Journal) Fresh() *Table { return j.fresh }
 func (j *Journal) Table() *Table { return j.t }
 
 // ReadTable opens a checkpoint read-only and indexes it, tolerating a torn
-// tail exactly like a resume: how Regress loads a baseline journal, and
-// `store import` a journal to import. The file is never truncated or
-// written; the table keeps its bytes.
+// tail exactly like a resume: how Regress loads a baseline journal. The
+// file is never truncated or written; the table keeps its bytes.
 func ReadTable(path string, fingerprint uint64) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {

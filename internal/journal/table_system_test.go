@@ -38,7 +38,7 @@ func TestSeedAndAdoptMatchLoad(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		sharedMatchLoad(t, path, fp, journalTable(t, path, fp), true)
+		adoptedMatchLoad(t, path, fp, journalTable(t, path, fp), true)
 	})
 
 	t.Run("gw-3 checkpoint and store", func(t *testing.T) {
@@ -88,8 +88,8 @@ func TestSeedAndAdoptMatchLoad(t *testing.T) {
 		if fromStore.Len() == 0 || fromStore.Len() != fromFile.Len() {
 			t.Fatalf("the store holds %d records, the checkpoint %d", fromStore.Len(), fromFile.Len())
 		}
-		sharedMatchLoad(t, ck, fp, fromFile, false)
-		sharedMatchLoad(t, ck, fp, fromStore, false)
+		adoptedMatchLoad(t, ck, fp, fromFile, false)
+		adoptedMatchLoad(t, ck, fp, fromStore, false)
 	})
 }
 
@@ -111,10 +111,10 @@ func journalTable(t *testing.T, path string, fp uint64) *journal.Table {
 	return tbl
 }
 
-// sharedMatchLoad checks tbl, shared and adopted, against a resumed open
-// of the checkpoint at path. sameLoaded also holds the Loaded counts
-// equal, which only a checkpoint without superseded records has.
-func sharedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, sameLoaded bool) {
+// adoptedMatchLoad checks tbl, adopted with and without a file, against a
+// resumed open of the checkpoint at path. sameLoaded also holds the Loaded
+// counts equal, which only a checkpoint without superseded records has.
+func adoptedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, sameLoaded bool) {
 	t.Helper()
 	loaded, err := journal.Open(path, fp, true)
 	if err != nil {
@@ -153,40 +153,29 @@ func sharedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, s
 	}
 
 	mem := journal.New()
-	mem.Share(tbl)
-	same("shared table without a file", mem)
-
-	headerOnly := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})
-	for _, tc := range []struct {
-		name     string
-		put      func(*journal.Journal) error
-		wantFile []byte
-	}{
-		{"shared table with a file", func(j *journal.Journal) error { j.Share(tbl); return nil }, headerOnly},
-		{"adopting journal with a file", func(j *journal.Journal) error { return j.Adopt(tbl) }, want},
-	} {
-		p := filepath.Join(t.TempDir(), "adopt.journal")
-		j, err := journal.Open(p, fp, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.put(j); err != nil {
-			t.Fatal(err)
-		}
-		same(tc.name, j)
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, tc.wantFile) {
-			t.Errorf("%s: file holds %d bytes, want %d", tc.name, len(got), len(tc.wantFile))
-		}
+	if err := mem.Adopt(tbl); err != nil {
+		t.Fatalf("Adopt without a file: %v", err)
 	}
-	if err := journal.New().Adopt(tbl); err != nil {
-		t.Errorf("Adopt without a file: %v", err)
+	same("adopting journal without a file", mem)
+
+	p := filepath.Join(t.TempDir(), "adopt.journal")
+	j, err := journal.Open(p, fp, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Adopt(tbl); err != nil {
+		t.Fatal(err)
+	}
+	same("adopting journal with a file", j)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("adopting journal with a file: file holds %d bytes, want %d", len(got), len(want))
 	}
 }
 

@@ -108,10 +108,11 @@ type Options struct {
 	// (internal/store) the run opens (and creates on first use), warms
 	// from, commits to and closes before returning — the `gen -store` /
 	// `regress -store` CLI path. A prior run of the same program family
-	// answers journaled solver interactions without re-solving, a stored
-	// rule set that differs from this run's is reconciled by one atomic
-	// invalidate-and-update transaction, and the run's own verdicts are
-	// committed back in one transaction at the end.
+	// answers journaled solver interactions without re-solving. The warm
+	// start writes nothing: under a stored rule set that differs from this
+	// run's it keeps in memory only the records the delta leaves valid. The
+	// run's one transaction at the end retires the rest, installs the new
+	// rules and commits the run's own verdicts.
 	StorePath string
 	// StoreWait bounds how long opening StorePath waits for the store's
 	// advisory lock while another run holds it, retrying until the
@@ -215,7 +216,8 @@ type GenResult struct {
 	JournalAppended uint64
 	JournalLoaded   uint64
 	// Rebase accounts for the baseline rebase of an incremental
-	// regression run (nil for any other run).
+	// regression run, or for what a store warm start retained of its
+	// family under the run's rules (nil for any other run).
 	Rebase *regress.RebaseStats
 	// Phases records the wall-clock duration of each generation phase, in
 	// execution order: "cfg"; "store-open" when the run opened its
@@ -248,7 +250,8 @@ func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 // A run that persists or reuses verdicts keeps ONE verdict table, the
 // journal's, which exploration reads. Sources fill it, and only before the
 // first exploration: the Checkpoint file on a Resume (indexed), a
-// regression's baseline or a store snapshot's family (shared, not copied).
+// regression's baseline or a store snapshot's family (shared, not copied,
+// unless a rule delta retains part of it).
 // Sinks take what the run derives, each verdict framed once: the
 // Checkpoint file, verdict by verdict before use, and the store, in one
 // transaction at the end that writes the frames the journal kept. The
@@ -333,7 +336,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	}
 
 	switch {
-	case src != nil:
+	case src != nil && src.fill != nil:
 		if err := phase(src.phase, func() error { return src.fill(j, res) }); err != nil {
 			return nil, fmt.Errorf("meissa: %w", err)
 		}
@@ -342,10 +345,11 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		// a complete journal of the run, which is why a Resume, whose journal
 		// holds them already, skips this.
 		err := phase("store-warm", func() error {
-			t, err := stc.warm(s)
+			t, st, err := stc.warm(s)
 			if err != nil {
 				return err
 			}
+			res.Rebase = st
 			return j.Adopt(t)
 		})
 		if err != nil {

@@ -83,22 +83,24 @@ func Regress(in RegressInput) (*RegressResult, error) {
 
 // verdictSource hands a generation its starting verdicts from somewhere
 // other than its own Checkpoint file or Options.StorePath: the plumbing
-// between a regression and the two generations it runs.
+// between a regression and the two generations it runs. It sets either
+// fill or stc.
 type verdictSource struct {
 	// phase names fill in GenResult.Phases.
 	phase string
 	// fill puts the verdicts into the generation's table.
 	fill func(j *journal.Journal, res *GenResult) error
-	// stc, when set, is RegressStore's store context: the generation
-	// commits to it as it would to its own StorePath, and does not warm
-	// from it.
+	// stc is RegressStore's store context: the generation warms from it and
+	// commits to it as it would to its own StorePath.
 	stc *storeCtx
 }
 
 // regressFrom is Regress over any baseline: load yields the table of a
 // completed run under OldRules, journaled under the fingerprint it is
 // given. It is called once, inside the baseline replay, whose Phases
-// account for it.
+// account for it. With stc the incremental generation is a store-backed
+// one over it, which retains from the store's own table; without, it
+// retains from the loaded baseline.
 func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) (*journal.Table, error)) (*RegressResult, error) {
 	start := time.Now()
 	span := obs.Begin("regress")
@@ -127,8 +129,7 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) (*journal.
 		if base, err = load(srcFP); err != nil {
 			return err
 		}
-		j.Share(base)
-		return nil
+		return j.Adopt(base)
 	}})
 	if err != nil {
 		return nil, fmt.Errorf("meissa: regress: baseline replay: %w", err)
@@ -141,17 +142,17 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) (*journal.
 	if err != nil {
 		return nil, err
 	}
-	gen, err := newSys.generate(&verdictSource{phase: "rebase", stc: stc, fill: func(j *journal.Journal, res *GenResult) error {
-		kept, st := regress.Retain(base, rulediff.Matcher(invalid))
-		base, res.Rebase = nil, st
-		obs.Progressf("regress: rebase: %d/%d baseline verdicts retained (%d invalidated)",
-			st.Retained, st.Baseline, st.Invalidated)
-		if stc != nil {
-			// RegressStore: the retained verdicts are the store's own.
-			stc.rep.Warmed = uint64(st.Retained)
-		}
-		return j.Adopt(kept)
-	}})
+	incr := &verdictSource{stc: stc}
+	if stc == nil {
+		incr = &verdictSource{phase: "rebase", fill: func(j *journal.Journal, res *GenResult) error {
+			kept, st := regress.Retain(base, rulediff.Matcher(invalid))
+			base, res.Rebase = nil, st
+			obs.Progressf("regress: rebase: %d/%d baseline verdicts retained (%d invalidated)",
+				st.Retained, st.Baseline, st.Invalidated)
+			return j.Adopt(kept)
+		}}
+	}
+	gen, err := newSys.generate(incr)
 	if err != nil {
 		return nil, fmt.Errorf("meissa: regress: incremental generation: %w", err)
 	}

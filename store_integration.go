@@ -6,6 +6,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/regress"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
 	"repro/internal/store"
@@ -15,13 +16,17 @@ import (
 // generation and regression. The store outlives any single run: records
 // are keyed by a *family* fingerprint that deliberately excludes the
 // rule set, so a rule update does not orphan the family — instead the
-// stored rules are diffed against the run's rules and exactly the
-// invalidated entries are retired in one atomic transaction, by the tag
-// match a regression retires baseline records by. The store is one more
-// source and sink of the run's verdict table: a warm start shares the
-// family's table of a snapshot with the run's journal — the frames Open
-// read, not a copy — so exploration answers them exactly as it answers a
-// resumed checkpoint's, and the commit takes what the run derived itself.
+// stored rules are diffed against the run's rules, once per run. The store
+// is one more source and sink of the run's verdict table. A warm start
+// writes nothing: it shares the family's table of a snapshot with the
+// run's journal — the frames Open read, not a copy — and, when the stored
+// rules are not the run's, keeps in memory only the records the delta
+// leaves valid (regress.Retain), so exploration answers them exactly as it
+// answers a resumed checkpoint's. The run's one commit is the one place a
+// rule delta reaches the store: it retires exactly the invalidated
+// entries, by the tag match the warm start retained by, installs the new
+// rules and adds what the run derived, in one atomic transaction.
+// RegressStore and an export take the same warm start.
 
 // familyFingerprint digests everything that scopes a store family —
 // the program, the generation-scoping assume clauses, and the
@@ -39,6 +44,9 @@ type storeCtx struct {
 	st    *store.Store
 	fam   uint64 // family fingerprint (rules excluded)
 	rules string // the run's rules, rendered once: what the stored text is checked against
+	// delta is the stored rules' diff to the run's, made by whichever of
+	// warm and commit meets a stored rule set that is not the run's first.
+	delta *rulediff.Delta
 	rep   obs.StoreReport
 }
 
@@ -58,66 +66,71 @@ func (s *System) openStoreCtx(initC []expr.Bool) (*storeCtx, error) {
 // release closes the store.
 func (stc *storeCtx) release() { stc.st.Close() }
 
-// reconcileRules applies a rule update to the store inside tx: parse the
-// stored rule text, diff it canonically against the run's rules, retire
-// exactly the invalidated entries, and install the new text — one atomic
-// transaction with whatever else the caller commits. Records whose tags
-// the delta does not touch keep answering; there is no path by which a
-// stale verdict survives, because every record carries its dependency
-// tags in its frame.
-func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, newSet *rules.Set) (int, error) {
-	old, err := rules.Parse(storedText)
-	if err != nil {
-		return 0, fmt.Errorf("stored rules for family %#x unparseable: %w", stc.fam, err)
+// invalidTags returns the tags the stored rules' delta to the run's
+// invalidates, diffing the two on the first call.
+func (stc *storeCtx) invalidTags(storedText string, run *rules.Set) ([]string, error) {
+	if stc.delta == nil {
+		old, err := rules.Parse(storedText)
+		if err != nil {
+			return nil, fmt.Errorf("stored rules for family %#x unparseable: %w", stc.fam, err)
+		}
+		stc.delta = rulediff.Diff(old, run)
 	}
-	n, err := tx.InvalidateTags(stc.fam, rulediff.Diff(old, newSet).InvalidTags())
-	if err != nil {
-		return 0, err
-	}
-	return n, tx.SetFamilyRules(stc.fam, stc.rules)
+	return stc.delta.InvalidTags(), nil
 }
 
-// warm prepares a store-backed run: reconcile a stale stored rule set and
-// take the family's surviving records from one snapshot, as the table the
-// snapshot holds them in. The table is the caller's to share with its
-// journal and nobody's to change; an empty one means a cold start (no
-// family, or an empty one).
-func (stc *storeCtx) warm(s *System) (*journal.Table, error) {
-	info, ok, err := stc.st.Family(stc.fam)
+// reconcileRules applies a rule update to the store inside tx: retire
+// exactly the entries the delta invalidates and install the new text —
+// one atomic transaction with whatever else the caller commits. Records
+// whose tags the delta does not touch keep answering; there is no path by
+// which a stale verdict survives, because every record carries its
+// dependency tags in its frame.
+func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, run *rules.Set) error {
+	invalid, err := stc.invalidTags(storedText, run)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if !ok {
-		return nil, nil // cold store: first run of this family
+	n, err := tx.InvalidateTags(stc.fam, invalid)
+	if err != nil {
+		return err
 	}
-	if info.Rules != stc.rules {
-		tx, err := stc.st.Begin()
-		if err != nil {
-			return nil, err
-		}
-		n, rerr := stc.reconcileRules(tx, info.Rules, s.Rules)
-		if rerr != nil {
-			tx.Abort()
-			return nil, rerr
-		}
-		if err := tx.Commit(); err != nil {
-			return nil, err
-		}
-		stc.rep.Invalidated += uint64(n)
-		obs.Progressf("meissa: store: rule delta retired %d stored entries", n)
-	}
+	stc.rep.Invalidated += uint64(n)
+	return tx.SetFamilyRules(stc.fam, stc.rules)
+}
 
+// warm takes the family's records from one snapshot, as the table the
+// snapshot holds them in, and writes nothing. When the stored rules are not
+// the run's it keeps only the records their delta leaves valid, in a table
+// of its own; the run's commit retires the rest from the store. The table
+// is the caller's to share with its journal and nobody's to change; nil
+// means a cold start (no family). The stats account for the retain, the
+// delta empty when the rules are the same.
+func (stc *storeCtx) warm(s *System) (*journal.Table, *regress.RebaseStats, error) {
 	sn := stc.st.Snapshot()
 	defer sn.Close()
+	info, ok, err := sn.Family(stc.fam)
+	if err != nil || !ok {
+		return nil, nil, err // no family: first run of this family
+	}
 	t := sn.Table(stc.fam)
+	st := &regress.RebaseStats{Baseline: t.Len(), Retained: t.Len()}
+	if info.Rules != stc.rules {
+		invalid, err := stc.invalidTags(info.Rules, s.Rules)
+		if err != nil {
+			return nil, nil, err
+		}
+		t, st = regress.Retain(t, rulediff.Matcher(invalid))
+		obs.Progressf("meissa: store: rule delta: %d/%d stored verdicts retained (%d invalidated)",
+			st.Retained, st.Baseline, st.Invalidated)
+	}
 	stc.rep.Warmed = uint64(t.Len())
-	return t, nil
+	return t, st, nil
 }
 
 // commit folds the records of t into the store as ONE transaction:
-// rule-set reconciliation (when the stored rules differ — a regression, or
-// a resumed checkpoint) and new records become durable together or not at
-// all. t holds what the store may not hold yet: the frames the run
+// rule-set reconciliation (when the stored rules differ — a rule update,
+// or a resumed checkpoint) and new records become durable together or not
+// at all. t holds what the store may not hold yet: the frames the run
 // derived, over a resumed checkpoint's. They go in canonical order, as
 // they are. The records the run warmed from the store are not among them
 // and count as duplicates unread; a frame the store holds byte for byte is
@@ -133,19 +146,15 @@ func (stc *storeCtx) commit(s *System, t *journal.Table) error {
 		return err
 	}
 	fail := func(err error) error { tx.Abort(); return err }
-	if ok && info.Rules != stc.rules {
-		// The run's rules moved past the stored ones without a warm-time
-		// reconcile: retire the delta's entries in this same transaction,
-		// before the new records land.
-		n, rerr := stc.reconcileRules(tx, info.Rules, s.Rules)
-		if rerr != nil {
-			return fail(rerr)
-		}
-		stc.rep.Invalidated += uint64(n)
-	} else if !ok {
-		if err := tx.SetFamilyRules(stc.fam, stc.rules); err != nil {
-			return fail(err)
-		}
+	switch {
+	case ok && info.Rules != stc.rules:
+		// Retire the delta's entries before the new records land.
+		err = stc.reconcileRules(tx, info.Rules, s.Rules)
+	case !ok:
+		err = tx.SetFamilyRules(stc.fam, stc.rules)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	stc.rep.Duplicates = stc.rep.Warmed
 	for _, e := range t.Sorted() {
@@ -162,6 +171,9 @@ func (stc *storeCtx) commit(s *System, t *journal.Table) error {
 	if err := tx.Commit(); err != nil {
 		return err
 	}
+	if stc.rep.Invalidated > 0 {
+		obs.Progressf("meissa: store: rule delta retired %d stored entries", stc.rep.Invalidated)
+	}
 	obs.Progressf("meissa: store: committed %d records (%d duplicates skipped)", stc.rep.Committed, stc.rep.Duplicates)
 	return nil
 }
@@ -175,40 +187,13 @@ func (stc *storeCtx) report() *obs.StoreReport {
 	return &r
 }
 
-// StoreImport folds an existing checkpoint journal into the system's
-// verdict store (Options.StorePath) — the journal→store migration
-// path. The journal must carry this system's fingerprint. One atomic
-// transaction installs the rules (reconciling by delta when the store
-// already holds a different set) and the records.
-func (s *System) StoreImport(journalPath string) (*obs.StoreReport, error) {
-	initC, err := s.commonAssumes()
-	if err != nil {
-		return nil, err
-	}
-	stc, err := s.openStoreCtx(initC)
-	if err != nil {
-		return nil, err
-	}
-	if stc == nil {
-		return nil, fmt.Errorf("meissa: store import: no StorePath configured")
-	}
-	defer stc.release()
-	t, err := journal.ReadTable(journalPath, s.identity(initC, stc.rules))
-	if err == nil {
-		err = stc.commit(s, t)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("meissa: store import: %w", err)
-	}
-	return stc.report(), nil
-}
-
 // StoreExport materializes the system family's stored verdicts as a
 // checkpoint journal at journalPath (store→journal migration; the file
-// resumes a `gen -checkpoint journalPath -resume` run). A stored rule
-// set differing from the system's is reconciled first, so the export
-// never carries stale verdicts. An empty or absent family exports a
-// valid header-only journal.
+// resumes a `gen -checkpoint journalPath -resume` run) through a warm
+// start, so it writes nothing to the store: under a stored rule set that
+// differs from the system's the export holds only the records the delta
+// leaves valid, and never a stale verdict. An empty or absent family
+// exports a valid header-only journal.
 func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 	initC, err := s.commonAssumes()
 	if err != nil {
@@ -219,23 +204,23 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 		return nil, err
 	}
 	if stc == nil {
-		return nil, fmt.Errorf("meissa: store export: no StorePath configured")
+		return nil, fmt.Errorf("meissa: export: no StorePath configured")
 	}
 	defer stc.release()
-	t, err := stc.warm(s)
+	t, _, err := stc.warm(s)
 	if err != nil {
-		return nil, fmt.Errorf("meissa: store export: %w", err)
+		return nil, fmt.Errorf("meissa: export: %w", err)
 	}
 	j, err := journal.Open(journalPath, s.identity(initC, stc.rules), false)
 	if err != nil {
-		return nil, fmt.Errorf("meissa: store export: %w", err)
+		return nil, fmt.Errorf("meissa: export: %w", err)
 	}
 	err = j.Adopt(t)
 	if cerr := j.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return nil, fmt.Errorf("meissa: store export: %w", err)
+		return nil, fmt.Errorf("meissa: export: %w", err)
 	}
 	return stc.report(), nil
 }
@@ -293,14 +278,17 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 
 // RegressStore runs rule-diff-driven incremental regression against a
 // durable verdict store instead of an explicit baseline journal: the
-// stored rule set is the old rules, one snapshot read of the stored
-// records is the baseline, and the incremental generation's delta and
-// records commit back as one atomic transaction — invalidation and new
-// rules never land separately, so a crash anywhere leaves the store
-// serving either the old baseline or the new one, never a half-updated
-// mix. in.Baseline and in.OldRules are optional (OldRules overrides the
-// stored text when set); in.Opts must carry StorePath.
-// Checkpoint is optional too: unset, the run keeps its verdicts in memory.
+// stored rule set is the old rules, and one snapshot read of the stored
+// records is the baseline the replay recovers the old templates from. The
+// incremental generation is an ordinary store-backed one over the store
+// opened here — a warm start that keeps the records the delta leaves valid
+// in memory, exploration, and one commit that retires the rest and adds
+// what it derived — so invalidation and new rules never land separately:
+// a crash anywhere leaves the store serving either the old baseline or
+// the new one, never a half-updated mix. in.Baseline and in.OldRules are
+// optional (OldRules overrides the stored text as the replay's rules when
+// set); in.Opts must carry StorePath. Checkpoint is optional too: unset,
+// the run keeps its verdicts in memory.
 func RegressStore(in RegressInput) (*RegressResult, error) {
 	if in.Opts.StorePath == "" {
 		return nil, fmt.Errorf("meissa: regress-store: no StorePath configured")
@@ -331,13 +319,11 @@ func RegressStore(in RegressInput) (*RegressResult, error) {
 			return nil, fmt.Errorf("meissa: regress-store: stored rules: %w", err)
 		}
 	}
-	// The regression itself runs store-free — its baseline replay must not
-	// reconcile or commit anything — except that the incremental
-	// generation commits to the context opened here: delta and records in
-	// its one transaction.
+	// The baseline replay runs store-free — it must not warm, reconcile or
+	// commit anything — and the incremental generation uses the context
+	// opened here as its own StorePath.
 	in.Opts.StorePath = ""
 	return regressFrom(in, stc, func(uint64) (*journal.Table, error) {
-		// A snapshot's table, which the commit that follows cannot change.
 		sn := stc.st.Snapshot()
 		defer sn.Close()
 		return sn.Table(stc.fam), nil

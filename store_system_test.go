@@ -170,6 +170,165 @@ func TestStoreRuleChurnMatchesCold(t *testing.T) {
 	}
 }
 
+// copyFile copies the file at src to dst.
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	b, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreRuleUpdateCommitsOnce: a rule delta reaches the store in one
+// place, the run's commit. A store-backed generation on the new rules and
+// a RegressStore to them leave the same store file, each in one
+// transaction, and account for the update alike: what the warm start
+// retained in memory is what the regression reports as its rebase.
+func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
+	for _, name := range []string{"gw-1", "gw-3"} {
+		t.Run(name, func(t *testing.T) {
+			p := corpusProgram(t, name)
+			newRules, n := rulediff.MutateArgs(p.Rules, 1)
+			if n == 0 {
+				t.Fatal("nothing to mutate")
+			}
+			dir := t.TempDir()
+			genPath, regPath := filepath.Join(dir, "gen.store"), filepath.Join(dir, "regress.store")
+			generateStore(t, p, nil, genPath, nil) // populate under the old rules
+			copyFile(t, genPath, regPath)
+
+			gen := generateStore(t, p, newRules, genPath, nil)
+			opts := meissa.DefaultOptions()
+			opts.Parallelism = 1
+			opts.StorePath = regPath
+			res, err := meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: newRules, Opts: opts, Program: p.Name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			genBytes, err := os.ReadFile(genPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regBytes, err := os.ReadFile(regPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(genBytes, regBytes) {
+				t.Errorf("gen -store left %d bytes, RegressStore %d", len(genBytes), len(regBytes))
+			}
+			g, r := gen.Store, res.Gen.Store
+			if g.Commits != 1 || r.Commits != 1 {
+				t.Errorf("commits: gen %d, regress %d; want 1 each", g.Commits, r.Commits)
+			}
+			if g.Warmed != r.Warmed || g.Invalidated != r.Invalidated || g.Committed != r.Committed || g.Invalidated == 0 {
+				t.Errorf("gen warmed/invalidated/committed %d/%d/%d, regress %d/%d/%d",
+					g.Warmed, g.Invalidated, g.Committed, r.Warmed, r.Invalidated, r.Committed)
+			}
+			if gen.Rebase == nil || *gen.Rebase != *res.Report.Journal || uint64(gen.Rebase.Retained) != g.Warmed {
+				t.Errorf("gen rebase %+v, regress journal section %+v, warmed %d", gen.Rebase, res.Report.Journal, g.Warmed)
+			}
+		})
+	}
+}
+
+// TestStoreExportWritesNothing: an export under rules that differ from the
+// stored ones leaves the store as it was, and holds exactly the records
+// the delta leaves valid, so a resume from it on the new rules equals a
+// cold run and re-solves only what the delta invalidated.
+func TestStoreExportWritesNothing(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	if n == 0 {
+		t.Fatal("nothing to mutate")
+	}
+	dir := t.TempDir()
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	opts.StorePath = filepath.Join(dir, "verdicts.store")
+	generateStore(t, p, nil, opts.StorePath, nil)
+	before, err := os.ReadFile(opts.StorePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := meissa.New(p.Prog, newRules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := sys.StoreStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := filepath.Join(dir, "exported.journal")
+	rep, err := sys.StoreExport(exported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := sys.StoreStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(opts.StorePath); !bytes.Equal(got, before) || after.Txid != status.Txid || rep.Commits != 0 {
+		t.Fatalf("the export wrote to its store: %d -> %d bytes, txid %d -> %d, %d commits",
+			len(before), len(got), status.Txid, after.Txid, rep.Commits)
+	}
+
+	// The export: the header under the new rules, then the stored frames no
+	// invalidated tag reaches, as they are.
+	stale := rulediff.Matcher(rulediff.Diff(p.Rules, newRules).InvalidTags())
+	fp, err := sys.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})
+	retained, invalidated := 0, 0
+	for _, fr := range storeFrames(t, p, opts) {
+		if e, _ := journal.EntryOf(fr); e.DependsOn(stale) {
+			invalidated++
+			continue
+		}
+		want = append(want, fr...)
+		retained++
+	}
+	got, err := os.ReadFile(exported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || rep.Warmed != uint64(retained) || invalidated == 0 {
+		t.Fatalf("the export holds %d bytes and reports %d warmed; the %d retained records frame to %d",
+			len(got), rep.Warmed, retained, len(want))
+	}
+
+	coldOpts := meissa.DefaultOptions()
+	coldOpts.Parallelism = 1
+	coldSys, err := meissa.New(p.Prog, newRules, nil, coldOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := coldSys.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeOpts := coldOpts
+	resumeOpts.Checkpoint, resumeOpts.Resume = exported, true
+	resumeSys, err := meissa.New(p.Prog, newRules, nil, resumeOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := resumeSys.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderTemplates(resumed.Templates) != renderTemplates(cold.Templates) {
+		t.Fatal("the run resumed from the export diverged from a cold run")
+	}
+	if resumed.SMTCalls != uint64(invalidated) {
+		t.Errorf("the resumed run made %d solver calls; the delta invalidated %d records", resumed.SMTCalls, invalidated)
+	}
+}
+
 // TestStoreWarmRunCommitsNothing: a warm run commits nothing — no
 // record, no transaction — and leaves the store file's bytes alone, at any
 // parallelism, and so does the first warm run after a rule delta's commit.

@@ -50,7 +50,7 @@ func TestWarmStartAllocsPerRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer stc.release()
-		tbl, err := stc.warm(sys) // store-warm
+		tbl, _, err := stc.warm(sys) // store-warm
 		if err == nil {
 			err = journal.New().Adopt(tbl)
 		}
