@@ -85,7 +85,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 			}
 			b.ReportMetric(float64(baseline)/float64(perOp), "speedup")
 			b.ReportMetric(float64(last.SMTCalls), "smt-calls")
-			b.ReportMetric(float64(last.SMTCacheHits), "cache-hits")
+			b.ReportMetric(float64(last.SMT.CacheHits), "cache-hits")
 			b.ReportMetric(float64(last.PrunedPaths), "pruned-paths")
 		})
 	}

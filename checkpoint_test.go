@@ -313,6 +313,39 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestPathErrorsCappedAcrossPhases: a generation keeps at most sym's cap
+// of recorded panics however many its summary and final pass recovered
+// between them, and Recovered stays the true total. gw-3/set-4 with a panic
+// on every 7th descent recovers in both phases.
+func TestPathErrorsCappedAcrossPhases(t *testing.T) {
+	p := programs.GW(3, programs.Set4)
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 1
+	descents := 0
+	opts.PathHook = func([]cfg.NodeID) {
+		if descents++; descents%7 == 0 {
+			panic("injected fault")
+		}
+	}
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sys.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := gen.SummaryStats.Recovered; sum == 0 || sum == gen.Recovered {
+		t.Fatalf("summary recovered %d of %d panics; want some in each phase", sum, gen.Recovered)
+	}
+	if gen.Recovered != 132 {
+		t.Fatalf("Recovered = %d, want 132", gen.Recovered)
+	}
+	if len(gen.PathErrors) > 64 {
+		t.Fatalf("%d path errors recorded, want at most 64", len(gen.PathErrors))
+	}
+}
+
 // TestSystemPanicIsolationRouter injects a per-path panic through the
 // public Options.PathHook on the Router corpus and requires generation
 // to complete with the panicking path recorded and every other verdict
@@ -410,9 +443,9 @@ func TestBudgetSupersetRouter(t *testing.T) {
 			t.Errorf("unlimited-run path %v missing under budget", tm.Path)
 		}
 	}
-	if limited.SMTUnknowns == 0 || limited.SMTBudgetExhausted == 0 {
+	if limited.SMT.Unknowns == 0 || limited.SMT.BudgetExhausted == 0 {
 		t.Errorf("budget run reported no unknowns (unknowns=%d budget=%d)",
-			limited.SMTUnknowns, limited.SMTBudgetExhausted)
+			limited.SMT.Unknowns, limited.SMT.BudgetExhausted)
 	}
 }
 

@@ -191,9 +191,9 @@ func cmdGen(args []string) error {
 			fmt.Println()
 		}
 	}
-	if gen.SMTUnknowns > 0 {
+	if gen.SMT.Unknowns > 0 {
 		fmt.Printf("  unknown verdicts: %d (%d budget-exhausted); affected paths kept conservatively\n",
-			gen.SMTUnknowns, gen.SMTBudgetExhausted)
+			gen.SMT.Unknowns, gen.SMT.BudgetExhausted)
 	}
 	if gen.JournalHits > 0 {
 		fmt.Printf("  journal: %d solver interactions answered from checkpoint\n", gen.JournalHits)

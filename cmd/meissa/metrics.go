@@ -269,8 +269,8 @@ func cmdCheckMetrics(args []string) error {
 	if st := rep.Store; st != nil {
 		fmt.Printf("  store warmed=%d invalidated=%d committed=%d duplicates=%d\n",
 			st.Warmed, st.Invalidated, st.Committed, st.Duplicates)
-		fmt.Printf("  store txns=%d tail_discarded=%d snapshot_reads=%d file_bytes=%d\n",
-			st.Commits, st.TailDiscarded, st.SnapshotReads, st.FileBytes)
+		fmt.Printf("  store txns=%d tail_discarded=%d snapshot_reads=%d tag_tests=%d file_bytes=%d\n",
+			st.Commits, st.TailDiscarded, st.SnapshotReads, st.TagTests, st.FileBytes)
 	}
 	return nil
 }

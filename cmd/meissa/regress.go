@@ -114,15 +114,13 @@ func cmdRegress(args []string) error {
 	// rules.
 	//
 	// The loop must survive transient failures (rule file mid-write,
-	// store on a flaky mount, ENOSPC): each failure bumps the
-	// regress.watch_failures counter and backs the poll off exponentially
-	// (capped at 30s or 16x the interval, whichever is larger); any
-	// success resets both. A run of *maxFailures consecutive failures
-	// means the world is durably broken — exit non-zero rather than spin
-	// silently forever.
+	// store on a flaky mount, ENOSPC): each failure prints a warning and
+	// backs the poll off exponentially (capped at 30s or 16x the interval,
+	// whichever is larger); any success resets the failure count and the
+	// backoff. A run of *maxFailures consecutive failures means the world
+	// is durably broken — exit non-zero rather than spin silently forever.
 	curRules := newRules
 	lastText := newRules.String()
-	failures := obs.GetCounter("regress.watch_failures")
 	consecutive := 0
 	delay := *interval
 	maxDelay := 30 * time.Second
@@ -130,7 +128,6 @@ func cmdRegress(args []string) error {
 		maxDelay = d
 	}
 	fail := func(format string, args ...any) error {
-		failures.Inc()
 		consecutive++
 		obs.Warnf(format, args...)
 		if *maxFailures > 0 && consecutive >= *maxFailures {

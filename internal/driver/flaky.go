@@ -164,19 +164,16 @@ func (l *FaultyLink) Send(entry int, wire []byte) error {
 	var queue []sendReq
 	if l.rng.Float64() < l.cfg.Drop {
 		l.stats.Dropped++
-		mLinkDropped.Inc()
 	} else {
 		w := append([]byte(nil), wire...)
 		if l.cfg.Corrupt > 0 && len(w) > 0 && l.rng.Float64() < l.cfg.Corrupt {
 			w[l.rng.Intn(len(w))] ^= 1 << uint(l.rng.Intn(8))
 			l.stats.Corrupted++
-			mLinkCorrupted.Inc()
 		}
 		queue = append(queue, sendReq{entry, w})
 		if l.rng.Float64() < l.cfg.Duplicate {
 			queue = append(queue, sendReq{entry, append([]byte(nil), w...)})
 			l.stats.Duplicated++
-			mLinkDuplicated.Inc()
 		}
 	}
 	// A previously held transmission goes out behind this one: reordered.
@@ -189,7 +186,6 @@ func (l *FaultyLink) Send(entry int, wire []byte) error {
 		queue = queue[:len(queue)-1]
 		l.heldSend = &held
 		l.stats.Reordered++
-		mLinkReordered.Inc()
 	}
 	return l.flushLocked(queue)
 }
@@ -201,7 +197,6 @@ func (l *FaultyLink) flushLocked(queue []sendReq) error {
 			select {
 			case <-t.C:
 				l.stats.Delayed++
-				mLinkDelayed.Inc()
 			case <-l.closed:
 				// Close cancelled the delay: the link is going away, so
 				// the rest of the queue is dropped, not delivered late
@@ -252,19 +247,16 @@ func (l *FaultyLink) Recv(timeout time.Duration) ([]byte, bool, error) {
 		}
 		if l.rng.Float64() < l.cfg.Drop {
 			l.stats.Dropped++
-			mLinkDropped.Inc()
 			continue
 		}
 		if l.cfg.Corrupt > 0 && len(w) > 0 && l.rng.Float64() < l.cfg.Corrupt {
 			w = append([]byte(nil), w...)
 			w[l.rng.Intn(len(w))] ^= 1 << uint(l.rng.Intn(8))
 			l.stats.Corrupted++
-			mLinkCorrupted.Inc()
 		}
 		if l.rng.Float64() < l.cfg.Duplicate {
 			l.heldRecv = append(l.heldRecv, append([]byte(nil), w...))
 			l.stats.Duplicated++
-			mLinkDuplicated.Inc()
 		}
 		return w, true, nil
 	}

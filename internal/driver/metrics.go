@@ -2,34 +2,9 @@ package driver
 
 import "repro/internal/obs"
 
-// Registry handles for driver observability, resolved once at package
-// init. Link-fault handles are incremented at the same mutex-guarded
-// sites as the LinkStats fields, so the process-wide registry and the
-// per-link snapshot count the same injections.
-var (
-	// Injected link faults, one counter per fault kind (both directions).
-	mLinkDropped    = obs.GetCounter("driver.link_dropped")
-	mLinkDuplicated = obs.GetCounter("driver.link_duplicated")
-	mLinkReordered  = obs.GetCounter("driver.link_reordered")
-	mLinkCorrupted  = obs.GetCounter("driver.link_corrupted")
-	mLinkDelayed    = obs.GetCounter("driver.link_delayed")
-
-	// Test-case verdicts, one counter per Verdict value, plus the retry
-	// traffic that produced them.
-	mCasesPassed  = obs.GetCounter("driver.cases_passed")
-	mCasesFailed  = obs.GetCounter("driver.cases_failed")
-	mCasesSkipped = obs.GetCounter("driver.cases_skipped")
-	mCasesFlaky   = obs.GetCounter("driver.cases_flaky")
-	mCasesLost    = obs.GetCounter("driver.cases_lost")
-	mRetransmits  = obs.GetCounter("driver.retransmissions")
-
-	// Target-crash circuit breaker: trips after BreakerThreshold
-	// consecutive crashing cases; later cases are Lost without
-	// transmission.
-	mBreakerTripped = obs.GetCounter("driver.breaker_tripped")
-	mShortCircuited = obs.GetCounter("driver.cases_short_circuited")
-
-	// mCaseLatencyNS is the per-test-case wall-clock histogram (send to
-	// verdict, retries included; nanoseconds, log2 buckets).
-	mCaseLatencyNS = obs.GetHistogram("driver.case_latency_ns")
-)
+// mCaseLatencyNS is the per-test-case wall-clock histogram (send to
+// verdict, retries included; nanoseconds, log2 buckets): one sample per
+// transmitted case, so skipped and short-circuited cases have none. The
+// verdict counts themselves are the Report's, the link faults the
+// LinkStats'.
+var mCaseLatencyNS = obs.GetHistogram("driver.case_latency_ns")

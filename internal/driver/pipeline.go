@@ -402,7 +402,6 @@ func (eng *engine) admit(templates []*sym.Template, next, window int) (int, erro
 		case c.SkipReason != "":
 			eng.skips[i] = c
 			eng.rep.Skipped++
-			mCasesSkipped.Inc()
 			eng.done++
 		case eng.rep.BreakerTripped:
 			eng.shortCircuit(i, c)
@@ -449,9 +448,7 @@ func (eng *engine) admit(templates []*sym.Template, next, window int) (int, erro
 func (eng *engine) shortCircuit(idx int, c *Case) {
 	eng.outs[idx] = &Outcome{Case: c, Verdict: VerdictLost, ShortCircuited: true, Absent: true}
 	eng.rep.Lost++
-	mCasesLost.Inc()
 	eng.rep.ShortCircuited++
-	mShortCircuited.Inc()
 	eng.done++
 }
 
@@ -872,20 +869,15 @@ func (eng *engine) finalize(pc *pcase, o *Outcome) {
 		eng.rep.TimeToFirstVerdict = time.Since(eng.start)
 	}
 	eng.rep.Retransmissions += o.Attempts - 1
-	mRetransmits.Add(uint64(o.Attempts - 1))
 	switch o.Verdict {
 	case VerdictPass:
 		eng.rep.Passed++
-		mCasesPassed.Inc()
 	case VerdictFlaky:
 		eng.rep.Flaky++
-		mCasesFlaky.Inc()
 	case VerdictFail:
 		eng.rep.Failed++
-		mCasesFailed.Inc()
 	case VerdictLost:
 		eng.rep.Lost++
-		mCasesLost.Inc()
 	}
 	if o.Crashed && !o.Pass {
 		eng.consecCrashes++
@@ -894,7 +886,6 @@ func (eng *engine) finalize(pc *pcase, o *Outcome) {
 	}
 	if eng.d.BreakerThreshold > 0 && eng.consecCrashes >= eng.d.BreakerThreshold && !eng.rep.BreakerTripped {
 		eng.rep.BreakerTripped = true
-		mBreakerTripped.Inc()
 	}
 	eng.done++
 	eng.inflight--

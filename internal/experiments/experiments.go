@@ -100,7 +100,7 @@ func RunMeissa(p *programs.Program) (ToolResult, error) {
 	return ToolResult{
 		Tool: "Meissa", Duration: gen.Duration, SMTCalls: gen.SMTCalls,
 		Templates: len(gen.Templates), Timeout: gen.Truncated,
-		PrunedPaths: gen.PrunedPaths, CacheHits: gen.SMTCacheHits,
+		PrunedPaths: gen.PrunedPaths, CacheHits: gen.SMT.CacheHits,
 	}, nil
 }
 

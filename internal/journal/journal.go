@@ -210,7 +210,6 @@ func Open(path string, fingerprint uint64, resume bool) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{f: f, t: t, loaded: loaded}
-	mRecordsLoaded.Add(uint64(loaded))
 	// Drop the torn tail (if any) so new appends start at a record
 	// boundary.
 	if err := f.Truncate(int64(good)); err != nil {
@@ -271,7 +270,6 @@ func (j *Journal) Adopt(t *Table) error {
 	}
 	j.t = t
 	j.loaded += n
-	mRecordsLoaded.Add(uint64(n))
 	return nil
 }
 
@@ -287,11 +285,9 @@ func (j *Journal) Append(r Record) error {
 	}
 	j.mu.Unlock()
 	if err != nil {
-		mAppendErrors.Inc()
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.appended.Add(1)
-	mRecordsAppended.Inc()
 	return nil
 }
 

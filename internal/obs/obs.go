@@ -1,10 +1,9 @@
-// Package obs is the repo's dependency-light observability layer: atomic
-// counters, gauges, log2-bucketed latency histograms, phase spans, and
-// a process-wide registry every pipeline layer reports into. It sits
-// below every other internal package in the dependency order (it imports
-// only the standard library), so the solver, the exploration engine, the
-// journal and the driver can all instrument their hot paths without
-// import cycles.
+// Package obs is the repo's dependency-light observability layer: gauges,
+// log2-bucketed latency histograms, phase spans, and a process-wide
+// registry every pipeline layer reports into. It sits below every other
+// internal package in the dependency order (it imports only the standard
+// library), so the solver, the exploration engine and the driver can all
+// instrument their hot paths without import cycles.
 //
 // Design constraints, in priority order:
 //
@@ -12,10 +11,10 @@
 //     and zero allocations. Metric handles are resolved once (typically in
 //     a package-level var) and then used lock-free; the registry's maps
 //     are only touched at handle-resolution time.
-//   - Convergent accounting: the same code site increments both the local
-//     stats struct a caller aggregates (smt.Stats, sym.Result, ...) and
-//     the registry handle, so per-run numbers and process metrics cannot
-//     diverge.
+//   - One home per count: a count lives in the run's own structs
+//     (smt.Stats, sym.Counts, store.Stats, ...), which the run report is
+//     built from. The registry holds only what no struct does: latency
+//     distributions, live gauges and phase spans.
 //   - Determinism friendliness: nothing here feeds back into exploration
 //     decisions; disabling or ignoring the registry changes no output
 //     byte.
@@ -24,9 +23,8 @@
 //
 //	<package>.<noun>[_<unit>]
 //
-// e.g. smt.queries_sat, sym.paths_explored, journal.records_appended,
-// driver.link_dropped, smt.query_latency_ns. Phase timers use
-// slash-separated span paths (generate/summary/ingress0).
+// e.g. smt.query_latency_ns, driver.case_latency_ns, sym.frontier_tasks.
+// Phase timers use slash-separated span paths (generate/summary/ingress0).
 package obs
 
 import (
@@ -36,20 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically-increasing atomic counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Gauge is an instantaneous atomic value (worker counts, queue depths).
 type Gauge struct {
@@ -114,22 +98,20 @@ type phaseAgg struct {
 // registry backs the package-level handle getters; tests that need
 // isolation construct their own.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	phases   map[string]*phaseAgg
-	start    time.Time
+	mu     sync.Mutex
+	gauges map[string]*Gauge
+	hists  map[string]*Histogram
+	phases map[string]*phaseAgg
+	start  time.Time
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		phases:   map[string]*phaseAgg{},
-		start:    time.Now(),
+		gauges: map[string]*Gauge{},
+		hists:  map[string]*Histogram{},
+		phases: map[string]*phaseAgg{},
+		start:  time.Now(),
 	}
 }
 
@@ -137,18 +119,6 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
 
 // Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
@@ -186,12 +156,9 @@ func (r *Registry) phase(path string) *phaseAgg {
 	return p
 }
 
-// GetCounter resolves a counter handle on the Default registry. Intended
-// for package-level vars in instrumented packages, so hot paths pay no
-// map lookup.
-func GetCounter(name string) *Counter { return defaultRegistry.Counter(name) }
-
-// GetGauge resolves a gauge handle on the Default registry.
+// GetGauge resolves a gauge handle on the Default registry. Intended for
+// package-level vars in instrumented packages, so hot paths pay no map
+// lookup.
 func GetGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
 
 // GetHistogram resolves a histogram handle on the Default registry.

@@ -14,22 +14,16 @@ import (
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("x.count")
-	c.Inc()
-	c.Add(4)
-	if got := c.Load(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if r.Counter("x.count") != c {
-		t.Fatal("same name must return same handle")
-	}
 	g := r.Gauge("x.gauge")
 	g.Set(7)
 	g.Add(-3)
 	if got := g.Load(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
+	}
+	if r.Gauge("x.gauge") != g {
+		t.Fatal("same name must return same handle")
 	}
 }
 
@@ -125,7 +119,6 @@ func TestSpanNilSafe(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a.b").Add(2)
 	r.Histogram("a.h").Observe(100)
 	sp := r.Begin("phase1")
 	time.Sleep(100 * time.Microsecond)
@@ -138,7 +131,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != SnapshotSchema || back.Counters["a.b"] != 2 {
+	if back.Schema != SnapshotSchema || back.Histograms["a.h"].Count != 1 || back.Histograms["a.h"].Sum != 100 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
@@ -297,7 +290,7 @@ func TestLogLevels(t *testing.T) {
 // TestServeDebug: the debug server answers /metrics (with the Default
 // registry's metrics) and pprof, and nothing else.
 func TestServeDebug(t *testing.T) {
-	Default().Counter("test.serve").Inc()
+	Default().Histogram("test.serve").Observe(1)
 	addr, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,9 @@ type Report struct {
 	// Store reports durable verdict-store activity (nil unless the run
 	// was store-backed).
 	Store *StoreReport `json:"store,omitempty"`
-	// Registry carries the full process metric snapshot (optional; CLI
-	// runs attach it so one file holds both the curated report and the
-	// raw counters).
+	// Registry carries the process metric snapshot (optional; CLI runs
+	// attach it so one file holds both the curated report and the raw
+	// latency distributions, gauges and phases).
 	Registry *Snapshot `json:"registry,omitempty"`
 }
 
@@ -228,10 +228,14 @@ type StoreReport struct {
 	// Engine activity for this run: transactions committed, bytes of
 	// uncommitted tail the run's own open of the store dropped (crash
 	// recovery; zero when the caller owns the open store), records read
-	// through snapshots, and the store file's size when the run ended.
+	// through snapshots, records tested against retired tags (at the
+	// run's own open, each record a tombstone follows once, and by the
+	// commit's invalidation), and the store file's size when the run
+	// ended.
 	Commits       uint64 `json:"commits"`
 	TailDiscarded uint64 `json:"tail_discarded,omitempty"`
 	SnapshotReads uint64 `json:"snapshot_reads,omitempty"`
+	TagTests      uint64 `json:"tag_tests,omitempty"`
 	FileBytes     uint64 `json:"file_bytes,omitempty"`
 }
 

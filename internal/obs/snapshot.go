@@ -11,8 +11,9 @@ import (
 )
 
 // SnapshotSchema versions the registry snapshot encoding. Bump on any
-// incompatible change so downstream trajectory tooling can dispatch.
-const SnapshotSchema = "meissa.metrics/v1"
+// incompatible change so downstream trajectory tooling can dispatch. v2
+// dropped the counters section: counts live in the run's structs.
+const SnapshotSchema = "meissa.metrics/v2"
 
 // HistogramSnapshot is a point-in-time copy of a Histogram. Buckets maps
 // the bucket's upper bound exponent ("2^k", meaning samples in
@@ -50,7 +51,6 @@ type Snapshot struct {
 	Schema      string                       `json:"schema"`
 	TakenUnixNS int64                        `json:"taken_unix_ns"`
 	UptimeNS    int64                        `json:"uptime_ns"`
-	Counters    map[string]uint64            `json:"counters,omitempty"`
 	Gauges      map[string]int64             `json:"gauges,omitempty"`
 	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Phases      []PhaseDur                   `json:"phases,omitempty"`
@@ -60,10 +60,6 @@ type Snapshot struct {
 // result is per-metric consistent (fine for reporting).
 func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
@@ -83,12 +79,8 @@ func (r *Registry) Snapshot() *Snapshot {
 		Schema:      SnapshotSchema,
 		TakenUnixNS: time.Now().UnixNano(),
 		UptimeNS:    int64(time.Since(start)),
-		Counters:    map[string]uint64{},
 		Gauges:      map[string]int64{},
 		Histograms:  map[string]HistogramSnapshot{},
-	}
-	for name, c := range counters {
-		s.Counters[name] = c.Load()
 	}
 	for name, g := range gauges {
 		s.Gauges[name] = g.Load()
@@ -197,7 +189,7 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // WriteText renders the human-readable end-of-run table: the phase tree
-// with durations, then non-zero counters and histogram summaries.
+// with durations, then gauges and histogram summaries.
 func (s *Snapshot) WriteText(w io.Writer) {
 	if len(s.Phases) > 0 {
 		fmt.Fprintf(w, "--- phases ---\n")
@@ -208,15 +200,6 @@ func (s *Snapshot) WriteText(w io.Writer) {
 					(time.Duration(p.NS) / time.Duration(p.Count)).Round(time.Microsecond))
 			}
 			fmt.Fprintln(w)
-		}
-	}
-	if len(s.Counters) > 0 {
-		fmt.Fprintf(w, "--- counters ---\n")
-		for _, k := range sortedKeys(s.Counters) {
-			if s.Counters[k] == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "  %-40s %12d\n", k, s.Counters[k])
 		}
 	}
 	if len(s.Gauges) > 0 {

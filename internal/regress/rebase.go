@@ -47,8 +47,6 @@ func Retain(t *journal.Table, invalid func(tag []byte) bool) (*journal.Table, *R
 		st.Invalidated = kept.DeleteFunc(func(e journal.Entry) bool { return e.DependsOn(invalid) })
 	}
 	st.Retained = kept.Len()
-	mRecordsRetained.Add(uint64(st.Retained))
-	mRecordsInvalidated.Add(uint64(st.Invalidated))
 	return kept, st
 }
 

@@ -107,7 +107,6 @@ func (c *VerdictCache) lookup(k condKey) (Result, bool) {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
-		mCacheMisses.Inc()
 	}
 	return r, ok
 }
@@ -115,7 +114,6 @@ func (c *VerdictCache) lookup(k condKey) (Result, bool) {
 func (c *VerdictCache) store(k condKey, r Result) {
 	if r == Unknown {
 		c.rejects.Add(1)
-		mCacheReject.Inc()
 		return
 	}
 	sh := c.shard(k)
@@ -127,10 +125,8 @@ func (c *VerdictCache) store(k condKey, r Result) {
 	sh.mu.Unlock()
 	if stored {
 		c.stores.Add(1)
-		mCacheStores.Inc()
 	} else {
 		c.rejects.Add(1)
-		mCacheReject.Inc()
 	}
 }
 

@@ -63,8 +63,8 @@ func (r Result) String() string {
 //
 // Concurrency: a Stats value belongs to exactly one Solver, and a Solver
 // is single-goroutine by contract, so these are plain integers. Counters
-// that cross goroutines (the shared VerdictCache, the obs registry, the
-// parallel engine's sharedState) are atomics at their own sites; parallel
+// that cross goroutines (the shared VerdictCache, the parallel engine's
+// sharedState) are atomics at their own sites; parallel
 // exploration merges per-worker Stats only after the worker pool joins.
 type Stats struct {
 	Checks       uint64 // satisfiability checks (the paper's "SMT calls")
@@ -523,7 +523,6 @@ func (s *Solver) Model() (expr.State, Result) {
 	r, m := s.check(true, nil)
 	if r == Sat {
 		s.stats.Models++
-		mModels.Inc()
 	}
 	return m, r
 }
@@ -601,10 +600,10 @@ func (s *Solver) CheckBatch(conds []expr.Bool, results []Result) []Result {
 	return results
 }
 
-// check decides satisfiability and performs ALL query bookkeeping — the
-// per-solver Stats fields and the process-wide registry handles are
-// incremented here, at one site per outcome, so the two views count the
-// same events and can never diverge. solve does the actual deciding.
+// check decides satisfiability and performs ALL query bookkeeping: the
+// Stats fields are incremented here, at one site per outcome, and the
+// latency of every solved check is observed. solve does the actual
+// deciding.
 // bp, non-nil only under CheckBatch, supplies the shared-prefix
 // precomputation.
 func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
@@ -631,7 +630,6 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 		}
 		if r, ok := s.opts.Cache.lookup(key); ok {
 			s.stats.CacheHits++
-			mQueriesCacheHit.Inc()
 			return r, nil
 		}
 	}
@@ -647,7 +645,6 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 	switch res {
 	case Sat:
 		s.stats.SatResults++
-		mQueriesSat.Inc()
 		if wantModel {
 			// Templates retain the model, so it is the one thing a query
 			// allocates: every live variable is assigned by now.
@@ -658,17 +655,14 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 		}
 	case Unsat:
 		s.stats.UnsatResults++
-		mQueriesUnsat.Inc()
 		if s.truncated {
 			s.stats.TruncatedUnsat++
 		}
 	default:
 		s.stats.Unknowns++
-		mQueriesUnknown.Inc()
 		s.lastUnknown = uerr
 		if uerr != nil {
 			s.stats.BudgetExhausted++
-			mBudgetExhausted.Inc()
 		}
 	}
 	return res, model

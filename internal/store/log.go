@@ -179,7 +179,6 @@ func (f *family) setRules(text string) {
 // bare table name all of the table's — and returns how many went.
 func (f *family) kill(tags []string) int {
 	invalid := rulediff.Matcher(tags)
-	mTagTests.Add(uint64(f.recs.Len()))
 	return f.recs.DeleteFunc(func(e journal.Entry) bool {
 		if !e.DependsOn(invalid) {
 			return false
@@ -203,8 +202,8 @@ type graves struct {
 // family follows is tested once, against the union of those tombstones,
 // and goes when it depends on one and is still its key's entry. That
 // retires what applying them in turn would: a record put again after a
-// tombstone is not its victim.
-func bury(st *state, data []byte, dead map[*family]*graves, end int) {
+// tombstone is not its victim. It returns how many records it tested.
+func bury(st *state, data []byte, dead map[*family]*graves, end int) uint64 {
 	for _, g := range dead {
 		g.union = make([]func([]byte) bool, len(g.tags))
 	}
@@ -239,7 +238,7 @@ func bury(st *state, data []byte, dead map[*family]*graves, end int) {
 		}
 		off += n
 	}
-	mTagTests.Add(tests)
+	return tests
 }
 
 // appendTo frames the family as a log of live frames only holds it.
@@ -279,18 +278,19 @@ func (st *state) live() uint64 {
 }
 
 // replay reads a log: the state its committed transactions add up to,
-// every record an entry over its frame in data, and the offset just past
-// the last one's marker. It reads each frame once, and a log holding
-// tombstones once more to apply them (bury), so a log that many rule
-// updates grew opens in time linear in its frames. What follows that
-// offset is an uncommitted tail for the caller to drop — unless a frame in
-// it is damaged and a later transaction committed all the same, which
-// makes the damage part of committed history: ErrCorrupt, as is any
-// intact frame that makes no sense.
-func replay(data []byte) (*state, int, error) {
+// every record an entry over its frame in data, the offset just past the
+// last one's marker, and how many records it tested against retired tags.
+// It reads each frame once, and a log holding tombstones once more to
+// apply them (bury), so a log that many rule updates grew opens in time
+// linear in its frames. What follows that offset is an uncommitted tail
+// for the caller to drop — unless a frame in it is damaged and a later
+// transaction committed all the same, which makes the damage part of
+// committed history: ErrCorrupt, as is any intact frame that makes no
+// sense.
+func replay(data []byte) (*state, int, uint64, error) {
 	p, off, ok := frame(data)
 	if !ok || string(p) != magic {
-		return nil, 0, fmt.Errorf("%w: no verdict-store header", ErrCorrupt)
+		return nil, 0, 0, fmt.Errorf("%w: no verdict-store header", ErrCorrupt)
 	}
 	st := &state{fams: map[uint64]*family{}}
 	good := off
@@ -301,7 +301,7 @@ func replay(data []byte) (*state, int, error) {
 		p, n, ok := frame(data[off:])
 		if !ok {
 			if laterCommit(data[off:], st.txid+1) {
-				return nil, 0, fmt.Errorf("%w: damaged frame at offset %d inside committed history", ErrCorrupt, off)
+				return nil, 0, 0, fmt.Errorf("%w: damaged frame at offset %d inside committed history", ErrCorrupt, off)
 			}
 			break
 		}
@@ -338,7 +338,7 @@ func replay(data []byte) (*state, int, error) {
 			ok = false
 		}
 		if !ok {
-			return nil, 0, fmt.Errorf("%w: frame %q at offset %d", ErrCorrupt, p[0], off)
+			return nil, 0, 0, fmt.Errorf("%w: frame %q at offset %d", ErrCorrupt, p[0], off)
 		}
 		off += n
 	}
@@ -347,9 +347,10 @@ func replay(data []byte) (*state, int, error) {
 		// into st: read the committed part again, alone.
 		return replay(data[:good])
 	}
+	var tests uint64
 	if dead != nil {
-		bury(st, data, dead, deadEnd)
+		tests = bury(st, data, dead, deadEnd)
 	}
 	maps.DeleteFunc(st.fams, func(_ uint64, f *family) bool { return f.empty() })
-	return st, good, nil
+	return st, good, tests, nil
 }

@@ -142,13 +142,12 @@ func TestOpenTestsEachRecordOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := mTagTests.Load()
 			s, err := Open(path, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			tests := mTagTests.Load() - before
+			tests := s.Stats().TagTests
 			t.Logf("%d tombstones: %d tag tests over %d records replayed", updates, tests, replayed)
 			if tests == 0 || tests > uint64(replayed) {
 				t.Fatalf("Open made %d tag tests over %d records replayed", tests, replayed)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/obs"
 )
 
 // Options configures Open. The zero value is production defaults.
@@ -42,7 +41,7 @@ var errTextTags = errors.New("the header at offset 4 reads " + textMagic + ", a 
 	"(its record frames spell each dependency tag out as text): " +
 	"delete it and re-populate a new store with `meissa gen -store` (every verdict is re-derivable)")
 
-// Stats are one open store's counters (the obs registry has the process's).
+// Stats are one open store's counters.
 type Stats struct {
 	Commits       uint64 // committed transactions this open
 	Aborts        uint64 // aborted transactions this open
@@ -51,6 +50,10 @@ type Stats struct {
 	FileBytes     uint64 // committed size of the file
 	SnapshotReads uint64 // records served through snapshot handles
 	Invalidated   uint64 // records removed by tag invalidation
+	// TagTests counts records tested against retired tags: at Open each
+	// record a tombstone follows, once, and every record of the family an
+	// invalidation names.
+	TagTests uint64
 }
 
 // Store is an open verdict store, safe for concurrent use: transactions
@@ -130,7 +133,7 @@ func (s *Store) load() error {
 			return errTextTags
 		}
 	}
-	st, good, err := replay(data)
+	st, good, tests, err := replay(data)
 	if err != nil {
 		return err
 	}
@@ -140,9 +143,9 @@ func (s *Store) load() error {
 		if err := s.f.Truncate(int64(good)); err != nil {
 			return err
 		}
-		s.count(&s.stats.TailDiscarded, mTailDiscarded, tail)
+		s.count(&s.stats.TailDiscarded, tail)
 	}
-	s.cur, s.stats.FileBytes = st, uint64(good)
+	s.cur, s.stats.FileBytes, s.stats.TagTests = st, uint64(good), tests
 	s.fs.Remove(s.path + ".compact") // what a crashed compaction left; absent otherwise
 	return nil
 }
@@ -166,12 +169,11 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// count adds n to one of the store's counters and to its registry twin.
-func (s *Store) count(field *uint64, c *obs.Counter, n uint64) {
+// count adds n to one of the store's counters.
+func (s *Store) count(field *uint64, n uint64) {
 	s.mu.Lock()
 	*field += n
 	s.mu.Unlock()
-	c.Add(n)
 }
 
 // Tx is a writer transaction, one at a time; it reads its own writes.
@@ -240,7 +242,6 @@ func (tx *Tx) Put(fam uint64, fr []byte) (held bool, err error) {
 	at := len(tx.buf)
 	tx.buf = append(tx.buf, fr...)
 	f.put(tx.buf[at:len(tx.buf):len(tx.buf)])
-	mRecordsPut.Inc()
 	return false, nil
 }
 
@@ -252,9 +253,12 @@ func (tx *Tx) InvalidateTags(fam uint64, tags []string) (int, error) {
 	if len(tags) == 0 {
 		return 0, nil
 	}
-	removed := tx.in(fam).kill(tags)
+	f := tx.in(fam)
+	tested := uint64(f.recs.Len())
+	removed := f.kill(tags)
 	tx.buf = appendDead(tx.buf, tags)
-	tx.s.count(&tx.s.stats.Invalidated, mInvalidated, uint64(removed))
+	tx.s.count(&tx.s.stats.TagTests, tested)
+	tx.s.count(&tx.s.stats.Invalidated, uint64(removed))
 	return removed, nil
 }
 
@@ -277,7 +281,7 @@ func (tx *Tx) view(fam uint64) *family {
 func (tx *Tx) Abort() {
 	if !tx.done {
 		tx.done = true
-		tx.s.count(&tx.s.stats.Aborts, mAborts, 1)
+		tx.s.count(&tx.s.stats.Aborts, 1)
 		tx.s.txMu.Unlock()
 	}
 }
@@ -321,15 +325,15 @@ func (tx *Tx) Commit() error {
 		s.mu.Unlock()
 		return err
 	} else if err != nil {
-		s.count(&s.stats.Aborts, mAborts, 1)
+		s.count(&s.stats.Aborts, 1)
 		return err
 	}
 	s.mu.Lock()
 	s.cur, s.stats.FileBytes = next, size
 	s.mu.Unlock()
-	s.count(&s.stats.Commits, mCommits, 1)
+	s.count(&s.stats.Commits, 1)
 	if compact {
-		s.count(&s.stats.Compactions, mCompactions, 1)
+		s.count(&s.stats.Compactions, 1)
 	}
 	return nil
 }
@@ -375,7 +379,7 @@ func (s *Store) rewrite(next *state) (*state, uint64, error) {
 	if next.txid > 0 {
 		buf = appendID(buf, frameCommit, next.txid)
 	}
-	repointed, _, err := replay(buf)
+	repointed, _, _, err := replay(buf)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: compact: %w", err)
 	}
@@ -448,7 +452,7 @@ func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool, error) {
 func (sn *Snapshot) GetRecord(fam uint64, kind journal.Kind, key uint64) (journal.Record, bool, error) {
 	e, ok := sn.st.fam(fam).recs.Lookup(kind, key)
 	if ok {
-		sn.s.count(&sn.s.stats.SnapshotReads, mSnapshotReads, 1)
+		sn.s.count(&sn.s.stats.SnapshotReads, 1)
 	}
 	return e.Record(), ok, nil
 }
@@ -463,7 +467,7 @@ func (sn *Snapshot) Records(fam uint64, fn func(journal.Record) bool) error {
 			break
 		}
 	}
-	sn.s.count(&sn.s.stats.SnapshotReads, mSnapshotReads, served)
+	sn.s.count(&sn.s.stats.SnapshotReads, served)
 	return nil
 }
 
@@ -472,7 +476,7 @@ func (sn *Snapshot) Records(fam uint64, fn func(journal.Record) bool) error {
 // changes (a transaction clones it). A warm start puts it in its journal.
 func (sn *Snapshot) Table(fam uint64) *journal.Table {
 	t := &sn.st.fam(fam).recs
-	sn.s.count(&sn.s.stats.SnapshotReads, mSnapshotReads, uint64(t.Len()))
+	sn.s.count(&sn.s.stats.SnapshotReads, uint64(t.Len()))
 	return t
 }
 

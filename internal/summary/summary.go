@@ -24,7 +24,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/expr"
 	"repro/internal/obs"
-	"repro/internal/smt"
 	"repro/internal/sym"
 )
 
@@ -76,27 +75,11 @@ type PipelineStat struct {
 	BudgetExhausted uint64
 }
 
-// Stats aggregates summarization work.
+// Stats aggregates summarization work: the pipelines' statistics and what
+// all prefix and within-pipeline explorations counted.
 type Stats struct {
-	Pipelines     []PipelineStat
-	SMT           smt.Stats
-	PathsExplored uint64
-	// PrunedPaths counts prefixes cut by early termination across all
-	// prefix and within-pipeline explorations.
-	PrunedPaths uint64
-	// Frames counts the dfs frames those explorations entered.
-	Frames uint64
-	// Truncated reports that some exploration hit its path or time
-	// budget, so the summary may be incomplete.
-	Truncated bool
-	// Recovered counts per-path panics recovered across all explorations
-	// (Strict off); PathErrors holds the recorded details, capped at the
-	// sym layer's limit.
-	Recovered  uint64
-	PathErrors []*sym.PathError
-	// JournalHits counts solver interactions answered from a resume
-	// journal instead of being re-solved.
-	JournalHits uint64
+	Pipelines []PipelineStat
+	sym.Counts
 }
 
 // Summarize rewrites g in place, pipeline by pipeline in topological order
@@ -169,7 +152,7 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, n
 	if err != nil {
 		return nil, err
 	}
-	accumulate(agg, innerRes)
+	agg.Add(innerRes.Counts)
 	st.ValidPaths = len(innerRes.Templates)
 	st.Unknowns = innerRes.SMT.Unknowns
 	st.BudgetExhausted = innerRes.SMT.BudgetExhausted
@@ -326,17 +309,4 @@ func changedFrom(v expr.Var, val expr.Arith, initV expr.Subst, g *cfg.Graph) boo
 	}
 	r, ok := val.(expr.Ref)
 	return !ok || r.Var != v || r.W != g.Vars[v]
-}
-
-func accumulate(agg *Stats, r *sym.Result) {
-	agg.SMT.Add(r.SMT)
-	agg.PathsExplored += r.PathsExplored
-	agg.PrunedPaths += r.PrunedPaths
-	agg.Frames += r.Frames
-	if r.Truncated {
-		agg.Truncated = true
-	}
-	agg.Recovered += r.Recovered
-	agg.PathErrors = append(agg.PathErrors, r.PathErrors...)
-	agg.JournalHits += r.JournalHits
 }

@@ -144,7 +144,6 @@ func (f *frontier) explore(workers int) *Result {
 				fatal.CompareAndSwap(nil, &PathError{Value: p, Stack: string(debug.Stack())})
 			}
 		}()
-		mWorkersStarted.Inc()
 		r := f.newRunner()
 		runners[w] = r
 		for !f.shared.halted.Load() {
@@ -180,28 +179,11 @@ func (f *frontier) explore(workers int) *Result {
 			res.Templates = append(res.Templates, tm)
 		}
 	}
-	res.add(f.top)
+	res.Add(f.top.Counts)
 	for _, r := range runners {
-		res.add(r.e.result())
+		res.Add(r.e.result().Counts)
 	}
 	return res
-}
-
-// add folds what another executor of the same exploration did into res:
-// everything but its templates, which are spliced in unit order.
-func (res *Result) add(o *Result) {
-	res.PathsExplored += o.PathsExplored
-	res.PrunedPaths += o.PrunedPaths
-	res.Frames += o.Frames
-	res.SMT.Add(o.SMT)
-	res.Truncated = res.Truncated || o.Truncated
-	res.Recovered += o.Recovered
-	res.JournalHits += o.JournalHits
-	for _, pe := range o.PathErrors {
-		if len(res.PathErrors) < maxPathErrors {
-			res.PathErrors = append(res.PathErrors, pe)
-		}
-	}
 }
 
 // runner explores frontier units one at a time on a single amortized

@@ -189,6 +189,14 @@ type Config struct {
 // Result is the outcome of an exploration.
 type Result struct {
 	Templates []*Template
+	Counts
+}
+
+// Counts is what explorations count. Each count has this one home, and
+// Add is the one place two of them are summed: the executors of one
+// exploration, the explorations of a code summary, the phases of a
+// generation.
+type Counts struct {
 	// PathsExplored counts maximal DFS descents (valid, invalid and
 	// pruned).
 	PathsExplored uint64
@@ -208,13 +216,33 @@ type Result struct {
 	// verdict intact.
 	Recovered uint64
 	// PathErrors records the recovered panics (capped at maxPathErrors;
-	// Recovered is the true total): the splitter's, then each runner's.
-	// Which runner explored a unit is not deterministic.
+	// Recovered is the true total) in the order they were added: within
+	// an exploration the splitter's, then each runner's. Which runner
+	// explored a unit is not deterministic.
 	PathErrors []*PathError
-	// JournalHits counts solver interactions answered from a resume
-	// journal instead of the solver — the work a resumed run did NOT
-	// redo.
+	// JournalHits counts solver interactions answered from the journal's
+	// verdict table — a resumed checkpoint, a store warm start, a
+	// regression baseline — instead of the solver: the work the run did
+	// NOT redo.
 	JournalHits uint64
+}
+
+// Add folds o into c. PathErrors stays capped at maxPathErrors, so a
+// systematically-faulting run keeps no more details however many
+// explorations it sums; Recovered stays the true total.
+func (c *Counts) Add(o Counts) {
+	c.PathsExplored += o.PathsExplored
+	c.PrunedPaths += o.PrunedPaths
+	c.Frames += o.Frames
+	c.SMT.Add(o.SMT)
+	c.Truncated = c.Truncated || o.Truncated
+	c.Recovered += o.Recovered
+	c.JournalHits += o.JournalHits
+	for _, pe := range o.PathErrors {
+		if len(c.PathErrors) < maxPathErrors {
+			c.PathErrors = append(c.PathErrors, pe)
+		}
+	}
 }
 
 // Explore runs Algorithm 1 over the CFG: it splits a frontier, explores its
@@ -498,14 +526,13 @@ func (e *executor) curDeps() []string {
 // countPath registers one completed DFS descent (leaf, stop, or prune).
 func (e *executor) countPath() {
 	e.res.PathsExplored++
-	mPathsExplored.Inc()
 	e.shared.paths.Add(1)
 }
 
-// countPruned registers one early-terminated prefix.
+// countPruned registers one descent cut short by early termination.
 func (e *executor) countPruned() {
+	e.countPath()
 	e.res.PrunedPaths++
-	mPathsPruned.Inc()
 }
 
 // stopNow reports whether exploration must halt: the budget is spent, or
@@ -637,7 +664,6 @@ func (e *executor) step(id cfg.NodeID) {
 		if expr.EqualBool(cond, expr.False) {
 			// Statically invalid (e.g. Figure 5(b)): prune without an SMT
 			// call.
-			e.countPath()
 			e.countPruned()
 			return
 		}
@@ -658,7 +684,6 @@ func (e *executor) step(id cfg.NodeID) {
 					r = e.pruneCheck()
 				}
 				if r == smt.Unsat {
-					e.countPath()
 					e.countPruned()
 					return
 				}
@@ -702,7 +727,6 @@ func (e *executor) step(id cfg.NodeID) {
 			if e.stopNow() {
 				return
 			}
-			e.countPath()
 			e.countPruned()
 			continue
 		}
@@ -817,7 +841,7 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 		key := hashMix(e.curHash(), e.g.ContentHash(sid))
 		if e.journaling {
 			if rec, ok := e.opts.Journal.Lookup(journal.KindCheck, key); ok {
-				e.countJournalHit()
+				e.res.JournalHits++
 				st.pend[i].checked = true
 				st.pend[i].res = fromVerdict(rec.Verdict())
 				continue
@@ -916,21 +940,15 @@ func (e *executor) recoverPath(id cfg.NodeID, m *mark) {
 
 // recordPanic counts one recovered panic and keeps it, with a copy of the
 // path it was raised on, while there is room (maxPathErrors).
-func (res *Result) recordPanic(value any, path []cfg.NodeID) {
-	res.Recovered++
-	mPathsRecovered.Inc()
-	if len(res.PathErrors) < maxPathErrors {
-		res.PathErrors = append(res.PathErrors, &PathError{
+func (c *Counts) recordPanic(value any, path []cfg.NodeID) {
+	c.Recovered++
+	if len(c.PathErrors) < maxPathErrors {
+		c.PathErrors = append(c.PathErrors, &PathError{
 			Path:  append([]cfg.NodeID(nil), path...),
 			Value: value,
 			Stack: string(debug.Stack()),
 		})
 	}
-}
-
-func (e *executor) countJournalHit() {
-	e.res.JournalHits++
-	mJournalHits.Inc()
 }
 
 // appendJournal writes one verdict record, the path's dependency tags
@@ -958,7 +976,7 @@ func (e *executor) appendJournal(rec journal.Record) {
 func (e *executor) pruneCheck() smt.Result {
 	if e.journaling {
 		if rec, ok := e.opts.Journal.Lookup(journal.KindCheck, e.curHash()); ok {
-			e.countJournalHit()
+			e.res.JournalHits++
 			return fromVerdict(rec.Verdict())
 		}
 	}
@@ -976,7 +994,7 @@ func (e *executor) pruneCheck() smt.Result {
 func (e *executor) emitVerdict(key uint64) (smt.Result, expr.State) {
 	if e.journaling {
 		if rec, ok := e.opts.Journal.Lookup(journal.KindEmit, key); ok {
-			e.countJournalHit()
+			e.res.JournalHits++
 			r := fromVerdict(rec.Verdict())
 			var model expr.State
 			if r == smt.Sat && e.opts.WantModels {

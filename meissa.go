@@ -160,8 +160,11 @@ type GenResult struct {
 	// SummaryStats holds per-pipeline summarization statistics; nil when
 	// code summary is disabled.
 	SummaryStats *summary.Stats
-	// PathsExplored counts DFS descents across all phases.
-	PathsExplored uint64
+	// Counts sums what every phase's explorations counted: the
+	// summarization passes, then the final pass. Its SMT is the full
+	// aggregated solver statistics; PathErrors keeps sym's cap over the
+	// whole generation.
+	sym.Counts
 	// FinalPathsExplored counts DFS descents of the final template
 	// generation pass alone (excluding summarization work).
 	FinalPathsExplored uint64
@@ -171,42 +174,16 @@ type GenResult struct {
 	// sequentially, and zero otherwise. The counters are the process's:
 	// they are the pass's own while nothing else in the process allocates.
 	FinalMallocs, FinalAllocBytes uint64
-	// SMTCalls counts solver checks across all phases (Fig. 11b unit).
+	// SMTCalls is SMT.Checks, the solver checks across all phases (Fig.
+	// 11b unit). Checks answered from the run's shared verdict memo
+	// (parallel mode only) are SMT.CacheHits, not among them.
 	SMTCalls uint64
-	// FinalSMTCalls counts solver checks of the final pass alone.
-	FinalSMTCalls uint64
-	// PrunedPaths counts prefixes cut by early termination across all
-	// phases.
-	PrunedPaths uint64
-	// Frames counts the dfs frames entered by all of the generation's
-	// explorations (sym.Result.Frames): the walk's work, where
-	// PathsExplored is its yield.
-	Frames uint64
-	// SMTCacheHits counts solver checks answered from the run's shared
-	// verdict memo (parallel mode only; such checks are not in SMTCalls).
-	SMTCacheHits uint64
 	// PossiblePathsLog10Before/After record the whole-graph possible-path
 	// counts (Fig. 11c unit).
 	PossiblePathsLog10Before float64
 	PossiblePathsLog10After  float64
 	// Duration is the wall-clock generation time (Fig. 9/10 unit).
 	Duration time.Duration
-	// Truncated reports that MaxPaths was hit — coverage is incomplete.
-	Truncated bool
-	// SMTUnknowns counts solver queries that came back undecided across
-	// all phases; SMTBudgetExhausted counts the subset cut off by the
-	// per-query step/time budget. Undecided paths are kept, marked
-	// Template.Uncertain.
-	SMTUnknowns        uint64
-	SMTBudgetExhausted uint64
-	// Recovered counts per-path panics recovered during exploration
-	// (Strict off); PathErrors holds the recorded details.
-	Recovered  uint64
-	PathErrors []*sym.PathError
-	// JournalHits counts solver interactions answered from the run's
-	// verdict table — the records it started with — instead of being
-	// re-solved.
-	JournalHits uint64
 	// JournalLoaded counts the records the run started with: recovered
 	// from the Checkpoint on a Resume, warmed from the store, retained
 	// from a regression baseline. JournalAppended counts the verdicts it
@@ -227,11 +204,6 @@ type GenResult struct {
 	// "sym"; "store-commit". The same timings aggregate under
 	// "generate/<phase>" span paths in the process obs registry.
 	Phases []obs.PhaseDur
-	// SMT is the full aggregated solver statistics across all phases
-	// (summarization passes plus the final pass). The scalar fields above
-	// (SMTCalls, SMTCacheHits, SMTUnknowns, SMTBudgetExhausted) are
-	// projections of it kept for compatibility.
-	SMT smt.Stats
 	// Store is the durable verdict-store activity summary; nil unless
 	// Options.StorePath was set.
 	Store *obs.StoreReport
@@ -367,20 +339,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 			return nil, fmt.Errorf("meissa: %w", err)
 		}
 		res.SummaryStats = stats
-		res.SMT.Add(stats.SMT)
-		res.SMTCalls += stats.SMT.Checks
-		res.SMTCacheHits += stats.SMT.CacheHits
-		res.PathsExplored += stats.PathsExplored
-		res.PrunedPaths += stats.PrunedPaths
-		res.Frames += stats.Frames
-		if stats.Truncated {
-			res.Truncated = true
-		}
-		res.SMTUnknowns += stats.SMT.Unknowns
-		res.SMTBudgetExhausted += stats.SMT.BudgetExhausted
-		res.Recovered += stats.Recovered
-		res.PathErrors = append(res.PathErrors, stats.PathErrors...)
-		res.JournalHits += stats.JournalHits
+		res.Counts.Add(stats.Counts)
 		obs.Progressf("meissa: %s: summary done in %v (%d paths, %d solver checks)",
 			s.Prog.Name, res.Phases[len(res.Phases)-1].Dur(), stats.PathsExplored, stats.SMT.Checks)
 	}
@@ -399,22 +358,9 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		return nil, fmt.Errorf("meissa: %w", err)
 	}
 	res.Templates = exp.Templates
-	res.SMT.Add(exp.SMT)
-	res.SMTCalls += exp.SMT.Checks
-	res.FinalSMTCalls = exp.SMT.Checks
-	res.SMTCacheHits += exp.SMT.CacheHits
-	res.PathsExplored += exp.PathsExplored
+	res.Counts.Add(exp.Counts)
 	res.FinalPathsExplored = exp.PathsExplored
-	res.PrunedPaths += exp.PrunedPaths
-	res.Frames += exp.Frames
-	if exp.Truncated {
-		res.Truncated = true
-	}
-	res.SMTUnknowns += exp.SMT.Unknowns
-	res.SMTBudgetExhausted += exp.SMT.BudgetExhausted
-	res.Recovered += exp.Recovered
-	res.PathErrors = append(res.PathErrors, exp.PathErrors...)
-	res.JournalHits += exp.JournalHits
+	res.SMTCalls = res.SMT.Checks
 	res.PossiblePathsLog10After = g.PossiblePathsLog10()
 	if j != nil {
 		res.JournalAppended = j.Appended()
@@ -437,7 +383,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	}
 	res.Duration = time.Since(start)
 	obs.Progressf("meissa: %s: generation done in %v (%d templates, %d paths, %d solver checks, %d cache hits)",
-		s.Prog.Name, res.Duration, len(res.Templates), res.PathsExplored, res.SMTCalls, res.SMTCacheHits)
+		s.Prog.Name, res.Duration, len(res.Templates), res.PathsExplored, res.SMTCalls, res.SMT.CacheHits)
 	return res, nil
 }
 
@@ -519,7 +465,7 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 			Recovered:           g.Recovered,
 		},
 		Solver: obs.NewSolverReport(g.SMT.Checks, g.SMT.SatResults, g.SMT.UnsatResults,
-			g.SMT.Unknowns, g.SMTCacheHits, g.SMT.BudgetExhausted, g.Duration),
+			g.SMT.Unknowns, g.SMT.CacheHits, g.SMT.BudgetExhausted, g.Duration),
 		Journal: &obs.JournalReport{
 			Appended: g.JournalAppended,
 			Loaded:   g.JournalLoaded,

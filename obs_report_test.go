@@ -24,8 +24,8 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			seq := generateAt(t, p, true, 1)
-			if seq.SMTCacheHits != 0 {
-				t.Fatalf("sequential run used the verdict cache (%d hits); it must not have one", seq.SMTCacheHits)
+			if seq.SMT.CacheHits != 0 {
+				t.Fatalf("sequential run used the verdict cache (%d hits); it must not have one", seq.SMT.CacheHits)
 			}
 			for _, par := range []int{2, 4} {
 				got := generateAt(t, p, true, par)
@@ -38,10 +38,10 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 				if len(got.Templates) != len(seq.Templates) {
 					t.Errorf("P=%d templates = %d, want %d", par, len(got.Templates), len(seq.Templates))
 				}
-				gotTotal := got.SMTCalls + got.SMTCacheHits
+				gotTotal := got.SMTCalls + got.SMT.CacheHits
 				if gotTotal != seq.SMTCalls {
 					t.Errorf("P=%d total queries = %d (checks %d + cache hits %d), want exactly %d",
-						par, gotTotal, got.SMTCalls, got.SMTCacheHits, seq.SMTCalls)
+						par, gotTotal, got.SMTCalls, got.SMT.CacheHits, seq.SMTCalls)
 				}
 				// The aggregated solver stats must be internally consistent:
 				// every solved query has exactly one of the three outcomes,
@@ -107,9 +107,9 @@ func TestRunReportValidates(t *testing.T) {
 // with sections this build no longer has still pass ParseReport (and so
 // checkmetrics), which ignores those sections — a sharded run's shard and
 // fleet sections, a killed worker's flight events among them, the
-// daemon section of a request the resident daemon served, and the span
-// log (registry.spans, obs.spans_dropped) every registry snapshot held.
-// A section is named by its keys from the report's root.
+// daemon section of a request the resident daemon served, the span log
+// (registry.spans) and the counters (registry.counters) every registry
+// snapshot held. A section is named by its keys from the report's root.
 func TestShardedRunReportStillParses(t *testing.T) {
 	for _, fx := range []struct {
 		file, program string
@@ -117,7 +117,7 @@ func TestShardedRunReportStillParses(t *testing.T) {
 	}{
 		{"testdata/sharded-run-report.json", "gw_1", [][]string{{"shard"}, {"fleet"}}},
 		{"testdata/daemon-run-report.json", "gw-1", [][]string{{"daemon"}}},
-		{"testdata/spans-run-report.json", "gw_1", [][]string{{"registry", "spans"}, {"registry", "counters", "obs.spans_dropped"}}},
+		{"testdata/spans-run-report.json", "gw_1", [][]string{{"registry", "spans"}, {"registry", "counters"}}},
 	} {
 		data, err := os.ReadFile(fx.file)
 		if err != nil {

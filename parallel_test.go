@@ -105,11 +105,11 @@ func TestParallelMatchesSequentialOnCorpus(t *testing.T) {
 					}
 					// SMT-call parity: checks + cache hits within ±10% of the
 					// sequential call count.
-					total := got.SMTCalls + got.SMTCacheHits
+					total := got.SMTCalls + got.SMT.CacheHits
 					lo, hi := seq.SMTCalls*9/10, seq.SMTCalls*11/10
 					if total < lo || total > hi {
 						t.Errorf("P=%d SMT calls %d (+%d cache hits) outside ±10%% of sequential %d",
-							par, got.SMTCalls, got.SMTCacheHits, seq.SMTCalls)
+							par, got.SMTCalls, got.SMT.CacheHits, seq.SMTCalls)
 					}
 				}
 			})

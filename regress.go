@@ -178,7 +178,7 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) (*journal.
 	}
 
 	added, removed, modified := delta.Counts()
-	q := regress.NewQueryReport(gen.SMTCalls, gen.JournalHits, gen.SMTCacheHits)
+	q := regress.NewQueryReport(gen.SMTCalls, gen.JournalHits, gen.SMT.CacheHits)
 	rep := &regress.Report{
 		Schema:  regress.Schema,
 		Program: in.Program,
@@ -199,7 +199,6 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) (*journal.
 	if err := rep.Validate(); err != nil {
 		return nil, fmt.Errorf("meissa: regress: %w", err)
 	}
-	regress.RecordRun(q)
 	obs.Progressf("regress: done in %v: %d/%d templates unchanged, %d added, %d retired; %.0f%% queries avoided",
 		time.Since(start), tr.Unchanged, tr.Current, tr.Added, tr.Retired, 100*q.Reuse)
 	return &RegressResult{Delta: delta, BaselineGen: baseGen, Gen: gen, Report: rep}, nil

@@ -92,11 +92,11 @@ func checkRegressInvariants(t *testing.T, res *meissa.RegressResult, cold *meiss
 	}
 	// Every logical solver interaction is answered exactly one way (live
 	// solve, cache hit, or journal hit); the total is invariant.
-	incrTotal := gen.SMTCalls + gen.SMTCacheHits + gen.JournalHits
-	coldTotal := cold.SMTCalls + cold.SMTCacheHits
+	incrTotal := gen.SMTCalls + gen.SMT.CacheHits + gen.JournalHits
+	coldTotal := cold.SMTCalls + cold.SMT.CacheHits
 	if incrTotal != coldTotal {
 		t.Errorf("query accounting: incremental %d (calls %d + cache %d + journal %d) != cold %d",
-			incrTotal, gen.SMTCalls, gen.SMTCacheHits, gen.JournalHits, coldTotal)
+			incrTotal, gen.SMTCalls, gen.SMT.CacheHits, gen.JournalHits, coldTotal)
 	}
 	rep := res.Report
 	if err := rep.Validate(); err != nil {

@@ -183,7 +183,7 @@ func (stc *storeCtx) commit(s *System, t *journal.Table) error {
 func (stc *storeCtx) report() *obs.StoreReport {
 	now := stc.st.Stats()
 	r := stc.rep
-	r.Commits, r.TailDiscarded, r.SnapshotReads, r.FileBytes = now.Commits, now.TailDiscarded, now.SnapshotReads, now.FileBytes
+	r.Commits, r.TailDiscarded, r.SnapshotReads, r.TagTests, r.FileBytes = now.Commits, now.TailDiscarded, now.SnapshotReads, now.TagTests, now.FileBytes
 	return &r
 }
 

@@ -351,8 +351,8 @@ func TestStoreWarmRunCommitsNothing(t *testing.T) {
 		if st := gen.Store; st.Committed != 0 || st.Commits != 0 {
 			t.Errorf("%s: committed %d, commits %d; want 0, 0", what, st.Committed, st.Commits)
 		}
-		if gen.SMTCalls != 0 || gen.SMTCacheHits != 0 {
-			t.Errorf("%s: %d live solver calls, %d memo hits; want a warm run", what, gen.SMTCalls, gen.SMTCacheHits)
+		if gen.SMTCalls != 0 || gen.SMT.CacheHits != 0 {
+			t.Errorf("%s: %d live solver calls, %d memo hits; want a warm run", what, gen.SMTCalls, gen.SMT.CacheHits)
 		}
 		if !bytes.Equal(storeBytes(), before) {
 			t.Errorf("%s: the store file changed", what)
@@ -460,9 +460,9 @@ func TestStoreWarmParallel(t *testing.T) {
 	spath := filepath.Join(t.TempDir(), "verdicts.store")
 	cold := generateStore(t, p, nil, spath, nil)
 	warm := generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Parallelism = 4 })
-	if warm.SMTCalls != 0 || warm.SMTCacheHits != 0 || warm.JournalHits != cold.SMTCalls {
+	if warm.SMTCalls != 0 || warm.SMT.CacheHits != 0 || warm.JournalHits != cold.SMTCalls {
 		t.Fatalf("parallel warm run: %d solver calls, %d cache hits, %d table hits; want 0, 0, %d",
-			warm.SMTCalls, warm.SMTCacheHits, warm.JournalHits, cold.SMTCalls)
+			warm.SMTCalls, warm.SMT.CacheHits, warm.JournalHits, cold.SMTCalls)
 	}
 	if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
 		t.Fatal("parallel warm run diverged from the cold run")
