@@ -205,9 +205,6 @@ func cmdCheckMetrics(args []string) error {
 	}
 	fmt.Printf("ok: %s %s (parallel %d) wall=%v\n",
 		rep.Command, rep.Program, rep.Parallelism, time.Duration(rep.WallNS).Round(time.Millisecond))
-	if rep.TraceID != "" {
-		fmt.Printf("  trace %s\n", rep.TraceID)
-	}
 	for _, p := range rep.Phases {
 		fmt.Printf("  phase %-10s %v\n", p.Name, p.Dur().Round(time.Microsecond))
 	}

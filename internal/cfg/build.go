@@ -166,7 +166,7 @@ func (b *builder) build() error {
 				dst = regionOf[e.To].Entry
 			}
 			if e.Guard != nil {
-				cond, err := b.boolExpr(e.Guard, nil)
+				cond, err := b.env.Bool(e.Guard, nil)
 				if err != nil {
 					return err
 				}
@@ -309,7 +309,7 @@ func (b *builder) buildParser(fr frontier, pd *p4.ParserDecl, pipe string) (fron
 				if err != nil {
 					return 0, err
 				}
-				val, err := b.arithExpr(t.RHS, nil)
+				val, err := b.env.Arith(t.RHS, nil)
 				if err != nil {
 					return 0, err
 				}
@@ -370,6 +370,16 @@ func (b *builder) buildParser(fr frontier, pd *p4.ParserDecl, pipe string) (fron
 // inlining.
 type scope map[string]expr.Arith
 
+// ref resolves a single-component reference to the argument bound to that
+// parameter; p4.Env.Arith asks it first about every field reference.
+func (sc scope) ref(r *p4.FieldRef) (expr.Arith, bool) {
+	if len(r.Parts) != 1 {
+		return nil, false
+	}
+	a, ok := sc[r.Parts[0]]
+	return a, ok
+}
+
 const maxInlineDepth = 8
 
 // encodeStmts encodes a statement list, returning the resulting frontier.
@@ -397,14 +407,14 @@ func (b *builder) encodeStmt(fr frontier, s p4.Stmt, sc scope, pipe string, dept
 		if err != nil {
 			return nil, err
 		}
-		val, err := b.arithExpr(t.RHS, sc)
+		val, err := b.env.Arith(t.RHS, sc.ref)
 		if err != nil {
 			return nil, err
 		}
 		return b.seq(fr, g.AddAction(v, val, pipe, "assign "+t.LHS.String())), nil
 
 	case *p4.IfStmt:
-		cond, err := b.boolExpr(t.Cond, sc)
+		cond, err := b.env.Bool(t.Cond, sc.ref)
 		if err != nil {
 			return nil, err
 		}
@@ -452,7 +462,7 @@ func (b *builder) encodeStmt(fr frontier, s p4.Stmt, sc scope, pipe string, dept
 		}
 		inputs := make([]expr.Arith, len(t.Inputs))
 		for i, in := range t.Inputs {
-			a, err := b.arithExpr(in, sc)
+			a, err := b.env.Arith(in, sc.ref)
 			if err != nil {
 				return nil, err
 			}
@@ -488,7 +498,7 @@ func (b *builder) encodeStmt(fr frontier, s p4.Stmt, sc scope, pipe string, dept
 		reg := b.prog.Register(t.Reg)
 		rv := p4.RegisterVar(t.Reg, t.Index)
 		b.g.Vars[rv] = expr.Width(reg.Width)
-		val, err := b.arithExpr(t.Value, sc)
+		val, err := b.env.Arith(t.Value, sc.ref)
 		if err != nil {
 			return nil, err
 		}
@@ -640,7 +650,7 @@ func (b *builder) encodeActionCall(fr frontier, call *p4.ActionCall, sc scope, p
 	}
 	inner := scope{}
 	for i, p := range a.Params {
-		av, err := b.arithExpr(call.Args[i], sc)
+		av, err := b.env.Arith(call.Args[i], sc.ref)
 		if err != nil {
 			return nil, err
 		}
@@ -679,139 +689,4 @@ func (b *builder) resolveLHS(ref *p4.FieldRef, sc scope) (expr.Var, expr.Width, 
 		}
 	}
 	return b.env.ResolveRef(ref)
-}
-
-// arithExpr translates a source expression to the CFG arithmetic language.
-func (b *builder) arithExpr(e p4.Expr, sc scope) (expr.Arith, error) {
-	switch t := e.(type) {
-	case *p4.NumberExpr:
-		return expr.C(t.Val, expr.MaxWidth), nil
-	case *p4.FieldRef:
-		if len(t.Parts) == 1 && sc != nil {
-			if a, ok := sc[t.Parts[0]]; ok {
-				return a, nil
-			}
-		}
-		v, w, err := b.env.ResolveRef(t)
-		if err != nil {
-			return nil, err
-		}
-		return expr.V(v, w), nil
-	case *p4.BinExpr:
-		l, err := b.arithExpr(t.L, sc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.arithExpr(t.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		l, r = fitWidths(l, r)
-		var op expr.AOp
-		switch t.Op {
-		case "+":
-			op = expr.OpAdd
-		case "-":
-			op = expr.OpSub
-		case "&":
-			op = expr.OpAnd
-		case "|":
-			op = expr.OpOr
-		case "^":
-			op = expr.OpXor
-		case "<<":
-			op = expr.OpShl
-		case ">>":
-			op = expr.OpShr
-		case "*":
-			op = expr.OpMul
-		default:
-			return nil, fmt.Errorf("cfg: unknown arithmetic operator %q", t.Op)
-		}
-		return expr.Simplify(expr.Bin{Op: op, L: l, R: r}), nil
-	case *p4.NotExpr:
-		// Bitwise complement in arithmetic context: x ^ mask.
-		x, err := b.arithExpr(t.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Simplify(expr.Bin{Op: expr.OpXor, L: x, R: expr.C(x.Width().Mask(), x.Width())}), nil
-	}
-	return nil, fmt.Errorf("cfg: expression %T is not arithmetic", e)
-}
-
-// boolExpr translates a source expression to the CFG boolean language.
-func (b *builder) boolExpr(e p4.Expr, sc scope) (expr.Bool, error) {
-	switch t := e.(type) {
-	case *p4.CmpExpr:
-		l, err := b.arithExpr(t.L, sc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.arithExpr(t.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		l, r = fitWidths(l, r)
-		var op expr.CmpOp
-		switch t.Op {
-		case "==":
-			op = expr.CmpEq
-		case "!=":
-			op = expr.CmpNe
-		case "<":
-			op = expr.CmpLt
-		case ">":
-			op = expr.CmpGt
-		case "<=":
-			op = expr.CmpLe
-		case ">=":
-			op = expr.CmpGe
-		default:
-			return nil, fmt.Errorf("cfg: unknown comparison %q", t.Op)
-		}
-		return expr.SimplifyBool(expr.Cmp{Op: op, L: l, R: r}), nil
-	case *p4.LogicExpr:
-		l, err := b.boolExpr(t.L, sc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.boolExpr(t.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		if t.Op == "&&" {
-			return expr.And(l, r), nil
-		}
-		return expr.Or(l, r), nil
-	case *p4.NotExpr:
-		x, err := b.boolExpr(t.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		return expr.SimplifyBool(expr.Negate(x)), nil
-	case *p4.IsValidExpr:
-		return expr.Eq(expr.V(p4.ValidVar(t.Header), 1), expr.C(1, 1)), nil
-	}
-	return nil, fmt.Errorf("cfg: expression %T is not boolean", e)
-}
-
-// fitWidths reconciles operand widths: untyped constants adopt the other
-// operand's width.
-func fitWidths(l, r expr.Arith) (expr.Arith, expr.Arith) {
-	lc, lIsC := l.(expr.Const)
-	rc, rIsC := r.(expr.Const)
-	switch {
-	case lIsC && !rIsC && lc.W == expr.MaxWidth:
-		// Keep constants that overflow the other side's width intact so
-		// impossible comparisons can be detected, but only when they fit.
-		if lc.Val <= r.Width().Mask() {
-			return expr.C(lc.Val, r.Width()), r
-		}
-	case rIsC && !lIsC && rc.W == expr.MaxWidth:
-		if rc.Val <= l.Width().Mask() {
-			return l, expr.C(rc.Val, l.Width())
-		}
-	}
-	return l, r
 }

@@ -8,9 +8,10 @@ import (
 
 // ReportSchema versions the machine-readable run report written by
 // `meissa ... -metrics-out`; bump it on any incompatible change. v2
-// added trace_id and the latency quantiles. It is the one schema the
-// reader accepts; sections a v2 writer once emitted and this build no
-// longer knows (shard, fleet, daemon) are ignored on read.
+// added the latency quantiles. It is the one schema the reader accepts;
+// what a v2 writer once emitted and this build no longer knows (the
+// shard, fleet and daemon sections, the trace_id field) is ignored on
+// read.
 const ReportSchema = "meissa.run-report/v2"
 
 // Report is one run's machine-readable result: everything the paper's
@@ -24,8 +25,6 @@ type Report struct {
 	Program     string `json:"program,omitempty"`
 	RuleSet     string `json:"rule_set,omitempty"`
 	Parallelism int    `json:"parallelism"`
-	// TraceID identifies the run (v2).
-	TraceID string `json:"trace_id,omitempty"`
 	// WallNS is the run's end-to-end wall-clock (generation; plus driving
 	// for `test` runs).
 	WallNS int64 `json:"wall_ns"`

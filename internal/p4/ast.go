@@ -10,7 +10,11 @@
 // checksum updates, hashing, constant-index registers, and drops.
 package p4
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/expr"
+)
 
 // Pos is a source position for diagnostics.
 type Pos struct {
@@ -458,28 +462,31 @@ type NumberExpr struct {
 	Pos Pos
 }
 
-// BinExpr is a binary arithmetic expression.
+// BinExpr is a binary arithmetic expression. The operators are the CFG
+// language's own, so the parser is the only place a token gets a meaning;
+// each operator's String is its source token.
 type BinExpr struct {
-	Op   string // + - & | ^ << >> *
+	Op   expr.AOp
 	L, R Expr
 	Pos  Pos
 }
 
 // CmpExpr is a comparison.
 type CmpExpr struct {
-	Op   string // == != < > <= >=
+	Op   expr.CmpOp
 	L, R Expr
 	Pos  Pos
 }
 
 // LogicExpr is a boolean connective.
 type LogicExpr struct {
-	Op   string // && ||
+	Op   expr.LOp
 	L, R Expr
 	Pos  Pos
 }
 
-// NotExpr is boolean negation.
+// NotExpr is ! or ~: negation in a condition, bitwise complement in a
+// value.
 type NotExpr struct {
 	X   Expr
 	Pos Pos

@@ -2,7 +2,8 @@ package p4
 
 import (
 	"fmt"
-	"strings"
+
+	"repro/internal/expr"
 )
 
 // ParseError is a syntax error with position information.
@@ -999,43 +1000,47 @@ func (p *parser) parseIf() (Stmt, error) {
 
 // --- Expressions (precedence climbing) ---
 
-// Precedence, lowest first: || ; && ; comparisons ; | ; ^ ; & ; << >> ; + - ; *
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("||") {
-		pos := p.advance().pos
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &LogicExpr{Op: "||", L: l, R: r, Pos: pos}
-	}
-	return l, nil
+// infix is a binary operator token: its precedence (higher binds tighter)
+// and the node it builds. Every operator is left-associative.
+type infix struct {
+	prec int
+	node func(l, r Expr, pos Pos) Expr
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("&&") {
-		pos := p.advance().pos
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		l = &LogicExpr{Op: "&&", L: l, R: r, Pos: pos}
-	}
-	return l, nil
+func arithOp(op expr.AOp) func(l, r Expr, pos Pos) Expr {
+	return func(l, r Expr, pos Pos) Expr { return &BinExpr{Op: op, L: l, R: r, Pos: pos} }
 }
 
-func (p *parser) parseCmp() (Expr, error) {
-	l, err := p.parseBitOr()
+func cmpOp(op expr.CmpOp) func(l, r Expr, pos Pos) Expr {
+	return func(l, r Expr, pos Pos) Expr { return &CmpExpr{Op: op, L: l, R: r, Pos: pos} }
+}
+
+func logicOp(op expr.LOp) func(l, r Expr, pos Pos) Expr {
+	return func(l, r Expr, pos Pos) Expr { return &LogicExpr{Op: op, L: l, R: r, Pos: pos} }
+}
+
+// infixes is the expression grammar, lowest precedence first. Unary ! and
+// ~ bind tighter than all of them.
+var infixes = map[string]infix{
+	"||": {1, logicOp(expr.LOr)},
+	"&&": {2, logicOp(expr.LAnd)},
+	"==": {3, cmpOp(expr.CmpEq)}, "!=": {3, cmpOp(expr.CmpNe)},
+	"<": {3, cmpOp(expr.CmpLt)}, ">": {3, cmpOp(expr.CmpGt)},
+	"<=": {3, cmpOp(expr.CmpLe)}, ">=": {3, cmpOp(expr.CmpGe)},
+	"|":  {4, arithOp(expr.OpOr)},
+	"^":  {5, arithOp(expr.OpXor)},
+	"&":  {6, arithOp(expr.OpAnd)},
+	"<<": {7, arithOp(expr.OpShl)}, ">>": {7, arithOp(expr.OpShr)},
+	"+": {8, arithOp(expr.OpAdd)}, "-": {8, arithOp(expr.OpSub)},
+	"*": {9, arithOp(expr.OpMul)},
+}
+
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(1) }
+
+// parseBinary parses an expression whose infix operators all bind at
+// least as tightly as minPrec.
+func (p *parser) parseBinary(minPrec int) (Expr, error) {
+	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
@@ -1044,114 +1049,17 @@ func (p *parser) parseCmp() (Expr, error) {
 		if t.kind != tokPunct {
 			return l, nil
 		}
-		switch t.text {
-		case "==", "!=", "<", ">", "<=", ">=":
-			p.advance()
-			r, err := p.parseBitOr()
-			if err != nil {
-				return nil, err
-			}
-			l = &CmpExpr{Op: t.text, L: l, R: r, Pos: t.pos}
-		default:
+		op, ok := infixes[t.text]
+		if !ok || op.prec < minPrec {
 			return l, nil
 		}
-	}
-}
-
-func (p *parser) parseBitOr() (Expr, error) {
-	l, err := p.parseBitXor()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("|") {
-		pos := p.advance().pos
-		r, err := p.parseBitXor()
+		p.advance()
+		r, err := p.parseBinary(op.prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: "|", L: l, R: r, Pos: pos}
+		l = op.node(l, r, t.pos)
 	}
-	return l, nil
-}
-
-func (p *parser) parseBitXor() (Expr, error) {
-	l, err := p.parseBitAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("^") {
-		pos := p.advance().pos
-		r, err := p.parseBitAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: "^", L: l, R: r, Pos: pos}
-	}
-	return l, nil
-}
-
-func (p *parser) parseBitAnd() (Expr, error) {
-	l, err := p.parseShift()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("&") {
-		pos := p.advance().pos
-		r, err := p.parseShift()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: "&", L: l, R: r, Pos: pos}
-	}
-	return l, nil
-}
-
-func (p *parser) parseShift() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("<<") || p.atPunct(">>") {
-		t := p.advance()
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: t.text, L: l, R: r, Pos: t.pos}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("+") || p.atPunct("-") {
-		t := p.advance()
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: t.text, L: l, R: r, Pos: t.pos}
-	}
-	return l, nil
-}
-
-func (p *parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("*") {
-		t := p.advance()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: "*", L: l, R: r, Pos: t.pos}
-	}
-	return l, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
@@ -1233,12 +1141,3 @@ func (p *parser) parseFieldRef() (*FieldRef, error) {
 	}
 	return ref, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-var _ = strings.TrimSpace // keep strings import if unused in future edits

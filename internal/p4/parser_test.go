@@ -372,3 +372,45 @@ func TestNames(t *testing.T) {
 		t.Error("IsMetaVar wrong")
 	}
 }
+
+// TestExprPrecedence pins the expression grammar: each source text parses
+// to the fully parenthesized form shown. The rows cover every precedence
+// boundary, left associativity (comparisons chain too) and the unary
+// operators, which bind tighter than any infix one; the printer renders
+// both ! and ~ as !(...).
+func TestExprPrecedence(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"a || b && c", "(a || (b && c))"},
+		{"a && b || c", "((a && b) || c)"},
+		{"a == b | c", "a == (b | c)"},
+		{"a | b == c", "(a | b) == c"},
+		{"a | b ^ c & d", "(a | (b ^ (c & d)))"},
+		{"a & b << 1", "(a & (b << 1))"},
+		{"a << 1 + b", "(a << (1 + b))"},
+		{"a + b * c", "(a + (b * c))"},
+		{"a * b + c", "((a * b) + c)"},
+		{"a - b - c", "((a - b) - c)"},
+		{"a << 1 >> 2", "((a << 1) >> 2)"},
+		{"a < b < c", "a < b < c"},
+		{"a < b == c", "a < b == c"},
+		{"!a * b", "(!(a) * b)"},
+		{"~a * b", "(!(a) * b)"},
+		{"a * ~b", "(a * !(b))"},
+		{"!x.isValid() || a >= (b + c) * 2", "(!(x.isValid()) || a >= ((b + c) * 2))"},
+	} {
+		prog, err := Parse("control c { apply { if (" + tc.src + ") { } } }")
+		if err != nil {
+			t.Errorf("%s: %v", tc.src, err)
+			continue
+		}
+		if got := ExprString(prog.Controls[0].Apply[0].(*IfStmt).Cond); got != tc.want {
+			t.Errorf("%s parses as %s, want %s", tc.src, got, tc.want)
+		}
+	}
+	// A chained comparison is left-nested, like every other operator.
+	prog := MustParse("control c { apply { if (a < b < c) { } } }")
+	outer := prog.Controls[0].Apply[0].(*IfStmt).Cond.(*CmpExpr)
+	if _, ok := outer.L.(*CmpExpr); !ok {
+		t.Errorf("a < b < c: left operand is %T, want *CmpExpr", outer.L)
+	}
+}

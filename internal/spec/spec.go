@@ -17,9 +17,16 @@
 // input packet's value — "the received packet should contain the same
 // headers as the input, except that certain IP address and port number are
 // updated" (§6).
+//
+// Both kinds of clause mean what the model means: they are translated by
+// p4.Env.Bool, the CFG encoder's translator, and an expect is evaluated
+// by expr.EvalBool. Arithmetic therefore wraps at the operands' field
+// widths (`in.ipv4.ttl - 1` is 255 for a TTL of 0), a literal takes the
+// width of the field it meets, and a shift by 64 or more yields 0.
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -184,122 +191,13 @@ func (s *Spec) AssumeConstraints(prog *p4.Program) ([]expr.Bool, error) {
 	env := p4.NewEnv(prog)
 	out := make([]expr.Bool, 0, len(s.Assumes))
 	for _, a := range s.Assumes {
-		b, err := toBool(env, a)
+		b, err := env.Bool(a, nil)
 		if err != nil {
 			return nil, fmt.Errorf("spec %s: %w", s.Name, err)
 		}
 		out = append(out, b)
 	}
 	return out, nil
-}
-
-func toBool(env *p4.Env, e p4.Expr) (expr.Bool, error) {
-	switch t := e.(type) {
-	case *p4.CmpExpr:
-		l, err := toArith(env, t.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := toArith(env, t.R)
-		if err != nil {
-			return nil, err
-		}
-		l, r = reconcile(l, r)
-		var op expr.CmpOp
-		switch t.Op {
-		case "==":
-			op = expr.CmpEq
-		case "!=":
-			op = expr.CmpNe
-		case "<":
-			op = expr.CmpLt
-		case ">":
-			op = expr.CmpGt
-		case "<=":
-			op = expr.CmpLe
-		case ">=":
-			op = expr.CmpGe
-		}
-		return expr.SimplifyBool(expr.Cmp{Op: op, L: l, R: r}), nil
-	case *p4.LogicExpr:
-		l, err := toBool(env, t.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := toBool(env, t.R)
-		if err != nil {
-			return nil, err
-		}
-		if t.Op == "&&" {
-			return expr.And(l, r), nil
-		}
-		return expr.Or(l, r), nil
-	case *p4.NotExpr:
-		x, err := toBool(env, t.X)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Negate(x), nil
-	case *p4.IsValidExpr:
-		return expr.Eq(expr.V(p4.ValidVar(t.Header), 1), expr.C(1, 1)), nil
-	}
-	return nil, fmt.Errorf("expression %T is not boolean", e)
-}
-
-func toArith(env *p4.Env, e p4.Expr) (expr.Arith, error) {
-	switch t := e.(type) {
-	case *p4.NumberExpr:
-		return expr.C(t.Val, expr.MaxWidth), nil
-	case *p4.FieldRef:
-		v, w, err := env.ResolveRef(t)
-		if err != nil {
-			return nil, err
-		}
-		return expr.V(v, w), nil
-	case *p4.BinExpr:
-		l, err := toArith(env, t.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := toArith(env, t.R)
-		if err != nil {
-			return nil, err
-		}
-		l, r = reconcile(l, r)
-		var op expr.AOp
-		switch t.Op {
-		case "+":
-			op = expr.OpAdd
-		case "-":
-			op = expr.OpSub
-		case "&":
-			op = expr.OpAnd
-		case "|":
-			op = expr.OpOr
-		case "^":
-			op = expr.OpXor
-		case "<<":
-			op = expr.OpShl
-		case ">>":
-			op = expr.OpShr
-		case "*":
-			op = expr.OpMul
-		}
-		return expr.Simplify(expr.Bin{Op: op, L: l, R: r}), nil
-	}
-	return nil, fmt.Errorf("expression %T is not arithmetic", e)
-}
-
-func reconcile(l, r expr.Arith) (expr.Arith, expr.Arith) {
-	lc, lIsC := l.(expr.Const)
-	rc, rIsC := r.(expr.Const)
-	if lIsC && !rIsC && lc.W == expr.MaxWidth && lc.Val <= r.Width().Mask() {
-		return expr.C(lc.Val, r.Width()), r
-	}
-	if rIsC && !lIsC && rc.W == expr.MaxWidth && rc.Val <= l.Width().Mask() {
-		return l, expr.C(rc.Val, l.Width())
-	}
-	return l, r
 }
 
 // --- Checking expectations against concrete packets ---
@@ -323,6 +221,8 @@ func (s *Spec) Check(prog *p4.Program, in, out *packet.Packet) []Violation {
 	add := func(e Expectation, detail string) {
 		vs = append(vs, Violation{Spec: s.Name, Expect: e.Text, Detail: detail})
 	}
+	var env *p4.Env
+	var st expr.State
 	for _, e := range s.Expects {
 		switch e.Kind {
 		case ExpectForwarded:
@@ -348,125 +248,77 @@ func (s *Spec) Check(prog *p4.Program, in, out *packet.Packet) []Violation {
 				add(e, "packet was dropped or absent")
 				continue
 			}
-			ok, err := evalCond(e.Cond, in, out)
-			if err != nil {
-				add(e, err.Error())
-			} else if !ok {
-				add(e, describeMismatch(e.Cond, in, out))
+			if st == nil {
+				env, st = p4.NewEnv(prog), checkState(prog, in, out)
+			}
+			if detail := evalExpect(env, e.Cond, st); detail != "" {
+				add(e, detail)
 			}
 		}
 	}
 	return vs
 }
 
-// evalCond evaluates an expectation condition: bare refs read the output
-// packet; in.<header>.<field> reads the input packet.
-func evalCond(e p4.Expr, in, out *packet.Packet) (bool, error) {
-	switch t := e.(type) {
-	case *p4.CmpExpr:
-		l, err := evalVal(t.L, in, out)
-		if err != nil {
-			return false, err
-		}
-		r, err := evalVal(t.R, in, out)
-		if err != nil {
-			return false, err
-		}
-		switch t.Op {
-		case "==":
-			return l == r, nil
-		case "!=":
-			return l != r, nil
-		case "<":
-			return l < r, nil
-		case ">":
-			return l > r, nil
-		case "<=":
-			return l <= r, nil
-		case ">=":
-			return l >= r, nil
-		}
-		return false, fmt.Errorf("bad comparison %q", t.Op)
-	case *p4.LogicExpr:
-		l, err := evalCond(t.L, in, out)
-		if err != nil {
-			return false, err
-		}
-		if t.Op == "&&" && !l {
-			return false, nil
-		}
-		if t.Op == "||" && l {
-			return true, nil
-		}
-		return evalCond(t.R, in, out)
-	case *p4.NotExpr:
-		v, err := evalCond(t.X, in, out)
-		return !v, err
-	case *p4.IsValidExpr:
-		return out.Has(t.Header), nil
+// inPrefix marks the input packet's copy of a variable in the state an
+// expect is evaluated over.
+const inPrefix = "in."
+
+// checkState is the state expects are evaluated over: every program
+// header starts invalid, the output packet is loaded over that, and the
+// input packet's fields are added under inPrefix.
+func checkState(prog *p4.Program, in, out *packet.Packet) expr.State {
+	st := expr.State{}
+	for _, h := range prog.Headers {
+		st[p4.ValidVar(h.Name)] = 0
 	}
-	return false, fmt.Errorf("expression %T is not a condition", e)
+	out.ToState(st)
+	for _, h := range in.Headers {
+		for f, v := range h.Fields {
+			st[inPrefix+p4.HeaderFieldVar(h.Name, f)] = v
+		}
+	}
+	return st
 }
 
-func evalVal(e p4.Expr, in, out *packet.Packet) (uint64, error) {
-	switch t := e.(type) {
-	case *p4.NumberExpr:
-		return t.Val, nil
-	case *p4.FieldRef:
-		switch len(t.Parts) {
-		case 2:
-			v, ok := out.Field(t.Parts[0], t.Parts[1])
-			if !ok {
-				return 0, fmt.Errorf("output has no %s", t)
-			}
-			return v, nil
-		case 3:
-			if t.Parts[0] != "in" {
-				return 0, fmt.Errorf("bad reference %s (want in.<header>.<field>)", t)
-			}
-			v, ok := in.Field(t.Parts[1], t.Parts[2])
-			if !ok {
-				return 0, fmt.Errorf("input has no %s.%s", t.Parts[1], t.Parts[2])
-			}
-			return v, nil
+// evalExpect evaluates an expect condition over st. It returns "" when the
+// condition holds, and otherwise what failed.
+func evalExpect(env *p4.Env, cond p4.Expr, st expr.State) string {
+	input := func(r *p4.FieldRef) (expr.Arith, bool) {
+		if len(r.Parts) != 3 || r.Parts[0] != "in" {
+			return nil, false
 		}
-		return 0, fmt.Errorf("bad reference %s", t)
-	case *p4.BinExpr:
-		l, err := evalVal(t.L, in, out)
+		v, w, err := env.ResolveRef(&p4.FieldRef{Parts: r.Parts[1:], Pos: r.Pos})
 		if err != nil {
-			return 0, err
+			return nil, false
 		}
-		r, err := evalVal(t.R, in, out)
-		if err != nil {
-			return 0, err
-		}
-		switch t.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "&":
-			return l & r, nil
-		case "|":
-			return l | r, nil
-		case "^":
-			return l ^ r, nil
-		case "<<":
-			return l << (r & 63), nil
-		case ">>":
-			return l >> (r & 63), nil
-		case "*":
-			return l * r, nil
-		}
-		return 0, fmt.Errorf("bad operator %q", t.Op)
+		return expr.V(inPrefix+v, w), true
 	}
-	return 0, fmt.Errorf("expression %T is not a value", e)
+	b, err := env.Bool(cond, input)
+	if err != nil {
+		return err.Error()
+	}
+	ok, err := expr.EvalBool(b, st)
+	var unbound expr.ErrUnbound
+	switch {
+	case errors.As(err, &unbound):
+		if v, in := strings.CutPrefix(string(unbound.Var), inPrefix); in {
+			return "input has no " + v
+		}
+		return "output has no " + string(unbound.Var)
+	case err != nil:
+		return err.Error()
+	case ok:
+		return ""
+	}
+	return describeMismatch(b, st)
 }
 
-func describeMismatch(e p4.Expr, in, out *packet.Packet) string {
-	if c, ok := e.(*p4.CmpExpr); ok {
-		l, el := evalVal(c.L, in, out)
-		r, er := evalVal(c.R, in, out)
+// describeMismatch says why a condition that evaluated false failed: the
+// values of a comparison's two sides.
+func describeMismatch(b expr.Bool, st expr.State) string {
+	if c, ok := b.(expr.Cmp); ok {
+		l, el := expr.EvalArith(c.L, st)
+		r, er := expr.EvalArith(c.R, st)
 		if el == nil && er == nil {
 			return fmt.Sprintf("left = %d, right = %d", l, r)
 		}

@@ -186,6 +186,13 @@ func TestCheckFieldArithmetic(t *testing.T) {
 	if vs := s.Check(pr, in, out); len(vs) != 1 {
 		t.Errorf("wrong ttl not flagged: %v", vs)
 	}
+	// Arithmetic wraps at the fields' 8 bits, as in the model and the
+	// target: 0 - 1 is 255, not 2^64 - 1.
+	in.SetField("ipv4", "ttl", 0)
+	out.SetField("ipv4", "ttl", 255)
+	if vs := s.Check(pr, in, out); len(vs) != 0 {
+		t.Errorf("ttl 0 - 1 did not wrap to 255: %v", vs)
+	}
 }
 
 func TestCheckMissingOutputField(t *testing.T) {
@@ -195,6 +202,15 @@ func TestCheckMissingOutputField(t *testing.T) {
 	vs := s.Check(pr, inPkt(), out)
 	if len(vs) != 1 {
 		t.Fatalf("missing field not flagged: %v", vs)
+	}
+	if want := "output has no hdr.tcp.srcPort"; vs[0].Detail != want {
+		t.Errorf("detail = %q, want %q", vs[0].Detail, want)
+	}
+	s = MustParseOne("spec m {\n expect tcp.srcPort == in.ethernet.srcAddr;\n}")
+	out.SetField("tcp", "srcPort", 1)
+	vs = s.Check(pr, inPkt(), out)
+	if want := "input has no hdr.ethernet.srcAddr"; len(vs) != 1 || vs[0].Detail != want {
+		t.Errorf("violations = %v, want one with detail %q", vs, want)
 	}
 }
 

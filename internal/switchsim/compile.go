@@ -194,16 +194,6 @@ type crashGuard struct {
 	f            CrashWhen
 }
 
-var aops = map[string]expr.AOp{
-	"+": expr.OpAdd, "-": expr.OpSub, "&": expr.OpAnd, "|": expr.OpOr,
-	"^": expr.OpXor, "<<": expr.OpShl, ">>": expr.OpShr, "*": expr.OpMul,
-}
-
-var cmps = map[string]expr.CmpOp{
-	"==": expr.CmpEq, "!=": expr.CmpNe, "<": expr.CmpLt,
-	">": expr.CmpGt, "<=": expr.CmpLe, ">=": expr.CmpGe,
-}
-
 // compiler lowers one program that p4.Check has accepted: every name a
 // statement mentions resolves, so lookups below are not re-validated.
 // What Check cannot see — a reference no variable stands behind, a value
@@ -363,7 +353,7 @@ func (c *compiler) cond(x p4.Expr, want bool, out *[]int) {
 	case *p4.CmpExpr:
 		l, _ := c.arith(t.L)
 		r, _ := c.arith(t.R)
-		op := cmps[t.Op]
+		op := t.Op
 		if c.faults.has(WrongCompare{}) {
 			switch op {
 			case expr.CmpGt:
@@ -380,7 +370,7 @@ func (c *compiler) cond(x p4.Expr, want bool, out *[]int) {
 		// The operand that can decide the result alone jumps straight
 		// out: to the caller's target when that result is want, past the
 		// second operand otherwise.
-		if decides := t.Op == "||"; decides == want {
+		if decides := t.Op == expr.LOr; decides == want {
 			c.cond(t.L, want, out)
 			c.cond(t.R, want, out)
 		} else {
@@ -417,7 +407,7 @@ func (c *compiler) arith(x p4.Expr) (opnd, expr.Width) {
 	case *p4.BinExpr:
 		l, lw := c.arith(t.L)
 		r, rw := c.arith(t.R)
-		return c.temporary(instr{op: opBin, sub: uint8(aops[t.Op]), a: l, b: r, w: max(lw, rw)})
+		return c.temporary(instr{op: opBin, sub: uint8(t.Op), a: l, b: r, w: max(lw, rw)})
 	case *p4.NotExpr:
 		v, w := c.arith(t.X)
 		return c.temporary(instr{op: opNot, a: v, w: w})

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -94,7 +95,7 @@ func TestCompileRejectsWhatCannotResolve(t *testing.T) {
 		"boolean used as a value": {
 			func(p *p4.Program, _ *rules.Set) {
 				as := p.Action("fwd").Body[0].(*p4.AssignStmt)
-				as.RHS = &p4.CmpExpr{Op: "==", L: as.RHS, R: as.RHS, Pos: p4.Pos{Line: 24, Col: 30}}
+				as.RHS = &p4.CmpExpr{Op: expr.CmpEq, L: as.RHS, R: as.RHS, Pos: p4.Pos{Line: 24, Col: 30}}
 			}, "24:30: expression *p4.CmpExpr is not arithmetic",
 		},
 		"recursive action": {

@@ -492,12 +492,8 @@ func (e *refExec) arithWidth(x p4.Expr, sc map[string]uint64) (uint64, expr.Widt
 		if err != nil {
 			return 0, 0, err
 		}
-		op, ok := aops[t.Op]
-		if !ok {
-			return 0, 0, fmt.Errorf("switchsim: operator %q", t.Op)
-		}
 		w := max(lw, rw)
-		return op.Apply(l, r, w), w, nil
+		return t.Op.Apply(l, r, w), w, nil
 	case *p4.NotExpr:
 		v, w, err := e.arithWidth(t.X, sc)
 		if err != nil {
@@ -524,36 +520,36 @@ func (e *refExec) boolExpr(x p4.Expr, sc map[string]uint64) (bool, error) {
 		op := t.Op
 		if e.t.faults.has(WrongCompare{}) {
 			switch op {
-			case ">":
-				op = ">="
-			case "<":
-				op = "<="
+			case expr.CmpGt:
+				op = expr.CmpGe
+			case expr.CmpLt:
+				op = expr.CmpLe
 			}
 		}
 		switch op {
-		case "==":
+		case expr.CmpEq:
 			return l == r, nil
-		case "!=":
+		case expr.CmpNe:
 			return l != r, nil
-		case "<":
+		case expr.CmpLt:
 			return l < r, nil
-		case ">":
+		case expr.CmpGt:
 			return l > r, nil
-		case "<=":
+		case expr.CmpLe:
 			return l <= r, nil
-		case ">=":
+		case expr.CmpGe:
 			return l >= r, nil
 		}
-		return false, fmt.Errorf("switchsim: comparison %q", t.Op)
+		return false, fmt.Errorf("switchsim: comparison %v", t.Op)
 	case *p4.LogicExpr:
 		l, err := e.boolExpr(t.L, sc)
 		if err != nil {
 			return false, err
 		}
-		if t.Op == "&&" && !l {
+		if t.Op == expr.LAnd && !l {
 			return false, nil
 		}
-		if t.Op == "||" && l {
+		if t.Op == expr.LOr && l {
 			return true, nil
 		}
 		return e.boolExpr(t.R, sc)

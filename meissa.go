@@ -207,9 +207,6 @@ type GenResult struct {
 	// Store is the durable verdict-store activity summary; nil unless
 	// Options.StorePath was set.
 	Store *obs.StoreReport
-	// TraceID is the run-wide trace identifier stamped at generation
-	// start and carried into the run report.
-	TraceID string
 }
 
 // Generate builds the CFG, applies code summary when enabled, and runs
@@ -236,7 +233,7 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 	}
 	genSpan := obs.Begin("generate")
 	defer genSpan.End()
-	res := &GenResult{TraceID: obs.NewTraceID()}
+	res := &GenResult{}
 	// phase times f as one phase of the generation.
 	phase := func(name string, f func() error) error {
 		span := obs.Begin("generate/" + name)
@@ -485,7 +482,6 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 		rep.Solver.LatencyNS = &h
 		rep.Solver.LatencyQuantiles = h.SummaryQuantiles()
 	}
-	rep.TraceID = g.TraceID
 	rep.Store = g.Store
 	return rep
 }

@@ -109,7 +109,8 @@ func TestRunReportValidates(t *testing.T) {
 // fleet sections, a killed worker's flight events among them, the
 // daemon section of a request the resident daemon served, the span log
 // (registry.spans) and the counters (registry.counters) every registry
-// snapshot held. A section is named by its keys from the report's root.
+// snapshot held, and the trace_id every report stamped. A section is
+// named by its keys from the report's root.
 func TestShardedRunReportStillParses(t *testing.T) {
 	for _, fx := range []struct {
 		file, program string
@@ -117,7 +118,7 @@ func TestShardedRunReportStillParses(t *testing.T) {
 	}{
 		{"testdata/sharded-run-report.json", "gw_1", [][]string{{"shard"}, {"fleet"}}},
 		{"testdata/daemon-run-report.json", "gw-1", [][]string{{"daemon"}}},
-		{"testdata/spans-run-report.json", "gw_1", [][]string{{"registry", "spans"}, {"registry", "counters"}}},
+		{"testdata/spans-run-report.json", "gw_1", [][]string{{"registry", "spans"}, {"registry", "counters"}, {"trace_id"}}},
 	} {
 		data, err := os.ReadFile(fx.file)
 		if err != nil {
