@@ -228,8 +228,8 @@ func cmdCheckMetrics(args []string) error {
 		}
 	}
 	if rep.Solver != nil {
-		fmt.Printf("  solver queries=%d solved=%d outcomes=%v truncated_unsat=%d\n",
-			rep.Solver.TotalQueries, rep.Solver.Solved, rep.Solver.Outcomes, rep.Solver.TruncatedUnsat)
+		fmt.Printf("  solver queries=%d solved=%d outcomes=%v truncated_unsat=%d propagations=%d\n",
+			rep.Solver.TotalQueries, rep.Solver.Solved, rep.Solver.Outcomes, rep.Solver.TruncatedUnsat, rep.Solver.Propagations)
 		if q := rep.Solver.LatencyQuantiles; q != nil {
 			fmt.Printf("  solver latency p50=%v p90=%v p99=%v\n",
 				time.Duration(q.P50).Round(time.Microsecond),

@@ -100,6 +100,11 @@ type SolverReport struct {
 	// are not proofs (smt.Stats.TruncatedUnsat). Counted on live queries
 	// only; a verdict answered from a journal or store is not re-derived.
 	TruncatedUnsat uint64 `json:"truncated_unsat,omitempty"`
+	// Propagations counts the domain propagations the solvers ran
+	// (smt.Stats.Propagations): what asserting the path conditions cost.
+	// The executor asserts a condition only for a query the journal cannot
+	// answer, so a run answered wholly from a store or checkpoint makes 0.
+	Propagations uint64 `json:"propagations"`
 	// LatencyNS is the per-query latency histogram (log2 buckets).
 	LatencyNS *HistogramSnapshot `json:"latency_ns,omitempty"`
 	// LatencyQuantiles summarizes LatencyNS as p50/p90/p99 (ns), derived

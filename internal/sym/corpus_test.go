@@ -5,6 +5,7 @@ import (
 
 	meissa "repro"
 	"repro/internal/cfg"
+	"repro/internal/journal"
 	"repro/internal/programs"
 	"repro/internal/sym"
 )
@@ -32,6 +33,41 @@ func TestEngineMatchesReferenceOnCorpus(t *testing.T) {
 		}
 		if t.Failed() {
 			t.Fatalf("%s: engine differs from the reference", name)
+		}
+	}
+}
+
+// TestTableWithHolesMatchesCold explores gw-2 and gw-3, raw and summarized,
+// over a verdict table that holds the cold run's records whose key has an
+// even low bit: a query is a hit or a miss by the toss of its key, so misses
+// sync runs of entries that hits left to the condition stack alone, under
+// long hit-only prefixes. At 1 and 4 workers the templates are the cold
+// run's byte for byte, every query is a check or a hit, and the solver
+// propagates something, but less than the cold run.
+func TestTableWithHolesMatchesCold(t *testing.T) {
+	even := func(e journal.Entry) bool { return e.Key()&1 == 0 }
+	for name, g := range graphsOf(t, programs.GW(2, programs.Set2), programs.GW(3, programs.Set3)) {
+		c := sym.Config{Graph: g, Options: sym.DefaultOptions()}
+		c.Options.Parallelism = 1
+		cold, table := sym.ColdTable(t, c, even)
+		want := sym.RenderTemplates(cold.Templates)
+		for _, p := range []int{1, 4} {
+			c.Options.Parallelism, c.Options.Journal = p, sym.Adopted(t, table)
+			got, err := sym.Explore(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sym.RenderTemplates(got.Templates) != want {
+				t.Errorf("%s P=%d: %d templates differ from the cold run's %d", name, p, len(got.Templates), len(cold.Templates))
+			}
+			if got.SMT.Checks+got.JournalHits != cold.SMT.Checks || got.JournalHits == 0 {
+				t.Errorf("%s P=%d: %d checks + %d hits, the cold run checks %d", name, p, got.SMT.Checks, got.JournalHits, cold.SMT.Checks)
+			}
+			if n := got.SMT.Propagations; n == 0 || n >= cold.SMT.Propagations {
+				t.Errorf("%s P=%d: %d propagations, want some and fewer than the cold run's %d", name, p, n, cold.SMT.Propagations)
+			}
+			t.Logf("%s P=%d: %d checks, %d hits, %d propagations (cold: %d checks, %d propagations)",
+				name, p, got.SMT.Checks, got.JournalHits, got.SMT.Propagations, cold.SMT.Checks, cold.SMT.Propagations)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
+	"repro/internal/journal"
 	"repro/internal/smt"
 )
 
@@ -262,5 +263,104 @@ func TestBudgetSuperset(t *testing.T) {
 	if len(limited.Templates) < len(unlimited.Templates) {
 		t.Errorf("budget-limited run kept %d paths, unlimited kept %d",
 			len(limited.Templates), len(unlimited.Templates))
+	}
+}
+
+// coldTable explores c cold, journaling, and returns the cold result and a
+// verdict table of the records keep holds to: a table with holes, where the
+// next miss after a run of hits syncs the whole run.
+func coldTable(t *testing.T, c Config, keep func(journal.Entry) bool) (*Result, *journal.Table) {
+	t.Helper()
+	j := journal.New()
+	j.KeepFresh()
+	c.Options.Journal = j
+	cold, err := Explore(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := j.Fresh().Clone()
+	table.DeleteFunc(func(e journal.Entry) bool { return !keep(e) })
+	return cold, table
+}
+
+// adopted returns a journal with no file over table.
+func adopted(t *testing.T, table *journal.Table) *journal.Journal {
+	t.Helper()
+	j := journal.New()
+	if err := j.Adopt(table); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestPanicDuringSync faults sync between pushing a frame and asserting its
+// entry, at every position k a sync's entries can have. The runs answer
+// every prune check from a table and no emission, so a leaf syncs the whole
+// run of predicate frames above it: the first sync bringing in more than k
+// entries is faulted at its k-th, which for k below the last is an
+// ancestor's condition, not the faulted frame's own. Recovery must leave the
+// solver holding exactly the held entries (checked at every frame any later
+// sync pushes) and every other template as the clean run has it; what is
+// missing lies under the faulted node.
+func TestPanicDuringSync(t *testing.T) {
+	defer func() { syncObserver = nil }()
+	checksOnly := func(e journal.Entry) bool { return e.Kind() == journal.KindCheck }
+	for _, c := range batchCases() {
+		g, conf := c.cfg(t)
+		conf.Graph, conf.Options = g, c.opts()
+		conf.Options.Parallelism = 1
+		clean, table := coldTable(t, conf, checksOnly)
+		// The most entries one sync brings in: at more workers a runner holds
+		// no more of a prefix, so its syncs bring in at least as many.
+		most := 0
+		syncObserver = func(e *executor, k int) { most = max(most, k+1) }
+		conf.Options.Journal = adopted(t, table)
+		if _, err := Explore(conf); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			for k := 0; k < most; k++ {
+				t.Run(fmt.Sprintf("%s/workers=%d/k=%d", c.name, workers, k), func(t *testing.T) {
+					conf := conf
+					conf.Options.Parallelism = workers
+					conf.Options.Journal = adopted(t, table)
+					var fired atomic.Bool
+					var torn atomic.Int64
+					syncObserver = func(e *executor, i int) {
+						if e.solver.Depth() != e.held+1 {
+							torn.Add(1)
+						}
+						if i == k && fired.CompareAndSwap(false, true) {
+							panic("sync fault")
+						}
+					}
+					res, err := Explore(conf)
+					syncObserver = nil
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Recovered != 1 || len(res.PathErrors) != 1 || res.PathErrors[0].Value != "sync fault" {
+						t.Fatalf("Recovered = %d, PathErrors = %v, want the one sync fault", res.Recovered, res.PathErrors)
+					}
+					if n := torn.Load(); n != 0 {
+						t.Errorf("%d synced frames found the solver's depth off the held count", n)
+					}
+					faulted := pathKey(res.PathErrors[0].Path)
+					got, want := templateKeys(res), templateKeys(clean)
+					for key, v := range want {
+						have, ok := got[key]
+						switch {
+						case ok && have != v:
+							t.Errorf("path %s diverged after a sync fault:\n%s\nwant:\n%s", key, have, v)
+						case !ok && !strings.HasPrefix(key, faulted) && !strings.HasPrefix(faulted, key):
+							t.Errorf("path %s lost, outside the faulted node's subtree %s", key, faulted)
+						}
+					}
+					if len(got) > len(want) {
+						t.Errorf("%d templates after a sync fault, the clean run has %d", len(got), len(want))
+					}
+				})
+			}
+		}
 	}
 }

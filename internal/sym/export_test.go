@@ -60,6 +60,13 @@ var (
 	CheckCountedWork = checkCountedWork
 )
 
+// ColdTable and Adopted are crashsafe_test.go's verdict table with holes and
+// the journal over it, for the corpus tests of package sym_test.
+var (
+	ColdTable = coldTable
+	Adopted   = adopted
+)
+
 // exploreUnit runs u alone on r, from a fresh result, and returns what it
 // explored; a unit can be run again from the same snapshot.
 func (r *runner) exploreUnit(u *unit) *Result {

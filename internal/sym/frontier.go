@@ -24,8 +24,11 @@ type unit struct {
 	start cfg.NodeID
 	// path is the node prefix (not including start).
 	path []cfg.NodeID
-	// constraints is the full condition stack, init constraints included.
+	// constraints is the condition stack above the initial constraints,
+	// which every runner's executor keeps at the bottom of its own, and
+	// condNums the solver's numbers for its entries (executor.condNums).
 	constraints []expr.Bool
+	condNums    []int32
 	// values is a snapshot of the value stack V.
 	values expr.Env
 	// obligations are the hash/checksum obligations pending on the prefix.
@@ -89,7 +92,7 @@ func splitFrontier(c Config, width int) (*frontier, error) {
 	if width > 1 {
 		f.split(width)
 	} else {
-		f.enqueue(&unit{start: c.Start, constraints: c.InitConstraints, values: f.plan.init, hash: f.seed})
+		f.enqueue(&unit{start: c.Start, values: f.plan.init, hash: f.seed})
 	}
 	return f, nil
 }

@@ -26,11 +26,13 @@ import (
 //
 // The pool (frontier.explore) is the caller's goroutine plus one goroutine
 // per further worker. Each is a runner: it owns one smt.Solver for its whole
-// lifetime (solver construction and init-constraint assertion are amortized
-// across units) and claims units from an atomic counter. Per unit it replays
-// the prefix condition stack via Push/Assert — no Check, so replay adds zero
-// SMT calls — explores the subtree with the same executor code, and Pops
-// back (runner.run).
+// lifetime (solver construction and the initial constraints' assertion are
+// amortized across units) and claims units from an atomic counter. Per unit
+// it takes the prefix condition stack as the executor's own and explores the
+// subtree with the same executor code (runner.run). The solver receives the
+// prefix the way it receives any condition, at the first query the journal
+// cannot answer (executor.sync), so a unit answered wholly from the journal
+// asserts nothing.
 //
 // Determinism: templates are collected per unit and spliced in unit order,
 // then IDs are renumbered sequentially. Since unit order equals DFS visit
@@ -70,7 +72,8 @@ func (f *frontier) split(width int) {
 		f.enqueue(&unit{
 			start:       id,
 			path:        append([]cfg.NodeID(nil), s.path...),
-			constraints: append([]expr.Bool(nil), s.constraints...),
+			constraints: append([]expr.Bool(nil), s.constraints[len(f.cfg.InitConstraints):]...),
+			condNums:    append([]int32(nil), s.condNums[len(f.cfg.InitConstraints):]...),
 			values:      append(expr.Env(nil), s.vals...),
 			obligations: cloneObligations(s.obligations),
 			hash:        s.curHash(),
@@ -83,41 +86,26 @@ func (f *frontier) split(width int) {
 	f.top = s.result()
 }
 
-// run explores one unit on the runner's solver, whose stack holds the
-// exploration's initial constraints: it replays the rest of u's prefix via
-// Push/Assert (no Check — replay adds zero solver queries), explores the
-// subtree from a copy of the snapshot in the runner's own stacks (so a unit
-// can be re-run) and Pops back. Panics inside dfs are arrested per path;
-// unless Strict, one raised outside the frames (the replay's Assert) is
-// recorded on the runner's result, with the solver back at its depth before
-// the unit, so the runner survives to take its next one.
+// run explores one unit from a copy of its snapshot in the runner's own
+// stacks (so a unit can be re-run). The exploration's initial constraints
+// stay at the bottom of the condition stack, and in the solver once a query
+// has synced them; the rest of the previous unit's goes, and sync brings the
+// solver up to u's prefix at the first query the journal cannot answer.
+// Panics are arrested per path inside dfs, and nothing outside its frames
+// can raise one.
 func (r *runner) run(u *unit) {
-	e := r.e
+	e, n := r.e, len(r.f.cfg.InitConstraints)
+	e.popTo(n)
 	e.vals = append(e.vals[:0], u.values...)
-	e.constraints = append(e.constraints[:0], u.constraints...)
+	e.constraints = append(e.constraints[:n], u.constraints...)
+	e.condNums = append(e.condNums[:n], u.condNums...)
 	e.obligations = append(e.obligations[:0], u.obligations...)
 	e.path = append(e.path[:0], u.path...)
 	e.hashes = append(e.hashes[:0], u.hash)
 	e.deps = append(e.deps[:0], u.deps...)
 	e.pending = u.pending
 	e.journaling = e.opts.Journal != nil
-	depth := e.solver.Depth()
-	if !e.opts.Strict {
-		defer func() {
-			if fault := recover(); fault != nil {
-				for e.solver.Depth() > depth {
-					e.solver.Pop()
-				}
-				e.res.recordPanic(fault, u.path)
-			}
-		}()
-	}
-	e.solver.Push()
-	for _, b := range u.constraints[len(r.f.cfg.InitConstraints):] {
-		e.solver.Assert(b)
-	}
 	e.dfs(u.start)
-	e.solver.Pop()
 }
 
 // explore drains the frontier on workers runners — the caller's goroutine
@@ -187,9 +175,8 @@ func (f *frontier) explore(workers int) *Result {
 }
 
 // runner explores frontier units one at a time on a single amortized
-// solver: init constraints are asserted once at construction, each unit
-// replays its prefix, explores, and Pops back (run). The pool's workers are
-// runners.
+// solver, which keeps the initial constraints across units once a query has
+// synced them (run). The pool's workers are runners.
 type runner struct {
 	f *frontier
 	// e's stacks are set from the snapshot at each unit; its solver, result

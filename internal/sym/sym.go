@@ -263,7 +263,7 @@ func Explore(c Config) (*Result, error) {
 
 // newExecutor returns an executor at an exploration's initial state: an
 // empty path over c's initial condition and value stacks, on a solver of
-// its own, under the budget shared.
+// its own that holds none of them yet (sync), under the budget shared.
 func newExecutor(c Config, opts Options, p *plan, seed uint64, shared *sharedState) *executor {
 	e := &executor{
 		g:          c.Graph,
@@ -278,8 +278,7 @@ func newExecutor(c Config, opts Options, p *plan, seed uint64, shared *sharedSta
 		journaling: opts.Journal != nil,
 	}
 	for _, b := range c.InitConstraints {
-		e.solver.Assert(b)
-		e.constraints = append(e.constraints, b)
+		e.pushCond(b, -1)
 	}
 	return e
 }
@@ -317,9 +316,16 @@ type executor struct {
 	solver *smt.Solver
 	// vals is the value stack V, indexed by plan slot (nil = unbound);
 	// trail is its undo log (see mark).
-	vals        expr.Env
-	trail       []binding
+	vals  expr.Env
+	trail []binding
+	// constraints is the condition stack C; condNums parallels it with the
+	// plan's number of an entry that is its predicate node's own condition,
+	// -1 for one asserted by value. The solver follows the stack lazily:
+	// it holds the bottom held entries, one pushed frame each, and sync
+	// brings it up to date just before a query the journal cannot answer.
 	constraints []expr.Bool
+	condNums    []int32
+	held        int
 	obligations []HashObligation
 	path        []cfg.NodeID
 	res         *Result
@@ -555,7 +561,7 @@ func (e *executor) stopNow() bool {
 // restores them all at once, so a frame's state changes need no individual
 // restore step.
 type mark struct {
-	path, deps, conds, obligations, oblInputs, trail, solverDepth, widthProd int
+	path, deps, conds, obligations, oblInputs, trail, widthProd int
 }
 
 // binding is one value-stack undo entry: slot held old before the write.
@@ -567,28 +573,67 @@ type binding struct {
 func (e *executor) mark() mark {
 	return mark{
 		path: len(e.path), deps: len(e.deps), conds: len(e.constraints),
-		obligations: len(e.obligations), oblInputs: len(e.oblInputs), trail: len(e.trail), solverDepth: e.solver.Depth(),
-		widthProd: e.widthProd,
+		obligations: len(e.obligations), oblInputs: len(e.oblInputs), trail: len(e.trail), widthProd: e.widthProd,
 	}
 }
 
 // unwind restores the executor to m. hashes parallels path (offset by the
-// seed entry), so it sheds as many entries as path does.
+// seed entry), so it sheds as many entries as path does; the solver pops
+// only the frames that sync pushed for the entries shed.
 func (e *executor) unwind(m *mark) {
 	e.hashes = e.hashes[:len(e.hashes)-(len(e.path)-m.path)]
 	e.path = e.path[:m.path]
 	e.deps = e.deps[:m.deps]
+	e.popTo(m.conds)
 	e.constraints = e.constraints[:m.conds]
+	e.condNums = e.condNums[:m.conds]
 	e.obligations = e.obligations[:m.obligations]
 	e.oblInputs = e.oblInputs[:m.oblInputs]
 	for i := len(e.trail) - 1; i >= m.trail; i-- {
 		e.vals[e.trail[i].slot] = e.trail[i].old
 	}
 	e.trail = e.trail[:m.trail]
-	for e.solver.Depth() > m.solverDepth {
+	e.widthProd = m.widthProd
+}
+
+// pushCond records cond on the condition stack, num being the plan's number
+// for it or -1; the solver receives it at the next sync.
+func (e *executor) pushCond(cond expr.Bool, num int32) {
+	e.constraints = append(e.constraints, cond)
+	e.condNums = append(e.condNums, num)
+}
+
+// sync pushes one solver frame for each condition-stack entry the solver
+// does not hold yet and asserts the entry there, by number or by value. It
+// runs just before a query the journal cannot answer, so a prefix whose
+// every verdict is a hit never reaches the solver. An entry counts as held
+// once its assertion returns: a panic inside one leaves a frame above held,
+// which recoverPath pops.
+func (e *executor) sync() {
+	for k := 0; e.held < len(e.constraints); k++ {
+		e.solver.Push()
+		if syncObserver != nil {
+			syncObserver(e, k)
+		}
+		if n := e.condNums[e.held]; n >= 0 {
+			e.solver.AssertCondition(int(n))
+		} else {
+			e.solver.Assert(e.constraints[e.held])
+		}
+		e.held++
+	}
+}
+
+// syncObserver, which only tests set, sees every frame sync pushes — the
+// executor, with held the entry about to be asserted, and k its position
+// among the entries that sync brings in — so that a test can fault one.
+var syncObserver func(e *executor, k int)
+
+// popTo drops the solver's frames for the condition-stack entries from n up.
+func (e *executor) popTo(n int) {
+	for ; e.held > n; e.held-- {
 		e.solver.Pop()
 	}
-	e.widthProd = m.widthProd
 }
 
 // bind writes the value stack through the undo trail.
@@ -668,14 +713,13 @@ func (e *executor) step(id cfg.NodeID) {
 			return
 		}
 		if !expr.EqualBool(cond, expr.True) {
-			e.constraints = append(e.constraints, cond)
-			e.solver.Push()
+			// The node's own predicate goes to the solver by number,
+			// anything else by value.
+			num := int32(-1)
 			if own {
-				// The node's own predicate: the solver has it by number.
-				e.solver.AssertCondition(e.p.condition(id))
-			} else {
-				e.solver.Assert(cond)
+				num = int32(e.p.condition(id))
 			}
+			e.pushCond(cond, num)
 			if e.opts.EarlyTermination {
 				// The parent's sibling batch already decided (and
 				// journaled) this branch; otherwise check here.
@@ -855,6 +899,7 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 	if len(st.conds) == 0 {
 		return st
 	}
+	e.sync()
 	st.res = e.solver.CheckBatch(st.conds, st.res[:0])
 	nDeps := len(e.deps)
 	for j, i := range st.idx {
@@ -928,11 +973,16 @@ func cloneObligations(obs []HashObligation) []HashObligation {
 // recoverPath arrests a panic raised while processing node id or its
 // subtree: it unwinds the executor (solver stack, value/condition/path
 // stacks) to the frame's mark and records the panic as a PathError on the
-// result.
+// result. A panic inside sync leaves the frame it was filling pushed but
+// not held; that frame goes first, so the solver holds exactly the held
+// entries again.
 func (e *executor) recoverPath(id cfg.NodeID, m *mark) {
 	r := recover()
 	if r == nil {
 		return
+	}
+	for e.solver.Depth() > e.held {
+		e.solver.Pop()
 	}
 	e.unwind(m)
 	e.res.recordPanic(r, append(e.path, id))
@@ -980,6 +1030,7 @@ func (e *executor) pruneCheck() smt.Result {
 			return fromVerdict(rec.Verdict())
 		}
 	}
+	e.sync()
 	r := e.solver.Check()
 	if e.journaling {
 		e.appendJournal(journal.Record{Kind: journal.KindCheck, Key: e.curHash(), Verdict: toVerdict(r)})
@@ -1009,6 +1060,7 @@ func (e *executor) emitVerdict(key uint64) (smt.Result, expr.State) {
 			return r, model
 		}
 	}
+	e.sync()
 	var model expr.State
 	var r smt.Result
 	if e.opts.WantModels {

@@ -451,6 +451,31 @@ func TestRegressStoreMatchesCold(t *testing.T) {
 	}
 }
 
+// TestStoreWarmRunPropagatesNothing: a warm store-backed generation of
+// gw-3 answers every query from its table, and the executor asserts a
+// condition only for a query the table cannot answer — so the solvers check
+// nothing and propagate nothing, at one worker and at two. A count, not a
+// clock: the cold run propagates.
+func TestStoreWarmRunPropagatesNothing(t *testing.T) {
+	p := corpusProgram(t, "gw-3")
+	spath := filepath.Join(t.TempDir(), "verdicts.store")
+	cold := generateStore(t, p, nil, spath, nil)
+	if cold.SMT.Propagations == 0 {
+		t.Fatal("the cold run propagated nothing")
+	}
+	for _, n := range []int{1, 2} {
+		warm := generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Parallelism = n })
+		rep := warm.Report("gen", p.Name, n).Solver
+		if warm.SMT.Checks != 0 || warm.SMT.Propagations != 0 || rep.Propagations != 0 {
+			t.Errorf("warm run at parallelism %d: %d checks, %d propagations (report %d); want 0, 0 (cold: %d propagations)",
+				n, warm.SMT.Checks, warm.SMT.Propagations, rep.Propagations, cold.SMT.Propagations)
+		}
+		if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
+			t.Errorf("warm run at parallelism %d diverged from the cold run", n)
+		}
+	}
+}
+
 // TestStoreWarmParallel: a store-warmed table serves four exploration
 // workers — its seeding happens before any of them looks a verdict up —
 // with the sequential warm run's output and no solver call. CI runs it
