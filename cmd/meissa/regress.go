@@ -200,6 +200,6 @@ func printRegress(res *meissa.RegressResult) {
 	fmt.Printf("  templates: %d (%d unchanged, %d added, %d retired)\n",
 		t.Current, t.Unchanged, t.Added, t.Retired)
 	q := rep.Queries
-	fmt.Printf("  queries: %d live, %d avoided (%d journal + %d cache, %.0f%% reuse)\n",
-		q.Live, q.Avoided, q.JournalHits, q.CacheHits, 100*q.Reuse)
+	fmt.Printf("  queries: %d live, %d avoided (%d journal, %.0f%% reuse)\n",
+		q.Live, q.Avoided, q.JournalHits, 100*q.Reuse)
 }

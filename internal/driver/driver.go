@@ -565,11 +565,14 @@ func (d *Driver) Concretize(t *sym.Template, id uint64) (*Case, error) {
 		} else {
 			computed = ob.Width.Trunc(hashfn.Checksum(vals, widths))
 		}
-		if prev, constrained := t.Model[ob.Var]; constrained && prev != computed {
+		model[ob.Var] = computed
+		// The solver picked the model's value without knowing the hash
+		// function; the computed one serves as well when the path
+		// condition still holds with it.
+		if prev, constrained := t.Model[ob.Var]; constrained && prev != computed && !holds(t.Constraints, model) {
 			c.SkipReason = fmt.Sprintf("hash post-validation failed for %s: model %d, computed %d", ob.Var, prev, computed)
 			return c, nil
 		}
-		model[ob.Var] = computed
 	}
 
 	// Entry point.
@@ -622,6 +625,17 @@ func (d *Driver) Concretize(t *sym.Template, id uint64) (*Case, error) {
 	}
 	c.Expected = packet.FromState(d.Prog, final, packet.WithID(id))
 	return c, nil
+}
+
+// holds reports whether every condition is true under model; one that
+// cannot be evaluated does not hold.
+func holds(conds []expr.Bool, model expr.State) bool {
+	for _, b := range conds {
+		if ok, err := expr.EvalBool(b, model); err != nil || !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func (d *Driver) entryPipeline(idx int) string {

@@ -210,30 +210,40 @@ func TestPersistentFailureStaysFail(t *testing.T) {
 	}
 }
 
-// TestSkippedCasesRecorded: a hash post-validation conflict must land in
-// Report.Skips with its reason, not vanish into a bare counter.
+// TestSkippedCasesRecorded: a hash post-validation conflict — the path
+// condition pins the hash to a value other than the computed one — must
+// land in Report.Skips with its reason, not vanish into a bare counter.
+// Where the path condition admits the computed value, the case runs.
 func TestSkippedCasesRecorded(t *testing.T) {
 	_, _, _, d := setup(t, nil)
 	v := p4.HeaderFieldVar("ipv4", "checksum")
 	computed := expr.Width(16).Trunc(hashfn.Checksum([]uint64{5}, []expr.Width{16}))
-	tm := &sym.Template{
-		Model: expr.State{v: expr.Width(16).Trunc(computed + 1)},
-		HashObligations: []sym.HashObligation{{
-			Var:    v,
-			Kind:   cfg.Checksum,
-			Inputs: []expr.Arith{expr.C(5, 16)},
-			Width:  16,
-		}},
+	template := func(cond expr.Bool) *sym.Template {
+		return &sym.Template{
+			Constraints: []expr.Bool{cond},
+			Model:       expr.State{v: expr.Width(16).Trunc(computed + 1)},
+			HashObligations: []sym.HashObligation{{
+				Var:    v,
+				Kind:   cfg.Checksum,
+				Inputs: []expr.Arith{expr.C(5, 16)},
+				Width:  16,
+			}},
+		}
 	}
-	rep, err := d.RunTemplates([]*sym.Template{tm})
+	pinned := template(expr.Eq(expr.V(v, 16), expr.C(computed+1, 16)))
+	admits := template(expr.Ne(expr.V(v, 16), expr.C(computed+2, 16)))
+	rep, err := d.RunTemplates([]*sym.Template{pinned, admits})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Skipped != 1 || len(rep.Skips) != 1 {
-		t.Fatalf("skipped = %d, skips = %d, want 1/1", rep.Skipped, len(rep.Skips))
+	if rep.Skipped != 1 || len(rep.Skips) != 1 || rep.Skips[0].Template != pinned {
+		t.Fatalf("skipped = %d, skips = %d, want 1/1, the pinned template", rep.Skipped, len(rep.Skips))
 	}
 	if rep.Skips[0].SkipReason == "" {
 		t.Error("skip recorded without a reason")
+	}
+	if len(rep.Outcomes) != 1 {
+		t.Errorf("%d cases ran, want the one whose path condition admits the computed hash", len(rep.Outcomes))
 	}
 }
 

@@ -68,11 +68,9 @@ type ToolResult struct {
 	Duration  time.Duration
 	SMTCalls  uint64
 	Templates int
-	// PrunedPaths counts prefixes cut by early termination; CacheHits
-	// counts solver checks answered by the shared verdict cache (only
-	// Meissa populates these — baselines run without the cache).
+	// PrunedPaths counts prefixes cut by early termination (only Meissa
+	// populates it).
 	PrunedPaths uint64
-	CacheHits   uint64
 	// Timeout and Unsupported reproduce the ◦ and × marks of Fig. 9.
 	Timeout     bool
 	Unsupported bool
@@ -100,7 +98,7 @@ func RunMeissa(p *programs.Program) (ToolResult, error) {
 	return ToolResult{
 		Tool: "Meissa", Duration: gen.Duration, SMTCalls: gen.SMTCalls,
 		Templates: len(gen.Templates), Timeout: gen.Truncated,
-		PrunedPaths: gen.PrunedPaths, CacheHits: gen.SMT.CacheHits,
+		PrunedPaths: gen.PrunedPaths,
 	}, nil
 }
 
@@ -139,11 +137,11 @@ func Fig9() ([]Fig9Row, error) {
 }
 
 // WriteFig9 renders Fig. 9 as the paper's series: one column per tool,
-// ◦ for timeout, × for no-support, plus Meissa's pruning and verdict-cache
-// counters so the perf trajectory is visible in the bench logs.
+// ◦ for timeout, × for no-support, plus Meissa's pruning counter so the
+// perf trajectory is visible in the bench logs.
 func WriteFig9(w io.Writer, rows []Fig9Row) {
-	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %8s %9s\n",
-		"Program", "Meissa", "Aquila", "p4pktgen", "Gauntlet", "pruned", "cachehits")
+	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %8s\n",
+		"Program", "Meissa", "Aquila", "p4pktgen", "Gauntlet", "pruned")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s", r.Program)
 		var meissa ToolResult
@@ -160,7 +158,7 @@ func WriteFig9(w io.Writer, rows []Fig9Row) {
 				fmt.Fprintf(w, " %12s", res.Duration.Round(time.Millisecond))
 			}
 		}
-		fmt.Fprintf(w, " %8d %9d\n", meissa.PrunedPaths, meissa.CacheHits)
+		fmt.Fprintf(w, " %8d\n", meissa.PrunedPaths)
 	}
 }
 

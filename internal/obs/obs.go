@@ -1,4 +1,4 @@
-// Package obs is the repo's dependency-light observability layer: gauges,
+// Package obs is the repo's dependency-light observability layer:
 // log2-bucketed latency histograms, phase spans, and a process-wide
 // registry every pipeline layer reports into. It sits below every other
 // internal package in the dependency order (it imports only the standard
@@ -14,7 +14,7 @@
 //   - One home per count: a count lives in the run's own structs
 //     (smt.Stats, sym.Counts, store.Stats, ...), which the run report is
 //     built from. The registry holds only what no struct does: latency
-//     distributions, live gauges and phase spans.
+//     distributions and phase spans.
 //   - Determinism friendliness: nothing here feeds back into exploration
 //     decisions; disabling or ignoring the registry changes no output
 //     byte.
@@ -23,7 +23,7 @@
 //
 //	<package>.<noun>[_<unit>]
 //
-// e.g. smt.query_latency_ns, driver.case_latency_ns, sym.frontier_tasks.
+// e.g. smt.query_latency_ns, driver.case_latency_ns.
 // Phase timers use slash-separated span paths (generate/summary/ingress0).
 package obs
 
@@ -34,20 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Gauge is an instantaneous atomic value (worker counts, queue depths).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // histBuckets is the bucket count of a Histogram: bucket i holds values
 // whose bit length is i (i.e. v in [2^(i-1), 2^i)), bucket 0 holds zero.
@@ -99,7 +85,6 @@ type phaseAgg struct {
 // isolation construct their own.
 type Registry struct {
 	mu     sync.Mutex
-	gauges map[string]*Gauge
 	hists  map[string]*Histogram
 	phases map[string]*phaseAgg
 	start  time.Time
@@ -108,7 +93,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		gauges: map[string]*Gauge{},
 		hists:  map[string]*Histogram{},
 		phases: map[string]*phaseAgg{},
 		start:  time.Now(),
@@ -119,18 +103,6 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
 
 // Histogram returns (creating if needed) the named histogram.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -156,12 +128,9 @@ func (r *Registry) phase(path string) *phaseAgg {
 	return p
 }
 
-// GetGauge resolves a gauge handle on the Default registry. Intended for
-// package-level vars in instrumented packages, so hot paths pay no map
-// lookup.
-func GetGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
-
 // GetHistogram resolves a histogram handle on the Default registry.
+// Intended for package-level vars in instrumented packages, so hot paths
+// pay no map lookup.
 func GetHistogram(name string) *Histogram { return defaultRegistry.Histogram(name) }
 
 // sortedKeys returns the map's keys in sorted order (snapshot stability).

@@ -14,19 +14,6 @@ import (
 	"time"
 )
 
-func TestGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("x.gauge")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Load(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
-	if r.Gauge("x.gauge") != g {
-		t.Fatal("same name must return same handle")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("x.lat")
@@ -179,7 +166,7 @@ func TestReportValidate(t *testing.T) {
 				Explored: 10, Templates: 5,
 				PossibleLog10Before: 3, PossibleLog10After: 1,
 			},
-			Solver:  NewSolverReport(20, 12, 6, 2, 4, 1, time.Second),
+			Solver:  NewSolverReport(20, 12, 6, 2, 1, time.Second),
 			Journal: &JournalReport{},
 		}
 	}
@@ -195,7 +182,9 @@ func TestReportValidate(t *testing.T) {
 		"missing cfg phase": func(r *Report) { r.Phases = r.Phases[2:] },
 		"zero explored":     func(r *Report) { r.Paths.Explored = 0 },
 		"zero templates":    func(r *Report) { r.Paths.Templates = 0 },
-		"missing bucket":    func(r *Report) { delete(r.Solver.Outcomes, "cache_hit") },
+		"missing bucket":    func(r *Report) { delete(r.Solver.Outcomes, "budget_exhausted") },
+		"total != solved":   func(r *Report) { r.Solver.TotalQueries = 21 },
+		"legacy cache_hit":  func(r *Report) { r.Solver.Outcomes["cache_hit"] = 4 },
 		"outcome mismatch":  func(r *Report) { r.Solver.Outcomes["sat"] = 99 },
 		"budget > unknown":  func(r *Report) { r.Solver.Outcomes["budget_exhausted"] = 3 },
 		"truncated > unsat": func(r *Report) { r.Solver.TruncatedUnsat = 7 },
@@ -223,6 +212,18 @@ func TestReportValidate(t *testing.T) {
 	r.Store = &StoreReport{Warmed: 7, SnapshotReads: 7, Committed: 2, Commits: 1, TailDiscarded: 90, FileBytes: 4000}
 	if err := r.Validate(); err != nil {
 		t.Fatalf("valid store-backed report rejected: %v", err)
+	}
+
+	// A report of an earlier release that ran a cross-worker verdict memo:
+	// its cache_hit bucket adds to total_queries.
+	r = good()
+	r.Solver.Outcomes["cache_hit"] = 4
+	r.Solver.TotalQueries = 24
+	if err := r.Validate(); err != nil {
+		t.Fatalf("valid legacy report rejected: %v", err)
+	}
+	if good().Solver.TotalQueries != good().Solver.Solved {
+		t.Fatal("a new report's total_queries differs from solved")
 	}
 
 	// Truncated runs may legitimately have zero templates.

@@ -44,7 +44,7 @@ type Report struct {
 	Store *StoreReport `json:"store,omitempty"`
 	// Registry carries the process metric snapshot (optional; CLI runs
 	// attach it so one file holds both the curated report and the raw
-	// latency distributions, gauges and phases).
+	// latency distributions and phases).
 	Registry *Snapshot `json:"registry,omitempty"`
 }
 
@@ -77,19 +77,17 @@ type PathReport struct {
 }
 
 // SolverReport is the solver-behaviour section. The outcome histogram has
-// exactly the five buckets the evaluation cares about; TotalQueries is
-// the parallelism-invariant volume (solved + cache-answered), and
-// QueriesPerSec is derived from it and WallNS by the builder.
+// the four buckets the evaluation cares about; QueriesPerSec is derived
+// from TotalQueries and WallNS by NewSolverReport.
 type SolverReport struct {
-	// TotalQueries = Solved + Outcomes["cache_hit"]: every logical
-	// satisfiability question asked, however answered. Invariant across
-	// -parallel settings.
+	// TotalQueries is every satisfiability question asked. A new report
+	// has TotalQueries = Solved; one of an earlier release that ran a
+	// cross-worker verdict memo may add a legacy cache_hit bucket.
 	TotalQueries uint64 `json:"total_queries"`
 	// Solved counts queries the solver actually ran (the paper's "SMT
 	// calls").
 	Solved uint64 `json:"solved"`
 	// Outcomes buckets every query: sat / unsat / unknown (solved), plus
-	// cache_hit (answered from the shared verdict cache) and
 	// budget_exhausted (the subset of unknown cut off by per-query
 	// budgets).
 	Outcomes map[string]uint64 `json:"outcomes"`
@@ -117,14 +115,17 @@ const (
 	OutcomeSat             = "sat"
 	OutcomeUnsat           = "unsat"
 	OutcomeUnknown         = "unknown"
-	OutcomeCacheHit        = "cache_hit"
 	OutcomeBudgetExhausted = "budget_exhausted"
+	// legacyCacheHit is the bucket of queries an earlier release answered
+	// from its cross-worker verdict memo. No new report has it; an old
+	// one that does still validates.
+	legacyCacheHit = "cache_hit"
 )
 
 // requiredOutcomes lists the buckets a valid report must carry (even when
 // zero).
 var requiredOutcomes = []string{
-	OutcomeSat, OutcomeUnsat, OutcomeUnknown, OutcomeCacheHit, OutcomeBudgetExhausted,
+	OutcomeSat, OutcomeUnsat, OutcomeUnknown, OutcomeBudgetExhausted,
 }
 
 // JournalReport is the verdict-table section.
@@ -254,15 +255,14 @@ type LinkReport struct {
 
 // NewSolverReport builds the solver section from raw counts, deriving
 // TotalQueries and the rate.
-func NewSolverReport(solved, sat, unsat, unknown, cacheHits, budgetExhausted uint64, wall time.Duration) *SolverReport {
+func NewSolverReport(solved, sat, unsat, unknown, budgetExhausted uint64, wall time.Duration) *SolverReport {
 	r := &SolverReport{
-		TotalQueries: solved + cacheHits,
+		TotalQueries: solved,
 		Solved:       solved,
 		Outcomes: map[string]uint64{
 			OutcomeSat:             sat,
 			OutcomeUnsat:           unsat,
 			OutcomeUnknown:         unknown,
-			OutcomeCacheHit:        cacheHits,
 			OutcomeBudgetExhausted: budgetExhausted,
 		},
 	}
@@ -324,9 +324,9 @@ func (r *Report) Validate() error {
 		if got := o[OutcomeSat] + o[OutcomeUnsat] + o[OutcomeUnknown]; got != r.Solver.Solved {
 			return fmt.Errorf("obs: solver outcomes sum %d != solved %d", got, r.Solver.Solved)
 		}
-		if r.Solver.TotalQueries != r.Solver.Solved+o[OutcomeCacheHit] {
+		if r.Solver.TotalQueries != r.Solver.Solved+o[legacyCacheHit] {
 			return fmt.Errorf("obs: solver total_queries %d != solved %d + cache_hit %d",
-				r.Solver.TotalQueries, r.Solver.Solved, o[OutcomeCacheHit])
+				r.Solver.TotalQueries, r.Solver.Solved, o[legacyCacheHit])
 		}
 		if o[OutcomeBudgetExhausted] > o[OutcomeUnknown] {
 			return fmt.Errorf("obs: budget_exhausted %d > unknown %d",

@@ -51,7 +51,6 @@ type Snapshot struct {
 	Schema      string                       `json:"schema"`
 	TakenUnixNS int64                        `json:"taken_unix_ns"`
 	UptimeNS    int64                        `json:"uptime_ns"`
-	Gauges      map[string]int64             `json:"gauges,omitempty"`
 	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Phases      []PhaseDur                   `json:"phases,omitempty"`
 }
@@ -60,10 +59,6 @@ type Snapshot struct {
 // result is per-metric consistent (fine for reporting).
 func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
@@ -79,11 +74,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		Schema:      SnapshotSchema,
 		TakenUnixNS: time.Now().UnixNano(),
 		UptimeNS:    int64(time.Since(start)),
-		Gauges:      map[string]int64{},
 		Histograms:  map[string]HistogramSnapshot{},
-	}
-	for name, g := range gauges {
-		s.Gauges[name] = g.Load()
 	}
 	for name, h := range hists {
 		s.Histograms[name] = snapshotHistogram(h)
@@ -189,7 +180,7 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // WriteText renders the human-readable end-of-run table: the phase tree
-// with durations, then gauges and histogram summaries.
+// with durations, then histogram summaries.
 func (s *Snapshot) WriteText(w io.Writer) {
 	if len(s.Phases) > 0 {
 		fmt.Fprintf(w, "--- phases ---\n")
@@ -200,12 +191,6 @@ func (s *Snapshot) WriteText(w io.Writer) {
 					(time.Duration(p.NS) / time.Duration(p.Count)).Round(time.Microsecond))
 			}
 			fmt.Fprintln(w)
-		}
-	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintf(w, "--- gauges ---\n")
-		for _, k := range sortedKeys(s.Gauges) {
-			fmt.Fprintf(w, "  %-40s %12d\n", k, s.Gauges[k])
 		}
 	}
 	if len(s.Histograms) > 0 {

@@ -140,7 +140,7 @@ func validReport() *Report {
 		},
 		Journal:   &RebaseStats{Baseline: 5, Retained: 4, Invalidated: 1},
 		Templates: &TemplateReport{Baseline: 10, Current: 10, Added: 2, Retired: 2, Unchanged: 8},
-		Queries:   NewQueryReport(3, 20, 5),
+		Queries:   NewQueryReport(3, 20),
 	}
 }
 
@@ -150,7 +150,7 @@ func TestReportValidate(t *testing.T) {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	q := r.Queries
-	if q.Avoided != 25 || q.Total != 28 || q.Reuse <= 0.89 || q.Reuse >= 0.9 {
+	if q.Avoided != 20 || q.Total != 23 || q.Reuse <= 0.86 || q.Reuse >= 0.87 {
 		t.Errorf("NewQueryReport = %+v", q)
 	}
 
@@ -168,6 +168,12 @@ func TestReportValidate(t *testing.T) {
 	bad.Queries.Total++
 	if bad.Validate() == nil {
 		t.Error("query imbalance not caught")
+	}
+	bad = validReport()
+	bad.Queries.Avoided++
+	bad.Queries.Total++
+	if bad.Validate() == nil {
+		t.Error("avoided beyond journal hits not caught")
 	}
 	bad = validReport()
 	bad.Schema = "nope"
@@ -193,10 +199,34 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Program != "gw-1" || got.Queries.Avoided != 25 || got.Templates.Unchanged != 8 {
+	if got.Program != "gw-1" || got.Queries.Avoided != 20 || got.Templates.Unchanged != 8 {
 		t.Errorf("round-trip mangled report: %+v", got)
 	}
 	if _, err := ParseReport([]byte("{")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestLegacyCacheHitsReportParses: a report of an earlier release counted
+// queries its cross-worker verdict memo answered as cache_hits, among
+// avoided. It still parses; the same avoided count without them does not.
+func TestLegacyCacheHitsReportParses(t *testing.T) {
+	legacy := func(cacheHits string) []byte {
+		data, err := jsonMarshal(validReport())
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := `"journal_hits":20,"avoided":20,"total":23`
+		if !strings.Contains(string(data), old) {
+			t.Fatalf("query section not as expected: %s", data)
+		}
+		return []byte(strings.Replace(string(data), old,
+			`"journal_hits":20,`+cacheHits+`"avoided":25,"total":28`, 1))
+	}
+	if _, err := ParseReport(legacy(`"cache_hits":5,`)); err != nil {
+		t.Errorf("legacy report rejected: %v", err)
+	}
+	if _, err := ParseReport(legacy("")); err == nil {
+		t.Error("avoided beyond journal hits accepted")
 	}
 }

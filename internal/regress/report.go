@@ -35,17 +35,15 @@ type TemplateReport struct {
 }
 
 // QueryReport accounts for solver work in the incremental run: what was
-// actually solved live versus answered from the rebased journal or the
-// verdict cache. The perf gate of incremental regression is Live being a
-// small fraction of Total.
+// actually solved live versus answered from the rebased journal. The perf
+// gate of incremental regression is Live being a small fraction of Total.
 type QueryReport struct {
 	// Live counts queries the incremental run's solver actually ran.
 	Live uint64 `json:"live"`
 	// JournalHits counts solver interactions answered from the rebased
-	// journal; CacheHits from the shared verdict cache.
+	// journal.
 	JournalHits uint64 `json:"journal_hits"`
-	CacheHits   uint64 `json:"cache_hits"`
-	// Avoided = JournalHits + CacheHits; Total = Live + Avoided.
+	// Avoided = JournalHits; Total = Live + Avoided.
 	Avoided uint64 `json:"avoided"`
 	Total   uint64 `json:"total"`
 	// Reuse = Avoided / Total (0 when Total is 0).
@@ -71,12 +69,11 @@ type Report struct {
 }
 
 // NewQueryReport derives the query section from raw counts.
-func NewQueryReport(live, journalHits, cacheHits uint64) *QueryReport {
+func NewQueryReport(live, journalHits uint64) *QueryReport {
 	q := &QueryReport{
 		Live:        live,
 		JournalHits: journalHits,
-		CacheHits:   cacheHits,
-		Avoided:     journalHits + cacheHits,
+		Avoided:     journalHits,
 	}
 	q.Total = q.Live + q.Avoided
 	if q.Total > 0 {
@@ -87,7 +84,12 @@ func NewQueryReport(live, journalHits, cacheHits uint64) *QueryReport {
 
 // Validate checks the report's structural invariants; the CI
 // regress-smoke gate runs it before trusting a file.
-func (r *Report) Validate() error {
+func (r *Report) Validate() error { return r.validate(0) }
+
+// validate is Validate for a report whose avoided queries include
+// cacheHits answered from a cross-worker verdict memo, which only reports
+// of earlier releases count.
+func (r *Report) validate(cacheHits uint64) error {
 	if r.Schema != Schema {
 		return fmt.Errorf("regress: report schema %q, want %q", r.Schema, Schema)
 	}
@@ -112,9 +114,9 @@ func (r *Report) Validate() error {
 			t.Retired, t.Unchanged, t.Baseline)
 	}
 	q := r.Queries
-	if q.Avoided != q.JournalHits+q.CacheHits {
+	if q.Avoided != q.JournalHits+cacheHits {
 		return fmt.Errorf("regress: queries avoided %d != journal %d + cache %d",
-			q.Avoided, q.JournalHits, q.CacheHits)
+			q.Avoided, q.JournalHits, cacheHits)
 	}
 	if q.Total != q.Live+q.Avoided {
 		return fmt.Errorf("regress: queries total %d != live %d + avoided %d",
@@ -128,13 +130,22 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// ParseReport decodes and validates a serialized regress report.
+// ParseReport decodes and validates a serialized regress report,
+// including one of an earlier release that counted queries.cache_hits.
 func ParseReport(data []byte) (*Report, error) {
 	var r Report
+	var legacy struct {
+		Queries struct {
+			CacheHits uint64 `json:"cache_hits"`
+		} `json:"queries"`
+	}
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("regress: parse report: %w", err)
 	}
-	if err := r.Validate(); err != nil {
+	if err := json.Unmarshal(data, &legacy); err != nil {
+		return nil, fmt.Errorf("regress: parse report: %w", err)
+	}
+	if err := r.validate(legacy.Queries.CacheHits); err != nil {
 		return nil, err
 	}
 	return &r, nil

@@ -8,16 +8,20 @@ import (
 	"repro/internal/expr"
 )
 
-// VerdictCache memoizes satisfiability verdicts across the solvers of one
-// generation: an in-memory memo that lives as long as the run that made it
-// and is never persisted (a verdict that outlives a run is a journal
-// record). It is keyed by a normalized hash of the asserted condition set,
-// so solvers replaying the same path-prefix conjunction in any assertion
-// order (and any Push/Pop frame partitioning) hit the same entry. The
-// parallel exploration engine shares one cache among all workers and
-// passes: sibling path suffixes re-derive the same infeasible prefixes, and
-// the cache turns those repeated Unsat proofs into lookups (counted in
-// Stats.CacheHits).
+// VerdictCache memoizes satisfiability verdicts across the solvers handed
+// the same one in Options.Cache: an in-memory memo that lives as long as
+// its maker holds it and is never persisted (a verdict that outlives a run
+// is a journal record). It is keyed by a normalized hash of the asserted
+// condition set, so solvers asserting the same path-prefix conjunction in
+// any order (and any Push/Pop frame partitioning) hit the same entry; its
+// hits are Stats.CacheHits.
+//
+// The product installs none: a parallel generation keeps one solver per
+// runner and shares no verdicts between them, so its solver-check count is
+// the same at any worker count. The type, Options.Cache and
+// Stats.CacheHits stay only because the benchmark's explorePar2 side
+// measurement (bench/gen.go) installs one and reads its hits; they go when
+// that measurement does.
 //
 // The cache is sharded and lock-striped: the key's low bits select one of
 // cacheShards independently-locked maps, so concurrent workers rarely

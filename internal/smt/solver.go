@@ -129,9 +129,9 @@ type Options struct {
 	// answered from the verdict cache skip the overhead, modeling the
 	// avoided IPC round-trip.
 	PerCheckOverhead time.Duration
-	// Cache, when non-nil, shares satisfiability verdicts across solvers
-	// (and across the workers of a parallel exploration). Model extraction
-	// is never cached — only plain Check verdicts.
+	// Cache, when non-nil, shares satisfiability verdicts across solvers.
+	// Only the benchmark sets it (see VerdictCache). Model extraction is
+	// never cached — only plain Check verdicts.
 	Cache *VerdictCache
 }
 

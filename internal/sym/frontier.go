@@ -42,9 +42,6 @@ type unit struct {
 	deps []uint32
 	// pending is what the parent's frame handed to start's (executor.pending).
 	pending pendingBranch
-	// created is when the unit was enqueued; the gap until a runner claims
-	// it feeds the sym.task_queue_wait_ns histogram.
-	created time.Time
 }
 
 // frontier is a deterministic split of one exploration into units.
@@ -92,13 +89,7 @@ func splitFrontier(c Config, width int) (*frontier, error) {
 	if width > 1 {
 		f.split(width)
 	} else {
-		f.enqueue(&unit{start: c.Start, values: f.plan.init, hash: f.seed})
+		f.units = []*unit{{start: c.Start, values: f.plan.init, hash: f.seed}}
 	}
 	return f, nil
-}
-
-// enqueue appends u to the frontier.
-func (f *frontier) enqueue(u *unit) {
-	u.created = time.Now()
-	f.units = append(f.units, u)
 }

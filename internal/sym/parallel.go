@@ -69,7 +69,7 @@ func (f *frontier) split(width int) {
 		if !atEnd && s.widthProd < width && len(f.units) < 16*width {
 			return false // keep splitting above the frontier
 		}
-		f.enqueue(&unit{
+		f.units = append(f.units, &unit{
 			start:       id,
 			path:        append([]cfg.NodeID(nil), s.path...),
 			constraints: append([]expr.Bool(nil), s.constraints[len(f.cfg.InitConstraints):]...),
@@ -113,7 +113,6 @@ func (r *runner) run(u *unit) {
 // are claimed via an atomic index, so fast runners steal the slack of slow
 // ones.
 func (f *frontier) explore(workers int) *Result {
-	mFrontierTasks.Add(int64(len(f.units)))
 	var next atomic.Int64
 	emitted := make([][]*Template, len(f.units))
 	runners := make([]*runner, workers)
@@ -139,8 +138,6 @@ func (f *frontier) explore(workers int) *Result {
 			if i >= len(f.units) {
 				break
 			}
-			mFrontierTasks.Add(-1)
-			mTaskQueueWait.ObserveSince(f.units[i].created)
 			n := len(r.e.res.Templates)
 			r.run(f.units[i])
 			emitted[i] = r.e.res.Templates[n:]
@@ -151,10 +148,6 @@ func (f *frontier) explore(workers int) *Result {
 	}
 	work(0)
 	wg.Wait()
-	// A halted pool leaves units unclaimed: they are no longer queued either.
-	if left := int64(len(f.units)) - next.Load(); left > 0 {
-		mFrontierTasks.Add(-left)
-	}
 	if p := fatal.Load(); p != nil {
 		obs.Warnf("sym: panic in exploration worker: %v\n%s", p.Value, p.Stack)
 		panic(p.Value)

@@ -64,9 +64,9 @@ type Options struct {
 	// at 1 the frontier is the root alone, explored on the caller's
 	// goroutine (Algorithm 1 as one DFS, the paper-faithful ablation
 	// baseline); N > 1 splits the DFS frontier across N in-process
-	// runners sharing the run's in-memory solver-verdict memo, which is
-	// made for the generation and dropped with it. Templates are
-	// byte-identical at any setting.
+	// runners, each with a solver of its own, sharing only the path budget,
+	// the read-only plan and the run's verdict table. Templates, solver
+	// checks and path counts are identical at any setting.
 	Parallelism int
 	// MaxPaths caps DFS descents per exploration (0 = unlimited); the
 	// harness uses it as a timeout substitute for intractable baselines.
@@ -175,8 +175,7 @@ type GenResult struct {
 	// they are the pass's own while nothing else in the process allocates.
 	FinalMallocs, FinalAllocBytes uint64
 	// SMTCalls is SMT.Checks, the solver checks across all phases (Fig.
-	// 11b unit). Checks answered from the run's shared verdict memo
-	// (parallel mode only) are SMT.CacheHits, not among them.
+	// 11b unit), the same at any Parallelism.
 	SMTCalls uint64
 	// PossiblePathsLog10Before/After record the whole-graph possible-path
 	// counts (Fig. 11c unit).
@@ -379,8 +378,8 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		res.Store = stc.report()
 	}
 	res.Duration = time.Since(start)
-	obs.Progressf("meissa: %s: generation done in %v (%d templates, %d paths, %d solver checks, %d cache hits)",
-		s.Prog.Name, res.Duration, len(res.Templates), res.PathsExplored, res.SMTCalls, res.SMT.CacheHits)
+	obs.Progressf("meissa: %s: generation done in %v (%d templates, %d paths, %d solver checks)",
+		s.Prog.Name, res.Duration, len(res.Templates), res.PathsExplored, res.SMTCalls)
 	return res, nil
 }
 
@@ -399,11 +398,6 @@ func (s *System) passConfigs(g *cfg.Graph, initC []expr.Bool, j *journal.Journal
 		Strict:           s.Opts.Strict,
 		PathHook:         s.Opts.PathHook,
 		Journal:          j,
-	}
-	if symOpts.Workers() > 1 {
-		// One verdict memo spans the whole run, so Unsat prefixes proved
-		// during summarization of one pipeline also answer the final pass.
-		symOpts.Solver.Cache = smt.NewVerdictCache()
 	}
 	sumOpts := summary.Options{
 		Sym:              symOpts,
@@ -462,7 +456,7 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 			Recovered:           g.Recovered,
 		},
 		Solver: obs.NewSolverReport(g.SMT.Checks, g.SMT.SatResults, g.SMT.UnsatResults,
-			g.SMT.Unknowns, g.SMT.CacheHits, g.SMT.BudgetExhausted, g.Duration),
+			g.SMT.Unknowns, g.SMT.BudgetExhausted, g.Duration),
 		Journal: &obs.JournalReport{
 			Appended: g.JournalAppended,
 			Loaded:   g.JournalLoaded,

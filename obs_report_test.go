@@ -10,12 +10,10 @@ import (
 )
 
 // TestStatsTotalsParallelInvariant pins the accounting contract behind
-// the run report: path, prune and total-query counts are EXACTLY equal
-// across -parallel settings, not merely close. Sequential mode has no
-// verdict cache (every logical query is a solver check); parallel mode
-// answers some of those same queries from the shared cache — so
-// Checks+CacheHits, never Checks alone, is the parallelism-invariant
-// query volume the report exposes as solver.total_queries.
+// the run report: path, prune and solver-check counts are EXACTLY equal
+// across -parallel settings, not merely close. No run has a verdict memo,
+// so every logical query is a solver check at any worker count, and the
+// report's solver.total_queries is solver.solved.
 func TestStatsTotalsParallelInvariant(t *testing.T) {
 	for _, p := range []*programs.Program{
 		corpusProgram(t, "Router"),
@@ -24,10 +22,7 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			seq := generateAt(t, p, true, 1)
-			if seq.SMT.CacheHits != 0 {
-				t.Fatalf("sequential run used the verdict cache (%d hits); it must not have one", seq.SMT.CacheHits)
-			}
-			for _, par := range []int{2, 4} {
+			for _, par := range []int{1, 2, 4} {
 				got := generateAt(t, p, true, par)
 				if got.PathsExplored != seq.PathsExplored {
 					t.Errorf("P=%d PathsExplored = %d, want %d", par, got.PathsExplored, seq.PathsExplored)
@@ -38,10 +33,13 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 				if len(got.Templates) != len(seq.Templates) {
 					t.Errorf("P=%d templates = %d, want %d", par, len(got.Templates), len(seq.Templates))
 				}
-				gotTotal := got.SMTCalls + got.SMT.CacheHits
-				if gotTotal != seq.SMTCalls {
-					t.Errorf("P=%d total queries = %d (checks %d + cache hits %d), want exactly %d",
-						par, gotTotal, got.SMTCalls, got.SMT.CacheHits, seq.SMTCalls)
+				if got.SMTCalls != seq.SMTCalls || got.SMT.CacheHits != 0 {
+					t.Errorf("P=%d checks = %d (%d cache hits), want exactly %d and 0",
+						par, got.SMTCalls, got.SMT.CacheHits, seq.SMTCalls)
+				}
+				if s := got.Report("gen", p.Name, par).Solver; s.TotalQueries != s.Solved || s.Solved != seq.SMTCalls {
+					t.Errorf("P=%d report total_queries %d, solved %d; want both %d",
+						par, s.TotalQueries, s.Solved, seq.SMTCalls)
 				}
 				// The aggregated solver stats must be internally consistent:
 				// every solved query has exactly one of the three outcomes,
@@ -108,9 +106,10 @@ func TestRunReportValidates(t *testing.T) {
 // checkmetrics), which ignores those sections — a sharded run's shard and
 // fleet sections, a killed worker's flight events among them, the
 // daemon section of a request the resident daemon served, the span log
-// (registry.spans) and the counters (registry.counters) every registry
-// snapshot held, and the trace_id every report stamped. A section is
-// named by its keys from the report's root.
+// (registry.spans), the counters (registry.counters) and the gauges
+// (registry.gauges) every registry snapshot held, the solver's cache_hit
+// bucket of a run with a cross-worker verdict memo, and the trace_id every
+// report stamped. A section is named by its keys from the report's root.
 func TestShardedRunReportStillParses(t *testing.T) {
 	for _, fx := range []struct {
 		file, program string
@@ -118,7 +117,7 @@ func TestShardedRunReportStillParses(t *testing.T) {
 	}{
 		{"testdata/sharded-run-report.json", "gw_1", [][]string{{"shard"}, {"fleet"}}},
 		{"testdata/daemon-run-report.json", "gw-1", [][]string{{"daemon"}}},
-		{"testdata/spans-run-report.json", "gw_1", [][]string{{"registry", "spans"}, {"registry", "counters"}, {"trace_id"}}},
+		{"testdata/spans-run-report.json", "gw_1", [][]string{{"registry", "spans"}, {"registry", "counters"}, {"registry", "gauges"}, {"solver", "outcomes", "cache_hit"}, {"trace_id"}}},
 	} {
 		data, err := os.ReadFile(fx.file)
 		if err != nil {

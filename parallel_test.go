@@ -103,12 +103,10 @@ func TestParallelMatchesSequentialOnCorpus(t *testing.T) {
 					if got.PrunedPaths != seq.PrunedPaths {
 						t.Errorf("P=%d PrunedPaths = %d, want %d", par, got.PrunedPaths, seq.PrunedPaths)
 					}
-					// SMT-call parity: checks + cache hits within ±10% of the
-					// sequential call count.
-					total := got.SMTCalls + got.SMT.CacheHits
-					lo, hi := seq.SMTCalls*9/10, seq.SMTCalls*11/10
-					if total < lo || total > hi {
-						t.Errorf("P=%d SMT calls %d (+%d cache hits) outside ±10%% of sequential %d",
+					// SMT-call parity: every runner asks its own solver, so
+					// the checks are exactly the sequential run's.
+					if got.SMTCalls != seq.SMTCalls || got.SMT.CacheHits != 0 {
+						t.Errorf("P=%d SMT calls %d (%d cache hits), want %d and 0",
 							par, got.SMTCalls, got.SMT.CacheHits, seq.SMTCalls)
 					}
 				}

@@ -178,7 +178,7 @@ func regressFrom(in RegressInput, stc *storeCtx, load func(fp uint64) (*journal.
 	}
 
 	added, removed, modified := delta.Counts()
-	q := regress.NewQueryReport(gen.SMTCalls, gen.JournalHits, gen.SMT.CacheHits)
+	q := regress.NewQueryReport(gen.SMTCalls, gen.JournalHits)
 	rep := &regress.Report{
 		Schema:  regress.Schema,
 		Program: in.Program,
