@@ -103,3 +103,43 @@ func TestAdversityRouter(t *testing.T) {
 func TestAdversityGW1(t *testing.T) {
 	testAdversity(t, programs.GW(1, programs.Set1))
 }
+
+// TestRetryLadderUDPRouter: at 40 retransmissions the default 10 ms
+// backoff ladder no longer fits a Duration. The case budget saturates
+// instead of wrapping negative, so every Router case still passes over a
+// clean UDP link; a wrapped budget put every deadline in the past and
+// lost each case whose reply was not already in.
+func TestRetryLadderUDPRouter(t *testing.T) {
+	p := programs.Router()
+	sys, err := meissa.New(p.Prog, p.Rules, nil, meissa.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sys.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := switchsim.Compile(p.Prog, p.Rules, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := driver.ServeUDP(target, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	ul, err := driver.DialUDP(sw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ul.Close()
+	d := sys.NewDriver(ul, gen)
+	d.Retries = 40
+	rep, err := d.RunTemplates(gen.Templates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Passed+rep.Skipped != len(gen.Templates) || rep.Passed == 0 {
+		t.Errorf("Retries 40 over UDP: %s of %d templates", rep.Summary(), len(gen.Templates))
+	}
+}

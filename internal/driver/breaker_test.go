@@ -17,8 +17,8 @@ func (l *crashLink) Send(int, []byte) error {
 	l.sends++
 	return &switchsim.CrashError{Panic: "target is down"}
 }
-func (l *crashLink) Recv(time.Duration) ([]byte, bool, error) { return nil, false, nil }
-func (l *crashLink) Close() error                             { return nil }
+func (l *crashLink) Recv([]byte, time.Duration) (int, bool, error) { return 0, false, nil }
+func (l *crashLink) Close() error                                  { return nil }
 
 // breakerDriver runs the suite against a dead target with a threshold-2
 // breaker: through the engine at the given window, or through the

@@ -2,6 +2,7 @@ package driver_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,26 +123,27 @@ func TestPipelinedMatchesLockstepBuggyTarget(t *testing.T) {
 type serialLink struct {
 	inner driver.Link
 	queue [][]byte
+	buf   [65536]byte
 }
 
 func (l *serialLink) Send(entry int, wire []byte) error {
 	err := l.inner.Send(entry, wire)
 	for {
-		w, ok, rerr := l.inner.Recv(time.Millisecond)
+		n, ok, rerr := l.inner.Recv(l.buf[:], time.Millisecond)
 		if rerr != nil || !ok {
 			return err
 		}
-		l.queue = append(l.queue, w)
+		l.queue = append(l.queue, slices.Clone(l.buf[:n]))
 	}
 }
 
-func (l *serialLink) Recv(time.Duration) ([]byte, bool, error) {
+func (l *serialLink) Recv(buf []byte, _ time.Duration) (int, bool, error) {
 	if len(l.queue) == 0 {
-		return nil, false, nil
+		return 0, false, nil
 	}
 	w := l.queue[0]
 	l.queue = l.queue[1:]
-	return w, true, nil
+	return copy(buf, w), true, nil
 }
 
 func (l *serialLink) Close() error      { return l.inner.Close() }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -140,7 +141,7 @@ type Report struct {
 // Phases splits a suite's wall-clock over the stages a verdict passes
 // through. The clock is read once per stage per batch — an admission
 // burst, a drain of the link — not per case, so the attribution costs the
-// run nothing measurable; time in none of the stages (timer wheel, idle
+// run nothing measurable; time in none of the stages (deadline scans, idle
 // waits, verdict bookkeeping) is the suite's wall-clock minus their sum.
 type Phases struct {
 	// Concretize: template to case (model completion, synthesis,
@@ -650,19 +651,31 @@ func (d *Driver) entryPipeline(idx int) string {
 
 // caseBudget derives the per-case deadline when CaseTimeout is unset:
 // every attempt's capture window, plus the full backoff ladder, plus
-// slack for transport latency.
+// slack for transport latency. A ladder too long to count in a Duration
+// saturates it.
 func (d *Driver) caseBudget() time.Duration {
 	if d.CaseTimeout > 0 {
 		return d.CaseTimeout
 	}
-	attempts := time.Duration(d.Retries + 1)
-	backoff := time.Duration(0)
+	budget := time.Duration(d.Retries+1)*d.RecvTimeout + 250*time.Millisecond
 	step := d.Backoff
 	for i := 0; i < d.Retries; i++ {
-		backoff += step
-		step *= 2
+		if step > 0 && budget > math.MaxInt64-step {
+			return math.MaxInt64
+		}
+		budget += step
+		step = doubled(step)
 	}
-	return attempts*d.RecvTimeout + backoff + 250*time.Millisecond
+	return budget
+}
+
+// doubled is the next rung of a backoff ladder: d twice over, saturating
+// instead of wrapping past the largest Duration.
+func doubled(d time.Duration) time.Duration {
+	if d > math.MaxInt64/2 {
+		return math.MaxInt64
+	}
+	return 2 * d
 }
 
 // wireID extracts the payload ID from a raw capture without a full parse:

@@ -269,11 +269,12 @@ func TestUDPLinkRoundTrip(t *testing.T) {
 	if err := link.Send(0, wire); err != nil {
 		t.Fatal(err)
 	}
-	out, ok, err := link.Recv(2 * time.Second)
+	buf := make([]byte, 2048)
+	n, ok, err := link.Recv(buf, 2*time.Second)
 	if err != nil || !ok {
 		t.Fatalf("recv: ok=%v err=%v", ok, err)
 	}
-	pkt, err := packet.Parse(prog, "prs", out)
+	pkt, err := packet.Parse(prog, "prs", buf[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestUDPLinkDropTimesOut(t *testing.T) {
 	if err := link.Send(0, wire); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := link.Recv(100 * time.Millisecond)
+	_, ok, err := link.Recv(make([]byte, 2048), 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestLoopbackTraceAvailable(t *testing.T) {
 	if tr == nil || len(tr.Trace) == 0 {
 		t.Fatal("loopback must replay a case with its execution trace")
 	}
-	if _, ok, _ := lb.Recv(0); ok {
+	if _, ok, _ := lb.Recv(make([]byte, 2048), 0); ok {
 		t.Error("a replayed case's capture was enqueued for Recv")
 	}
 }

@@ -220,14 +220,14 @@ func (l *FaultyLink) flushLocked(queue []sendReq) error {
 // Recv implements Link: it releases any reorder-held transmission (the
 // network eventually delivers it), then reads from the inner link,
 // subjecting each capture to the same fault model.
-func (l *FaultyLink) Recv(timeout time.Duration) ([]byte, bool, error) {
+func (l *FaultyLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.heldSend != nil {
 		held := *l.heldSend
 		l.heldSend = nil
 		if err := l.flushLocked([]sendReq{held}); err != nil {
-			return nil, false, err
+			return 0, false, err
 		}
 	}
 	deadline := time.Now().Add(timeout)
@@ -235,30 +235,29 @@ func (l *FaultyLink) Recv(timeout time.Duration) ([]byte, bool, error) {
 		if len(l.heldRecv) > 0 {
 			w := l.heldRecv[0]
 			l.heldRecv = l.heldRecv[1:]
-			return w, true, nil
+			return copy(buf, w), true, nil
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return nil, false, nil
+			return 0, false, nil
 		}
-		w, ok, err := l.inner.Recv(remaining)
+		n, ok, err := l.inner.Recv(buf, remaining)
 		if err != nil || !ok {
-			return nil, ok, err
+			return 0, ok, err
 		}
 		if l.rng.Float64() < l.cfg.Drop {
 			l.stats.Dropped++
 			continue
 		}
-		if l.cfg.Corrupt > 0 && len(w) > 0 && l.rng.Float64() < l.cfg.Corrupt {
-			w = append([]byte(nil), w...)
-			w[l.rng.Intn(len(w))] ^= 1 << uint(l.rng.Intn(8))
+		if l.cfg.Corrupt > 0 && n > 0 && l.rng.Float64() < l.cfg.Corrupt {
+			buf[l.rng.Intn(n)] ^= 1 << uint(l.rng.Intn(8))
 			l.stats.Corrupted++
 		}
 		if l.rng.Float64() < l.cfg.Duplicate {
-			l.heldRecv = append(l.heldRecv, append([]byte(nil), w...))
+			l.heldRecv = append(l.heldRecv, append([]byte(nil), buf[:n]...))
 			l.stats.Duplicated++
 		}
-		return w, true, nil
+		return n, true, nil
 	}
 }
 

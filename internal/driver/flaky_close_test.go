@@ -26,8 +26,8 @@ func (l *closeTrackLink) Send(entry int, wire []byte) error {
 	return nil
 }
 
-func (l *closeTrackLink) Recv(timeout time.Duration) ([]byte, bool, error) {
-	return nil, false, nil
+func (l *closeTrackLink) Recv([]byte, time.Duration) (int, bool, error) {
+	return 0, false, nil
 }
 
 func (l *closeTrackLink) Close() error {

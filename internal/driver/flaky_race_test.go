@@ -27,8 +27,8 @@ func (c *countingLink) Send(entry int, wire []byte) error {
 	return nil
 }
 
-func (c *countingLink) Recv(timeout time.Duration) ([]byte, bool, error) { return nil, false, nil }
-func (c *countingLink) Close() error                                     { return nil }
+func (c *countingLink) Recv([]byte, time.Duration) (int, bool, error) { return 0, false, nil }
+func (c *countingLink) Close() error                                  { return nil }
 
 // TestFaultyLinkConcurrentCounters hammers one FaultyLink from many
 // goroutines (run under -race in CI) and asserts the injected-fault
@@ -64,7 +64,7 @@ func TestFaultyLinkConcurrentCounters(t *testing.T) {
 	wg.Wait()
 	// A reorder fault may still be holding the final transmission; one
 	// Recv releases it (the network eventually delivers).
-	if _, _, err := fl.Recv(time.Millisecond); err != nil {
+	if _, _, err := fl.Recv(make([]byte, 64), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	st := fl.Stats()

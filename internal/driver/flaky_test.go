@@ -18,13 +18,13 @@ func (s *scriptLink) Send(entry int, wire []byte) error {
 	return nil
 }
 
-func (s *scriptLink) Recv(timeout time.Duration) ([]byte, bool, error) {
+func (s *scriptLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
 	if len(s.queue) == 0 {
-		return nil, false, nil
+		return 0, false, nil
 	}
 	w := s.queue[0]
 	s.queue = s.queue[1:]
-	return w, true, nil
+	return copy(buf, w), true, nil
 }
 
 func (s *scriptLink) Close() error { return nil }
@@ -41,9 +41,10 @@ func exercise(cfg LinkFaults) string {
 	for i := 0; i < 8; i++ {
 		fl.Send(0, bytes.Repeat([]byte{byte(i + 1)}, 24))
 	}
+	buf := make([]byte, 64)
 	for i := 0; i < 24; i++ {
-		w, ok, _ := fl.Recv(time.Millisecond)
-		fmt.Fprintf(&log, "recv %v %x\n", ok, w)
+		n, ok, _ := fl.Recv(buf, time.Millisecond)
+		fmt.Fprintf(&log, "recv %v %x\n", ok, buf[:n])
 	}
 	for i, w := range inner.sent {
 		fmt.Fprintf(&log, "sent %d %x\n", i, w)
@@ -77,9 +78,10 @@ func TestFaultyLinkPassthrough(t *testing.T) {
 	if len(inner.sent) != 1 || !bytes.Equal(inner.sent[0], want) {
 		t.Fatalf("passthrough mangled the wire: %x", inner.sent)
 	}
-	w, ok, err := fl.Recv(time.Millisecond)
-	if err != nil || !ok || !bytes.Equal(w, []byte{9, 9, 9}) {
-		t.Fatalf("passthrough recv = %x %v %v", w, ok, err)
+	buf := make([]byte, 64)
+	n, ok, err := fl.Recv(buf, time.Millisecond)
+	if err != nil || !ok || !bytes.Equal(buf[:n], []byte{9, 9, 9}) {
+		t.Fatalf("passthrough recv = %x %v %v", buf[:n], ok, err)
 	}
 	s := fl.Stats()
 	if s.Dropped+s.Duplicated+s.Reordered+s.Corrupted+s.Delayed != 0 {

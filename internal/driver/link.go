@@ -7,7 +7,6 @@
 package driver
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -23,22 +22,14 @@ import (
 type Link interface {
 	// Send injects a wire packet at the given entry point.
 	Send(entry int, wire []byte) error
-	// Recv captures one output packet, waiting up to timeout. ok=false
-	// means nothing was captured (the packet was dropped or lost).
-	Recv(timeout time.Duration) (wire []byte, ok bool, err error)
+	// Recv captures one output packet into the caller's buf, waiting up
+	// to timeout, so a steady receive stream reuses one buffer. n is the
+	// capture length (n <= len(buf); longer captures are truncated, like
+	// a short pcap snaplen). ok=false means nothing was captured (the
+	// packet was dropped or lost).
+	Recv(buf []byte, timeout time.Duration) (n int, ok bool, err error)
 	// Close releases the link.
 	Close() error
-}
-
-// FastRecvLink is an optional Link extension the engine probes for:
-// RecvInto captures into a caller-owned buffer, so a steady receive
-// stream reuses one buffer instead of allocating per capture.
-type FastRecvLink interface {
-	// RecvInto captures one output packet into buf, waiting up to timeout.
-	// n is the capture length (n <= len(buf); longer captures are
-	// truncated, like a short pcap snaplen). ok=false means nothing was
-	// captured.
-	RecvInto(buf []byte, timeout time.Duration) (n int, ok bool, err error)
 }
 
 // SyncLink marks links whose captures are delivered synchronously by
@@ -85,14 +76,6 @@ func (l *Loopback) Send(entry int, wire []byte) error {
 	return nil
 }
 
-// Recv implements Link: the capture is a copy the caller owns.
-func (l *Loopback) Recv(timeout time.Duration) ([]byte, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out, ok := l.pop()
-	return bytes.Clone(out), ok, nil
-}
-
 // pop takes the oldest undelivered capture off the queue. What it returns
 // aliases the arena: copy it out before the lock is released.
 func (l *Loopback) pop() ([]byte, bool) {
@@ -111,8 +94,8 @@ func (l *Loopback) pop() ([]byte, bool) {
 	return out, true
 }
 
-// RecvInto implements FastRecvLink.
-func (l *Loopback) RecvInto(buf []byte, timeout time.Duration) (int, bool, error) {
+// Recv implements Link.
+func (l *Loopback) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out, ok := l.pop()
@@ -382,19 +365,9 @@ func (l *UDPLink) Send(entry int, wire []byte) error {
 	return err
 }
 
-// Recv implements Link.
-func (l *UDPLink) Recv(timeout time.Duration) ([]byte, bool, error) {
-	buf := make([]byte, 65536)
-	n, ok, err := l.RecvInto(buf, timeout)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	return append([]byte(nil), buf[:n]...), true, nil
-}
-
-// RecvInto implements FastRecvLink: the socket read lands directly in the
-// caller's buffer.
-func (l *UDPLink) RecvInto(buf []byte, timeout time.Duration) (int, bool, error) {
+// Recv implements Link: the socket read lands directly in the caller's
+// buffer.
+func (l *UDPLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
 	if err := l.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return 0, false, err
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // The loopback's captures live in one arena that the target deparses into
-// and a drained queue rewinds: a round of sends and RecvInto allocates
+// and a drained queue rewinds: a round of sends and receives allocates
 // nothing once the arena has grown, the arena's capacity stays that of
-// one burst however long the run, and each capture comes back intact —
-// Recv's as a copy of its own, which later sends must not overwrite.
+// one burst however long the run, and each capture comes back intact in
+// the caller's buffer, which later sends must not overwrite.
 func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 	e := exploreGW1(t)
 	target, err := switchsim.Compile(e.prog, e.rules, nil)
@@ -49,7 +49,7 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 			next++
 		}
 		for i := 0; i < burst; i++ {
-			n, ok, _ := l.RecvInto(buf, 0)
+			n, ok, _ := l.Recv(buf, 0)
 			if w := want[(first+i)%len(want)]; !ok || !bytes.Equal(buf[:n], w) {
 				t.Fatalf("capture %d of a burst of %d: %x (%v), want %x", i, burst, buf[:n], ok, w)
 			}
@@ -59,7 +59,7 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10000, round); allocs != 0 {
 		t.Errorf("%.2f allocations a round of %d packets, want 0", allocs, burst)
 	}
-	if _, ok, _ := l.Recv(0); ok {
+	if _, ok, _ := l.Recv(buf, 0); ok {
 		t.Fatal("a drained queue delivered a capture")
 	}
 	if len(l.arena) != 0 || len(l.ends) != 0 || l.head != 0 {
@@ -73,7 +73,7 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 		t.Errorf("arena capacity %d after 10000 rounds of %d captures of at most %d bytes, want one small reused arena", c, burst, widest)
 	}
 
-	// Recv hands out a copy: the sends that refill the arena leave it be.
+	// A capture is the caller's: the sends that refill the arena leave it be.
 	first := next
 	for i := 0; i < burst; i++ {
 		if err := l.Send(0, wires[(first+i)%len(wires)]); err != nil {
@@ -82,11 +82,12 @@ func TestLoopbackQueueReleasesDeliveredCaptures(t *testing.T) {
 	}
 	var got [][]byte
 	for i := 0; i < burst; i++ {
-		w, ok, _ := l.Recv(0)
+		w := make([]byte, 2048)
+		n, ok, _ := l.Recv(w, 0)
 		if !ok {
 			t.Fatalf("capture %d of a burst of %d missing", i, burst)
 		}
-		got = append(got, w)
+		got = append(got, w[:n])
 	}
 	round()
 	for i, w := range got {

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,10 +28,9 @@ const DefaultWindow = 256
 // already atomic. The concurrency lives in the link (a UDPSwitch's
 // worker pool, a FaultyLink's delay timers), never in the driver.
 //
-// Per-case deadlines live in a hashed timer wheel rather than per-case
-// goroutines or contexts: a case's capture window and retry backoff are
-// each one O(1) wheel insertion, and the loop wakes exactly once for the
-// earliest pending expiry instead of parking thousands of timers.
+// A case's pending deadline lives on the case, not in per-case goroutines
+// or timers: each turn one pass over the at most Window cases the engine
+// holds fires the due ones, and an idle loop sleeps until the earliest.
 
 // pstate is an in-flight case's position in the retry state machine.
 type pstate uint8
@@ -56,125 +54,24 @@ type pcase struct {
 	backoff  time.Duration
 	start    time.Time // admission time (case latency metric)
 	deadline time.Time // end-to-end case budget (caseBudget)
-	recvBy   time.Time // capture window close (psAwaiting only)
-	seq      uint64    // transmission order, for oldest-awaiting routing
+	// due is the case's one pending deadline: the capture window's close
+	// while psAwaiting (zero on a synchronous link, whose windows close in
+	// the turn they open), the retransmission time while psBackoff.
+	due      time.Time
+	seq      uint64 // transmission order, for oldest-awaiting routing
 	state    pstate
 	observed bool // some attempt captured target behaviour
 	crashed  bool // some attempt surfaced a target panic
-	gen      uint64
-}
-
-// --- hashed timer wheel ---
-
-const (
-	wheelSlots = 256
-	wheelTick  = 2 * time.Millisecond
-)
-
-// timerEnt is one pending expiry. gen snapshots the case's generation at
-// insertion; the case bumps its generation whenever the timer becomes
-// irrelevant (capture arrived, state changed), so cancellation is O(1)
-// and stale entries are discarded lazily as the cursor passes them.
-type timerEnt struct {
-	c   *pcase
-	gen uint64
-	at  time.Time
-}
-
-// wheel is a hashed timer wheel: wheelSlots buckets of wheelTick each.
-// Entries hash to slot (tick mod wheelSlots); an entry more than one
-// revolution out simply waits in its slot until a cursor pass finds its
-// expiry has actually arrived. Slot slices are reused, so steady-state
-// insert/advance allocates nothing.
-type wheel struct {
-	slots [wheelSlots][]timerEnt
-	epoch time.Time
-	cur   int64 // absolute tick the cursor has advanced to
-	count int   // live entries (stale ones included until swept)
-}
-
-func newWheel(now time.Time) *wheel { return &wheel{epoch: now} }
-
-// tickOf rounds up, so an entry never fires before its expiry; at worst
-// it fires one tick late.
-func (w *wheel) tickOf(at time.Time) int64 {
-	d := at.Sub(w.epoch)
-	if d < 0 {
-		d = 0
-	}
-	t := int64((d + wheelTick - 1) / wheelTick)
-	if t < w.cur {
-		t = w.cur
-	}
-	return t
-}
-
-// insert schedules c's next expiry, superseding any pending entry for c.
-func (w *wheel) insert(c *pcase, at time.Time) {
-	c.gen++
-	t := w.tickOf(at)
-	s := int(t % wheelSlots)
-	w.slots[s] = append(w.slots[s], timerEnt{c: c, gen: c.gen, at: at})
-	w.count++
-}
-
-// advance sweeps the cursor up to now, firing every due live entry.
-// Entries belonging to a future revolution are kept in place. Returns
-// the number of entries fired.
-func (w *wheel) advance(now time.Time, fire func(*pcase)) int {
-	fired := 0
-	target := int64(now.Sub(w.epoch) / wheelTick)
-	for w.cur <= target {
-		s := int(w.cur % wheelSlots)
-		ents := w.slots[s]
-		kept := w.slots[s][:0]
-		for _, e := range ents {
-			switch {
-			case e.gen != e.c.gen: // superseded: swept for free
-				w.count--
-			case e.at.After(now): // a later revolution's entry
-				kept = append(kept, e)
-			default:
-				w.count--
-				fired++
-				fire(e.c)
-			}
-		}
-		w.slots[s] = kept
-		w.cur++
-	}
-	return fired
-}
-
-// nextWake returns the earliest live expiry; ok is false when no timers
-// are pending.
-func (w *wheel) nextWake() (time.Time, bool) {
-	if w.count == 0 {
-		return time.Time{}, false
-	}
-	var best time.Time
-	found := false
-	for s := range w.slots {
-		for _, e := range w.slots[s] {
-			if e.gen != e.c.gen {
-				continue
-			}
-			if !found || e.at.Before(best) {
-				best = e.at
-				found = true
-			}
-		}
-	}
-	return best, found
 }
 
 // --- engine ---
 
 type engine struct {
-	d     *Driver
-	fast  FastRecvLink // non-nil when the link can fill a caller buffer
-	sync  bool         // link answers before Send returns (loopback)
-	wheel *wheel
+	d    *Driver
+	sync bool // link answers before Send returns (loopback)
+	// cases holds every pcase the engine has made, in flight or on the
+	// freelist: never more than the window.
+	cases []*pcase
 	// idMap demultiplexes captures to their awaiting case by payload ID: a
 	// late capture of another case is that case's, never charged to
 	// whichever window is open. A capture whose ID maps to nothing belongs
@@ -182,7 +79,7 @@ type engine struct {
 	idMap   map[uint64]*pcase
 	free    []*pcase
 	burst   []*pcase // reused: one admission burst's cases (admit)
-	scratch []*pcase // reused iteration buffer (closeSyncWindows)
+	scratch []*pcase // reused iteration buffer (closeSyncWindows, dueCases)
 	routed  []routed // reused: one drain's decoded captures, awaiting the checker
 	outs    []*Outcome
 	skips   []*Case
@@ -230,34 +127,22 @@ type capture struct {
 }
 
 // RunTemplates concretizes and executes every template, returning the
-// aggregated report.
+// aggregated report. It keeps up to Window cases in flight: a burst of
+// sends tops the window up, a drain loop routes every available capture
+// to its case, synchronous links have their dead capture windows closed
+// immediately, and the cases whose capture window or backoff has expired
+// fire. Window changes the scheduling only, never a verdict:
+// reference_test.go holds every window to the one-case-at-a-time loop.
 func (d *Driver) RunTemplates(templates []*sym.Template) (*Report, error) {
-	return d.RunTemplatesCtx(context.Background(), templates)
-}
-
-// RunTemplatesCtx is RunTemplates under a caller-supplied context; the
-// whole suite stops at its deadline or cancellation. It keeps up to
-// Window cases in flight: a burst of sends tops the window up, a drain
-// loop routes every available capture to its case, synchronous links have
-// their dead capture windows closed immediately, and the timer wheel
-// fires recv-window and backoff expiries. Window changes the scheduling
-// only, never a verdict: reference_test.go holds every window to the
-// one-case-at-a-time loop.
-func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template) (*Report, error) {
-	now := time.Now()
 	window := max(d.Window, 1) // a window of 0 would never admit a case
 	eng := &engine{
 		d:       d,
-		wheel:   newWheel(now),
 		idMap:   make(map[uint64]*pcase, window),
 		outs:    make([]*Outcome, len(templates)),
 		skips:   make([]*Case, len(templates)),
 		recvBuf: make([]byte, 65536),
 		rep:     &Report{Program: d.Prog.Name},
-		start:   now,
-	}
-	if f, ok := d.Link.(FastRecvLink); ok {
-		eng.fast = f
+		start:   time.Now(),
 	}
 	if s, ok := d.Link.(SyncLink); ok && s.Synchronous() {
 		eng.sync = true
@@ -284,9 +169,6 @@ func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template)
 
 	next := 0
 	for eng.done < len(templates) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("driver: %w", err)
-		}
 		progress := false
 		// 1. Admission burst: top the window up, one send per case. A
 		// tripped breaker short-circuits the whole remainder instead
@@ -307,25 +189,26 @@ func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template)
 		if eng.sync && eng.closeSyncWindows() {
 			progress = true
 		}
-		// 4. Fire due recv-window and backoff timers.
-		if eng.wheel.advance(time.Now(), eng.fire) > 0 {
+		// 4. Fire the cases whose capture window or backoff has expired.
+		if due := eng.dueCases(time.Now()); len(due) > 0 {
+			for _, pc := range due {
+				eng.fire(pc)
+			}
 			progress = true
 		}
 		if eng.err != nil {
 			return nil, eng.err
 		}
-		// 5. Idle: block until the next timer, using a blocking recv on
-		// asynchronous links so an early capture wakes the loop.
+		// 5. Idle: block until the earliest deadline, using a blocking recv
+		// on asynchronous links so an early capture wakes the loop.
 		if !progress && eng.done < len(templates) {
-			wait := 5 * time.Millisecond // safety net; inflight cases always hold a timer
-			if wake, ok := eng.wheel.nextWake(); ok {
-				if dur := time.Until(wake); dur < wait {
-					wait = dur
-				}
+			wait := 5 * time.Millisecond // safety net; inflight cases always hold a deadline
+			if wake := eng.nextDue(); !wake.IsZero() {
+				wait = min(wait, time.Until(wake))
 			}
 			if wait > 0 {
 				if eng.sync {
-					sleepCtx(ctx, wait)
+					time.Sleep(wait)
 				} else {
 					// Block in recv so an early capture wakes the loop.
 					// Some links report "nothing" immediately instead of
@@ -337,7 +220,7 @@ func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template)
 							if rem > time.Millisecond {
 								rem = time.Millisecond
 							}
-							sleepCtx(ctx, rem)
+							time.Sleep(rem)
 						}
 					}
 				}
@@ -359,26 +242,18 @@ func (d *Driver) RunTemplatesCtx(ctx context.Context, templates []*sym.Template)
 	return eng.rep, nil
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
 func (eng *engine) getPcase() *pcase {
 	if n := len(eng.free); n > 0 {
 		pc := eng.free[n-1]
 		eng.free = eng.free[:n-1]
 		return pc
 	}
-	return &pcase{}
+	pc := &pcase{}
+	eng.cases = append(eng.cases, pc)
+	return pc
 }
 
 func (eng *engine) putPcase(pc *pcase) {
-	pc.gen++ // orphan any wheel entry still pointing here
 	pc.tmpl, pc.cc, pc.cur, pc.last = nil, nil, nil, nil
 	pc.state = psIdle
 	eng.free = append(eng.free, pc)
@@ -489,21 +364,21 @@ func (eng *engine) transmit(pc *pcase) bool {
 // openWindow opens a transmitted case's capture window as of now.
 func (eng *engine) openWindow(pc *pcase, now time.Time) {
 	pc.state = psAwaiting
-	pc.recvBy = now.Add(eng.d.RecvTimeout)
-	if pc.recvBy.After(pc.deadline) {
-		pc.recvBy = pc.deadline
+	pc.due = time.Time{}
+	if !eng.sync {
+		pc.due = now.Add(eng.d.RecvTimeout)
+		if pc.due.After(pc.deadline) {
+			pc.due = pc.deadline
+		}
 	}
 	eng.idMap[pc.cur.ID] = pc
 	eng.awaiting++
-	eng.wheel.insert(pc, pc.recvBy)
 }
 
-// unwatch closes a case's capture window: the demux entry is removed and
-// the pending recv timer cancelled via generation bump.
+// unwatch closes a case's capture window and removes its demux entry.
 func (eng *engine) unwatch(pc *pcase) {
 	delete(eng.idMap, pc.cur.ID)
 	eng.awaiting--
-	pc.gen++
 	pc.state = psIdle
 }
 
@@ -553,22 +428,18 @@ func (eng *engine) drain(timeout time.Duration) bool {
 	return got
 }
 
-// recvOne reads one capture, into the engine's reused buffer when the
-// link supports it. Asynchronous links get a floor on the poll timeout:
-// a deadline already in the past would report timeout without checking
-// the socket's queue.
+// recvOne reads one capture into the engine's reused buffer.
+// Asynchronous links get a floor on the poll timeout: a deadline already
+// in the past would report timeout without checking the socket's queue.
 func (eng *engine) recvOne(timeout time.Duration) ([]byte, bool, error) {
 	if !eng.sync && timeout <= 0 {
 		timeout = 200 * time.Microsecond
 	}
-	if eng.fast != nil {
-		n, ok, err := eng.fast.RecvInto(eng.recvBuf, timeout)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		return eng.recvBuf[:n], true, nil
+	n, ok, err := eng.d.Link.Recv(eng.recvBuf, timeout)
+	if err != nil || !ok {
+		return nil, ok, err
 	}
-	return eng.d.Link.Recv(timeout)
+	return eng.recvBuf[:n], true, nil
 }
 
 // route delivers one capture. ID-carrying captures go to their awaiting
@@ -722,8 +593,8 @@ func (d *Driver) diffSlots(out []string, exp []uint64, got *capture) []string {
 
 func (eng *engine) oldestAwaiting() *pcase {
 	var best *pcase
-	for _, pc := range eng.idMap {
-		if best == nil || pc.seq < best.seq {
+	for _, pc := range eng.cases {
+		if pc.state == psAwaiting && (best == nil || pc.seq < best.seq) {
 			best = pc
 		}
 	}
@@ -746,26 +617,53 @@ func (eng *engine) chargeRecvError(err error) {
 
 // closeSyncWindows ends every open capture window: on a synchronous link
 // a capture that has not arrived after a full drain never will. Windows
-// close in transmission order, not the demux map's, so the order cases
-// finalize in — and with it the breaker's crash streak and the payload
-// IDs their retransmissions draw — is the same on every run.
+// close in transmission order, so the order cases finalize in — and with
+// it the breaker's crash streak and the payload IDs their retransmissions
+// draw — is the same on every run.
 func (eng *engine) closeSyncWindows() bool {
 	if eng.awaiting == 0 {
 		return false
 	}
 	eng.scratch = eng.scratch[:0]
-	for _, pc := range eng.idMap {
-		eng.scratch = append(eng.scratch, pc)
+	for _, pc := range eng.cases {
+		if pc.state == psAwaiting {
+			eng.scratch = append(eng.scratch, pc)
+		}
 	}
 	slices.SortFunc(eng.scratch, func(a, b *pcase) int { return cmp.Compare(a.seq, b.seq) })
 	eng.d.startClock()
 	for _, pc := range eng.scratch {
-		if pc.state == psAwaiting {
-			eng.closeWindow(pc)
-		}
+		eng.closeWindow(pc)
 	}
 	eng.d.lap(&eng.d.phases.Check)
 	return true
+}
+
+// dueCases lists, in (due, seq) order, every case whose deadline is not
+// after now. The list is eng.scratch: fire the cases before the next
+// call. A case a firing reschedules waits for the next turn's list.
+func (eng *engine) dueCases(now time.Time) []*pcase {
+	eng.scratch = eng.scratch[:0]
+	for _, pc := range eng.cases {
+		if pc.state != psIdle && !pc.due.IsZero() && !pc.due.After(now) {
+			eng.scratch = append(eng.scratch, pc)
+		}
+	}
+	slices.SortFunc(eng.scratch, func(a, b *pcase) int {
+		return cmp.Or(a.due.Compare(b.due), cmp.Compare(a.seq, b.seq))
+	})
+	return eng.scratch
+}
+
+// nextDue returns the earliest pending deadline, zero when none is.
+func (eng *engine) nextDue() time.Time {
+	var best time.Time
+	for _, pc := range eng.cases {
+		if pc.state != psIdle && !pc.due.IsZero() && (best.IsZero() || pc.due.Before(best)) {
+			best = pc.due
+		}
+	}
+	return best
 }
 
 // closeWindow ends an open capture window with no packet; the absent
@@ -792,7 +690,7 @@ func (eng *engine) fire(pc *pcase) {
 			eng.finalizeFail(pc)
 			return
 		}
-		pc.backoff *= 2
+		pc.backoff = doubled(pc.backoff)
 		pc.attempt++
 		nc, _, err := d.concretizeFast(pc.tmpl, d.allocID())
 		if err != nil {
@@ -838,11 +736,10 @@ func (eng *engine) attemptDone(pc *pcase, o *Outcome) {
 		return
 	}
 	pc.state = psBackoff
-	wake := now.Add(pc.backoff)
-	if wake.After(pc.deadline) {
-		wake = pc.deadline
+	pc.due = now.Add(pc.backoff)
+	if pc.due.After(pc.deadline) {
+		pc.due = pc.deadline
 	}
-	eng.wheel.insert(pc, wake)
 }
 
 // finalizeFail reports the last failed attempt once retries are

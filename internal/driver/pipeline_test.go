@@ -227,54 +227,57 @@ func TestWindowBelowOneIsOne(t *testing.T) {
 }
 
 // TestPipelinedEngineMachineryAllocs pins the engine's steady-state
-// zero-alloc guarantee on its own machinery: the timer wheel, the pcase
-// freelist and the ID demux map recycle a full case lifecycle — admit,
-// capture-window timer, cancellation, backoff timer, expiry — without
+// zero-alloc guarantee on its own machinery: the pcase freelist, the ID
+// demux map and the per-case deadlines recycle a full case lifecycle —
+// admit, capture window, cancellation, backoff, expiry — without
 // allocating. (Report objects — Case, Outcome, captured Packet — are
 // retained output.)
 func TestPipelinedEngineMachineryAllocs(t *testing.T) {
-	now := time.Now()
-	w := newWheel(now)
-	eng := &engine{wheel: w, idMap: make(map[uint64]*pcase, 64)}
-	cases := make([]*Case, 64)
+	const window, backoff = 64, 3 * time.Millisecond
+	eng := &engine{d: &Driver{RecvTimeout: 2 * time.Millisecond}, idMap: make(map[uint64]*pcase, window)}
+	cases := make([]*Case, window)
 	for i := range cases {
 		cases[i] = &Case{ID: uint64(i + 1)}
 	}
-	at := now
+	now := time.Now()
 	lifecycle := func() {
-		at = at.Add(wheelTick) // march time forward, as a live run does
+		now = now.Add(time.Millisecond) // march time forward, as a live run does
 		for _, c := range cases {
 			pc := eng.getPcase()
 			pc.cur = c
-			pc.state = psAwaiting
-			eng.idMap[c.ID] = pc
-			eng.awaiting++
-			w.insert(pc, at.Add(4*wheelTick))
+			pc.deadline = now.Add(time.Hour)
+			eng.openWindow(pc, now)
 		}
-		// Half the windows fill (capture arrives: demux + timer cancel),
-		// half expire through the wheel.
+		// Half the windows fill (capture arrives: demux + cancel), half
+		// expire into a backoff whose expiry ends the case.
 		for i, c := range cases {
-			pc := eng.idMap[c.ID]
 			if i%2 == 0 {
+				pc := eng.idMap[c.ID]
 				eng.unwatch(pc)
 				eng.putPcase(pc)
 			}
 		}
-		w.advance(at.Add(8*wheelTick), func(pc *pcase) {
+		if due := eng.dueCases(now); len(due) != 0 {
+			t.Fatalf("%d cases due before their window closed", len(due))
+		}
+		now = eng.nextDue()
+		for _, pc := range eng.dueCases(now) {
 			eng.unwatch(pc)
+			pc.state, pc.due = psBackoff, now.Add(backoff)
+		}
+		now = eng.nextDue()
+		for _, pc := range eng.dueCases(now) {
 			eng.putPcase(pc)
-		})
-		if len(eng.idMap) != 0 || w.count != 0 {
-			t.Fatalf("lifecycle leaked state: idMap=%d wheel=%d", len(eng.idMap), w.count)
+		}
+		if len(eng.idMap) != 0 || !eng.nextDue().IsZero() || len(eng.free) != window {
+			t.Fatalf("lifecycle leaked state: idMap=%d due=%v free=%d", len(eng.idMap), eng.nextDue(), len(eng.free))
 		}
 	}
-	// Warm the freelist, the demux map, and every wheel slot — the
-	// cursor marches into a different slot each lifecycle, so a full
-	// revolution is needed before the steady state.
-	for i := 0; i < 2*wheelSlots; i++ {
-		lifecycle()
-	}
+	lifecycle() // warm the freelist, the demux map and the scan buffer
 	if avg := testing.AllocsPerRun(100, lifecycle); avg != 0 {
 		t.Errorf("steady-state engine machinery allocates %.2f allocs/op, want 0", avg)
+	}
+	if len(eng.cases) != window {
+		t.Errorf("engine made %d cases for a window of %d", len(eng.cases), window)
 	}
 }

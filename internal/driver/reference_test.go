@@ -17,7 +17,7 @@ import (
 // The reference: the lockstep send→recv loop the product ran at
 // Window <= 1 until the engine (pipeline.go) took every window. One case
 // is concretized, sent, awaited and decided before the next is touched —
-// a blocking Recv per attempt, a time.After per backoff, no timer wheel,
+// a blocking Recv per attempt, a time.After per backoff, no deadline scan,
 // no demux map, no template cache — which is slow and obviously right.
 // Its checker is the one the product ran before it checked slots: it
 // parses each capture into a Packet and compares field maps. It is the
@@ -29,6 +29,8 @@ type lockstep struct {
 	// pending holds captures demultiplexed away from the in-flight case,
 	// keyed by payload ID — requeued, not discarded.
 	pending map[uint64][]byte
+	// buf receives each capture before it is copied out to its own slice.
+	buf []byte
 	// fieldOrder holds each declared header's field names, sorted, for
 	// deterministic mismatch rendering without per-diff sorting.
 	fieldOrder map[string][]string
@@ -39,7 +41,7 @@ type lockstep struct {
 const maxPending = 1024
 
 func newLockstep(d *Driver) *lockstep {
-	l := &lockstep{d: d, pending: map[uint64][]byte{}, fieldOrder: map[string][]string{}}
+	l := &lockstep{d: d, pending: map[uint64][]byte{}, buf: make([]byte, 65536), fieldOrder: map[string][]string{}}
 	for _, h := range d.Prog.Headers {
 		names := make([]string, len(h.Fields))
 		for i, f := range h.Fields {
@@ -230,13 +232,14 @@ func (l *lockstep) recvMatching(ctx context.Context, id uint64) ([]byte, bool, e
 		if remaining <= 0 {
 			return nil, false, nil
 		}
-		wire, got, err := l.d.Link.Recv(remaining)
+		n, got, err := l.d.Link.Recv(l.buf, remaining)
 		if err != nil {
 			return nil, false, err
 		}
 		if !got {
 			return nil, false, nil
 		}
+		wire := slices.Clone(l.buf[:n])
 		got2, ok2 := wireID(wire)
 		if !ok2 || got2 == id {
 			return wire, true, nil

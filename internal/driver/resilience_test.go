@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -24,13 +25,13 @@ type preloadLink struct {
 	pre [][]byte
 }
 
-func (p *preloadLink) Recv(timeout time.Duration) ([]byte, bool, error) {
+func (p *preloadLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
 	if len(p.pre) > 0 {
 		w := p.pre[0]
 		p.pre = p.pre[1:]
-		return w, true, nil
+		return copy(buf, w), true, nil
 	}
-	return p.Link.Recv(timeout)
+	return p.Link.Recv(buf, timeout)
 }
 
 // dropFirstLink records every transmission and swallows the first N.
@@ -52,10 +53,21 @@ func (l *dropFirstLink) Send(entry int, wire []byte) error {
 type blackholeLink struct{}
 
 func (blackholeLink) Send(int, []byte) error { return nil }
-func (blackholeLink) Recv(time.Duration) ([]byte, bool, error) {
-	return nil, false, nil
+func (blackholeLink) Recv([]byte, time.Duration) (int, bool, error) {
+	return 0, false, nil
 }
 func (blackholeLink) Close() error { return nil }
+
+// recvCountLink is the loopback, counting its receive calls.
+type recvCountLink struct {
+	*Loopback
+	recvs int
+}
+
+func (l *recvCountLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
+	l.recvs++
+	return l.Loopback.Recv(buf, timeout)
+}
 
 // oversizeFirstLink replaces the first N transmissions with a wire too
 // large for one UDP datagram.
@@ -454,5 +466,53 @@ func TestTransientCrashBecomesFlaky(t *testing.T) {
 		if o.Verdict == VerdictFlaky && !o.Crashed {
 			t.Error("flaky outcome lost its crash evidence")
 		}
+	}
+}
+
+// TestIdleWaitDoesNotSpin: while every case backs off, the engine sleeps
+// until the earliest retransmission instead of turning (and reading the
+// link) until it falls due. The suite's failing case makes 3 attempts
+// over 30 ms of backoff; a spinning loop reads the link over a thousand
+// times.
+func TestIdleWaitDoesNotSpin(t *testing.T) {
+	_, _, templates, d := setup(t, switchsim.Faults{switchsim.ChecksumSkip{Header: "ipv4"}})
+	link := &recvCountLink{Loopback: d.Link.(*Loopback)}
+	d.Link = link
+	d.Backoff = 10 * time.Millisecond
+	d.Retries = 2
+	rep, err := d.RunTemplates(templates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Retransmissions == 0 {
+		t.Fatalf("no case backed off; the check is vacuous: %s", rep.Summary())
+	}
+	if link.recvs > 50 {
+		t.Errorf("%d receive calls for %s, want at most 50", link.recvs, rep.Summary())
+	}
+	t.Logf("%d receive calls for %s", link.recvs, rep.Summary())
+}
+
+// TestRetryLadderSaturates: the case budget derived from the backoff
+// ladder is positive and non-decreasing for any retry count, where a
+// doubling that wraps once made it negative at 40 retries; a value that
+// fits is the plain sum.
+func TestRetryLadderSaturates(t *testing.T) {
+	d := &Driver{RecvTimeout: 200 * time.Millisecond, Backoff: 10 * time.Millisecond}
+	prev := time.Duration(0)
+	for r := 0; r <= 100; r++ {
+		d.Retries = r
+		b := d.caseBudget()
+		if b <= 0 || b < prev {
+			t.Fatalf("Retries %d: budget %v after %v", r, b, prev)
+		}
+		prev = b
+	}
+	d.Retries = 2
+	if got, want := d.caseBudget(), 3*200*time.Millisecond+(10+20)*time.Millisecond+250*time.Millisecond; got != want {
+		t.Errorf("Retries 2: budget %v, want %v", got, want)
+	}
+	if got := doubled(math.MaxInt64/2 + 1); got != math.MaxInt64 {
+		t.Errorf("doubled past the largest Duration = %v", got)
 	}
 }
