@@ -1,15 +1,15 @@
 package meissa_test
 
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (§5), plus ablation benches for the design choices
-// DESIGN.md calls out. Run with:
+// Benchmark harness: the code summary figures (Fig. 11, Fig. 12) as
+// testing.B benchmarks for profiling, parallel scaling, an end-to-end run,
+// and ablation benches for the design choices DESIGN.md calls out. Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
 // The absolute numbers reflect this repo's reduced program scales (see
-// programs.Base); the *shapes* — who wins, where timeouts fall, by what
-// factor code summary reduces SMT calls and path counts — mirror the
-// paper. cmd/meissa-bench prints the same data as the paper's rows.
+// programs.Base). cmd/meissa-bench prints every table and figure as the
+// paper's rows; internal/experiments' TestFig9Marks pins Fig. 9's cells.
 
 import (
 	"fmt"
@@ -18,8 +18,6 @@ import (
 	"time"
 
 	meissa "repro"
-	"repro/internal/baselines"
-	"repro/internal/bugs"
 	"repro/internal/programs"
 	"repro/internal/switchsim"
 )
@@ -90,91 +88,6 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}
 }
 
-// --- Table 1: corpus construction ---
-
-func BenchmarkTable1Corpus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ps := programs.All()
-		if len(ps) != 8 {
-			b.Fatal("corpus incomplete")
-		}
-	}
-}
-
-// --- Fig. 9: generation time per program, per tool ---
-
-func BenchmarkFig9Meissa(b *testing.B) {
-	for _, p := range programs.All() {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			benchGenerate(b, p, meissa.DefaultOptions())
-		})
-	}
-}
-
-func BenchmarkFig9Aquila(b *testing.B) {
-	for _, p := range programs.All() {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			var calls uint64
-			for i := 0; i < b.N; i++ {
-				stats, _, err := (baselines.Aquila{}).Verify(p.Prog, p.Rules, 15*time.Second)
-				if err != nil {
-					b.Skipf("aquila: %v", err)
-				}
-				calls = stats.SMTCalls
-			}
-			b.ReportMetric(float64(calls), "smt-calls")
-		})
-	}
-}
-
-func BenchmarkFig9P4Pktgen(b *testing.B) {
-	for _, p := range programs.Open() {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := (baselines.P4Pktgen{}).Generate(p.Prog, p.Rules, 15*time.Second); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFig9Gauntlet(b *testing.B) {
-	for _, p := range programs.Open() {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := (baselines.Gauntlet{}).Generate(p.Prog, p.Rules, 15*time.Second); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Fig. 10: rule-set scaling on gw-1 and gw-2 ---
-
-func BenchmarkFig10(b *testing.B) {
-	for _, n := range []int{1, 2} {
-		for _, set := range []programs.RuleScale{programs.Set1, programs.Set2, programs.Set3, programs.Set4} {
-			p := programs.GW(n, set)
-			b.Run(p.Name+"/"+set.String()+"/Meissa", func(b *testing.B) {
-				benchGenerate(b, p, meissa.DefaultOptions())
-			})
-			b.Run(p.Name+"/"+set.String()+"/Aquila", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := (baselines.Aquila{}).Verify(p.Prog, p.Rules, 15*time.Second); err != nil {
-						b.Skipf("aquila: %v", err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // --- Fig. 11: code summary effectiveness across programs ---
 // Panel (a) is the benchmark time; panels (b) and (c) are the smt-calls
 // and log10-paths metrics.
@@ -218,21 +131,6 @@ func BenchmarkFig12WithoutSummary(b *testing.B) {
 			opts.CodeSummary = false
 			benchGenerate(b, p, opts)
 		})
-	}
-}
-
-// --- Table 2: bug detection (correctness-style; also in TestTable2BugMatrix) ---
-
-func BenchmarkTable2Detection(b *testing.B) {
-	s := bugs.Scenarios()[13] // bug 14: bf-p4c backend bug C (setValid)
-	for i := 0; i < b.N; i++ {
-		d, err := bugs.DetectMeissa(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !d.Detected {
-			b.Fatal("bug 14 undetected")
-		}
 	}
 }
 

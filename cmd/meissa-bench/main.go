@@ -18,7 +18,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1, fig9, fig10, fig11, fig12, table2, all")
-	budget := flag.Duration("budget", experiments.Budget, "per-tool time budget")
+	budget := flag.Uint64("budget", experiments.Budget, "per-tool work budget: DFS descents per exploration (Aquila: descents plus VCs); past it a cell reads o")
 	parallel := flag.Int("parallel", 0, "Meissa exploration workers (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 	experiments.Budget = *budget

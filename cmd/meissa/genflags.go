@@ -14,14 +14,13 @@ import (
 // defined once, in genFlagDefs, and a subcommand registers the ones it
 // takes by name, so a flag reads the same wherever it appears.
 type genFlags struct {
-	noSummary     bool
-	parallel      int
-	strict        bool
-	solverBudget  int
-	solverTimeout time.Duration
-	store         string
-	storeWait     time.Duration
-	out           string
+	noSummary    bool
+	parallel     int
+	strict       bool
+	solverBudget int
+	store        string
+	storeWait    time.Duration
+	out          string
 }
 
 var genFlagDefs = map[string]func(*flag.FlagSet, *genFlags){
@@ -36,9 +35,6 @@ var genFlagDefs = map[string]func(*flag.FlagSet, *genFlags){
 	},
 	"solver-budget": func(fs *flag.FlagSet, g *genFlags) {
 		fs.IntVar(&g.solverBudget, "solver-budget", 0, "per-query solver backtracking-step budget (0 = default)")
-	},
-	"solver-timeout": func(fs *flag.FlagSet, g *genFlags) {
-		fs.DurationVar(&g.solverTimeout, "solver-timeout", 0, "per-query solver wall-clock budget (0 = none)")
 	},
 	"store": func(fs *flag.FlagSet, g *genFlags) {
 		fs.StringVar(&g.store, "store", "", "durable verdict store file: a run warm-starts from it and commits its verdicts back (regress and store: required; regress: the baseline)")
@@ -68,7 +64,6 @@ func (g *genFlags) options() meissa.Options {
 	opts.Parallelism = g.parallel
 	opts.Strict = g.strict
 	opts.SolverSearchBudget = g.solverBudget
-	opts.SolverCheckTimeout = g.solverTimeout
 	opts.StorePath = g.store
 	opts.StoreWait = g.storeWait
 	return opts

@@ -64,7 +64,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   meissa gen  -p prog.p4 [-r rules.txt] [-s spec.lpi] [-no-summary] [-parallel N] [-v] [-quiet]
-              [-checkpoint FILE [-resume]] [-store FILE [-store-wait D]] [-strict] [-solver-budget N] [-solver-timeout D]
+              [-checkpoint FILE [-resume]] [-store FILE [-store-wait D]] [-strict] [-solver-budget N]
               [-metrics-out report.json] [-pprof-addr host:port] [-o cases.txt]
   meissa test -p prog.p4 [-r rules.txt] [-s spec.lpi] [-fault kind:arg[,..]] [-trace] [-parallel N]
               [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-window N] [-breaker N] [-v] [-quiet]
@@ -154,7 +154,7 @@ func readRules(path string) (*rules.Set, error) {
 
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
-	gf := registerGenFlags(fs, "no-summary", "parallel", "strict", "solver-budget", "solver-timeout", "store", "store-wait", "o")
+	gf := registerGenFlags(fs, "no-summary", "parallel", "strict", "solver-budget", "store", "store-wait", "o")
 	verbose := fs.Bool("v", false, "print each template's constraints")
 	checkpoint := fs.String("checkpoint", "", "journal file making generation crash-safe")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal of an interrupted run")

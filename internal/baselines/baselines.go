@@ -14,7 +14,7 @@
 //   - Aquila [79]: a verifier — whole-program symbolic execution that
 //     discharges a verification condition at every statement (validity,
 //     overflow, assertion checks), never executes the target, and runs
-//     under a time budget.
+//     under a work budget.
 //   - PTA [18]: compiles handwritten in-program assertions into packet
 //     senders/checkers; it cannot generate cases itself and supports only
 //     the P4-14-era feature set.
@@ -36,24 +36,36 @@ import (
 // (the × marks of Fig. 9).
 var ErrUnsupported = errors.New("baselines: program not supported by this tool")
 
-// ErrTimeout marks exhaustion of the tool's time budget (the ◦ marks of
+// ErrTimeout marks exhaustion of the tool's work budget (the ◦ marks of
 // Fig. 9).
-var ErrTimeout = errors.New("baselines: time budget exhausted")
+var ErrTimeout = errors.New("baselines: work budget exhausted")
+
+// Budget is the paper harness's one work budget, standing in for §5.2's
+// one-hour limit: DFS descents per exploration (for Aquila, descents plus
+// verification conditions over the whole run). It is counted, so a run
+// exceeds it — the ◦ mark — on every host alike. The rule that sets it:
+// the smallest power of two at least twice the largest single exploration
+// Meissa makes on any Fig. 9–12 input (gw-4/set-4's final pass, 314 713
+// descents).
+const Budget uint64 = 1 << 20
 
 // GenStats reports a generation run.
 type GenStats struct {
 	Tool      string
 	Templates int
 	SMTCalls  uint64
-	Duration  time.Duration
+	// Descents is the work the budget counts: DFS descents, plus the
+	// verification conditions for Aquila.
+	Descents uint64
+	Duration time.Duration
 }
 
 // Generator is a test-case generation tool (Meissa's Fig. 9 competitors).
 type Generator interface {
 	Name() string
-	// Generate produces test case templates for the program, or
-	// ErrUnsupported / ErrTimeout.
-	Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) (*GenStats, []*sym.Template, error)
+	// Generate produces test case templates for the program within budget
+	// (0 = unlimited), or ErrUnsupported / ErrTimeout.
+	Generate(prog *p4.Program, rs *rules.Set, budget uint64) (*GenStats, []*sym.Template, error)
 }
 
 // --- p4pktgen ---
@@ -68,7 +80,7 @@ func (P4Pktgen) Name() string { return "p4pktgen" }
 // programs without custom table rule semantics (it synthesizes its own
 // table entries); on our corpus that means rejecting multi-pipeline
 // programs and programs whose behaviour depends on production rule sets.
-func (P4Pktgen) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) (*GenStats, []*sym.Template, error) {
+func (P4Pktgen) Generate(prog *p4.Program, rs *rules.Set, budget uint64) (*GenStats, []*sym.Template, error) {
 	if len(prog.Pipelines) > 1 {
 		return nil, nil, fmt.Errorf("%w: multi-pipeline program", ErrUnsupported)
 	}
@@ -89,7 +101,7 @@ func (P4Pktgen) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) 
 			SolverSet: true,
 			// Baselines model single-threaded tools: one runner, one DFS.
 			Parallelism: 1,
-			Deadline:    budget,
+			MaxPaths:    budget,
 			WantModels:  true,
 		},
 	})
@@ -99,7 +111,8 @@ func (P4Pktgen) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) 
 	if res.Truncated {
 		return nil, nil, ErrTimeout
 	}
-	return &GenStats{Tool: "p4pktgen", Templates: len(res.Templates), SMTCalls: res.SMT.Checks, Duration: time.Since(start)}, res.Templates, nil
+	return &GenStats{Tool: "p4pktgen", Templates: len(res.Templates), SMTCalls: res.SMT.Checks,
+		Descents: res.PathsExplored, Duration: time.Since(start)}, res.Templates, nil
 }
 
 // --- Gauntlet (model-based testing mode) ---
@@ -112,7 +125,7 @@ type Gauntlet struct{}
 func (Gauntlet) Name() string { return "Gauntlet" }
 
 // Generate implements Generator.
-func (Gauntlet) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) (*GenStats, []*sym.Template, error) {
+func (Gauntlet) Generate(prog *p4.Program, rs *rules.Set, budget uint64) (*GenStats, []*sym.Template, error) {
 	if isProduction(prog) {
 		return nil, nil, fmt.Errorf("%w: custom table rules and production features", ErrUnsupported)
 	}
@@ -130,7 +143,7 @@ func (Gauntlet) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) 
 			Solver:           smt.Options{Incremental: false},
 			SolverSet:        true,
 			Parallelism:      1,
-			Deadline:         budget,
+			MaxPaths:         budget,
 			WantModels:       true,
 		},
 	})
@@ -140,7 +153,8 @@ func (Gauntlet) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) 
 	if res.Truncated {
 		return nil, nil, ErrTimeout
 	}
-	return &GenStats{Tool: "Gauntlet", Templates: len(res.Templates), SMTCalls: res.SMT.Checks, Duration: time.Since(start)}, res.Templates, nil
+	return &GenStats{Tool: "Gauntlet", Templates: len(res.Templates), SMTCalls: res.SMT.Checks,
+		Descents: res.PathsExplored, Duration: time.Since(start)}, res.Templates, nil
 }
 
 // --- Aquila (verification) ---
@@ -157,7 +171,7 @@ func (Aquila) Name() string { return "Aquila" }
 // Generate implements Generator for timing comparisons: the work measured
 // is verification (Fig. 9/10 compare Meissa's generation time with
 // Aquila's verification time).
-func (a Aquila) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) (*GenStats, []*sym.Template, error) {
+func (a Aquila) Generate(prog *p4.Program, rs *rules.Set, budget uint64) (*GenStats, []*sym.Template, error) {
 	stats, templates, err := a.Verify(prog, rs, budget)
 	return stats, templates, err
 }
@@ -165,10 +179,10 @@ func (a Aquila) Generate(prog *p4.Program, rs *rules.Set, budget time.Duration) 
 // Verify runs whole-program symbolic verification: every valid path is
 // enumerated without code summary, and each action statement contributes
 // an additional solver query (the per-statement VC discharge: header
-// validity at use, width overflow, table invariants). On production
-// multi-pipeline programs this exceeds any reasonable budget — the ◦
+// validity at use, width overflow, table invariants). The budget counts
+// descents and VCs together; a run past it is ErrTimeout, the paper's ◦
 // marks on gw-3/gw-4 in Fig. 9.
-func (Aquila) Verify(prog *p4.Program, rs *rules.Set, budget time.Duration) (*GenStats, []*sym.Template, error) {
+func (Aquila) Verify(prog *p4.Program, rs *rules.Set, budget uint64) (*GenStats, []*sym.Template, error) {
 	g, err := cfg.Build(prog, rs)
 	if err != nil {
 		return nil, nil, err
@@ -186,7 +200,7 @@ func (Aquila) Verify(prog *p4.Program, rs *rules.Set, budget time.Duration) (*Ge
 			Solver:           smt.DefaultOptions(),
 			SolverSet:        true,
 			Parallelism:      1,
-			Deadline:         budget,
+			MaxPaths:         budget,
 			WantModels:       false,
 		},
 	})
@@ -196,7 +210,6 @@ func (Aquila) Verify(prog *p4.Program, rs *rules.Set, budget time.Duration) (*Ge
 	if res.Truncated {
 		return nil, nil, ErrTimeout
 	}
-	deadline := start.Add(budget)
 	for _, t := range res.Templates {
 		for _, id := range t.Path {
 			n := g.Node(id)
@@ -214,7 +227,7 @@ func (Aquila) Verify(prog *p4.Program, rs *rules.Set, budget time.Duration) (*Ge
 			}
 			vcSolver.Check()
 			vcCount++
-			if budget > 0 && vcCount%256 == 0 && time.Now().After(deadline) {
+			if budget > 0 && res.PathsExplored+vcCount > budget {
 				return nil, nil, ErrTimeout
 			}
 		}
@@ -223,6 +236,7 @@ func (Aquila) Verify(prog *p4.Program, rs *rules.Set, budget time.Duration) (*Ge
 		Tool:      "Aquila",
 		Templates: len(res.Templates),
 		SMTCalls:  res.SMT.Checks + vcCount,
+		Descents:  res.PathsExplored + vcCount,
 		Duration:  time.Since(start),
 	}, res.Templates, nil
 }
@@ -239,7 +253,7 @@ func (PTA) Name() string { return "PTA" }
 // Generate implements Generator; PTA always reports unsupported for
 // automatic generation ("PTA requires engineers to handwrite test cases.
 // It is not comparable in this experiment").
-func (PTA) Generate(*p4.Program, *rules.Set, time.Duration) (*GenStats, []*sym.Template, error) {
+func (PTA) Generate(*p4.Program, *rules.Set, uint64) (*GenStats, []*sym.Template, error) {
 	return nil, nil, fmt.Errorf("%w: PTA requires handwritten unit tests", ErrUnsupported)
 }
 

@@ -3,16 +3,13 @@ package baselines
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/programs"
 )
 
-const budget = 60 * time.Second
-
 func TestP4PktgenSupportsOpenPrograms(t *testing.T) {
 	p := programs.Router()
-	stats, templates, err := P4Pktgen{}.Generate(p.Prog, p.Rules, budget)
+	stats, templates, err := P4Pktgen{}.Generate(p.Prog, p.Rules, Budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +23,7 @@ func TestP4PktgenSupportsOpenPrograms(t *testing.T) {
 
 func TestP4PktgenRejectsProduction(t *testing.T) {
 	p := programs.GW(1, programs.Set1)
-	_, _, err := P4Pktgen{}.Generate(p.Prog, p.Rules, budget)
+	_, _, err := P4Pktgen{}.Generate(p.Prog, p.Rules, Budget)
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
@@ -34,7 +31,7 @@ func TestP4PktgenRejectsProduction(t *testing.T) {
 
 func TestP4PktgenRejectsMultiPipeline(t *testing.T) {
 	p := programs.GW(2, programs.Set1)
-	_, _, err := P4Pktgen{}.Generate(p.Prog, p.Rules, budget)
+	_, _, err := P4Pktgen{}.Generate(p.Prog, p.Rules, Budget)
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
@@ -42,7 +39,7 @@ func TestP4PktgenRejectsMultiPipeline(t *testing.T) {
 
 func TestGauntletSupportsOpenPrograms(t *testing.T) {
 	p := programs.MTag()
-	stats, templates, err := Gauntlet{}.Generate(p.Prog, p.Rules, budget)
+	stats, templates, err := Gauntlet{}.Generate(p.Prog, p.Rules, Budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +51,7 @@ func TestGauntletSupportsOpenPrograms(t *testing.T) {
 
 func TestGauntletRejectsProduction(t *testing.T) {
 	p := programs.GW(3, programs.Set1)
-	_, _, err := Gauntlet{}.Generate(p.Prog, p.Rules, budget)
+	_, _, err := Gauntlet{}.Generate(p.Prog, p.Rules, Budget)
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
@@ -64,11 +61,11 @@ func TestGauntletCoverageMatchesP4Pktgen(t *testing.T) {
 	// Both enumerate all valid paths; they must agree on the count even
 	// though Gauntlet skips early termination.
 	p := programs.ACL()
-	_, t1, err := P4Pktgen{}.Generate(p.Prog, p.Rules, budget)
+	_, t1, err := P4Pktgen{}.Generate(p.Prog, p.Rules, Budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, t2, err := Gauntlet{}.Generate(p.Prog, p.Rules, budget)
+	_, t2, err := Gauntlet{}.Generate(p.Prog, p.Rules, Budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +76,13 @@ func TestGauntletCoverageMatchesP4Pktgen(t *testing.T) {
 
 func TestAquilaVerifiesSmallProgram(t *testing.T) {
 	p := programs.Router()
-	stats, _, err := Aquila{}.Verify(p.Prog, p.Rules, budget)
+	stats, _, err := Aquila{}.Verify(p.Prog, p.Rules, Budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Verification discharges per-statement VCs: strictly more solver
 	// calls than plain generation.
-	genStats, _, err := P4Pktgen{}.Generate(p.Prog, p.Rules, budget)
+	genStats, _, err := P4Pktgen{}.Generate(p.Prog, p.Rules, Budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +94,7 @@ func TestAquilaVerifiesSmallProgram(t *testing.T) {
 
 func TestAquilaTimesOutOnTinyBudget(t *testing.T) {
 	p := programs.GW(3, programs.Set2)
-	_, _, err := Aquila{}.Verify(p.Prog, p.Rules, 1*time.Millisecond)
+	_, _, err := Aquila{}.Verify(p.Prog, p.Rules, 1000)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -105,7 +102,7 @@ func TestAquilaTimesOutOnTinyBudget(t *testing.T) {
 
 func TestPTACannotGenerate(t *testing.T) {
 	p := programs.Router()
-	_, _, err := PTA{}.Generate(p.Prog, p.Rules, budget)
+	_, _, err := PTA{}.Generate(p.Prog, p.Rules, Budget)
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}

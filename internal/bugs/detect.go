@@ -2,7 +2,6 @@ package bugs
 
 import (
 	"fmt"
-	"time"
 
 	meissa "repro"
 	"repro/internal/baselines"
@@ -25,9 +24,6 @@ type Row struct {
 	Gauntlet Detection
 	Aquila   Detection
 }
-
-// budget bounds each tool run per scenario.
-const budget = 60 * time.Second
 
 // RunAll evaluates all 16 scenarios against all five tools, producing the
 // Table 2 matrix by actually running each tool's methodology.
@@ -69,7 +65,7 @@ func RunOne(s *Scenario) (*Row, error) {
 // into the (fault-compiled) target, apply every check.
 func DetectMeissa(s *Scenario) (Detection, error) {
 	opts := meissa.DefaultOptions()
-	opts.Deadline = budget
+	opts.MaxPaths = baselines.Budget
 	sys, err := meissa.New(s.Prog, s.Rules, s.Specs, opts)
 	if err != nil {
 		return Detection{}, err
@@ -118,7 +114,7 @@ func DetectGauntlet(s *Scenario) (Detection, error) {
 // intent), executes them on the faulty target, and reports any prediction
 // or sanity failure.
 func runModelVsTarget(s *Scenario, tool baselines.Generator, name string) (Detection, error) {
-	_, templates, err := tool.Generate(s.Prog, s.Rules, budget)
+	_, templates, err := tool.Generate(s.Prog, s.Rules, baselines.Budget)
 	if err != nil {
 		return Detection{Why: fmt.Sprintf("%s: %v", name, err)}, nil
 	}
@@ -157,7 +153,7 @@ func DetectPTA(s *Scenario) (Detection, error) {
 		return Detection{Why: "no handwritten unit test covers this behaviour"}, nil
 	}
 	opts := meissa.DefaultOptions()
-	opts.Deadline = budget
+	opts.MaxPaths = baselines.Budget
 	sys, err := meissa.New(s.Prog, s.Rules, s.Handwritten, opts)
 	if err != nil {
 		return Detection{}, err
@@ -197,7 +193,7 @@ func DetectPTA(s *Scenario) (Detection, error) {
 // outside the solver's theories (§6).
 func DetectAquila(s *Scenario) (Detection, error) {
 	opts := meissa.DefaultOptions()
-	opts.Deadline = budget
+	opts.MaxPaths = baselines.Budget
 	sys, err := meissa.New(s.Prog, s.Rules, s.Specs, opts)
 	if err != nil {
 		return Detection{}, err
@@ -207,7 +203,7 @@ func DetectAquila(s *Scenario) (Detection, error) {
 		return Detection{}, err
 	}
 	if gen.Truncated {
-		return Detection{Why: "verification exceeded its time budget"}, nil
+		return Detection{Why: "verification exceeded its work budget"}, nil
 	}
 	// Prediction-only checking: no link, no target.
 	d := driver.New(s.Prog, gen.Graph, nil, s.Specs)

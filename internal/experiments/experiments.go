@@ -3,14 +3,13 @@
 // across programs and tools), Fig. 10 (time under growing rule sets),
 // Fig. 11a–c (code summary effectiveness across programs), Fig. 12a–c
 // (code summary effectiveness across rule sets), and Table 2 (bug
-// detection matrix). The same harness backs cmd/meissa-bench and the
-// testing.B benchmarks in bench_test.go.
+// detection matrix), for cmd/meissa-bench.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	meissa "repro"
@@ -19,9 +18,9 @@ import (
 	"repro/internal/programs"
 )
 
-// Budget bounds each individual tool run, standing in for the paper's
-// one-hour verification budget at our reduced program scale.
-var Budget = 120 * time.Second
+// Budget is the work budget of each individual tool run, counted as
+// baselines.Budget describes; meissa-bench -budget sets it.
+var Budget = baselines.Budget
 
 // Parallelism is the exploration worker count used for Meissa runs
 // (0 = GOMAXPROCS, 1 = one runner on the root unit). Baselines model
@@ -64,14 +63,18 @@ func WriteTable1(w io.Writer) {
 
 // ToolResult is one program × tool cell.
 type ToolResult struct {
-	Tool      string
-	Duration  time.Duration
-	SMTCalls  uint64
+	Tool     string
+	Duration time.Duration
+	SMTCalls uint64
+	// Descents is the work Budget counts (baselines.GenStats.Descents;
+	// Meissa's sums its explorations).
+	Descents  uint64
 	Templates int
 	// PrunedPaths counts prefixes cut by early termination (only Meissa
 	// populates it).
 	PrunedPaths uint64
-	// Timeout and Unsupported reproduce the ◦ and × marks of Fig. 9.
+	// Timeout (Budget exceeded) and Unsupported reproduce the ◦ and ×
+	// marks of Fig. 9.
 	Timeout     bool
 	Unsupported bool
 }
@@ -85,7 +88,7 @@ type Fig9Row struct {
 // RunMeissa measures Meissa's generation time on a program.
 func RunMeissa(p *programs.Program) (ToolResult, error) {
 	opts := meissa.DefaultOptions()
-	opts.Deadline = Budget
+	opts.MaxPaths = Budget
 	opts.Parallelism = Parallelism
 	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
 	if err != nil {
@@ -97,24 +100,25 @@ func RunMeissa(p *programs.Program) (ToolResult, error) {
 	}
 	return ToolResult{
 		Tool: "Meissa", Duration: gen.Duration, SMTCalls: gen.SMTCalls,
-		Templates: len(gen.Templates), Timeout: gen.Truncated,
-		PrunedPaths: gen.PrunedPaths,
+		Descents: gen.PathsExplored, Templates: len(gen.Templates),
+		Timeout: gen.Truncated, PrunedPaths: gen.PrunedPaths,
 	}, nil
 }
 
-// RunBaseline measures one baseline tool on a program.
-func RunBaseline(tool baselines.Generator, p *programs.Program) ToolResult {
+// RunBaseline measures one baseline tool on a program. ErrUnsupported and
+// ErrTimeout are cells (× and ◦); any other error fails the run.
+func RunBaseline(tool baselines.Generator, p *programs.Program) (ToolResult, error) {
 	stats, _, err := tool.Generate(p.Prog, p.Rules, Budget)
 	switch {
 	case err == nil:
-		return ToolResult{Tool: tool.Name(), Duration: stats.Duration, SMTCalls: stats.SMTCalls, Templates: stats.Templates}
-	case strings.Contains(err.Error(), "not supported"):
-		return ToolResult{Tool: tool.Name(), Unsupported: true}
-	case strings.Contains(err.Error(), "budget"):
-		return ToolResult{Tool: tool.Name(), Timeout: true}
-	default:
-		return ToolResult{Tool: tool.Name(), Unsupported: true}
+		return ToolResult{Tool: tool.Name(), Duration: stats.Duration, SMTCalls: stats.SMTCalls,
+			Descents: stats.Descents, Templates: stats.Templates}, nil
+	case errors.Is(err, baselines.ErrUnsupported):
+		return ToolResult{Tool: tool.Name(), Unsupported: true}, nil
+	case errors.Is(err, baselines.ErrTimeout):
+		return ToolResult{Tool: tool.Name(), Timeout: true}, nil
 	}
+	return ToolResult{}, fmt.Errorf("%s: %w", tool.Name(), err)
 }
 
 // Fig9 runs all tools on all corpus programs.
@@ -129,19 +133,27 @@ func Fig9() ([]Fig9Row, error) {
 		}
 		row.Results = append(row.Results, m)
 		for _, tool := range tools {
-			row.Results = append(row.Results, RunBaseline(tool, p))
+			r, err := RunBaseline(tool, p)
+			if err != nil {
+				return nil, fmt.Errorf("fig9 %s: %w", p.Name, err)
+			}
+			row.Results = append(row.Results, r)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// WriteFig9 renders Fig. 9 as the paper's series: one column per tool,
-// ◦ for timeout, × for no-support, plus Meissa's pruning counter so the
-// perf trajectory is visible in the bench logs.
+// WriteFig9 renders Fig. 9 as the paper's series: one column group per
+// tool — its time, then the counted work behind it (descents, solver
+// checks), which repeats on any host — ◦ for a run past Budget, × for
+// no-support, plus Meissa's pruning counter.
 func WriteFig9(w io.Writer, rows []Fig9Row) {
-	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %8s\n",
-		"Program", "Meissa", "Aquila", "p4pktgen", "Gauntlet", "pruned")
+	fmt.Fprintf(w, "%-10s", "Program")
+	for _, tool := range []string{"Meissa", "Aquila", "p4pktgen", "Gauntlet"} {
+		fmt.Fprintf(w, " | %9s %8s %7s", tool, "descents", "checks")
+	}
+	fmt.Fprintf(w, " | %7s\n", "pruned")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s", r.Program)
 		var meissa ToolResult
@@ -151,14 +163,14 @@ func WriteFig9(w io.Writer, rows []Fig9Row) {
 			}
 			switch {
 			case res.Unsupported:
-				fmt.Fprintf(w, " %12s", "x")
+				fmt.Fprintf(w, " | %9s %8s %7s", "x", "-", "-")
 			case res.Timeout:
-				fmt.Fprintf(w, " %12s", "o (timeout)")
+				fmt.Fprintf(w, " | %9s %8s %7s", "o", "-", "-")
 			default:
-				fmt.Fprintf(w, " %12s", res.Duration.Round(time.Millisecond))
+				fmt.Fprintf(w, " | %9s %8d %7d", res.Duration.Round(time.Millisecond), res.Descents, res.SMTCalls)
 			}
 		}
-		fmt.Fprintf(w, " %8d\n", meissa.PrunedPaths)
+		fmt.Fprintf(w, " | %7d\n", meissa.PrunedPaths)
 	}
 }
 
@@ -184,22 +196,27 @@ func Fig10() ([]Fig10Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %s %s: %w", p.Name, set, err)
 			}
-			a := RunBaseline(baselines.Aquila{}, p)
+			a, err := RunBaseline(baselines.Aquila{}, p)
+			if err != nil {
+				return nil, fmt.Errorf("fig10 %s %s: %w", p.Name, set, err)
+			}
 			rows = append(rows, Fig10Row{Program: p.Name, Set: set, Meissa: m, Aquila: a})
 		}
 	}
 	return rows, nil
 }
 
-// WriteFig10 renders Fig. 10.
+// WriteFig10 renders Fig. 10, ◦ marking a run past Budget.
 func WriteFig10(w io.Writer, rows []Fig10Row) {
 	fmt.Fprintf(w, "%-6s %-6s %12s %12s\n", "prog", "set", "Meissa", "Aquila")
-	for _, r := range rows {
-		a := r.Aquila.Duration.Round(time.Millisecond).String()
-		if r.Aquila.Timeout {
-			a = "o (timeout)"
+	cell := func(r ToolResult) string {
+		if r.Timeout {
+			return "o (timeout)"
 		}
-		fmt.Fprintf(w, "%-6s %-6s %12s %12s\n", r.Program, r.Set, r.Meissa.Duration.Round(time.Millisecond), a)
+		return r.Duration.Round(time.Millisecond).String()
+	}
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-6s %-6s %12s %12s\n", r.Program, r.Set, cell(r.Meissa), cell(r.Aquila))
 	}
 }
 
@@ -226,7 +243,7 @@ func MeasureSummaryEffect(p *programs.Program, label string) (SummaryEffect, err
 	for _, withSummary := range []bool{true, false} {
 		opts := meissa.DefaultOptions()
 		opts.CodeSummary = withSummary
-		opts.Deadline = Budget
+		opts.MaxPaths = Budget
 		opts.Parallelism = Parallelism
 		sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
 		if err != nil {

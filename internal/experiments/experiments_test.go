@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/baselines"
+	"repro/internal/p4"
 	"repro/internal/programs"
+	"repro/internal/rules"
+	"repro/internal/sym"
 )
 
 func TestTable1ShapesMatchPaper(t *testing.T) {
@@ -50,10 +55,6 @@ func TestFig10ShapeMeissaBeatsAquila(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs both tools across 8 configurations")
 	}
-	old := Budget
-	Budget = 60 * time.Second
-	defer func() { Budget = old }()
-
 	rows, err := Fig10()
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +140,19 @@ func TestWriteRenderers(t *testing.T) {
 		},
 	}})
 	out = b.String()
-	if !strings.Contains(out, "o (timeout)") || !strings.Contains(out, "x") {
+	if !strings.Contains(out, " o ") || !strings.Contains(out, " x ") {
 		t.Errorf("Fig 9 output missing the o/x marks:\n%s", out)
+	}
+
+	b.Reset()
+	WriteFig10(&b, []Fig10Row{{
+		Program: "demo", Set: programs.Set1,
+		Meissa: ToolResult{Tool: "Meissa", Duration: time.Second, Timeout: true},
+		Aquila: ToolResult{Tool: "Aquila", Duration: time.Second},
+	}})
+	out = b.String()
+	if strings.Count(out, "o (timeout)") != 1 || !strings.Contains(out, "1s") {
+		t.Errorf("Fig 10 output does not mark exactly the truncated Meissa cell:\n%s", out)
 	}
 
 	b.Reset()
@@ -151,4 +163,98 @@ func TestWriteRenderers(t *testing.T) {
 	if !strings.Contains(b.String(), "gw-9") {
 		t.Error("summary effects output missing the label")
 	}
+}
+
+// brokenTool is a Generator whose run fails for a reason that is neither
+// of the two marks.
+type brokenTool struct{}
+
+func (brokenTool) Name() string { return "broken" }
+
+func (brokenTool) Generate(*p4.Program, *rules.Set, uint64) (*baselines.GenStats, []*sym.Template, error) {
+	return nil, nil, errors.New("cfg: dangling node")
+}
+
+// TestRunBaselineFailsOnBrokenTool: an error other than ErrUnsupported or
+// ErrTimeout fails the run instead of reading as a × cell.
+func TestRunBaselineFailsOnBrokenTool(t *testing.T) {
+	r, err := RunBaseline(brokenTool{}, programs.Router())
+	if err == nil || !strings.Contains(err.Error(), "cfg: dangling node") {
+		t.Fatalf("RunBaseline = %+v, %v; want the tool's error", r, err)
+	}
+}
+
+// classes renders a Fig. 9 row as its cells' classes in column order: t
+// for a time, o for a run past Budget, x for an unsupported program.
+func classes(r Fig9Row) string {
+	out := r.Program
+	for _, res := range r.Results {
+		switch {
+		case res.Unsupported:
+			out += " x"
+		case res.Timeout:
+			out += " o"
+		default:
+			out += " t"
+		}
+	}
+	return out
+}
+
+// TestFig9Marks pins every Fig. 9 cell's class (columns Meissa, Aquila,
+// p4pktgen, Gauntlet) under the counted budget, so the marks are the same
+// on every host: at Budget no run reaches ◦, and the × marks of the
+// production programs reproduce the paper's. Meissa's counted work is the
+// same at Parallelism 2 as at 1. A budget of 1 000 takes the ◦ path on
+// both Meissa and the baselines. About 13 s, mostly Aquila's gw-4 VC loop.
+func TestFig9Marks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every tool on every corpus program")
+	}
+	oldBudget, oldPar := Budget, Parallelism
+	defer func() { Budget, Parallelism = oldBudget, oldPar }()
+	check := func(rows []Fig9Row, want []string) {
+		t.Helper()
+		if len(rows) != len(want) {
+			t.Fatalf("%d rows, want %d", len(rows), len(want))
+		}
+		for i, r := range rows {
+			if got := classes(r); got != want[i] {
+				t.Errorf("budget %d: cells %q, want %q", Budget, got, want[i])
+			}
+		}
+	}
+
+	Parallelism = 1
+	rows, err := Fig9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(rows, []string{
+		"Router t t t t", "mTag t t t t", "ACL t t t t", "switch.p4 t t t t",
+		"gw-1 t t x x", "gw-2 t t x x", "gw-3 t t x x", "gw-4 t t x x",
+	})
+
+	Parallelism = 2
+	for i, p := range programs.All() {
+		m, err := RunMeissa(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := rows[i].Results[0]
+		if m.Templates != seq.Templates || m.SMTCalls != seq.SMTCalls || m.Descents != seq.Descents {
+			t.Errorf("%s: %d templates, %d checks, %d descents at Parallelism 2; %d, %d, %d at 1",
+				p.Name, m.Templates, m.SMTCalls, m.Descents, seq.Templates, seq.SMTCalls, seq.Descents)
+		}
+	}
+
+	Parallelism, Budget = 1, 1000
+	rows, err = Fig9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(rows, []string{
+		"Router t o t t", "mTag t t t t", "ACL o o o o", "switch.p4 o o o o",
+		"gw-1 t t x x", "gw-2 t o x x", "gw-3 o o x x", "gw-4 o o x x",
+	})
 }

@@ -3,7 +3,6 @@ package smt
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/expr"
 )
@@ -33,42 +32,12 @@ func TestStepBudgetUnknown(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("error %T is not a *BudgetError", err)
 	}
-	if be.Steps != 1 || be.Timeout != 0 {
+	if be.Steps != 1 {
 		t.Errorf("BudgetError = %+v, want Steps=1", be)
 	}
 	st := s.Stats()
 	if st.Unknowns != 1 || st.BudgetExhausted != 1 {
 		t.Errorf("stats = %+v, want Unknowns=1 BudgetExhausted=1", st)
-	}
-}
-
-// TestCheckTimeoutUnknown checks the wall-clock budget: a query that
-// needs deep backtracking is cut off as Unknown with the timeout
-// recorded in the typed error.
-func TestCheckTimeoutUnknown(t *testing.T) {
-	opts := DefaultOptions()
-	opts.CheckTimeout = time.Nanosecond // expires before the first 256-step clock check
-	s := New(opts)
-	// Contradictory deferred constraints: the search must try every
-	// candidate combination of four free variables before concluding,
-	// far more than 256 steps.
-	lhs := expr.Bin{Op: expr.OpAdd,
-		L: expr.Bin{Op: expr.OpAdd, L: expr.V("a", 16), R: expr.V("b", 16)},
-		R: expr.Bin{Op: expr.OpAdd, L: expr.V("c", 16), R: expr.V("d", 16)}}
-	s.Assert(expr.Eq(lhs, expr.C(12345, 16)))
-	s.Assert(expr.Eq(lhs, expr.C(54321, 16)))
-	if r := s.Check(); r != Unknown {
-		t.Skipf("Check = %v; search decided before the first periodic clock check", r)
-	}
-	var be *BudgetError
-	if err := s.LastUnknown(); !errors.As(err, &be) {
-		t.Fatalf("LastUnknown = %v, want a *BudgetError", err)
-	}
-	if be.Timeout != time.Nanosecond {
-		t.Errorf("BudgetError.Timeout = %v, want 1ns", be.Timeout)
-	}
-	if !errors.Is(be, ErrBudget) {
-		t.Error("timeout BudgetError does not unwrap to ErrBudget")
 	}
 }
 

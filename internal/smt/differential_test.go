@@ -3,7 +3,6 @@ package smt
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/expr"
 )
@@ -200,14 +199,13 @@ func (o *sweepOracle) pop()                  { o.frames = o.frames[:len(o.frames
 // and sweeps again over the revived arena slots — and checks every verdict
 // against enumeration of all assignments: an Unsat has no satisfying
 // assignment, a Sat has one, a model satisfies everything asserted, and
-// Unknown appears only when a search budget or a deadline is set. Atoms
+// Unknown appears only when a search budget is set. Atoms
 // compare variables of different widths with constants and with each other.
 // Odd seeds share a verdict cache across the walk, so verdicts also come
 // back through the batch's prefix-digest cache keys; every fourth seed
-// solves non-incrementally; every fifth without a search budget gives each
-// query a CheckTimeout of 1 ns, which has passed when the search first reads
-// the clock, so that every query propagation alone does not decide answers
-// Unknown — never Unsat.
+// solves non-incrementally; every fifth without a random search budget gives
+// each query a budget of one step, so that the queries propagation alone
+// does not decide answer Unknown — never Unsat.
 //
 // The variables stop at 4 bits because that is as far as the solver is
 // complete: search tries at most CandidatesPerVar (24) values per free
@@ -217,18 +215,18 @@ func (o *sweepOracle) pop()                  { o.frames = o.frames[:len(o.frames
 // corpus runs now drop, so it changes their outputs and is not this test's
 // to fix.
 func TestDifferentialBatchSweeps(t *testing.T) {
-	verdicts, timedOut := 0, 0
+	verdicts, starved := 0, 0
 	for seed := int64(0); seed < 96; seed++ {
 		v, u := differentialBatchSweep(t, seed)
-		verdicts, timedOut = verdicts+v, timedOut+u
+		verdicts, starved = verdicts+v, starved+u
 	}
 	if verdicts < 96*10 {
 		t.Fatalf("only %d verdicts checked over 96 seeds", verdicts)
 	}
-	if timedOut == 0 {
-		t.Fatal("no query ran into its deadline")
+	if starved == 0 {
+		t.Fatal("no query ran out of its one-step budget")
 	}
-	t.Logf("%d verdicts checked against enumeration, %d of them Unknown at the deadline", verdicts, timedOut)
+	t.Logf("%d verdicts checked against enumeration, %d of them Unknown on a one-step budget", verdicts, starved)
 }
 
 // FuzzDifferentialBatchSweeps lets the fuzzer pick the walk's seed: the
@@ -241,9 +239,9 @@ func FuzzDifferentialBatchSweeps(f *testing.F) {
 }
 
 // differentialBatchSweep runs one seed's walk and returns how many verdicts
-// it checked against the oracle and how many of them were Unknown because
-// the query's deadline passed.
-func differentialBatchSweep(t *testing.T, seed int64) (verdicts, timedOut int) {
+// it checked against the oracle and how many of them were Unknown on the
+// one-step budget.
+func differentialBatchSweep(t *testing.T, seed int64) (verdicts, starved int) {
 	vars := []expr.Ref{expr.V("a", 2), expr.V("b", 3), expr.V("c", 4)}
 	rng := rand.New(rand.NewSource(seed))
 	opts := DefaultOptions()
@@ -256,22 +254,20 @@ func differentialBatchSweep(t *testing.T, seed int64) (verdicts, timedOut int) {
 		opts.Cache = NewVerdictCache()
 	}
 	opts.Incremental = mode%4 != 0
-	deadline := !budgeted && mode%5 == 4
-	if deadline {
-		// The search reads the clock whenever its step count falls to a
-		// multiple of 256: from this budget, at its first step.
-		opts.CheckTimeout, opts.SearchBudget = time.Nanosecond, 257
+	oneStep := !budgeted && mode%5 == 4
+	if oneStep {
+		opts.SearchBudget = 1
 	}
 	s := New(opts)
 	// unknown checks that an Unknown is allowed, and counts those the
-	// deadline gave.
+	// one-step budget gave.
 	unknown := func(what string) {
 		t.Helper()
 		switch {
-		case !budgeted && !deadline:
-			t.Fatalf("seed %d: %s is Unknown without a search budget or deadline", seed, what)
-		case deadline:
-			timedOut++
+		case !budgeted && !oneStep:
+			t.Fatalf("seed %d: %s is Unknown without a search budget", seed, what)
+		case oneStep:
+			starved++
 		}
 	}
 	oracle := newSweepOracle(vars)
@@ -387,5 +383,5 @@ func differentialBatchSweep(t *testing.T, seed int64) (verdicts, timedOut int) {
 	if s.Depth() != 0 {
 		t.Fatalf("seed %d: walk ended at depth %d", seed, s.Depth())
 	}
-	return verdicts, timedOut
+	return verdicts, starved
 }

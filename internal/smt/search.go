@@ -1,18 +1,10 @@
 package smt
 
-import (
-	"time"
+import "repro/internal/expr"
 
-	"repro/internal/expr"
-)
-
-// searchBudget enforces the per-query limits: a backtracking-step count
-// and an optional wall-clock deadline. The clock is consulted only every
-// 256 steps — time.Now per step would dominate small queries.
+// searchBudget enforces the per-query limit: a backtracking-step count.
 type searchBudget struct {
-	steps    int
-	deadline time.Time
-	timedOut bool
+	steps int
 }
 
 // spend consumes one step and reports whether the budget is exhausted.
@@ -21,11 +13,6 @@ func (b *searchBudget) spend() bool {
 		return true
 	}
 	b.steps--
-	if !b.deadline.IsZero() && b.steps&255 == 0 && time.Now().After(b.deadline) {
-		b.timedOut = true
-		b.steps = 0
-		return true
-	}
 	return false
 }
 
@@ -35,8 +22,8 @@ func (b *searchBudget) exhausted() bool { return b.steps <= 0 }
 // the propagated domains, and validates every candidate assignment against
 // the full original constraint list. This final concrete check is what
 // makes models sound even for deferred atoms the domains cannot encode.
-// The error is a *BudgetError when the result is Unknown because a step
-// or time budget ran out; nil otherwise.
+// The error is a *BudgetError when the result is Unknown because the step
+// budget ran out; nil otherwise.
 //
 // All working storage (the assignment, the free-variable order, per-depth
 // candidate buffers) is solver scratch indexed by slot; a Sat result leaves
@@ -91,9 +78,6 @@ func (s *Solver) search(bp *batchPrep) (Result, error) {
 
 	budget := &s.budget
 	*budget = searchBudget{steps: s.opts.SearchBudget}
-	if s.opts.CheckTimeout > 0 {
-		budget.deadline = time.Now().Add(s.opts.CheckTimeout)
-	}
 	ok := s.assignFrom(free, 0)
 	res, err := Unsat, error(nil)
 	switch {
@@ -101,11 +85,7 @@ func (s *Solver) search(bp *batchPrep) (Result, error) {
 		res = Sat
 	case budget.exhausted():
 		res = Unknown
-		if budget.timedOut {
-			err = &BudgetError{Timeout: s.opts.CheckTimeout}
-		} else {
-			err = &BudgetError{Steps: s.opts.SearchBudget}
-		}
+		err = &BudgetError{Steps: s.opts.SearchBudget}
 	}
 	if bp != nil {
 		// Restore the scratch state to prefix-fixed-only for the next

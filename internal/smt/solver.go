@@ -14,21 +14,14 @@ import (
 // budget. Use errors.Is(err, ErrBudget) against LastUnknown.
 var ErrBudget = errors.New("smt: query budget exhausted")
 
-// BudgetError is the typed budget-exhaustion report: which limit was
-// binding for the query that returned Unknown.
+// BudgetError is the typed budget-exhaustion report for a query that
+// returned Unknown.
 type BudgetError struct {
-	// Steps is the backtracking-step budget, when it was the binding
-	// limit (0 otherwise).
+	// Steps is the backtracking-step budget the query exhausted.
 	Steps int
-	// Timeout is the per-query wall-clock budget, when it was the
-	// binding limit (0 otherwise).
-	Timeout time.Duration
 }
 
 func (e *BudgetError) Error() string {
-	if e.Timeout > 0 {
-		return fmt.Sprintf("smt: query exceeded wall-clock budget %v", e.Timeout)
-	}
 	return fmt.Sprintf("smt: query exceeded step budget %d", e.Steps)
 }
 
@@ -78,7 +71,7 @@ type Stats struct {
 	// running the solver; cache hits do not increment Checks.
 	CacheHits uint64
 	// BudgetExhausted counts Unknown results caused specifically by the
-	// step or wall-clock budget running out (a subset of Unknowns). The
+	// step budget running out (a subset of Unknowns). The
 	// exploration layer surfaces this per pipeline so degraded-but-sound
 	// coverage is visible rather than silent.
 	BudgetExhausted uint64
@@ -113,13 +106,6 @@ type Options struct {
 	Incremental bool
 	// SearchBudget bounds the number of backtracking steps per check.
 	SearchBudget int
-	// CheckTimeout bounds the wall-clock time of a single satisfiability
-	// check (zero means none). A check that exceeds it returns Unknown
-	// with a typed *BudgetError rather than running on — the graceful
-	// degradation path for production-scale programs where one
-	// pathological query must not stall the whole exploration. Callers
-	// keep Unknown paths conservatively, so no coverage is silently lost.
-	CheckTimeout time.Duration
 	// CandidatesPerVar bounds how many values are tried per free variable.
 	CandidatesPerVar int
 	// PerCheckOverhead adds a fixed cost to every satisfiability check,

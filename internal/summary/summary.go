@@ -67,7 +67,7 @@ type PipelineStat struct {
 	PublicConstraints int
 	// Unknowns / BudgetExhausted report solver queries within this
 	// pipeline's exploration that came back undecided (and, of those, the
-	// ones cut off by the per-query SearchBudget/CheckTimeout). Undecided
+	// ones cut off by the per-query SearchBudget). Undecided
 	// paths are conservatively kept in the summary, so a non-zero count
 	// means the summary may be a superset of the valid-path set but never
 	// misses a valid path.

@@ -2,7 +2,6 @@ package sym
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -83,9 +82,6 @@ func splitFrontier(c Config, width int) (*frontier, error) {
 	f.seed = contextSeed(c, c.Start, c.Options)
 	f.plan = newPlan(c, c.Start)
 	f.shared = &sharedState{maxPaths: c.Options.MaxPaths}
-	if c.Options.Deadline > 0 {
-		f.shared.deadline = time.Now().Add(c.Options.Deadline)
-	}
 	if width > 1 {
 		f.split(width)
 	} else {

@@ -4,7 +4,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -41,7 +40,7 @@ import (
 // set — paths, constraints, models, obligations, ordering, IDs — is
 // byte-identical at any worker count (reference_test.go holds the plain DFS
 // the differentials compare against). The only exception is budget
-// truncation (MaxPaths / Deadline) on more than one runner, which is
+// truncation (MaxPaths) on more than one runner, which is
 // cooperative and therefore cuts a nondeterministic suffix; untruncated runs
 // are exactly reproducible.
 
@@ -51,7 +50,6 @@ type sharedState struct {
 	paths    atomic.Uint64
 	halted   atomic.Bool
 	maxPaths uint64
-	deadline time.Time
 }
 
 // split runs the top of the exploration on a splitter executor whose spill

@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -119,10 +118,6 @@ type Options struct {
 	// templates is not deterministic (the total never exceeds the bound by
 	// more than the runners' in-flight descents).
 	MaxPaths uint64
-	// Deadline aborts exploration after a wall-clock budget (zero means
-	// none); Result.Truncated is set. This is how the benchmark harness
-	// applies the paper's one-hour verification budget to baselines.
-	Deadline time.Duration
 	// WantModels extracts a concrete witness per template.
 	WantModels bool
 	// Strict disables per-path panic isolation: a panic while executing
@@ -329,10 +324,7 @@ type executor struct {
 	obligations []HashObligation
 	path        []cfg.NodeID
 	res         *Result
-	// visits counts dfs node entries; the wall-clock budget is tested
-	// every 64 visits. (PathsExplored only moves at leaves and prunes, so
-	// gating the deadline on it let a single deep descent — or a counter
-	// parked on a non-multiple of 64 — blow far past the budget.)
+	// visits counts dfs node entries (Result.Frames).
 	visits uint64
 	// widthProd is the product of the branch widths (successor counts > 1)
 	// along the current path — an estimate of how many sibling subtrees
@@ -548,8 +540,7 @@ func (e *executor) stopNow() bool {
 	if s.halted.Load() {
 		return true
 	}
-	if (s.maxPaths > 0 && s.paths.Load() >= s.maxPaths) ||
-		(!s.deadline.IsZero() && e.visits%64 == 0 && time.Now().After(s.deadline)) {
+	if s.maxPaths > 0 && s.paths.Load() >= s.maxPaths {
 		s.halted.Store(true)
 		return true
 	}
@@ -669,9 +660,6 @@ func (e *executor) step(id cfg.NodeID) {
 	// sibling's frame.
 	pend := e.pending
 	e.pending = pendingBranch{}
-	// Periodic budget checks are keyed to the visit counter (incremented
-	// on every node entry) so a single deep descent still observes the
-	// deadline; time.Now per node would dominate small graphs.
 	e.visits++
 	if e.stopNow() {
 		return

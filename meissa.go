@@ -69,10 +69,8 @@ type Options struct {
 	// checks and path counts are identical at any setting.
 	Parallelism int
 	// MaxPaths caps DFS descents per exploration (0 = unlimited); the
-	// harness uses it as a timeout substitute for intractable baselines.
+	// paper harness runs every tool under it (baselines.Budget).
 	MaxPaths uint64
-	// Deadline bounds each exploration's wall-clock time (0 = none).
-	Deadline time.Duration
 	// SolverOverhead adds a fixed per-check solver cost, emulating
 	// out-of-process SMT solvers (ablation only; see smt.Options).
 	SolverOverhead time.Duration
@@ -81,9 +79,6 @@ type Options struct {
 	// the affected path is conservatively kept, so budget-limited runs
 	// generate a superset of the unlimited run's templates.
 	SolverSearchBudget int
-	// SolverCheckTimeout bounds each solver query's wall-clock time
-	// (0 = none). Same conservative Unknown semantics as the step budget.
-	SolverCheckTimeout time.Duration
 	// Strict disables per-path panic isolation: a panic anywhere in
 	// exploration aborts the process (fail-fast debugging mode). The
 	// default recovers per-path panics into GenResult.PathErrors and
@@ -394,7 +389,6 @@ func (s *System) passConfigs(g *cfg.Graph, initC []expr.Bool, j *journal.Journal
 		SolverSet:        true,
 		Parallelism:      s.Opts.Parallelism,
 		MaxPaths:         s.Opts.MaxPaths,
-		Deadline:         s.Opts.Deadline,
 		Strict:           s.Opts.Strict,
 		PathHook:         s.Opts.PathHook,
 		Journal:          j,
@@ -488,14 +482,13 @@ func (s *System) solverOptions() smt.Options {
 	if s.Opts.SolverSearchBudget > 0 {
 		o.SearchBudget = s.Opts.SolverSearchBudget
 	}
-	o.CheckTimeout = s.Opts.SolverCheckTimeout
 	return o
 }
 
 // fingerprint digests everything that determines solver verdicts — the
 // program, the rules, the generation-scoping assume clauses, and the
 // verdict-affecting options — into the checkpoint journal's identity.
-// Parallelism, MaxPaths and Deadline are deliberately excluded: they
+// Parallelism and MaxPaths are deliberately excluded: they
 // change how much gets explored, never what any query's verdict is, so a
 // journal written at one setting resumes correctly at another.
 func (s *System) fingerprint(initC []expr.Bool) uint64 {
@@ -516,9 +509,11 @@ func (s *System) identity(initC []expr.Bool, rulesText string) uint64 {
 		io.WriteString(h, "\n")
 	}
 	so := s.solverOptions()
-	fmt.Fprintf(h, "|cs=%v pre=%v et=%v inc=%v sb=%d ct=%d cpv=%d",
+	// ct=0 is where a per-query wall-clock timeout was written; the literal
+	// keeps the identities of checkpoints and stores made before it went.
+	fmt.Fprintf(h, "|cs=%v pre=%v et=%v inc=%v sb=%d ct=0 cpv=%d",
 		s.Opts.CodeSummary, s.Opts.UsePreconditions, s.Opts.EarlyTermination,
-		s.Opts.IncrementalSolving, so.SearchBudget, so.CheckTimeout, so.CandidatesPerVar)
+		s.Opts.IncrementalSolving, so.SearchBudget, so.CandidatesPerVar)
 	return h.Sum64()
 }
 
