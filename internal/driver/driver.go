@@ -250,7 +250,7 @@ type Driver struct {
 	graphZero expr.State
 	// csScratch is the checksum input buffer Concretize and check reuse.
 	csScratch []uint64
-	// phases and mark are the running suite's stage clock (see lap).
+	// phases and mark are the running suite's stage timings (see lap).
 	phases Phases
 	mark   time.Time
 	// tmplCache memoizes each template's ID-independent concretization
@@ -368,8 +368,9 @@ type assumed struct {
 }
 
 // startClock opens a batch of stage timings; lap charges the time since
-// the last reading to a stage and returns that reading, so call sites
-// that need the time anyway share it.
+// the last reading to a stage and returns that reading. The readings are
+// wall-clock measurements (Phases, the case latency), never scheduling
+// times: the engine schedules on its own clock (see pipeline.go).
 func (d *Driver) startClock() { d.mark = time.Now() }
 
 func (d *Driver) lap(stage *time.Duration) time.Time {

@@ -1,9 +1,10 @@
 package driver
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,7 +28,8 @@ type LinkFaults struct {
 	Reorder float64
 	// Corrupt flips one random bit of the packet.
 	Corrupt float64
-	// Delay adds up to this much extra latency before each transmission.
+	// Delay adds up to this much latency to each transmission, on the
+	// inner link's clock: simulated over the loopback, real over UDP.
 	Delay time.Duration
 }
 
@@ -50,37 +52,29 @@ func ParseLinkFaults(s string) (LinkFaults, error) {
 	if strings.TrimSpace(s) == "" {
 		return f, nil
 	}
+	rates := map[string]*float64{"drop": &f.Drop, "dup": &f.Duplicate, "reorder": &f.Reorder, "corrupt": &f.Corrupt}
 	for _, item := range strings.Split(s, ",") {
 		kv := strings.SplitN(strings.TrimSpace(item), "=", 2)
 		if len(kv) != 2 {
 			return f, fmt.Errorf("driver: link fault %q wants key=value", item)
 		}
 		key, val := kv[0], kv[1]
-		switch key {
-		case "drop", "dup", "reorder", "corrupt":
+		switch rate := rates[key]; {
+		case rate != nil:
 			p, err := strconv.ParseFloat(val, 64)
 			// The negated comparison also rejects NaN, which compares
 			// false against both bounds.
 			if err != nil || !(p >= 0 && p <= 1) {
 				return f, fmt.Errorf("driver: link fault %s=%q wants a probability in [0,1]", key, val)
 			}
-			switch key {
-			case "drop":
-				f.Drop = p
-			case "dup":
-				f.Duplicate = p
-			case "reorder":
-				f.Reorder = p
-			case "corrupt":
-				f.Corrupt = p
-			}
-		case "delay":
+			*rate = p
+		case key == "delay":
 			d, err := time.ParseDuration(val)
 			if err != nil || d < 0 {
 				return f, fmt.Errorf("driver: link fault delay=%q wants a duration", val)
 			}
 			f.Delay = d
-		case "seed":
+		case key == "seed":
 			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
 				return f, fmt.Errorf("driver: link fault seed=%q wants an integer", val)
@@ -114,15 +108,14 @@ func (s LinkStats) String() string {
 // where the link itself loses and mangles packets independently of any
 // data-plane bug. The retrying driver must absorb this noise without
 // reporting false failures; FaultyLink makes that property testable.
+//
+// A delay is latency, not a wait: the transmission is held until a time
+// on the inner link's clock (simulated over the loopback), the first Send
+// or Recv after it delivers it, and the engine's idle wait wakes for it.
 type FaultyLink struct {
 	inner Link
 	cfg   LinkFaults
-
-	// closed is closed (once) by Close, cancelling any in-flight delay
-	// sleep so a delayed transmission never races the inner link's
-	// teardown (send-on-closed) and Close never waits out the delay.
-	closed    chan struct{}
-	closeOnce sync.Once
+	clk   *simClock // the inner link's clock (clockOf); nil is the wall clock
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -130,6 +123,9 @@ type FaultyLink struct {
 	// heldSend is a transmission held back by a reorder fault; it is
 	// released behind the next Send, or at the next Recv.
 	heldSend *sendReq
+	// delayed holds the transmissions not yet delivered, in delivery-time
+	// order (ties in the order they were scheduled).
+	delayed []sendReq
 	// heldRecv queues extra inbound deliveries (duplicates).
 	heldRecv [][]byte
 }
@@ -137,15 +133,16 @@ type FaultyLink struct {
 type sendReq struct {
 	entry int
 	wire  []byte
+	at    time.Time // delivery time, once scheduled
 }
 
 // NewFaultyLink wraps inner with the configured faults.
 func NewFaultyLink(inner Link, cfg LinkFaults) *FaultyLink {
 	return &FaultyLink{
-		inner:  inner,
-		cfg:    cfg,
-		closed: make(chan struct{}),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		inner: inner,
+		cfg:   cfg,
+		clk:   clockOf(inner),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -156,11 +153,26 @@ func (l *FaultyLink) Stats() LinkStats {
 	return l.stats
 }
 
+// clock makes a drive over the link run on the inner link's clock.
+func (l *FaultyLink) clock() *simClock { return l.clk }
+
+// pending is when the earliest delayed transmission falls due, zero when
+// none is held.
+func (l *FaultyLink) pending() time.Time {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.delayed) == 0 {
+		return time.Time{}
+	}
+	return l.delayed[0].at
+}
+
 // Send implements Link, subjecting the transmission to the configured
 // faults before it reaches the inner link.
 func (l *FaultyLink) Send(entry int, wire []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	now := l.clk.now()
 	var queue []sendReq
 	if l.rng.Float64() < l.cfg.Drop {
 		l.stats.Dropped++
@@ -170,9 +182,9 @@ func (l *FaultyLink) Send(entry int, wire []byte) error {
 			w[l.rng.Intn(len(w))] ^= 1 << uint(l.rng.Intn(8))
 			l.stats.Corrupted++
 		}
-		queue = append(queue, sendReq{entry, w})
+		queue = append(queue, sendReq{entry: entry, wire: w})
 		if l.rng.Float64() < l.cfg.Duplicate {
-			queue = append(queue, sendReq{entry, append([]byte(nil), w...)})
+			queue = append(queue, sendReq{entry: entry, wire: append([]byte(nil), w...)})
 			l.stats.Duplicated++
 		}
 	}
@@ -187,28 +199,31 @@ func (l *FaultyLink) Send(entry int, wire []byte) error {
 		l.heldSend = &held
 		l.stats.Reordered++
 	}
-	return l.flushLocked(queue)
+	for _, q := range queue {
+		l.schedule(q, now)
+	}
+	return l.release(now)
 }
 
-func (l *FaultyLink) flushLocked(queue []sendReq) error {
-	for _, q := range queue {
+// schedule holds a transmission until its delivery time: now, plus a
+// random delay of up to cfg.Delay.
+func (l *FaultyLink) schedule(q sendReq, now time.Time) {
+	q.at = now
+	if l.cfg.Delay > 0 {
+		q.at = now.Add(time.Duration(l.rng.Int63n(int64(l.cfg.Delay)) + 1))
+	}
+	i := sort.Search(len(l.delayed), func(i int) bool { return l.delayed[i].at.After(q.at) })
+	l.delayed = slices.Insert(l.delayed, i, q)
+}
+
+// release delivers, in delivery-time order, every held transmission whose
+// time has come. An inner error stops it; the rest stay held.
+func (l *FaultyLink) release(now time.Time) error {
+	for len(l.delayed) > 0 && !l.delayed[0].at.After(now) {
+		q := l.delayed[0]
+		l.delayed = l.delayed[1:]
 		if l.cfg.Delay > 0 {
-			t := time.NewTimer(time.Duration(l.rng.Int63n(int64(l.cfg.Delay)) + 1))
-			select {
-			case <-t.C:
-				l.stats.Delayed++
-			case <-l.closed:
-				// Close cancelled the delay: the link is going away, so
-				// the rest of the queue is dropped, not delivered late
-				// into a torn-down inner link.
-				t.Stop()
-				return errLinkClosed
-			}
-		}
-		select {
-		case <-l.closed:
-			return errLinkClosed
-		default:
+			l.stats.Delayed++
 		}
 		if err := l.inner.Send(q.entry, q.wire); err != nil {
 			return err
@@ -218,30 +233,32 @@ func (l *FaultyLink) flushLocked(queue []sendReq) error {
 }
 
 // Recv implements Link: it releases any reorder-held transmission (the
-// network eventually delivers it), then reads from the inner link,
-// subjecting each capture to the same fault model.
+// network eventually delivers it) and every delayed one now due, then
+// reads from the inner link, subjecting each capture to the same fault
+// model. The inner link is read at least once whatever the timeout, and
+// only the first read waits: no longer than until the next delayed
+// transmission falls due, so the caller's next Recv delivers it.
 func (l *FaultyLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	now := l.clk.now()
 	if l.heldSend != nil {
-		held := *l.heldSend
+		l.schedule(*l.heldSend, now)
 		l.heldSend = nil
-		if err := l.flushLocked([]sendReq{held}); err != nil {
-			return 0, false, err
-		}
 	}
-	deadline := time.Now().Add(timeout)
-	for {
+	if err := l.release(now); err != nil {
+		return 0, false, err
+	}
+	if len(l.delayed) > 0 {
+		timeout = min(timeout, l.delayed[0].at.Sub(now))
+	}
+	for ; ; timeout = 0 {
 		if len(l.heldRecv) > 0 {
 			w := l.heldRecv[0]
 			l.heldRecv = l.heldRecv[1:]
 			return copy(buf, w), true, nil
 		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return 0, false, nil
-		}
-		n, ok, err := l.inner.Recv(buf, remaining)
+		n, ok, err := l.inner.Recv(buf, timeout)
 		if err != nil || !ok {
 			return 0, ok, err
 		}
@@ -261,16 +278,12 @@ func (l *FaultyLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) 
 	}
 }
 
-// errLinkClosed reports a transmission abandoned because the link was
-// closed while it was delayed. Idempotent Close is part of the Link
-// contract, so the sentinel is internal: callers observe only the error.
-var errLinkClosed = errors.New("driver: faulty link closed")
-
-// Close implements Link. It first wakes any Send sleeping out a delay
-// fault (the sleeper aborts with an error instead of transmitting into
-// the closing inner link), then closes the inner link. Safe to call more
-// than once.
+// Close implements Link. A transmission still held — delayed, or behind a
+// reorder — goes down with the link: none reaches the inner link after it
+// is closed. Close is as idempotent as the inner link's.
 func (l *FaultyLink) Close() error {
-	l.closeOnce.Do(func() { close(l.closed) })
+	l.mu.Lock()
+	l.delayed, l.heldSend = nil, nil
+	l.mu.Unlock()
 	return l.inner.Close()
 }

@@ -12,12 +12,16 @@ import (
 // countingLink is a thread-safe inner link that records every delivered
 // payload. FaultyLink serializes inner calls under its own mutex, but the
 // test reads counters from the main goroutine, so everything is atomic or
-// mutex-guarded anyway.
+// mutex-guarded anyway. It runs on a simulated clock, which only the test
+// goroutine advances.
 type countingLink struct {
 	sends atomic.Uint64
 	mu    sync.Mutex
 	wires [][]byte
+	clk   simClock
 }
+
+func (c *countingLink) clock() *simClock { return &c.clk }
 
 func (c *countingLink) Send(entry int, wire []byte) error {
 	c.sends.Add(1)
@@ -62,10 +66,19 @@ func TestFaultyLinkConcurrentCounters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// A reorder fault may still be holding the final transmission; one
-	// Recv releases it (the network eventually delivers).
-	if _, _, err := fl.Recv(make([]byte, 64), time.Millisecond); err != nil {
-		t.Fatal(err)
+	// A reorder fault may still be holding the final transmission, and
+	// every transmission is delayed: each Recv delivers what is due (the
+	// network eventually delivers), and the clock moves on to the next
+	// delivery, as the engine's idle wait does, until none is held.
+	for buf := make([]byte, 64); ; {
+		if _, _, err := fl.Recv(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		next := fl.pending()
+		if next.IsZero() {
+			break
+		}
+		inner.clk.advance(next)
 	}
 	st := fl.Stats()
 	sent := uint64(workers * per)

@@ -110,3 +110,58 @@ func TestParseLinkFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultyLinkRecvZeroTimeoutReadsInner: a zero-timeout Recv still reads
+// the inner link once, so a capture already queued there is delivered
+// instead of the link reporting itself empty.
+func TestFaultyLinkRecvZeroTimeoutReadsInner(t *testing.T) {
+	inner := &scriptLink{}
+	fl := NewFaultyLink(inner, LinkFaults{Seed: 1})
+	if err := fl.Send(0, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	inner.queue = append(inner.queue, []byte{9, 9, 9}) // the target's answer
+	buf := make([]byte, 64)
+	n, ok, err := fl.Recv(buf, 0)
+	if err != nil || !ok || !bytes.Equal(buf[:n], []byte{9, 9, 9}) {
+		t.Fatalf("Recv(buf, 0) with a capture queued = %x, %v, %v", buf[:n], ok, err)
+	}
+}
+
+// TestFaultyLinkDelayIsLatency: a delayed transmission waits on the inner
+// link's clock, not in Send. It reaches the inner link on the first Send
+// or Recv after its delivery time, and pending reports that time while
+// it is held.
+func TestFaultyLinkDelayIsLatency(t *testing.T) {
+	inner := &countingLink{}
+	const delay = 10 * time.Millisecond
+	fl := NewFaultyLink(inner, LinkFaults{Seed: 3, Delay: delay})
+	for i := byte(1); i <= 3; i++ {
+		if err := fl.Send(0, []byte{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := inner.sends.Load(); n != 0 {
+		t.Fatalf("%d delayed transmissions delivered before the clock moved", n)
+	}
+	first := fl.pending()
+	if first.IsZero() || first.After(simEpoch.Add(delay)) {
+		t.Fatalf("pending = %v, want within %v of the epoch", first, delay)
+	}
+	buf := make([]byte, 16)
+	inner.clk.advance(first.Add(-1))
+	fl.Recv(buf, 0)
+	if n := inner.sends.Load(); n != 0 {
+		t.Fatalf("%d transmissions delivered before their time", n)
+	}
+	inner.clk.advance(first)
+	fl.Recv(buf, 0)
+	if n := inner.sends.Load(); n == 0 {
+		t.Fatal("the earliest transmission was not delivered at its time")
+	}
+	inner.clk.advance(simEpoch.Add(delay))
+	fl.Recv(buf, 0)
+	if n, s := inner.sends.Load(), fl.Stats(); n != 3 || s.Delayed != 3 || !fl.pending().IsZero() {
+		t.Fatalf("after the longest delay: %d delivered, %s, pending %v", n, s, fl.pending())
+	}
+}

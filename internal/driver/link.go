@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/switchsim"
@@ -44,6 +45,7 @@ type SyncLink interface {
 // the target's trace-free line-rate inject; Replay is the traced one.
 type Loopback struct {
 	target *switchsim.Target
+	clk    simClock // what a drive over the loopback schedules on
 	mu     sync.Mutex
 	// The undelivered captures lie back to back in arena, the target
 	// deparsing straight into it: capture i ends at ends[i] and starts
@@ -61,6 +63,10 @@ func NewLoopback(t *switchsim.Target) *Loopback { return &Loopback{target: t} }
 // Synchronous implements SyncLink: loopback captures are enqueued by Send
 // itself.
 func (l *Loopback) Synchronous() bool { return true }
+
+// clock makes the loopback run on a simulated clock: nothing on it takes
+// time, so a drive only waits out the deadlines it sets itself.
+func (l *Loopback) clock() *simClock { return &l.clk }
 
 // Send implements Link. The target deparses straight to wire bytes,
 // skipping the trace and the intermediate Packet nothing here reads.
@@ -148,10 +154,7 @@ type UDPSwitch struct {
 	// persistent register state and is not reentrant.
 	injectMu sync.Mutex
 
-	mu      sync.Mutex
-	crashes uint64
-	dropped uint64
-	errs    uint64
+	crashes, dropped, errs atomic.Uint64
 }
 
 type datagram struct {
@@ -204,33 +207,15 @@ func ServeUDP(target *switchsim.Target, addr string) (*UDPSwitch, error) {
 func (s *UDPSwitch) Addr() string { return s.conn.LocalAddr().String() }
 
 // Crashes counts packets whose processing panicked in the target.
-func (s *UDPSwitch) Crashes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashes
-}
+func (s *UDPSwitch) Crashes() uint64 { return s.crashes.Load() }
 
 // Dropped counts packets that produced no reply: data-plane drops,
 // malformed datagrams, and load shed by the bounded queue.
-func (s *UDPSwitch) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *UDPSwitch) Dropped() uint64 { return s.dropped.Load() }
 
 // Errors counts inject, marshal, read and write errors absorbed while
 // serving.
-func (s *UDPSwitch) Errors() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errs
-}
-
-func (s *UDPSwitch) count(c *uint64) {
-	s.mu.Lock()
-	*c++
-	s.mu.Unlock()
-}
+func (s *UDPSwitch) Errors() uint64 { return s.errs.Load() }
 
 // read pulls datagrams off the socket into the bounded work queue. It
 // never exits on a transient error — only on Close (or the socket dying
@@ -262,11 +247,11 @@ func (s *UDPSwitch) read() {
 				continue
 			}
 			// Transient socket error: count it and keep serving.
-			s.count(&s.errs)
+			s.errs.Add(1)
 			continue
 		}
 		if n < 1 {
-			s.count(&s.dropped)
+			s.dropped.Add(1)
 			continue
 		}
 		wp := dgramPool.Get().(*[]byte)
@@ -277,7 +262,7 @@ func (s *UDPSwitch) read() {
 		default:
 			// Queue full: shed load like an oversubscribed ingress port.
 			dgramPool.Put(wp)
-			s.count(&s.dropped)
+			s.dropped.Add(1)
 		}
 	}
 }
@@ -292,7 +277,7 @@ func (s *UDPSwitch) handle(d datagram) {
 		defer func() {
 			if r := recover(); r != nil {
 				res, err = nil, fmt.Errorf("driver: packet handler panicked: %v", r)
-				s.count(&s.crashes)
+				s.crashes.Add(1)
 			}
 		}()
 		s.injectMu.Lock()
@@ -307,18 +292,18 @@ func (s *UDPSwitch) handle(d datagram) {
 	if err != nil {
 		var ce *switchsim.CrashError
 		if errors.As(err, &ce) {
-			s.count(&s.crashes)
+			s.crashes.Add(1)
 		} else {
-			s.count(&s.errs)
+			s.errs.Add(1)
 		}
 		return
 	}
 	if res.Dropped {
-		s.count(&s.dropped) // dropped: nothing comes back, like real hardware
+		s.dropped.Add(1) // dropped: nothing comes back, like real hardware
 		return
 	}
 	if _, err := s.conn.WriteToUDP(res.Wire, d.peer); err != nil {
-		s.count(&s.errs)
+		s.errs.Add(1)
 	}
 }
 
@@ -366,9 +351,10 @@ func (l *UDPLink) Send(entry int, wire []byte) error {
 }
 
 // Recv implements Link: the socket read lands directly in the caller's
-// buffer.
+// buffer. It waits at least 200 µs: a read deadline already past reports
+// a timeout without looking at the socket's queue.
 func (l *UDPLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
-	if err := l.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := l.conn.SetReadDeadline(time.Now().Add(max(timeout, 200*time.Microsecond))); err != nil {
 		return 0, false, err
 	}
 	n, err := l.conn.Read(buf)

@@ -26,11 +26,50 @@ const DefaultWindow = 256
 // slots — is touched only by that goroutine, which is why none of them
 // need atomics; the obs counters it shares with other subsystems are
 // already atomic. The concurrency lives in the link (a UDPSwitch's
-// worker pool, a FaultyLink's delay timers), never in the driver.
+// worker pool), never in the driver.
 //
 // A case's pending deadline lives on the case, not in per-case goroutines
 // or timers: each turn one pass over the at most Window cases the engine
-// holds fires the due ones, and an idle loop sleeps until the earliest.
+// holds fires the due ones, and an idle loop waits for the earliest.
+//
+// Every due, deadline and backoff, and every delivery a FaultyLink holds
+// back, is a time on one clock, the link's (clockOf). In-process links run
+// on a simulated clock, which the idle loop advances to the earliest
+// pending event, so a drive over them is a function of its inputs and
+// seed; UDP runs on the wall clock. Phases, TimeToFirstVerdict and the
+// case latency are measurements, on the wall clock on every link.
+
+// simClock is a discrete-event clock: simEpoch (not the zero Time, which
+// means "none") plus what it was advanced by. nil is the wall clock.
+type simClock struct{ elapsed time.Duration }
+
+var simEpoch = time.Unix(0, 0)
+
+func (c *simClock) now() time.Time {
+	if c == nil {
+		return time.Now()
+	}
+	return simEpoch.Add(c.elapsed)
+}
+
+// advance moves the clock forward to t; it never moves back.
+func (c *simClock) advance(t time.Time) { c.elapsed = max(c.elapsed, t.Sub(simEpoch)) }
+
+// clockOf is the clock a link runs on: an in-process link's simulated one.
+func clockOf(l Link) *simClock {
+	if c, ok := l.(interface{ clock() *simClock }); ok {
+		return c.clock()
+	}
+	return nil
+}
+
+// nextDelivery is when the link next delivers a transmission it holds.
+func nextDelivery(l Link) time.Time {
+	if h, ok := l.(interface{ pending() time.Time }); ok {
+		return h.pending()
+	}
+	return time.Time{}
+}
 
 // pstate is an in-flight case's position in the retry state machine.
 type pstate uint8
@@ -52,11 +91,10 @@ type pcase struct {
 	last     *Outcome     // most recent failed attempt, reported on exhaustion
 	attempt  int
 	backoff  time.Duration
-	start    time.Time // admission time (case latency metric)
+	start    time.Time // admission wall time (case latency metric)
 	deadline time.Time // end-to-end case budget (caseBudget)
 	// due is the case's one pending deadline: the capture window's close
-	// while psAwaiting (zero on a synchronous link, whose windows close in
-	// the turn they open), the retransmission time while psBackoff.
+	// while psAwaiting, the retransmission time while psBackoff.
 	due      time.Time
 	seq      uint64 // transmission order, for oldest-awaiting routing
 	state    pstate
@@ -68,7 +106,8 @@ type pcase struct {
 
 type engine struct {
 	d    *Driver
-	sync bool // link answers before Send returns (loopback)
+	sync bool      // link answers before Send returns (loopback)
+	clk  *simClock // the scheduling clock (clockOf); nil is the wall clock
 	// cases holds every pcase the engine has made, in flight or on the
 	// freelist: never more than the window.
 	cases []*pcase
@@ -79,7 +118,7 @@ type engine struct {
 	idMap   map[uint64]*pcase
 	free    []*pcase
 	burst   []*pcase // reused: one admission burst's cases (admit)
-	scratch []*pcase // reused iteration buffer (closeSyncWindows, dueCases)
+	scratch []*pcase // reused iteration buffer (dueCases)
 	routed  []routed // reused: one drain's decoded captures, awaiting the checker
 	outs    []*Outcome
 	skips   []*Case
@@ -95,12 +134,11 @@ type engine struct {
 	wires    []byte
 	slots    []uint64
 	order    []int
-	awaiting int
 	inflight int
 	done     int
 	seq      uint64
 	rep      *Report
-	start    time.Time
+	start    time.Time // wall clock, for TimeToFirstVerdict
 	firstSet bool
 	err      error // deferred fatal error (Concretize failure mid-retry)
 	// consecCrashes tracks the crash streak in finalization order; once
@@ -129,8 +167,7 @@ type capture struct {
 // RunTemplates concretizes and executes every template, returning the
 // aggregated report. It keeps up to Window cases in flight: a burst of
 // sends tops the window up, a drain loop routes every available capture
-// to its case, synchronous links have their dead capture windows closed
-// immediately, and the cases whose capture window or backoff has expired
+// to its case, and the cases whose capture window or backoff has expired
 // fire. Window changes the scheduling only, never a verdict:
 // reference_test.go holds every window to the one-case-at-a-time loop.
 func (d *Driver) RunTemplates(templates []*sym.Template) (*Report, error) {
@@ -143,6 +180,7 @@ func (d *Driver) RunTemplates(templates []*sym.Template) (*Report, error) {
 		recvBuf: make([]byte, 65536),
 		rep:     &Report{Program: d.Prog.Name},
 		start:   time.Now(),
+		clk:     clockOf(d.Link),
 	}
 	if s, ok := d.Link.(SyncLink); ok && s.Synchronous() {
 		eng.sync = true
@@ -183,14 +221,8 @@ func (d *Driver) RunTemplates(templates []*sym.Template) (*Report, error) {
 		if eng.drain(0) {
 			progress = true
 		}
-		// 3. A synchronous link answered during Send; windows still open
-		// after a full drain will never fill — close them now instead of
-		// waiting out RecvTimeout.
-		if eng.sync && eng.closeSyncWindows() {
-			progress = true
-		}
-		// 4. Fire the cases whose capture window or backoff has expired.
-		if due := eng.dueCases(time.Now()); len(due) > 0 {
+		// 3. Fire the cases whose capture window or backoff has expired.
+		if due := eng.dueCases(eng.clk.now()); len(due) > 0 {
 			for _, pc := range due {
 				eng.fire(pc)
 			}
@@ -199,31 +231,10 @@ func (d *Driver) RunTemplates(templates []*sym.Template) (*Report, error) {
 		if eng.err != nil {
 			return nil, eng.err
 		}
-		// 5. Idle: block until the earliest deadline, using a blocking recv
-		// on asynchronous links so an early capture wakes the loop.
+		// 4. Idle until the earliest pending event.
 		if !progress && eng.done < len(templates) {
-			wait := 5 * time.Millisecond // safety net; inflight cases always hold a deadline
-			if wake := eng.nextDue(); !wake.IsZero() {
-				wait = min(wait, time.Until(wake))
-			}
-			if wait > 0 {
-				if eng.sync {
-					time.Sleep(wait)
-				} else {
-					// Block in recv so an early capture wakes the loop.
-					// Some links report "nothing" immediately instead of
-					// honouring the timeout; sleep a bounded slice then so
-					// the idle wait never degrades into a spin.
-					t0 := time.Now()
-					if !eng.drain(wait) {
-						if rem := wait - time.Since(t0); rem > 0 {
-							if rem > time.Millisecond {
-								rem = time.Millisecond
-							}
-							time.Sleep(rem)
-						}
-					}
-				}
+			if err := eng.idle(); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -240,6 +251,30 @@ func (d *Driver) RunTemplates(templates []*sym.Template) (*Report, error) {
 	}
 	eng.rep.Phases = d.phases
 	return eng.rep, nil
+}
+
+// idle waits for the earliest pending event, a case's deadline or a
+// delivery the link holds back: a simulated clock jumps to it, and on the
+// wall clock a blocking recv waits, so an early capture wakes the loop.
+func (eng *engine) idle() error {
+	wake := eng.nextDue()
+	if t := nextDelivery(eng.d.Link); !t.IsZero() && (wake.IsZero() || t.Before(wake)) {
+		wake = t
+	}
+	switch {
+	case wake.IsZero(): // an in-flight case always holds a deadline
+		return errors.New("driver: engine idle with no pending event")
+	case eng.clk != nil:
+		eng.clk.advance(wake)
+		return nil
+	}
+	// Some links report "nothing" immediately instead of honouring the
+	// timeout; sleep a bounded slice then so the idle wait never degrades
+	// into a spin.
+	if wait := time.Until(wake); wait > 0 && !eng.drain(wait) {
+		time.Sleep(min(time.Until(wake), time.Millisecond))
+	}
+	return nil
 }
 
 func (eng *engine) getPcase() *pcase {
@@ -262,8 +297,8 @@ func (eng *engine) putPcase(pc *pcase) {
 // admit tops the window up from templates[next:] and returns how many
 // templates it took. It runs in stages, each timed by one clock reading:
 // concretize the burst, then send it, then open the capture windows. A
-// window opens from the reading after the last send, so none closes
-// earlier than if each case read the clock after its own send.
+// window opens from the engine clock's reading after the last send, so
+// none closes earlier than if each case read the clock after its own send.
 func (eng *engine) admit(templates []*sym.Template, next, window int) (int, error) {
 	d := eng.d
 	d.startClock()
@@ -286,7 +321,8 @@ func (eng *engine) admit(templates []*sym.Template, next, window int) (int, erro
 			burst = append(burst, pc)
 		}
 	}
-	now := d.lap(&d.phases.Concretize)
+	start := d.lap(&d.phases.Concretize)
+	deadline := eng.clk.now().Add(d.caseBudget())
 	sent := burst[:0]
 	for _, pc := range burst {
 		if eng.rep.BreakerTripped { // a crash earlier in this burst tripped it
@@ -300,15 +336,15 @@ func (eng *engine) admit(templates []*sym.Template, next, window int) (int, erro
 		if pc.backoff <= 0 {
 			pc.backoff = time.Millisecond
 		}
-		pc.start = now
-		pc.deadline = pc.start.Add(d.caseBudget())
+		pc.start, pc.deadline = start, deadline
 		pc.observed, pc.crashed = false, false
 		eng.inflight++
 		if eng.transmit(pc) {
 			sent = append(sent, pc)
 		}
 	}
-	now = d.lap(&d.phases.Send)
+	d.lap(&d.phases.Send)
+	now := eng.clk.now()
 	for _, pc := range sent {
 		eng.openWindow(pc, now)
 	}
@@ -325,15 +361,6 @@ func (eng *engine) shortCircuit(idx int, c *Case) {
 	eng.rep.Lost++
 	eng.rep.ShortCircuited++
 	eng.done++
-}
-
-// send transmits a retransmission and opens its capture window.
-func (eng *engine) send(pc *pcase) {
-	ok := eng.transmit(pc)
-	now := eng.d.lap(&eng.d.phases.Send)
-	if ok {
-		eng.openWindow(pc, now)
-	}
 }
 
 // transmit sends the case's current attempt. A send error fails the
@@ -361,10 +388,12 @@ func (eng *engine) transmit(pc *pcase) bool {
 	return true
 }
 
-// openWindow opens a transmitted case's capture window as of now.
+// openWindow opens a transmitted case's capture window as of now. On a
+// synchronous link the window closes the instant it opens: a capture Send
+// queued is read by the drain that precedes the due scan, or never.
 func (eng *engine) openWindow(pc *pcase, now time.Time) {
 	pc.state = psAwaiting
-	pc.due = time.Time{}
+	pc.due = now
 	if !eng.sync {
 		pc.due = now.Add(eng.d.RecvTimeout)
 		if pc.due.After(pc.deadline) {
@@ -372,13 +401,11 @@ func (eng *engine) openWindow(pc *pcase, now time.Time) {
 		}
 	}
 	eng.idMap[pc.cur.ID] = pc
-	eng.awaiting++
 }
 
 // unwatch closes a case's capture window and removes its demux entry.
 func (eng *engine) unwatch(pc *pcase) {
 	delete(eng.idMap, pc.cur.ID)
-	eng.awaiting--
 	pc.state = psIdle
 }
 
@@ -394,7 +421,7 @@ func (eng *engine) drain(timeout time.Duration) bool {
 	got := false
 	var recvErr error
 	for recvErr == nil {
-		wire, ok, err := eng.recvOne(timeout)
+		n, ok, err := d.Link.Recv(eng.recvBuf, timeout)
 		timeout = 0
 		if err != nil {
 			recvErr = err
@@ -402,7 +429,7 @@ func (eng *engine) drain(timeout time.Duration) bool {
 			break
 		} else {
 			got = true
-			eng.route(wire)
+			eng.route(eng.recvBuf[:n])
 		}
 	}
 	d.lap(&d.phases.Recv)
@@ -426,20 +453,6 @@ func (eng *engine) drain(timeout time.Duration) bool {
 		return true
 	}
 	return got
-}
-
-// recvOne reads one capture into the engine's reused buffer.
-// Asynchronous links get a floor on the poll timeout: a deadline already
-// in the past would report timeout without checking the socket's queue.
-func (eng *engine) recvOne(timeout time.Duration) ([]byte, bool, error) {
-	if !eng.sync && timeout <= 0 {
-		timeout = 200 * time.Microsecond
-	}
-	n, ok, err := eng.d.Link.Recv(eng.recvBuf, timeout)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	return eng.recvBuf[:n], true, nil
 }
 
 // route delivers one capture. ID-carrying captures go to their awaiting
@@ -615,37 +628,15 @@ func (eng *engine) chargeRecvError(err error) {
 	eng.attemptDone(pc, o)
 }
 
-// closeSyncWindows ends every open capture window: on a synchronous link
-// a capture that has not arrived after a full drain never will. Windows
-// close in transmission order, so the order cases finalize in — and with
-// it the breaker's crash streak and the payload IDs their retransmissions
-// draw — is the same on every run.
-func (eng *engine) closeSyncWindows() bool {
-	if eng.awaiting == 0 {
-		return false
-	}
-	eng.scratch = eng.scratch[:0]
-	for _, pc := range eng.cases {
-		if pc.state == psAwaiting {
-			eng.scratch = append(eng.scratch, pc)
-		}
-	}
-	slices.SortFunc(eng.scratch, func(a, b *pcase) int { return cmp.Compare(a.seq, b.seq) })
-	eng.d.startClock()
-	for _, pc := range eng.scratch {
-		eng.closeWindow(pc)
-	}
-	eng.d.lap(&eng.d.phases.Check)
-	return true
-}
-
-// dueCases lists, in (due, seq) order, every case whose deadline is not
-// after now. The list is eng.scratch: fire the cases before the next
-// call. A case a firing reschedules waits for the next turn's list.
+// dueCases lists every case whose deadline is not after now in (due, seq)
+// order, so the order cases finalize in — and with it the breaker's crash
+// streak and the payload IDs retransmissions draw — is the same on every
+// run. The list is eng.scratch: fire the cases before the next call. A
+// case a firing reschedules waits for the next turn's list.
 func (eng *engine) dueCases(now time.Time) []*pcase {
 	eng.scratch = eng.scratch[:0]
 	for _, pc := range eng.cases {
-		if pc.state != psIdle && !pc.due.IsZero() && !pc.due.After(now) {
+		if pc.state != psIdle && !pc.due.After(now) {
 			eng.scratch = append(eng.scratch, pc)
 		}
 	}
@@ -659,7 +650,7 @@ func (eng *engine) dueCases(now time.Time) []*pcase {
 func (eng *engine) nextDue() time.Time {
 	var best time.Time
 	for _, pc := range eng.cases {
-		if pc.state != psIdle && !pc.due.IsZero() && (best.IsZero() || pc.due.Before(best)) {
+		if pc.state != psIdle && (best.IsZero() || pc.due.Before(best)) {
 			best = pc.due
 		}
 	}
@@ -686,7 +677,7 @@ func (eng *engine) fire(pc *pcase) {
 		eng.closeWindow(pc)
 		d.lap(&d.phases.Check)
 	case psBackoff:
-		if !d.mark.Before(pc.deadline) {
+		if !eng.clk.now().Before(pc.deadline) {
 			eng.finalizeFail(pc)
 			return
 		}
@@ -705,7 +696,11 @@ func (eng *engine) fire(pc *pcase) {
 			return
 		}
 		pc.cur = nc
-		eng.send(pc)
+		ok := eng.transmit(pc)
+		d.lap(&d.phases.Send)
+		if ok {
+			eng.openWindow(pc, eng.clk.now())
+		}
 	}
 }
 
@@ -730,7 +725,7 @@ func (eng *engine) attemptDone(pc *pcase, o *Outcome) {
 		return
 	}
 	pc.last = o
-	now := time.Now()
+	now := eng.clk.now()
 	if pc.attempt >= d.Retries || !now.Before(pc.deadline) {
 		eng.finalizeFail(pc)
 		return

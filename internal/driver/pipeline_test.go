@@ -175,7 +175,7 @@ func TestOutputBuiltForFailuresOnly(t *testing.T) {
 }
 
 // TestPipelinedShakenLinkConverges drives the reference and the engine
-// at every window through a heavily shaken link — 30%% drop plus
+// at every window through a heavily shaken link — 30% drop plus
 // duplication and reordering — and requires all to converge: the retry
 // machinery must absorb every injected fault (no Fail, no Lost) and report
 // the noise as Flaky verdicts and retransmissions, never silently.
@@ -209,6 +209,33 @@ func TestPipelinedShakenLinkConverges(t *testing.T) {
 				t.Errorf("seed=%d window=%d converged verdicts diverge: engine=%d+%d lockstep=%d+%d",
 					seed, w, pipe.Passed, pipe.Flaky, lock.Passed, lock.Flaky)
 			}
+		}
+	}
+}
+
+// TestShakenDriveIsAFunctionOfItsSeed: a drive through a FaultyLink over
+// the loopback runs on the loopback's simulated clock, delays included, so
+// 50 repeats of the shaken gw-2 suite render one report — payload IDs,
+// verdicts, attempts — and inject the same faults.
+func TestShakenDriveIsAFunctionOfItsSeed(t *testing.T) {
+	p := programs.GW(2, programs.Set2)
+	e := explore(t, p.Prog, p.Rules)
+	faults := LinkFaults{Seed: 7, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2, Delay: 2 * time.Millisecond}
+	drive := func() (*Report, string) {
+		var fl *FaultyLink
+		rep := runWindow(t, e, nil, DefaultWindow, func(d *Driver) {
+			fl = NewFaultyLink(d.Link, faults)
+			d.Link = fl
+		})
+		return rep, renderReport(rep, true) + fl.Stats().String()
+	}
+	rep, want := drive()
+	if rep.Flaky == 0 || !strings.Contains(want, "delayed=") || strings.Contains(want, "delayed=0") {
+		t.Fatalf("the shaken drive injected no delay or absorbed no noise; the check is vacuous:\n%s", want)
+	}
+	for i := 2; i <= 50; i++ {
+		if _, got := drive(); got != want {
+			t.Fatalf("repeat %d differs\n--- repeat 1 ---\n%s\n--- repeat %d ---\n%s", i, want, i, got)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -17,13 +16,15 @@ import (
 // The reference: the lockstep send→recv loop the product ran at
 // Window <= 1 until the engine (pipeline.go) took every window. One case
 // is concretized, sent, awaited and decided before the next is touched —
-// a blocking Recv per attempt, a time.After per backoff, no deadline scan,
-// no demux map, no template cache — which is slow and obviously right.
+// a blocking Recv per attempt, a sleep per backoff, no deadline scan, no
+// demux map, no template cache — which is slow and obviously right. It
+// runs on the engine's clock (clockOf): on a simulated one a wait
+// advances the clock instead of blocking.
 // Its checker is the one the product ran before it checked slots: it
 // parses each capture into a Packet and compares field maps. It is the
 // oracle the engine's reports are compared with at every window; it
-// shares with the product only Concretize, Parse, SpecApplies, wireID
-// and caseBudget. Only tests build one.
+// shares with the product only Concretize, Parse, SpecApplies, wireID,
+// caseBudget and the clock (clockOf, nextDelivery). Only tests build one.
 type lockstep struct {
 	d *Driver
 	// pending holds captures demultiplexed away from the in-flight case,
@@ -111,8 +112,8 @@ func (l *lockstep) runTemplates(templates []*sym.Template) (*Report, error) {
 // target behaviour was observed, Lost when it never was.
 func (l *lockstep) runCase(c *Case) (*Outcome, error) {
 	d := l.d
-	ctx, cancel := context.WithTimeout(context.Background(), d.caseBudget())
-	defer cancel()
+	clk := clockOf(d.Link)
+	deadline := clk.now().Add(d.caseBudget())
 	// The requeue buffer only ever holds captures for the in-flight case's
 	// attempts; at case end everything left is stale.
 	defer clear(l.pending)
@@ -126,7 +127,7 @@ func (l *lockstep) runCase(c *Case) (*Outcome, error) {
 	observed := false // some attempt captured target behaviour
 	crashed := false  // some attempt surfaced a target panic
 	for attempt := 0; ; attempt++ {
-		o := l.runAttempt(ctx, cur)
+		o := l.runAttempt(cur, deadline)
 		o.Attempts = attempt + 1
 		if !o.Absent {
 			observed = true
@@ -141,14 +142,13 @@ func (l *lockstep) runCase(c *Case) (*Outcome, error) {
 			return o, nil
 		}
 		last = o
-		if attempt >= d.Retries || ctx.Err() != nil {
+		if attempt >= d.Retries || !clk.now().Before(deadline) {
 			break
 		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(backoff):
-		}
-		if ctx.Err() != nil {
+		if wake := clk.now().Add(backoff); wake.Before(deadline) {
+			waitUntil(clk, wake)
+		} else {
+			waitUntil(clk, deadline)
 			break
 		}
 		backoff *= 2
@@ -174,7 +174,7 @@ func (l *lockstep) runCase(c *Case) (*Outcome, error) {
 
 // runAttempt performs one transmission and capture. Link-level errors are
 // attempt failures (retried), not run aborts.
-func (l *lockstep) runAttempt(ctx context.Context, c *Case) *Outcome {
+func (l *lockstep) runAttempt(c *Case, deadline time.Time) *Outcome {
 	d := l.d
 	o := &Outcome{Case: c}
 	if err := d.Link.Send(c.Entry, c.Wire); err != nil {
@@ -191,7 +191,7 @@ func (l *lockstep) runAttempt(ctx context.Context, c *Case) *Outcome {
 
 	// Receive: match by payload ID, requeueing unrelated captures instead
 	// of discarding or — worse — charging them to this case.
-	wire, got, err := l.recvMatching(ctx, c.ID)
+	wire, got, err := l.recvMatching(c.ID, deadline)
 	if err != nil {
 		o.Mismatches = append(o.Mismatches, fmt.Sprintf("recv failed: %v", err))
 		o.Absent = true
@@ -215,20 +215,22 @@ func (l *lockstep) runAttempt(ctx context.Context, c *Case) *Outcome {
 }
 
 // recvMatching reads captures until one carries the wanted payload ID or
-// the window closes. Captures with other IDs are requeued for whoever
-// awaits them; captures with no identifiable ID are delivered to the
-// in-flight case (the checker decides what they mean).
-func (l *lockstep) recvMatching(ctx context.Context, id uint64) ([]byte, bool, error) {
+// the window closes, at the latest at the case's deadline. Captures with
+// other IDs are requeued for whoever awaits them; captures with no
+// identifiable ID are delivered to the in-flight case (the checker decides
+// what they mean).
+func (l *lockstep) recvMatching(id uint64, deadline time.Time) ([]byte, bool, error) {
 	if w, ok := l.pending[id]; ok {
 		delete(l.pending, id)
 		return w, true, nil
 	}
-	deadline := time.Now().Add(l.d.RecvTimeout)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
-		deadline = cd
+	clk := clockOf(l.d.Link)
+	end := clk.now().Add(l.d.RecvTimeout)
+	if deadline.Before(end) {
+		end = deadline
 	}
 	for {
-		remaining := time.Until(deadline)
+		remaining := end.Sub(clk.now())
 		if remaining <= 0 {
 			return nil, false, nil
 		}
@@ -237,7 +239,17 @@ func (l *lockstep) recvMatching(ctx context.Context, id uint64) ([]byte, bool, e
 			return nil, false, err
 		}
 		if !got {
-			return nil, false, nil
+			if clk == nil {
+				return nil, false, nil
+			}
+			// Nothing arrives on a simulated clock by waiting: move it
+			// to the link's next delivery, or to the window's close.
+			next := nextDelivery(l.d.Link)
+			if next.IsZero() || next.After(end) {
+				next = end
+			}
+			clk.advance(next)
+			continue
 		}
 		wire := slices.Clone(l.buf[:n])
 		got2, ok2 := wireID(wire)
@@ -250,6 +262,16 @@ func (l *lockstep) recvMatching(ctx context.Context, id uint64) ([]byte, bool, e
 			}
 		}
 	}
+}
+
+// waitUntil sleeps until t on the wall clock (clk nil) and advances a
+// simulated one to t.
+func waitUntil(clk *simClock, t time.Time) {
+	if clk == nil {
+		time.Sleep(time.Until(t))
+		return
+	}
+	clk.advance(t)
 }
 
 // decode re-parses a captured packet using the entry parser of the first

@@ -58,15 +58,15 @@ func (blackholeLink) Recv([]byte, time.Duration) (int, bool, error) {
 }
 func (blackholeLink) Close() error { return nil }
 
-// recvCountLink is the loopback, counting its receive calls.
+// recvCountLink counts its receive calls.
 type recvCountLink struct {
-	*Loopback
+	Link
 	recvs int
 }
 
 func (l *recvCountLink) Recv(buf []byte, timeout time.Duration) (int, bool, error) {
 	l.recvs++
-	return l.Loopback.Recv(buf, timeout)
+	return l.Link.Recv(buf, timeout)
 }
 
 // oversizeFirstLink replaces the first N transmissions with a wire too
@@ -469,14 +469,27 @@ func TestTransientCrashBecomesFlaky(t *testing.T) {
 	}
 }
 
-// TestIdleWaitDoesNotSpin: while every case backs off, the engine sleeps
-// until the earliest retransmission instead of turning (and reading the
-// link) until it falls due. The suite's failing case makes 3 attempts
-// over 30 ms of backoff; a spinning loop reads the link over a thousand
-// times.
+// TestIdleWaitDoesNotSpin: while every case backs off or waits for a
+// capture, the engine blocks until the earliest deadline instead of
+// turning (and reading the link) until it falls due. It drives UDP, the
+// link on the wall clock: on the loopback's simulated clock a wait passes
+// in one jump. The suite's failing case makes 3 attempts over 30 ms of
+// backoff, and its predicted drop holds a 200 ms capture window open; a
+// loop that turns without waiting reads the link about once a
+// millisecond (UDPLink's poll floor), some 200 times.
 func TestIdleWaitDoesNotSpin(t *testing.T) {
 	_, _, templates, d := setup(t, switchsim.Faults{switchsim.ChecksumSkip{Header: "ipv4"}})
-	link := &recvCountLink{Loopback: d.Link.(*Loopback)}
+	sw, err := ServeUDP(d.Link.(*Loopback).target, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	ul, err := DialUDP(sw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ul.Close()
+	link := &recvCountLink{Link: ul}
 	d.Link = link
 	d.Backoff = 10 * time.Millisecond
 	d.Retries = 2
