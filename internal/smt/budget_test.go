@@ -84,3 +84,32 @@ func TestBudgetNeverUnsat(t *testing.T) {
 		}
 	}
 }
+
+// TestTruncatedUnsatStillCounted keeps the counter honest now that no
+// corpus program trips it. With a 5-bit c, (c + 5) >= (c + 7) holds for
+// c = 25 and 26, where c + 7 wraps, but the search tries 24 of c's 32
+// values and neither of those: it answers Unsat and must count the verdict
+// as truncated. This is the wrong Unsat ROADMAP item 2 step 1 turns into
+// Unknown; that change updates this test.
+func TestTruncatedUnsatStillCounted(t *testing.T) {
+	c := expr.V("c", 5)
+	q := expr.Cmp{Op: expr.CmpGe,
+		L: expr.Bin{Op: expr.OpAdd, L: c, R: expr.C(5, 5)},
+		R: expr.Bin{Op: expr.OpAdd, L: c, R: expr.C(7, 5)}}
+	var models []uint64
+	for x := uint64(0); x < 32; x++ {
+		if ok, err := expr.EvalBool(q, expr.State{"c": x}); err == nil && ok {
+			models = append(models, x)
+		}
+	}
+	if len(models) != 2 || models[0] != 25 || models[1] != 26 {
+		t.Fatalf("brute force: %v satisfy %s, want [25 26]", models, q)
+	}
+	s := New(DefaultOptions())
+	s.Assert(q)
+	res := s.Check()
+	st := s.Stats()
+	if res != Unsat || st.UnsatResults != 1 || st.TruncatedUnsat != 1 {
+		t.Fatalf("%s: %v with %d Unsat, %d truncated; want the one Unsat counted as truncated", q, res, st.UnsatResults, st.TruncatedUnsat)
+	}
+}

@@ -17,10 +17,16 @@ func TestDifferentialBruteForce(t *testing.T) {
 	vars := []expr.Var{"a", "b", "c"}
 	const width = expr.Width(4) // 16 values per var → 4096 assignments
 
+	// The last masked equality drawn, which a masked disequality mostly
+	// reuses: a table miss after a hit on the same field.
+	var last struct {
+		v         expr.Ref
+		mask, val uint64
+	}
 	genAtom := func() expr.Bool {
 		v := expr.V(vars[rng.Intn(len(vars))], width)
 		c := expr.C(uint64(rng.Intn(16)), width)
-		switch rng.Intn(7) {
+		switch rng.Intn(8) {
 		case 0:
 			return expr.Eq(v, c)
 		case 1:
@@ -30,14 +36,27 @@ func TestDifferentialBruteForce(t *testing.T) {
 		case 3:
 			return expr.Cmp{Op: expr.CmpGe, L: v, R: c}
 		case 4:
-			// masked equality (ternary match shape)
-			mask := expr.C(uint64(rng.Intn(16)), width)
-			val := expr.C(uint64(rng.Intn(16)), width)
-			return expr.Eq(expr.Bin{Op: expr.OpAnd, L: v, R: mask}, val)
+			// masked equality (ternary match shape; a table entry's value
+			// lies inside its mask, a contradiction's need not)
+			last.v, last.mask, last.val = v, uint64(rng.Intn(16)), uint64(rng.Intn(16))
+			if rng.Intn(2) == 0 {
+				last.val &= last.mask
+			}
+			return expr.Eq(expr.Bin{Op: expr.OpAnd, L: v, R: expr.C(last.mask, width)}, expr.C(last.val, width))
 		case 5:
 			// arithmetic definition (summary shape)
 			u := expr.V(vars[rng.Intn(len(vars))], width)
 			return expr.Eq(v, expr.Simplify(expr.Bin{Op: expr.OpAdd, L: u, R: c}))
+		case 6:
+			// masked disequality with a partial mask (ternary miss shape)
+			mask, val := uint64(rng.Intn(15)), uint64(rng.Intn(16))
+			if rng.Intn(4) != 0 && last.v.Var != "" {
+				v, mask = last.v, last.mask&^uint64(rng.Intn(16))
+				if rng.Intn(4) != 0 {
+					val = last.val
+				}
+			}
+			return expr.Ne(expr.Bin{Op: expr.OpAnd, L: v, R: expr.C(mask, width)}, expr.C(val&mask, width))
 		default:
 			// disjunction (deferred shape)
 			c2 := expr.C(uint64(rng.Intn(16)), width)
@@ -45,7 +64,8 @@ func TestDifferentialBruteForce(t *testing.T) {
 		}
 	}
 
-	for trial := 0; trial < 300; trial++ {
+	refuted := 0 // trials a masked disequality decided without search
+	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Intn(5)
 		atoms := make([]expr.Bool, n)
 		for i := range atoms {
@@ -80,6 +100,9 @@ func TestDifferentialBruteForce(t *testing.T) {
 		for _, at := range atoms {
 			s.Assert(at)
 		}
+		if s.refuted() {
+			refuted++
+		}
 		model, res := s.Model()
 
 		switch res {
@@ -106,6 +129,10 @@ func TestDifferentialBruteForce(t *testing.T) {
 			// Allowed but must not happen on this tiny fragment.
 			t.Fatalf("trial %d: Unknown on a 3-var width-4 problem", trial)
 		}
+	}
+	t.Logf("%d trials decided by a masked disequality", refuted)
+	if refuted == 0 {
+		t.Error("no trial exercised the masked-disequality decision")
 	}
 }
 

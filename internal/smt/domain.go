@@ -22,6 +22,7 @@
 package smt
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/expr"
@@ -204,62 +205,143 @@ func (d *domain) exclude(x uint64) bool {
 }
 
 // tightenToBits pulls lo up and hi down to the nearest values consistent
-// with the known-bits constraints. This is a cheap partial normalization;
-// full consistency is enforced by contains() during search.
+// with the known-bits constraints and the exclusions, each end by at most
+// 64 and never past the other. This is a cheap partial normalization; full
+// consistency is enforced by contains() during search.
 func (d *domain) tightenToBits() bool {
-	changed := false
-	for i := 0; i < 64 && !d.contains(d.lo) && d.lo < d.hi; i++ {
-		d.lo++
-		changed = true
-	}
-	for i := 0; i < 64 && !d.contains(d.hi) && d.hi > d.lo; i++ {
-		d.hi--
-		changed = true
-	}
-	return changed
-}
-
-// candidates yields up to max candidate values to try during search, in a
-// deterministic order designed to satisfy typical packet-field constraints
-// quickly: the bit-pattern canonical value, interval endpoints, and a few
-// interior probes. out is a reusable caller-provided buffer (the solver
-// keeps one per search depth); duplicates are rejected by linear scan,
-// which beats a map for the ≤ max (typically 24) entries involved.
-func (d *domain) candidates(max int, hints []uint64, out []uint64) []uint64 {
-	add := func(v uint64) {
-		if len(out) >= max {
-			return
+	lo, hi := d.lo, d.hi
+	if d.lo < d.hi {
+		limit := d.hi
+		if d.hi-d.lo > 64 {
+			limit = d.lo + 64
 		}
-		if !d.contains(v) {
-			return
-		}
-		for _, prev := range out {
-			if prev == v {
-				return
+		d.lo = limit
+		for x, ok := nextWithBits(lo, d.setBits, d.clrBits); ok && x < limit; x, ok = nextWithBits(x+1, d.setBits, d.clrBits) {
+			if !d.excl.has(x) {
+				d.lo = x
+				break
 			}
 		}
-		out = append(out, v)
 	}
-	for _, h := range hints {
-		add(h)
-	}
-	// Canonical bit-pattern value: known set bits on, everything else off,
-	// adjusted into the interval if needed.
-	add(d.setBits)
-	add(d.setBits | (d.lo &^ d.clrBits))
-	add(d.lo)
-	add(d.hi)
 	if d.hi > d.lo {
-		add(d.lo + (d.hi-d.lo)/2)
-	}
-	// Walk forward from lo to skirt exclusion clusters.
-	v := d.lo
-	for i := 0; i < 256 && len(out) < max && v <= d.hi; i++ {
-		add(v)
-		if v == d.hi {
-			break
+		limit := d.lo
+		if d.hi-d.lo > 64 {
+			limit = d.hi - 64
 		}
-		v++
+		d.hi = limit
+		for x, ok := prevWithBits(hi, d.setBits, d.clrBits); ok && x > limit; x, ok = prevWithBits(x-1, d.setBits, d.clrBits) {
+			if !d.excl.has(x) {
+				d.hi = x
+				break
+			}
+		}
 	}
-	return out
+	return d.lo != lo || d.hi != hi
+}
+
+// nextWithBits returns the least y >= x with every bit of set on and every
+// bit of clr off; ok is false when there is none.
+func nextWithBits(x, set, clr uint64) (y uint64, ok bool) {
+	if set&clr != 0 {
+		return 0, false
+	}
+	forced := (x &^ clr) | set // x's free bits under the known ones
+	diff := forced ^ x
+	if diff == 0 {
+		return x, true
+	}
+	p := 63 - bits.LeadingZeros64(diff) // the highest bit x gets wrong
+	if forced&(1<<p) == 0 {
+		// x has a known-zero bit on at p: carry into the lowest free bit
+		// above p that x has off.
+		up := ^x &^ (set | clr) &^ (1<<p | (1<<p - 1))
+		if up == 0 {
+			return 0, false
+		}
+		p = bits.TrailingZeros64(up)
+		forced = x | 1<<p
+	}
+	// Above p, y is x; at p it is on; below, only the set bits are.
+	below := uint64(1)<<p - 1
+	return forced&^below | set&below, true
+}
+
+// prevWithBits returns the greatest y <= x with every bit of set on and
+// every bit of clr off; ok is false when there is none.
+func prevWithBits(x, set, clr uint64) (uint64, bool) {
+	y, ok := nextWithBits(^x, clr, set)
+	return ^y, ok
+}
+
+// candIter yields a variable's search candidates one at a time, in a
+// deterministic order designed to satisfy typical packet-field constraints
+// quickly: the asserted hints, the bit-pattern canonical value, the
+// interval endpoints and midpoint, then a walk up from lo that skirts
+// exclusion clusters. Each value is yielded once, only if the domain
+// contains it, and at most max are. A search tries few candidates before
+// one succeeds, so producing them lazily saves testing the rest. out holds
+// what has been yielded (the solver keeps one buffer per search depth);
+// duplicates are rejected by scanning it, which beats a map for the ≤ max
+// (typically 24) entries involved.
+type candIter struct {
+	d     *domain
+	hints []uint64
+	max   int
+	out   []uint64
+	stage int    // 0 hints, 1–5 the fixed probes, 6 the walk
+	i     int    // next hint, or steps walked
+	walk  uint64 // next value the walk visits
+}
+
+// next returns the next candidate; ok is false once the list is exhausted.
+func (it *candIter) next() (v uint64, ok bool) {
+	d := it.d
+	for len(it.out) < it.max {
+		switch it.stage {
+		case 0:
+			if it.i == len(it.hints) {
+				it.stage++
+				continue
+			}
+			v = it.hints[it.i]
+			it.i++
+		case 1:
+			// Canonical bit-pattern value: known set bits on, everything
+			// else off, then adjusted into the interval.
+			v = d.setBits
+			it.stage++
+		case 2:
+			v = d.setBits | (d.lo &^ d.clrBits)
+			it.stage++
+		case 3:
+			v = d.lo
+			it.stage++
+		case 4:
+			v = d.hi
+			it.stage++
+		case 5:
+			it.stage++
+			it.i, it.walk = 0, d.lo
+			if d.hi <= d.lo {
+				continue
+			}
+			v = d.lo + (d.hi-d.lo)/2
+		default:
+			if it.i >= 256 || it.walk > d.hi {
+				return 0, false
+			}
+			v = it.walk
+			it.i++
+			if v == d.hi {
+				it.i = 256
+			} else {
+				it.walk++
+			}
+		}
+		if d.contains(v) && !slices.Contains(it.out, v) {
+			it.out = append(it.out, v)
+			return v, true
+		}
+	}
+	return 0, false
 }

@@ -22,6 +22,10 @@ const (
 	atomDefine
 	// atomDeferred: anything else — checked only against candidate models.
 	atomDeferred
+	// atomMaskNe: (v & mask) != const with a partial mask. Deferred like
+	// atomDeferred, and refuted at query time once v's known bits cover
+	// the mask and equal const (Solver.refuted).
+	atomMaskNe
 	// atomFalse: a constraint that simplified to False.
 	atomFalse
 )
@@ -42,7 +46,7 @@ type atom struct {
 	w    expr.Width // width of the subject variable
 	op   expr.CmpOp // for atomInterval
 	c    uint64     // constant operand
-	mask uint64     // for atomBits / atomExclude-with-mask
+	mask uint64     // for atomBits / atomExclude-with-mask / atomMaskNe
 	e    expr.Arith // defining expression for atomDefine
 	orig expr.Bool  // original constraint, for the final model check
 	// orefs and erefs are the Ref slots of orig and e in evaluation order
@@ -78,7 +82,7 @@ func (s *Solver) normalize(b expr.Bool) []atom {
 	for i := range out {
 		a := &out[i]
 		mentions = nil
-		if a.kind == atomDefine || a.kind == atomDeferred {
+		if a.kind == atomDefine || a.kind == atomDeferred || a.kind == atomMaskNe {
 			mentions = a
 		}
 		n := len(refs)
@@ -191,6 +195,7 @@ func (s *Solver) normalizeCmp(dst []atom, c expr.Cmp) []atom {
 
 // maskAtom builds atoms for (v & mask) op const.
 func (s *Solver) maskAtom(dst []atom, v expr.Ref, mask, val uint64, op expr.CmpOp, orig expr.Bool) []atom {
+	raw := val
 	val &= v.W.Mask()
 	mask &= v.W.Mask()
 	switch op {
@@ -201,11 +206,12 @@ func (s *Solver) maskAtom(dst []atom, v expr.Ref, mask, val uint64, op expr.CmpO
 		return append(dst, atom{kind: atomBits, v: s.slot(v.Var), w: v.W, mask: mask, c: val, orig: orig})
 	case expr.CmpNe:
 		// Only exploitable when the mask covers the whole width (plain
-		// disequality) — otherwise defer.
+		// disequality) — otherwise defer, keeping the untruncated constant
+		// for refuted: a constant wider than v never equals v & mask.
 		if mask == v.W.Mask() {
 			return append(dst, atom{kind: atomExclude, v: s.slot(v.Var), w: v.W, c: val, mask: mask, orig: orig})
 		}
-		return append(dst, atom{kind: atomDeferred, orig: orig})
+		return append(dst, atom{kind: atomMaskNe, v: s.slot(v.Var), w: v.W, c: raw, mask: mask, orig: orig})
 	default:
 		return append(dst, atom{kind: atomDeferred, orig: orig})
 	}

@@ -32,6 +32,9 @@ func (b *searchBudget) exhausted() bool { return b.steps <= 0 }
 // prefix split and only re-examines the variables this sibling's
 // propagation touched.
 func (s *Solver) search(bp *batchPrep) (Result, error) {
+	if s.refuted() {
+		return Unsat, nil
+	}
 	st := &s.assign
 	free := s.scratchFree[:0]
 	delta := s.scratchDelta[:0]
@@ -106,6 +109,23 @@ func (s *Solver) search(bp *batchPrep) (Result, error) {
 	return res, err
 }
 
+// refuted reports whether some masked disequality (v & mask) != c is false
+// for every value v's domain holds: the domain knows every bit of the mask,
+// and those bits are c. Every candidate the search could try lies in the
+// domain and fails the atom, so the Unsat this answers is the verdict the
+// search would reach, only proved. Deciding here rather than in
+// propagation leaves the domains, and what propagation counts, as they are.
+func (s *Solver) refuted() bool {
+	for _, i := range s.masked {
+		a := &s.atoms[i]
+		d := &s.vars[a.v].dom
+		if (d.setBits|d.clrBits)&a.mask == a.mask && d.setBits&a.mask == a.c {
+			return true
+		}
+	}
+	return false
+}
+
 // sortFree orders the free variables smallest-interval-first (fail-first
 // heuristic), ties by name — never by slot, which differs between solvers.
 // The comparator is total (names are unique), so the result is the unique
@@ -138,7 +158,12 @@ func (s *Solver) assignFrom(free []int32, idx int) bool {
 		return false
 	}
 	if idx == len(free) {
-		return s.consistent(true)
+		// The level above has just scanned every constraint under this
+		// assignment; with nothing free there was no such level.
+		if idx == 0 && !s.consistent() {
+			return false
+		}
+		return s.allBound
 	}
 	st := &s.assign
 	sl := free[idx]
@@ -151,7 +176,7 @@ func (s *Solver) assignFrom(free []int32, idx int) bool {
 			return false
 		}
 		st.Val[sl], st.Set[sl] = val, true
-		if s.consistent(false) && s.assignFrom(free, idx+1) {
+		if s.consistent() && s.assignFrom(free, idx+1) {
 			return true
 		}
 		st.Set[sl] = false
@@ -159,13 +184,14 @@ func (s *Solver) assignFrom(free []int32, idx int) bool {
 		return false
 	}
 
-	cands := v.dom.candidates(s.opts.CandidatesPerVar, v.hints, s.candBuf(idx))
-	if uint64(len(cands)) <= v.dom.hi-v.dom.lo {
-		s.truncated = true // fewer candidates than the interval holds
-	}
-	for _, cand := range cands {
+	it := candIter{d: &v.dom, hints: v.hints, max: s.opts.CandidatesPerVar, out: s.candBuf(idx)}
+	for {
+		cand, ok := it.next()
+		if !ok {
+			break
+		}
 		st.Val[sl], st.Set[sl] = cand, true
-		if s.consistent(false) && s.assignFrom(free, idx+1) {
+		if s.consistent() && s.assignFrom(free, idx+1) {
 			return true
 		}
 		st.Set[sl] = false
@@ -173,6 +199,9 @@ func (s *Solver) assignFrom(free []int32, idx int) bool {
 		if budget.exhausted() {
 			return false
 		}
+	}
+	if uint64(len(it.out)) <= v.dom.hi-v.dom.lo {
+		s.truncated = true // fewer candidates than the interval holds
 	}
 	return false
 }
@@ -211,17 +240,22 @@ func (s *Solver) definedValue(sl int32) (uint64, bool) {
 	return 0, false
 }
 
-// consistent evaluates every original constraint under the assignment: a
-// partial assignment (complete false) is rejected by a constraint that is
-// false with all its variables assigned, a complete one also by a
-// constraint that cannot be evaluated.
-func (s *Solver) consistent(complete bool) bool {
+// consistent evaluates every original constraint under the partial
+// assignment: it is rejected by a constraint that is false with all its
+// variables assigned. The scan also records in allBound whether every
+// constraint could be evaluated, which for a complete assignment is what
+// the leaf of the search needs to accept it.
+func (s *Solver) consistent() bool {
+	all := true
 	for i := range s.atoms {
 		a := &s.atoms[i]
-		if ok, bound := s.assign.EvalBool(a.orig, a.orefs); bound && !ok || complete && !bound {
+		ok, bound := s.assign.EvalBool(a.orig, a.orefs)
+		if bound && !ok {
 			return false
 		}
+		all = all && bound
 	}
+	s.allBound = all
 	return true
 }
 
@@ -250,7 +284,7 @@ func hintEntries(atoms []atom) []hintEntry {
 			}
 		case atomExclude:
 			add(a.v, a.c+1)
-		case atomDefine, atomDeferred:
+		case atomDefine, atomDeferred, atomMaskNe:
 			consts := collectConsts(a.orig)
 			for _, vw := range a.tvars {
 				for _, c := range consts {

@@ -8,8 +8,7 @@ import (
 	"repro/internal/expr"
 )
 
-// ErrBudget is the sentinel for a query that exhausted its step or time
-// budget. Such a query answers Unknown — never Unsat — so callers that
+// ErrBudget is the sentinel for a query that exhausted its step budget. Such a query answers Unknown — never Unsat — so callers that
 // treat Unknown conservatively (keep the path) stay sound under any
 // budget. Use errors.Is(err, ErrBudget) against LastUnknown.
 var ErrBudget = errors.New("smt: query budget exhausted")
@@ -77,7 +76,7 @@ type Stats struct {
 	BudgetExhausted uint64
 	// TruncatedUnsat counts Unsat results the search reached with budget
 	// left after cutting at least one variable's candidate list short of
-	// its interval: the verdicts that are not proofs (ROADMAP item 1). It
+	// its interval: the verdicts that are not proofs (ROADMAP item 2). It
 	// counts them; it changes none.
 	TruncatedUnsat uint64
 }
@@ -132,6 +131,7 @@ func DefaultOptions() Options {
 type frame struct {
 	baseAtoms   int
 	baseDefines int
+	baseMasked  int
 	baseHints   int
 	baseTrail   int
 	baseLive    int
@@ -174,10 +174,11 @@ type Solver struct {
 	// frames is the push stack; see frame. atoms is the flat constraint
 	// arena shared by all frames (bottom-up), defines indexes its
 	// atomDefine entries so directional propagation never rescans
-	// non-define atoms.
+	// non-define atoms, and masked its atomMaskNe entries for refuted.
 	frames  []frame
 	atoms   []atom
 	defines []int32
+	masked  []int32
 	nFailed int // frames with failed set
 	stats   Stats
 	// slots interns each variable to a dense slot the first time a
@@ -203,9 +204,12 @@ type Solver struct {
 	condMemo []*assertMemo
 	// lastUnknown is the typed reason the most recent Check/Model
 	// returned Unknown (a *BudgetError), nil otherwise. truncated reports
-	// that the query in flight cut a candidate list short.
+	// that the query in flight exhausted a candidate list that was cut
+	// short; allBound, that the search's last consistency scan could
+	// evaluate every constraint.
 	lastUnknown error
 	truncated   bool
+	allBound    bool
 	// Reusable search scratch (see search.go): the assignment under
 	// construction, the values evalUnderFixed reads, the free-variable
 	// order, the delta-fixed undo list for batched checks, per-depth
@@ -273,6 +277,7 @@ func (s *Solver) Push() {
 	s.frames = append(s.frames, frame{
 		baseAtoms:   len(s.atoms),
 		baseDefines: len(s.defines),
+		baseMasked:  len(s.masked),
 		baseHints:   len(s.hintLog),
 		baseTrail:   len(s.trail),
 		baseLive:    len(s.live),
@@ -304,6 +309,7 @@ func (s *Solver) Pop() {
 	s.hintLog = s.hintLog[:top.baseHints]
 	s.atoms = s.atoms[:top.baseAtoms]
 	s.defines = s.defines[:top.baseDefines]
+	s.masked = s.masked[:top.baseMasked]
 	if top.failed {
 		s.nFailed--
 	}
@@ -336,8 +342,11 @@ func (s *Solver) assert(m *assertMemo) {
 	base := len(s.atoms)
 	s.atoms = append(s.atoms, m.atoms...)
 	for i := base; i < len(s.atoms); i++ {
-		if s.atoms[i].kind == atomDefine {
+		switch s.atoms[i].kind {
+		case atomDefine:
 			s.defines = append(s.defines, int32(i))
+		case atomMaskNe:
+			s.masked = append(s.masked, int32(i))
 		}
 	}
 	// Merge the hint entries into the live index, logging each append so
@@ -435,10 +444,11 @@ func (s *Solver) propagateAtom(a *atom) bool {
 		dv.requireBits(set|clr, set)
 		du.requireBits(set|clr, set)
 		return !dv.empty() && !du.empty()
-	case atomDefine, atomDeferred:
+	case atomDefine, atomDeferred, atomMaskNe:
 		// A define is handled by propagateDefines once its expression is
-		// constant under the domains, a deferred atom by the search; both
-		// register their variables so the search knows about them.
+		// constant under the domains, a deferred atom by the search (a
+		// masked disequality also by refuted); all register their
+		// variables so the search knows about them.
 		for _, vw := range a.tvars {
 			s.dom(vw.v, vw.w)
 		}
