@@ -15,6 +15,8 @@
 //   - exclusion sets for disequalities;
 //   - directional propagation for equality-defined variables
 //     (v == e with all variables of e fixed);
+//   - a refutation, before any search, of a masked disequality whose mask
+//     the known bits already decide (a ternary table's miss after a hit);
 //   - a bounded backtracking search for the remaining free variables;
 //   - a final concrete evaluation of every asserted constraint against the
 //     candidate model, which makes reported models sound even for atoms the

@@ -83,6 +83,41 @@ func TestMaskValueOutsideMaskIsUnsat(t *testing.T) {
 	}
 }
 
+// TestMaskedMissDecided is a ternary table's miss after a hit on the same
+// 48-bit field: the hit's known bits decide the miss, so its Unsat is a
+// proof, not a search cut short; a miss on other bits stays satisfiable.
+func TestMaskedMissDecided(t *testing.T) {
+	mac := v("srcAddr", 48)
+	masked := expr.Bin{Op: expr.OpAnd, L: mac, R: expr.C(0xffffff000000, 48)}
+	s := newSolver()
+	s.Assert(expr.Eq(masked, expr.C(0x0a0b0c000000, 48)))
+	s.Push()
+	s.Assert(expr.Ne(masked, expr.C(0x0a0b0c000000, 48)))
+	if r := s.Check(); r != Unsat || s.Stats().TruncatedUnsat != 0 {
+		t.Fatalf("miss after hit: %s with %d truncated, want a proved UNSAT", r, s.Stats().TruncatedUnsat)
+	}
+	s.Pop()
+	s.Assert(expr.Ne(expr.Bin{Op: expr.OpAnd, L: mac, R: expr.C(0xff0000000000, 48)}, expr.C(0x0b0000000000, 48)))
+	m, r := s.Model()
+	if r != Sat || m["srcAddr"]&0xffffff000000 != 0x0a0b0c000000 {
+		t.Fatalf("miss on a differing prefix: %s, model %#x", r, m["srcAddr"])
+	}
+}
+
+// TestMaskedMissWideConstant: with a mask and a constant wider than the
+// 4-bit field, x & 0x14 is at most 4, so (x & 0x14) != 0x14 holds for
+// every x, even where x's known bits match the constant's low bits.
+func TestMaskedMissWideConstant(t *testing.T) {
+	s := newSolver()
+	x := v("x", 4)
+	wide := expr.Const{Val: 0x14, W: 8}
+	s.Assert(expr.Eq(expr.Bin{Op: expr.OpAnd, L: x, R: expr.C(0xC, 4)}, expr.C(0x4, 4)))
+	s.Assert(expr.Ne(expr.Bin{Op: expr.OpAnd, L: x, R: wide}, wide))
+	if r := s.Check(); r != Sat {
+		t.Fatalf("result = %s, want SAT", r)
+	}
+}
+
 func TestVarEquality(t *testing.T) {
 	s := newSolver()
 	s.Assert(expr.Eq(v("a", 16), v("b", 16)))
