@@ -1,10 +1,6 @@
 package p4
 
-import (
-	"fmt"
-
-	"repro/internal/expr"
-)
+import "repro/internal/expr"
 
 // Arith translates a source expression to the CFG's arithmetic language
 // (Fig. 3's aexp). It is the one meaning a P4 expression has outside the
@@ -14,79 +10,57 @@ import (
 // reference it declines resolves through e. Literals are untyped until
 // an operand of known width meets them (fitWidths), operations are
 // simplified as they are built, and ~x is x ^ mask(width of x).
-func (e *Env) Arith(x Expr, ref func(*FieldRef) (expr.Arith, bool)) (expr.Arith, error) {
-	switch t := x.(type) {
-	case *NumberExpr:
-		return expr.C(t.Val, expr.MaxWidth), nil
-	case *FieldRef:
-		if ref != nil {
-			if a, ok := ref(t); ok {
-				return a, nil
-			}
-		}
-		v, w, err := e.ResolveRef(t)
-		if err != nil {
-			return nil, err
-		}
-		return expr.V(v, w), nil
-	case *BinExpr:
-		l, err := e.Arith(t.L, ref)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.Arith(t.R, ref)
-		if err != nil {
-			return nil, err
-		}
-		l, r = fitWidths(l, r)
-		return expr.Simplify(expr.Bin{Op: t.Op, L: l, R: r}), nil
-	case *NotExpr:
-		v, err := e.Arith(t.X, ref)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Simplify(expr.Bin{Op: expr.OpXor, L: v, R: expr.C(v.Width().Mask(), v.Width())}), nil
-	}
-	return nil, &CheckError{Msg: fmt.Sprintf("expression %T is not arithmetic", x), Pos: x.ExprPos()}
+func (e *Env) Arith(x Expr, ref func(*FieldRef) (expr.Arith, bool)) (a expr.Arith, err error) {
+	defer catch(&err)
+	return e.arith(x, ref), nil
 }
 
 // Bool is Arith for a condition (Fig. 3's bexp).
-func (e *Env) Bool(x Expr, ref func(*FieldRef) (expr.Arith, bool)) (expr.Bool, error) {
+func (e *Env) Bool(x Expr, ref func(*FieldRef) (expr.Arith, bool)) (b expr.Bool, err error) {
+	defer catch(&err)
+	return e.boolean(x, ref), nil
+}
+
+func (e *Env) arith(x Expr, ref func(*FieldRef) (expr.Arith, bool)) expr.Arith {
+	switch t := x.(type) {
+	case *NumberExpr:
+		return expr.C(t.Val, expr.MaxWidth)
+	case *FieldRef:
+		if ref != nil {
+			if a, ok := ref(t); ok {
+				return a
+			}
+		}
+		return expr.V(e.resolve(t))
+	case *BinExpr:
+		l, r := fitWidths(e.arith(t.L, ref), e.arith(t.R, ref))
+		return expr.Simplify(expr.Bin{Op: t.Op, L: l, R: r})
+	case *NotExpr:
+		v := e.arith(t.X, ref)
+		return expr.Simplify(expr.Bin{Op: expr.OpXor, L: v, R: expr.C(v.Width().Mask(), v.Width())})
+	}
+	failCheck(x.ExprPos(), "expression %T is not arithmetic", x)
+	return nil
+}
+
+func (e *Env) boolean(x Expr, ref func(*FieldRef) (expr.Arith, bool)) expr.Bool {
 	switch t := x.(type) {
 	case *CmpExpr:
-		l, err := e.Arith(t.L, ref)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.Arith(t.R, ref)
-		if err != nil {
-			return nil, err
-		}
-		l, r = fitWidths(l, r)
-		return expr.SimplifyBool(expr.Cmp{Op: t.Op, L: l, R: r}), nil
+		l, r := fitWidths(e.arith(t.L, ref), e.arith(t.R, ref))
+		return expr.SimplifyBool(expr.Cmp{Op: t.Op, L: l, R: r})
 	case *LogicExpr:
-		l, err := e.Bool(t.L, ref)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.Bool(t.R, ref)
-		if err != nil {
-			return nil, err
-		}
+		l, r := e.boolean(t.L, ref), e.boolean(t.R, ref)
 		if t.Op == expr.LAnd {
-			return expr.And(l, r), nil
+			return expr.And(l, r)
 		}
-		return expr.Or(l, r), nil
+		return expr.Or(l, r)
 	case *NotExpr:
-		v, err := e.Bool(t.X, ref)
-		if err != nil {
-			return nil, err
-		}
-		return expr.SimplifyBool(expr.Negate(v)), nil
+		return expr.SimplifyBool(expr.Negate(e.boolean(t.X, ref)))
 	case *IsValidExpr:
-		return expr.Eq(expr.V(ValidVar(t.Header), 1), expr.C(1, 1)), nil
+		return expr.Eq(expr.V(ValidVar(t.Header), 1), expr.C(1, 1))
 	}
-	return nil, &CheckError{Msg: fmt.Sprintf("expression %T is not boolean", x), Pos: x.ExprPos()}
+	failCheck(x.ExprPos(), "expression %T is not boolean", x)
+	return nil
 }
 
 // fitWidths reconciles operand widths: an untyped literal adopts the other
