@@ -170,17 +170,14 @@ func parseExpect(body string) (Expectation, error) {
 	}
 }
 
-// parseExpr parses a standalone expression using the p4 grammar, by
-// wrapping it in a minimal control block.
+// parseExpr parses a clause body as one p4 expression: every token of
+// the body belongs to it.
 func parseExpr(body string) (p4.Expr, error) {
-	// Reuse the program parser: an if-condition is a full expression.
-	src := fmt.Sprintf("control __spec { apply { if (%s) { } } }", body)
-	prog, err := p4.Parse(src)
+	e, err := p4.ParseExpr(body)
 	if err != nil {
 		return nil, fmt.Errorf("bad expression %q: %w", body, err)
 	}
-	ifs := prog.Controls[0].Apply[0].(*p4.IfStmt)
-	return ifs.Cond, nil
+	return e, nil
 }
 
 // --- Translation of assume clauses to solver constraints ---

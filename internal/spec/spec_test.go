@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -74,6 +75,29 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("case %d: expected parse error", i)
 		}
+	}
+}
+
+// TestParseWholeExpression: a clause body is one expression, all of it.
+// Text after a complete expression is rejected, not dropped, and an error
+// is positioned in the body itself.
+func TestParseWholeExpression(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"assume h.x == 1) { } h.y = 2; if (1;", `1:9: expected end of expression, found )`},
+		{"assume h.x == 1 h.y;", `1:10: expected end of expression, found h`},
+		{"assume h.x $ 1;", `1:5: unexpected character '$'`},
+		{"assume h.x ==;", `1:7: expected expression, found <eof>`},
+		{"expect h.x == in.h.x h.y;", `1:15: expected end of expression, found h`},
+	} {
+		_, err := Parse("spec a {\n" + tc.src + "\n}")
+		var pe *p4.ParseError
+		if !errors.As(err, &pe) || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want a *p4.ParseError ending %q", tc.src, err, tc.want)
+		}
+	}
+	s := MustParseOne("spec a {\nassume (h.x == 1) && !h.isValid();\n}")
+	if got := p4.ExprString(s.Assumes[0]); got != "(h.x == 1 && !(h.isValid()))" {
+		t.Errorf("assume parses as %s", got)
 	}
 }
 
