@@ -127,39 +127,3 @@ func (s *Set) Clone() *Set {
 func (s *Set) Equal(other *Set) bool {
 	return s.Canonical().String() == other.Canonical().String()
 }
-
-// DiffTables returns the sorted names of tables whose canonical entry
-// lists differ between the two sets (present-in-one-side counts as a
-// difference). internal/rulediff builds the full entry-level delta; this
-// is the cheap table-level view.
-func (s *Set) DiffTables(other *Set) []string {
-	render := func(set *Set) map[string]string {
-		c := set.Canonical()
-		out := make(map[string]string, len(c.order))
-		for _, t := range c.order {
-			var b strings.Builder
-			for _, e := range c.tables[t] {
-				b.WriteString(e.String())
-				b.WriteByte('\n')
-			}
-			out[t] = b.String()
-		}
-		return out
-	}
-	a, b := render(s), render(other)
-	seen := map[string]bool{}
-	var out []string
-	for t, av := range a {
-		if b[t] != av {
-			out = append(out, t)
-		}
-		seen[t] = true
-	}
-	for t := range b {
-		if !seen[t] {
-			out = append(out, t)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

@@ -136,10 +136,9 @@ func TestDepTags(t *testing.T) {
 	}
 }
 
-// TestCanonicalEqualDiffTables: canonical form is insertion-order
-// independent, Equal follows it, and DiffTables reports exactly the
-// tables whose canonical entries differ.
-func TestCanonicalEqualDiffTables(t *testing.T) {
+// TestCanonicalEqual: canonical form is insertion-order independent, and
+// Equal follows it.
+func TestCanonicalEqual(t *testing.T) {
 	a := NewSet()
 	a.Add("t2", Rule("x", nil, E("f", 1)))
 	a.Add("t1", PRule(1, "y", nil, E("g", 2)))
@@ -154,9 +153,6 @@ func TestCanonicalEqualDiffTables(t *testing.T) {
 		t.Fatalf("insertion order broke equality:\n%s\nvs\n%s",
 			a.Canonical().String(), b.Canonical().String())
 	}
-	if d := a.DiffTables(b); len(d) != 0 {
-		t.Fatalf("DiffTables of equal sets = %v", d)
-	}
 	// Canonical entry order: descending priority.
 	es := a.Canonical().Entries("t1")
 	if es[0].Priority != 9 || es[1].Priority != 1 {
@@ -166,15 +162,8 @@ func TestCanonicalEqualDiffTables(t *testing.T) {
 	c := NewSet()
 	c.Add("t1", PRule(9, "z", nil, E("g", 3)))
 	c.Add("t1", PRule(1, "y", []uint64{1}, E("g", 2))) // arg change
-	c.Add("t3", Rule("w", nil, E("h", 4)))             // t2 gone, t3 new
-	want := []string{"t1", "t2", "t3"}
-	got := a.DiffTables(c)
-	if len(got) != len(want) {
-		t.Fatalf("DiffTables = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DiffTables = %v, want %v", got, want)
-		}
+	c.Add("t2", Rule("x", nil, E("f", 1)))
+	if a.Equal(c) {
+		t.Fatal("sets that differ in one action argument are Equal")
 	}
 }
