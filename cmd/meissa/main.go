@@ -99,7 +99,7 @@ func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*sp
 					// -r overrides the corpus program's built-in rules (the
 					// regress smoke path: corpus program, mutated rule file).
 					var err error
-					if rs, err = readRules(*rulesPath); err != nil {
+					if rs, err = readRules(p.Prog, *rulesPath); err != nil {
 						return nil, nil, nil, nil, err
 					}
 				}
@@ -116,12 +116,15 @@ func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*sp
 		return nil, nil, nil, nil, err
 	}
 	prog, err := p4.Parse(string(src))
+	if err == nil {
+		err = p4.Check(prog)
+	}
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	rs := rules.NewSet()
 	if *rulesPath != "" {
-		if rs, err = readRules(*rulesPath); err != nil {
+		if rs, err = readRules(prog, *rulesPath); err != nil {
 			return nil, nil, nil, nil, err
 		}
 	}
@@ -139,13 +142,17 @@ func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*sp
 	return prog, rs, specs, fs, nil
 }
 
-// readRules loads and parses a rule-set file.
-func readRules(path string) (*rules.Set, error) {
+// readRules loads a rule-set file and binds it to the checked program, so
+// that an error names the file as well as the line.
+func readRules(prog *p4.Program, path string) (*rules.Set, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	rs, err := rules.Parse(string(data))
+	if err == nil {
+		_, err = rules.Bind(prog, rs)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	meissa "repro"
 	"repro/internal/obs"
+	"repro/internal/p4"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
 )
@@ -50,11 +51,11 @@ func cmdRegress(args []string) error {
 	}
 	oldRules := rs
 	if *rulesOld != "" {
-		if oldRules, err = readRules(*rulesOld); err != nil {
+		if oldRules, err = readRules(prog, *rulesOld); err != nil {
 			return err
 		}
 	}
-	newRules, err := loadNewRules(*rulesNew, *mutate, oldRules)
+	newRules, err := loadNewRules(prog, *rulesNew, *mutate, oldRules)
 	if err != nil {
 		return err
 	}
@@ -147,7 +148,7 @@ func cmdRegress(args []string) error {
 	obs.Infof("meissa: watching %s (poll %v; interrupt to stop)", *rulesNew, *interval)
 	for {
 		time.Sleep(delay)
-		next, err := readRules(*rulesNew)
+		next, err := readRules(prog, *rulesNew)
 		if err != nil {
 			if ferr := fail("regress: watch: %v", err); ferr != nil {
 				return ferr
@@ -176,9 +177,9 @@ func cmdRegress(args []string) error {
 
 // loadNewRules resolves the updated rule set: an explicit file, or a
 // deterministic -mutate N arg bump of the old rules.
-func loadNewRules(path string, mutate int, old *rules.Set) (*rules.Set, error) {
+func loadNewRules(prog *p4.Program, path string, mutate int, old *rules.Set) (*rules.Set, error) {
 	if path != "" {
-		return readRules(path)
+		return readRules(prog, path)
 	}
 	mutated, n := rulediff.MutateArgs(old, mutate)
 	if n == 0 {

@@ -24,14 +24,15 @@ func Build(prog *p4.Program, rs *rules.Set) (*Graph, error) {
 	if err := p4.Check(prog); err != nil {
 		return nil, err
 	}
-	if rs == nil {
-		rs = rules.NewSet()
+	tables, err := rules.Bind(prog, rs)
+	if err != nil {
+		return nil, err
 	}
 	b := &builder{
 		g:      NewGraph(),
 		prog:   prog,
 		env:    p4.NewEnv(prog),
-		rs:     rs,
+		tables: tables,
 		contOf: map[string]NodeID{},
 	}
 	if err := b.build(); err != nil {
@@ -43,20 +44,11 @@ func Build(prog *p4.Program, rs *rules.Set) (*Graph, error) {
 	return b.g, nil
 }
 
-// MustBuild builds, panicking on error (corpus/test helper).
-func MustBuild(prog *p4.Program, rs *rules.Set) *Graph {
-	g, err := Build(prog, rs)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 type builder struct {
 	g       *Graph
 	prog    *p4.Program
 	env     *p4.Env
-	rs      *rules.Set
+	tables  map[string]*rules.Table
 	hashSeq int
 	// dropExit is the terminal node dropped packets reach.
 	dropExit NodeID
@@ -433,7 +425,7 @@ func (b *builder) encodeStmt(fr frontier, s p4.Stmt, sc scope, pipe string, dept
 		return append(thenFr, elseFr...), nil
 
 	case *p4.ApplyStmt:
-		return b.encodeTable(fr, b.prog.Table(t.Table), pipe, depth)
+		return b.encodeTable(fr, b.tables[t.Table], pipe, depth)
 
 	case *p4.CallStmt:
 		return b.encodeActionCall(fr, t.Call, sc, pipe, depth)
@@ -511,13 +503,21 @@ func (b *builder) encodeStmt(fr frontier, s p4.Stmt, sc scope, pipe string, dept
 // branch, following §3.1: "Predicate nodes correspond to ... the match
 // fields in the match-action table rules", "Action nodes correspond to the
 // action fields in the match-action table rules".
-func (b *builder) encodeTable(fr frontier, tbl *p4.TableDecl, pipe string, depth int) (frontier, error) {
+func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth int) (frontier, error) {
 	g := b.g
-	entries := b.rs.Entries(tbl.Name)
+	tbl := t.Decl
+	keys := make([]expr.Arith, len(tbl.Keys))
+	for j, k := range tbl.Keys {
+		v, w, err := b.env.ResolveRef(k.Field)
+		if err != nil {
+			return nil, err
+		}
+		keys[j] = expr.V(v, w)
+	}
 
-	// Exact-only tables with distinct keys have pairwise-disjoint entries,
-	// so the higher-priority negations can be omitted (this is what keeps
-	// Fig. 7-style tables linear).
+	// Binding rejects an exact-only table's duplicate entries, so its
+	// entries are pairwise disjoint and the higher-priority negations can
+	// be omitted (this is what keeps Fig. 7-style tables linear).
 	exactOnly := true
 	for _, k := range tbl.Keys {
 		if k.Match != p4.MatchExact {
@@ -528,11 +528,8 @@ func (b *builder) encodeTable(fr frontier, tbl *p4.TableDecl, pipe string, depth
 
 	var out frontier
 	var higher []expr.Bool // match conditions of higher-priority entries
-	for i, e := range entries {
-		cond, err := b.matchCond(tbl, e)
-		if err != nil {
-			return nil, err
-		}
+	for i, row := range t.Rows {
+		cond := rowCond(keys, row.Cells)
 		full := cond
 		if !exactOnly {
 			for _, h := range higher {
@@ -550,11 +547,18 @@ func (b *builder) encodeTable(fr frontier, tbl *p4.TableDecl, pipe string, depth
 		mark := len(g.Nodes)
 		p := g.AddPredicate(full, pipe, fmt.Sprintf("table %s entry %d", tbl.Name, i))
 		b.linkAll(fr, p.ID)
-		actFr, err := b.encodeActionCall(frontier{p.ID}, &p4.ActionCall{Name: e.Action, Args: constArgs(e.Args)}, nil, pipe, depth)
-		if err != nil {
-			return nil, fmt.Errorf("table %s entry %d: %w", tbl.Name, i, err)
+		actFr := frontier{p.ID}
+		if row.Action != nil {
+			args := make([]expr.Arith, len(row.Args))
+			for k, v := range row.Args {
+				args[k] = expr.C(v, expr.MaxWidth)
+			}
+			var err error
+			if actFr, err = b.inline(actFr, row.Action, args, pipe, depth); err != nil {
+				return nil, fmt.Errorf("table %s entry %d: %w", tbl.Name, i, err)
+			}
 		}
-		g.TagDeps(mark, rules.DepTag(tbl.Name, e))
+		g.TagDeps(mark, rules.DepTag(tbl.Name, row.Entry))
 		out = append(out, actFr...)
 
 		if exactOnly {
@@ -576,7 +580,7 @@ func (b *builder) encodeTable(fr frontier, tbl *p4.TableDecl, pipe string, depth
 		if def == nil {
 			def = &p4.ActionCall{Name: "NoAction"}
 		}
-		missFr, err := b.encodeDefaultCall(frontier{p.ID}, def, pipe, depth)
+		missFr, err := b.encodeActionCall(frontier{p.ID}, def, nil, pipe, depth)
 		if err != nil {
 			return nil, fmt.Errorf("table %s default: %w", tbl.Name, err)
 		}
@@ -586,84 +590,53 @@ func (b *builder) encodeTable(fr frontier, tbl *p4.TableDecl, pipe string, depth
 	return out, nil
 }
 
-// matchCond builds the boolean condition for a rule entry over the table's
-// declared keys.
-func (b *builder) matchCond(tbl *p4.TableDecl, e *rules.Entry) (expr.Bool, error) {
+// rowCond is the condition under which every cell of a bound row covers
+// its key.
+func rowCond(keys []expr.Arith, cells []rules.Cell) expr.Bool {
 	var cond expr.Bool = expr.True
-	for _, k := range tbl.Keys {
-		v, w, err := b.env.ResolveRef(k.Field)
-		if err != nil {
-			return nil, err
-		}
-		m := e.Match(k.Field.String())
-		ref := expr.V(v, w)
-		switch m.Kind {
-		case rules.Wildcard:
-			// unconstrained key
-		case rules.Exact:
-			cond = expr.And(cond, expr.Eq(ref, expr.C(m.Val, w)))
-		case rules.Ternary:
-			if m.Mask == 0 {
-				continue
-			}
-			cond = expr.And(cond, expr.Eq(
-				expr.Simplify(expr.Bin{Op: expr.OpAnd, L: ref, R: expr.C(m.Mask, w)}),
-				expr.C(m.Val&m.Mask, w)))
-		case rules.LPM:
-			if m.Plen == 0 {
-				continue
-			}
-			mask := rules.LPMMask(m.Plen, int(w))
-			cond = expr.And(cond, expr.Eq(
-				expr.Simplify(expr.Bin{Op: expr.OpAnd, L: ref, R: expr.C(mask, w)}),
-				expr.C(m.Val&mask, w)))
-		case rules.Range:
-			cond = expr.And(cond, expr.Cmp{Op: expr.CmpGe, L: ref, R: expr.C(m.Lo, w)})
-			cond = expr.And(cond, expr.Cmp{Op: expr.CmpLe, L: ref, R: expr.C(m.Hi, w)})
+	for j, c := range cells {
+		k, w := keys[j], keys[j].Width()
+		switch {
+		case c.Range:
+			cond = expr.And(cond, expr.Cmp{Op: expr.CmpGe, L: k, R: expr.C(c.Val, w)})
+			cond = expr.And(cond, expr.Cmp{Op: expr.CmpLe, L: k, R: expr.C(c.Mask, w)})
+		case c.Mask == w.Mask():
+			cond = expr.And(cond, expr.Eq(k, expr.C(c.Val, w)))
+		case c.Mask != 0:
+			cond = expr.And(cond, expr.Eq(expr.Bin{Op: expr.OpAnd, L: k, R: expr.C(c.Mask, w)}, expr.C(c.Val, w)))
 		}
 	}
-	return cond, nil
+	return cond
 }
 
-func constArgs(args []uint64) []p4.Expr {
-	out := make([]p4.Expr, len(args))
-	for i, a := range args {
-		out[i] = &p4.NumberExpr{Val: a}
-	}
-	return out
-}
-
-// encodeActionCall inlines an action invocation with its arguments bound.
+// encodeActionCall inlines an action invocation from the program text,
+// its arguments evaluated in the caller's scope.
 func (b *builder) encodeActionCall(fr frontier, call *p4.ActionCall, sc scope, pipe string, depth int) (frontier, error) {
-	if depth > maxInlineDepth {
-		return nil, fmt.Errorf("cfg: action inlining depth exceeded at %q", call.Name)
-	}
 	if call.Name == "NoAction" {
 		return fr, nil
 	}
-	a := b.prog.Action(call.Name)
-	if a == nil {
-		return nil, fmt.Errorf("cfg: unknown action %q", call.Name)
-	}
-	if len(call.Args) != len(a.Params) {
-		return nil, fmt.Errorf("cfg: action %q arity mismatch: want %d, got %d", call.Name, len(a.Params), len(call.Args))
-	}
-	inner := scope{}
-	for i, p := range a.Params {
-		av, err := b.env.Arith(call.Args[i], sc.ref)
+	args := make([]expr.Arith, len(call.Args))
+	for i, x := range call.Args {
+		a, err := b.env.Arith(x, sc.ref)
 		if err != nil {
 			return nil, err
 		}
-		// Truncate the bound argument to the parameter width.
-		inner[p.Name] = truncTo(av, expr.Width(p.Width))
+		args[i] = a
 	}
-	return b.encodeStmts(fr, a.Body, inner, pipe, depth+1)
+	return b.inline(fr, b.prog.Action(call.Name), args, pipe, depth)
 }
 
-// encodeDefaultCall is encodeActionCall for a table's default action
-// (arguments are constants from the program text).
-func (b *builder) encodeDefaultCall(fr frontier, call *p4.ActionCall, pipe string, depth int) (frontier, error) {
-	return b.encodeActionCall(fr, call, nil, pipe, depth)
+// inline encodes an action's body with each parameter bound to its
+// argument, truncated to the parameter's width.
+func (b *builder) inline(fr frontier, a *p4.ActionDecl, args []expr.Arith, pipe string, depth int) (frontier, error) {
+	if depth > maxInlineDepth {
+		return nil, fmt.Errorf("cfg: action inlining depth exceeded at %q", a.Name)
+	}
+	inner := make(scope, len(a.Params))
+	for i, p := range a.Params {
+		inner[p.Name] = truncTo(args[i], expr.Width(p.Width))
+	}
+	return b.encodeStmts(fr, a.Body, inner, pipe, depth+1)
 }
 
 // truncTo coerces an expression to a width, by retagging constants or

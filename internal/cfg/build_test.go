@@ -90,7 +90,10 @@ func TestBuildMini(t *testing.T) {
 
 func TestBuildPathCount(t *testing.T) {
 	prog := p4.MustParse(miniSrc)
-	g := MustBuild(prog, miniRules())
+	g, err := Build(prog, miniRules())
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := g.PossiblePaths()
 	// Paths: non-IPv4 (1 via select-default * if-else) + IPv4 * (2 entries
 	// + miss). Each then crosses the drop check (drop==1 / drop==0 both
@@ -105,7 +108,10 @@ func TestBuildPathCount(t *testing.T) {
 
 func TestRegionPaths(t *testing.T) {
 	prog := p4.MustParse(miniSrc)
-	g := MustBuild(prog, miniRules())
+	g, err := Build(prog, miniRules())
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := g.Pipelines[0]
 	n := g.RegionPaths(r)
 	// Within the region: parse branch x table branch combinations.
@@ -221,7 +227,10 @@ action kill() { mark_drop(); }
 control c { apply { if (h.x == 1) { kill(); } } }
 pipeline p { control = c; }
 `)
-	g := MustBuild(prog, nil)
+	g, err := Build(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := g.Pipelines[0]
 	// Every node inside the region must reach the region exit; the drop
 	// action must not bypass it.

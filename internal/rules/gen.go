@@ -33,7 +33,7 @@ func (g *Gen) ExactChain(set *Set, tableA, keyA, actionA, tableB, keyB, actionB 
 func (g *Gen) RandomLPM(set *Set, table, field string, n int, action string, argGen func(i int) []uint64) {
 	for i := 0; i < n; i++ {
 		plen := 8 + g.rng.Intn(25) // /8 .. /32
-		base := uint64(g.rng.Uint32()) & LPMMask(plen, 32)
+		base := uint64(g.rng.Uint32()) & lpmMask(plen, 32)
 		e := Rule(action, argGen(i), L(field, base, plen))
 		e.Priority = plen // longest prefix wins
 		set.Add(table, e)

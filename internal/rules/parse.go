@@ -42,6 +42,7 @@ func Parse(src string) (*Set, error) {
 			if err != nil {
 				return nil, fmt.Errorf("rules:%d: %w", lineNo+1, err)
 			}
+			e.Line = lineNo + 1
 			set.Add(table, e)
 		}
 	}

@@ -7,13 +7,13 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// MatchKind mirrors p4.MatchKind without importing it, keeping this
-// package a pure data model.
+// MatchKind is the kind of match an entry writes for a key: the key's
+// own p4.MatchKind, or a wildcard. Bind decides which kinds a key takes.
 type MatchKind int
 
 // Match kinds.
@@ -106,15 +106,13 @@ func lpmMask(plen, widthBits int) uint64 {
 	return full &^ ((uint64(1) << uint(widthBits-plen)) - 1)
 }
 
-// LPMMask is the exported helper used by the CFG encoder.
-func LPMMask(plen, widthBits int) uint64 { return lpmMask(plen, widthBits) }
-
 // Entry is one rule of a table.
 type Entry struct {
 	Priority int // larger wins; meaningful for ternary/range tables
 	Matches  []Match
 	Action   string
 	Args     []uint64
+	Line     int // the rules line it was read from; 0 when built in code
 }
 
 // Match returns the entry's match for a field, or a Wildcard match.
@@ -148,13 +146,6 @@ func (e *Entry) String() string {
 type Set struct {
 	tables map[string][]*Entry
 	order  []string // table insertion order for deterministic dumps
-	// sorted caches the priority-sorted view per table so the
-	// interpreter's per-packet table applies don't re-copy and re-sort.
-	// Invalidated by Add. mu guards it because a loaded set is read
-	// concurrently by the UDP switch's worker pool; tables/order stay
-	// unguarded — mutation must finish before concurrent reads begin.
-	mu     sync.RWMutex
-	sorted map[string][]*Entry
 }
 
 // NewSet returns an empty rule set.
@@ -168,31 +159,14 @@ func (s *Set) Add(table string, e *Entry) {
 		s.order = append(s.order, table)
 	}
 	s.tables[table] = append(s.tables[table], e)
-	s.mu.Lock()
-	delete(s.sorted, table)
-	s.mu.Unlock()
 }
 
-// Entries returns the entries of a table sorted by descending priority
-// (stable within equal priorities). The returned slice is a cached view
-// shared between calls: callers must not modify it.
+// Entries returns the entries of a table — the set's own, not copies —
+// in a fresh slice sorted by descending priority (stable within equal
+// priorities).
 func (s *Set) Entries(table string) []*Entry {
-	s.mu.RLock()
-	out, ok := s.sorted[table]
-	s.mu.RUnlock()
-	if ok {
-		return out
-	}
-	es := s.tables[table]
-	out = make([]*Entry, len(es))
-	copy(out, es)
+	out := slices.Clone(s.tables[table])
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	s.mu.Lock()
-	if s.sorted == nil {
-		s.sorted = make(map[string][]*Entry)
-	}
-	s.sorted[table] = out
-	s.mu.Unlock()
 	return out
 }
 

@@ -110,8 +110,8 @@ func TestLPMMask(t *testing.T) {
 		{1, 64, 1 << 63},
 	}
 	for i, c := range cases {
-		if got := LPMMask(c.plen, c.width); got != c.want {
-			t.Errorf("case %d: LPMMask(%d,%d) = %#x, want %#x", i, c.plen, c.width, got, c.want)
+		if got := lpmMask(c.plen, c.width); got != c.want {
+			t.Errorf("case %d: lpmMask(%d,%d) = %#x, want %#x", i, c.plen, c.width, got, c.want)
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestLPMMask(t *testing.T) {
 func TestLPMCoversConsistentWithMask(t *testing.T) {
 	f := func(v uint32, plen uint8) bool {
 		p := int(plen % 33)
-		m := L("f", uint64(v)&LPMMask(p, 32), p)
+		m := L("f", uint64(v)&lpmMask(p, 32), p)
 		return m.Covers(uint64(v), 32)
 	}
 	if err := quick.Check(f, nil); err != nil {

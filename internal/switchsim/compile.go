@@ -99,24 +99,9 @@ type action struct {
 	code []instr
 }
 
-// cell is one key's constraint in a match row: v&mask == val, or
-// val <= v <= mask when rng is set. Exact, ternary, LPM and wildcard
-// matches all take the first form.
-type cell struct {
-	val, mask uint64
-	rng       bool
-}
-
-func (c *cell) covers(v uint64) bool {
-	if c.rng {
-		return v >= c.val && v <= c.mask
-	}
-	return v&c.mask == c.val
-}
-
 // entryPlan is an installed rule with its action pre-bound: the lowered
-// body (nil for NoAction) and the arguments already truncated to the
-// parameter widths, used as the call's frame without copying.
+// body (nil for NoAction) and the bound row's arguments, which fit the
+// parameters and serve as the call's frame without copying.
 type entryPlan struct {
 	action string
 	code   []instr
@@ -124,13 +109,13 @@ type entryPlan struct {
 }
 
 // tblPlan is a table as the machine applies it: key slots, and the
-// installed entries in priority order. cells holds the match rows
+// installed entries in priority order. cells holds the bound rows' cells
 // entry-major, len(keys) cells a row, aligned to the key order; groups
 // and ranged are the row index (index.go) that finds the hit among them.
 type tblPlan struct {
 	name   string
 	keys   []int32
-	cells  []cell
+	cells  []rules.Cell
 	ents   []entryPlan
 	groups []maskGroup // ascending by lowest row
 	ranged []int32     // rows with a range cell, ascending
@@ -194,8 +179,9 @@ type crashGuard struct {
 	f            CrashWhen
 }
 
-// compiler lowers one program that p4.Check has accepted: every name a
-// statement mentions resolves, so lookups below are not re-validated.
+// compiler lowers one program that p4.Check has accepted, with its rules
+// bound by rules.Bind: every name a statement or a row mentions resolves,
+// so lookups below are not re-validated.
 // What Check cannot see — a reference no variable stands behind, a value
 // where a condition belongs — is recorded in err, the first one wins and
 // lowering carries on with zero values for Compile to discard.
@@ -215,9 +201,9 @@ type compiler struct {
 	temp, maxTemp int
 }
 
-// fail records an error found at a source position or, for a rule, at a
-// place described in words; only the first is kept.
-func (c *compiler) fail(at any, format string, args ...any) {
+// fail records an error found at a source position; only the first is
+// kept.
+func (c *compiler) fail(at p4.Pos, format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("switchsim: %v: %s", at, fmt.Sprintf(format, args...))
 	}
@@ -454,19 +440,14 @@ func (c *compiler) actions() {
 	}
 }
 
-// table builds a table's plan from the rules as they are now: the
-// target holds this snapshot, later changes to rs do not reach it. A
-// TableMissDefault fault installs no rows at all. The rules are not
-// Check's to validate, so an entry's action and arguments are checked
-// here.
-func (c *compiler) table(d *p4.TableDecl, rs *rules.Set) *tblPlan {
+// table builds a table's plan from its bound rows. A TableMissDefault
+// fault installs no rows at all.
+func (c *compiler) table(bt *rules.Table) *tblPlan {
+	d := bt.Decl
 	t := &tblPlan{name: d.Name, missName: "NoAction", stats: TableStats{Name: d.Name}}
-	widths := make([]expr.Width, len(d.Keys))
-	names := make([]string, len(d.Keys))
-	for i, k := range d.Keys {
-		s, w := c.slotOf(k.Field)
+	for _, k := range d.Keys {
+		s, _ := c.slotOf(k.Field)
 		t.keys = append(t.keys, s)
-		widths[i], names[i] = w, k.Field.String()
 	}
 	if d.DefaultAction != nil && d.DefaultAction.Name != "NoAction" {
 		t.missName = d.DefaultAction.Name
@@ -476,51 +457,17 @@ func (c *compiler) table(d *p4.TableDecl, rs *rules.Set) *tblPlan {
 	if c.faults.has(TableMissDefault{d.Name}) {
 		return t
 	}
-	entries := rs.Entries(d.Name)
-	t.ents = make([]entryPlan, len(entries))
-	t.cells = make([]cell, 0, len(entries)*len(d.Keys))
-	for i, en := range entries {
-		for j, name := range names {
-			t.cells = append(t.cells, matchCell(en.Match(name), widths[j]))
-		}
-		ep := &t.ents[i]
-		ep.action = en.Action
-		if en.Action == "NoAction" {
-			continue
-		}
-		a := c.acts[en.Action]
-		if a == nil || len(en.Args) < len(a.decl.Params) {
-			c.fail(fmt.Sprintf("table %q entry %d", d.Name, i), "no action %q taking %d arguments", en.Action, len(en.Args))
-			continue
-		}
-		ep.code = a.code
-		ep.args = make([]uint64, len(a.decl.Params))
-		for k, p := range a.decl.Params {
-			ep.args[k] = expr.Width(p.Width).Trunc(en.Args[k])
+	t.ents = make([]entryPlan, len(bt.Rows))
+	t.cells = make([]rules.Cell, 0, len(bt.Rows)*len(d.Keys))
+	for i, r := range bt.Rows {
+		t.cells = append(t.cells, r.Cells...)
+		t.ents[i].action = r.Entry.Action
+		if r.Action != nil {
+			t.ents[i].code, t.ents[i].args = c.acts[r.Action.Name].code, r.Args
 		}
 	}
-	t.buildIndex(widths)
+	t.buildIndex()
 	return t
-}
-
-// matchCell folds a rule's constraint on one key into mask-compare or
-// range form. The key value it is compared with is already truncated to
-// the key's width w.
-func matchCell(m rules.Match, w expr.Width) cell {
-	switch m.Kind {
-	case rules.Exact:
-		return cell{val: m.Val, mask: ^uint64(0)}
-	case rules.Ternary:
-		return cell{val: m.Val & m.Mask, mask: m.Mask}
-	case rules.LPM:
-		mask := rules.LPMMask(m.Plen, int(w))
-		return cell{val: m.Val & mask, mask: mask}
-	case rules.Range:
-		return cell{val: m.Lo, mask: m.Hi, rng: true}
-	case rules.Wildcard:
-		return cell{}
-	}
-	return cell{val: 1, mask: 0, rng: true} // unknown kind: covers nothing
 }
 
 // parser lowers a parser FSM to per-state extract plans and selects over

@@ -79,9 +79,10 @@ func TestCompileSnapshotsRules(t *testing.T) {
 	}
 }
 
-// What the program or the rules leave unresolvable is an error from
-// Compile, with the source position where there is one — not a surprise
-// for the first packet that gets there.
+// What the program leaves unresolvable is an error from Compile, with the
+// source position — not a surprise for the first packet that gets there.
+// What a rule set may not say is rules.Bind's to reject (its tests show
+// Compile rejects it too).
 func TestCompileRejectsWhatCannotResolve(t *testing.T) {
 	for name, tc := range map[string]struct {
 		mutate func(*p4.Program, *rules.Set)
@@ -103,16 +104,6 @@ func TestCompileRejectsWhatCannotResolve(t *testing.T) {
 				a := p.Action("deny")
 				a.Body = append(a.Body, &p4.CallStmt{Call: &p4.ActionCall{Name: "deny"}})
 			}, `action "deny" calls itself`,
-		},
-		"rule naming an unknown action": {
-			func(_ *p4.Program, rs *rules.Set) {
-				rs.Add("host", rules.Rule("teleport", nil, rules.E("ipv4.dstAddr", 1)))
-			}, `table "host" entry 1: no action "teleport" taking 0 arguments`,
-		},
-		"rule short of arguments": {
-			func(_ *p4.Program, rs *rules.Set) {
-				rs.Add("host", rules.Rule("fwd", nil, rules.E("ipv4.dstAddr", 1)))
-			}, `table "host" entry 1: no action "fwd" taking 0 arguments`,
 		},
 	} {
 		prog, rs := p4.MustParse(fwdProg), fwdRules()

@@ -449,14 +449,14 @@ topology {
 const everyConstructRules = `
 table route {
   priority=5 ip.dst=10.0.0.0/8 ip.ttl=2..200 -> nested(7, 3);
-  priority=9 ip.dst=10.1.0.0/16 -> nested(600, 17);
+  priority=9 ip.dst=10.1.0.0/16 -> nested(600, 15);
   ip.dst=0.0.0.0/0 ip.ttl=0..1 -> deny();
-  priority=1 ip.dst=192.168.0.0/33 -> set_port(511);
+  priority=1 ip.dst=192.168.0.0/32 -> set_port(511);
 }
 table acl {
   priority=2 ip.src=0x0a000000&&&0xff000000 eth.type=0x0800 -> mix(0x9e3779b9);
-  priority=2 opt.c=10..20 -> count(65535);
-  priority=7 ip.src=1&&&1 opt.c=0..255 -> NoAction();
+  priority=2 eth.type=0x0800 opt.c=10..20 -> count(65535);
+  priority=7 ip.src=1&&&1 eth.type=0x0800 opt.c=0..255 -> NoAction();
   eth.type=0x0800 -> deny();
 }
 `

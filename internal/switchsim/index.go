@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-
-	"repro/internal/expr"
 )
 
 // The row index. A table's hit is its first row in priority order that
@@ -21,7 +19,7 @@ import (
 // A lookup takes the lowest covering row over the range list and the
 // groups. Groups are ordered by their lowest row, so once a group's lowest
 // row is not below the best hit so far, neither is any later group's.
-// Every candidate is re-checked with cell.covers, so a hash collision costs
+// Every candidate is re-checked with Cell.Covers, so a hash collision costs
 // a comparison and can never produce a match.
 
 // maskGroup is the rows of one mask vector, as candidates ordered by hash
@@ -51,10 +49,10 @@ func maskedHash(kv, masks []uint64) uint64 {
 	return h
 }
 
-// buildIndex indexes the table's match rows. A key value is already
-// truncated to its width, so a mask is narrowed to it: an exact cell and a
-// full-length prefix on the same key fall in one group.
-func (t *tblPlan) buildIndex(widths []expr.Width) {
+// buildIndex indexes the table's match rows. A bound cell's mask is within
+// its key's width, so an exact cell and a full-length prefix on the same
+// key fall in one group.
+func (t *tblPlan) buildIndex() {
 	nk := len(t.keys)
 	byMask := map[string]int{}
 	var key []byte
@@ -64,11 +62,11 @@ rows:
 		row := t.cells[r*nk : (r+1)*nk]
 		key = key[:0]
 		for j, c := range row {
-			if c.rng {
+			if c.Range {
 				t.ranged = append(t.ranged, int32(r))
 				continue rows
 			}
-			masks[j], vals[j] = c.mask&widths[j].Mask(), c.val
+			masks[j], vals[j] = c.Mask, c.Val
 			key = binary.LittleEndian.AppendUint64(key, masks[j])
 		}
 		gi, ok := byMask[string(key)]
@@ -151,7 +149,7 @@ func (t *tblPlan) lookup(kv []uint64) int32 {
 func (t *tblPlan) covers(r int32, kv []uint64) bool {
 	nk := len(t.keys)
 	for j, c := range t.cells[int(r)*nk : int(r+1)*nk] {
-		if !c.covers(kv[j]) {
+		if !c.Covers(kv[j]) {
 			return false
 		}
 	}

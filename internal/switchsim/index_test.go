@@ -18,10 +18,11 @@ import (
 // traced packet must tell the reference interpreter's story — the same
 // trace, the same applies and probes.
 
-// tableCase is one random table — over 1–3 keys, its rows mixing exact,
-// ternary, LPM, range and wildcard cells, with duplicate rows, masks
-// repeated across priorities, and sometimes no rows at all — and the key
-// vectors to look up in it.
+// tableCase is one random table — over 1–3 keys, each row drawn in its
+// key's declared kind (ternary, LPM and range keys also take wildcards and
+// omissions), with rows that repeat a match at another priority where the
+// table's kinds allow it, masks repeated across priorities, and sometimes
+// no rows at all — and the key vectors to look up in it.
 type tableCase struct {
 	prog   *p4.Program
 	rs     *rules.Set
@@ -30,7 +31,9 @@ type tableCase struct {
 }
 
 // genTableCase draws a table case; next(n) is the source of every choice,
-// a number in [0, n).
+// a number in [0, n). A drawn row that the rule set cannot take — it
+// repeats an earlier row's match where rules.Bind forbids that — is left
+// out.
 func genTableCase(next func(n int) int) *tableCase {
 	tc := &tableCase{rs: rules.NewSet()}
 	nk := 1 + next(3)
@@ -49,52 +52,56 @@ func genTableCase(next func(n int) int) *tableCase {
 	src.WriteString(" }\nmetadata { bit<8> m; }\n")
 	src.WriteString("parser prs { state start { extract(h); transition accept; } }\n")
 	src.WriteString("action hit() { meta.m = 1; }\ntable t {\n  key = {")
+	kinds := make([]rules.MatchKind, nk)
 	for j := 0; j < nk; j++ {
-		fmt.Fprintf(&src, " h.k%d : %s;", j, []string{"exact", "ternary", "lpm", "range"}[next(4)])
+		kinds[j] = []rules.MatchKind{rules.Exact, rules.Ternary, rules.LPM, rules.Range}[next(4)]
+		fmt.Fprintf(&src, " h.k%d : %s;", j, kinds[j])
 	}
 	src.WriteString(" }\n  actions = { hit; }\n}\ncontrol c { apply { t.apply(); } }\npipeline p { parser = prs; control = c; }\n")
 	tc.prog = p4.MustParse(src.String())
 
-	// A few values a key, so rows overlap and lookups hit: the extremes,
-	// two drawn ones, and one too wide for the key (an exact row on it
-	// never matches).
+	// A few values a key, so rows overlap and lookups hit: the extremes and
+	// two drawn ones.
 	pools := make([][]uint64, nk)
 	masks := make([][]uint64, nk)
 	for j, w := range tc.widths {
 		full := ^uint64(0) >> (64 - w)
 		pools[j] = []uint64{0, full, uint64(next(1<<16)) & full, uint64(next(1<<16)) << (w / 2) & full}
-		masks[j] = []uint64{full, full &^ (full >> (w / 2)), full >> (w / 2), 0, uint64(next(1<<16)) & full, ^uint64(0)}
+		masks[j] = []uint64{full, full &^ (full >> (w / 2)), full >> (w / 2), 0, uint64(next(1<<16)) & full}
 	}
 	pick := func(vs []uint64) uint64 { return vs[next(len(vs))] }
+	var rows []*rules.Entry
 	var prev *rules.Entry
 	for r, nrows := 0, next(24); r < nrows; r++ {
 		e := &rules.Entry{Priority: next(3), Action: "hit"}
-		if prev != nil && next(4) == 0 { // a duplicate row, at its own priority
+		if prev != nil && next(4) == 0 { // a repeated match, at its own priority
 			e.Matches = prev.Matches
 		} else {
 			for j, w := range tc.widths {
 				f := fmt.Sprintf("h.k%d", j)
-				switch next(6) {
-				case 0:
-					v := pick(pools[j])
-					if next(8) == 0 {
-						v = ^uint64(0)>>(64-w) + 1 // wider than the key
-					}
-					e.Matches = append(e.Matches, rules.Match{Field: f, Kind: rules.Exact, Val: v})
-				case 1:
+				switch k := next(3); {
+				case k == 1 && kinds[j] != rules.Exact:
+					e.Matches = append(e.Matches, rules.Match{Field: f, Kind: rules.Wildcard})
+				case k == 2 && kinds[j] != rules.Exact: // the cell left out: a wildcard too
+				case kinds[j] == rules.Exact:
+					e.Matches = append(e.Matches, rules.Match{Field: f, Kind: rules.Exact, Val: pick(pools[j])})
+				case kinds[j] == rules.Ternary:
 					e.Matches = append(e.Matches, rules.Match{Field: f, Kind: rules.Ternary, Val: pick(pools[j]), Mask: pick(masks[j])})
-				case 2:
-					e.Matches = append(e.Matches, rules.Match{Field: f, Kind: rules.LPM, Val: pick(pools[j]), Plen: next(w + 3)})
-				case 3:
+				case kinds[j] == rules.LPM:
+					e.Matches = append(e.Matches, rules.Match{Field: f, Kind: rules.LPM, Val: pick(pools[j]), Plen: next(w + 1)})
+				default:
 					lo, hi := pick(pools[j]), pick(pools[j])
 					e.Matches = append(e.Matches, rules.Match{Field: f, Kind: rules.Range, Lo: min(lo, hi), Hi: max(lo, hi)})
-				case 4:
-					e.Matches = append(e.Matches, rules.Match{Field: f, Kind: rules.Wildcard})
-				case 5: // the cell left out: a wildcard too
 				}
 			}
 		}
-		tc.rs.Add("t", e)
+		try := rules.NewSet()
+		for _, x := range append(rows, e) {
+			try.Add("t", x)
+		}
+		if _, err := rules.Bind(tc.prog, try); err == nil {
+			rows, tc.rs = append(rows, e), try
+		}
 		prev = e
 	}
 	for i := 0; i < 12; i++ {

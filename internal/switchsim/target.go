@@ -55,8 +55,9 @@ func Compile(prog *p4.Program, rs *rules.Set, faults Faults) (*Target, error) {
 	if err := p4.Check(prog); err != nil {
 		return nil, fmt.Errorf("switchsim: %w", err)
 	}
-	if rs == nil {
-		rs = rules.NewSet()
+	tables, err := rules.Bind(prog, rs)
+	if err != nil {
+		return nil, fmt.Errorf("switchsim: %w", err)
 	}
 	vars := p4.Vars(prog)
 	t := &Target{prog: prog, vars: vars, drop: int32(vars.DropSlot())}
@@ -68,7 +69,7 @@ func Compile(prog *p4.Program, rs *rules.Set, faults Faults) (*Target, error) {
 	c.actions()
 	maxKeys := 0
 	for _, d := range prog.Tables {
-		tbl := c.table(d, rs)
+		tbl := c.table(tables[d.Name])
 		c.tbls[d.Name] = tbl
 		t.tables = append(t.tables, tbl)
 		maxKeys = max(maxKeys, len(tbl.keys))

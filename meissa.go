@@ -134,13 +134,18 @@ type System struct {
 	Opts  Options
 }
 
-// New validates the program and builds a system.
+// New validates the program and binds the rule set to it, so that a rule
+// set the program cannot mean fails here, with its rules line, and not
+// in generation or on the target.
 func New(prog *p4.Program, rs *rules.Set, specs []*spec.Spec, opts Options) (*System, error) {
 	if err := p4.Check(prog); err != nil {
 		return nil, fmt.Errorf("meissa: %w", err)
 	}
 	if rs == nil {
 		rs = rules.NewSet()
+	}
+	if _, err := rules.Bind(prog, rs); err != nil {
+		return nil, fmt.Errorf("meissa: %w", err)
 	}
 	return &System{Prog: prog, Rules: rs, Specs: specs, Opts: opts}, nil
 }

@@ -1,11 +1,14 @@
 package meissa
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/driver"
 	"repro/internal/p4"
 	"repro/internal/programs"
+	"repro/internal/rules"
 	"repro/internal/spec"
 	"repro/internal/switchsim"
 )
@@ -275,5 +278,43 @@ func TestNewRejectsBrokenPrograms(t *testing.T) {
 	prog.Pipelines = []*p4.PipelineDecl{{Name: "p", Control: "missing"}}
 	if _, err := New(prog, nil, nil, DefaultOptions()); err == nil {
 		t.Fatal("expected error for unresolvable control")
+	}
+}
+
+// The probes of ROADMAP item 16: one entry, appended to Router's rules,
+// that the program cannot mean. Each once reached a clean target, which
+// failed cases or ignored it; meissa.New must reject it instead, naming
+// the rules line, the table and the entry.
+func TestNewRejectsWhatRouterCannotMean(t *testing.T) {
+	p := programs.Router()
+	base := p.Rules.String()
+	line := strings.Count(base, "\n") + 2 // the appended entry's
+	nexthops := len(p.Rules.Entries("nexthop_mac"))
+	for _, tc := range []struct{ name, table, entry, want string }{
+		{"undeclared table", "nosuch", "meta.nexthop=1 -> rewrite_mac(1);", "the program declares no such table"},
+		{"not a key of the table", "nexthop_mac", "ipv4.srcAddr=7 -> rewrite_mac(1);", "ipv4.srcAddr is not a key of the table"},
+		{"no key", "nexthop_mac", "-> rewrite_mac(77);", "exact key meta.nexthop has no match"},
+		{"range on an exact key", "nexthop_mac", "meta.nexthop=3..5 -> rewrite_mac(9);", "meta.nexthop: the exact key takes no range match"},
+		{"duplicate key", "nexthop_mac", "meta.nexthop=1 -> rewrite_mac(77);", "matches what entry 0 matches"},
+		{"wider than the key", "nexthop_mac", "meta.nexthop=4294967297 -> rewrite_mac(5);", "meta.nexthop: value 4294967297 is wider than the 32-bit key"},
+		{"lpm on an exact key", "nexthop_mac", "meta.nexthop=64/28 -> rewrite_mac(5);", "meta.nexthop: the exact key takes no lpm match"},
+		{"ternary on an exact key", "nexthop_mac", "meta.nexthop=64&&&0xf0 -> rewrite_mac(5);", "meta.nexthop: the exact key takes no ternary match"},
+		{"not one of the table's actions", "nexthop_mac", "meta.nexthop=78 -> set_nexthop(1, 2);", "action set_nexthop is not one of the table's actions"},
+		{"arity", "nexthop_mac", "meta.nexthop=77 -> rewrite_mac(1, 2, 3);", "action rewrite_mac has 1 parameters, got 3 arguments"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs, err := rules.Parse(base + "table " + tc.table + " {\n  " + tc.entry + "\n}\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry := nexthops
+			if tc.table == "nosuch" {
+				entry = 0
+			}
+			want := fmt.Sprintf("meissa: rules:%d: table %s entry %d: %s", line, tc.table, entry, tc.want)
+			if _, err := New(p.Prog, rs, nil, DefaultOptions()); err == nil || err.Error() != want {
+				t.Fatalf("New: %v\nwant: %s", err, want)
+			}
+		})
 	}
 }
