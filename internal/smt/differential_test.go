@@ -238,9 +238,9 @@ func (o *sweepOracle) pop()                  { o.frames = o.frames[:len(o.frames
 // complete: search tries at most CandidatesPerVar (24) values per free
 // variable and answers Unsat — not Unknown — when none of them works. With
 // a 5-bit c this oracle gets Unsat for (c + 5) >= (c + 7), which c = 25 and
-// c = 26 satisfy (ROADMAP item 4). Answering Unknown there keeps paths the
-// corpus runs now drop, so it changes their outputs and is not this test's
-// to fix.
+// c = 26 satisfy (ROADMAP item 2). Every corpus Unsat is a proof, so
+// answering Unknown there would leave the corpus outputs as they are; it
+// is the solver's to fix, not this test's to work around.
 func TestDifferentialBatchSweeps(t *testing.T) {
 	verdicts, starved := 0, 0
 	for seed := int64(0); seed < 96; seed++ {

@@ -205,13 +205,17 @@ func (s *Solver) maskAtom(dst []atom, v expr.Ref, mask, val uint64, op expr.CmpO
 		}
 		return append(dst, atom{kind: atomBits, v: s.slot(v.Var), w: v.W, mask: mask, c: val, orig: orig})
 	case expr.CmpNe:
-		// Only exploitable when the mask covers the whole width (plain
-		// disequality) — otherwise defer, keeping the untruncated constant
-		// for refuted: a constant wider than v never equals v & mask.
+		// A constant with bits above v's width never equals v & mask, so
+		// the disequality always holds. Otherwise it is only exploitable
+		// when the mask covers the whole width (plain disequality); a
+		// partial mask is deferred.
+		if raw > v.W.Mask() {
+			return dst
+		}
 		if mask == v.W.Mask() {
 			return append(dst, atom{kind: atomExclude, v: s.slot(v.Var), w: v.W, c: val, mask: mask, orig: orig})
 		}
-		return append(dst, atom{kind: atomMaskNe, v: s.slot(v.Var), w: v.W, c: raw, mask: mask, orig: orig})
+		return append(dst, atom{kind: atomMaskNe, v: s.slot(v.Var), w: v.W, c: val, mask: mask, orig: orig})
 	default:
 		return append(dst, atom{kind: atomDeferred, orig: orig})
 	}

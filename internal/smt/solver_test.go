@@ -118,6 +118,21 @@ func TestMaskedMissWideConstant(t *testing.T) {
 	}
 }
 
+// TestMaskedNeWideConstantFullMask: with a 4-bit x, x & 0x1f is at most
+// 15, so (x & 0x1f) != 0x14 holds for every x — also for x = 4, whose
+// bits match the constant's low four, and with a mask that covers all of
+// x's width.
+func TestMaskedNeWideConstantFullMask(t *testing.T) {
+	s := newSolver()
+	x := v("x", 4)
+	s.Assert(expr.Eq(x, expr.C(4, 4)))
+	s.Assert(expr.Ne(expr.Bin{Op: expr.OpAnd, L: x, R: expr.C(0x1f, 8)}, expr.C(0x14, 8)))
+	m, r := s.Model()
+	if r != Sat || m["x"] != 4 {
+		t.Fatalf("result = %s, model %v; want SAT with x = 4", r, m)
+	}
+}
+
 func TestVarEquality(t *testing.T) {
 	s := newSolver()
 	s.Assert(expr.Eq(v("a", 16), v("b", 16)))
