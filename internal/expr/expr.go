@@ -8,7 +8,6 @@
 package expr
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -448,17 +447,6 @@ func VarsOfBool(b Bool, dst map[Var]Width) {
 	case Not:
 		VarsOfBool(t.X, dst)
 	}
-}
-
-// SortedVars returns the variables of a var-set in lexical order, for
-// deterministic iteration.
-func SortedVars(m map[Var]Width) []Var {
-	out := make([]Var, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // EqualArith reports structural equality of arithmetic expressions.

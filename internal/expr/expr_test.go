@@ -188,10 +188,6 @@ func TestVarsOf(t *testing.T) {
 	if vars["b"] != 16 || vars["c"] != 32 {
 		t.Errorf("widths wrong: %v", vars)
 	}
-	sorted := SortedVars(vars)
-	if sorted[0] != "a" || sorted[2] != "c" {
-		t.Errorf("SortedVars order wrong: %v", sorted)
-	}
 }
 
 func TestAuxVar(t *testing.T) {

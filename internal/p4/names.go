@@ -45,15 +45,6 @@ func IsHeaderFieldVar(v expr.Var) (header, field string, ok bool) {
 	return rest[:i], rest[i+1:], true
 }
 
-// IsValidVar splits a "valid$<header>" variable.
-func IsValidVar(v expr.Var) (header string, ok bool) {
-	s := string(v)
-	if !strings.HasPrefix(s, "valid$") {
-		return "", false
-	}
-	return s[len("valid$"):], true
-}
-
 // IsMetaVar splits a "meta.<field>" variable.
 func IsMetaVar(v expr.Var) (field string, ok bool) {
 	s := string(v)
@@ -61,22 +52,4 @@ func IsMetaVar(v expr.Var) (field string, ok bool) {
 		return "", false
 	}
 	return s[len("meta."):], true
-}
-
-// IsRegisterVar splits a "REG:<name>-POS:<idx>" variable.
-func IsRegisterVar(v expr.Var) (reg string, index int, ok bool) {
-	s := string(v)
-	if !strings.HasPrefix(s, "REG:") {
-		return "", 0, false
-	}
-	rest := s[len("REG:"):]
-	i := strings.LastIndex(rest, "-POS:")
-	if i < 0 {
-		return "", 0, false
-	}
-	var idx int
-	if _, err := fmt.Sscanf(rest[i+len("-POS:"):], "%d", &idx); err != nil {
-		return "", 0, false
-	}
-	return rest[:i], idx, true
 }

@@ -55,20 +55,3 @@ func MutateArgs(s *rules.Set, n int) (*rules.Set, int) {
 	}
 	return out, len(idx)
 }
-
-// MutateFraction mutates ceil(frac * candidates) entries via MutateArgs.
-func MutateFraction(s *rules.Set, frac float64) (*rules.Set, int) {
-	eligible := 0
-	for _, t := range s.Tables() {
-		for _, e := range s.Entries(t) {
-			if len(e.Args) > 0 {
-				eligible++
-			}
-		}
-	}
-	n := int(frac * float64(eligible))
-	if n == 0 && eligible > 0 && frac > 0 {
-		n = 1
-	}
-	return MutateArgs(s, n)
-}

@@ -233,16 +233,3 @@ func TestMutateArgsMoreThanAvailable(t *testing.T) {
 		t.Errorf("MutateArgs(s, 0) mutated %d entries", n)
 	}
 }
-
-func TestMutateFraction(t *testing.T) {
-	s := rules.MustParse(baseRules)
-	if _, n := MutateFraction(s, 0.1); n != 1 {
-		t.Errorf("10%% of 2 candidates mutated %d, want 1 (rounded up)", n)
-	}
-	if _, n := MutateFraction(s, 1.0); n != 2 {
-		t.Errorf("100%% mutated %d, want 2", n)
-	}
-	if _, n := MutateFraction(s, 0); n != 0 {
-		t.Errorf("0%% mutated %d, want 0", n)
-	}
-}

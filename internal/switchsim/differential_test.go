@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	meissa "repro"
@@ -119,7 +120,7 @@ func (e *engines) step(prog *p4.Program, pkt wirePacket) string {
 		return fmt.Sprintf("Inject dropped=%v, reference %v", got.Dropped, want.Dropped)
 	}
 	if !slices.Equal(got.Trace, want.Trace) {
-		return fmt.Sprintf("trace:\n%s\nreference:\n%s", switchsim.TraceString(got.Trace), switchsim.TraceString(want.Trace))
+		return fmt.Sprintf("trace:\n%s\nreference:\n%s", strings.Join(got.Trace, "\n"), strings.Join(want.Trace, "\n"))
 	}
 	if !slices.Equal(got.Pipelines, want.Pipelines) {
 		return fmt.Sprintf("pipelines %v, reference %v", got.Pipelines, want.Pipelines)

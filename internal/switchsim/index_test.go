@@ -188,7 +188,7 @@ func checkTableCase(tc *tableCase) string {
 			return fmt.Sprintf("keys %#x: %d applies, reference %d", kv, tbl.stats.Applies, applies)
 		}
 		if !slices.Equal(got.Trace, wantRes.Trace) {
-			return fmt.Sprintf("keys %#x: trace\n%s\nreference\n%s", kv, TraceString(got.Trace), TraceString(wantRes.Trace))
+			return fmt.Sprintf("keys %#x: trace\n%s\nreference\n%s", kv, strings.Join(got.Trace, "\n"), strings.Join(wantRes.Trace, "\n"))
 		}
 	}
 	return ""

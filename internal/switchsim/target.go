@@ -2,7 +2,6 @@ package switchsim
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/p4"
@@ -299,6 +298,3 @@ func (t *Target) Stats() Stats {
 
 // ResetRegisters zeroes the persistent register file.
 func (t *Target) ResetRegisters() { clear(t.m.slots[t.vars.PerPacket():t.vars.Len()]) }
-
-// TraceString joins a trace for display.
-func TraceString(trace []string) string { return strings.Join(trace, "\n") }

@@ -114,7 +114,7 @@ func TestTraceRecordsTableHits(t *testing.T) {
 	prog := p4.MustParse(fwdProg)
 	target, _ := Compile(prog, fwdRules(), nil)
 	res, _ := target.Inject(0, mkWire(t, prog, 0x0A000001, 64, 1))
-	trace := TraceString(res.Trace)
+	trace := strings.Join(res.Trace, "\n")
 	for _, want := range []string{"extract ipv4", "table host hit entry 0", "meta.port = 3"} {
 		if !strings.Contains(trace, want) {
 			t.Errorf("trace missing %q:\n%s", want, trace)
