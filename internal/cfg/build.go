@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/p4"
@@ -506,37 +507,22 @@ func (b *builder) encodeStmt(fr frontier, s p4.Stmt, sc scope, pipe string, dept
 func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth int) (frontier, error) {
 	g := b.g
 	tbl := t.Decl
-	keys := make([]expr.Arith, len(tbl.Keys))
-	for j, k := range tbl.Keys {
-		v, w, err := b.env.ResolveRef(k.Field)
-		if err != nil {
-			return nil, err
-		}
-		keys[j] = expr.V(v, w)
-	}
-
 	// Binding rejects an exact-only table's duplicate entries, so its
 	// entries are pairwise disjoint and the higher-priority negations can
 	// be omitted (this is what keeps Fig. 7-style tables linear).
-	exactOnly := true
-	for _, k := range tbl.Keys {
-		if k.Match != p4.MatchExact {
-			exactOnly = false
-			break
-		}
-	}
+	exactOnly := !slices.ContainsFunc(tbl.Keys, func(k *p4.TableKey) bool { return k.Match != p4.MatchExact })
 
 	var out frontier
 	var higher []expr.Bool // match conditions of higher-priority entries
 	for i, row := range t.Rows {
-		cond := rowCond(keys, row.Cells)
+		cond := rowCond(t.Keys, row.Cells)
 		full := cond
 		if !exactOnly {
 			for _, h := range higher {
 				full = expr.And(full, expr.Negate(h))
 			}
-			higher = append(higher, cond)
 		}
+		higher = append(higher, cond)
 		full = expr.SimplifyBool(full)
 		if expr.EqualBool(full, expr.False) {
 			continue // statically shadowed entry
@@ -560,10 +546,6 @@ func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth in
 		}
 		g.TagDeps(mark, rules.DepTag(tbl.Name, row.Entry))
 		out = append(out, actFr...)
-
-		if exactOnly {
-			higher = append(higher, cond)
-		}
 	}
 
 	// Miss branch: no entry matched → default action.
@@ -576,13 +558,12 @@ func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth in
 		mark := len(g.Nodes)
 		p := g.AddPredicate(missCond, pipe, fmt.Sprintf("table %s miss", tbl.Name))
 		b.linkAll(fr, p.ID)
-		def := tbl.DefaultAction
-		if def == nil {
-			def = &p4.ActionCall{Name: "NoAction"}
-		}
-		missFr, err := b.encodeActionCall(frontier{p.ID}, def, nil, pipe, depth)
-		if err != nil {
-			return nil, fmt.Errorf("table %s default: %w", tbl.Name, err)
+		missFr := frontier{p.ID}
+		if def := tbl.DefaultAction; def != nil {
+			var err error
+			if missFr, err = b.encodeActionCall(missFr, def, nil, pipe, depth); err != nil {
+				return nil, fmt.Errorf("table %s default: %w", tbl.Name, err)
+			}
 		}
 		g.TagDeps(mark, rules.MissTag(tbl.Name))
 		out = append(out, missFr...)
@@ -592,10 +573,10 @@ func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth in
 
 // rowCond is the condition under which every cell of a bound row covers
 // its key.
-func rowCond(keys []expr.Arith, cells []rules.Cell) expr.Bool {
+func rowCond(keys []expr.Ref, cells []rules.Cell) expr.Bool {
 	var cond expr.Bool = expr.True
 	for j, c := range cells {
-		k, w := keys[j], keys[j].Width()
+		k, w := keys[j], keys[j].W
 		switch {
 		case c.Range:
 			cond = expr.And(cond, expr.Cmp{Op: expr.CmpGe, L: k, R: expr.C(c.Val, w)})

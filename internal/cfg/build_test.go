@@ -234,7 +234,15 @@ pipeline p { control = c; }
 	r := g.Pipelines[0]
 	// Every node inside the region must reach the region exit; the drop
 	// action must not bypass it.
-	reach := g.ReachableFrom(r.Entry)
+	reach := map[NodeID]bool{}
+	for stack := []NodeID{r.Entry}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !reach[id] {
+			reach[id] = true
+			stack = append(stack, g.Nodes[id].Succs...)
+		}
+	}
 	if !reach[r.Exit] {
 		t.Fatal("region exit unreachable from entry")
 	}

@@ -299,16 +299,6 @@ func (g *Graph) Link(src, dst NodeID) {
 	n.Succs = append(n.Succs, dst)
 }
 
-// Region returns the region by pipeline name, or nil.
-func (g *Graph) Region(name string) *Region {
-	for _, r := range g.Pipelines {
-		if r.Name == name {
-			return r
-		}
-	}
-	return nil
-}
-
 // NodeCount returns the number of nodes.
 func (g *Graph) NodeCount() int { return len(g.Nodes) }
 
@@ -407,23 +397,6 @@ func (g *Graph) countPaths(start, sink NodeID) *big.Int {
 		return res
 	}
 	return new(big.Int).Set(countBig(start))
-}
-
-// ReachableFrom returns the set of node IDs reachable from start
-// (inclusive).
-func (g *Graph) ReachableFrom(start NodeID) map[NodeID]bool {
-	seen := map[NodeID]bool{}
-	stack := []NodeID{start}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		stack = append(stack, g.Nodes[id].Succs...)
-	}
-	return seen
 }
 
 // CheckAcyclic verifies the graph has no cycles; the CFG generated from a

@@ -2,19 +2,12 @@ package rules
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"repro/internal/expr"
 	"repro/internal/p4"
 )
-
-// Binding is where a rule entry gets its meaning. The CFG encoder and the
-// software target both read a rule set through Bind, so the model a test
-// is generated from and the target it runs on agree on every entry, and an
-// entry the program cannot mean is rejected once, with its rules line,
-// instead of being read one way by one side and another by the other.
 
 // Cell is one key's constraint in a bound row: v&Mask == Val, or
 // Val <= v <= Mask when Range is set. Exact, ternary, LPM and wildcard
@@ -24,8 +17,7 @@ type Cell struct {
 	Range     bool
 }
 
-// Covers reports whether key value v, at the key's width, satisfies the
-// cell.
+// Covers reports whether key value v satisfies the cell.
 func (c Cell) Covers(v uint64) bool {
 	if c.Range {
 		return v >= c.Val && v <= c.Mask
@@ -34,28 +26,27 @@ func (c Cell) Covers(v uint64) bool {
 }
 
 // Row is an entry bound to its table: one cell per key, in the table's key
-// order, and the action it runs.
+// order, and the action it runs (nil for NoAction) with a copy of its
+// arguments, each of which fits its parameter.
 type Row struct {
-	Entry *Entry
-	Cells []Cell
-	// Action is nil for NoAction. Args are the entry's arguments, copied;
-	// each fits its parameter.
+	Entry  *Entry
+	Cells  []Cell
 	Action *p4.ActionDecl
 	Args   []uint64
 }
 
 // Table is a declared table with the rule set's entries for it bound.
 type Table struct {
-	Decl   *p4.TableDecl
-	Widths []expr.Width // one per key
-	Rows   []Row        // descending priority, stable within one priority
+	Decl *p4.TableDecl
+	Keys []expr.Ref // the key fields, at their widths
+	Rows []Row      // descending priority, stable within one priority
 }
 
 // Error rejects an entry that the program cannot mean.
 type Error struct {
 	Line  int // the entry's rules line; 0 for an entry not read from text
 	Table string
-	Entry int // the entry's position in its table, from 0, as written
+	Entry int // the entry's position in its table as written, from 0
 	Msg   string
 }
 
@@ -67,28 +58,31 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%s: table %s entry %d: %s", at, e.Table, e.Entry, e.Msg)
 }
 
-// Bind binds a rule set (nil: no entries) to a program that p4.Check has
-// accepted, and returns every declared table by name. It rejects an entry
-// in a table the program does not declare; a match on a field that is not
-// a key of the table, or on one key twice; a match kind the key does not
-// take (a key takes its own kind, and a ternary, LPM or range key also
-// takes "*" or no match at all); a value, mask or prefix wider than the
-// key; an action the table does not list, a wrong argument count, or an
-// argument wider than its parameter; and an entry that matches what an
-// earlier one matches — at the same priority when the table has a ternary
-// or range key, at any priority otherwise. That last rule is what makes an
-// exact-only table's entries pairwise disjoint.
+// Bind is the one reader that gives a rule entry its meaning: the CFG
+// encoder and the software target both read a rule set (nil: no entries)
+// through it, so the model and the target agree on every entry. It binds
+// the set to a program that p4.Check has accepted and returns every
+// declared table by name. It rejects an entry in a table the program does
+// not declare; a match on a field that is not a key of the table, or on
+// one key twice; a match kind the key does not take (a key takes its own
+// kind, and a ternary, LPM or range key also takes "*" or no match at
+// all); a value, mask or prefix wider than the key; an action the table
+// does not list, a wrong argument count, or an argument wider than its
+// parameter; and an entry that matches what an earlier one matches — at
+// the same priority when the table has a ternary or range key, at any
+// priority otherwise, which makes an exact-only table's entries pairwise
+// disjoint.
 func Bind(prog *p4.Program, s *Set) (map[string]*Table, error) {
 	env := p4.NewEnv(prog)
 	out := make(map[string]*Table, len(prog.Tables))
 	for _, d := range prog.Tables {
-		t := &Table{Decl: d, Widths: make([]expr.Width, len(d.Keys))}
-		for j, k := range d.Keys {
-			_, w, err := env.ResolveRef(k.Field)
+		t := &Table{Decl: d}
+		for _, k := range d.Keys {
+			v, w, err := env.ResolveRef(k.Field)
 			if err != nil {
 				return nil, err
 			}
-			t.Widths[j] = w
+			t.Keys = append(t.Keys, expr.V(v, w))
 		}
 		out[d.Name] = t
 	}
@@ -97,11 +91,10 @@ func Bind(prog *p4.Program, s *Set) (map[string]*Table, error) {
 	}
 	for _, name := range s.order {
 		es := s.tables[name]
-		t := out[name]
-		if t == nil {
+		if out[name] == nil {
 			return nil, &Error{Line: es[0].Line, Table: name, Msg: "the program declares no such table"}
 		}
-		if err := t.bind(prog, es); err != nil {
+		if err := out[name].bind(prog, es); err != nil {
 			return nil, err
 		}
 	}
@@ -111,8 +104,7 @@ func Bind(prog *p4.Program, s *Set) (map[string]*Table, error) {
 // bind binds a table's entries, given in the order they were written.
 func (t *Table) bind(prog *p4.Program, es []*Entry) error {
 	d := t.Decl
-	nk := len(d.Keys)
-	keyOf := make(map[string]int, nk)
+	keyOf := make(map[string]int, len(d.Keys))
 	prioritized := false
 	for j, k := range d.Keys {
 		keyOf[k.Field.String()] = j
@@ -122,36 +114,28 @@ func (t *Table) bind(prog *p4.Program, es []*Entry) error {
 	for _, a := range d.Actions {
 		actions[a] = prog.Action(a) // nil for NoAction
 	}
-	nargs := 0
-	for _, e := range es {
-		nargs += len(e.Args)
-	}
-	cells, args := make([]Cell, len(es)*nk), make([]uint64, 0, nargs)
-	matched := make([]bool, nk)
 	seen := make(map[string]int, len(es))
-	var sig []byte
 	t.Rows = make([]Row, len(es))
 	for i, e := range es {
 		fail := func(format string, a ...any) error {
 			return &Error{Line: e.Line, Table: d.Name, Entry: i, Msg: fmt.Sprintf(format, a...)}
 		}
 		row := &t.Rows[i]
-		row.Entry, row.Cells = e, cells[i*nk:(i+1)*nk:(i+1)*nk]
-		clear(matched)
+		row.Entry, row.Cells = e, make([]Cell, len(d.Keys))
+		matched := make([]bool, len(d.Keys))
 		for _, m := range e.Matches {
 			j, ok := keyOf[m.Field]
-			if !ok {
+			switch {
+			case !ok:
 				return fail("%s is not a key of the table", m.Field)
-			}
-			if matched[j] {
+			case matched[j]:
 				return fail("%s is matched twice", m.Field)
 			}
 			matched[j] = true
-			c, err := cell(m, d.Keys[j].Match, t.Widths[j])
-			if err != "" {
-				return fail("%s: %s", m.Field, err)
+			var bad string
+			if row.Cells[j], bad = cell(m, d.Keys[j].Match, t.Keys[j].W); bad != "" {
+				return fail("%s: %s", m.Field, bad)
 			}
-			row.Cells[j] = c
 		}
 		for j, k := range d.Keys {
 			if !matched[j] && k.Match == p4.MatchExact {
@@ -160,54 +144,42 @@ func (t *Table) bind(prog *p4.Program, es []*Entry) error {
 		}
 
 		a, ok := actions[e.Action]
+		var params []*p4.Param
+		if a != nil {
+			params = a.Params
+		}
 		switch {
 		case !ok:
 			return fail("action %s is not one of the table's actions", e.Action)
-		case a == nil && len(e.Args) > 0:
-			return fail("NoAction takes no arguments, got %d", len(e.Args))
-		case a != nil && len(e.Args) != len(a.Params):
-			return fail("action %s has %d parameters, got %d arguments", a.Name, len(a.Params), len(e.Args))
+		case len(e.Args) != len(params):
+			return fail("action %s has %d parameters, got %d arguments", e.Action, len(params), len(e.Args))
 		}
-		if a != nil {
-			for k, p := range a.Params {
-				if e.Args[k] > expr.Width(p.Width).Mask() {
-					return fail("argument %d of %s is wider than its %d-bit parameter %s", e.Args[k], a.Name, p.Width, p.Name)
-				}
+		for k, p := range params {
+			if e.Args[k] > expr.Width(p.Width).Mask() {
+				return fail("argument %d of %s is wider than its %d-bit parameter %s", e.Args[k], a.Name, p.Width, p.Name)
 			}
 		}
-		row.Action = a
-		n := len(args)
-		args = append(args, e.Args...)
-		row.Args = args[n:len(args):len(args)]
+		row.Action, row.Args = a, append([]uint64(nil), e.Args...)
 
-		sig = sig[:0]
+		prio := 0
 		if prioritized {
-			sig = binary.AppendVarint(sig, int64(e.Priority))
+			prio = e.Priority
 		}
-		for _, c := range row.Cells {
-			sig = binary.AppendUvarint(binary.AppendUvarint(sig, c.Val), c.Mask)
-			if c.Range {
-				sig = append(sig, 1)
-			}
-		}
-		if first, dup := seen[string(sig)]; dup {
-			if prioritized {
-				return fail("matches what entry %d matches, at the same priority", first)
-			}
+		sig := fmt.Sprint(prio, row.Cells)
+		if first, dup := seen[sig]; dup {
 			return fail("matches what entry %d matches", first)
 		}
-		seen[string(sig)] = i
+		seen[sig] = i
 	}
 	sort.SliceStable(t.Rows, func(i, j int) bool { return t.Rows[i].Entry.Priority > t.Rows[j].Entry.Priority })
 	return nil
 }
 
-// cell reads a match against a key of kind k and width w. The message is
-// empty when the key takes the match.
+// cell reads a match against a key of kind k and width w; the message
+// says why the key does not take it, if it does not.
 func cell(m Match, k p4.MatchKind, w expr.Width) (Cell, string) {
-	full := w.Mask()
 	wide := func(what string, v uint64) string {
-		if v > full {
+		if v > w.Mask() {
 			return fmt.Sprintf("%s %d is wider than the %d-bit key", what, v, w)
 		}
 		return ""
@@ -216,13 +188,12 @@ func cell(m Match, k p4.MatchKind, w expr.Width) (Cell, string) {
 	case m.Kind == Wildcard && k != p4.MatchExact:
 		return Cell{}, ""
 	case m.Kind == Exact && k == p4.MatchExact:
-		return Cell{Val: m.Val, Mask: full}, wide("value", m.Val)
+		return Cell{Val: m.Val, Mask: w.Mask()}, wide("value", m.Val)
 	case m.Kind == Ternary && k == p4.MatchTernary:
 		return Cell{Val: m.Val & m.Mask, Mask: m.Mask}, cmp.Or(wide("value", m.Val), wide("mask", m.Mask))
+	case m.Kind == LPM && k == p4.MatchLPM && m.Plen > int(w):
+		return Cell{}, fmt.Sprintf("prefix /%d is longer than the %d-bit key", m.Plen, w)
 	case m.Kind == LPM && k == p4.MatchLPM:
-		if m.Plen > int(w) {
-			return Cell{}, fmt.Sprintf("prefix /%d is longer than the %d-bit key", m.Plen, w)
-		}
 		mask := lpmMask(m.Plen, int(w))
 		return Cell{Val: m.Val & mask, Mask: mask}, wide("value", m.Val)
 	case m.Kind == Range && k == p4.MatchRange:

@@ -113,7 +113,7 @@ func TestBindRejects(t *testing.T) {
 		{"NoAction the table does not list", kinds, "table ex {\n  h.e=1 -> NoAction();\n}", nil,
 			"action NoAction is not one of the table's actions"},
 		{"NoAction with an argument", kinds, "table all {\n  h.e=1 -> NoAction(1);\n}", nil,
-			"NoAction takes no arguments, got 1"},
+			"action NoAction has 0 parameters, got 1 arguments"},
 		{"argument added", kinds, "table ex {\n  h.e=1 -> set(1, 2);\n}", nil,
 			"action set has 1 parameters, got 2 arguments"},
 		{"argument wider than its parameter", kinds, "table ex {\n  h.e=1 -> set(17);\n}", nil,
@@ -121,9 +121,9 @@ func TestBindRejects(t *testing.T) {
 		{"duplicate in an exact-only table, at another priority", kinds, "table ex {\n  h.e=1 -> set(1);\n  priority=5 h.e=1 -> set(2);\n}", nil,
 			"rules:3: table ex entry 1: matches what entry 0 matches"},
 		{"duplicate at one priority, after masking", kinds, "table all {\n  priority=3 h.e=1 h.t=4&&&0xc -> set(1);\n  priority=3 h.e=1 h.t=5&&&0xc -> set(2);\n}", nil,
-			"rules:3: table all entry 1: matches what entry 0 matches, at the same priority"},
+			"rules:3: table all entry 1: matches what entry 0 matches"},
 		{"duplicate prefix, after masking", kinds, "table all {\n  h.e=1 h.l=10.0.0.0/8 -> set(1);\n  h.e=1 h.l=10.1.0.0/8 -> set(2);\n}", nil,
-			"matches what entry 0 matches, at the same priority"},
+			"rules:3: table all entry 1: matches what entry 0 matches"},
 		{"rule naming an unknown action", fwd, fwdRules, func(rs *rules.Set) {
 			rs.Add("host", rules.Rule("teleport", nil, rules.E("ipv4.dstAddr", 1)))
 		}, "rules: table host entry 1: action teleport is not one of the table's actions"},
@@ -177,8 +177,8 @@ table ex {
 		t.Fatalf("tables %v: want all and ex, ex's priority-9 row first", tables)
 	}
 	all := tables["all"]
-	if !slices.Equal(all.Widths, []expr.Width{8, 16, 32, 16}) {
-		t.Errorf("widths %v", all.Widths)
+	if !slices.Equal(all.Keys, []expr.Ref{expr.V("hdr.h.e", 8), expr.V("hdr.h.t", 16), expr.V("hdr.h.l", 32), expr.V("hdr.h.r", 16)}) {
+		t.Errorf("keys %v", all.Keys)
 	}
 	want := [][]rules.Cell{
 		{{Val: 7, Mask: 0xff}, {}, {}, {}},

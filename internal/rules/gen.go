@@ -55,10 +55,3 @@ func (g *Gen) RandomRange(set *Set, table, field string, n int, action string, a
 		set.Add(table, Rule(action, argGen(i), R(field, lo, hi)))
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

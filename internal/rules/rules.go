@@ -10,6 +10,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/expr"
 )
 
 // MatchKind is the kind of match an entry writes for a key: the key's
@@ -90,20 +92,8 @@ func (m Match) Covers(v uint64, widthBits int) bool {
 
 // lpmMask builds the mask for a prefix length at a given field width.
 func lpmMask(plen, widthBits int) uint64 {
-	if plen <= 0 {
-		return 0
-	}
-	if plen >= widthBits {
-		if widthBits >= 64 {
-			return ^uint64(0)
-		}
-		return (uint64(1) << uint(widthBits)) - 1
-	}
-	full := uint64(1)<<uint(widthBits) - 1
-	if widthBits >= 64 {
-		full = ^uint64(0)
-	}
-	return full &^ ((uint64(1) << uint(widthBits-plen)) - 1)
+	full := expr.Width(widthBits).Mask()
+	return full &^ (full >> max(plen, 0))
 }
 
 // Entry is one rule of a table.

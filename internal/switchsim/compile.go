@@ -445,9 +445,9 @@ func (c *compiler) actions() {
 func (c *compiler) table(bt *rules.Table) *tblPlan {
 	d := bt.Decl
 	t := &tblPlan{name: d.Name, missName: "NoAction", stats: TableStats{Name: d.Name}}
-	for _, k := range d.Keys {
-		s, _ := c.slotOf(k.Field)
-		t.keys = append(t.keys, s)
+	for _, k := range bt.Keys {
+		s, _ := c.vars.Slot(k.Var)
+		t.keys = append(t.keys, int32(s))
 	}
 	if d.DefaultAction != nil && d.DefaultAction.Name != "NoAction" {
 		t.missName = d.DefaultAction.Name
