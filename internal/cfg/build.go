@@ -432,13 +432,9 @@ func (b *builder) encodeStmt(fr frontier, s p4.Stmt, sc scope, pipe string, dept
 		return b.encodeActionCall(fr, t.Call, sc, pipe, depth)
 
 	case *p4.SetValidStmt:
-		val := uint64(0)
+		val, cmt := uint64(0), "setInvalid "+t.Header
 		if t.Valid {
-			val = 1
-		}
-		cmt := "setInvalid " + t.Header
-		if t.Valid {
-			cmt = "setValid " + t.Header
+			val, cmt = 1, "setValid "+t.Header
 		}
 		return b.seq(fr, g.AddAction(p4.ValidVar(t.Header), expr.C(val, 1), pipe, cmt)), nil
 

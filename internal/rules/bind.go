@@ -2,6 +2,7 @@ package rules
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -114,15 +115,18 @@ func (t *Table) bind(prog *p4.Program, es []*Entry) error {
 	for _, a := range d.Actions {
 		actions[a] = prog.Action(a) // nil for NoAction
 	}
+	nk := len(d.Keys)
+	cells, matched := make([]Cell, len(es)*nk), make([]bool, nk)
 	seen := make(map[string]int, len(es))
+	var sig []byte
 	t.Rows = make([]Row, len(es))
 	for i, e := range es {
 		fail := func(format string, a ...any) error {
 			return &Error{Line: e.Line, Table: d.Name, Entry: i, Msg: fmt.Sprintf(format, a...)}
 		}
 		row := &t.Rows[i]
-		row.Entry, row.Cells = e, make([]Cell, len(d.Keys))
-		matched := make([]bool, len(d.Keys))
+		row.Entry, row.Cells = e, cells[i*nk:(i+1)*nk:(i+1)*nk]
+		clear(matched)
 		for _, m := range e.Matches {
 			j, ok := keyOf[m.Field]
 			switch {
@@ -161,15 +165,21 @@ func (t *Table) bind(prog *p4.Program, es []*Entry) error {
 		}
 		row.Action, row.Args = a, append([]uint64(nil), e.Args...)
 
-		prio := 0
+		sig = sig[:0]
 		if prioritized {
-			prio = e.Priority
+			sig = binary.AppendVarint(sig, int64(e.Priority))
 		}
-		sig := fmt.Sprint(prio, row.Cells)
-		if first, dup := seen[sig]; dup {
+		for _, c := range row.Cells {
+			form := byte(0)
+			if c.Range {
+				form = 1
+			}
+			sig = binary.AppendUvarint(binary.AppendUvarint(append(sig, form), c.Val), c.Mask)
+		}
+		if first, dup := seen[string(sig)]; dup {
 			return fail("matches what entry %d matches", first)
 		}
-		seen[sig] = i
+		seen[string(sig)] = i
 	}
 	sort.SliceStable(t.Rows, func(i, j int) bool { return t.Rows[i].Entry.Priority > t.Rows[j].Entry.Priority })
 	return nil
