@@ -65,9 +65,7 @@ func FuzzRulesAgainstProgram(f *testing.F) {
 			t.Fatal(err)
 		}
 		if rep.Failed != 0 || rep.Lost != 0 {
-			f := rep.Failures()[0]
-			t.Fatalf("%s, %s of line %d: %d failed, %d lost; first: case %d mismatches=%v\n%s",
-				p.Name, mutations[int(k)%len(mutations)], lines[i]+1, rep.Failed, rep.Lost, f.Case.ID, f.Mismatches, text)
+			t.Fatalf("%s, %s of line %d: %s\n%s", p.Name, mutations[int(k)%len(mutations)], lines[i]+1, rep.Summary(), text)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package rules_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/p4"
@@ -95,7 +96,7 @@ func mutate(prog *p4.Program, src string, ln int, table string, k, n int) string
 		var others []string
 		if d := prog.Table(table); d != nil {
 			for _, a := range prog.Actions {
-				if !strings.Contains(" "+strings.Join(d.Actions, " ")+" ", " "+a.Name+" ") {
+				if !slices.Contains(d.Actions, a.Name) {
 					others = append(others, a.Name)
 				}
 			}
