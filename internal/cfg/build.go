@@ -432,9 +432,13 @@ func (b *builder) encodeStmt(fr frontier, s p4.Stmt, sc scope, pipe string, dept
 		return b.encodeActionCall(fr, t.Call, sc, pipe, depth)
 
 	case *p4.SetValidStmt:
-		val, cmt := uint64(0), "setInvalid "+t.Header
+		val := uint64(0)
 		if t.Valid {
-			val, cmt = 1, "setValid "+t.Header
+			val = 1
+		}
+		cmt := "setInvalid " + t.Header
+		if t.Valid {
+			cmt = "setValid " + t.Header
 		}
 		return b.seq(fr, g.AddAction(p4.ValidVar(t.Header), expr.C(val, 1), pipe, cmt)), nil
 

@@ -134,9 +134,8 @@ type System struct {
 	Opts  Options
 }
 
-// New validates the program and binds the rule set to it, so that a rule
-// set the program cannot mean fails here, with its rules line, and not
-// in generation or on the target.
+// New validates the program and binds the rule set to it: a rule set the
+// program cannot mean fails here, with its rules line, not in generation.
 func New(prog *p4.Program, rs *rules.Set, specs []*spec.Spec, opts Options) (*System, error) {
 	if err := p4.Check(prog); err != nil {
 		return nil, fmt.Errorf("meissa: %w", err)
