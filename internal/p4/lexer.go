@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -173,6 +174,9 @@ func (l *lexer) lexNumber(start Pos) token {
 		var v uint64
 		n := 0
 		for l.off < len(l.src) && isHexDigit(l.peekByte()) {
+			if v>>60 != 0 {
+				failParse(start, "hex literal does not fit in 64 bits")
+			}
 			v = v<<4 | uint64(hexVal(l.advance()))
 			n++
 		}
@@ -186,7 +190,12 @@ func (l *lexer) lexNumber(start Pos) token {
 	readDec := func() uint64 {
 		var v uint64
 		for l.off < len(l.src) && isDigit(l.peekByte()) {
-			v = v*10 + uint64(l.advance()-'0')
+			d := uint64(l.peekByte() - '0')
+			if v > (math.MaxUint64-d)/10 {
+				failParse(start, "decimal literal does not fit in 64 bits")
+			}
+			v = v*10 + d
+			l.advance()
 		}
 		return v
 	}
