@@ -3,7 +3,6 @@ package spec_test
 import (
 	"testing"
 
-	"repro/internal/bugs"
 	"repro/internal/packet"
 	"repro/internal/programs"
 	"repro/internal/spec"
@@ -12,31 +11,11 @@ import (
 // FuzzParseSpec: a spec text from outside — a user's -s file — may be
 // rejected, never panic the parser, the translation of its assumes
 // against any corpus program, or the check of its expects. Seeded with
-// the handwritten specs of the bug scenarios and the NAT example.
+// the specs of the bug scenarios and two handwritten texts.
 func FuzzParseSpec(f *testing.F) {
-	for _, sc := range bugs.Scenarios() {
-		for _, s := range sc.Specs {
-			f.Add(s.String())
-		}
+	for _, sd := range seeds() {
+		f.Add(sd.src)
 	}
-	f.Add(`
-spec in_tcp {
-  assume ethernet.etherType == 0x0800;
-  assume ipv4.protocol == 6;
-  assume ipv4.dstAddr == 203.0.113.10;
-  expect forwarded;
-  expect ipv4.dstAddr == 192.168.1.2;
-  expect tcp.srcPort == in.tcp.srcPort;
-}
-
-spec drop_others {
-  assume ipv4.protocol == 47;
-  expect dropped;
-  expect invalid(tcp);
-  expect valid(ipv4);
-}
-`)
-	f.Add("spec x {\n  assume tcp.srcPort > 1000;\n  expect forwarded;\n}\n")
 	progs := programs.All()
 	f.Fuzz(func(t *testing.T, src string) {
 		specs, err := spec.Parse(src)
