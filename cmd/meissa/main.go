@@ -81,7 +81,8 @@ func usage() {
 }
 
 // loadInputs reads the program, rule set and specs named by flags, or a
-// built-in corpus program via -corpus.
+// built-in corpus program via -corpus. Each reader names its file in its
+// errors; the rule set is bound to the program by meissa.New.
 func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*spec.Spec, *flag.FlagSet, error) {
 	progPath := fs.String("p", "", "P4 program file")
 	rulesPath := fs.String("r", "", "table rule set file")
@@ -99,7 +100,7 @@ func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*sp
 					// -r overrides the corpus program's built-in rules (the
 					// regress smoke path: corpus program, mutated rule file).
 					var err error
-					if rs, err = readRules(p.Prog, *rulesPath); err != nil {
+					if rs, err = rules.ParseFile(*rulesPath); err != nil {
 						return nil, nil, nil, nil, err
 					}
 				}
@@ -111,11 +112,7 @@ func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*sp
 	if *progPath == "" {
 		return nil, nil, nil, nil, fmt.Errorf("missing -p <program> (or -corpus <name>)")
 	}
-	src, err := os.ReadFile(*progPath)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	prog, err := p4.Parse(string(src))
+	prog, err := p4.ParseFile(*progPath)
 	if err == nil {
 		err = p4.Check(prog)
 	}
@@ -124,39 +121,17 @@ func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*sp
 	}
 	rs := rules.NewSet()
 	if *rulesPath != "" {
-		if rs, err = readRules(prog, *rulesPath); err != nil {
+		if rs, err = rules.ParseFile(*rulesPath); err != nil {
 			return nil, nil, nil, nil, err
 		}
 	}
 	var specs []*spec.Spec
 	if *specPath != "" {
-		data, err := os.ReadFile(*specPath)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		specs, err = spec.Parse(string(data))
-		if err != nil {
+		if specs, err = spec.ParseFile(*specPath); err != nil {
 			return nil, nil, nil, nil, err
 		}
 	}
 	return prog, rs, specs, fs, nil
-}
-
-// readRules loads a rule-set file and binds it to the checked program, so
-// that an error names the file as well as the line.
-func readRules(prog *p4.Program, path string) (*rules.Set, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := rules.Parse(string(data))
-	if err == nil {
-		_, err = rules.Bind(prog, rs)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rs, nil
 }
 
 func cmdGen(args []string) error {

@@ -51,7 +51,7 @@ func cmdRegress(args []string) error {
 	}
 	oldRules := rs
 	if *rulesOld != "" {
-		if oldRules, err = readRules(prog, *rulesOld); err != nil {
+		if oldRules, err = rules.ParseFile(*rulesOld); err != nil {
 			return err
 		}
 	}
@@ -148,7 +148,7 @@ func cmdRegress(args []string) error {
 	obs.Infof("meissa: watching %s (poll %v; interrupt to stop)", *rulesNew, *interval)
 	for {
 		time.Sleep(delay)
-		next, err := readRules(prog, *rulesNew)
+		next, err := rules.ParseFile(*rulesNew)
 		if err != nil {
 			if ferr := fail("regress: watch: %v", err); ferr != nil {
 				return ferr
@@ -179,7 +179,7 @@ func cmdRegress(args []string) error {
 // deterministic -mutate N arg bump of the old rules.
 func loadNewRules(prog *p4.Program, path string, mutate int, old *rules.Set) (*rules.Set, error) {
 	if path != "" {
-		return readRules(prog, path)
+		return rules.ParseFile(path)
 	}
 	mutated, n := rulediff.MutateArgs(old, mutate)
 	if n == 0 {

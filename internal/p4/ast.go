@@ -16,12 +16,20 @@ import (
 	"repro/internal/expr"
 )
 
-// Pos is a source position for diagnostics.
+// Pos is a source position for diagnostics: the input file, when its
+// reader was given one, and a line and column counted from 1.
 type Pos struct {
+	Path      string
 	Line, Col int
 }
 
-func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
+// String prints path:line:col, or line:col with no path.
+func (p Pos) String() string {
+	if p.Path == "" {
+		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	}
+	return fmt.Sprintf("%s:%d:%d", p.Path, p.Line, p.Col)
+}
 
 // Program is a parsed data plane program. A program may span multiple
 // pipelines and multiple switches, wired together by its Topology.

@@ -19,9 +19,10 @@ const (
 // token is a lexical token.
 type token struct {
 	kind tokKind
-	text string
+	text string // the source text; for a tokNumber, as written
 	val  uint64 // for tokNumber
 	pos  Pos
+	off  int // byte offset of text in the source
 }
 
 func (t token) String() string {
@@ -35,19 +36,17 @@ func (t token) String() string {
 	}
 }
 
-// lexer tokenizes program source.
+// lexer tokenizes the source of one input file.
 type lexer struct {
+	path string
 	src  string
+	hash bool // "#" starts a comment that runs to the end of its line
 	off  int
 	line int
 	col  int
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
-
-func (l *lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
+func (l *lexer) pos() Pos { return Pos{Path: l.path, Line: l.line, Col: l.col} }
 
 func (l *lexer) peekByte() byte {
 	if l.off >= len(l.src) {
@@ -81,7 +80,7 @@ func (l *lexer) skipSpaceAndComments() {
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			l.advance()
-		case c == '/' && l.peekByteAt(1) == '/':
+		case c == '/' && l.peekByteAt(1) == '/' || c == '#' && l.hash:
 			for l.off < len(l.src) && l.peekByte() != '\n' {
 				l.advance()
 			}
@@ -122,29 +121,31 @@ func isHexDigit(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
-// multiPunct is the multi-character punctuation, longest first: P4's
-// mask operator "&&&" before "&&".
-var multiPunct = []string{"&&&", "<<", ">>", "==", "!=", "<=", ">=", "&&", "||", "->"}
+// multiPunct is the multi-character punctuation, longest first: the mask
+// operator "&&&" before "&&". ".." is the rules format's range.
+var multiPunct = []string{"&&&", "<<", ">>", "==", "!=", "<=", ">=", "&&", "||", "->", ".."}
 
 // next returns the next token.
 func (l *lexer) next() token {
 	l.skipSpaceAndComments()
 	start := l.pos()
-	if l.off >= len(l.src) {
-		return token{kind: tokEOF, pos: start}
+	from := l.off
+	if from >= len(l.src) {
+		return token{kind: tokEOF, pos: start, off: from}
 	}
 	c := l.peekByte()
 
 	if isIdentStart(c) {
-		from := l.off
 		for l.off < len(l.src) && isIdentChar(l.peekByte()) {
 			l.advance()
 		}
-		return token{kind: tokIdent, text: l.src[from:l.off], pos: start}
+		return token{kind: tokIdent, text: l.src[from:l.off], pos: start, off: from}
 	}
 
 	if isDigit(c) {
-		return l.lexNumber(start)
+		t := token{kind: tokNumber, val: l.lexNumber(start), pos: start, off: from}
+		t.text = l.src[from:l.off]
+		return t
 	}
 
 	for _, p := range multiPunct {
@@ -152,21 +153,21 @@ func (l *lexer) next() token {
 			for range p {
 				l.advance()
 			}
-			return token{kind: tokPunct, text: p, pos: start}
+			return token{kind: tokPunct, text: p, pos: start, off: from}
 		}
 	}
 	switch c {
 	case '{', '}', '(', ')', '[', ']', ';', ':', '=', ',', '.', '<', '>', '+', '-', '*', '&', '|', '^', '!', '~', '/':
 		l.advance()
-		return token{kind: tokPunct, text: string(c), pos: start}
+		return token{kind: tokPunct, text: l.src[from:l.off], pos: start, off: from}
 	}
 	failParse(start, "unexpected character %q", c)
 	return token{}
 }
 
-// lexNumber lexes decimal, hex (0x...) and dotted-quad IPv4 (a.b.c.d)
-// literals.
-func (l *lexer) lexNumber(start Pos) token {
+// lexNumber lexes a decimal, hex (0x...) or dotted-quad IPv4 (a.b.c.d)
+// literal and returns its value.
+func (l *lexer) lexNumber(start Pos) uint64 {
 	// Hex.
 	if l.peekByte() == '0' && (l.peekByteAt(1) == 'x' || l.peekByteAt(1) == 'X') {
 		l.advance()
@@ -183,7 +184,7 @@ func (l *lexer) lexNumber(start Pos) token {
 		if n == 0 {
 			failParse(start, "malformed hex literal")
 		}
-		return token{kind: tokNumber, val: v, pos: start}
+		return v
 	}
 
 	// Decimal run.
@@ -222,12 +223,12 @@ func (l *lexer) lexNumber(start Pos) token {
 				v = v<<8 | p
 			}
 			if ok {
-				return token{kind: tokNumber, val: v, pos: start}
+				return v
 			}
 		}
 		*l = save // not an IPv4 literal; restore
 	}
-	return token{kind: tokNumber, val: first, pos: start}
+	return first
 }
 
 func hexVal(c byte) int {
@@ -241,10 +242,11 @@ func hexVal(c byte) int {
 	}
 }
 
-// lexAll tokenizes an entire source string. A lexical error anywhere in
-// it rejects the input before the parser sees a token.
-func lexAll(src string) []token {
-	l := newLexer(src)
+// lexAll tokenizes the source of the file at path (empty: none). A
+// lexical error anywhere in it rejects the input before the parser sees a
+// token.
+func lexAll(path, src string, hash bool) []token {
+	l := &lexer{path: path, src: src, hash: hash, line: 1, col: 1}
 	var out []token
 	for {
 		t := l.next()

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/expr"
 )
@@ -36,16 +37,33 @@ func catch(err *error) {
 	}
 }
 
-// parser is a recursive-descent parser for the P4 subset.
-type parser struct {
+// Scanner is a cursor over the tokens of one input file. The P4 grammar is
+// its unexported methods; the rules and spec readers build theirs on the
+// exported ones, through Scan. So every input file has one tokenizer, one
+// number syntax, one comment syntax and one error path: a rejection
+// panics with its *ParseError, and the entry point's catch returns it.
+type Scanner struct {
+	src  string
 	toks []token
 	i    int
 }
 
 // Parse parses a complete program from source text.
-func Parse(src string) (prog *Program, err error) {
+func Parse(src string) (*Program, error) { return parse("", src) }
+
+// ParseFile parses the program in the file at path. Every position in
+// the program, and so every error about it, names the file.
+func ParseFile(path string) (*Program, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parse(path, string(src))
+}
+
+func parse(path, src string) (prog *Program, err error) {
 	defer catch(&err)
-	p := &parser{toks: lexAll(src)}
+	p := &Scanner{src: src, toks: lexAll(path, src, false)}
 	return p.parseProgram(), nil
 }
 
@@ -53,12 +71,22 @@ func Parse(src string) (prog *Program, err error) {
 // belong to it.
 func ParseExpr(src string) (x Expr, err error) {
 	defer catch(&err)
-	p := &parser{toks: lexAll(src)}
-	e := p.parseExpr()
+	p := &Scanner{src: src, toks: lexAll("", src, false)}
+	e := p.Expr()
 	if t := p.cur(); t.kind != tokEOF {
 		failParse(t.pos, "expected end of expression, found %s", t)
 	}
 	return e, nil
+}
+
+// Scan reads src, the text of the file at path, with read: it tokenizes
+// src, where "#" also starts a comment that runs to the end of its line,
+// and hands read a Scanner at the first token. It returns the first
+// rejection, lexical or read's own, as a *ParseError.
+func Scan(path, src string, read func(*Scanner)) (err error) {
+	defer catch(&err)
+	read(&Scanner{src: src, toks: lexAll(path, src, true)})
+	return nil
 }
 
 // MustParse parses src, panicking on error. For use in tests and in the
@@ -71,10 +99,10 @@ func MustParse(src string) *Program {
 	return prog
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) peek() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
+func (p *Scanner) cur() token  { return p.toks[p.i] }
+func (p *Scanner) peek() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
 
-func (p *parser) advance() token {
+func (p *Scanner) advance() token {
 	t := p.toks[p.i]
 	if p.i < len(p.toks)-1 {
 		p.i++
@@ -82,8 +110,43 @@ func (p *parser) advance() token {
 	return t
 }
 
-// expectPunct consumes the punctuation tokens ss, in order.
-func (p *parser) expectPunct(ss ...string) {
+// AtEOF reports whether every token has been read.
+func (p *Scanner) AtEOF() bool { return p.cur().kind == tokEOF }
+
+// Pos returns the position of the current token.
+func (p *Scanner) Pos() Pos { return p.cur().pos }
+
+// Accept reads the current token if it is the punctuation or identifier
+// s, and reports whether it was.
+func (p *Scanner) Accept(s string) bool {
+	if t := p.cur(); (t.kind == tokPunct || t.kind == tokIdent) && t.text == s {
+		p.advance()
+		return true
+	}
+	return false
+}
+
+// Failf rejects the input at pos.
+func (p *Scanner) Failf(pos Pos, format string, args ...any) { failParse(pos, format, args...) }
+
+// Expected rejects the current token, which is not what.
+func (p *Scanner) Expected(what string) { failParse(p.Pos(), "expected %s, found %s", what, p.cur()) }
+
+// Mark returns the index of the current token, for Text.
+func (p *Scanner) Mark() int { return p.i }
+
+// Text returns the source text from the token at mark through the last
+// token read.
+func (p *Scanner) Text(mark int) string {
+	if p.i <= mark {
+		return ""
+	}
+	last := p.toks[p.i-1]
+	return p.src[p.toks[mark].off : last.off+len(last.text)]
+}
+
+// ExpectPunct reads the punctuation tokens ss, in order.
+func (p *Scanner) ExpectPunct(ss ...string) {
 	for _, s := range ss {
 		if !p.atPunct(s) {
 			failParse(p.cur().pos, "expected %q, found %s", s, p.cur())
@@ -92,7 +155,7 @@ func (p *parser) expectPunct(ss ...string) {
 	}
 }
 
-func (p *parser) expectIdent() token {
+func (p *Scanner) expectIdent() token {
 	t := p.cur()
 	if t.kind != tokIdent {
 		failParse(t.pos, "expected identifier, found %s", t)
@@ -100,24 +163,29 @@ func (p *parser) expectIdent() token {
 	return p.advance()
 }
 
-func (p *parser) expectKeyword(kw string) {
+// Name reads an identifier.
+func (p *Scanner) Name() string { return p.expectIdent().text }
+
+// ExpectKeyword reads the identifier kw.
+func (p *Scanner) ExpectKeyword(kw string) {
 	if !p.atKeyword(kw) {
 		failParse(p.cur().pos, "expected %q, found %s", kw, p.cur())
 	}
 	p.advance()
 }
 
-func (p *parser) atPunct(s string) bool {
+func (p *Scanner) atPunct(s string) bool {
 	t := p.cur()
 	return t.kind == tokPunct && t.text == s
 }
 
-func (p *parser) atKeyword(kw string) bool {
+func (p *Scanner) atKeyword(kw string) bool {
 	t := p.cur()
 	return t.kind == tokIdent && t.text == kw
 }
 
-func (p *parser) expectNumber() uint64 {
+// ExpectNumber reads a numeric literal and returns its value.
+func (p *Scanner) ExpectNumber() uint64 {
 	t := p.cur()
 	if t.kind != tokNumber {
 		failParse(t.pos, "expected number, found %s", t)
@@ -128,17 +196,17 @@ func (p *parser) expectNumber() uint64 {
 
 // expectIdentSemi parses "name;": a transition target, a pipeline
 // property value or a topology entry.
-func (p *parser) expectIdentSemi() token {
+func (p *Scanner) expectIdentSemi() token {
 	next := p.expectIdent()
-	p.expectPunct(";")
+	p.ExpectPunct(";")
 	return next
 }
 
 // parenList parses a parenthesized, comma-separated list, calling elem
 // for each element. A missing separator and a trailing comma are both
 // rejected.
-func (p *parser) parenList(elem func()) {
-	p.expectPunct("(")
+func (p *Scanner) parenList(elem func()) {
+	p.ExpectPunct("(")
 	if !p.atPunct(")") {
 		elem()
 		for p.atPunct(",") {
@@ -152,14 +220,14 @@ func (p *parser) parenList(elem func()) {
 	p.advance()
 }
 
-func (p *parser) parseProgram() *Program {
+func (p *Scanner) parseProgram() *Program {
 	prog := &Program{}
 	if p.atKeyword("program") {
 		p.advance()
 		prog.Name = p.expectIdent().text
-		p.expectPunct(";")
+		p.ExpectPunct(";")
 	}
-	for p.cur().kind != tokEOF {
+	for !p.AtEOF() {
 		t := p.cur()
 		if t.kind != tokIdent {
 			failParse(t.pos, "expected declaration, found %s", t)
@@ -183,10 +251,10 @@ func (p *parser) parseProgram() *Program {
 		case "control":
 			p.advance()
 			name := p.expectIdent()
-			p.expectPunct("{")
-			p.expectKeyword("apply")
+			p.ExpectPunct("{")
+			p.ExpectKeyword("apply")
 			body := p.parseBlock()
-			p.expectPunct("}")
+			p.ExpectPunct("}")
 			prog.Controls = append(prog.Controls, &ControlDecl{Name: name.text, Apply: body, Pos: t.pos})
 		case "pipeline":
 			prog.Pipelines = append(prog.Pipelines, p.parsePipeline())
@@ -204,42 +272,42 @@ func (p *parser) parseProgram() *Program {
 }
 
 // bit<N> type.
-func (p *parser) parseBitType() int {
-	p.expectKeyword("bit")
-	p.expectPunct("<")
-	n := p.expectNumber()
+func (p *Scanner) parseBitType() int {
+	p.ExpectKeyword("bit")
+	p.ExpectPunct("<")
+	n := p.ExpectNumber()
 	if n < 1 || n > 64 {
 		failParse(p.cur().pos, "bit width %d out of range [1,64]", n)
 	}
-	p.expectPunct(">")
+	p.ExpectPunct(">")
 	return int(n)
 }
 
 // parseFields parses the braced field list of a header or of metadata.
-func (p *parser) parseFields() []*FieldDecl {
-	p.expectPunct("{")
+func (p *Scanner) parseFields() []*FieldDecl {
+	p.ExpectPunct("{")
 	var out []*FieldDecl
 	for !p.atPunct("}") {
 		w := p.parseBitType()
 		fn := p.expectIdent()
-		p.expectPunct(";")
+		p.ExpectPunct(";")
 		out = append(out, &FieldDecl{Name: fn.text, Width: w, Pos: fn.pos})
 	}
 	p.advance()
 	return out
 }
 
-func (p *parser) parseRegister() *RegisterDecl {
+func (p *Scanner) parseRegister() *RegisterDecl {
 	pos := p.advance().pos // "register"
 	w := p.parseBitType()
 	name := p.expectIdent()
-	p.expectPunct("[")
-	size := p.expectNumber()
-	p.expectPunct("]", ";")
+	p.ExpectPunct("[")
+	size := p.ExpectNumber()
+	p.ExpectPunct("]", ";")
 	return &RegisterDecl{Name: name.text, Width: w, Size: int(size), Pos: pos}
 }
 
-func (p *parser) parseAction() *ActionDecl {
+func (p *Scanner) parseAction() *ActionDecl {
 	pos := p.advance().pos // "action"
 	a := &ActionDecl{Name: p.expectIdent().text, Pos: pos}
 	p.parenList(func() {
@@ -250,18 +318,18 @@ func (p *parser) parseAction() *ActionDecl {
 	return a
 }
 
-func (p *parser) parseTable() *TableDecl {
+func (p *Scanner) parseTable() *TableDecl {
 	pos := p.advance().pos // "table"
 	t := &TableDecl{Name: p.expectIdent().text, Pos: pos}
-	p.expectPunct("{")
+	p.ExpectPunct("{")
 	for !p.atPunct("}") {
 		kw := p.expectIdent()
 		switch kw.text {
 		case "key":
-			p.expectPunct("=", "{")
+			p.ExpectPunct("=", "{")
 			for !p.atPunct("}") {
 				ref := p.parseFieldRef()
-				p.expectPunct(":")
+				p.ExpectPunct(":")
 				mk := p.expectIdent()
 				kind := MatchKind(-1)
 				for k := MatchExact; k <= MatchRange; k++ {
@@ -272,27 +340,27 @@ func (p *parser) parseTable() *TableDecl {
 				if kind < 0 {
 					failParse(mk.pos, "unknown match kind %q", mk.text)
 				}
-				p.expectPunct(";")
+				p.ExpectPunct(";")
 				t.Keys = append(t.Keys, &TableKey{Field: ref, Match: kind})
 			}
 			p.advance() // }
 		case "actions":
-			p.expectPunct("=", "{")
+			p.ExpectPunct("=", "{")
 			for !p.atPunct("}") {
 				an := p.expectIdent()
-				p.expectPunct(";")
+				p.ExpectPunct(";")
 				t.Actions = append(t.Actions, an.text)
 			}
 			p.advance()
 		case "default_action":
-			p.expectPunct("=")
+			p.ExpectPunct("=")
 			name := p.expectIdent()
 			t.DefaultAction = &ActionCall{Name: name.text, Pos: name.pos, Args: p.parseArgs()}
-			p.expectPunct(";")
+			p.ExpectPunct(";")
 		case "size":
-			p.expectPunct("=")
-			t.Size = int(p.expectNumber())
-			p.expectPunct(";")
+			p.ExpectPunct("=")
+			t.Size = int(p.ExpectNumber())
+			p.ExpectPunct(";")
 		default:
 			failParse(kw.pos, "unknown table property %q", kw.text)
 		}
@@ -302,16 +370,16 @@ func (p *parser) parseTable() *TableDecl {
 }
 
 // parseArgs parses the parenthesized arguments of an action call.
-func (p *parser) parseArgs() []Expr {
+func (p *Scanner) parseArgs() []Expr {
 	var args []Expr
-	p.parenList(func() { args = append(args, p.parseExpr()) })
+	p.parenList(func() { args = append(args, p.Expr()) })
 	return args
 }
 
-func (p *parser) parseParser() *ParserDecl {
+func (p *Scanner) parseParser() *ParserDecl {
 	pos := p.advance().pos // "parser"
 	d := &ParserDecl{Name: p.expectIdent().text, Pos: pos}
-	p.expectPunct("{")
+	p.ExpectPunct("{")
 	for !p.atPunct("}") {
 		d.States = append(d.States, p.parseParserState())
 	}
@@ -319,10 +387,10 @@ func (p *parser) parseParser() *ParserDecl {
 	return d
 }
 
-func (p *parser) parseParserState() *ParserState {
-	p.expectKeyword("state")
+func (p *Scanner) parseParserState() *ParserState {
+	p.ExpectKeyword("state")
 	name := p.expectIdent()
-	p.expectPunct("{")
+	p.ExpectPunct("{")
 	st := &ParserState{Name: name.text, Pos: name.pos}
 	for !p.atPunct("}") {
 		if p.atKeyword("transition") {
@@ -338,7 +406,7 @@ func (p *parser) parseParserState() *ParserState {
 	return st
 }
 
-func (p *parser) parseTransition() *Transition {
+func (p *Scanner) parseTransition() *Transition {
 	pos := p.advance().pos // "transition"
 	tr := &Transition{Pos: pos}
 	if !p.atKeyword("select") {
@@ -347,21 +415,21 @@ func (p *parser) parseTransition() *Transition {
 	}
 	p.advance()
 	p.parenList(func() { tr.Select = append(tr.Select, p.parseFieldRef()) })
-	p.expectPunct("{")
+	p.ExpectPunct("{")
 	for !p.atPunct("}") {
 		if p.atKeyword("default") {
 			p.advance()
-			p.expectPunct(":")
+			p.ExpectPunct(":")
 			tr.Default = p.expectIdentSemi().text
 			continue
 		}
 		var vals []uint64
 		if p.atPunct("(") {
-			p.parenList(func() { vals = append(vals, p.expectNumber()) })
+			p.parenList(func() { vals = append(vals, p.ExpectNumber()) })
 		} else {
-			vals = []uint64{p.expectNumber()}
+			vals = []uint64{p.ExpectNumber()}
 		}
-		p.expectPunct(":")
+		p.ExpectPunct(":")
 		next := p.expectIdentSemi()
 		tr.Cases = append(tr.Cases, &TransitionCase{Values: vals, Next: next.text, Pos: next.pos})
 	}
@@ -372,13 +440,13 @@ func (p *parser) parseTransition() *Transition {
 	return tr
 }
 
-func (p *parser) parsePipeline() *PipelineDecl {
+func (p *Scanner) parsePipeline() *PipelineDecl {
 	pos := p.advance().pos // "pipeline"
 	d := &PipelineDecl{Name: p.expectIdent().text, Pos: pos, Kind: Ingress}
-	p.expectPunct("{")
+	p.ExpectPunct("{")
 	for !p.atPunct("}") {
 		kw := p.expectIdent()
-		p.expectPunct("=")
+		p.ExpectPunct("=")
 		val := p.expectIdentSemi()
 		switch kw.text {
 		case "parser":
@@ -404,9 +472,9 @@ func (p *parser) parsePipeline() *PipelineDecl {
 	return d
 }
 
-func (p *parser) parseTopology() *Topology {
+func (p *Scanner) parseTopology() *Topology {
 	pos := p.advance().pos // "topology"
-	p.expectPunct("{")
+	p.ExpectPunct("{")
 	t := &Topology{Pos: pos}
 	for !p.atPunct("}") {
 		if p.atKeyword("entry") {
@@ -415,13 +483,13 @@ func (p *parser) parseTopology() *Topology {
 			continue
 		}
 		from := p.expectIdent()
-		p.expectPunct("->")
+		p.ExpectPunct("->")
 		edge := &TopoEdge{From: from.text, To: p.expectIdent().text, Pos: from.pos}
 		if p.atKeyword("when") {
 			p.advance()
-			edge.Guard = p.parseExpr()
+			edge.Guard = p.Expr()
 		}
-		p.expectPunct(";")
+		p.ExpectPunct(";")
 		t.Edges = append(t.Edges, edge)
 	}
 	p.advance()
@@ -430,8 +498,8 @@ func (p *parser) parseTopology() *Topology {
 
 // --- Statements ---
 
-func (p *parser) parseBlock() []Stmt {
-	p.expectPunct("{")
+func (p *Scanner) parseBlock() []Stmt {
+	p.ExpectPunct("{")
 	var out []Stmt
 	for !p.atPunct("}") {
 		out = append(out, p.parseStmt())
@@ -442,14 +510,14 @@ func (p *parser) parseBlock() []Stmt {
 
 // parseHeaderArg parses the "(header);" that ends extract, setValid and
 // setInvalid.
-func (p *parser) parseHeaderArg() string {
-	p.expectPunct("(")
+func (p *Scanner) parseHeaderArg() string {
+	p.ExpectPunct("(")
 	h := p.expectIdent()
-	p.expectPunct(")", ";")
+	p.ExpectPunct(")", ";")
 	return h.text
 }
 
-func (p *parser) parseStmt() Stmt {
+func (p *Scanner) parseStmt() Stmt {
 	t := p.cur()
 	if t.kind != tokIdent {
 		failParse(t.pos, "expected statement, found %s", t)
@@ -468,37 +536,37 @@ func (p *parser) parseStmt() Stmt {
 		// CallStmt that the typechecker resolves, so a user action may
 		// take the name.
 		p.advance()
-		p.expectPunct("(", ")", ";")
+		p.ExpectPunct("(", ")", ";")
 		return &DropStmt{Pos: t.pos}
 	case "hash":
 		p.advance()
-		p.expectPunct("(")
+		p.ExpectPunct("(")
 		h := &HashStmt{Dest: p.parseFieldRef(), Pos: t.pos}
 		for p.atPunct(",") {
 			p.advance()
-			h.Inputs = append(h.Inputs, p.parseExpr())
+			h.Inputs = append(h.Inputs, p.Expr())
 		}
-		p.expectPunct(")", ";")
+		p.ExpectPunct(")", ";")
 		return h
 	case "update_checksum":
 		p.advance()
-		p.expectPunct("(")
+		p.ExpectPunct("(")
 		cs := &ChecksumStmt{Header: p.expectIdent().text, Field: "checksum", Pos: t.pos}
 		if p.atPunct(",") {
 			p.advance()
 			cs.Field = p.expectIdent().text
 		}
-		p.expectPunct(")", ";")
+		p.ExpectPunct(")", ";")
 		return cs
 	case "reg_write":
 		p.advance()
-		p.expectPunct("(")
+		p.ExpectPunct("(")
 		reg := p.expectIdent()
-		p.expectPunct(",")
-		idx := p.expectNumber()
-		p.expectPunct(",")
-		val := p.parseExpr()
-		p.expectPunct(")", ";")
+		p.ExpectPunct(",")
+		idx := p.ExpectNumber()
+		p.ExpectPunct(",")
+		val := p.Expr()
+		p.ExpectPunct(")", ";")
 		return &RegWriteStmt{Reg: reg.text, Index: int(idx), Value: val, Pos: t.pos}
 	}
 
@@ -507,7 +575,7 @@ func (p *parser) parseStmt() Stmt {
 		name := p.advance()
 		p.advance() // .
 		p.advance() // apply
-		p.expectPunct("(", ")", ";")
+		p.ExpectPunct("(", ")", ";")
 		return &ApplyStmt{Table: name.text, Pos: name.pos}
 	}
 
@@ -518,21 +586,21 @@ func (p *parser) parseStmt() Stmt {
 		// reg_read special form: lhs = reg_read(reg, idx);
 		if p.atKeyword("reg_read") {
 			p.advance()
-			p.expectPunct("(")
+			p.ExpectPunct("(")
 			reg := p.expectIdent()
-			p.expectPunct(",")
-			idx := p.expectNumber()
-			p.expectPunct(")", ";")
+			p.ExpectPunct(",")
+			idx := p.ExpectNumber()
+			p.ExpectPunct(")", ";")
 			return &RegReadStmt{Dest: ref, Reg: reg.text, Index: int(idx), Pos: t.pos}
 		}
-		rhs := p.parseExpr()
-		p.expectPunct(";")
+		rhs := p.Expr()
+		p.ExpectPunct(";")
 		return &AssignStmt{LHS: ref, RHS: rhs, Pos: t.pos}
 	}
 	if p.atPunct("(") && len(ref.Parts) == 1 {
 		// Direct action call: name(args);
 		call := &ActionCall{Name: ref.Parts[0], Pos: ref.Pos, Args: p.parseArgs()}
-		p.expectPunct(";")
+		p.ExpectPunct(";")
 		return &CallStmt{Call: call, Pos: ref.Pos}
 	}
 	failParse(t.pos, "expected '=' or call after %s", ref)
@@ -540,7 +608,7 @@ func (p *parser) parseStmt() Stmt {
 }
 
 // peekIsApply reports whether the upcoming tokens are `ident . apply (`.
-func (p *parser) peekIsApply() bool {
+func (p *Scanner) peekIsApply() bool {
 	if p.cur().kind != tokIdent {
 		return false
 	}
@@ -555,11 +623,11 @@ func (p *parser) peekIsApply() bool {
 		par.kind == tokPunct && par.text == "("
 }
 
-func (p *parser) parseIf() Stmt {
+func (p *Scanner) parseIf() Stmt {
 	pos := p.advance().pos // "if"
-	p.expectPunct("(")
-	cond := p.parseExpr()
-	p.expectPunct(")")
+	p.ExpectPunct("(")
+	cond := p.Expr()
+	p.ExpectPunct(")")
 	st := &IfStmt{Cond: cond, Then: p.parseBlock(), Pos: pos}
 	if p.atKeyword("else") {
 		p.advance()
@@ -609,11 +677,12 @@ var infixes = map[string]infix{
 	"*": {9, arithOp(expr.OpMul)},
 }
 
-func (p *parser) parseExpr() Expr { return p.parseBinary(1) }
+// Expr reads an expression.
+func (p *Scanner) Expr() Expr { return p.parseBinary(1) }
 
 // parseBinary parses an expression whose infix operators all bind at
 // least as tightly as minPrec.
-func (p *parser) parseBinary(minPrec int) Expr {
+func (p *Scanner) parseBinary(minPrec int) Expr {
 	l := p.parseUnary()
 	for {
 		t := p.cur()
@@ -629,7 +698,7 @@ func (p *parser) parseBinary(minPrec int) Expr {
 	}
 }
 
-func (p *parser) parseUnary() Expr {
+func (p *Scanner) parseUnary() Expr {
 	if p.atPunct("!") || p.atPunct("~") {
 		t := p.advance()
 		return &NotExpr{X: p.parseUnary(), Pos: t.pos}
@@ -637,7 +706,7 @@ func (p *parser) parseUnary() Expr {
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() Expr {
+func (p *Scanner) parsePrimary() Expr {
 	t := p.cur()
 	switch {
 	case t.kind == tokNumber:
@@ -647,14 +716,14 @@ func (p *parser) parsePrimary() Expr {
 		p.advance()
 		p.advance() // .
 		p.advance() // isValid
-		p.expectPunct("(", ")")
+		p.ExpectPunct("(", ")")
 		return &IsValidExpr{Header: t.text, Pos: t.pos}
 	case t.kind == tokIdent:
 		return p.parseFieldRef()
 	case p.atPunct("("):
 		p.advance()
-		e := p.parseExpr()
-		p.expectPunct(")")
+		e := p.Expr()
+		p.ExpectPunct(")")
 		return e
 	}
 	failParse(t.pos, "expected expression, found %s", t)
@@ -662,7 +731,7 @@ func (p *parser) parsePrimary() Expr {
 }
 
 // peekIsIsValid reports whether the upcoming tokens are `ident . isValid`.
-func (p *parser) peekIsIsValid() bool {
+func (p *Scanner) peekIsIsValid() bool {
 	if p.cur().kind != tokIdent || p.i+2 >= len(p.toks) {
 		return false
 	}
@@ -671,7 +740,7 @@ func (p *parser) peekIsIsValid() bool {
 	return dot.kind == tokPunct && dot.text == "." && iv.kind == tokIdent && iv.text == "isValid"
 }
 
-func (p *parser) parseFieldRef() *FieldRef {
+func (p *Scanner) parseFieldRef() *FieldRef {
 	first := p.expectIdent()
 	ref := &FieldRef{Parts: []string{first.text}, Pos: first.pos}
 	for p.atPunct(".") {

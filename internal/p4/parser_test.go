@@ -135,7 +135,7 @@ pipeline p { control = c; }
 }
 
 func TestParseHexLiteral(t *testing.T) {
-	toks := lexAll("0x0800 0xdead 42")
+	toks := lexAll("", "0x0800 0xdead 42", false)
 	if toks[0].val != 0x0800 || toks[1].val != 0xdead || toks[2].val != 42 {
 		t.Errorf("lexed values: %v %v %v", toks[0].val, toks[1].val, toks[2].val)
 	}
@@ -155,14 +155,14 @@ func TestLexRejectsOverflow(t *testing.T) {
 			t.Errorf("ParseExpr(%q) = %v, want %q", tc.src, err, tc.want)
 		}
 	}
-	toks := lexAll("18446744073709551615 0xffffffffffffffff 0x0000000000000000001")
+	toks := lexAll("", "18446744073709551615 0xffffffffffffffff 0x0000000000000000001", false)
 	if toks[0].val != math.MaxUint64 || toks[1].val != math.MaxUint64 || toks[2].val != 1 {
 		t.Errorf("lexed values: %v %v %v", toks[0].val, toks[1].val, toks[2].val)
 	}
 }
 
 func TestLexComments(t *testing.T) {
-	toks := lexAll("a // line comment\n b /* block\ncomment */ c")
+	toks := lexAll("", "a // line comment\n b /* block\ncomment */ c", false)
 	if len(toks) != 4 { // a b c EOF
 		t.Fatalf("got %d tokens: %v", len(toks), toks)
 	}
@@ -485,7 +485,7 @@ func TestCatchConvertsOnlyRejections(t *testing.T) {
 		}()
 		return nil, err
 	}
-	for _, v := range []error{&ParseError{Msg: "p", Pos: Pos{1, 2}}, &CheckError{Msg: "c", Pos: Pos{3, 4}}} {
+	for _, v := range []error{&ParseError{Msg: "p", Pos: Pos{Line: 1, Col: 2}}, &CheckError{Msg: "c", Pos: Pos{Line: 3, Col: 4}}} {
 		if escaped, err := run(v); err != v || escaped != nil {
 			t.Errorf("catch(%v) = %v, escaped %v; want it returned", v, err, escaped)
 		}

@@ -45,16 +45,18 @@ type Table struct {
 
 // Error rejects an entry that the program cannot mean.
 type Error struct {
-	Line  int // the entry's rules line; 0 for an entry not read from text
+	Pos   p4.Pos // the entry's; zero for an entry not read from text
 	Table string
 	Entry int // the entry's position in its table as written, from 0
 	Msg   string
 }
 
+// Error leads with the entry's position, or with "rules" for an entry
+// built in code.
 func (e *Error) Error() string {
 	at := "rules"
-	if e.Line > 0 {
-		at = fmt.Sprintf("rules:%d", e.Line)
+	if e.Pos.Line > 0 {
+		at = e.Pos.String()
 	}
 	return fmt.Sprintf("%s: table %s entry %d: %s", at, e.Table, e.Entry, e.Msg)
 }
@@ -93,7 +95,7 @@ func Bind(prog *p4.Program, s *Set) (map[string]*Table, error) {
 	for _, name := range s.order {
 		es := s.tables[name]
 		if out[name] == nil {
-			return nil, &Error{Line: es[0].Line, Table: name, Msg: "the program declares no such table"}
+			return nil, &Error{Pos: es[0].Pos, Table: name, Msg: "the program declares no such table"}
 		}
 		if err := out[name].bind(prog, es); err != nil {
 			return nil, err
@@ -122,7 +124,7 @@ func (t *Table) bind(prog *p4.Program, es []*Entry) error {
 	t.Rows = make([]Row, len(es))
 	for i, e := range es {
 		fail := func(format string, a ...any) error {
-			return &Error{Line: e.Line, Table: d.Name, Entry: i, Msg: fmt.Sprintf(format, a...)}
+			return &Error{Pos: e.Pos, Table: d.Name, Entry: i, Msg: fmt.Sprintf(format, a...)}
 		}
 		row := &t.Rows[i]
 		row.Entry, row.Cells = e, cells[i*nk:(i+1)*nk:(i+1)*nk]

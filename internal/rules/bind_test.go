@@ -77,13 +77,13 @@ func TestBindRejects(t *testing.T) {
 		want              string
 	}{
 		{"undeclared table", kinds, "table nosuch {\n  h.e=1 -> set(1);\n}", nil,
-			"rules:2: table nosuch entry 0: the program declares no such table"},
+			"rules:2:3: table nosuch entry 0: the program declares no such table"},
 		{"not a key", kinds, "table ex {\n  h.e=1 -> set(1);\n  h.x=1 -> set(1);\n}", nil,
-			"rules:3: table ex entry 1: h.x is not a key of the table"},
+			"rules:3:3: table ex entry 1: h.x is not a key of the table"},
 		{"key matched twice", kinds, "table ex {\n  h.e=1 h.e=2 -> set(1);\n}", nil,
-			"rules:2: table ex entry 0: h.e is matched twice"},
+			"rules:2:3: table ex entry 0: h.e is matched twice"},
 		{"exact key left out", kinds, "table ex {\n  -> set(1);\n}", nil,
-			"rules:2: table ex entry 0: exact key h.e has no match"},
+			"rules:2:3: table ex entry 0: exact key h.e has no match"},
 		{"wildcard on an exact key", kinds, "table ex {\n  h.e=* -> set(1);\n}", nil,
 			"h.e: the exact key takes no wildcard match"},
 		{"range on an exact key", kinds, "table ex {\n  h.e=3..5 -> set(1);\n}", nil,
@@ -119,11 +119,11 @@ func TestBindRejects(t *testing.T) {
 		{"argument wider than its parameter", kinds, "table ex {\n  h.e=1 -> set(17);\n}", nil,
 			"argument 17 of set is wider than its 4-bit parameter v"},
 		{"duplicate in an exact-only table, at another priority", kinds, "table ex {\n  h.e=1 -> set(1);\n  priority=5 h.e=1 -> set(2);\n}", nil,
-			"rules:3: table ex entry 1: matches what entry 0 matches"},
+			"rules:3:3: table ex entry 1: matches what entry 0 matches"},
 		{"duplicate at one priority, after masking", kinds, "table all {\n  priority=3 h.e=1 h.t=4&&&0xc -> set(1);\n  priority=3 h.e=1 h.t=5&&&0xc -> set(2);\n}", nil,
-			"rules:3: table all entry 1: matches what entry 0 matches"},
+			"rules:3:3: table all entry 1: matches what entry 0 matches"},
 		{"duplicate prefix, after masking", kinds, "table all {\n  h.e=1 h.l=10.0.0.0/8 -> set(1);\n  h.e=1 h.l=10.1.0.0/8 -> set(2);\n}", nil,
-			"rules:3: table all entry 1: matches what entry 0 matches"},
+			"rules:3:3: table all entry 1: matches what entry 0 matches"},
 		{"rule naming an unknown action", fwd, fwdRules, func(rs *rules.Set) {
 			rs.Add("host", rules.Rule("teleport", nil, rules.E("ipv4.dstAddr", 1)))
 		}, "rules: table host entry 1: action teleport is not one of the table's actions"},
@@ -173,7 +173,7 @@ table ex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 || len(tables["ex"].Rows) != 2 || tables["ex"].Rows[0].Entry.Line != 10 {
+	if len(tables) != 2 || len(tables["ex"].Rows) != 2 || tables["ex"].Rows[0].Entry.Pos.Line != 10 {
 		t.Fatalf("tables %v: want all and ex, ex's priority-9 row first", tables)
 	}
 	all := tables["all"]
@@ -188,7 +188,7 @@ table ex {
 	}
 	for i, r := range all.Rows {
 		if !slices.Equal(r.Cells, want[i]) {
-			t.Errorf("row %d (line %d): cells %+v, want %+v", i, r.Entry.Line, r.Cells, want[i])
+			t.Errorf("row %d (line %d): cells %+v, want %+v", i, r.Entry.Pos.Line, r.Cells, want[i])
 		}
 	}
 	if r := all.Rows[0]; r.Action != nil || len(r.Args) != 0 {

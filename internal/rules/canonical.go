@@ -64,7 +64,7 @@ func TagTable(tag string) string {
 
 // Clone returns a deep copy of the entry.
 func (e *Entry) Clone() *Entry {
-	c := &Entry{Priority: e.Priority, Action: e.Action, Line: e.Line}
+	c := &Entry{Priority: e.Priority, Action: e.Action, Pos: e.Pos}
 	c.Matches = append([]Match(nil), e.Matches...)
 	c.Args = append([]uint64(nil), e.Args...)
 	return c

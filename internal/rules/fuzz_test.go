@@ -5,19 +5,24 @@ import (
 	"testing"
 
 	meissa "repro"
+	"repro/internal/p4"
 	"repro/internal/programs"
 	"repro/internal/rules"
 	"repro/internal/switchsim"
 )
 
 // FuzzParseRules: a rule-set text from outside — a user's -r file — may be
-// rejected, never panic the parser. Seeded with the corpus rule sets.
+// rejected, with a positioned *p4.ParseError, never panic the reader.
+// Seeded with the corpus rule sets.
 func FuzzParseRules(f *testing.F) {
 	for _, p := range programs.All() {
 		f.Add(p.Rules.String())
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		_, _ = rules.Parse(src)
+		_, err := rules.Parse(src)
+		if pe := (*p4.ParseError)(nil); err != nil && (!errors.As(err, &pe) || pe.Pos.Line < 1) {
+			t.Fatalf("Parse rejected with %T %v, want a positioned *p4.ParseError", err, err)
+		}
 	})
 }
 
@@ -47,7 +52,7 @@ func FuzzRulesAgainstProgram(f *testing.F) {
 		opts.Parallelism = 1
 		sys, err := meissa.New(p.Prog, rs, nil, opts)
 		if err != nil {
-			if re := (*rules.Error)(nil); !errors.As(err, &re) || re.Line == 0 {
+			if re := (*rules.Error)(nil); !errors.As(err, &re) || re.Pos.Line == 0 {
 				t.Fatalf("rejected without a rules line: %v", err)
 			}
 			return

@@ -1,9 +1,10 @@
 package rules
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
+	"math"
+	"os"
+
+	"repro/internal/p4"
 )
 
 // Parse reads a rule set from its text format:
@@ -14,37 +15,40 @@ import (
 //	  srcPort=1024..2048 -> mark();
 //	}
 //
-// Values are decimal, hex (0x..) or dotted-quad IPv4. Lines starting with
-// '#' or '//' are comments.
-func Parse(src string) (*Set, error) {
+// It reads with p4's tokenizer: values are decimal, hex (0x..) or
+// dotted-quad IPv4 literals, names are identifiers, layout is free, the
+// ";" after an entry may be left out, and "#", "//" and "/* */" start
+// comments. An error names its input "rules".
+func Parse(src string) (*Set, error) { return parse("rules", src) }
+
+// ParseFile reads the rule set in the file at path; its entries' positions,
+// and so every error about them, name the file.
+func ParseFile(path string) (*Set, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parse(path, string(src))
+}
+
+func parse(path, src string) (*Set, error) {
 	set := NewSet()
-	var table string
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "//") {
-			continue
+	err := p4.Scan(path, src, func(r *p4.Scanner) {
+		for !r.AtEOF() {
+			open := r.Pos()
+			r.ExpectKeyword("table")
+			table := r.Name()
+			r.ExpectPunct("{")
+			for !r.Accept("}") {
+				if r.AtEOF() {
+					r.Failf(open, "unterminated table %s", table)
+				}
+				set.Add(table, readEntry(r))
+			}
 		}
-		switch {
-		case strings.HasPrefix(line, "table "):
-			rest := strings.TrimSpace(strings.TrimPrefix(line, "table "))
-			rest = strings.TrimSuffix(rest, "{")
-			table = strings.TrimSpace(rest)
-			if table == "" {
-				return nil, fmt.Errorf("rules:%d: missing table name", lineNo+1)
-			}
-		case line == "}":
-			table = ""
-		default:
-			if table == "" {
-				return nil, fmt.Errorf("rules:%d: entry outside table block", lineNo+1)
-			}
-			e, err := parseEntry(line)
-			if err != nil {
-				return nil, fmt.Errorf("rules:%d: %w", lineNo+1, err)
-			}
-			e.Line = lineNo + 1
-			set.Add(table, e)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return set, nil
 }
@@ -58,119 +62,64 @@ func MustParse(src string) *Set {
 	return s
 }
 
-func parseEntry(line string) (*Entry, error) {
-	line = strings.TrimSuffix(strings.TrimSpace(line), ";")
-	lhsRhs := strings.SplitN(line, "->", 2)
-	if len(lhsRhs) != 2 {
-		return nil, fmt.Errorf("missing '->' in entry %q", line)
-	}
-	e := &Entry{}
-
-	for _, tok := range strings.Fields(strings.TrimSpace(lhsRhs[0])) {
-		kv := strings.SplitN(tok, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("malformed match %q", tok)
+// readEntry reads "[priority=N] field=match ... -> action(args)[;]".
+func readEntry(r *p4.Scanner) *Entry {
+	e := &Entry{Pos: r.Pos()}
+	for !r.Accept("->") {
+		at := r.Pos()
+		field := r.Name()
+		for r.Accept(".") {
+			field += "." + r.Name()
 		}
-		field, spec := kv[0], kv[1]
+		r.ExpectPunct("=")
 		if field == "priority" {
-			p, err := strconv.Atoi(spec)
-			if err != nil {
-				return nil, fmt.Errorf("bad priority %q", spec)
+			neg := !r.Accept("+") && r.Accept("-")
+			p := r.ExpectNumber()
+			if p > math.MaxInt64 {
+				r.Failf(at, "priority %d does not fit in 64 bits", p)
 			}
-			e.Priority = p
+			if e.Priority = int(p); neg {
+				e.Priority = -e.Priority
+			}
 			continue
 		}
-		m, err := parseMatch(field, spec)
-		if err != nil {
-			return nil, err
+		e.Matches = append(e.Matches, readMatch(r, field))
+	}
+	e.Action = r.Name()
+	r.ExpectPunct("(")
+	for !r.Accept(")") {
+		if len(e.Args) > 0 {
+			r.ExpectPunct(",")
 		}
-		e.Matches = append(e.Matches, m)
+		e.Args = append(e.Args, r.ExpectNumber())
 	}
-
-	rhs := strings.TrimSpace(lhsRhs[1])
-	open := strings.IndexByte(rhs, '(')
-	if open < 0 || !strings.HasSuffix(rhs, ")") {
-		return nil, fmt.Errorf("malformed action call %q", rhs)
-	}
-	e.Action = strings.TrimSpace(rhs[:open])
-	argsStr := strings.TrimSpace(rhs[open+1 : len(rhs)-1])
-	if argsStr != "" {
-		for _, a := range strings.Split(argsStr, ",") {
-			v, err := parseValue(strings.TrimSpace(a))
-			if err != nil {
-				return nil, fmt.Errorf("bad action argument %q: %w", a, err)
-			}
-			e.Args = append(e.Args, v)
-		}
-	}
-	return e, nil
+	r.Accept(";")
+	return e
 }
 
-func parseMatch(field, spec string) (Match, error) {
+// readMatch reads a match on field: "*", v, v&&&mask, v/plen or lo..hi.
+func readMatch(r *p4.Scanner, field string) Match {
+	if r.Accept("*") {
+		return Match{Field: field, Kind: Wildcard}
+	}
+	at := r.Pos()
+	v := r.ExpectNumber()
 	switch {
-	case spec == "*":
-		return Match{Field: field, Kind: Wildcard}, nil
-	case strings.Contains(spec, "&&&"):
-		parts := strings.SplitN(spec, "&&&", 2)
-		v, err := parseValue(parts[0])
-		if err != nil {
-			return Match{}, err
+	case r.Accept("&&&"):
+		return Match{Field: field, Kind: Ternary, Val: v, Mask: r.ExpectNumber()}
+	case r.Accept(".."):
+		hi := r.ExpectNumber()
+		if v > hi {
+			r.Failf(at, "empty range %d..%d", v, hi)
 		}
-		m, err := parseValue(parts[1])
-		if err != nil {
-			return Match{}, err
+		return Match{Field: field, Kind: Range, Lo: v, Hi: hi}
+	case r.Accept("/"):
+		at = r.Pos()
+		plen := r.ExpectNumber()
+		if plen > 64 {
+			r.Failf(at, "bad prefix length %d", plen)
 		}
-		return Match{Field: field, Kind: Ternary, Val: v, Mask: m}, nil
-	case strings.Contains(spec, ".."):
-		parts := strings.SplitN(spec, "..", 2)
-		lo, err := parseValue(parts[0])
-		if err != nil {
-			return Match{}, err
-		}
-		hi, err := parseValue(parts[1])
-		if err != nil {
-			return Match{}, err
-		}
-		if lo > hi {
-			return Match{}, fmt.Errorf("empty range %d..%d", lo, hi)
-		}
-		return Match{Field: field, Kind: Range, Lo: lo, Hi: hi}, nil
-	case strings.Contains(spec, "/"):
-		parts := strings.SplitN(spec, "/", 2)
-		v, err := parseValue(parts[0])
-		if err != nil {
-			return Match{}, err
-		}
-		plen, err := strconv.Atoi(parts[1])
-		if err != nil || plen < 0 || plen > 64 {
-			return Match{}, fmt.Errorf("bad prefix length %q", parts[1])
-		}
-		return Match{Field: field, Kind: LPM, Val: v, Plen: plen}, nil
-	default:
-		v, err := parseValue(spec)
-		if err != nil {
-			return Match{}, err
-		}
-		return Match{Field: field, Kind: Exact, Val: v}, nil
+		return Match{Field: field, Kind: LPM, Val: v, Plen: int(plen)}
 	}
-}
-
-// parseValue parses decimal, 0x-hex, or dotted-quad IPv4 values.
-func parseValue(s string) (uint64, error) {
-	s = strings.TrimSpace(s)
-	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		return strconv.ParseUint(s[2:], 16, 64)
-	}
-	if strings.Count(s, ".") == 3 {
-		var v uint64
-		for _, oct := range strings.Split(s, ".") {
-			o, err := strconv.ParseUint(oct, 10, 64)
-			if err != nil || o > 255 {
-				return 0, fmt.Errorf("bad IPv4 literal %q", s)
-			}
-			v = v<<8 | o
-		}
-		return v, nil
-	}
-	return strconv.ParseUint(s, 10, 64)
+	return Match{Field: field, Kind: Exact, Val: v}
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/p4"
 )
 
 // MatchKind is the kind of match an entry writes for a key: the key's
@@ -102,7 +103,7 @@ type Entry struct {
 	Matches  []Match
 	Action   string
 	Args     []uint64
-	Line     int // the rules line it was read from; 0 when built in code
+	Pos      p4.Pos // where it was read from; zero when built in code
 }
 
 // Match returns the entry's match for a field, or a Wildcard match.

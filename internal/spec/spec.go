@@ -28,6 +28,7 @@ package spec
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 
 	"repro/internal/expr"
@@ -62,10 +63,20 @@ type Spec struct {
 	Expects []Expectation
 }
 
-// Parse reads one or more specs from text.
-func Parse(src string) ([]*Spec, error) {
-	p := &parser{src: src}
-	return p.parse()
+// Parse reads one or more specs from text. It reads with p4's tokenizer:
+// names are identifiers, layout is free, the ";" after a clause may be
+// left out, "#", "//" and "/* */" start comments, and a clause body is a
+// p4 expression. An error names its input "spec".
+func Parse(src string) ([]*Spec, error) { return parse("spec", src) }
+
+// ParseFile reads the specs in the file at path; every error names the
+// file.
+func ParseFile(path string) ([]*Spec, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parse(path, string(src))
 }
 
 // ParseOne reads exactly one spec.
@@ -89,95 +100,56 @@ func MustParseOne(src string) *Spec {
 	return s
 }
 
-// parser is a line-oriented parser reusing the p4 expression grammar for
-// clause bodies.
-type parser struct {
-	src string
-}
-
-func (pp *parser) parse() ([]*Spec, error) {
-	var specs []*Spec
-	var cur *Spec
-	for lineNo, raw := range strings.Split(pp.src, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "//") || strings.HasPrefix(line, "#") {
-			continue
+func parse(path, src string) (specs []*Spec, err error) {
+	err = p4.Scan(path, src, func(r *p4.Scanner) {
+		for !r.AtEOF() {
+			open := r.Pos()
+			r.ExpectKeyword("spec")
+			s := &Spec{Name: r.Name()}
+			r.ExpectPunct("{")
+			for ended := true; !r.Accept("}"); ended = r.Accept(";") {
+				switch {
+				case r.Accept("assume"):
+					s.Assumes = append(s.Assumes, r.Expr())
+				case r.Accept("expect"):
+					s.Expects = append(s.Expects, readExpect(r))
+				case r.AtEOF():
+					r.Failf(open, "unterminated spec %s", s.Name)
+				case !ended:
+					r.Expected(`";"`)
+				default:
+					r.Expected(`"assume", "expect" or "}"`)
+				}
+			}
+			specs = append(specs, s)
 		}
-		switch {
-		case strings.HasPrefix(line, "spec "):
-			if cur != nil {
-				return nil, fmt.Errorf("spec:%d: nested spec", lineNo+1)
-			}
-			name := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(line, "spec "), "{"))
-			if name == "" {
-				return nil, fmt.Errorf("spec:%d: missing spec name", lineNo+1)
-			}
-			cur = &Spec{Name: name}
-		case line == "}":
-			if cur == nil {
-				return nil, fmt.Errorf("spec:%d: unmatched '}'", lineNo+1)
-			}
-			specs = append(specs, cur)
-			cur = nil
-		case strings.HasPrefix(line, "assume "):
-			if cur == nil {
-				return nil, fmt.Errorf("spec:%d: assume outside spec", lineNo+1)
-			}
-			body := strings.TrimSuffix(strings.TrimPrefix(line, "assume "), ";")
-			e, err := parseExpr(body)
-			if err != nil {
-				return nil, fmt.Errorf("spec:%d: %w", lineNo+1, err)
-			}
-			cur.Assumes = append(cur.Assumes, e)
-		case strings.HasPrefix(line, "expect "):
-			if cur == nil {
-				return nil, fmt.Errorf("spec:%d: expect outside spec", lineNo+1)
-			}
-			body := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(line, "expect "), ";"))
-			exp, err := parseExpect(body)
-			if err != nil {
-				return nil, fmt.Errorf("spec:%d: %w", lineNo+1, err)
-			}
-			cur.Expects = append(cur.Expects, exp)
-		default:
-			return nil, fmt.Errorf("spec:%d: unrecognized clause %q", lineNo+1, line)
-		}
-	}
-	if cur != nil {
-		return nil, fmt.Errorf("spec: unterminated spec %q", cur.Name)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return specs, nil
 }
 
-func parseExpect(body string) (Expectation, error) {
-	switch {
-	case body == "forwarded":
-		return Expectation{Kind: ExpectForwarded, Text: body}, nil
-	case body == "dropped":
-		return Expectation{Kind: ExpectDropped, Text: body}, nil
-	case strings.HasPrefix(body, "valid(") && strings.HasSuffix(body, ")"):
-		h := strings.TrimSuffix(strings.TrimPrefix(body, "valid("), ")")
-		return Expectation{Kind: ExpectValid, Header: strings.TrimSpace(h), Text: body}, nil
-	case strings.HasPrefix(body, "invalid(") && strings.HasSuffix(body, ")"):
-		h := strings.TrimSuffix(strings.TrimPrefix(body, "invalid("), ")")
-		return Expectation{Kind: ExpectInvalid, Header: strings.TrimSpace(h), Text: body}, nil
-	default:
-		e, err := parseExpr(body)
-		if err != nil {
-			return Expectation{}, err
+// readExpect reads an expect clause's body: forwarded, dropped,
+// valid(header), invalid(header) or a condition.
+func readExpect(r *p4.Scanner) Expectation {
+	from := r.Mark()
+	cond := r.Expr()
+	e := Expectation{Kind: ExpectField, Cond: cond}
+	switch word := r.Text(from); {
+	case word == "forwarded":
+		e = Expectation{Kind: ExpectForwarded}
+	case word == "dropped":
+		e = Expectation{Kind: ExpectDropped}
+	case (word == "valid" || word == "invalid") && r.Accept("("):
+		e = Expectation{Kind: ExpectValid, Header: r.Name()}
+		if word == "invalid" {
+			e.Kind = ExpectInvalid
 		}
-		return Expectation{Kind: ExpectField, Cond: e, Text: body}, nil
+		r.ExpectPunct(")")
 	}
-}
-
-// parseExpr parses a clause body as one p4 expression: every token of
-// the body belongs to it.
-func parseExpr(body string) (p4.Expr, error) {
-	e, err := p4.ParseExpr(body)
-	if err != nil {
-		return nil, fmt.Errorf("bad expression %q: %w", body, err)
-	}
-	return e, nil
+	e.Text = r.Text(from)
+	return e
 }
 
 // --- Translation of assume clauses to solver constraints ---
@@ -190,7 +162,7 @@ func (s *Spec) AssumeConstraints(prog *p4.Program) ([]expr.Bool, error) {
 	for _, a := range s.Assumes {
 		b, err := env.Bool(a, nil)
 		if err != nil {
-			return nil, fmt.Errorf("spec %s: %w", s.Name, err)
+			return nil, err
 		}
 		out = append(out, b)
 	}

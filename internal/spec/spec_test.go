@@ -80,19 +80,19 @@ func TestParseErrors(t *testing.T) {
 
 // TestParseWholeExpression: a clause body is one expression, all of it.
 // Text after a complete expression is rejected, not dropped, and an error
-// is positioned in the body itself.
+// is positioned in the file, at the bad token.
 func TestParseWholeExpression(t *testing.T) {
 	for _, tc := range []struct{ src, want string }{
-		{"assume h.x == 1) { } h.y = 2; if (1;", `1:9: expected end of expression, found )`},
-		{"assume h.x == 1 h.y;", `1:10: expected end of expression, found h`},
-		{"assume h.x $ 1;", `1:5: unexpected character '$'`},
-		{"assume h.x ==;", `1:7: expected expression, found <eof>`},
-		{"expect h.x == in.h.x h.y;", `1:15: expected end of expression, found h`},
+		{"assume h.x == 1) { } h.y = 2; if (1;", `spec:2:16: expected ";", found )`},
+		{"assume h.x == 1 h.y;", `spec:2:17: expected ";", found h`},
+		{"assume h.x $ 1;", `spec:2:12: unexpected character '$'`},
+		{"assume h.x ==;", `spec:2:14: expected expression, found ;`},
+		{"expect h.x == in.h.x h.y;", `spec:2:22: expected ";", found h`},
 	} {
 		_, err := Parse("spec a {\n" + tc.src + "\n}")
 		var pe *p4.ParseError
-		if !errors.As(err, &pe) || !strings.HasSuffix(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want a *p4.ParseError ending %q", tc.src, err, tc.want)
+		if !errors.As(err, &pe) || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want a *p4.ParseError %q", tc.src, err, tc.want)
 		}
 	}
 	s := MustParseOne("spec a {\nassume (h.x == 1) && !h.isValid();\n}")

@@ -135,16 +135,17 @@ type System struct {
 }
 
 // New validates the program and binds the rule set to it: a rule set the
-// program cannot mean fails here, with its rules line, not in generation.
+// program cannot mean fails here, not in generation. Either error leads
+// with the position it names.
 func New(prog *p4.Program, rs *rules.Set, specs []*spec.Spec, opts Options) (*System, error) {
 	if err := p4.Check(prog); err != nil {
-		return nil, fmt.Errorf("meissa: %w", err)
+		return nil, err
 	}
 	if rs == nil {
 		rs = rules.NewSet()
 	}
 	if _, err := rules.Bind(prog, rs); err != nil {
-		return nil, fmt.Errorf("meissa: %w", err)
+		return nil, err
 	}
 	return &System{Prog: prog, Rules: rs, Specs: specs, Opts: opts}, nil
 }
@@ -539,7 +540,7 @@ func (s *System) commonAssumes() ([]expr.Bool, error) {
 	}
 	first, err := s.Specs[0].AssumeConstraints(s.Prog)
 	if err != nil {
-		return nil, fmt.Errorf("meissa: %w", err)
+		return nil, err
 	}
 	if len(s.Specs) == 1 {
 		return first, nil
@@ -551,7 +552,7 @@ func (s *System) commonAssumes() ([]expr.Bool, error) {
 	for _, sp := range s.Specs[1:] {
 		bs, err := sp.AssumeConstraints(s.Prog)
 		if err != nil {
-			return nil, fmt.Errorf("meissa: %w", err)
+			return nil, err
 		}
 		have := map[string]bool{}
 		for _, b := range bs {

@@ -311,7 +311,7 @@ func TestNewRejectsWhatRouterCannotMean(t *testing.T) {
 			if tc.table == "nosuch" {
 				entry = 0
 			}
-			want := fmt.Sprintf("meissa: rules:%d: table %s entry %d: %s", line, tc.table, entry, tc.want)
+			want := fmt.Sprintf("rules:%d:3: table %s entry %d: %s", line, tc.table, entry, tc.want)
 			if _, err := New(p.Prog, rs, nil, DefaultOptions()); err == nil || err.Error() != want {
 				t.Fatalf("New: %v\nwant: %s", err, want)
 			}
