@@ -523,7 +523,7 @@ func TestResumeRefusesOldCheckpoint(t *testing.T) {
 // an earlier format.
 func TestRegressRefusesOldBaseline(t *testing.T) {
 	p := corpusProgram(t, "Router")
-	newRules, _ := rulediff.MutateArgs(p.Rules, 1)
+	newRules, _ := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	for _, magic := range oldMagics {
 		t.Run(magic, func(t *testing.T) {
 			dir := t.TempDir()

@@ -181,7 +181,7 @@ func loadNewRules(prog *p4.Program, path string, mutate int, old *rules.Set) (*r
 	if path != "" {
 		return rules.ParseFile(path)
 	}
-	mutated, n := rulediff.MutateArgs(old, mutate)
+	mutated, n := rulediff.MutateArgs(prog, old, mutate)
 	if n == 0 {
 		return nil, fmt.Errorf("-mutate %d changed no entries (no action arguments in the rule set)", mutate)
 	}

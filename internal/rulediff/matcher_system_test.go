@@ -29,7 +29,7 @@ func TestMatcherMatchesReferenceOnCorpus(t *testing.T) {
 		text := tagText(t, p)
 		var updates []*rules.Set
 		for _, n := range []int{1, 4} {
-			if s, m := rulediff.MutateArgs(p.Rules, n); m > 0 {
+			if s, m := rulediff.MutateArgs(p.Prog, p.Rules, n); m > 0 {
 				updates = append(updates, s)
 			}
 		}

@@ -3,6 +3,8 @@ package rulediff
 import (
 	"sort"
 
+	"repro/internal/expr"
+	"repro/internal/p4"
 	"repro/internal/rules"
 )
 
@@ -12,9 +14,10 @@ import (
 // incremental run against a cold run on a reproducible delta.
 
 // MutateArgs returns a copy of s with the first action argument of n
-// entries bumped by one — the canonical arg-only delta (signature-stable,
-// so rulediff classifies it as Modified and invalidation stays
-// entry-granular). The copy keeps s's table and entry order: a node's
+// entries bumped by one, modulo 2^width of its parameter in prog (64 bits
+// for an action prog does not declare), so the copy binds wherever s does:
+// the canonical arg-only delta (signature-stable, so rulediff classifies
+// it as Modified and invalidation stays entry-granular). The copy keeps s's table and entry order: a node's
 // content hash covers its table's entries in the order the encoder saw
 // them, so re-sorting the set would re-key every verdict downstream of a
 // re-ordered table and a one-entry update would measure that instead.
@@ -23,7 +26,7 @@ import (
 // mutated ones are spread evenly across that list. Returns the mutated set
 // and the number of entries actually changed (less than n when fewer
 // candidates exist).
-func MutateArgs(s *rules.Set, n int) (*rules.Set, int) {
+func MutateArgs(prog *p4.Program, s *rules.Set, n int) (*rules.Set, int) {
 	out := s.Clone()
 	var cands []*rules.Entry
 	names := out.Tables()
@@ -51,7 +54,11 @@ func MutateArgs(s *rules.Set, n int) (*rules.Set, int) {
 	}
 	sort.Ints(idx)
 	for _, i := range idx {
-		cands[i].Args[0]++
+		e, w := cands[i], expr.MaxWidth
+		if a := prog.Action(e.Action); a != nil && len(a.Params) > 0 {
+			w = expr.Width(a.Params[0].Width)
+		}
+		e.Args[0] = (e.Args[0] + 1) & w.Mask()
 	}
 	return out, len(idx)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/p4"
 	"repro/internal/rules"
 )
 
@@ -165,8 +166,8 @@ func TestDiffStringStable(t *testing.T) {
 
 func TestMutateArgsDeterministicAndArgOnly(t *testing.T) {
 	s := rules.MustParse(baseRules)
-	m1, n1 := MutateArgs(s, 2)
-	m2, n2 := MutateArgs(s, 2)
+	m1, n1 := MutateArgs(&p4.Program{}, s, 2)
+	m2, n2 := MutateArgs(&p4.Program{}, s, 2)
 	if n1 != n2 || m1.String() != m2.String() {
 		t.Fatal("MutateArgs not deterministic")
 	}
@@ -206,7 +207,7 @@ table acl {
 }
 `
 	s := rules.MustParse(shuffled)
-	m, n := MutateArgs(s, 1)
+	m, n := MutateArgs(&p4.Program{}, s, 1)
 	if n != 1 {
 		t.Fatalf("mutated %d entries, want 1", n)
 	}
@@ -215,9 +216,32 @@ table acl {
 	if want := strings.Replace(s.String(), "mark(1)", "mark(2)", 1); m.String() != want {
 		t.Errorf("mutated set:\n%s\nwant the input with mark(1) bumped and every line where it was:\n%s", m, want)
 	}
-	mc, _ := MutateArgs(s.Canonical(), 1)
+	mc, _ := MutateArgs(&p4.Program{}, s.Canonical(), 1)
 	if !mc.Equal(m) {
 		t.Errorf("the canonical form of the set was mutated differently:\n%s\nvs\n%s", mc, m)
+	}
+}
+
+// TestMutateArgsWrapsAtParameterWidth: a bumped argument stays within its
+// parameter, so the mutated set still binds: 15 in a 4-bit parameter
+// becomes 0.
+func TestMutateArgsWrapsAtParameterWidth(t *testing.T) {
+	prog := p4.MustParse(`
+header h { bit<8> k; }
+action set(bit<4> v) { h.k = v; }
+table t { key = { h.k : exact; } actions = { set; } }
+control c { apply { t.apply(); } }
+pipeline p { control = c; }
+`)
+	if err := p4.Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	m, n := MutateArgs(prog, rules.MustParse("table t {\n  h.k=1 -> set(15);\n}\n"), 1)
+	if got := m.Entries("t")[0].Args[0]; n != 1 || got != 0 {
+		t.Fatalf("mutated %d entries, argument %d; want 1 entry, argument 0", n, got)
+	}
+	if _, err := rules.Bind(prog, m); err != nil {
+		t.Fatalf("the mutated set does not bind: %v", err)
 	}
 }
 
@@ -225,11 +249,11 @@ func TestMutateArgsMoreThanAvailable(t *testing.T) {
 	s := rules.MustParse(baseRules)
 	// permit() and drop() have no args: only mark(1) and rewrite(42, 7)
 	// are candidates.
-	_, n := MutateArgs(s, 100)
+	_, n := MutateArgs(&p4.Program{}, s, 100)
 	if n != 2 {
 		t.Fatalf("mutated %d, want all 2 arg-bearing entries", n)
 	}
-	if _, n := MutateArgs(s, 0); n != 0 {
+	if _, n := MutateArgs(&p4.Program{}, s, 0); n != 0 {
 		t.Errorf("MutateArgs(s, 0) mutated %d entries", n)
 	}
 }

@@ -119,7 +119,7 @@ func TestRegressDifferentialCorpus(t *testing.T) {
 		if testing.Short() && (p.Name == "gw-3" || p.Name == "gw-4") {
 			continue
 		}
-		newRules, n := rulediff.MutateArgs(p.Rules, 1)
+		newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 		if n == 0 {
 			continue // no action arguments to mutate
 		}
@@ -169,7 +169,7 @@ func TestRegressStructuralDelta(t *testing.T) {
 // queries — the entry-granular invalidation promise.
 func TestRegressPerfGateGW1(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n != 1 {
 		t.Fatalf("mutated %d entries, want 1", n)
 	}
@@ -193,7 +193,7 @@ func TestRegressPerfGateGW1(t *testing.T) {
 // re-ordering the set (0.9424; a re-ordered set scored 0.02).
 func TestRegressReuseSurvivesOneEntryUpdate(t *testing.T) {
 	p := corpusProgram(t, "gw-3")
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n != 1 {
 		t.Fatalf("mutated %d entries, want 1", n)
 	}
@@ -273,7 +273,7 @@ func TestRegressWatchCache(t *testing.T) {
 	cur := p.Rules
 	curBase := baseOpts.Checkpoint
 	for i, n := range []int{1, 2} {
-		newRules, mutated := rulediff.MutateArgs(cur, n)
+		newRules, mutated := rulediff.MutateArgs(p.Prog, cur, n)
 		if mutated == 0 {
 			t.Fatal("nothing to mutate")
 		}
@@ -313,7 +313,7 @@ func TestRegressWatchCache(t *testing.T) {
 // next baseline).
 func TestRebasedCheckpointIsCompleteJournal(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n != 1 {
 		t.Fatalf("mutated %d entries, want 1", n)
 	}

@@ -126,7 +126,7 @@ func TestStoreWarmGenByteIdentical(t *testing.T) {
 // entries and the survivors still answer.
 func TestStoreRuleChurnMatchesCold(t *testing.T) {
 	p := corpusProgram(t, "Router")
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n == 0 {
 		t.Skip("corpus rules have no mutable action arguments")
 	}
@@ -191,7 +191,7 @@ func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 	for _, name := range []string{"gw-1", "gw-3"} {
 		t.Run(name, func(t *testing.T) {
 			p := corpusProgram(t, name)
-			newRules, n := rulediff.MutateArgs(p.Rules, 1)
+			newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 			if n == 0 {
 				t.Fatal("nothing to mutate")
 			}
@@ -240,7 +240,7 @@ func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 // cold run and re-solves only what the delta invalidated.
 func TestStoreExportWritesNothing(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n == 0 {
 		t.Fatal("nothing to mutate")
 	}
@@ -377,7 +377,7 @@ func TestStoreWarmRunCommitsNothing(t *testing.T) {
 		}
 	}
 
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n == 0 {
 		t.Skip("corpus rules have no mutable action arguments")
 	}
@@ -395,7 +395,7 @@ func TestStoreWarmRunCommitsNothing(t *testing.T) {
 // parallelism 1 and 4.
 func TestRegressStoreMatchesCold(t *testing.T) {
 	p := corpusProgram(t, "Router")
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n == 0 {
 		t.Skip("corpus rules have no mutable action arguments")
 	}
@@ -531,7 +531,7 @@ func TestStoreFileIndependentOfParallelism(t *testing.T) {
 // must stay empty.
 func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n == 0 {
 		t.Fatal("nothing to mutate")
 	}
@@ -700,7 +700,7 @@ func TestStoreFileSizeGates(t *testing.T) {
 		t.Fatalf("warm run: %d commits, file %d -> %d bytes", warm.Store.Commits, before, size(spath))
 	}
 
-	newRules, n := rulediff.MutateArgs(p.Rules, 1)
+	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
 	if n == 0 {
 		t.Fatal("nothing to mutate")
 	}
