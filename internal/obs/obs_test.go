@@ -175,20 +175,20 @@ func TestReportValidate(t *testing.T) {
 	}
 
 	for name, mutate := range map[string]func(*Report){
-		"bad schema":        func(r *Report) { r.Schema = "nope" },
-		"zero wall":         func(r *Report) { r.WallNS = 0 },
-		"no phases":         func(r *Report) { r.Phases = nil },
-		"zero phase":        func(r *Report) { r.Phases[0].NS = 0 },
-		"missing cfg phase": func(r *Report) { r.Phases = r.Phases[2:] },
-		"zero explored":     func(r *Report) { r.Paths.Explored = 0 },
-		"zero templates":    func(r *Report) { r.Paths.Templates = 0 },
-		"missing bucket":    func(r *Report) { delete(r.Solver.Outcomes, "budget_exhausted") },
-		"total != solved":   func(r *Report) { r.Solver.TotalQueries = 21 },
-		"legacy cache_hit":  func(r *Report) { r.Solver.Outcomes["cache_hit"] = 4 },
-		"outcome mismatch":  func(r *Report) { r.Solver.Outcomes["sat"] = 99 },
-		"budget > unknown":  func(r *Report) { r.Solver.Outcomes["budget_exhausted"] = 3 },
-		"truncated > unsat": func(r *Report) { r.Solver.TruncatedUnsat = 7 },
-		"paths grew":        func(r *Report) { r.Paths.PossibleLog10After = 9 },
+		"bad schema":          func(r *Report) { r.Schema = "nope" },
+		"zero wall":           func(r *Report) { r.WallNS = 0 },
+		"no phases":           func(r *Report) { r.Phases = nil },
+		"zero phase":          func(r *Report) { r.Phases[0].NS = 0 },
+		"missing cfg phase":   func(r *Report) { r.Phases = r.Phases[2:] },
+		"zero explored":       func(r *Report) { r.Paths.Explored = 0 },
+		"zero templates":      func(r *Report) { r.Paths.Templates = 0 },
+		"missing bucket":      func(r *Report) { delete(r.Solver.Outcomes, "budget_exhausted") },
+		"total != solved":     func(r *Report) { r.Solver.TotalQueries = 21 },
+		"legacy cache_hit":    func(r *Report) { r.Solver.Outcomes["cache_hit"] = 4 },
+		"outcome mismatch":    func(r *Report) { r.Solver.Outcomes["sat"] = 99 },
+		"budget > unknown":    func(r *Report) { r.Solver.Outcomes["budget_exhausted"] = 3 },
+		"truncated > unknown": func(r *Report) { r.Solver.TruncatedUnknown = 7 },
+		"paths grew":          func(r *Report) { r.Paths.PossibleLog10After = 9 },
 		// The store section's identities.
 		"warmed > loaded":     func(r *Report) { r.Store = &StoreReport{Warmed: 3, SnapshotReads: 3} },
 		"warmed, no reads":    func(r *Report) { r.Journal.Loaded, r.Store = 3, &StoreReport{Warmed: 3} },

@@ -93,11 +93,12 @@ type SolverReport struct {
 	Outcomes map[string]uint64 `json:"outcomes"`
 	// QueriesPerSec is TotalQueries normalized by the run wall-clock.
 	QueriesPerSec float64 `json:"queries_per_sec"`
-	// TruncatedUnsat is the part of Outcomes["unsat"] the solver's search
-	// reached after cutting a candidate list short: Unsat verdicts that
-	// are not proofs (smt.Stats.TruncatedUnsat). Counted on live queries
-	// only; a verdict answered from a journal or store is not re-derived.
-	TruncatedUnsat uint64 `json:"truncated_unsat,omitempty"`
+	// TruncatedUnknown is the part of Outcomes["unknown"] from searches
+	// that found no model after cutting a candidate list short, where an
+	// Unsat would not be a proof (smt.Stats.TruncatedUnknown). Counted on
+	// live queries only; a verdict answered from a journal or store is not
+	// re-derived.
+	TruncatedUnknown uint64 `json:"truncated_unknown,omitempty"`
 	// Propagations counts the domain propagations the solvers ran
 	// (smt.Stats.Propagations): what asserting the path conditions cost.
 	// The executor asserts a condition only for a query the journal cannot
@@ -332,8 +333,8 @@ func (r *Report) Validate() error {
 			return fmt.Errorf("obs: budget_exhausted %d > unknown %d",
 				o[OutcomeBudgetExhausted], o[OutcomeUnknown])
 		}
-		if r.Solver.TruncatedUnsat > o[OutcomeUnsat] {
-			return fmt.Errorf("obs: truncated_unsat %d > unsat %d", r.Solver.TruncatedUnsat, o[OutcomeUnsat])
+		if r.Solver.TruncatedUnknown > o[OutcomeUnknown] {
+			return fmt.Errorf("obs: truncated_unknown %d > unknown %d", r.Solver.TruncatedUnknown, o[OutcomeUnknown])
 		}
 		// A full-journal resume legitimately answers every solver
 		// interaction from the checkpoint, leaving zero live queries.

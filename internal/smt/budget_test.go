@@ -85,13 +85,12 @@ func TestBudgetNeverUnsat(t *testing.T) {
 	}
 }
 
-// TestTruncatedUnsatStillCounted keeps the counter honest now that no
-// corpus program trips it. With a 5-bit c, (c + 5) >= (c + 7) holds for
-// c = 25 and 26, where c + 7 wraps, but the search tries 24 of c's 32
-// values and neither of those: it answers Unsat and must count the verdict
-// as truncated. This is the wrong Unsat ROADMAP item 2 step 1 turns into
-// Unknown; that change updates this test.
-func TestTruncatedUnsatStillCounted(t *testing.T) {
+// TestTruncatedSearchAnswersUnknown: with a 5-bit c, (c + 5) >= (c + 7)
+// holds for c = 25 and 26, where c + 7 wraps, but the search tries 24 of
+// c's 32 values and neither of those. Having cut c's candidate list short,
+// it has proved nothing: it answers Unknown, explained by ErrTruncated and
+// counted in TruncatedUnknown, never Unsat.
+func TestTruncatedSearchAnswersUnknown(t *testing.T) {
 	c := expr.V("c", 5)
 	q := expr.Cmp{Op: expr.CmpGe,
 		L: expr.Bin{Op: expr.OpAdd, L: c, R: expr.C(5, 5)},
@@ -109,7 +108,27 @@ func TestTruncatedUnsatStillCounted(t *testing.T) {
 	s.Assert(q)
 	res := s.Check()
 	st := s.Stats()
-	if res != Unsat || st.UnsatResults != 1 || st.TruncatedUnsat != 1 {
-		t.Fatalf("%s: %v with %d Unsat, %d truncated; want the one Unsat counted as truncated", q, res, st.UnsatResults, st.TruncatedUnsat)
+	if res != Unknown || s.LastUnknown() != ErrTruncated || st.Unknowns != 1 || st.TruncatedUnknown != 1 || st.UnsatResults != 0 || st.BudgetExhausted != 0 {
+		t.Fatalf("%s: %v (%v) with stats %+v; want one Unknown explained by ErrTruncated", q, res, s.LastUnknown(), st)
+	}
+}
+
+// TestWrappedSumNeverUnsat: u + 20 == k has a model for an 8-bit u and any
+// k (u = k - 20, wrapped), and v == u + 20 does for a 4-bit v, but a
+// search that tries a cut list of u's values finds none of them. It must
+// not answer Unsat: each query answers Sat or Unknown.
+func TestWrappedSumNeverUnsat(t *testing.T) {
+	u := expr.V("u", 8)
+	sum := expr.Bin{Op: expr.OpAdd, L: u, R: expr.C(20, 8)}
+	for _, q := range []expr.Bool{
+		expr.Eq(sum, expr.C(0, 8)),
+		expr.Eq(sum, expr.C(4, 8)),
+		expr.Eq(expr.V("v", 4), sum),
+	} {
+		s := New(DefaultOptions())
+		s.Assert(q)
+		if res := s.Check(); res == Unsat {
+			t.Errorf("%s: Unsat, but it has a model", q)
+		}
 	}
 }

@@ -236,11 +236,10 @@ func (o *sweepOracle) pop()                  { o.frames = o.frames[:len(o.frames
 //
 // The variables stop at 4 bits because that is as far as the solver is
 // complete: search tries at most CandidatesPerVar (24) values per free
-// variable and answers Unsat — not Unknown — when none of them works. With
-// a 5-bit c this oracle gets Unsat for (c + 5) >= (c + 7), which c = 25 and
-// c = 26 satisfy (ROADMAP item 2). Every corpus Unsat is a proof, so
-// answering Unknown there would leave the corpus outputs as they are; it
-// is the solver's to fix, not this test's to work around.
+// variable, and a search that cut a list short and found no model answers
+// Unknown (ErrTruncated), which this walk would have to allow. With a
+// 5-bit c, (c + 5) >= (c + 7) is such a query: c = 25 and c = 26 satisfy
+// it, and the search tries neither.
 func TestDifferentialBatchSweeps(t *testing.T) {
 	verdicts, starved := 0, 0
 	for seed := int64(0); seed < 96; seed++ {

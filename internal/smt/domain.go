@@ -293,7 +293,12 @@ type candIter struct {
 	stage int    // 0 hints, 1–5 the fixed probes, 6 the walk
 	i     int    // next hint, or steps walked
 	walk  uint64 // next value the walk visits
+	whole bool   // the walk reached hi: every value of the domain was yielded
 }
+
+// cut reports that the list ended short of the domain: some value of it
+// was never yielded.
+func (it *candIter) cut() bool { return !it.whole && uint64(len(it.out)) <= it.d.hi-it.d.lo }
 
 // next returns the next candidate; ok is false once the list is exhausted.
 func (it *candIter) next() (v uint64, ok bool) {
@@ -335,7 +340,7 @@ func (it *candIter) next() (v uint64, ok bool) {
 			v = it.walk
 			it.i++
 			if v == d.hi {
-				it.i = 256
+				it.i, it.whole = 256, true
 			} else {
 				it.walk++
 			}

@@ -200,8 +200,8 @@ func (s *Solver) assignFrom(free []int32, idx int) bool {
 			return false
 		}
 	}
-	if uint64(len(it.out)) <= v.dom.hi-v.dom.lo {
-		s.truncated = true // fewer candidates than the interval holds
+	if it.cut() {
+		s.truncated = true
 	}
 	return false
 }

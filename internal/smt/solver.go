@@ -27,6 +27,11 @@ func (e *BudgetError) Error() string {
 // Unwrap makes errors.Is(err, ErrBudget) true.
 func (e *BudgetError) Unwrap() error { return ErrBudget }
 
+// ErrTruncated explains an Unknown from a search that found no model after
+// cutting a candidate list short of its interval: an Unsat there would not
+// be a proof (ROADMAP item 2), so the solver does not answer one.
+var ErrTruncated = errors.New("smt: search cut a candidate list short")
+
 // Result is the outcome of a satisfiability check.
 type Result int
 
@@ -74,11 +79,9 @@ type Stats struct {
 	// exploration layer surfaces this per pipeline so degraded-but-sound
 	// coverage is visible rather than silent.
 	BudgetExhausted uint64
-	// TruncatedUnsat counts Unsat results the search reached with budget
-	// left after cutting at least one variable's candidate list short of
-	// its interval: the verdicts that are not proofs (ROADMAP item 2). It
-	// counts them; it changes none.
-	TruncatedUnsat uint64
+	// TruncatedUnknown counts the Unknown results explained by
+	// ErrTruncated (a subset of Unknowns).
+	TruncatedUnknown uint64
 }
 
 // Add accumulates another solver's counters, the merge step for parallel
@@ -93,7 +96,7 @@ func (s *Stats) Add(o Stats) {
 	s.Models += o.Models
 	s.CacheHits += o.CacheHits
 	s.BudgetExhausted += o.BudgetExhausted
-	s.TruncatedUnsat += o.TruncatedUnsat
+	s.TruncatedUnknown += o.TruncatedUnknown
 }
 
 // Options configure a Solver.
@@ -203,7 +206,7 @@ type Solver struct {
 	conds    []expr.Bool
 	condMemo []*assertMemo
 	// lastUnknown is the typed reason the most recent Check/Model
-	// returned Unknown (a *BudgetError), nil otherwise. truncated reports
+	// returned Unknown (a *BudgetError or ErrTruncated), nil otherwise. truncated reports
 	// that the query in flight exhausted a candidate list that was cut
 	// short; allBound, that the search's last consistency scan could
 	// evaluate every constraint.
@@ -261,7 +264,8 @@ func (s *Solver) Stats() Stats { return s.stats }
 
 // LastUnknown explains the most recent Check/Model that returned
 // Unknown: a *BudgetError (errors.Is(err, ErrBudget)) when a budget was
-// the cause, nil when the last query did not end Unknown. The value is
+// the cause, ErrTruncated when a cut candidate list was, nil when the
+// last query did not end Unknown. The value is
 // overwritten by every check.
 func (s *Solver) LastUnknown() error { return s.lastUnknown }
 
@@ -633,6 +637,9 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 	s.truncated = false
 	start := time.Now()
 	res, uerr := s.solve(bp)
+	if res == Unsat && s.truncated {
+		res, uerr = Unknown, ErrTruncated
+	}
 	mQueryLatencyNS.ObserveSince(start)
 	if cacheable {
 		s.opts.Cache.store(key, res) // Unknown is dropped by store
@@ -651,13 +658,13 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 		}
 	case Unsat:
 		s.stats.UnsatResults++
-		if s.truncated {
-			s.stats.TruncatedUnsat++
-		}
 	default:
 		s.stats.Unknowns++
 		s.lastUnknown = uerr
-		if uerr != nil {
+		switch {
+		case uerr == ErrTruncated:
+			s.stats.TruncatedUnknown++
+		case uerr != nil:
 			s.stats.BudgetExhausted++
 		}
 	}

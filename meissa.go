@@ -470,7 +470,7 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 	if g.JournalHits > 0 {
 		rep.Journal.BreakevenNSPerQuery = float64(rep.Journal.SourceNS) / float64(g.JournalHits)
 	}
-	rep.Solver.TruncatedUnsat = g.SMT.TruncatedUnsat
+	rep.Solver.TruncatedUnknown = g.SMT.TruncatedUnknown
 	rep.Solver.Propagations = g.SMT.Propagations
 	if h, ok := obs.Default().Snapshot().Histograms["smt.query_latency_ns"]; ok {
 		rep.Solver.LatencyNS = &h

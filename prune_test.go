@@ -110,15 +110,14 @@ func generateWith(t *testing.T, p *programs.Program, opts meissa.Options) *meiss
 	return gen
 }
 
-// TestTruncatedUnsatPinned pins how many Unsat verdicts the search reached
-// after cutting a candidate list short — the verdicts that are not proofs,
-// which ROADMAP item 2 step 1 turns into Unknown — at 0 on every Table 1
-// corpus program, with and without code summary. gw-3/set-1 made 223 and
-// 243 and gw-4/set-4 4 622 and 5 184 until the solver decided a masked
-// table miss from its field's known bits instead of searching it; no
-// verdict changed. The count reaches the run report. -short skips the rule
-// sets above set-1.
-func TestTruncatedUnsatPinned(t *testing.T) {
+// TestTruncatedUnknownPinned pins how many searches found no model after
+// cutting a candidate list short — which answer Unknown, not an Unsat that
+// would not be a proof — at 0 on every Table 1 corpus program, with and
+// without code summary. gw-3/set-1 made 223 and 243 and gw-4/set-4 4 622
+// and 5 184 such (then Unsat) verdicts until the solver decided a masked
+// table miss from its field's known bits instead of searching it. The
+// count reaches the run report. -short skips the rule sets above set-1.
+func TestTruncatedUnknownPinned(t *testing.T) {
 	type tc struct {
 		p     *programs.Program
 		scale programs.RuleScale
@@ -143,12 +142,12 @@ func TestTruncatedUnsatPinned(t *testing.T) {
 			opts.CodeSummary = summary
 			gen := generateWith(t, c.p, opts)
 			name := fmt.Sprintf("%s/%s summary=%v", c.p.Name, c.scale, summary)
-			if gen.SMT.TruncatedUnsat != 0 {
-				t.Errorf("%s: %d truncated Unsats of %d, want 0", name, gen.SMT.TruncatedUnsat, gen.SMT.UnsatResults)
+			if gen.SMT.TruncatedUnknown != 0 {
+				t.Errorf("%s: %d truncated Unknowns of %d, want 0", name, gen.SMT.TruncatedUnknown, gen.SMT.Unknowns)
 			}
 			rep := gen.Report("gen", c.p.Name, 1)
-			if err := rep.Validate(); err != nil || rep.Solver.TruncatedUnsat != 0 {
-				t.Errorf("%s: report carries truncated_unsat %d (validate: %v), want 0", name, rep.Solver.TruncatedUnsat, err)
+			if err := rep.Validate(); err != nil || rep.Solver.TruncatedUnknown != 0 {
+				t.Errorf("%s: report carries truncated_unknown %d (validate: %v), want 0", name, rep.Solver.TruncatedUnknown, err)
 			}
 		}
 	}
