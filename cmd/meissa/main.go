@@ -83,13 +83,13 @@ func usage() {
 // loadInputs reads the program, rule set and specs named by flags, or a
 // built-in corpus program via -corpus. Each reader names its file in its
 // errors; the rule set is bound to the program by meissa.New.
-func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*spec.Spec, *flag.FlagSet, error) {
+func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*spec.Spec, error) {
 	progPath := fs.String("p", "", "P4 program file")
 	rulesPath := fs.String("r", "", "table rule set file")
 	specPath := fs.String("s", "", "LPI intent spec file")
 	corpusName := fs.String("corpus", "", "use a built-in corpus program instead of -p/-r")
 	if err := fs.Parse(args); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	if *corpusName != "" {
@@ -101,37 +101,37 @@ func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*sp
 					// regress smoke path: corpus program, mutated rule file).
 					var err error
 					if rs, err = rules.ParseFile(*rulesPath); err != nil {
-						return nil, nil, nil, nil, err
+						return nil, nil, nil, err
 					}
 				}
-				return p.Prog, rs, nil, fs, nil
+				return p.Prog, rs, nil, nil
 			}
 		}
-		return nil, nil, nil, nil, fmt.Errorf("unknown corpus program %q", *corpusName)
+		return nil, nil, nil, fmt.Errorf("unknown corpus program %q", *corpusName)
 	}
 	if *progPath == "" {
-		return nil, nil, nil, nil, fmt.Errorf("missing -p <program> (or -corpus <name>)")
+		return nil, nil, nil, fmt.Errorf("missing -p <program> (or -corpus <name>)")
 	}
 	prog, err := p4.ParseFile(*progPath)
 	if err == nil {
 		err = p4.Check(prog)
 	}
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	rs := rules.NewSet()
 	if *rulesPath != "" {
 		if rs, err = rules.ParseFile(*rulesPath); err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	var specs []*spec.Spec
 	if *specPath != "" {
 		if specs, err = spec.ParseFile(*specPath); err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
-	return prog, rs, specs, fs, nil
+	return prog, rs, specs, nil
 }
 
 func cmdGen(args []string) error {
@@ -141,7 +141,7 @@ func cmdGen(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "journal file making generation crash-safe")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal of an interrupted run")
 	ob := registerObsFlags(fs)
-	prog, rs, specs, _, err := loadInputs(fs, args)
+	prog, rs, specs, err := loadInputs(fs, args)
 	if err != nil {
 		return err
 	}
@@ -201,7 +201,7 @@ func cmdGen(args []string) error {
 			}
 		}
 	}
-	return ob.finish(genReport("gen", prog.Name, opts.Parallelism, gen))
+	return ob.finish(gen.Report("gen", prog.Name, opts.Parallelism))
 }
 
 // parseFaults parses -fault kind:arg[,kind:arg...].
@@ -211,12 +211,7 @@ func parseFaults(s string) (switchsim.Faults, error) {
 	}
 	var out switchsim.Faults
 	for _, item := range strings.Split(s, ",") {
-		kv := strings.SplitN(item, ":", 2)
-		kind := kv[0]
-		arg := ""
-		if len(kv) == 2 {
-			arg = kv[1]
-		}
+		kind, arg, _ := strings.Cut(item, ":")
 		switch kind {
 		case "setvalid":
 			out = append(out, switchsim.SetValidNoOp{Header: arg})
@@ -227,11 +222,11 @@ func parseFaults(s string) (switchsim.Faults, error) {
 		case "extract":
 			out = append(out, switchsim.ExtractNoValidity{Header: arg})
 		case "overlap":
-			ab := strings.SplitN(arg, "/", 2)
-			if len(ab) != 2 {
+			a, b, ok := strings.Cut(arg, "/")
+			if !ok {
 				return nil, fmt.Errorf("overlap fault wants a/b, got %q", arg)
 			}
-			out = append(out, switchsim.FieldOverlap{A: ab[0], B: ab[1]})
+			out = append(out, switchsim.FieldOverlap{A: a, B: b})
 		case "rules":
 			out = append(out, switchsim.TableMissDefault{Table: arg})
 		default:
@@ -255,7 +250,7 @@ func cmdTest(args []string) error {
 	shake := fs.String("shake", "", "inject link faults: drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N")
 	verbose := fs.Bool("v", false, "print per-phase progress on stderr")
 	ob := registerObsFlags(fs)
-	prog, rs, specs, _, err := loadInputs(fs, args)
+	prog, rs, specs, err := loadInputs(fs, args)
 	if err != nil {
 		return err
 	}
@@ -364,7 +359,7 @@ func cmdTest(args []string) error {
 		f := rep.Failures()[0]
 		fmt.Println(meissa.Localize(gen, f, loop.Replay(f.Case.Entry, f.Case.Wire)))
 	}
-	orep := genReport("test", prog.Name, opts.Parallelism, gen)
+	orep := gen.Report("test", prog.Name, opts.Parallelism)
 	orep.WallNS = int64(gen.Duration + driveDur)
 	orep.Phases = append(orep.Phases, obs.PhaseDur{Name: "drive", NS: int64(driveDur), Count: 1})
 	// The target's counters may be read once an in-process drive is over;

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	meissa "repro"
 	"repro/internal/driver"
 	"repro/internal/obs"
 	"repro/internal/regress"
@@ -79,12 +78,6 @@ func (o *obsFlags) finish(rep *obs.Report) error {
 	}
 	obs.Infof("meissa: wrote run report to %s", o.metricsOut)
 	return nil
-}
-
-// genReport builds the run report for a generation (the test subcommand
-// extends it with the driver section).
-func genReport(command, program string, parallelism int, gen *meissa.GenResult) *obs.Report {
-	return gen.Report(command, program, parallelism)
 }
 
 // driverReport builds the test-execution section from a driver report,
@@ -231,10 +224,7 @@ func cmdCheckMetrics(args []string) error {
 		fmt.Printf("  solver queries=%d solved=%d outcomes=%v truncated_unknown=%d propagations=%d\n",
 			rep.Solver.TotalQueries, rep.Solver.Solved, rep.Solver.Outcomes, rep.Solver.TruncatedUnknown, rep.Solver.Propagations)
 		if q := rep.Solver.LatencyQuantiles; q != nil {
-			fmt.Printf("  solver latency p50=%v p90=%v p99=%v\n",
-				time.Duration(q.P50).Round(time.Microsecond),
-				time.Duration(q.P90).Round(time.Microsecond),
-				time.Duration(q.P99).Round(time.Microsecond))
+			fmt.Printf("  solver latency %s\n", quantiles(q))
 		}
 	}
 	if j := rep.Journal; j != nil && (j.Loaded > 0 || j.Appended > 0) {
@@ -246,10 +236,7 @@ func cmdCheckMetrics(args []string) error {
 			rep.Driver.Passed, rep.Driver.Failed, rep.Driver.Flaky, rep.Driver.Lost,
 			rep.Driver.Window, rep.Driver.VerdictsPerSec)
 		if q := rep.Driver.CaseLatencyQuantiles; q != nil {
-			fmt.Printf("  driver case latency p50=%v p90=%v p99=%v\n",
-				time.Duration(q.P50).Round(time.Microsecond),
-				time.Duration(q.P90).Round(time.Microsecond),
-				time.Duration(q.P99).Round(time.Microsecond))
+			fmt.Printf("  driver case latency %s\n", quantiles(q))
 		}
 		if rep.Driver.BreakerTripped {
 			fmt.Printf("  driver breaker tripped: %d cases short-circuited to lost\n", rep.Driver.ShortCircuited)
@@ -270,6 +257,12 @@ func cmdCheckMetrics(args []string) error {
 			st.Commits, st.TailDiscarded, st.SnapshotReads, st.TagTests, st.FileBytes)
 	}
 	return nil
+}
+
+// quantiles renders a latency summary, in ns, as p50, p90 and p99.
+func quantiles(q *obs.Quantiles) string {
+	us := func(ns float64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+	return fmt.Sprintf("p50=%v p90=%v p99=%v", us(q.P50), us(q.P90), us(q.P99))
 }
 
 // checkRegressReport validates and summarizes a meissa.regress-report/v1

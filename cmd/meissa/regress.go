@@ -33,7 +33,7 @@ func cmdRegress(args []string) error {
 	maxFailures := fs.Int("max-failures", 10, "exit non-zero after N consecutive watch failures (0 = never)")
 	verbose := fs.Bool("v", false, "print per-phase progress on stderr")
 	ob := registerObsFlags(fs)
-	prog, rs, specs, _, err := loadInputs(fs, args)
+	prog, rs, specs, err := loadInputs(fs, args)
 	if err != nil {
 		return err
 	}

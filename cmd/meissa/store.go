@@ -28,7 +28,7 @@ func cmdStore(args []string) error {
 	fs := flag.NewFlagSet("store "+verb, flag.ContinueOnError)
 	gf := registerGenFlags(fs, "store", "no-summary")
 	quiet := fs.Bool("quiet", false, "suppress progress and warning output on stderr")
-	prog, rs, specs, _, err := loadInputs(fs, rest)
+	prog, rs, specs, err := loadInputs(fs, rest)
 	if err != nil {
 		return err
 	}

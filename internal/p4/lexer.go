@@ -40,7 +40,6 @@ func (t token) String() string {
 type lexer struct {
 	path string
 	src  string
-	hash bool // "#" starts a comment that runs to the end of its line
 	off  int
 	line int
 	col  int
@@ -48,14 +47,8 @@ type lexer struct {
 
 func (l *lexer) pos() Pos { return Pos{Path: l.path, Line: l.line, Col: l.col} }
 
-func (l *lexer) peekByte() byte {
-	if l.off >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off]
-}
-
-func (l *lexer) peekByteAt(n int) byte {
+// peek returns the byte n past the current one, or 0 past the end.
+func (l *lexer) peek(n int) byte {
 	if l.off+n >= len(l.src) {
 		return 0
 	}
@@ -74,23 +67,25 @@ func (l *lexer) advance() byte {
 	return c
 }
 
+// skipSpaceAndComments skips white space and comments: "//" or "#" to the
+// end of the line, and "/* */".
 func (l *lexer) skipSpaceAndComments() {
 	for l.off < len(l.src) {
-		c := l.peekByte()
+		c := l.peek(0)
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			l.advance()
-		case c == '/' && l.peekByteAt(1) == '/' || c == '#' && l.hash:
-			for l.off < len(l.src) && l.peekByte() != '\n' {
+		case c == '/' && l.peek(1) == '/' || c == '#':
+			for l.off < len(l.src) && l.peek(0) != '\n' {
 				l.advance()
 			}
-		case c == '/' && l.peekByteAt(1) == '*':
+		case c == '/' && l.peek(1) == '*':
 			start := l.pos()
 			l.advance()
 			l.advance()
 			closed := false
 			for l.off < len(l.src) {
-				if l.peekByte() == '*' && l.peekByteAt(1) == '/' {
+				if l.peek(0) == '*' && l.peek(1) == '/' {
 					l.advance()
 					l.advance()
 					closed = true
@@ -133,10 +128,10 @@ func (l *lexer) next() token {
 	if from >= len(l.src) {
 		return token{kind: tokEOF, pos: start, off: from}
 	}
-	c := l.peekByte()
+	c := l.peek(0)
 
 	if isIdentStart(c) {
-		for l.off < len(l.src) && isIdentChar(l.peekByte()) {
+		for l.off < len(l.src) && isIdentChar(l.peek(0)) {
 			l.advance()
 		}
 		return token{kind: tokIdent, text: l.src[from:l.off], pos: start, off: from}
@@ -169,12 +164,12 @@ func (l *lexer) next() token {
 // literal and returns its value.
 func (l *lexer) lexNumber(start Pos) uint64 {
 	// Hex.
-	if l.peekByte() == '0' && (l.peekByteAt(1) == 'x' || l.peekByteAt(1) == 'X') {
+	if l.peek(0) == '0' && (l.peek(1) == 'x' || l.peek(1) == 'X') {
 		l.advance()
 		l.advance()
 		var v uint64
 		n := 0
-		for l.off < len(l.src) && isHexDigit(l.peekByte()) {
+		for l.off < len(l.src) && isHexDigit(l.peek(0)) {
 			if v>>60 != 0 {
 				failParse(start, "hex literal does not fit in 64 bits")
 			}
@@ -190,8 +185,8 @@ func (l *lexer) lexNumber(start Pos) uint64 {
 	// Decimal run.
 	readDec := func() uint64 {
 		var v uint64
-		for l.off < len(l.src) && isDigit(l.peekByte()) {
-			d := uint64(l.peekByte() - '0')
+		for l.off < len(l.src) && isDigit(l.peek(0)) {
+			d := uint64(l.peek(0) - '0')
 			if v > (math.MaxUint64-d)/10 {
 				failParse(start, "decimal literal does not fit in 64 bits")
 			}
@@ -204,11 +199,11 @@ func (l *lexer) lexNumber(start Pos) uint64 {
 
 	// Dotted-quad IPv4: only if exactly three more dot-separated decimal
 	// runs follow immediately.
-	if l.peekByte() == '.' && isDigit(l.peekByteAt(1)) {
+	if l.peek(0) == '.' && isDigit(l.peek(1)) {
 		// Tentatively parse as IPv4.
 		save := *l
 		parts := []uint64{first}
-		for l.peekByte() == '.' && isDigit(l.peekByteAt(1)) && len(parts) < 4 {
+		for l.peek(0) == '.' && isDigit(l.peek(1)) && len(parts) < 4 {
 			l.advance()
 			parts = append(parts, readDec())
 		}
@@ -245,8 +240,8 @@ func hexVal(c byte) int {
 // lexAll tokenizes the source of the file at path (empty: none). A
 // lexical error anywhere in it rejects the input before the parser sees a
 // token.
-func lexAll(path, src string, hash bool) []token {
-	l := &lexer{path: path, src: src, hash: hash, line: 1, col: 1}
+func lexAll(path, src string) []token {
+	l := &lexer{path: path, src: src, line: 1, col: 1}
 	var out []token
 	for {
 		t := l.next()

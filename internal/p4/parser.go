@@ -15,9 +15,8 @@ type ParseError struct {
 
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// failParse rejects the input at pos. The lexer and the parser stop at
-// their first error: it unwinds to Parse or ParseExpr, whose catch
-// returns it.
+// failParse rejects the input at pos. The lexer and the parsers stop at
+// their first error: it unwinds to Scan, whose catch returns it.
 func failParse(pos Pos, format string, args ...any) {
 	panic(&ParseError{Msg: fmt.Sprintf(format, args...), Pos: pos})
 }
@@ -41,7 +40,7 @@ func catch(err *error) {
 // its unexported methods; the rules and spec readers build theirs on the
 // exported ones, through Scan. So every input file has one tokenizer, one
 // number syntax, one comment syntax and one error path: a rejection
-// panics with its *ParseError, and the entry point's catch returns it.
+// panics with its *ParseError, and the catch in Scan returns it.
 type Scanner struct {
 	src  string
 	toks []token
@@ -62,30 +61,16 @@ func ParseFile(path string) (*Program, error) {
 }
 
 func parse(path, src string) (prog *Program, err error) {
-	defer catch(&err)
-	p := &Scanner{src: src, toks: lexAll(path, src, false)}
-	return p.parseProgram(), nil
+	err = Scan(path, src, func(p *Scanner) { prog = p.parseProgram() })
+	return prog, err
 }
 
-// ParseExpr parses src as one expression, every token of which must
-// belong to it.
-func ParseExpr(src string) (x Expr, err error) {
-	defer catch(&err)
-	p := &Scanner{src: src, toks: lexAll("", src, false)}
-	e := p.Expr()
-	if t := p.cur(); t.kind != tokEOF {
-		failParse(t.pos, "expected end of expression, found %s", t)
-	}
-	return e, nil
-}
-
-// Scan reads src, the text of the file at path, with read: it tokenizes
-// src, where "#" also starts a comment that runs to the end of its line,
-// and hands read a Scanner at the first token. It returns the first
+// Scan tokenizes src, the text of the file at path (empty: none), and
+// runs read on a Scanner at its first token. It returns the first
 // rejection, lexical or read's own, as a *ParseError.
 func Scan(path, src string, read func(*Scanner)) (err error) {
 	defer catch(&err)
-	read(&Scanner{src: src, toks: lexAll(path, src, true)})
+	read(&Scanner{src: src, toks: lexAll(path, src)})
 	return nil
 }
 
@@ -116,14 +101,29 @@ func (p *Scanner) AtEOF() bool { return p.cur().kind == tokEOF }
 // Pos returns the position of the current token.
 func (p *Scanner) Pos() Pos { return p.cur().pos }
 
+// at reports whether the current token is the punctuation or identifier s.
+func (p *Scanner) at(s string) bool {
+	t := p.cur()
+	return (t.kind == tokPunct || t.kind == tokIdent) && t.text == s
+}
+
 // Accept reads the current token if it is the punctuation or identifier
 // s, and reports whether it was.
 func (p *Scanner) Accept(s string) bool {
-	if t := p.cur(); (t.kind == tokPunct || t.kind == tokIdent) && t.text == s {
+	ok := p.at(s)
+	if ok {
 		p.advance()
-		return true
 	}
-	return false
+	return ok
+}
+
+// Expect reads the punctuation or identifier tokens ss, in order.
+func (p *Scanner) Expect(ss ...string) {
+	for _, s := range ss {
+		if !p.Accept(s) {
+			failParse(p.cur().pos, "expected %q, found %s", s, p.cur())
+		}
+	}
 }
 
 // Failf rejects the input at pos.
@@ -145,16 +145,6 @@ func (p *Scanner) Text(mark int) string {
 	return p.src[p.toks[mark].off : last.off+len(last.text)]
 }
 
-// ExpectPunct reads the punctuation tokens ss, in order.
-func (p *Scanner) ExpectPunct(ss ...string) {
-	for _, s := range ss {
-		if !p.atPunct(s) {
-			failParse(p.cur().pos, "expected %q, found %s", s, p.cur())
-		}
-		p.advance()
-	}
-}
-
 func (p *Scanner) expectIdent() token {
 	t := p.cur()
 	if t.kind != tokIdent {
@@ -165,24 +155,6 @@ func (p *Scanner) expectIdent() token {
 
 // Name reads an identifier.
 func (p *Scanner) Name() string { return p.expectIdent().text }
-
-// ExpectKeyword reads the identifier kw.
-func (p *Scanner) ExpectKeyword(kw string) {
-	if !p.atKeyword(kw) {
-		failParse(p.cur().pos, "expected %q, found %s", kw, p.cur())
-	}
-	p.advance()
-}
-
-func (p *Scanner) atPunct(s string) bool {
-	t := p.cur()
-	return t.kind == tokPunct && t.text == s
-}
-
-func (p *Scanner) atKeyword(kw string) bool {
-	t := p.cur()
-	return t.kind == tokIdent && t.text == kw
-}
 
 // ExpectNumber reads a numeric literal and returns its value.
 func (p *Scanner) ExpectNumber() uint64 {
@@ -198,7 +170,7 @@ func (p *Scanner) ExpectNumber() uint64 {
 // property value or a topology entry.
 func (p *Scanner) expectIdentSemi() token {
 	next := p.expectIdent()
-	p.ExpectPunct(";")
+	p.Expect(";")
 	return next
 }
 
@@ -206,26 +178,23 @@ func (p *Scanner) expectIdentSemi() token {
 // for each element. A missing separator and a trailing comma are both
 // rejected.
 func (p *Scanner) parenList(elem func()) {
-	p.ExpectPunct("(")
-	if !p.atPunct(")") {
+	p.Expect("(")
+	if !p.at(")") {
 		elem()
-		for p.atPunct(",") {
-			p.advance()
+		for p.Accept(",") {
 			elem()
 		}
 	}
-	if t := p.cur(); !p.atPunct(")") {
+	if t := p.cur(); !p.Accept(")") {
 		failParse(t.pos, `expected "," or ")", found %s`, t)
 	}
-	p.advance()
 }
 
 func (p *Scanner) parseProgram() *Program {
 	prog := &Program{}
-	if p.atKeyword("program") {
-		p.advance()
+	if p.Accept("program") {
 		prog.Name = p.expectIdent().text
-		p.ExpectPunct(";")
+		p.Expect(";")
 	}
 	for !p.AtEOF() {
 		t := p.cur()
@@ -251,10 +220,10 @@ func (p *Scanner) parseProgram() *Program {
 		case "control":
 			p.advance()
 			name := p.expectIdent()
-			p.ExpectPunct("{")
-			p.ExpectKeyword("apply")
+			p.Expect("{")
+			p.Expect("apply")
 			body := p.parseBlock()
-			p.ExpectPunct("}")
+			p.Expect("}")
 			prog.Controls = append(prog.Controls, &ControlDecl{Name: name.text, Apply: body, Pos: t.pos})
 		case "pipeline":
 			prog.Pipelines = append(prog.Pipelines, p.parsePipeline())
@@ -273,27 +242,26 @@ func (p *Scanner) parseProgram() *Program {
 
 // bit<N> type.
 func (p *Scanner) parseBitType() int {
-	p.ExpectKeyword("bit")
-	p.ExpectPunct("<")
+	p.Expect("bit")
+	p.Expect("<")
 	n := p.ExpectNumber()
 	if n < 1 || n > 64 {
 		failParse(p.cur().pos, "bit width %d out of range [1,64]", n)
 	}
-	p.ExpectPunct(">")
+	p.Expect(">")
 	return int(n)
 }
 
 // parseFields parses the braced field list of a header or of metadata.
 func (p *Scanner) parseFields() []*FieldDecl {
-	p.ExpectPunct("{")
+	p.Expect("{")
 	var out []*FieldDecl
-	for !p.atPunct("}") {
+	for !p.Accept("}") {
 		w := p.parseBitType()
 		fn := p.expectIdent()
-		p.ExpectPunct(";")
+		p.Expect(";")
 		out = append(out, &FieldDecl{Name: fn.text, Width: w, Pos: fn.pos})
 	}
-	p.advance()
 	return out
 }
 
@@ -301,9 +269,9 @@ func (p *Scanner) parseRegister() *RegisterDecl {
 	pos := p.advance().pos // "register"
 	w := p.parseBitType()
 	name := p.expectIdent()
-	p.ExpectPunct("[")
+	p.Expect("[")
 	size := p.ExpectNumber()
-	p.ExpectPunct("]", ";")
+	p.Expect("]", ";")
 	return &RegisterDecl{Name: name.text, Width: w, Size: int(size), Pos: pos}
 }
 
@@ -321,15 +289,15 @@ func (p *Scanner) parseAction() *ActionDecl {
 func (p *Scanner) parseTable() *TableDecl {
 	pos := p.advance().pos // "table"
 	t := &TableDecl{Name: p.expectIdent().text, Pos: pos}
-	p.ExpectPunct("{")
-	for !p.atPunct("}") {
+	p.Expect("{")
+	for !p.Accept("}") {
 		kw := p.expectIdent()
 		switch kw.text {
 		case "key":
-			p.ExpectPunct("=", "{")
-			for !p.atPunct("}") {
+			p.Expect("=", "{")
+			for !p.at("}") {
 				ref := p.parseFieldRef()
-				p.ExpectPunct(":")
+				p.Expect(":")
 				mk := p.expectIdent()
 				kind := MatchKind(-1)
 				for k := MatchExact; k <= MatchRange; k++ {
@@ -340,32 +308,31 @@ func (p *Scanner) parseTable() *TableDecl {
 				if kind < 0 {
 					failParse(mk.pos, "unknown match kind %q", mk.text)
 				}
-				p.ExpectPunct(";")
+				p.Expect(";")
 				t.Keys = append(t.Keys, &TableKey{Field: ref, Match: kind})
 			}
 			p.advance() // }
 		case "actions":
-			p.ExpectPunct("=", "{")
-			for !p.atPunct("}") {
+			p.Expect("=", "{")
+			for !p.at("}") {
 				an := p.expectIdent()
-				p.ExpectPunct(";")
+				p.Expect(";")
 				t.Actions = append(t.Actions, an.text)
 			}
 			p.advance()
 		case "default_action":
-			p.ExpectPunct("=")
+			p.Expect("=")
 			name := p.expectIdent()
 			t.DefaultAction = &ActionCall{Name: name.text, Pos: name.pos, Args: p.parseArgs()}
-			p.ExpectPunct(";")
+			p.Expect(";")
 		case "size":
-			p.ExpectPunct("=")
+			p.Expect("=")
 			t.Size = int(p.ExpectNumber())
-			p.ExpectPunct(";")
+			p.Expect(";")
 		default:
 			failParse(kw.pos, "unknown table property %q", kw.text)
 		}
 	}
-	p.advance() // }
 	return t
 }
 
@@ -379,27 +346,25 @@ func (p *Scanner) parseArgs() []Expr {
 func (p *Scanner) parseParser() *ParserDecl {
 	pos := p.advance().pos // "parser"
 	d := &ParserDecl{Name: p.expectIdent().text, Pos: pos}
-	p.ExpectPunct("{")
-	for !p.atPunct("}") {
+	p.Expect("{")
+	for !p.Accept("}") {
 		d.States = append(d.States, p.parseParserState())
 	}
-	p.advance()
 	return d
 }
 
 func (p *Scanner) parseParserState() *ParserState {
-	p.ExpectKeyword("state")
+	p.Expect("state")
 	name := p.expectIdent()
-	p.ExpectPunct("{")
+	p.Expect("{")
 	st := &ParserState{Name: name.text, Pos: name.pos}
-	for !p.atPunct("}") {
-		if p.atKeyword("transition") {
+	for !p.Accept("}") {
+		if p.at("transition") {
 			st.Transition = p.parseTransition()
 			continue
 		}
 		st.Body = append(st.Body, p.parseStmt())
 	}
-	p.advance()
 	if st.Transition == nil {
 		failParse(st.Pos, "parser state %q has no transition", st.Name)
 	}
@@ -409,31 +374,28 @@ func (p *Scanner) parseParserState() *ParserState {
 func (p *Scanner) parseTransition() *Transition {
 	pos := p.advance().pos // "transition"
 	tr := &Transition{Pos: pos}
-	if !p.atKeyword("select") {
+	if !p.Accept("select") {
 		tr.Default = p.expectIdentSemi().text
 		return tr
 	}
-	p.advance()
 	p.parenList(func() { tr.Select = append(tr.Select, p.parseFieldRef()) })
-	p.ExpectPunct("{")
-	for !p.atPunct("}") {
-		if p.atKeyword("default") {
-			p.advance()
-			p.ExpectPunct(":")
+	p.Expect("{")
+	for !p.Accept("}") {
+		if p.Accept("default") {
+			p.Expect(":")
 			tr.Default = p.expectIdentSemi().text
 			continue
 		}
 		var vals []uint64
-		if p.atPunct("(") {
+		if p.at("(") {
 			p.parenList(func() { vals = append(vals, p.ExpectNumber()) })
 		} else {
 			vals = []uint64{p.ExpectNumber()}
 		}
-		p.ExpectPunct(":")
+		p.Expect(":")
 		next := p.expectIdentSemi()
 		tr.Cases = append(tr.Cases, &TransitionCase{Values: vals, Next: next.text, Pos: next.pos})
 	}
-	p.advance() // }
 	if tr.Default == "" {
 		tr.Default = "reject"
 	}
@@ -443,10 +405,10 @@ func (p *Scanner) parseTransition() *Transition {
 func (p *Scanner) parsePipeline() *PipelineDecl {
 	pos := p.advance().pos // "pipeline"
 	d := &PipelineDecl{Name: p.expectIdent().text, Pos: pos, Kind: Ingress}
-	p.ExpectPunct("{")
-	for !p.atPunct("}") {
+	p.Expect("{")
+	for !p.Accept("}") {
 		kw := p.expectIdent()
-		p.ExpectPunct("=")
+		p.Expect("=")
 		val := p.expectIdentSemi()
 		switch kw.text {
 		case "parser":
@@ -468,52 +430,47 @@ func (p *Scanner) parsePipeline() *PipelineDecl {
 			failParse(kw.pos, "unknown pipeline property %q", kw.text)
 		}
 	}
-	p.advance()
 	return d
 }
 
 func (p *Scanner) parseTopology() *Topology {
 	pos := p.advance().pos // "topology"
-	p.ExpectPunct("{")
+	p.Expect("{")
 	t := &Topology{Pos: pos}
-	for !p.atPunct("}") {
-		if p.atKeyword("entry") {
-			p.advance()
+	for !p.Accept("}") {
+		if p.Accept("entry") {
 			t.Entries = append(t.Entries, p.expectIdentSemi().text)
 			continue
 		}
 		from := p.expectIdent()
-		p.ExpectPunct("->")
+		p.Expect("->")
 		edge := &TopoEdge{From: from.text, To: p.expectIdent().text, Pos: from.pos}
-		if p.atKeyword("when") {
-			p.advance()
+		if p.Accept("when") {
 			edge.Guard = p.Expr()
 		}
-		p.ExpectPunct(";")
+		p.Expect(";")
 		t.Edges = append(t.Edges, edge)
 	}
-	p.advance()
 	return t
 }
 
 // --- Statements ---
 
 func (p *Scanner) parseBlock() []Stmt {
-	p.ExpectPunct("{")
+	p.Expect("{")
 	var out []Stmt
-	for !p.atPunct("}") {
+	for !p.Accept("}") {
 		out = append(out, p.parseStmt())
 	}
-	p.advance()
 	return out
 }
 
 // parseHeaderArg parses the "(header);" that ends extract, setValid and
 // setInvalid.
 func (p *Scanner) parseHeaderArg() string {
-	p.ExpectPunct("(")
+	p.Expect("(")
 	h := p.expectIdent()
-	p.ExpectPunct(")", ";")
+	p.Expect(")", ";")
 	return h.text
 }
 
@@ -536,102 +493,95 @@ func (p *Scanner) parseStmt() Stmt {
 		// CallStmt that the typechecker resolves, so a user action may
 		// take the name.
 		p.advance()
-		p.ExpectPunct("(", ")", ";")
+		p.Expect("(", ")", ";")
 		return &DropStmt{Pos: t.pos}
 	case "hash":
 		p.advance()
-		p.ExpectPunct("(")
+		p.Expect("(")
 		h := &HashStmt{Dest: p.parseFieldRef(), Pos: t.pos}
-		for p.atPunct(",") {
-			p.advance()
+		for p.Accept(",") {
 			h.Inputs = append(h.Inputs, p.Expr())
 		}
-		p.ExpectPunct(")", ";")
+		p.Expect(")", ";")
 		return h
 	case "update_checksum":
 		p.advance()
-		p.ExpectPunct("(")
+		p.Expect("(")
 		cs := &ChecksumStmt{Header: p.expectIdent().text, Field: "checksum", Pos: t.pos}
-		if p.atPunct(",") {
-			p.advance()
+		if p.Accept(",") {
 			cs.Field = p.expectIdent().text
 		}
-		p.ExpectPunct(")", ";")
+		p.Expect(")", ";")
 		return cs
 	case "reg_write":
 		p.advance()
-		p.ExpectPunct("(")
+		p.Expect("(")
 		reg := p.expectIdent()
-		p.ExpectPunct(",")
+		p.Expect(",")
 		idx := p.ExpectNumber()
-		p.ExpectPunct(",")
+		p.Expect(",")
 		val := p.Expr()
-		p.ExpectPunct(")", ";")
+		p.Expect(")", ";")
 		return &RegWriteStmt{Reg: reg.text, Index: int(idx), Value: val, Pos: t.pos}
 	}
 
 	// Table apply: ident.apply();
-	if p.peekIsApply() {
+	if p.ahead(".", "apply", "(") {
 		name := p.advance()
 		p.advance() // .
 		p.advance() // apply
-		p.ExpectPunct("(", ")", ";")
+		p.Expect("(", ")", ";")
 		return &ApplyStmt{Table: name.text, Pos: name.pos}
 	}
 
 	// Assignment, reg_read assignment, or action call.
 	ref := p.parseFieldRef()
-	if p.atPunct("=") {
-		p.advance()
+	if p.Accept("=") {
 		// reg_read special form: lhs = reg_read(reg, idx);
-		if p.atKeyword("reg_read") {
-			p.advance()
-			p.ExpectPunct("(")
+		if p.Accept("reg_read") {
+			p.Expect("(")
 			reg := p.expectIdent()
-			p.ExpectPunct(",")
+			p.Expect(",")
 			idx := p.ExpectNumber()
-			p.ExpectPunct(")", ";")
+			p.Expect(")", ";")
 			return &RegReadStmt{Dest: ref, Reg: reg.text, Index: int(idx), Pos: t.pos}
 		}
 		rhs := p.Expr()
-		p.ExpectPunct(";")
+		p.Expect(";")
 		return &AssignStmt{LHS: ref, RHS: rhs, Pos: t.pos}
 	}
-	if p.atPunct("(") && len(ref.Parts) == 1 {
+	if p.at("(") && len(ref.Parts) == 1 {
 		// Direct action call: name(args);
 		call := &ActionCall{Name: ref.Parts[0], Pos: ref.Pos, Args: p.parseArgs()}
-		p.ExpectPunct(";")
+		p.Expect(";")
 		return &CallStmt{Call: call, Pos: ref.Pos}
 	}
 	failParse(t.pos, "expected '=' or call after %s", ref)
 	return nil
 }
 
-// peekIsApply reports whether the upcoming tokens are `ident . apply (`.
-func (p *Scanner) peekIsApply() bool {
-	if p.cur().kind != tokIdent {
+// ahead reports whether the current token is an identifier and the
+// tokens after it read texts, as `ident . apply (` does.
+func (p *Scanner) ahead(texts ...string) bool {
+	if p.cur().kind != tokIdent || p.i+len(texts) >= len(p.toks) {
 		return false
 	}
-	if p.i+3 >= len(p.toks) {
-		return false
+	for k, s := range texts {
+		if p.toks[p.i+1+k].text != s {
+			return false
+		}
 	}
-	dot := p.toks[p.i+1]
-	ap := p.toks[p.i+2]
-	par := p.toks[p.i+3]
-	return dot.kind == tokPunct && dot.text == "." &&
-		ap.kind == tokIdent && ap.text == "apply" &&
-		par.kind == tokPunct && par.text == "("
+	return true
 }
 
 func (p *Scanner) parseIf() Stmt {
 	pos := p.advance().pos // "if"
-	p.ExpectPunct("(")
+	p.Expect("(")
 	cond := p.Expr()
-	p.ExpectPunct(")")
+	p.Expect(")")
 	st := &IfStmt{Cond: cond, Then: p.parseBlock(), Pos: pos}
-	if p.atKeyword("else") {
-		p.advance()
-		if p.atKeyword("if") {
+	if p.Accept("else") {
+		if p.at("if") {
 			st.Else = []Stmt{p.parseIf()}
 		} else {
 			st.Else = p.parseBlock()
@@ -699,7 +649,7 @@ func (p *Scanner) parseBinary(minPrec int) Expr {
 }
 
 func (p *Scanner) parseUnary() Expr {
-	if p.atPunct("!") || p.atPunct("~") {
+	if p.at("!") || p.at("~") {
 		t := p.advance()
 		return &NotExpr{X: p.parseUnary(), Pos: t.pos}
 	}
@@ -712,38 +662,27 @@ func (p *Scanner) parsePrimary() Expr {
 	case t.kind == tokNumber:
 		p.advance()
 		return &NumberExpr{Val: t.val, Pos: t.pos}
-	case p.peekIsIsValid():
+	case p.ahead(".", "isValid"):
 		p.advance()
 		p.advance() // .
 		p.advance() // isValid
-		p.ExpectPunct("(", ")")
+		p.Expect("(", ")")
 		return &IsValidExpr{Header: t.text, Pos: t.pos}
 	case t.kind == tokIdent:
 		return p.parseFieldRef()
-	case p.atPunct("("):
-		p.advance()
+	case p.Accept("("):
 		e := p.Expr()
-		p.ExpectPunct(")")
+		p.Expect(")")
 		return e
 	}
 	failParse(t.pos, "expected expression, found %s", t)
 	return nil
 }
 
-// peekIsIsValid reports whether the upcoming tokens are `ident . isValid`.
-func (p *Scanner) peekIsIsValid() bool {
-	if p.cur().kind != tokIdent || p.i+2 >= len(p.toks) {
-		return false
-	}
-	dot := p.toks[p.i+1]
-	iv := p.toks[p.i+2]
-	return dot.kind == tokPunct && dot.text == "." && iv.kind == tokIdent && iv.text == "isValid"
-}
-
 func (p *Scanner) parseFieldRef() *FieldRef {
 	first := p.expectIdent()
 	ref := &FieldRef{Parts: []string{first.text}, Pos: first.pos}
-	for p.atPunct(".") {
+	for p.at(".") {
 		// Do not swallow ".apply" / ".isValid" — handled by callers.
 		nxt := p.peek()
 		if nxt.kind == tokIdent && (nxt.text == "apply" || nxt.text == "isValid") {

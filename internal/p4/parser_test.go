@@ -135,7 +135,7 @@ pipeline p { control = c; }
 }
 
 func TestParseHexLiteral(t *testing.T) {
-	toks := lexAll("", "0x0800 0xdead 42", false)
+	toks := lexAll("", "0x0800 0xdead 42")
 	if toks[0].val != 0x0800 || toks[1].val != 0xdead || toks[2].val != 42 {
 		t.Errorf("lexed values: %v %v %v", toks[0].val, toks[1].val, toks[2].val)
 	}
@@ -149,20 +149,20 @@ func TestLexRejectsOverflow(t *testing.T) {
 		{"meta.a == 0x1ffffffffffffffff", "1:11: hex literal does not fit in 64 bits"},
 		{"meta.a == 99999999999999999999.1.1.1", "1:11: decimal literal does not fit in 64 bits"},
 	} {
-		_, err := ParseExpr(tc.src)
+		err := Scan("", tc.src, func(p *Scanner) { p.Expr() })
 		var pe *ParseError
 		if !errors.As(err, &pe) || err.Error() != tc.want {
-			t.Errorf("ParseExpr(%q) = %v, want %q", tc.src, err, tc.want)
+			t.Errorf("Scan(%q) = %v, want %q", tc.src, err, tc.want)
 		}
 	}
-	toks := lexAll("", "18446744073709551615 0xffffffffffffffff 0x0000000000000000001", false)
+	toks := lexAll("", "18446744073709551615 0xffffffffffffffff 0x0000000000000000001")
 	if toks[0].val != math.MaxUint64 || toks[1].val != math.MaxUint64 || toks[2].val != 1 {
 		t.Errorf("lexed values: %v %v %v", toks[0].val, toks[1].val, toks[2].val)
 	}
 }
 
 func TestLexComments(t *testing.T) {
-	toks := lexAll("", "a // line comment\n b /* block\ncomment */ c", false)
+	toks := lexAll("", "a // line comment\n b # hash comment\n /* block\ncomment */ c")
 	if len(toks) != 4 { // a b c EOF
 		t.Fatalf("got %d tokens: %v", len(toks), toks)
 	}

@@ -31,26 +31,24 @@ func ParseFile(path string) (*Set, error) {
 	return parse(path, string(src))
 }
 
-func parse(path, src string) (*Set, error) {
-	set := NewSet()
-	err := p4.Scan(path, src, func(r *p4.Scanner) {
+func parse(path, src string) (set *Set, err error) {
+	err = p4.Scan(path, src, func(r *p4.Scanner) {
+		s := NewSet()
 		for !r.AtEOF() {
 			open := r.Pos()
-			r.ExpectKeyword("table")
+			r.Expect("table")
 			table := r.Name()
-			r.ExpectPunct("{")
+			r.Expect("{")
 			for !r.Accept("}") {
 				if r.AtEOF() {
 					r.Failf(open, "unterminated table %s", table)
 				}
-				set.Add(table, readEntry(r))
+				s.Add(table, readEntry(r))
 			}
 		}
+		set = s
 	})
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
+	return set, err
 }
 
 // MustParse parses src, panicking on error (test helper).
@@ -71,7 +69,7 @@ func readEntry(r *p4.Scanner) *Entry {
 		for r.Accept(".") {
 			field += "." + r.Name()
 		}
-		r.ExpectPunct("=")
+		r.Expect("=")
 		if field == "priority" {
 			neg := !r.Accept("+") && r.Accept("-")
 			p := r.ExpectNumber()
@@ -86,10 +84,10 @@ func readEntry(r *p4.Scanner) *Entry {
 		e.Matches = append(e.Matches, readMatch(r, field))
 	}
 	e.Action = r.Name()
-	r.ExpectPunct("(")
+	r.Expect("(")
 	for !r.Accept(")") {
 		if len(e.Args) > 0 {
-			r.ExpectPunct(",")
+			r.Expect(",")
 		}
 		e.Args = append(e.Args, r.ExpectNumber())
 	}

@@ -79,34 +79,26 @@ func ParseFile(path string) ([]*Spec, error) {
 	return parse(path, string(src))
 }
 
-// ParseOne reads exactly one spec.
-func ParseOne(src string) (*Spec, error) {
-	specs, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(specs) != 1 {
-		return nil, fmt.Errorf("spec: expected exactly one spec, got %d", len(specs))
-	}
-	return specs[0], nil
-}
-
-// MustParseOne parses one spec, panicking on error.
+// MustParseOne parses a text holding exactly one spec, panicking
+// otherwise.
 func MustParseOne(src string) *Spec {
-	s, err := ParseOne(src)
+	specs, err := Parse(src)
+	if err == nil && len(specs) != 1 {
+		err = fmt.Errorf("spec: expected exactly one spec, got %d", len(specs))
+	}
 	if err != nil {
 		panic(err)
 	}
-	return s
+	return specs[0]
 }
 
 func parse(path, src string) (specs []*Spec, err error) {
 	err = p4.Scan(path, src, func(r *p4.Scanner) {
 		for !r.AtEOF() {
 			open := r.Pos()
-			r.ExpectKeyword("spec")
+			r.Expect("spec")
 			s := &Spec{Name: r.Name()}
-			r.ExpectPunct("{")
+			r.Expect("{")
 			for ended := true; !r.Accept("}"); ended = r.Accept(";") {
 				switch {
 				case r.Accept("assume"):
@@ -134,8 +126,7 @@ func parse(path, src string) (specs []*Spec, err error) {
 // valid(header), invalid(header) or a condition.
 func readExpect(r *p4.Scanner) Expectation {
 	from := r.Mark()
-	cond := r.Expr()
-	e := Expectation{Kind: ExpectField, Cond: cond}
+	e := Expectation{Kind: ExpectField, Cond: r.Expr()}
 	switch word := r.Text(from); {
 	case word == "forwarded":
 		e = Expectation{Kind: ExpectForwarded}
@@ -146,7 +137,7 @@ func readExpect(r *p4.Scanner) Expectation {
 		if word == "invalid" {
 			e.Kind = ExpectInvalid
 		}
-		r.ExpectPunct(")")
+		r.Expect(")")
 	}
 	e.Text = r.Text(from)
 	return e
