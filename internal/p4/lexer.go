@@ -144,7 +144,7 @@ func (l *lexer) next() token {
 	}
 
 	for _, p := range multiPunct {
-		if strings.HasPrefix(l.src[l.off:], p) {
+		if p[0] == c && strings.HasPrefix(l.src[l.off:], p) {
 			for range p {
 				l.advance()
 			}
@@ -242,7 +242,7 @@ func hexVal(c byte) int {
 // token.
 func lexAll(path, src string) []token {
 	l := &lexer{path: path, src: src, line: 1, col: 1}
-	var out []token
+	out := make([]token, 0, len(src)/3+1) // sources run 4 to 4.5 bytes a token
 	for {
 		t := l.next()
 		out = append(out, t)
