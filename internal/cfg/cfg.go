@@ -84,7 +84,7 @@ type Node struct {
 	// retire. Nil for nodes that do not depend on any table rule.
 	Deps []string
 
-	// content caches the node's content hash (ContentHash).
+	// content caches the node's content hash (Graph.ContentHash).
 	content uint64
 }
 
@@ -145,10 +145,6 @@ func (g *Graph) contentHash(n *Node) uint64 {
 	g.scratch = buf
 	return h
 }
-
-// ContentHash returns the node's content hash (see Graph.contentHash). It is
-// computed once at node creation and safe for concurrent readers.
-func (n *Node) ContentHash() uint64 { return n.content }
 
 // StmtString renders the node's statement in the paper's syntax.
 func (n *Node) StmtString() string {

@@ -35,10 +35,10 @@ func TestContentHashPositionIndependent(t *testing.T) {
 	if p1.ID == p2.ID || a1.ID == a2.ID {
 		t.Fatal("test setup failed to shift node IDs")
 	}
-	if p1.ContentHash() != p2.ContentHash() {
+	if p1.content != p2.content {
 		t.Error("predicate content hash depends on node ID or pipeline/comment")
 	}
-	if a1.ContentHash() != a2.ContentHash() {
+	if a1.content != a2.content {
 		t.Error("action content hash depends on node ID or pipeline/comment")
 	}
 }
@@ -49,10 +49,10 @@ func TestContentHashDistinguishesContent(t *testing.T) {
 	g := NewGraph()
 	hs := map[uint64]string{}
 	add := func(name string, n *Node) {
-		if prev, dup := hs[n.ContentHash()]; dup {
+		if prev, dup := hs[n.content]; dup {
 			t.Errorf("content hash collision: %s vs %s", prev, name)
 		}
-		hs[n.ContentHash()] = name
+		hs[n.content] = name
 	}
 	add("pred f==5", g.AddPredicate(pred(5), "ig", ""))
 	add("pred f==6", g.AddPredicate(pred(6), "ig", ""))
@@ -77,14 +77,14 @@ func TestContentHashHashNodeFoldsID(t *testing.T) {
 	if h1.ID == h2.ID {
 		t.Fatal("test setup failed to shift node IDs")
 	}
-	if h1.ContentHash() == h2.ContentHash() {
+	if h1.content == h2.content {
 		t.Error("hash-node content hash must fold in the node ID")
 	}
 	// Same graph position, same statement: stable.
 	g3 := NewGraph()
 	g3.AddPredicate(pred(1), "ig", "padding")
 	h3 := g3.AddHash("h", 16, in, "ig", "")
-	if h2.ContentHash() != h3.ContentHash() {
+	if h2.content != h3.content {
 		t.Error("hash-node content hash not reproducible across rebuilds")
 	}
 }

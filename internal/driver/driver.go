@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"math"
@@ -677,20 +676,6 @@ func doubled(d time.Duration) time.Duration {
 		return math.MaxInt64
 	}
 	return 2 * d
-}
-
-// wireID extracts the payload ID from a raw capture without a full parse:
-// Marshal appends the payload last, so a well-formed test capture ends in
-// the 12-byte magic+ID trailer.
-func wireID(wire []byte) (uint64, bool) {
-	if len(wire) < 12 {
-		return 0, false
-	}
-	tail := wire[len(wire)-12:]
-	if binary.BigEndian.Uint32(tail[:4]) != packet.Magic {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(tail[4:12]), true
 }
 
 // SpecApplies evaluates a spec's assume clauses against the input packet.

@@ -208,8 +208,7 @@ spec typo {
 	if _, err := d.RunTemplates(templates); err == nil || !strings.Contains(err.Error(), "spec typo") {
 		t.Fatalf("RunTemplates err = %v, want one naming spec typo", err)
 	}
-	in := &packet.Packet{}
-	in.SetField("ipv4", "protocol", 6)
+	in := &packet.Packet{Headers: []packet.Header{{Name: "ipv4", Fields: map[string]uint64{"protocol": 6}}}}
 	if d.SpecApplies(sp, in) {
 		t.Error("an untranslatable spec applies")
 	}
@@ -228,10 +227,8 @@ spec only_tcp {
 }
 `)
 	d := New(prog, g, nil, []*spec.Spec{sp})
-	tcpIn := &packet.Packet{}
-	tcpIn.SetField("ipv4", "protocol", 6)
-	udpIn := &packet.Packet{}
-	udpIn.SetField("ipv4", "protocol", 17)
+	tcpIn := &packet.Packet{Headers: []packet.Header{{Name: "ipv4", Fields: map[string]uint64{"protocol": 6}}}}
+	udpIn := &packet.Packet{Headers: []packet.Header{{Name: "ipv4", Fields: map[string]uint64{"protocol": 17}}}}
 	if !d.SpecApplies(sp, tcpIn) {
 		t.Error("spec should apply to TCP input")
 	}

@@ -459,9 +459,11 @@ func (eng *engine) drain(timeout time.Duration) bool {
 // case (the paper's sender/receiver correlation) or are dropped as stale.
 // Unidentifiable captures are charged to the oldest open window; the
 // checker decides what they mean. The capture is decoded into the drain's
-// arena and waits in eng.routed for the drain's check stage.
+// arena and waits in eng.routed for the drain's check stage. Marshal puts
+// the payload last, so a test capture's ID is its last 12 bytes' and no
+// parse is needed to route it.
 func (eng *engine) route(wire []byte) {
-	id, ok := wireID(wire)
+	id, ok := packet.PayloadID(wire[max(len(wire)-12, 0):])
 	var pc *pcase
 	if ok {
 		pc = eng.idMap[id]

@@ -23,7 +23,7 @@ import (
 // Its checker is the one the product ran before it checked slots: it
 // parses each capture into a Packet and compares field maps. It is the
 // oracle the engine's reports are compared with at every window; it
-// shares with the product only Concretize, Parse, SpecApplies, wireID,
+// shares with the product only Concretize, Parse, SpecApplies, PayloadID,
 // caseBudget and the clock (clockOf, nextDelivery). Only tests build one.
 type lockstep struct {
 	d *Driver
@@ -252,7 +252,7 @@ func (l *lockstep) recvMatching(id uint64, deadline time.Time) ([]byte, bool, er
 			continue
 		}
 		wire := slices.Clone(l.buf[:n])
-		got2, ok2 := wireID(wire)
+		got2, ok2 := packet.PayloadID(wire[max(len(wire)-12, 0):])
 		if !ok2 || got2 == id {
 			return wire, true, nil
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/hashfn"
 	"repro/internal/p4"
+	"repro/internal/packet"
 	"repro/internal/rules"
 	"repro/internal/switchsim"
 	"repro/internal/sym"
@@ -170,8 +171,8 @@ func TestRetryAssignsFreshIDs(t *testing.T) {
 	if len(fl.sent) != 2 {
 		t.Fatalf("transmissions = %d, want 2", len(fl.sent))
 	}
-	id0, ok0 := wireID(fl.sent[0])
-	id1, ok1 := wireID(fl.sent[1])
+	id0, ok0 := packet.PayloadID(fl.sent[0][max(len(fl.sent[0])-12, 0):])
+	id1, ok1 := packet.PayloadID(fl.sent[1][max(len(fl.sent[1])-12, 0):])
 	if !ok0 || !ok1 || id0 == id1 {
 		t.Errorf("retransmission reused payload ID: %d vs %d", id0, id1)
 	}
@@ -243,7 +244,7 @@ func TestSkippedCasesRecorded(t *testing.T) {
 		}
 	}
 	pinned := template(expr.Eq(expr.V(v, 16), expr.C(computed+1, 16)))
-	admits := template(expr.Ne(expr.V(v, 16), expr.C(computed+2, 16)))
+	admits := template(expr.Cmp{Op: expr.CmpNe, L: expr.V(v, 16), R: expr.C(computed+2, 16)})
 	rep, err := d.RunTemplates([]*sym.Template{pinned, admits})
 	if err != nil {
 		t.Fatal(err)

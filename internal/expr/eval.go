@@ -89,73 +89,6 @@ func EvalBool(b Bool, s State) (bool, error) {
 	return false, fmt.Errorf("expr: unknown boolean expression %T", b)
 }
 
-// EvalArithOK is EvalArith without the error value: ok is false when a
-// referenced variable is unbound or the expression shape is unknown.
-// The solver's backtracking search evaluates constraints against partial
-// assignments millions of times per run, where building an ErrUnbound
-// interface value per miss would dominate the allocation profile.
-func EvalArithOK(a Arith, s State) (uint64, bool) {
-	switch t := a.(type) {
-	case Const:
-		return t.Val, true
-	case Ref:
-		v, ok := s[t.Var]
-		if !ok {
-			return 0, false
-		}
-		return t.W.Trunc(v), true
-	case Bin:
-		l, ok := EvalArithOK(t.L, s)
-		if !ok {
-			return 0, false
-		}
-		r, ok := EvalArithOK(t.R, s)
-		if !ok {
-			return 0, false
-		}
-		return t.Op.Apply(l, r, t.Width()), true
-	}
-	return 0, false
-}
-
-// EvalBoolOK is EvalBool without the error value; see EvalArithOK.
-func EvalBoolOK(b Bool, s State) (bool, bool) {
-	switch t := b.(type) {
-	case BoolConst:
-		return bool(t), true
-	case Cmp:
-		l, ok := EvalArithOK(t.L, s)
-		if !ok {
-			return false, false
-		}
-		r, ok := EvalArithOK(t.R, s)
-		if !ok {
-			return false, false
-		}
-		return t.Op.Apply(l, r), true
-	case Logic:
-		l, ok := EvalBoolOK(t.L, s)
-		if !ok {
-			return false, false
-		}
-		// Short-circuit to match the sequential evaluation semantics.
-		if t.Op == LAnd && !l {
-			return false, true
-		}
-		if t.Op == LOr && l {
-			return true, true
-		}
-		return EvalBoolOK(t.R, s)
-	case Not:
-		v, ok := EvalBoolOK(t.X, s)
-		if !ok {
-			return false, false
-		}
-		return !v, true
-	}
-	return false, false
-}
-
 // Subst is a symbolic value stack: a mapping from header fields to
 // arithmetic expressions (V in §3.2 of the paper).
 type Subst map[Var]Arith
@@ -238,14 +171,16 @@ type SlotState struct {
 	Set []bool
 }
 
-// EvalArith is EvalArithOK over a slot state; refs is a's RefSlotsArith
-// list.
+// EvalArith is the package-level EvalArith over a slot state, with ok
+// false where that one fails on an unbound variable; refs is a's
+// RefSlotsArith list.
 func (s *SlotState) EvalArith(a Arith, refs []int32) (uint64, bool) {
 	v, _, ok := s.evalArith(a, refs)
 	return v, ok
 }
 
-// EvalBool is EvalBoolOK over a slot state; refs is b's RefSlotsBool list.
+// EvalBool is the package-level EvalBool over a slot state, with ok false
+// where that one fails; refs is b's RefSlotsBool list.
 func (s *SlotState) EvalBool(b Bool, refs []int32) (val, ok bool) {
 	val, _, ok = s.evalBool(b, refs)
 	return val, ok
@@ -282,7 +217,7 @@ func (s *SlotState) evalBool(b Bool, refs []int32) (bool, []int32, bool) {
 		l, refs, lok := s.evalBool(t.L, refs)
 		r, refs, rok := s.evalBool(t.R, refs)
 		// The right operand is consulted only where sequential evaluation
-		// reaches it, as in EvalBoolOK.
+		// reaches it, as in EvalBool.
 		switch {
 		case !lok:
 			return false, refs, false

@@ -42,9 +42,6 @@ func (v Var) IsAux() bool { return strings.HasPrefix(string(v), "@") }
 // entry.
 func (v Var) Aux() Var { return Var("@" + string(v)) }
 
-// Base strips the auxiliary marker, if any.
-func (v Var) Base() Var { return Var(strings.TrimPrefix(string(v), "@")) }
-
 // AOp is a binary arithmetic operator.
 type AOp int
 
@@ -354,9 +351,6 @@ func AppendBool(dst []byte, b Bool) []byte {
 
 // Eq is shorthand for an equality comparison.
 func Eq(l, r Arith) Bool { return Cmp{Op: CmpEq, L: l, R: r} }
-
-// Ne is shorthand for an inequality comparison.
-func Ne(l, r Arith) Bool { return Cmp{Op: CmpNe, L: l, R: r} }
 
 // And conjoins boolean expressions, short-circuiting constants.
 func And(l, r Bool) Bool {

@@ -217,8 +217,8 @@ func TestSubstFoldsWithoutAllocating(t *testing.T) {
 }
 
 // TestSlotStateMatchesMapState: on random expressions and partial states,
-// evaluating through a Ref-slot list gives what EvalArithOK/EvalBoolOK give
-// over the equivalent map — the value and whether there is one, including
+// evaluating through a Ref-slot list gives what EvalArith/EvalBool give over
+// the equivalent map (ok exactly where they return no error) — the value and whether there is one, including
 // where an unbound variable sits behind a short-circuit — and an expression
 // equal to another hashes like it at any depth.
 func TestSlotStateMatchesMapState(t *testing.T) {
@@ -234,12 +234,14 @@ func TestSlotStateMatchesMapState(t *testing.T) {
 			}
 		}
 		a := g.arith(4)
-		wantV, wantOK := EvalArithOK(a, m)
+		wantV, err := EvalArith(a, m)
+		wantOK := err == nil
 		if got, ok := st.EvalArith(a, RefSlotsArith(nil, a, slot)); ok != wantOK || ok && got != wantV {
 			t.Fatalf("EvalArith(%s) under %v = %d, %v; want %d, %v", a, m, got, ok, wantV, wantOK)
 		}
 		b := g.boolean(4)
-		wantB, wantOK := EvalBoolOK(b, m)
+		wantB, err := EvalBool(b, m)
+		wantOK = err == nil
 		if got, ok := st.EvalBool(b, RefSlotsBool(nil, b, slot)); ok != wantOK || got != wantB {
 			t.Fatalf("EvalBool(%s) under %v = %v, %v; want %v, %v", b, m, got, ok, wantB, wantOK)
 		}

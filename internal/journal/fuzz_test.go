@@ -31,8 +31,8 @@ var fuzzSeedRecords = []Record{
 // must accept and reject exactly what the eager reference loader does,
 // stop at the same offset, and yield the same Record for every (kind,
 // key); adopting it into a new journal must reload as the same records.
-// UnmarshalRecord, which the store's reference replay decodes its frames
-// with, must read every intact frame as the reference decoder does.
+// SplitFrame and EntryOf, which the store's replay reads its frames with,
+// must read every intact frame as the reference decoder does.
 func FuzzLoad(f *testing.F) {
 	// Seeds: a well-formed journal, its torn truncations, a flipped payload
 	// byte, a header-only file, junk, a file of the earlier format, and the
@@ -77,9 +77,15 @@ func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for off := 0; ; {
 			want, n, _, wantOK := referenceDecode(data[off:])
-			got, ok := UnmarshalRecord(data[off:])
+			var got Record
+			_, fn, ok := SplitFrame(data[off:])
+			if ok {
+				var e Entry
+				e, ok = EntryOf(data[off : off+fn])
+				got = e.Record()
+			}
 			if ok != wantOK || !reflect.DeepEqual(got, want) {
-				t.Fatalf("UnmarshalRecord at offset %d: %+v %v, the reference decoder %+v %v", off, got, ok, want, wantOK)
+				t.Fatalf("SplitFrame and EntryOf at offset %d: %+v %v, the reference decoder %+v %v", off, got, ok, want, wantOK)
 			}
 			if !ok {
 				break

@@ -345,21 +345,6 @@ func ReadTable(path string, fingerprint uint64) (*Table, error) {
 	return t, err
 }
 
-// MarshalRecord returns the framed encoding of r — length prefix,
-// payload, CRC32C, dependency tags inline — as Append writes it. The
-// disk-backed verdict store's log holds its verdicts as these frames.
-func MarshalRecord(r Record) []byte { return encode(r) }
-
-// UnmarshalRecord parses one framed record produced by MarshalRecord.
-// ok=false means the bytes hold no intact record.
-func UnmarshalRecord(data []byte) (Record, bool) {
-	n, ok := parse(data)
-	if !ok {
-		return Record{}, false
-	}
-	return Entry{b: data[:n]}.Record(), true
-}
-
 // Loaded returns the number of records the run started with: recovered
 // at Open, shared or adopted.
 func (j *Journal) Loaded() int { return j.loaded }
@@ -393,7 +378,42 @@ func SortModel(m []VarVal) {
 // encode frames one record.
 func encode(r Record) []byte { return appendRecord(nil, r) }
 
-// appendRecord appends one framed record to out.
+// AppendFrame appends one frame, [u32 len][payload][u32 CRC32C], whose
+// payload is the pieces in order. Every frame of a checkpoint and of the
+// verdict store's log is one: a record's payload is its encoding.
+func AppendFrame(out []byte, pieces ...[]byte) []byte {
+	start := len(out)
+	out = append(out, 0, 0, 0, 0)
+	for _, p := range pieces {
+		out = append(out, p...)
+	}
+	return seal(out, start)
+}
+
+// seal completes the frame begun at out[start:]: its payload follows the
+// four bytes left there for its length.
+func seal(out []byte, start int) []byte {
+	payload := out[start+4:]
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+}
+
+// SplitFrame splits the first frame off data: its payload and its whole
+// length. ok=false means data begins with no intact frame: short, torn,
+// empty or failing its checksum.
+func SplitFrame(data []byte) (payload []byte, n int, ok bool) {
+	if len(data) < 8 {
+		return nil, 0, false
+	}
+	plen := int(binary.LittleEndian.Uint32(data))
+	if plen < 1 || plen > len(data)-8 {
+		return nil, 0, false
+	}
+	payload = data[4 : 4+plen]
+	return payload, 8 + plen, crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(data[4+plen:])
+}
+
+// appendRecord appends one framed record to out, encoding it in place.
 func appendRecord(out []byte, r Record) []byte {
 	// payload: kind(1) verdict(1) key(8) nmodel(2) {varlen(2) var val(8)}*
 	//          ntags(2) {table(4) tag(4)}*
@@ -414,7 +434,5 @@ func appendRecord(out []byte, r Record) []byte {
 	if r.Kind == KindHeader {
 		out = append(out, magic...)
 	}
-	payload := out[start+4:]
-	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	return seal(out, start)
 }

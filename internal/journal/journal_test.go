@@ -243,7 +243,7 @@ func TestTagsRoundTrip(t *testing.T) {
 	}
 	want := encode(Record{Kind: KindHeader, Key: 0xabc})
 	for _, r := range recs {
-		want = append(want, MarshalRecord(r)...)
+		want = append(want, encode(r)...)
 	}
 	if !bytes.Equal(data, want) {
 		t.Fatalf("the file holds %d bytes, want the header and one frame a record: %d", len(data), len(want))
@@ -271,7 +271,7 @@ func TestTagsRoundTrip(t *testing.T) {
 // is of an earlier format, whose error names the file, the format, the
 // header's offset and the way out.
 func TestForeignFrameRefused(t *testing.T) {
-	good := append(encode(Record{Kind: KindHeader, Key: 4}), MarshalRecord(Record{Kind: KindCheck, Key: 1, Verdict: Sat})...)
+	good := append(encode(Record{Kind: KindHeader, Key: 4}), encode(Record{Kind: KindCheck, Key: 1, Verdict: Sat})...)
 	// oldFile is a file of an earlier format: good's header under its magic,
 	// then a verdict whose tags are spelt out (MEISSAJ2's frame).
 	oldFile := func(m string) []byte {
@@ -288,7 +288,7 @@ func TestForeignFrameRefused(t *testing.T) {
 	}{
 		"second header": {append(append([]byte(nil), good...), encode(Record{Kind: KindHeader, Key: 4})...),
 			[]string{"kind 0", fmt.Sprint("offset ", len(good))}},
-		"tag record": {append(append([]byte(nil), good...), MarshalRecord(Record{Kind: 3, Key: 1, Verdict: Verdict(KindCheck), Tags: tagsOf("t#1")})...),
+		"tag record": {append(append([]byte(nil), good...), encode(Record{Kind: 3, Key: 1, Verdict: Verdict(KindCheck), Tags: tagsOf("t#1")})...),
 			[]string{"kind 3", fmt.Sprint("offset ", len(good))}},
 		"earlier format":  {oldFile("MEISSAJ1"), []string{"MEISSAJ1", "offset 0", "cold run"}},
 		"text-tag format": {oldFile("MEISSAJ2"), []string{"MEISSAJ2", "offset 0", "dependency tag out as text", "cold run"}},
@@ -338,7 +338,7 @@ func TestFreshTableHoldsAppendedFrames(t *testing.T) {
 			if err := j.Append(r); err != nil {
 				t.Fatal(err)
 			}
-			frames = append(frames, MarshalRecord(r))
+			frames = append(frames, encode(r))
 		}
 		j.Close()
 		fresh := j.Fresh()

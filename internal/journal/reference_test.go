@@ -9,7 +9,7 @@ import (
 // The eager loader this package had before its table kept frames: every
 // record decoded into a Record, in the frame layout of MEISSAJ3 — each
 // dependency tag its 8 bytes. It is the oracle FuzzLoad holds the frame
-// table to, and referenceDecode the one it holds UnmarshalRecord to.
+// table to, and referenceDecode the one it holds SplitFrame and EntryOf to.
 
 // referenceLoad scans data as a resumed Open did: the records by (kind,
 // key), the offset past the last intact record, and the number of

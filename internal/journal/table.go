@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"slices"
 )
@@ -306,14 +305,7 @@ func index(data []byte, fingerprint uint64) (t *Table, good, loaded int, err err
 // no intact record (empty, short, failing its checksum, or lists that
 // overrun it) — the torn-tail condition.
 func parse(data []byte) (n int, ok bool) {
-	if len(data) < minFrame {
-		return 0, false
-	}
-	n = frameLen(data)
-	if n < minFrame || len(data) < n {
-		return 0, false
-	}
-	if crc32.Checksum(data[4:n-4], crcTable) != binary.LittleEndian.Uint32(data[n-4:]) {
+	if _, n, ok = SplitFrame(data); !ok || n < minFrame {
 		return 0, false
 	}
 	_, ok = walk(data[:n])

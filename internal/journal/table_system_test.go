@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	meissa "repro"
@@ -123,11 +124,16 @@ func adoptedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, 
 	defer loaded.Close()
 	recs := loaded.Table().Records()
 
-	// What Adopt must write: the header, then each record in canonical
-	// order as Append frames it.
-	want := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})
-	for _, r := range recs {
-		want = append(want, journal.MarshalRecord(r)...)
+	// What Adopt must write: the header the load accepted, then each
+	// record's frame in canonical order.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n, _ := journal.SplitFrame(data)
+	want := slices.Clone(data[:n])
+	for _, e := range loaded.Table().Sorted() {
+		want = append(want, e.Frame()...)
 	}
 
 	same := func(name string, got *journal.Journal) {

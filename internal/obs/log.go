@@ -41,16 +41,6 @@ var (
 	logW  io.Writer = os.Stderr
 )
 
-// SetLogWriter redirects log output (tests). Returns the previous
-// writer.
-func SetLogWriter(w io.Writer) io.Writer {
-	logMu.Lock()
-	defer logMu.Unlock()
-	prev := logW
-	logW = w
-	return prev
-}
-
 // Progressf prints a progress line at LevelVerbose and above.
 func Progressf(format string, args ...any) { logf(LevelVerbose, format, args...) }
 

@@ -258,8 +258,8 @@ func TestParseReport(t *testing.T) {
 
 func TestLogLevels(t *testing.T) {
 	var buf bytes.Buffer
-	prev := SetLogWriter(&buf)
-	defer SetLogWriter(prev)
+	prev := setLogWriter(&buf)
+	defer setLogWriter(prev)
 	defer SetLogLevel(LevelNormal)
 
 	SetLogLevel(LevelNormal)
@@ -319,4 +319,13 @@ func TestServeDebug(t *testing.T) {
 			t.Fatalf("GET %s: %q missing from body", tc.path, tc.body)
 		}
 	}
+}
+
+// setLogWriter redirects log output and returns the previous writer.
+func setLogWriter(w io.Writer) io.Writer {
+	logMu.Lock()
+	defer logMu.Unlock()
+	prev := logW
+	logW = w
+	return prev
 }

@@ -3,11 +3,12 @@ package p4
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 )
 
 // tokKind enumerates token kinds.
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -16,13 +17,14 @@ const (
 	tokPunct // single- or multi-char punctuation/operator
 )
 
-// token is a lexical token.
+// token is a lexical token. It keeps its byte offset in the source and
+// no position: the Scanner derives a Pos from the offset where one is
+// reported (lines.pos).
 type token struct {
-	kind tokKind
 	text string // the source text; for a tokNumber, as written
 	val  uint64 // for tokNumber
-	pos  Pos
-	off  int // byte offset of text in the source
+	off  int32
+	kind tokKind
 }
 
 func (t token) String() string {
@@ -36,16 +38,43 @@ func (t token) String() string {
 	}
 }
 
+// lines indexes where each line of the file at path starts, so that a
+// byte offset in it gives a Pos.
+type lines struct {
+	path   string
+	starts []int32 // the offset of each line's first byte; starts[0] is 0
+}
+
+func newLines(path, src string) lines {
+	ls := lines{path: path, starts: make([]int32, 1, strings.Count(src, "\n")+1)}
+	for off := 0; ; {
+		i := strings.IndexByte(src[off:], '\n')
+		if i < 0 {
+			return ls
+		}
+		off += i + 1
+		ls.starts = append(ls.starts, int32(off))
+	}
+}
+
+// pos is the position of byte off: line and column count from 1, a column
+// in bytes.
+func (ls lines) pos(off int32) Pos {
+	line := sort.Search(len(ls.starts), func(i int) bool { return ls.starts[i] > off })
+	return Pos{Path: ls.path, Line: line, Col: int(off-ls.starts[line-1]) + 1}
+}
+
 // lexer tokenizes the source of one input file.
 type lexer struct {
 	path string
 	src  string
 	off  int
-	line int
-	col  int
 }
 
-func (l *lexer) pos() Pos { return Pos{Path: l.path, Line: l.line, Col: l.col} }
+// fail rejects the input at byte off.
+func (l *lexer) fail(off int, format string, args ...any) {
+	failParse(newLines(l.path, l.src).pos(int32(off)), format, args...)
+}
 
 // peek returns the byte n past the current one, or 0 past the end.
 func (l *lexer) peek(n int) byte {
@@ -56,15 +85,8 @@ func (l *lexer) peek(n int) byte {
 }
 
 func (l *lexer) advance() byte {
-	c := l.src[l.off]
 	l.off++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
+	return l.src[l.off-1]
 }
 
 // skipSpaceAndComments skips white space and comments: "//" or "#" to the
@@ -80,7 +102,7 @@ func (l *lexer) skipSpaceAndComments() {
 				l.advance()
 			}
 		case c == '/' && l.peek(1) == '*':
-			start := l.pos()
+			start := l.off
 			l.advance()
 			l.advance()
 			closed := false
@@ -94,7 +116,7 @@ func (l *lexer) skipSpaceAndComments() {
 				l.advance()
 			}
 			if !closed {
-				failParse(start, "unterminated block comment")
+				l.fail(start, "unterminated block comment")
 			}
 		default:
 			return
@@ -123,10 +145,9 @@ var multiPunct = []string{"&&&", "<<", ">>", "==", "!=", "<=", ">=", "&&", "||",
 // next returns the next token.
 func (l *lexer) next() token {
 	l.skipSpaceAndComments()
-	start := l.pos()
 	from := l.off
 	if from >= len(l.src) {
-		return token{kind: tokEOF, pos: start, off: from}
+		return token{kind: tokEOF, off: int32(from)}
 	}
 	c := l.peek(0)
 
@@ -134,35 +155,33 @@ func (l *lexer) next() token {
 		for l.off < len(l.src) && isIdentChar(l.peek(0)) {
 			l.advance()
 		}
-		return token{kind: tokIdent, text: l.src[from:l.off], pos: start, off: from}
+		return token{kind: tokIdent, text: l.src[from:l.off], off: int32(from)}
 	}
 
 	if isDigit(c) {
-		t := token{kind: tokNumber, val: l.lexNumber(start), pos: start, off: from}
+		t := token{kind: tokNumber, val: l.lexNumber(from), off: int32(from)}
 		t.text = l.src[from:l.off]
 		return t
 	}
 
 	for _, p := range multiPunct {
 		if p[0] == c && strings.HasPrefix(l.src[l.off:], p) {
-			for range p {
-				l.advance()
-			}
-			return token{kind: tokPunct, text: p, pos: start, off: from}
+			l.off += len(p)
+			return token{kind: tokPunct, text: p, off: int32(from)}
 		}
 	}
 	switch c {
 	case '{', '}', '(', ')', '[', ']', ';', ':', '=', ',', '.', '<', '>', '+', '-', '*', '&', '|', '^', '!', '~', '/':
 		l.advance()
-		return token{kind: tokPunct, text: l.src[from:l.off], pos: start, off: from}
+		return token{kind: tokPunct, text: l.src[from:l.off], off: int32(from)}
 	}
-	failParse(start, "unexpected character %q", c)
+	l.fail(from, "unexpected character %q", c)
 	return token{}
 }
 
 // lexNumber lexes a decimal, hex (0x...) or dotted-quad IPv4 (a.b.c.d)
 // literal and returns its value.
-func (l *lexer) lexNumber(start Pos) uint64 {
+func (l *lexer) lexNumber(start int) uint64 {
 	// Hex.
 	if l.peek(0) == '0' && (l.peek(1) == 'x' || l.peek(1) == 'X') {
 		l.advance()
@@ -171,13 +190,13 @@ func (l *lexer) lexNumber(start Pos) uint64 {
 		n := 0
 		for l.off < len(l.src) && isHexDigit(l.peek(0)) {
 			if v>>60 != 0 {
-				failParse(start, "hex literal does not fit in 64 bits")
+				l.fail(start, "hex literal does not fit in 64 bits")
 			}
 			v = v<<4 | uint64(hexVal(l.advance()))
 			n++
 		}
 		if n == 0 {
-			failParse(start, "malformed hex literal")
+			l.fail(start, "malformed hex literal")
 		}
 		return v
 	}
@@ -188,7 +207,7 @@ func (l *lexer) lexNumber(start Pos) uint64 {
 		for l.off < len(l.src) && isDigit(l.peek(0)) {
 			d := uint64(l.peek(0) - '0')
 			if v > (math.MaxUint64-d)/10 {
-				failParse(start, "decimal literal does not fit in 64 bits")
+				l.fail(start, "decimal literal does not fit in 64 bits")
 			}
 			v = v*10 + d
 			l.advance()
@@ -239,9 +258,12 @@ func hexVal(c byte) int {
 
 // lexAll tokenizes the source of the file at path (empty: none). A
 // lexical error anywhere in it rejects the input before the parser sees a
-// token.
+// token. A token's offset is 32 bits: a larger source is rejected whole.
 func lexAll(path, src string) []token {
-	l := &lexer{path: path, src: src, line: 1, col: 1}
+	if len(src) > math.MaxInt32 {
+		failParse(Pos{Path: path, Line: 1, Col: 1}, "input of %d bytes is larger than 2 GiB", len(src))
+	}
+	l := &lexer{path: path, src: src}
 	out := make([]token, 0, len(src)/3+1) // sources run 4 to 4.5 bytes a token
 	for {
 		t := l.next()

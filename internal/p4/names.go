@@ -44,12 +44,3 @@ func IsHeaderFieldVar(v expr.Var) (header, field string, ok bool) {
 	}
 	return rest[:i], rest[i+1:], true
 }
-
-// IsMetaVar splits a "meta.<field>" variable.
-func IsMetaVar(v expr.Var) (field string, ok bool) {
-	s := string(v)
-	if !strings.HasPrefix(s, "meta.") {
-		return "", false
-	}
-	return s[len("meta."):], true
-}

@@ -42,9 +42,10 @@ func catch(err *error) {
 // number syntax, one comment syntax and one error path: a rejection
 // panics with its *ParseError, and the catch in Scan returns it.
 type Scanner struct {
-	src  string
-	toks []token
-	i    int
+	src   string
+	toks  []token
+	i     int
+	lines lines // built once, for the positions the reader reports
 }
 
 // Parse parses a complete program from source text.
@@ -70,7 +71,8 @@ func parse(path, src string) (prog *Program, err error) {
 // rejection, lexical or read's own, as a *ParseError.
 func Scan(path, src string, read func(*Scanner)) (err error) {
 	defer catch(&err)
-	read(&Scanner{src: src, toks: lexAll(path, src)})
+	toks := lexAll(path, src)
+	read(&Scanner{src: src, toks: toks, lines: newLines(path, src)})
 	return nil
 }
 
@@ -99,7 +101,10 @@ func (p *Scanner) advance() token {
 func (p *Scanner) AtEOF() bool { return p.cur().kind == tokEOF }
 
 // Pos returns the position of the current token.
-func (p *Scanner) Pos() Pos { return p.cur().pos }
+func (p *Scanner) Pos() Pos { return p.pos(p.cur()) }
+
+// pos returns the position of t.
+func (p *Scanner) pos(t token) Pos { return p.lines.pos(t.off) }
 
 // at reports whether the current token is the punctuation or identifier s.
 func (p *Scanner) at(s string) bool {
@@ -121,13 +126,15 @@ func (p *Scanner) Accept(s string) bool {
 func (p *Scanner) Expect(ss ...string) {
 	for _, s := range ss {
 		if !p.Accept(s) {
-			failParse(p.cur().pos, "expected %q, found %s", s, p.cur())
+			failParse(p.Pos(), "expected %q, found %s", s, p.cur())
 		}
 	}
 }
 
-// Failf rejects the input at pos.
-func (p *Scanner) Failf(pos Pos, format string, args ...any) { failParse(pos, format, args...) }
+// Failf rejects the input at the token at mark.
+func (p *Scanner) Failf(mark int, format string, args ...any) {
+	failParse(p.pos(p.toks[mark]), format, args...)
+}
 
 // Expected rejects the current token, which is not what.
 func (p *Scanner) Expected(what string) { failParse(p.Pos(), "expected %s, found %s", what, p.cur()) }
@@ -142,13 +149,13 @@ func (p *Scanner) Text(mark int) string {
 		return ""
 	}
 	last := p.toks[p.i-1]
-	return p.src[p.toks[mark].off : last.off+len(last.text)]
+	return p.src[p.toks[mark].off : int(last.off)+len(last.text)]
 }
 
 func (p *Scanner) expectIdent() token {
 	t := p.cur()
 	if t.kind != tokIdent {
-		failParse(t.pos, "expected identifier, found %s", t)
+		failParse(p.pos(t), "expected identifier, found %s", t)
 	}
 	return p.advance()
 }
@@ -160,7 +167,7 @@ func (p *Scanner) Name() string { return p.expectIdent().text }
 func (p *Scanner) ExpectNumber() uint64 {
 	t := p.cur()
 	if t.kind != tokNumber {
-		failParse(t.pos, "expected number, found %s", t)
+		failParse(p.pos(t), "expected number, found %s", t)
 	}
 	p.advance()
 	return t.val
@@ -186,7 +193,7 @@ func (p *Scanner) parenList(elem func()) {
 		}
 	}
 	if t := p.cur(); !p.Accept(")") {
-		failParse(t.pos, `expected "," or ")", found %s`, t)
+		failParse(p.pos(t), `expected "," or ")", found %s`, t)
 	}
 }
 
@@ -199,13 +206,13 @@ func (p *Scanner) parseProgram() *Program {
 	for !p.AtEOF() {
 		t := p.cur()
 		if t.kind != tokIdent {
-			failParse(t.pos, "expected declaration, found %s", t)
+			failParse(p.pos(t), "expected declaration, found %s", t)
 		}
 		switch t.text {
 		case "header":
 			p.advance()
 			name := p.expectIdent()
-			prog.Headers = append(prog.Headers, &HeaderDecl{Name: name.text, Pos: t.pos, Fields: p.parseFields()})
+			prog.Headers = append(prog.Headers, &HeaderDecl{Name: name.text, Pos: p.pos(t), Fields: p.parseFields()})
 		case "metadata":
 			p.advance()
 			prog.Metadata = append(prog.Metadata, p.parseFields()...)
@@ -224,17 +231,17 @@ func (p *Scanner) parseProgram() *Program {
 			p.Expect("apply")
 			body := p.parseBlock()
 			p.Expect("}")
-			prog.Controls = append(prog.Controls, &ControlDecl{Name: name.text, Apply: body, Pos: t.pos})
+			prog.Controls = append(prog.Controls, &ControlDecl{Name: name.text, Apply: body, Pos: p.pos(t)})
 		case "pipeline":
 			prog.Pipelines = append(prog.Pipelines, p.parsePipeline())
 		case "topology":
 			d := p.parseTopology()
 			if prog.Topology != nil {
-				failParse(t.pos, "duplicate topology block")
+				failParse(p.pos(t), "duplicate topology block")
 			}
 			prog.Topology = d
 		default:
-			failParse(t.pos, "unknown declaration %q", t.text)
+			failParse(p.pos(t), "unknown declaration %q", t.text)
 		}
 	}
 	return prog
@@ -246,7 +253,7 @@ func (p *Scanner) parseBitType() int {
 	p.Expect("<")
 	n := p.ExpectNumber()
 	if n < 1 || n > 64 {
-		failParse(p.cur().pos, "bit width %d out of range [1,64]", n)
+		failParse(p.Pos(), "bit width %d out of range [1,64]", n)
 	}
 	p.Expect(">")
 	return int(n)
@@ -260,13 +267,13 @@ func (p *Scanner) parseFields() []*FieldDecl {
 		w := p.parseBitType()
 		fn := p.expectIdent()
 		p.Expect(";")
-		out = append(out, &FieldDecl{Name: fn.text, Width: w, Pos: fn.pos})
+		out = append(out, &FieldDecl{Name: fn.text, Width: w, Pos: p.pos(fn)})
 	}
 	return out
 }
 
 func (p *Scanner) parseRegister() *RegisterDecl {
-	pos := p.advance().pos // "register"
+	pos := p.pos(p.advance()) // "register"
 	w := p.parseBitType()
 	name := p.expectIdent()
 	p.Expect("[")
@@ -276,7 +283,7 @@ func (p *Scanner) parseRegister() *RegisterDecl {
 }
 
 func (p *Scanner) parseAction() *ActionDecl {
-	pos := p.advance().pos // "action"
+	pos := p.pos(p.advance()) // "action"
 	a := &ActionDecl{Name: p.expectIdent().text, Pos: pos}
 	p.parenList(func() {
 		w := p.parseBitType()
@@ -287,7 +294,7 @@ func (p *Scanner) parseAction() *ActionDecl {
 }
 
 func (p *Scanner) parseTable() *TableDecl {
-	pos := p.advance().pos // "table"
+	pos := p.pos(p.advance()) // "table"
 	t := &TableDecl{Name: p.expectIdent().text, Pos: pos}
 	p.Expect("{")
 	for !p.Accept("}") {
@@ -306,7 +313,7 @@ func (p *Scanner) parseTable() *TableDecl {
 					}
 				}
 				if kind < 0 {
-					failParse(mk.pos, "unknown match kind %q", mk.text)
+					failParse(p.pos(mk), "unknown match kind %q", mk.text)
 				}
 				p.Expect(";")
 				t.Keys = append(t.Keys, &TableKey{Field: ref, Match: kind})
@@ -323,14 +330,14 @@ func (p *Scanner) parseTable() *TableDecl {
 		case "default_action":
 			p.Expect("=")
 			name := p.expectIdent()
-			t.DefaultAction = &ActionCall{Name: name.text, Pos: name.pos, Args: p.parseArgs()}
+			t.DefaultAction = &ActionCall{Name: name.text, Pos: p.pos(name), Args: p.parseArgs()}
 			p.Expect(";")
 		case "size":
 			p.Expect("=")
 			t.Size = int(p.ExpectNumber())
 			p.Expect(";")
 		default:
-			failParse(kw.pos, "unknown table property %q", kw.text)
+			failParse(p.pos(kw), "unknown table property %q", kw.text)
 		}
 	}
 	return t
@@ -344,7 +351,7 @@ func (p *Scanner) parseArgs() []Expr {
 }
 
 func (p *Scanner) parseParser() *ParserDecl {
-	pos := p.advance().pos // "parser"
+	pos := p.pos(p.advance()) // "parser"
 	d := &ParserDecl{Name: p.expectIdent().text, Pos: pos}
 	p.Expect("{")
 	for !p.Accept("}") {
@@ -357,7 +364,7 @@ func (p *Scanner) parseParserState() *ParserState {
 	p.Expect("state")
 	name := p.expectIdent()
 	p.Expect("{")
-	st := &ParserState{Name: name.text, Pos: name.pos}
+	st := &ParserState{Name: name.text, Pos: p.pos(name)}
 	for !p.Accept("}") {
 		if p.at("transition") {
 			st.Transition = p.parseTransition()
@@ -372,7 +379,7 @@ func (p *Scanner) parseParserState() *ParserState {
 }
 
 func (p *Scanner) parseTransition() *Transition {
-	pos := p.advance().pos // "transition"
+	pos := p.pos(p.advance()) // "transition"
 	tr := &Transition{Pos: pos}
 	if !p.Accept("select") {
 		tr.Default = p.expectIdentSemi().text
@@ -394,7 +401,7 @@ func (p *Scanner) parseTransition() *Transition {
 		}
 		p.Expect(":")
 		next := p.expectIdentSemi()
-		tr.Cases = append(tr.Cases, &TransitionCase{Values: vals, Next: next.text, Pos: next.pos})
+		tr.Cases = append(tr.Cases, &TransitionCase{Values: vals, Next: next.text, Pos: p.pos(next)})
 	}
 	if tr.Default == "" {
 		tr.Default = "reject"
@@ -403,7 +410,7 @@ func (p *Scanner) parseTransition() *Transition {
 }
 
 func (p *Scanner) parsePipeline() *PipelineDecl {
-	pos := p.advance().pos // "pipeline"
+	pos := p.pos(p.advance()) // "pipeline"
 	d := &PipelineDecl{Name: p.expectIdent().text, Pos: pos, Kind: Ingress}
 	p.Expect("{")
 	for !p.Accept("}") {
@@ -422,19 +429,19 @@ func (p *Scanner) parsePipeline() *PipelineDecl {
 			case "egress":
 				d.Kind = Egress
 			default:
-				failParse(val.pos, "unknown pipeline kind %q", val.text)
+				failParse(p.pos(val), "unknown pipeline kind %q", val.text)
 			}
 		case "switch":
 			d.Switch = val.text
 		default:
-			failParse(kw.pos, "unknown pipeline property %q", kw.text)
+			failParse(p.pos(kw), "unknown pipeline property %q", kw.text)
 		}
 	}
 	return d
 }
 
 func (p *Scanner) parseTopology() *Topology {
-	pos := p.advance().pos // "topology"
+	pos := p.pos(p.advance()) // "topology"
 	p.Expect("{")
 	t := &Topology{Pos: pos}
 	for !p.Accept("}") {
@@ -444,7 +451,7 @@ func (p *Scanner) parseTopology() *Topology {
 		}
 		from := p.expectIdent()
 		p.Expect("->")
-		edge := &TopoEdge{From: from.text, To: p.expectIdent().text, Pos: from.pos}
+		edge := &TopoEdge{From: from.text, To: p.expectIdent().text, Pos: p.pos(from)}
 		if p.Accept("when") {
 			edge.Guard = p.Expr()
 		}
@@ -477,28 +484,28 @@ func (p *Scanner) parseHeaderArg() string {
 func (p *Scanner) parseStmt() Stmt {
 	t := p.cur()
 	if t.kind != tokIdent {
-		failParse(t.pos, "expected statement, found %s", t)
+		failParse(p.pos(t), "expected statement, found %s", t)
 	}
 	switch t.text {
 	case "if":
 		return p.parseIf()
 	case "extract":
 		p.advance()
-		return &ExtractStmt{Header: p.parseHeaderArg(), Pos: t.pos}
+		return &ExtractStmt{Header: p.parseHeaderArg(), Pos: p.pos(t)}
 	case "setValid", "setInvalid":
 		p.advance()
-		return &SetValidStmt{Header: p.parseHeaderArg(), Valid: t.text == "setValid", Pos: t.pos}
+		return &SetValidStmt{Header: p.parseHeaderArg(), Valid: t.text == "setValid", Pos: p.pos(t)}
 	case "mark_drop":
 		// "mark_drop" is always the drop primitive; a bare "drop" is a
 		// CallStmt that the typechecker resolves, so a user action may
 		// take the name.
 		p.advance()
 		p.Expect("(", ")", ";")
-		return &DropStmt{Pos: t.pos}
+		return &DropStmt{Pos: p.pos(t)}
 	case "hash":
 		p.advance()
 		p.Expect("(")
-		h := &HashStmt{Dest: p.parseFieldRef(), Pos: t.pos}
+		h := &HashStmt{Dest: p.parseFieldRef(), Pos: p.pos(t)}
 		for p.Accept(",") {
 			h.Inputs = append(h.Inputs, p.Expr())
 		}
@@ -507,7 +514,7 @@ func (p *Scanner) parseStmt() Stmt {
 	case "update_checksum":
 		p.advance()
 		p.Expect("(")
-		cs := &ChecksumStmt{Header: p.expectIdent().text, Field: "checksum", Pos: t.pos}
+		cs := &ChecksumStmt{Header: p.expectIdent().text, Field: "checksum", Pos: p.pos(t)}
 		if p.Accept(",") {
 			cs.Field = p.expectIdent().text
 		}
@@ -522,7 +529,7 @@ func (p *Scanner) parseStmt() Stmt {
 		p.Expect(",")
 		val := p.Expr()
 		p.Expect(")", ";")
-		return &RegWriteStmt{Reg: reg.text, Index: int(idx), Value: val, Pos: t.pos}
+		return &RegWriteStmt{Reg: reg.text, Index: int(idx), Value: val, Pos: p.pos(t)}
 	}
 
 	// Table apply: ident.apply();
@@ -531,7 +538,7 @@ func (p *Scanner) parseStmt() Stmt {
 		p.advance() // .
 		p.advance() // apply
 		p.Expect("(", ")", ";")
-		return &ApplyStmt{Table: name.text, Pos: name.pos}
+		return &ApplyStmt{Table: name.text, Pos: p.pos(name)}
 	}
 
 	// Assignment, reg_read assignment, or action call.
@@ -544,11 +551,11 @@ func (p *Scanner) parseStmt() Stmt {
 			p.Expect(",")
 			idx := p.ExpectNumber()
 			p.Expect(")", ";")
-			return &RegReadStmt{Dest: ref, Reg: reg.text, Index: int(idx), Pos: t.pos}
+			return &RegReadStmt{Dest: ref, Reg: reg.text, Index: int(idx), Pos: p.pos(t)}
 		}
 		rhs := p.Expr()
 		p.Expect(";")
-		return &AssignStmt{LHS: ref, RHS: rhs, Pos: t.pos}
+		return &AssignStmt{LHS: ref, RHS: rhs, Pos: p.pos(t)}
 	}
 	if p.at("(") && len(ref.Parts) == 1 {
 		// Direct action call: name(args);
@@ -556,7 +563,7 @@ func (p *Scanner) parseStmt() Stmt {
 		p.Expect(";")
 		return &CallStmt{Call: call, Pos: ref.Pos}
 	}
-	failParse(t.pos, "expected '=' or call after %s", ref)
+	failParse(p.pos(t), "expected '=' or call after %s", ref)
 	return nil
 }
 
@@ -575,7 +582,7 @@ func (p *Scanner) ahead(texts ...string) bool {
 }
 
 func (p *Scanner) parseIf() Stmt {
-	pos := p.advance().pos // "if"
+	pos := p.pos(p.advance()) // "if"
 	p.Expect("(")
 	cond := p.Expr()
 	p.Expect(")")
@@ -644,14 +651,14 @@ func (p *Scanner) parseBinary(minPrec int) Expr {
 			return l
 		}
 		p.advance()
-		l = op.node(l, p.parseBinary(op.prec+1), t.pos)
+		l = op.node(l, p.parseBinary(op.prec+1), p.pos(t))
 	}
 }
 
 func (p *Scanner) parseUnary() Expr {
 	if p.at("!") || p.at("~") {
 		t := p.advance()
-		return &NotExpr{X: p.parseUnary(), Pos: t.pos}
+		return &NotExpr{X: p.parseUnary(), Pos: p.pos(t)}
 	}
 	return p.parsePrimary()
 }
@@ -661,13 +668,13 @@ func (p *Scanner) parsePrimary() Expr {
 	switch {
 	case t.kind == tokNumber:
 		p.advance()
-		return &NumberExpr{Val: t.val, Pos: t.pos}
+		return &NumberExpr{Val: t.val, Pos: p.pos(t)}
 	case p.ahead(".", "isValid"):
 		p.advance()
 		p.advance() // .
 		p.advance() // isValid
 		p.Expect("(", ")")
-		return &IsValidExpr{Header: t.text, Pos: t.pos}
+		return &IsValidExpr{Header: t.text, Pos: p.pos(t)}
 	case t.kind == tokIdent:
 		return p.parseFieldRef()
 	case p.Accept("("):
@@ -675,13 +682,13 @@ func (p *Scanner) parsePrimary() Expr {
 		p.Expect(")")
 		return e
 	}
-	failParse(t.pos, "expected expression, found %s", t)
+	failParse(p.pos(t), "expected expression, found %s", t)
 	return nil
 }
 
 func (p *Scanner) parseFieldRef() *FieldRef {
 	first := p.expectIdent()
-	ref := &FieldRef{Parts: []string{first.text}, Pos: first.pos}
+	ref := &FieldRef{Parts: []string{first.text}, Pos: p.pos(first)}
 	for p.at(".") {
 		// Do not swallow ".apply" / ".isValid" — handled by callers.
 		nxt := p.peek()

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // routerSrc is a minimal single-pipeline program exercising most syntax.
@@ -158,6 +160,33 @@ func TestLexRejectsOverflow(t *testing.T) {
 	toks := lexAll("", "18446744073709551615 0xffffffffffffffff 0x0000000000000000001")
 	if toks[0].val != math.MaxUint64 || toks[1].val != math.MaxUint64 || toks[2].val != 1 {
 		t.Errorf("lexed values: %v %v %v", toks[0].val, toks[1].val, toks[2].val)
+	}
+}
+
+// TestTokenSize: a token keeps its offset and no Pos, so the slice lexAll
+// reserves, len(src)/3+1 tokens, stays about ten times the source's size.
+func TestTokenSize(t *testing.T) {
+	if n := unsafe.Sizeof(token{}); n > 32 {
+		t.Errorf("a token is %d bytes, want at most 32", n)
+	}
+}
+
+// TestPosFromOffset: a position derived from a token's offset counts
+// lines from 1 and columns in bytes from 1, past line and block comments,
+// tabs and carriage returns.
+func TestPosFromOffset(t *testing.T) {
+	src := "a\n\tbb /* x\ny */ c\r\n\n  d // e\n"
+	var got []string
+	err := Scan("f.p4", src, func(p *Scanner) {
+		for !p.AtEOF() {
+			got = append(got, p.Pos().String())
+			p.advance()
+		}
+		got = append(got, p.Pos().String())
+	})
+	want := []string{"f.p4:1:1", "f.p4:2:2", "f.p4:3:6", "f.p4:5:3", "f.p4:6:1"}
+	if err != nil || !slices.Equal(got, want) {
+		t.Errorf("positions %v (%v), want %v", got, err, want)
 	}
 }
 
@@ -425,9 +454,6 @@ func TestNames(t *testing.T) {
 	}
 	if RegisterVar("reg", 0) != "REG:reg-POS:0" {
 		t.Errorf("RegisterVar = %s, want paper's REG:reg-POS:0 convention", RegisterVar("reg", 0))
-	}
-	if f, ok := IsMetaVar("meta.egress_port"); !ok || f != "egress_port" {
-		t.Error("IsMetaVar wrong")
 	}
 }
 

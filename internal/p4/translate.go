@@ -39,7 +39,7 @@ func (e *Env) arith(x Expr, ref func(*FieldRef) (expr.Arith, bool)) expr.Arith {
 		v := e.arith(t.X, ref)
 		return expr.Simplify(expr.Bin{Op: expr.OpXor, L: v, R: expr.C(v.Width().Mask(), v.Width())})
 	}
-	failCheck(x.ExprPos(), "expression %T is not arithmetic", x)
+	failCheck(x.ExprPos(), "%s is not arithmetic", ExprString(x))
 	return nil
 }
 
@@ -59,7 +59,7 @@ func (e *Env) boolean(x Expr, ref func(*FieldRef) (expr.Arith, bool)) expr.Bool 
 	case *IsValidExpr:
 		return expr.Eq(expr.V(ValidVar(t.Header), 1), expr.C(1, 1))
 	}
-	failCheck(x.ExprPos(), "expression %T is not boolean", x)
+	failCheck(x.ExprPos(), "%s is not a condition", ExprString(x))
 	return nil
 }
 

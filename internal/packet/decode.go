@@ -153,10 +153,6 @@ func refHeader(ref *p4.FieldRef) string {
 	return ref.Parts[0]
 }
 
-// Slots is the length of the slot vector Decode needs: the header prefix
-// of the program's p4.VarTable.
-func (dc *Decoder) Slots() int { return dc.nslots }
-
 // Decode runs the parser over a wire packet. It clears every header's
 // validity slot, then for each extract sets the header's validity bit and
 // its field slots, and appends the header's index (into Program.Headers)

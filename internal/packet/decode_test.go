@@ -131,7 +131,7 @@ func checkDecode(t *testing.T, tg decodeTarget, wire []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := make([]uint64, dc.Slots())
+	slots := make([]uint64, dc.nslots)
 	for i := range slots {
 		slots[i] = 0xdead // a previous capture's leftovers
 	}
@@ -181,7 +181,7 @@ func TestDecodeRepeatedHeader(t *testing.T) {
 	ax, _ := vt.FieldSlot("a", "x")
 	by, _ := vt.FieldSlot("b", "y")
 	wire := append([]byte{1, 7, 9, 5}, WithID(3)...)
-	slots := make([]uint64, dc.Slots())
+	slots := make([]uint64, dc.nslots)
 	order, payload, err := dc.Decode(wire, slots, nil)
 	if err != nil {
 		t.Fatal(err)

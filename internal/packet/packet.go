@@ -62,17 +62,6 @@ func (p *Packet) Field(header, field string) (uint64, bool) {
 	return 0, false
 }
 
-// SetField sets a header field value, adding the header if absent.
-func (p *Packet) SetField(header, field string, v uint64) {
-	for i := range p.Headers {
-		if p.Headers[i].Name == header {
-			p.Headers[i].Fields[field] = v
-			return
-		}
-	}
-	p.Headers = append(p.Headers, Header{Name: header, Fields: map[string]uint64{field: v}})
-}
-
 // ID extracts the unique test-packet ID from the payload, if present.
 func (p *Packet) ID() (uint64, bool) { return PayloadID(p.Payload) }
 

@@ -270,15 +270,3 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Error("Clone must not alias")
 	}
 }
-
-func TestSetField(t *testing.T) {
-	p := &Packet{}
-	p.SetField("ipv4", "ttl", 64)
-	p.SetField("ipv4", "ttl", 63)
-	if v, ok := p.Field("ipv4", "ttl"); !ok || v != 63 {
-		t.Errorf("ttl = %d %v", v, ok)
-	}
-	if len(p.Headers) != 1 {
-		t.Errorf("headers = %d", len(p.Headers))
-	}
-}

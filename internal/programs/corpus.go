@@ -1,8 +1,9 @@
 // Package programs provides the data plane program corpus of Table 1 of
 // the paper: the open-source programs (Router, mTag, ACL, switch.p4) and
 // the production-shaped gateway programs gw-1..gw-4, together with their
-// table rule sets (random for the open programs, production-shaped
-// set-1..set-4 for the gateways).
+// table rule sets: production-shaped set-1..set-4 for the gateways, and
+// for the open programs deterministic loops that use no random source
+// (§5.1 says random; DESIGN.md lists the deviation).
 //
 // The gateway generators emit real source text in the repo's P4 subset at
 // the same pipeline/switch topology as the paper (gw-1: 1 pipe / 1
@@ -102,9 +103,4 @@ func All() []*Program {
 		Router(), MTag(), ACL(), SwitchP4(),
 		GW(1, Set1), GW(2, Set2), GW(3, Set3), GW(4, Set4),
 	}
-}
-
-// Open returns the four open-source-style programs.
-func Open() []*Program {
-	return []*Program{Router(), MTag(), ACL(), SwitchP4()}
 }

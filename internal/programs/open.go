@@ -126,7 +126,6 @@ control ing {
 pipeline ingress0 { parser = prs; control = ing; }
 `
 	rs := rules.NewSet()
-	g := rules.NewGen(101)
 	const n = 12
 	for i := 1; i <= n; i++ {
 		rs.Add("ipv4_lpm", rules.PRule(24, "set_nexthop",
@@ -136,7 +135,6 @@ pipeline ingress0 { parser = prs; control = ing; }
 			[]uint64{0x020000000000 + uint64(i)},
 			rules.E("meta.nexthop", uint64(i))))
 	}
-	_ = g
 	return finish("Router",
 		"A simple router based on switch.p4 that only contains layer-3 routing.",
 		src, rs, 1, 1)

@@ -125,9 +125,6 @@ func diffTable(name string, old, new []*rules.Entry) *TableDelta {
 	return td
 }
 
-// Empty reports whether the two sets were canonically identical.
-func (d *Delta) Empty() bool { return len(d.Tables) == 0 }
-
 // ChangedTables returns the sorted names of tables with any change.
 func (d *Delta) ChangedTables() []string {
 	out := make([]string, len(d.Tables))
@@ -198,9 +195,8 @@ func (d *Delta) InvalidTags() []string {
 // Matcher compiles the tag list into a predicate over dependency tags as
 // the frames of journals and stores hold them — a journal.Tag's bytes,
 // read in place without allocating. A bare table name matches every tag of
-// that table (whole-table wipe: the tag's part before its '#', as
-// rules.TagTable cuts it), by the table's hash; a full tag matches only
-// itself, by both hashes.
+// that table (whole-table wipe: the tag's part before its '#'), by the
+// table's hash; a full tag matches only itself, by both hashes.
 //
 // Equal strings hash equal, so a record that depends on an invalid tag
 // always matches. Unequal ones may collide, which can only make a record

@@ -25,7 +25,7 @@ func TestDiffIdenticalSetsEmpty(t *testing.T) {
 	a := rules.MustParse(baseRules)
 	b := rules.MustParse(baseRules)
 	d := Diff(a, b)
-	if !d.Empty() {
+	if len(d.Tables) != 0 {
 		t.Fatalf("diff of identical sets not empty:\n%s", d)
 	}
 	if tags := d.InvalidTags(); len(tags) != 0 {
@@ -46,7 +46,7 @@ table acl {
   priority=10 ip.dst=10.0.0.0/8 -> permit();
 }
 `)
-	if d := Diff(a, b); !d.Empty() {
+	if d := Diff(a, b); len(d.Tables) != 0 {
 		t.Fatalf("reordered set diffed non-empty:\n%s", d)
 	}
 }
@@ -133,8 +133,8 @@ table nat {
 
 // TestMatcherAgreesWithTagTable: the matcher reads a tag's 8 bytes and
 // decides every tag as the string rule (referenceMatcher) does: a full tag
-// matches itself, a bare table name every tag rules.TagTable gives that
-// name. None of these strings collide.
+// matches itself, a bare table name every tag whose part before its '#' is
+// that name. None of these strings collide.
 func TestMatcherAgreesWithTagTable(t *testing.T) {
 	invalid := []string{"acl", "nat#0000000000000001", "fwd#miss", "a", ""}
 	tags := []string{"", "#", "#x", "a", "a#", "a#1", "ab#1", "acl", "acl#1", "acl#miss", "aclx#1", "ac",

@@ -187,6 +187,13 @@ func (t *Table) bind(prog *p4.Program, es []*Entry) error {
 	return nil
 }
 
+// lpmMask is the mask of a /plen prefix of a widthBits-bit key; a prefix
+// past the width is the whole key.
+func lpmMask(plen, widthBits int) uint64 {
+	full := expr.Width(widthBits).Mask()
+	return full &^ (full >> max(plen, 0))
+}
+
 // cell reads a match against a key of kind k and width w; the message
 // says why the key does not take it, if it does not.
 func cell(m Match, k p4.MatchKind, w expr.Width) (Cell, string) {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -204,5 +205,97 @@ table ex {
 	}
 	if !r.Cells[0].Covers(8) || r.Cells[0].Covers(7) || !r.Cells[1].Covers(0xffff) || !all.Rows[2].Cells[3].Covers(9) || all.Rows[2].Cells[3].Covers(10) {
 		t.Error("Covers disagrees with the cells' forms")
+	}
+}
+
+// widths has one table per key kind and width the edge cases below need.
+const widths = `
+header h { bit<8> t; bit<32> l; bit<64> w; bit<16> r; }
+action a() { }
+table lp { key = { h.l : lpm; } actions = { a; } }
+table lw { key = { h.w : lpm; } actions = { a; } }
+table tn { key = { h.t : ternary; } actions = { a; } }
+table rg { key = { h.r : range; } actions = { a; } }
+table rw { key = { h.w : range; } actions = { a; } }
+table ex { key = { h.w : exact; } actions = { a; } }
+control c { apply { lp.apply(); lw.apply(); tn.apply(); rg.apply(); rw.apply(); ex.apply(); } }
+pipeline p { control = c; }
+`
+
+// bindOne binds a one-entry set for table to the widths program and
+// returns its row's one cell.
+func bindOne(t *testing.T, prog *p4.Program, table string, m rules.Match) (rules.Cell, error) {
+	t.Helper()
+	rs := rules.NewSet()
+	rs.Add(table, rules.Rule("a", nil, m))
+	tables, err := rules.Bind(prog, rs)
+	if err != nil {
+		return rules.Cell{}, err
+	}
+	return tables[table].Rows[0].Cells[0], nil
+}
+
+// The boundary semantics of a bound cell, which the encoder and the
+// target both read: an LPM prefix at /0 and at the key's full width, a
+// ternary mask at the key's width and at zero, inclusive range bounds and
+// the full 64-bit domain, and a wildcard.
+func TestBoundCellsCover(t *testing.T) {
+	prog := p4.MustParse(widths)
+	cases := []struct {
+		name  string
+		table string
+		m     rules.Match
+		v     uint64
+		want  bool
+	}{
+		{"exact hit", "ex", rules.E("h.w", 5), 5, true},
+		{"exact miss", "ex", rules.E("h.w", 5), 6, false},
+		{"exact max value", "ex", rules.E("h.w", ^uint64(0)), ^uint64(0), true},
+		{"lpm /8 hit", "lp", rules.L("h.l", 0x0A000000, 8), 0x0AFFFFFF, true},
+		{"lpm /8 miss", "lp", rules.L("h.l", 0x0A000000, 8), 0x0B000000, false},
+		{"lpm /0 matches anything", "lp", rules.L("h.l", 0, 0), 0xFFFFFFFF, true},
+		{"lpm /0 nonzero val still matches", "lp", rules.L("h.l", 0x0A000000, 0), 0x0B000000, true},
+		{"lpm /32 is exact hit", "lp", rules.L("h.l", 0x0A000001, 32), 0x0A000001, true},
+		{"lpm /32 is exact miss", "lp", rules.L("h.l", 0x0A000001, 32), 0x0A000002, false},
+		{"lpm /64 full word", "lw", rules.L("h.w", ^uint64(0), 64), ^uint64(0), true},
+		{"lpm /64 miss in the last bit", "lw", rules.L("h.w", ^uint64(0), 64), ^uint64(0) - 1, false},
+		{"ternary hit", "tn", rules.T("h.t", 0x10, 0xF0), 0x1F, true},
+		{"ternary miss", "tn", rules.T("h.t", 0x10, 0xF0), 0x2F, false},
+		{"ternary full mask is exact", "tn", rules.T("h.t", 0xAB, 0xFF), 0xAB, true},
+		{"ternary full mask miss", "tn", rules.T("h.t", 0xAB, 0xFF), 0xAC, false},
+		{"ternary zero mask matches all", "tn", rules.T("h.t", 0xAB, 0), 0x00, true},
+		{"ternary ignores val outside mask", "tn", rules.T("h.t", 0xFF, 0x0F), 0x1F, true},
+		{"range lo inclusive", "rg", rules.R("h.r", 10, 20), 10, true},
+		{"range hi inclusive", "rg", rules.R("h.r", 10, 20), 20, true},
+		{"range below", "rg", rules.R("h.r", 10, 20), 9, false},
+		{"range above", "rg", rules.R("h.r", 10, 20), 21, false},
+		{"range point", "rg", rules.R("h.r", 7, 7), 7, true},
+		{"range full domain", "rw", rules.R("h.w", 0, ^uint64(0)), 12345, true},
+		{"wildcard", "rg", rules.Match{Field: "h.r", Kind: rules.Wildcard}, 12345, true},
+	}
+	for _, c := range cases {
+		cell, err := bindOne(t, prog, c.table, c.m)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		} else if got := cell.Covers(c.v); got != c.want {
+			t.Errorf("%s: %+v covers %#x = %v, want %v", c.name, cell, c.v, got, c.want)
+		}
+	}
+	// A prefix past the key's width is not clamped: the key takes none.
+	if _, err := bindOne(t, prog, "lp", rules.L("h.l", 0xFF, 40)); err == nil || !strings.Contains(err.Error(), "prefix /40 is longer than the 32-bit key") {
+		t.Errorf("a /40 prefix on a 32-bit key: %v", err)
+	}
+}
+
+// An LPM entry's bound cell covers the value it was written with, at every
+// prefix length the key takes.
+func TestBoundLPMCoversItsValue(t *testing.T) {
+	prog := p4.MustParse(widths)
+	f := func(v uint32, plen uint8) bool {
+		cell, err := bindOne(t, prog, "lp", rules.L("h.l", uint64(v), int(plen%33)))
+		return err == nil && cell.Covers(uint64(v))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

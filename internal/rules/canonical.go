@@ -52,16 +52,6 @@ func DepTag(table string, e *Entry) string {
 // of match signatures changes (but not on action-data updates).
 func MissTag(table string) string { return table + "#miss" }
 
-// TagTable extracts the table name from a dependency tag (everything
-// before the first '#'; P4 identifiers cannot contain '#'). A bare table
-// name passes through unchanged.
-func TagTable(tag string) string {
-	if i := strings.IndexByte(tag, '#'); i >= 0 {
-		return tag[:i]
-	}
-	return tag
-}
-
 // Clone returns a deep copy of the entry.
 func (e *Entry) Clone() *Entry {
 	c := &Entry{Priority: e.Priority, Action: e.Action, Pos: e.Pos}

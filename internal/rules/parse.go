@@ -35,7 +35,7 @@ func parse(path, src string) (set *Set, err error) {
 	err = p4.Scan(path, src, func(r *p4.Scanner) {
 		s := NewSet()
 		for !r.AtEOF() {
-			open := r.Pos()
+			open := r.Mark()
 			r.Expect("table")
 			table := r.Name()
 			r.Expect("{")
@@ -64,7 +64,7 @@ func MustParse(src string) *Set {
 func readEntry(r *p4.Scanner) *Entry {
 	e := &Entry{Pos: r.Pos()}
 	for !r.Accept("->") {
-		at := r.Pos()
+		at := r.Mark()
 		field := r.Name()
 		for r.Accept(".") {
 			field += "." + r.Name()
@@ -100,7 +100,7 @@ func readMatch(r *p4.Scanner, field string) Match {
 	if r.Accept("*") {
 		return Match{Field: field, Kind: Wildcard}
 	}
-	at := r.Pos()
+	at := r.Mark()
 	v := r.ExpectNumber()
 	switch {
 	case r.Accept("&&&"):
@@ -112,7 +112,7 @@ func readMatch(r *p4.Scanner, field string) Match {
 		}
 		return Match{Field: field, Kind: Range, Lo: v, Hi: hi}
 	case r.Accept("/"):
-		at = r.Pos()
+		at = r.Mark()
 		plen := r.ExpectNumber()
 		if plen > 64 {
 			r.Failf(at, "bad prefix length %d", plen)

@@ -20,7 +20,7 @@ const rejectionsGolden = "testdata/rejections.golden"
 // goldenPrograms are the corpus programs whose rule texts the golden
 // mutates: the open programs and gw-1..4, all at set-1.
 func goldenPrograms() []*programs.Program {
-	ps := programs.Open()
+	ps := []*programs.Program{programs.Router(), programs.MTag(), programs.ACL(), programs.SwitchP4()}
 	for i := 1; i <= 4; i++ {
 		ps = append(ps, programs.GW(i, programs.Set1))
 	}

@@ -1,8 +1,7 @@
 // Package rules models match-action table rule sets: the "table rule set"
-// input of Meissa (Figure 2 of the paper). Rule sets are either parsed
-// from a text format, generated randomly (for the open-source corpus
-// programs), or generated production-shaped (set-1..set-4 of §5.1, where
-// each set doubles the number of elastic IPs of the previous one).
+// input of Meissa (Figure 2 of the paper). A rule set is parsed from its
+// text format or built in code with the helpers below; internal/programs
+// builds every corpus set that way.
 package rules
 
 import (
@@ -11,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/expr"
 	"repro/internal/p4"
 )
 
@@ -70,31 +68,6 @@ func (m Match) String() string {
 		return fmt.Sprintf("%s=*", m.Field)
 	}
 	return "?"
-}
-
-// Covers reports whether a concrete value satisfies the match, given the
-// field's width in bits.
-func (m Match) Covers(v uint64, widthBits int) bool {
-	switch m.Kind {
-	case Exact:
-		return v == m.Val
-	case Ternary:
-		return v&m.Mask == m.Val&m.Mask
-	case LPM:
-		mask := lpmMask(m.Plen, widthBits)
-		return v&mask == m.Val&mask
-	case Range:
-		return v >= m.Lo && v <= m.Hi
-	case Wildcard:
-		return true
-	}
-	return false
-}
-
-// lpmMask builds the mask for a prefix length at a given field width.
-func lpmMask(plen, widthBits int) uint64 {
-	full := expr.Width(widthBits).Mask()
-	return full &^ (full >> max(plen, 0))
 }
 
 // Entry is one rule of a table.

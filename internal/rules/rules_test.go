@@ -3,7 +3,6 @@ package rules
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestParseRoundTrip(t *testing.T) {
@@ -71,30 +70,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMatchCovers(t *testing.T) {
-	cases := []struct {
-		m     Match
-		v     uint64
-		width int
-		want  bool
-	}{
-		{E("f", 5), 5, 16, true},
-		{E("f", 5), 6, 16, false},
-		{T("f", 0x10, 0xF0), 0x1F, 8, true},
-		{T("f", 0x10, 0xF0), 0x2F, 8, false},
-		{L("f", 0x0A000000, 8), 0x0AFFFFFF, 32, true},
-		{L("f", 0x0A000000, 8), 0x0B000000, 32, false},
-		{R("f", 10, 20), 15, 16, true},
-		{R("f", 10, 20), 21, 16, false},
-		{Match{Field: "f", Kind: Wildcard}, 12345, 16, true},
-	}
-	for i, c := range cases {
-		if got := c.m.Covers(c.v, c.width); got != c.want {
-			t.Errorf("case %d: Covers(%d) = %v, want %v", i, c.v, got, c.want)
-		}
-	}
-}
-
 func TestLPMMask(t *testing.T) {
 	cases := []struct {
 		plen, width int
@@ -113,17 +88,6 @@ func TestLPMMask(t *testing.T) {
 		if got := lpmMask(c.plen, c.width); got != c.want {
 			t.Errorf("case %d: lpmMask(%d,%d) = %#x, want %#x", i, c.plen, c.width, got, c.want)
 		}
-	}
-}
-
-func TestLPMCoversConsistentWithMask(t *testing.T) {
-	f := func(v uint32, plen uint8) bool {
-		p := int(plen % 33)
-		m := L("f", uint64(v)&lpmMask(p, 32), p)
-		return m.Covers(uint64(v), 32)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -154,46 +118,6 @@ func TestEntryMatchFallsBackToWildcard(t *testing.T) {
 	e := Rule("a", nil, E("k1", 1))
 	if m := e.Match("k2"); m.Kind != Wildcard {
 		t.Errorf("missing key should be wildcard, got %v", m.Kind)
-	}
-}
-
-func TestGenExactChainCorrelation(t *testing.T) {
-	s := NewSet()
-	NewGen(7).ExactChain(s, "a", "f1", "actA", "b", "f2", "actB", 20)
-	as := s.Entries("a")
-	bs := s.Entries("b")
-	if len(as) != 20 || len(bs) != 20 {
-		t.Fatalf("entries: %d, %d", len(as), len(bs))
-	}
-	// Correlation: a's action argument i matches b's key i (the Figure 7
-	// structure).
-	for i := range as {
-		if as[i].Args[0] != bs[i].Matches[0].Val {
-			t.Errorf("chain broken at %d: %d vs %d", i, as[i].Args[0], bs[i].Matches[0].Val)
-		}
-	}
-}
-
-func TestGenRandomDeterministic(t *testing.T) {
-	s1, s2 := NewSet(), NewSet()
-	NewGen(42).RandomLPM(s1, "t", "f", 10, "a", func(i int) []uint64 { return []uint64{uint64(i)} })
-	NewGen(42).RandomLPM(s2, "t", "f", 10, "a", func(i int) []uint64 { return []uint64{uint64(i)} })
-	if s1.String() != s2.String() {
-		t.Error("same seed must generate identical rule sets")
-	}
-}
-
-func TestGenRandomRangeDisjoint(t *testing.T) {
-	s := NewSet()
-	NewGen(1).RandomRange(s, "t", "f", 8, "a", func(i int) []uint64 { return nil })
-	es := s.Entries("t")
-	for i := 0; i < len(es); i++ {
-		for j := i + 1; j < len(es); j++ {
-			mi, mj := es[i].Matches[0], es[j].Matches[0]
-			if mi.Lo <= mj.Hi && mj.Lo <= mi.Hi {
-				t.Errorf("ranges %d and %d overlap: [%d,%d] [%d,%d]", i, j, mi.Lo, mi.Hi, mj.Lo, mj.Hi)
-			}
-		}
 	}
 }
 

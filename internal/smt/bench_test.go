@@ -28,7 +28,7 @@ func benchSiblings(k int) []expr.Bool {
 	for i := 0; i < k-1; i++ {
 		hit := expr.Eq(v("tcp.dstPort", 16), expr.C(uint64(2000+i), 16))
 		conds = append(conds, hit)
-		miss = append(miss, expr.Ne(v("tcp.dstPort", 16), expr.C(uint64(2000+i), 16)))
+		miss = append(miss, expr.Cmp{Op: expr.CmpNe, L: v("tcp.dstPort", 16), R: expr.C(uint64(2000+i), 16)})
 	}
 	conds = append(conds, expr.AndAll(miss))
 	return conds

@@ -30,7 +30,7 @@ func TestDifferentialBruteForce(t *testing.T) {
 		case 0:
 			return expr.Eq(v, c)
 		case 1:
-			return expr.Ne(v, c)
+			return expr.Cmp{Op: expr.CmpNe, L: v, R: c}
 		case 2:
 			return expr.Cmp{Op: expr.CmpLt, L: v, R: c}
 		case 3:
@@ -56,7 +56,7 @@ func TestDifferentialBruteForce(t *testing.T) {
 					val = last.val
 				}
 			}
-			return expr.Ne(expr.Bin{Op: expr.OpAnd, L: v, R: expr.C(mask, width)}, expr.C(val&mask, width))
+			return expr.Cmp{Op: expr.CmpNe, L: expr.Bin{Op: expr.OpAnd, L: v, R: expr.C(mask, width)}, R: expr.C(val&mask, width)}
 		default:
 			// disjunction (deferred shape)
 			c2 := expr.C(uint64(rng.Intn(16)), width)

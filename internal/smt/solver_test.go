@@ -36,7 +36,7 @@ func TestIntervals(t *testing.T) {
 	s := newSolver()
 	s.Assert(expr.Cmp{Op: expr.CmpGt, L: v("port", 16), R: expr.C(1000, 16)})
 	s.Assert(expr.Cmp{Op: expr.CmpLt, L: v("port", 16), R: expr.C(1003, 16)})
-	s.Assert(expr.Ne(v("port", 16), expr.C(1001, 16)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("port", 16), R: expr.C(1001, 16)})
 	m, r := s.Model()
 	if r != Sat {
 		t.Fatalf("result = %s, want SAT", r)
@@ -44,7 +44,7 @@ func TestIntervals(t *testing.T) {
 	if m["port"] != 1002 {
 		t.Errorf("model port = %d, want 1002", m["port"])
 	}
-	s.Assert(expr.Ne(v("port", 16), expr.C(1002, 16)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("port", 16), R: expr.C(1002, 16)})
 	if r := s.Check(); r != Unsat {
 		t.Fatalf("after excluding 1002: result = %s, want UNSAT", r)
 	}
@@ -92,12 +92,12 @@ func TestMaskedMissDecided(t *testing.T) {
 	s := newSolver()
 	s.Assert(expr.Eq(masked, expr.C(0x0a0b0c000000, 48)))
 	s.Push()
-	s.Assert(expr.Ne(masked, expr.C(0x0a0b0c000000, 48)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: masked, R: expr.C(0x0a0b0c000000, 48)})
 	if r := s.Check(); r != Unsat || s.Stats().TruncatedUnknown != 0 {
 		t.Fatalf("miss after hit: %s with %d truncated, want a proved UNSAT", r, s.Stats().TruncatedUnknown)
 	}
 	s.Pop()
-	s.Assert(expr.Ne(expr.Bin{Op: expr.OpAnd, L: mac, R: expr.C(0xff0000000000, 48)}, expr.C(0x0b0000000000, 48)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: expr.Bin{Op: expr.OpAnd, L: mac, R: expr.C(0xff0000000000, 48)}, R: expr.C(0x0b0000000000, 48)})
 	m, r := s.Model()
 	if r != Sat || m["srcAddr"]&0xffffff000000 != 0x0a0b0c000000 {
 		t.Fatalf("miss on a differing prefix: %s, model %#x", r, m["srcAddr"])
@@ -112,7 +112,7 @@ func TestMaskedMissWideConstant(t *testing.T) {
 	x := v("x", 4)
 	wide := expr.Const{Val: 0x14, W: 8}
 	s.Assert(expr.Eq(expr.Bin{Op: expr.OpAnd, L: x, R: expr.C(0xC, 4)}, expr.C(0x4, 4)))
-	s.Assert(expr.Ne(expr.Bin{Op: expr.OpAnd, L: x, R: wide}, wide))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: expr.Bin{Op: expr.OpAnd, L: x, R: wide}, R: wide})
 	if r := s.Check(); r != Sat {
 		t.Fatalf("result = %s, want SAT", r)
 	}
@@ -126,7 +126,7 @@ func TestMaskedNeWideConstantFullMask(t *testing.T) {
 	s := newSolver()
 	x := v("x", 4)
 	s.Assert(expr.Eq(x, expr.C(4, 4)))
-	s.Assert(expr.Ne(expr.Bin{Op: expr.OpAnd, L: x, R: expr.C(0x1f, 8)}, expr.C(0x14, 8)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: expr.Bin{Op: expr.OpAnd, L: x, R: expr.C(0x1f, 8)}, R: expr.C(0x14, 8)})
 	m, r := s.Model()
 	if r != Sat || m["x"] != 4 {
 		t.Fatalf("result = %s, model %v; want SAT with x = 4", r, m)
@@ -198,7 +198,7 @@ func TestPushPopNestedDeep(t *testing.T) {
 	// Build a chain of nested frames, then unwind and verify each level.
 	for i := 0; i < 10; i++ {
 		s.Push()
-		s.Assert(expr.Ne(v("y", 16), expr.C(uint64(i), 16)))
+		s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("y", 16), R: expr.C(uint64(i), 16)})
 		if r := s.Check(); r != Sat {
 			t.Fatalf("level %d: %s", i, r)
 		}
@@ -251,7 +251,7 @@ func TestWidthOverflowEquality(t *testing.T) {
 func TestDisjunctionDeferred(t *testing.T) {
 	s := newSolver()
 	s.Assert(expr.Or(expr.Eq(v("x", 8), expr.C(5, 8)), expr.Eq(v("x", 8), expr.C(7, 8))))
-	s.Assert(expr.Ne(v("x", 8), expr.C(5, 8)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("x", 8), R: expr.C(5, 8)})
 	m, r := s.Model()
 	if r != Sat {
 		t.Fatalf("result = %s, want SAT", r)
@@ -264,8 +264,8 @@ func TestDisjunctionDeferred(t *testing.T) {
 func TestUnsatDisjunction(t *testing.T) {
 	s := newSolver()
 	s.Assert(expr.Or(expr.Eq(v("x", 8), expr.C(5, 8)), expr.Eq(v("x", 8), expr.C(7, 8))))
-	s.Assert(expr.Ne(v("x", 8), expr.C(5, 8)))
-	s.Assert(expr.Ne(v("x", 8), expr.C(7, 8)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("x", 8), R: expr.C(5, 8)})
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("x", 8), R: expr.C(7, 8)})
 	if r := s.Check(); r == Sat {
 		t.Fatalf("result = %s, want UNSAT (or at worst Unknown)", r)
 	}
@@ -278,7 +278,7 @@ func TestManyExactEntriesDisjoint(t *testing.T) {
 	s.Assert(expr.Eq(v("dstIP", 32), expr.C(0x01010150, 32)))
 	for i := uint64(0); i < 100; i++ {
 		if i != 0x50 {
-			s.Assert(expr.Ne(v("dstIP", 32), expr.C(0x01010100+i, 32)))
+			s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("dstIP", 32), R: expr.C(0x01010100+i, 32)})
 		}
 	}
 	m, r := s.Model()
@@ -296,7 +296,7 @@ func TestChainedPipelineConstraints(t *testing.T) {
 	s := newSolver()
 	s.Assert(expr.Eq(v("egressPort", 9), expr.C(5, 9)))
 	s.Assert(expr.Eq(v("egressPort", 9), expr.C(5, 9))) // re-assert is fine
-	s.Assert(expr.Ne(v("egressPort", 9), expr.C(6, 9)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("egressPort", 9), R: expr.C(6, 9)})
 	m, r := s.Model()
 	if r != Sat {
 		t.Fatalf("result = %s", r)
@@ -387,7 +387,7 @@ func TestLPMStylePriorities(t *testing.T) {
 	s.Assert(expr.Eq(
 		expr.Bin{Op: expr.OpAnd, L: v("dst", 32), R: expr.C(0xFFFFFF00, 32)},
 		expr.C(0x0A000100, 32)))
-	s.Assert(expr.Ne(v("dst", 32), expr.C(0x0A000101, 32)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("dst", 32), R: expr.C(0x0A000101, 32)})
 	m, r := s.Model()
 	if r != Sat {
 		t.Fatalf("result = %s", r)
@@ -401,7 +401,7 @@ func TestSingleValueDomainExcluded(t *testing.T) {
 	// 1-bit field pinned then excluded.
 	s := newSolver()
 	s.Assert(expr.Eq(v("flag", 1), expr.C(1, 1)))
-	s.Assert(expr.Ne(v("flag", 1), expr.C(1, 1)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("flag", 1), R: expr.C(1, 1)})
 	if r := s.Check(); r != Unsat {
 		t.Fatalf("result = %s, want UNSAT", r)
 	}
@@ -409,7 +409,7 @@ func TestSingleValueDomainExcluded(t *testing.T) {
 
 func TestOneBitFieldBothValues(t *testing.T) {
 	s := newSolver()
-	s.Assert(expr.Ne(v("flag", 1), expr.C(0, 1)))
+	s.Assert(expr.Cmp{Op: expr.CmpNe, L: v("flag", 1), R: expr.C(0, 1)})
 	m, r := s.Model()
 	if r != Sat {
 		t.Fatalf("result = %s", r)

@@ -70,7 +70,7 @@ func (g *progGen) cond() expr.Bool {
 	case 0:
 		return expr.Eq(v, c)
 	case 1, 2:
-		return expr.Ne(v, c)
+		return expr.Cmp{Op: expr.CmpNe, L: v, R: c}
 	case 3:
 		return expr.Cmp{Op: expr.CmpLt, L: v, R: c}
 	case 4:
@@ -82,7 +82,7 @@ func (g *progGen) cond() expr.Bool {
 	case 7:
 		return expr.Eq(v, u)
 	default:
-		return expr.And(expr.Or(expr.Eq(v, c), expr.Cmp{Op: expr.CmpGt, L: u, R: c}), expr.Ne(u, c))
+		return expr.And(expr.Or(expr.Eq(v, c), expr.Cmp{Op: expr.CmpGt, L: u, R: c}), expr.Cmp{Op: expr.CmpNe, L: u, R: c})
 	}
 }
 
@@ -151,7 +151,7 @@ func TestPopRestoresExactly(t *testing.T) {
 			for f, want := range []int{1500, 3000, maxTrackedExclusions} {
 				var ne []expr.Bool
 				for i := 0; i < 1500; i++ {
-					ne = append(ne, expr.Ne(big, expr.C(uint64(100+1500*f+i), 16)))
+					ne = append(ne, expr.Cmp{Op: expr.CmpNe, L: big, R: expr.C(uint64(100+1500*f+i), 16)})
 				}
 				push()
 				assert(expr.AndAll(ne))
@@ -175,7 +175,7 @@ func TestPopRestoresExactly(t *testing.T) {
 			case k < 7:
 				assert(g.cond())
 			case k < 8:
-				assert(expr.Ne(big, expr.C(uint64(5000+step), 16))) // in the last program, past the bound
+				assert(expr.Cmp{Op: expr.CmpNe, L: big, R: expr.C(uint64(5000+step), 16)}) // in the last program, past the bound
 			default:
 				pop()
 			}
@@ -214,7 +214,7 @@ func TestSlotNumberingDoesNotLeak(t *testing.T) {
 		b.Push()
 		b.Assert(expr.Eq(expr.V("only-b", 8), expr.C(1, 8)))
 		for i := len(g.vars) - 1; i >= 0; i-- {
-			b.Assert(expr.Ne(g.vars[i], expr.C(1, g.vars[i].W)))
+			b.Assert(expr.Cmp{Op: expr.CmpNe, L: g.vars[i], R: expr.C(1, g.vars[i].W)})
 		}
 		b.Pop()
 		b.ResetStats()
@@ -288,7 +288,7 @@ func TestMemoConfirmsHashWithEquality(t *testing.T) {
 	build := func(first uint64) expr.Bool {
 		b := expr.Eq(x, expr.C(first, 8))
 		for i := 0; i < 2*hashDepth; i++ {
-			b = expr.And(b, expr.Ne(expr.V(expr.Var(fmt.Sprintf("pad%d", i)), 8), expr.C(3, 8)))
+			b = expr.And(b, expr.Cmp{Op: expr.CmpNe, L: expr.V(expr.Var(fmt.Sprintf("pad%d", i)), 8), R: expr.C(3, 8)})
 		}
 		return b
 	}

@@ -137,3 +137,20 @@ func TestRejectionsGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectionsNameNoGoType: a rejection names the input's expression,
+// never the Go type the checker holds it in, in the goldens of all three
+// readers.
+func TestRejectionsNameNoGoType(t *testing.T) {
+	for _, path := range []string{rejectionsGolden, "../p4/testdata/rejections.golden", "../rules/testdata/rejections.golden"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.Contains(line, "*p4.") {
+				t.Errorf("%s:%d names a Go type: %s", path, i+1, line)
+			}
+		}
+	}
+}

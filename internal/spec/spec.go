@@ -95,7 +95,7 @@ func MustParseOne(src string) *Spec {
 func parse(path, src string) (specs []*Spec, err error) {
 	err = p4.Scan(path, src, func(r *p4.Scanner) {
 		for !r.AtEOF() {
-			open := r.Pos()
+			open := r.Mark()
 			r.Expect("spec")
 			s := &Spec{Name: r.Name()}
 			r.Expect("{")

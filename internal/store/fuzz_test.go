@@ -63,7 +63,7 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(churn)
-	f.Add(append(appendFrame(nil, []byte(textMagic)), churn[headerLen:]...))
+	f.Add(append(journal.AppendFrame(nil, []byte(textMagic)), churn[headerLen:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.store")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"maps"
 	"slices"
@@ -33,8 +32,6 @@ const (
 	idLen     = 8 + 1 + 8 // a family frame, a commit marker
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // hash64 is FNV-1a over s.
 func hash64(s string) uint64 {
 	f := fnv.New64a()
@@ -42,24 +39,13 @@ func hash64(s string) uint64 {
 	return f.Sum64()
 }
 
-// appendFrame frames a payload given in pieces.
-func appendFrame(out []byte, pieces ...[]byte) []byte {
-	start := len(out)
-	out = append(out, 0, 0, 0, 0)
-	for _, p := range pieces {
-		out = append(out, p...)
-	}
-	binary.LittleEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[start+4:], crcTable))
-}
-
 // appendID frames a family scope or a commit marker.
 func appendID(out []byte, kind byte, id uint64) []byte {
-	return appendFrame(out, binary.LittleEndian.AppendUint64([]byte{kind}, id))
+	return journal.AppendFrame(out, binary.LittleEndian.AppendUint64([]byte{kind}, id))
 }
 
 func appendRules(out []byte, text string) []byte {
-	return appendFrame(out, []byte{frameRules}, []byte(text))
+	return journal.AppendFrame(out, []byte{frameRules}, []byte(text))
 }
 
 func rulesLen(text string) int64 { return int64(8 + 1 + len(text)) }
@@ -72,7 +58,7 @@ func appendDead(out []byte, tags []string) []byte {
 	for _, t := range tags {
 		p = append(binary.LittleEndian.AppendUint16(p, uint16(len(t))), t...)
 	}
-	return appendFrame(out, p)
+	return journal.AppendFrame(out, p)
 }
 
 // deadTags reads a tombstone's payload; ok=false: a tag overruns it.
@@ -91,21 +77,6 @@ func deadTags(p []byte) (tags []string, ok bool) {
 	return tags, true
 }
 
-// frame splits the first frame off data: its payload and its whole
-// length. ok=false means data begins with no intact frame — short, torn
-// or failing its checksum.
-func frame(data []byte) (payload []byte, n int, ok bool) {
-	if len(data) < 8 {
-		return nil, 0, false
-	}
-	plen := int(binary.LittleEndian.Uint32(data))
-	if plen < 1 || plen > len(data)-8 {
-		return nil, 0, false
-	}
-	payload = data[4 : 4+plen]
-	return payload, 8 + plen, crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(data[4+plen:])
-}
-
 // commitID reads a commit marker's transaction ID.
 func commitID(p []byte) (uint64, bool) {
 	if len(p) != 9 || p[0] != frameCommit {
@@ -119,7 +90,7 @@ func commitID(p []byte) (uint64, bool) {
 func laterCommit(tail []byte, txid uint64) bool {
 	marker := []byte{idLen - 8, 0, 0, 0, frameCommit}
 	for i := bytes.Index(tail, marker); i >= 0; i = bytes.Index(tail, marker) {
-		if p, _, ok := frame(tail[i:]); ok {
+		if p, _, ok := journal.SplitFrame(tail[i:]); ok {
 			if id, ok := commitID(p); ok && id > txid {
 				return true
 			}
@@ -288,7 +259,7 @@ func (st *state) live() uint64 {
 // committed history: ErrCorrupt, as is any intact frame that makes no
 // sense.
 func replay(data []byte) (*state, int, uint64, error) {
-	p, off, ok := frame(data)
+	p, off, ok := journal.SplitFrame(data)
 	if !ok || string(p) != magic {
 		return nil, 0, 0, fmt.Errorf("%w: no verdict-store header", ErrCorrupt)
 	}
@@ -298,7 +269,7 @@ func replay(data []byte) (*state, int, uint64, error) {
 	var dead map[*family]*graves
 	deadEnd := 0
 	for off < len(data) {
-		p, n, ok := frame(data[off:])
+		p, n, ok := journal.SplitFrame(data[off:])
 		if !ok {
 			if laterCommit(data[off:], st.txid+1) {
 				return nil, 0, 0, fmt.Errorf("%w: damaged frame at offset %d inside committed history", ErrCorrupt, off)

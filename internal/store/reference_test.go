@@ -102,7 +102,7 @@ func refDeadTags(p []byte) ([]string, bool) {
 // refReplay reads a log as replay did: the committed state and the offset
 // past the last commit marker, or ErrCorrupt.
 func refReplay(data []byte) (*refState, int, error) {
-	p, off, ok := frame(data)
+	p, off, ok := journal.SplitFrame(data)
 	if !ok || string(p) != magic {
 		return nil, 0, fmt.Errorf("%w: no verdict-store header", ErrCorrupt)
 	}
@@ -110,7 +110,7 @@ func refReplay(data []byte) (*refState, int, error) {
 	good := off
 	var f *refFamily
 	for off < len(data) {
-		p, n, ok := frame(data[off:])
+		p, n, ok := journal.SplitFrame(data[off:])
 		if !ok {
 			if laterCommit(data[off:], st.txid+1) {
 				return nil, 0, fmt.Errorf("%w: damaged frame at offset %d inside committed history", ErrCorrupt, off)
@@ -130,9 +130,9 @@ func refReplay(data []byte) (*refState, int, error) {
 		case f == nil:
 			ok = false
 		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit):
-			var r journal.Record
-			if r, ok = journal.UnmarshalRecord(data[off : off+n]); ok {
-				f.put(r, int64(n))
+			var e journal.Entry
+			if e, ok = journal.EntryOf(data[off : off+n]); ok {
+				f.put(e.Record(), int64(n))
 			}
 		case p[0] == frameDead:
 			var tags []string

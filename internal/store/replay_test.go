@@ -104,7 +104,7 @@ func ruleChurn(t testing.TB, path string, n, updates int) int {
 	}
 	records, dead := 0, 0
 	for off := headerLen; off < len(data); {
-		p, fn, ok := frame(data[off:])
+		p, fn, ok := journal.SplitFrame(data[off:])
 		if !ok {
 			t.Fatalf("no intact frame at offset %d", off)
 		}

@@ -231,7 +231,7 @@ func (tx *Tx) in(fam uint64) *family {
 // chunk.
 func (tx *Tx) Put(fam uint64, fr []byte) (held bool, err error) {
 	e, ok := journal.EntryOf(fr)
-	if _, n, intact := frame(fr); !ok || !intact || n != len(fr) ||
+	if _, n, intact := journal.SplitFrame(fr); !ok || !intact || n != len(fr) ||
 		(e.Kind() != journal.KindCheck && e.Kind() != journal.KindEmit) {
 		return false, fmt.Errorf("store: %d bytes hold no verdict frame", len(fr))
 	}
@@ -372,7 +372,7 @@ func (s *Store) rewrite(next *state) (*state, uint64, error) {
 		fams = append(fams, fam)
 	}
 	slices.Sort(fams)
-	buf := appendFrame(make([]byte, 0, next.live()), []byte(magic))
+	buf := journal.AppendFrame(make([]byte, 0, next.live()), []byte(magic))
 	for _, fam := range fams {
 		buf = next.fams[fam].appendTo(buf, fam)
 	}
@@ -446,15 +446,6 @@ func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool, error) {
 		return FamilyInfo{}, false, nil
 	}
 	return FamilyInfo{RulesHash: hash64(f.rules), Rules: f.rules}, true, nil
-}
-
-// GetRecord reads one verdict record from the snapshot.
-func (sn *Snapshot) GetRecord(fam uint64, kind journal.Kind, key uint64) (journal.Record, bool, error) {
-	e, ok := sn.st.fam(fam).recs.Lookup(kind, key)
-	if ok {
-		sn.s.count(&sn.s.stats.SnapshotReads, 1)
-	}
-	return e.Record(), ok, nil
 }
 
 // Records visits fam's verdict records in canonical (kind, key) order

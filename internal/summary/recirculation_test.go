@@ -59,7 +59,7 @@ topology {
 	if len(g.Pipelines) != 4 {
 		t.Fatalf("pipelines = %d, want 4 (unrolled rounds)", len(g.Pipelines))
 	}
-	if _, err := Summarize(g, DefaultOptions()); err != nil {
+	if _, err := Summarize(g, defaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sym.Explore(sym.Config{Graph: g, Options: sym.DefaultOptions()})
@@ -120,7 +120,7 @@ pipeline p { parser = prs; control = c; }
 	if _, ok := g.Vars[regVar]; !ok {
 		t.Fatalf("register cell %s not modeled as a field variable", regVar)
 	}
-	if _, err := Summarize(g, DefaultOptions()); err != nil {
+	if _, err := Summarize(g, defaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sym.Explore(sym.Config{Graph: g, Options: sym.DefaultOptions()})

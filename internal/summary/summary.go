@@ -42,13 +42,6 @@ type Options struct {
 	InitConstraints []expr.Bool
 }
 
-// DefaultOptions is the production configuration.
-func DefaultOptions() Options {
-	o := sym.DefaultOptions()
-	o.WantModels = false // summaries need conditions, not witnesses
-	return Options{Sym: o, UsePreconditions: true}
-}
-
 // PipelineStat records the effect of summarizing one pipeline.
 type PipelineStat struct {
 	Name string

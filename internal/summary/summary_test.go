@@ -65,7 +65,7 @@ topology {
 func twoPipeRules(n int) *rules.Set {
 	rs := rules.NewSet()
 	for i := 1; i <= n; i++ {
-		rs.Add("route", rules.Rule("set_port", []uint64{uint64(i)}, rules.E("ip.dst", rules.HostIP(i))))
+		rs.Add("route", rules.Rule("set_port", []uint64{uint64(i)}, rules.E("ip.dst", 0x01010100+uint64(i))))
 		rs.Add("mac_rewrite", rules.Rule("set_mac", []uint64{0x1000 + uint64(i)}, rules.E("meta.port", uint64(i))))
 	}
 	return rs
@@ -107,7 +107,7 @@ func TestSummaryPreservesValidPathCount(t *testing.T) {
 	before := exploreAll(t, plain)
 
 	summarized := buildTwoPipe(t, n)
-	stats, err := Summarize(summarized, DefaultOptions())
+	stats, err := Summarize(summarized, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSummaryModelsStillSatisfyOriginal(t *testing.T) {
 	const n = 5
 	orig := buildTwoPipe(t, n)
 	summarized := buildTwoPipe(t, n)
-	if _, err := Summarize(summarized, DefaultOptions()); err != nil {
+	if _, err := Summarize(summarized, defaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	after := exploreAll(t, summarized)
@@ -236,7 +236,7 @@ func TestSummaryReducesPossiblePaths(t *testing.T) {
 	const n = 12
 	g := buildTwoPipe(t, n)
 	before := g.PossiblePathsLog10()
-	stats, err := Summarize(g, DefaultOptions())
+	stats, err := Summarize(g, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestPublicPreconditionFiltersFig8(t *testing.T) {
 	// exactly Figure 8.
 	const n = 3
 	g := buildTwoPipe(t, n)
-	stats, err := Summarize(g, DefaultOptions())
+	stats, err := Summarize(g, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestPublicPreconditionFiltersFig8(t *testing.T) {
 
 	// Ablation: without pre-condition filtering, the dead branch survives.
 	g2 := buildTwoPipe(t, n)
-	opts := DefaultOptions()
+	opts := defaultOptions()
 	opts.UsePreconditions = false
 	stats2, err := Summarize(g2, opts)
 	if err != nil {
@@ -306,7 +306,7 @@ pipeline p { control = c; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Summarize(g, DefaultOptions()); err != nil {
+	if _, err := Summarize(g, defaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	res := exploreAll(t, g)
@@ -352,7 +352,7 @@ topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Summarize(g, DefaultOptions())
+	stats, err := Summarize(g, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestSummarySMTCallReduction(t *testing.T) {
 	resPlain := exploreAll(t, plain)
 
 	g := buildTwoPipe(t, n)
-	stats, err := Summarize(g, DefaultOptions())
+	stats, err := Summarize(g, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,4 +392,12 @@ func TestSummarySMTCallReduction(t *testing.T) {
 		t.Errorf("final generation on summarized graph used more SMT calls (%d) than full run (%d)",
 			resSumm.SMT.Checks, totalWithout)
 	}
+}
+
+// defaultOptions is what a generation summarizes with: no models, the
+// preconditions applied.
+func defaultOptions() Options {
+	o := sym.DefaultOptions()
+	o.WantModels = false // summaries need conditions, not witnesses
+	return Options{Sym: o, UsePreconditions: true}
 }

@@ -371,7 +371,7 @@ func (c *compiler) cond(x p4.Expr, want bool, out *[]int) {
 		slot, _ := c.vars.ValidSlot(t.Header)
 		*out = append(*out, c.emit(instr{op: opValid, a: opnd{kSlot, uint64(slot)}, want: want}))
 	default:
-		c.fail(x.ExprPos(), "expression %T is not boolean", x)
+		c.fail(x.ExprPos(), "%s is not a condition", p4.ExprString(x))
 	}
 }
 
@@ -398,7 +398,7 @@ func (c *compiler) arith(x p4.Expr) (opnd, expr.Width) {
 		v, w := c.arith(t.X)
 		return c.temporary(instr{op: opNot, a: v, w: w})
 	}
-	c.fail(x.ExprPos(), "expression %T is not arithmetic", x)
+	c.fail(x.ExprPos(), "%s is not arithmetic", p4.ExprString(x))
 	return opnd{}, expr.MaxWidth
 }
 

@@ -14,7 +14,7 @@ import (
 
 // The row index's oracles: on random tables, the hit row the index finds
 // and the probes it charges must be a first-match linear scan's over the
-// rules as written (rules.Match.Covers, not the lowered cells), and a
+// rules as written (covers, not the lowered cells), and a
 // traced packet must tell the reference interpreter's story — the same
 // trace, the same applies and probes.
 
@@ -126,7 +126,7 @@ func scanRow(es []*rules.Entry, widths []int, kv []uint64) int {
 	for i, e := range es {
 		covered := true
 		for j, w := range widths {
-			covered = covered && e.Match(fmt.Sprintf("h.k%d", j)).Covers(kv[j], w)
+			covered = covered && covers(e.Match(fmt.Sprintf("h.k%d", j)), kv[j], w)
 		}
 		if covered {
 			return i

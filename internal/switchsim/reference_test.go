@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/hashfn"
@@ -364,6 +365,24 @@ func (e *refExec) stmt(s p4.Stmt, sc map[string]uint64, pipe string) error {
 	return fmt.Errorf("switchsim: unknown statement %T", s)
 }
 
+// covers reports whether key value v of a widthBits-bit key satisfies m as
+// written, apart from the cells rules.Bind lowers it to.
+func covers(m rules.Match, v uint64, widthBits int) bool {
+	switch m.Kind {
+	case rules.Exact:
+		return v == m.Val
+	case rules.Ternary:
+		return v&m.Mask == m.Val&m.Mask
+	case rules.LPM:
+		full := expr.Width(widthBits).Mask()
+		mask := full &^ (full >> max(m.Plen, 0))
+		return v&mask == m.Val&mask
+	case rules.Range:
+		return v >= m.Lo && v <= m.Hi
+	}
+	return m.Kind == rules.Wildcard
+}
+
 // applyTable performs concrete match-action lookup: highest-priority
 // matching entry wins, otherwise the default action runs.
 func (e *refExec) applyTable(name, pipe string) error {
@@ -377,7 +396,7 @@ func (e *refExec) applyTable(name, pipe string) error {
 			if err != nil {
 				return err
 			}
-			if !en.Match(k.Field.String()).Covers(v, int(w)) {
+			if !covers(en.Match(k.Field.String()), v, int(w)) {
 				match = false
 				break
 			}
@@ -453,7 +472,7 @@ func (e *refExec) setVar(v expr.Var, w expr.Width, val uint64, pipe string) {
 		ow := expr.MaxWidth
 		if h, f, ok := p4.IsHeaderFieldVar(ov); ok {
 			ow = expr.Width(e.t.prog.Header(h).Field(f).Width)
-		} else if f, ok := p4.IsMetaVar(ov); ok {
+		} else if f, ok := strings.CutPrefix(string(ov), "meta."); ok {
 			for _, fd := range e.t.prog.Metadata {
 				if fd.Name == f {
 					ow = expr.Width(fd.Width)

@@ -136,21 +136,18 @@ pipeline p { control = c; }
 // TestBatchMatchesPerQuery checks the CheckBatch tentpole's correctness
 // contract: with sibling batching on (the default) the template set,
 // path counts and solver verdict counts are byte-identical to the
-// per-query engine (NoSiblingBatch), sequentially and at every worker
+// per-query engine (noSiblingBatch), sequentially and at every worker
 // count.
 func TestBatchMatchesPerQuery(t *testing.T) {
 	for _, c := range batchCases() {
 		t.Run(c.name, func(t *testing.T) {
 			g, conf := c.cfg(t)
-			perQuery := c.opts()
-			perQuery.NoSiblingBatch = true
-			batched := c.opts()
-			if batched.NoSiblingBatch {
+			if noSiblingBatch {
 				t.Fatal("sibling batching must default to on")
 			}
 			for _, p := range []int{1, 2, 4, 8} {
-				ref := exploreAt(t, g, perQuery, p, conf)
-				got := exploreAt(t, g, batched, p, conf)
+				ref := explorePerQuery(t, g, c.opts(), p, conf)
+				got := exploreAt(t, g, c.opts(), p, conf)
 				want, have := renderTemplates(ref.Templates), renderTemplates(got.Templates)
 				if have != want {
 					t.Fatalf("P=%d batched template set differs from per-query\n--- per-query ---\n%s--- batched ---\n%s", p, want, have)
@@ -183,16 +180,12 @@ func TestBatchMatchesPerQueryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(noBatch bool) Options {
-		o := DefaultOptions()
-		o.Solver.SearchBudget = 1 // starve the search to force Unknowns
-		o.SolverSet = true
-		o.WantModels = false
-		o.NoSiblingBatch = noBatch
-		return o
-	}
-	ref := exploreAt(t, g, mk(true), 1, Config{})
-	got := exploreAt(t, g, mk(false), 1, Config{})
+	o := DefaultOptions()
+	o.Solver.SearchBudget = 1 // starve the search to force Unknowns
+	o.SolverSet = true
+	o.WantModels = false
+	ref := explorePerQuery(t, g, o, 1, Config{})
+	got := exploreAt(t, g, o, 1, Config{})
 	if ref.SMT.Unknowns == 0 {
 		t.Fatal("budget did not force any Unknown verdicts; tighten the test")
 	}
@@ -203,4 +196,13 @@ func TestBatchMatchesPerQueryBudget(t *testing.T) {
 		t.Errorf("batched unknowns=%d budget=%d, want unknowns=%d budget=%d",
 			got.SMT.Unknowns, got.SMT.BudgetExhausted, ref.SMT.Unknowns, ref.SMT.BudgetExhausted)
 	}
+}
+
+// explorePerQuery is exploreAt on the per-query path: noSiblingBatch is set
+// for the exploration, and no worker is running while it changes.
+func explorePerQuery(t *testing.T, g *cfg.Graph, o Options, parallelism int, c Config) *Result {
+	t.Helper()
+	noSiblingBatch = true
+	defer func() { noSiblingBatch = false }()
+	return exploreAt(t, g, o, parallelism, c)
 }

@@ -146,15 +146,6 @@ type Options struct {
 	// crash-safety tests — a hook that panics exercises per-path
 	// isolation on real corpora — and must not retain the slice.
 	PathHook func(path []cfg.NodeID)
-	// NoSiblingBatch disables the batched sibling feasibility sweep: with
-	// it set, every branch successor pays its own early-termination Check
-	// on descent (the pre-batching code path). By default, a branch node's
-	// sibling conditions are decided together via smt.CheckBatch, which
-	// shares the prefix propagation across the whole sweep — a k-way table
-	// match costs ~1 propagation instead of k. Verdicts, journal records,
-	// and templates are identical either way; this knob exists for the
-	// differential tests and ablations that prove it.
-	NoSiblingBatch bool
 }
 
 // DefaultOptions is the production configuration.
@@ -829,13 +820,22 @@ func (e *executor) contradicts(conjs []conjTest, refs []int32, defs []expr.Arith
 }
 
 // canBatchSiblings gates the batched sweep: it needs early termination
-// (otherwise predicates are not checked at all). The splitter batches like
-// any executor — a successor it spills takes its verdict along (Unit.pending)
+// (otherwise predicates are not checked at all). A branch node's sibling
+// conditions are then decided together via smt.CheckBatch, which shares
+// the prefix propagation across the whole sweep — a k-way table match
+// costs ~1 propagation instead of k. The splitter batches like any
+// executor — a successor it spills takes its verdict along (Unit.pending)
 // — so the queries asked and the frames entered do not depend on where the
 // frontier falls.
 func (e *executor) canBatchSiblings() bool {
-	return e.opts.EarlyTermination && !e.opts.NoSiblingBatch
+	return e.opts.EarlyTermination && !noSiblingBatch
 }
+
+// noSiblingBatch, which only tests set, and only between explorations,
+// turns the batched sweep off: every branch successor then pays its own
+// early-termination Check on descent, the per-query path that the batched
+// one must match in verdicts, journal records and templates.
+var noSiblingBatch bool
 
 // batchScratchAt returns the reusable batch scratch for one path depth.
 func (e *executor) batchScratchAt(depth int) *batchScratch {

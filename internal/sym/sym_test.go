@@ -41,10 +41,15 @@ pipeline ig { control = ing; }
 `
 }
 
+// fig7Rules chains Figure 7's two tables: host 1.1.1.i leaves on port i,
+// and port i gets MAC argument i, so only n of the n×n path combinations
+// are valid (n < 256).
 func fig7Rules(n int) *rules.Set {
 	rs := rules.NewSet()
-	g := rules.NewGen(1)
-	g.ExactChain(rs, "ipv4_host", "ipv4.dstAddr", "set_port", "mac_agent", "meta.egressPort", "set_mac", n)
+	for i := 1; i <= n; i++ {
+		rs.Add("ipv4_host", rules.Rule("set_port", []uint64{uint64(i)}, rules.E("ipv4.dstAddr", 0x01010100+uint64(i))))
+		rs.Add("mac_agent", rules.Rule("set_mac", []uint64{uint64(i)}, rules.E("meta.egressPort", uint64(i))))
+	}
 	return rs
 }
 

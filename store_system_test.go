@@ -25,16 +25,6 @@ import (
 	"repro/internal/store"
 )
 
-// dependsOn reports whether one of r's dependency tags passes match.
-func dependsOn(r journal.Record, match func(tag []byte) bool) bool {
-	for _, tag := range r.Tags {
-		if match(tag[:]) {
-			return true
-		}
-	}
-	return false
-}
-
 // generateStore runs one generation against the store at path.
 func generateStore(t *testing.T, p *programs.Program, rs *rules.Set, path string, mod func(*meissa.Options)) *meissa.GenResult {
 	t.Helper()
@@ -282,7 +272,7 @@ func TestStoreExportWritesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})
+	want := checkpointHeader(t, fp)
 	retained, invalidated := 0, 0
 	for _, fr := range storeFrames(t, p, opts) {
 		if e, _ := journal.EntryOf(fr); e.DependsOn(stale) {
@@ -661,7 +651,7 @@ func TestStoreFileSizeGates(t *testing.T) {
 		}
 		return fi.Size()
 	}
-	records := func() map[[2]uint64]journal.Record {
+	records := func() map[[2]uint64]journal.Entry {
 		t.Helper()
 		opts := meissa.DefaultOptions()
 		opts.StorePath = spath
@@ -678,11 +668,11 @@ func TestStoreFileSizeGates(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		out := map[[2]uint64]journal.Record{}
-		st.Snapshot().Records(status.Family, func(r journal.Record) bool {
-			out[[2]uint64{uint64(r.Kind), r.Key}] = r
-			return true
-		})
+		out := map[[2]uint64]journal.Entry{}
+		for _, e := range st.Snapshot().Table(status.Family).Sorted() {
+			e, _ = journal.EntryOf(slices.Clone(e.Frame()))
+			out[[2]uint64{uint64(e.Kind()), e.Key()}] = e
+		}
 		return out
 	}
 
@@ -714,9 +704,9 @@ func TestStoreFileSizeGates(t *testing.T) {
 	invalid := rulediff.Diff(p.Rules, newRules).InvalidTags()
 	stale := rulediff.Matcher(invalid)
 	committed, framed := uint64(0), int64(0)
-	for k, r := range records() {
-		frame := journal.MarshalRecord(r)
-		if was, ok := old[k]; ok && !dependsOn(was, stale) && bytes.Equal(journal.MarshalRecord(was), frame) {
+	for k, e := range records() {
+		frame := e.Frame()
+		if was, ok := old[k]; ok && !was.DependsOn(stale) && bytes.Equal(was.Frame(), frame) {
 			continue
 		}
 		committed++
@@ -791,7 +781,7 @@ func TestExportHoldsStoreFrames(t *testing.T) {
 	if uint64(len(frames)) != cold.Store.Committed || len(frames) == 0 {
 		t.Fatalf("the store holds %d record frames, the cold run committed %d", len(frames), cold.Store.Committed)
 	}
-	want := slices.Concat(append([][]byte{journal.MarshalRecord(journal.Record{Kind: journal.KindHeader, Key: fp})}, frames...)...)
+	want := slices.Concat(append([][]byte{checkpointHeader(t, fp)}, frames...)...)
 	got, err := os.ReadFile(exported)
 	if err != nil {
 		t.Fatal(err)
@@ -820,11 +810,10 @@ func TestCheckpointFramesAreStoreRecords(t *testing.T) {
 			inCheckpoint := map[string]bool{}
 			off := 0
 			for i := 0; off < len(data); i++ {
-				r, ok := journal.UnmarshalRecord(data[off:])
+				_, n, ok := splitRecord(data[off:])
 				if !ok {
 					t.Fatalf("the checkpoint does not parse at offset %d", off)
 				}
-				n := len(journal.MarshalRecord(r))
 				if i > 0 {
 					inCheckpoint[string(data[off:off+n])] = true
 				}
