@@ -71,8 +71,7 @@ func parse(path, src string) (prog *Program, err error) {
 // rejection, lexical or read's own, as a *ParseError.
 func Scan(path, src string, read func(*Scanner)) (err error) {
 	defer catch(&err)
-	toks := lexAll(path, src)
-	read(&Scanner{src: src, toks: toks, lines: newLines(path, src)})
+	read(&Scanner{src: src, toks: lexAll(path, src), lines: newLines(path, src)})
 	return nil
 }
 

@@ -18,6 +18,7 @@ func BenchmarkReadRules(b *testing.B) {
 	}
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, text := range texts {
 			if _, err := rules.Parse(text); err != nil {
