@@ -235,32 +235,58 @@ func bindOne(t *testing.T, prog *p4.Program, table string, m rules.Match) (rules
 	return tables[table].Rows[0].Cells[0], nil
 }
 
-// The boundary semantics of a bound cell, which the encoder and the
-// target both read: an LPM prefix at /0 and at the key's full width, a
-// ternary mask at the key's width and at zero, inclusive range bounds and
-// the full 64-bit domain, and a wildcard.
-func TestBoundCellsCover(t *testing.T) {
+// coverCase is one value looked up in the one-entry table that a match
+// binds to.
+type coverCase struct {
+	name  string
+	table string
+	m     rules.Match
+	v     uint64
+	want  bool
+}
+
+// checkCovers binds each case's match and holds its cell's Covers to want.
+func checkCovers(t *testing.T, cases []coverCase) {
+	t.Helper()
 	prog := p4.MustParse(widths)
-	cases := []struct {
-		name  string
-		table string
-		m     rules.Match
-		v     uint64
-		want  bool
-	}{
+	for _, c := range cases {
+		cell, err := bindOne(t, prog, c.table, c.m)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		} else if got := cell.Covers(c.v); got != c.want {
+			t.Errorf("%s: %+v covers %#x = %v, want %v", c.name, cell, c.v, got, c.want)
+		}
+	}
+}
+
+// A bound cell of each match kind covers what its entry matches: the
+// cells are what the encoder and the target both read.
+func TestMatchCovers(t *testing.T) {
+	checkCovers(t, []coverCase{
 		{"exact hit", "ex", rules.E("h.w", 5), 5, true},
 		{"exact miss", "ex", rules.E("h.w", 5), 6, false},
-		{"exact max value", "ex", rules.E("h.w", ^uint64(0)), ^uint64(0), true},
+		{"ternary hit", "tn", rules.T("h.t", 0x10, 0xF0), 0x1F, true},
+		{"ternary miss", "tn", rules.T("h.t", 0x10, 0xF0), 0x2F, false},
 		{"lpm /8 hit", "lp", rules.L("h.l", 0x0A000000, 8), 0x0AFFFFFF, true},
 		{"lpm /8 miss", "lp", rules.L("h.l", 0x0A000000, 8), 0x0B000000, false},
+		{"range hit", "rg", rules.R("h.r", 10, 20), 15, true},
+		{"range miss", "rg", rules.R("h.r", 10, 20), 21, false},
+		{"wildcard", "rg", rules.Match{Field: "h.r", Kind: rules.Wildcard}, 12345, true},
+	})
+}
+
+// TestCoversEdges pins the boundary semantics of a bound cell: an LPM
+// prefix at /0 and at the key's full width, a ternary mask at the key's
+// width and at zero, inclusive range bounds and the full 64-bit domain.
+func TestCoversEdges(t *testing.T) {
+	checkCovers(t, []coverCase{
+		{"exact max value", "ex", rules.E("h.w", ^uint64(0)), ^uint64(0), true},
 		{"lpm /0 matches anything", "lp", rules.L("h.l", 0, 0), 0xFFFFFFFF, true},
 		{"lpm /0 nonzero val still matches", "lp", rules.L("h.l", 0x0A000000, 0), 0x0B000000, true},
 		{"lpm /32 is exact hit", "lp", rules.L("h.l", 0x0A000001, 32), 0x0A000001, true},
 		{"lpm /32 is exact miss", "lp", rules.L("h.l", 0x0A000001, 32), 0x0A000002, false},
 		{"lpm /64 full word", "lw", rules.L("h.w", ^uint64(0), 64), ^uint64(0), true},
 		{"lpm /64 miss in the last bit", "lw", rules.L("h.w", ^uint64(0), 64), ^uint64(0) - 1, false},
-		{"ternary hit", "tn", rules.T("h.t", 0x10, 0xF0), 0x1F, true},
-		{"ternary miss", "tn", rules.T("h.t", 0x10, 0xF0), 0x2F, false},
 		{"ternary full mask is exact", "tn", rules.T("h.t", 0xAB, 0xFF), 0xAB, true},
 		{"ternary full mask miss", "tn", rules.T("h.t", 0xAB, 0xFF), 0xAC, false},
 		{"ternary zero mask matches all", "tn", rules.T("h.t", 0xAB, 0), 0x00, true},
@@ -271,25 +297,16 @@ func TestBoundCellsCover(t *testing.T) {
 		{"range above", "rg", rules.R("h.r", 10, 20), 21, false},
 		{"range point", "rg", rules.R("h.r", 7, 7), 7, true},
 		{"range full domain", "rw", rules.R("h.w", 0, ^uint64(0)), 12345, true},
-		{"wildcard", "rg", rules.Match{Field: "h.r", Kind: rules.Wildcard}, 12345, true},
-	}
-	for _, c := range cases {
-		cell, err := bindOne(t, prog, c.table, c.m)
-		if err != nil {
-			t.Errorf("%s: %v", c.name, err)
-		} else if got := cell.Covers(c.v); got != c.want {
-			t.Errorf("%s: %+v covers %#x = %v, want %v", c.name, cell, c.v, got, c.want)
-		}
-	}
+	})
 	// A prefix past the key's width is not clamped: the key takes none.
-	if _, err := bindOne(t, prog, "lp", rules.L("h.l", 0xFF, 40)); err == nil || !strings.Contains(err.Error(), "prefix /40 is longer than the 32-bit key") {
+	if _, err := bindOne(t, p4.MustParse(widths), "lp", rules.L("h.l", 0xFF, 40)); err == nil || !strings.Contains(err.Error(), "prefix /40 is longer than the 32-bit key") {
 		t.Errorf("a /40 prefix on a 32-bit key: %v", err)
 	}
 }
 
-// An LPM entry's bound cell covers the value it was written with, at every
-// prefix length the key takes.
-func TestBoundLPMCoversItsValue(t *testing.T) {
+// TestLPMCoversConsistentWithMask: an LPM entry's bound cell covers the
+// value it was written with, at every prefix length the key takes.
+func TestLPMCoversConsistentWithMask(t *testing.T) {
 	prog := p4.MustParse(widths)
 	f := func(v uint32, plen uint8) bool {
 		cell, err := bindOne(t, prog, "lp", rules.L("h.l", uint64(v), int(plen%33)))
