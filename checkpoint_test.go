@@ -174,7 +174,8 @@ func TestKillResumeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Kill as soon as the journal holds a few records beyond the
-			// header — mid-exploration, with most of the run still ahead.
+			// header — its first batch of appends, mid-exploration, with
+			// the rest of the run still ahead.
 			deadline := time.Now().Add(30 * time.Second)
 			for {
 				if st, err := os.Stat(jpath); err == nil && st.Size() > 200 {
@@ -214,6 +215,9 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			if resumed.SMTCalls >= clean.SMTCalls {
 				t.Errorf("resume saved no solver work: %d calls vs clean %d",
 					resumed.SMTCalls, clean.SMTCalls)
+			}
+			if resumed.SMTCalls == 0 {
+				t.Error("the resume solved nothing: the kill landed after the helper had finished, and the test showed no resume")
 			}
 			if withStore {
 				warm := generateStore(t, p, nil, spath, nil)

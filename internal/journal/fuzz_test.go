@@ -73,6 +73,7 @@ func FuzzLoad(f *testing.F) {
 	crafted, verdicts := craftedJournal()
 	f.Add(crafted)
 	f.Add(crafted[:verdicts])
+	f.Add(junkJournal())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for off := 0; ; {
@@ -159,10 +160,10 @@ func FuzzLoad(f *testing.F) {
 
 // craftedJournal is a well-framed journal no run writes, with every shape
 // the loader must still read as the reference does: superseded keys, a
-// Check and an Emit record sharing a key, payloads with bytes after their
-// tag lists; then, from the offset it returns on, frames that hold no
-// verdict — a kind-3 frame (the tag record of the earlier format) and a
-// second header — which make the whole file an error.
+// Check and an Emit record sharing a key; then, from the offset it
+// returns on, frames that hold no verdict — a kind-3 frame (the tag record
+// of the earlier format) and a second header — which make the whole file
+// an error.
 func craftedJournal() ([]byte, int) {
 	b := encode(Record{Kind: KindHeader, Key: fuzzFP})
 	b = appendRecord(b, Record{Kind: KindCheck, Key: 5, Verdict: Sat, Tags: tagsOf("inline#1")})
@@ -170,17 +171,20 @@ func craftedJournal() ([]byte, int) {
 	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Unsat, Tags: tagsOf("a#1")})
 	b = appendRecord(b, Record{Kind: KindCheck, Key: 7, Verdict: Sat, Tags: tagsOf("a#1", "b#2")})
 	b = appendRecord(b, Record{Kind: KindCheck, Key: 5, Verdict: Unknown})
-	for _, r := range []Record{
-		{Kind: KindEmit, Key: 8, Verdict: Unknown, Model: []VarVal{{"z", 9}}, Tags: tagsOf("t#8")},
-		{Kind: KindCheck, Key: 9, Verdict: Unsat},
-	} {
-		fr := encode(r)
-		b = appendPayload(b, append(fr[4:len(fr)-4:len(fr)-4], "junk"...))
-	}
 	verdicts := len(b)
 	b = appendRecord(b, Record{Kind: 3, Key: 7, Verdict: Verdict(KindCheck), Tags: tagsOf("a#1")})
 	b = appendRecord(b, Record{Kind: KindHeader, Key: fuzzFP})
 	return b, verdicts
+}
+
+// junkJournal is a header, a verdict, and then a verdict whose payload
+// has bytes after its tag list: a well-framed record no encoding writes,
+// where the loader stops as at a torn one.
+func junkJournal() []byte {
+	b := encode(Record{Kind: KindHeader, Key: fuzzFP})
+	b = appendRecord(b, Record{Kind: KindCheck, Key: 9, Verdict: Unsat})
+	fr := encode(Record{Kind: KindEmit, Key: 8, Verdict: Unknown, Model: []VarVal{{"z", 9}}, Tags: tagsOf("t#8")})
+	return appendPayload(b, append(fr[4:len(fr)-4:len(fr)-4], "junk"...))
 }
 
 // appendPayload frames a payload.

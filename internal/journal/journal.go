@@ -11,7 +11,7 @@
 //
 //	[u32 LE payload length][payload][u32 LE CRC32C(payload)]
 //
-// so a record torn by a mid-write kill is detected on load; the loader
+// so a frame torn by a mid-write kill is detected on load; the loader
 // keeps every intact record before the tear, discards the tail, and
 // truncates the file back to the last intact boundary before appending
 // resumes. The first record is a header carrying a magic string and the
@@ -24,7 +24,8 @@
 //
 //	kind verdict key(8) nm(2) {vlen(2) var val(8)}* nt(2) {table(4) tag(4)}*
 //
-// all integers little-endian, then, in the header only, the magic.
+// all integers little-endian, then, in the header only, the magic. A
+// verdict's payload ends with its tag list, so each record has one frame.
 //
 // A run's one verdict table is a Table, which keeps each record as the
 // frame it was read from: Open indexes the checkpoint file's frames into
@@ -36,11 +37,17 @@
 // frames a run appends can be kept in a table of their own (KeepFresh),
 // which a store commit writes as they are.
 //
+// Appends reach the file in batches: Append frames a record into a pending
+// buffer, and every batchFrames records the buffer goes to the file in one
+// write(2), so a kill loses at most the last batchFrames-1 verdicts (a
+// resume re-solves them) and tears at most one batch, which load cuts back
+// to its last whole frame. Sync and Close write what is pending.
+//
 // Concurrency: the table is filled before the run's first exploration — at
 // Open and in Adopt — and never changes while one runs, so Lookup
 // is lock-free and safe from any number of exploration workers, and the
 // records a run appends never change what the same run's lookups answer;
-// Append serializes file writes behind a mutex.
+// Append serializes its framing and the file writes behind a mutex.
 package journal
 
 import (
@@ -144,10 +151,16 @@ func fnv32a(s string) uint32 {
 type Journal struct {
 	mu sync.Mutex
 	f  *os.File // nil: no file behind the table
-	// buf is where Append frames a record, under mu: scratch, or with a
-	// fresh table the chunk filling, which its entries point into.
+	// buf is the chunk filling, which the fresh table's entries point into,
+	// when KeepFresh made one. Under mu.
 	buf []byte
-	t   *Table // filled before the first exploration, never written after
+	// pend holds the frames appended to the file since its last write,
+	// npend of them; err is the first failed write, after which the file
+	// takes no more. Under mu.
+	pend  []byte
+	npend int
+	err   error
+	t     *Table // filled before the first exploration, never written after
 
 	// fresh, when KeepFresh made it, holds every frame appended since: what
 	// a store-backed generation commits. Written under mu.
@@ -165,6 +178,12 @@ var oldMagics = map[string]string{
 	"MEISSAJ1": "it frames each verdict's tags apart",
 	"MEISSAJ2": "it spells each dependency tag out as text",
 }
+
+// batchFrames is how many appended frames the file receives in one
+// write(2). A kill loses at most batchFrames-1 verdicts, which the resumed
+// run solves again; a run whose checkpoint holds fewer frames than this
+// leaves only its header on the file until Sync or Close.
+const batchFrames = 32
 
 // freshChunk bounds a chunk of the fresh table: one buffer growing to a
 // run's verdicts would be copied five times over on the way. No append
@@ -273,10 +292,11 @@ func (j *Journal) Adopt(t *Table) error {
 	return nil
 }
 
-// Append journals one verdict, its dependency tags (r.Tags) inline, with
-// a single write(2) call, so a kill tears at most this one record — which
-// load tolerates. It keeps nothing of r: the caller may reuse r.Tags and
-// r.Model once it returns. Thread-safe.
+// Append journals one verdict, its dependency tags (r.Tags) inline. The
+// file receives it with the batch it completes or with Sync or Close (see
+// batchFrames); an error is that of the batch's write, and every later
+// Append returns it too. It keeps nothing of r: the caller may reuse
+// r.Tags and r.Model once it returns. Thread-safe.
 func (j *Journal) Append(r Record) error {
 	var err error
 	j.mu.Lock()
@@ -291,27 +311,46 @@ func (j *Journal) Append(r Record) error {
 	return nil
 }
 
-// write frames r into buf, writes the frame to the file and puts it into
-// the fresh table, whichever the journal has. Under mu.
+// write frames r into the pending batch and puts it into the fresh table,
+// whichever the journal has, and writes the batch once it is full. Under
+// mu.
 func (j *Journal) write(r Record) error {
-	if j.fresh == nil {
-		j.buf = j.buf[:0]
-	} else if len(j.buf) >= freshChunk {
-		j.buf = make([]byte, 0, freshChunk+freshChunk/8)
+	if j.err != nil {
+		return j.err
 	}
-	at := len(j.buf)
-	j.buf = appendRecord(j.buf, r)
-	frame := j.buf[at:len(j.buf):len(j.buf)]
-	if j.f != nil {
-		if _, err := j.f.Write(frame); err != nil {
-			j.buf = j.buf[:at]
-			return err
+	if j.fresh == nil {
+		j.pend = appendRecord(j.pend, r)
+	} else {
+		if len(j.buf) >= freshChunk {
+			j.buf = make([]byte, 0, freshChunk+freshChunk/8)
+		}
+		at := len(j.buf)
+		j.buf = appendRecord(j.buf, r)
+		frame := j.buf[at:len(j.buf):len(j.buf)]
+		j.fresh.put(Entry{b: frame, verdict: r.Verdict})
+		if j.f != nil {
+			j.pend = append(j.pend, frame...)
 		}
 	}
-	if j.fresh != nil {
-		j.fresh.put(Entry{b: frame, verdict: r.Verdict})
+	if j.f == nil {
+		return nil
 	}
-	return nil
+	if j.npend++; j.npend < batchFrames {
+		return nil
+	}
+	return j.flush()
+}
+
+// flush writes the pending batch to the file, if any, in one write(2). A
+// failed write is kept: the file takes nothing after it. Under mu.
+func (j *Journal) flush() error {
+	if j.err == nil && len(j.pend) > 0 {
+		if _, err := j.f.Write(j.pend); err != nil {
+			j.err = err
+		}
+	}
+	j.pend, j.npend = j.pend[:0], 0
+	return j.err
 }
 
 // KeepFresh makes the journal keep every frame it appends from now on in a
@@ -352,22 +391,38 @@ func (j *Journal) Loaded() int { return j.loaded }
 // Appended returns the number of records this journal appended.
 func (j *Journal) Appended() uint64 { return j.appended.Load() }
 
-// Sync flushes the journal to stable storage. Not required for
-// kill-safety (the page cache survives process death); call it when the
-// threat model includes machine crashes.
+// Sync writes the pending batch and flushes the file to stable storage.
+// Beyond the batch, not required for kill-safety (the page cache survives
+// process death); call it when the threat model includes machine crashes.
 func (j *Journal) Sync() error {
 	if j.f == nil {
 		return nil
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.flush(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
+	}
 	return j.f.Sync()
 }
 
-// Close releases the file.
+// Close writes the pending batch and releases the file. Its error is the
+// first write that failed, the last batch's included: the file then lacks
+// verdicts the run derived.
 func (j *Journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	return j.f.Close()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	err := j.flush()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: close: %w", err)
+	}
+	return nil
 }
 
 // SortModel canonicalizes a model for journaling, allocating nothing.

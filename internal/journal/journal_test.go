@@ -3,12 +3,14 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -403,5 +405,118 @@ func TestRecordsCanonicalOrder(t *testing.T) {
 	}
 	if recs[1].Verdict != Unsat {
 		t.Fatal("duplicate resolution is not last-wins")
+	}
+}
+
+// wholeFrames counts the whole frames in a checkpoint file after its
+// header, failing on bytes that are none.
+func wholeFrames(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for off := frameLen(data); off < len(data); n++ {
+		_, fn, ok := SplitFrame(data[off:])
+		if !ok {
+			t.Fatalf("bytes at offset %d of %d are no whole frame", off, len(data))
+		}
+		off += fn
+	}
+	return n
+}
+
+// TestAppendsReachFileInBatches pins the group-commit bound: after n
+// appends and no Close the file holds the header and exactly the
+// ⌊n/batchFrames⌋ whole batches, so a kill loses at most batchFrames-1
+// verdicts; Sync and Close write the rest.
+func TestAppendsReachFileInBatches(t *testing.T) {
+	for _, n := range []int{0, 1, batchFrames - 1, batchFrames, 3*batchFrames + 5} {
+		for _, end := range []string{"Close", "Sync"} {
+			path := tmpFile(t)
+			j, err := Open(path, 11, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := j.Append(Record{Kind: KindCheck, Key: uint64(i), Verdict: Sat, Tags: tagsOf("t#1")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := wholeFrames(t, path), n/batchFrames*batchFrames; got != want {
+				t.Errorf("%d appends: the file holds %d frames before %s, want %d", n, got, end, want)
+			}
+			if end == "Sync" {
+				err = j.Sync()
+			}
+			if cerr := j.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := wholeFrames(t, path); got != n {
+				t.Errorf("%d appends: the file holds %d frames after %s, want all", n, got, end)
+			}
+		}
+	}
+}
+
+// TestCloseReportsFailedBatch: appends that fill no batch write nothing,
+// so Append succeeds over a handle whose writes fail; Close writes them
+// and returns that write's error.
+func TestCloseReportsFailedBatch(t *testing.T) {
+	path := tmpFile(t)
+	j, err := Open(path, 12, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.f.Close()
+	if j.f, err = os.Open(path); err != nil { // read-only: a write fails
+		t.Fatal(err)
+	}
+	for i := 0; i < batchFrames-1; i++ {
+		if err := j.Append(Record{Kind: KindCheck, Key: uint64(i), Verdict: Unsat}); err != nil {
+			t.Fatalf("append %d: %v, want nil: no batch is full", i, err)
+		}
+	}
+	if err := j.Close(); !errors.Is(err, syscall.EBADF) {
+		t.Fatalf("Close: %v, want the failed write's error", err)
+	}
+}
+
+// TestBytesAfterTagsRefused: a verdict's frame holds nothing after its tag
+// list, so each record has one byte string. A frame with bytes there,
+// checksummed though it is, is no record to EntryOf or PutFrame, and a
+// checkpoint load stops before it as at a torn frame.
+func TestBytesAfterTagsRefused(t *testing.T) {
+	fr := encode(Record{Kind: KindCheck, Key: 7, Verdict: Sat, Tags: tagsOf("a#1")})
+	junk := appendPayload(nil, append(fr[4:len(fr)-4:len(fr)-4], 1, 2, 3, 4))
+	if _, n, ok := SplitFrame(junk); !ok || n != len(junk) {
+		t.Fatal("the crafted frame is not whole")
+	}
+	if _, ok := EntryOf(junk); ok {
+		t.Error("EntryOf accepted bytes after the tag list")
+	}
+	var tbl Table
+	if _, ok := tbl.PutFrame(junk); ok || tbl.Len() != 0 {
+		t.Error("PutFrame accepted bytes after the tag list")
+	}
+	good := append(encode(Record{Kind: KindHeader, Key: 5}), encode(Record{Kind: KindCheck, Key: 1, Verdict: Unsat})...)
+	path := tmpFile(t)
+	if err := os.WriteFile(path, append(append([]byte(nil), good...), junk...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(path, 5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, ok := j.Lookup(KindCheck, 7); ok || j.Loaded() != 1 {
+		t.Errorf("the load kept the frame: %d records loaded", j.Loaded())
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != int64(len(good)) {
+		t.Errorf("the file was cut to %d bytes (%v), want %d", st.Size(), err, len(good))
 	}
 }

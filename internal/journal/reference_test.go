@@ -42,7 +42,8 @@ func referenceLoad(data []byte, fingerprint uint64) (map[mapKey]Record, int, int
 
 // referenceDecode parses the first record in data, growing its model and
 // tag lists by append: the record, its frame's length, and the payload's
-// bytes after the lists. ok=false: no intact record.
+// bytes after the lists, which only a header may have. ok=false: no intact
+// record.
 func referenceDecode(data []byte) (Record, int, []byte, bool) {
 	if len(data) < 4 {
 		return Record{}, 0, nil, false
@@ -89,6 +90,9 @@ func referenceDecode(data []byte) (Record, int, []byte, bool) {
 		binary.LittleEndian.PutUint32(tag[4:], binary.LittleEndian.Uint32(payload[off+4:]))
 		r.Tags = append(r.Tags, tag)
 		off += 8
+	}
+	if r.Kind != KindHeader && off != plen {
+		return Record{}, 0, nil, false
 	}
 	return r, total, payload[off:], true
 }

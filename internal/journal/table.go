@@ -237,10 +237,8 @@ func (t *Table) Sorted() []Entry {
 		at  int
 	}
 	out := make([]Entry, 0, t.Len())
-	var es []Entry
-	var ks []keyed
 	for _, m := range t.kinds { // in kind order
-		es, ks = es[:0], ks[:0]
+		es, ks := make([]Entry, 0, len(m)), make([]keyed, 0, len(m))
 		for key, e := range m {
 			ks = append(ks, keyed{key, len(es)})
 			es = append(es, e)
@@ -313,7 +311,9 @@ func parse(data []byte) (n int, ok bool) {
 }
 
 // walk checks that the payload of frame, one whole frame, holds a record —
-// its model and tag lists inside it — and returns the offset past them.
+// its model and tag lists inside it, and for a verdict nothing after them,
+// so that a record has one frame — and returns the offset past the lists:
+// where a header's magic begins.
 func walk(frame []byte) (int, bool) {
 	end := len(frame) - 4
 	off, ok := skipModel(frame, end)
@@ -321,7 +321,10 @@ func walk(frame []byte) (int, bool) {
 		return 0, false
 	}
 	off += 2 + TagLen*int(binary.LittleEndian.Uint16(frame[off:]))
-	return off, off <= end
+	if Kind(frame[offKind]) == KindHeader {
+		return off, off <= end
+	}
+	return off, off == end
 }
 
 // skipModel walks the model list at data[offModel:end] — each binding a

@@ -162,6 +162,25 @@ func (p *Scanner) expectIdent() token {
 // Name reads an identifier.
 func (p *Scanner) Name() string { return p.expectIdent().text }
 
+// DottedName reads identifiers joined by ".", such as a field reference.
+// Where the tokens touch, as they do in any file the printers write, the
+// name is a slice of the source; else the tokens are joined.
+func (p *Scanner) DottedName() string {
+	mark := p.i
+	n := len(p.Name())
+	for p.Accept(".") {
+		n += 1 + len(p.Name())
+	}
+	if s := p.Text(mark); len(s) == n {
+		return s
+	}
+	b := make([]byte, 0, n)
+	for _, t := range p.toks[mark:p.i] {
+		b = append(b, t.text...)
+	}
+	return string(b)
+}
+
 // ExpectNumber reads a numeric literal and returns its value.
 func (p *Scanner) ExpectNumber() uint64 {
 	t := p.cur()

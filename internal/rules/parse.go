@@ -65,10 +65,7 @@ func readEntry(r *p4.Scanner) *Entry {
 	e := &Entry{Pos: r.Pos()}
 	for !r.Accept("->") {
 		at := r.Mark()
-		field := r.Name()
-		for r.Accept(".") {
-			field += "." + r.Name()
-		}
+		field := r.DottedName()
 		r.Expect("=")
 		if field == "priority" {
 			neg := !r.Accept("+") && r.Accept("-")

@@ -55,6 +55,29 @@ table t {
 	}
 }
 
+// TestParseDottedField: a field name reads the same whatever layout or
+// comments sit between its tokens.
+func TestParseDottedField(t *testing.T) {
+	s := MustParse(`
+table t {
+  hdr.ipv4.dstAddr=1 -> x();
+  hdr . ipv4 /* c */ .dstAddr=2 -> x();
+  hdr.
+    ipv4.dstAddr=3 -> x();
+  ipv4=4 -> x();
+}
+`)
+	for i, e := range s.Entries("t") {
+		want := "hdr.ipv4.dstAddr"
+		if i == 3 {
+			want = "ipv4"
+		}
+		if got := e.Matches[0].Field; got != want {
+			t.Errorf("entry %d: field %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"ipv4.dst=1 -> f();",            // entry outside table

@@ -100,7 +100,8 @@ func (r *runner) run(u *unit) {
 	e.obligations = append(e.obligations[:0], u.obligations...)
 	e.path = append(e.path[:0], u.path...)
 	e.hashes = append(e.hashes[:0], u.hash)
-	e.deps = append(e.deps[:0], u.deps...)
+	e.truncDeps(0)
+	e.deps = append(e.deps, u.deps...)
 	e.pending = u.pending
 	e.journaling = e.opts.Journal != nil
 	e.dfs(u.start)

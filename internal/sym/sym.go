@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -339,15 +338,13 @@ type executor struct {
 	// aborting the run.
 	journaling bool
 	// deps stacks the interned rule-dependency tags of the current path's
-	// nodes, duplicates and all: a step only appends and truncates. The
-	// readers (templates, journal records) sort and de-duplicate on read
-	// via uniqueDeps, whose scratch is depSeen (tag ID → epoch of the read
-	// that last saw it) and depBuf. tagBuf is appendJournal's scratch.
-	deps     []uint32
-	depSeen  []uint32
-	depEpoch uint32
-	depBuf   []uint32
-	tagBuf   []journal.Tag
+	// nodes, duplicates and all: a step only appends and truncates, and
+	// every truncation goes through truncDeps. The readers (templates,
+	// journal records) read its distinct tags, sorted, from depSets (see
+	// uniqueDeps). tagBuf is appendJournal's scratch.
+	deps    []uint32
+	depSets tagSets
+	tagBuf  []journal.Tag
 	// pending hands a branch verdict precomputed by the parent's sibling
 	// batch down to the child's dfs frame; it is set immediately before
 	// each e.dfs(succ) call and consumed (and cleared) at frame entry.
@@ -480,23 +477,15 @@ func (e *executor) curHash() uint64 {
 }
 
 // uniqueDeps returns the distinct tag IDs on the dependency stack in
-// ascending (= sorted tag) order. The result aliases depBuf and is valid
-// until the next call.
-func (e *executor) uniqueDeps() []uint32 {
-	if e.depSeen == nil {
-		e.depSeen = make([]uint32, len(e.p.tags))
-	}
-	e.depEpoch++
-	out := e.depBuf[:0]
-	for _, id := range e.deps {
-		if e.depSeen[id] != e.depEpoch {
-			e.depSeen[id] = e.depEpoch
-			out = append(out, id)
-		}
-	}
-	slices.Sort(out)
-	e.depBuf = out
-	return out
+// ascending (= sorted tag) order. The result is valid until the stack is
+// next truncated.
+func (e *executor) uniqueDeps() []uint32 { return e.depSets.of(e.deps, len(e.p.tags)) }
+
+// truncDeps cuts the dependency stack to n entries, and its tag sets with
+// it.
+func (e *executor) truncDeps(n int) {
+	e.deps = e.deps[:n]
+	e.depSets.truncate(n)
 }
 
 // curDeps snapshots the current path's dependency tags, sorted.
@@ -565,7 +554,7 @@ func (e *executor) mark() mark {
 func (e *executor) unwind(m *mark) {
 	e.hashes = e.hashes[:len(e.hashes)-(len(e.path)-m.path)]
 	e.path = e.path[:m.path]
-	e.deps = e.deps[:m.deps]
+	e.truncDeps(m.deps)
 	e.popTo(m.conds)
 	e.constraints = e.constraints[:m.conds]
 	e.condNums = e.condNums[:m.conds]
@@ -894,11 +883,12 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 		st.pend[i].checked = true
 		st.pend[i].res = st.res[j]
 		if e.journaling {
-			e.deps = append(e.deps[:nDeps], e.p.nodeDeps(st.sibs[j])...)
+			e.truncDeps(nDeps)
+			e.deps = append(e.deps, e.p.nodeDeps(st.sibs[j])...)
 			e.appendJournal(journal.Record{Kind: journal.KindCheck, Key: st.keys[j], Verdict: toVerdict(st.res[j])})
 		}
 	}
-	e.deps = e.deps[:nDeps]
+	e.truncDeps(nDeps)
 	return st
 }
 
@@ -989,12 +979,14 @@ func (c *Counts) recordPanic(value any, path []cfg.NodeID) {
 	}
 }
 
-// appendJournal writes one verdict record, the path's dependency tags
+// appendJournal journals one verdict record, the path's dependency tags
 // inline: the plan's hashes of them, in sorted tag order, gathered in
-// scratch that Append does not keep. Journaling is an aid, not a
-// correctness requirement: on a write failure (disk full, fd revoked)
-// further journaling is disabled and exploration continues — the
-// checkpoint simply ends early and a future resume re-solves from there.
+// scratch that Append does not keep. The file receives it with its batch
+// of appends. Journaling is an aid, not a correctness requirement: when a
+// batch's write fails (disk full, fd revoked) further journaling is
+// disabled and exploration continues — the checkpoint simply ends early,
+// a future resume re-solves from there, and the generation ends with the
+// error.
 func (e *executor) appendJournal(rec journal.Record) {
 	if len(e.deps) > 0 {
 		e.tagBuf = e.tagBuf[:0]

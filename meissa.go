@@ -85,8 +85,11 @@ type Options struct {
 	// keeps exploring.
 	Strict bool
 	// Checkpoint, when non-empty, names a journal file making generation
-	// crash-safe: every solver verdict is appended before use, so a run
-	// killed mid-exploration can Resume without re-solving decided paths.
+	// crash-safe: every solver verdict is journaled before use and reaches
+	// the file with the batch of appends it completes, so a run killed
+	// mid-exploration can Resume and re-solve at most the last batch's
+	// verdicts (internal/journal's batchFrames). A run whose checkpoint
+	// could not be written whole returns the error.
 	Checkpoint string
 	// Resume loads the Checkpoint journal written by an interrupted run
 	// of the same program/rules/options and answers journaled solver
@@ -221,11 +224,11 @@ func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 // regression's baseline or a store snapshot's family (shared, not copied,
 // unless a rule delta retains part of it).
 // Sinks take what the run derives, each verdict framed once: the
-// Checkpoint file, verdict by verdict before use, and the store, in one
-// transaction at the end that writes the frames the journal kept. The
-// table never changes once the first exploration starts: the run's own
-// appends do not enter it.
-func (s *System) generate(src *verdictSource) (*GenResult, error) {
+// Checkpoint file, in batches of appends journaled before use, and the
+// store, in one transaction at the end that writes the frames the journal
+// kept. The table never changes once the first exploration starts: the
+// run's own appends do not enter it.
+func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 	start := time.Now()
 	if s.Opts.Resume && s.Opts.Checkpoint == "" {
 		return nil, fmt.Errorf("meissa: Resume requires Checkpoint")
@@ -297,7 +300,13 @@ func (s *System) generate(src *verdictSource) (*GenResult, error) {
 		return nil, fmt.Errorf("meissa: checkpoint: %w", err)
 	}
 	if j != nil {
-		defer j.Close()
+		// Close writes the checkpoint's last batch: a run whose checkpoint
+		// lacks verdicts it derived says so.
+		defer func() {
+			if cerr := j.Close(); cerr != nil && err == nil {
+				out, err = nil, fmt.Errorf("meissa: checkpoint: %w", cerr)
+			}
+		}()
 		if stc != nil {
 			j.KeepFresh() // what this run derives, for the store commit
 		}
