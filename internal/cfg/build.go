@@ -527,11 +527,11 @@ func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth in
 		if expr.EqualBool(full, expr.False) {
 			continue // statically shadowed entry
 		}
-		// Tag every node of this entry's branch (predicate + inlined action
-		// body) with the entry's dependency tag so the regression layer can
-		// retire exactly the verdicts that ran through it.
-		mark := len(g.Nodes)
+		// The entry's predicate carries its dependency tag, so the
+		// regression layer can retire exactly the verdicts that ran through
+		// it: the inlined action body is reachable only through it.
 		p := g.AddPredicate(full, pipe, fmt.Sprintf("table %s entry %d", tbl.Name, i))
+		p.Deps = []string{rules.DepTag(tbl.Name, row.Entry)}
 		b.linkAll(fr, p.ID)
 		actFr := frontier{p.ID}
 		if row.Action != nil {
@@ -544,7 +544,6 @@ func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth in
 				return nil, fmt.Errorf("table %s entry %d: %w", tbl.Name, i, err)
 			}
 		}
-		g.TagDeps(mark, rules.DepTag(tbl.Name, row.Entry))
 		out = append(out, actFr...)
 	}
 
@@ -555,8 +554,8 @@ func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth in
 	}
 	missCond = expr.SimplifyBool(missCond)
 	if !expr.EqualBool(missCond, expr.False) {
-		mark := len(g.Nodes)
 		p := g.AddPredicate(missCond, pipe, fmt.Sprintf("table %s miss", tbl.Name))
+		p.Deps = []string{rules.MissTag(tbl.Name)}
 		b.linkAll(fr, p.ID)
 		missFr := frontier{p.ID}
 		if def := tbl.DefaultAction; def != nil {
@@ -565,7 +564,6 @@ func (b *builder) encodeTable(fr frontier, t *rules.Table, pipe string, depth in
 				return nil, fmt.Errorf("table %s default: %w", tbl.Name, err)
 			}
 		}
-		g.TagDeps(mark, rules.MissTag(tbl.Name))
 		out = append(out, missFr...)
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -286,5 +287,79 @@ pipeline p { control = c; }
 	}
 	if !found {
 		t.Error("LPM entry predicate missing")
+	}
+}
+
+// tagSrc's table runs a multi-statement action body with an if in each of
+// its entry and miss branches.
+const tagSrc = `
+header eth { bit<16> etherType; bit<8> ttl; }
+metadata { bit<9> port; bit<8> mark; }
+parser prs { state start { extract(eth); transition accept; } }
+action fwd(bit<9> p) {
+  meta.port = p;
+  if (eth.ttl == 0) { meta.mark = 1; } else { meta.mark = 2; eth.ttl = 7; }
+  meta.mark = meta.mark + 1;
+}
+action punt() {
+  meta.port = 0;
+  if (eth.ttl == 1) { meta.mark = 3; }
+  meta.mark = meta.mark + 2;
+}
+table t {
+  key = { eth.etherType : exact; }
+  actions = { fwd; }
+  default_action = punt();
+}
+control ing { apply { t.apply(); } }
+pipeline ig { parser = prs; control = ing; }
+`
+
+// TestTagOnBranchHeadOnly: an entry's predicate carries exactly its tag and
+// the miss predicate the miss tag; no node of their action bodies, nor any
+// other node, carries one.
+func TestTagOnBranchHeadOnly(t *testing.T) {
+	set := rules.MustParse(`
+table t {
+  eth.etherType=0x0800 -> fwd(1);
+  eth.etherType=0x86dd -> fwd(2);
+}
+`)
+	g, err := Build(p4.MustParse(tagSrc), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[NodeID]string{}
+	for _, n := range g.Nodes {
+		var i int
+		if _, err := fmt.Sscanf(n.Comment, "table t entry %d", &i); err == nil {
+			want[n.ID] = rules.DepTag("t", set.Entries("t")[i])
+		} else if n.Comment == "table t miss" {
+			want[n.ID] = rules.MissTag("t")
+		}
+	}
+	if len(want) != 3 {
+		t.Fatalf("%d branch heads, want 2 entries and a miss", len(want))
+	}
+	// The bodies are encoded too: each entry's if and three assignments to
+	// meta.mark, the miss branch's if and two.
+	var ifs, marks int
+	for _, n := range g.Nodes {
+		if tag, head := want[n.ID]; head {
+			if len(n.Deps) != 1 || n.Deps[0] != tag {
+				t.Errorf("%s: deps %v, want [%s]", n.Comment, n.Deps, tag)
+			}
+		} else if n.Deps != nil {
+			t.Errorf("node %d (%q) carries %v", n.ID, n.Comment, n.Deps)
+		}
+		if n.Kind == Predicate && strings.Contains(n.Pred.String(), "hdr.eth.ttl") {
+			ifs++
+		}
+		if n.Kind == Action && n.Var == "meta.mark" {
+			marks++
+		}
+	}
+	if ifs < 3 || marks < 8 {
+		t.Errorf("%d if predicates and %d assignments to meta.mark, want at least 3 and 8", ifs, marks)
 	}
 }

@@ -77,11 +77,14 @@ type Node struct {
 	// localization (§7), e.g. "table ipv4_host entry 3".
 	Comment string
 
-	// Deps lists the rule-dependency tags of this node: one tag per table
-	// entry or miss branch whose encoding produced it (rules.DepTag /
-	// rules.MissTag format). The incremental regression layer uses Deps to
-	// decide which journal records and cached verdicts a rule update can
-	// retire. Nil for nodes that do not depend on any table rule.
+	// Deps lists the rule-dependency tags of the branch this node begins:
+	// a table entry's or miss branch's predicate carries that branch's one
+	// tag (rules.DepTag / rules.MissTag format), a summary chain's head the
+	// tags of the path it folds. Every node of such a branch is reachable
+	// only through its head, so the tags on a path's heads are the tags of
+	// every rule the path depends on. The incremental regression layer
+	// uses them to decide which journal records and cached verdicts a rule
+	// update can retire. Nil for every other node.
 	Deps []string
 
 	// content caches the node's content hash (Graph.ContentHash).
@@ -219,26 +222,6 @@ func (g *Graph) add(node Node) *Node {
 
 // ContentHash returns the content hash of the node with the given ID.
 func (g *Graph) ContentHash(id NodeID) uint64 { return g.Nodes[id].content }
-
-// TagDeps appends tag to the Deps of every node with index >= from,
-// skipping nodes that already carry it. The table encoder calls it with
-// the node-count watermark taken before encoding an entry or miss branch:
-// node IDs are assigned sequentially, so the slice [from:] is exactly the
-// branch's nodes (including inlined action bodies).
-func (g *Graph) TagDeps(from int, tag string) {
-	for _, n := range g.Nodes[from:] {
-		seen := false
-		for _, d := range n.Deps {
-			if d == tag {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			n.Deps = append(n.Deps, tag)
-		}
-	}
-}
 
 // noteVars records the widths of the variables a node mentions.
 func (g *Graph) noteVars(n *Node) {

@@ -88,25 +88,3 @@ func TestContentHashHashNodeFoldsID(t *testing.T) {
 		t.Error("hash-node content hash not reproducible across rebuilds")
 	}
 }
-
-// TestTagDepsWatermark: TagDeps tags exactly the nodes added after the
-// watermark, append-unique.
-func TestTagDepsWatermark(t *testing.T) {
-	g := NewGraph()
-	before := g.AddPredicate(pred(1), "ig", "")
-	mark := len(g.Nodes)
-	n1 := g.AddPredicate(pred(2), "ig", "")
-	n2 := g.AddAction("x", expr.C(1, 8), "ig", "")
-	g.TagDeps(mark, "acl#dead")
-	g.TagDeps(mark, "acl#dead") // idempotent
-	g.TagDeps(mark, "acl#miss")
-
-	if len(before.Deps) != 0 {
-		t.Errorf("node before the watermark was tagged: %v", before.Deps)
-	}
-	for _, n := range []*Node{n1, n2} {
-		if len(n.Deps) != 2 || n.Deps[0] != "acl#dead" || n.Deps[1] != "acl#miss" {
-			t.Errorf("node %d deps = %v, want [acl#dead acl#miss]", n.ID, n.Deps)
-		}
-	}
-}

@@ -10,7 +10,7 @@ import (
 
 // ErrBudget is the sentinel for a query that exhausted its step budget. Such a query answers Unknown — never Unsat — so callers that
 // treat Unknown conservatively (keep the path) stay sound under any
-// budget. Use errors.Is(err, ErrBudget) against LastUnknown.
+// budget.
 var ErrBudget = errors.New("smt: query budget exhausted")
 
 // BudgetError is the typed budget-exhaustion report for a query that
@@ -261,16 +261,6 @@ func (s *Solver) slot(v expr.Var) int32 {
 
 // Stats returns a copy of the solver's counters.
 func (s *Solver) Stats() Stats { return s.stats }
-
-// LastUnknown explains the most recent Check/Model that returned
-// Unknown: a *BudgetError (errors.Is(err, ErrBudget)) when a budget was
-// the cause, ErrTruncated when a cut candidate list was, nil when the
-// last query did not end Unknown. The value is
-// overwritten by every check.
-func (s *Solver) LastUnknown() error { return s.lastUnknown }
-
-// ResetStats zeroes the counters.
-func (s *Solver) ResetStats() { s.stats = Stats{} }
 
 // Depth returns the current number of pushed frames (excluding the root).
 func (s *Solver) Depth() int { return len(s.frames) - 1 }

@@ -132,15 +132,6 @@ type Failpoints struct {
 // ErrInjected is the transient error returned at a FailAt point.
 var ErrInjected = errors.New("store: injected I/O error")
 
-// Ops returns the number of write points executed so far. A counting
-// pass (no CrashAt) measures a workload's total write points; the sweep
-// then crashes at each one in turn.
-func (fp *Failpoints) Ops() int {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	return fp.ops
-}
-
 // Crashed reports whether the crash point fired.
 func (fp *Failpoints) Crashed() bool {
 	fp.mu.Lock()

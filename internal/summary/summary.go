@@ -208,7 +208,8 @@ func (m chainNames) of(v expr.Var) chainName {
 // pipeline, then @var saves for every changed variable, then the
 // simultaneous assignment encoded with entry-value auxiliaries
 // (Algorithm 2 lines 13–24 and the @srcPort example of §3.3).
-// It returns the chain's head and tail node IDs.
+// It returns the chain's head and tail node IDs; the head alone carries
+// the template's dependency tags.
 func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.Bool, initV expr.Subst, names chainNames) (head, tail cfg.NodeID) {
 	// Chain layout: saves → hash/checksum obligations → guard predicate →
 	// assignments. The obligations must precede the predicate because the
@@ -218,13 +219,14 @@ func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.
 	head = cfg.None
 	tail = cfg.None
 	appendNode := func(n *cfg.Node) {
-		// Every chain node inherits the template's rule-dependency tags:
-		// the chain stands in for a concrete path through the pipeline's
-		// tables, so final-pass walks crossing it must accumulate the same
-		// dependencies the folded path had (journal index records and
-		// verdict-cache tags for incremental regression both rely on this).
-		n.Deps = t.Deps
 		if head == cfg.None {
+			// The chain's head carries the template's rule-dependency tags:
+			// the chain stands in for a concrete path through the
+			// pipeline's tables, and the rest of it is reachable only
+			// through the head, so a final-pass walk crossing it gathers
+			// the dependencies the folded path had (journal records and
+			// incremental regression rely on this).
+			n.Deps = t.Deps
 			head = n.ID
 		} else {
 			g.Link(tail, n.ID)

@@ -401,3 +401,31 @@ func defaultOptions() Options {
 	o.WantModels = false // summaries need conditions, not witnesses
 	return Options{Sym: o, UsePreconditions: true}
 }
+
+// TestChainTagOnHeadOnly: a summary chain's head carries the folded path's
+// dependency tags and no later node of the chain, its tail included,
+// carries any.
+func TestChainTagOnHeadOnly(t *testing.T) {
+	g := buildTwoPipe(t, 3)
+	if _, err := Summarize(g, defaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, r := range g.Pipelines {
+		for _, head := range g.Node(r.Entry).Succs {
+			after := 0
+			for id := g.Node(head).Succs[0]; id != r.Exit; id = g.Node(id).Succs[0] {
+				if deps := g.Node(id).Deps; deps != nil {
+					t.Errorf("%s: chain node %d (%q) after head %d carries %v", r.Name, id, g.Node(id).Comment, head, deps)
+				}
+				after++
+			}
+			if g.Node(head).Deps != nil && after > 0 {
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no chain has a tagged head and nodes after it")
+	}
+}

@@ -295,6 +295,3 @@ func (t *Target) Stats() Stats {
 	}
 	return s
 }
-
-// ResetRegisters zeroes the persistent register file.
-func (t *Target) ResetRegisters() { clear(t.m.slots[t.vars.PerPacket():t.vars.Len()]) }

@@ -101,7 +101,7 @@ func (r *runner) run(u *unit) {
 	e.path = append(e.path[:0], u.path...)
 	e.hashes = append(e.hashes[:0], u.hash)
 	e.truncDeps(0)
-	e.deps = append(e.deps, u.deps...)
+	e.pushDeps(u.deps)
 	e.pending = u.pending
 	e.journaling = e.opts.Journal != nil
 	e.dfs(u.start)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -260,6 +261,7 @@ func newExecutor(c Config, opts Options, p *plan, seed uint64, shared *sharedSta
 		vals:       append(expr.Env(nil), p.init...),
 		res:        &Result{},
 		hashes:     []uint64{seed},
+		hasDep:     make([]bool, len(p.tags)),
 		journaling: opts.Journal != nil,
 	}
 	for _, b := range c.InitConstraints {
@@ -338,13 +340,13 @@ type executor struct {
 	// aborting the run.
 	journaling bool
 	// deps stacks the interned rule-dependency tags of the current path's
-	// nodes, duplicates and all: a step only appends and truncates, and
-	// every truncation goes through truncDeps. The readers (templates,
-	// journal records) read its distinct tags, sorted, from depSets (see
-	// uniqueDeps). tagBuf is appendJournal's scratch.
-	deps    []uint32
-	depSets tagSets
-	tagBuf  []journal.Tag
+	// nodes, each tag ID once, in push order: pushDeps skips an ID that
+	// hasDep marks, and truncDeps pops IDs and clears their marks. sorted
+	// holds the same IDs ascending, which the readers (templates, journal
+	// records) take (uniqueDeps). tagBuf is appendJournal's scratch.
+	deps, sorted []uint32
+	hasDep       []bool
+	tagBuf       []journal.Tag
 	// pending hands a branch verdict precomputed by the parent's sibling
 	// batch down to the child's dfs frame; it is set immediately before
 	// each e.dfs(succ) call and consumed (and cleared) at frame entry.
@@ -476,16 +478,34 @@ func (e *executor) curHash() uint64 {
 	return e.hashes[len(e.hashes)-1]
 }
 
-// uniqueDeps returns the distinct tag IDs on the dependency stack in
-// ascending (= sorted tag) order. The result is valid until the stack is
-// next truncated.
-func (e *executor) uniqueDeps() []uint32 { return e.depSets.of(e.deps, len(e.p.tags)) }
+// uniqueDeps returns the tag IDs on the dependency stack in ascending
+// (= sorted tag) order. The result is valid until the stack next changes.
+func (e *executor) uniqueDeps() []uint32 { return e.sorted }
 
-// truncDeps cuts the dependency stack to n entries, and its tag sets with
-// it.
+// pushDeps pushes the IDs of ids that the dependency stack does not hold.
+// No path of an encoded graph crosses a tag twice (a tag sits on the one
+// node that begins its branch), but nothing in the encoders forbids it.
+func (e *executor) pushDeps(ids []uint32) {
+	for _, id := range ids {
+		if e.hasDep[id] {
+			continue
+		}
+		e.hasDep[id] = true
+		e.deps = append(e.deps, id)
+		i, _ := slices.BinarySearch(e.sorted, id)
+		e.sorted = slices.Insert(e.sorted, i, id)
+	}
+}
+
+// truncDeps cuts the dependency stack to n entries, taking the popped IDs
+// out of sorted and their marks.
 func (e *executor) truncDeps(n int) {
+	for _, id := range e.deps[n:] {
+		e.hasDep[id] = false
+		i, _ := slices.BinarySearch(e.sorted, id)
+		e.sorted = slices.Delete(e.sorted, i, i+1)
+	}
 	e.deps = e.deps[:n]
-	e.depSets.truncate(n)
 }
 
 // curDeps snapshots the current path's dependency tags, sorted.
@@ -664,7 +684,7 @@ func (e *executor) step(id cfg.NodeID) {
 	n := e.g.Node(id)
 	e.path = append(e.path, id)
 	e.hashes = append(e.hashes, hashMix(e.hashes[len(e.hashes)-1], e.g.ContentHash(id)))
-	e.deps = append(e.deps, e.p.nodeDeps(id)...)
+	e.pushDeps(e.p.nodeDeps(id))
 
 	switch n.Kind {
 	case cfg.Predicate:
@@ -884,7 +904,7 @@ func (e *executor) batchSiblings(n *cfg.Node) *batchScratch {
 		st.pend[i].res = st.res[j]
 		if e.journaling {
 			e.truncDeps(nDeps)
-			e.deps = append(e.deps, e.p.nodeDeps(st.sibs[j])...)
+			e.pushDeps(e.p.nodeDeps(st.sibs[j]))
 			e.appendJournal(journal.Record{Kind: journal.KindCheck, Key: st.keys[j], Verdict: toVerdict(st.res[j])})
 		}
 	}
