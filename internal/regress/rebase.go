@@ -1,6 +1,6 @@
 // Package regress implements incremental regression testing: given a
 // baseline run's checkpoint journal and a rule-set delta, it rebases the
-// journal onto the new rule set — retiring exactly the records whose
+// journal's verdicts onto the new rule set — retiring exactly the records whose
 // paths crossed a changed table branch — so the re-exploration answers
 // every untouched solver interaction from the journal and re-solves only
 // the affected subtrees.
@@ -38,11 +38,13 @@ type RebaseStats struct {
 
 // Retain is the rebase filter: of a baseline's records it keeps every
 // record none of whose dependency tags the invalid filter matches
-// (invalid == nil retains every record). The kept table shares t's frames
-// and leaves t as it was.
+// (invalid == nil retains every record). It keeps no template list: the
+// baseline's is its own run's, not the run the kept records start. The
+// kept table shares t's frames and leaves t as it was.
 func Retain(t *journal.Table, invalid func(tag []byte) bool) (*journal.Table, *RebaseStats) {
 	st := &RebaseStats{Baseline: t.Len()}
 	kept := t.Clone()
+	kept.DropTemplates()
 	if invalid != nil {
 		st.Invalidated = kept.DeleteFunc(func(e journal.Entry) bool { return e.DependsOn(invalid) })
 	}

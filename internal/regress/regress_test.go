@@ -21,8 +21,8 @@ func tagsOf(tags ...string) []journal.Tag {
 	return out
 }
 
-// writeBaseline builds a journal of tag-bearing records and one that
-// depends on no table.
+// writeBaseline builds a completed run's journal: tag-bearing records, one
+// that depends on no table, and the run's template list.
 func writeBaseline(t *testing.T, path string, fp uint64) {
 	t.Helper()
 	j, err := journal.Open(path, fp, false)
@@ -41,6 +41,7 @@ func writeBaseline(t *testing.T, path string, fp uint64) {
 		Model: []journal.VarVal{{Var: "port", Val: 80}}, Tags: tagsOf("acl#miss")}))
 	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 4, Verdict: journal.Sat})) // no deps
 	must(j.Append(journal.Record{Kind: journal.KindCheck, Key: 5, Verdict: journal.Sat, Tags: tagsOf("fwd#miss")}))
+	j.Complete(fp, []uint64{3})
 }
 
 func TestRebaseFiltersByTag(t *testing.T) {
@@ -80,6 +81,19 @@ func TestRebaseFiltersByTag(t *testing.T) {
 	}
 	if _, ok := d.Lookup(journal.KindCheck, 4); !ok {
 		t.Error("a record that depends on no table must survive the rebase")
+	}
+
+	// The baseline's template list is its own run's: neither the rebased
+	// file nor a retained table carries it, and the baseline keeps it.
+	if d.Table().Templates().Frame() != nil {
+		t.Error("the rebased journal carries the baseline's template list")
+	}
+	base, err := journal.ReadTable(src, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept, _ := Retain(base, invalid); kept.Templates().Frame() != nil || base.Templates().Frame() == nil {
+		t.Error("Retain kept the baseline's template list, or took it from the baseline")
 	}
 }
 

@@ -101,9 +101,11 @@ func laterCommit(tail []byte, txid uint64) bool {
 }
 
 // family is one family's state: its rules and its records, each kept as
-// the frame the log holds it in. A committed one never changes, nor does
-// its table, which warm starts and regressions share: a transaction works
-// on a clone, which its commit puts in place.
+// the frame the log holds it in, and in the records' table the template
+// list of the last completed run under those rules, if it has one. A
+// committed one never changes, nor does its table, which warm starts and
+// regressions share: a transaction works on a clone, which its commit puts
+// in place.
 type family struct {
 	hasRules bool
 	rules    string
@@ -128,7 +130,8 @@ func (f *family) empty() bool { return !f.hasRules && f.recs.Len() == 0 }
 // a transaction alike; a tombstone is kill in a transaction, bury at Open.
 
 // put adds the record framed by frame, tags inline, over any record of its
-// key; the family keeps frame. ok=false: frame holds no record.
+// key, or a template list over the family's; the family keeps frame.
+// ok=false: frame holds no record.
 func (f *family) put(frame []byte) bool {
 	old, ok := f.recs.PutFrame(frame)
 	if ok {
@@ -137,9 +140,15 @@ func (f *family) put(frame []byte) bool {
 	return ok
 }
 
+// setRules installs text. Rules that are not the family's drop its template
+// list: a list is its run's, and that run's rules are the family's. A commit
+// that installs new rules and no list leaves the family without one.
 func (f *family) setRules(text string) {
 	if f.hasRules {
 		f.bytes -= rulesLen(f.rules)
+	}
+	if text != f.rules {
+		f.bytes -= int64(len(f.recs.DropTemplates().Frame()))
 	}
 	f.bytes += rulesLen(text)
 	f.hasRules, f.rules = true, text
@@ -221,7 +230,7 @@ func (f *family) appendTo(out []byte, fam uint64) []byte {
 	for _, e := range f.recs.Sorted() {
 		out = append(out, e.Frame()...)
 	}
-	return out
+	return append(out, f.recs.Templates().Frame()...)
 }
 
 // state is a committed state of the store, which snapshots pin.
@@ -288,7 +297,7 @@ func replay(data []byte) (*state, int, uint64, error) {
 			}
 		case f == nil:
 			ok = false
-		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit):
+		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit), p[0] == byte(journal.KindTemplates):
 			// Kept as it lies in data: the table indexes frames, decodes nothing.
 			ok = f.put(data[off : off+n : off+n])
 		case p[0] == frameDead:

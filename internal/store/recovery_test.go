@@ -36,12 +36,13 @@ func recRecord(key uint64, verdict journal.Verdict, tags ...string) journal.Reco
 	}
 }
 
-// workloadTxns is the scripted transaction sequence. Transaction 2 is
-// the atomic rule update: invalidate every acl-dependent verdict and
-// install the new rules in one commit — so much of so small a store that
-// the commit compacts it. The transactions after the fourth are churn on
-// a larger population: a second rule update small enough to be appended
-// (its tombstone is replayed by every later reopen), overwrites until the
+// workloadTxns is the scripted transaction sequence. The first commits a
+// template list with its rules. Transaction 2 is the atomic rule update:
+// invalidate every acl-dependent verdict and install the new rules in one
+// commit, which drops the list — so much of so small a store that the
+// commit compacts it. The transactions after the fourth are churn on
+// a larger population: a second rule update small enough to be appended,
+// with a list of its own (its tombstone is replayed by every later reopen), overwrites until the
 // log holds more dead bytes than live ones and a commit rewrites it, and
 // one more append to the rewritten log. tombstoneTxn is that second rule
 // update, for the sweep's own sanity checks.
@@ -72,7 +73,10 @@ func workloadTxns() []func(tx *Tx) error {
 					return err
 				}
 			}
-			return tx.SetFamilyRules(recFam, "rules-v1: acl{allow} fwd{}")
+			if err := tx.SetFamilyRules(recFam, "rules-v1: acl{allow} fwd{}"); err != nil {
+				return err
+			}
+			return putList(tx, recFam, 1, 1, 3, 5)
 		},
 		func(tx *Tx) error {
 			for i := uint64(9); i <= 16; i++ {
@@ -104,7 +108,10 @@ func workloadTxns() []func(tx *Tx) error {
 			if err := putRecord(tx, recFam, recRecord(20, journal.Sat, rules.MissTag("acl"))); err != nil {
 				return err
 			}
-			return tx.SetFamilyRules(recFam, "rules-v3: acl{} fwd{} nat{snat}")
+			if err := tx.SetFamilyRules(recFam, "rules-v3: acl{} fwd{} nat{snat}"); err != nil {
+				return err
+			}
+			return putList(tx, recFam, 3, 20, 141)
 		},
 		churn(journal.Unsat),
 		churn(journal.Unknown),
@@ -145,7 +152,7 @@ func runWorkload(path string, fs FS, capture func(int, *Store)) (int, error) {
 }
 
 // stateString canonically serializes everything a reader can observe:
-// records and rules. Two equal strings mean byte-identical reads.
+// records, rules and the template list. Two equal strings mean byte-identical reads.
 func stateString(t *testing.T, s *Store) string { return storeState(t, s, recFam) }
 
 // storeState is stateString for any family.
@@ -165,6 +172,9 @@ func storeState(t *testing.T, s *Store, fam uint64) string {
 		t.Fatalf("stateString family: %v", err)
 	} else if ok {
 		fmt.Fprintf(&b, "F %x %q\n", info.RulesHash, info.Rules)
+	}
+	if l := sn.Table(fam).Templates(); l.Frame() != nil {
+		fmt.Fprintf(&b, "L %x %v\n", l.Key(), l.PathKeys())
 	}
 	return b.String()
 }

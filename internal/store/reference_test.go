@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -15,7 +16,9 @@ import (
 // The replay this package had before its families kept frames: every
 // record decoded into a journal.Record at Open, each tombstone applied over
 // the family as it is read, its tags hashed here (hash/fnv) and compared
-// with the records' decoded Tags. It is the oracle FuzzOpen holds Open to.
+// with the records' decoded Tags; a template list kept as its frame, which
+// a rules frame with other text drops. It is the oracle FuzzOpen holds
+// Open to.
 
 type refKey struct {
 	kind journal.Kind
@@ -32,6 +35,7 @@ type refFamily struct {
 	hasRules bool
 	rules    string
 	recs     map[refKey]refRec
+	list     []byte // the template list's frame, nil for none
 	bytes    int64
 }
 
@@ -49,6 +53,10 @@ func (f *refFamily) put(r journal.Record, n int64) {
 func (f *refFamily) setRules(text string) {
 	if f.hasRules {
 		f.bytes -= rulesLen(f.rules)
+	}
+	if text != f.rules {
+		f.bytes -= int64(len(f.list))
+		f.list = nil
 	}
 	f.bytes += rulesLen(text)
 	f.hasRules, f.rules = true, text
@@ -134,6 +142,11 @@ func refReplay(data []byte) (*refState, int, error) {
 			if e, ok = journal.EntryOf(data[off : off+n]); ok {
 				f.put(e.Record(), int64(n))
 			}
+		case p[0] == byte(journal.KindTemplates):
+			if _, ok = journal.EntryOf(data[off : off+n]); ok {
+				f.bytes += int64(n - len(f.list))
+				f.list = data[off : off+n]
+			}
 		case p[0] == frameDead:
 			var tags []string
 			if tags, ok = refDeadTags(p); ok {
@@ -172,6 +185,9 @@ func sameAsReference(t *testing.T, st *state, want *refState) {
 		if f.hasRules != w.hasRules || f.rules != w.rules || f.bytes != w.bytes || f.recs.Len() != len(w.recs) {
 			t.Fatalf("family %#x: rules %v %q, %d live bytes, %d records; the reference %v %q, %d, %d",
 				fam, f.hasRules, f.rules, f.bytes, f.recs.Len(), w.hasRules, w.rules, w.bytes, len(w.recs))
+		}
+		if got := f.recs.Templates().Frame(); !bytes.Equal(got, w.list) || (got == nil) != (w.list == nil) {
+			t.Fatalf("family %#x: template list of %d bytes, the reference %d", fam, len(got), len(w.list))
 		}
 		for k, r := range w.recs {
 			e, ok := f.recs.Lookup(k.kind, k.key)

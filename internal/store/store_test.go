@@ -79,6 +79,13 @@ func putRecord(tx *Tx, fam uint64, r journal.Record) error {
 	return err
 }
 
+// putList puts a template list of keys under fp into fam, framed as a
+// completed run's journal frames it.
+func putList(tx *Tx, fam, fp uint64, keys ...uint64) error {
+	_, err := tx.Put(fam, journal.New().Complete(fp, keys))
+	return err
+}
+
 // TestStoreRoundTrip persists records across a close/reopen and checks
 // byte-level record fidelity plus family rules round-trip.
 func TestStoreRoundTrip(t *testing.T) {
@@ -658,8 +665,8 @@ func TestCorruptionInsideHistory(t *testing.T) {
 	}
 }
 
-// TestStoreRandomAgainstModel drives random puts, overwrites, rule
-// updates and tag invalidations through commits, aborts and
+// TestStoreRandomAgainstModel drives random puts, overwrites, template
+// lists, rule updates and tag invalidations through commits, aborts and
 // reopens, and checks every committed state — as the open store serves it
 // and as a reopen replays it from the log — against a map model.
 func TestStoreRandomAgainstModel(t *testing.T) {
@@ -676,6 +683,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 	type modelFam struct {
 		recs  map[uint64]journal.Record
 		rules string
+		list  []uint64 // the template list's path keys; nil for none
 	}
 	model := map[uint64]*modelFam{}
 	for _, fam := range fams {
@@ -684,7 +692,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 	clone := func() map[uint64]*modelFam {
 		c := map[uint64]*modelFam{}
 		for fam, m := range model {
-			c[fam] = &modelFam{recs: maps.Clone(m.recs), rules: m.rules}
+			c[fam] = &modelFam{recs: maps.Clone(m.recs), rules: m.rules, list: m.list}
 		}
 		return c
 	}
@@ -713,6 +721,9 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 			}
 			if info, ok, _ := sn.Family(fam); ok != (m.rules != "") || info.Rules != m.rules {
 				t.Fatalf("step %d (%s): family %d rules %q (present %v), model %q", step, what, fam, info.Rules, ok, m.rules)
+			}
+			if l := sn.Table(fam).Templates(); (l.Frame() != nil) != (m.list != nil) || !slices.Equal(l.PathKeys(), m.list) || m.list != nil && l.Key() != fam {
+				t.Fatalf("step %d (%s): family %d template list %v under %#x, model %v", step, what, fam, l.PathKeys(), l.Key(), m.list)
 			}
 		}
 	}
@@ -759,9 +770,22 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 				if n, err := tx.InvalidateTags(fam, []string{tag}); err != nil || n != want {
 					t.Fatalf("step %d: InvalidateTags(%q) = %d, %v; model retires %d", step, tag, n, err, want)
 				}
-				m.rules = fmt.Sprint("rules after step ", step)
+				if text := fmt.Sprint("rules after step ", step); text != m.rules {
+					m.rules, m.list = text, nil // other rules drop the list
+				}
 				if err := tx.SetFamilyRules(fam, m.rules); err != nil {
 					t.Fatal(err)
+				}
+			case 1: // a completed run's template list, over the family's
+				m.list = []uint64{}
+				for i := rng.Intn(4); i > 0; i-- {
+					m.list = append(m.list, uint64(rng.Intn(60)))
+				}
+				if err := putList(tx, fam, fam, m.list...); err != nil {
+					t.Fatal(err)
+				}
+				if held, err := tx.Put(fam, journal.New().Complete(fam, m.list)); err != nil || !held {
+					t.Fatalf("step %d: the transaction does not read its own list (%v)", step, err)
 				}
 			default:
 				r := testRecord(uint64(rng.Intn(60)), journal.Verdict(rng.Intn(3)), randomTags()...)
@@ -781,6 +805,11 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 			continue
 		}
 		mustCommit(t, tx)
+		for _, m := range model {
+			if m.rules == "" && len(m.recs) == 0 {
+				m.list = nil // a family of a list alone is empty, and goes
+			}
+		}
 		check(step, "open store")
 		if rng.Intn(6) == 0 {
 			compactions += s.Stats().Compactions

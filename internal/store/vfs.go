@@ -1,7 +1,8 @@
 // Package store implements the durable cross-run verdict store: one
 // append-only file holding, per program family (program + options, no
-// rules), the verdict records of completed runs and the rule text they
-// are valid under.
+// rules), the verdict records of completed runs, the rule text they are
+// valid under, and the template list of the last completed run under that
+// text.
 //
 // The file is a log in the checkpoint journal's framing,
 // [u32 length][payload][u32 CRC32C(payload)], the first payload byte
@@ -12,6 +13,10 @@
 //	'F'     fam(8): scopes the frames up to the next 'F' or 'X'
 //	1, 2    a verdict, its dependency tags inline as 8-byte hashes
 //	        (journal.Tag): the frame a checkpoint journal holds it in
+//	3       the template list of a completed run under the family's
+//	        rules, keyed by its fingerprint: the frame its checkpoint
+//	        holds it in. At most one a family: a later list replaces it,
+//	        and an 'R' frame with other rules drops it
 //	'R'     the rules text the family's entries are valid under
 //	'T'     tombstone, {tlen(2) tag}*: retires what depends on its tags,
 //	        spelt out as rulediff.Matcher reads them
