@@ -89,7 +89,9 @@ type Options struct {
 	// the file with the batch of appends it completes, so a run killed
 	// mid-exploration can Resume and re-solve at most the last batch's
 	// verdicts (internal/journal's batchFrames). A run whose checkpoint
-	// could not be written whole returns the error.
+	// could not be written whole returns the error. A run that completes —
+	// halts on no MaxPaths and recovers no path — ends the file with its
+	// template list, which makes it a baseline Regress can read.
 	Checkpoint string
 	// Resume loads the Checkpoint journal written by an interrupted run
 	// of the same program/rules/options and answers journaled solver
@@ -110,7 +112,8 @@ type Options struct {
 	// start writes nothing: under a stored rule set that differs from this
 	// run's it keeps in memory only the records the delta leaves valid. The
 	// run's one transaction at the end retires the rest, installs the new
-	// rules and commits the run's own verdicts.
+	// rules and commits the run's own verdicts and, when the run completes,
+	// its template list, which RegressStore reads as the baseline's.
 	StorePath string
 	// StoreWait bounds how long opening StorePath waits for the store's
 	// advisory lock while another run holds it, retrying until the
@@ -201,7 +204,7 @@ type GenResult struct {
 	// Phases records the wall-clock duration of each generation phase, in
 	// execution order: "cfg"; "store-open" when the run opened its
 	// StorePath; whichever of "journal-load" (a resumed
-	// checkpoint, or a regression's baseline), "rebase" and "store-warm"
+	// checkpoint), "rebase" (a regression's baseline) and "store-warm"
 	// gave the run its starting verdicts; "summary" when code summary ran;
 	// "sym"; "store-commit". The same timings aggregate under
 	// "generate/<phase>" span paths in the process obs registry.
@@ -226,7 +229,8 @@ func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 // Sinks take what the run derives, each verdict framed once: the
 // Checkpoint file, in batches of appends journaled before use, and the
 // store, in one transaction at the end that writes the frames the journal
-// kept. The table never changes once the first exploration starts: the
+// kept. A run that completes ends each sink with its template list, framed
+// once too. The table never changes once the first exploration starts: the
 // run's own appends do not enter it.
 func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 	start := time.Now()
@@ -260,13 +264,6 @@ func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// The plain path does not pay for the identity only a checkpoint file
-	// is checked against.
-	var fp uint64
-	if s.Opts.Checkpoint != "" {
-		fp = s.fingerprint(initC)
-	}
-
 	var stc *storeCtx
 	switch {
 	case src != nil && src.stc != nil:
@@ -279,6 +276,13 @@ func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 			return nil, err
 		}
 		defer stc.release()
+	}
+	// The run's identity, which a checkpoint file is checked against and a
+	// completed run's template list is keyed by. The plain path does not pay
+	// for it.
+	var fp uint64
+	if s.Opts.Checkpoint != "" || stc != nil {
+		fp = s.fingerprint(initC)
 	}
 
 	// The verdict table: the Checkpoint journal when one is named, else —
@@ -371,6 +375,18 @@ func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 		res.JournalAppended = j.Appended()
 		res.JournalLoaded = uint64(j.Loaded())
 	}
+	// A completed run's sinks receive its template list, which a regression
+	// from them reads instead of exploring under the old rules again. A run
+	// that halted on MaxPaths, or skipped a subtree that panicked, has no
+	// complete list to give.
+	var list []byte
+	if (s.Opts.Checkpoint != "" || stc != nil) && !res.Truncated && res.Recovered == 0 {
+		keys := make([]uint64, len(exp.Templates))
+		for i, t := range exp.Templates {
+			keys[i] = t.PathKey
+		}
+		list = j.Complete(fp, keys)
+	}
 	if stc != nil {
 		err := phase("store-commit", func() error {
 			t := j.Fresh()
@@ -379,7 +395,7 @@ func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 				// that died before its commit.
 				t = journal.Merge(j.Table(), t)
 			}
-			return stc.commit(s, t)
+			return stc.commit(s, t, list)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("meissa: store: %w", err)

@@ -4,9 +4,10 @@ package meissa_test
 // the counted work and every output byte are what they were before either
 // (the constants below were recorded at commit 538846c, which walked every
 // chain and rendered through fmt), and the walk enters far fewer frames.
-// The checkpoint digests (JournalSHA) were recorded at commit f67e8c7, which
-// tagged every node of a rule's branch: they hold a record's tag list to
-// the bytes it had then.
+// The checkpoint digests (JournalSHA) hold a record's tag list to the bytes
+// it had at commit f67e8c7, which tagged every node of a rule's branch; they
+// were recorded again when a completed run's checkpoint came to end with
+// its template list, a frame after the same verdict frames.
 
 import (
 	"bufio"
@@ -43,16 +44,16 @@ func TestCountedWorkUnchangedByParentPrunes(t *testing.T) {
 		HookFNV               uint64
 	}
 	want := map[string]counts{
-		"Router/summary": {Paths: 562, Pruned: 476, Checks: 179, JournalHits: 179, Templates: 43, OutputSHA: "62289fd8", JournalSHA: "339c801b", HookFNV: 0xc4c3898c9fe3a401},
-		"Router/raw":     {Paths: 519, Pruned: 476, Checks: 93, JournalHits: 93, Templates: 43, OutputSHA: "7adc4fd8", JournalSHA: "d3c660a0", HookFNV: 0xf467aa6e399d1397},
-		"gw-1/summary":   {Paths: 106, Pruned: 88, Checks: 50, JournalHits: 50, Templates: 9, OutputSHA: "c1f16725", JournalSHA: "91a4037b", HookFNV: 0x9b159383d05abb11},
-		"gw-1/raw":       {Paths: 97, Pruned: 88, Checks: 32, JournalHits: 32, Templates: 9, OutputSHA: "3cd4246b", JournalSHA: "640a1268", HookFNV: 0xa98bad5051d729f0},
-		"gw-2/summary":   {Paths: 631, Pruned: 568, Checks: 152, JournalHits: 152, Templates: 42, OutputSHA: "fbd390e0", JournalSHA: "d721d88f", HookFNV: 0x57b2db53d6060b76},
-		"gw-2/raw":       {Paths: 643, Pruned: 601, Checks: 110, JournalHits: 110, Templates: 42, OutputSHA: "7c5862b3", JournalSHA: "d9b94c6f", HookFNV: 0xbe93ddcdd71762fd},
-		"gw-3/summary":   {Paths: 1845, Pruned: 1702, Checks: 1598, JournalHits: 1598, Templates: 105, OutputSHA: "a6d8732f", JournalSHA: "170ef020", HookFNV: 0xbc34c47074b44003},
-		"gw-3/raw":       {Paths: 2548, Pruned: 2443, Checks: 2456, JournalHits: 2456, Templates: 105, OutputSHA: "d3ea6186", JournalSHA: "ba556625", HookFNV: 0xc5d09f0fc8bd33d1},
-		"gw-4/summary":   {Paths: 22400, Pruned: 21601, Checks: 9274, JournalHits: 9274, Templates: 636, OutputSHA: "15093e9f", JournalSHA: "7985ca0d", HookFNV: 0x971e88e8f891fcd9},
-		"gw-4/raw":       {Paths: 19898, Pruned: 19262, Checks: 15954, JournalHits: 15954, Templates: 636, OutputSHA: "a8010286", JournalSHA: "d2f51c1e", HookFNV: 0x9b6316cee5cd4965},
+		"Router/summary": {Paths: 562, Pruned: 476, Checks: 179, JournalHits: 179, Templates: 43, OutputSHA: "62289fd8", JournalSHA: "80b129d0", HookFNV: 0xc4c3898c9fe3a401},
+		"Router/raw":     {Paths: 519, Pruned: 476, Checks: 93, JournalHits: 93, Templates: 43, OutputSHA: "7adc4fd8", JournalSHA: "2130da90", HookFNV: 0xf467aa6e399d1397},
+		"gw-1/summary":   {Paths: 106, Pruned: 88, Checks: 50, JournalHits: 50, Templates: 9, OutputSHA: "c1f16725", JournalSHA: "121cadb9", HookFNV: 0x9b159383d05abb11},
+		"gw-1/raw":       {Paths: 97, Pruned: 88, Checks: 32, JournalHits: 32, Templates: 9, OutputSHA: "3cd4246b", JournalSHA: "f59f0b68", HookFNV: 0xa98bad5051d729f0},
+		"gw-2/summary":   {Paths: 631, Pruned: 568, Checks: 152, JournalHits: 152, Templates: 42, OutputSHA: "fbd390e0", JournalSHA: "3cc116b1", HookFNV: 0x57b2db53d6060b76},
+		"gw-2/raw":       {Paths: 643, Pruned: 601, Checks: 110, JournalHits: 110, Templates: 42, OutputSHA: "7c5862b3", JournalSHA: "48ccdc34", HookFNV: 0xbe93ddcdd71762fd},
+		"gw-3/summary":   {Paths: 1845, Pruned: 1702, Checks: 1598, JournalHits: 1598, Templates: 105, OutputSHA: "a6d8732f", JournalSHA: "f25d15f6", HookFNV: 0xbc34c47074b44003},
+		"gw-3/raw":       {Paths: 2548, Pruned: 2443, Checks: 2456, JournalHits: 2456, Templates: 105, OutputSHA: "d3ea6186", JournalSHA: "e10d6760", HookFNV: 0xc5d09f0fc8bd33d1},
+		"gw-4/summary":   {Paths: 22400, Pruned: 21601, Checks: 9274, JournalHits: 9274, Templates: 636, OutputSHA: "15093e9f", JournalSHA: "6fa34edb", HookFNV: 0x971e88e8f891fcd9},
+		"gw-4/raw":       {Paths: 19898, Pruned: 19262, Checks: 15954, JournalHits: 15954, Templates: 636, OutputSHA: "a8010286", JournalSHA: "7e9e333a", HookFNV: 0x9b6316cee5cd4965},
 	}
 	for _, p := range []*programs.Program{
 		programs.Router(), programs.GW(1, programs.Set1), programs.GW(2, programs.Set2),
