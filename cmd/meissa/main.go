@@ -70,7 +70,7 @@ func usage() {
               [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-window N] [-breaker N] [-v] [-quiet]
               [-metrics-out report.json] [-pprof-addr host:port]
               [-shake drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N]
-  meissa regress -store FILE [-store-wait D] [-p prog.p4 | -corpus NAME] [-rules-old FILE]
+  meissa regress -store FILE [-store-wait D] [-p prog.p4 | -corpus NAME]
               [-rules-new FILE | -mutate N] [-checkpoint FILE] [-emit-rules FILE]
               [-report regress.json] [-o cases.txt] [-parallel N] [-no-summary]
               [-watch [-interval D] [-max-failures N]] [-v] [-quiet]

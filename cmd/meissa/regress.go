@@ -22,7 +22,6 @@ import (
 func cmdRegress(args []string) error {
 	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
 	gf := registerGenFlags(fs, "store", "store-wait", "o", "no-summary", "parallel")
-	rulesOld := fs.String("rules-old", "", "rule set the baseline was generated under (default: the store's)")
 	rulesNew := fs.String("rules-new", "", "updated rule set file")
 	mutate := fs.Int("mutate", 0, "derive the new rules by bumping N action arguments of the old rules (instead of -rules-new)")
 	checkpointPath := fs.String("checkpoint", "", "journal the incremental generation checkpoints to (default: none)")
@@ -49,13 +48,7 @@ func cmdRegress(args []string) error {
 	if *watch && *rulesNew == "" {
 		return fmt.Errorf("-watch requires -rules-new (the file to watch)")
 	}
-	oldRules := rs
-	if *rulesOld != "" {
-		if oldRules, err = rules.ParseFile(*rulesOld); err != nil {
-			return err
-		}
-	}
-	newRules, err := loadNewRules(prog, *rulesNew, *mutate, oldRules)
+	newRules, err := loadNewRules(prog, *rulesNew, *mutate, rs)
 	if err != nil {
 		return err
 	}
@@ -68,9 +61,9 @@ func cmdRegress(args []string) error {
 	opts := gf.options()
 	opts.Checkpoint = *checkpointPath
 
-	// runOnce regresses from old (nil: the store's committed rule set) to
-	// new: the store supplies the baseline verdicts, and the incremental
-	// result commits back atomically.
+	// runOnce regresses from old (nil: the store's committed rule set, which
+	// old must be when set) to new: the store supplies the baseline verdicts
+	// and templates, and the incremental result commits back atomically.
 	runOnce := func(old, new *rules.Set) (*meissa.RegressResult, error) {
 		res, err := meissa.RegressStore(meissa.RegressInput{
 			Prog:     prog,
@@ -96,13 +89,9 @@ func cmdRegress(args []string) error {
 		return res, nil
 	}
 
-	// With no explicit old rules the store's committed rule set IS the
-	// baseline; don't guess from -corpus/-r.
-	var firstOld *rules.Set
-	if *rulesOld != "" {
-		firstOld = oldRules
-	}
-	res, err := runOnce(firstOld, newRules)
+	// The store's committed rule set IS the baseline; don't guess from
+	// -corpus/-r.
+	res, err := runOnce(nil, newRules)
 	if err != nil {
 		return err
 	}
@@ -111,8 +100,8 @@ func cmdRegress(args []string) error {
 	}
 
 	// Watch mode: every iteration reads the baseline from and commits back
-	// to the store, and the rules it applied become the next one's old
-	// rules.
+	// to the store, and the rules it applied — the stored rules once it has
+	// committed — become the next one's old rules.
 	//
 	// The loop must survive transient failures (rule file mid-write,
 	// store on a flaky mount, ENOSPC): each failure prints a warning and
