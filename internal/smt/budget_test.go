@@ -1,15 +1,14 @@
 package smt
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/expr"
 )
 
 // TestStepBudgetUnknown checks that exhausting the per-query step budget
-// yields Unknown (never a wrong Unsat) with a typed *BudgetError carrying
-// the budget, unwrappable to ErrBudget.
+// yields Unknown (never a wrong Unsat), counted as budget-exhausted and not
+// as a truncated search.
 func TestStepBudgetUnknown(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SearchBudget = 1
@@ -21,29 +20,14 @@ func TestStepBudgetUnknown(t *testing.T) {
 	if r := s.Check(); r != Unknown {
 		t.Fatalf("Check = %v, want Unknown", r)
 	}
-	err := s.LastUnknown()
-	if err == nil {
-		t.Fatal("LastUnknown = nil after a budget-exhausted check")
-	}
-	if !errors.Is(err, ErrBudget) {
-		t.Errorf("error %v does not unwrap to ErrBudget", err)
-	}
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("error %T is not a *BudgetError", err)
-	}
-	if be.Steps != 1 {
-		t.Errorf("BudgetError = %+v, want Steps=1", be)
-	}
-	st := s.Stats()
-	if st.Unknowns != 1 || st.BudgetExhausted != 1 {
-		t.Errorf("stats = %+v, want Unknowns=1 BudgetExhausted=1", st)
+	if st := s.Stats(); st.Unknowns != 1 || st.BudgetExhausted != 1 || st.TruncatedUnknown != 0 {
+		t.Errorf("stats = %+v, want Unknowns=1 BudgetExhausted=1 TruncatedUnknown=0", st)
 	}
 }
 
-// TestLastUnknownResetOnDecidedCheck checks the error does not leak into
-// later, decided queries.
-func TestLastUnknownReset(t *testing.T) {
+// TestDecidedCheckAfterUnknown checks that a budget-exhausted query's
+// reason is not counted again by a later, decided one.
+func TestDecidedCheckAfterUnknown(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SearchBudget = 1
 	s := New(opts)
@@ -54,13 +38,14 @@ func TestLastUnknownReset(t *testing.T) {
 	if r := s.Check(); r != Unknown {
 		t.Fatalf("setup Check = %v, want Unknown", r)
 	}
+	before := s.Stats()
 	s.Pop()
 	s.Assert(expr.Eq(expr.V("x", 16), expr.C(3, 16)))
 	if r := s.Check(); r != Sat {
 		t.Fatalf("Check = %v, want Sat", r)
 	}
-	if err := s.LastUnknown(); err != nil {
-		t.Errorf("LastUnknown = %v after a decided check, want nil", err)
+	if st := s.Stats(); st.Unknowns != before.Unknowns || st.BudgetExhausted != before.BudgetExhausted || st.SatResults != before.SatResults+1 {
+		t.Errorf("stats after a decided check %+v, before it %+v; want one more Sat and nothing else", st, before)
 	}
 }
 
@@ -88,8 +73,8 @@ func TestBudgetNeverUnsat(t *testing.T) {
 // TestTruncatedSearchAnswersUnknown: with a 5-bit c, (c + 5) >= (c + 7)
 // holds for c = 25 and 26, where c + 7 wraps, but the search tries 24 of
 // c's 32 values and neither of those. Having cut c's candidate list short,
-// it has proved nothing: it answers Unknown, explained by ErrTruncated and
-// counted in TruncatedUnknown, never Unsat.
+// it has proved nothing: it answers Unknown, counted in TruncatedUnknown,
+// never Unsat.
 func TestTruncatedSearchAnswersUnknown(t *testing.T) {
 	c := expr.V("c", 5)
 	q := expr.Cmp{Op: expr.CmpGe,
@@ -108,8 +93,8 @@ func TestTruncatedSearchAnswersUnknown(t *testing.T) {
 	s.Assert(q)
 	res := s.Check()
 	st := s.Stats()
-	if res != Unknown || s.LastUnknown() != ErrTruncated || st.Unknowns != 1 || st.TruncatedUnknown != 1 || st.UnsatResults != 0 || st.BudgetExhausted != 0 {
-		t.Fatalf("%s: %v (%v) with stats %+v; want one Unknown explained by ErrTruncated", q, res, s.LastUnknown(), st)
+	if res != Unknown || st.Unknowns != 1 || st.TruncatedUnknown != 1 || st.UnsatResults != 0 || st.BudgetExhausted != 0 {
+		t.Fatalf("%s: %v with stats %+v; want one Unknown, counted as a truncated search", q, res, st)
 	}
 }
 

@@ -205,14 +205,11 @@ type Solver struct {
 	memoLen  int
 	conds    []expr.Bool
 	condMemo []*assertMemo
-	// lastUnknown is the typed reason the most recent Check/Model
-	// returned Unknown (a *BudgetError or ErrTruncated), nil otherwise. truncated reports
-	// that the query in flight exhausted a candidate list that was cut
-	// short; allBound, that the search's last consistency scan could
-	// evaluate every constraint.
-	lastUnknown error
-	truncated   bool
-	allBound    bool
+	// truncated reports that the query in flight exhausted a candidate
+	// list that was cut short; allBound, that the search's last consistency
+	// scan could evaluate every constraint.
+	truncated bool
+	allBound  bool
 	// Reusable search scratch (see search.go): the assignment under
 	// construction, the values evalUnderFixed reads, the free-variable
 	// order, the delta-fixed undo list for batched checks, per-depth
@@ -597,7 +594,6 @@ func (s *Solver) CheckBatch(conds []expr.Bool, results []Result) []Result {
 // bp, non-nil only under CheckBatch, supplies the shared-prefix
 // precomputation.
 func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
-	s.lastUnknown = nil
 	// Shared verdict cache: plain checks whose condition set was already
 	// decided (by this solver or a sibling worker) answer without running
 	// the solver at all — no Checks increment, no emulated IPC overhead,
@@ -650,7 +646,6 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 		s.stats.UnsatResults++
 	default:
 		s.stats.Unknowns++
-		s.lastUnknown = uerr
 		switch {
 		case uerr == ErrTruncated:
 			s.stats.TruncatedUnknown++
