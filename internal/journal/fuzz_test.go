@@ -129,18 +129,14 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Adopt(j.t); err != nil {
+		a.Adopt(j.t, nil)
+		sameAsReference(t, "Adopt", a, want)
+		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
-		a.Close()
-		if a, err = Open(adopted, fuzzFP, true); err != nil {
-			t.Fatalf("reopen the adopting journal: %v", err)
+		if st, err := os.Stat(adopted); err != nil || st.Size() != int64(len(encode(Record{Kind: KindHeader, Key: fuzzFP}))) {
+			t.Fatalf("Adopt wrote to the file (%v)", err)
 		}
-		sameAsReference(t, "Adopt and reopen", a, want)
-		if a.t.Templates().Frame() != nil {
-			t.Fatal("Adopt wrote the adopted table's template list")
-		}
-		a.Close()
 
 		got := j.t.Records()
 		// The open truncated any torn tail, so appending and reloading

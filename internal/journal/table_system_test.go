@@ -15,10 +15,10 @@ import (
 )
 
 // TestSeedAndAdoptMatchLoad: a table put into a journal answers exactly
-// like the same records loaded from a file. Sharing never touches the
-// file; Adopt leaves in it the bytes Append would have, in canonical
-// order, whether the table's frames came from a checkpoint or from a
-// store — which are the same frames.
+// like the same records loaded from a file, and Adopt writes nothing;
+// journaling each as a hit leaves in the file the bytes Append would have,
+// whether the table's frames came from a checkpoint or from a store —
+// which are the same frames.
 func TestSeedAndAdoptMatchLoad(t *testing.T) {
 	t.Run("synthetic", func(t *testing.T) {
 		const fp = 0xfeedfacecafe
@@ -39,7 +39,7 @@ func TestSeedAndAdoptMatchLoad(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		adoptedMatchLoad(t, path, fp, journalTable(t, path, fp), true)
+		adoptedMatchLoad(t, path, fp, journalTable(t, path, fp))
 	})
 
 	t.Run("gw-3 checkpoint and store", func(t *testing.T) {
@@ -84,13 +84,13 @@ func TestSeedAndAdoptMatchLoad(t *testing.T) {
 		fromStore := s.Snapshot().Table(status.Family)
 
 		// The checkpoint's own table, then the store's, against a load of
-		// the checkpoint: the same records, and Adopt writes the same bytes.
+		// the checkpoint: the same records, and hits write the same bytes.
 		fromFile := journalTable(t, ck, fp)
 		if fromStore.Len() == 0 || fromStore.Len() != fromFile.Len() {
 			t.Fatalf("the store holds %d records, the checkpoint %d", fromStore.Len(), fromFile.Len())
 		}
-		adoptedMatchLoad(t, ck, fp, fromFile, false)
-		adoptedMatchLoad(t, ck, fp, fromStore, false)
+		adoptedMatchLoad(t, ck, fp, fromFile)
+		adoptedMatchLoad(t, ck, fp, fromStore)
 	})
 }
 
@@ -113,9 +113,11 @@ func journalTable(t *testing.T, path string, fp uint64) *journal.Table {
 }
 
 // adoptedMatchLoad checks tbl, adopted with and without a file, against a
-// resumed open of the checkpoint at path. sameLoaded also holds the Loaded
-// counts equal, which only a checkpoint without superseded records has.
-func adoptedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, sameLoaded bool) {
+// resumed open of the checkpoint at path: the same answers, nothing
+// written, nothing counted. Journaling every record as a hit, with the
+// record's own tags, then leaves in the file the bytes of the load's
+// records in canonical order: AppendHit frames a hit as Append framed it.
+func adoptedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table) {
 	t.Helper()
 	loaded, err := journal.Open(path, fp, true)
 	if err != nil {
@@ -124,22 +126,21 @@ func adoptedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, 
 	defer loaded.Close()
 	recs := loaded.Table().Records()
 
-	// What Adopt must write: the header the load accepted, then each
-	// record's frame in canonical order.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, n, _ := journal.SplitFrame(data)
-	want := slices.Clone(data[:n])
+	header := slices.Clone(data[:n])
+	want := slices.Clone(header)
 	for _, e := range loaded.Table().Sorted() {
 		want = append(want, e.Frame()...)
 	}
 
 	same := func(name string, got *journal.Journal) {
 		t.Helper()
-		if sameLoaded && got.Loaded() != loaded.Loaded() {
-			t.Errorf("%s: Loaded %d, a load gives %d", name, got.Loaded(), loaded.Loaded())
+		if got.Loaded() != 0 || got.Appended() != 0 {
+			t.Errorf("%s: %d records count as loaded, %d as appended", name, got.Loaded(), got.Appended())
 		}
 		if !reflect.DeepEqual(got.Table().Records(), recs) {
 			t.Errorf("%s: Records differ from a load's", name)
@@ -153,35 +154,46 @@ func adoptedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table, 
 				}
 			}
 		}
-		if got.Appended() != 0 {
-			t.Errorf("%s: %d records count as appended", name, got.Appended())
-		}
 	}
 
 	mem := journal.New()
-	if err := mem.Adopt(tbl); err != nil {
-		t.Fatalf("Adopt without a file: %v", err)
-	}
+	mem.Adopt(tbl, nil)
 	same("adopting journal without a file", mem)
+	if mem.AppendsHits() {
+		t.Error("a journal without a file appends its hits")
+	}
 
 	p := filepath.Join(t.TempDir(), "adopt.journal")
 	j, err := journal.Open(p, fp, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Adopt(tbl); err != nil {
+	j.KeepFresh()
+	j.Adopt(tbl, nil)
+	same("adopting journal with a file", j)
+	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	same("adopting journal with a file", j)
+	if got, _ := os.ReadFile(p); !bytes.Equal(got, header) {
+		t.Errorf("adopting journal with a file: file holds %d bytes, want the %d of its header", len(got), len(header))
+	}
+	if !j.AppendsHits() {
+		t.Fatal("an adopting journal with a file does not append its hits")
+	}
+	for _, r := range recs {
+		e, _ := j.Lookup(r.Kind, r.Key)
+		if err := j.AppendHit(e, r.Tags); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j.Appended() != 0 || j.Fresh().Len() != 0 {
+		t.Errorf("hits count as %d appended, %d fresh", j.Appended(), j.Fresh().Len())
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("adopting journal with a file: file holds %d bytes, want %d", len(got), len(want))
+	if got, _ := os.ReadFile(p); !bytes.Equal(got, want) {
+		t.Errorf("hits journaled with their own tags: file holds %d bytes, want the load's %d", len(got), len(want))
 	}
 }
 

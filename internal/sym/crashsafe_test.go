@@ -241,9 +241,7 @@ func coldTable(t *testing.T, c Config, keep func(journal.Entry) bool) (*Result, 
 func adopted(t *testing.T, table *journal.Table) *journal.Journal {
 	t.Helper()
 	j := journal.New()
-	if err := j.Adopt(table); err != nil {
-		t.Fatal(err)
-	}
+	j.Adopt(table, nil)
 	return j
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/programs"
+	"repro/internal/regress"
 )
 
 // raceEnabled is set in a build with the race detector (race_test.go).
@@ -50,14 +51,12 @@ func TestWarmStartAllocsPerRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer stc.release()
-		tbl, _, err := stc.warm(sys) // store-warm
-		if err == nil {
-			err = journal.New().Adopt(tbl)
-		}
+		tbl, match, err := stc.warm(sys) // store-warm
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmed = stc.rep.Warmed
+		journal.New().Adopt(tbl, match)
+		warmed = uint64(regress.Retain(tbl, match).Retained)
 	})
 	if warmed == 0 {
 		t.Fatal("the warm start warmed no records")
