@@ -25,6 +25,25 @@ func TestStepBudgetUnknown(t *testing.T) {
 	}
 }
 
+// TestBudgetUnknownAllocatesNothing: a query that exhausts its step
+// budget carries its reason to the counters as a value, so answering it
+// Unknown allocates nothing once the solver's scratch has grown.
+func TestBudgetUnknownAllocatesNothing(t *testing.T) {
+	opts := DefaultOptions()
+	opts.SearchBudget = 1
+	s := New(opts)
+	s.Assert(expr.Eq(
+		expr.Bin{Op: expr.OpAdd, L: expr.V("a", 16), R: expr.V("b", 16)},
+		expr.C(7, 16)))
+	s.Check()
+	if allocs := testing.AllocsPerRun(100, func() { s.Check() }); allocs != 0 {
+		t.Errorf("a budget-exhausted check allocates %.1f times, want 0", allocs)
+	}
+	if st := s.Stats(); st.Unknowns != 102 || st.BudgetExhausted != 102 {
+		t.Errorf("stats = %+v, want 102 Unknowns, each budget-exhausted", st)
+	}
+}
+
 // TestDecidedCheckAfterUnknown checks that a budget-exhausted query's
 // reason is not counted again by a later, decided one.
 func TestDecidedCheckAfterUnknown(t *testing.T) {

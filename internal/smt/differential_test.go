@@ -237,7 +237,7 @@ func (o *sweepOracle) pop()                  { o.frames = o.frames[:len(o.frames
 // The variables stop at 4 bits because that is as far as the solver is
 // complete: search tries at most CandidatesPerVar (24) values per free
 // variable, and a search that cut a list short and found no model answers
-// Unknown (ErrTruncated), which this walk would have to allow. With a
+// Unknown (Stats.TruncatedUnknown), which this walk would have to allow. With a
 // 5-bit c, (c + 5) >= (c + 7) is such a query: c = 25 and c = 26 satisfy
 // it, and the search tries neither.
 func TestDifferentialBatchSweeps(t *testing.T) {

@@ -22,8 +22,7 @@ func (b *searchBudget) exhausted() bool { return b.steps <= 0 }
 // the propagated domains, and validates every candidate assignment against
 // the full original constraint list. This final concrete check is what
 // makes models sound even for deferred atoms the domains cannot encode.
-// The error is a *BudgetError when the result is Unknown because the step
-// budget ran out; nil otherwise.
+// The result is Unknown when, and only when, the step budget ran out.
 //
 // All working storage (the assignment, the free-variable order, per-depth
 // candidate buffers) is solver scratch indexed by slot; a Sat result leaves
@@ -31,9 +30,9 @@ func (b *searchBudget) exhausted() bool { return b.steps <= 0 }
 // CheckBatch sibling), the fixed/free split starts from the precomputed
 // prefix split and only re-examines the variables this sibling's
 // propagation touched.
-func (s *Solver) search(bp *batchPrep) (Result, error) {
+func (s *Solver) search(bp *batchPrep) Result {
 	if s.refuted() {
-		return Unsat, nil
+		return Unsat
 	}
 	st := &s.assign
 	free := s.scratchFree[:0]
@@ -68,7 +67,7 @@ func (s *Solver) search(bp *batchPrep) (Result, error) {
 		for _, sl := range s.live {
 			d := &s.vars[sl].dom
 			if d.empty() {
-				return Unsat, nil
+				return Unsat
 			}
 			if val, ok := d.fixed(); ok {
 				st.Val[sl], st.Set[sl] = val, true
@@ -82,13 +81,12 @@ func (s *Solver) search(bp *batchPrep) (Result, error) {
 	budget := &s.budget
 	*budget = searchBudget{steps: s.opts.SearchBudget}
 	ok := s.assignFrom(free, 0)
-	res, err := Unsat, error(nil)
+	res := Unsat
 	switch {
 	case ok:
 		res = Sat
 	case budget.exhausted():
 		res = Unknown
-		err = &BudgetError{Steps: s.opts.SearchBudget}
 	}
 	if bp != nil {
 		// Restore the scratch state to prefix-fixed-only for the next
@@ -106,7 +104,7 @@ func (s *Solver) search(bp *batchPrep) (Result, error) {
 	// Return the (possibly grown) scratch capacity to the solver.
 	s.scratchFree = free[:0]
 	s.scratchDelta = delta[:0]
-	return res, err
+	return res
 }
 
 // refuted reports whether some masked disequality (v & mask) != c is false

@@ -1,36 +1,11 @@
 package smt
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/expr"
 )
-
-// ErrBudget is the sentinel for a query that exhausted its step budget. Such a query answers Unknown — never Unsat — so callers that
-// treat Unknown conservatively (keep the path) stay sound under any
-// budget.
-var ErrBudget = errors.New("smt: query budget exhausted")
-
-// BudgetError is the typed budget-exhaustion report for a query that
-// returned Unknown.
-type BudgetError struct {
-	// Steps is the backtracking-step budget the query exhausted.
-	Steps int
-}
-
-func (e *BudgetError) Error() string {
-	return fmt.Sprintf("smt: query exceeded step budget %d", e.Steps)
-}
-
-// Unwrap makes errors.Is(err, ErrBudget) true.
-func (e *BudgetError) Unwrap() error { return ErrBudget }
-
-// ErrTruncated explains an Unknown from a search that found no model after
-// cutting a candidate list short of its interval: an Unsat there would not
-// be a proof (ROADMAP item 2), so the solver does not answer one.
-var ErrTruncated = errors.New("smt: search cut a candidate list short")
 
 // Result is the outcome of a satisfiability check.
 type Result int
@@ -79,8 +54,10 @@ type Stats struct {
 	// exploration layer surfaces this per pipeline so degraded-but-sound
 	// coverage is visible rather than silent.
 	BudgetExhausted uint64
-	// TruncatedUnknown counts the Unknown results explained by
-	// ErrTruncated (a subset of Unknowns).
+	// TruncatedUnknown counts the Unknown results of a search that found no
+	// model after cutting a candidate list short of its interval: an Unsat
+	// there would not be a proof (ROADMAP item 2), so the solver does not
+	// answer one (a subset of Unknowns).
 	TruncatedUnknown uint64
 }
 
@@ -622,9 +599,10 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 	s.stats.Checks++
 	s.truncated = false
 	start := time.Now()
-	res, uerr := s.solve(bp)
-	if res == Unsat && s.truncated {
-		res, uerr = Unknown, ErrTruncated
+	res := s.solve(bp)
+	truncated := res == Unsat && s.truncated
+	if truncated {
+		res = Unknown
 	}
 	mQueryLatencyNS.ObserveSince(start)
 	if cacheable {
@@ -646,20 +624,19 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 		s.stats.UnsatResults++
 	default:
 		s.stats.Unknowns++
-		switch {
-		case uerr == ErrTruncated:
+		if truncated {
 			s.stats.TruncatedUnknown++
-		case uerr != nil:
-			s.stats.BudgetExhausted++
+		} else {
+			s.stats.BudgetExhausted++ // solve answers Unknown for nothing else
 		}
 	}
 	return res, model
 }
 
 // solve runs one satisfiability decision with no stats side effects (see
-// check). The error explains an Unknown result (a *BudgetError), nil
-// otherwise. A Sat result leaves the model in s.assign.
-func (s *Solver) solve(bp *batchPrep) (Result, error) {
+// check). It answers Unknown only when the search's step budget ran out.
+// A Sat result leaves the model in s.assign.
+func (s *Solver) solve(bp *batchPrep) Result {
 	if s.opts.PerCheckOverhead > 0 {
 		for start := time.Now(); time.Since(start) < s.opts.PerCheckOverhead; {
 		}
@@ -669,22 +646,22 @@ func (s *Solver) solve(bp *batchPrep) (Result, error) {
 		// delta this sibling's propagation touched.
 		top := &s.frames[len(s.frames)-1]
 		if bp.prefixFailed || top.failed || bp.prefixEmpty {
-			return Unsat, nil
+			return Unsat
 		}
 		for i := top.baseTrail; i < len(s.trail); i++ {
 			if s.vars[s.trail[i].slot].dom.empty() {
-				return Unsat, nil
+				return Unsat
 			}
 		}
 		for _, sl := range s.live[top.baseLive:] {
 			if s.vars[sl].dom.empty() {
-				return Unsat, nil
+				return Unsat
 			}
 		}
 		return s.search(bp)
 	}
 	if s.nFailed > 0 || !s.opts.Incremental && !s.rebuild() {
-		return Unsat, nil
+		return Unsat
 	}
 	return s.search(nil)
 }
