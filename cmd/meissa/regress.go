@@ -65,7 +65,7 @@ func cmdRegress(args []string) error {
 	// old must be when set) to new: the store supplies the baseline verdicts
 	// and templates, and the incremental result commits back atomically.
 	runOnce := func(old, new *rules.Set) (*meissa.RegressResult, error) {
-		res, err := meissa.RegressStore(meissa.RegressInput{
+		res, err := meissa.Regress(meissa.RegressInput{
 			Prog:     prog,
 			OldRules: old,
 			NewRules: new,

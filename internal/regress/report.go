@@ -35,13 +35,14 @@ type TemplateReport struct {
 }
 
 // QueryReport accounts for solver work in the incremental run: what was
-// actually solved live versus answered from the rebased journal. The perf
-// gate of incremental regression is Live being a small fraction of Total.
+// actually solved live versus answered from the baseline's verdicts. The
+// perf gate of incremental regression is Live being a small fraction of
+// Total.
 type QueryReport struct {
 	// Live counts queries the incremental run's solver actually ran.
 	Live uint64 `json:"live"`
-	// JournalHits counts solver interactions answered from the rebased
-	// journal.
+	// JournalHits counts solver interactions answered from the baseline's
+	// retained verdicts.
 	JournalHits uint64 `json:"journal_hits"`
 	// Avoided = JournalHits; Total = Live + Avoided.
 	Avoided uint64 `json:"avoided"`
@@ -58,8 +59,8 @@ type Report struct {
 	Schema  string `json:"schema"`
 	Program string `json:"program,omitempty"`
 	RuleSet string `json:"rule_set,omitempty"`
-	// WallNS is the end-to-end regress wall-clock: diff, rebase, and the
-	// incremental generation.
+	// WallNS is the end-to-end regress wall-clock: the baseline read, the
+	// rule diff and the incremental generation.
 	WallNS    int64           `json:"wall_ns"`
 	Delta     *DeltaReport    `json:"delta"`
 	Journal   *RebaseStats    `json:"journal"`

@@ -113,7 +113,7 @@ type Options struct {
 	// run's it keeps in memory only the records the delta leaves valid. The
 	// run's one transaction at the end retires the rest, installs the new
 	// rules and commits the run's own verdicts and, when the run completes,
-	// its template list, which RegressStore reads as the baseline's.
+	// its template list, which Regress reads as the baseline's.
 	StorePath string
 	// StoreWait bounds how long opening StorePath waits for the store's
 	// advisory lock while another run holds it, retrying until the
@@ -197,15 +197,15 @@ type GenResult struct {
 	// table.
 	JournalAppended uint64
 	JournalLoaded   uint64
-	// Rebase accounts for the baseline rebase of an incremental
-	// regression run, or for what a store warm start retained of its
-	// family under the run's rules (nil for any other run).
+	// Rebase accounts for what a run retained of its baseline under its
+	// rules: a regression's checkpoint, or a store warm start's family (nil
+	// for any other run).
 	Rebase *regress.RebaseStats
 	// Phases records the wall-clock duration of each generation phase, in
 	// execution order: "cfg"; "store-open" when the run opened its
-	// StorePath; whichever of "journal-load" (a resumed
-	// checkpoint), "rebase" (a regression's baseline) and "store-warm"
-	// gave the run its starting verdicts; "summary" when code summary ran;
+	// StorePath; whichever of "journal-load" (a resumed checkpoint),
+	// "rebase" (a regression's checkpoint baseline) and "store-warm" gave
+	// the run its starting verdicts; "summary" when code summary ran;
 	// "sym"; "store-commit". The same timings aggregate under
 	// "generate/<phase>" span paths in the process obs registry.
 	Phases []obs.PhaseDur
@@ -218,21 +218,22 @@ type GenResult struct {
 // the final template generation (Algorithm 2 line 27 / Algorithm 1).
 func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 
-// generate is Generate, for a regression with src as an extra source of
-// starting verdicts.
+// generate is Generate, for a regression when reg is set: its baseline,
+// which Regress read from a checkpoint, or which the store's warm start
+// reads into it.
 //
 // A run that persists or reuses verdicts keeps ONE verdict table, the
 // journal's, which exploration reads. Sources fill it, and only before the
 // first exploration: the Checkpoint file on a Resume (indexed), a
-// regression's baseline or a store snapshot's family (shared, not copied,
-// unless a rule delta retains part of it).
+// regression's checkpoint baseline or a store snapshot's family (shared,
+// not copied, a rule delta's invalidated records reading as misses).
 // Sinks take what the run derives, each verdict framed once: the
 // Checkpoint file, in batches of appends journaled before use, and the
 // store, in one transaction at the end that writes the frames the journal
 // kept. A run that completes ends each sink with its template list, framed
 // once too. The table never changes once the first exploration starts: the
 // run's own appends do not enter it.
-func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
+func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 	start := time.Now()
 	if s.Opts.Resume && s.Opts.Checkpoint == "" {
 		return nil, fmt.Errorf("meissa: Resume requires Checkpoint")
@@ -265,10 +266,7 @@ func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 		return nil, err
 	}
 	var stc *storeCtx
-	switch {
-	case src != nil && src.stc != nil:
-		stc = src.stc
-	case s.Opts.StorePath != "":
+	if s.Opts.StorePath != "" {
 		// Opening a StorePath reads and indexes its log: the part of a
 		// store-backed run's time that the store's size sets, whatever the
 		// run reads.
@@ -285,8 +283,42 @@ func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 		fp = s.fingerprint(initC)
 	}
 
+	// The starting verdicts, read before the Checkpoint is opened, so that a
+	// refused baseline leaves no file: a regression's checkpoint baseline,
+	// else a store warm start, which a Resume skips: its journal holds them
+	// already. Either is adopted as it is, the records a rule delta
+	// invalidates reading as misses, and a named Checkpoint receives each
+	// adopted verdict the run uses where a cold run would append it.
+	base := reg
+	if reg != nil || stc != nil && !s.Opts.Resume {
+		name := "rebase"
+		if stc != nil {
+			name = "store-warm"
+		}
+		err := phase(name, func() (err error) {
+			if stc != nil {
+				if base, err = stc.warm(s, initC, reg); err != nil {
+					return err
+				}
+			}
+			if base != nil {
+				res.Rebase = regress.Retain(base.table, base.match)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("meissa: store: %w", err)
+		}
+		if st := res.Rebase; st != nil {
+			if stc != nil {
+				stc.rep.Warmed = uint64(st.Retained)
+			}
+			obs.Progressf("meissa: %s: %s: %d/%d verdicts retained (%d invalidated)", s.Prog.Name, name, st.Retained, st.Baseline, st.Invalidated)
+		}
+	}
+
 	// The verdict table: the Checkpoint journal when one is named, else —
-	// for a run with a source or a store, both of which go through the
+	// for a run with a baseline or a store, both of which go through the
 	// table — a journal with no file behind it.
 	var j *journal.Journal
 	switch {
@@ -297,7 +329,7 @@ func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 		}
 	case s.Opts.Checkpoint != "":
 		j, err = journal.Open(s.Opts.Checkpoint, fp, false)
-	case src != nil || stc != nil:
+	case base != nil || stc != nil:
 		j = journal.New()
 	}
 	if err != nil {
@@ -314,43 +346,8 @@ func (s *System) generate(src *verdictSource) (out *GenResult, err error) {
 		if stc != nil {
 			j.KeepFresh() // what this run derives, for the store commit
 		}
-	}
-
-	// The starting verdicts: a regression's baseline, else a store warm
-	// start, which a Resume skips: its journal holds them already. Either is
-	// adopted as it is, the records a rule delta invalidates reading as
-	// misses, and a named Checkpoint receives each adopted verdict the run
-	// uses where a cold run would append it.
-	var base *journal.Table
-	var match func(tag []byte) bool
-	if src != nil {
-		base, match = src.base, src.match
-	}
-	if base != nil || stc != nil && !s.Opts.Resume {
-		name := "rebase"
-		if stc != nil {
-			name = "store-warm"
-		}
-		err := phase(name, func() (err error) {
-			if stc != nil {
-				if base, match, err = stc.warm(s); err != nil {
-					return err
-				}
-			}
-			if base != nil {
-				res.Rebase = regress.Retain(base, match)
-				j.Adopt(base, match)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("meissa: store: %w", err)
-		}
-		if st := res.Rebase; st != nil {
-			if stc != nil {
-				stc.rep.Warmed = uint64(st.Retained)
-			}
-			obs.Progressf("meissa: %s: %s: %d/%d verdicts retained (%d invalidated)", s.Prog.Name, name, st.Retained, st.Baseline, st.Invalidated)
+		if base != nil {
+			j.Adopt(base.table, base.match)
 		}
 	}
 

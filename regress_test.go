@@ -1,8 +1,9 @@
 package meissa_test
 
 // Acceptance tests for incremental regression testing (the differential
-// and perf gates): rebasing a baseline journal onto an updated rule set
-// and re-exploring must produce output byte-identical to a cold full run
+// and perf gates): re-exploring under an updated rule set over a baseline
+// checkpoint's or store's verdicts, the ones the rule delta invalidates
+// reading as misses, must produce output byte-identical to a cold full run
 // on the new rules, while re-solving only the affected subtrees.
 
 import (
@@ -12,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -60,7 +62,7 @@ func generatePar(t *testing.T, p *programs.Program, rs *rules.Set, parallelism i
 }
 
 // regressCheckpoint regresses p from the checkpoint base, of a completed run
-// under oldRules, to newRules, leaving the rebased checkpoint at next.
+// under oldRules, to newRules, leaving the regression's checkpoint at next.
 func regressCheckpoint(t *testing.T, p *programs.Program, oldRules, newRules *rules.Set, base, next string, parallelism int) *meissa.RegressResult {
 	t.Helper()
 	opts := meissa.DefaultOptions()
@@ -173,7 +175,7 @@ func withoutLast(rs *rules.Set) *rules.Set {
 // TestRegressTemplateDeltaMatchesCold: a regression reads its baseline's
 // templates from the list the baseline run completed with, so the report's
 // template section must equal the path-key delta between cold runs: for a
-// checkpoint baseline, for a chained regress whose baseline is the rebased
+// checkpoint baseline, for a chained regress whose baseline is the
 // checkpoint the first one left, and for a store baseline — sequential and
 // parallel, over an argument update, an added entry and a removed one.
 func TestRegressTemplateDeltaMatchesCold(t *testing.T) {
@@ -210,7 +212,7 @@ func TestRegressTemplateDeltaMatchesCold(t *testing.T) {
 					generatePar(t, p, d.old, par, func(o *meissa.Options) { o.StorePath = spath })
 					opts := meissa.DefaultOptions()
 					opts.Parallelism, opts.StorePath = par, spath
-					res, err := meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: d.new, Opts: opts, Program: p.Name})
+					res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: d.new, Opts: opts, Program: p.Name})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -258,9 +260,10 @@ func refused(t *testing.T, err error, want ...string) {
 // checkpoint — cut short, as a kill leaves it — and a MaxPaths-halted one
 // are refused with the way out; once a resume completes the killed one, it
 // serves, and the regression matches a cold run. A halted store-backed run
-// under new rules removes the family's list in its commit, so RegressStore
-// refuses rather than pair the stored rules with an older run's list; and
-// old rules that are not the stored ones are refused by name.
+// under new rules removes the family's list in its commit, so a regression
+// from the store refuses rather than pair the stored rules with an older
+// run's list; old rules that are not the stored ones are refused by name,
+// and so is a store with no family. A store refusal writes no Checkpoint.
 func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
@@ -309,17 +312,29 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 	}
 	refused(t, regressFrom(halted), halted, "no template list", "-resume")
 
+	refusedNext := filepath.Join(dir, "refused.journal")
 	storeOpts := func(path string) meissa.Options {
 		opts := meissa.DefaultOptions()
-		opts.Parallelism, opts.StorePath = 1, path
+		opts.Parallelism, opts.StorePath, opts.Checkpoint = 1, path, refusedNext
 		return opts
+	}
+	noCheckpoint := func() {
+		t.Helper()
+		if _, err := os.Stat(refusedNext); !os.IsNotExist(err) {
+			t.Errorf("the refused store regression left its Checkpoint (%v)", err)
+		}
 	}
 	spath := filepath.Join(dir, "verdicts.store")
 	generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.StorePath = spath })
 	generatePar(t, p, newRules, 1, func(o *meissa.Options) { o.StorePath, o.MaxPaths = spath, 10 })
 	again, _ := rulediff.MutateArgs(p.Prog, newRules, 1)
-	_, err = meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(spath), Program: p.Name})
+	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(spath), Program: p.Name})
 	refused(t, err, "no template list", "gen -store "+spath)
+	noCheckpoint()
+
+	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(filepath.Join(dir, "empty.store")), Program: p.Name})
+	refused(t, err, "no baseline for this program family", "run gen with the store first")
+	noCheckpoint()
 
 	other := filepath.Join(dir, "other.store")
 	generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.StorePath = other })
@@ -327,12 +342,13 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, OldRules: newRules, NewRules: again,
+	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: newRules, NewRules: again,
 		Opts: storeOpts(other), Program: p.Name})
 	refused(t, err, fmt.Sprintf("%#x", fnv64a(newRules.String())), fmt.Sprintf("%#x", fnv64a(p.Rules.String())))
 	if after, _ := os.ReadFile(other); !bytes.Equal(after, before) {
-		t.Error("the refused RegressStore changed its store")
+		t.Error("the refused store regression changed its store")
 	}
+	noCheckpoint()
 }
 
 // fnv64a is FNV-1a-64, the hash the store keeps of a rules text.
@@ -615,7 +631,7 @@ func TestRegressCheckpointIsColdCheckpoint(t *testing.T) {
 				generatePar(t, p, d.old, 1, func(o *meissa.Options) { o.StorePath = spath })
 				opts := meissa.DefaultOptions()
 				opts.Parallelism, opts.StorePath, opts.Checkpoint = 1, spath, snext
-				res, err := meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: d.new, Opts: opts, Program: p.Name})
+				res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: d.new, Opts: opts, Program: p.Name})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -631,6 +647,72 @@ func TestRegressCheckpointIsColdCheckpoint(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRegressBaselinesAgree: one regression, two kinds of baseline. A cold
+// run under the old rules writes a checkpoint and a store at once; a
+// regression from each to an argument update reports the same delta,
+// journal, template and query sections, counts the same records loaded and
+// appended, and leaves the same Checkpoint bytes. A checkpoint baseline
+// needs no Checkpoint: without one the regression keeps its verdicts in
+// memory, and its -o output is a cold run's.
+func TestRegressBaselinesAgree(t *testing.T) {
+	for _, name := range []string{"gw-1", "gw-2", "gw-3"} {
+		t.Run(name, func(t *testing.T) {
+			p := corpusProgram(t, name)
+			newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
+			if n == 0 {
+				t.Fatal("nothing to mutate")
+			}
+			dir := t.TempDir()
+			base, spath := filepath.Join(dir, "base.journal"), filepath.Join(dir, "verdicts.store")
+			generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.Checkpoint, o.StorePath = base, spath })
+			regressFrom := func(baseline, storePath, next string) *meissa.RegressResult {
+				t.Helper()
+				opts := meissa.DefaultOptions()
+				opts.Parallelism, opts.StorePath, opts.Checkpoint = 1, storePath, next
+				res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
+					Opts: opts, Baseline: baseline, Program: p.Name})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			next, snext := filepath.Join(dir, "next.journal"), filepath.Join(dir, "store-next.journal")
+			file, store := regressFrom(base, "", next), regressFrom("", spath, snext)
+			for _, sec := range []struct {
+				name     string
+				file, st any
+			}{
+				{"delta", file.Report.Delta, store.Report.Delta},
+				{"journal", file.Report.Journal, store.Report.Journal},
+				{"templates", file.Report.Templates, store.Report.Templates},
+				{"queries", file.Report.Queries, store.Report.Queries},
+				{"records loaded", file.Gen.JournalLoaded, store.Gen.JournalLoaded},
+				{"records appended", file.Gen.JournalAppended, store.Gen.JournalAppended},
+			} {
+				if !reflect.DeepEqual(sec.file, sec.st) {
+					t.Errorf("%s: %+v from the checkpoint, %+v from the store", sec.name, sec.file, sec.st)
+				}
+			}
+			want, err := os.ReadFile(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFile(t, "the store regression's Checkpoint against the checkpoint regression's", snext, want)
+
+			var cold, mem bytes.Buffer
+			if err := meissa.WriteTemplates(&cold, generatePar(t, p, newRules, 1, nil).Templates); err != nil {
+				t.Fatal(err)
+			}
+			if err := meissa.WriteTemplates(&mem, regressFrom(base, "", "").Gen.Templates); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mem.Bytes(), cold.Bytes()) {
+				t.Errorf("a regression with no Checkpoint writes %d bytes of templates, a cold run %d", mem.Len(), cold.Len())
+			}
+		})
 	}
 }
 

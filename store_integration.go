@@ -26,7 +26,7 @@ import (
 // rule delta reaches the store: it retires exactly the invalidated
 // entries, by the tag match the warm start filtered by, installs the new
 // rules and adds what the run derived, in one atomic transaction.
-// RegressStore and an export take the same warm start.
+// A regression from the store and an export take the same warm start.
 
 // familyFingerprint digests everything that scopes a store family —
 // the program, the generation-scoping assume clauses, and the
@@ -66,17 +66,16 @@ func (s *System) openStoreCtx(initC []expr.Bool) (*storeCtx, error) {
 // release closes the store.
 func (stc *storeCtx) release() { stc.st.Close() }
 
-// invalidTags returns the tags the stored rules' delta to the run's
-// invalidates, diffing the two on the first call.
-func (stc *storeCtx) invalidTags(storedText string, run *rules.Set) ([]string, error) {
-	if stc.delta == nil {
-		old, err := rules.Parse(storedText)
-		if err != nil {
-			return nil, fmt.Errorf("stored rules for family %#x unparseable: %w", stc.fam, err)
-		}
-		stc.delta = rulediff.Diff(old, run)
+// diff parses the stored rules text and makes its delta to the run's
+// rules, stc.delta: the warm start does, or the commit of a resumed run,
+// which did not warm. It returns the stored rules.
+func (stc *storeCtx) diff(storedText string, run *rules.Set) (*rules.Set, error) {
+	old, err := rules.Parse(storedText)
+	if err != nil {
+		return nil, fmt.Errorf("stored rules for family %#x unparseable: %w", stc.fam, err)
 	}
-	return stc.delta.InvalidTags(), nil
+	stc.delta = rulediff.Diff(old, run)
+	return old, nil
 }
 
 // reconcileRules applies a rule update to the store inside tx: retire
@@ -86,11 +85,12 @@ func (stc *storeCtx) invalidTags(storedText string, run *rules.Set) ([]string, e
 // which a stale verdict survives, because every record carries its
 // dependency tags in its frame.
 func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, run *rules.Set) error {
-	invalid, err := stc.invalidTags(storedText, run)
-	if err != nil {
-		return err
+	if stc.delta == nil {
+		if _, err := stc.diff(storedText, run); err != nil {
+			return err
+		}
 	}
-	n, err := tx.InvalidateTags(stc.fam, invalid)
+	n, err := tx.InvalidateTags(stc.fam, stc.delta.InvalidTags())
 	if err != nil {
 		return err
 	}
@@ -98,24 +98,47 @@ func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, run *rules.
 	return tx.SetFamilyRules(stc.fam, stc.rules)
 }
 
-// warm takes the family's records from one snapshot, as the table the
-// snapshot holds them in, and writes nothing. When the stored rules are not
-// the run's it returns the filter of their delta's tags too: the records it
-// matches a tag of are misses for the run, and the run's commit retires
-// them from the store. The table is the caller's to share with its journal
-// and nobody's to change; nil means a cold start (no family).
-func (stc *storeCtx) warm(s *System) (*journal.Table, func(tag []byte) bool, error) {
+// warm reads the family's baseline from one snapshot and writes nothing:
+// the table the snapshot holds its records in and, when the stored rules
+// are not the run's, their delta and its filter: the records it matches a
+// tag of are misses for the run, and the run's commit retires them from
+// the store. The table is the caller's to share with its journal and
+// nobody's to change; nil means a cold start (no family).
+//
+// A regression's baseline (reg) must be a completed run's: warm refuses a
+// store with no family, one whose stored rules are not reg.old (when set),
+// and one with no template list for its rules. Otherwise it fills reg and
+// returns it.
+func (stc *storeCtx) warm(s *System, initC []expr.Bool, reg *baseline) (*baseline, error) {
 	sn := stc.st.Snapshot()
 	defer sn.Close()
 	info, ok, err := sn.Family(stc.fam)
-	if err != nil || !ok {
-		return nil, nil, err // no family: first run of this family
+	if err != nil || !ok && reg == nil {
+		return nil, err // no family: first run of this family
 	}
-	if info.Rules == stc.rules {
-		return sn.Table(stc.fam), nil, nil
+	if !ok {
+		return nil, fmt.Errorf("no baseline for this program family (run gen with the store first)")
 	}
-	invalid, err := stc.invalidTags(info.Rules, s.Rules)
-	return sn.Table(stc.fam), rulediff.Matcher(invalid), err
+	b, stored := &baseline{table: sn.Table(stc.fam), delta: &rulediff.Delta{}}, s.Rules
+	if info.Rules != stc.rules {
+		if stored, err = stc.diff(info.Rules, s.Rules); err != nil {
+			return nil, err
+		}
+		b.delta, b.match = stc.delta, rulediff.Matcher(stc.delta.InvalidTags())
+	}
+	if reg == nil {
+		return b, nil
+	}
+	if reg.old != nil && reg.old.String() != info.Rules {
+		return nil, fmt.Errorf("OldRules (%d entries, hash %#x) are not the store's rules (%d entries, hash %#x): "+
+			"the store holds the template list of its own rules only", reg.old.Len(), rulesHash(reg.old.String()), stored.Len(), info.RulesHash)
+	}
+	if !isList(b.table.Templates(), s.identity(initC, info.Rules)) {
+		return nil, fmt.Errorf("no template list for the stored rules: the store's last commit installed them "+
+			"without a completed run (run a completed `meissa gen -store %s` on them first)", stc.st.Path())
+	}
+	*reg = *b
+	return reg, nil
 }
 
 // commit folds the records of t into the store as ONE transaction:
@@ -206,16 +229,19 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 		return nil, fmt.Errorf("meissa: export: no StorePath configured")
 	}
 	defer stc.release()
-	t, match, err := stc.warm(s)
+	b, err := stc.warm(s, initC, nil)
 	if err != nil {
 		return nil, fmt.Errorf("meissa: export: %w", err)
+	}
+	if b == nil {
+		b = &baseline{} // no family: the export holds the header only
 	}
 	j, err := journal.Open(journalPath, s.identity(initC, stc.rules), false)
 	if err != nil {
 		return nil, fmt.Errorf("meissa: export: %w", err)
 	}
-	for _, e := range t.Sorted() {
-		if !e.DependsOn(match) {
+	for _, e := range b.table.Sorted() {
+		if !e.DependsOn(b.match) {
 			if err = j.Copy(e); err != nil {
 				break
 			}
@@ -288,70 +314,4 @@ func rulesHash(text string) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, text)
 	return h.Sum64()
-}
-
-// RegressStore runs rule-diff-driven incremental regression testing
-// against a durable verdict store instead of an explicit baseline journal:
-// the stored rule set is the old rules, and the template list the family
-// holds — that of the last completed run under those rules — is the
-// baseline's templates. The incremental generation is an ordinary
-// store-backed one over the store opened here — a warm start that adopts
-// the family's records under the delta's filter, exploration, and one
-// commit that retires the invalidated records, adds what it derived and
-// installs its template list — so invalidation and new rules never land separately: a
-// crash anywhere leaves the store serving either the old baseline or the
-// new one, never a half-updated mix. A store whose family holds no list —
-// its last commit installed rules without one, as a halted run does — is
-// refused with the way out: a completed `meissa gen -store` on the stored
-// rules. in.Baseline is not read. in.OldRules is optional: when set, it
-// must be the stored rules, whose list is the only one the store holds.
-// in.Opts must carry StorePath. Checkpoint is optional too: unset, the run
-// keeps its verdicts in memory.
-func RegressStore(in RegressInput) (*RegressResult, error) {
-	if in.Opts.StorePath == "" {
-		return nil, fmt.Errorf("meissa: regress-store: no StorePath configured")
-	}
-	sys, err := New(in.Prog, in.NewRules, in.Specs, in.Opts)
-	if err != nil {
-		return nil, err
-	}
-	initC, err := sys.commonAssumes()
-	if err != nil {
-		return nil, err
-	}
-	stc, err := sys.openStoreCtx(initC)
-	if err != nil {
-		return nil, err
-	}
-	defer stc.release()
-
-	info, ok, err := stc.st.Family(stc.fam)
-	if err != nil {
-		return nil, fmt.Errorf("meissa: regress-store: %w", err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("meissa: regress-store: store has no baseline for this program family (run gen with the store first)")
-	}
-	stored, err := rules.Parse(info.Rules)
-	if err != nil {
-		return nil, fmt.Errorf("meissa: regress-store: stored rules: %w", err)
-	}
-	if in.OldRules != nil && in.OldRules.String() != info.Rules {
-		return nil, fmt.Errorf("meissa: regress-store: OldRules (%d entries, hash %#x) are not the store's rules (%d entries, hash %#x): "+
-			"the store holds the template list of its own rules only", in.OldRules.Len(), rulesHash(in.OldRules.String()), stored.Len(), info.RulesHash)
-	}
-	in.OldRules = stored
-	// The incremental generation uses the context opened here as its own
-	// StorePath.
-	in.Opts.StorePath = ""
-	return regressFrom(in, stc, func(fp uint64) (*journal.Table, journal.Entry, error) {
-		sn := stc.st.Snapshot()
-		defer sn.Close()
-		l := sn.Templates(stc.fam)
-		if !isList(l, fp) {
-			return nil, l, fmt.Errorf("the store holds no template list for its rules: its last commit installed them "+
-				"without a completed run (run a completed `meissa gen -store %s` on them first)", stc.st.Path())
-		}
-		return nil, l, nil
-	})
 }

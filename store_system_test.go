@@ -4,8 +4,8 @@ package meissa_test
 // level: a warm store-backed generation must be byte-identical to a cold
 // run with zero live solver queries, a rule update must reconcile
 // atomically and leave store-backed output equal to a cold run on the
-// new rules (never serving a stale verdict), and RegressStore must match
-// plain Regress — sequentially and in parallel.
+// new rules (never serving a stale verdict), and a regression from the
+// store must match one from a checkpoint — sequentially and in parallel.
 
 import (
 	"bytes"
@@ -194,8 +194,8 @@ func copyFile(t *testing.T, src, dst string) {
 
 // TestStoreRuleUpdateCommitsOnce: a rule delta reaches the store in one
 // place, the run's commit. A store-backed generation on the new rules and
-// a RegressStore to them leave the same store file, each in one
-// transaction, and account for the update alike: what the warm start
+// a regression from the store to them leave the same store file, each in
+// one transaction, and account for the update alike: what the warm start
 // retained in memory is what the regression reports as its rebase.
 func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 	for _, name := range []string{"gw-1", "gw-3"} {
@@ -214,7 +214,7 @@ func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 			opts := meissa.DefaultOptions()
 			opts.Parallelism = 1
 			opts.StorePath = regPath
-			res, err := meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: newRules, Opts: opts, Program: p.Name})
+			res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: newRules, Opts: opts, Program: p.Name})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(genBytes, regBytes) {
-				t.Errorf("gen -store left %d bytes, RegressStore %d", len(genBytes), len(regBytes))
+				t.Errorf("gen -store left %d bytes, the store regression %d", len(genBytes), len(regBytes))
 			}
 			g, r := gen.Store, res.Gen.Store
 			if g.Commits != 1 || r.Commits != 1 {
@@ -399,9 +399,9 @@ func TestStoreWarmRunCommitsNothing(t *testing.T) {
 	checkUntouched("after the delta's commit", generateStore(t, p, newRules, spath, parallel(2)), storeBytes())
 }
 
-// TestRegressStoreMatchesCold: RegressStore recovers the baseline (old
-// rules AND old verdicts) from the store alone, and its incremental
-// output is byte-identical to a cold run on the new rules — at
+// TestRegressStoreMatchesCold: a regression from the store recovers the
+// baseline (old rules AND old verdicts) from the store alone, and its
+// incremental output is byte-identical to a cold run on the new rules — at
 // parallelism 1 and 4.
 func TestRegressStoreMatchesCold(t *testing.T) {
 	p := corpusProgram(t, "Router")
@@ -428,7 +428,7 @@ func TestRegressStoreMatchesCold(t *testing.T) {
 			opts := meissa.DefaultOptions()
 			opts.Parallelism = parallel
 			opts.StorePath = spath
-			res, err := meissa.RegressStore(meissa.RegressInput{
+			res, err := meissa.Regress(meissa.RegressInput{
 				Prog:     p.Prog,
 				NewRules: newRules,
 				Opts:     opts,
@@ -534,9 +534,9 @@ func TestStoreFileIndependentOfParallelism(t *testing.T) {
 }
 
 // TestPersistenceWritesOnlyNamedFiles: a run keeps its verdicts in one
-// in-memory table, so a store-only generation (cold and warm), a Regress
-// and a RegressStore create no file but the ones the caller named (and
-// the store's own -lock beside it) — checked on every explored
+// in-memory table, so a store-only generation (cold and warm) and a
+// regression from a checkpoint and from the store create no file but the
+// ones the caller named (and the store's own -lock beside it) — checked on every explored
 // path as well as afterwards, with TMPDIR pointed at a directory that
 // must stay empty.
 func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
@@ -598,8 +598,8 @@ func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
 	}
 	check(nil)
 
-	step = "RegressStore"
-	if _, err := meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: newRules,
+	step = "Regress from the store"
+	if _, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: newRules,
 		Opts: storeOpts, Program: p.Name}); err != nil {
 		t.Fatal(err)
 	}
@@ -638,6 +638,10 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 			func(o *meissa.Options) { o.Resume, o.StorePath = true, filepath.Join(dir, "v.store") }, "meissa: Resume requires Checkpoint"},
 		{"Regress: StorePath", regress,
 			func(o *meissa.Options) { o.StorePath = filepath.Join(dir, "v.store") }, "StorePath not allowed"},
+		{"Regress: neither Baseline nor StorePath", func(o meissa.Options) error {
+			_, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: p.Rules, Opts: o})
+			return err
+		}, func(o *meissa.Options) { o.Checkpoint = filepath.Join(dir, "next.journal") }, "no baseline"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := meissa.DefaultOptions()
@@ -715,7 +719,7 @@ func TestStoreFileSizeGates(t *testing.T) {
 		t.Fatal("nothing to mutate")
 	}
 	old := records()
-	res, err := meissa.RegressStore(meissa.RegressInput{Prog: p.Prog, NewRules: newRules, Opts: opts, Program: p.Name})
+	res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: newRules, Opts: opts, Program: p.Name})
 	if err != nil {
 		t.Fatal(err)
 	}

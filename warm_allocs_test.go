@@ -51,12 +51,12 @@ func TestWarmStartAllocsPerRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer stc.release()
-		tbl, match, err := stc.warm(sys) // store-warm
+		b, err := stc.warm(sys, initC, nil) // store-warm
 		if err != nil {
 			t.Fatal(err)
 		}
-		journal.New().Adopt(tbl, match)
-		warmed = uint64(regress.Retain(tbl, match).Retained)
+		journal.New().Adopt(b.table, b.match)
+		warmed = uint64(regress.Retain(b.table, b.match).Retained)
 	})
 	if warmed == 0 {
 		t.Fatal("the warm start warmed no records")
