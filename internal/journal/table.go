@@ -351,14 +351,18 @@ func index(data []byte, fingerprint uint64) (t *Table, good, loaded int, err err
 			return t, good, loaded, nil
 		}
 		fr := data[good : good+n : good+n]
+		e := Entry{b: fr, verdict: Verdict(fr[offVerdict])}
+		// One map assignment a verdict: put's lookup of the entry it
+		// replaces would hash the key twice.
 		switch k := Kind(fr[offKind]); k {
 		case KindCheck, KindEmit:
 			loaded++
+			t.kind(k)[e.Key()] = e
 		case KindTemplates:
+			t.list = e
 		default:
 			return nil, 0, 0, fmt.Errorf("frame of kind %d at offset %d, which holds no verdict", k, good)
 		}
-		t.put(Entry{b: fr, verdict: Verdict(fr[offVerdict])})
 	}
 }
 
