@@ -111,6 +111,8 @@ func Regress(in RegressInput) (*RegressResult, error) {
 		return nil, fmt.Errorf("meissa: regress: no baseline: set Baseline or Opts.StorePath")
 	case in.Baseline != "" && in.Opts.Checkpoint == in.Baseline:
 		return nil, fmt.Errorf("meissa: regress: Checkpoint must differ from Baseline")
+	case in.Baseline != "" && in.OldRules == nil:
+		return nil, fmt.Errorf("meissa: regress: missing OldRules (the rules Baseline was generated under)")
 	}
 	start := time.Now()
 	span := obs.Begin("regress")

@@ -642,6 +642,10 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 			_, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: p.Rules, Opts: o})
 			return err
 		}, func(o *meissa.Options) { o.Checkpoint = filepath.Join(dir, "next.journal") }, "no baseline"},
+		{"Regress: Baseline without OldRules", func(o meissa.Options) error {
+			_, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: p.Rules, Opts: o, Baseline: filepath.Join(dir, "base.journal")})
+			return err
+		}, func(o *meissa.Options) { o.Checkpoint = filepath.Join(dir, "next.journal") }, "missing OldRules"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := meissa.DefaultOptions()
