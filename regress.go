@@ -50,7 +50,7 @@ type RegressResult struct {
 	// Gen is the incremental generation under NewRules. Its templates are
 	// byte-identical to a cold full run on NewRules.
 	Gen *GenResult
-	// Report is the validated machine-readable regress report.
+	// Report is the validated machine-readable regression report.
 	Report *regress.Report
 }
 
@@ -62,7 +62,7 @@ type RegressResult struct {
 // it from one snapshot.
 type baseline struct {
 	table *journal.Table
-	match func(tag []byte) bool // nil: the rules are the same
+	match func(tag []byte) bool // nil matches no tag
 	delta *rulediff.Delta
 	// old, when set, is the rules a store baseline must hold: OldRules.
 	old *rules.Set
