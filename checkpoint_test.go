@@ -512,17 +512,18 @@ func writeOldCheckpoint(t *testing.T, path, magic string, fp uint64) []byte {
 }
 
 // refusesOldCheckpoint checks that err refuses the checkpoint of an
-// earlier format at path by name, where it read it and the way out, and
-// that the file is as it was.
+// earlier format at path: the journal names itself once, then the file,
+// where it read the format and, last, the way out; and that the file is as
+// it was.
 func refusesOldCheckpoint(t *testing.T, err error, path, magic string, data []byte) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("a %s checkpoint was accepted", magic)
 	}
-	for _, want := range []string{path, magic, "offset 0", "cold run"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
+	head := "journal: " + path + ": the header at offset 0 reads " + magic + ", "
+	tail := ": re-create it with a cold run, `meissa gen -checkpoint` without -resume"
+	if msg := err.Error(); !strings.HasPrefix(msg, head) || !strings.HasSuffix(msg, tail) {
+		t.Errorf("error %q\nwant %q ... %q", msg, head, tail)
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
 		t.Error("the refused checkpoint changed")

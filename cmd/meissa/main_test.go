@@ -1,10 +1,27 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// TestMain runs the CLI's main instead of the tests when mainArgsEnv holds
+// its arguments, one a line: how a test reads what main prints and exits.
+func TestMain(m *testing.M) {
+	if args := os.Getenv(mainArgsEnv); args != "" {
+		os.Args = append([]string{"meissa"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const mainArgsEnv = "MEISSA_TEST_MAIN_ARGS"
 
 const cliProg = `header h { bit<8> k; bit<8> x; }
 action set(bit<4> v) { h.x = v; }
@@ -52,5 +69,51 @@ func TestInputErrorsNameTheirFile(t *testing.T) {
 		if want := path + tc.want; err == nil || err.Error() != want {
 			t.Errorf("%s: gen = %v\nwant %s", tc.name, err, want)
 		}
+	}
+}
+
+// TestErrorsPrefixedOnce pins the text of three errors, a refusal from the
+// store, a refusal of the options and a corrupt store file: none says
+// "meissa:" or names a package twice, and main prints each as one stderr
+// line that begins "meissa: " and exits 1.
+func TestErrorsPrefixedOnce(t *testing.T) {
+	dir := t.TempDir()
+	empty, bad := filepath.Join(dir, "empty.store"), filepath.Join(dir, "bad.store")
+	if err := os.WriteFile(bad, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"regress on an empty store", []string{"regress", "-corpus", "gw-1", "-store", empty, "-mutate", "1"},
+			empty + ": holds no baseline for this program family (run gen with the store first)"},
+		{"gen -resume without -checkpoint", []string{"gen", "-corpus", "Router", "-resume", "-o", os.DevNull},
+			"Resume: requires Checkpoint (name the checkpoint to resume)"},
+		{"gen -store on a corrupt file", []string{"gen", "-corpus", "Router", "-store", bad, "-o", os.DevNull},
+			"store: open " + bad + ": corrupt store file: no verdict-store header"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if strings.Contains(tc.want, "meissa:") {
+				t.Fatalf("%q says meissa:", tc.want)
+			}
+			for _, prefix := range []string{"store: ", "journal: ", "checkpoint: ", "regress: "} {
+				if strings.Count(": "+tc.want, ": "+prefix) > 1 {
+					t.Fatalf("%q repeats %q", tc.want, prefix)
+				}
+			}
+			cmd := exec.Command(os.Args[0], "-test.run=^$")
+			cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(tc.args, "\n"))
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			var exit *exec.ExitError
+			if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("meissa %s: %v, want exit status 1", strings.Join(tc.args, " "), err)
+			}
+			if got, want := stderr.String(), "meissa: "+tc.want+"\n"; got != want {
+				t.Errorf("stderr %q\nwant   %q", got, want)
+			}
+		})
 	}
 }

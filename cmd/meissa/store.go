@@ -35,9 +35,6 @@ func cmdStore(args []string) error {
 	if *quiet {
 		obs.SetLogLevel(obs.LevelQuiet)
 	}
-	if gf.store == "" {
-		return fmt.Errorf("store %s requires -store <file>", verb)
-	}
 	sys, err := meissa.New(prog, rs, specs, gf.options())
 	if err != nil {
 		return err

@@ -258,17 +258,10 @@ func (PTA) Generate(*p4.Program, *rules.Set, uint64) (*GenStats, []*sym.Template
 }
 
 // isProduction reports whether the program uses production features
-// beyond the open-source tools' reach: multiple switches, proprietary
-// gateway stages, or tunnel encapsulation driven by installed rule sets.
-// The corpus marks its gateway programs with a "gw" name prefix, matching
-// the paper's split ("we skip their evaluation on the last four
-// production programs").
+// beyond the open-source tools' reach: multiple switches, or an
+// operator-declared topology wiring gateway stages together. In the corpus
+// these are the four gateway programs, the paper's split ("we skip their
+// evaluation on the last four production programs"); the name plays no part.
 func isProduction(prog *p4.Program) bool {
-	if len(prog.Switches()) > 1 {
-		return true
-	}
-	if len(prog.Name) >= 2 && prog.Name[:2] == "gw" {
-		return true
-	}
-	return false
+	return prog.Topology != nil || len(prog.Switches()) > 1
 }

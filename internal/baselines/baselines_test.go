@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/programs"
@@ -114,6 +115,28 @@ func TestNames(t *testing.T) {
 	for i, tool := range tools {
 		if tool.Name() != want[i] {
 			t.Errorf("tool %d name = %q, want %q", i, tool.Name(), want[i])
+		}
+	}
+}
+
+// TestProductionFromProgramNotName: support is decided from the program. A
+// gateway program renamed is still production, and an open program given a
+// gateway's name is not. Over the corpus, production is still the paper's
+// split: the four gateway programs.
+func TestProductionFromProgramNotName(t *testing.T) {
+	edge := *programs.GW(1, programs.Set1).Prog
+	edge.Name = "edge"
+	if !isProduction(&edge) {
+		t.Error("gw-1 renamed to edge is not production")
+	}
+	gwx := *programs.Router().Prog
+	gwx.Name = "gw-x"
+	if isProduction(&gwx) {
+		t.Error("Router renamed to gw-x is production")
+	}
+	for _, p := range programs.All() {
+		if got, want := isProduction(p.Prog), strings.HasPrefix(p.Name, "gw-"); got != want {
+			t.Errorf("%s: production %v, want %v", p.Name, got, want)
 		}
 	}
 }

@@ -39,24 +39,24 @@ func RunAll() ([]*Row, error) {
 	return rows, nil
 }
 
-// RunOne evaluates one scenario.
+// RunOne evaluates one scenario; a tool's error names its Table 2 column.
 func RunOne(s *Scenario) (*Row, error) {
 	row := &Row{Scenario: s}
 	var err error
 	if row.Meissa, err = DetectMeissa(s); err != nil {
-		return nil, fmt.Errorf("meissa: %w", err)
+		return nil, fmt.Errorf("Meissa: %w", err)
 	}
 	if row.P4Pktgen, err = DetectP4Pktgen(s); err != nil {
 		return nil, fmt.Errorf("p4pktgen: %w", err)
 	}
 	if row.PTA, err = DetectPTA(s); err != nil {
-		return nil, fmt.Errorf("pta: %w", err)
+		return nil, fmt.Errorf("PTA: %w", err)
 	}
 	if row.Gauntlet, err = DetectGauntlet(s); err != nil {
-		return nil, fmt.Errorf("gauntlet: %w", err)
+		return nil, fmt.Errorf("Gauntlet: %w", err)
 	}
 	if row.Aquila, err = DetectAquila(s); err != nil {
-		return nil, fmt.Errorf("aquila: %w", err)
+		return nil, fmt.Errorf("Aquila: %w", err)
 	}
 	return row, nil
 }

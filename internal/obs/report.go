@@ -103,6 +103,8 @@ type SolverReport struct {
 	// (smt.Stats.Propagations): what asserting the path conditions cost.
 	// The executor asserts a condition only for a query the journal cannot
 	// answer, so a run answered wholly from a store or checkpoint makes 0.
+	// At Parallelism > 1 it depends on the schedule, how the runners' work
+	// interleaves: two runs of one input may differ by a few.
 	Propagations uint64 `json:"propagations"`
 	// LatencyNS is the per-query latency histogram (log2 buckets).
 	LatencyNS *HistogramSnapshot `json:"latency_ns,omitempty"`

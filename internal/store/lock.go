@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -12,7 +11,7 @@ import (
 // second CLI run on the same store must fail cleanly here instead of
 // appending over the first one's frames. Callers retry with
 // Options.LockWait (the `-store-wait` flag).
-var ErrStoreBusy = errors.New("store: busy (locked by another process)")
+var ErrStoreBusy = errors.New("busy (locked by another process)")
 
 // lockPollInterval paces LockWait retries. Coarse on purpose: the lock
 // is held for a whole run, not per transaction, so sub-50ms polling
@@ -38,11 +37,8 @@ func acquireLock(path string, wait time.Duration) (*fileLock, error) {
 		if err == nil {
 			return l, nil
 		}
-		if !errors.Is(err, ErrStoreBusy) {
+		if !errors.Is(err, ErrStoreBusy) || time.Now().Add(lockPollInterval).After(deadline) {
 			return nil, err
-		}
-		if time.Now().Add(lockPollInterval).After(deadline) {
-			return nil, fmt.Errorf("%w: %s", ErrStoreBusy, path)
 		}
 		time.Sleep(lockPollInterval)
 	}

@@ -15,14 +15,14 @@ import (
 func tryLock(path string) (*fileLock, error) {
 	fd, err := syscall.Open(path, syscall.O_RDWR|syscall.O_CREAT|syscall.O_CLOEXEC, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: open lock %s: %w", path, err)
+		return nil, fmt.Errorf("open lock %s: %w", path, err)
 	}
 	if err := syscall.Flock(fd, syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		syscall.Close(fd)
 		if err == syscall.EWOULDBLOCK || err == syscall.EAGAIN {
 			return nil, ErrStoreBusy
 		}
-		return nil, fmt.Errorf("store: flock %s: %w", path, err)
+		return nil, fmt.Errorf("flock %s: %w", path, err)
 	}
 	return &fileLock{path: path, fd: fd}, nil
 }

@@ -73,9 +73,7 @@ func workloadTxns() []func(tx *Tx) error {
 					return err
 				}
 			}
-			if err := tx.SetFamilyRules(recFam, "rules-v1: acl{allow} fwd{}"); err != nil {
-				return err
-			}
+			tx.SetFamilyRules(recFam, "rules-v1: acl{allow} fwd{}")
 			return putList(tx, recFam, 1, 1, 3, 5)
 		},
 		func(tx *Tx) error {
@@ -87,10 +85,9 @@ func workloadTxns() []func(tx *Tx) error {
 			return nil
 		},
 		func(tx *Tx) error {
-			if _, err := tx.InvalidateTags(recFam, []string{"acl"}); err != nil {
-				return err
-			}
-			return tx.SetFamilyRules(recFam, "rules-v2: acl{deny} fwd{}")
+			tx.InvalidateTags(recFam, []string{"acl"})
+			tx.SetFamilyRules(recFam, "rules-v2: acl{deny} fwd{}")
+			return nil
 		},
 		func(tx *Tx) error {
 			for i := uint64(20); i <= 24; i++ {
@@ -102,15 +99,11 @@ func workloadTxns() []func(tx *Tx) error {
 		},
 		churn(journal.Sat),
 		func(tx *Tx) error {
-			if _, err := tx.InvalidateTags(recFam, []string{denyTag}); err != nil {
-				return err
-			}
+			tx.InvalidateTags(recFam, []string{denyTag})
 			if err := putRecord(tx, recFam, recRecord(20, journal.Sat, rules.MissTag("acl"))); err != nil {
 				return err
 			}
-			if err := tx.SetFamilyRules(recFam, "rules-v3: acl{} fwd{} nat{snat}"); err != nil {
-				return err
-			}
+			tx.SetFamilyRules(recFam, "rules-v3: acl{} fwd{} nat{snat}")
 			return putList(tx, recFam, 3, 20, 141)
 		},
 		churn(journal.Unsat),
@@ -168,9 +161,7 @@ func storeState(t *testing.T, s *Store, fam uint64) string {
 	if err != nil {
 		t.Fatalf("stateString records: %v", err)
 	}
-	if info, ok, err := sn.Family(fam); err != nil {
-		t.Fatalf("stateString family: %v", err)
-	} else if ok {
+	if info, ok := sn.Family(fam); ok {
 		fmt.Fprintf(&b, "F %x %q\n", info.RulesHash, info.Rules)
 	}
 	if l := sn.Table(fam).Templates(); l.Frame() != nil {

@@ -49,9 +49,7 @@ func ruleChurn(t testing.TB, path string, n, updates int) int {
 	for i := uint64(0); i < 5; i++ {
 		put(tx, other, i, journal.Sat)
 	}
-	if err := tx.SetFamilyRules(recFam, "rules-0"); err != nil {
-		t.Fatal(err)
-	}
+	tx.SetFamilyRules(recFam, "rules-0")
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +72,8 @@ func ruleChurn(t testing.TB, path string, n, updates int) int {
 				killed = append(killed, i)
 			}
 		}
-		if got, err := tx.InvalidateTags(recFam, []string{tag}); err != nil || got != len(killed) {
-			t.Fatalf("update %d: InvalidateTags(%q) = %d, %v; %d records depend on it", u, tag, got, err, len(killed))
+		if got := tx.InvalidateTags(recFam, []string{tag}); got != len(killed) {
+			t.Fatalf("update %d: InvalidateTags(%q) = %d; %d records depend on it", u, tag, got, len(killed))
 		}
 		for j, i := range killed {
 			if j%2 == 0 {
@@ -88,9 +86,7 @@ func ruleChurn(t testing.TB, path string, n, updates int) int {
 			}
 		}
 		lastKilled = killed
-		if err := tx.SetFamilyRules(recFam, fmt.Sprint("rules-", u)); err != nil {
-			t.Fatal(err)
-		}
+		tx.SetFamilyRules(recFam, fmt.Sprint("rules-", u))
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -173,9 +169,7 @@ func TestStoreWarmSharesTableDuringCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tx.SetFamilyRules(fam, "rules-0"); err != nil {
-		t.Fatal(err)
-	}
+	tx.SetFamilyRules(fam, "rules-0")
 	mustCommit(t, tx)
 	sn := s.Snapshot()
 	defer sn.Close()
@@ -214,17 +208,13 @@ func TestStoreWarmSharesTableDuringCommit(t *testing.T) {
 			t.Fatal("200 rule updates and no compaction")
 		}
 		tx := mustBegin(t, s)
-		if _, err := tx.InvalidateTags(fam, []string{tagOf(round)}); err != nil {
-			t.Fatal(err)
-		}
+		tx.InvalidateTags(fam, []string{tagOf(round)})
 		for i := round % 10; i < 200; i += 10 {
 			if err := putRecord(tx, fam, testRecord(i, journal.Sat, tagOf(i), "fwd#miss")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := tx.SetFamilyRules(fam, fmt.Sprint("rules-", round+1)); err != nil {
-			t.Fatal(err)
-		}
+		tx.SetFamilyRules(fam, fmt.Sprint("rules-", round+1))
 		mustCommit(t, tx)
 	}
 	close(stop)

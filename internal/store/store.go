@@ -28,11 +28,11 @@ type Options struct {
 // ErrCorrupt reports a store file damaged beyond the crash model: a frame
 // inside committed history failing its checksum, or an intact one that
 // makes no sense. Open never heals either by dropping history.
-var ErrCorrupt = errors.New("store: corrupt store file")
+var ErrCorrupt = errors.New("corrupt store file")
 
 // ErrWedged is returned by writes after an I/O error left a commit's
 // outcome open. Reopening recovers to a transaction boundary.
-var ErrWedged = errors.New("store: wedged by I/O error; reopen to recover")
+var ErrWedged = errors.New("wedged by I/O error; reopen to recover")
 
 var errPaged = errors.New("a page-based (MEISSAS1: B+tree and -wal) verdict store, which this release does not read: " +
 	"delete it and its -wal and re-populate a new store with `meissa gen -store` (every verdict is re-derivable)")
@@ -84,7 +84,7 @@ func Open(path string, opts Options) (*Store, error) {
 		s.fs = OSFS{}
 		var err error
 		if s.lock, err = acquireLock(path+"-lock", opts.LockWait); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("store: open %s: %w", path, err)
 		}
 	}
 	if err := s.load(); err != nil {
@@ -256,9 +256,9 @@ func (tx *Tx) Put(fam uint64, fr []byte) (held bool, err error) {
 // full rules.DepTag matches itself, a bare table name all of the table's)
 // and returns how many. With SetFamilyRules in one transaction it is the
 // atomic rule update.
-func (tx *Tx) InvalidateTags(fam uint64, tags []string) (int, error) {
+func (tx *Tx) InvalidateTags(fam uint64, tags []string) int {
 	if len(tags) == 0 {
-		return 0, nil
+		return 0
 	}
 	f := tx.in(fam)
 	tested := uint64(f.recs.Len())
@@ -266,15 +266,14 @@ func (tx *Tx) InvalidateTags(fam uint64, tags []string) (int, error) {
 	tx.buf = appendDead(tx.buf, tags)
 	tx.s.count(&tx.s.stats.TagTests, tested)
 	tx.s.count(&tx.s.stats.Invalidated, uint64(removed))
-	return removed, nil
+	return removed
 }
 
 // SetFamilyRules records the rules text the family's entries are valid
 // under. Text that is not the family's rules drops its template list.
-func (tx *Tx) SetFamilyRules(fam uint64, rulesText string) error {
+func (tx *Tx) SetFamilyRules(fam uint64, rulesText string) {
 	tx.in(fam).setRules(rulesText)
 	tx.buf = appendRules(tx.buf, rulesText)
-	return nil
 }
 
 // view returns fam as the transaction has left it, to read.
@@ -327,13 +326,15 @@ func (tx *Tx) Commit() error {
 	} else {
 		err = s.append(chunks)
 	}
-	if errors.Is(err, ErrWedged) {
-		s.mu.Lock()
-		s.wedged = err
-		s.mu.Unlock()
-		return err
-	} else if err != nil {
-		s.count(&s.stats.Aborts, 1)
+	if err != nil {
+		err = fmt.Errorf("store: commit: %w", err)
+		if errors.Is(err, ErrWedged) {
+			s.mu.Lock()
+			s.wedged = err
+			s.mu.Unlock()
+		} else {
+			s.count(&s.stats.Aborts, 1)
+		}
 		return err
 	}
 	s.mu.Lock()
@@ -358,7 +359,7 @@ func (s *Store) append(chunks [][]byte) error {
 			if terr := s.f.Truncate(size); terr != nil {
 				return fmt.Errorf("%w (cause: %v, then %v)", ErrWedged, err, terr)
 			}
-			return fmt.Errorf("store: append: %w", err)
+			return fmt.Errorf("append: %w", err)
 		}
 		off += int64(len(c))
 	}
@@ -389,13 +390,13 @@ func (s *Store) rewrite(next *state) (*state, uint64, error) {
 	}
 	repointed, _, _, err := replay(buf)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: compact: %w", err)
+		return nil, 0, fmt.Errorf("compact: %w", err)
 	}
 
 	tmp := s.path + ".compact"
 	f, err := s.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: compact: %w", err)
+		return nil, 0, fmt.Errorf("compact: %w", err)
 	}
 	if _, err = f.WriteAt(buf, 0); err == nil {
 		err = f.Sync()
@@ -406,7 +407,7 @@ func (s *Store) rewrite(next *state) (*state, uint64, error) {
 	if err != nil {
 		f.Close()
 		s.fs.Remove(tmp)
-		return nil, 0, fmt.Errorf("store: compact: %w", err)
+		return nil, 0, fmt.Errorf("compact: %w", err)
 	}
 	s.f.Close()
 	s.f = f
@@ -445,15 +446,15 @@ type FamilyInfo struct {
 }
 
 // Family reads a family's rules from the committed state.
-func (s *Store) Family(fam uint64) (FamilyInfo, bool, error) { return s.Snapshot().Family(fam) }
+func (s *Store) Family(fam uint64) (FamilyInfo, bool) { return s.Snapshot().Family(fam) }
 
 // Family reads the rules the snapshot's records are valid under.
-func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool, error) {
+func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool) {
 	f := sn.st.fam(fam)
 	if !f.hasRules {
-		return FamilyInfo{}, false, nil
+		return FamilyInfo{}, false
 	}
-	return FamilyInfo{RulesHash: hash64(f.rules), Rules: f.rules}, true, nil
+	return FamilyInfo{RulesHash: hash64(f.rules), Rules: f.rules}, true
 }
 
 // Records visits fam's verdict records in canonical (kind, key) order
@@ -479,12 +480,6 @@ func (sn *Snapshot) Table(fam uint64) *journal.Table {
 	return t
 }
 
-// Templates returns fam's template list as the snapshot's committed state
-// holds it, the zero Entry for none. It serves no record.
-func (sn *Snapshot) Templates(fam uint64) journal.Entry { return sn.st.fam(fam).recs.Templates() }
-
 // RecordCount returns the number of verdict records stored for fam; its
 // template list is none.
-func (sn *Snapshot) RecordCount(fam uint64) (int, error) {
-	return sn.st.fam(fam).recs.Len(), nil
-}
+func (sn *Snapshot) RecordCount(fam uint64) int { return sn.st.fam(fam).recs.Len() }

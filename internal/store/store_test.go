@@ -108,9 +108,7 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	if err := tx.SetFamilyRules(fam, rulesText); err != nil {
-		t.Fatalf("SetFamilyRules: %v", err)
-	}
+	tx.SetFamilyRules(fam, rulesText)
 	mustCommit(t, tx)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -122,9 +120,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 
-	info, ok, err := s.Family(fam)
-	if err != nil || !ok {
-		t.Fatalf("Family: ok=%v err=%v", ok, err)
+	info, ok := s.Family(fam)
+	if !ok {
+		t.Fatal("Family: not present")
 	}
 	if info.Rules != rulesText {
 		t.Fatalf("rules round-trip: %q", info.Rules)
@@ -176,7 +174,7 @@ func TestStoreLastWins(t *testing.T) {
 	if err != nil || !ok || r.Verdict != journal.Sat {
 		t.Fatalf("last-wins: r=%+v ok=%v err=%v", r, ok, err)
 	}
-	if n, _ := sn.RecordCount(fam); n != 1 {
+	if n := sn.RecordCount(fam); n != 1 {
 		t.Fatalf("record count %d, want 1", n)
 	}
 }
@@ -203,10 +201,7 @@ func TestStoreInvalidateTags(t *testing.T) {
 
 	// Full-tag granularity: only record 1 goes.
 	tx = mustBegin(t, s)
-	n, err := tx.InvalidateTags(fam, []string{aclTag})
-	if err != nil {
-		t.Fatalf("InvalidateTags: %v", err)
-	}
+	n := tx.InvalidateTags(fam, []string{aclTag})
 	if n != 1 {
 		t.Fatalf("invalidated %d entries, want 1", n)
 	}
@@ -222,9 +217,7 @@ func TestStoreInvalidateTags(t *testing.T) {
 
 	// Bare-table granularity: every acl record goes; fwd survives.
 	tx = mustBegin(t, s)
-	if _, err := tx.InvalidateTags(fam, []string{"acl"}); err != nil {
-		t.Fatal(err)
-	}
+	tx.InvalidateTags(fam, []string{"acl"})
 	mustCommit(t, tx)
 	sn = s.Snapshot()
 	defer sn.Close()
@@ -319,10 +312,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		mustCommit(t, tx)
 	}
 
-	n, err := old.RecordCount(fam)
-	if err != nil {
-		t.Fatalf("snapshot count: %v", err)
-	}
+	n := old.RecordCount(fam)
 	if n != 50 {
 		t.Fatalf("snapshot sees %d records, want 50", n)
 	}
@@ -337,7 +327,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	fresh := s.Snapshot()
 	defer fresh.Close()
-	if n, _ := fresh.RecordCount(fam); n != 80 {
+	if n := fresh.RecordCount(fam); n != 80 {
 		t.Fatalf("fresh snapshot sees %d records, want 80", n)
 	}
 	if st := s.Stats(); st.Compactions == 0 {
@@ -471,20 +461,18 @@ func TestStoreManyFamilies(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tx.SetFamilyRules(fam, fmt.Sprintf("rules-%d", fam)); err != nil {
-			t.Fatal(err)
-		}
+		tx.SetFamilyRules(fam, fmt.Sprintf("rules-%d", fam))
 	}
 	mustCommit(t, tx)
 	sn := s.Snapshot()
 	defer sn.Close()
 	for fam := uint64(0); fam < 8; fam++ {
-		if n, _ := sn.RecordCount(fam); n != 10 {
+		if n := sn.RecordCount(fam); n != 10 {
 			t.Fatalf("family %d: %d records", fam, n)
 		}
-		info, ok, err := sn.Family(fam)
-		if err != nil || !ok || info.Rules != fmt.Sprintf("rules-%d", fam) {
-			t.Fatalf("family %d rules: %+v ok=%v err=%v", fam, info, ok, err)
+		info, ok := sn.Family(fam)
+		if !ok || info.Rules != fmt.Sprintf("rules-%d", fam) {
+			t.Fatalf("family %d rules: %+v ok=%v", fam, info, ok)
 		}
 	}
 }
@@ -657,7 +645,7 @@ func TestCorruptionInsideHistory(t *testing.T) {
 	defer s.Close()
 	sn := s.Snapshot()
 	defer sn.Close()
-	if n, _ := sn.RecordCount(fam); n != 80 {
+	if n := sn.RecordCount(fam); n != 80 {
 		t.Fatalf("%d records after the last transaction was dropped, want the first two's 80", n)
 	}
 	if st := s.Stats(); int(st.TailDiscarded) != ends[2]-ends[1] || int(st.FileBytes) != ends[1] {
@@ -719,7 +707,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 					t.Fatalf("step %d (%s): family %d key %d: %+v, model %+v", step, what, fam, k, g, want)
 				}
 			}
-			if info, ok, _ := sn.Family(fam); ok != (m.rules != "") || info.Rules != m.rules {
+			if info, ok := sn.Family(fam); ok != (m.rules != "") || info.Rules != m.rules {
 				t.Fatalf("step %d (%s): family %d rules %q (present %v), model %q", step, what, fam, info.Rules, ok, m.rules)
 			}
 			if l := sn.Table(fam).Templates(); (l.Frame() != nil) != (m.list != nil) || !slices.Equal(l.PathKeys(), m.list) || m.list != nil && l.Key() != fam {
@@ -767,15 +755,13 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 						want++
 					}
 				}
-				if n, err := tx.InvalidateTags(fam, []string{tag}); err != nil || n != want {
-					t.Fatalf("step %d: InvalidateTags(%q) = %d, %v; model retires %d", step, tag, n, err, want)
+				if n := tx.InvalidateTags(fam, []string{tag}); n != want {
+					t.Fatalf("step %d: InvalidateTags(%q) = %d; model retires %d", step, tag, n, want)
 				}
 				if text := fmt.Sprint("rules after step ", step); text != m.rules {
 					m.rules, m.list = text, nil // other rules drop the list
 				}
-				if err := tx.SetFamilyRules(fam, m.rules); err != nil {
-					t.Fatal(err)
-				}
+				tx.SetFamilyRules(fam, m.rules)
 			case 1: // a completed run's template list, over the family's
 				m.list = []uint64{}
 				for i := rng.Intn(4); i > 0; i-- {

@@ -112,7 +112,7 @@ func (f osFile) Size() (int64, error) {
 
 // ErrCrashed is returned by every operation of a FailFS after its crash
 // point fired: the simulated process is dead and no further I/O happens.
-var ErrCrashed = errors.New("store: injected crash")
+var ErrCrashed = errors.New("injected crash")
 
 // Failpoints scripts a FailFS. The zero value injects nothing.
 type Failpoints struct {
@@ -135,7 +135,7 @@ type Failpoints struct {
 }
 
 // ErrInjected is the transient error returned at a FailAt point.
-var ErrInjected = errors.New("store: injected I/O error")
+var ErrInjected = errors.New("injected I/O error")
 
 // Crashed reports whether the crash point fired.
 func (fp *Failpoints) Crashed() bool {

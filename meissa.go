@@ -235,8 +235,8 @@ func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 // run's own appends do not enter it.
 func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 	start := time.Now()
-	if s.Opts.Resume && s.Opts.Checkpoint == "" {
-		return nil, fmt.Errorf("meissa: Resume requires Checkpoint")
+	if err := refuse(call{opts: s.Opts}); err != nil {
+		return nil, err
 	}
 	genSpan := obs.Begin("generate")
 	defer genSpan.End()
@@ -251,7 +251,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 
 	var g *cfg.Graph
 	if err := phase("cfg", func() (err error) { g, err = cfg.Build(s.Prog, s.Rules); return }); err != nil {
-		return nil, fmt.Errorf("meissa: build CFG: %w", err)
+		return nil, err
 	}
 	res.Graph = g
 	res.PossiblePathsLog10Before = g.PossiblePathsLog10()
@@ -273,7 +273,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 		if err := phase("store-open", func() (err error) { stc, err = s.openStoreCtx(initC); return }); err != nil {
 			return nil, err
 		}
-		defer stc.release()
+		defer stc.st.Close()
 	}
 	// The run's identity, which a checkpoint file is checked against and a
 	// completed run's template list is keyed by. The plain path does not pay
@@ -307,7 +307,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("meissa: store: %w", err)
+			return nil, err
 		}
 		if st := res.Rebase; st != nil {
 			if stc != nil {
@@ -333,14 +333,14 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 		j = journal.New()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("meissa: checkpoint: %w", err)
+		return nil, err
 	}
 	if j != nil {
 		// Close writes the checkpoint's last batch: a run whose checkpoint
 		// lacks verdicts it derived says so.
 		defer func() {
 			if cerr := j.Close(); cerr != nil && err == nil {
-				out, err = nil, fmt.Errorf("meissa: checkpoint: %w", cerr)
+				out, err = nil, cerr
 			}
 		}()
 		if stc != nil {
@@ -355,7 +355,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 	if s.Opts.CodeSummary {
 		var stats *summary.Stats
 		if err := phase("summary", func() (err error) { stats, err = summary.Summarize(g, sumOpts); return }); err != nil {
-			return nil, fmt.Errorf("meissa: %w", err)
+			return nil, err
 		}
 		res.SummaryStats = stats
 		res.Counts.Add(stats.Counts)
@@ -374,7 +374,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 		return
 	})
 	if err != nil {
-		return nil, fmt.Errorf("meissa: %w", err)
+		return nil, err
 	}
 	res.Templates = exp.Templates
 	res.Counts.Add(exp.Counts)
@@ -411,7 +411,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 			return stc.commit(s, t, list)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("meissa: store: %w", err)
+			return nil, err
 		}
 		res.Store = stc.report()
 	}
@@ -541,7 +541,7 @@ func (s *System) fingerprint(initC []expr.Bool) uint64 {
 // identity digests the program, rulesText, the assume clauses and the
 // verdict-affecting options. It is the one writer of both of a system's
 // identities — the checkpoint fingerprint, which passes the rules, and the
-// store family (familyFingerprint), which passes none — so the two cannot
+// store family (storeCtx.fam), which passes none — so the two cannot
 // drift apart in what they take an option to be.
 func (s *System) identity(initC []expr.Bool, rulesText string) uint64 {
 	h := fnv.New64a()

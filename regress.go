@@ -1,7 +1,6 @@
 package meissa
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/journal"
@@ -87,8 +86,8 @@ type baseline struct {
 // without a completed run — is refused with the way out: complete it with
 // `meissa gen -checkpoint FILE -resume`, or a completed `meissa gen -store
 // FILE`. So are a store with no family and OldRules that are not the
-// stored ones (OldRules is optional with a store). Every refusal comes
-// before anything is written.
+// stored ones (OldRules is optional with a store). Every refusal is a
+// *Refusal and comes before anything is written.
 //
 // Correctness is machine-checkable: the incremental generation's
 // templates are byte-identical to a cold full run on NewRules (journal
@@ -102,24 +101,15 @@ type baseline struct {
 // running the regression again is the way out, and a resume of Checkpoint
 // the fallback, which solves the rest again.
 func Regress(in RegressInput) (*RegressResult, error) {
-	switch {
-	case in.Baseline != "" && in.Opts.StorePath != "":
-		// The generation would commit the update to a store whose baseline
-		// it never read.
-		return nil, fmt.Errorf("meissa: regress: StorePath not allowed with a Baseline journal")
-	case in.Baseline == "" && in.Opts.StorePath == "":
-		return nil, fmt.Errorf("meissa: regress: no baseline: set Baseline or Opts.StorePath")
-	case in.Baseline != "" && in.Opts.Checkpoint == in.Baseline:
-		return nil, fmt.Errorf("meissa: regress: Checkpoint must differ from Baseline")
-	case in.Baseline != "" && in.OldRules == nil:
-		return nil, fmt.Errorf("meissa: regress: missing OldRules (the rules Baseline was generated under)")
+	opts := in.Opts
+	opts.Resume = false
+	if err := refuse(call{opts: opts, regress: true, baseline: in.Baseline, oldRules: in.OldRules != nil}); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	span := obs.Begin("regress")
 	defer span.End()
 
-	opts := in.Opts
-	opts.Resume = false
 	sys, err := New(in.Prog, in.NewRules, in.Specs, opts)
 	if err != nil {
 		return nil, err
@@ -136,11 +126,11 @@ func Regress(in RegressInput) (*RegressResult, error) {
 		base.table, err = journal.ReadTable(in.Baseline, fp)
 		load = loading.End()
 		if err != nil {
-			return nil, fmt.Errorf("meissa: regress: %w", err)
+			return nil, err
 		}
 		if !isList(base.table.Templates(), fp) {
-			return nil, fmt.Errorf("meissa: regress: baseline %s holds no template list: it is not a completed run's checkpoint "+
-				"(complete it with `meissa gen -checkpoint %s -resume`)", in.Baseline, in.Baseline)
+			return nil, &Refusal{in.Baseline, "holds no template list: it is not a completed run's checkpoint",
+				"complete it with `meissa gen -checkpoint " + in.Baseline + " -resume`"}
 		}
 		base.delta = rulediff.Diff(in.OldRules, in.NewRules)
 		base.match = rulediff.Matcher(base.delta.InvalidTags())
@@ -201,7 +191,7 @@ func Regress(in RegressInput) (*RegressResult, error) {
 	}
 	rep.Run.RuleSet = in.RuleSet
 	if err := rep.Validate(); err != nil {
-		return nil, fmt.Errorf("meissa: regress: %w", err)
+		return nil, err
 	}
 	obs.Progressf("regress: done in %v: %d/%d templates unchanged, %d added, %d retired; %.0f%% queries avoided",
 		time.Since(start), tr.Unchanged, tr.Current, tr.Added, tr.Retired, 100*q.Reuse)

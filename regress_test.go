@@ -8,6 +8,7 @@ package meissa_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -242,16 +243,12 @@ func TestTemplatePathKeysDistinct(t *testing.T) {
 	}
 }
 
-// refused checks that err refuses a baseline and names every want.
-func refused(t *testing.T, err error, want ...string) {
+// refused checks that err is the Refusal want.
+func refused(t *testing.T, err error, want meissa.Refusal) {
 	t.Helper()
-	if err == nil {
-		t.Fatalf("no error; want a refusal naming %q", want)
-	}
-	for _, w := range want {
-		if !strings.Contains(err.Error(), w) {
-			t.Errorf("error %q does not name %q", err, w)
-		}
+	var r *meissa.Refusal
+	if !errors.As(err, &r) || *r != want {
+		t.Errorf("error %v, want the Refusal %+v", err, want)
 	}
 }
 
@@ -289,7 +286,11 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 	if err := os.WriteFile(killed, data[:len(data)*6/10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	refused(t, regressFrom(killed), killed, "no template list", "meissa gen -checkpoint "+killed+" -resume")
+	noList := func(path string) meissa.Refusal {
+		return meissa.Refusal{At: path, Reason: "holds no template list: it is not a completed run's checkpoint",
+			Fix: "complete it with `meissa gen -checkpoint " + path + " -resume`"}
+	}
+	refused(t, regressFrom(killed), noList(killed))
 	generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.Checkpoint, o.Resume = killed, true })
 	cold := generatePar(t, p, newRules, 1, nil)
 	checkRegressInvariants(t, regressCheckpoint(t, p, p.Rules, newRules, killed, filepath.Join(dir, "next.journal"), 1), baseGen, cold)
@@ -310,7 +311,7 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 		t.Fatalf("the halted run's checkpoint (%v): %d verdicts, a template list of %d bytes; want verdicts and no list",
 			err, tbl.Len(), len(tbl.Templates().Frame()))
 	}
-	refused(t, regressFrom(halted), halted, "no template list", "-resume")
+	refused(t, regressFrom(halted), noList(halted))
 
 	refusedNext := filepath.Join(dir, "refused.journal")
 	storeOpts := func(path string) meissa.Options {
@@ -329,11 +330,13 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 	generatePar(t, p, newRules, 1, func(o *meissa.Options) { o.StorePath, o.MaxPaths = spath, 10 })
 	again, _ := rulediff.MutateArgs(p.Prog, newRules, 1)
 	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(spath), Program: p.Name})
-	refused(t, err, "no template list", "gen -store "+spath)
+	refused(t, err, meissa.Refusal{At: spath, Reason: "holds no template list for the stored rules: its last commit installed them without a completed run",
+		Fix: "run a completed `meissa gen -store " + spath + "` on them first"})
 	noCheckpoint()
 
-	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(filepath.Join(dir, "empty.store")), Program: p.Name})
-	refused(t, err, "no baseline for this program family", "run gen with the store first")
+	empty := filepath.Join(dir, "empty.store")
+	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(empty), Program: p.Name})
+	refused(t, err, meissa.Refusal{At: empty, Reason: "holds no baseline for this program family", Fix: "run gen with the store first"})
 	noCheckpoint()
 
 	other := filepath.Join(dir, "other.store")
@@ -344,7 +347,9 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 	}
 	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: newRules, NewRules: again,
 		Opts: storeOpts(other), Program: p.Name})
-	refused(t, err, fmt.Sprintf("%#x", fnv64a(newRules.String())), fmt.Sprintf("%#x", fnv64a(p.Rules.String())))
+	refused(t, err, meissa.Refusal{At: "OldRules", Reason: fmt.Sprintf("%d entries, hash %#x, are not the store's rules (%d entries, hash %#x): "+
+		"the store holds the template list of its own rules only", newRules.Len(), fnv64a(newRules.String()), p.Rules.Len(), fnv64a(p.Rules.String())),
+		Fix: "leave OldRules unset: the store supplies them"})
 	if after, _ := os.ReadFile(other); !bytes.Equal(after, before) {
 		t.Error("the refused store regression changed its store")
 	}

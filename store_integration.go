@@ -28,15 +28,6 @@ import (
 // rules and adds what the run derived, in one atomic transaction.
 // A regression from the store and an export take the same warm start.
 
-// familyFingerprint digests everything that scopes a store family —
-// the program, the generation-scoping assume clauses, and the
-// verdict-affecting options — but NOT the rule set. Rules are stored
-// alongside the family and reconciled by delta, which is what lets
-// verdicts survive rule churn instead of being keyed away by it.
-func (s *System) familyFingerprint(initC []expr.Bool) uint64 {
-	return s.identity(initC, "")
-}
-
 // storeCtx is one run's connection to a verdict store: the store it
 // opened, the resolved family fingerprint and the run's rules text, and
 // the activity counters that become the run report's store section.
@@ -50,21 +41,14 @@ type storeCtx struct {
 	rep   obs.StoreReport
 }
 
-// openStoreCtx opens Options.StorePath into a storeCtx, or returns nil
-// when it is not set.
+// openStoreCtx opens Options.StorePath into a storeCtx.
 func (s *System) openStoreCtx(initC []expr.Bool) (*storeCtx, error) {
-	if s.Opts.StorePath == "" {
-		return nil, nil
-	}
 	st, err := store.Open(s.Opts.StorePath, store.Options{LockWait: s.Opts.StoreWait})
 	if err != nil {
-		return nil, fmt.Errorf("meissa: store: %w", err)
+		return nil, err
 	}
-	return &storeCtx{st: st, fam: s.familyFingerprint(initC), rules: s.Rules.String(), rep: obs.StoreReport{Path: st.Path()}}, nil
+	return &storeCtx{st: st, fam: s.identity(initC, ""), rules: s.Rules.String(), rep: obs.StoreReport{Path: st.Path()}}, nil
 }
-
-// release closes the store.
-func (stc *storeCtx) release() { stc.st.Close() }
 
 // diff parses the stored rules text and makes its delta to the run's
 // rules, stc.delta: the warm start does, or the commit of a resumed run,
@@ -90,12 +74,9 @@ func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, run *rules.
 			return err
 		}
 	}
-	n, err := tx.InvalidateTags(stc.fam, stc.delta.InvalidTags())
-	if err != nil {
-		return err
-	}
-	stc.rep.Invalidated += uint64(n)
-	return tx.SetFamilyRules(stc.fam, stc.rules)
+	stc.rep.Invalidated += uint64(tx.InvalidateTags(stc.fam, stc.delta.InvalidTags()))
+	tx.SetFamilyRules(stc.fam, stc.rules)
+	return nil
 }
 
 // warm reads the family's baseline from one snapshot and writes nothing:
@@ -112,15 +93,16 @@ func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, run *rules.
 func (stc *storeCtx) warm(s *System, initC []expr.Bool, reg *baseline) (*baseline, error) {
 	sn := stc.st.Snapshot()
 	defer sn.Close()
-	info, ok, err := sn.Family(stc.fam)
-	if err != nil || !ok && reg == nil {
-		return nil, err // no family: first run of this family
+	info, ok := sn.Family(stc.fam)
+	if !ok && reg == nil {
+		return nil, nil // no family: first run of this family
 	}
 	if !ok {
-		return nil, fmt.Errorf("no baseline for this program family (run gen with the store first)")
+		return nil, &Refusal{stc.st.Path(), "holds no baseline for this program family", "run gen with the store first"}
 	}
 	b, stored := &baseline{table: sn.Table(stc.fam), delta: &rulediff.Delta{}}, s.Rules
 	if info.Rules != stc.rules {
+		var err error
 		if stored, err = stc.diff(info.Rules, s.Rules); err != nil {
 			return nil, err
 		}
@@ -130,12 +112,13 @@ func (stc *storeCtx) warm(s *System, initC []expr.Bool, reg *baseline) (*baselin
 		return b, nil
 	}
 	if reg.old != nil && reg.old.String() != info.Rules {
-		return nil, fmt.Errorf("OldRules (%d entries, hash %#x) are not the store's rules (%d entries, hash %#x): "+
-			"the store holds the template list of its own rules only", reg.old.Len(), rulesHash(reg.old.String()), stored.Len(), info.RulesHash)
+		return nil, &Refusal{"OldRules", fmt.Sprintf("%d entries, hash %#x, are not the store's rules (%d entries, hash %#x): "+
+			"the store holds the template list of its own rules only", reg.old.Len(), rulesHash(reg.old.String()), stored.Len(), info.RulesHash),
+			"leave OldRules unset: the store supplies them"}
 	}
 	if !isList(b.table.Templates(), s.identity(initC, info.Rules)) {
-		return nil, fmt.Errorf("no template list for the stored rules: the store's last commit installed them "+
-			"without a completed run (run a completed `meissa gen -store %s` on them first)", stc.st.Path())
+		return nil, &Refusal{stc.st.Path(), "holds no template list for the stored rules: its last commit installed them without a completed run",
+			"run a completed `meissa gen -store " + stc.st.Path() + "` on them first"}
 	}
 	*reg = *b
 	return reg, nil
@@ -154,10 +137,7 @@ func (stc *storeCtx) warm(s *System, initC []expr.Bool, reg *baseline) (*baselin
 // drops the family's old list, so a stored list is always that of the
 // stored rules. The list is no record: no count includes it.
 func (stc *storeCtx) commit(s *System, t *journal.Table, list []byte) error {
-	info, ok, err := stc.st.Family(stc.fam)
-	if err != nil {
-		return err
-	}
+	info, ok := stc.st.Family(stc.fam)
 	tx, err := stc.st.Begin()
 	if err != nil {
 		return err
@@ -168,7 +148,7 @@ func (stc *storeCtx) commit(s *System, t *journal.Table, list []byte) error {
 		// Retire the delta's entries before the new records land.
 		err = stc.reconcileRules(tx, info.Rules, s.Rules)
 	case !ok:
-		err = tx.SetFamilyRules(stc.fam, stc.rules)
+		tx.SetFamilyRules(stc.fam, stc.rules)
 	}
 	if err != nil {
 		return fail(err)
@@ -217,28 +197,21 @@ func (stc *storeCtx) report() *obs.StoreReport {
 // leaves valid, and never a stale verdict. An empty or absent family
 // exports a valid header-only journal.
 func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
-	initC, err := s.commonAssumes()
+	initC, stc, err := s.openStoreOnly()
 	if err != nil {
 		return nil, err
 	}
-	stc, err := s.openStoreCtx(initC)
-	if err != nil {
-		return nil, err
-	}
-	if stc == nil {
-		return nil, fmt.Errorf("meissa: export: no StorePath configured")
-	}
-	defer stc.release()
+	defer stc.st.Close()
 	b, err := stc.warm(s, initC, nil)
 	if err != nil {
-		return nil, fmt.Errorf("meissa: export: %w", err)
+		return nil, err
 	}
 	if b == nil {
 		b = &baseline{} // no family: the export holds the header only
 	}
 	j, err := journal.Open(journalPath, s.identity(initC, stc.rules), false)
 	if err != nil {
-		return nil, fmt.Errorf("meissa: export: %w", err)
+		return nil, err
 	}
 	for _, e := range b.table.Sorted() {
 		if !e.DependsOn(b.match) {
@@ -252,7 +225,7 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 		err = cerr
 	}
 	if err != nil {
-		return nil, fmt.Errorf("meissa: export: %w", err)
+		return nil, err
 	}
 	return stc.report(), nil
 }
@@ -273,18 +246,11 @@ type StoreStatus struct {
 
 // StoreStatus opens the system's store and reports the family's state.
 func (s *System) StoreStatus() (*StoreStatus, error) {
-	initC, err := s.commonAssumes()
+	initC, stc, err := s.openStoreOnly()
 	if err != nil {
 		return nil, err
 	}
-	stc, err := s.openStoreCtx(initC)
-	if err != nil {
-		return nil, err
-	}
-	if stc == nil {
-		return nil, fmt.Errorf("meissa: store info: no StorePath configured")
-	}
-	defer stc.release()
+	defer stc.st.Close()
 	st := &StoreStatus{
 		Path:        stc.st.Path(),
 		FileBytes:   stc.st.Stats().FileBytes,
@@ -294,18 +260,24 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 	}
 	sn := stc.st.Snapshot()
 	defer sn.Close()
-	info, ok, err := sn.Family(stc.fam)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return st, nil
-	}
-	st.Present, st.RulesHash, st.Rules = true, info.RulesHash, info.Rules
-	if st.Records, err = sn.RecordCount(stc.fam); err != nil {
-		return nil, err
+	if info, ok := sn.Family(stc.fam); ok {
+		st.Present, st.RulesHash, st.Rules, st.Records = true, info.RulesHash, info.Rules, sn.RecordCount(stc.fam)
 	}
 	return st, nil
+}
+
+// openStoreOnly opens Options.StorePath for StoreExport and StoreStatus,
+// which run no generation, with the system's assume clauses.
+func (s *System) openStoreOnly() ([]expr.Bool, *storeCtx, error) {
+	if err := refuse(call{opts: s.Opts, store: true}); err != nil {
+		return nil, nil, err
+	}
+	initC, err := s.commonAssumes()
+	if err != nil {
+		return nil, nil, err
+	}
+	stc, err := s.openStoreCtx(initC)
+	return initC, stc, err
 }
 
 // rulesHash is the hash the store keeps of a rules text

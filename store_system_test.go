@@ -9,11 +9,11 @@ package meissa_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	meissa "repro"
@@ -608,52 +608,68 @@ func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
 
 // TestPersistenceOptionsRejected: the option combinations no run can
 // honour fail in the library, whoever the caller is, before anything is
-// written.
+// written, each with its Refusal.
 func TestPersistenceOptionsRejected(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	dir := t.TempDir()
-	generate := func(o meissa.Options) error {
+	base, next := filepath.Join(dir, "base.journal"), filepath.Join(dir, "next.journal")
+	system := func(o meissa.Options) *meissa.System {
 		sys, err := meissa.New(p.Prog, p.Rules, nil, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sys.Generate()
-		return err
+		return sys
 	}
-	regress := func(o meissa.Options) error {
-		o.Checkpoint = filepath.Join(dir, "next.journal")
-		_, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: p.Rules,
-			Opts: o, Baseline: filepath.Join(dir, "base.journal")})
-		return err
+	generate := func(o meissa.Options) error { _, err := system(o).Generate(); return err }
+	regress := func(in meissa.RegressInput) func(meissa.Options) error {
+		return func(o meissa.Options) error {
+			in.Prog, in.NewRules, in.Opts = p.Prog, p.Rules, o
+			_, err := meissa.Regress(in)
+			return err
+		}
 	}
+	fromBase := meissa.RegressInput{OldRules: p.Rules, Baseline: base}
+	resume := meissa.Refusal{At: "Resume", Reason: "requires Checkpoint", Fix: "name the checkpoint to resume"}
+	noStore := meissa.Refusal{At: "StorePath", Reason: "unset: there is no store to read", Fix: "name the store"}
 	for _, tc := range []struct {
 		name string
 		run  func(meissa.Options) error
 		mod  func(*meissa.Options)
-		want string
+		want meissa.Refusal
 	}{
 		{"Generate: Resume without Checkpoint", generate,
-			func(o *meissa.Options) { o.Resume = true }, "meissa: Resume requires Checkpoint"},
+			func(o *meissa.Options) { o.Resume = true }, resume},
 		{"Generate: Resume without Checkpoint, with StorePath", generate,
-			func(o *meissa.Options) { o.Resume, o.StorePath = true, filepath.Join(dir, "v.store") }, "meissa: Resume requires Checkpoint"},
-		{"Regress: StorePath", regress,
-			func(o *meissa.Options) { o.StorePath = filepath.Join(dir, "v.store") }, "StorePath not allowed"},
-		{"Regress: neither Baseline nor StorePath", func(o meissa.Options) error {
-			_, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: p.Rules, Opts: o})
+			func(o *meissa.Options) { o.Resume, o.StorePath = true, filepath.Join(dir, "v.store") }, resume},
+		{"Regress: StorePath", regress(fromBase),
+			func(o *meissa.Options) { o.StorePath, o.Checkpoint = filepath.Join(dir, "v.store"), next },
+			meissa.Refusal{At: "StorePath", Reason: "set with a Baseline checkpoint: the run would commit to a store whose baseline it never read",
+				Fix: "set Baseline or StorePath, not both"}},
+		{"Regress: neither Baseline nor StorePath", regress(meissa.RegressInput{OldRules: p.Rules}),
+			func(o *meissa.Options) { o.Checkpoint = next },
+			meissa.Refusal{At: "Baseline", Reason: "unset, and so is StorePath: a regression has no baseline", Fix: "set Baseline or StorePath"}},
+		{"Regress: Checkpoint is Baseline", regress(fromBase),
+			func(o *meissa.Options) { o.Checkpoint = base },
+			meissa.Refusal{At: "Checkpoint", Reason: "is the Baseline file, which the run reads and never writes", Fix: "name another file"}},
+		{"Regress: Baseline without OldRules", regress(meissa.RegressInput{Baseline: base}),
+			func(o *meissa.Options) { o.Checkpoint = next },
+			meissa.Refusal{At: "OldRules", Reason: "unset: a Baseline checkpoint is read under the rules it was generated under", Fix: "set OldRules to them"}},
+		{"StoreExport without StorePath", func(o meissa.Options) error {
+			_, err := system(o).StoreExport(filepath.Join(dir, "export.journal"))
 			return err
-		}, func(o *meissa.Options) { o.Checkpoint = filepath.Join(dir, "next.journal") }, "no baseline"},
-		{"Regress: Baseline without OldRules", func(o meissa.Options) error {
-			_, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: p.Rules, Opts: o, Baseline: filepath.Join(dir, "base.journal")})
+		}, func(*meissa.Options) {}, noStore},
+		{"StoreStatus without StorePath", func(o meissa.Options) error {
+			_, err := system(o).StoreStatus()
 			return err
-		}, func(o *meissa.Options) { o.Checkpoint = filepath.Join(dir, "next.journal") }, "missing OldRules"},
+		}, func(*meissa.Options) {}, noStore},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := meissa.DefaultOptions()
 			opts.Parallelism = 1
 			tc.mod(&opts)
-			err := tc.run(opts)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			var r *meissa.Refusal
+			if err := tc.run(opts); !errors.As(err, &r) || *r != tc.want {
+				t.Fatalf("error %v, want the Refusal %+v", err, tc.want)
 			}
 			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 				t.Fatalf("rejected run left %d file(s) behind, first %s", len(ents), ents[0].Name())

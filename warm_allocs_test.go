@@ -50,7 +50,7 @@ func TestWarmStartAllocsPerRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer stc.release()
+		defer stc.st.Close()
 		b, err := stc.warm(sys, initC, nil) // store-warm
 		if err != nil {
 			t.Fatal(err)
