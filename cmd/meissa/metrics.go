@@ -204,7 +204,7 @@ func cmdCheckMetrics(args []string) error {
 	if rep.Paths != nil {
 		fmt.Printf("  paths explored=%d pruned=%d templates=%d", rep.Paths.Explored, rep.Paths.Pruned, rep.Paths.Templates)
 		if rep.Paths.Frames > 0 && rep.Paths.Explored > 0 {
-			fmt.Printf(" frames=%d (%.1f/path)", rep.Paths.Frames, float64(rep.Paths.Frames)/float64(rep.Paths.Explored))
+			fmt.Printf(" frames=%d (%.1f/path, %d rows)", rep.Paths.Frames, float64(rep.Paths.Frames)/float64(rep.Paths.Explored), rep.Paths.RowFrames)
 		}
 		fmt.Printf(" (10^%.1f -> 10^%.1f)\n", rep.Paths.PossibleLog10Before, rep.Paths.PossibleLog10After)
 		if n := float64(rep.Paths.FinalExplored); n > 0 {

@@ -615,7 +615,7 @@ func (d *Driver) Concretize(t *sym.Template, id uint64) (*Case, error) {
 	final := maps.Clone(model)
 	for s, valExpr := range t.Final {
 		v := t.Vars[s]
-		if valExpr == nil || v.IsAux() {
+		if valExpr == nil {
 			continue
 		}
 		val, err := expr.EvalArith(valExpr, model)

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"slices"
 )
 
 // State is a concrete execution state: a mapping from header field
@@ -110,14 +109,11 @@ func (v Subst) Clone() Subst {
 type Env []Arith
 
 // substEnv is the binding lookup behind one substitution walk: the map V,
-// or (vals non-nil) an Env whose Ref slots are consumed in walk order —
-// along with defs, when set: what each reference reads while its slot is
-// unbound.
+// or (vals non-nil) an Env whose Ref slots are consumed in walk order.
 type substEnv struct {
 	m    Subst
 	vals Env
 	refs []int32
-	defs []Arith
 }
 
 func (e *substEnv) lookup(v Var) Arith {
@@ -126,12 +122,6 @@ func (e *substEnv) lookup(v Var) Arith {
 	}
 	val := e.vals[e.refs[0]]
 	e.refs = e.refs[1:]
-	if e.defs != nil {
-		if val == nil {
-			val = e.defs[0]
-		}
-		e.defs = e.defs[1:]
-	}
 	return val
 }
 
@@ -265,18 +255,6 @@ func (e Env) SubstBool(b Bool, refs []int32) (out Bool, changed bool) {
 	return substBool(b, &substEnv{vals: e, refs: refs})
 }
 
-// SubstBoolOr is SubstBool where the i-th reference, while its slot
-// refs[i] is unbound, reads defs[i] if that is non-nil. A nil defs is all
-// nil. It is how a reader looks through a copy x ← y that has not run yet:
-// x's reference reads y's slot, or the copy's own right-hand side.
-func (e Env) SubstBoolOr(b Bool, refs []int32, defs []Arith) Bool {
-	if !e.bound(refs) && !slices.ContainsFunc(defs, func(d Arith) bool { return d != nil }) {
-		return b
-	}
-	out, _ := substBool(b, &substEnv{vals: e, refs: refs, defs: defs})
-	return out
-}
-
 // SubstArith substitutes all variables in a with their values in V
 // (the ⟦V⟧a operation of Figure 6). Variables absent from V are left as
 // free symbolic inputs. Expressions untouched by the substitution are
@@ -368,37 +346,4 @@ func substBool(b Bool, v *substEnv) (Bool, bool) {
 		}
 	}
 	return b, false
-}
-
-// RenameArith replaces variable references according to ren, leaving
-// unmapped variables untouched. Unlike SubstArith it does not simplify,
-// so structure is preserved for round-trip tests.
-func RenameArith(a Arith, ren map[Var]Var) Arith {
-	switch t := a.(type) {
-	case Const:
-		return t
-	case Ref:
-		if nv, ok := ren[t.Var]; ok {
-			return Ref{Var: nv, W: t.W}
-		}
-		return t
-	case Bin:
-		return Bin{Op: t.Op, L: RenameArith(t.L, ren), R: RenameArith(t.R, ren)}
-	}
-	return a
-}
-
-// RenameBool replaces variable references according to ren.
-func RenameBool(b Bool, ren map[Var]Var) Bool {
-	switch t := b.(type) {
-	case BoolConst:
-		return t
-	case Cmp:
-		return Cmp{Op: t.Op, L: RenameArith(t.L, ren), R: RenameArith(t.R, ren)}
-	case Logic:
-		return Logic{Op: t.Op, L: RenameBool(t.L, ren), R: RenameBool(t.R, ren)}
-	case Not:
-		return Not{X: RenameBool(t.X, ren)}
-	}
-	return b
 }

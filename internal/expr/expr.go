@@ -9,7 +9,6 @@ package expr
 
 import (
 	"strconv"
-	"strings"
 )
 
 // Width is the bit width of an arithmetic expression, in the range [1, 64].
@@ -30,17 +29,9 @@ func (w Width) Mask() uint64 {
 func (w Width) Trunc(v uint64) uint64 { return v & w.Mask() }
 
 // Var identifies a header field variable (field_id in the paper's grammar),
-// e.g. "hdr.ipv4.dstAddr", "meta.egressPort", a register cell
-// "REG:counts-POS:0", or a pipeline-entry auxiliary "@hdr.tcp.srcPort".
+// e.g. "hdr.ipv4.dstAddr", "meta.egressPort", or a register cell
+// "REG:counts-POS:0".
 type Var string
-
-// IsAux reports whether the variable is a pipeline-entry auxiliary
-// introduced by code summary (Algorithm 2 of the paper).
-func (v Var) IsAux() bool { return strings.HasPrefix(string(v), "@") }
-
-// Aux returns the auxiliary variable recording v's value at a pipeline
-// entry.
-func (v Var) Aux() Var { return Var("@" + string(v)) }
 
 // AOp is a binary arithmetic operator.
 type AOp int

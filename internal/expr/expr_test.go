@@ -190,33 +190,12 @@ func TestVarsOf(t *testing.T) {
 	}
 }
 
-func TestAuxVar(t *testing.T) {
-	v := Var("hdr.tcp.srcPort")
-	if v.IsAux() {
-		t.Error("plain var must not be aux")
-	}
-	a := v.Aux()
-	if !a.IsAux() || a != "@hdr.tcp.srcPort" {
-		t.Errorf("Aux = %s", a)
-	}
-}
-
 func TestStateClone(t *testing.T) {
 	s := State{"a": 1}
 	c := s.Clone()
 	c["a"] = 2
 	if s["a"] != 1 {
 		t.Error("Clone must not alias")
-	}
-}
-
-func TestRenameRoundTrip(t *testing.T) {
-	e := Bin{Op: OpAdd, L: V("x", 16), R: V("y", 16)}
-	ren := map[Var]Var{"x": "@x", "y": "@y"}
-	back := map[Var]Var{"@x": "x", "@y": "y"}
-	got := RenameArith(RenameArith(e, ren), back)
-	if !EqualArith(got, e) {
-		t.Errorf("rename round trip = %s", got)
 	}
 }
 

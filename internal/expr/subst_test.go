@@ -147,46 +147,6 @@ func TestSubstMatchesBoxThenSimplify(t *testing.T) {
 	}
 }
 
-// TestSubstBoolOrReadsThroughUnboundSlots: a default stands in for exactly
-// the references whose slot is unbound, which is substituting under an
-// environment that binds those slots to the defaults — except that one slot
-// can have a different default at each of its references.
-func TestSubstBoolOrReadsThroughUnboundSlots(t *testing.T) {
-	g := &exprGen{rng: rand.New(rand.NewSource(11)), vars: []Var{"a", "b", "c", "d"}}
-	for i := 0; i < 4000; i++ {
-		_, env, slot := g.subst()
-		b := g.boolean(3)
-		refs := RefSlotsBool(nil, b, slot)
-		// One default per variable here, so that the equivalent environment
-		// exists; nil for about half of them.
-		perVar := make([]Arith, len(g.vars))
-		for v := range perVar {
-			if g.rng.Intn(2) == 0 {
-				perVar[v] = g.arith(1)
-			}
-		}
-		defs := make([]Arith, len(refs))
-		filled := append(Env(nil), env...)
-		for k, s := range refs {
-			defs[k] = perVar[s]
-			if filled[s] == nil {
-				filled[s] = perVar[s]
-			}
-		}
-		want, _ := filled.SubstBool(b, refs)
-		if got := env.SubstBoolOr(b, refs, defs); !EqualBool(got, want) {
-			t.Fatalf("SubstBoolOr(%s, %v, %v) = %s, want %s", b, env, defs, got, want)
-		}
-	}
-	// Per reference, not per slot: x == x with the second reference
-	// defaulted.
-	x := V("x", 8)
-	got := Env{nil}.SubstBoolOr(Cmp{Op: CmpLt, L: x, R: x}, []int32{0, 0}, []Arith{nil, C(3, 8)})
-	if want := (Cmp{Op: CmpLt, L: x, R: C(3, 8)}); !EqualBool(got, want) {
-		t.Errorf("x < x with the right reference defaulted to 3 is %s, want %s", got, want)
-	}
-}
-
 // TestSubstFoldsWithoutAllocating pins the statically-pruned majority of
 // symbolic-execution paths: a table-entry predicate over a field the
 // value stack binds to a constant folds to True/False with no allocation,
@@ -245,11 +205,36 @@ func TestSlotStateMatchesMapState(t *testing.T) {
 		if got, ok := st.EvalBool(b, RefSlotsBool(nil, b, slot)); ok != wantOK || got != wantB {
 			t.Fatalf("EvalBool(%s) under %v = %v, %v; want %v, %v", b, m, got, ok, wantB, wantOK)
 		}
-		twin := RenameBool(b, nil) // a structurally equal tree in fresh boxes
+		twin := copyBool(b)
 		for depth := 0; depth < 6; depth++ {
 			if HashBool(b, depth) != HashBool(twin, depth) {
 				t.Fatalf("%s and its copy hash apart at depth %d", b, depth)
 			}
 		}
 	}
+}
+
+// copyBool is a structurally equal tree of b in fresh boxes.
+func copyBool(b Bool) Bool {
+	switch t := b.(type) {
+	case Cmp:
+		return Cmp{Op: t.Op, L: copyArith(t.L), R: copyArith(t.R)}
+	case Logic:
+		return Logic{Op: t.Op, L: copyBool(t.L), R: copyBool(t.R)}
+	case Not:
+		return Not{X: copyBool(t.X)}
+	}
+	return b
+}
+
+func copyArith(a Arith) Arith {
+	switch t := a.(type) {
+	case Bin:
+		return Bin{Op: t.Op, L: copyArith(t.L), R: copyArith(t.R)}
+	case Ref:
+		return t
+	case Const:
+		return t
+	}
+	return a
 }

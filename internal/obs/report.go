@@ -63,8 +63,10 @@ type PathReport struct {
 	// Pruned counts prefixes cut by early termination.
 	Pruned uint64 `json:"pruned"`
 	// Frames counts the dfs frames all explorations entered; divided by
-	// Explored it is what a descent costs in graph steps.
-	Frames uint64 `json:"frames,omitempty"`
+	// Explored it is what a descent costs in graph steps. RowFrames counts
+	// those of them that ran a summary row.
+	Frames    uint64 `json:"frames,omitempty"`
+	RowFrames uint64 `json:"row_frames,omitempty"`
 	// Templates is the emitted test case template count.
 	Templates int `json:"templates"`
 	// PossibleLog10Before/After are the whole-graph possible-path counts

@@ -276,13 +276,13 @@ func (fl *flow) entryFacts(region *cfg.Region) (*facts, int) {
 	return applyGlueNode(fl.g.Node(region.Entry), in.clone()), live
 }
 
-// setRegionOut records a region's out-facts from its summarized chains:
-// the meet over the non-dropping chains of the entry facts updated by
-// each chain's effects, plus the chain-common stable constraints. The meet
-// is taken whole rather than chain by chain: every variable a chain changes
-// is modified; a variable keeps the value the first chain leaves it at if
-// every chain leaves it there; and a condition survives if it mentions no
-// modified variable and is the entry's or one every chain collected.
+// setRegionOut records a region's out-facts from its summarized paths:
+// the meet over the non-dropping paths of the entry facts updated by
+// each path's effects, plus the path-common stable constraints. The meet
+// is taken whole rather than path by path: every variable a path changes
+// is modified; a variable keeps the value the first path leaves it at if
+// every path leaves it there; and a condition survives if it mentions no
+// modified variable and is the entry's or one every path collected.
 func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Template, initC []expr.Bool, initV expr.Subst, g *cfg.Graph) {
 	var live []*sym.Template
 	out := &facts{values: expr.Subst{}, conds: map[string]expr.Bool{}, modified: map[expr.Var]bool{}}
@@ -291,7 +291,7 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 	}
 	for _, t := range templates {
 		if t.Dropped {
-			continue // drop chains never feed downstream pipelines
+			continue // drop paths never feed downstream pipelines
 		}
 		live = append(live, t)
 		for s, val := range t.Final {
@@ -305,13 +305,13 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 		return
 	}
 	first := live[0]
-	// slot indexes the variable table the region's chains share: they are
+	// slot indexes the variable table the region's paths share: they are
 	// the templates of one exploration (sym.Template.Vars).
 	slot := make(map[expr.Var]int, len(first.Vars))
 	for s, v := range first.Vars {
 		slot[v] = s
 	}
-	// valueAfter is v's constant after chain t, if it has one.
+	// valueAfter is v's constant after path t, if it has one.
 	valueAfter := func(t *sym.Template, v expr.Var) (expr.Arith, bool) {
 		if s, ok := slot[v]; ok {
 			if val := t.Final[s]; val != nil && changedFrom(v, val, initV, g) {
@@ -322,7 +322,7 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 		val, ok := in.values[v]
 		return val, ok
 	}
-	// Values: the first chain's, where every other chain agrees.
+	// Values: the first path's, where every other path agrees.
 	keep := func(v expr.Var) {
 		val, ok := valueAfter(first, v)
 		for _, t := range live[1:] {
@@ -344,9 +344,9 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 			keep(first.Vars[s])
 		}
 	}
-	// Conditions: the entry's, and the first chain's where every other chain
-	// collected one that renders the same (the first chain's last of them
-	// stands for it); seen stamps each key with the last chain that did.
+	// Conditions: the entry's, and the first path's where every other path
+	// collected one that renders the same (the first path's last of them
+	// stands for it); seen stamps each key with the last path that did.
 	for k, c := range in.conds {
 		out.conds[k] = c
 	}

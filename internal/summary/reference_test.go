@@ -29,7 +29,7 @@ func refSetRegionOut(in *facts, templates []*sym.Template, initC []expr.Bool, in
 		f := in.clone()
 		for s, val := range t.Final {
 			v := t.Vars[s]
-			if val == nil || v.IsAux() {
+			if val == nil {
 				continue
 			}
 			entryVal, wasPublic := initV[v]
@@ -280,11 +280,10 @@ func TestRegionPathsOverflow(t *testing.T) {
 // TestSetRegionOutMatchesReferenceRandom holds meet and setRegionOut to
 // the references on random facts and chains — chains that leave a
 // variable as it was or unbound, set it to one of a few constants or to a
-// symbolic value, write an auxiliary, collect conjuncts from a small pool
-// (so that some are common to every chain) or are dropped — where the
-// corpus has few regions whose entry conditions mention what the chains
-// change. A round's chains share one variable table, as the templates of
-// one exploration do, with the auxiliary's slot among the variables'.
+// symbolic value, collect conjuncts from a small pool (so that some are
+// common to every chain) or are dropped — where the corpus has few regions
+// whose entry conditions mention what the chains change. A round's chains
+// share one variable table, as the templates of one exploration do.
 func TestSetRegionOutMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	g := cfg.NewGraph()
@@ -292,7 +291,7 @@ func TestSetRegionOutMatchesReferenceRandom(t *testing.T) {
 	for _, v := range vars {
 		g.Vars[v] = 8
 	}
-	table := []expr.Var{"c", "a", vars[0].Aux(), "f", "b", "e", "d"}
+	table := []expr.Var{"c", "a", "f", "b", "e", "d"}
 	slot := map[expr.Var]int{}
 	for s, v := range table {
 		slot[v] = s
@@ -342,9 +341,6 @@ func TestSetRegionOutMatchesReferenceRandom(t *testing.T) {
 				if iv, public := initV[v]; public && rng.Intn(2) == 0 {
 					tm.Final[slot[v]] = iv
 				}
-			}
-			if rng.Intn(3) == 0 {
-				tm.Final[slot[vars[0].Aux()]] = expr.C(9, 8)
 			}
 			for j := rng.Intn(4); j > 0; j-- {
 				tm.Constraints = append(tm.Constraints, cond())

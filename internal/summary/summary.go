@@ -81,14 +81,13 @@ type Stats struct {
 // coverage (Corollary 1).
 func Summarize(g *cfg.Graph, opts Options) (*Stats, error) {
 	stats := &Stats{}
-	names := chainNames{}
 	var fl *flow
 	if opts.UsePreconditions {
 		fl = newFlow(g, opts.InitConstraints)
 	}
 	for _, region := range g.Pipelines {
 		sp := obs.Begin("generate/summary/" + region.Name)
-		st, err := summarizeRegion(g, region, opts, fl, names, stats)
+		st, err := summarizeRegion(g, region, opts, fl, stats)
 		dur := sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("summary: pipeline %s: %w", region.Name, err)
@@ -100,7 +99,7 @@ func Summarize(g *cfg.Graph, opts Options) (*Stats, error) {
 	return stats, nil
 }
 
-func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, names chainNames, agg *Stats) (*PipelineStat, error) {
+func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, agg *Stats) (*PipelineStat, error) {
 	st := &PipelineStat{Name: region.Name}
 	st.PossibleBefore = cfg.Log10(g.RegionPaths(region))
 
@@ -155,9 +154,9 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, n
 	entryNode.Succs = nil // pipeline.clear()
 
 	for _, t := range innerRes.Templates {
-		head, tail := encodePath(g, region, t, initC, initV, names)
-		entryNode.Succs = append(entryNode.Succs, head)
-		g.Link(tail, region.Exit)
+		row := addRow(g, region, t, initC, initV)
+		entryNode.Succs = append(entryNode.Succs, row)
+		g.Link(row, region.Exit)
 	}
 	if len(innerRes.Templates) == 0 {
 		// No valid path through the pipeline under the public
@@ -184,58 +183,18 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, n
 // out-facts were computed from and what they came to.
 var regionOutObserver func(in *facts, templates []*sym.Template, initC []expr.Bool, initV expr.Subst, g *cfg.Graph, out *facts)
 
-// chainNames interns, once per Summarize, what every chain that changes a
-// variable v names after it: its entry snapshot @v and the comments of its
-// save and assignment nodes.
-type chainNames map[expr.Var]chainName
-
-type chainName struct {
-	aux          expr.Var
-	save, assign string
-}
-
-func (m chainNames) of(v expr.Var) chainName {
-	n, ok := m[v]
-	if !ok {
-		n = chainName{aux: v.Aux(), save: "save entry value of " + string(v), assign: "summary assign " + string(v)}
-		m[v] = n
-	}
-	return n
-}
-
-// encodePath builds the succinct chain for one valid path: a predicate
-// node carrying the conjunction of the constraints collected inside the
-// pipeline, then @var saves for every changed variable, then the
-// simultaneous assignment encoded with entry-value auxiliaries
-// (Algorithm 2 lines 13–24 and the @srcPort example of §3.3).
-// It returns the chain's head and tail node IDs; the head alone carries
-// the template's dependency tags.
-func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.Bool, initV expr.Subst, names chainNames) (head, tail cfg.NodeID) {
-	// Chain layout: saves → hash/checksum obligations → guard predicate →
-	// assignments. The obligations must precede the predicate because the
-	// path condition may constrain their outputs (e.g. an ECMP range
-	// match over a hash value): the outer execution has to re-bind the
-	// hash symbol before the constraint over it is asserted.
-	head = cfg.None
-	tail = cfg.None
-	appendNode := func(n *cfg.Node) {
-		if head == cfg.None {
-			// The chain's head carries the template's rule-dependency tags:
-			// the chain stands in for a concrete path through the
-			// pipeline's tables, and the rest of it is reachable only
-			// through the head, so a final-pass walk crossing it gathers
-			// the dependencies the folded path had (journal records and
-			// incremental regression rely on this).
-			n.Deps = t.Deps
-			head = n.ID
-		} else {
-			g.Link(tail, n.ID)
-		}
-		tail = n.ID
-	}
-
-	// Changed variables, by slot in name order: final value differs from the
-	// entry value.
+// addRow adds the summary row for one valid path (Algorithm 2 lines
+// 13–24): the hash and checksum obligations the inner exploration deferred,
+// the guard — the conjunction of the constraints collected inside the
+// pipeline, stripped of the seeded public pre-conditions (the first
+// len(initC) entries) — and the simultaneous assignment of every variable
+// the path changes, in name order. The obligations precede the guard
+// because the path condition may constrain their outputs (e.g. an ECMP
+// range match over a hash value). The row carries the template's
+// rule-dependency tags: it stands in for a concrete path through the
+// pipeline's tables (journal records and incremental regression rely on
+// this).
+func addRow(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.Bool, initV expr.Subst) cfg.NodeID {
 	var changed []int
 	for s, val := range t.Final {
 		if val != nil && changedFrom(t.Vars[s], val, initV, g) {
@@ -243,62 +202,20 @@ func encodePath(g *cfg.Graph, region *cfg.Region, t *sym.Template, initC []expr.
 		}
 	}
 	sort.Slice(changed, func(i, j int) bool { return t.Vars[changed[i]] < t.Vars[changed[j]] })
-
-	// Rename map: references to changed variables inside final values must
-	// read the entry snapshot (@var), since the assignments in a CFG lack
-	// atomicity (§3.3's srcPort/dstPort example).
-	ren := make(map[expr.Var]expr.Var, len(changed))
-	for _, s := range changed {
-		ren[t.Vars[s]] = names.of(t.Vars[s]).aux
+	assigns := make([]cfg.Assign, len(changed))
+	for i, s := range changed {
+		assigns[i] = cfg.Assign{Var: t.Vars[s], Val: t.Final[s]}
 	}
-
-	// Saves: @v ← v for every changed variable.
-	for _, s := range changed {
-		v := t.Vars[s]
-		w, n := g.Vars[v], names.of(v)
-		g.Vars[n.aux] = w
-		appendNode(g.AddAction(n.aux, expr.V(v, w), region.Name, n.save))
-	}
-	// Re-emit deferred hash/checksum obligations as opaque nodes, before
-	// the guard predicate and the assignments that consume their outputs,
-	// so the final full-program execution re-evaluates them (possibly
-	// concretely, if the outer context fixes their inputs).
-	for _, ob := range t.HashObligations {
-		inputs := make([]expr.Arith, len(ob.Inputs))
-		for i, in := range ob.Inputs {
-			inputs[i] = expr.RenameArith(in, ren)
-		}
-		if ob.Kind == cfg.Hash {
-			appendNode(g.AddHash(ob.Var, ob.Width, inputs, region.Name, "summary hash"))
-		} else {
-			appendNode(g.AddChecksum(ob.Var, ob.Width, inputs, region.Name, "summary checksum"))
-		}
-	}
-	// Guard: the conjunction of the constraints collected inside the
-	// pipeline, stripped of the seeded public pre-conditions (the first
-	// len(initC) entries). Entry-value references to changed variables go
-	// through the @ snapshots.
-	inner := t.Constraints[len(initC):]
-	pred := expr.RenameBool(expr.AndAll(inner), ren)
-	appendNode(g.AddPredicate(pred, region.Name, fmt.Sprintf("summary path %d of %s", t.ID, region.Name)))
-	// Assignments: v ← final value with changed references renamed to
-	// their @ snapshots.
-	for _, s := range changed {
-		v := t.Vars[s]
-		appendNode(g.AddAction(v, expr.RenameArith(t.Final[s], ren), region.Name, names.of(v).assign))
-	}
-	return head, tail
+	guard := expr.AndAll(t.Constraints[len(initC):])
+	row := g.AddSummary(guard, t.HashObligations, assigns, region.Name, fmt.Sprintf("summary path %d of %s", t.ID, region.Name))
+	row.Deps = t.Deps
+	return row.ID
 }
 
-// changedFrom reports whether a chain leaves v at a final value val that
+// changedFrom reports whether a path leaves v at a final value val that
 // differs from v's entry value: initV[v] when public, else the free symbol
-// v. Auxiliaries from earlier summaries never change: they are chain-local
-// temporaries, which each chain saves before reading, so they carry no live
-// value across pipelines.
+// v.
 func changedFrom(v expr.Var, val expr.Arith, initV expr.Subst, g *cfg.Graph) bool {
-	if v.IsAux() {
-		return false
-	}
 	if entry, public := initV[v]; public {
 		return !expr.EqualArith(val, entry)
 	}

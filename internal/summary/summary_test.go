@@ -1,6 +1,8 @@
 package summary
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cfg"
@@ -147,7 +149,7 @@ func TestSummaryModelsStillSatisfyOriginal(t *testing.T) {
 		// symbolic state on every variable the template specifies.
 		for s, valExpr := range tm.Final {
 			v := tm.Vars[s]
-			if valExpr == nil || v.IsAux() {
+			if valExpr == nil {
 				continue
 			}
 			want, err := expr.EvalArith(valExpr, st)
@@ -290,7 +292,9 @@ func TestPublicPreconditionFiltersFig8(t *testing.T) {
 
 func TestSummaryAtomicityAuxVars(t *testing.T) {
 	// The §3.3 swap example: srcPort <- 10000; dstPort <- srcPort + 1
-	// must be encoded with @srcPort so dstPort gets the ENTRY srcPort.
+	// must be one simultaneous assignment, so that dstPort gets the ENTRY
+	// srcPort — without the @srcPort snapshot a chain of CFG assignments
+	// needed.
 	src := `
 header tcp { bit<16> srcPort; bit<16> dstPort; }
 control c {
@@ -329,6 +333,31 @@ pipeline p { control = c; }
 	}
 	if srcv != 10000 {
 		t.Errorf("srcPort = %d, want 10000", srcv)
+	}
+	noAuxiliaries(t, g, res.Templates)
+}
+
+// noAuxiliaries fails if the graph or a template holds an @ variable, the
+// entry snapshots summary chains once saved.
+func noAuxiliaries(t *testing.T, g *cfg.Graph, ts []*sym.Template) {
+	t.Helper()
+	aux := func(v expr.Var) bool { return strings.HasPrefix(string(v), "@") }
+	for v := range g.Vars {
+		if aux(v) {
+			t.Errorf("graph holds %s", v)
+		}
+	}
+	for _, tm := range ts {
+		for _, v := range tm.Vars {
+			if aux(v) {
+				t.Errorf("template %d holds %s", tm.ID, v)
+			}
+		}
+		for _, c := range tm.Constraints {
+			if strings.Contains(c.String(), "@") {
+				t.Errorf("template %d condition %s reads an @ variable", tm.ID, c)
+			}
+		}
 	}
 }
 
@@ -402,30 +431,32 @@ func defaultOptions() Options {
 	return Options{Sym: o, UsePreconditions: true}
 }
 
-// TestChainTagOnHeadOnly: a summary chain's head carries the folded path's
-// dependency tags and no later node of the chain, its tail included,
-// carries any.
+// TestChainTagOnHeadOnly: a summarized path is one row, which leads
+// straight to its pipeline's exit and carries the path's dependency tags.
 func TestChainTagOnHeadOnly(t *testing.T) {
 	g := buildTwoPipe(t, 3)
 	if _, err := Summarize(g, defaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	tagged := 0
 	for _, r := range g.Pipelines {
-		for _, head := range g.Node(r.Entry).Succs {
-			after := 0
-			for id := g.Node(head).Succs[0]; id != r.Exit; id = g.Node(id).Succs[0] {
-				if deps := g.Node(id).Deps; deps != nil {
-					t.Errorf("%s: chain node %d (%q) after head %d carries %v", r.Name, id, g.Node(id).Comment, head, deps)
-				}
-				after++
+		for _, id := range g.Node(r.Entry).Succs {
+			row := g.Node(id)
+			if row.Kind != cfg.Summary || !slices.Equal(row.Succs, []cfg.NodeID{r.Exit}) {
+				t.Errorf("%s: path %d is a %s leading to %v, want a summary row leading to the exit %d", r.Name, id, row.Kind, row.Succs, r.Exit)
 			}
-			if g.Node(head).Deps != nil && after > 0 {
-				checked++
+			for k := 1; k < row.Span(); k++ {
+				if g.Node(id+cfg.NodeID(k)) != row {
+					t.Errorf("%s: ID %d of row %d's span resolves to another node", r.Name, id+cfg.NodeID(k), id)
+				}
+			}
+			if row.Deps != nil && row.Span() > 1 {
+				tagged++
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no chain has a tagged head and nodes after it")
+	if tagged == 0 {
+		t.Fatal("no row of more than one ID carries tags")
 	}
+	noAuxiliaries(t, g, exploreAll(t, g).Templates)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -14,22 +13,12 @@ import (
 // exploration enters, kept as the oracle (TestPlanMatchesFullWidth): nodes
 // and preds sized to the whole graph, base 0, and planned as the graph is
 // walked. Only the seeded variables' slots follow newPlan's name order (they
-// followed map order). It also returns which IDs the exploration can enter.
+// followed map order). It also returns which IDs the exploration can enter,
+// a summary row's span included.
 func newPlanFullWidth(c Config, start cfg.NodeID) (*plan, []bool) {
 	g := c.Graph
 	p := &plan{nodes: make([]nodePlan, len(g.Nodes)), preds: make([]expr.Bool, len(g.Nodes))}
-	tagIDs := map[string]uint32{} // first-seen order; re-ranked below
-	slots := map[expr.Var]int32{}
-	slot := func(v expr.Var) int32 {
-		sl, ok := slots[v]
-		if !ok {
-			sl = int32(len(p.vars))
-			slots[v] = sl
-			p.vars = append(p.vars, v)
-		}
-		return sl
-	}
-	refSlot := func(r expr.Ref) int32 { return slot(r.Var) }
+	pl := newPlanner(p, g)
 	seen := make([]bool, len(g.Nodes))
 	for stack := []cfg.NodeID{start}; len(stack) > 0; {
 		id := stack[len(stack)-1]
@@ -37,65 +26,23 @@ func newPlanFullWidth(c Config, start cfg.NodeID) (*plan, []bool) {
 		if seen[id] {
 			continue
 		}
-		seen[id] = true
 		n := g.Node(id)
-		np := p.node(id)
-		np.depLo = uint32(len(p.deps))
-		for _, d := range n.Deps {
-			tid, ok := tagIDs[d]
-			if !ok {
-				tid = uint32(len(tagIDs))
-				tagIDs[d] = tid
-			}
-			p.deps = append(p.deps, tid)
+		for k := 0; k < n.Span(); k++ {
+			seen[id+cfg.NodeID(k)] = true
 		}
-		np.depHi = uint32(len(p.deps))
-		np.refLo = uint32(len(p.refs))
-		switch n.Kind {
-		case cfg.Predicate:
-			np.conjLo = uint32(len(p.conjs))
-			p.planPred(n.Pred, len(p.refs), refSlot)
-			np.conjHi = uint32(len(p.conjs))
-			p.preds[id] = n.Pred
-		case cfg.Action:
-			np.slot = slot(n.Var)
-			p.refs = expr.RefSlotsArith(p.refs, n.Val, refSlot)
-		case cfg.Hash, cfg.Checksum:
-			np.slot = slot(n.Var)
-			op := &opaquePlan{w: g.Vars[n.Var]}
-			op.fresh = expr.V(expr.Var("hash$n"+strconv.Itoa(int(n.ID))), op.w)
-			op.freshVal = op.fresh
-			for _, in := range n.Inputs {
-				p.refs = expr.RefSlotsArith(p.refs, in, refSlot)
-				op.inputEnds = append(op.inputEnds, uint32(len(p.refs)))
-				op.widths = append(op.widths, in.Width())
-			}
-			np.opaque = op
-		}
-		np.refHi = uint32(len(p.refs))
+		pl.planNode(id)
 		if !c.StopAt[id] {
 			stack = append(stack, n.Succs...)
 		}
 	}
-	var via map[int32]peekSource
-	for id, n := range g.Nodes {
-		if !seen[id] || len(n.Succs) < 2 || c.StopAt[n.ID] {
-			continue
-		}
-		for _, s := range n.Succs {
-			if p.node(s).peek == 0 {
-				via = p.planPeek(g, c.StopAt, s, via)
-			}
-		}
-	}
-	p.tags = make([]string, 0, len(tagIDs))
-	for t := range tagIDs {
+	p.tags = make([]string, 0, len(pl.tagIDs))
+	for t := range pl.tagIDs {
 		p.tags = append(p.tags, t)
 	}
 	sort.Strings(p.tags)
 	rank := make([]uint32, len(p.tags))
 	for r, t := range p.tags {
-		rank[tagIDs[t]] = uint32(r)
+		rank[pl.tagIDs[t]] = uint32(r)
 	}
 	for i, d := range p.deps {
 		p.deps[i] = rank[d]
@@ -106,11 +53,11 @@ func newPlanFullWidth(c Config, start cfg.NodeID) (*plan, []bool) {
 	}
 	sort.Slice(initVars, func(i, j int) bool { return initVars[i] < initVars[j] })
 	for _, v := range initVars {
-		slot(v)
+		pl.slot(v)
 	}
 	p.init = make(expr.Env, len(p.vars))
 	for v, a := range c.InitValues {
-		p.init[slots[v]] = a
+		p.init[pl.slots[v]] = a
 	}
 	return p, seen
 }
@@ -153,9 +100,6 @@ func diffPlanFullWidth(c Config, start cfg.NodeID, got *plan) string {
 		{"refs", got.refs, ref.refs},
 		{"deps", got.deps, ref.deps},
 		{"conjs", got.conjs, ref.conjs},
-		{"peeks", got.peeks, ref.peeks},
-		{"peekRefs", got.peekRefs, ref.peekRefs},
-		{"peekDefs", got.peekDefs, ref.peekDefs},
 		{"vars", got.vars, ref.vars},
 		{"init", got.init, ref.init},
 		{"tags", got.tags, ref.tags},

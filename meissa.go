@@ -486,6 +486,7 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 			FinalAllocBytes:     g.FinalAllocBytes,
 			Pruned:              g.PrunedPaths,
 			Frames:              g.Frames,
+			RowFrames:           g.RowFrames,
 			Templates:           len(g.Templates),
 			PossibleLog10Before: g.PossiblePathsLog10Before,
 			PossibleLog10After:  g.PossiblePathsLog10After,
@@ -658,8 +659,8 @@ func Localize(gen *GenResult, o *driver.Outcome, target *switchsim.Result) strin
 	b.WriteString("symbolic trace (source semantics):\n")
 	for _, id := range o.Case.Template.Path {
 		n := gen.Graph.Node(id)
-		if n.Comment == "" {
-			continue
+		if n.Comment == "" || n.ID != id {
+			continue // a summary row prints once, at its own ID
 		}
 		fmt.Fprintf(&b, "  %s: %s\n", n.Comment, n.StmtString())
 	}
