@@ -72,6 +72,32 @@ func TestInputErrorsNameTheirFile(t *testing.T) {
 	}
 }
 
+// TestRefusedRegressWritesNothing: a regression refused for want of a
+// baseline leaves its working directory as it found it — no -emit-rules
+// file, and no store file or lock created by opening the missing store.
+func TestRefusedRegressWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join([]string{"regress", "-corpus", "gw-1", "-store", "e.store", "-mutate", "1", "-emit-rules", "x.txt"}, "\n"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("regress on a missing store: %v, want exit status 1", err)
+	}
+	if want := "meissa: e.store: holds no baseline for this program family (run gen with the store first)\n"; stderr.String() != want {
+		t.Errorf("stderr %q\nwant   %q", stderr.String(), want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("the refused regression left %s", e.Name())
+	}
+}
+
 // TestErrorsPrefixedOnce pins the text of three errors, a refusal from the
 // store, a refusal of the options and a corrupt store file: none says
 // "meissa:" or names a package twice, and main prints each as one stderr

@@ -52,11 +52,6 @@ func cmdRegress(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *emitRules != "" {
-		if err := os.WriteFile(*emitRules, []byte(newRules.String()), 0o644); err != nil {
-			return err
-		}
-	}
 
 	opts := gf.options()
 	opts.Checkpoint = *checkpointPath
@@ -94,6 +89,12 @@ func cmdRegress(args []string) error {
 	res, err := runOnce(nil, newRules)
 	if err != nil {
 		return err
+	}
+	// Written once the regression has run: a refused one writes nothing.
+	if *emitRules != "" {
+		if err := os.WriteFile(*emitRules, []byte(newRules.String()), 0o644); err != nil {
+			return err
+		}
 	}
 	if !*watch {
 		return ob.finish(res.Report.Run)

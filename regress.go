@@ -1,6 +1,9 @@
 package meissa
 
 import (
+	"errors"
+	"io/fs"
+	"os"
 	"time"
 
 	"repro/internal/journal"
@@ -134,6 +137,9 @@ func Regress(in RegressInput) (*RegressResult, error) {
 		}
 		base.delta = rulediff.Diff(in.OldRules, in.NewRules)
 		base.match = rulediff.Matcher(base.delta.InvalidTags())
+	} else if _, err := os.Stat(opts.StorePath); errors.Is(err, fs.ErrNotExist) {
+		// Refused before the store is opened, which would create it.
+		return nil, &Refusal{opts.StorePath, "holds no baseline for this program family", "run gen with the store first"}
 	}
 	gen, err := sys.generate(base)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -338,6 +339,11 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(empty), Program: p.Name})
 	refused(t, err, meissa.Refusal{At: empty, Reason: "holds no baseline for this program family", Fix: "run gen with the store first"})
 	noCheckpoint()
+	for _, f := range []string{empty, empty + "-lock"} {
+		if _, err := os.Stat(f); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("the refused store regression left %s (%v)", f, err)
+		}
+	}
 
 	other := filepath.Join(dir, "other.store")
 	generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.StorePath = other })
