@@ -235,7 +235,7 @@ func TestSkippedCasesRecorded(t *testing.T) {
 		return &sym.Template{
 			Constraints: []expr.Bool{cond},
 			Model:       expr.State{v: expr.Width(16).Trunc(computed + 1)},
-			HashObligations: []sym.HashObligation{{
+			HashObligations: []cfg.Obligation{{
 				Var:    v,
 				Kind:   cfg.Checksum,
 				Inputs: []expr.Arith{expr.C(5, 16)},

@@ -31,7 +31,7 @@ type unit struct {
 	// values is a snapshot of the value stack V.
 	values expr.Env
 	// obligations are the hash/checksum obligations pending on the prefix.
-	obligations []HashObligation
+	obligations []cfg.Obligation
 	// hash is the content-based journal key of the prefix, seeding the
 	// runner's path-hash stack so journal keys below the split point do not
 	// depend on it.
