@@ -165,8 +165,8 @@ func cmdGen(args []string) error {
 		gen.PossiblePathsLog10Before, gen.PossiblePathsLog10After, gen.SMTCalls)
 	if gen.SummaryStats != nil {
 		for _, ps := range gen.SummaryStats.Pipelines {
-			fmt.Printf("  pipeline %-12s valid paths %5d, public pre-conditions %d",
-				ps.Name, ps.ValidPaths, ps.PublicConstraints)
+			fmt.Printf("  pipeline %-12s valid paths %5d, public pre-conditions %d, summarized in %v",
+				ps.Name, ps.ValidPaths, ps.PublicConstraints, ps.Dur.Round(time.Microsecond))
 			if ps.Unknowns > 0 {
 				fmt.Printf(", unknown verdicts %d (%d budget-exhausted)", ps.Unknowns, ps.BudgetExhausted)
 			}
@@ -321,9 +321,9 @@ func cmdTest(args []string) error {
 		d.Window = *window
 	}
 	d.BreakerThreshold = *breaker
-	driveSpan := obs.Begin("drive")
+	driveStart := time.Now()
 	rep, err := d.RunTemplates(gen.Templates)
-	driveDur := driveSpan.End()
+	driveDur := time.Since(driveStart)
 	if err != nil {
 		return err
 	}
@@ -361,7 +361,7 @@ func cmdTest(args []string) error {
 	}
 	orep := gen.Report("test", prog.Name, opts.Parallelism)
 	orep.WallNS = int64(gen.Duration + driveDur)
-	orep.Phases = append(orep.Phases, obs.PhaseDur{Name: "drive", NS: int64(driveDur), Count: 1})
+	orep.Phases = append(orep.Phases, obs.PhaseDur{Name: "drive", NS: int64(driveDur)})
 	// The target's counters may be read once an in-process drive is over;
 	// behind -udp the switch's workers own it.
 	counted := target

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -28,7 +29,7 @@ type obsFlags struct {
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	o := &obsFlags{}
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a machine-readable run report (JSON) to this file at exit")
-	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve /debug/pprof and /metrics on this address")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve /debug/pprof on this address while the run lasts")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress progress and warning output on stderr")
 	return o
 }
@@ -54,22 +55,16 @@ func (o *obsFlags) activate(verbose bool) error {
 	return nil
 }
 
-// finish emits the end-of-run observability: the stderr phase/latency
-// table (verbose or metrics runs, unless -quiet) and, with -metrics-out,
-// the validated JSON run report with the full registry snapshot attached,
-// written atomically.
+// finish emits the end-of-run observability: the report's table on
+// stderr (verbose or metrics runs, unless -quiet) and, with -metrics-out,
+// the validated JSON run report, written atomically.
 func (o *obsFlags) finish(rep *obs.Report) error {
-	if o.metricsOut == "" && !o.verbose {
-		return nil
-	}
-	snap := obs.Default().Snapshot()
-	if obs.LogLevel() > obs.LevelQuiet {
-		snap.WriteText(os.Stderr)
+	if (o.metricsOut != "" || o.verbose) && obs.LogLevel() > obs.LevelQuiet {
+		writeReport(os.Stderr, rep)
 	}
 	if o.metricsOut == "" {
 		return nil
 	}
-	rep.Registry = snap
 	if err := rep.Validate(); err != nil {
 		return fmt.Errorf("metrics report failed validation: %w", err)
 	}
@@ -111,9 +106,7 @@ func driverReport(rep *driver.Report, target *switchsim.Target, shaken *driver.F
 	if verdicts := rep.Passed + rep.Failed + rep.Flaky + rep.Lost; verdicts > 0 && driveDur > 0 {
 		d.VerdictsPerSec = float64(verdicts) / driveDur.Seconds()
 	}
-	if h, ok := obs.Default().Snapshot().Histograms["driver.case_latency_ns"]; ok {
-		d.CaseLatencyQuantiles = h.SummaryQuantiles()
-	}
+	d.CaseLatencyQuantiles = rep.CaseLatency.SummaryQuantiles()
 	if shaken != nil {
 		st := shaken.Stats()
 		d.Link = &obs.LinkReport{
@@ -196,67 +189,75 @@ func cmdCheckMetrics(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ok: %s %s (parallel %d) wall=%v\n",
+	fmt.Print("ok: ")
+	writeReport(os.Stdout, rep)
+	return nil
+}
+
+// writeReport renders a run report's headline numbers, one section a
+// line: what checkmetrics prints after validating a file, and the
+// end-of-run table -v and -metrics-out print on stderr.
+func writeReport(w io.Writer, rep *obs.Report) {
+	fmt.Fprintf(w, "%s %s (parallel %d) wall=%v\n",
 		rep.Command, rep.Program, rep.Parallelism, time.Duration(rep.WallNS).Round(time.Millisecond))
 	for _, p := range rep.Phases {
-		fmt.Printf("  phase %-10s %v\n", p.Name, p.Dur().Round(time.Microsecond))
+		fmt.Fprintf(w, "  phase %-10s %v\n", p.Name, p.Dur().Round(time.Microsecond))
 	}
 	if rep.Paths != nil {
-		fmt.Printf("  paths explored=%d pruned=%d templates=%d", rep.Paths.Explored, rep.Paths.Pruned, rep.Paths.Templates)
+		fmt.Fprintf(w, "  paths explored=%d pruned=%d templates=%d", rep.Paths.Explored, rep.Paths.Pruned, rep.Paths.Templates)
 		if rep.Paths.Frames > 0 && rep.Paths.Explored > 0 {
-			fmt.Printf(" frames=%d (%.1f/path, %d rows)", rep.Paths.Frames, float64(rep.Paths.Frames)/float64(rep.Paths.Explored), rep.Paths.RowFrames)
+			fmt.Fprintf(w, " frames=%d (%.1f/path, %d rows)", rep.Paths.Frames, float64(rep.Paths.Frames)/float64(rep.Paths.Explored), rep.Paths.RowFrames)
 		}
-		fmt.Printf(" (10^%.1f -> 10^%.1f)\n", rep.Paths.PossibleLog10Before, rep.Paths.PossibleLog10After)
+		fmt.Fprintf(w, " (10^%.1f -> 10^%.1f)\n", rep.Paths.PossibleLog10Before, rep.Paths.PossibleLog10After)
 		if n := float64(rep.Paths.FinalExplored); n > 0 {
 			for _, p := range rep.Phases {
 				if p.Name == "sym" {
-					fmt.Printf("  sym final pass: %d paths, %.0f ns/path", rep.Paths.FinalExplored, float64(p.NS)/n)
+					fmt.Fprintf(w, "  sym final pass: %d paths, %.0f ns/path", rep.Paths.FinalExplored, float64(p.NS)/n)
 					if rep.Paths.FinalMallocs > 0 {
-						fmt.Printf(", %.2f mallocs/path, %.0f B/path",
+						fmt.Fprintf(w, ", %.2f mallocs/path, %.0f B/path",
 							float64(rep.Paths.FinalMallocs)/n, float64(rep.Paths.FinalAllocBytes)/n)
 					}
-					fmt.Println()
+					fmt.Fprintln(w)
 				}
 			}
 		}
 	}
 	if rep.Solver != nil {
-		fmt.Printf("  solver queries=%d solved=%d outcomes=%v truncated_unknown=%d propagations=%d\n",
+		fmt.Fprintf(w, "  solver queries=%d solved=%d outcomes=%v truncated_unknown=%d propagations=%d\n",
 			rep.Solver.TotalQueries, rep.Solver.Solved, rep.Solver.Outcomes, rep.Solver.TruncatedUnknown, rep.Solver.Propagations)
 		if q := rep.Solver.LatencyQuantiles; q != nil {
-			fmt.Printf("  solver latency %s\n", quantiles(q))
+			fmt.Fprintf(w, "  solver latency %s\n", quantiles(q))
 		}
 	}
 	if j := rep.Journal; j != nil && (j.Loaded > 0 || j.Appended > 0) {
-		fmt.Printf("  journal appended=%d loaded=%d hits=%d source=%v breakeven=%.0f ns/query\n",
+		fmt.Fprintf(w, "  journal appended=%d loaded=%d hits=%d source=%v breakeven=%.0f ns/query\n",
 			j.Appended, j.Loaded, j.Hits, time.Duration(j.SourceNS).Round(time.Microsecond), j.BreakevenNSPerQuery)
 	}
 	if rep.Driver != nil {
-		fmt.Printf("  driver pass=%d fail=%d flaky=%d lost=%d window=%d verdicts/s=%.0f\n",
+		fmt.Fprintf(w, "  driver pass=%d fail=%d flaky=%d lost=%d window=%d verdicts/s=%.0f\n",
 			rep.Driver.Passed, rep.Driver.Failed, rep.Driver.Flaky, rep.Driver.Lost,
 			rep.Driver.Window, rep.Driver.VerdictsPerSec)
 		if q := rep.Driver.CaseLatencyQuantiles; q != nil {
-			fmt.Printf("  driver case latency %s\n", quantiles(q))
+			fmt.Fprintf(w, "  driver case latency %s\n", quantiles(q))
 		}
 		if rep.Driver.BreakerTripped {
-			fmt.Printf("  driver breaker tripped: %d cases short-circuited to lost\n", rep.Driver.ShortCircuited)
+			fmt.Fprintf(w, "  driver breaker tripped: %d cases short-circuited to lost\n", rep.Driver.ShortCircuited)
 		}
 		if ph := rep.Driver.Phases; ph != nil {
-			fmt.Printf("  driver phases concretize=%v send=%v recv=%v check=%v\n",
+			fmt.Fprintf(w, "  driver phases concretize=%v send=%v recv=%v check=%v\n",
 				time.Duration(ph.ConcretizeNS).Round(time.Microsecond), time.Duration(ph.SendNS).Round(time.Microsecond),
 				time.Duration(ph.RecvNS).Round(time.Microsecond), time.Duration(ph.CheckNS).Round(time.Microsecond))
 		}
 		if rep.Driver.Target != nil {
-			fmt.Println(" ", targetLine(rep.Driver.Target))
+			fmt.Fprintln(w, " ", targetLine(rep.Driver.Target))
 		}
 	}
 	if st := rep.Store; st != nil {
-		fmt.Printf("  store warmed=%d invalidated=%d committed=%d duplicates=%d\n",
+		fmt.Fprintf(w, "  store warmed=%d invalidated=%d committed=%d duplicates=%d\n",
 			st.Warmed, st.Invalidated, st.Committed, st.Duplicates)
-		fmt.Printf("  store txns=%d tail_discarded=%d snapshot_reads=%d tag_tests=%d file_bytes=%d\n",
+		fmt.Fprintf(w, "  store txns=%d tail_discarded=%d snapshot_reads=%d tag_tests=%d file_bytes=%d\n",
 			st.Commits, st.TailDiscarded, st.SnapshotReads, st.TagTests, st.FileBytes)
 	}
-	return nil
 }
 
 // quantiles renders a latency summary, in ns, as p50, p90 and p99.

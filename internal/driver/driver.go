@@ -11,6 +11,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/expr"
 	"repro/internal/hashfn"
+	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/spec"
@@ -135,6 +136,10 @@ type Report struct {
 	ShortCircuited int
 	// Phases is where the suite's wall-clock went, stage by stage.
 	Phases Phases
+	// CaseLatency is each transmitted case's wall-clock, send to verdict
+	// with retries (log2 buckets, nanoseconds): skipped and
+	// short-circuited cases have no sample.
+	CaseLatency obs.Histogram
 }
 
 // Phases splits a suite's wall-clock over the stages a verdict passes

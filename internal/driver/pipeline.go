@@ -756,7 +756,7 @@ func (eng *engine) finalizeFail(pc *pcase) {
 // finalize records a case's verdict in its template slot and recycles
 // the engine state.
 func (eng *engine) finalize(pc *pcase, o *Outcome) {
-	mCaseLatencyNS.ObserveSince(pc.start)
+	eng.rep.CaseLatency.Observe(uint64(time.Since(pc.start)))
 	eng.outs[pc.idx] = o
 	if !eng.firstSet {
 		eng.firstSet = true

@@ -1,144 +1,171 @@
-// Package obs is the repo's dependency-light observability layer:
-// log2-bucketed latency histograms, phase spans, and a process-wide
-// registry every pipeline layer reports into. It sits below every other
-// internal package in the dependency order (it imports only the standard
-// library), so the solver, the exploration engine and the driver can all
-// instrument their hot paths without import cycles.
+// Package obs is the repo's dependency-light observability layer: the
+// machine-readable run report, the log2 latency histogram a run's own
+// structs carry, and stderr logging. It sits below every other internal
+// package in the dependency order (it imports only the standard library),
+// so the solver, the exploration engine and the driver can all use it
+// without import cycles.
 //
 // Design constraints, in priority order:
 //
-//   - Hot-path cost: an instrumented site does a handful of atomic adds
-//     and zero allocations. Metric handles are resolved once (typically in
-//     a package-level var) and then used lock-free; the registry's maps
-//     are only touched at handle-resolution time.
-//   - One home per count: a count lives in the run's own structs
-//     (smt.Stats, sym.Counts, store.Stats, ...), which the run report is
-//     built from. The registry holds only what no struct does: latency
-//     distributions and phase spans.
+//   - One home per measurement: a count, a latency distribution or a phase
+//     time lives in the structs of the run that measured it (smt.Stats,
+//     sym.Counts, driver.Report, GenResult.Phases, ...), which the run
+//     report is built from. Two runs in one process never share one.
+//   - Hot-path cost: observing a sample is a few plain adds into the
+//     owner's own Histogram — no atomics, no locks, no allocation.
 //   - Determinism friendliness: nothing here feeds back into exploration
-//     decisions; disabling or ignoring the registry changes no output
-//     byte.
+//     decisions; no output byte depends on it.
 //
-// Metric naming scheme (see DESIGN.md "Observability"):
-//
-//	<package>.<noun>[_<unit>]
-//
-// e.g. smt.query_latency_ns, driver.case_latency_ns.
-// Phase timers use slash-separated span paths (generate/summary/ingress0).
+// GetHistogram is the one process-wide entry left (see Total).
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // histBuckets is the bucket count of a Histogram: bucket i holds values
 // whose bit length is i (i.e. v in [2^(i-1), 2^i)), bucket 0 holds zero.
 const histBuckets = 65
 
-// Histogram is a log2-bucketed histogram of uint64 samples (typically
-// nanoseconds). Observe is wait-free: one bits.Len64, three atomic adds,
-// no allocation — cheap enough for the per-solver-query hot path.
+// Histogram is a log2-bucketed histogram of uint64 samples (nanoseconds in
+// every use). It is a plain value that one goroutine owns — a solver's
+// smt.Stats, a driver's Report — and Add merges two of them once their
+// goroutines have joined. In a report it reads {count, sum, max, buckets},
+// a bucket keyed "0" or "2^k" (the exclusive upper bound of its range) and
+// an empty one omitted.
 type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	max     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
+	Count, Sum, Max uint64
+	Buckets         [histBuckets]uint64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
-	// Lock-free max: retry while our sample exceeds the stored value.
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
+	h.Count++
+	h.Sum += v
+	h.Max = max(h.Max, v)
+	h.Buckets[bits.Len64(v)]++
+}
+
+// Add folds o's samples into h.
+func (h *Histogram) Add(o *Histogram) {
+	h.Count += o.Count
+	h.Sum += o.Sum
+	h.Max = max(h.Max, o.Max)
+	for i, n := range o.Buckets {
+		h.Buckets[i] += n
+	}
+}
+
+// Quantile estimates the q-th quantile (q in [0,1]) from the log2
+// buckets, linearly interpolating within the winning bucket's sample
+// range [2^(k-1), 2^k). The zero bucket contributes exact zeros. Good to
+// within a factor-of-2 bucket width — the right precision for latency
+// reporting off a counters-only histogram.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	rank := min(max(q, 0), 1) * float64(h.Count-1)
+	var cum float64
+	for k, c := range h.Buckets {
+		n := float64(c)
+		if cum+n > rank {
+			if k == 0 {
+				return 0
+			}
+			lo := float64(uint64(1) << (k - 1))
+			hi := lo * 2
+			if hi > float64(h.Max) && float64(h.Max) >= lo {
+				// The top occupied bucket cannot exceed the recorded max.
+				hi = float64(h.Max)
+			}
+			return lo + (rank-cum)/n*(hi-lo)
+		}
+		cum += n
+	}
+	return float64(h.Max)
+}
+
+// Quantiles is the p50/p90/p99 summary of a latency histogram, in the
+// histogram's sample unit (nanoseconds for *_ns histograms).
+type Quantiles struct {
+	P50 float64 `json:"p50"`
+	P90 float64 `json:"p90"`
+	P99 float64 `json:"p99"`
+}
+
+// SummaryQuantiles derives the standard report quantiles, nil when the
+// histogram is empty.
+func (h *Histogram) SummaryQuantiles() *Quantiles {
+	if h.Count == 0 {
+		return nil
+	}
+	return &Quantiles{P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99)}
+}
+
+// histJSON is a Histogram's report encoding.
+type histJSON struct {
+	Count   uint64            `json:"count"`
+	Sum     uint64            `json:"sum"`
+	Max     uint64            `json:"max"`
+	Buckets map[string]uint64 `json:"buckets,omitempty"`
+}
+
+// MarshalJSON writes the report encoding.
+func (h Histogram) MarshalJSON() ([]byte, error) {
+	j := histJSON{Count: h.Count, Sum: h.Sum, Max: h.Max, Buckets: map[string]uint64{}}
+	for k, n := range h.Buckets {
+		if n > 0 {
+			label := "0"
+			if k > 0 {
+				label = fmt.Sprintf("2^%d", k)
+			}
+			j.Buckets[label] = n
 		}
 	}
+	return json.Marshal(j)
 }
 
-// ObserveSince records the nanoseconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(uint64(time.Since(start)))
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// phaseAgg accumulates completed spans sharing one path.
-type phaseAgg struct {
-	count   atomic.Uint64
-	totalNS atomic.Uint64
-}
-
-// Registry is a named collection of metrics. One process-wide Default
-// registry backs the package-level handle getters; tests that need
-// isolation construct their own.
-type Registry struct {
-	mu     sync.Mutex
-	hists  map[string]*Histogram
-	phases map[string]*phaseAgg
-	start  time.Time
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		hists:  map[string]*Histogram{},
-		phases: map[string]*phaseAgg{},
-		start:  time.Now(),
+// UnmarshalJSON reads the report encoding.
+func (h *Histogram) UnmarshalJSON(data []byte) error {
+	var j histJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
 	}
+	*h = Histogram{Count: j.Count, Sum: j.Sum, Max: j.Max}
+	for label, n := range j.Buckets {
+		k := 0
+		if label != "0" {
+			if _, err := fmt.Sscanf(label, "2^%d", &k); err != nil || k < 1 || k >= histBuckets {
+				return fmt.Errorf("obs: histogram bucket %q", label)
+			}
+		}
+		h.Buckets[k] = n
+	}
+	return nil
 }
 
-var defaultRegistry = NewRegistry()
+// Total is a process-wide sum of latency samples that many goroutines fold
+// finished histograms into. Only bench/ reads this (its smt.busy_s, around
+// summary.Summarize and sym.Explore calls that return no run report);
+// ROADMAP item 1 retires it.
+type Total struct{ sum atomic.Uint64 }
 
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
+// Fold adds a finished histogram's samples.
+func (t *Total) Fold(h *Histogram) { t.sum.Add(h.Sum) }
 
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
+// Sum returns the total of every sample folded so far.
+func (t *Total) Sum() uint64 { return t.sum.Load() }
 
-// phase returns (creating if needed) the aggregate for a span path.
-func (r *Registry) phase(path string) *phaseAgg {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.phases[path]
-	if !ok {
-		p = &phaseAgg{}
-		r.phases[path] = p
-	}
-	return p
-}
+var totals sync.Map // name -> *Total
 
-// GetHistogram resolves a histogram handle on the Default registry.
-// Intended for package-level vars in instrumented packages, so hot paths
-// pay no map lookup.
-func GetHistogram(name string) *Histogram { return defaultRegistry.Histogram(name) }
-
-// sortedKeys returns the map's keys in sorted order (snapshot stability).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// GetHistogram returns the process-wide Total named name, creating it on
+// first use. Resolve it once, in a package-level var.
+func GetHistogram(name string) *Total {
+	t, _ := totals.LoadOrStore(name, &Total{})
+	return t.(*Total)
 }

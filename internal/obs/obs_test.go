@@ -15,111 +15,71 @@ import (
 )
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("x.lat")
+	var h Histogram
 	h.Observe(0)    // bucket "0"
 	h.Observe(1)    // [1,2) -> 2^1
 	h.Observe(3)    // [2,4) -> 2^2
 	h.Observe(1024) // [1024,2048) -> 2^11
-	snap := snapshotHistogram(h)
-	if snap.Count != 4 || snap.Sum != 1028 || snap.Max != 1024 {
-		t.Fatalf("snapshot = %+v", snap)
+	if h.Count != 4 || h.Sum != 1028 || h.Max != 1024 {
+		t.Fatalf("histogram = %+v", h)
+	}
+	data, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc struct {
+		Buckets map[string]uint64 `json:"buckets"`
+	}
+	if err := json.Unmarshal(data, &enc); err != nil {
+		t.Fatal(err)
 	}
 	want := map[string]uint64{"0": 1, "2^1": 1, "2^2": 1, "2^11": 1}
-	for k, v := range want {
-		if snap.Buckets[k] != v {
-			t.Fatalf("bucket %s = %d, want %d (all: %v)", k, snap.Buckets[k], v, snap.Buckets)
-		}
+	if fmt.Sprint(enc.Buckets) != fmt.Sprint(want) {
+		t.Fatalf("buckets = %v, want %v", enc.Buckets, want)
+	}
+	var back Histogram
+	if err := json.Unmarshal(data, &back); err != nil || back != h {
+		t.Fatalf("round trip = %+v (%v), want %+v", back, err, h)
+	}
+	if err := json.Unmarshal([]byte(`{"buckets":{"2^65":1}}`), &back); err == nil {
+		t.Fatal("out-of-range bucket accepted")
 	}
 }
 
+// TestHistogramConcurrent: each goroutine observes into a histogram of its
+// own; Add merges them after the join, and Fold sums them into a Total
+// from many goroutines at once.
 func TestHistogramConcurrent(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("x.lat")
-	var wg sync.WaitGroup
 	const workers, per = 8, 1000
-	for w := 0; w < workers; w++ {
+	hs := make([]Histogram, workers)
+	total := GetHistogram("test.concurrent")
+	before := total.Sum()
+	var wg sync.WaitGroup
+	for w := range hs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				h.Observe(uint64(w*per + i))
+				hs[w].Observe(uint64(w*per + i))
 			}
+			total.Fold(&hs[w])
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*per {
-		t.Fatalf("count = %d, want %d", got, workers*per)
+	var all Histogram
+	for w := range hs {
+		all.Add(&hs[w])
 	}
 	var bucketSum uint64
-	for i := range h.buckets {
-		bucketSum += h.buckets[i].Load()
+	for _, n := range all.Buckets {
+		bucketSum += n
 	}
-	if bucketSum != workers*per {
-		t.Fatalf("bucket sum = %d, want %d", bucketSum, workers*per)
+	if all.Count != workers*per || bucketSum != workers*per || all.Max != workers*per-1 {
+		t.Fatalf("merged count %d, bucket sum %d, max %d; want %d, %d, %d",
+			all.Count, bucketSum, all.Max, workers*per, workers*per, workers*per-1)
 	}
-	if h.max.Load() != workers*per-1 {
-		t.Fatalf("max = %d, want %d", h.max.Load(), workers*per-1)
-	}
-}
-
-// TestSpanHierarchy: a span's path carries its hierarchy, and End folds
-// each instance into its path's phase aggregate.
-func TestSpanHierarchy(t *testing.T) {
-	r := NewRegistry()
-	root := r.Begin("generate")
-	for i := 0; i < 3; i++ {
-		child := r.Begin("generate/summary")
-		time.Sleep(time.Millisecond)
-		if d := child.End(); d < time.Millisecond {
-			t.Fatalf("child span lasted %v, want >= 1ms", d)
-		}
-	}
-	root.End()
-	snap := r.Snapshot()
-	var paths []string
-	for _, p := range snap.Phases {
-		paths = append(paths, p.Name)
-		if p.NS <= 0 {
-			t.Fatalf("phase %s has non-positive duration", p.Name)
-		}
-	}
-	want := []string{"generate", "generate/summary"}
-	if fmt.Sprint(paths) != fmt.Sprint(want) {
-		t.Fatalf("phases = %v, want %v", paths, want)
-	}
-	gen, sum := snap.Phases[0], snap.Phases[1]
-	if gen.Count != 1 || sum.Count != 3 {
-		t.Fatalf("phase counts = %d, %d, want 1, 3", gen.Count, sum.Count)
-	}
-	if sum.NS < int64(3*time.Millisecond) || gen.NS < sum.NS {
-		t.Fatalf("phase totals: generate %v, generate/summary %v", gen.Dur(), sum.Dur())
-	}
-}
-
-func TestSpanNilSafe(t *testing.T) {
-	var sp *Span
-	if d := sp.End(); d != 0 {
-		t.Fatal("nil span End must be a no-op")
-	}
-}
-
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("a.h").Observe(100)
-	sp := r.Begin("phase1")
-	time.Sleep(100 * time.Microsecond)
-	sp.End()
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != SnapshotSchema || back.Histograms["a.h"].Count != 1 || back.Histograms["a.h"].Sum != 100 {
-		t.Fatalf("round trip lost data: %+v", back)
+	if total.Sum()-before != all.Sum || GetHistogram("test.concurrent") != total {
+		t.Fatalf("total grew by %d, want %d, under one name", total.Sum()-before, all.Sum)
 	}
 }
 
@@ -288,10 +248,8 @@ func TestLogLevels(t *testing.T) {
 	}
 }
 
-// TestServeDebug: the debug server answers /metrics (with the Default
-// registry's metrics) and pprof, and nothing else.
+// TestServeDebug: the debug server answers pprof, and nothing else.
 func TestServeDebug(t *testing.T) {
-	Default().Histogram("test.serve").Observe(1)
 	addr, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -300,8 +258,8 @@ func TestServeDebug(t *testing.T) {
 		path, body string
 		status     int
 	}{
-		{"/metrics", "test.serve", http.StatusOK},
 		{"/debug/pprof/", "goroutine", http.StatusOK},
+		{"/metrics", "", http.StatusNotFound},
 		{"/metrics/delta", "", http.StatusNotFound},
 		{"/flight", "", http.StatusNotFound},
 		{"/debug/vars", "", http.StatusNotFound},

@@ -3,19 +3,17 @@ package obs
 import "testing"
 
 func TestHistogramQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q.test_ns")
+	var hs Histogram
 	// 90 fast samples around 1µs, 9 around 1ms, 1 at 100ms: classic
 	// latency tail. Log2 buckets give factor-of-2 precision, so assert
 	// bucket-range bounds rather than exact values.
 	for i := 0; i < 90; i++ {
-		h.Observe(1000)
+		hs.Observe(1000)
 	}
 	for i := 0; i < 9; i++ {
-		h.Observe(1_000_000)
+		hs.Observe(1_000_000)
 	}
-	h.Observe(100_000_000)
-	hs := r.Snapshot().Histograms["q.test_ns"]
+	hs.Observe(100_000_000)
 	if hs.Count != 100 {
 		t.Fatalf("count = %d", hs.Count)
 	}
@@ -42,16 +40,15 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 
 	// All-zero samples quantile to zero.
-	r2 := NewRegistry()
-	z := r2.Histogram("z")
+	var z Histogram
 	z.Observe(0)
 	z.Observe(0)
-	if got := r2.Snapshot().Histograms["z"].Quantile(0.99); got != 0 {
+	if got := z.Quantile(0.99); got != 0 {
 		t.Fatalf("zero-only p99 = %.0f", got)
 	}
 
 	// Empty histogram: no summary at all (reports omit the field).
-	var empty HistogramSnapshot
+	var empty Histogram
 	if empty.SummaryQuantiles() != nil {
 		t.Fatal("empty histogram produced quantiles")
 	}

@@ -42,11 +42,16 @@ type Report struct {
 	// Store reports durable verdict-store activity (nil unless the run
 	// was store-backed).
 	Store *StoreReport `json:"store,omitempty"`
-	// Registry carries the process metric snapshot (optional; CLI runs
-	// attach it so one file holds both the curated report and the raw
-	// latency distributions and phases).
-	Registry *Snapshot `json:"registry,omitempty"`
 }
+
+// PhaseDur is one phase of a run and its wall-clock.
+type PhaseDur struct {
+	Name string `json:"name"`
+	NS   int64  `json:"ns"`
+}
+
+// Dur returns the phase's duration.
+func (p PhaseDur) Dur() time.Duration { return time.Duration(p.NS) }
 
 // PathReport is the exploration-volume section.
 type PathReport struct {
@@ -108,8 +113,10 @@ type SolverReport struct {
 	// At Parallelism > 1 it depends on the schedule, how the runners' work
 	// interleaves: two runs of one input may differ by a few.
 	Propagations uint64 `json:"propagations"`
-	// LatencyNS is the per-query latency histogram (log2 buckets).
-	LatencyNS *HistogramSnapshot `json:"latency_ns,omitempty"`
+	// LatencyNS is the run's per-query latency histogram (log2 buckets,
+	// smt.Stats.Latency): one sample a solved query, so its count is
+	// Solved.
+	LatencyNS *Histogram `json:"latency_ns,omitempty"`
 	// LatencyQuantiles summarizes LatencyNS as p50/p90/p99 (ns), derived
 	// from the log2 buckets at report-build time (v2).
 	LatencyQuantiles *Quantiles `json:"latency_quantiles,omitempty"`
@@ -174,8 +181,8 @@ type DriverReport struct {
 	ShortCircuited int  `json:"short_circuited,omitempty"`
 	// Link counts injected link faults (zeros on clean links).
 	Link *LinkReport `json:"link,omitempty"`
-	// CaseLatencyQuantiles summarizes driver.case_latency_ns as
-	// p50/p90/p99 (ns) (v2).
+	// CaseLatencyQuantiles summarizes the drive's per-case latency
+	// (driver.Report.CaseLatency) as p50/p90/p99 (ns) (v2).
 	CaseLatencyQuantiles *Quantiles `json:"case_latency_quantiles,omitempty"`
 	// Phases is where the drive's wall-clock went, stage by stage; what
 	// the stages leave of the drive phase is timer, idle and bookkeeping.

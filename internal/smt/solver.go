@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 )
 
 // Result is the outcome of a satisfiability check.
@@ -59,6 +60,9 @@ type Stats struct {
 	// there would not be a proof (ROADMAP item 2), so the solver does not
 	// answer one (a subset of Unknowns).
 	TruncatedUnknown uint64
+	// Latency is the wall-clock of each check the solver ran (log2
+	// buckets, nanoseconds; see check): its Count is Checks.
+	Latency obs.Histogram
 }
 
 // Add accumulates another solver's counters, the merge step for parallel
@@ -74,6 +78,7 @@ func (s *Stats) Add(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.BudgetExhausted += o.BudgetExhausted
 	s.TruncatedUnknown += o.TruncatedUnknown
+	s.Latency.Add(&o.Latency)
 }
 
 // Options configure a Solver.
@@ -604,7 +609,7 @@ func (s *Solver) check(wantModel bool, bp *batchPrep) (Result, expr.State) {
 	if truncated {
 		res = Unknown
 	}
-	mQueryLatencyNS.ObserveSince(start)
+	s.stats.Latency.Observe(uint64(time.Since(start)))
 	if cacheable {
 		s.opts.Cache.store(key, res) // Unknown is dropped by store
 	}

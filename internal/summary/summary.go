@@ -20,6 +20,7 @@ package summary
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -66,6 +67,8 @@ type PipelineStat struct {
 	// misses a valid path.
 	Unknowns        uint64
 	BudgetExhausted uint64
+	// Dur is the wall-clock summarizing the pipeline took.
+	Dur time.Duration
 }
 
 // Stats aggregates summarization work: the pipelines' statistics and what
@@ -86,15 +89,15 @@ func Summarize(g *cfg.Graph, opts Options) (*Stats, error) {
 		fl = newFlow(g, opts.InitConstraints)
 	}
 	for _, region := range g.Pipelines {
-		sp := obs.Begin("generate/summary/" + region.Name)
+		start := time.Now()
 		st, err := summarizeRegion(g, region, opts, fl, stats)
-		dur := sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("summary: pipeline %s: %w", region.Name, err)
 		}
+		st.Dur = time.Since(start)
 		stats.Pipelines = append(stats.Pipelines, *st)
 		obs.Progressf("summary: %s summarized in %v (10^%.1f -> 10^%.1f paths)",
-			region.Name, dur, st.PossibleBefore, st.PossibleAfter)
+			region.Name, st.Dur, st.PossibleBefore, st.PossibleAfter)
 	}
 	return stats, nil
 }

@@ -163,8 +163,13 @@ func (f *frontier) explore(workers int) *Result {
 	for _, r := range runners {
 		res.Add(r.e.result().Counts)
 	}
+	solverBusy.Fold(&res.SMT.Latency)
 	return res
 }
+
+// solverBusy sums every exploration's solver latency in the process. Only
+// bench/ reads this; ROADMAP item 1 retires it.
+var solverBusy = obs.GetHistogram("smt.query_latency_ns")
 
 // runner explores frontier units one at a time on a single amortized
 // solver, which keeps the initial constraints across units once a query has

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/expr"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/smt"
 )
@@ -74,7 +75,8 @@ func referenceAt(g *cfg.Graph, opts Options, c Config) *Result {
 // checkCountedWork compares what an exploration counted with the
 // reference's: descents, frames and solver checks at any worker count, and
 // at one worker — one solver, asked the same questions in the same order —
-// every solver counter.
+// every solver counter. Latency is compared by its sample count, one a
+// check; the clock decides the rest.
 func checkCountedWork(t *testing.T, p int, got, ref *Result) {
 	t.Helper()
 	if got.PathsExplored != ref.PathsExplored || got.PrunedPaths != ref.PrunedPaths ||
@@ -83,8 +85,10 @@ func checkCountedWork(t *testing.T, p int, got, ref *Result) {
 			got.PathsExplored, got.PrunedPaths, got.Frames, got.JournalHits,
 			ref.PathsExplored, ref.PrunedPaths, ref.Frames, ref.JournalHits)
 	}
-	if got.SMT.Checks != ref.SMT.Checks || got.SMT.CacheHits != 0 || (p == 1 && got.SMT != ref.SMT) {
-		t.Errorf("P=%d solver counters %+v, reference %+v", p, got.SMT, ref.SMT)
+	g, r := got.SMT, ref.SMT
+	g.Latency, r.Latency = obs.Histogram{Count: g.Latency.Count}, obs.Histogram{Count: r.Latency.Count}
+	if g.Checks != r.Checks || g.CacheHits != 0 || g.Latency.Count != g.Checks || (p == 1 && g != r) {
+		t.Errorf("P=%d solver counters %+v, reference %+v", p, g, r)
 	}
 }
 

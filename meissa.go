@@ -206,8 +206,7 @@ type GenResult struct {
 	// StorePath; whichever of "journal-load" (a resumed checkpoint),
 	// "rebase" (a regression's checkpoint baseline) and "store-warm" gave
 	// the run its starting verdicts; "summary" when code summary ran;
-	// "sym"; "store-commit". The same timings aggregate under
-	// "generate/<phase>" span paths in the process obs registry.
+	// "sym"; "store-commit".
 	Phases []obs.PhaseDur
 	// Store is the durable verdict-store activity summary; nil unless
 	// Options.StorePath was set.
@@ -238,14 +237,12 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 	if err := refuse(call{opts: s.Opts}); err != nil {
 		return nil, err
 	}
-	genSpan := obs.Begin("generate")
-	defer genSpan.End()
 	res := &GenResult{}
 	// phase times f as one phase of the generation.
 	phase := func(name string, f func() error) error {
-		span := obs.Begin("generate/" + name)
+		t := time.Now()
 		err := f()
-		res.Phases = append(res.Phases, obs.PhaseDur{Name: name, NS: int64(span.End()), Count: 1})
+		res.Phases = append(res.Phases, obs.PhaseDur{Name: name, NS: int64(time.Since(t))})
 		return err
 	}
 
@@ -468,9 +465,9 @@ var sourcePhases = map[string]bool{"journal-load": true, "rebase": true, "store-
 
 // Report builds the machine-readable run report (obs.ReportSchema) for
 // this generation: phase durations, path counts before/after summary
-// reduction, the solver outcome histogram, and journal activity. The
-// caller may extend it (the test subcommand adds the driver section) and
-// attach a registry snapshot before writing it out.
+// reduction, the solver outcome histogram and latency, and journal
+// activity. The caller may extend it (the test subcommand adds the driver
+// section) before writing it out.
 func (g *GenResult) Report(command, program string, parallelism int) *obs.Report {
 	rep := &obs.Report{
 		Schema:      obs.ReportSchema,
@@ -511,9 +508,9 @@ func (g *GenResult) Report(command, program string, parallelism int) *obs.Report
 	}
 	rep.Solver.TruncatedUnknown = g.SMT.TruncatedUnknown
 	rep.Solver.Propagations = g.SMT.Propagations
-	if h, ok := obs.Default().Snapshot().Histograms["smt.query_latency_ns"]; ok {
-		rep.Solver.LatencyNS = &h
-		rep.Solver.LatencyQuantiles = h.SummaryQuantiles()
+	if g.SMT.Latency.Count > 0 {
+		rep.Solver.LatencyNS = &g.SMT.Latency
+		rep.Solver.LatencyQuantiles = g.SMT.Latency.SummaryQuantiles()
 	}
 	rep.Store = g.Store
 	return rep

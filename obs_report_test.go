@@ -3,10 +3,13 @@ package meissa_test
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 
+	meissa "repro"
 	"repro/internal/obs"
 	"repro/internal/programs"
+	"repro/internal/rulediff"
 )
 
 // TestStatsTotalsParallelInvariant pins the accounting contract behind
@@ -52,6 +55,11 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 				if s.BudgetExhausted > s.Unknowns {
 					t.Errorf("P=%d budget exhausted %d > unknowns %d", par, s.BudgetExhausted, s.Unknowns)
 				}
+				// One latency sample a check, the run's own: the earlier
+				// runs in this process are not in it.
+				if s.Latency.Count != s.Checks {
+					t.Errorf("P=%d latency samples %d != checks %d", par, s.Latency.Count, s.Checks)
+				}
 			}
 		})
 	}
@@ -60,24 +68,13 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 // TestRunReportValidates is the in-process metrics smoke test: a real
 // generation must produce a run report that passes the same validator the
 // CI metrics-smoke job runs on -metrics-out files, and survive a JSON
-// round trip through ParseReport.
+// round trip through ParseReport. Its runs share a process, and each
+// report counts its own run's solver latency only.
 func TestRunReportValidates(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	for _, par := range []int{1, 4} {
 		gen := generateAt(t, p, true, par)
-		rep := gen.Report("gen", p.Name, par)
-		rep.Registry = obs.Default().Snapshot()
-		if err := rep.Validate(); err != nil {
-			t.Fatalf("P=%d report invalid: %v", par, err)
-		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := obs.ParseReport(data)
-		if err != nil {
-			t.Fatalf("P=%d round trip: %v", par, err)
-		}
+		back := roundTrip(t, gen.Report("gen", p.Name, par))
 		if back.Solver.TotalQueries == 0 || back.Paths.Explored == 0 || back.Paths.Templates == 0 {
 			t.Fatalf("P=%d round-tripped report lost counts: %+v", par, back)
 		}
@@ -99,6 +96,60 @@ func TestRunReportValidates(t *testing.T) {
 				par, back.Paths.FinalMallocs, back.Paths.FinalAllocBytes)
 		}
 	}
+}
+
+// TestRegressReportsPerRun regresses twice in one process from a store,
+// the shape of `regress -watch`: each iteration's embedded run report
+// counts that iteration's solver latency only.
+func TestRegressReportsPerRun(t *testing.T) {
+	p := corpusProgram(t, "Router")
+	opts := meissa.DefaultOptions()
+	opts.Parallelism = 2
+	opts.StorePath = filepath.Join(t.TempDir(), "verdicts.store")
+	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Generate(); err != nil {
+		t.Fatal(err)
+	}
+	cur := p.Rules
+	for i := 0; i < 2; i++ {
+		next, mutated := rulediff.MutateArgs(p.Prog, cur, 1)
+		if mutated == 0 {
+			t.Fatal("nothing to mutate")
+		}
+		res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: next, Opts: opts, Program: p.Name})
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		back := roundTrip(t, res.Report.Run)
+		if back.Solver.Solved == 0 || back.Solver.Solved != res.Gen.SMTCalls {
+			t.Fatalf("iteration %d: report solved %d, run checks %d: want equal and > 0", i, back.Solver.Solved, res.Gen.SMTCalls)
+		}
+		cur = next
+	}
+}
+
+// roundTrip validates rep, passes it through JSON and ParseReport, and
+// checks that its latency histogram has one sample a solved query.
+func roundTrip(t *testing.T, rep *obs.Report) *obs.Report {
+	t.Helper()
+	if err := rep.Validate(); err != nil {
+		t.Fatalf("%s report invalid: %v", rep.Command, err)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatalf("%s report round trip: %v", rep.Command, err)
+	}
+	if lat := back.Solver.LatencyNS; lat == nil || lat.Count != back.Solver.Solved || *lat != *rep.Solver.LatencyNS {
+		t.Fatalf("%s report: latency %+v for %d solved queries", rep.Command, lat, back.Solver.Solved)
+	}
+	return back
 }
 
 // TestShardedRunReportStillParses: v2 reports that earlier releases wrote

@@ -30,6 +30,8 @@ var optionRules = []struct {
 		Refusal{"Resume", "requires Checkpoint", "name the checkpoint to resume"}},
 	{func(c call) bool { return c.store && c.opts.StorePath == "" },
 		Refusal{"StorePath", "unset: there is no store to read", "name the store"}},
+	{func(c call) bool { return c.opts.StoreWait != 0 && c.opts.StorePath == "" },
+		Refusal{"StoreWait", "set without StorePath: there is no store lock to wait for", "name the store, or leave StoreWait zero"}},
 	{func(c call) bool { return c.regress && c.baseline != "" && c.opts.StorePath != "" },
 		Refusal{"StorePath", "set with a Baseline checkpoint: the run would commit to a store whose baseline it never read",
 			"set Baseline or StorePath, not both"}},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestOptionRules holds the option table as data: each row names a field of
@@ -20,6 +21,7 @@ func TestOptionRules(t *testing.T) {
 	breaking := []call{ // the i-th breaks row i
 		{opts: Options{Resume: true}},
 		{store: true},
+		{opts: Options{StoreWait: time.Second}},
 		{regress: true, baseline: "b", oldRules: true, opts: Options{StorePath: "s"}},
 		{regress: true},
 		{regress: true, baseline: "b", oldRules: true, opts: Options{Checkpoint: "b"}},
@@ -48,6 +50,7 @@ func TestOptionRules(t *testing.T) {
 		{store: true, opts: Options{StorePath: "s", Resume: true}}, // no run to resume
 		{regress: true, opts: Options{StorePath: "s", Checkpoint: "c"}},
 		{regress: true, baseline: "b", oldRules: true, opts: Options{Checkpoint: "c"}},
+		{opts: Options{StorePath: "s", StoreWait: time.Second}},
 	} {
 		if err := refuse(c); err != nil {
 			t.Errorf("refuse(%+v) = %v, want nil", c, err)

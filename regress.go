@@ -110,8 +110,6 @@ func Regress(in RegressInput) (*RegressResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	span := obs.Begin("regress")
-	defer span.End()
 
 	sys, err := New(in.Prog, in.NewRules, in.Specs, opts)
 	if err != nil {
@@ -125,9 +123,9 @@ func Regress(in RegressInput) (*RegressResult, error) {
 			return nil, err
 		}
 		fp := sys.identity(initC, in.OldRules.String())
-		loading := obs.Begin("regress/journal-load")
+		t := time.Now()
 		base.table, err = journal.ReadTable(in.Baseline, fp)
-		load = loading.End()
+		load = time.Since(t)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +150,7 @@ func Regress(in RegressInput) (*RegressResult, error) {
 			}
 		}
 	}
-	baseGen := &GenResult{Duration: load, Phases: []obs.PhaseDur{{Name: "journal-load", NS: int64(load), Count: 1}}}
+	baseGen := &GenResult{Duration: load, Phases: []obs.PhaseDur{{Name: "journal-load", NS: int64(load)}}}
 	delta := base.delta
 	obs.Progressf("regress: %d tables changed", len(delta.Tables))
 
