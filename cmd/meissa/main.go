@@ -72,8 +72,9 @@ func usage() {
               [-shake drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N]
   meissa regress -store FILE [-store-wait D] [-p prog.p4 | -corpus NAME]
               [-rules-new FILE | -mutate N] [-checkpoint FILE] [-emit-rules FILE]
-              [-report regress.json] [-o cases.txt] [-parallel N] [-no-summary]
+              [-o cases.txt] [-parallel N] [-no-summary]
               [-watch [-interval D] [-max-failures N]] [-v] [-quiet]
+              [-metrics-out report.json] [-pprof-addr host:port]
   meissa store info -store FILE (-p prog.p4 [-r rules.txt] | -corpus NAME)
   meissa corpus
   meissa dump -corpus <name>

@@ -8,6 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/programs"
 )
 
 // TestMain runs the CLI's main instead of the tests when mainArgsEnv holds
@@ -77,9 +81,7 @@ func TestInputErrorsNameTheirFile(t *testing.T) {
 // file, and no store file or lock created by opening the missing store.
 func TestRefusedRegressWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run=^$")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join([]string{"regress", "-corpus", "gw-1", "-store", "e.store", "-mutate", "1", "-emit-rules", "x.txt"}, "\n"))
+	cmd := mainCmd(dir, "regress", "-corpus", "gw-1", "-store", "e.store", "-mutate", "1", "-emit-rules", "x.txt")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	var exit *exec.ExitError
@@ -129,8 +131,7 @@ func TestErrorsPrefixedOnce(t *testing.T) {
 					t.Fatalf("%q repeats %q", tc.want, prefix)
 				}
 			}
-			cmd := exec.Command(os.Args[0], "-test.run=^$")
-			cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(tc.args, "\n"))
+			cmd := mainCmd("", tc.args...)
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			var exit *exec.ExitError
@@ -141,5 +142,90 @@ func TestErrorsPrefixedOnce(t *testing.T) {
 				t.Errorf("stderr %q\nwant   %q", got, want)
 			}
 		})
+	}
+}
+
+// mainCmd is a subprocess that runs main with args in dir (the test's own
+// working directory when dir is "").
+func mainCmd(dir string, args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\n"))
+	return cmd
+}
+
+// TestWatchWritesReportEveryRun: `regress -watch -metrics-out M` writes M
+// for the run it starts with, before any failure, and exits 1 once the
+// watched file stops parsing for -max-failures polls in a row.
+func TestWatchWritesReportEveryRun(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := mainCmd(dir, "gen", "-corpus", "gw-1", "-store", "v.store", "-o", os.DevNull, "-quiet").CombinedOutput(); err != nil {
+		t.Fatalf("gen -store: %v\n%s", err, out)
+	}
+	var gw1 *programs.Program
+	for _, p := range programs.All() {
+		if p.Name == "gw-1" {
+			gw1 = p
+		}
+	}
+	rulesPath, report := filepath.Join(dir, "new.rules"), filepath.Join(dir, "m.json")
+	if err := os.WriteFile(rulesPath, []byte(gw1.Rules.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := mainCmd(dir, "regress", "-corpus", "gw-1", "-store", "v.store", "-watch", "-rules-new", rulesPath,
+		"-interval", "20ms", "-max-failures", "1", "-metrics-out", report, "-o", os.DevNull)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(report); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("no %s within 30s; stderr:\n%s", report, stderr.String())
+		}
+	}
+	// Renamed into place, so that no poll reads a half-written file.
+	bad := filepath.Join(dir, "bad.rules")
+	if err := os.WriteFile(bad, []byte("this is not a rule set\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(bad, rulesPath); err != nil {
+		t.Fatal(err)
+	}
+	var exit *exec.ExitError
+	if err := cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("regress -watch: %v, want exit status 1", err)
+	}
+	if !strings.Contains(stderr.String(), "watch: 1 consecutive failures, giving up") {
+		t.Errorf("stderr lacks the give-up line:\n%s", stderr.String())
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Command != "regress" || rep.Regress == nil {
+		t.Errorf("report of command %q, regress section %+v", rep.Command, rep.Regress)
+	}
+}
+
+// TestQuantilesKeepSubMicrosecond: a latency under a microsecond prints
+// at ns resolution, not rounded to 0s.
+func TestQuantilesKeepSubMicrosecond(t *testing.T) {
+	var buf bytes.Buffer
+	writeReport(&buf, &obs.Report{
+		Command: "gen",
+		Solver:  &obs.SolverReport{LatencyQuantiles: &obs.Quantiles{P50: 350, P90: 1499, P99: 2.5e6}},
+	})
+	if want := "  solver latency p50=350ns p90=1µs p99=2.5ms\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("report\n%s\nlacks %q", buf.String(), want)
 	}
 }

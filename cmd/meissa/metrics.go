@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/obs"
-	"repro/internal/regress"
 	"repro/internal/switchsim"
 )
 
@@ -174,17 +172,6 @@ func cmdCheckMetrics(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Dispatch on the schema field: run reports and regress reports share
-	// the checkmetrics entry point.
-	var head struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return fmt.Errorf("%s: %w", fs.Arg(0), err)
-	}
-	if head.Schema == regress.Schema {
-		return checkRegressReport(data)
-	}
 	rep, err := obs.ParseReport(data)
 	if err != nil {
 		return err
@@ -201,7 +188,7 @@ func writeReport(w io.Writer, rep *obs.Report) {
 	fmt.Fprintf(w, "%s %s (parallel %d) wall=%v\n",
 		rep.Command, rep.Program, rep.Parallelism, time.Duration(rep.WallNS).Round(time.Millisecond))
 	for _, p := range rep.Phases {
-		fmt.Fprintf(w, "  phase %-10s %v\n", p.Name, p.Dur().Round(time.Microsecond))
+		fmt.Fprintf(w, "  phase %-10s %v\n", p.Name, us(p.Dur()))
 	}
 	if rep.Paths != nil {
 		fmt.Fprintf(w, "  paths explored=%d pruned=%d templates=%d", rep.Paths.Explored, rep.Paths.Pruned, rep.Paths.Templates)
@@ -223,15 +210,15 @@ func writeReport(w io.Writer, rep *obs.Report) {
 		}
 	}
 	if rep.Solver != nil {
-		fmt.Fprintf(w, "  solver queries=%d solved=%d outcomes=%v truncated_unknown=%d propagations=%d\n",
-			rep.Solver.TotalQueries, rep.Solver.Solved, rep.Solver.Outcomes, rep.Solver.TruncatedUnknown, rep.Solver.Propagations)
+		fmt.Fprintf(w, "  solver solved=%d outcomes=%v truncated_unknown=%d propagations=%d\n",
+			rep.Solver.Solved, rep.Solver.Outcomes, rep.Solver.TruncatedUnknown, rep.Solver.Propagations)
 		if q := rep.Solver.LatencyQuantiles; q != nil {
 			fmt.Fprintf(w, "  solver latency %s\n", quantiles(q))
 		}
 	}
 	if j := rep.Journal; j != nil && (j.Loaded > 0 || j.Appended > 0) {
 		fmt.Fprintf(w, "  journal appended=%d loaded=%d hits=%d source=%v breakeven=%.0f ns/query\n",
-			j.Appended, j.Loaded, j.Hits, time.Duration(j.SourceNS).Round(time.Microsecond), j.BreakevenNSPerQuery)
+			j.Appended, j.Loaded, j.Hits, us(time.Duration(j.SourceNS)), j.BreakevenNSPerQuery)
 	}
 	if rep.Driver != nil {
 		fmt.Fprintf(w, "  driver pass=%d fail=%d flaky=%d lost=%d window=%d verdicts/s=%.0f\n",
@@ -245,8 +232,8 @@ func writeReport(w io.Writer, rep *obs.Report) {
 		}
 		if ph := rep.Driver.Phases; ph != nil {
 			fmt.Fprintf(w, "  driver phases concretize=%v send=%v recv=%v check=%v\n",
-				time.Duration(ph.ConcretizeNS).Round(time.Microsecond), time.Duration(ph.SendNS).Round(time.Microsecond),
-				time.Duration(ph.RecvNS).Round(time.Microsecond), time.Duration(ph.CheckNS).Round(time.Microsecond))
+				us(time.Duration(ph.ConcretizeNS)), us(time.Duration(ph.SendNS)),
+				us(time.Duration(ph.RecvNS)), us(time.Duration(ph.CheckNS)))
 		}
 		if rep.Driver.Target != nil {
 			fmt.Fprintln(w, " ", targetLine(rep.Driver.Target))
@@ -258,29 +245,28 @@ func writeReport(w io.Writer, rep *obs.Report) {
 		fmt.Fprintf(w, "  store txns=%d tail_discarded=%d snapshot_reads=%d tag_tests=%d file_bytes=%d\n",
 			st.Commits, st.TailDiscarded, st.SnapshotReads, st.TagTests, st.FileBytes)
 	}
+	if g := rep.Regress; g != nil {
+		fmt.Fprintf(w, "  regress delta tables=%v +%d -%d ~%d\n", g.Delta.TablesChanged,
+			g.Delta.EntriesAdded, g.Delta.EntriesRemoved, g.Delta.EntriesModified)
+		fmt.Fprintf(w, "  regress rebase retained=%d/%d invalidated=%d\n",
+			g.Rebase.Retained, g.Rebase.Baseline, g.Rebase.Invalidated)
+		fmt.Fprintf(w, "  regress templates current=%d unchanged=%d added=%d retired=%d\n",
+			g.Templates.Current, g.Templates.Unchanged, g.Templates.Added, g.Templates.Retired)
+		fmt.Fprintf(w, "  regress queries live=%d journal_hits=%d reuse=%.2f\n",
+			g.Queries.Live, g.Queries.JournalHits, g.Queries.Reuse)
+	}
 }
 
 // quantiles renders a latency summary, in ns, as p50, p90 and p99.
 func quantiles(q *obs.Quantiles) string {
-	us := func(ns float64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
-	return fmt.Sprintf("p50=%v p90=%v p99=%v", us(q.P50), us(q.P90), us(q.P99))
+	return fmt.Sprintf("p50=%v p90=%v p99=%v", us(time.Duration(q.P50)), us(time.Duration(q.P90)), us(time.Duration(q.P99)))
 }
 
-// checkRegressReport validates and summarizes a meissa.regress-report/v1
-// file (the CI regress-smoke gate).
-func checkRegressReport(data []byte) error {
-	rep, err := regress.ParseReport(data)
-	if err != nil {
-		return err
+// us rounds d to the microsecond, and leaves a shorter d at ns resolution
+// rather than print it as 0s.
+func us(d time.Duration) time.Duration {
+	if d < time.Microsecond {
+		return d
 	}
-	fmt.Printf("ok: regress %s wall=%v\n", rep.Program, time.Duration(rep.WallNS).Round(time.Millisecond))
-	fmt.Printf("  delta tables=%v +%d -%d ~%d\n", rep.Delta.TablesChanged,
-		rep.Delta.EntriesAdded, rep.Delta.EntriesRemoved, rep.Delta.EntriesModified)
-	fmt.Printf("  journal retained=%d/%d invalidated=%d\n",
-		rep.Journal.Retained, rep.Journal.Baseline, rep.Journal.Invalidated)
-	fmt.Printf("  templates current=%d unchanged=%d added=%d retired=%d\n",
-		rep.Templates.Current, rep.Templates.Unchanged, rep.Templates.Added, rep.Templates.Retired)
-	fmt.Printf("  queries live=%d avoided=%d reuse=%.2f\n",
-		rep.Queries.Live, rep.Queries.Avoided, rep.Queries.Reuse)
-	return nil
+	return d.Round(time.Microsecond)
 }

@@ -26,7 +26,6 @@ func cmdRegress(args []string) error {
 	mutate := fs.Int("mutate", 0, "derive the new rules by bumping N action arguments of the old rules (instead of -rules-new)")
 	checkpointPath := fs.String("checkpoint", "", "journal the incremental generation checkpoints to (default: none)")
 	emitRules := fs.String("emit-rules", "", "write the effective new rule set to this file")
-	reportPath := fs.String("report", "", "write the regress report (JSON) to this file")
 	watch := fs.Bool("watch", false, "keep watching -rules-new and re-regress on every change")
 	interval := fs.Duration("interval", 2*time.Second, "watch poll interval")
 	maxFailures := fs.Int("max-failures", 10, "exit non-zero after N consecutive watch failures (0 = never)")
@@ -59,7 +58,8 @@ func cmdRegress(args []string) error {
 	// runOnce regresses from old (nil: the store's committed rule set, which
 	// old must be when set) to new: the store supplies the baseline verdicts
 	// and templates, and the incremental result commits back atomically.
-	runOnce := func(old, new *rules.Set) (*meissa.RegressResult, error) {
+	// Each run writes its own report.
+	runOnce := func(old, new *rules.Set) error {
 		res, err := meissa.Regress(meissa.RegressInput{
 			Prog:     prog,
 			OldRules: old,
@@ -69,25 +69,18 @@ func cmdRegress(args []string) error {
 			Program:  prog.Name,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		printRegress(res)
 		if err := gf.writeTemplates(res.Gen.Templates); err != nil {
-			return nil, err
+			return err
 		}
-		if *reportPath != "" {
-			if err := obs.WriteFileAtomic(*reportPath, res.Report); err != nil {
-				return nil, err
-			}
-			obs.Infof("meissa: wrote regress report to %s", *reportPath)
-		}
-		return res, nil
+		return ob.finish(res.Run)
 	}
 
 	// The store's committed rule set IS the baseline; don't guess from
 	// -corpus/-r.
-	res, err := runOnce(nil, newRules)
-	if err != nil {
+	if err := runOnce(nil, newRules); err != nil {
 		return err
 	}
 	// Written once the regression has run: a refused one writes nothing.
@@ -97,7 +90,7 @@ func cmdRegress(args []string) error {
 		}
 	}
 	if !*watch {
-		return ob.finish(res.Report.Run)
+		return nil
 	}
 
 	// Watch mode: every iteration reads the baseline from and commits back
@@ -154,7 +147,7 @@ func cmdRegress(args []string) error {
 			ok()
 			continue // cosmetic edit: canonically identical
 		}
-		if _, err := runOnce(curRules, next); err != nil {
+		if err := runOnce(curRules, next); err != nil {
 			if ferr := fail("regress: watch iteration failed: %v", err); ferr != nil {
 				return ferr
 			}
@@ -179,18 +172,17 @@ func loadNewRules(prog *p4.Program, path string, mutate int, old *rules.Set) (*r
 }
 
 func printRegress(res *meissa.RegressResult) {
-	rep := res.Report
+	rep := res.Run.Regress
+	d := rep.Delta
 	fmt.Printf("regress %s: %d table(s) changed (+%d -%d ~%d entries) in %v\n",
-		rep.Program, len(rep.Delta.TablesChanged), rep.Delta.EntriesAdded,
-		rep.Delta.EntriesRemoved, rep.Delta.EntriesModified,
-		time.Duration(rep.WallNS).Round(time.Millisecond))
-	j := rep.Journal
+		res.Run.Program, len(d.TablesChanged), d.EntriesAdded, d.EntriesRemoved, d.EntriesModified,
+		time.Duration(res.Run.WallNS).Round(time.Millisecond))
+	j := rep.Rebase
 	fmt.Printf("  journal: %d/%d baseline verdicts retained (%d invalidated)\n",
 		j.Retained, j.Baseline, j.Invalidated)
 	t := rep.Templates
 	fmt.Printf("  templates: %d (%d unchanged, %d added, %d retired)\n",
 		t.Current, t.Unchanged, t.Added, t.Retired)
 	q := rep.Queries
-	fmt.Printf("  queries: %d live, %d avoided (%d journal, %.0f%% reuse)\n",
-		q.Live, q.Avoided, q.JournalHits, 100*q.Reuse)
+	fmt.Printf("  queries: %d live, %d avoided (%.0f%% reuse)\n", q.Live, q.JournalHits, 100*q.Reuse)
 }

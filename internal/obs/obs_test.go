@@ -143,8 +143,6 @@ func TestReportValidate(t *testing.T) {
 		"zero explored":       func(r *Report) { r.Paths.Explored = 0 },
 		"zero templates":      func(r *Report) { r.Paths.Templates = 0 },
 		"missing bucket":      func(r *Report) { delete(r.Solver.Outcomes, "budget_exhausted") },
-		"total != solved":     func(r *Report) { r.Solver.TotalQueries = 21 },
-		"legacy cache_hit":    func(r *Report) { r.Solver.Outcomes["cache_hit"] = 4 },
 		"outcome mismatch":    func(r *Report) { r.Solver.Outcomes["sat"] = 99 },
 		"budget > unknown":    func(r *Report) { r.Solver.Outcomes["budget_exhausted"] = 3 },
 		"truncated > unknown": func(r *Report) { r.Solver.TruncatedUnknown = 7 },
@@ -158,6 +156,15 @@ func TestReportValidate(t *testing.T) {
 		// The reuse break-even.
 		"negative source":    func(r *Report) { r.Journal.SourceNS = -1 },
 		"negative breakeven": func(r *Report) { r.Journal.BreakevenNSPerQuery = -0.5 },
+		// The regress section's identities, and the counts it repeats.
+		"regress part missing":    func(r *Report) { regressed(r).Delta = nil },
+		"rebase imbalance":        func(r *Report) { regressed(r).Rebase.Retained++ },
+		"templates added":         func(r *Report) { regressed(r).Templates.Added++ },
+		"templates retired":       func(r *Report) { regressed(r).Templates.Retired++ },
+		"live != solved":          func(r *Report) { regressed(r).Queries.Live++ },
+		"journal_hits != hits":    func(r *Report) { regressed(r).Queries.JournalHits++ },
+		"regress without solver":  func(r *Report) { regressed(r); r.Solver = nil },
+		"regress without journal": func(r *Report) { regressed(r); r.Journal = nil },
 	} {
 		r := good()
 		mutate(r)
@@ -174,16 +181,14 @@ func TestReportValidate(t *testing.T) {
 		t.Fatalf("valid store-backed report rejected: %v", err)
 	}
 
-	// A report of an earlier release that ran a cross-worker verdict memo:
-	// its cache_hit bucket adds to total_queries.
+	// A regression: 20 queries solved live, 60 answered by the baseline.
 	r = good()
-	r.Solver.Outcomes["cache_hit"] = 4
-	r.Solver.TotalQueries = 24
+	g := regressed(r)
 	if err := r.Validate(); err != nil {
-		t.Fatalf("valid legacy report rejected: %v", err)
+		t.Fatalf("valid regress report rejected: %v", err)
 	}
-	if good().Solver.TotalQueries != good().Solver.Solved {
-		t.Fatal("a new report's total_queries differs from solved")
+	if g.Queries.Reuse != 0.75 {
+		t.Fatalf("reuse %g of %+v, want 0.75", g.Queries.Reuse, g.Queries)
 	}
 
 	// Truncated runs may legitimately have zero templates.
@@ -193,6 +198,19 @@ func TestReportValidate(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatalf("truncated zero-template report rejected: %v", err)
 	}
+}
+
+// regressed gives r a valid regress section, consistent with its solver
+// and journal sections, and returns it.
+func regressed(r *Report) *RegressReport {
+	r.Journal.Hits = 60
+	r.Regress = &RegressReport{
+		Delta:     &DeltaReport{TablesChanged: []string{"acl"}, EntriesModified: 1},
+		Rebase:    &RebaseStats{Baseline: 70, Retained: 60, Invalidated: 10},
+		Templates: &TemplateReport{Baseline: 10, Current: 10, Added: 2, Retired: 2, Unchanged: 8},
+		Queries:   NewQueryReport(r.Solver.Solved, 60),
+	}
+	return r.Regress
 }
 
 func TestParseReport(t *testing.T) {
@@ -208,11 +226,18 @@ func TestParseReport(t *testing.T) {
 	if _, err := ParseReport(data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseReport([]byte("{")); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	if _, err := ParseReport([]byte(`{"schema":"x"}`)); err == nil {
-		t.Fatal("wrong schema accepted")
+	// One reader: a file of any other schema is refused, naming it.
+	for _, tc := range []struct{ name, data, want string }{
+		{"malformed JSON", "{", "parse report"},
+		{"unknown schema", `{"schema":"x"}`, `"x"`},
+		{"regress report", `{"schema":"meissa.regress-report/v1","wall_ns":5,"delta":{},"journal":{},"templates":{},"queries":{}}`,
+			`"meissa.regress-report/v1"`},
+		{"run report v2", `{"schema":"meissa.run-report/v2","wall_ns":100,"phases":[{"name":"drive","ns":100}]}`,
+			`"meissa.run-report/v2"`},
+	} {
+		if _, err := ParseReport([]byte(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseReport = %v, want an error naming %s", tc.name, err, tc.want)
+		}
 	}
 }
 

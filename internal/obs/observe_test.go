@@ -65,7 +65,7 @@ func TestReportSchemaOneVersion(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatalf("current-schema report rejected: %v", err)
 	}
-	for _, other := range []string{"meissa.run-report/v1", "meissa.run-report/v3"} {
+	for _, other := range []string{"meissa.run-report/v1", "meissa.run-report/v2", "meissa.run-report/v4"} {
 		r.Schema = other
 		if err := r.Validate(); err == nil {
 			t.Fatalf("schema %q accepted", other)

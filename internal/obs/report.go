@@ -8,11 +8,10 @@ import (
 
 // ReportSchema versions the machine-readable run report written by
 // `meissa ... -metrics-out`; bump it on any incompatible change. v2
-// added the latency quantiles. It is the one schema the reader accepts;
-// what a v2 writer once emitted and this build no longer knows (the
-// shard, fleet and daemon sections, the trace_id field) is ignored on
-// read.
-const ReportSchema = "meissa.run-report/v2"
+// added the latency quantiles; v3 dropped solver.total_queries (always
+// solved) and took in a regression's accounting as the regress section.
+// It is the one schema the reader accepts.
+const ReportSchema = "meissa.run-report/v3"
 
 // Report is one run's machine-readable result: everything the paper's
 // evaluation section (§5/§8) measures from a single invocation — phase
@@ -21,12 +20,13 @@ const ReportSchema = "meissa.run-report/v2"
 // within a version: consumers must tolerate new optional fields.
 type Report struct {
 	Schema      string `json:"schema"`
-	Command     string `json:"command,omitempty"` // gen | test | regress | bench
+	Command     string `json:"command,omitempty"` // gen | test | regress
 	Program     string `json:"program,omitempty"`
 	RuleSet     string `json:"rule_set,omitempty"`
 	Parallelism int    `json:"parallelism"`
 	// WallNS is the run's end-to-end wall-clock (generation; plus driving
-	// for `test` runs).
+	// for `test` runs; a regression's baseline read, rule diff and
+	// generation for `regress` runs).
 	WallNS int64 `json:"wall_ns"`
 	// Phases lists per-phase wall-clock in execution order
 	// (parse/typecheck/cfg/summary/sym/testgen/drive as applicable).
@@ -42,6 +42,9 @@ type Report struct {
 	// Store reports durable verdict-store activity (nil unless the run
 	// was store-backed).
 	Store *StoreReport `json:"store,omitempty"`
+	// Regress reports a regression's accounting (nil unless the run was
+	// one).
+	Regress *RegressReport `json:"regress,omitempty"`
 }
 
 // PhaseDur is one phase of a run and its wall-clock.
@@ -85,20 +88,16 @@ type PathReport struct {
 
 // SolverReport is the solver-behaviour section. The outcome histogram has
 // the four buckets the evaluation cares about; QueriesPerSec is derived
-// from TotalQueries and WallNS by NewSolverReport.
+// from Solved and the run's wall-clock by NewSolverReport.
 type SolverReport struct {
-	// TotalQueries is every satisfiability question asked. A new report
-	// has TotalQueries = Solved; one of an earlier release that ran a
-	// cross-worker verdict memo may add a legacy cache_hit bucket.
-	TotalQueries uint64 `json:"total_queries"`
 	// Solved counts queries the solver actually ran (the paper's "SMT
-	// calls").
+	// calls"); a query answered from a verdict table is a journal hit.
 	Solved uint64 `json:"solved"`
 	// Outcomes buckets every query: sat / unsat / unknown (solved), plus
 	// budget_exhausted (the subset of unknown cut off by per-query
 	// budgets).
 	Outcomes map[string]uint64 `json:"outcomes"`
-	// QueriesPerSec is TotalQueries normalized by the run wall-clock.
+	// QueriesPerSec is Solved normalized by the run wall-clock.
 	QueriesPerSec float64 `json:"queries_per_sec"`
 	// TruncatedUnknown is the part of Outcomes["unknown"] from searches
 	// that found no model after cutting a candidate list short, where an
@@ -128,10 +127,6 @@ const (
 	OutcomeUnsat           = "unsat"
 	OutcomeUnknown         = "unknown"
 	OutcomeBudgetExhausted = "budget_exhausted"
-	// legacyCacheHit is the bucket of queries an earlier release answered
-	// from its cross-worker verdict memo. No new report has it; an old
-	// one that does still validates.
-	legacyCacheHit = "cache_hit"
 )
 
 // requiredOutcomes lists the buckets a valid report must carry (even when
@@ -256,6 +251,95 @@ type StoreReport struct {
 	FileBytes     uint64 `json:"file_bytes,omitempty"`
 }
 
+// RegressReport is a regression's section: the rule delta that drove the
+// run, what its baseline left it, the template delta and where its solver
+// answers came from. Its accounting identities are validated, and
+// Report.Validate holds the two counts it repeats to their sections.
+type RegressReport struct {
+	Delta     *DeltaReport    `json:"delta"`
+	Rebase    *RebaseStats    `json:"rebase"`
+	Templates *TemplateReport `json:"templates"`
+	Queries   *QueryReport    `json:"queries"`
+}
+
+// DeltaReport summarizes the rule-set delta that drove the run.
+type DeltaReport struct {
+	TablesChanged   []string `json:"tables_changed"`
+	EntriesAdded    int      `json:"entries_added"`
+	EntriesRemoved  int      `json:"entries_removed"`
+	EntriesModified int      `json:"entries_modified"`
+}
+
+// RebaseStats accounts for what a baseline leaves an incremental run.
+type RebaseStats struct {
+	// Baseline is the number of verdict records in the source journal
+	// (deduplicated).
+	Baseline int `json:"baseline_records"`
+	// Retained records still answer the incremental run: their dependency
+	// tags avoid every invalidated branch, so the run reads them without
+	// re-solving.
+	Retained int `json:"retained"`
+	// Invalidated records crossed a changed table branch: the run's
+	// lookups miss them.
+	Invalidated int `json:"invalidated"`
+}
+
+// TemplateReport compares the baseline and incremental template sets by
+// their content-based path keys (sym.Template.PathKey, multiset
+// semantics: a path key appearing twice counts twice).
+type TemplateReport struct {
+	// Baseline / Current are the template counts of the two runs.
+	Baseline int `json:"baseline"`
+	Current  int `json:"current"`
+	// Added templates exist only under the new rules; Retired only under
+	// the old; Unchanged under both. Added+Unchanged == Current and
+	// Retired+Unchanged == Baseline.
+	Added     int `json:"added"`
+	Retired   int `json:"retired"`
+	Unchanged int `json:"unchanged"`
+}
+
+// QueryReport accounts for the incremental run's solver work: what was
+// solved live (solver.solved) against what the baseline's verdicts
+// answered (journal.hits). The perf gate of incremental regression is
+// Live being a small fraction of the two.
+type QueryReport struct {
+	Live        uint64 `json:"live"`
+	JournalHits uint64 `json:"journal_hits"`
+	// Reuse = JournalHits / (Live + JournalHits), 0 when both are 0.
+	Reuse float64 `json:"reuse"`
+}
+
+// NewQueryReport derives the query section from raw counts.
+func NewQueryReport(live, journalHits uint64) *QueryReport {
+	q := &QueryReport{Live: live, JournalHits: journalHits}
+	if n := live + journalHits; n > 0 {
+		q.Reuse = float64(journalHits) / float64(n)
+	}
+	return q
+}
+
+// Validate checks the section's own accounting identities.
+func (g *RegressReport) Validate() error {
+	if g.Delta == nil || g.Rebase == nil || g.Templates == nil || g.Queries == nil {
+		return fmt.Errorf("obs: regress section missing a required part")
+	}
+	if b := g.Rebase; b.Retained+b.Invalidated != b.Baseline {
+		return fmt.Errorf("obs: regress rebase %d retained + %d invalidated != %d baseline records",
+			b.Retained, b.Invalidated, b.Baseline)
+	}
+	t := g.Templates
+	if t.Added+t.Unchanged != t.Current {
+		return fmt.Errorf("obs: regress templates added %d + unchanged %d != current %d",
+			t.Added, t.Unchanged, t.Current)
+	}
+	if t.Retired+t.Unchanged != t.Baseline {
+		return fmt.Errorf("obs: regress templates retired %d + unchanged %d != baseline %d",
+			t.Retired, t.Unchanged, t.Baseline)
+	}
+	return nil
+}
+
 // LinkReport mirrors driver.LinkStats.
 type LinkReport struct {
 	Dropped    uint64 `json:"dropped"`
@@ -266,11 +350,10 @@ type LinkReport struct {
 }
 
 // NewSolverReport builds the solver section from raw counts, deriving
-// TotalQueries and the rate.
+// the rate.
 func NewSolverReport(solved, sat, unsat, unknown, budgetExhausted uint64, wall time.Duration) *SolverReport {
 	r := &SolverReport{
-		TotalQueries: solved,
-		Solved:       solved,
+		Solved: solved,
 		Outcomes: map[string]uint64{
 			OutcomeSat:             sat,
 			OutcomeUnsat:           unsat,
@@ -279,7 +362,7 @@ func NewSolverReport(solved, sat, unsat, unknown, budgetExhausted uint64, wall t
 		},
 	}
 	if wall > 0 {
-		r.QueriesPerSec = float64(r.TotalQueries) / wall.Seconds()
+		r.QueriesPerSec = float64(r.Solved) / wall.Seconds()
 	}
 	return r
 }
@@ -336,10 +419,6 @@ func (r *Report) Validate() error {
 		if got := o[OutcomeSat] + o[OutcomeUnsat] + o[OutcomeUnknown]; got != r.Solver.Solved {
 			return fmt.Errorf("obs: solver outcomes sum %d != solved %d", got, r.Solver.Solved)
 		}
-		if r.Solver.TotalQueries != r.Solver.Solved+o[legacyCacheHit] {
-			return fmt.Errorf("obs: solver total_queries %d != solved %d + cache_hit %d",
-				r.Solver.TotalQueries, r.Solver.Solved, o[legacyCacheHit])
-		}
 		if o[OutcomeBudgetExhausted] > o[OutcomeUnknown] {
 			return fmt.Errorf("obs: budget_exhausted %d > unknown %d",
 				o[OutcomeBudgetExhausted], o[OutcomeUnknown])
@@ -349,8 +428,8 @@ func (r *Report) Validate() error {
 		}
 		// A full-journal resume legitimately answers every solver
 		// interaction from the checkpoint, leaving zero live queries.
-		if r.Paths != nil && r.Solver.TotalQueries == 0 && (r.Journal == nil || r.Journal.Hits == 0) {
-			return fmt.Errorf("obs: solver.total_queries = 0 on a generation run with no journal hits")
+		if r.Paths != nil && r.Solver.Solved == 0 && (r.Journal == nil || r.Journal.Hits == 0) {
+			return fmt.Errorf("obs: solver.solved = 0 on a generation run with no journal hits")
 		}
 	}
 	if j := r.Journal; j != nil && (j.SourceNS < 0 || j.BreakevenNSPerQuery < 0) {
@@ -387,6 +466,18 @@ func (r *Report) Validate() error {
 		}
 		if st.Commits > 0 && st.FileBytes == 0 {
 			return fmt.Errorf("obs: store committed %d transactions into a file of no bytes", st.Commits)
+		}
+	}
+	if g := r.Regress; g != nil {
+		if err := g.Validate(); err != nil {
+			return err
+		}
+		// The section repeats two counts of others: it must repeat them.
+		if r.Solver == nil || g.Queries.Live != r.Solver.Solved {
+			return fmt.Errorf("obs: regress queries.live %d != solver.solved", g.Queries.Live)
+		}
+		if r.Journal == nil || g.Queries.JournalHits != r.Journal.Hits {
+			return fmt.Errorf("obs: regress queries.journal_hits %d != journal.hits", g.Queries.JournalHits)
 		}
 	}
 	return nil

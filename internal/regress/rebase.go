@@ -22,27 +22,14 @@ import (
 	"fmt"
 
 	"repro/internal/journal"
+	"repro/internal/obs"
 )
-
-// RebaseStats accounts for what a baseline leaves an incremental run.
-type RebaseStats struct {
-	// Baseline is the number of verdict records in the source journal
-	// (deduplicated).
-	Baseline int `json:"baseline_records"`
-	// Retained records still answer the incremental run: their dependency
-	// tags avoid every invalidated branch, so the run reads them without
-	// re-solving.
-	Retained int `json:"retained"`
-	// Invalidated records crossed a changed table branch: the run's
-	// lookups miss them.
-	Invalidated int `json:"invalidated"`
-}
 
 // Retain counts a baseline's records under the invalid filter: those none
 // of whose dependency tags it matches are retained, the rest invalidated
 // (invalid == nil retains every record). It changes nothing.
-func Retain(t *journal.Table, invalid func(tag []byte) bool) *RebaseStats {
-	st := &RebaseStats{Baseline: t.Len()}
+func Retain(t *journal.Table, invalid func(tag []byte) bool) *obs.RebaseStats {
+	st := &obs.RebaseStats{Baseline: t.Len()}
 	if invalid != nil {
 		st.Invalidated = t.CountFunc(func(e journal.Entry) bool { return e.DependsOn(invalid) })
 	}
@@ -56,7 +43,7 @@ func Retain(t *journal.Table, invalid func(tag []byte) bool) *RebaseStats {
 // in. The destination is created with dstFP — the incremental run's
 // fingerprint under the NEW rule set — so resuming from it cross-checks
 // exactly like any other checkpoint.
-func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag []byte) bool) (*RebaseStats, error) {
+func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag []byte) bool) (*obs.RebaseStats, error) {
 	if srcPath == dstPath {
 		return nil, fmt.Errorf("regress: rebase source and destination are the same file %q", srcPath)
 	}
@@ -68,7 +55,7 @@ func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag []byt
 	if err != nil {
 		return nil, fmt.Errorf("regress: create rebased journal: %w", err)
 	}
-	st := &RebaseStats{Baseline: base.Len()}
+	st := &obs.RebaseStats{Baseline: base.Len()}
 	for _, e := range base.Sorted() {
 		if e.DependsOn(invalid) {
 			st.Invalidated++

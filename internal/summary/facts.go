@@ -259,21 +259,16 @@ func applyGlueNode(n *cfg.Node, f *facts) *facts {
 
 // entryFacts computes the facts at a region's entry: the meet over its
 // incoming edges. nil means the region is unreachable.
-func (fl *flow) entryFacts(region *cfg.Region) (*facts, int) {
+func (fl *flow) entryFacts(region *cfg.Region) *facts {
 	var in *facts
-	live := 0
 	for _, p := range fl.preds[region.Entry] {
-		pf := fl.factsAfter(p)
-		if pf != nil {
-			live++
-		}
-		in = meet(in, pf)
+		in = meet(in, fl.factsAfter(p))
 	}
 	if in == nil {
-		return nil, 0
+		return nil
 	}
 	// Apply the region entry marker itself (a True predicate).
-	return applyGlueNode(fl.g.Node(region.Entry), in.clone()), live
+	return applyGlueNode(fl.g.Node(region.Entry), in.clone())
 }
 
 // setRegionOut records a region's out-facts from its summarized paths:

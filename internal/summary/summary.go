@@ -53,9 +53,6 @@ type PipelineStat struct {
 	// ValidPaths is the number of valid paths found within the pipeline —
 	// the size of its summary.
 	ValidPaths int
-	// PrefixPaths is the number of valid paths from the program entry to
-	// the pipeline entry used to compute the public pre-condition.
-	PrefixPaths int
 	// PublicConstraints is the number of conjuncts in the public
 	// pre-condition.
 	PublicConstraints int
@@ -115,24 +112,21 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, a
 	// reduce the search overhead").
 	var initC []expr.Bool
 	initV := expr.Subst{}
-	prefixPaths := 0
+	var in *facts
 	if fl != nil {
-		in, live := fl.entryFacts(region)
-		if in == nil {
+		if in = fl.entryFacts(region); in == nil {
 			// Unreachable pipeline: clear it entirely.
 			g.Node(region.Entry).Succs = []cfg.NodeID{region.Exit}
 			st.PossibleAfter = cfg.Log10(g.RegionPaths(region))
 			fl.regionOut[region.Name] = nil
 			return st, nil
 		}
-		prefixPaths = live
 		initC = in.sortedConds()
 		for v, val := range in.values {
 			initV[v] = val
 		}
 		st.PublicConstraints = len(initC)
 	}
-	st.PrefixPaths = prefixPaths
 
 	// --- Find valid paths within the pipeline (Algorithm 2 lines 8–9) ---
 	innerOpts := opts.Sym
@@ -169,10 +163,6 @@ func summarizeRegion(g *cfg.Graph, region *cfg.Region, opts Options, fl *flow, a
 	if fl != nil {
 		// Record this region's guaranteed effects for downstream
 		// pre-condition computation.
-		in, _ := fl.entryFacts(region)
-		if in == nil {
-			in = newFacts()
-		}
 		fl.setRegionOut(region, in, innerRes.Templates, initC, initV, g)
 		if regionOutObserver != nil {
 			regionOutObserver(in, innerRes.Templates, initC, initV, g, fl.regionOut[region.Name])

@@ -385,7 +385,7 @@ topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Pipelines[1].ValidPaths != 0 || stats.Pipelines[1].PrefixPaths != 0 {
+	if stats.Pipelines[1].ValidPaths != 0 {
 		t.Errorf("unreachable pipeline p2 should have no paths: %+v", stats.Pipelines[1])
 	}
 	res := exploreAll(t, g)

@@ -200,7 +200,7 @@ type GenResult struct {
 	// Rebase accounts for what a run retained of its baseline under its
 	// rules: a regression's checkpoint, or a store warm start's family (nil
 	// for any other run).
-	Rebase *regress.RebaseStats
+	Rebase *obs.RebaseStats
 	// Phases records the wall-clock duration of each generation phase, in
 	// execution order: "cfg"; "store-open" when the run opened its
 	// StorePath; whichever of "journal-load" (a resumed checkpoint),

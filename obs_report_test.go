@@ -2,7 +2,6 @@ package meissa_test
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -15,8 +14,8 @@ import (
 // TestStatsTotalsParallelInvariant pins the accounting contract behind
 // the run report: path, prune and solver-check counts are EXACTLY equal
 // across -parallel settings, not merely close. No run has a verdict memo,
-// so every logical query is a solver check at any worker count, and the
-// report's solver.total_queries is solver.solved.
+// so every logical query is a solver check at any worker count, each one
+// the report's solver.solved counts.
 func TestStatsTotalsParallelInvariant(t *testing.T) {
 	for _, p := range []*programs.Program{
 		corpusProgram(t, "Router"),
@@ -40,9 +39,8 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 					t.Errorf("P=%d checks = %d (%d cache hits), want exactly %d and 0",
 						par, got.SMTCalls, got.SMT.CacheHits, seq.SMTCalls)
 				}
-				if s := got.Report("gen", p.Name, par).Solver; s.TotalQueries != s.Solved || s.Solved != seq.SMTCalls {
-					t.Errorf("P=%d report total_queries %d, solved %d; want both %d",
-						par, s.TotalQueries, s.Solved, seq.SMTCalls)
+				if s := got.Report("gen", p.Name, par).Solver; s.Solved != seq.SMTCalls {
+					t.Errorf("P=%d report solved %d, want %d", par, s.Solved, seq.SMTCalls)
 				}
 				// The aggregated solver stats must be internally consistent:
 				// every solved query has exactly one of the three outcomes,
@@ -75,7 +73,7 @@ func TestRunReportValidates(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		gen := generateAt(t, p, true, par)
 		back := roundTrip(t, gen.Report("gen", p.Name, par))
-		if back.Solver.TotalQueries == 0 || back.Paths.Explored == 0 || back.Paths.Templates == 0 {
+		if back.Solver.Solved == 0 || back.Paths.Explored == 0 || back.Paths.Templates == 0 {
 			t.Fatalf("P=%d round-tripped report lost counts: %+v", par, back)
 		}
 		for _, name := range []string{"cfg", "summary", "sym"} {
@@ -99,8 +97,9 @@ func TestRunReportValidates(t *testing.T) {
 }
 
 // TestRegressReportsPerRun regresses twice in one process from a store,
-// the shape of `regress -watch`: each iteration's embedded run report
-// counts that iteration's solver latency only.
+// the shape of `regress -watch`: each iteration's run report counts that
+// iteration's solver latency only, and its regress section that
+// iteration's live queries.
 func TestRegressReportsPerRun(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	opts := meissa.DefaultOptions()
@@ -123,7 +122,10 @@ func TestRegressReportsPerRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		back := roundTrip(t, res.Report.Run)
+		back := roundTrip(t, res.Run)
+		if back.Regress == nil || back.Regress.Queries.Live != back.Solver.Solved {
+			t.Fatalf("iteration %d: regress section %+v", i, back.Regress)
+		}
 		if back.Solver.Solved == 0 || back.Solver.Solved != res.Gen.SMTCalls {
 			t.Fatalf("iteration %d: report solved %d, run checks %d: want equal and > 0", i, back.Solver.Solved, res.Gen.SMTCalls)
 		}
@@ -150,59 +152,4 @@ func roundTrip(t *testing.T, rep *obs.Report) *obs.Report {
 		t.Fatalf("%s report: latency %+v for %d solved queries", rep.Command, lat, back.Solver.Solved)
 	}
 	return back
-}
-
-// TestShardedRunReportStillParses: v2 reports that earlier releases wrote
-// with sections this build no longer has still pass ParseReport (and so
-// checkmetrics), which ignores those sections — a sharded run's shard and
-// fleet sections, a killed worker's flight events among them, the
-// daemon section of a request the resident daemon served, the span log
-// (registry.spans), the counters (registry.counters) and the gauges
-// (registry.gauges) every registry snapshot held, the solver's cache_hit
-// bucket of a run with a cross-worker verdict memo, and the trace_id every
-// report stamped. A section is named by its keys from the report's root.
-func TestShardedRunReportStillParses(t *testing.T) {
-	for _, fx := range []struct {
-		file, program string
-		sections      [][]string
-	}{
-		{"testdata/sharded-run-report.json", "gw_1", [][]string{{"shard"}, {"fleet"}}},
-		{"testdata/daemon-run-report.json", "gw-1", [][]string{{"daemon"}}},
-		{"testdata/spans-run-report.json", "gw_1", [][]string{{"registry", "spans"}, {"registry", "counters"}, {"registry", "gauges"}, {"solver", "outcomes", "cache_hit"}, {"trace_id"}}},
-	} {
-		data, err := os.ReadFile(fx.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, section := range fx.sections {
-			if !hasSection(data, section...) {
-				t.Fatalf("%s lacks its %q section", fx.file, section)
-			}
-		}
-		rep, err := obs.ParseReport(data)
-		if err != nil {
-			t.Fatalf("%s rejected: %v", fx.file, err)
-		}
-		// The daemon's request was warm: its queries were all journal hits.
-		if rep.Schema != obs.ReportSchema || rep.Program != fx.program || rep.Paths.Templates == 0 ||
-			rep.Solver.TotalQueries+rep.Journal.Hits == 0 {
-			t.Fatalf("%s lost its counts: %+v", fx.file, rep)
-		}
-	}
-}
-
-// hasSection reports whether the JSON object data holds the section the
-// keys lead to.
-func hasSection(data []byte, keys ...string) bool {
-	for _, k := range keys {
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(data, &obj); err != nil {
-			return false
-		}
-		var ok bool
-		if data, ok = obj[k]; !ok {
-			return false
-		}
-	}
-	return true
 }

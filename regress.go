@@ -9,7 +9,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/p4"
-	"repro/internal/regress"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
 	"repro/internal/spec"
@@ -52,8 +51,12 @@ type RegressResult struct {
 	// Gen is the incremental generation under NewRules. Its templates are
 	// byte-identical to a cold full run on NewRules.
 	Gen *GenResult
-	// Report is the validated machine-readable regression report.
-	Report *regress.Report
+	// Run is the validated run report: the incremental generation's
+	// sections, and the regression's own in Run.Regress.
+	Run *obs.Report
+	// Report is Run.Regress. Only the benchmark harness needs it; ROADMAP
+	// item 1 deletes it.
+	Report *obs.RegressReport
 }
 
 // baseline is what a run starts from besides its own Checkpoint: a
@@ -167,7 +170,7 @@ func Regress(in RegressInput) (*RegressResult, error) {
 			unchanged++
 		}
 	}
-	tr := &regress.TemplateReport{
+	tr := &obs.TemplateReport{
 		Baseline:  nBase,
 		Current:   len(gen.Templates),
 		Added:     len(gen.Templates) - unchanged,
@@ -176,30 +179,27 @@ func Regress(in RegressInput) (*RegressResult, error) {
 	}
 
 	added, removed, modified := delta.Counts()
-	q := regress.NewQueryReport(gen.SMTCalls, gen.JournalHits)
-	rep := &regress.Report{
-		Schema:  regress.Schema,
-		Program: in.Program,
-		RuleSet: in.RuleSet,
-		WallNS:  int64(time.Since(start)),
-		Delta: &regress.DeltaReport{
+	q := obs.NewQueryReport(gen.SMTCalls, gen.JournalHits)
+	rep := gen.Report("regress", in.Program, in.Opts.Parallelism)
+	rep.RuleSet = in.RuleSet
+	rep.WallNS = int64(time.Since(start))
+	rep.Regress = &obs.RegressReport{
+		Delta: &obs.DeltaReport{
 			TablesChanged:   delta.ChangedTables(),
 			EntriesAdded:    added,
 			EntriesRemoved:  removed,
 			EntriesModified: modified,
 		},
-		Journal:   gen.Rebase,
+		Rebase:    gen.Rebase,
 		Templates: tr,
 		Queries:   q,
-		Run:       gen.Report("regress", in.Program, in.Opts.Parallelism),
 	}
-	rep.Run.RuleSet = in.RuleSet
 	if err := rep.Validate(); err != nil {
 		return nil, err
 	}
 	obs.Progressf("regress: done in %v: %d/%d templates unchanged, %d added, %d retired; %.0f%% queries avoided",
 		time.Since(start), tr.Unchanged, tr.Current, tr.Added, tr.Retired, 100*q.Reuse)
-	return &RegressResult{Delta: delta, BaselineGen: baseGen, Gen: gen, Report: rep}, nil
+	return &RegressResult{Delta: delta, BaselineGen: baseGen, Gen: gen, Run: rep, Report: rep.Regress}, nil
 }
 
 // isList reports whether l is the template list of the run fp identifies.

@@ -22,6 +22,7 @@ import (
 
 	meissa "repro"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/programs"
 	"repro/internal/regress"
@@ -82,7 +83,7 @@ func regressCheckpoint(t *testing.T, p *programs.Program, oldRules, newRules *ru
 
 // templateDelta is the report's template section computed from two cold
 // runs: the multiset difference of their templates' path keys.
-func templateDelta(base, cur []*sym.Template) regress.TemplateReport {
+func templateDelta(base, cur []*sym.Template) obs.TemplateReport {
 	left := map[uint64]int{}
 	for _, tm := range base {
 		left[tm.PathKey]++
@@ -94,7 +95,7 @@ func templateDelta(base, cur []*sym.Template) regress.TemplateReport {
 			unchanged++
 		}
 	}
-	return regress.TemplateReport{Baseline: len(base), Current: len(cur), Added: len(cur) - unchanged,
+	return obs.TemplateReport{Baseline: len(base), Current: len(cur), Added: len(cur) - unchanged,
 		Retired: len(base) - unchanged, Unchanged: unchanged}
 }
 
@@ -122,11 +123,11 @@ func checkRegressInvariants(t *testing.T, res *meissa.RegressResult, base, cold 
 		t.Errorf("query accounting: incremental %d (calls %d + journal %d) != cold %d",
 			incrTotal, gen.SMTCalls, gen.JournalHits, cold.SMTCalls)
 	}
-	rep := res.Report
-	if err := rep.Validate(); err != nil {
+	if err := res.Run.Validate(); err != nil {
 		t.Errorf("report validation: %v", err)
 	}
-	if rep.Queries.Avoided == 0 {
+	rep := res.Report
+	if rep.Queries.JournalHits == 0 {
 		t.Error("incremental run avoided zero queries — journal reuse is broken")
 	}
 	if want := templateDelta(base.Templates, cold.Templates); *rep.Templates != want {
@@ -441,7 +442,7 @@ func TestRegressReuseSurvivesOneEntryUpdate(t *testing.T) {
 		t.Errorf("%d live queries for %d invalidated records, want at most twice as many", q.Live, rb.Invalidated)
 	}
 	if q.Reuse < 0.94 {
-		t.Errorf("reuse %.4f of %d queries, want >= 0.94", q.Reuse, q.Total)
+		t.Errorf("reuse %.4f of %d queries, want >= 0.94", q.Reuse, q.Live+q.JournalHits)
 	}
 }
 
@@ -697,7 +698,7 @@ func TestRegressBaselinesAgree(t *testing.T) {
 				file, st any
 			}{
 				{"delta", file.Report.Delta, store.Report.Delta},
-				{"journal", file.Report.Journal, store.Report.Journal},
+				{"rebase", file.Report.Rebase, store.Report.Rebase},
 				{"templates", file.Report.Templates, store.Report.Templates},
 				{"queries", file.Report.Queries, store.Report.Queries},
 				{"records loaded", file.Gen.JournalLoaded, store.Gen.JournalLoaded},

@@ -237,8 +237,8 @@ func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 				t.Errorf("gen warmed/invalidated/committed %d/%d/%d, regress %d/%d/%d",
 					g.Warmed, g.Invalidated, g.Committed, r.Warmed, r.Invalidated, r.Committed)
 			}
-			if gen.Rebase == nil || *gen.Rebase != *res.Report.Journal || uint64(gen.Rebase.Retained) != g.Warmed {
-				t.Errorf("gen rebase %+v, regress journal section %+v, warmed %d", gen.Rebase, res.Report.Journal, g.Warmed)
+			if gen.Rebase == nil || *gen.Rebase != *res.Report.Rebase || uint64(gen.Rebase.Retained) != g.Warmed {
+				t.Errorf("gen rebase %+v, regress rebase section %+v, warmed %d", gen.Rebase, res.Report.Rebase, g.Warmed)
 			}
 		})
 	}
@@ -441,10 +441,10 @@ func TestRegressStoreMatchesCold(t *testing.T) {
 				t.Fatalf("regress-store output differs from cold run (%d vs %d templates)",
 					len(res.Gen.Templates), len(cold.Templates))
 			}
-			if res.Gen.Store == nil || res.Report.Run.Store == nil {
+			if res.Gen.Store == nil || res.Run.Store == nil {
 				t.Fatal("regress-store attached no store report")
 			}
-			if err := res.Report.Validate(); err != nil {
+			if err := res.Run.Validate(); err != nil {
 				t.Fatalf("regress-store report invalid: %v", err)
 			}
 
