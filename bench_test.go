@@ -22,24 +22,10 @@ import (
 	"repro/internal/switchsim"
 )
 
-// genWith runs one full generation and reports custom metrics.
-func genWith(b *testing.B, p *programs.Program, opts meissa.Options) *meissa.GenResult {
-	b.Helper()
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return gen
-}
-
 func benchGenerate(b *testing.B, p *programs.Program, opts meissa.Options) {
 	var last *meissa.GenResult
 	for i := 0; i < b.N; i++ {
-		last = genWith(b, p, opts)
+		last = run{p: p, opts: opts}.gen(b)
 	}
 	b.ReportMetric(float64(last.SMTCalls), "smt-calls")
 	b.ReportMetric(float64(len(last.Templates)), "templates")
@@ -59,7 +45,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 	seqOpts := meissa.DefaultOptions()
 	seqOpts.Parallelism = 1
 	start := time.Now()
-	base := genWith(b, p, seqOpts)
+	base := run{p: p, opts: seqOpts}.gen(b)
 	baseline := time.Since(start)
 
 	ps := []int{1, 2, 4}
@@ -74,7 +60,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 			var last *meissa.GenResult
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				last = genWith(b, p, opts)
+				last = run{p: p, opts: opts}.gen(b)
 			}
 			perOp := time.Since(start) / time.Duration(b.N)
 			if len(last.Templates) != len(base.Templates) {
@@ -138,14 +124,7 @@ func BenchmarkFig12WithoutSummary(b *testing.B) {
 
 func BenchmarkEndToEndTest(b *testing.B) {
 	p := programs.GW(2, programs.Set2)
-	sys, err := meissa.New(p.Prog, p.Rules, nil, meissa.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys, gen := run{p: p, opts: meissa.DefaultOptions()}.generate(b)
 	target, err := switchsim.Compile(p.Prog, p.Rules, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -28,41 +28,11 @@ import (
 // stripped, for comparisons across runs where a skipped path shifts the
 // numbering of everything after it.
 func renderSansID(tm *sym.Template) string {
-	r := renderTemplates([]*sym.Template{tm})
+	r := string(renderTemplates([]*sym.Template{tm}))
 	if i := strings.IndexByte(r, ' '); i >= 0 {
 		return r[i:]
 	}
 	return r
-}
-
-func corpusProgram(t *testing.T, name string) *programs.Program {
-	t.Helper()
-	for _, p := range programs.All() {
-		if p.Name == name {
-			return p
-		}
-	}
-	t.Fatalf("corpus program %q not found", name)
-	return nil
-}
-
-// generateCheckpoint runs one generation with the given checkpoint
-// configuration, sequential mode (deterministic solver-call counters).
-func generateCheckpoint(t *testing.T, p *programs.Program, journal string, resume bool) *meissa.GenResult {
-	t.Helper()
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.Checkpoint = journal
-	opts.Resume = resume
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen
 }
 
 // checkpointHeader is the header frame a checkpoint of fingerprint fp
@@ -101,9 +71,10 @@ func splitRecord(data []byte) (journal.Record, int, bool) {
 // its 868 verdicts at about 109 bytes each; spelt out as text, the tags
 // took 234.
 func TestCheckpointBytesPerRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "gw2.journal")
-	gen := generateCheckpoint(t, programs.GW(2, programs.Set4), path, false)
-	fi, err := os.Stat(path)
+	opts := at(1)
+	opts.Checkpoint = filepath.Join(t.TempDir(), "gw2.journal")
+	gen := run{p: programs.GW(2, programs.Set4), opts: opts}.gen(t)
+	fi, err := os.Stat(opts.Checkpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +95,11 @@ func TestCheckpointKillHelper(t *testing.T) {
 		t.Skip("subprocess helper")
 	}
 	p := corpusProgram(t, os.Getenv("MEISSA_HELPER_CORPUS"))
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
+	opts := at(1)
 	opts.Checkpoint = os.Getenv("MEISSA_HELPER_JOURNAL")
 	opts.StorePath = os.Getenv("MEISSA_HELPER_STORE") // empty: no store
 	opts.SolverOverhead = 2 * time.Millisecond
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Generate(); err != nil {
-		t.Fatal(err)
-	}
+	run{p: p, opts: opts}.gen(t)
 }
 
 // TestKillResumeByteIdentical is the headline acceptance test: start a
@@ -193,39 +157,35 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			}
 			cmd.Wait() // reap; the kill error state is expected
 
-			clean := generateCheckpoint(t, p, "", false)
-			var resumed *meissa.GenResult
-			if withStore {
-				resumed = generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Checkpoint, o.Resume = jpath, true })
-			} else {
-				resumed = generateCheckpoint(t, p, jpath, true)
-			}
+			clean := get(t, genKey(name, "", 1, ""))
+			opts := at(1)
+			opts.Checkpoint, opts.Resume, opts.StorePath = jpath, true, spath
+			resumed := observe(run{p: p, opts: opts}.res(t))
+			r, c := resumed.work, clean.work
 
-			if got, want := renderTemplates(resumed.Templates), renderTemplates(clean.Templates); got != want {
-				t.Fatalf("resumed output differs from clean run (%d vs %d templates)",
-					len(resumed.Templates), len(clean.Templates))
+			if resumed.digest != clean.digest {
+				t.Fatalf("resumed output differs from clean run (%d vs %d templates)", r.Templates, c.Templates)
 			}
-			if resumed.JournalHits == 0 {
+			if r.JournalHits == 0 {
 				t.Error("resume answered nothing from the journal despite surviving records")
 			}
-			if resumed.SMTCalls+resumed.JournalHits != clean.SMTCalls {
+			if r.Checks+r.JournalHits != c.Checks {
 				t.Errorf("journaled paths were re-solved: resumed calls %d + hits %d != clean calls %d",
-					resumed.SMTCalls, resumed.JournalHits, clean.SMTCalls)
+					r.Checks, r.JournalHits, c.Checks)
 			}
-			if resumed.SMTCalls >= clean.SMTCalls {
-				t.Errorf("resume saved no solver work: %d calls vs clean %d",
-					resumed.SMTCalls, clean.SMTCalls)
+			if r.Checks >= c.Checks {
+				t.Errorf("resume saved no solver work: %d calls vs clean %d", r.Checks, c.Checks)
 			}
-			if resumed.SMTCalls == 0 {
+			if r.Checks == 0 {
 				t.Error("the resume solved nothing: the kill landed after the helper had finished, and the test showed no resume")
 			}
 			if withStore {
-				warm := generateStore(t, p, nil, spath, nil)
-				if warm.SMTCalls != 0 || warm.JournalHits != clean.SMTCalls {
+				warm := observe(storeRun(p, nil, 1, spath).res(t))
+				if warm.work.Checks != 0 || warm.work.JournalHits != c.Checks {
 					t.Errorf("store left incomplete by the resumed run: a store-only generation made %d solver calls and %d hits, want 0 and %d",
-						warm.SMTCalls, warm.JournalHits, clean.SMTCalls)
+						warm.work.Checks, warm.work.JournalHits, c.Checks)
 				}
-				if renderTemplates(warm.Templates) != renderTemplates(clean.Templates) {
+				if warm.digest != clean.digest {
 					t.Error("store-only generation after the resumed run differs from the clean run")
 				}
 			}
@@ -240,33 +200,26 @@ func TestKillResumeByteIdentical(t *testing.T) {
 func TestTruncatedJournalResume(t *testing.T) {
 	for _, name := range []string{"Router", "gw-1"} {
 		t.Run(name, func(t *testing.T) {
-			p := corpusProgram(t, name)
-			jpath := filepath.Join(t.TempDir(), "journal.bin")
-
-			clean := generateCheckpoint(t, p, jpath, false)
-			want := renderTemplates(clean.Templates)
-
-			data, err := os.ReadFile(jpath)
-			if err != nil {
-				t.Fatal(err)
-			}
+			clean := get(t, genKey(name, "", 1, "checkpoint"))
+			data := clean.read(t, "checkpoint")
 			// 60% of the file, an arbitrary offset almost surely inside a
 			// record — exactly what a crash mid-write leaves behind.
-			if err := os.WriteFile(jpath, data[:len(data)*6/10], 0o644); err != nil {
+			opts := at(1)
+			opts.Checkpoint, opts.Resume = filepath.Join(t.TempDir(), "journal.bin"), true
+			if err := os.WriteFile(opts.Checkpoint, data[:len(data)*6/10], 0o644); err != nil {
 				t.Fatal(err)
 			}
 
-			resumed := generateCheckpoint(t, p, jpath, true)
-			if got := renderTemplates(resumed.Templates); got != want {
-				t.Fatalf("resume from truncated journal diverged (%d vs %d templates)",
-					len(resumed.Templates), len(clean.Templates))
+			resumed := observe(run{p: corpusProgram(t, name), opts: opts}.res(t))
+			r, c := resumed.work, clean.work
+			if resumed.digest != clean.digest {
+				t.Fatalf("resume from truncated journal diverged (%d vs %d templates)", r.Templates, c.Templates)
 			}
-			if resumed.JournalHits == 0 {
+			if r.JournalHits == 0 {
 				t.Error("no journal hits after truncation to 60%")
 			}
-			if resumed.SMTCalls+resumed.JournalHits != clean.SMTCalls {
-				t.Errorf("resumed calls %d + hits %d != clean calls %d",
-					resumed.SMTCalls, resumed.JournalHits, clean.SMTCalls)
+			if r.Checks+r.JournalHits != c.Checks {
+				t.Errorf("resumed calls %d + hits %d != clean calls %d", r.Checks, r.JournalHits, c.Checks)
 			}
 		})
 	}
@@ -280,13 +233,8 @@ func TestTruncatedJournalResume(t *testing.T) {
 func TestResumedJournalByteIdentical(t *testing.T) {
 	for _, name := range []string{"Router", "gw-1", "gw-2"} {
 		t.Run(name, func(t *testing.T) {
-			p := corpusProgram(t, name)
-			jpath := filepath.Join(t.TempDir(), "journal.bin")
-			generateCheckpoint(t, p, jpath, false)
-			want, err := os.ReadFile(jpath)
-			if err != nil {
-				t.Fatal(err)
-			}
+			clean := get(t, genKey(name, "", 1, "checkpoint"))
+			want := clean.read(t, "checkpoint")
 			// Walk the frames (4-byte length, payload, 4-byte CRC) to the
 			// first boundary past the middle.
 			cut, records, tagged := 0, 0, 0
@@ -306,21 +254,17 @@ func TestResumedJournalByteIdentical(t *testing.T) {
 			if tagged == 0 || cut == 0 || cut == len(want) {
 				t.Fatalf("vacuous journal: %d records, %d with tags, cut at %d of %d", records, tagged, cut, len(want))
 			}
-			if err := os.WriteFile(jpath, want[:cut], 0o644); err != nil {
+			opts := at(1)
+			opts.Checkpoint, opts.Resume = filepath.Join(t.TempDir(), "journal.bin"), true
+			if err := os.WriteFile(opts.Checkpoint, want[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			resumed := generateCheckpoint(t, p, jpath, true)
+			resumed := run{p: corpusProgram(t, name), opts: opts}.gen(t)
 			if resumed.JournalHits == 0 || resumed.JournalAppended == 0 {
 				t.Fatalf("resume answered %d interactions from the journal and appended %d records; want both nonzero",
 					resumed.JournalHits, resumed.JournalAppended)
 			}
-			got, err := os.ReadFile(jpath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("journal after resume differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(want))
-			}
+			sameFile(t, "journal after resume against the uninterrupted run's", opts.Checkpoint, clean, "checkpoint")
 		})
 	}
 }
@@ -329,20 +273,11 @@ func TestResumedJournalByteIdentical(t *testing.T) {
 // affecting options must refuse to resume a run with different ones —
 // silently mixing them would corrupt verdicts.
 func TestResumeFingerprintMismatch(t *testing.T) {
-	p := corpusProgram(t, "Router")
-	jpath := filepath.Join(t.TempDir(), "journal.bin")
-	generateCheckpoint(t, p, jpath, false)
-
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.Checkpoint = jpath
+	opts := at(1)
+	opts.Checkpoint = get(t, genKey("Router", "", 1, "checkpoint")).copy(t, "checkpoint")
 	opts.Resume = true
 	opts.EarlyTermination = false // changes which queries are posed and journal keys' meaning
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Generate(); err == nil {
+	if _, err := (run{p: corpusProgram(t, "Router"), opts: opts}).do(); err == nil {
 		t.Fatal("resume with mismatched options succeeded; want fingerprint error")
 	}
 }
@@ -352,23 +287,14 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 // between them, and Recovered stays the true total. gw-3/set-4 with a panic
 // on every 7th descent recovers in both phases.
 func TestPathErrorsCappedAcrossPhases(t *testing.T) {
-	p := programs.GW(3, programs.Set4)
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
+	opts := at(1)
 	descents := 0
 	opts.PathHook = func([]cfg.NodeID) {
 		if descents++; descents%7 == 0 {
 			panic("injected fault")
 		}
 	}
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := run{p: programs.GW(3, programs.Set4), opts: opts}.gen(t)
 	if sum := gen.SummaryStats.Recovered; sum == 0 || sum == gen.Recovered {
 		t.Fatalf("summary recovered %d of %d panics; want some in each phase", sum, gen.Recovered)
 	}
@@ -386,17 +312,9 @@ func TestPathErrorsCappedAcrossPhases(t *testing.T) {
 // identical — in sequential and parallel mode.
 func TestSystemPanicIsolationRouter(t *testing.T) {
 	p := corpusProgram(t, "Router")
-	base := meissa.DefaultOptions()
+	base := at(1)
 	base.CodeSummary = false // 1:1 path-to-template for exact comparison
-	base.Parallelism = 1
-	sysClean, err := meissa.New(p.Prog, p.Rules, nil, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := sysClean.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := run{p: p, opts: base}.gen(t)
 	if len(clean.Templates) < 3 {
 		t.Fatalf("Router produced only %d templates", len(clean.Templates))
 	}
@@ -411,14 +329,11 @@ func TestSystemPanicIsolationRouter(t *testing.T) {
 					panic("injected corpus fault")
 				}
 			}
-			sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen, err := sys.Generate()
+			res, err := run{p: p, opts: opts}.do()
 			if err != nil {
 				t.Fatalf("generation did not survive the injected panic: %v", err)
 			}
+			gen := res.Gen
 			if gen.Recovered != 1 {
 				t.Fatalf("Recovered = %d, want 1", gen.Recovered)
 			}
@@ -451,22 +366,13 @@ func TestSystemPanicIsolationRouter(t *testing.T) {
 // real corpus program.
 func TestBudgetSupersetRouter(t *testing.T) {
 	p := corpusProgram(t, "Router")
-	run := func(budget int) *meissa.GenResult {
-		opts := meissa.DefaultOptions()
-		opts.Parallelism = 1
-		opts.SolverSearchBudget = budget
-		sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := sys.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return gen
+	budget := func(n int) *meissa.GenResult {
+		opts := at(1)
+		opts.SolverSearchBudget = n
+		return run{p: p, opts: opts}.gen(t)
 	}
-	unlimited := run(0)
-	limited := run(1) // one backtracking step per query: nearly everything Unknown
+	unlimited := budget(0)
+	limited := budget(1) // one backtracking step per query: nearly everything Unknown
 
 	kept := map[string]bool{}
 	for _, tm := range limited.Templates {
@@ -536,19 +442,11 @@ func TestResumeRefusesOldCheckpoint(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	for _, magic := range oldMagics {
 		t.Run(magic, func(t *testing.T) {
-			opts := meissa.DefaultOptions()
-			opts.Parallelism = 1
+			opts := at(1)
 			opts.Checkpoint, opts.Resume = filepath.Join(t.TempDir(), "old.journal"), true
-			sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fp, err := sys.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
+			sys, fp := run{p: p, opts: opts}.system(t)
 			data := writeOldCheckpoint(t, opts.Checkpoint, magic, fp)
-			_, err = sys.Generate()
+			_, err := sys.Generate()
 			refusesOldCheckpoint(t, err, opts.Checkpoint, magic, data)
 		})
 	}
@@ -562,21 +460,12 @@ func TestRegressRefusesOldBaseline(t *testing.T) {
 	for _, magic := range oldMagics {
 		t.Run(magic, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := meissa.DefaultOptions()
-			opts.Parallelism = 1
-			sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fp, err := sys.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
+			opts := at(1)
+			_, fp := run{p: p, opts: opts}.system(t)
 			base := filepath.Join(dir, "old.journal")
 			data := writeOldCheckpoint(t, base, magic, fp)
 			opts.Checkpoint = filepath.Join(dir, "next.journal")
-			_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
-				Opts: opts, Baseline: base, Program: p.Name})
+			_, err := run{p: p, rules: newRules, opts: opts, regress: true, old: p.Rules, baseline: base}.do()
 			refusesOldCheckpoint(t, err, base, magic, data)
 		})
 	}

@@ -202,7 +202,7 @@ func cmdGen(args []string) error {
 			}
 		}
 	}
-	return ob.finish(gen.Report("gen", prog.Name, opts.Parallelism))
+	return ob.finish(gen.Report("gen", prog.Name))
 }
 
 // parseFaults parses -fault kind:arg[,kind:arg...].
@@ -360,7 +360,7 @@ func cmdTest(args []string) error {
 		f := rep.Failures()[0]
 		fmt.Println(meissa.Localize(gen, f, loop.Replay(f.Case.Entry, f.Case.Wire)))
 	}
-	orep := gen.Report("test", prog.Name, opts.Parallelism)
+	orep := gen.Report("test", prog.Name)
 	orep.WallNS = int64(gen.Duration + driveDur)
 	orep.Phases = append(orep.Phases, obs.PhaseDur{Name: "drive", NS: int64(driveDur)})
 	// The target's counters may be read once an in-process drive is over;

@@ -465,21 +465,6 @@ func (j *Journal) Loaded() int { return j.loaded }
 // Appended returns the number of records this journal appended.
 func (j *Journal) Appended() uint64 { return j.appended.Load() }
 
-// Sync writes the pending batch and flushes the file to stable storage.
-// Beyond the batch, not required for kill-safety (the page cache survives
-// process death); call it when the threat model includes machine crashes.
-func (j *Journal) Sync() error {
-	if j.f == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.flush(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	return j.f.Sync()
-}
-
 // Close writes the pending batch and releases the file. Its error is the
 // first write that failed, the last batch's included: the file then lacks
 // verdicts the run derived.

@@ -23,7 +23,7 @@ type Report struct {
 	Command     string `json:"command,omitempty"` // gen | test | regress
 	Program     string `json:"program,omitempty"`
 	RuleSet     string `json:"rule_set,omitempty"`
-	Parallelism int    `json:"parallelism"`
+	Parallelism int    `json:"parallelism"` // the workers the run explored with: GOMAXPROCS for a requested 0
 	// WallNS is the run's end-to-end wall-clock (generation; plus driving
 	// for `test` runs; a regression's baseline read, rule diff and
 	// generation for `regress` runs).

@@ -180,6 +180,9 @@ type GenResult struct {
 	// sequentially, and zero otherwise. The counters are the process's:
 	// they are the pass's own while nothing else in the process allocates.
 	FinalMallocs, FinalAllocBytes uint64
+	// Parallelism is the worker count the final pass explored with:
+	// Options.Parallelism, GOMAXPROCS where that is 0 or below.
+	Parallelism int
 	// SMTCalls is SMT.Checks, the solver checks across all phases (Fig.
 	// 11b unit), the same at any Parallelism.
 	SMTCalls uint64
@@ -361,10 +364,11 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 	}
 
 	var exp *sym.Result
+	res.Parallelism = fcfg.Options.Workers()
 	err = phase("sym", func() (err error) {
 		objs0, bytes0 := heapAllocs()
 		exp, err = sym.Explore(fcfg)
-		if fcfg.Options.Workers() == 1 {
+		if res.Parallelism == 1 {
 			objs1, bytes1 := heapAllocs()
 			res.FinalMallocs, res.FinalAllocBytes = objs1-objs0, bytes1-bytes0
 		}
@@ -468,12 +472,12 @@ var sourcePhases = map[string]bool{"journal-load": true, "rebase": true, "store-
 // reduction, the solver outcome histogram and latency, and journal
 // activity. The caller may extend it (the test subcommand adds the driver
 // section) before writing it out.
-func (g *GenResult) Report(command, program string, parallelism int) *obs.Report {
+func (g *GenResult) Report(command, program string) *obs.Report {
 	rep := &obs.Report{
 		Schema:      obs.ReportSchema,
 		Command:     command,
 		Program:     program,
-		Parallelism: parallelism,
+		Parallelism: g.Parallelism,
 		WallNS:      int64(g.Duration),
 		Phases:      g.Phases,
 		Paths: &obs.PathReport{

@@ -1,10 +1,11 @@
-package meissa
+package meissa_test
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
+	meissa "repro"
 	"repro/internal/driver"
 	"repro/internal/p4"
 	"repro/internal/programs"
@@ -28,17 +29,9 @@ func TestCorpusCleanTargetsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus run")
 	}
-	for _, p := range programs.All() {
-		p := p
+	for _, p := range corpusAll() {
 		t.Run(p.Name, func(t *testing.T) {
-			sys, err := New(p.Prog, p.Rules, nil, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen, err := sys.Generate()
-			if err != nil {
-				t.Fatal(err)
-			}
+			sys, gen := run{p: p, opts: meissa.DefaultOptions()}.generate(t)
 			if gen.Truncated {
 				t.Fatal("generation truncated")
 			}
@@ -74,29 +67,13 @@ func TestSummaryPreservesCoverage(t *testing.T) {
 		programs.Router(), programs.MTag(), programs.ACL(),
 		programs.GW(1, programs.Set1), programs.GW(2, programs.Set1),
 	} {
-		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			with, err := New(p.Prog, p.Rules, nil, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			genWith, err := with.Generate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			optsNo := DefaultOptions()
-			optsNo.CodeSummary = false
-			without, err := New(p.Prog, p.Rules, nil, optsNo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			genWithout, err := without.Generate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(genWith.Templates) != len(genWithout.Templates) {
+			raw := meissa.DefaultOptions()
+			raw.CodeSummary = false
+			with, without := run{p: p, opts: meissa.DefaultOptions()}.gen(t), run{p: p, opts: raw}.gen(t)
+			if len(with.Templates) != len(without.Templates) {
 				t.Fatalf("coverage differs: %d templates with summary, %d without",
-					len(genWith.Templates), len(genWithout.Templates))
+					len(with.Templates), len(without.Templates))
 			}
 		})
 	}
@@ -107,18 +84,9 @@ func TestSummaryPreservesCoverage(t *testing.T) {
 // calls and the CFG has fewer possible paths.
 func TestSummaryReducesWork(t *testing.T) {
 	p := programs.GW(3, programs.Set1)
-	with, _ := New(p.Prog, p.Rules, nil, DefaultOptions())
-	genWith, err := with.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsNo := DefaultOptions()
-	optsNo.CodeSummary = false
-	without, _ := New(p.Prog, p.Rules, nil, optsNo)
-	genWithout, err := without.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := meissa.DefaultOptions()
+	raw.CodeSummary = false
+	genWith, genWithout := run{p: p, opts: meissa.DefaultOptions()}.gen(t), run{p: p, opts: raw}.gen(t)
 	if genWith.PossiblePathsLog10After >= genWithout.PossiblePathsLog10After {
 		t.Errorf("summary did not reduce possible paths: %.1f vs %.1f",
 			genWith.PossiblePathsLog10After, genWithout.PossiblePathsLog10After)
@@ -140,14 +108,7 @@ func TestSummaryReducesWork(t *testing.T) {
 // captures replies.
 func TestUDPTransport(t *testing.T) {
 	p := programs.Router()
-	sys, err := New(p.Prog, p.Rules, nil, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, gen := run{p: p, opts: meissa.DefaultOptions()}.generate(t)
 	target, err := switchsim.Compile(p.Prog, p.Rules, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +148,7 @@ spec tcp_only {
   expect forwarded;
 }
 `)
-	sys, err := New(p.Prog, p.Rules, []*spec.Spec{sp}, DefaultOptions())
+	sys, err := meissa.New(p.Prog, p.Rules, []*spec.Spec{sp}, meissa.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +170,7 @@ spec tcp_only {
 // public API level.
 func TestDetectsInjectedFault(t *testing.T) {
 	p := programs.GW(1, programs.Set1)
-	sys, err := New(p.Prog, p.Rules, nil, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, gen := run{p: p, opts: meissa.DefaultOptions()}.generate(t)
 	target, err := switchsim.Compile(p.Prog, p.Rules,
 		switchsim.Faults{switchsim.SetValidNoOp{Header: "vxlan"}})
 	if err != nil {
@@ -234,11 +188,7 @@ func TestDetectsInjectedFault(t *testing.T) {
 // TestLocalize exercises the §7 bug-localization trace.
 func TestLocalize(t *testing.T) {
 	p := programs.GW(1, programs.Set1)
-	sys, _ := New(p.Prog, p.Rules, nil, DefaultOptions())
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, gen := run{p: p, opts: meissa.DefaultOptions()}.generate(t)
 	target, _ := switchsim.Compile(p.Prog, p.Rules,
 		switchsim.Faults{switchsim.SetValidNoOp{Header: "vxlan"}})
 	link := driver.NewLoopback(target)
@@ -250,25 +200,12 @@ func TestLocalize(t *testing.T) {
 	if len(fails) == 0 {
 		t.Fatal("expected failures")
 	}
-	out := Localize(gen, fails[0], link.Replay(fails[0].Case.Entry, fails[0].Case.Wire))
+	out := meissa.Localize(gen, fails[0], link.Replay(fails[0].Case.Entry, fails[0].Case.Wire))
 	for _, want := range []string{"Bug localization", "symbolic trace", "physical trace"} {
-		if !contains(out, want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("localization output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 || indexOf(s, sub) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestNewRejectsBrokenPrograms checks input validation at the API
@@ -276,7 +213,7 @@ func indexOf(s, sub string) int {
 func TestNewRejectsBrokenPrograms(t *testing.T) {
 	prog := &p4.Program{Name: "broken"}
 	prog.Pipelines = []*p4.PipelineDecl{{Name: "p", Control: "missing"}}
-	if _, err := New(prog, nil, nil, DefaultOptions()); err == nil {
+	if _, err := meissa.New(prog, nil, nil, meissa.DefaultOptions()); err == nil {
 		t.Fatal("expected error for unresolvable control")
 	}
 }
@@ -312,7 +249,7 @@ func TestNewRejectsWhatRouterCannotMean(t *testing.T) {
 				entry = 0
 			}
 			want := fmt.Sprintf("rules:%d:3: table %s entry %d: %s", line, tc.table, entry, tc.want)
-			if _, err := New(p.Prog, rs, nil, DefaultOptions()); err == nil || err.Error() != want {
+			if _, err := meissa.New(p.Prog, rs, nil, meissa.DefaultOptions()); err == nil || err.Error() != want {
 				t.Fatalf("New: %v\nwant: %s", err, want)
 			}
 		})

@@ -3,9 +3,9 @@ package meissa_test
 import (
 	"encoding/json"
 	"path/filepath"
+	"runtime"
 	"testing"
 
-	meissa "repro"
 	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/rulediff"
@@ -23,9 +23,9 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 	} {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			seq := generateAt(t, p, true, 1)
+			seq := run{p: p, opts: at(1)}.gen(t)
 			for _, par := range []int{1, 2, 4} {
-				got := generateAt(t, p, true, par)
+				got := run{p: p, opts: at(par)}.gen(t)
 				if got.PathsExplored != seq.PathsExplored {
 					t.Errorf("P=%d PathsExplored = %d, want %d", par, got.PathsExplored, seq.PathsExplored)
 				}
@@ -39,7 +39,7 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 					t.Errorf("P=%d checks = %d (%d cache hits), want exactly %d and 0",
 						par, got.SMTCalls, got.SMT.CacheHits, seq.SMTCalls)
 				}
-				if s := got.Report("gen", p.Name, par).Solver; s.Solved != seq.SMTCalls {
+				if s := got.Report("gen", p.Name).Solver; s.Solved != seq.SMTCalls {
 					t.Errorf("P=%d report solved %d, want %d", par, s.Solved, seq.SMTCalls)
 				}
 				// The aggregated solver stats must be internally consistent:
@@ -71,8 +71,8 @@ func TestStatsTotalsParallelInvariant(t *testing.T) {
 func TestRunReportValidates(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	for _, par := range []int{1, 4} {
-		gen := generateAt(t, p, true, par)
-		back := roundTrip(t, gen.Report("gen", p.Name, par))
+		gen := run{p: p, opts: at(par)}.gen(t)
+		back := roundTrip(t, gen.Report("gen", p.Name))
 		if back.Solver.Solved == 0 || back.Paths.Explored == 0 || back.Paths.Templates == 0 {
 			t.Fatalf("P=%d round-tripped report lost counts: %+v", par, back)
 		}
@@ -102,23 +102,16 @@ func TestRunReportValidates(t *testing.T) {
 // iteration's live queries.
 func TestRegressReportsPerRun(t *testing.T) {
 	p := corpusProgram(t, "Router")
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 2
+	opts := at(2)
 	opts.StorePath = filepath.Join(t.TempDir(), "verdicts.store")
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Generate(); err != nil {
-		t.Fatal(err)
-	}
+	run{p: p, opts: opts}.gen(t)
 	cur := p.Rules
 	for i := 0; i < 2; i++ {
 		next, mutated := rulediff.MutateArgs(p.Prog, cur, 1)
 		if mutated == 0 {
 			t.Fatal("nothing to mutate")
 		}
-		res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: next, Opts: opts, Program: p.Name})
+		res, err := run{p: p, rules: next, opts: opts, regress: true}.do()
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -130,6 +123,31 @@ func TestRegressReportsPerRun(t *testing.T) {
 			t.Fatalf("iteration %d: report solved %d, run checks %d: want equal and > 0", i, back.Solver.Solved, res.Gen.SMTCalls)
 		}
 		cur = next
+	}
+}
+
+// TestReportParallelismIsWorkers: the run report's parallelism is the
+// worker count the run explored with, GOMAXPROCS for a requested 0, for a
+// generation and a regression alike.
+func TestReportParallelismIsWorkers(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	for _, par := range []int{0, 1, 3} {
+		want := par
+		if par == 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		gen := run{p: p, opts: at(par)}.gen(t)
+		if gen.Parallelism != want || gen.Report("gen", p.Name).Parallelism != want {
+			t.Errorf("Parallelism %d: the run reports %d workers (report %d), want %d",
+				par, gen.Parallelism, gen.Report("gen", p.Name).Parallelism, want)
+		}
+	}
+	base := genKey("gw-1", "", 1, "checkpoint")
+	opts := at(0)
+	opts.Checkpoint = filepath.Join(t.TempDir(), "next.journal")
+	res := run{p: p, rules: mustVariant(t, p, "args1"), opts: opts, regress: true, old: p.Rules, baseline: get(t, base).path("checkpoint")}.res(t)
+	if got := res.Run.Parallelism; got != runtime.GOMAXPROCS(0) {
+		t.Errorf("a regression at Parallelism 0 reports %d workers, want %d", got, runtime.GOMAXPROCS(0))
 	}
 }
 

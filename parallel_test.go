@@ -10,104 +10,148 @@ package meissa_test
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"testing"
 
-	meissa "repro"
 	"repro/internal/expr"
-	"repro/internal/programs"
 	"repro/internal/sym"
 )
 
 // renderTemplates is a deterministic byte-comparable rendering (the final
 // state's bound slots and the model sorted by variable name; everything else
-// in stored order).
-func renderTemplates(ts []*sym.Template) string {
-	var b strings.Builder
+// in stored order). It formats with strconv and expr's Append functions,
+// as WriteTemplates does; fmtRenderTemplates is its oracle.
+func renderTemplates(ts []*sym.Template) []byte {
+	var r renderer
+	var b []byte
 	for _, t := range ts {
-		fmt.Fprintf(&b, "#%d path=%v dropped=%v uncertain=%v\n", t.ID, t.Path, t.Dropped, t.Uncertain)
-		for _, c := range t.Constraints {
-			fmt.Fprintf(&b, "  C %s\n", c)
-		}
-		var fslots []int
-		for s, val := range t.Final {
-			if val != nil {
-				fslots = append(fslots, s)
-			}
-		}
-		sort.Slice(fslots, func(i, j int) bool { return t.Vars[fslots[i]] < t.Vars[fslots[j]] })
-		for _, s := range fslots {
-			fmt.Fprintf(&b, "  F %s=%s\n", t.Vars[s], t.Final[s])
-		}
-		var mvars []string
-		for v := range t.Model {
-			mvars = append(mvars, string(v))
-		}
-		sort.Strings(mvars)
-		for _, v := range mvars {
-			fmt.Fprintf(&b, "  M %s=%d\n", v, t.Model[expr.Var(v)])
-		}
-		for _, ob := range t.HashObligations {
-			fmt.Fprintf(&b, "  H %s kind=%v width=%d inputs=%v\n", ob.Var, ob.Kind, ob.Width, ob.Inputs)
-		}
+		b = r.append(b, t)
 	}
-	return b.String()
+	return b
 }
 
-func generateAt(t *testing.T, p *programs.Program, codeSummary bool, parallelism int) *meissa.GenResult {
-	t.Helper()
-	opts := meissa.DefaultOptions()
-	opts.CodeSummary = codeSummary
-	opts.Parallelism = parallelism
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
+// digestSeed seeds every digest of a process.
+var digestSeed = maphash.MakeSeed()
+
+// digest hashes renderTemplates, rendered a template at a time: two
+// template sets of one process have one digest when they render alike.
+func digest(ts []*sym.Template) uint64 {
+	var r renderer
+	var h maphash.Hash
+	h.SetSeed(digestSeed)
+	var b []byte
+	for _, t := range ts {
+		b = r.append(b[:0], t)
+		h.Write(b)
 	}
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
+	return h.Sum64()
+}
+
+// renderer renders templates. The templates of an exploration share its
+// variable table, which it sorts by name once.
+type renderer struct {
+	vars  []expr.Var // the table order sorts
+	order []int      // its slots by variable name
+}
+
+// append appends renderTemplates' rendering of t to b.
+func (r *renderer) append(b []byte, t *sym.Template) []byte {
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(t.ID), 10)
+	b = append(b, " path=["...)
+	for i, id := range t.Path {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return gen
+	b = append(b, "] dropped="...)
+	b = strconv.AppendBool(b, t.Dropped)
+	b = append(b, " uncertain="...)
+	b = strconv.AppendBool(b, t.Uncertain)
+	b = append(b, '\n')
+	for _, c := range t.Constraints {
+		b = append(b, "  C "...)
+		b = expr.AppendBool(b, c)
+		b = append(b, '\n')
+	}
+	if len(t.Vars) != len(r.vars) || len(t.Vars) > 0 && &t.Vars[0] != &r.vars[0] {
+		r.vars, r.order = t.Vars, r.order[:0]
+		for s := range t.Vars {
+			r.order = append(r.order, s)
+		}
+		sort.Slice(r.order, func(i, j int) bool { return t.Vars[r.order[i]] < t.Vars[r.order[j]] })
+	}
+	for _, s := range r.order {
+		if s >= len(t.Final) || t.Final[s] == nil {
+			continue
+		}
+		b = append(b, "  F "...)
+		b = append(b, t.Vars[s]...)
+		b = append(b, '=')
+		b = expr.AppendArith(b, t.Final[s])
+		b = append(b, '\n')
+	}
+	vars := make([]expr.Var, 0, len(t.Model))
+	for v := range t.Model {
+		vars = append(vars, v)
+	}
+	slices.Sort(vars)
+	for _, v := range vars {
+		b = append(b, "  M "...)
+		b = append(b, v...)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, t.Model[v], 10)
+		b = append(b, '\n')
+	}
+	for _, ob := range t.HashObligations {
+		b = append(b, "  H "...)
+		b = append(b, ob.Var...)
+		b = append(b, " kind="...)
+		b = append(b, ob.Kind.String()...)
+		b = append(b, " width="...)
+		b = strconv.AppendInt(b, int64(ob.Width), 10)
+		b = append(b, " inputs=["...)
+		for i, in := range ob.Inputs {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = expr.AppendArith(b, in)
+		}
+		b = append(b, "]\n"...)
+	}
+	return b
 }
 
 func TestParallelMatchesSequentialOnCorpus(t *testing.T) {
-	for _, p := range programs.All() {
-		p := p
+	for _, p := range corpusAll() {
 		if testing.Short() && p.Name == "gw-4" {
 			continue // ~15s across all (P, summary) combinations
 		}
 		for _, codeSummary := range []bool{true, false} {
 			name := fmt.Sprintf("%s/summary=%v", p.Name, codeSummary)
 			t.Run(name, func(t *testing.T) {
-				seq := generateAt(t, p, codeSummary, 1)
-				want := renderTemplates(seq.Templates)
+				seq := get(t, genKey(p.Name, "", 1, "").summarized(codeSummary))
 				for _, par := range []int{2, 4, 8} {
-					got := generateAt(t, p, codeSummary, par)
-					if r := renderTemplates(got.Templates); r != want {
-						// Find the first diverging line for a readable failure.
-						a, b := strings.Split(want, "\n"), strings.Split(r, "\n")
-						line := "?"
-						for i := 0; i < len(a) && i < len(b); i++ {
-							if a[i] != b[i] {
-								line = fmt.Sprintf("line %d:\n  seq: %s\n  par: %s", i, a[i], b[i])
-								break
-							}
-						}
-						t.Fatalf("P=%d template set differs from sequential (%d vs %d templates); first divergence at %s",
-							par, len(seq.Templates), len(got.Templates), line)
+					got := get(t, genKey(p.Name, "", par, "").summarized(codeSummary))
+					if got.digest != seq.digest {
+						t.Fatalf("P=%d template set differs from sequential (%d vs %d templates)",
+							par, seq.work.Templates, got.work.Templates)
 					}
-					if got.PathsExplored != seq.PathsExplored {
-						t.Errorf("P=%d PathsExplored = %d, want %d", par, got.PathsExplored, seq.PathsExplored)
+					if got.work.Paths != seq.work.Paths {
+						t.Errorf("P=%d PathsExplored = %d, want %d", par, got.work.Paths, seq.work.Paths)
 					}
-					if got.PrunedPaths != seq.PrunedPaths {
-						t.Errorf("P=%d PrunedPaths = %d, want %d", par, got.PrunedPaths, seq.PrunedPaths)
+					if got.work.Pruned != seq.work.Pruned {
+						t.Errorf("P=%d PrunedPaths = %d, want %d", par, got.work.Pruned, seq.work.Pruned)
 					}
 					// SMT-call parity: every runner asks its own solver, so
 					// the checks are exactly the sequential run's.
-					if got.SMTCalls != seq.SMTCalls || got.SMT.CacheHits != 0 {
+					if got.work.Checks != seq.work.Checks || got.work.CacheHits != 0 {
 						t.Errorf("P=%d SMT calls %d (%d cache hits), want %d and 0",
-							par, got.SMTCalls, got.SMT.CacheHits, seq.SMTCalls)
+							par, got.work.Checks, got.work.CacheHits, seq.work.Checks)
 					}
 				}
 			})

@@ -16,11 +16,14 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	meissa "repro"
@@ -73,17 +76,18 @@ func TestCountedWorkUnchangedByParentPrunes(t *testing.T) {
 				name = p.Name + "/summary"
 			}
 			h := fnv.New64a()
-			opts := meissa.DefaultOptions()
-			opts.Parallelism = 1
+			opts := at(1)
 			opts.CodeSummary = summary
 			opts.Checkpoint = filepath.Join(t.TempDir(), "j")
+			var buf []byte
 			opts.PathHook = func(path []cfg.NodeID) {
+				buf = buf[:0]
 				for _, id := range path {
-					fmt.Fprintf(h, "%d,", id)
+					buf = append(strconv.AppendInt(buf, int64(id), 10), ',')
 				}
-				h.Write([]byte{'\n'})
+				h.Write(append(buf, '\n'))
 			}
-			gen := generateWith(t, p, opts)
+			gen := run{p: p, opts: opts}.gen(t)
 			var out bytes.Buffer
 			if err := meissa.WriteTemplates(&out, gen.Templates); err != nil {
 				t.Fatal(err)
@@ -101,7 +105,7 @@ func TestCountedWorkUnchangedByParentPrunes(t *testing.T) {
 			}
 			// The same run again, answered from the checkpoint.
 			opts.Resume, opts.PathHook = true, nil
-			resumed := generateWith(t, p, opts)
+			resumed := run{p: p, opts: opts}.gen(t)
 			got.JournalHits = resumed.JournalHits
 			var again bytes.Buffer
 			if err := meissa.WriteTemplates(&again, resumed.Templates); err != nil {
@@ -117,19 +121,6 @@ func TestCountedWorkUnchangedByParentPrunes(t *testing.T) {
 	}
 }
 
-func generateWith(t *testing.T, p *programs.Program, opts meissa.Options) *meissa.GenResult {
-	t.Helper()
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen
-}
-
 // TestTruncatedUnknownPinned pins how many searches found no model after
 // cutting a candidate list short — which answer Unknown, not an Unsat that
 // would not be a proof — at 0 on every Table 1 corpus program, with and
@@ -139,35 +130,37 @@ func generateWith(t *testing.T, p *programs.Program, opts meissa.Options) *meiss
 // count reaches the run report. -short skips the rule sets above set-1.
 func TestTruncatedUnknownPinned(t *testing.T) {
 	type tc struct {
-		p     *programs.Program
+		p     *programs.Program // nil: the corpus program name
+		name  string
 		scale programs.RuleScale
 	}
 	var cases []tc
-	for _, p := range []*programs.Program{programs.Router(), programs.MTag(), programs.ACL(), programs.SwitchP4()} {
-		cases = append(cases, tc{p, programs.Set1})
+	for _, name := range []string{"Router", "mTag", "ACL", "switch.p4", "gw-1"} {
+		cases = append(cases, tc{name: name, scale: programs.Set1})
 	}
-	for n := 1; n <= 4; n++ {
-		cases = append(cases, tc{programs.GW(n, programs.Set1), programs.Set1})
+	for n := 2; n <= 4; n++ {
+		cases = append(cases, tc{programs.GW(n, programs.Set1), fmt.Sprintf("gw-%d", n), programs.Set1})
 	}
 	if !testing.Short() {
-		cases = append(cases,
-			tc{programs.GW(2, programs.Set2), programs.Set2},
-			tc{programs.GW(3, programs.Set3), programs.Set3},
-			tc{programs.GW(4, programs.Set4), programs.Set4})
+		cases = append(cases, tc{name: "gw-2", scale: programs.Set2}, tc{name: "gw-3", scale: programs.Set3}, tc{name: "gw-4", scale: programs.Set4})
 	}
 	for _, c := range cases {
 		for _, summary := range []bool{true, false} {
-			opts := meissa.DefaultOptions()
-			opts.Parallelism = 1
-			opts.CodeSummary = summary
-			gen := generateWith(t, c.p, opts)
-			name := fmt.Sprintf("%s/%s summary=%v", c.p.Name, c.scale, summary)
-			if gen.SMT.TruncatedUnknown != 0 {
-				t.Errorf("%s: %d truncated Unknowns of %d, want 0", name, gen.SMT.TruncatedUnknown, gen.SMT.Unknowns)
+			var got *cell
+			if c.p == nil {
+				got = get(t, genKey(c.name, "", 1, "").summarized(summary))
+			} else {
+				opts := at(1)
+				opts.CodeSummary = summary
+				got = observe(run{p: c.p, opts: opts}.res(t))
 			}
-			rep := gen.Report("gen", c.p.Name, 1)
-			if err := rep.Validate(); err != nil || rep.Solver.TruncatedUnknown != 0 {
-				t.Errorf("%s: report carries truncated_unknown %d (validate: %v), want 0", name, rep.Solver.TruncatedUnknown, err)
+			name := fmt.Sprintf("%s/%s summary=%v", c.name, c.scale, summary)
+			if got.work.TruncatedUnknown != 0 {
+				t.Errorf("%s: %d truncated Unknowns of %d, want 0", name, got.work.TruncatedUnknown, got.solver.Outcomes["unknown"])
+			}
+			// The report validated when the run was made.
+			if got.solver.TruncatedUnknown != 0 {
+				t.Errorf("%s: report carries truncated_unknown %d, want 0", name, got.solver.TruncatedUnknown)
 			}
 		}
 	}
@@ -182,7 +175,7 @@ func TestTruncatedUnknownPinned(t *testing.T) {
 // it makes 17 388, of which 7 944 ran rows. A descent the parent prunes
 // enters no frame, so there are fewer frames than descents.
 func TestFramesGate(t *testing.T) {
-	gen := generateAt(t, programs.GW(4, programs.Set2), true, 1)
+	gen := run{p: programs.GW(4, programs.Set2), opts: at(1)}.gen(t)
 	t.Logf("%d frames (%d rows) for %d descents (%.2f per descent)", gen.Frames, gen.RowFrames, gen.PathsExplored, float64(gen.Frames)/float64(gen.PathsExplored))
 	if gen.PathsExplored != 22400 {
 		t.Errorf("PathsExplored = %d, want 22400", gen.PathsExplored)
@@ -190,14 +183,14 @@ func TestFramesGate(t *testing.T) {
 	if gen.Frames != 17388 || gen.RowFrames != 7944 {
 		t.Errorf("Frames = %d, RowFrames = %d, want 17388 and 7944", gen.Frames, gen.RowFrames)
 	}
-	if rep := gen.Report("gen", "gw-4", 1); rep.Paths.Frames != gen.Frames || rep.Paths.RowFrames != gen.RowFrames {
+	if rep := gen.Report("gen", "gw-4"); rep.Paths.Frames != gen.Frames || rep.Paths.RowFrames != gen.RowFrames {
 		t.Errorf("report paths.frames = %d, row_frames = %d, want %d and %d", rep.Paths.Frames, rep.Paths.RowFrames, gen.Frames, gen.RowFrames)
 	}
 }
 
 // The renderers this repository shipped until templates were rendered
-// without fmt, kept as the oracle: expr's String methods and
-// WriteTemplates' body, as they were.
+// without fmt, kept as the oracle: expr's String methods, WriteTemplates'
+// body and renderTemplates' body, as they were.
 
 func fmtArith(a expr.Arith) string {
 	switch t := a.(type) {
@@ -247,47 +240,112 @@ func fmtWriteTemplates(w io.Writer, ts []*sym.Template) error {
 	return bw.Flush()
 }
 
-// TestRenderersMatchFmt: the append-style renderers and the String methods
-// built on them produce the bytes fmt produced — over every constraint of
-// the corpus templates, over random expressions nested deeper than any of
-// those, and for whole template files.
-func TestRenderersMatchFmt(t *testing.T) {
-	check := func(b expr.Bool) {
-		t.Helper()
-		want := fmtBool(b)
-		if got := string(expr.AppendBool([]byte("x"), b)); got != "x"+want {
-			t.Fatalf("AppendBool = %q, want %q", got[1:], want)
+func fmtRenderTemplates(ts []*sym.Template) string {
+	var b strings.Builder
+	for _, t := range ts {
+		fmt.Fprintf(&b, "#%d path=%v dropped=%v uncertain=%v\n", t.ID, t.Path, t.Dropped, t.Uncertain)
+		for _, c := range t.Constraints {
+			fmt.Fprintf(&b, "  C %s\n", c)
 		}
-		if got := b.String(); got != want {
-			t.Fatalf("String = %q, want %q", got, want)
+		var fslots []int
+		for s, val := range t.Final {
+			if val != nil {
+				fslots = append(fslots, s)
+			}
+		}
+		sort.Slice(fslots, func(i, j int) bool { return t.Vars[fslots[i]] < t.Vars[fslots[j]] })
+		for _, s := range fslots {
+			fmt.Fprintf(&b, "  F %s=%s\n", t.Vars[s], t.Final[s])
+		}
+		var mvars []string
+		for v := range t.Model {
+			mvars = append(mvars, string(v))
+		}
+		sort.Strings(mvars)
+		for _, v := range mvars {
+			fmt.Fprintf(&b, "  M %s=%d\n", v, t.Model[expr.Var(v)])
+		}
+		for _, ob := range t.HashObligations {
+			fmt.Fprintf(&b, "  H %s kind=%v width=%d inputs=%v\n", ob.Var, ob.Kind, ob.Width, ob.Inputs)
 		}
 	}
+	return b.String()
+}
+
+// boolMatchesFmt checks AppendBool and String against fmtBool on b.
+func boolMatchesFmt(b expr.Bool) error {
+	want := fmtBool(b)
+	if got := string(expr.AppendBool([]byte("x"), b)); got != "x"+want {
+		return fmt.Errorf("AppendBool = %q, want %q", got[1:], want)
+	}
+	if got := b.String(); got != want {
+		return fmt.Errorf("String = %q, want %q", got, want)
+	}
+	return nil
+}
+
+// fmtOracle holds the append-style renderers to the fmt ones on one
+// generation's templates: renderTemplates, whose digest is rendered, to
+// fmtRenderTemplates and, with exprs, every constraint through AppendBool
+// and String, every final value through AppendArith and String, and
+// WriteTemplates to fmtWriteTemplates. It returns how many constraints it
+// rendered and the first difference.
+func fmtOracle(ts []*sym.Template, rendered uint64, exprs bool) (int, error) {
+	if want := fmtRenderTemplates(ts); maphash.String(digestSeed, want) != rendered {
+		got := renderTemplates(ts)
+		n := 0
+		for n < min(len(got), len(want)) && got[n] == want[n] {
+			n++
+		}
+		return 0, fmt.Errorf("renderTemplates differs from the fmt rendering (%d vs %d bytes) at offset %d", len(got), len(want), n)
+	}
+	if !exprs {
+		return 0, nil
+	}
 	constraints := 0
-	for _, p := range programs.All() {
-		gen := generateAt(t, p, true, 1)
-		for _, tm := range gen.Templates {
-			for _, c := range tm.Constraints {
-				check(c)
-				constraints++
+	for _, tm := range ts {
+		for _, c := range tm.Constraints {
+			if err := boolMatchesFmt(c); err != nil {
+				return constraints, err
 			}
-			for _, a := range tm.Final {
-				if a == nil {
-					continue
-				}
-				if got, want := string(expr.AppendArith(nil, a)), fmtArith(a); got != want || a.String() != want {
-					t.Fatalf("AppendArith = %q, String = %q, want %q", got, a.String(), want)
-				}
+			constraints++
+		}
+		for _, a := range tm.Final {
+			if a == nil {
+				continue
+			}
+			if got, want := string(expr.AppendArith(nil, a)), fmtArith(a); got != want || a.String() != want {
+				return constraints, fmt.Errorf("AppendArith = %q, String = %q, want %q", got, a.String(), want)
 			}
 		}
-		var got, want bytes.Buffer
-		if err := meissa.WriteTemplates(&got, gen.Templates); err != nil {
-			t.Fatal(err)
-		}
-		if err := fmtWriteTemplates(&want, gen.Templates); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: WriteTemplates differs from the fmt rendering (%d vs %d bytes)", p.Name, got.Len(), want.Len())
+	}
+	var got, want bytes.Buffer
+	if err := meissa.WriteTemplates(&got, ts); err != nil {
+		return constraints, err
+	}
+	if err := fmtWriteTemplates(&want, ts); err != nil {
+		return constraints, err
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		return constraints, fmt.Errorf("WriteTemplates differs from the fmt rendering (%d vs %d bytes)", got.Len(), want.Len())
+	}
+	return constraints, nil
+}
+
+// TestRenderersMatchFmt: the append-style renderers and the String methods
+// built on them produce the bytes fmt produced — over every constraint and
+// final value of the summarized corpus templates and their template files,
+// over random expressions nested deeper than any of those, and for
+// renderTemplates' renderings of the corpus with and without code summary.
+func TestRenderersMatchFmt(t *testing.T) {
+	constraints := 0
+	for _, p := range corpusAll() {
+		for _, summary := range []bool{true, false} {
+			c := get(t, genKey(p.Name, "", 1, "").summarized(summary))
+			if c.oracle != nil {
+				t.Errorf("%s (summary %v): %v", p.Name, summary, c.oracle)
+			}
+			constraints += c.rendered
 		}
 	}
 	if constraints == 0 {
@@ -321,6 +379,8 @@ func TestRenderersMatchFmt(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		check(boolean(8))
+		if err := boolMatchesFmt(boolean(8)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

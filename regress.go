@@ -180,7 +180,7 @@ func Regress(in RegressInput) (*RegressResult, error) {
 
 	added, removed, modified := delta.Counts()
 	q := obs.NewQueryReport(gen.SMTCalls, gen.JournalHits)
-	rep := gen.Report("regress", in.Program, in.Opts.Parallelism)
+	rep := gen.Report("regress", in.Program)
 	rep.RuleSet = in.RuleSet
 	rep.WallNS = int64(time.Since(start))
 	rep.Regress = &obs.RegressReport{

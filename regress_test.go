@@ -28,70 +28,19 @@ import (
 	"repro/internal/regress"
 	"repro/internal/rulediff"
 	"repro/internal/rules"
-	"repro/internal/sym"
 )
 
-// regressOnce runs the full incremental flow for one program/delta and
-// returns the result plus the baseline run — a cold one on the old rules,
-// checkpointed — and the cold run on the new rules.
-func regressOnce(t *testing.T, p *programs.Program, newRules *rules.Set, parallelism int) (*meissa.RegressResult, *meissa.GenResult, *meissa.GenResult) {
-	t.Helper()
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.journal")
-	baseGen := generatePar(t, p, p.Rules, parallelism, func(o *meissa.Options) { o.Checkpoint = base })
-	cold := generatePar(t, p, newRules, parallelism, nil)
-	res := regressCheckpoint(t, p, p.Rules, newRules, base, filepath.Join(dir, "next.journal"), parallelism)
-	return res, baseGen, cold
-}
-
-// generatePar runs one generation of p under rs at parallelism, mod
-// adjusting the options.
-func generatePar(t *testing.T, p *programs.Program, rs *rules.Set, parallelism int, mod func(*meissa.Options)) *meissa.GenResult {
-	t.Helper()
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = parallelism
-	if mod != nil {
-		mod(&opts)
-	}
-	sys, err := meissa.New(p.Prog, rs, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen
-}
-
-// regressCheckpoint regresses p from the checkpoint base, of a completed run
-// under oldRules, to newRules, leaving the regression's checkpoint at next.
-func regressCheckpoint(t *testing.T, p *programs.Program, oldRules, newRules *rules.Set, base, next string, parallelism int) *meissa.RegressResult {
-	t.Helper()
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = parallelism
-	opts.Checkpoint = next
-	res, err := meissa.Regress(meissa.RegressInput{
-		Prog: p.Prog, OldRules: oldRules, NewRules: newRules,
-		Opts: opts, Baseline: base, Program: p.Name,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // templateDelta is the report's template section computed from two cold
-// runs: the multiset difference of their templates' path keys.
-func templateDelta(base, cur []*sym.Template) obs.TemplateReport {
+// runs' path keys: their multiset difference.
+func templateDelta(base, cur []uint64) obs.TemplateReport {
 	left := map[uint64]int{}
-	for _, tm := range base {
-		left[tm.PathKey]++
+	for _, k := range base {
+		left[k]++
 	}
 	unchanged := 0
-	for _, tm := range cur {
-		if left[tm.PathKey] > 0 {
-			left[tm.PathKey]--
+	for _, k := range cur {
+		if left[k] > 0 {
+			left[k]--
 			unchanged++
 		}
 	}
@@ -99,61 +48,65 @@ func templateDelta(base, cur []*sym.Template) obs.TemplateReport {
 		Retired: len(base) - unchanged, Unchanged: unchanged}
 }
 
-// checkRegressInvariants verifies the differential gate for one run: the
-// incremental output is byte-identical to the cold run, solver-work
-// accounting balances, and the report's template delta is the one between
-// the cold baseline run and the cold run on the new rules.
-func checkRegressInvariants(t *testing.T, res *meissa.RegressResult, base, cold *meissa.GenResult) {
+// checkRegress is the differential gate for one regression: its output is
+// the cold run's on the new rules byte for byte, solver-work accounting
+// balances, and its template section is the delta between base, the cold
+// run on the old rules, and cold. Its run report validated when it was
+// made.
+func checkRegress(t *testing.T, reg, base, cold *cell) {
 	t.Helper()
-	gen := res.Gen
-	if got, want := renderTemplates(gen.Templates), renderTemplates(cold.Templates); got != want {
-		t.Fatalf("incremental output differs from cold run (%d vs %d templates)",
-			len(gen.Templates), len(cold.Templates))
+	g, c := reg.work, cold.work
+	if reg.digest != cold.digest {
+		t.Fatalf("incremental output differs from cold run (%d vs %d templates)", g.Templates, c.Templates)
 	}
-	if gen.PathsExplored != cold.PathsExplored || gen.PrunedPaths != cold.PrunedPaths {
-		t.Errorf("exploration shape diverged: explored %d/%d pruned %d/%d",
-			gen.PathsExplored, cold.PathsExplored, gen.PrunedPaths, cold.PrunedPaths)
+	if g.Paths != c.Paths || g.Pruned != c.Pruned {
+		t.Errorf("exploration shape diverged: explored %d/%d pruned %d/%d", g.Paths, c.Paths, g.Pruned, c.Pruned)
 	}
 	// Every logical solver interaction is answered exactly one way (live
 	// solve or journal hit); the total is invariant.
-	if gen.SMT.CacheHits != 0 || cold.SMT.CacheHits != 0 {
-		t.Errorf("cache hits: incremental %d, cold %d; want 0", gen.SMT.CacheHits, cold.SMT.CacheHits)
+	if g.CacheHits != 0 || c.CacheHits != 0 {
+		t.Errorf("cache hits: incremental %d, cold %d; want 0", g.CacheHits, c.CacheHits)
 	}
-	if incrTotal := gen.SMTCalls + gen.JournalHits; incrTotal != cold.SMTCalls {
+	if g.Checks+g.JournalHits != c.Checks {
 		t.Errorf("query accounting: incremental %d (calls %d + journal %d) != cold %d",
-			incrTotal, gen.SMTCalls, gen.JournalHits, cold.SMTCalls)
+			g.Checks+g.JournalHits, g.Checks, g.JournalHits, c.Checks)
 	}
-	if err := res.Run.Validate(); err != nil {
-		t.Errorf("report validation: %v", err)
-	}
-	rep := res.Report
+	rep := reg.regress
 	if rep.Queries.JournalHits == 0 {
 		t.Error("incremental run avoided zero queries — journal reuse is broken")
 	}
-	if want := templateDelta(base.Templates, cold.Templates); *rep.Templates != want {
+	if want := templateDelta(base.pathKeys, cold.pathKeys); *rep.Templates != want {
 		t.Errorf("report templates %+v, the cold runs' path keys give %+v", *rep.Templates, want)
 	}
-	if res.BaselineGen == nil || len(res.BaselineGen.Templates) != 0 || len(res.BaselineGen.Phases) != 1 ||
-		res.BaselineGen.Phases[0].Name != "journal-load" {
-		t.Errorf("baseline load %+v, want one journal-load phase and no templates", res.BaselineGen)
+	if reg.load != "0 templates, phases [journal-load]" {
+		t.Errorf("baseline load: %s, want one journal-load phase and no templates", reg.load)
 	}
+}
+
+// differential regresses prog at par from a checkpoint of its own rules
+// to a rule variant, checks the regression against the cold runs and
+// returns it.
+func differential(t *testing.T, prog, rules string, par int) *cell {
+	t.Helper()
+	base := genKey(prog, "", par, "checkpoint")
+	reg := get(t, regressKey(base, "checkpoint", rules, true))
+	checkRegress(t, reg, get(t, base), get(t, genKey(prog, rules, par, "")))
+	return reg
 }
 
 // TestRegressDifferentialCorpus is the differential gate over the whole
 // corpus: a one-entry action-data update, sequential and parallel.
 func TestRegressDifferentialCorpus(t *testing.T) {
-	for _, p := range programs.All() {
+	for _, p := range corpusAll() {
 		if testing.Short() && (p.Name == "gw-3" || p.Name == "gw-4") {
 			continue
 		}
-		newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-		if n == 0 {
+		if _, n := rulediff.MutateArgs(p.Prog, p.Rules, 1); n == 0 {
 			continue // no action arguments to mutate
 		}
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/parallel=%d", p.Name, par), func(t *testing.T) {
-				res, base, cold := regressOnce(t, p, newRules, par)
-				checkRegressInvariants(t, res, base, cold)
+				differential(t, p.Name, "args1", par)
 			})
 		}
 	}
@@ -186,40 +139,20 @@ func TestRegressTemplateDeltaMatchesCold(t *testing.T) {
 		if testing.Short() && name == "gw-3" {
 			continue
 		}
-		p := corpusProgram(t, name)
-		mutated, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-		if n == 0 {
-			t.Fatalf("%s: nothing to mutate", name)
-		}
-		fewer := withoutLast(p.Rules)
-		for _, d := range []struct {
-			name     string
-			old, new *rules.Set
-		}{{"args", p.Rules, mutated}, {"add", fewer, p.Rules}, {"remove", p.Rules, fewer}} {
+		for _, d := range []struct{ name, old, new string }{
+			{"args", "", "args1"}, {"add", "fewer", ""}, {"remove", "", "fewer"},
+		} {
 			for _, par := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%s/parallel=%d", name, d.name, par), func(t *testing.T) {
-					dir := t.TempDir()
-					base, next := filepath.Join(dir, "base.journal"), filepath.Join(dir, "next.journal")
-					baseGen := generatePar(t, p, d.old, par, func(o *meissa.Options) { o.Checkpoint = base })
-					cold := generatePar(t, p, d.new, par, nil)
-					checkRegressInvariants(t, regressCheckpoint(t, p, d.old, d.new, base, next, par), baseGen, cold)
+					base, cold := genKey(name, d.old, par, "checkpoint"), get(t, genKey(name, d.new, par, ""))
+					next := regressKey(base, "checkpoint", d.new, true)
+					checkRegress(t, get(t, next), get(t, base), cold)
 
-					again, n := rulediff.MutateArgs(p.Prog, d.new, 2)
-					if n == 0 {
-						t.Fatal("nothing to mutate")
-					}
-					chained := regressCheckpoint(t, p, d.new, again, next, filepath.Join(dir, "third.journal"), par)
-					checkRegressInvariants(t, chained, cold, generatePar(t, p, again, par, nil))
+					again := then(d.new, "args2")
+					checkRegress(t, get(t, regressKey(next, "checkpoint", again, true)), cold, get(t, genKey(name, again, par, "")))
 
-					spath := filepath.Join(dir, "verdicts.store")
-					generatePar(t, p, d.old, par, func(o *meissa.Options) { o.StorePath = spath })
-					opts := meissa.DefaultOptions()
-					opts.Parallelism, opts.StorePath = par, spath
-					res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: d.new, Opts: opts, Program: p.Name})
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkRegressInvariants(t, res, baseGen, cold)
+					fromStore := regressKey(genKey(name, d.old, par, "store"), "store", d.new, false)
+					checkRegress(t, get(t, fromStore), get(t, base), cold)
 				})
 			}
 		}
@@ -231,15 +164,15 @@ func TestRegressTemplateDeltaMatchesCold(t *testing.T) {
 // whole corpus, with and without code summary, no two templates of a run
 // share a path key, so the multiset is a set.
 func TestTemplatePathKeysDistinct(t *testing.T) {
-	for _, p := range programs.All() {
+	for _, p := range corpusAll() {
 		for _, summary := range []bool{true, false} {
-			gen := generatePar(t, p, p.Rules, 0, func(o *meissa.Options) { o.CodeSummary = summary })
-			seen := make(map[uint64]bool, len(gen.Templates))
-			for _, tm := range gen.Templates {
-				if seen[tm.PathKey] {
-					t.Errorf("%s (summary %v): two templates share path key %#x", p.Name, summary, tm.PathKey)
+			c := get(t, genKey(p.Name, "", 0, "").summarized(summary))
+			seen := make(map[uint64]bool, len(c.pathKeys))
+			for _, k := range c.pathKeys {
+				if seen[k] {
+					t.Errorf("%s (summary %v): two templates share path key %#x", p.Name, summary, k)
 				}
-				seen[tm.PathKey] = true
+				seen[k] = true
 			}
 		}
 	}
@@ -265,26 +198,17 @@ func refused(t *testing.T, err error, want meissa.Refusal) {
 // and so is a store with no family. A store refusal writes no Checkpoint.
 func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
-	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-	if n == 0 {
-		t.Fatal("nothing to mutate")
-	}
+	newRules := mustVariant(t, p, "args1")
 	dir := t.TempDir()
-	regressFrom := func(base string) error {
-		opts := meissa.DefaultOptions()
-		opts.Parallelism = 1
+	regressFrom := func(base string) (*meissa.RegressResult, error) {
+		opts := at(1)
 		opts.Checkpoint = filepath.Join(dir, "next.journal")
-		_, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
-			Opts: opts, Baseline: base, Program: p.Name})
-		return err
+		return run{p: p, rules: newRules, opts: opts, regress: true, old: p.Rules, baseline: base}.do()
 	}
 
+	base := get(t, genKey("gw-1", "", 1, "checkpoint"))
 	killed := filepath.Join(dir, "killed.journal")
-	baseGen := generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.Checkpoint = killed })
-	data, err := os.ReadFile(killed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := base.read(t, "checkpoint")
 	if err := os.WriteFile(killed, data[:len(data)*6/10], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -292,34 +216,37 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 		return meissa.Refusal{At: path, Reason: "holds no template list: it is not a completed run's checkpoint",
 			Fix: "complete it with `meissa gen -checkpoint " + path + " -resume`"}
 	}
-	refused(t, regressFrom(killed), noList(killed))
-	generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.Checkpoint, o.Resume = killed, true })
-	cold := generatePar(t, p, newRules, 1, nil)
-	checkRegressInvariants(t, regressCheckpoint(t, p, p.Rules, newRules, killed, filepath.Join(dir, "next.journal"), 1), baseGen, cold)
+	_, err := regressFrom(killed)
+	refused(t, err, noList(killed))
+	resume := at(1)
+	resume.Checkpoint, resume.Resume = killed, true
+	run{p: p, opts: resume}.gen(t)
+	res, err := regressFrom(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRegress(t, observe(res), base, get(t, genKey("gw-1", "args1", 1, "")))
 
 	halted := filepath.Join(dir, "halted.journal")
-	if gen := generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.Checkpoint, o.MaxPaths = halted, 10 }); !gen.Truncated {
+	opts := at(1)
+	opts.Checkpoint, opts.MaxPaths = halted, 10
+	if gen := (run{p: p, opts: opts}).gen(t); !gen.Truncated {
 		t.Fatal("MaxPaths 10 did not halt the run")
 	}
-	sys, err := meissa.New(p.Prog, p.Rules, nil, meissa.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := sys.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, fp := run{p: p, opts: meissa.DefaultOptions()}.system(t)
 	if tbl, err := journal.ReadTable(halted, fp); err != nil || tbl.Templates().Frame() != nil || tbl.Len() == 0 {
 		t.Fatalf("the halted run's checkpoint (%v): %d verdicts, a template list of %d bytes; want verdicts and no list",
 			err, tbl.Len(), len(tbl.Templates().Frame()))
 	}
-	refused(t, regressFrom(halted), noList(halted))
+	_, err = regressFrom(halted)
+	refused(t, err, noList(halted))
 
 	refusedNext := filepath.Join(dir, "refused.journal")
-	storeOpts := func(path string) meissa.Options {
-		opts := meissa.DefaultOptions()
-		opts.Parallelism, opts.StorePath, opts.Checkpoint = 1, path, refusedNext
-		return opts
+	fromStore := func(path string, old, rs *rules.Set) error {
+		opts := at(1)
+		opts.StorePath, opts.Checkpoint = path, refusedNext
+		_, err := run{p: p, rules: rs, opts: opts, regress: true, old: old}.do()
+		return err
 	}
 	noCheckpoint := func() {
 		t.Helper()
@@ -327,18 +254,18 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 			t.Errorf("the refused store regression left its Checkpoint (%v)", err)
 		}
 	}
-	spath := filepath.Join(dir, "verdicts.store")
-	generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.StorePath = spath })
-	generatePar(t, p, newRules, 1, func(o *meissa.Options) { o.StorePath, o.MaxPaths = spath, 10 })
-	again, _ := rulediff.MutateArgs(p.Prog, newRules, 1)
-	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(spath), Program: p.Name})
-	refused(t, err, meissa.Refusal{At: spath, Reason: "holds no template list for the stored rules: its last commit installed them without a completed run",
+	stored := get(t, genKey("gw-1", "", 1, "store"))
+	spath := stored.copy(t, "store")
+	opts = at(1)
+	opts.StorePath, opts.MaxPaths = spath, 10
+	run{p: p, rules: newRules, opts: opts}.gen(t)
+	again := mustVariant(t, p, "args1/args1")
+	refused(t, fromStore(spath, nil, again), meissa.Refusal{At: spath, Reason: "holds no template list for the stored rules: its last commit installed them without a completed run",
 		Fix: "run a completed `meissa gen -store " + spath + "` on them first"})
 	noCheckpoint()
 
 	empty := filepath.Join(dir, "empty.store")
-	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: again, Opts: storeOpts(empty), Program: p.Name})
-	refused(t, err, meissa.Refusal{At: empty, Reason: "holds no baseline for this program family", Fix: "run gen with the store first"})
+	refused(t, fromStore(empty, nil, again), meissa.Refusal{At: empty, Reason: "holds no baseline for this program family", Fix: "run gen with the store first"})
 	noCheckpoint()
 	for _, f := range []string{empty, empty + "-lock"} {
 		if _, err := os.Stat(f); !errors.Is(err, fs.ErrNotExist) {
@@ -346,15 +273,12 @@ func TestRegressRefusesBaselineWithoutList(t *testing.T) {
 		}
 	}
 
-	other := filepath.Join(dir, "other.store")
-	generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.StorePath = other })
+	other := stored.copy(t, "store")
 	before, err := os.ReadFile(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: newRules, NewRules: again,
-		Opts: storeOpts(other), Program: p.Name})
-	refused(t, err, meissa.Refusal{At: "OldRules", Reason: fmt.Sprintf("%d entries, hash %#x, are not the store's rules (%d entries, hash %#x): "+
+	refused(t, fromStore(other, newRules, again), meissa.Refusal{At: "OldRules", Reason: fmt.Sprintf("%d entries, hash %#x, are not the store's rules (%d entries, hash %#x): "+
 		"the store holds the template list of its own rules only", newRules.Len(), fnv64a(newRules.String()), p.Rules.Len(), fnv64a(p.Rules.String())),
 		Fix: "leave OldRules unset: the store supplies them"})
 	if after, _ := os.ReadFile(other); !bytes.Equal(after, before) {
@@ -375,30 +299,11 @@ func fnv64a(s string) uint64 {
 // gate still holds — correctness never depends on invalidation
 // precision, only cost does.
 func TestRegressStructuralDelta(t *testing.T) {
-	p := corpusProgram(t, "gw-1")
-	canon := p.Rules.Canonical()
-	newRules := rules.NewSet()
-	tables := canon.Tables()
-	dropped := false
-	for _, tbl := range tables {
-		es := canon.Entries(tbl)
-		for i, e := range es {
-			// Drop the last entry of the last table.
-			if !dropped && tbl == tables[len(tables)-1] && i == len(es)-1 {
-				dropped = true
-				continue
-			}
-			newRules.Add(tbl, e)
-		}
-	}
-	if !dropped {
-		t.Fatal("no entry dropped")
-	}
-	res, base, cold := regressOnce(t, p, newRules, 1)
-	checkRegressInvariants(t, res, base, cold)
+	// Drop the last entry of the last table of the canonical set.
+	reg := differential(t, "gw-1", "canonical/fewer", 1)
 	// The delta must be structural (removal), not arg-only.
-	if added, removed, _ := res.Delta.Counts(); removed != 1 || added != 0 {
-		t.Errorf("delta counts added=%d removed=%d, want 0/1", added, removed)
+	if d := reg.regress.Delta; d.EntriesRemoved != 1 || d.EntriesAdded != 0 {
+		t.Errorf("delta counts added=%d removed=%d, want 0/1", d.EntriesAdded, d.EntriesRemoved)
 	}
 }
 
@@ -407,19 +312,17 @@ func TestRegressStructuralDelta(t *testing.T) {
 // queries — the entry-granular invalidation promise.
 func TestRegressPerfGateGW1(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
-	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-	if n != 1 {
+	if _, n := rulediff.MutateArgs(p.Prog, p.Rules, 1); n != 1 {
 		t.Fatalf("mutated %d entries, want 1", n)
 	}
-	res, base, cold := regressOnce(t, p, newRules, 1)
-	checkRegressInvariants(t, res, base, cold)
-	if res.Gen.SMTCalls*5 > cold.SMTCalls {
+	reg, cold := differential(t, "gw-1", "args1", 1), get(t, genKey("gw-1", "args1", 1, ""))
+	if reg.work.Checks*5 > cold.work.Checks {
 		t.Errorf("perf gate: incremental solved %d live queries, budget is 20%% of cold's %d",
-			res.Gen.SMTCalls, cold.SMTCalls)
+			reg.work.Checks, cold.work.Checks)
 	}
 	// The report must carry the same gate inputs for CI to assert on.
-	if res.Report.Queries.Live != res.Gen.SMTCalls {
-		t.Errorf("report live queries %d != gen SMT calls %d", res.Report.Queries.Live, res.Gen.SMTCalls)
+	if reg.regress.Queries.Live != reg.work.Checks {
+		t.Errorf("report live queries %d != gen SMT calls %d", reg.regress.Queries.Live, reg.work.Checks)
 	}
 }
 
@@ -431,13 +334,11 @@ func TestRegressPerfGateGW1(t *testing.T) {
 // re-ordering the set (0.9424; a re-ordered set scored 0.02).
 func TestRegressReuseSurvivesOneEntryUpdate(t *testing.T) {
 	p := corpusProgram(t, "gw-3")
-	newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-	if n != 1 {
+	if _, n := rulediff.MutateArgs(p.Prog, p.Rules, 1); n != 1 {
 		t.Fatalf("mutated %d entries, want 1", n)
 	}
-	res, base, cold := regressOnce(t, p, newRules, 1)
-	checkRegressInvariants(t, res, base, cold)
-	q, rb := res.Report.Queries, res.Gen.Rebase
+	reg := differential(t, "gw-3", "args1", 1)
+	q, rb := reg.regress.Queries, reg.rebase
 	if rb.Invalidated == 0 || q.Live > 2*uint64(rb.Invalidated) {
 		t.Errorf("%d live queries for %d invalidated records, want at most twice as many", q.Live, rb.Invalidated)
 	}
@@ -453,19 +354,17 @@ func TestRegressReuseSurvivesOneEntryUpdate(t *testing.T) {
 // set.
 func TestRegressPureReorderMatchesCold(t *testing.T) {
 	p := corpusProgram(t, "gw-3")
-	reordered := p.Rules.Canonical()
-	if reordered.String() == p.Rules.String() {
+	if mustVariant(t, p, "canonical").String() == p.Rules.String() {
 		t.Fatal("gw-3's rules are already in canonical order: the test re-orders nothing")
 	}
-	res, base, cold := regressOnce(t, p, reordered, 1)
-	checkRegressInvariants(t, res, base, cold)
-	if len(res.Delta.Tables) != 0 {
-		t.Errorf("a pure re-order diffs as %s", res.Delta)
+	reg := differential(t, "gw-3", "canonical", 1)
+	if tables := reg.regress.Delta.TablesChanged; len(tables) != 0 {
+		t.Errorf("a pure re-order diffs tables %v", tables)
 	}
-	if rb := res.Gen.Rebase; rb.Invalidated != 0 {
+	if rb := reg.rebase; rb.Invalidated != 0 {
 		t.Errorf("a pure re-order invalidated %d records", rb.Invalidated)
 	}
-	if res.Gen.SMTCalls == 0 {
+	if reg.work.Checks == 0 {
 		t.Error("the re-ordered set re-keyed nothing: entry order no longer reaches the content hashes, and this test's premise is gone")
 	}
 }
@@ -473,20 +372,18 @@ func TestRegressPureReorderMatchesCold(t *testing.T) {
 // TestRegressEmptyDelta: identical rule sets retain every record and
 // change no templates.
 func TestRegressEmptyDelta(t *testing.T) {
-	p := corpusProgram(t, "Router")
-	res, base, cold := regressOnce(t, p, p.Rules, 1)
-	checkRegressInvariants(t, res, base, cold)
-	if len(res.Delta.Tables) != 0 {
-		t.Errorf("self-diff not empty: %s", res.Delta)
+	reg := differential(t, "Router", "", 1)
+	if tables := reg.regress.Delta.TablesChanged; len(tables) != 0 {
+		t.Errorf("self-diff not empty: tables %v", tables)
 	}
-	if res.Gen.SMTCalls != 0 {
-		t.Errorf("empty delta re-solved %d queries, want 0", res.Gen.SMTCalls)
+	if reg.work.Checks != 0 {
+		t.Errorf("empty delta re-solved %d queries, want 0", reg.work.Checks)
 	}
-	if res.Report.Templates.Added != 0 || res.Report.Templates.Retired != 0 {
-		t.Errorf("empty delta changed templates: %+v", res.Report.Templates)
+	if tr := reg.regress.Templates; tr.Added != 0 || tr.Retired != 0 {
+		t.Errorf("empty delta changed templates: %+v", tr)
 	}
-	if st := res.Gen.Rebase; st == nil || st.Invalidated != 0 || st.Retained != st.Baseline {
-		t.Errorf("empty delta rebase stats: %+v", res.Gen.Rebase)
+	if st := reg.rebase; st == nil || st.Invalidated != 0 || st.Retained != st.Baseline {
+		t.Errorf("empty delta rebase stats: %+v", st)
 	}
 }
 
@@ -494,51 +391,13 @@ func TestRegressEmptyDelta(t *testing.T) {
 // each regressing from the checkpoint the one before left (the watch-mode
 // chain), stay byte-identical to cold runs.
 func TestRegressWatchCache(t *testing.T) {
-	p := corpusProgram(t, "Router")
-	dir := t.TempDir()
-
-	baseOpts := meissa.DefaultOptions()
-	baseOpts.Parallelism = 2
-	baseOpts.Checkpoint = filepath.Join(dir, "base.journal")
-	sys, err := meissa.New(p.Prog, p.Rules, nil, baseOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Generate(); err != nil {
-		t.Fatal(err)
-	}
-
-	cur := p.Rules
-	curBase := baseOpts.Checkpoint
-	for i, n := range []int{1, 2} {
-		newRules, mutated := rulediff.MutateArgs(p.Prog, cur, n)
-		if mutated == 0 {
-			t.Fatal("nothing to mutate")
-		}
-		incrOpts := meissa.DefaultOptions()
-		incrOpts.Parallelism = 2
-		incrOpts.Checkpoint = filepath.Join(dir, fmt.Sprintf("next%d.journal", i))
-		res, err := meissa.Regress(meissa.RegressInput{
-			Prog: p.Prog, OldRules: cur, NewRules: newRules,
-			Opts: incrOpts, Baseline: curBase, Program: p.Name,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldOpts := meissa.DefaultOptions()
-		coldOpts.Parallelism = 1
-		coldSys, err := meissa.New(p.Prog, newRules, nil, coldOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := coldSys.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if renderTemplates(res.Gen.Templates) != renderTemplates(cold.Templates) {
+	from, rules := genKey("Router", "", 2, "checkpoint"), ""
+	for i := range 2 {
+		rules = then(rules, fmt.Sprintf("args%d", i+1))
+		from = regressKey(from, "checkpoint", rules, true)
+		if get(t, from).digest != get(t, genKey("Router", rules, 1, "")).digest {
 			t.Fatalf("watch iteration %d diverged from cold run", i)
 		}
-		cur, curBase = newRules, incrOpts.Checkpoint
 	}
 }
 
@@ -564,34 +423,6 @@ func resortedBump(rs *rules.Set) *rules.Set {
 	return out
 }
 
-// coldCheckpoint generates p under rs at Parallelism 1 with a checkpoint
-// at path and returns the run and the checkpoint's bytes.
-func coldCheckpoint(t *testing.T, p *programs.Program, rs *rules.Set, path string) (*meissa.GenResult, []byte) {
-	t.Helper()
-	gen := generatePar(t, p, rs, 1, func(o *meissa.Options) { o.Checkpoint = path })
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen, data
-}
-
-// sameFile fails unless the file at path holds want.
-func sameFile(t *testing.T, what, path string, want []byte) {
-	t.Helper()
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		n := 0
-		for n < min(len(got), len(want)) && got[n] == want[n] {
-			n++
-		}
-		t.Fatalf("%s: %d bytes, a cold checkpoint %d; they part at offset %d", what, len(got), len(want), n)
-	}
-}
-
 // TestRegressCheckpointIsColdCheckpoint: at Parallelism 1 the checkpoint a
 // regression leaves is, byte for byte, the one a cold run on the new rules
 // writes — each verdict the run used, answered by the baseline or solved,
@@ -602,61 +433,37 @@ func sameFile(t *testing.T, what, path string, want []byte) {
 // The run counts as loaded the baseline records it retained, and as
 // appended the verdicts it solved: the cold checkpoint's records less the
 // ones the baseline answered. A resume from it makes no solver call and
-// leaves its bytes as they are.
+// leaves its bytes as they are: being the cold checkpoint's bytes, it is
+// resumed as the cold checkpoint.
 func TestRegressCheckpointIsColdCheckpoint(t *testing.T) {
 	for _, name := range []string{"gw-1", "gw-2", "gw-3", "gw-4"} {
 		if testing.Short() && name == "gw-4" {
 			continue
 		}
-		p := corpusProgram(t, name)
-		mutated, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-		if n == 0 {
-			t.Fatalf("%s: nothing to mutate", name)
-		}
-		fewer := withoutLast(p.Rules)
-		for _, d := range []struct {
-			name     string
-			old, new *rules.Set
-		}{{"args", p.Rules, mutated}, {"resorted", p.Rules, resortedBump(p.Rules)}, {"add", fewer, p.Rules}, {"remove", p.Rules, fewer}} {
+		for _, d := range []struct{ name, old, new string }{
+			{"args", "", "args1"}, {"resorted", "", "resorted"}, {"add", "fewer", ""}, {"remove", "", "fewer"},
+		} {
 			t.Run(name+"/"+d.name, func(t *testing.T) {
-				dir := t.TempDir()
-				cold, want := coldCheckpoint(t, p, d.new, filepath.Join(dir, "cold.journal"))
-				counts := func(what string, gen *meissa.GenResult) {
-					t.Helper()
-					if gen.JournalHits == 0 {
+				coldKey := genKey(name, d.new, 1, "checkpoint")
+				cold := get(t, coldKey)
+				for _, reads := range []string{"checkpoint", "store"} {
+					c, what := get(t, regressKey(genKey(name, d.old, 1, reads), reads, d.new, true)), "a "+reads+" baseline's regression"
+					if c.work.JournalHits == 0 {
 						t.Fatalf("%s answered nothing from its baseline", what)
 					}
-					if gen.Rebase == nil || gen.JournalLoaded != uint64(gen.Rebase.Retained) {
-						t.Errorf("%s: %d records loaded, want the %+v retained", what, gen.JournalLoaded, gen.Rebase)
+					if c.rebase == nil || c.work.Loaded != uint64(c.rebase.Retained) {
+						t.Errorf("%s: %d records loaded, want the %+v retained", what, c.work.Loaded, c.rebase)
 					}
-					if gen.JournalAppended+gen.JournalHits != cold.JournalAppended {
-						t.Errorf("%s: %d appended + %d hits, want the cold checkpoint's %d records", what, gen.JournalAppended, gen.JournalHits, cold.JournalAppended)
+					if c.work.Appended+c.work.JournalHits != cold.work.Appended {
+						t.Errorf("%s: %d appended + %d hits, want the cold checkpoint's %d records", what, c.work.Appended, c.work.JournalHits, cold.work.Appended)
 					}
+					sameFile(t, what, c.path("checkpoint"), cold, "checkpoint")
 				}
-				base := filepath.Join(dir, "base.journal")
-				generatePar(t, p, d.old, 1, func(o *meissa.Options) { o.Checkpoint = base })
-				next := filepath.Join(dir, "next.journal")
-				counts("the regression", regressCheckpoint(t, p, d.old, d.new, base, next, 1).Gen)
-				sameFile(t, "a checkpoint baseline's regression", next, want)
-
-				spath, snext := filepath.Join(dir, "verdicts.store"), filepath.Join(dir, "store-next.journal")
-				generatePar(t, p, d.old, 1, func(o *meissa.Options) { o.StorePath = spath })
-				opts := meissa.DefaultOptions()
-				opts.Parallelism, opts.StorePath, opts.Checkpoint = 1, spath, snext
-				res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: d.new, Opts: opts, Program: p.Name})
-				if err != nil {
-					t.Fatal(err)
+				resumed := get(t, resumeKey(coldKey))
+				if resumed.work.Checks != 0 {
+					t.Errorf("a resume from the regressions' checkpoint made %d solver calls, want 0", resumed.work.Checks)
 				}
-				counts("the store regression", res.Gen)
-				sameFile(t, "a store baseline's regression", snext, want)
-
-				for _, f := range []string{next, snext} {
-					resumed := generatePar(t, p, d.new, 1, func(o *meissa.Options) { o.Checkpoint, o.Resume = f, true })
-					if resumed.SMTCalls != 0 {
-						t.Errorf("a resume from %s made %d solver calls, want 0", filepath.Base(f), resumed.SMTCalls)
-					}
-					sameFile(t, "a resumed regression checkpoint", f, want)
-				}
+				sameFile(t, "a resumed regression checkpoint", resumed.path("checkpoint"), cold, "checkpoint")
 			})
 		}
 	}
@@ -668,61 +475,32 @@ func TestRegressCheckpointIsColdCheckpoint(t *testing.T) {
 // journal, template and query sections, counts the same records loaded and
 // appended, and leaves the same Checkpoint bytes. A checkpoint baseline
 // needs no Checkpoint: without one the regression keeps its verdicts in
-// memory, and its -o output is a cold run's.
+// memory, and its output is a cold run's.
 func TestRegressBaselinesAgree(t *testing.T) {
 	for _, name := range []string{"gw-1", "gw-2", "gw-3"} {
 		t.Run(name, func(t *testing.T) {
-			p := corpusProgram(t, name)
-			newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-			if n == 0 {
-				t.Fatal("nothing to mutate")
-			}
-			dir := t.TempDir()
-			base, spath := filepath.Join(dir, "base.journal"), filepath.Join(dir, "verdicts.store")
-			generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.Checkpoint, o.StorePath = base, spath })
-			regressFrom := func(baseline, storePath, next string) *meissa.RegressResult {
-				t.Helper()
-				opts := meissa.DefaultOptions()
-				opts.Parallelism, opts.StorePath, opts.Checkpoint = 1, storePath, next
-				res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
-					Opts: opts, Baseline: baseline, Program: p.Name})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			next, snext := filepath.Join(dir, "next.journal"), filepath.Join(dir, "store-next.journal")
-			file, store := regressFrom(base, "", next), regressFrom("", spath, snext)
+			base := genKey(name, "", 1, "checkpoint+store")
+			file, store := get(t, regressKey(base, "checkpoint", "args1", true)), get(t, regressKey(base, "store", "args1", true))
 			for _, sec := range []struct {
 				name     string
 				file, st any
 			}{
-				{"delta", file.Report.Delta, store.Report.Delta},
-				{"rebase", file.Report.Rebase, store.Report.Rebase},
-				{"templates", file.Report.Templates, store.Report.Templates},
-				{"queries", file.Report.Queries, store.Report.Queries},
-				{"records loaded", file.Gen.JournalLoaded, store.Gen.JournalLoaded},
-				{"records appended", file.Gen.JournalAppended, store.Gen.JournalAppended},
+				{"delta", file.regress.Delta, store.regress.Delta},
+				{"rebase", file.regress.Rebase, store.regress.Rebase},
+				{"templates", file.regress.Templates, store.regress.Templates},
+				{"queries", file.regress.Queries, store.regress.Queries},
+				{"records loaded", file.work.Loaded, store.work.Loaded},
+				{"records appended", file.work.Appended, store.work.Appended},
 			} {
 				if !reflect.DeepEqual(sec.file, sec.st) {
 					t.Errorf("%s: %+v from the checkpoint, %+v from the store", sec.name, sec.file, sec.st)
 				}
 			}
-			want, err := os.ReadFile(next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFile(t, "the store regression's Checkpoint against the checkpoint regression's", snext, want)
+			sameFile(t, "the store regression's Checkpoint against the checkpoint regression's", store.path("checkpoint"), file, "checkpoint")
 
-			var cold, mem bytes.Buffer
-			if err := meissa.WriteTemplates(&cold, generatePar(t, p, newRules, 1, nil).Templates); err != nil {
-				t.Fatal(err)
-			}
-			if err := meissa.WriteTemplates(&mem, regressFrom(base, "", "").Gen.Templates); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(mem.Bytes(), cold.Bytes()) {
-				t.Errorf("a regression with no Checkpoint writes %d bytes of templates, a cold run %d", mem.Len(), cold.Len())
+			mem, cold := get(t, regressKey(base, "checkpoint", "args1", false)), get(t, genKey(name, "args1", 1, ""))
+			if mem.digest != cold.digest {
+				t.Errorf("a regression with no Checkpoint renders %d templates unlike a cold run's %d", mem.work.Templates, cold.work.Templates)
 			}
 		})
 	}
@@ -740,48 +518,27 @@ func TestKilledRegressionResumesToCold(t *testing.T) {
 	for _, name := range []string{"gw-2", "gw-3"} {
 		t.Run(name, func(t *testing.T) {
 			p := corpusProgram(t, name)
-			newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-			if n == 0 {
-				t.Fatal("nothing to mutate")
-			}
-			dir := t.TempDir()
-			cold, want := coldCheckpoint(t, p, newRules, filepath.Join(dir, "cold.journal"))
-			base, next := filepath.Join(dir, "base.journal"), filepath.Join(dir, "next.journal")
-			generatePar(t, p, p.Rules, 1, func(o *meissa.Options) { o.Checkpoint = base })
-			regressCheckpoint(t, p, p.Rules, newRules, base, next, 1)
-			data, err := os.ReadFile(next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			killed := filepath.Join(dir, "killed.journal")
+			cold := get(t, genKey(name, "args1", 1, "checkpoint"))
+			next := regressKey(genKey(name, "", 1, "checkpoint"), "checkpoint", "args1", true)
+			data := get(t, next).read(t, "checkpoint")
+			killed := filepath.Join(t.TempDir(), "killed.journal")
 			if err := os.WriteFile(killed, data[:len(data)*6/10], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var out bytes.Buffer
-			resumed := generatePar(t, p, newRules, 1, func(o *meissa.Options) { o.Checkpoint, o.Resume = killed, true })
-			if err := meissa.WriteTemplates(&out, resumed.Templates); err != nil {
-				t.Fatal(err)
-			}
-			var coldOut bytes.Buffer
-			if err := meissa.WriteTemplates(&coldOut, cold.Templates); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), coldOut.Bytes()) {
+			opts := at(1)
+			opts.Checkpoint, opts.Resume = killed, true
+			resumed := observe(run{p: p, rules: mustVariant(t, p, "args1"), opts: opts}.res(t))
+			if resumed.digest != cold.digest {
 				t.Error("the resumed regression's output differs from a cold run's")
 			}
-			if resumed.SMTCalls == 0 || resumed.SMTCalls+resumed.JournalHits != cold.SMTCalls {
-				t.Errorf("resume: %d calls + %d hits, want some calls and %d in all", resumed.SMTCalls, resumed.JournalHits, cold.SMTCalls)
+			if r := resumed.work; r.Checks == 0 || r.Checks+r.JournalHits != cold.work.Checks {
+				t.Errorf("resume: %d calls + %d hits, want some calls and %d in all", r.Checks, r.JournalHits, cold.work.Checks)
 			}
-			sameFile(t, "the resumed regression", killed, want)
+			sameFile(t, "the resumed regression", killed, cold, "checkpoint")
 
-			again, n := rulediff.MutateArgs(p.Prog, newRules, 2)
-			if n == 0 {
-				t.Fatal("nothing to mutate")
-			}
-			third := filepath.Join(dir, "third.journal")
-			coldAgain, wantAgain := coldCheckpoint(t, p, again, filepath.Join(dir, "cold-again.journal"))
-			checkRegressInvariants(t, regressCheckpoint(t, p, newRules, again, next, third, 1), cold, coldAgain)
-			sameFile(t, "the chained regression", third, wantAgain)
+			third, coldAgain := get(t, regressKey(next, "checkpoint", "args1/args2", true)), get(t, genKey(name, "args1/args2", 1, "checkpoint"))
+			checkRegress(t, third, cold, coldAgain)
+			sameFile(t, "the chained regression", third.path("checkpoint"), coldAgain, "checkpoint")
 		})
 	}
 }
@@ -911,18 +668,9 @@ func TestRegressHashCollisions(t *testing.T) {
 	t.Logf("tables %s and %s collide, and tags %s and %s", ta, tb, tag1, tag2)
 
 	// The baseline's records, and its templates with their text tags.
-	dir := t.TempDir()
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.Checkpoint = filepath.Join(dir, "base.journal")
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := sys.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := at(1)
+	opts.Checkpoint = filepath.Join(t.TempDir(), "base.journal")
+	sys, fp := run{p: p, opts: opts}.system(t)
 	base, err := sys.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -981,10 +729,15 @@ func TestRegressHashCollisions(t *testing.T) {
 		}
 		for _, par := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/parallel=%d", tc.name, par), func(t *testing.T) {
-				res, base, cold := regressOnce(t, p, newRules, par)
-				checkRegressInvariants(t, res, base, cold)
-				if res.Gen.Rebase.Invalidated != st.Invalidated {
-					t.Errorf("the regression retired %d records, Retain %d", res.Gen.Rebase.Invalidated, st.Invalidated)
+				dir := t.TempDir()
+				opts, next := at(par), at(par)
+				opts.Checkpoint, next.Checkpoint = filepath.Join(dir, "base.journal"), filepath.Join(dir, "next.journal")
+				base := observe(run{p: p, opts: opts}.res(t))
+				cold := observe(run{p: p, rules: newRules, opts: at(par)}.res(t))
+				reg := observe(run{p: p, rules: newRules, opts: next, regress: true, old: p.Rules, baseline: opts.Checkpoint}.res(t))
+				checkRegress(t, reg, base, cold)
+				if reg.rebase.Invalidated != st.Invalidated {
+					t.Errorf("the regression retired %d records, Retain %d", reg.rebase.Invalidated, st.Invalidated)
 				}
 			})
 		}

@@ -25,33 +25,12 @@ import (
 	"repro/internal/store"
 )
 
-// generateStore runs one generation against the store at path.
-func generateStore(t *testing.T, p *programs.Program, rs *rules.Set, path string, mod func(*meissa.Options)) *meissa.GenResult {
-	t.Helper()
-	if rs == nil {
-		rs = p.Rules
-	}
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
+// storeRun is the store-backed generation of p under rs (p.Rules when
+// nil) at parallelism par against the store at path.
+func storeRun(p *programs.Program, rs *rules.Set, par int, path string) run {
+	opts := at(par)
 	opts.StorePath = path
-	if mod != nil {
-		mod(&opts)
-	}
-	sys, err := meissa.New(p.Prog, rs, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := sys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen.Store == nil {
-		t.Fatal("store-backed run produced no store report")
-	}
-	if err := gen.Report("gen", p.Name, opts.Parallelism).Validate(); err != nil {
-		t.Fatalf("store-backed run report invalid: %v", err)
-	}
-	return gen
+	return run{p: p, rules: rs, opts: opts}
 }
 
 // TestStoreWarmGenByteIdentical: the headline reuse guarantee. A cold
@@ -63,21 +42,18 @@ func generateStore(t *testing.T, p *programs.Program, rs *rules.Set, path string
 func TestStoreWarmGenByteIdentical(t *testing.T) {
 	for _, name := range []string{"Router", "gw-1"} {
 		t.Run(name, func(t *testing.T) {
-			p := corpusProgram(t, name)
-			spath := filepath.Join(t.TempDir(), "verdicts.store")
-
-			cold := generateStore(t, p, nil, spath, nil)
-			if cold.Store.Committed == 0 {
+			cold := get(t, genKey(name, "", 1, "store"))
+			if cold.store.Committed == 0 {
 				t.Fatal("cold run committed no records")
 			}
-			if cold.Store.Warmed != 0 {
-				t.Fatalf("cold run warmed %d records from an empty store", cold.Store.Warmed)
+			if cold.store.Warmed != 0 {
+				t.Fatalf("cold run warmed %d records from an empty store", cold.store.Warmed)
 			}
 
-			warm := generateStore(t, p, nil, spath, nil)
-			if got, want := renderTemplates(warm.Templates), renderTemplates(cold.Templates); got != want {
+			warm := storeRun(corpusProgram(t, name), nil, 1, cold.copy(t, "store")).gen(t)
+			if digest(warm.Templates) != cold.digest {
 				t.Fatalf("warm-store output differs from cold run (%d vs %d templates)",
-					len(warm.Templates), len(cold.Templates))
+					len(warm.Templates), cold.work.Templates)
 			}
 			if warm.Store.Warmed == 0 {
 				t.Fatal("second run warmed nothing from a populated store")
@@ -95,7 +71,7 @@ func TestStoreWarmGenByteIdentical(t *testing.T) {
 					source += ph.NS
 				}
 			}
-			j := warm.Report("gen", name, 1).Journal
+			j := warm.Report("gen", name).Journal
 			if j.SourceNS != source || source == 0 || j.BreakevenNSPerQuery != float64(source)/float64(warm.JournalHits) {
 				t.Fatalf("journal report source_ns %d breakeven %g; the phases sum to %d over %d hits",
 					j.SourceNS, j.BreakevenNSPerQuery, source, warm.JournalHits)
@@ -122,41 +98,27 @@ func TestStoreRuleChurnMatchesCold(t *testing.T) {
 	if n == 0 {
 		t.Skip("corpus rules have no mutable action arguments")
 	}
-	spath := filepath.Join(t.TempDir(), "verdicts.store")
-	listOpts := meissa.DefaultOptions()
-	listOpts.StorePath = spath
-	checkList := func(step string, cold *meissa.GenResult) {
+	spath := get(t, genKey("Router", "", 1, "store")).copy(t, "store") // populated under the old rules
+	checkList := func(step string, cold *cell) {
 		t.Helper()
-		keys := storeList(t, p, listOpts).PathKeys()
-		if len(keys) != len(cold.Templates) {
-			t.Fatalf("%s: the store's template list holds %d path keys, a cold run makes %d templates", step, len(keys), len(cold.Templates))
+		_, list := storeFamily(t, p, spath)
+		keys := list.PathKeys()
+		if len(keys) != len(cold.pathKeys) {
+			t.Fatalf("%s: the store's template list holds %d path keys, a cold run makes %d templates", step, len(keys), len(cold.pathKeys))
 		}
-		for i, tm := range cold.Templates {
-			if keys[i] != tm.PathKey {
+		for i, k := range cold.pathKeys {
+			if keys[i] != k {
 				t.Fatalf("%s: the store's template list differs from a cold run's at template %d", step, i)
 			}
 		}
 	}
+	checkList("populate", get(t, genKey("Router", "", 1, "")))
 
-	oldCold := generateCheckpoint(t, p, "", false)
-	generateStore(t, p, nil, spath, nil) // populate under the old rules
-	checkList("populate", oldCold)
-
-	coldOpts := meissa.DefaultOptions()
-	coldOpts.Parallelism = 1
-	coldSys, err := meissa.New(p.Prog, newRules, nil, coldOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := coldSys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	churn := generateStore(t, p, newRules, spath, nil)
-	if got, want := renderTemplates(churn.Templates), renderTemplates(cold.Templates); got != want {
+	cold := get(t, genKey("Router", "args1", 1, ""))
+	churn := storeRun(p, newRules, 1, spath).gen(t)
+	if digest(churn.Templates) != cold.digest {
 		t.Fatalf("store-backed run under updated rules differs from cold run (%d vs %d templates)",
-			len(churn.Templates), len(cold.Templates))
+			len(churn.Templates), cold.work.Templates)
 	}
 	if churn.Store.Invalidated == 0 {
 		t.Fatal("rule delta invalidated nothing in the store")
@@ -164,32 +126,20 @@ func TestStoreRuleChurnMatchesCold(t *testing.T) {
 	if churn.Store.Warmed == 0 {
 		t.Fatal("no stored verdicts survived a single-entry delta")
 	}
-	if churn.SMTCalls >= cold.SMTCalls {
-		t.Fatalf("store reuse saved no solver work: %d calls vs cold %d", churn.SMTCalls, cold.SMTCalls)
+	if churn.SMTCalls >= cold.work.Checks {
+		t.Fatalf("store reuse saved no solver work: %d calls vs cold %d", churn.SMTCalls, cold.work.Checks)
 	}
 	checkList("churn", cold)
 
 	// The store now serves the new rules: one more run is fully warm.
-	again := generateStore(t, p, newRules, spath, nil)
+	again := storeRun(p, newRules, 1, spath).gen(t)
 	if again.SMTCalls != 0 {
 		t.Fatalf("post-churn warm run made %d live solver calls, want 0", again.SMTCalls)
 	}
-	if renderTemplates(again.Templates) != renderTemplates(cold.Templates) {
+	if digest(again.Templates) != cold.digest {
 		t.Fatal("post-churn warm run diverged from the cold run")
 	}
 	checkList("warm run after the churn", cold)
-}
-
-// copyFile copies the file at src to dst.
-func copyFile(t *testing.T, src, dst string) {
-	t.Helper()
-	b, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestStoreRuleUpdateCommitsOnce: a rule delta reaches the store in one
@@ -201,35 +151,12 @@ func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 	for _, name := range []string{"gw-1", "gw-3"} {
 		t.Run(name, func(t *testing.T) {
 			p := corpusProgram(t, name)
-			newRules, n := rulediff.MutateArgs(p.Prog, p.Rules, 1)
-			if n == 0 {
-				t.Fatal("nothing to mutate")
-			}
-			dir := t.TempDir()
-			genPath, regPath := filepath.Join(dir, "gen.store"), filepath.Join(dir, "regress.store")
-			generateStore(t, p, nil, genPath, nil) // populate under the old rules
-			copyFile(t, genPath, regPath)
-
-			gen := generateStore(t, p, newRules, genPath, nil)
-			opts := meissa.DefaultOptions()
-			opts.Parallelism = 1
-			opts.StorePath = regPath
-			res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: newRules, Opts: opts, Program: p.Name})
-			if err != nil {
-				t.Fatal(err)
-			}
-			genBytes, err := os.ReadFile(genPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			regBytes, err := os.ReadFile(regPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(genBytes, regBytes) {
-				t.Errorf("gen -store left %d bytes, the store regression %d", len(genBytes), len(regBytes))
-			}
-			g, r := gen.Store, res.Gen.Store
+			base := genKey(name, "", 1, "store") // populated under the old rules
+			genPath := get(t, base).copy(t, "store")
+			gen := storeRun(p, mustVariant(t, p, "args1"), 1, genPath).gen(t)
+			reg := get(t, regressKey(base, "store", "args1", false))
+			sameFile(t, "gen -store against the store regression", genPath, reg, "store")
+			g, r := gen.Store, reg.store
 			if g.Commits != 1 || r.Commits != 1 {
 				t.Errorf("commits: gen %d, regress %d; want 1 each", g.Commits, r.Commits)
 			}
@@ -237,8 +164,8 @@ func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 				t.Errorf("gen warmed/invalidated/committed %d/%d/%d, regress %d/%d/%d",
 					g.Warmed, g.Invalidated, g.Committed, r.Warmed, r.Invalidated, r.Committed)
 			}
-			if gen.Rebase == nil || *gen.Rebase != *res.Report.Rebase || uint64(gen.Rebase.Retained) != g.Warmed {
-				t.Errorf("gen rebase %+v, regress rebase section %+v, warmed %d", gen.Rebase, res.Report.Rebase, g.Warmed)
+			if gen.Rebase == nil || *gen.Rebase != *reg.regress.Rebase || uint64(gen.Rebase.Retained) != g.Warmed {
+				t.Errorf("gen rebase %+v, regress rebase section %+v, warmed %d", gen.Rebase, reg.regress.Rebase, g.Warmed)
 			}
 		})
 	}
@@ -255,18 +182,13 @@ func TestStoreExportWritesNothing(t *testing.T) {
 		t.Fatal("nothing to mutate")
 	}
 	dir := t.TempDir()
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.StorePath = filepath.Join(dir, "verdicts.store")
-	generateStore(t, p, nil, opts.StorePath, nil)
+	opts := at(1)
+	opts.StorePath = get(t, genKey("gw-1", "", 1, "store")).copy(t, "store")
 	before, err := os.ReadFile(opts.StorePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := meissa.New(p.Prog, newRules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, fp := run{p: p, rules: newRules, opts: opts}.system(t)
 	status, err := sys.StoreStatus()
 	if err != nil {
 		t.Fatal(err)
@@ -288,13 +210,10 @@ func TestStoreExportWritesNothing(t *testing.T) {
 	// The export: the header under the new rules, then the stored frames no
 	// invalidated tag reaches, as they are.
 	stale := rulediff.Matcher(rulediff.Diff(p.Rules, newRules).InvalidTags())
-	fp, err := sys.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := checkpointHeader(t, fp)
 	retained, invalidated := 0, 0
-	for _, fr := range storeFrames(t, p, opts) {
+	frames, _ := storeFamily(t, p, opts.StorePath)
+	for _, fr := range frames {
 		if e, _ := journal.EntryOf(fr); e.DependsOn(stale) {
 			invalidated++
 			continue
@@ -311,27 +230,10 @@ func TestStoreExportWritesNothing(t *testing.T) {
 			len(got), rep.Warmed, retained, len(want))
 	}
 
-	coldOpts := meissa.DefaultOptions()
-	coldOpts.Parallelism = 1
-	coldSys, err := meissa.New(p.Prog, newRules, nil, coldOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := coldSys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumeOpts := coldOpts
+	resumeOpts := at(1)
 	resumeOpts.Checkpoint, resumeOpts.Resume = exported, true
-	resumeSys, err := meissa.New(p.Prog, newRules, nil, resumeOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := resumeSys.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderTemplates(resumed.Templates) != renderTemplates(cold.Templates) {
+	resumed := run{p: p, rules: newRules, opts: resumeOpts}.gen(t)
+	if digest(resumed.Templates) != get(t, genKey("gw-1", "args1", 1, "")).digest {
 		t.Fatal("the run resumed from the export diverged from a cold run")
 	}
 	if resumed.SMTCalls != uint64(invalidated) {
@@ -344,10 +246,11 @@ func TestStoreExportWritesNothing(t *testing.T) {
 // parallelism, and so does the first warm run after a rule delta's commit.
 func TestStoreWarmRunCommitsNothing(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
-	spath := filepath.Join(t.TempDir(), "verdicts.store")
-	parallel := func(n int) func(*meissa.Options) {
-		return func(o *meissa.Options) { o.Parallelism = n }
+	cold := get(t, genKey("gw-1", "", 2, "store"))
+	if cold.store.Committed == 0 {
+		t.Fatal("cold run committed nothing")
 	}
+	spath := cold.copy(t, "store")
 	storeBytes := func() []byte {
 		t.Helper()
 		b, err := os.ReadFile(spath)
@@ -368,21 +271,16 @@ func TestStoreWarmRunCommitsNothing(t *testing.T) {
 			t.Errorf("%s: the store file changed", what)
 		}
 	}
-
-	cold := generateStore(t, p, nil, spath, parallel(2))
-	if cold.Store.Committed == 0 {
-		t.Fatal("cold run committed nothing")
-	}
 	populated := storeBytes()
 
 	for _, n := range []int{2, 1} {
-		warm := generateStore(t, p, nil, spath, parallel(n))
+		warm := storeRun(p, nil, n, spath).gen(t)
 		checkUntouched(fmt.Sprintf("warm run at parallelism %d", n), warm, populated)
-		if warm.Store.Warmed != cold.Store.Committed || warm.Store.FileBytes != uint64(len(populated)) {
+		if warm.Store.Warmed != cold.store.Committed || warm.Store.FileBytes != uint64(len(populated)) {
 			t.Errorf("warm run at parallelism %d: warmed %d of %d records from a file of %d bytes (%d on disk)",
-				n, warm.Store.Warmed, cold.Store.Committed, warm.Store.FileBytes, len(populated))
+				n, warm.Store.Warmed, cold.store.Committed, warm.Store.FileBytes, len(populated))
 		}
-		if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
+		if digest(warm.Templates) != cold.digest {
 			t.Errorf("warm run at parallelism %d diverged from the cold run", n)
 		}
 	}
@@ -391,12 +289,12 @@ func TestStoreWarmRunCommitsNothing(t *testing.T) {
 	if n == 0 {
 		t.Skip("corpus rules have no mutable action arguments")
 	}
-	churn := generateStore(t, p, newRules, spath, parallel(2))
-	if churn.SMTCalls == 0 || churn.Store.Committed == 0 || churn.Store.Committed >= cold.Store.Committed {
+	churn := storeRun(p, newRules, 2, spath).gen(t)
+	if churn.SMTCalls == 0 || churn.Store.Committed == 0 || churn.Store.Committed >= cold.store.Committed {
 		t.Fatalf("after a one-entry delta: %d solver calls, %d records committed; the store held %d",
-			churn.SMTCalls, churn.Store.Committed, cold.Store.Committed)
+			churn.SMTCalls, churn.Store.Committed, cold.store.Committed)
 	}
-	checkUntouched("after the delta's commit", generateStore(t, p, newRules, spath, parallel(2)), storeBytes())
+	checkUntouched("after the delta's commit", storeRun(p, newRules, 2, spath).gen(t), storeBytes())
 }
 
 // TestRegressStoreMatchesCold: a regression from the store recovers the
@@ -411,50 +309,22 @@ func TestRegressStoreMatchesCold(t *testing.T) {
 	}
 	for _, parallel := range []int{1, 4} {
 		t.Run(map[int]string{1: "sequential", 4: "parallel"}[parallel], func(t *testing.T) {
-			spath := filepath.Join(t.TempDir(), "verdicts.store")
-			generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Parallelism = parallel })
-
-			coldOpts := meissa.DefaultOptions()
-			coldOpts.Parallelism = parallel
-			coldSys, err := meissa.New(p.Prog, newRules, nil, coldOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := coldSys.Generate()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			opts := meissa.DefaultOptions()
-			opts.Parallelism = parallel
-			opts.StorePath = spath
-			res, err := meissa.Regress(meissa.RegressInput{
-				Prog:     p.Prog,
-				NewRules: newRules,
-				Opts:     opts,
-				Program:  p.Name,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := renderTemplates(res.Gen.Templates), renderTemplates(cold.Templates); got != want {
+			// The regression's run report, store section included, was
+			// validated when the cell was made.
+			reg := get(t, regressKey(genKey("Router", "", parallel, "store"), "store", "args1", false))
+			cold := get(t, genKey("Router", "args1", parallel, ""))
+			if reg.digest != cold.digest {
 				t.Fatalf("regress-store output differs from cold run (%d vs %d templates)",
-					len(res.Gen.Templates), len(cold.Templates))
-			}
-			if res.Gen.Store == nil || res.Run.Store == nil {
-				t.Fatal("regress-store attached no store report")
-			}
-			if err := res.Run.Validate(); err != nil {
-				t.Fatalf("regress-store report invalid: %v", err)
+					reg.work.Templates, cold.work.Templates)
 			}
 
 			// The committed store now holds the new baseline: a store-backed
 			// gen on the new rules is fully warm.
-			warm := generateStore(t, p, newRules, spath, func(o *meissa.Options) { o.Parallelism = 1 })
+			warm := storeRun(p, newRules, 1, reg.copy(t, "store")).gen(t)
 			if warm.SMTCalls != 0 {
 				t.Fatalf("post-regress warm run made %d live solver calls, want 0", warm.SMTCalls)
 			}
-			if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
+			if digest(warm.Templates) != cold.digest {
 				t.Fatal("post-regress warm run diverged from the cold run")
 			}
 		})
@@ -468,19 +338,19 @@ func TestRegressStoreMatchesCold(t *testing.T) {
 // clock: the cold run propagates.
 func TestStoreWarmRunPropagatesNothing(t *testing.T) {
 	p := corpusProgram(t, "gw-3")
-	spath := filepath.Join(t.TempDir(), "verdicts.store")
-	cold := generateStore(t, p, nil, spath, nil)
-	if cold.SMT.Propagations == 0 {
+	cold := get(t, genKey("gw-3", "", 1, "store"))
+	if cold.work.Propagations == 0 {
 		t.Fatal("the cold run propagated nothing")
 	}
+	spath := cold.copy(t, "store")
 	for _, n := range []int{1, 2} {
-		warm := generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Parallelism = n })
-		rep := warm.Report("gen", p.Name, n).Solver
+		warm := storeRun(p, nil, n, spath).gen(t)
+		rep := warm.Report("gen", p.Name).Solver
 		if warm.SMT.Checks != 0 || warm.SMT.Propagations != 0 || rep.Propagations != 0 {
 			t.Errorf("warm run at parallelism %d: %d checks, %d propagations (report %d); want 0, 0 (cold: %d propagations)",
-				n, warm.SMT.Checks, warm.SMT.Propagations, rep.Propagations, cold.SMT.Propagations)
+				n, warm.SMT.Checks, warm.SMT.Propagations, rep.Propagations, cold.work.Propagations)
 		}
-		if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
+		if digest(warm.Templates) != cold.digest {
 			t.Errorf("warm run at parallelism %d diverged from the cold run", n)
 		}
 	}
@@ -491,15 +361,13 @@ func TestStoreWarmRunPropagatesNothing(t *testing.T) {
 // with the sequential warm run's output and no solver call. CI runs it
 // under the race detector.
 func TestStoreWarmParallel(t *testing.T) {
-	p := corpusProgram(t, "gw-1")
-	spath := filepath.Join(t.TempDir(), "verdicts.store")
-	cold := generateStore(t, p, nil, spath, nil)
-	warm := generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Parallelism = 4 })
-	if warm.SMTCalls != 0 || warm.SMT.CacheHits != 0 || warm.JournalHits != cold.SMTCalls {
+	cold := get(t, genKey("gw-1", "", 1, "store"))
+	warm := storeRun(corpusProgram(t, "gw-1"), nil, 4, cold.copy(t, "store")).gen(t)
+	if warm.SMTCalls != 0 || warm.SMT.CacheHits != 0 || warm.JournalHits != cold.work.Checks {
 		t.Fatalf("parallel warm run: %d solver calls, %d cache hits, %d table hits; want 0, 0, %d",
-			warm.SMTCalls, warm.SMT.CacheHits, warm.JournalHits, cold.SMTCalls)
+			warm.SMTCalls, warm.SMT.CacheHits, warm.JournalHits, cold.work.Checks)
 	}
-	if renderTemplates(warm.Templates) != renderTemplates(cold.Templates) {
+	if digest(warm.Templates) != cold.digest {
 		t.Fatal("parallel warm run diverged from the cold run")
 	}
 }
@@ -509,25 +377,15 @@ func TestStoreWarmParallel(t *testing.T) {
 // is the same bytes however many workers derived them.
 func TestStoreFileIndependentOfParallelism(t *testing.T) {
 	for _, name := range []string{"gw-2", "gw-3"} {
-		p := corpusProgram(t, name)
-		var want []byte
-		var committed uint64
-		for _, n := range []int{1, 2, 4} {
-			spath := filepath.Join(t.TempDir(), "verdicts.store")
-			gen := generateStore(t, p, nil, spath, func(o *meissa.Options) { o.Parallelism = n })
-			got, err := os.ReadFile(spath)
-			if err != nil {
-				t.Fatal(err)
+		want := get(t, genKey(name, "", 1, "store"))
+		for _, n := range []int{2, 4} {
+			got := get(t, genKey(name, "", n, "store"))
+			if got.store.Committed != want.store.Committed {
+				t.Errorf("%s: %d records committed at parallelism %d, %d at 1", name, got.store.Committed, n, want.store.Committed)
 			}
-			if want == nil {
-				want, committed = got, gen.Store.Committed
-				continue
-			}
-			if gen.Store.Committed != committed {
-				t.Errorf("%s: %d records committed at parallelism %d, %d at 1", name, gen.Store.Committed, n, committed)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: the store file at parallelism %d (%d bytes) differs from the one at 1 (%d bytes)", name, n, len(got), len(want))
+			if got.files["store"] != want.files["store"] {
+				t.Errorf("%s: the store file at parallelism %d (%d bytes) differs from the one at 1 (%d bytes)",
+					name, n, got.store.FileBytes, want.store.FileBytes)
 			}
 		}
 	}
@@ -565,17 +423,12 @@ func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
 			}
 		}
 	}
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
+	opts := at(1)
 	opts.PathHook = check
-	generate := func(name string, rs *rules.Set, o meissa.Options) {
+	do := func(name string, r run) {
 		t.Helper()
 		step = name
-		sys, err := meissa.New(p.Prog, rs, nil, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Generate(); err != nil {
+		if _, err := r.do(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		check(nil)
@@ -583,27 +436,16 @@ func TestPersistenceWritesOnlyNamedFiles(t *testing.T) {
 
 	storeOpts := opts
 	storeOpts.StorePath = filepath.Join(work, "verdicts.store")
-	generate("cold store-only generation", p.Rules, storeOpts)
-	generate("warm store-only generation", p.Rules, storeOpts)
+	do("cold store-only generation", run{p: p, opts: storeOpts})
+	do("warm store-only generation", run{p: p, opts: storeOpts})
 
 	baseOpts := opts
 	baseOpts.Checkpoint = filepath.Join(work, "base.journal")
-	generate("baseline generation", p.Rules, baseOpts)
-	step = "Regress"
+	do("baseline generation", run{p: p, opts: baseOpts})
 	regOpts := opts
 	regOpts.Checkpoint = filepath.Join(work, "next.journal")
-	if _, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, OldRules: p.Rules, NewRules: newRules,
-		Opts: regOpts, Baseline: baseOpts.Checkpoint, Program: p.Name}); err != nil {
-		t.Fatal(err)
-	}
-	check(nil)
-
-	step = "Regress from the store"
-	if _, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: newRules,
-		Opts: storeOpts, Program: p.Name}); err != nil {
-		t.Fatal(err)
-	}
-	check(nil)
+	do("Regress", run{p: p, rules: newRules, opts: regOpts, regress: true, old: p.Rules, baseline: baseOpts.Checkpoint})
+	do("Regress from the store", run{p: p, rules: newRules, opts: storeOpts, regress: true})
 }
 
 // TestPersistenceOptionsRejected: the option combinations no run can
@@ -614,21 +456,18 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 	dir := t.TempDir()
 	base, next := filepath.Join(dir, "base.journal"), filepath.Join(dir, "next.journal")
 	system := func(o meissa.Options) *meissa.System {
-		sys, err := meissa.New(p.Prog, p.Rules, nil, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, _ := run{p: p, opts: o}.system(t)
 		return sys
 	}
-	generate := func(o meissa.Options) error { _, err := system(o).Generate(); return err }
-	regress := func(in meissa.RegressInput) func(meissa.Options) error {
+	generate := func(o meissa.Options) error { _, err := (run{p: p, opts: o}).do(); return err }
+	regress := func(r run) func(meissa.Options) error {
 		return func(o meissa.Options) error {
-			in.Prog, in.NewRules, in.Opts = p.Prog, p.Rules, o
-			_, err := meissa.Regress(in)
+			r.p, r.opts, r.regress = p, o, true
+			_, err := r.do()
 			return err
 		}
 	}
-	fromBase := meissa.RegressInput{OldRules: p.Rules, Baseline: base}
+	fromBase := run{old: p.Rules, baseline: base}
 	resume := meissa.Refusal{At: "Resume", Reason: "requires Checkpoint", Fix: "name the checkpoint to resume"}
 	noStore := meissa.Refusal{At: "StorePath", Reason: "unset: there is no store to read", Fix: "name the store"}
 	for _, tc := range []struct {
@@ -645,13 +484,13 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 			func(o *meissa.Options) { o.StorePath, o.Checkpoint = filepath.Join(dir, "v.store"), next },
 			meissa.Refusal{At: "StorePath", Reason: "set with a Baseline checkpoint: the run would commit to a store whose baseline it never read",
 				Fix: "set Baseline or StorePath, not both"}},
-		{"Regress: neither Baseline nor StorePath", regress(meissa.RegressInput{OldRules: p.Rules}),
+		{"Regress: neither Baseline nor StorePath", regress(run{old: p.Rules}),
 			func(o *meissa.Options) { o.Checkpoint = next },
 			meissa.Refusal{At: "Baseline", Reason: "unset, and so is StorePath: a regression has no baseline", Fix: "set Baseline or StorePath"}},
 		{"Regress: Checkpoint is Baseline", regress(fromBase),
 			func(o *meissa.Options) { o.Checkpoint = base },
 			meissa.Refusal{At: "Checkpoint", Reason: "is the Baseline file, which the run reads and never writes", Fix: "name another file"}},
-		{"Regress: Baseline without OldRules", regress(meissa.RegressInput{Baseline: base}),
+		{"Regress: Baseline without OldRules", regress(run{baseline: base}),
 			func(o *meissa.Options) { o.Checkpoint = next },
 			meissa.Refusal{At: "OldRules", Reason: "unset: a Baseline checkpoint is read under the rules it was generated under", Fix: "set OldRules to them"}},
 		{"StoreExport without StorePath", func(o meissa.Options) error {
@@ -697,39 +536,25 @@ func TestStoreFileSizeGates(t *testing.T) {
 	}
 	records := func() map[[2]uint64]journal.Entry {
 		t.Helper()
-		opts := meissa.DefaultOptions()
-		opts.StorePath = spath
-		sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		status, err := sys.StoreStatus()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := store.Open(spath, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
+		frames, _ := storeFamily(t, p, spath)
 		out := map[[2]uint64]journal.Entry{}
-		for _, e := range st.Snapshot().Table(status.Family).Sorted() {
-			e, _ = journal.EntryOf(slices.Clone(e.Frame()))
+		for _, fr := range frames {
+			e, _ := journal.EntryOf(fr)
 			out[[2]uint64{uint64(e.Kind()), e.Key()}] = e
 		}
 		return out
 	}
 
-	cold := generateStore(t, p, nil, spath, nil)
-	if got := int64(cold.Store.FileBytes); got != size(spath) {
+	cold := get(t, genKey("gw-1", "", 1, "store"))
+	if err := copyFile(cold.path("store"), spath); err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(cold.store.FileBytes); got != size(spath) {
 		t.Fatalf("report says file_bytes %d, the file has %d", got, size(spath))
 	}
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.StorePath = spath
 
 	before := size(spath)
-	warm := generateStore(t, p, nil, spath, nil)
+	warm := storeRun(p, nil, 1, spath).gen(t)
 	if warm.Store.Commits != 0 || size(spath) != before {
 		t.Fatalf("warm run: %d commits, file %d -> %d bytes", warm.Store.Commits, before, size(spath))
 	}
@@ -739,10 +564,9 @@ func TestStoreFileSizeGates(t *testing.T) {
 		t.Fatal("nothing to mutate")
 	}
 	old := records()
-	res, err := meissa.Regress(meissa.RegressInput{Prog: p.Prog, NewRules: newRules, Opts: opts, Program: p.Name})
-	if err != nil {
-		t.Fatal(err)
-	}
+	update := storeRun(p, newRules, 1, spath)
+	update.regress = true
+	res := update.res(t)
 	// What the update committed: every record the store holds now that is
 	// not a record the tombstone left standing.
 	invalid := rulediff.Diff(p.Rules, newRules).InvalidTags()
@@ -776,50 +600,29 @@ func TestStoreFileSizeGates(t *testing.T) {
 	}
 }
 
-// storeFrames returns the record frames the store at path holds for the
-// family of p's system under opts, in canonical order.
-func storeFrames(t *testing.T, p *programs.Program, opts meissa.Options) [][]byte {
+// storeFamily returns what the store at path holds for p's family: its
+// record frames, in canonical order, and its template list.
+func storeFamily(t *testing.T, p *programs.Program, path string) ([][]byte, journal.Entry) {
 	t.Helper()
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := meissa.DefaultOptions()
+	opts.StorePath = path
+	sys, _ := run{p: p, opts: opts}.system(t)
 	status, err := sys.StoreStatus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(opts.StorePath, store.Options{})
+	st, err := store.Open(path, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	var out [][]byte
-	for _, e := range st.Snapshot().Table(status.Family).Sorted() {
-		out = append(out, slices.Clone(e.Frame()))
+	tbl := st.Snapshot().Table(status.Family)
+	var frames [][]byte
+	for _, e := range tbl.Sorted() {
+		frames = append(frames, slices.Clone(e.Frame()))
 	}
-	return out
-}
-
-// storeList returns the template list the store at path holds for the
-// family of p's system under opts.
-func storeList(t *testing.T, p *programs.Program, opts meissa.Options) journal.Entry {
-	t.Helper()
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, err := sys.StoreStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(opts.StorePath, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	l := st.Snapshot().Table(status.Family).Templates()
-	e, _ := journal.EntryOf(slices.Clone(l.Frame()))
-	return e
+	list, _ := journal.EntryOf(slices.Clone(tbl.Templates().Frame()))
+	return frames, list
 }
 
 // TestExportHoldsStoreFrames: a family's export is the checkpoint header
@@ -828,25 +631,17 @@ func storeList(t *testing.T, p *programs.Program, opts meissa.Options) journal.E
 func TestExportHoldsStoreFrames(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	dir := t.TempDir()
-	opts := meissa.DefaultOptions()
-	opts.Parallelism = 1
-	opts.StorePath = filepath.Join(dir, "verdicts.store")
-	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := generateStore(t, p, nil, opts.StorePath, nil)
+	cold := get(t, genKey("gw-1", "", 1, "store"))
+	opts := at(1)
+	opts.StorePath = cold.copy(t, "store")
+	sys, fp := run{p: p, opts: opts}.system(t)
 	exported := filepath.Join(dir, "exported.journal")
 	if _, err := sys.StoreExport(exported); err != nil {
 		t.Fatal(err)
 	}
-	fp, err := sys.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := storeFrames(t, p, opts)
-	if uint64(len(frames)) != cold.Store.Committed || len(frames) == 0 {
-		t.Fatalf("the store holds %d record frames, the cold run committed %d", len(frames), cold.Store.Committed)
+	frames, _ := storeFamily(t, p, opts.StorePath)
+	if uint64(len(frames)) != cold.store.Committed || len(frames) == 0 {
+		t.Fatalf("the store holds %d record frames, the cold run committed %d", len(frames), cold.store.Committed)
 	}
 	want := slices.Concat(append([][]byte{checkpointHeader(t, fp)}, frames...)...)
 	got, err := os.ReadFile(exported)
@@ -868,13 +663,8 @@ func TestCheckpointFramesAreStoreRecords(t *testing.T) {
 	for _, name := range []string{"gw-2", "gw-3"} {
 		t.Run(name, func(t *testing.T) {
 			p := corpusProgram(t, name)
-			dir := t.TempDir()
-			ck, sp := filepath.Join(dir, "ck.journal"), filepath.Join(dir, "verdicts.store")
-			gen := generateStore(t, p, nil, sp, func(o *meissa.Options) { o.Checkpoint = ck })
-			data, err := os.ReadFile(ck)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gen := get(t, genKey(name, "", 1, "checkpoint+store"))
+			data := gen.read(t, "checkpoint")
 			inCheckpoint := map[string]bool{}
 			var last []byte
 			off := 0
@@ -891,24 +681,22 @@ func TestCheckpointFramesAreStoreRecords(t *testing.T) {
 				}
 				off += n
 			}
-			opts := meissa.DefaultOptions()
-			opts.StorePath = sp
-			list := storeList(t, p, opts)
+			frames, list := storeFamily(t, p, gen.copy(t, "store"))
 			if e, _ := journal.EntryOf(last); e.Kind() != journal.KindTemplates || !bytes.Equal(last, list.Frame()) ||
-				len(list.PathKeys()) != len(gen.Templates) {
+				len(list.PathKeys()) != gen.work.Templates {
 				t.Fatalf("the checkpoint's last frame (%d bytes) is not the store's template list (%d bytes) of %d templates",
-					len(last), len(list.Frame()), len(gen.Templates))
+					len(last), len(list.Frame()), gen.work.Templates)
 			}
 			inStore := map[string]bool{}
-			for _, fr := range storeFrames(t, p, opts) {
+			for _, fr := range frames {
 				if !inCheckpoint[string(fr)] {
 					t.Fatalf("a store record (%d bytes) is no frame of the checkpoint", len(fr))
 				}
 				inStore[string(fr)] = true
 			}
-			if len(inStore) != len(inCheckpoint) || uint64(len(inStore)) != gen.Store.Committed {
+			if len(inStore) != len(inCheckpoint) || uint64(len(inStore)) != gen.store.Committed {
 				t.Fatalf("the checkpoint holds %d distinct frames, the store %d, the run committed %d",
-					len(inCheckpoint), len(inStore), gen.Store.Committed)
+					len(inCheckpoint), len(inStore), gen.store.Committed)
 			}
 		})
 	}
