@@ -299,7 +299,7 @@ type cell struct {
 	work     work
 	pathKeys []uint64
 	files    map[string][32]byte // SHA-256 of each file the run wrote, by name
-	solver   *obs.SolverReport   // the run report's, less its latency histogram
+	solver   *obs.SolverReport   // the run report's
 	store    *obs.StoreReport
 	rebase   *obs.RebaseStats
 	regress  *obs.RegressReport
@@ -449,9 +449,7 @@ func (c *cell) record(res *meissa.RegressResult) {
 	for i, tm := range g.Templates {
 		c.pathKeys[i] = tm.PathKey
 	}
-	solver := *res.Run.Solver
-	solver.LatencyNS = nil // it points into g, which the cell must not keep
-	c.solver, c.store, c.rebase, c.regress = &solver, g.Store, g.Rebase, res.Report
+	c.solver, c.store, c.rebase, c.regress = res.Run.Solver, g.Store, g.Rebase, res.Report
 	if b := res.BaselineGen; b != nil {
 		var phases []string
 		for _, ph := range b.Phases {

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -203,14 +204,26 @@ func TestConjuncts(t *testing.T) {
 	a := Eq(V("a", 8), C(1, 8))
 	b := Eq(V("b", 8), C(2, 8))
 	c := Eq(V("c", 8), C(3, 8))
-	list := Conjuncts(And(And(a, b), c))
-	if len(list) != 3 {
-		t.Fatalf("got %d conjuncts, want 3", len(list))
+	list := AppendConjuncts(nil, And(And(a, b), And(c, a)))
+	if want := []Bool{a, b, c, a}; !reflect.DeepEqual(list, want) {
+		t.Fatalf("got conjuncts %v, want %v", list, want)
 	}
-	if len(Conjuncts(True)) != 0 {
-		t.Error("Conjuncts(True) must be empty")
+	if got := AppendConjuncts(list[:1], Logic{Op: LAnd, L: True, R: b}); !reflect.DeepEqual(got, []Bool{a, b}) {
+		t.Errorf("appending to [a]: got %v, want [a b] (True contributes nothing)", got)
 	}
-	if got := Conjuncts(Or(a, b)); len(got) != 1 {
-		t.Errorf("Conjuncts of OR = %d, want 1 (opaque)", len(got))
+	if got := AppendConjuncts(nil, False); !reflect.DeepEqual(got, []Bool{False}) {
+		t.Errorf("AppendConjuncts(False) = %v, want [false]", got)
+	}
+	if got := AppendConjuncts(nil, Or(a, b)); len(got) != 1 {
+		t.Errorf("conjuncts of OR = %d, want 1 (opaque)", len(got))
+	}
+	// One walk into the caller's buffer: nothing is allocated per leaf.
+	deep := a
+	for i := 0; i < 64; i++ {
+		deep = And(deep, And(b, c))
+	}
+	buf := make([]Bool, 0, 256)
+	if n := testing.AllocsPerRun(10, func() { buf = AppendConjuncts(buf[:0], deep) }); n != 0 || len(buf) != 129 {
+		t.Errorf("AppendConjuncts into a buffer with room: %v allocations, %d conjuncts; want 0 and 129", n, len(buf))
 	}
 }

@@ -194,20 +194,19 @@ func simplifyCmp(op CmpOp, l, r Arith) Bool {
 	return Cmp{Op: op, L: l, R: r}
 }
 
-// Conjuncts flattens a boolean expression into its top-level conjunction
-// list. A non-conjunction is returned as a single-element slice; True
-// yields an empty slice.
-func Conjuncts(b Bool) []Bool {
+// AppendConjuncts appends the top-level conjuncts of b to dst, left to
+// right, and returns the extended slice: a non-conjunction is one conjunct,
+// True contributes none and False is the conjunct False.
+func AppendConjuncts(dst []Bool, b Bool) []Bool {
 	switch t := b.(type) {
 	case BoolConst:
 		if t {
-			return nil
+			return dst
 		}
-		return []Bool{False}
 	case Logic:
 		if t.Op == LAnd {
-			return append(Conjuncts(t.L), Conjuncts(t.R)...)
+			return AppendConjuncts(AppendConjuncts(dst, t.L), t.R)
 		}
 	}
-	return []Bool{b}
+	return append(dst, b)
 }

@@ -57,20 +57,34 @@ type atom struct {
 	tvars []slotW
 }
 
-// normalize lowers a boolean constraint into a list of atoms. Conjunctions
-// are flattened; each conjunct is pattern-matched into the strongest atom
-// class the propagator can use. Disjunctions and other complex shapes
-// become deferred atoms (still enforced via the final model check and
-// case-split search). Every atom then gets the slot lists evaluation and
-// propagation walk, cut from one buffer per constraint (a list cut before
-// the buffer moves stays valid where it is).
-func (s *Solver) normalize(b expr.Bool) []atom {
-	b = expr.SimplifyBool(b)
-	var out []atom
-	for _, c := range expr.Conjuncts(b) {
-		out = s.normalizeOne(out, c)
+// normalize lowers a boolean constraint into a list of atoms, and reports
+// whether the constraint simplifies to False (its one atom is then
+// atomFalse). Conjunctions are flattened; each conjunct is pattern-matched
+// into the strongest atom class the propagator can use. Disjunctions and
+// other complex shapes become deferred atoms (still enforced via the final
+// model check and case-split search).
+func (s *Solver) normalize(b expr.Bool) ([]atom, bool) {
+	sb := expr.SimplifyBool(b)
+	atoms := s.lower(nil, sb)
+	s.refSlots(nil, atoms)
+	return atoms, sb == expr.False
+}
+
+// lower appends the atoms of the simplified constraint sb to dst, interning
+// the slot of each atom's subject; refSlots completes them.
+func (s *Solver) lower(dst []atom, sb expr.Bool) []atom {
+	s.conjs = expr.AppendConjuncts(s.conjs[:0], sb)
+	for _, c := range s.conjs {
+		dst = s.normalizeOne(dst, c)
 	}
-	var refs []int32
+	clear(s.conjs)
+	return dst
+}
+
+// refSlots gives every atom the slot lists evaluation and propagation walk,
+// cut from refs, which it extends and returns (a list cut before the buffer
+// moves stays valid where it is).
+func (s *Solver) refSlots(refs []int32, atoms []atom) []int32 {
 	var mentions *atom // the atom whose tvars the walk below fills, if any
 	slot := func(r expr.Ref) int32 {
 		sl := s.slot(r.Var)
@@ -79,8 +93,8 @@ func (s *Solver) normalize(b expr.Bool) []atom {
 		}
 		return sl
 	}
-	for i := range out {
-		a := &out[i]
+	for i := range atoms {
+		a := &atoms[i]
 		mentions = nil
 		if a.kind == atomDefine || a.kind == atomDeferred || a.kind == atomMaskNe {
 			mentions = a
@@ -101,7 +115,7 @@ func (s *Solver) normalize(b expr.Bool) []atom {
 			}
 		}
 	}
-	return out
+	return refs
 }
 
 // mention records that the atom refers to slot sl at width w: each variable

@@ -263,12 +263,11 @@ type hintEntry struct {
 	val uint64
 }
 
-// hintEntries extracts constants adjacent to each variable in an atom
-// list, used as first candidates during search. Computed once per
+// appendHints appends to out the constants adjacent to each variable in an
+// atom list, used as first candidates during search. Computed once per
 // normalized constraint (memoized, see memo.go) and merged into the live
 // per-variable hint index by Assert.
-func hintEntries(atoms []atom) []hintEntry {
-	var out []hintEntry
+func appendHints(out []hintEntry, atoms []atom) []hintEntry {
 	add := func(v int32, val uint64) {
 		out = append(out, hintEntry{v: v, val: val})
 	}

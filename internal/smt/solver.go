@@ -187,6 +187,10 @@ type Solver struct {
 	memoLen  int
 	conds    []expr.Bool
 	condMemo []*assertMemo
+	// Scratch of a memo miss: a conjunction's conjuncts, those of them
+	// the memo has not seen, and the conjuncts of one simplified condition.
+	leaves, conjs []expr.Bool
+	fresh         []freshPart
 	// truncated reports that the query in flight exhausted a candidate
 	// list that was cut short; allBound, that the search's last consistency
 	// scan could evaluate every constraint.
@@ -313,21 +317,9 @@ func (s *Solver) assert(m *assertMemo) {
 		top.hn++
 	}
 	base := len(s.atoms)
-	s.atoms = append(s.atoms, m.atoms...)
-	for i := base; i < len(s.atoms); i++ {
-		switch s.atoms[i].kind {
-		case atomDefine:
-			s.defines = append(s.defines, int32(i))
-		case atomMaskNe:
-			s.masked = append(s.masked, int32(i))
-		}
-	}
-	// Merge the hint entries into the live index, logging each append so
-	// Pop can unwind it.
-	for _, e := range m.hints {
-		h := &s.vars[e.v].hints
-		*h = append(*h, e.val)
-		s.hintLog = append(s.hintLog, e.v)
+	s.appendAtoms(m)
+	for _, p := range m.parts {
+		s.appendAtoms(p)
 	}
 	if !s.opts.Incremental {
 		return
@@ -345,6 +337,27 @@ func (s *Solver) assert(m *assertMemo) {
 	if failed && !top.failed {
 		top.failed = true
 		s.nFailed++
+	}
+}
+
+// appendAtoms adds m's own atoms to the arena and indexes its defines and
+// masked atoms, then merges its hint entries into the live index, logging
+// each append so Pop can unwind it.
+func (s *Solver) appendAtoms(m *assertMemo) {
+	base := len(s.atoms)
+	s.atoms = append(s.atoms, m.atoms...)
+	for i := base; i < len(s.atoms); i++ {
+		switch s.atoms[i].kind {
+		case atomDefine:
+			s.defines = append(s.defines, int32(i))
+		case atomMaskNe:
+			s.masked = append(s.masked, int32(i))
+		}
+	}
+	for _, e := range m.hints {
+		h := &s.vars[e.v].hints
+		*h = append(*h, e.val)
+		s.hintLog = append(s.hintLog, e.v)
 	}
 }
 

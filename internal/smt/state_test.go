@@ -309,8 +309,10 @@ func TestMemoConfirmsHashWithEquality(t *testing.T) {
 		}
 		s.Pop()
 	}
-	if m1, m2 := s.memoize(c1), s.memoize(c2); m1 == m2 || s.memoLen != 2 {
-		t.Errorf("two colliding conditions hold %d memo entries (same entry: %v), want 2 distinct", s.memoLen, m1 == m2)
+	// Two entries for the conditions and one for each of their 12 distinct
+	// conjuncts (x == 1, x == 2 and the 10 pads).
+	if m1, m2 := s.memoize(c1), s.memoize(c2); m1 == m2 || s.memoLen != 14 {
+		t.Errorf("two colliding conditions hold %d memo entries (same entry: %v), want 14 with the two distinct", s.memoLen, m1 == m2)
 	}
 }
 

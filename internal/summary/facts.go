@@ -92,23 +92,6 @@ func mentionsArith(a expr.Arith, in func(expr.Var) bool) bool {
 	return false
 }
 
-// eachConjunct calls f on every conjunct of b, in expr.Conjuncts' order.
-func eachConjunct(b expr.Bool, f func(expr.Bool)) {
-	switch t := b.(type) {
-	case expr.BoolConst:
-		if t {
-			return
-		}
-	case expr.Logic:
-		if t.Op == expr.LAnd {
-			eachConjunct(t.L, f)
-			eachConjunct(t.R, f)
-			return
-		}
-	}
-	f(b)
-}
-
 // meet intersects two fact sets; nil means unreachable and is the
 // identity.
 func meet(a, b *facts) *facts {
@@ -198,8 +181,10 @@ func newFlow(g *cfg.Graph, initConds []expr.Bool) *flow {
 	// The program entry carries the intent's assume clauses (§7: "we
 	// group pre-conditions according to packet type").
 	entry := newFacts()
+	var cjs []expr.Bool
 	for _, c := range initConds {
-		for _, cj := range expr.Conjuncts(c) {
+		cjs = expr.AppendConjuncts(cjs[:0], c)
+		for _, cj := range cjs {
 			entry.addCond(cj)
 		}
 	}
@@ -346,17 +331,19 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 		out.conds[k] = c
 	}
 	seen := map[string]int{}
+	var cjs []expr.Bool
 	for _, c := range first.Constraints[len(initC):] {
-		eachConjunct(c, func(cj expr.Bool) {
+		cjs = expr.AppendConjuncts(cjs[:0], c)
+		for _, cj := range cjs {
 			if mentions(cj, func(v expr.Var) bool { return out.modified[v] }) {
-				return
+				continue
 			}
 			k := cj.String()
 			if _, entry := in.conds[k]; !entry {
 				seen[k] = 0
 			}
 			out.conds[k] = cj
-		})
+		}
 	}
 	var buf []byte
 	for i, t := range live[1:] {
@@ -364,12 +351,13 @@ func (fl *flow) setRegionOut(region *cfg.Region, in *facts, templates []*sym.Tem
 			break
 		}
 		for _, c := range t.Constraints[len(initC):] {
-			eachConjunct(c, func(cj expr.Bool) {
+			cjs = expr.AppendConjuncts(cjs[:0], c)
+			for _, cj := range cjs {
 				buf = expr.AppendBool(buf[:0], cj)
 				if _, ok := seen[string(buf)]; ok {
 					seen[string(buf)] = i + 1
 				}
-			})
+			}
 		}
 		for k, last := range seen {
 			if last != i+1 {

@@ -45,7 +45,7 @@ func refSetRegionOut(in *facts, templates []*sym.Template, initC []expr.Bool, in
 			}
 		}
 		for _, c := range t.Constraints[len(initC):] {
-			for _, cj := range expr.Conjuncts(c) {
+			for _, cj := range expr.AppendConjuncts(nil, c) {
 				refAddCond(f, cj)
 			}
 		}

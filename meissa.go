@@ -513,7 +513,8 @@ func (g *GenResult) Report(command, program string) *obs.Report {
 	rep.Solver.TruncatedUnknown = g.SMT.TruncatedUnknown
 	rep.Solver.Propagations = g.SMT.Propagations
 	if g.SMT.Latency.Count > 0 {
-		rep.Solver.LatencyNS = &g.SMT.Latency
+		lat := g.SMT.Latency // the report's own copy: it must not keep g alive
+		rep.Solver.LatencyNS = &lat
 		rep.Solver.LatencyQuantiles = g.SMT.Latency.SummaryQuantiles()
 	}
 	rep.Store = g.Store

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	meissa "repro"
 	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/rulediff"
@@ -93,6 +94,24 @@ func TestRunReportValidates(t *testing.T) {
 			t.Fatalf("P=%d final-pass allocation counts: mallocs=%d bytes=%d",
 				par, back.Paths.FinalMallocs, back.Paths.FinalAllocBytes)
 		}
+	}
+}
+
+// TestReportOwnsLatency: a run report holds its own copy of the solver's
+// latency histogram. Whoever keeps a report keeps nothing of the
+// GenResult alive, and a later change to the result leaves the report as
+// it was.
+func TestReportOwnsLatency(t *testing.T) {
+	g := &meissa.GenResult{}
+	g.SMT.Latency.Observe(1500)
+	rep := g.Report("gen", "gw-1")
+	if rep.Solver.LatencyNS == &g.SMT.Latency {
+		t.Fatal("the report's latency histogram is the GenResult's")
+	}
+	want := *rep.Solver.LatencyNS
+	g.SMT.Latency.Observe(90000)
+	if got := *rep.Solver.LatencyNS; got != want || got.Count != 1 {
+		t.Errorf("after the result's histogram changed, the report's reads %+v, want %+v", got, want)
 	}
 }
 
