@@ -129,7 +129,7 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Adopt(j.t, nil)
+		a.Adopt(j.t)
 		sameAsReference(t, "Adopt", a, want)
 		if err := a.Close(); err != nil {
 			t.Fatal(err)

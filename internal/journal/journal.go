@@ -43,14 +43,15 @@
 // frames a run appends can be kept in a table of their own (KeepFresh),
 // which a store commit writes as they are.
 //
-// An adopted table is filtered at lookup: a record one of whose tags the
-// adopting run's filter (a rule delta's) matches is a miss. A hit on any
-// other record is not in the run's file, so the run journals it there
-// (AppendHit) where it would have appended the verdict, with its own tags:
-// the file holds what a cold run's would, but only the verdicts the run
-// used. A run killed part-way leaves those; the table it adopted is
-// unchanged, so running it again is the cheap way out, and a resume of its
-// file solves the rest again.
+// An adopted table answers as it is: a rule delta retired the records it
+// invalidates before the run adopted it (regress.Retain, the store
+// transaction's InvalidateTags), so a lookup tests no tag. A hit is not in
+// the run's file, so the run journals it there (AppendHit) where it would
+// have appended the verdict, with its own tags: the file holds what a cold
+// run's would, but only the verdicts the run used. A run killed part-way
+// leaves those; its baseline checkpoint or store is unchanged, so running
+// it again is the cheap way out, and a resume of its file solves the rest
+// again.
 //
 // Appends reach the file in batches: Append frames a record into a pending
 // buffer, and every batchFrames records the buffer goes to the file in one
@@ -185,9 +186,8 @@ type Journal struct {
 	fresh *Table
 
 	// resumed says Open read the table from the file, template list and
-	// all; adopted, that Adopt shared it, under the filter invalid.
+	// all; adopted, that Adopt shared it.
 	resumed, adopted bool
-	invalid          func(tag []byte) bool
 
 	loaded   int // verdict records recovered at Open
 	appended atomic.Uint64
@@ -283,28 +283,21 @@ func load(f *os.File, fingerprint uint64) (*Table, int, int, error) {
 	return t, good, loaded, nil
 }
 
-// Lookup returns the entry the table holds for a key; a record one of
-// whose tags the filter Adopt was given matches is a miss. Safe for
+// Lookup returns the entry the table holds for a key. Safe for
 // concurrent use without locking: the table is frozen while an exploration
 // runs.
-func (j *Journal) Lookup(kind Kind, key uint64) (Entry, bool) {
-	e, ok := j.t.Lookup(kind, key)
-	if ok && j.invalid != nil && e.DependsOn(j.invalid) {
-		return Entry{}, false
-	}
-	return e, ok
-}
+func (j *Journal) Lookup(kind Kind, key uint64) (Entry, bool) { return j.t.Lookup(kind, key) }
 
 // Adopt makes t — a regression's baseline, a store family — the
-// journal's table, shared as it is and written nowhere: a record one of
-// whose tags invalid matches is a miss (nil: none), and a hit on any other
-// is not in the file until the run journals it (AppendHit). Neither a
-// count nor the fresh table includes t's records, and t's template list is
-// its own run's. Nobody may change t afterwards. Legal only before the run's
-// first exploration, on a journal made by New or opened without resume.
-func (j *Journal) Adopt(t *Table, invalid func(tag []byte) bool) {
+// journal's table, shared as it is and written nowhere: every record
+// answers, and a hit is not in the file until the run journals it
+// (AppendHit). Neither a count nor the fresh table includes t's records,
+// and t's template list is its own run's. Nobody may change t while an
+// exploration runs. Legal only before the run's first exploration, on a
+// journal made by New or opened without resume.
+func (j *Journal) Adopt(t *Table) {
 	if t.Len() > 0 {
-		j.t, j.invalid, j.adopted = t, invalid, true
+		j.t, j.adopted = t, true
 	}
 }
 
@@ -427,7 +420,7 @@ func (j *Journal) KeepFresh() {
 func (j *Journal) Fresh() *Table { return j.fresh }
 
 // Table returns the journal's table: the records the run started with,
-// which nobody may change.
+// which nobody may change while an exploration runs.
 func (j *Journal) Table() *Table { return j.t }
 
 // Complete frames the template list of the run the journal records — the

@@ -591,7 +591,7 @@ func TestTemplateListIsNoVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Adopt(tbl, nil)
+	a.Adopt(tbl)
 	a.Complete(7, []uint64{1})
 	a.Close()
 	if again, err := ReadTable(adopted, 7); err != nil || !slices.Equal(again.Templates().PathKeys(), []uint64{1}) || again.Len() != 0 {
@@ -600,13 +600,11 @@ func TestTemplateListIsNoVerdict(t *testing.T) {
 	}
 }
 
-// TestAdoptFiltersAtLookup: a record one of whose tags the adopting run's
-// filter matches reads as a miss, every other answers as it is, and the
-// adopted table keeps them all. A hit journaled with other tags than the
-// record's is framed with those, its model and verdict as they are.
-func TestAdoptFiltersAtLookup(t *testing.T) {
+// TestAdoptAppendsHits: an adopted table answers every record it holds as
+// it is, and a hit journaled with other tags than the record's is framed
+// with those, its model and verdict as they are.
+func TestAdoptAppendsHits(t *testing.T) {
 	recs := []Record{
-		{Kind: KindCheck, Key: 1, Verdict: Unsat, Tags: []Tag{TagOf("acl#1"), TagOf("route#2")}},
 		{Kind: KindCheck, Key: 2, Verdict: Sat, Tags: []Tag{TagOf("route#2")}},
 		{Kind: KindEmit, Key: 3, Verdict: Sat, Model: []VarVal{{Var: "h.a", Val: 9}}},
 	}
@@ -616,17 +614,13 @@ func TestAdoptFiltersAtLookup(t *testing.T) {
 			t.Fatal("PutFrame refused a record")
 		}
 	}
-	bad := TagOf("acl#1")
 	path := tmpFile(t)
 	j, err := Open(path, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Adopt(tbl, func(tag []byte) bool { return bytes.Equal(tag, bad[:]) })
-	if _, ok := j.Lookup(KindCheck, 1); ok {
-		t.Error("a record with an invalid tag answers")
-	}
-	for _, r := range recs[1:] {
+	j.Adopt(tbl)
+	for _, r := range recs {
 		e, ok := j.Lookup(r.Kind, r.Key)
 		if !ok || !reflect.DeepEqual(e.Record(), r) {
 			t.Fatalf("Lookup(%d, %d) = %+v %v, want %+v", r.Kind, r.Key, e.Record(), ok, r)
@@ -635,9 +629,6 @@ func TestAdoptFiltersAtLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tbl.Len() != len(recs) {
-		t.Errorf("the adopted table holds %d records, want %d", tbl.Len(), len(recs))
-	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +636,7 @@ func TestAdoptFiltersAtLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs[1:] {
+	for _, r := range recs {
 		r.Tags = []Tag{TagOf("nat#4")}
 		if e, ok := got.Lookup(r.Kind, r.Key); !ok || !reflect.DeepEqual(e.Record(), r) {
 			t.Errorf("journaled hit (%d, %d) reads %+v %v, want %+v", r.Kind, r.Key, e.Record(), ok, r)
@@ -656,11 +647,12 @@ func TestAdoptFiltersAtLookup(t *testing.T) {
 	}
 }
 
-// TestCountFunc: a table indexed from a checkpoint counts each verdict it
-// holds once — the last frame of its kind and key, not one it superseded —
-// and neither the header nor a template list; a Drop takes its record out
-// of the count.
-func TestCountFunc(t *testing.T) {
+// TestDeleteFunc: a table indexed from a checkpoint holds each verdict
+// once — the last frame of its kind and key, not one it superseded — and
+// neither the header nor a template list, so DeleteFunc tests each verdict
+// once, removes what it returns true for and keeps the list; a Drop takes
+// its record out of the table.
+func TestDeleteFunc(t *testing.T) {
 	a, b := TagOf("acl#1"), TagOf("nat#2")
 	path := tmpFile(t)
 	j, err := Open(path, 7, false)
@@ -696,12 +688,18 @@ func TestCountFunc(t *testing.T) {
 		f    func(Entry) bool
 		want int
 	}{{"acl", has(a), 2}, {"nat", has(b), 3}, {"all", func(Entry) bool { return true }, 4}} {
-		if got := tbl.CountFunc(c.f); got != c.want {
-			t.Errorf("%s: counts %d, want %d", c.name, got, c.want)
+		c2, tests := tbl.Clone(), 0
+		got := c2.DeleteFunc(func(e Entry) bool { tests++; return c.f(e) })
+		if got != c.want || tests != 4 || c2.Len() != 4-c.want || c2.Templates().Frame() == nil {
+			t.Errorf("%s: deletes %d in %d tests, leaving %d and a list of %d bytes; want %d in 4, %d and the list",
+				c.name, got, tests, c2.Len(), len(c2.Templates().Frame()), c.want, 4-c.want)
 		}
 	}
+	if tbl.Len() != 4 {
+		t.Errorf("deleting from clones changed the table: %d records, want 4", tbl.Len())
+	}
 	tbl.Drop(Entry{b: tbl.kinds[KindCheck][3].b})
-	if got := tbl.CountFunc(func(Entry) bool { return true }); got != 3 {
-		t.Errorf("after a Drop the table counts %d, want 3", got)
+	if got := tbl.Len(); got != 3 {
+		t.Errorf("after a Drop the table holds %d, want 3", got)
 	}
 }

@@ -119,9 +119,11 @@ func compareKeys(a, b mapKey) int {
 // record put under it. The zero Table is empty and ready to use.
 //
 // A table that more than one reader holds — a store snapshot's family, a
-// regression baseline, a run's journal that shares either — is never
-// changed again: a writer clones it first. That is what makes sharing it
-// free and reading it lock-free.
+// run's journal that shares it — is never changed again: a writer clones
+// it first. That is what makes sharing it free and reading it lock-free. A
+// table with one owner — a checkpoint baseline a regression read, a store
+// transaction's clone of a family — changes in place, but never while an
+// exploration reads it.
 type Table struct {
 	// kinds holds one map per record kind, indexed by the kind: a lookup
 	// hashes one uint64, which the runtime's maps do three times as fast as
@@ -264,19 +266,6 @@ func (t *Table) DeleteFunc(del func(Entry) bool) int {
 		maps.DeleteFunc(m, func(_ uint64, e Entry) bool { return del(e) })
 	}
 	return n - t.Len()
-}
-
-// CountFunc returns how many entries f returns true for.
-func (t *Table) CountFunc(f func(Entry) bool) int {
-	n := 0
-	for _, m := range t.kinds {
-		for _, e := range m {
-			if f(e) {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Sorted returns the entries in canonical (kind, key) order; none for a

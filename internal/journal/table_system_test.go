@@ -81,7 +81,12 @@ func TestSeedAndAdoptMatchLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		fromStore := s.Snapshot().Table(status.Family)
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Abort()
+		fromStore := tx.Table(status.Family)
 
 		// The checkpoint's own table, then the store's, against a load of
 		// the checkpoint: the same records, and hits write the same bytes.
@@ -157,7 +162,7 @@ func adoptedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table) 
 	}
 
 	mem := journal.New()
-	mem.Adopt(tbl, nil)
+	mem.Adopt(tbl)
 	same("adopting journal without a file", mem)
 	if mem.AppendsHits() {
 		t.Error("a journal without a file appends its hits")
@@ -169,7 +174,7 @@ func adoptedMatchLoad(t *testing.T, path string, fp uint64, tbl *journal.Table) 
 		t.Fatal(err)
 	}
 	j.KeepFresh()
-	j.Adopt(tbl, nil)
+	j.Adopt(tbl)
 	same("adopting journal with a file", j)
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)

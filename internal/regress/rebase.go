@@ -1,18 +1,19 @@
 // Package regress implements incremental regression testing: given a
-// baseline run's checkpoint journal and a rule-set delta, the incremental
-// run reads the journal's verdicts through a filter of the new rule set —
-// missing exactly the records whose paths crossed a changed table branch
-// (journal.Journal.Adopt) — so the re-exploration answers every untouched
-// solver interaction from the journal and re-solves only the affected
-// subtrees. Retain counts what the filter leaves.
+// baseline run's verdict table and a rule-set delta, Retain retires from
+// the table, in place and once, exactly the records whose paths crossed a
+// changed table branch; the incremental run adopts what is left as it is
+// (journal.Journal.Adopt), so the re-exploration answers every untouched
+// solver interaction from it and re-solves only the affected subtrees. A
+// store baseline is retired the same way, by the tag match of
+// internal/rulediff, inside the run's store transaction.
 //
 // Soundness does not rest on the invalidation being precise: journal
 // records are keyed by content-based path-prefix hashes (internal/sym),
 // so a retained record can only ever be looked up by a walk whose
 // context and path content are byte-identical to the walk that produced
 // it — and verdicts are pure functions of that content. The dependency
-// index therefore only has to be an over-approximation for the FILTERED
-// journal to be exact; invalidating too much merely costs re-solving.
+// index therefore only has to be an over-approximation for the RETIRED
+// table to be exact; invalidating too much merely costs re-solving.
 // The invalidation rule (internal/rulediff.InvalidTags) is conservative
 // in exactly that direction: arg-only deltas retire the modified
 // entries' branches, anything structural retires the whole table.
@@ -25,13 +26,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Retain counts a baseline's records under the invalid filter: those none
-// of whose dependency tags it matches are retained, the rest invalidated
-// (invalid == nil retains every record). It changes nothing.
+// Retain retires from t, in place, the records one of whose dependency
+// tags invalid matches, testing each record once, and counts what it kept
+// and what it retired (invalid == nil retires none). t's template list
+// stays. t must be its caller's alone: a table a reader shares is never
+// changed (journal.Table).
 func Retain(t *journal.Table, invalid func(tag []byte) bool) *obs.RebaseStats {
 	st := &obs.RebaseStats{Baseline: t.Len()}
 	if invalid != nil {
-		st.Invalidated = t.CountFunc(func(e journal.Entry) bool { return e.DependsOn(invalid) })
+		st.Invalidated = t.DeleteFunc(func(e journal.Entry) bool { return e.DependsOn(invalid) })
 	}
 	st.Retained = st.Baseline - st.Invalidated
 	return st
@@ -55,15 +58,12 @@ func Rebase(srcPath, dstPath string, srcFP, dstFP uint64, invalid func(tag []byt
 	if err != nil {
 		return nil, fmt.Errorf("regress: create rebased journal: %w", err)
 	}
-	st := &obs.RebaseStats{Baseline: base.Len()}
+	st := Retain(base, invalid)
 	for _, e := range base.Sorted() {
-		if e.DependsOn(invalid) {
-			st.Invalidated++
-		} else if err = dst.Copy(e); err != nil {
+		if err = dst.Copy(e); err != nil {
 			break
 		}
 	}
-	st.Retained = st.Baseline - st.Invalidated
 	if cerr := dst.Close(); err == nil {
 		err = cerr
 	}

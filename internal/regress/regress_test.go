@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"bytes"
 	"encoding/json"
 	"path/filepath"
 	"testing"
@@ -83,17 +84,55 @@ func TestRebaseFiltersByTag(t *testing.T) {
 	}
 
 	// The baseline's template list is its own run's: the rebased file does
-	// not carry it. Retain counts what Rebase keeps and changes nothing.
+	// not carry it.
 	if d.Table().Templates().Frame() != nil {
 		t.Error("the rebased journal carries the baseline's template list")
 	}
+}
+
+// TestRetainRetiresOnce: Retain tests each dependency tag of the baseline
+// once, retires in place what the delta invalidates and keeps the template
+// list; a journal that adopts the table then misses every retired key and
+// answers every kept one.
+func TestRetainRetiresOnce(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "base.journal")
+	writeBaseline(t, src, 7)
 	base, err := journal.ReadTable(src, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Retain(base, invalid); *got != want || base.Len() != 5 || base.Templates().Frame() == nil {
-		t.Errorf("Retain = %+v and leaves %d records and a list of %d bytes; want %+v, 5 and the list",
+	before := map[uint64]journal.Entry{}
+	for _, e := range base.Sorted() {
+		before[e.Key()] = e
+	}
+	invalid := rulediff.Matcher([]string{"acl#0000000000000001"})
+	tested := map[journal.Tag]int{}
+	counting := func(tag []byte) bool {
+		tested[journal.Tag(tag)]++
+		return invalid(tag)
+	}
+	want := obs.RebaseStats{Baseline: 5, Retained: 4, Invalidated: 1}
+	if got := Retain(base, counting); *got != want || base.Len() != 4 || base.Templates().Frame() == nil {
+		t.Errorf("Retain = %+v and leaves %d records and a list of %d bytes; want %+v, 4 and the list",
 			*got, base.Len(), len(base.Templates().Frame()), want)
+	}
+	// Five distinct tags over the five records, the retired record's its
+	// only one: each is tested once.
+	for _, tag := range []string{"acl#0000000000000001", "acl#0000000000000002", "nat#0000000000000009", "acl#miss", "fwd#miss"} {
+		if n := tested[journal.TagOf(tag)]; n != 1 {
+			t.Errorf("tag %s tested %d times, want once", tag, n)
+		}
+	}
+	if len(tested) != 5 {
+		t.Errorf("%d distinct tags tested, want 5", len(tested))
+	}
+	j := journal.New()
+	j.Adopt(base)
+	for key, e := range before {
+		got, ok := j.Lookup(e.Kind(), key)
+		if retired := key == 1; ok == retired || ok && !bytes.Equal(got.Frame(), e.Frame()) {
+			t.Errorf("key %d: answers %v (retired %v)", key, ok, retired)
+		}
 	}
 }
 

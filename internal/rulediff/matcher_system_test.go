@@ -59,7 +59,7 @@ func TestMatcherMatchesReferenceOnCorpus(t *testing.T) {
 							}
 						}
 					}
-					st := regress.Retain(base, rulediff.Matcher(invalid))
+					st := regress.Retain(base.Clone(), rulediff.Matcher(invalid))
 					if st.Invalidated != want || st.Retained != len(recs)-want || want == 0 {
 						t.Errorf("update %d (%q): Matcher retains %d and retires %d of %d, the string matcher retires %d",
 							i, invalid, st.Retained, st.Invalidated, len(recs), want)

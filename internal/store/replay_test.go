@@ -173,7 +173,7 @@ func TestStoreWarmSharesTableDuringCommit(t *testing.T) {
 	mustCommit(t, tx)
 	sn := s.Snapshot()
 	defer sn.Close()
-	shared := sn.Table(fam)
+	shared := &sn.st.fam(fam).recs
 	want := fmt.Sprint(shared.Records())
 
 	var wg sync.WaitGroup

@@ -48,7 +48,7 @@ type Stats struct {
 	Compactions   uint64 // commits that rewrote the log instead of appending
 	TailDiscarded uint64 // bytes of uncommitted tail dropped at Open
 	FileBytes     uint64 // committed size of the file
-	SnapshotReads uint64 // records served through snapshot handles
+	SnapshotReads uint64 // records served through snapshots and transactions' family tables
 	Invalidated   uint64 // records removed by tag invalidation
 	// TagTests counts records tested against retired tags: at Open each
 	// record a tombstone follows, once, and every record of the family an
@@ -276,6 +276,17 @@ func (tx *Tx) SetFamilyRules(fam uint64, rulesText string) {
 	tx.buf = appendRules(tx.buf, rulesText)
 }
 
+// Table returns fam's records as the transaction has left them: the
+// committed family's own table, shared and not copied, until the
+// transaction changes the family, and its clone after. A warm start puts it
+// in its journal; nobody else may change it, and the transaction changes it
+// only through its own calls. It counts the committed family's records as
+// read through a snapshot: the table is made of them.
+func (tx *Tx) Table(fam uint64) *journal.Table {
+	tx.s.count(&tx.s.stats.SnapshotReads, uint64(tx.base.fam(fam).recs.Len()))
+	return &tx.view(fam).recs
+}
+
 // view returns fam as the transaction has left it, to read.
 func (tx *Tx) view(fam uint64) *family {
 	if f := tx.fams[fam]; f != nil {
@@ -443,6 +454,9 @@ func (sn *Snapshot) Close() {}
 type FamilyInfo struct {
 	RulesHash uint64
 	Rules     string
+	// Templates is the template list of the last completed run under Rules
+	// (journal.Table.Templates), the zero Entry for none.
+	Templates journal.Entry
 }
 
 // Family reads a family's rules from the committed state.
@@ -454,7 +468,7 @@ func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool) {
 	if !f.hasRules {
 		return FamilyInfo{}, false
 	}
-	return FamilyInfo{RulesHash: hash64(f.rules), Rules: f.rules}, true
+	return FamilyInfo{RulesHash: hash64(f.rules), Rules: f.rules, Templates: f.recs.Templates()}, true
 }
 
 // Records visits fam's verdict records in canonical (kind, key) order
@@ -469,15 +483,6 @@ func (sn *Snapshot) Records(fam uint64, fn func(journal.Record) bool) error {
 	}
 	sn.s.count(&sn.s.stats.SnapshotReads, served)
 	return nil
-}
-
-// Table returns fam's records as the snapshot's committed state holds
-// them: the family's own table, shared and not copied, which nobody
-// changes (a transaction clones it). A warm start puts it in its journal.
-func (sn *Snapshot) Table(fam uint64) *journal.Table {
-	t := &sn.st.fam(fam).recs
-	sn.s.count(&sn.s.stats.SnapshotReads, uint64(t.Len()))
-	return t
 }
 
 // RecordCount returns the number of verdict records stored for fam; its

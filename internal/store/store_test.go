@@ -710,7 +710,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 			if info, ok := sn.Family(fam); ok != (m.rules != "") || info.Rules != m.rules {
 				t.Fatalf("step %d (%s): family %d rules %q (present %v), model %q", step, what, fam, info.Rules, ok, m.rules)
 			}
-			if l := sn.Table(fam).Templates(); (l.Frame() != nil) != (m.list != nil) || !slices.Equal(l.PathKeys(), m.list) || m.list != nil && l.Key() != fam {
+			if l := sn.st.fam(fam).recs.Templates(); (l.Frame() != nil) != (m.list != nil) || !slices.Equal(l.PathKeys(), m.list) || m.list != nil && l.Key() != fam {
 				t.Fatalf("step %d (%s): family %d template list %v under %#x, model %v", step, what, fam, l.PathKeys(), l.Key(), m.list)
 			}
 		}

@@ -241,7 +241,7 @@ func coldTable(t *testing.T, c Config, keep func(journal.Entry) bool) (*Result, 
 func adopted(t *testing.T, table *journal.Table) *journal.Journal {
 	t.Helper()
 	j := journal.New()
-	j.Adopt(table, nil)
+	j.Adopt(table)
 	return j
 }
 

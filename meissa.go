@@ -37,6 +37,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/regress"
+	"repro/internal/rulediff"
 	"repro/internal/rules"
 	"repro/internal/smt"
 	"repro/internal/spec"
@@ -227,14 +228,15 @@ func (s *System) Generate() (*GenResult, error) { return s.generate(nil) }
 // A run that persists or reuses verdicts keeps ONE verdict table, the
 // journal's, which exploration reads. Sources fill it, and only before the
 // first exploration: the Checkpoint file on a Resume (indexed), a
-// regression's checkpoint baseline or a store snapshot's family (shared,
-// not copied, a rule delta's invalidated records reading as misses).
+// regression's checkpoint baseline or the store transaction's family
+// (shared, not copied), from either of which a rule delta's invalidated
+// records were retired first, each tested once.
 // Sinks take what the run derives, each verdict framed once: the
 // Checkpoint file, in batches of appends journaled before use, and the
 // store, in one transaction at the end that writes the frames the journal
 // kept. A run that completes ends each sink with its template list, framed
-// once too. The table never changes once the first exploration starts: the
-// run's own appends do not enter it.
+// once too. The table never changes while an exploration runs: the run's
+// own appends do not enter it, and the store commit's puts come after.
 func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 	start := time.Now()
 	if err := refuse(call{opts: s.Opts}); err != nil {
@@ -273,7 +275,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 		if err := phase("store-open", func() (err error) { stc, err = s.openStoreCtx(initC); return }); err != nil {
 			return nil, err
 		}
-		defer stc.st.Close()
+		defer stc.close()
 	}
 	// The run's identity, which a checkpoint file is checked against and a
 	// completed run's template list is keyed by. The plain path does not pay
@@ -286,9 +288,10 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 	// The starting verdicts, read before the Checkpoint is opened, so that a
 	// refused baseline leaves no file: a regression's checkpoint baseline,
 	// else a store warm start, which a Resume skips: its journal holds them
-	// already. Either is adopted as it is, the records a rule delta
-	// invalidates reading as misses, and a named Checkpoint receives each
-	// adopted verdict the run uses where a cold run would append it.
+	// already. The records a rule delta invalidates are retired from either
+	// once, here; the rest is adopted as it is, and a named Checkpoint
+	// receives each adopted verdict the run uses where a cold run would
+	// append it.
 	base := reg
 	if reg != nil || stc != nil && !s.Opts.Resume {
 		name := "rebase"
@@ -297,22 +300,16 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 		}
 		err := phase(name, func() (err error) {
 			if stc != nil {
-				if base, err = stc.warm(s, initC, reg); err != nil {
-					return err
-				}
+				base, res.Rebase, err = stc.warm(s, initC, reg)
+			} else {
+				res.Rebase = regress.Retain(base.table, rulediff.Matcher(base.delta.InvalidTags()))
 			}
-			if base != nil {
-				res.Rebase = regress.Retain(base.table, base.match)
-			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		if st := res.Rebase; st != nil {
-			if stc != nil {
-				stc.rep.Warmed = uint64(st.Retained)
-			}
 			obs.Progressf("meissa: %s: %s: %d/%d verdicts retained (%d invalidated)", s.Prog.Name, name, st.Retained, st.Baseline, st.Invalidated)
 		}
 	}
@@ -347,7 +344,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 			j.KeepFresh() // what this run derives, for the store commit
 		}
 		if base != nil {
-			j.Adopt(base.table, base.match)
+			j.Adopt(base.table)
 		}
 	}
 

@@ -60,14 +60,15 @@ type RegressResult struct {
 }
 
 // baseline is what a run starts from besides its own Checkpoint: a
-// completed run's table of verdicts, adopted as it is, and the delta from
-// that run's rules to this one's, whose filter match makes a record it
-// invalidates a miss. The table's template list is the baseline's
-// templates. Regress fills it from a checkpoint; a store's warm start fills
-// it from one snapshot.
+// completed run's table of verdicts, from which the records the delta from
+// that run's rules to this one's invalidates are retired before the run
+// adopts it as it is, and that run's template list, kept apart because a
+// store commit replaces the table's. Regress fills it from a checkpoint,
+// whose table it alone holds; a store's warm start fills it from the run's
+// transaction.
 type baseline struct {
 	table *journal.Table
-	match func(tag []byte) bool // nil matches no tag
+	list  journal.Entry
 	delta *rulediff.Delta
 	// old, when set, is the rules a store baseline must hold: OldRules.
 	old *rules.Set
@@ -79,11 +80,12 @@ type baseline struct {
 //     store's family, by the warm start every store-backed generation
 //     makes — with the template list its run completed with, and diff its
 //     rules to NewRules canonically (internal/rulediff);
-//  2. run the incremental generation over the baseline's records as they
-//     are, a record whose dependency tags the delta invalidates being a
-//     miss; Checkpoint receives each verdict the run uses, answered or
-//     solved, where a cold run on NewRules appends it, and a store receives
-//     the update in one commit;
+//  2. retire from the baseline, once, the records whose dependency tags
+//     the delta invalidates — a checkpoint's in the table Regress alone
+//     holds, a store's in the run's transaction — and run the incremental
+//     generation over what is left, as it is; Checkpoint receives each
+//     verdict the run uses, answered or solved, where a cold run on
+//     NewRules appends it, and a store receives the update in one commit;
 //  3. compare the baseline's template list with the new templates by
 //     content-based path key and emit the regress report.
 //
@@ -93,7 +95,7 @@ type baseline struct {
 // `meissa gen -checkpoint FILE -resume`, or a completed `meissa gen -store
 // FILE`. So are a store with no family and OldRules that are not the
 // stored ones (OldRules is optional with a store). Every refusal is a
-// *Refusal and comes before anything is written.
+// *Refusal and comes before anything is retired or written.
 //
 // Correctness is machine-checkable: the incremental generation's
 // templates are byte-identical to a cold full run on NewRules (journal
@@ -132,12 +134,11 @@ func Regress(in RegressInput) (*RegressResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !isList(base.table.Templates(), fp) {
+		if base.list = base.table.Templates(); !isList(base.list, fp) {
 			return nil, &Refusal{in.Baseline, "holds no template list: it is not a completed run's checkpoint",
 				"complete it with `meissa gen -checkpoint " + in.Baseline + " -resume`"}
 		}
 		base.delta = rulediff.Diff(in.OldRules, in.NewRules)
-		base.match = rulediff.Matcher(base.delta.InvalidTags())
 	} else if _, err := os.Stat(opts.StorePath); errors.Is(err, fs.ErrNotExist) {
 		// Refused before the store is opened, which would create it.
 		return nil, &Refusal{opts.StorePath, "holds no baseline for this program family", "run gen with the store first"}
@@ -158,7 +159,7 @@ func Regress(in RegressInput) (*RegressResult, error) {
 	obs.Progressf("regress: %d tables changed", len(delta.Tables))
 
 	// --- Template delta by content-based path key (multiset) ---
-	keys := base.table.Templates().PathKeys()
+	keys := base.list.PathKeys()
 	nBase, baseKeys := len(keys), make(map[uint64]int, len(keys))
 	for _, k := range keys {
 		baseKeys[k]++

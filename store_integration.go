@@ -1,6 +1,7 @@
 package meissa
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -18,26 +19,29 @@ import (
 // are keyed by a *family* fingerprint that deliberately excludes the
 // rule set, so a rule update does not orphan the family — instead the
 // stored rules are diffed against the run's rules, once per run. The store
-// is one more source and sink of the run's verdict table. A warm start
-// writes nothing: it shares the family's table of a snapshot with the
-// run's journal — the frames Open read, not a copy — and, when the stored
-// rules are not the run's, the delta's filter, under which a record the
-// delta invalidates is a miss. The run's one commit is the one place a
-// rule delta reaches the store: it retires exactly the invalidated
-// entries, by the tag match the warm start filtered by, installs the new
-// rules and adds what the run derived, in one atomic transaction.
-// A regression from the store and an export take the same warm start.
+// is one more source and sink of the run's verdict table, and a run holds
+// ONE transaction on it, from its warm start to its commit. The warm start
+// begins it and, when the stored rules are not the run's, retires in it
+// exactly the records the delta invalidates, testing each once: the one
+// place a rule delta reaches the store. The run's journal then adopts the
+// transaction's table of the family as it is — the frames Open read, not
+// copies, in the family's own table or, under a delta, the transaction's
+// clone of it — and the commit
+// installs the new rules and adds what the run derived to the same
+// transaction: one atomic update, nothing written before it. A resumed run
+// does not warm: its commit begins the transaction and retires the same
+// way. A regression from the store and an export take the same warm start;
+// an export never commits.
 
 // storeCtx is one run's connection to a verdict store: the store it
-// opened, the resolved family fingerprint and the run's rules text, and
-// the activity counters that become the run report's store section.
+// opened, its one transaction, the resolved family fingerprint and the
+// run's rules text, and the activity counters that become the run report's
+// store section.
 type storeCtx struct {
 	st    *store.Store
-	fam   uint64 // family fingerprint (rules excluded)
-	rules string // the run's rules, rendered once: what the stored text is checked against
-	// delta is the stored rules' diff to the run's, made by whichever of
-	// warm and commit meets a stored rule set that is not the run's first.
-	delta *rulediff.Delta
+	tx    *store.Tx // begun by the warm start, or by a resumed run's commit
+	fam   uint64    // family fingerprint (rules excluded)
+	rules string    // the run's rules, rendered once: what the stored text is checked against
 	rep   obs.StoreReport
 }
 
@@ -50,114 +54,111 @@ func (s *System) openStoreCtx(initC []expr.Bool) (*storeCtx, error) {
 	return &storeCtx{st: st, fam: s.identity(initC, ""), rules: s.Rules.String(), rep: obs.StoreReport{Path: st.Path()}}, nil
 }
 
-// diff parses the stored rules text and makes its delta to the run's
-// rules, stc.delta: the warm start does, or the commit of a resumed run,
-// which did not warm. It returns the stored rules.
-func (stc *storeCtx) diff(storedText string, run *rules.Set) (*rules.Set, error) {
-	old, err := rules.Parse(storedText)
-	if err != nil {
-		return nil, fmt.Errorf("stored rules for family %#x unparseable: %w", stc.fam, err)
+// close aborts the run's transaction, which does nothing once it committed,
+// and closes the store: every way out of a run that opened it.
+func (stc *storeCtx) close() {
+	if stc.tx != nil {
+		stc.tx.Abort()
 	}
-	stc.delta = rulediff.Diff(old, run)
-	return old, nil
+	stc.st.Close()
 }
 
-// reconcileRules applies a rule update to the store inside tx: retire
-// exactly the entries the delta invalidates and install the new text —
-// one atomic transaction with whatever else the caller commits. Records
-// whose tags the delta does not touch keep answering; there is no path by
-// which a stale verdict survives, because every record carries its
-// dependency tags in its frame.
-func (stc *storeCtx) reconcileRules(tx *store.Tx, storedText string, run *rules.Set) error {
-	if stc.delta == nil {
-		if _, err := stc.diff(storedText, run); err != nil {
-			return err
+// begin starts the run's one transaction and reads the family: its info
+// (ok=false: none) and, when its stored rules are not the run's, those
+// rules parsed (nil when they are the run's).
+func (stc *storeCtx) begin() (info store.FamilyInfo, ok bool, old *rules.Set, err error) {
+	if stc.tx, err = stc.st.Begin(); err != nil {
+		return
+	}
+	if info, ok = stc.st.Family(stc.fam); ok && info.Rules != stc.rules {
+		if old, err = rules.Parse(info.Rules); err != nil {
+			err = fmt.Errorf("stored rules for family %#x unparseable: %w", stc.fam, err)
 		}
 	}
-	stc.rep.Invalidated += uint64(tx.InvalidateTags(stc.fam, stc.delta.InvalidTags()))
-	tx.SetFamilyRules(stc.fam, stc.rules)
-	return nil
+	return
 }
 
-// warm reads the family's baseline from one snapshot and writes nothing:
-// the table the snapshot holds its records in and, when the stored rules
-// are not the run's, their delta and its filter: the records it matches a
-// tag of are misses for the run, and the run's commit retires them from
-// the store. The table is the caller's to share with its journal and
-// nobody's to change; nil means a cold start (no family).
+// retire diffs old, the stored rules, to run and retires in the run's
+// transaction exactly the records the delta invalidates, by the tag match
+// a regression from a checkpoint retires by, testing each record once.
+// Records whose tags the delta does not touch keep answering; there is no
+// path by which a stale verdict survives, because every record carries its
+// dependency tags in its frame. With no old rules the delta is empty.
+func (stc *storeCtx) retire(old, run *rules.Set) *rulediff.Delta {
+	if old == nil {
+		return &rulediff.Delta{}
+	}
+	d := rulediff.Diff(old, run)
+	stc.rep.Invalidated = uint64(stc.tx.InvalidateTags(stc.fam, d.InvalidTags()))
+	return d
+}
+
+// warm begins the run's transaction and reads the family's baseline from
+// it: the table the transaction holds its records in, after retiring what
+// the delta from the stored rules to the run's invalidates, and what it
+// retained. The table is the caller's to share with its journal while the
+// run explores, and the commit's to change after; nil means a cold start
+// (no family).
 //
 // A regression's baseline (reg) must be a completed run's: warm refuses a
 // store with no family, one whose stored rules are not reg.old (when set),
-// and one with no template list for its rules. Otherwise it fills reg and
-// returns it.
-func (stc *storeCtx) warm(s *System, initC []expr.Bool, reg *baseline) (*baseline, error) {
-	sn := stc.st.Snapshot()
-	defer sn.Close()
-	info, ok := sn.Family(stc.fam)
-	if !ok && reg == nil {
-		return nil, nil // no family: first run of this family
-	}
-	if !ok {
-		return nil, &Refusal{stc.st.Path(), "holds no baseline for this program family", "run gen with the store first"}
-	}
-	b, stored := &baseline{table: sn.Table(stc.fam), delta: &rulediff.Delta{}}, s.Rules
-	if info.Rules != stc.rules {
-		var err error
-		if stored, err = stc.diff(info.Rules, s.Rules); err != nil {
-			return nil, err
-		}
-		b.delta, b.match = stc.delta, rulediff.Matcher(stc.delta.InvalidTags())
-	}
-	if reg == nil {
-		return b, nil
-	}
-	if reg.old != nil && reg.old.String() != info.Rules {
-		return nil, &Refusal{"OldRules", fmt.Sprintf("%d entries, hash %#x, are not the store's rules (%d entries, hash %#x): "+
-			"the store holds the template list of its own rules only", reg.old.Len(), rulesHash(reg.old.String()), stored.Len(), info.RulesHash),
+// and one with no template list for its rules, each before it retires
+// anything. Otherwise it fills reg and returns it.
+func (stc *storeCtx) warm(s *System, initC []expr.Bool, reg *baseline) (*baseline, *obs.RebaseStats, error) {
+	info, ok, old, err := stc.begin()
+	switch {
+	case err != nil || !ok && reg == nil:
+		return nil, nil, err // no family: first run of this family
+	case !ok:
+		return nil, nil, &Refusal{stc.st.Path(), "holds no baseline for this program family", "run gen with the store first"}
+	case reg == nil:
+		reg = &baseline{}
+	case reg.old != nil && reg.old.String() != info.Rules:
+		return nil, nil, &Refusal{"OldRules", fmt.Sprintf("%d entries, hash %#x, are not the store's rules (%d entries, hash %#x): "+
+			"the store holds the template list of its own rules only", reg.old.Len(), rulesHash(reg.old.String()), cmp.Or(old, s.Rules).Len(), info.RulesHash),
 			"leave OldRules unset: the store supplies them"}
-	}
-	if !isList(b.table.Templates(), s.identity(initC, info.Rules)) {
-		return nil, &Refusal{stc.st.Path(), "holds no template list for the stored rules: its last commit installed them without a completed run",
+	case !isList(info.Templates, s.identity(initC, info.Rules)):
+		return nil, nil, &Refusal{stc.st.Path(), "holds no template list for the stored rules: its last commit installed them without a completed run",
 			"run a completed `meissa gen -store " + stc.st.Path() + "` on them first"}
 	}
-	*reg = *b
-	return reg, nil
+	reg.list, reg.delta = info.Templates, stc.retire(old, s.Rules)
+	reg.table = stc.tx.Table(stc.fam)
+	stc.rep.Warmed = uint64(reg.table.Len())
+	st := &obs.RebaseStats{Retained: reg.table.Len(), Invalidated: int(stc.rep.Invalidated)}
+	st.Baseline = st.Retained + st.Invalidated
+	return reg, st, nil
 }
 
-// commit folds the records of t into the store as ONE transaction:
-// rule-set reconciliation (when the stored rules differ — a rule update,
-// or a resumed checkpoint), new records and the run's template list become
-// durable together or not at all. t holds what the store may not hold yet:
-// the frames the run derived, over a resumed checkpoint's. They go in
-// canonical order, as they are. The records the run warmed from the store
-// are not among them and count as duplicates unread; a frame the store
-// holds byte for byte is a duplicate too, so a fully-warmed re-run commits
-// nothing and leaves the store file untouched. list is the run's template
-// list, nil when the run did not complete: installing new rules without one
-// drops the family's old list, so a stored list is always that of the
-// stored rules. The list is no record: no count includes it.
+// commit folds the records of t into the run's transaction and commits
+// it: the retirement a rule delta made (at the warm start, or here for a
+// resumed run, which did not warm), the run's rules, the new records and
+// the run's template list become durable together or not at all. t holds
+// what the store may not hold yet: the frames the run derived, over a
+// resumed checkpoint's. They go in canonical order, as they are. The
+// records the run warmed from the store are not among them and count as
+// duplicates unread; a frame the store holds byte for byte is a duplicate
+// too, so a fully-warmed re-run commits nothing and leaves the store file
+// untouched. list is the run's template list, nil when the run did not
+// complete: installing new rules without one drops the family's old list,
+// so a stored list is always that of the stored rules. The list is no
+// record: no count includes it.
 func (stc *storeCtx) commit(s *System, t *journal.Table, list []byte) error {
-	info, ok := stc.st.Family(stc.fam)
-	tx, err := stc.st.Begin()
-	if err != nil {
-		return err
+	if stc.tx == nil { // a resumed run, which did not warm
+		_, _, old, err := stc.begin()
+		if err != nil {
+			return err
+		}
+		stc.retire(old, s.Rules)
 	}
-	fail := func(err error) error { tx.Abort(); return err }
-	switch {
-	case ok && info.Rules != stc.rules:
-		// Retire the delta's entries before the new records land.
-		err = stc.reconcileRules(tx, info.Rules, s.Rules)
-	case !ok:
+	tx := stc.tx
+	if info, ok := stc.st.Family(stc.fam); !ok || info.Rules != stc.rules {
 		tx.SetFamilyRules(stc.fam, stc.rules)
-	}
-	if err != nil {
-		return fail(err)
 	}
 	stc.rep.Duplicates = stc.rep.Warmed
 	for _, e := range t.Sorted() {
 		held, err := tx.Put(stc.fam, e.Frame())
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if held {
 			stc.rep.Duplicates++
@@ -167,7 +168,7 @@ func (stc *storeCtx) commit(s *System, t *journal.Table, list []byte) error {
 	}
 	if list != nil {
 		if _, err := tx.Put(stc.fam, list); err != nil {
-			return fail(err)
+			return err
 		}
 	}
 	if err := tx.Commit(); err != nil {
@@ -192,7 +193,8 @@ func (stc *storeCtx) report() *obs.StoreReport {
 // StoreExport materializes the system family's stored verdicts as a
 // checkpoint journal at journalPath (store→journal migration; the file
 // resumes a `gen -checkpoint journalPath -resume` run) through a warm
-// start, so it writes nothing to the store: under a stored rule set that
+// start whose transaction it aborts, so it writes nothing to the store:
+// under a stored rule set that
 // differs from the system's the export holds only the records the delta
 // leaves valid, and never a stale verdict. An empty or absent family
 // exports a valid header-only journal.
@@ -201,8 +203,8 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer stc.st.Close()
-	b, err := stc.warm(s, initC, nil)
+	defer stc.close()
+	b, _, err := stc.warm(s, initC, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -214,11 +216,8 @@ func (s *System) StoreExport(journalPath string) (*obs.StoreReport, error) {
 		return nil, err
 	}
 	for _, e := range b.table.Sorted() {
-		if !e.DependsOn(b.match) {
-			if err = j.Copy(e); err != nil {
-				break
-			}
-			stc.rep.Warmed++
+		if err = j.Copy(e); err != nil {
+			break
 		}
 	}
 	if cerr := j.Close(); err == nil {
@@ -250,7 +249,7 @@ func (s *System) StoreStatus() (*StoreStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer stc.st.Close()
+	defer stc.close()
 	st := &StoreStatus{
 		Path:        stc.st.Path(),
 		FileBytes:   stc.st.Stats().FileBytes,

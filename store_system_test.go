@@ -143,10 +143,12 @@ func TestStoreRuleChurnMatchesCold(t *testing.T) {
 }
 
 // TestStoreRuleUpdateCommitsOnce: a rule delta reaches the store in one
-// place, the run's commit. A store-backed generation on the new rules and
-// a regression from the store to them leave the same store file, each in
-// one transaction, and account for the update alike: what the warm start
-// retained in memory is what the regression reports as its rebase.
+// transaction, the run's, which its warm start begins and retires the
+// delta's records in, and its commit ends. A store-backed generation on
+// the new rules and a regression from the store to them leave the same
+// store file, each in one transaction, and account for the update alike:
+// what the warm start retained is what the regression reports as its
+// rebase.
 func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 	for _, name := range []string{"gw-1", "gw-3"} {
 		t.Run(name, func(t *testing.T) {
@@ -168,6 +170,38 @@ func TestStoreRuleUpdateCommitsOnce(t *testing.T) {
 				t.Errorf("gen rebase %+v, regress rebase section %+v, warmed %d", gen.Rebase, reg.regress.Rebase, g.Warmed)
 			}
 		})
+	}
+}
+
+// TestRegressAbortLeavesStore: a store-backed regression that fails after
+// its warm start retired the delta's records — its Checkpoint names a file
+// in a missing directory, which the run opens after the warm phase —
+// aborts its transaction: the store file is byte-identical afterwards, and
+// a second regression on the store retains and retires what a first one
+// does (gw-1, one argument bumped: 41 of 50 retained, 9 invalidated).
+func TestRegressAbortLeavesStore(t *testing.T) {
+	p := corpusProgram(t, "gw-1")
+	path := get(t, genKey("gw-1", "", 1, "store")).copy(t, "store")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRules := mustVariant(t, p, "args1")
+	failing := storeRun(p, newRules, 1, path)
+	failing.regress = true
+	failing.opts.Checkpoint = filepath.Join(t.TempDir(), "missing", "regress.journal")
+	if _, err := failing.do(); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a regression whose checkpoint cannot be created: %v, want the create error", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the failed regression changed the store (%v): %d bytes, was %d", err, len(after), len(before))
+	}
+	again := storeRun(p, newRules, 1, path)
+	again.regress = true
+	res := again.res(t)
+	if st, sr := res.Report.Rebase, res.Gen.Store; st.Retained != 41 || st.Invalidated != 9 || sr.Invalidated != 9 || sr.Commits != 1 {
+		t.Errorf("the second regression retained %d, invalidated %d (store: %d in %d commits); want 41, 9 (9 in 1)",
+			st.Retained, st.Invalidated, sr.Invalidated, sr.Commits)
 	}
 }
 
@@ -616,7 +650,12 @@ func storeFamily(t *testing.T, p *programs.Program, path string) ([][]byte, jour
 		t.Fatal(err)
 	}
 	defer st.Close()
-	tbl := st.Snapshot().Table(status.Family)
+	tx, err := st.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
+	tbl := tx.Table(status.Family)
 	var frames [][]byte
 	for _, e := range tbl.Sorted() {
 		frames = append(frames, slices.Clone(e.Frame()))

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/programs"
-	"repro/internal/regress"
 )
 
 // raceEnabled is set in a build with the race detector (race_test.go).
@@ -50,13 +49,13 @@ func TestWarmStartAllocsPerRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer stc.st.Close()
-		b, err := stc.warm(sys, initC, nil) // store-warm
+		defer stc.close()
+		b, st, err := stc.warm(sys, initC, nil) // store-warm
 		if err != nil {
 			t.Fatal(err)
 		}
-		journal.New().Adopt(b.table, b.match)
-		warmed = uint64(regress.Retain(b.table, b.match).Retained)
+		journal.New().Adopt(b.table)
+		warmed = uint64(st.Retained)
 	})
 	if warmed == 0 {
 		t.Fatal("the warm start warmed no records")
