@@ -110,7 +110,9 @@ type SolverReport struct {
 	// The executor asserts a condition only for a query the journal cannot
 	// answer, so a run answered wholly from a store or checkpoint makes 0.
 	// At Parallelism > 1 it depends on the schedule, how the runners' work
-	// interleaves: two runs of one input may differ by a few.
+	// interleaves: two runs of one input may differ by a few (three gw-4
+	// runs at 2 workers read 398 179, 398 179 and 398 177, with Solved
+	// 97 573 each time). Only a Parallelism 1 run's count repeats.
 	Propagations uint64 `json:"propagations"`
 	// LatencyNS is the run's per-query latency histogram (log2 buckets,
 	// smt.Stats.Latency): one sample a solved query, so its count is

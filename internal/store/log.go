@@ -102,26 +102,14 @@ func laterCommit(tail []byte, txid uint64) bool {
 
 // family is one family's state: its rules and its records, each kept as
 // the frame the log holds it in, and in the records' table the template
-// list of the last completed run under those rules, if it has one. A
-// committed one never changes, nor does its table, which warm starts and
-// regressions share: a transaction works on a clone, which its commit puts
-// in place.
+// list of the last completed run under those rules, if it has one. The
+// store's transaction changes it in place; the table a warm start shares
+// with its run's journal changes only before the run explores and after.
 type family struct {
 	hasRules bool
 	rules    string
 	recs     journal.Table
 	bytes    int64 // what a log of live frames only spends on the family
-}
-
-// clone returns a family a transaction may change; of one with no state
-// yet, an empty one.
-func (f *family) clone() *family {
-	if f.bytes == 0 {
-		return &family{bytes: idLen}
-	}
-	c := *f
-	c.recs = *f.recs.Clone()
-	return &c
 }
 
 func (f *family) empty() bool { return !f.hasRules && f.recs.Len() == 0 }
@@ -233,7 +221,8 @@ func (f *family) appendTo(out []byte, fam uint64) []byte {
 	return append(out, f.recs.Templates().Frame()...)
 }
 
-// state is a committed state of the store, which snapshots pin.
+// state is what the store holds: the committed transactions' families,
+// and an open transaction's changes to them.
 type state struct {
 	txid uint64
 	fams map[uint64]*family
@@ -246,6 +235,16 @@ func (st *state) fam(fam uint64) *family {
 		return f
 	}
 	return &family{}
+}
+
+// edit returns a family to change, made empty when the state holds none.
+func (st *state) edit(fam uint64) *family {
+	f := st.fams[fam]
+	if f == nil {
+		f = &family{bytes: idLen}
+		st.fams[fam] = f
+	}
+	return f
 }
 
 // live is the size of the log that holds the state and nothing else.
@@ -290,11 +289,7 @@ func replay(data []byte) (*state, int, uint64, error) {
 			ok = id > st.txid
 			st.txid, good, f = id, off+n, nil // a family frame scopes no further than its transaction
 		case p[0] == frameFamily && len(p) == 9:
-			fam := binary.LittleEndian.Uint64(p[1:])
-			if f = st.fams[fam]; f == nil {
-				f = st.fam(fam).clone()
-				st.fams[fam] = f
-			}
+			f = st.edit(binary.LittleEndian.Uint64(p[1:]))
 		case f == nil:
 			ok = false
 		case p[0] == byte(journal.KindCheck), p[0] == byte(journal.KindEmit), p[0] == byte(journal.KindTemplates):

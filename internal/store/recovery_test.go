@@ -164,7 +164,7 @@ func storeState(t *testing.T, s *Store, fam uint64) string {
 	if info, ok := sn.Family(fam); ok {
 		fmt.Fprintf(&b, "F %x %q\n", info.RulesHash, info.Rules)
 	}
-	if l := sn.st.fam(fam).recs.Templates(); l.Frame() != nil {
+	if l := sn.s.cur.fam(fam).recs.Templates(); l.Frame() != nil {
 		fmt.Fprintf(&b, "L %x %v\n", l.Key(), l.PathKeys())
 	}
 	return b.String()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/journal"
@@ -66,7 +65,7 @@ func ruleChurn(t testing.TB, path string, n, updates int) int {
 		var killed []uint64
 		for i := uint64(0); i < uint64(n); i++ {
 			full, snat := journal.TagOf(tag), journal.TagOf("nat#snat")
-			if e, ok := tx.view(recFam).recs.Lookup(journal.KindEmit, i); ok && e.DependsOn(func(b []byte) bool {
+			if e, ok := s.cur.fam(recFam).recs.Lookup(journal.KindEmit, i); ok && e.DependsOn(func(b []byte) bool {
 				return string(b) == string(full[:]) || (tag == "nat" && string(b) == string(snat[:]))
 			}) {
 				killed = append(killed, i)
@@ -150,85 +149,5 @@ func TestOpenTestsEachRecordOnce(t *testing.T) {
 			}
 			sameAsReference(t, s.cur, want)
 		})
-	}
-}
-
-// TestStoreWarmSharesTableDuringCommit: a warm start shares the family
-// table of a snapshot instead of copying it, so no commit may change a
-// table a reader holds. Readers walk a snapshot's table while a writer on
-// the same store retires its records, overwrites and re-puts them, changes
-// the family's rules and compacts the log (run under -race: a write to a
-// shared table is a race); the table reads the same throughout.
-func TestStoreWarmSharesTableDuringCommit(t *testing.T) {
-	s := openTest(t, nil)
-	const fam = 9
-	tagOf := func(i uint64) string { return fmt.Sprintf("acl#e%d", i%10) }
-	tx := mustBegin(t, s)
-	for i := uint64(0); i < 200; i++ {
-		if err := putRecord(tx, fam, testRecord(i, journal.Unsat, tagOf(i), "fwd#miss")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tx.SetFamilyRules(fam, "rules-0")
-	mustCommit(t, tx)
-	sn := s.Snapshot()
-	defer sn.Close()
-	shared := &sn.st.fam(fam).recs
-	want := fmt.Sprint(shared.Records())
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 3)
-	stop := make(chan struct{})
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				recs := shared.Records()
-				for _, r := range recs {
-					if got, ok := shared.Lookup(r.Kind, r.Key); !ok || got.Verdict() != journal.Unsat {
-						errs <- fmt.Errorf("key %d reads %v (present %v)", r.Key, got.Verdict(), ok)
-						return
-					}
-				}
-				if got := fmt.Sprint(recs); got != want {
-					errs <- fmt.Errorf("the shared table changed under a commit")
-					return
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	for round := uint64(0); round < 30 || s.Stats().Compactions == 0; round++ {
-		if round == 200 {
-			t.Fatal("200 rule updates and no compaction")
-		}
-		tx := mustBegin(t, s)
-		tx.InvalidateTags(fam, []string{tagOf(round)})
-		for i := round % 10; i < 200; i += 10 {
-			if err := putRecord(tx, fam, testRecord(i, journal.Sat, tagOf(i), "fwd#miss")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tx.SetFamilyRules(fam, fmt.Sprint("rules-", round+1))
-		mustCommit(t, tx)
-	}
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if got := fmt.Sprint(shared.Records()); got != want {
-		t.Fatal("the shared table changed")
-	}
-	fresh := s.Snapshot()
-	defer fresh.Close()
-	if r, ok, _ := fresh.GetRecord(fam, journal.KindEmit, 0); !ok || r.Verdict != journal.Sat {
-		t.Fatalf("a fresh snapshot reads %+v (present %v), want the rewritten verdict", r, ok)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/journal"
@@ -31,7 +30,9 @@ type Options struct {
 var ErrCorrupt = errors.New("corrupt store file")
 
 // ErrWedged is returned by writes after an I/O error left a commit's
-// outcome open. Reopening recovers to a transaction boundary.
+// outcome open, or left the committed state unread after a transaction
+// that changed it did not commit. Reopening recovers to a transaction
+// boundary.
 var ErrWedged = errors.New("wedged by I/O error; reopen to recover")
 
 var errPaged = errors.New("a page-based (MEISSAS1: B+tree and -wal) verdict store, which this release does not read: " +
@@ -56,20 +57,21 @@ type Stats struct {
 	TagTests uint64
 }
 
-// Store is an open verdict store, safe for concurrent use: transactions
-// serialize on a writer lock, snapshots read concurrently with the writer.
+// Store is an open verdict store, one goroutine's: every run opens it,
+// holds at most one transaction on it and closes it, and the advisory lock
+// keeps other processes out. It keeps one state, the committed one, which
+// an open transaction changes in place; a transaction that changed it and
+// does not commit reads the committed log back.
 type Store struct {
 	fs   FS
 	path string
 	lock *fileLock // advisory cross-process lock (nil with an injected FS)
+	f    File      // the log
 
-	txMu sync.Mutex // single writer, held Begin → Commit/Abort
-	f    File       // the log; written under txMu
-
-	mu     sync.Mutex // guards everything below
-	cur    *state     // the committed state
+	cur    *state // the committed state, as the open transaction has left it
+	tx     *Tx    // the open transaction, nil for none
 	wedged error
-	stats  Stats // FileBytes, the log's committed size, changes under txMu too
+	stats  Stats
 }
 
 // Open opens or creates the store at path and replays its log up to the
@@ -120,34 +122,51 @@ func (s *Store) load() error {
 		s.cur, s.stats.FileBytes, err = s.rewrite(&state{fams: map[uint64]*family{}})
 		return err
 	}
-	// The committed state's tables keep this buffer: an entry is its frame.
-	data := make([]byte, size)
-	if _, err := s.f.ReadAt(data, 0); err != nil && err != io.EOF {
-		return err
-	}
-	if size >= 12 {
-		switch string(data[4:12]) {
-		case pagedMagic:
-			return errPaged
-		case textMagic:
-			return errTextTags
-		}
-	}
-	st, good, tests, err := replay(data)
+	st, good, tests, err := s.readLog(size)
 	if err != nil {
 		return err
 	}
-	if tail := uint64(len(data) - good); tail > 0 {
+	if tail := uint64(size) - uint64(good); tail > 0 {
 		// Not synced: a truncation the machine loses is redone by the next
 		// Open, and the next commit's sync covers it.
 		if err := s.f.Truncate(int64(good)); err != nil {
 			return err
 		}
-		s.count(&s.stats.TailDiscarded, tail)
+		s.stats.TailDiscarded += tail
 	}
 	s.cur, s.stats.FileBytes, s.stats.TagTests = st, uint64(good), tests
 	s.fs.Remove(s.path + ".compact") // what a crashed compaction left; absent otherwise
 	return nil
+}
+
+// readLog reads the log's first size bytes and replays them (replay). The
+// state's tables keep the bytes read: an entry is its frame.
+func (s *Store) readLog(size int64) (*state, int, uint64, error) {
+	data := make([]byte, size)
+	if _, err := s.f.ReadAt(data, 0); err != nil && err != io.EOF {
+		return nil, 0, 0, err
+	}
+	if size >= 12 {
+		switch string(data[4:12]) {
+		case pagedMagic:
+			return nil, 0, 0, errPaged
+		case textMagic:
+			return nil, 0, 0, errTextTags
+		}
+	}
+	return replay(data)
+}
+
+// rollback puts the committed state back after a transaction that changed
+// it did not commit: it reads the committed log again, as Open does, and
+// counts nothing of what it reads. Failing that, the store is wedged.
+func (s *Store) rollback() {
+	st, _, _, err := s.readLog(int64(s.stats.FileBytes))
+	if err != nil {
+		s.wedged = fmt.Errorf("%w (cause: rollback: %v)", ErrWedged, err)
+		return
+	}
+	s.cur = st
 }
 
 // Close releases the file and the lock; commits are durable already.
@@ -160,31 +179,19 @@ func (s *Store) Close() error {
 func (s *Store) Path() string { return s.path }
 
 // Txid returns the committed transaction ID.
-func (s *Store) Txid() uint64 { return s.Snapshot().st.txid }
+func (s *Store) Txid() uint64 { return s.cur.txid }
 
 // Stats returns this store's lifetime counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Store) Stats() Stats { return s.stats }
 
-// count adds n to one of the store's counters.
-func (s *Store) count(field *uint64, n uint64) {
-	s.mu.Lock()
-	*field += n
-	s.mu.Unlock()
-}
-
-// Tx is a writer transaction, one at a time; it reads its own writes.
+// Tx is the store's one open transaction. It changes the committed state
+// in place, so it reads its own writes, and so does every read of the
+// store while it is open; its frames wait in memory for the commit.
 type Tx struct {
 	s     *Store
-	base  *state
-	fams  map[uint64]*family // clones of the families it touched
-	full  [][]byte           // its frames, in call order: the chunks filled,
-	buf   []byte             // and the one filling, which the clones' entries point into
-	scope *family            // the family the last family frame names
-	done  bool
+	full  [][]byte // its frames, in call order: the chunks filled,
+	buf   []byte   // and the one filling, which the entries it put point into
+	scope *family  // the family the last family frame names
 }
 
 // txChunk bounds a chunk: one buffer growing to a run's verdicts would be
@@ -193,25 +200,22 @@ type Tx struct {
 // outgrew — stay valid.
 const txChunk = 1 << 20
 
-// Begin starts a transaction once any current writer has finished.
+// Begin starts a transaction. A store holds one at a time: Begin while
+// one is open is an error.
 func (s *Store) Begin() (*Tx, error) {
-	s.txMu.Lock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wedged != nil {
-		s.txMu.Unlock()
+	switch {
+	case s.wedged != nil:
 		return nil, s.wedged
+	case s.tx != nil:
+		return nil, errors.New("store: a transaction is open already")
 	}
-	return &Tx{s: s, base: s.cur, fams: map[uint64]*family{}}, nil
+	s.tx = &Tx{s: s}
+	return s.tx, nil
 }
 
-// in returns the transaction's clone of fam, with buf scoped to it.
+// in returns fam to change, with buf scoped to it.
 func (tx *Tx) in(fam uint64) *family {
-	f := tx.fams[fam]
-	if f == nil {
-		f = tx.base.fam(fam).clone()
-		tx.fams[fam] = f
-	}
+	f := tx.s.cur.edit(fam)
 	if len(tx.buf) >= txChunk {
 		tx.full, tx.buf = append(tx.full, tx.buf), make([]byte, 0, txChunk+txChunk/8)
 	}
@@ -237,7 +241,7 @@ func (tx *Tx) Put(fam uint64, fr []byte) (held bool, err error) {
 		(e.Kind() != journal.KindCheck && e.Kind() != journal.KindEmit && e.Kind() != journal.KindTemplates) {
 		return false, fmt.Errorf("store: %d bytes hold no verdict frame", len(fr))
 	}
-	recs := &tx.view(fam).recs
+	recs := &tx.s.cur.fam(fam).recs
 	old, ok := recs.Lookup(e.Kind(), e.Key())
 	if e.Kind() == journal.KindTemplates {
 		old, ok = recs.Templates(), true
@@ -264,8 +268,8 @@ func (tx *Tx) InvalidateTags(fam uint64, tags []string) int {
 	tested := uint64(f.recs.Len())
 	removed := f.kill(tags)
 	tx.buf = appendDead(tx.buf, tags)
-	tx.s.count(&tx.s.stats.TagTests, tested)
-	tx.s.count(&tx.s.stats.Invalidated, uint64(removed))
+	tx.s.stats.TagTests += tested
+	tx.s.stats.Invalidated += uint64(removed)
 	return removed
 }
 
@@ -276,84 +280,74 @@ func (tx *Tx) SetFamilyRules(fam uint64, rulesText string) {
 	tx.buf = appendRules(tx.buf, rulesText)
 }
 
-// Table returns fam's records as the transaction has left them: the
-// committed family's own table, shared and not copied, until the
-// transaction changes the family, and its clone after. A warm start puts it
-// in its journal; nobody else may change it, and the transaction changes it
-// only through its own calls. It counts the committed family's records as
-// read through a snapshot: the table is made of them.
+// Table returns fam's table, shared and not copied, and counts its records
+// as read. It is the live table: the transaction's later calls change it
+// in place. A warm start takes it before it retires anything and puts it
+// in its journal; nobody else may change it.
 func (tx *Tx) Table(fam uint64) *journal.Table {
-	tx.s.count(&tx.s.stats.SnapshotReads, uint64(tx.base.fam(fam).recs.Len()))
-	return &tx.view(fam).recs
+	recs := &tx.s.cur.fam(fam).recs
+	tx.s.stats.SnapshotReads += uint64(recs.Len())
+	return recs
 }
 
-// view returns fam as the transaction has left it, to read.
-func (tx *Tx) view(fam uint64) *family {
-	if f := tx.fams[fam]; f != nil {
-		return f
-	}
-	return tx.base.fam(fam)
-}
-
-// Abort discards the transaction; nothing of it reached disk.
+// Abort discards the transaction, and does nothing once it ended. Nothing
+// of it reached disk; when it changed the state, the committed state is
+// read back from the log.
 func (tx *Tx) Abort() {
-	if !tx.done {
-		tx.done = true
-		tx.s.count(&tx.s.stats.Aborts, 1)
-		tx.s.txMu.Unlock()
+	s := tx.s
+	if s.tx != tx {
+		return
+	}
+	s.tx = nil
+	s.stats.Aborts++
+	if len(tx.buf) > 0 { // a frame follows every in
+		s.rollback()
 	}
 }
 
 // Commit makes the transaction durable and returns only once it is: its
 // frames and a commit marker are written past the end of the log and the
 // log is synced — or, when that would leave the log more dead bytes
-// than live ones, the whole next state replaces it. An error before the
-// commit point aborts cleanly; one at or after it wedges the store.
+// than live ones, the whole state replaces it. An error before the commit
+// point aborts cleanly; one at or after it wedges the store.
 func (tx *Tx) Commit() error {
-	if tx.done {
+	s := tx.s
+	if s.tx != tx {
 		return errors.New("store: transaction already finished")
 	}
-	tx.done = true
-	s := tx.s
-	defer s.txMu.Unlock()
+	s.tx = nil
 	if len(tx.buf) == 0 {
 		return nil // read-only transaction: a frame follows every in
 	}
-	next := &state{txid: tx.base.txid + 1, fams: maps.Clone(tx.base.fams)}
-	for fam, f := range tx.fams {
-		if next.fams[fam] = f; f.empty() {
-			delete(next.fams, fam)
-		}
-	}
-	chunks := append(tx.full, appendID(tx.buf, frameCommit, next.txid))
+	st := s.cur
+	st.txid++
+	maps.DeleteFunc(st.fams, func(_ uint64, f *family) bool { return f.empty() })
+	chunks := append(tx.full, appendID(tx.buf, frameCommit, st.txid))
 	size := s.stats.FileBytes
 	for _, c := range chunks {
 		size += uint64(len(c))
 	}
-	compact := size > 2*next.live()
+	compact := size > 2*st.live()
 	var err error
 	if compact {
-		next, size, err = s.rewrite(next)
+		st, size, err = s.rewrite(st)
 	} else {
 		err = s.append(chunks)
 	}
 	if err != nil {
 		err = fmt.Errorf("store: commit: %w", err)
 		if errors.Is(err, ErrWedged) {
-			s.mu.Lock()
 			s.wedged = err
-			s.mu.Unlock()
 		} else {
-			s.count(&s.stats.Aborts, 1)
+			s.stats.Aborts++
+			s.rollback()
 		}
 		return err
 	}
-	s.mu.Lock()
-	s.cur, s.stats.FileBytes = next, size
-	s.mu.Unlock()
-	s.count(&s.stats.Commits, 1)
+	s.cur, s.stats.FileBytes = st, size
+	s.stats.Commits++
 	if compact {
-		s.count(&s.stats.Compactions, 1)
+		s.stats.Compactions++
 	}
 	return nil
 }
@@ -434,18 +428,12 @@ func (s *Store) rewrite(next *state) (*state, uint64, error) {
 	return repointed, uint64(len(buf)), nil
 }
 
-// Snapshot is a view of one committed state, which commits never change.
-type Snapshot struct {
-	s  *Store
-	st *state
-}
+// Snapshot reads the store's state as it is when each call reads it: the
+// committed one, or an open transaction's. It pins nothing.
+type Snapshot struct{ s *Store }
 
-// Snapshot pins the current committed state for reading.
-func (s *Store) Snapshot() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &Snapshot{s: s, st: s.cur}
-}
+// Snapshot returns a reader of the store's state.
+func (s *Store) Snapshot() *Snapshot { return &Snapshot{s} }
 
 // Close releases the snapshot.
 func (sn *Snapshot) Close() {}
@@ -459,12 +447,12 @@ type FamilyInfo struct {
 	Templates journal.Entry
 }
 
-// Family reads a family's rules from the committed state.
+// Family reads a family's rules from the store's state.
 func (s *Store) Family(fam uint64) (FamilyInfo, bool) { return s.Snapshot().Family(fam) }
 
-// Family reads the rules the snapshot's records are valid under.
+// Family reads the rules the family's records are valid under.
 func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool) {
-	f := sn.st.fam(fam)
+	f := sn.s.cur.fam(fam)
 	if !f.hasRules {
 		return FamilyInfo{}, false
 	}
@@ -475,16 +463,16 @@ func (sn *Snapshot) Family(fam uint64) (FamilyInfo, bool) {
 // until fn returns false, decoded.
 func (sn *Snapshot) Records(fam uint64, fn func(journal.Record) bool) error {
 	served := uint64(0)
-	for _, r := range sn.st.fam(fam).recs.Records() {
+	for _, r := range sn.s.cur.fam(fam).recs.Records() {
 		served++
 		if !fn(r) {
 			break
 		}
 	}
-	sn.s.count(&sn.s.stats.SnapshotReads, served)
+	sn.s.stats.SnapshotReads += served
 	return nil
 }
 
 // RecordCount returns the number of verdict records stored for fam; its
 // template list is none.
-func (sn *Snapshot) RecordCount(fam uint64) int { return sn.st.fam(fam).recs.Len() }
+func (sn *Snapshot) RecordCount(fam uint64) int { return sn.s.cur.fam(fam).recs.Len() }

@@ -180,7 +180,8 @@ func TestStoreLastWins(t *testing.T) {
 }
 
 // TestStoreInvalidateTags exercises both tag granularities and checks
-// only the affected records vanish.
+// only the affected records vanish; an aborted invalidation retires
+// nothing.
 func TestStoreInvalidateTags(t *testing.T) {
 	s := openTest(t, nil)
 	const fam = 2
@@ -199,6 +200,24 @@ func TestStoreInvalidateTags(t *testing.T) {
 	}
 	mustCommit(t, tx)
 
+	// Aborted: the invalidation changed the state in place, and the abort
+	// reads the committed log back.
+	tx = mustBegin(t, s)
+	if n := tx.InvalidateTags(fam, []string{"acl"}); n != 2 {
+		t.Fatalf("invalidated %d entries, want 2", n)
+	}
+	tx.Abort()
+	sn := s.Snapshot()
+	for key := uint64(1); key <= 3; key++ {
+		if _, ok, _ := sn.GetRecord(fam, journal.KindEmit, key); !ok {
+			t.Fatalf("record %d gone after an aborted invalidation", key)
+		}
+	}
+	sn.Close()
+	if st := s.Stats(); st.Aborts != 1 {
+		t.Fatalf("%d aborts, want 1", st.Aborts)
+	}
+
 	// Full-tag granularity: only record 1 goes.
 	tx = mustBegin(t, s)
 	n := tx.InvalidateTags(fam, []string{aclTag})
@@ -206,7 +225,7 @@ func TestStoreInvalidateTags(t *testing.T) {
 		t.Fatalf("invalidated %d entries, want 1", n)
 	}
 	mustCommit(t, tx)
-	sn := s.Snapshot()
+	sn = s.Snapshot()
 	if _, ok, _ := sn.GetRecord(fam, journal.KindEmit, 1); ok {
 		t.Fatal("record 1 survived full-tag invalidation")
 	}
@@ -258,7 +277,7 @@ func TestStorePutRefusesBadFrames(t *testing.T) {
 		if held, err := tx.Put(fam, fr); err == nil || held {
 			t.Errorf("%s: Put = %v, %v; want an error", name, held, err)
 		}
-		if len(tx.buf) != 0 || len(tx.fams) != 0 {
+		if len(tx.buf) != 0 || len(s.cur.fams) != 0 {
 			t.Errorf("%s: the refused frame left %d bytes in the transaction", name, len(tx.buf))
 		}
 		tx.Abort()
@@ -282,57 +301,29 @@ func TestStorePutRefusesBadFrames(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsolation pins a snapshot, commits new and overwritten
-// records past it, and expects the snapshot to keep serving the old
-// state while a fresh snapshot sees the new one.
-func TestSnapshotIsolation(t *testing.T) {
+// TestBeginWhileOpen: a store holds one transaction at a time. A Begin
+// while one is open fails at once, and the open one still commits.
+func TestBeginWhileOpen(t *testing.T) {
 	s := openTest(t, nil)
 	const fam = 4
 	tx := mustBegin(t, s)
-	for i := uint64(0); i < 50; i++ {
-		if err := putRecord(tx, fam, testRecord(i, journal.Unsat, "acl#miss")); err != nil {
-			t.Fatal(err)
-		}
+	if err := putRecord(tx, fam, testRecord(1, journal.Sat, "acl#miss")); err != nil {
+		t.Fatal(err)
+	}
+	if second, err := s.Begin(); err == nil {
+		second.Abort()
+		t.Fatal("Begin while a transaction is open succeeded")
 	}
 	mustCommit(t, tx)
-
-	old := s.Snapshot()
-	defer old.Close()
-
-	// Churn: overwrite everything with another verdict each time and add
-	// more, across several commits — enough dead bytes for one of them to
-	// rewrite the log while the snapshot is open.
-	for round := 0; round < 4; round++ {
-		tx = mustBegin(t, s)
-		for i := uint64(0); i < 80; i++ {
-			if err := putRecord(tx, fam, testRecord(i, journal.Verdict(1+round%2), "acl#miss")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mustCommit(t, tx)
+	if st := s.Stats(); st.Commits != 1 || st.Aborts != 0 {
+		t.Fatalf("%d commits, %d aborts; want 1 and 0", st.Commits, st.Aborts)
 	}
-
-	n := old.RecordCount(fam)
-	if n != 50 {
-		t.Fatalf("snapshot sees %d records, want 50", n)
+	sn := s.Snapshot()
+	defer sn.Close()
+	if _, ok, _ := sn.GetRecord(fam, journal.KindEmit, 1); !ok {
+		t.Fatal("the open transaction's record is not served after its commit")
 	}
-	if err := old.Records(fam, func(r journal.Record) bool {
-		if r.Verdict != journal.Unsat {
-			t.Fatalf("snapshot saw overwritten verdict for key %d", r.Key)
-		}
-		return true
-	}); err != nil {
-		t.Fatalf("snapshot records: %v", err)
-	}
-
-	fresh := s.Snapshot()
-	defer fresh.Close()
-	if n := fresh.RecordCount(fam); n != 80 {
-		t.Fatalf("fresh snapshot sees %d records, want 80", n)
-	}
-	if st := s.Stats(); st.Compactions == 0 {
-		t.Fatal("the churn compacted nothing: the snapshot was never tried against a rewrite")
-	}
+	mustCommit(t, mustBegin(t, s)) // and the store takes the next one
 }
 
 // TestCompactionBoundsFile: dead bytes are reclaimed. Under churn that
@@ -710,7 +701,7 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 			if info, ok := sn.Family(fam); ok != (m.rules != "") || info.Rules != m.rules {
 				t.Fatalf("step %d (%s): family %d rules %q (present %v), model %q", step, what, fam, info.Rules, ok, m.rules)
 			}
-			if l := sn.st.fam(fam).recs.Templates(); (l.Frame() != nil) != (m.list != nil) || !slices.Equal(l.PathKeys(), m.list) || m.list != nil && l.Key() != fam {
+			if l := sn.s.cur.fam(fam).recs.Templates(); (l.Frame() != nil) != (m.list != nil) || !slices.Equal(l.PathKeys(), m.list) || m.list != nil && l.Key() != fam {
 				t.Fatalf("step %d (%s): family %d template list %v under %#x, model %v", step, what, fam, l.PathKeys(), l.Key(), m.list)
 			}
 		}
@@ -815,9 +806,9 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 
 // GetRecord reads one verdict record from the snapshot.
 func (sn *Snapshot) GetRecord(fam uint64, kind journal.Kind, key uint64) (journal.Record, bool, error) {
-	e, ok := sn.st.fam(fam).recs.Lookup(kind, key)
+	e, ok := sn.s.cur.fam(fam).recs.Lookup(kind, key)
 	if ok {
-		sn.s.count(&sn.s.stats.SnapshotReads, 1)
+		sn.s.stats.SnapshotReads++
 	}
 	return e.Record(), ok, nil
 }

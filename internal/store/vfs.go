@@ -44,11 +44,15 @@
 //
 // There is no tree because no caller needs one: each reads a whole family
 // (warm start, export, regression baseline), writes all a run derived in
-// one transaction, and retires entries by dependency tag. The committed
-// state is one immutable journal.Table per family, indexing the frames
-// Open read, decoded only when a reader asks; transactions change clones,
-// snapshots are pointers, and a warm start shares a family's table with
-// its run's journal instead of copying it. recovery_test.go crashes a
+// one transaction, and retires entries by dependency tag. An open store is
+// one goroutine's — a run opens it, holds at most one transaction and
+// closes it — and the advisory lock keeps other processes out. Its one
+// state is a journal.Table per family, indexing the frames Open read,
+// decoded only when a reader asks. The transaction changes that state in
+// place, and a warm start shares a family's table with its run's journal
+// instead of copying it. A transaction that wrote a frame and does not
+// commit has the store replay its committed log again, as Open does; no
+// other version of the state is kept. recovery_test.go crashes a
 // scripted workload at every write point of the failpoint filesystem
 // below, compaction included: each reopened store must equal a
 // transaction-boundary state.

@@ -23,15 +23,15 @@ import (
 // ONE transaction on it, from its warm start to its commit. The warm start
 // begins it and, when the stored rules are not the run's, retires in it
 // exactly the records the delta invalidates, testing each once: the one
-// place a rule delta reaches the store. The run's journal then adopts the
-// transaction's table of the family as it is — the frames Open read, not
-// copies, in the family's own table or, under a delta, the transaction's
-// clone of it — and the commit
-// installs the new rules and adds what the run derived to the same
-// transaction: one atomic update, nothing written before it. A resumed run
-// does not warm: its commit begins the transaction and retires the same
-// way. A regression from the store and an export take the same warm start;
-// an export never commits.
+// place a rule delta reaches the store. The transaction changes the
+// store's one state in place, so the run's journal adopts the family's own
+// table — the frames Open read, not copies, less what the delta retired —
+// and the commit installs the new rules and adds what the run derived to
+// the same transaction: one atomic update, nothing written before it. A
+// transaction that ends without its commit makes the store read its
+// committed log back. A resumed run does not warm: its commit begins the
+// transaction and retires the same way. A regression from the store and an
+// export take the same warm start; an export never commits.
 
 // storeCtx is one run's connection to a verdict store: the store it
 // opened, its one transaction, the resolved family fingerprint and the
@@ -121,8 +121,9 @@ func (stc *storeCtx) warm(s *System, initC []expr.Bool, reg *baseline) (*baselin
 		return nil, nil, &Refusal{stc.st.Path(), "holds no template list for the stored rules: its last commit installed them without a completed run",
 			"run a completed `meissa gen -store " + stc.st.Path() + "` on them first"}
 	}
-	reg.list, reg.delta = info.Templates, stc.retire(old, s.Rules)
-	reg.table = stc.tx.Table(stc.fam)
+	// The family's live table, which the retirement changes in place.
+	reg.list, reg.table = info.Templates, stc.tx.Table(stc.fam)
+	reg.delta = stc.retire(old, s.Rules)
 	stc.rep.Warmed = uint64(reg.table.Len())
 	st := &obs.RebaseStats{Retained: reg.table.Len(), Invalidated: int(stc.rep.Invalidated)}
 	st.Baseline = st.Retained + st.Invalidated
@@ -151,6 +152,8 @@ func (stc *storeCtx) commit(s *System, t *journal.Table, list []byte) error {
 		stc.retire(old, s.Rules)
 	}
 	tx := stc.tx
+	// The transaction's state, which has only retired records so far: the
+	// family's rules are the stored ones.
 	if info, ok := stc.st.Family(stc.fam); !ok || info.Rules != stc.rules {
 		tx.SetFamilyRules(stc.fam, stc.rules)
 	}
