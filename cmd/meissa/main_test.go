@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -158,6 +159,34 @@ func mainCmd(dir string, args ...string) *exec.Cmd {
 // for the run it starts with, before any failure, and exits 1 once the
 // watched file stops parsing for -max-failures polls in a row.
 func TestWatchWritesReportEveryRun(t *testing.T) {
+	report := watchGivesUp(t, "this is not a rule set\n", 1)
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Command != "regress" || rep.Regress == nil {
+		t.Errorf("report of command %q, regress section %+v", rep.Command, rep.Regress)
+	}
+}
+
+// TestWatchRetriesFailedUpdate: a watched file that parses but fails to
+// regress — here a rule set naming a table the program does not declare —
+// is a failure on every poll, not once, so the watch gives up as it does on
+// a file that does not parse.
+func TestWatchRetriesFailedUpdate(t *testing.T) {
+	watchGivesUp(t, "table no_such_table {\n  meta.vni=1 -> NoAction();\n}\n", 2)
+}
+
+// watchGivesUp runs `regress -watch -metrics-out M` on gw-1's populated
+// store and rules, waits for M, renames bad over the watched file and
+// checks that the watch exits 1 within 30s with the give-up line after
+// maxFailures failures. It returns M's path.
+func watchGivesUp(t *testing.T, bad string, maxFailures int) string {
+	t.Helper()
 	dir := t.TempDir()
 	if out, err := mainCmd(dir, "gen", "-corpus", "gw-1", "-store", "v.store", "-o", os.DevNull, "-quiet").CombinedOutput(); err != nil {
 		t.Fatalf("gen -store: %v\n%s", err, out)
@@ -173,48 +202,50 @@ func TestWatchWritesReportEveryRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd := mainCmd(dir, "regress", "-corpus", "gw-1", "-store", "v.store", "-watch", "-rules-new", rulesPath,
-		"-interval", "20ms", "-max-failures", "1", "-metrics-out", report, "-o", os.DevNull)
+		"-interval", "20ms", "-max-failures", fmt.Sprint(maxFailures), "-metrics-out", report, "-o", os.DevNull)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	kill := func(why string) {
+		t.Helper()
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("%s; stderr:\n%s", why, stderr.String())
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		if _, err := os.Stat(report); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatalf("no %s within 30s; stderr:\n%s", report, stderr.String())
+			kill("no " + report + " within 30s")
 		}
 	}
 	// Renamed into place, so that no poll reads a half-written file.
-	bad := filepath.Join(dir, "bad.rules")
-	if err := os.WriteFile(bad, []byte("this is not a rule set\n"), 0o644); err != nil {
+	tmp := filepath.Join(dir, "bad.rules")
+	if err := os.WriteFile(tmp, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(bad, rulesPath); err != nil {
+	if err := os.Rename(tmp, rulesPath); err != nil {
 		t.Fatal(err)
+	}
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		kill("still polling 30s after the watched file went bad")
 	}
 	var exit *exec.ExitError
-	if err := cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Errorf("regress -watch: %v, want exit status 1", err)
 	}
-	if !strings.Contains(stderr.String(), "watch: 1 consecutive failures, giving up") {
-		t.Errorf("stderr lacks the give-up line:\n%s", stderr.String())
+	if want := fmt.Sprintf("watch: %d consecutive failures, giving up", maxFailures); !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
 	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := obs.ParseReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Command != "regress" || rep.Regress == nil {
-		t.Errorf("report of command %q, regress section %+v", rep.Command, rep.Regress)
-	}
+	return report
 }
 
 // TestQuantilesKeepSubMicrosecond: a latency under a microsecond prints

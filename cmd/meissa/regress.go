@@ -138,23 +138,25 @@ func cmdRegress(args []string) error {
 			}
 			continue
 		}
-		if next.String() == lastText {
-			ok() // a readable, unchanged file is a healthy world
+		// The text is recorded once it has run, or needs no run: a file that
+		// parses but fails to regress is tried again on every poll, and
+		// counts as a failure each time, as a file that does not parse does.
+		text := next.String()
+		if text == lastText {
+			ok() // unchanged since it last ran: a healthy world
 			continue
 		}
-		lastText = next.String()
-		if curRules.Equal(next) {
-			ok()
-			continue // cosmetic edit: canonically identical
-		}
-		if err := runOnce(curRules, next); err != nil {
-			if ferr := fail("regress: watch iteration failed: %v", err); ferr != nil {
-				return ferr
+		if !curRules.Equal(next) { // else a cosmetic edit: canonically identical
+			if err := runOnce(curRules, next); err != nil {
+				if ferr := fail("regress: watch iteration failed: %v", err); ferr != nil {
+					return ferr
+				}
+				continue
 			}
-			continue
+			curRules = next
 		}
 		ok()
-		curRules = next
+		lastText = text
 	}
 }
 
