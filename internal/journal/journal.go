@@ -36,7 +36,7 @@
 // A run's one verdict table is a Table, which keeps each record as the
 // frame it was read from: Open indexes the checkpoint file's frames into
 // one, Adopt puts another source's table (a regression baseline, a store
-// snapshot's family) in its place without copying or writing it, and a
+// family's live table) in its place without copying or writing it, and a
 // journal made by New has no file at all. A lookup reads the verdict byte,
 // which the table copies beside each frame; a model is decoded only when
 // asked for, tags only by the decoded view (Record) that tests use. The
@@ -45,7 +45,7 @@
 //
 // An adopted table answers as it is: a rule delta retired the records it
 // invalidates before the run adopted it (regress.Retain, the store
-// transaction's InvalidateTags), so a lookup tests no tag. A hit is not in
+// transaction's Retire), so a lookup tests no tag. A hit is not in
 // the run's file, so the run journals it there (AppendHit) where it would
 // have appended the verdict, with its own tags: the file holds what a cold
 // run's would, but only the verdicts the run used. A run killed part-way

@@ -698,8 +698,10 @@ func TestDeleteFunc(t *testing.T) {
 	if tbl.Len() != 4 {
 		t.Errorf("deleting from clones changed the table: %d records, want 4", tbl.Len())
 	}
-	tbl.Drop(Entry{b: tbl.kinds[KindCheck][3].b})
-	if got := tbl.Len(); got != 3 {
-		t.Errorf("after a Drop the table holds %d, want 3", got)
+	if e, ok := tbl.Delete(KindCheck, 3); !ok || e.Key() != 3 || tbl.Len() != 3 {
+		t.Errorf("Delete(KindCheck, 3) = %v, %v, leaving %d; want the entry, leaving 3", e.Record(), ok, tbl.Len())
+	}
+	if _, ok := tbl.Delete(KindCheck, 3); ok || tbl.Len() != 3 {
+		t.Errorf("a second Delete found the entry, leaving %d", tbl.Len())
 	}
 }

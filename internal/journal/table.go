@@ -118,12 +118,12 @@ func compareKeys(a, b mapKey) int {
 // Table is a verdict table: for each (kind, key), the Entry of the last
 // record put under it. The zero Table is empty and ready to use.
 //
-// A table that more than one reader holds — a store snapshot's family, a
-// run's journal that shares it — is never changed again: a writer clones
-// it first. That is what makes sharing it free and reading it lock-free. A
-// table with one owner — a checkpoint baseline a regression read, a store
-// transaction's clone of a family — changes in place, but never while an
-// exploration reads it.
+// A table may be shared without a copy — a store family's table with the
+// run's journal that warms from it — and changes in place, by its owner
+// (a regression retiring from its checkpoint baseline, the store's
+// transaction retiring from and committing into a family), but never while
+// an exploration reads it. That is what makes sharing it free and reading
+// it lock-free.
 type Table struct {
 	// kinds holds one map per record kind, indexed by the kind: a lookup
 	// hashes one uint64, which the runtime's maps do three times as fast as
@@ -248,14 +248,14 @@ func EntryOf(frame []byte) (e Entry, ok bool) {
 	return Entry{b: frame, verdict: Verdict(frame[offVerdict])}, true
 }
 
-// Drop removes e when it is the entry t holds for its kind and key — the
-// same frame, not merely an equal one — and reports whether it was.
-func (t *Table) Drop(e Entry) bool {
-	held, ok := t.Lookup(e.Kind(), e.Key())
-	if ok = ok && &held.b[0] == &e.b[0]; ok {
-		delete(t.kinds[e.Kind()], e.Key())
+// Delete removes the entry held for (kind, key) and returns it; ok=false
+// when the table holds none.
+func (t *Table) Delete(kind Kind, key uint64) (Entry, bool) {
+	e, ok := t.Lookup(kind, key)
+	if ok {
+		delete(t.kinds[kind], key)
 	}
-	return ok
+	return e, ok
 }
 
 // DeleteFunc removes every entry del returns true for and returns how

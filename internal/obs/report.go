@@ -242,10 +242,10 @@ type StoreReport struct {
 	// Engine activity for this run: transactions committed, bytes of
 	// uncommitted tail the run's own open of the store dropped (crash
 	// recovery; zero when the caller owns the open store), records read
-	// through snapshots, records tested against retired tags (at the
-	// run's own open, each record a tombstone follows once, and by the
-	// commit's invalidation), and the store file's size when the run
-	// ended.
+	// through snapshots, records tested against retired tags (each stored
+	// record of the family once, by a warm start's rule delta; the open
+	// tests none, since the log names the records a delta retired), and
+	// the store file's size when the run ended.
 	Commits       uint64 `json:"commits"`
 	TailDiscarded uint64 `json:"tail_discarded,omitempty"`
 	SnapshotReads uint64 `json:"snapshot_reads,omitempty"`

@@ -29,8 +29,7 @@ import (
 // Retain retires from t, in place, the records one of whose dependency
 // tags invalid matches, testing each record once, and counts what it kept
 // and what it retired (invalid == nil retires none). t's template list
-// stays. t must be its caller's alone: a table a reader shares is never
-// changed (journal.Table).
+// stays. No exploration may be reading t (journal.Table).
 func Retain(t *journal.Table, invalid func(tag []byte) bool) *obs.RebaseStats {
 	st := &obs.RebaseStats{Baseline: t.Len()}
 	if invalid != nil {

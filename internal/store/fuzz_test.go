@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,9 +20,10 @@ import (
 func FuzzOpen(f *testing.F) {
 	// Seeds: a log with appended transactions of every frame kind, its
 	// truncations, a flipped byte, a compacted log, an empty file, junk, the
-	// headers of earlier formats, a log of a dozen rule updates with kills
-	// followed by re-puts, and that churned log under the header of the
-	// text-tag format.
+	// headers of earlier formats, a log of a dozen rule updates with retire
+	// frames followed by re-puts, that churned log under the headers of the
+	// text-tag and the tombstone formats, and a log whose retire frame names
+	// a record its family does not hold.
 	path := filepath.Join(f.TempDir(), "seed.store")
 	s, err := Open(path, Options{})
 	if err != nil {
@@ -54,7 +56,7 @@ func FuzzOpen(f *testing.F) {
 	}
 	s.Close()
 	f.Add([]byte{})
-	f.Add([]byte("\x08\x00\x00\x00MEISSAS3 but not really a store"))
+	f.Add([]byte("\x08\x00\x00\x00MEISSAS4 but not really a store"))
 	f.Add(pagedHeader)
 	churned := filepath.Join(f.TempDir(), "churned.store")
 	ruleChurn(f, churned, 200, 12)
@@ -63,7 +65,12 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(churn)
-	f.Add(append(journal.AppendFrame(nil, []byte(textMagic)), churn[headerLen:]...))
+	f.Add(append(journal.AppendFrame(nil, []byte("MEISSAS2")), churn[headerLen:]...))
+	f.Add(append(journal.AppendFrame(nil, []byte("MEISSAS3")), churn[headerLen:]...))
+	stray := appendID(journal.AppendFrame(nil, []byte(magic)), frameFamily, recFam)
+	stray = append(stray, frameOf(recRecord(1, journal.Sat, "acl#miss"))...)
+	stray = journal.AppendFrame(stray, binary.LittleEndian.AppendUint64([]byte{frameRetire, byte(journal.KindEmit)}, 2))
+	f.Add(appendID(stray, frameCommit, 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.store")
@@ -72,7 +79,7 @@ func FuzzOpen(f *testing.F) {
 		}
 		// A file with bytes in it, not of an earlier format, is replayed: the
 		// frame tables must read it as the decoding reference does.
-		replayed := len(data) > 0 && !(len(data) >= 12 && (string(data[4:12]) == pagedMagic || string(data[4:12]) == textMagic))
+		replayed := len(data) > 0 && !(len(data) >= 12 && oldMagics[string(data[4:12])] != "")
 		var ref *refState
 		var refGood int
 		var refErr error

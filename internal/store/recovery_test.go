@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/rulediff"
 	"repro/internal/rules"
 )
 
@@ -85,7 +86,7 @@ func workloadTxns() []func(tx *Tx) error {
 			return nil
 		},
 		func(tx *Tx) error {
-			tx.InvalidateTags(recFam, []string{"acl"})
+			tx.Retire(recFam, rulediff.Matcher([]string{"acl"}))
 			tx.SetFamilyRules(recFam, "rules-v2: acl{deny} fwd{}")
 			return nil
 		},
@@ -99,7 +100,7 @@ func workloadTxns() []func(tx *Tx) error {
 		},
 		churn(journal.Sat),
 		func(tx *Tx) error {
-			tx.InvalidateTags(recFam, []string{denyTag})
+			tx.Retire(recFam, rulediff.Matcher([]string{denyTag}))
 			if err := putRecord(tx, recFam, recRecord(20, journal.Sat, rules.MissTag("acl"))); err != nil {
 				return err
 			}

@@ -4,21 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/journal"
 )
 
 // The replay this package had before its families kept frames: every
-// record decoded into a journal.Record at Open, each tombstone applied over
-// the family as it is read, its tags hashed here (hash/fnv) and compared
-// with the records' decoded Tags; a template list kept as its frame, which
-// a rules frame with other text drops. It is the oracle FuzzOpen holds
-// Open to.
+// record decoded into a journal.Record at Open, each retire frame's keys
+// deleted from a map of them as it is read; a template list kept as its
+// frame, which a rules frame with other text drops. It is the oracle
+// FuzzOpen holds Open to.
 
 type refKey struct {
 	kind journal.Kind
@@ -62,49 +59,23 @@ func (f *refFamily) setRules(text string) {
 	f.hasRules, f.rules = true, text
 }
 
-// refHash is FNV-1a-32 of s.
-func refHash(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
-}
-
-// kill retires what depends on tags: a full tag matches a record tag whose
-// table hash is its table's and whose tag hash is its own, a bare table
-// name every record tag whose table hash is its.
-func (f *refFamily) kill(tags []string) {
-	type pair struct{ table, tag uint32 }
-	exact, tables := map[pair]bool{}, map[uint32]bool{}
-	for _, t := range tags {
-		if table, _, full := strings.Cut(t, "#"); full {
-			exact[pair{refHash(table), refHash(t)}] = true
-		} else {
-			tables[refHash(t)] = true
-		}
+// retire deletes the records a retire frame's payload, {kind(1) key(8)}*,
+// names; ok=false when the payload is no whole list of keys or names a
+// record the family does not hold.
+func (f *refFamily) retire(p []byte) bool {
+	if len(p)%9 != 0 {
+		return false
 	}
-	for k, r := range f.recs {
-		for _, tag := range r.Tags {
-			p := pair{binary.LittleEndian.Uint32(tag[:4]), binary.LittleEndian.Uint32(tag[4:])}
-			if exact[p] || tables[p.table] {
-				delete(f.recs, k)
-				f.bytes -= r.n
-				break
-			}
+	for ; len(p) > 0; p = p[9:] {
+		k := refKey{journal.Kind(p[0]), binary.LittleEndian.Uint64(p[1:])}
+		r, ok := f.recs[k]
+		if !ok {
+			return false
 		}
+		delete(f.recs, k)
+		f.bytes -= r.n
 	}
-}
-
-// refDeadTags reads a tombstone's payload, 'T' {tlen(2) tag}*.
-func refDeadTags(p []byte) ([]string, bool) {
-	var tags []string
-	for p = p[1:]; len(p) > 0; {
-		if len(p) < 2 || len(p) < 2+int(binary.LittleEndian.Uint16(p)) {
-			return nil, false
-		}
-		n := 2 + int(binary.LittleEndian.Uint16(p))
-		tags, p = append(tags, string(p[2:n])), p[n:]
-	}
-	return tags, true
+	return true
 }
 
 // refReplay reads a log as replay did: the committed state and the offset
@@ -147,11 +118,8 @@ func refReplay(data []byte) (*refState, int, error) {
 				f.bytes += int64(n - len(f.list))
 				f.list = data[off : off+n]
 			}
-		case p[0] == frameDead:
-			var tags []string
-			if tags, ok = refDeadTags(p); ok {
-				f.kill(tags)
-			}
+		case p[0] == frameRetire:
+			ok = f.retire(p[1:])
 		case p[0] == frameRules:
 			f.setRules(string(p[1:]))
 		default:

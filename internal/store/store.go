@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -35,12 +37,22 @@ var ErrCorrupt = errors.New("corrupt store file")
 // boundary.
 var ErrWedged = errors.New("wedged by I/O error; reopen to recover")
 
-var errPaged = errors.New("a page-based (MEISSAS1: B+tree and -wal) verdict store, which this release does not read: " +
-	"delete it and its -wal and re-populate a new store with `meissa gen -store` (every verdict is re-derivable)")
+// oldMagics are the headers of earlier releases' store formats, at bytes
+// 4-12 of the file, with what made them different: Open refuses them by
+// name.
+var oldMagics = map[string]string{
+	"MEISSAS1": "a page-based store: B+tree and -wal",
+	"MEISSAS2": "its record frames spell each dependency tag out as text",
+	"MEISSAS3": "its tombstones name the retired tags, not the retired records",
+}
 
-var errTextTags = errors.New("the header at offset 4 reads " + textMagic + ", a verdict store format this release does not read " +
-	"(its record frames spell each dependency tag out as text): " +
-	"delete it and re-populate a new store with `meissa gen -store` (every verdict is re-derivable)")
+// oldFormat is Open's refusal of a file of the format old, which where
+// says how Open told.
+func oldFormat(where, old string) error {
+	return fmt.Errorf("%s %s, a verdict store format this release does not read (%s): "+
+		"delete it and any -wal beside it and re-populate a new store with `meissa gen -store` (every verdict is re-derivable)",
+		where, old, oldMagics[old])
+}
 
 // Stats are one open store's counters.
 type Stats struct {
@@ -50,10 +62,9 @@ type Stats struct {
 	TailDiscarded uint64 // bytes of uncommitted tail dropped at Open
 	FileBytes     uint64 // committed size of the file
 	SnapshotReads uint64 // records served through snapshots and transactions' family tables
-	Invalidated   uint64 // records removed by tag invalidation
-	// TagTests counts records tested against retired tags: at Open each
-	// record a tombstone follows, once, and every record of the family an
-	// invalidation names.
+	Invalidated   uint64 // records a Retire removed
+	// TagTests counts records tested against retired tags: every record of
+	// the family a Retire names. Open tests none.
 	TagTests uint64
 }
 
@@ -106,7 +117,7 @@ func (s *Store) load() error {
 		n, _ := wal.Size()
 		wal.Close()
 		if n > 0 {
-			return errPaged
+			return oldFormat("a non-empty -wal beside it marks", "MEISSAS1")
 		}
 	}
 	var err error
@@ -122,7 +133,7 @@ func (s *Store) load() error {
 		s.cur, s.stats.FileBytes, err = s.rewrite(&state{fams: map[uint64]*family{}})
 		return err
 	}
-	st, good, tests, err := s.readLog(size)
+	st, good, err := s.readLog(size)
 	if err != nil {
 		return err
 	}
@@ -134,25 +145,20 @@ func (s *Store) load() error {
 		}
 		s.stats.TailDiscarded += tail
 	}
-	s.cur, s.stats.FileBytes, s.stats.TagTests = st, uint64(good), tests
+	s.cur, s.stats.FileBytes = st, uint64(good)
 	s.fs.Remove(s.path + ".compact") // what a crashed compaction left; absent otherwise
 	return nil
 }
 
 // readLog reads the log's first size bytes and replays them (replay). The
 // state's tables keep the bytes read: an entry is its frame.
-func (s *Store) readLog(size int64) (*state, int, uint64, error) {
+func (s *Store) readLog(size int64) (*state, int, error) {
 	data := make([]byte, size)
 	if _, err := s.f.ReadAt(data, 0); err != nil && err != io.EOF {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	if size >= 12 {
-		switch string(data[4:12]) {
-		case pagedMagic:
-			return nil, 0, 0, errPaged
-		case textMagic:
-			return nil, 0, 0, errTextTags
-		}
+	if size >= 12 && oldMagics[string(data[4:12])] != "" {
+		return nil, 0, oldFormat("the header at offset 4 reads", string(data[4:12]))
 	}
 	return replay(data)
 }
@@ -161,7 +167,7 @@ func (s *Store) readLog(size int64) (*state, int, uint64, error) {
 // it did not commit: it reads the committed log again, as Open does, and
 // counts nothing of what it reads. Failing that, the store is wedged.
 func (s *Store) rollback() {
-	st, _, _, err := s.readLog(int64(s.stats.FileBytes))
+	st, _, err := s.readLog(int64(s.stats.FileBytes))
 	if err != nil {
 		s.wedged = fmt.Errorf("%w (cause: rollback: %v)", ErrWedged, err)
 		return
@@ -256,21 +262,38 @@ func (tx *Tx) Put(fam uint64, fr []byte) (held bool, err error) {
 	return false, nil
 }
 
-// InvalidateTags removes every record of fam that depends on one of tags (a
-// full rules.DepTag matches itself, a bare table name all of the table's)
-// and returns how many. With SetFamilyRules in one transaction it is the
-// atomic rule update.
-func (tx *Tx) InvalidateTags(fam uint64, tags []string) int {
-	if len(tags) == 0 {
+// Retire removes every record of fam one of whose dependency tags passes
+// match (journal.Entry.DependsOn), testing each record once, and returns
+// how many went. With SetFamilyRules in one transaction it is the atomic
+// rule update. The log receives a retire frame of the retired keys, in
+// canonical order, which Open deletes as it reads; retiring nothing
+// writes nothing.
+func (tx *Tx) Retire(fam uint64, match func(tag []byte) bool) int {
+	recs := &tx.s.cur.fam(fam).recs
+	tx.s.stats.TagTests += uint64(recs.Len())
+	var gone []journal.Entry
+	recs.DeleteFunc(func(e journal.Entry) bool {
+		if !e.DependsOn(match) {
+			return false
+		}
+		gone = append(gone, e)
+		return true
+	})
+	if len(gone) == 0 {
 		return 0
 	}
+	slices.SortFunc(gone, func(a, b journal.Entry) int {
+		return cmp.Or(cmp.Compare(a.Kind(), b.Kind()), cmp.Compare(a.Key(), b.Key()))
+	})
 	f := tx.in(fam)
-	tested := uint64(f.recs.Len())
-	removed := f.kill(tags)
-	tx.buf = appendDead(tx.buf, tags)
-	tx.s.stats.TagTests += tested
-	tx.s.stats.Invalidated += uint64(removed)
-	return removed
+	p := append(make([]byte, 0, 1+9*len(gone)), frameRetire)
+	for _, e := range gone {
+		f.bytes -= int64(len(e.Frame()))
+		p = binary.LittleEndian.AppendUint64(append(p, byte(e.Kind())), e.Key())
+	}
+	tx.buf = journal.AppendFrame(tx.buf, p)
+	tx.s.stats.Invalidated += uint64(len(gone))
+	return len(gone)
 }
 
 // SetFamilyRules records the rules text the family's entries are valid
@@ -393,7 +416,7 @@ func (s *Store) rewrite(next *state) (*state, uint64, error) {
 	if next.txid > 0 {
 		buf = appendID(buf, frameCommit, next.txid)
 	}
-	repointed, _, _, err := replay(buf)
+	repointed, _, err := replay(buf)
 	if err != nil {
 		return nil, 0, fmt.Errorf("compact: %w", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/rulediff"
 	"repro/internal/rules"
 )
 
@@ -179,9 +180,9 @@ func TestStoreLastWins(t *testing.T) {
 	}
 }
 
-// TestStoreInvalidateTags exercises both tag granularities and checks
-// only the affected records vanish; an aborted invalidation retires
-// nothing.
+// TestStoreInvalidateTags retires by both tag granularities of
+// rulediff.Matcher and checks only the affected records vanish; an aborted
+// invalidation retires nothing.
 func TestStoreInvalidateTags(t *testing.T) {
 	s := openTest(t, nil)
 	const fam = 2
@@ -203,7 +204,7 @@ func TestStoreInvalidateTags(t *testing.T) {
 	// Aborted: the invalidation changed the state in place, and the abort
 	// reads the committed log back.
 	tx = mustBegin(t, s)
-	if n := tx.InvalidateTags(fam, []string{"acl"}); n != 2 {
+	if n := tx.Retire(fam, rulediff.Matcher([]string{"acl"})); n != 2 {
 		t.Fatalf("invalidated %d entries, want 2", n)
 	}
 	tx.Abort()
@@ -220,7 +221,7 @@ func TestStoreInvalidateTags(t *testing.T) {
 
 	// Full-tag granularity: only record 1 goes.
 	tx = mustBegin(t, s)
-	n := tx.InvalidateTags(fam, []string{aclTag})
+	n := tx.Retire(fam, rulediff.Matcher([]string{aclTag}))
 	if n != 1 {
 		t.Fatalf("invalidated %d entries, want 1", n)
 	}
@@ -236,7 +237,7 @@ func TestStoreInvalidateTags(t *testing.T) {
 
 	// Bare-table granularity: every acl record goes; fwd survives.
 	tx = mustBegin(t, s)
-	tx.InvalidateTags(fam, []string{"acl"})
+	tx.Retire(fam, rulediff.Matcher([]string{"acl"}))
 	mustCommit(t, tx)
 	sn = s.Snapshot()
 	defer sn.Close()
@@ -270,7 +271,7 @@ func TestStorePutRefusesBadFrames(t *testing.T) {
 		"runs on":         append(append([]byte(nil), good...), 0),
 		"lists overrun":   journal.AppendFrame(nil, overrun),
 		"header":          frameOf(journal.Record{Kind: journal.KindHeader}),
-		"tombstone":       appendDead(nil, []string{"acl"}),
+		"retire frame":    journal.AppendFrame(nil, []byte{frameRetire, byte(journal.KindEmit), 9, 0, 0, 0, 0, 0, 0, 0}),
 		"no frame at all": nil,
 	} {
 		tx := mustBegin(t, s)
@@ -495,7 +496,7 @@ func TestOpenRefusesPagedStore(t *testing.T) {
 // format is, the error naming the file, the format, where it reads it and
 // the way out.
 func TestOpenRefusesTextTagStore(t *testing.T) {
-	log := journal.AppendFrame(nil, []byte(textMagic))
+	log := journal.AppendFrame(nil, []byte("MEISSAS2"))
 	log = appendID(log, frameFamily, recFam)
 	log = appendRules(log, "rules-v1: acl{allow}")
 	// A verdict as MEISSAS2 framed it: kind verdict key(8) nm(2) nt(2) {tlen(2) tag}*.
@@ -503,20 +504,38 @@ func TestOpenRefusesTextTagStore(t *testing.T) {
 	p = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(p, 0), 1)
 	log = journal.AppendFrame(log, append(binary.LittleEndian.AppendUint16(p, 8), "acl#miss"...))
 	log = appendID(log, frameCommit, 1)
-	refusesOldStore(t, string(log), "", textMagic, "offset 4", "as text", "re-populate", "meissa gen -store")
+	refusesOldStore(t, string(log), "", "MEISSAS2", "offset 4", "as text", "re-populate", "meissa gen -store")
 }
 
-// TestOpenRefusesForeignFrames: an intact frame no release writes into a
-// MEISSAS3 log — the 'C' solver-cache frame of releases before PR 20, or a
-// tombstone whose tag overruns it — is ErrCorrupt naming its offset, and
-// the file stays as it is.
+// TestOpenRefusesTombstoneStore: a log of the format whose tombstones named
+// the retired tags (MEISSAS3), which Open had to test every earlier record
+// of the family against, is refused by name as the earlier formats are.
+func TestOpenRefusesTombstoneStore(t *testing.T) {
+	log := journal.AppendFrame(nil, []byte("MEISSAS3"))
+	log = appendID(log, frameFamily, recFam)
+	log = append(log, frameOf(recRecord(1, journal.Sat, "acl#miss"))...)
+	// A tombstone as MEISSAS3 framed it: 'T' {tlen(2) tag}*.
+	log = journal.AppendFrame(log, append([]byte{'T', 3, 0}, "acl"...))
+	log = appendRules(log, "rules-v2: acl{deny}")
+	log = appendID(log, frameCommit, 1)
+	refusesOldStore(t, string(log), "", "MEISSAS3", "offset 4", "tombstones", "re-populate", "meissa gen -store")
+}
+
+// TestOpenRefusesForeignFrames: an intact frame that makes no sense in a
+// MEISSAS4 log — the 'C' solver-cache frame of releases before PR 20, an
+// earlier format's tombstone (its tag overrunning it), a retire frame
+// naming a record its family does not hold or cut short inside a key — is
+// ErrCorrupt naming its offset, and the file stays as it is.
 func TestOpenRefusesForeignFrames(t *testing.T) {
 	head := journal.AppendFrame(nil, []byte(magic))
 	head = appendID(head, frameFamily, recFam)
 	head = appendRules(head, "rules-v1: acl{allow}")
 	for name, fr := range map[string][]byte{
 		"cache entry":        journal.AppendFrame(nil, append([]byte{'C'}, make([]byte, 23)...)),
-		"tombstone overruns": journal.AppendFrame(nil, append([]byte{frameDead, 9, 0}, "acl"...)),
+		"tombstone overruns": journal.AppendFrame(nil, append([]byte{'T', 9, 0}, "acl"...)),
+		"retire frame of a record not held": journal.AppendFrame(nil,
+			binary.LittleEndian.AppendUint64([]byte{frameRetire, byte(journal.KindEmit)}, 9)),
+		"retire frame cut inside a key": journal.AppendFrame(nil, []byte{frameRetire, byte(journal.KindEmit), 9, 0}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			data := appendID(append(append([]byte(nil), head...), fr...), frameCommit, 1)
@@ -746,8 +765,8 @@ func TestStoreRandomAgainstModel(t *testing.T) {
 						want++
 					}
 				}
-				if n := tx.InvalidateTags(fam, []string{tag}); n != want {
-					t.Fatalf("step %d: InvalidateTags(%q) = %d; model retires %d", step, tag, n, want)
+				if n := tx.Retire(fam, rulediff.Matcher([]string{tag})); n != want {
+					t.Fatalf("step %d: Retire(%q) = %d; model retires %d", step, tag, n, want)
 				}
 				if text := fmt.Sprint("rules after step ", step); text != m.rules {
 					m.rules, m.list = text, nil // other rules drop the list

@@ -9,7 +9,7 @@
 // naming the frame. A header opens it; then each transaction is a run of
 // frames closed by a commit marker:
 //
-//	header  "MEISSAS3" (bytes 4-12 of the file)
+//	header  "MEISSAS4" (bytes 4-12 of the file)
 //	'F'     fam(8): scopes the frames up to the next 'F' or 'X'
 //	1, 2    a verdict, its dependency tags inline as 8-byte hashes
 //	        (journal.Tag): the frame a checkpoint journal holds it in
@@ -18,13 +18,15 @@
 //	        holds it in. At most one a family: a later list replaces it,
 //	        and an 'R' frame with other rules drops it
 //	'R'     the rules text the family's entries are valid under
-//	'T'     tombstone, {tlen(2) tag}*: retires what depends on its tags,
-//	        spelt out as rulediff.Matcher reads them
+//	'K'     retire frame, {kind(1) key(8)}*: the records a transaction
+//	        retired, in canonical order, deleted as it is read; a key the
+//	        family does not hold there is ErrCorrupt
 //	'X'     txid(8): commit marker
 //
-// A file of an earlier format — MEISSAS1, the page-based engine's, or
-// MEISSAS2, whose record frames spelt their tags out — is refused by
-// name, never read or overwritten.
+// A file of an earlier format — MEISSAS1, the page-based engine's,
+// MEISSAS2, whose record frames spelt their tags out, or MEISSAS3, whose
+// tombstones named the retired tags and left Open to test records against
+// them — is refused by name, never read or overwritten.
 //
 // Commit appends a transaction's frames and marker past the committed
 // size, syncs, and only then returns. No frame counts without its marker,
@@ -36,26 +38,27 @@
 // and Open fails with ErrCorrupt rather than serve a shorter one; so does
 // an intact frame that makes no sense.
 //
-// Superseded records, retired entries, replaced rules and tombstones stay
-// behind as dead bytes. A commit that would leave more of them than live
-// ones writes the whole live state instead: to path+".compact", synced,
-// renamed over the store (its commit point), the directory synced. A new
-// store is created the same way.
+// Superseded records, retired entries, replaced rules and retire frames
+// stay behind as dead bytes. A commit that would leave more of them than
+// live ones writes the whole live state instead: to path+".compact",
+// synced, renamed over the store (its commit point), the directory synced.
+// A new store is created the same way.
 //
 // There is no tree because no caller needs one: each reads a whole family
 // (warm start, export, regression baseline), writes all a run derived in
-// one transaction, and retires entries by dependency tag. An open store is
-// one goroutine's — a run opens it, holds at most one transaction and
-// closes it — and the advisory lock keeps other processes out. Its one
-// state is a journal.Table per family, indexing the frames Open read,
-// decoded only when a reader asks. The transaction changes that state in
-// place, and a warm start shares a family's table with its run's journal
-// instead of copying it. A transaction that wrote a frame and does not
-// commit has the store replay its committed log again, as Open does; no
-// other version of the state is kept. recovery_test.go crashes a
-// scripted workload at every write point of the failpoint filesystem
-// below, compaction included: each reopened store must equal a
-// transaction-boundary state.
+// one transaction, and retires the entries its tag matcher picks (Retire),
+// which the log then names: Open reads each frame once, in one forward
+// pass, and tests no tag. An open store is one goroutine's — a run opens
+// it, holds at most one transaction and closes it — and the advisory lock
+// keeps other processes out. Its one state is a journal.Table per family,
+// indexing the frames Open read, decoded only when a reader asks. The
+// transaction changes that state in place, and a warm start shares a
+// family's table with its run's journal instead of copying it. A
+// transaction that wrote a frame and does not commit has the store replay
+// its committed log again, as Open does; no other version of the state is
+// kept. recovery_test.go crashes a scripted workload at every write point
+// of the failpoint filesystem below, compaction included: each reopened
+// store must equal a transaction-boundary state.
 package store
 
 import (

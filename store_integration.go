@@ -83,13 +83,16 @@ func (stc *storeCtx) begin() (info store.FamilyInfo, ok bool, old *rules.Set, er
 // a regression from a checkpoint retires by, testing each record once.
 // Records whose tags the delta does not touch keep answering; there is no
 // path by which a stale verdict survives, because every record carries its
-// dependency tags in its frame. With no old rules the delta is empty.
+// dependency tags in its frame. With no old rules the delta is empty, and
+// a delta that invalidates no tag tests no record.
 func (stc *storeCtx) retire(old, run *rules.Set) *rulediff.Delta {
 	if old == nil {
 		return &rulediff.Delta{}
 	}
 	d := rulediff.Diff(old, run)
-	stc.rep.Invalidated = uint64(stc.tx.InvalidateTags(stc.fam, d.InvalidTags()))
+	if tags := d.InvalidTags(); len(tags) > 0 {
+		stc.rep.Invalidated = uint64(stc.tx.Retire(stc.fam, rulediff.Matcher(tags)))
+	}
 	return d
 }
 

@@ -554,8 +554,9 @@ func TestPersistenceOptionsRejected(t *testing.T) {
 // TestStoreFileSizeGates: the store file's size is a counted property of
 // what it holds, gated without a clock. A warm run leaves it byte for byte
 // alone, and a one-entry rule update appends no more than the frames of
-// the records it reports committed, one rules text, one tombstone, the
-// run's template list, a family scope and a commit marker.
+// the records it reports committed, one rules text, one retire frame of the
+// records it invalidated, the run's template list, a family scope and a
+// commit marker.
 func TestStoreFileSizeGates(t *testing.T) {
 	p := corpusProgram(t, "gw-1")
 	dir := t.TempDir()
@@ -602,9 +603,8 @@ func TestStoreFileSizeGates(t *testing.T) {
 	update.regress = true
 	res := update.res(t)
 	// What the update committed: every record the store holds now that is
-	// not a record the tombstone left standing.
-	invalid := rulediff.Diff(p.Rules, newRules).InvalidTags()
-	stale := rulediff.Matcher(invalid)
+	// not a record the retirement left standing.
+	stale := rulediff.Matcher(rulediff.Diff(p.Rules, newRules).InvalidTags())
 	committed, framed := uint64(0), int64(0)
 	for k, e := range records() {
 		frame := e.Frame()
@@ -619,12 +619,9 @@ func TestStoreFileSizeGates(t *testing.T) {
 		t.Fatalf("the update put %d records into the store, the run reports %d committed", committed, rep.Committed)
 	}
 	const frame, scopeAndMarker = 8, 2 * (8 + 1 + 8)
-	tombstone := frame + 1 // 'T' {tlen(2) tag}*
-	for _, tag := range invalid {
-		tombstone += 2 + len(tag)
-	}
-	list := frame + 14 + 8*len(res.Gen.Templates) // kind verdict key(8) nm(2) nt(2) {pathkey(8)}*
-	bound := framed + int64(frame+1+len(newRules.String())) + int64(tombstone) + int64(list) + scopeAndMarker
+	retire := frame + 1 + 9*int64(rep.Invalidated) // 'K' {kind(1) key(8)}*
+	list := frame + 14 + 8*len(res.Gen.Templates)  // kind verdict key(8) nm(2) nt(2) {pathkey(8)}*
+	bound := framed + int64(frame+1+len(newRules.String())) + retire + int64(list) + scopeAndMarker
 	if grew := size(spath) - before; grew <= 0 || grew > bound {
 		t.Fatalf("a one-entry update grew the file by %d bytes; %d committed records frame to %d, the bound is %d",
 			grew, committed, framed, bound)
