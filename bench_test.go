@@ -2,7 +2,9 @@ package meissa_test
 
 // Benchmark harness: the code summary figures (Fig. 11, Fig. 12) as
 // testing.B benchmarks for profiling, parallel scaling, an end-to-end run,
-// and ablation benches for the design choices DESIGN.md calls out. Run
+// and the solver-cost ablation. The ablations of early termination,
+// incremental solving and pre-condition filtering live with the switch
+// each turns off, in internal/sym, internal/smt and internal/summary. Run
 // with:
 //
 //	go test -bench=. -benchmem
@@ -91,9 +93,7 @@ func BenchmarkFig11WithoutSummary(b *testing.B) {
 	for n := 1; n <= 4; n++ {
 		p := programs.GW(n, programs.RuleScale(n))
 		b.Run(p.Name, func(b *testing.B) {
-			opts := meissa.DefaultOptions()
-			opts.CodeSummary = false
-			benchGenerate(b, p, opts)
+			benchGenerate(b, p, meissa.Options{NoSummary: true})
 		})
 	}
 }
@@ -113,9 +113,7 @@ func BenchmarkFig12WithoutSummary(b *testing.B) {
 	for _, set := range []programs.RuleScale{programs.Set1, programs.Set2, programs.Set3, programs.Set4} {
 		p := programs.GW(4, set)
 		b.Run(set.String(), func(b *testing.B) {
-			opts := meissa.DefaultOptions()
-			opts.CodeSummary = false
-			benchGenerate(b, p, opts)
+			benchGenerate(b, p, meissa.Options{NoSummary: true})
 		})
 	}
 }
@@ -142,56 +140,7 @@ func BenchmarkEndToEndTest(b *testing.B) {
 	b.ReportMetric(float64(len(gen.Templates)), "cases")
 }
 
-// --- Ablations (DESIGN.md) ---
-
-// Early termination on/off (§3.2 path pruning).
-func BenchmarkAblationEarlyTermination(b *testing.B) {
-	p := programs.GW(3, programs.Set2)
-	for _, et := range []bool{true, false} {
-		name := "on"
-		if !et {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := meissa.DefaultOptions()
-			opts.EarlyTermination = et
-			benchGenerate(b, p, opts)
-		})
-	}
-}
-
-// Incremental solving on/off (push/pop state reuse, §3.2).
-func BenchmarkAblationIncrementalSolve(b *testing.B) {
-	p := programs.GW(3, programs.Set2)
-	for _, inc := range []bool{true, false} {
-		name := "on"
-		if !inc {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := meissa.DefaultOptions()
-			opts.IncrementalSolving = inc
-			benchGenerate(b, p, opts)
-		})
-	}
-}
-
-// Intra-pipeline elimination only vs with public pre-condition filtering
-// (§3.3's two mechanisms).
-func BenchmarkAblationSummaryParts(b *testing.B) {
-	p := programs.GW(3, programs.Set2)
-	for _, pre := range []bool{true, false} {
-		name := "with-preconditions"
-		if !pre {
-			name = "intra-only"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := meissa.DefaultOptions()
-			opts.UsePreconditions = pre
-			benchGenerate(b, p, opts)
-		})
-	}
-}
+// --- Ablation (DESIGN.md) ---
 
 // Solver-cost sensitivity: the paper drove Z3 over IPC (~1ms/query); our
 // embedded solver answers in ~30µs, which mutes the wall-clock benefit of
@@ -211,10 +160,7 @@ func BenchmarkAblationSolverCost(b *testing.B) {
 				name += "/without-summary"
 			}
 			b.Run(name, func(b *testing.B) {
-				opts := meissa.DefaultOptions()
-				opts.CodeSummary = withSummary
-				opts.SolverOverhead = overhead
-				benchGenerate(b, p, opts)
+				benchGenerate(b, p, meissa.Options{NoSummary: !withSummary, SolverOverhead: overhead})
 			})
 		}
 	}

@@ -380,7 +380,7 @@ func (c *cell) compute() error {
 		return err
 	}
 	r := run{p: p, rules: rs, opts: at(k.par)}
-	r.opts.CodeSummary = k.summary
+	r.opts.NoSummary = !k.summary
 	if strings.Contains(k.writes, "checkpoint") {
 		r.opts.Checkpoint = c.path("checkpoint")
 	}

@@ -276,9 +276,9 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	opts := at(1)
 	opts.Checkpoint = get(t, genKey("Router", "", 1, "checkpoint")).copy(t, "checkpoint")
 	opts.Resume = true
-	opts.EarlyTermination = false // changes which queries are posed and journal keys' meaning
-	if _, err := (run{p: corpusProgram(t, "Router"), opts: opts}).do(); err == nil {
-		t.Fatal("resume with mismatched options succeeded; want fingerprint error")
+	opts.NoSummary = true // changes which queries are posed and journal keys' meaning
+	if _, err := (run{p: corpusProgram(t, "Router"), opts: opts}).do(); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("resume with mismatched options: %v; want fingerprint error", err)
 	}
 }
 
@@ -313,7 +313,7 @@ func TestPathErrorsCappedAcrossPhases(t *testing.T) {
 func TestSystemPanicIsolationRouter(t *testing.T) {
 	p := corpusProgram(t, "Router")
 	base := at(1)
-	base.CodeSummary = false // 1:1 path-to-template for exact comparison
+	base.NoSummary = true // 1:1 path-to-template for exact comparison
 	clean := run{p: p, opts: base}.gen(t)
 	if len(clean.Templates) < 3 {
 		t.Fatalf("Router produced only %d templates", len(clean.Templates))

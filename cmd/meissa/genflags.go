@@ -59,14 +59,14 @@ func registerGenFlags(fs *flag.FlagSet, names ...string) *genFlags {
 // options are the library options the flags select; a flag the subcommand
 // did not register leaves its default.
 func (g *genFlags) options() meissa.Options {
-	opts := meissa.DefaultOptions()
-	opts.CodeSummary = !g.noSummary
-	opts.Parallelism = g.parallel
-	opts.Strict = g.strict
-	opts.SolverSearchBudget = g.solverBudget
-	opts.StorePath = g.store
-	opts.StoreWait = g.storeWait
-	return opts
+	return meissa.Options{
+		NoSummary:          g.noSummary,
+		Parallelism:        g.parallel,
+		Strict:             g.strict,
+		SolverSearchBudget: g.solverBudget,
+		StorePath:          g.store,
+		StoreWait:          g.storeWait,
+	}
 }
 
 // writeTemplates writes the test cases to the -o file, if one was named.

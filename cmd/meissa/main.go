@@ -1,16 +1,28 @@
 // Command meissa is the CLI front door to the testing system: it
-// generates full-path-coverage test cases for a data plane program and
+// generates full-path-coverage test cases for a data plane program,
 // optionally runs them against the reference software target (with
 // optional injected compiler faults, for demonstrating non-code bug
-// detection).
+// detection), regresses a rule update against a verdict store and reads
+// run reports.
 //
-// Usage:
+// Usage (what usage() prints; -corpus NAME, a built-in program with its
+// rules, may stand for -p wherever -p is taken):
 //
-//	meissa gen  -p prog.p4 [-r rules.txt] [-s spec.lpi] [-no-summary]
-//	meissa test -p prog.p4 [-r rules.txt] [-s spec.lpi] [-fault setvalid:hdr] [-trace]
-//	            [-udp] [-retries N] [-case-timeout D] [-shake drop=0.3,seed=42]
-//	meissa corpus            # list the built-in evaluation corpus
-//	meissa dump -corpus gw-2 # print a corpus program's source and rules
+//	meissa gen  -p prog.p4 [-r rules.txt] [-s spec.lpi] [-no-summary] [-parallel N] [-v] [-quiet]
+//	            [-checkpoint FILE [-resume]] [-store FILE [-store-wait D]] [-strict] [-solver-budget N]
+//	            [-metrics-out report.json] [-pprof-addr host:port] [-o cases.txt]
+//	meissa test -p prog.p4 [-r rules.txt] [-s spec.lpi] [-fault kind:arg[,..]] [-trace] [-parallel N]
+//	            [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-window N] [-breaker N] [-v] [-quiet]
+//	            [-metrics-out report.json] [-pprof-addr host:port]
+//	            [-shake drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N]
+//	meissa regress -store FILE [-store-wait D] [-p prog.p4 | -corpus NAME]
+//	            [-rules-new FILE | -mutate N] [-checkpoint FILE] [-emit-rules FILE]
+//	            [-o cases.txt] [-parallel N] [-no-summary] [-v] [-quiet]
+//	            [-metrics-out report.json] [-pprof-addr host:port]
+//	meissa store info -store FILE (-p prog.p4 [-r rules.txt] | -corpus NAME)
+//	meissa corpus
+//	meissa dump -corpus <name>
+//	meissa checkmetrics <report.json>
 package main
 
 import (
@@ -72,8 +84,7 @@ func usage() {
               [-shake drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N]
   meissa regress -store FILE [-store-wait D] [-p prog.p4 | -corpus NAME]
               [-rules-new FILE | -mutate N] [-checkpoint FILE] [-emit-rules FILE]
-              [-o cases.txt] [-parallel N] [-no-summary]
-              [-watch [-interval D] [-max-failures N]] [-v] [-quiet]
+              [-o cases.txt] [-parallel N] [-no-summary] [-v] [-quiet]
               [-metrics-out report.json] [-pprof-addr host:port]
   meissa store info -store FILE (-p prog.p4 [-r rules.txt] | -corpus NAME)
   meissa corpus
@@ -81,46 +92,47 @@ func usage() {
   meissa checkmetrics <report.json>`)
 }
 
-// loadInputs reads the program, rule set and specs named by flags, or a
-// built-in corpus program via -corpus. Each reader names its file in its
-// errors; the rule set is bound to the program by meissa.New.
+// loadInputs reads the program, rule set and specs named by flags. -corpus
+// names a built-in program and its rules instead of -p; -r replaces those
+// rules (the regress smoke path: corpus program, mutated rule file) and -s
+// adds specs either way. Each reader names its file in its errors; the
+// rule set is bound to the program by meissa.New.
 func loadInputs(fs *flag.FlagSet, args []string) (*p4.Program, *rules.Set, []*spec.Spec, error) {
 	progPath := fs.String("p", "", "P4 program file")
 	rulesPath := fs.String("r", "", "table rule set file")
 	specPath := fs.String("s", "", "LPI intent spec file")
-	corpusName := fs.String("corpus", "", "use a built-in corpus program instead of -p/-r")
+	corpusName := fs.String("corpus", "", "use a built-in corpus program and its rules instead of -p")
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, nil, err
 	}
 
-	if *corpusName != "" {
+	var prog *p4.Program
+	var rs *rules.Set
+	var err error
+	switch {
+	case *corpusName != "" && *progPath != "":
+		return nil, nil, nil, fmt.Errorf("-p and -corpus both name a program: give one")
+	case *corpusName != "":
 		for _, p := range programs.All() {
 			if p.Name == *corpusName {
-				rs := p.Rules
-				if *rulesPath != "" {
-					// -r overrides the corpus program's built-in rules (the
-					// regress smoke path: corpus program, mutated rule file).
-					var err error
-					if rs, err = rules.ParseFile(*rulesPath); err != nil {
-						return nil, nil, nil, err
-					}
-				}
-				return p.Prog, rs, nil, nil
+				prog, rs = p.Prog, p.Rules
+				break
 			}
 		}
-		return nil, nil, nil, fmt.Errorf("unknown corpus program %q", *corpusName)
-	}
-	if *progPath == "" {
+		if prog == nil {
+			return nil, nil, nil, fmt.Errorf("unknown corpus program %q", *corpusName)
+		}
+	case *progPath == "":
 		return nil, nil, nil, fmt.Errorf("missing -p <program> (or -corpus <name>)")
+	default:
+		if prog, err = p4.ParseFile(*progPath); err == nil {
+			err = p4.Check(prog)
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		rs = rules.NewSet()
 	}
-	prog, err := p4.ParseFile(*progPath)
-	if err == nil {
-		err = p4.Check(prog)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rs := rules.NewSet()
 	if *rulesPath != "" {
 		if rs, err = rules.ParseFile(*rulesPath); err != nil {
 			return nil, nil, nil, err

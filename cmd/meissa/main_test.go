@@ -3,16 +3,13 @@ package main
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/programs"
 )
 
 // TestMain runs the CLI's main instead of the tests when mainArgsEnv holds
@@ -38,7 +35,7 @@ pipeline p { control = c; }
 // TestInputErrorsNameTheirFile: whichever reader rejects a file — the P4
 // parser or checker, the rules reader or binder, the spec reader or the
 // translation of an assume — the error `meissa gen` returns leads with
-// FILE:LINE:COL of the bad token.
+// FILE:LINE:COL of the bad token, for a -corpus program's -s too.
 func TestInputErrorsNameTheirFile(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, text string) string {
@@ -51,24 +48,32 @@ func TestInputErrorsNameTheirFile(t *testing.T) {
 	prog := write("ok.p4", cliProg)
 	for _, tc := range []struct {
 		name, flag, file, text, want string
+		corpus                       bool // -corpus Router, not -p ok.p4
 	}{
 		{"P4 parse error", "-p", "syntax.p4", "header h { bit<8> k bit<8> x; }\n",
-			`:1:21: expected ";", found bit`},
+			`:1:21: expected ";", found bit`, false},
 		{"P4 check error", "-p", "check.p4", "header h { bit<8> k; }\ncontrol c { apply { u.apply(); } }\npipeline p { control = c; }\n",
-			`:2:21: apply of unknown table "u"`},
+			`:2:21: apply of unknown table "u"`, false},
 		{"rules syntax error", "-r", "syntax.rules", "table t {\n  h.k=1 -> set(1)\n  h.k=2 -> set(;\n}\n",
-			`:3:16: expected number, found ;`},
+			`:3:16: expected number, found ;`, false},
 		{"bind error", "-r", "bind.rules", "table t {\n  h.k=1 -> set(16);\n}\n",
-			`:2:3: table t entry 0: argument 16 of set is wider than its 4-bit parameter v`},
+			`:2:3: table t entry 0: argument 16 of set is wider than its 4-bit parameter v`, false},
 		{"spec syntax error", "-s", "syntax.lpi", "spec s {\n  assume h.k == ;\n}\n",
-			`:2:17: expected expression, found ;`},
+			`:2:17: expected expression, found ;`, false},
 		{"spec assume error", "-s", "assume.lpi", "spec s {\n  assume h.nope == 1;\n}\n",
-			`:2:10: header "h" has no field "nope"`},
+			`:2:10: header "h" has no field "nope"`, false},
+		{"corpus spec syntax error", "-s", "syntax.lpi", "spec s {\n  assume h.k == ;\n}\n",
+			`:2:17: expected expression, found ;`, true},
+		{"corpus spec assume error", "-s", "assume.lpi", "spec s {\n  assume h.nope == 1;\n}\n",
+			`:2:10: unknown header "h"`, true},
 	} {
 		path := write(tc.file, tc.text)
 		args := []string{"-p", prog, tc.flag, path, "-o", os.DevNull}
 		if tc.flag == "-p" {
 			args = []string{"-p", path}
+		}
+		if tc.corpus {
+			args = []string{"-corpus", "Router", tc.flag, path, "-o", os.DevNull}
 		}
 		err := cmdGen(args)
 		if want := path + tc.want; err == nil || err.Error() != want {
@@ -120,6 +125,8 @@ func TestErrorsPrefixedOnce(t *testing.T) {
 			empty + ": holds no baseline for this program family (run gen with the store first)"},
 		{"gen -resume without -checkpoint", []string{"gen", "-corpus", "Router", "-resume", "-o", os.DevNull},
 			"Resume: requires Checkpoint (name the checkpoint to resume)"},
+		{"gen -p with -corpus", []string{"gen", "-corpus", "Router", "-p", bad, "-o", os.DevNull},
+			"-p and -corpus both name a program: give one"},
 		{"gen -store on a corrupt file", []string{"gen", "-corpus", "Router", "-store", bad, "-o", os.DevNull},
 			"store: open " + bad + ": corrupt store file: no verdict-store header"},
 	} {
@@ -155,11 +162,18 @@ func mainCmd(dir string, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// TestWatchWritesReportEveryRun: `regress -watch -metrics-out M` writes M
-// for the run it starts with, before any failure, and exits 1 once the
-// watched file stops parsing for -max-failures polls in a row.
-func TestWatchWritesReportEveryRun(t *testing.T) {
-	report := watchGivesUp(t, "this is not a rule set\n", 1)
+// TestRegressWritesReport: `regress -metrics-out M` writes M, a run report
+// of command regress with its regress section.
+func TestRegressWritesReport(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := mainCmd(dir, "gen", "-corpus", "gw-1", "-store", "v.store", "-o", os.DevNull, "-quiet").CombinedOutput(); err != nil {
+		t.Fatalf("gen -store: %v\n%s", err, out)
+	}
+	report := filepath.Join(dir, "m.json")
+	if out, err := mainCmd(dir, "regress", "-corpus", "gw-1", "-store", "v.store", "-mutate", "1",
+		"-metrics-out", report, "-o", os.DevNull, "-quiet").CombinedOutput(); err != nil {
+		t.Fatalf("regress: %v\n%s", err, out)
+	}
 	data, err := os.ReadFile(report)
 	if err != nil {
 		t.Fatal(err)
@@ -171,81 +185,6 @@ func TestWatchWritesReportEveryRun(t *testing.T) {
 	if rep.Command != "regress" || rep.Regress == nil {
 		t.Errorf("report of command %q, regress section %+v", rep.Command, rep.Regress)
 	}
-}
-
-// TestWatchRetriesFailedUpdate: a watched file that parses but fails to
-// regress — here a rule set naming a table the program does not declare —
-// is a failure on every poll, not once, so the watch gives up as it does on
-// a file that does not parse.
-func TestWatchRetriesFailedUpdate(t *testing.T) {
-	watchGivesUp(t, "table no_such_table {\n  meta.vni=1 -> NoAction();\n}\n", 2)
-}
-
-// watchGivesUp runs `regress -watch -metrics-out M` on gw-1's populated
-// store and rules, waits for M, renames bad over the watched file and
-// checks that the watch exits 1 within 30s with the give-up line after
-// maxFailures failures. It returns M's path.
-func watchGivesUp(t *testing.T, bad string, maxFailures int) string {
-	t.Helper()
-	dir := t.TempDir()
-	if out, err := mainCmd(dir, "gen", "-corpus", "gw-1", "-store", "v.store", "-o", os.DevNull, "-quiet").CombinedOutput(); err != nil {
-		t.Fatalf("gen -store: %v\n%s", err, out)
-	}
-	var gw1 *programs.Program
-	for _, p := range programs.All() {
-		if p.Name == "gw-1" {
-			gw1 = p
-		}
-	}
-	rulesPath, report := filepath.Join(dir, "new.rules"), filepath.Join(dir, "m.json")
-	if err := os.WriteFile(rulesPath, []byte(gw1.Rules.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := mainCmd(dir, "regress", "-corpus", "gw-1", "-store", "v.store", "-watch", "-rules-new", rulesPath,
-		"-interval", "20ms", "-max-failures", fmt.Sprint(maxFailures), "-metrics-out", report, "-o", os.DevNull)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	kill := func(why string) {
-		t.Helper()
-		cmd.Process.Kill()
-		<-done
-		t.Fatalf("%s; stderr:\n%s", why, stderr.String())
-	}
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if _, err := os.Stat(report); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			kill("no " + report + " within 30s")
-		}
-	}
-	// Renamed into place, so that no poll reads a half-written file.
-	tmp := filepath.Join(dir, "bad.rules")
-	if err := os.WriteFile(tmp, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, rulesPath); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(30 * time.Second):
-		kill("still polling 30s after the watched file went bad")
-	}
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Errorf("regress -watch: %v, want exit status 1", err)
-	}
-	if want := fmt.Sprintf("watch: %d consecutive failures, giving up", maxFailures); !strings.Contains(stderr.String(), want) {
-		t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
-	}
-	return report
 }
 
 // TestQuantilesKeepSubMicrosecond: a latency under a microsecond prints

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	p := programs.GW(1, programs.Set1)
-	sys, err := meissa.New(p.Prog, p.Rules, nil, meissa.DefaultOptions())
+	sys, err := meissa.New(p.Prog, p.Rules, nil, meissa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

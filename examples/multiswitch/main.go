@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("%s: %d pipelines across %d switches, %d rules\n",
 		p.Name, p.Pipes, p.Switches, p.Rules.Len())
 
-	sys, err := meissa.New(p.Prog, p.Rules, nil, meissa.DefaultOptions())
+	sys, err := meissa.New(p.Prog, p.Rules, nil, meissa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

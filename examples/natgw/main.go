@@ -194,7 +194,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, sp := range specs {
-		sys, err := meissa.New(prog, rs, []*spec.Spec{sp}, meissa.DefaultOptions())
+		sys, err := meissa.New(prog, rs, []*spec.Spec{sp}, meissa.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func main() {
 	}
 
 	// 2. Generate test case templates with full path coverage.
-	sys, err := meissa.New(prog, rs, nil, meissa.DefaultOptions())
+	sys, err := meissa.New(prog, rs, nil, meissa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

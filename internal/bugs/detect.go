@@ -64,8 +64,7 @@ func RunOne(s *Scenario) (*Row, error) {
 // DetectMeissa runs the full pipeline: generate with full coverage, inject
 // into the (fault-compiled) target, apply every check.
 func DetectMeissa(s *Scenario) (Detection, error) {
-	opts := meissa.DefaultOptions()
-	opts.MaxPaths = baselines.Budget
+	opts := meissa.Options{MaxPaths: baselines.Budget}
 	sys, err := meissa.New(s.Prog, s.Rules, s.Specs, opts)
 	if err != nil {
 		return Detection{}, err
@@ -123,7 +122,7 @@ func runModelVsTarget(s *Scenario, tool baselines.Generator, name string) (Detec
 		return Detection{}, err
 	}
 	// The tools share Meissa's CFG encoding for concretization.
-	sys, err := meissa.New(s.Prog, s.Rules, nil, meissa.DefaultOptions())
+	sys, err := meissa.New(s.Prog, s.Rules, nil, meissa.Options{})
 	if err != nil {
 		return Detection{}, err
 	}
@@ -152,8 +151,7 @@ func DetectPTA(s *Scenario) (Detection, error) {
 	if len(s.Handwritten) == 0 {
 		return Detection{Why: "no handwritten unit test covers this behaviour"}, nil
 	}
-	opts := meissa.DefaultOptions()
-	opts.MaxPaths = baselines.Budget
+	opts := meissa.Options{MaxPaths: baselines.Budget}
 	sys, err := meissa.New(s.Prog, s.Rules, s.Handwritten, opts)
 	if err != nil {
 		return Detection{}, err
@@ -192,8 +190,7 @@ func DetectPTA(s *Scenario) (Detection, error) {
 // backend faults are invisible by construction; checksum reasoning is
 // outside the solver's theories (§6).
 func DetectAquila(s *Scenario) (Detection, error) {
-	opts := meissa.DefaultOptions()
-	opts.MaxPaths = baselines.Budget
+	opts := meissa.Options{MaxPaths: baselines.Budget}
 	sys, err := meissa.New(s.Prog, s.Rules, s.Specs, opts)
 	if err != nil {
 		return Detection{}, err

@@ -87,9 +87,7 @@ type Fig9Row struct {
 
 // RunMeissa measures Meissa's generation time on a program.
 func RunMeissa(p *programs.Program) (ToolResult, error) {
-	opts := meissa.DefaultOptions()
-	opts.MaxPaths = Budget
-	opts.Parallelism = Parallelism
+	opts := meissa.Options{MaxPaths: Budget, Parallelism: Parallelism}
 	sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
 	if err != nil {
 		return ToolResult{}, err
@@ -241,10 +239,7 @@ type SummaryEffect struct {
 func MeasureSummaryEffect(p *programs.Program, label string) (SummaryEffect, error) {
 	eff := SummaryEffect{Label: label}
 	for _, withSummary := range []bool{true, false} {
-		opts := meissa.DefaultOptions()
-		opts.CodeSummary = withSummary
-		opts.MaxPaths = Budget
-		opts.Parallelism = Parallelism
+		opts := meissa.Options{NoSummary: !withSummary, MaxPaths: Budget, Parallelism: Parallelism}
 		sys, err := meissa.New(p.Prog, p.Rules, nil, opts)
 		if err != nil {
 			return eff, err

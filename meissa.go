@@ -15,7 +15,7 @@
 // Quick start:
 //
 //	prog := p4.MustParse(src)
-//	sys, _ := meissa.New(prog, ruleSet, specs, meissa.DefaultOptions())
+//	sys, _ := meissa.New(prog, ruleSet, specs, meissa.Options{})
 //	gen, _ := sys.Generate()
 //	target, _ := switchsim.Compile(prog, ruleSet, nil)
 //	report, _ := sys.Test(driver.NewLoopback(target), gen)
@@ -48,17 +48,14 @@ import (
 
 // Options configure the system.
 type Options struct {
-	// CodeSummary enables the paper's core technique (§3.3). Disabling it
-	// runs the basic framework (Algorithm 1) over the whole program — the
-	// "w/o code summary" configuration of Fig. 11/12.
-	CodeSummary bool
-	// UsePreconditions toggles inter-pipeline public pre-condition
-	// filtering within code summary (ablation).
-	UsePreconditions bool
-	// EarlyTermination toggles §3.2 path pruning (ablation).
-	EarlyTermination bool
-	// IncrementalSolving toggles solver push/pop state reuse (ablation).
-	IncrementalSolving bool
+	// NoSummary disables the paper's core technique (§3.3) and runs the
+	// basic framework (Algorithm 1) over the whole program — the "w/o code
+	// summary" configuration of Fig. 11/12. Early termination (§3.2),
+	// incremental solving and public pre-condition filtering (§3.3) are
+	// always on: the zero Options is full Meissa. Their ablations set the
+	// switches in the layers that own them (sym.Options.EarlyTermination,
+	// smt.Options.Incremental, summary.Options.UsePreconditions).
+	NoSummary bool
 	// Parallelism is the exploration worker count, applied to both the
 	// within-pipeline summarization runs and the final generation pass,
 	// and the only way a generation runs in parallel: 0 uses GOMAXPROCS;
@@ -123,15 +120,9 @@ type Options struct {
 	StoreWait time.Duration
 }
 
-// DefaultOptions is the full Meissa configuration.
-func DefaultOptions() Options {
-	return Options{
-		CodeSummary:        true,
-		UsePreconditions:   true,
-		EarlyTermination:   true,
-		IncrementalSolving: true,
-	}
-}
+// DefaultOptions is the full Meissa configuration, the zero Options. The
+// benchmark harness calls it; ROADMAP item 1 deletes it.
+func DefaultOptions() Options { return Options{} }
 
 // System is a data plane program under test.
 type System struct {
@@ -349,7 +340,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 	}
 
 	sumOpts, fcfg := s.passConfigs(g, initC, j)
-	if s.Opts.CodeSummary {
+	if !s.Opts.NoSummary {
 		var stats *summary.Stats
 		if err := phase("summary", func() (err error) { stats, err = summary.Summarize(g, sumOpts); return }); err != nil {
 			return nil, err
@@ -425,7 +416,7 @@ func (s *System) generate(reg *baseline) (out *GenResult, err error) {
 // none).
 func (s *System) passConfigs(g *cfg.Graph, initC []expr.Bool, j *journal.Journal) (summary.Options, sym.Config) {
 	symOpts := sym.Options{
-		EarlyTermination: s.Opts.EarlyTermination,
+		EarlyTermination: true,
 		Solver:           s.solverOptions(),
 		SolverSet:        true,
 		Parallelism:      s.Opts.Parallelism,
@@ -436,7 +427,7 @@ func (s *System) passConfigs(g *cfg.Graph, initC []expr.Bool, j *journal.Journal
 	}
 	sumOpts := summary.Options{
 		Sym:              symOpts,
-		UsePreconditions: s.Opts.UsePreconditions,
+		UsePreconditions: true,
 		InitConstraints:  initC,
 	}
 	symOpts.WantModels = true
@@ -520,7 +511,6 @@ func (g *GenResult) Report(command, program string) *obs.Report {
 
 func (s *System) solverOptions() smt.Options {
 	o := smt.DefaultOptions()
-	o.Incremental = s.Opts.IncrementalSolving
 	o.PerCheckOverhead = s.Opts.SolverOverhead
 	if s.Opts.SolverSearchBudget > 0 {
 		o.SearchBudget = s.Opts.SolverSearchBudget
@@ -552,11 +542,11 @@ func (s *System) identity(initC []expr.Bool, rulesText string) uint64 {
 		io.WriteString(h, "\n")
 	}
 	so := s.solverOptions()
-	// ct=0 is where a per-query wall-clock timeout was written; the literal
-	// keeps the identities of checkpoints and stores made before it went.
-	fmt.Fprintf(h, "|cs=%v pre=%v et=%v inc=%v sb=%d ct=0 cpv=%d",
-		s.Opts.CodeSummary, s.Opts.UsePreconditions, s.Opts.EarlyTermination,
-		s.Opts.IncrementalSolving, so.SearchBudget, so.CandidatesPerVar)
+	// pre, et and inc were options, and ct=0 is where a per-query
+	// wall-clock timeout was written; the literal keeps the identities of
+	// checkpoints and stores made before they went.
+	fmt.Fprintf(h, "|cs=%v pre=true et=true inc=true sb=%d ct=0 cpv=%d",
+		!s.Opts.NoSummary, so.SearchBudget, so.CandidatesPerVar)
 	return h.Sum64()
 }
 

@@ -68,8 +68,7 @@ func TestSummaryPreservesCoverage(t *testing.T) {
 		programs.GW(1, programs.Set1), programs.GW(2, programs.Set1),
 	} {
 		t.Run(p.Name, func(t *testing.T) {
-			raw := meissa.DefaultOptions()
-			raw.CodeSummary = false
+			raw := meissa.Options{NoSummary: true}
 			with, without := run{p: p, opts: meissa.DefaultOptions()}.gen(t), run{p: p, opts: raw}.gen(t)
 			if len(with.Templates) != len(without.Templates) {
 				t.Fatalf("coverage differs: %d templates with summary, %d without",
@@ -84,8 +83,7 @@ func TestSummaryPreservesCoverage(t *testing.T) {
 // calls and the CFG has fewer possible paths.
 func TestSummaryReducesWork(t *testing.T) {
 	p := programs.GW(3, programs.Set1)
-	raw := meissa.DefaultOptions()
-	raw.CodeSummary = false
+	raw := meissa.Options{NoSummary: true}
 	genWith, genWithout := run{p: p, opts: meissa.DefaultOptions()}.gen(t), run{p: p, opts: raw}.gen(t)
 	if genWith.PossiblePathsLog10After >= genWithout.PossiblePathsLog10After {
 		t.Errorf("summary did not reduce possible paths: %.1f vs %.1f",

@@ -116,7 +116,7 @@ func TestReportOwnsLatency(t *testing.T) {
 }
 
 // TestRegressReportsPerRun regresses twice in one process from a store,
-// the shape of `regress -watch`: each iteration's run report counts that
+// as a library caller's loop does: each iteration's run report counts that
 // iteration's solver latency only, and its regress section that
 // iteration's live queries.
 func TestRegressReportsPerRun(t *testing.T) {

@@ -77,7 +77,7 @@ func TestCountedWorkUnchangedByParentPrunes(t *testing.T) {
 			}
 			h := fnv.New64a()
 			opts := at(1)
-			opts.CodeSummary = summary
+			opts.NoSummary = !summary
 			opts.Checkpoint = filepath.Join(t.TempDir(), "j")
 			var buf []byte
 			opts.PathHook = func(path []cfg.NodeID) {
@@ -151,7 +151,7 @@ func TestTruncatedUnknownPinned(t *testing.T) {
 				got = get(t, genKey(c.name, "", 1, "").summarized(summary))
 			} else {
 				opts := at(1)
-				opts.CodeSummary = summary
+				opts.NoSummary = !summary
 				got = observe(run{p: c.p, opts: opts}.res(t))
 			}
 			name := fmt.Sprintf("%s/%s summary=%v", c.name, c.scale, summary)

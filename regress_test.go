@@ -388,8 +388,8 @@ func TestRegressEmptyDelta(t *testing.T) {
 }
 
 // TestRegressWatchCache: consecutive incremental runs at Parallelism 2,
-// each regressing from the checkpoint the one before left (the watch-mode
-// chain), stay byte-identical to cold runs.
+// each regressing from the checkpoint the one before left (the chain a
+// loop of regressions makes), stay byte-identical to cold runs.
 func TestRegressWatchCache(t *testing.T) {
 	from, rules := genKey("Router", "", 2, "checkpoint"), ""
 	for i := range 2 {
