@@ -14,7 +14,6 @@
 //	meissa test -p prog.p4 [-r rules.txt] [-s spec.lpi] [-fault kind:arg[,..]] [-trace] [-parallel N]
 //	            [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-window N] [-breaker N] [-v] [-quiet]
 //	            [-metrics-out report.json] [-pprof-addr host:port]
-//	            [-shake drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N]
 //	meissa regress -store FILE [-store-wait D] [-p prog.p4 | -corpus NAME]
 //	            [-rules-new FILE | -mutate N] [-checkpoint FILE] [-emit-rules FILE]
 //	            [-o cases.txt] [-parallel N] [-no-summary] [-v] [-quiet]
@@ -81,7 +80,6 @@ func usage() {
   meissa test -p prog.p4 [-r rules.txt] [-s spec.lpi] [-fault kind:arg[,..]] [-trace] [-parallel N]
               [-udp] [-retries N] [-case-timeout D] [-recv-timeout D] [-window N] [-breaker N] [-v] [-quiet]
               [-metrics-out report.json] [-pprof-addr host:port]
-              [-shake drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N]
   meissa regress -store FILE [-store-wait D] [-p prog.p4 | -corpus NAME]
               [-rules-new FILE | -mutate N] [-checkpoint FILE] [-emit-rules FILE]
               [-o cases.txt] [-parallel N] [-no-summary] [-v] [-quiet]
@@ -260,21 +258,19 @@ func cmdTest(args []string) error {
 	recvTimeout := fs.Duration("recv-timeout", 200*time.Millisecond, "per-attempt capture window")
 	window := fs.Int("window", driver.DefaultWindow, "in-flight cases; 1 = one at a time")
 	breaker := fs.Int("breaker", 0, "trip after N consecutive target-crashing cases; rest short-circuit to lost (0 = off)")
-	shake := fs.String("shake", "", "inject link faults: drop=P,dup=P,reorder=P,corrupt=P,delay=D,seed=N")
 	verbose := fs.Bool("v", false, "print per-phase progress on stderr")
 	ob := registerObsFlags(fs)
 	prog, rs, specs, err := loadInputs(fs, args)
 	if err != nil {
 		return err
 	}
+	if *window < 1 {
+		return fmt.Errorf("-window %d: want at least 1 in-flight case", *window)
+	}
 	if err := ob.activate(*verbose); err != nil {
 		return err
 	}
 	faults, err := parseFaults(*faultSpec)
-	if err != nil {
-		return err
-	}
-	linkFaults, err := driver.ParseLinkFaults(*shake)
 	if err != nil {
 		return err
 	}
@@ -319,20 +315,11 @@ func cmdTest(args []string) error {
 		link = loop
 	}
 
-	var shaken *driver.FaultyLink
-	if linkFaults.Active() {
-		shaken = driver.NewFaultyLink(link, linkFaults)
-		link = shaken
-		fmt.Println("link faults:", linkFaults)
-	}
-
 	d := sys.NewDriver(link, gen)
 	d.Retries = *retries
 	d.CaseTimeout = *caseTimeout
 	d.RecvTimeout = *recvTimeout
-	if *window > 0 {
-		d.Window = *window
-	}
+	d.Window = *window
 	d.BreakerThreshold = *breaker
 	driveStart := time.Now()
 	rep, err := d.RunTemplates(gen.Templates)
@@ -360,9 +347,6 @@ func cmdTest(args []string) error {
 			fmt.Println("  intent:", v)
 		}
 	}
-	if shaken != nil {
-		fmt.Println("link noise injected:", shaken.Stats())
-	}
 	if sw != nil && (sw.Crashes() > 0 || sw.Errors() > 0) {
 		fmt.Printf("switch under test: %d target crashes, %d dropped, %d errors absorbed\n",
 			sw.Crashes(), sw.Dropped(), sw.Errors())
@@ -381,7 +365,7 @@ func cmdTest(args []string) error {
 	if loop == nil {
 		counted = nil
 	}
-	orep.Driver = driverReport(rep, counted, shaken, gen.Duration+rep.TimeToFirstVerdict, driveDur, d.Window)
+	orep.Driver = driverReport(rep, counted, gen.Duration+rep.TimeToFirstVerdict, driveDur, d.Window)
 	if orep.Driver.Target != nil {
 		fmt.Println(targetLine(orep.Driver.Target))
 	}

@@ -106,8 +106,8 @@ func TestRefusedRegressWritesNothing(t *testing.T) {
 	}
 }
 
-// TestErrorsPrefixedOnce pins the text of three errors, a refusal from the
-// store, a refusal of the options and a corrupt store file: none says
+// TestErrorsPrefixedOnce pins the text of errors, refusals from the store,
+// of the options and of the flags, and a corrupt store file: none says
 // "meissa:" or names a package twice, and main prints each as one stderr
 // line that begins "meissa: " and exits 1.
 func TestErrorsPrefixedOnce(t *testing.T) {
@@ -127,6 +127,12 @@ func TestErrorsPrefixedOnce(t *testing.T) {
 			"Resume: requires Checkpoint (name the checkpoint to resume)"},
 		{"gen -p with -corpus", []string{"gen", "-corpus", "Router", "-p", bad, "-o", os.DevNull},
 			"-p and -corpus both name a program: give one"},
+		{"regress -rules-new with -mutate", []string{"regress", "-corpus", "Router", "-store", empty, "-rules-new", bad, "-mutate", "5"},
+			"-rules-new and -mutate both name the new rules: give one"},
+		{"test -window 0", []string{"test", "-corpus", "Router", "-window", "0"},
+			"-window 0: want at least 1 in-flight case"},
+		{"test -window -4", []string{"test", "-corpus", "Router", "-window", "-4"},
+			"-window -4: want at least 1 in-flight case"},
 		{"gen -store on a corrupt file", []string{"gen", "-corpus", "Router", "-store", bad, "-o", os.DevNull},
 			"store: open " + bad + ": corrupt store file: no verdict-store header"},
 	} {

@@ -75,11 +75,10 @@ func (o *obsFlags) finish(rep *obs.Report) error {
 
 // driverReport builds the test-execution section from a driver report,
 // the target's own counters (target is nil when the switch under test is
-// behind a socket and its workers own it) and the optional shaken link.
-// driveDur is the drive phase wall-clock and
-// window the engine's in-flight window; together they yield the headline
-// verdicts_per_sec throughput.
-func driverReport(rep *driver.Report, target *switchsim.Target, shaken *driver.FaultyLink, firstVerdict, driveDur time.Duration, window int) *obs.DriverReport {
+// behind a socket and its workers own it). driveDur is the drive phase
+// wall-clock and window the engine's in-flight window; together they
+// yield the headline verdicts_per_sec throughput.
+func driverReport(rep *driver.Report, target *switchsim.Target, firstVerdict, driveDur time.Duration, window int) *obs.DriverReport {
 	d := &obs.DriverReport{
 		Passed:            rep.Passed,
 		Failed:            rep.Failed,
@@ -105,16 +104,6 @@ func driverReport(rep *driver.Report, target *switchsim.Target, shaken *driver.F
 		d.VerdictsPerSec = float64(verdicts) / driveDur.Seconds()
 	}
 	d.CaseLatencyQuantiles = rep.CaseLatency.SummaryQuantiles()
-	if shaken != nil {
-		st := shaken.Stats()
-		d.Link = &obs.LinkReport{
-			Dropped:    st.Dropped,
-			Duplicated: st.Duplicated,
-			Reordered:  st.Reordered,
-			Corrupted:  st.Corrupted,
-			Delayed:    st.Delayed,
-		}
-	}
 	return d
 }
 

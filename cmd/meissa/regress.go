@@ -31,6 +31,9 @@ func cmdRegress(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *rulesNew != "" && *mutate != 0 {
+		return fmt.Errorf("-rules-new and -mutate both name the new rules: give one")
+	}
 	if err := ob.activate(*verbose); err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	meissa "repro"
 	"repro/internal/driver"
@@ -78,30 +77,4 @@ func main() {
 	fmt.Println(meissa.Localize(gen, f, link.Replay(f.Case.Entry, f.Case.Wire)))
 	fmt.Println("conclusion: the P4 code is correct; the divergence is in the compiled target")
 	fmt.Println("(issue #14: the vendor confirmed and fixed this class of bug in the next compiler release)")
-
-	// 4. The same hunt over a noisy harness link: with seeded drop,
-	// duplication and reordering on the wire, the retrying driver still
-	// reaches the same verdicts — real failures stay FAIL, and cases that
-	// only stumbled on link noise are reported FLAKY, never silently.
-	fmt.Println()
-	fmt.Println("== testing again over a lossy link (drop=0.3 dup=0.2 reorder=0.2, seeded) ==")
-	buggy2, err := switchsim.Compile(p.Prog, p.Rules, fault)
-	if err != nil {
-		log.Fatal(err)
-	}
-	shaken := driver.NewFaultyLink(driver.NewLoopback(buggy2),
-		driver.LinkFaults{Seed: 42, Drop: 0.3, Duplicate: 0.2, Reorder: 0.2})
-	d2 := sys.NewDriver(shaken, gen)
-	d2.Retries = 8
-	d2.RecvTimeout = 20 * time.Millisecond
-	d2.Backoff = time.Millisecond
-	rep2, err := d2.RunTemplates(gen.Templates)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(rep2.Summary())
-	fmt.Println("  injected:", shaken.Stats())
-	if rep2.Failed == rep.Failed && rep2.Lost == 0 {
-		fmt.Println("  same data-plane verdicts as the clean run: link noise absorbed, bug still caught")
-	}
 }

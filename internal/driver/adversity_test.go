@@ -9,6 +9,7 @@
 package driver_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -93,7 +94,7 @@ func testAdversity(t *testing.T, p *programs.Program) {
 		t.Error("fault injection inactive — the adversity run tested nothing")
 	}
 	t.Logf("clean: %s", clean.Summary())
-	t.Logf("noisy: %s (injected %s)", noisy.Summary(), stats)
+	t.Logf("noisy: %s (injected %+v)", noisy.Summary(), stats)
 }
 
 func TestAdversityRouter(t *testing.T) {
@@ -102,6 +103,64 @@ func TestAdversityRouter(t *testing.T) {
 
 func TestAdversityGW1(t *testing.T) {
 	testAdversity(t, programs.GW(1, programs.Set1))
+}
+
+// TestShakenDriveCorpusSummaries drives gw-2 and ACL behind a shaken
+// loopback at the driver's defaults, which are meissa test's. The
+// loopback's simulated clock, delays included, makes each drive a
+// function of its link's seed: the summary lines and the link counters
+// are exact, and five repeats render one report, payload IDs included.
+func TestShakenDriveCorpusSummaries(t *testing.T) {
+	for _, tc := range []struct {
+		p      *programs.Program
+		faults driver.LinkFaults
+		want   string
+		stats  driver.LinkStats
+	}{
+		{programs.GW(2, programs.Set2), driver.LinkFaults{Seed: 7, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2, Delay: 2 * time.Millisecond},
+			"gw_2: 34 passed, 0 failed, 0 skipped (7 flaky, 1 lost, 10 retransmissions)",
+			driver.LinkStats{Dropped: 12, Duplicated: 6, Reordered: 7, Corrupted: 0, Delayed: 51}},
+		{programs.ACL(), driver.LinkFaults{Seed: 11, Drop: 0.1, Reorder: 0.2, Delay: 5 * time.Millisecond},
+			"acl: 149 passed, 0 failed, 0 skipped (26 flaky, 0 lost, 31 retransmissions)",
+			driver.LinkStats{Dropped: 34, Duplicated: 0, Reordered: 37, Corrupted: 0, Delayed: 187}},
+	} {
+		p := tc.p
+		t.Run(p.Name, func(t *testing.T) {
+			sys, err := meissa.New(p.Prog, p.Rules, nil, meissa.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := sys.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			drive := func() (*driver.Report, driver.LinkStats, string) {
+				target, err := switchsim.Compile(p.Prog, p.Rules, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				link := driver.NewFaultyLink(driver.NewLoopback(target), tc.faults)
+				rep, err := sys.Test(link, gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := link.Stats()
+				return rep, st, driver.RenderReport(rep, true) + fmt.Sprintf("%+v\n", st)
+			}
+			rep, st, want := drive()
+			if got := rep.Summary(); got != tc.want {
+				t.Errorf("summary %q\nwant    %q", got, tc.want)
+			}
+			if st != tc.stats {
+				t.Errorf("link counters %+v, want %+v", st, tc.stats)
+			}
+			for i := 2; i <= 5; i++ {
+				if _, _, got := drive(); got != want {
+					t.Fatalf("repeat %d differs\n--- repeat 1 ---\n%s--- repeat %d ---\n%s", i, want, i, got)
+				}
+			}
+		})
+	}
 }
 
 // TestRetryLadderUDPRouter: at 40 retransmissions the default 10 ms

@@ -91,7 +91,7 @@ func TestFaultyLinkConcurrentCounters(t *testing.T) {
 		t.Fatalf("delayed = %d, want one delay per delivered packet (%d)", st.Delayed, wantDelivered)
 	}
 	if st.Dropped == 0 || st.Duplicated == 0 || st.Reordered == 0 {
-		t.Fatalf("expected every configured fault to fire at these rates: %s", st)
+		t.Fatalf("expected every configured fault to fire at these rates: %+v", st)
 	}
 	if st.Corrupted != 0 {
 		t.Fatalf("corrupted = %d with corruption disabled", st.Corrupted)

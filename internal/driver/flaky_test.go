@@ -49,7 +49,7 @@ func exercise(cfg LinkFaults) string {
 	for i, w := range inner.sent {
 		fmt.Fprintf(&log, "sent %d %x\n", i, w)
 	}
-	fmt.Fprintf(&log, "stats %s\n", fl.Stats())
+	fmt.Fprintf(&log, "stats %+v\n", fl.Stats())
 	return log.String()
 }
 
@@ -85,29 +85,7 @@ func TestFaultyLinkPassthrough(t *testing.T) {
 	}
 	s := fl.Stats()
 	if s.Dropped+s.Duplicated+s.Reordered+s.Corrupted+s.Delayed != 0 {
-		t.Errorf("clean link reported injected faults: %s", s)
-	}
-}
-
-func TestParseLinkFaults(t *testing.T) {
-	lf, err := ParseLinkFaults("drop=0.3,dup=0.1,reorder=0.2,corrupt=0.05,delay=5ms,seed=42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lf.Drop != 0.3 || lf.Duplicate != 0.1 || lf.Reorder != 0.2 ||
-		lf.Corrupt != 0.05 || lf.Delay != 5*time.Millisecond || lf.Seed != 42 {
-		t.Fatalf("parsed %+v", lf)
-	}
-	if !lf.Active() {
-		t.Error("parsed spec should be active")
-	}
-	if empty, err := ParseLinkFaults(""); err != nil || empty.Active() {
-		t.Errorf("empty spec: %+v, %v", empty, err)
-	}
-	for _, bad := range []string{"drop=2", "drop=-0.1", "dup=x", "delay=5", "nope=1", "drop"} {
-		if _, err := ParseLinkFaults(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
+		t.Errorf("clean link reported injected faults: %+v", s)
 	}
 }
 
@@ -162,6 +140,6 @@ func TestFaultyLinkDelayIsLatency(t *testing.T) {
 	inner.clk.advance(simEpoch.Add(delay))
 	fl.Recv(buf, 0)
 	if n, s := inner.sends.Load(), fl.Stats(); n != 3 || s.Delayed != 3 || !fl.pending().IsZero() {
-		t.Fatalf("after the longest delay: %d delivered, %s, pending %v", n, s, fl.pending())
+		t.Fatalf("after the longest delay: %d delivered, %+v, pending %v", n, s, fl.pending())
 	}
 }

@@ -32,12 +32,13 @@ const DefaultWindow = 256
 // or timers: each turn one pass over the at most Window cases the engine
 // holds fires the due ones, and an idle loop waits for the earliest.
 //
-// Every due, deadline and backoff, and every delivery a FaultyLink holds
-// back, is a time on one clock, the link's (clockOf). In-process links run
-// on a simulated clock, which the idle loop advances to the earliest
-// pending event, so a drive over them is a function of its inputs and
-// seed; UDP runs on the wall clock. Phases, TimeToFirstVerdict and the
-// case latency are measurements, on the wall clock on every link.
+// Every due, deadline and backoff, and every delivery a link holds back
+// (nextDelivery; the tests' fault-injecting link delays some), is a time
+// on one clock, the link's (clockOf). In-process links run on a simulated
+// clock, which the idle loop advances to the earliest pending event, so a
+// drive over them is a function of its inputs and seed; UDP runs on the
+// wall clock. Phases, TimeToFirstVerdict and the case latency are
+// measurements, on the wall clock on every link.
 
 // simClock is a discrete-event clock: simEpoch (not the zero Time, which
 // means "none") plus what it was advanced by. nil is the wall clock.

@@ -227,10 +227,10 @@ func TestShakenDriveIsAFunctionOfItsSeed(t *testing.T) {
 			fl = NewFaultyLink(d.Link, faults)
 			d.Link = fl
 		})
-		return rep, renderReport(rep, true) + fl.Stats().String()
+		return rep, renderReport(rep, true) + fmt.Sprintf("%+v", fl.Stats())
 	}
 	rep, want := drive()
-	if rep.Flaky == 0 || !strings.Contains(want, "delayed=") || strings.Contains(want, "delayed=0") {
+	if rep.Flaky == 0 || !strings.Contains(want, "Delayed:") || strings.Contains(want, "Delayed:0}") {
 		t.Fatalf("the shaken drive injected no delay or absorbed no noise; the check is vacuous:\n%s", want)
 	}
 	for i := 2; i <= 50; i++ {

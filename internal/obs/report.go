@@ -176,8 +176,6 @@ type DriverReport struct {
 	// transmission after the trip (a subset of Lost).
 	BreakerTripped bool `json:"breaker_tripped,omitempty"`
 	ShortCircuited int  `json:"short_circuited,omitempty"`
-	// Link counts injected link faults (zeros on clean links).
-	Link *LinkReport `json:"link,omitempty"`
 	// CaseLatencyQuantiles summarizes the drive's per-case latency
 	// (driver.Report.CaseLatency) as p50/p90/p99 (ns) (v2).
 	CaseLatencyQuantiles *Quantiles `json:"case_latency_quantiles,omitempty"`
@@ -340,15 +338,6 @@ func (g *RegressReport) Validate() error {
 			t.Retired, t.Unchanged, t.Baseline)
 	}
 	return nil
-}
-
-// LinkReport mirrors driver.LinkStats.
-type LinkReport struct {
-	Dropped    uint64 `json:"dropped"`
-	Duplicated uint64 `json:"duplicated"`
-	Reordered  uint64 `json:"reordered"`
-	Corrupted  uint64 `json:"corrupted"`
-	Delayed    uint64 `json:"delayed"`
 }
 
 // NewSolverReport builds the solver section from raw counts, deriving

@@ -19,7 +19,7 @@ import (
 // Options configures Open. The zero value is production defaults.
 type Options struct {
 	// FS is the filesystem to perform I/O through; nil means the real OS
-	// (the recovery harness injects a FailFS).
+	// (the recovery tests pass one that injects failpoints).
 	FS FS
 	// LockWait bounds how long Open waits for a busy store's advisory lock
 	// before failing with ErrStoreBusy. Zero makes one attempt.
